@@ -68,6 +68,7 @@ fn measure(plan: &OffloadPlan, config: &SystemConfig, assignment: &Assignment) -
         &mut system,
         &opts,
         None,
+        None,
     )
     .expect("plan executes")
     .total_secs

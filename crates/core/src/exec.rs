@@ -14,12 +14,12 @@ use crate::error::{ActivePyError, Result};
 use crate::estimate::LineEstimate;
 use crate::metrics::MetricsSnapshot;
 use crate::monitor::{Monitor, MonitorConfig, Observation};
-use crate::recovery::{Recovery, RecoveryPolicy, RecoveryStats};
+use crate::recovery::{Recovery, RecoveryPolicy};
 use crate::resume::{backend_code, reason_code, ExecJournal};
 use alang::compile::CompiledProgram;
 use alang::{
-    CostParams, ExecBackend, ExecTier, Interpreter, LineCost, LoweredProgram, ParStatsSnapshot,
-    ParallelPolicy, Program, Storage, Vm,
+    CostParams, ExecBackend, ExecTier, Fingerprinter, Interpreter, LineCost, LoweredProgram,
+    ParStatsSnapshot, ParallelPolicy, Program, Storage, Vm,
 };
 use csd_sim::availability::AvailabilityTrace;
 use csd_sim::contention::{ContentionScenario, Trigger};
@@ -405,20 +405,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// What the recovery layer absorbed during the run.
-    #[deprecated(since = "0.1.0", note = "read `metrics.recovery` instead")]
-    #[must_use]
-    pub fn recovery(&self) -> RecoveryStats {
-        self.metrics.recovery
-    }
-
-    /// Chunk counters accumulated by the run's kernel calls.
-    #[deprecated(since = "0.1.0", note = "read `metrics.par` instead")]
-    #[must_use]
-    pub fn par_stats(&self) -> ParStatsSnapshot {
-        self.metrics.par
-    }
-
     /// Sum of measured line costs.
     #[must_use]
     pub fn total_cost(&self) -> LineCost {
@@ -482,56 +468,36 @@ pub fn execute(
     estimates: Option<&[LineEstimate]>,
     copy_elim: &[bool],
 ) -> Result<RunReport> {
-    execute_with_shard(
-        program, storage, placements, system, opts, estimates, copy_elim, None,
-    )
-}
-
-/// As [`execute`], charging the run as one shard of a fleet when `shard`
-/// is given: values are still computed in full (so `values_fingerprint`
-/// matches the unsharded run byte-for-byte), but extensive costs are
-/// restricted to the shard's charge range and row slice.
-///
-/// # Errors
-///
-/// As [`execute`].
-#[allow(clippy::too_many_arguments)]
-pub fn execute_with_shard(
-    program: &Program,
-    storage: &Storage,
-    placements: &[EngineKind],
-    system: &mut System,
-    opts: &ExecOptions,
-    estimates: Option<&[LineEstimate]>,
-    copy_elim: &[bool],
-    shard: Option<&ShardSlice>,
-) -> Result<RunReport> {
     match opts.backend {
         ExecBackend::Vm => {
             let lowered = alang::lower::lower_with(program, copy_elim)?;
-            let eval = Evaluator::Vm(Vm::with_policy(&lowered, storage, opts.parallel));
-            execute_impl(
-                program, placements, system, opts, estimates, copy_elim, eval, shard,
+            execute_lowered(
+                program, &lowered, storage, placements, system, opts, estimates, None,
             )
         }
         ExecBackend::AstWalk => {
             let eval = Evaluator::Ast(Interpreter::with_policy(storage, opts.parallel));
             execute_impl(
-                program, placements, system, opts, estimates, copy_elim, eval, shard,
+                program, placements, system, opts, estimates, copy_elim, eval, None,
             )
         }
     }
 }
 
-/// Executes an already-lowered program on the bytecode VM, reusing the
-/// lowering (and its baked copy-elimination flags) across runs — how a
-/// cached [`crate::plan::OffloadPlan`] avoids re-lowering per contention
-/// scenario.
+/// As [`execute`] on an already-lowered program with its baked
+/// copy-elimination flags, so runs that share a plan — one per contention
+/// scenario, or a fleet's N + 1 — share one lowering.
+///
+/// When `shard` is given the run is charged as one shard of a fleet:
+/// values are still computed in full (so `values_fingerprint` matches the
+/// unsharded run), but extensive costs are restricted to the shard's
+/// charge range and row slice.
 ///
 /// # Errors
 ///
 /// As [`execute`]; additionally rejects a lowering whose line count does
 /// not match `program`.
+#[allow(clippy::too_many_arguments)]
 pub fn execute_lowered(
     program: &Program,
     lowered: &LoweredProgram,
@@ -540,6 +506,7 @@ pub fn execute_lowered(
     system: &mut System,
     opts: &ExecOptions,
     estimates: Option<&[LineEstimate]>,
+    shard: Option<&ShardSlice>,
 ) -> Result<RunReport> {
     if lowered.len() != program.len() {
         return Err(ActivePyError::exec(format!(
@@ -548,16 +515,13 @@ pub fn execute_lowered(
             program.len()
         )));
     }
-    let eval = Evaluator::Vm(Vm::with_policy(lowered, storage, opts.parallel));
+    let eval = match opts.backend {
+        ExecBackend::Vm => Evaluator::Vm(Vm::with_policy(lowered, storage, opts.parallel)),
+        ExecBackend::AstWalk => Evaluator::Ast(Interpreter::with_policy(storage, opts.parallel)),
+    };
+    let copy_elim = lowered.copy_elim();
     execute_impl(
-        program,
-        placements,
-        system,
-        opts,
-        estimates,
-        lowered.copy_elim(),
-        eval,
-        None,
+        program, placements, system, opts, estimates, copy_elim, eval, shard,
     )
 }
 
@@ -585,13 +549,12 @@ impl Evaluator<'_> {
         }
     }
 
-    /// The debug rendering of a variable's current value; what the values
-    /// fingerprint hashes. Identical across backends because both render
-    /// the same [`alang::Value`].
-    fn var_debug(&self, name: &str) -> String {
+    /// A variable's current value (`None` until its first assignment has
+    /// run); both backends hold the same [`alang::Value`].
+    fn var(&self, name: &str) -> Option<&alang::Value> {
         match self {
-            Evaluator::Ast(interp) => format!("{:?}", interp.var(name)),
-            Evaluator::Vm(vm) => format!("{:?}", vm.var(name)),
+            Evaluator::Ast(interp) => interp.var(name),
+            Evaluator::Vm(vm) => vm.var(name),
         }
     }
 
@@ -613,31 +576,16 @@ impl Evaluator<'_> {
     }
 }
 
-/// FNV-1a over every program variable's final value (first-assignment
-/// order): the answer-integrity check compared between faulted and
-/// fault-free runs.
+/// The answer-integrity check compared between faulted and fault-free
+/// runs, backends, thread counts and fleet sizes: every assigned variable
+/// in first-assignment order through one [`Fingerprinter`]. Bit patterns,
+/// not renderings: `-0.0` and NaN payloads count as differences.
 fn values_fingerprint(program: &Program, eval: &Evaluator<'_>) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = OFFSET;
-    let mut mix = |bytes: &[u8]| {
-        for b in bytes {
-            hash ^= u64::from(*b);
-            hash = hash.wrapping_mul(PRIME);
-        }
-    };
-    let mut seen: Vec<&str> = Vec::new();
-    for line in program.lines() {
-        if seen.contains(&line.target.as_str()) {
-            continue;
-        }
-        seen.push(&line.target);
+    let mut fp = Fingerprinter::default();
+    for target in program.targets() {
+        fp.var(target, eval.var(target));
     }
-    for target in seen {
-        mix(target.as_bytes());
-        mix(eval.var_debug(target).as_bytes());
-    }
-    hash
+    fp.finish()
 }
 
 /// A hard fault leaving the recovery layer: either a crash, or a transient
@@ -1106,35 +1054,24 @@ impl VarSpace {
         Ok(())
     }
 
-    /// Frees `name`'s allocation (the value died: no later consumer).
-    fn release(&mut self, system: &mut System, name: &str) -> Result<()> {
-        if let Some(id) = self.objects.remove(name) {
-            system
-                .memory_mut()
-                .dealloc(id)
-                .map_err(|e| ActivePyError::exec(format!("dealloc `{name}`: {e}")))?;
-        }
-        Ok(())
-    }
-
     /// Frees every bound value that has no consumer after line `at` and is
     /// not the program result.
     fn release_dead(&mut self, system: &mut System, program: &Program, at: usize) -> Result<()> {
-        let result_var = program
-            .lines()
-            .last()
-            .map(|l| l.target.clone())
-            .unwrap_or_default();
-        let dead: Vec<String> = self
-            .objects
-            .keys()
-            .filter(|name| **name != result_var && program.consumers_of(name, at).is_empty())
-            .cloned()
-            .collect();
-        for name in dead {
-            self.release(system, &name)?;
-        }
-        Ok(())
+        let result_var = program.result_target();
+        let mut outcome = Ok(());
+        self.objects.retain(|name, id| {
+            let live = Some(name.as_str()) == result_var
+                || program.consumers_of(name, at).next().is_some();
+            if live || outcome.is_err() {
+                return true;
+            }
+            outcome = system
+                .memory_mut()
+                .dealloc(*id)
+                .map_err(|e| ActivePyError::exec(format!("dealloc `{name}`: {e}")));
+            outcome.is_err() // a binding whose free failed stays bound
+        });
+        outcome
     }
 
     fn update_peak(&mut self, system: &System) {
@@ -1317,7 +1254,7 @@ impl RegionRun {
         let escaping_out: Vec<u64> = (start..=end)
             .map(|k| {
                 let line = &program.lines()[k];
-                let consumed_later = !program.consumers_of(&line.target, end).is_empty();
+                let consumed_later = program.consumers_of(&line.target, end).next().is_some();
                 let is_result = k == program.len() - 1;
                 if consumed_later || is_result {
                     costs[k - start].bytes_out
@@ -2039,6 +1976,7 @@ pub fn execute_all_host_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::recovery::RecoveryStats;
     use alang::parser::parse;
     use alang::value::ArrayVal;
     use alang::Value;
@@ -2449,6 +2387,40 @@ mod tests {
     }
 
     #[test]
+    fn fingerprint_follows_names_and_bits_not_placement_or_backend() {
+        let run = |src: &str, st: &Storage, csd: &[usize], backend| {
+            let mut opts = ExecOptions::activepy();
+            opts.backend = backend;
+            let mut sys = SystemConfig::paper_default().build();
+            let pl = placements(csd, 4);
+            execute(
+                &parse(src).expect("parse"),
+                st,
+                &pl,
+                &mut sys,
+                &opts,
+                None,
+                &[],
+            )
+            .expect("run")
+            .values_fingerprint
+        };
+        let st = storage();
+        let reference = run(SRC, &st, &[], ExecBackend::Vm);
+        assert_eq!(reference, run(SRC, &st, &[0, 1, 2], ExecBackend::AstWalk));
+        // Renaming an intermediate leaves every value alone and still counts.
+        let renamed = SRC.replace("b =", "c =").replace("sum(b)", "sum(c)");
+        assert_ne!(reference, run(&renamed, &st, &[], ExecBackend::Vm));
+        // -0.0 < 50 like the 0.0 it replaces, so `m` and `s` stay equal:
+        // only the bit pattern of one element of `a` and `b` differs.
+        let mut data: Vec<f64> = (0..4096).map(|i| (i % 100) as f64).collect();
+        data[0] = -0.0;
+        let mut signed = Storage::new();
+        signed.insert("v", Value::Array(ArrayVal::with_logical(data, 500_000_000)));
+        assert_ne!(reference, run(SRC, &signed, &[], ExecBackend::Vm));
+    }
+
+    #[test]
     fn execute_lowered_matches_execute() {
         let program = parse(SRC).expect("parse");
         let st = storage();
@@ -2458,7 +2430,8 @@ mod tests {
         let opts = ExecOptions::native_static();
         let mut sys_a = SystemConfig::paper_default().build();
         let via_lowered =
-            execute_lowered(&program, &lowered, &st, &pl, &mut sys_a, &opts, None).expect("run");
+            execute_lowered(&program, &lowered, &st, &pl, &mut sys_a, &opts, None, None)
+                .expect("run");
         let mut sys_b = SystemConfig::paper_default().build();
         let direct = execute(&program, &st, &pl, &mut sys_b, &opts, None, &flags).expect("run");
         assert_eq!(via_lowered, direct);
@@ -2478,6 +2451,7 @@ mod tests {
             &placements(&[], 4),
             &mut sys,
             &ExecOptions::native_static(),
+            None,
             None,
         )
         .unwrap_err();

@@ -264,8 +264,12 @@ fn enc_storage(w: &mut ByteWriter, storage: &Storage) {
     w.u32(names.len() as u32);
     for name in names {
         w.str(name);
-        let value = storage.get(name).expect("name came from the storage");
-        enc_value(w, value);
+        // The value layout is `Value::canonical` as the writer sees it;
+        // `dec_value` below is its inverse.
+        storage
+            .get(name)
+            .expect("name came from the storage")
+            .canonical(w);
     }
 }
 
@@ -277,148 +281,6 @@ fn dec_storage(r: &mut ByteReader<'_>) -> Result<Storage, String> {
         storage.insert(name, value);
     }
     Ok(storage)
-}
-
-fn enc_value(w: &mut ByteWriter, v: &Value) {
-    match v {
-        Value::Num(x) => {
-            w.u8(0);
-            w.f64(*x);
-        }
-        Value::Bool(b) => {
-            w.u8(1);
-            w.bool(*b);
-        }
-        Value::Str(s) => {
-            w.u8(2);
-            w.str(s);
-        }
-        Value::Array(a) => {
-            w.u8(3);
-            w.u64(a.logical_len());
-            w.u32(a.data().len() as u32);
-            for x in a.data() {
-                w.f64(*x);
-            }
-        }
-        Value::BoolArray(a) => {
-            w.u8(4);
-            w.u64(a.logical_len());
-            w.u32(a.data().len() as u32);
-            for b in a.data() {
-                w.bool(*b);
-            }
-        }
-        Value::Table(t) => {
-            w.u8(5);
-            w.u64(t.logical_rows());
-            let names: Vec<&str> = t.column_names().collect();
-            w.u32(names.len() as u32);
-            for name in names {
-                w.str(name);
-                match t.column(name).expect("name came from the table") {
-                    Column::F64(data) => {
-                        w.u8(0);
-                        w.u32(data.len() as u32);
-                        for x in data.iter() {
-                            w.f64(*x);
-                        }
-                    }
-                    Column::I64(data) => {
-                        w.u8(1);
-                        w.u32(data.len() as u32);
-                        for x in data.iter() {
-                            w.u64(*x as u64);
-                        }
-                    }
-                    Column::Dict { codes, dict } => {
-                        w.u8(2);
-                        w.u32(codes.len() as u32);
-                        for c in codes.iter() {
-                            w.u32(*c);
-                        }
-                        w.u32(dict.len() as u32);
-                        for s in dict.iter() {
-                            w.str(s);
-                        }
-                    }
-                }
-            }
-        }
-        Value::Matrix(m) => {
-            w.u8(6);
-            w.u32(m.rows() as u32);
-            w.u32(m.cols() as u32);
-            w.u64(m.logical_rows());
-            w.u64(m.logical_cols());
-            for x in m.data() {
-                w.f64(*x);
-            }
-        }
-        Value::Csr(c) => {
-            w.u8(7);
-            w.u32(c.rows() as u32);
-            w.u32(c.cols() as u32);
-            w.u64(c.logical_rows());
-            w.u64(c.logical_cols());
-            w.u64(c.logical_nnz());
-            w.u32(c.row_ptr().len() as u32);
-            for p in c.row_ptr() {
-                w.u32(*p);
-            }
-            w.u32(c.values().len() as u32);
-            for (idx, val) in c.col_idx().iter().zip(c.values()) {
-                w.u32(*idx);
-                w.f64(*val);
-            }
-        }
-        Value::Forest(f) => {
-            w.u8(8);
-            w.u32(f.feature_count());
-            w.u32(f.trees().len() as u32);
-            for tree in f.trees() {
-                w.u32(tree.nodes().len() as u32);
-                for n in tree.nodes() {
-                    w.u32(n.feature);
-                    w.f64(n.threshold);
-                    w.u32(n.left);
-                    w.u32(n.right);
-                    w.f64(n.value);
-                }
-            }
-        }
-        Value::Encoded(e) => {
-            w.u8(9);
-            enc_encoding(w, e.encoding());
-            w.u64(e.logical_len());
-            w.u64(e.encoded_logical_bytes());
-            w.u32(e.actual_len() as u32);
-            w.u32(e.chunks().len() as u32);
-            for chunk in e.chunks() {
-                w.bytes(chunk);
-            }
-        }
-    }
-}
-
-fn enc_encoding(w: &mut ByteWriter, enc: &Encoding) {
-    w.u8(match enc.codec {
-        Codec::Gzip => 0,
-        Codec::Zlib => 1,
-        Codec::None => 2,
-    });
-    w.bool(enc.shuffle);
-    w.u8(match enc.byte_order {
-        ByteOrder::Little => 0,
-        ByteOrder::Big => 1,
-    });
-    match enc.fill_value {
-        None => w.bool(false),
-        Some(f) => {
-            w.bool(true);
-            w.f64(f);
-        }
-    }
 }
 
 fn dec_encoding(r: &mut ByteReader<'_>) -> Result<Encoding, String> {
@@ -443,6 +305,30 @@ fn dec_encoding(r: &mut ByteReader<'_>) -> Result<Encoding, String> {
     })
 }
 
+/// Reads `n` items. Capacity is bounded by the bytes left, so a corrupt
+/// count fails at the first missing item instead of allocating for it.
+fn dec_n<T>(
+    r: &mut ByteReader<'_>,
+    n: usize,
+    item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+/// Reads a `u32` count and that many items.
+fn dec_vec<T>(
+    r: &mut ByteReader<'_>,
+    item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let n = r.u32()? as usize;
+    dec_n(r, n, item)
+}
+
+/// The inverse of [`Value::canonical`] as the [`ByteWriter`] sink spells it.
 fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
     Ok(match r.u8()? {
         0 => Value::Num(r.f64()?),
@@ -450,65 +336,30 @@ fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
         2 => Value::Str(r.str()?),
         3 => {
             let logical = r.u64()?;
-            let len = r.u32()? as usize;
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(r.f64()?);
-            }
-            Value::Array(ArrayVal::with_logical(data, logical))
+            Value::Array(ArrayVal::with_logical(dec_vec(r, |r| r.f64())?, logical))
         }
         4 => {
             let logical = r.u64()?;
-            let len = r.u32()? as usize;
-            let mut data = Vec::with_capacity(len);
-            for _ in 0..len {
-                data.push(r.bool()?);
-            }
-            Value::BoolArray(BoolArrayVal::with_logical(data, logical))
+            Value::BoolArray(BoolArrayVal::with_logical(
+                dec_vec(r, |r| r.bool())?,
+                logical,
+            ))
         }
         5 => {
             let logical_rows = r.u64()?;
-            let ncols = r.u32()? as usize;
-            let mut columns = Vec::with_capacity(ncols);
-            for _ in 0..ncols {
+            let columns = dec_vec(r, |r| {
                 let name = r.str()?;
                 let col = match r.u8()? {
-                    0 => {
-                        let len = r.u32()? as usize;
-                        let mut data = Vec::with_capacity(len);
-                        for _ in 0..len {
-                            data.push(r.f64()?);
-                        }
-                        Column::F64(Arc::new(data))
-                    }
-                    1 => {
-                        let len = r.u32()? as usize;
-                        let mut data = Vec::with_capacity(len);
-                        for _ in 0..len {
-                            data.push(r.u64()? as i64);
-                        }
-                        Column::I64(Arc::new(data))
-                    }
-                    2 => {
-                        let len = r.u32()? as usize;
-                        let mut codes = Vec::with_capacity(len);
-                        for _ in 0..len {
-                            codes.push(r.u32()?);
-                        }
-                        let dlen = r.u32()? as usize;
-                        let mut dict = Vec::with_capacity(dlen);
-                        for _ in 0..dlen {
-                            dict.push(r.str()?);
-                        }
-                        Column::Dict {
-                            codes: Arc::new(codes),
-                            dict: Arc::new(dict),
-                        }
-                    }
+                    0 => Column::F64(Arc::new(dec_vec(r, |r| r.f64())?)),
+                    1 => Column::I64(Arc::new(dec_vec(r, |r| Ok(r.u64()? as i64))?)),
+                    2 => Column::Dict {
+                        codes: Arc::new(dec_vec(r, |r| r.u32())?),
+                        dict: Arc::new(dec_vec(r, |r| r.str())?),
+                    },
                     other => return Err(format!("unknown column tag {other}")),
                 };
-                columns.push((name, col));
-            }
+                Ok((name, col))
+            })?;
             Value::Table(Table::with_logical_rows(columns, logical_rows).map_err(err_str)?)
         }
         6 => {
@@ -517,10 +368,7 @@ fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
             let logical_rows = r.u64()?;
             let logical_cols = r.u64()?;
             let n = rows.checked_mul(cols).ok_or("matrix dimensions overflow")?;
-            let mut data = Vec::with_capacity(n);
-            for _ in 0..n {
-                data.push(r.f64()?);
-            }
+            let data = dec_n(r, n, |r| r.f64())?;
             Value::Matrix(
                 Matrix::with_logical(data, rows, cols, logical_rows, logical_cols)
                     .map_err(err_str)?,
@@ -532,18 +380,10 @@ fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
             let logical_rows = r.u64()?;
             let logical_cols = r.u64()?;
             let logical_nnz = r.u64()?;
-            let plen = r.u32()? as usize;
-            let mut row_ptr = Vec::with_capacity(plen);
-            for _ in 0..plen {
-                row_ptr.push(r.u32()?);
-            }
-            let nnz = r.u32()? as usize;
-            let mut col_idx = Vec::with_capacity(nnz);
-            let mut values = Vec::with_capacity(nnz);
-            for _ in 0..nnz {
-                col_idx.push(r.u32()?);
-                values.push(r.f64()?);
-            }
+            let row_ptr = dec_vec(r, |r| r.u32())?;
+            let (col_idx, values) = dec_vec(r, |r| Ok((r.u32()?, r.f64()?)))?
+                .into_iter()
+                .unzip();
             Value::Csr(
                 Csr::from_parts(
                     row_ptr,
@@ -560,22 +400,18 @@ fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
         }
         8 => {
             let features = r.u32()?;
-            let ntrees = r.u32()? as usize;
-            let mut trees = Vec::with_capacity(ntrees);
-            for _ in 0..ntrees {
-                let nnodes = r.u32()? as usize;
-                let mut nodes = Vec::with_capacity(nnodes);
-                for _ in 0..nnodes {
-                    nodes.push(TreeNode {
+            let trees = dec_vec(r, |r| {
+                let nodes = dec_vec(r, |r| {
+                    Ok(TreeNode {
                         feature: r.u32()?,
                         threshold: r.f64()?,
                         left: r.u32()?,
                         right: r.u32()?,
                         value: r.f64()?,
-                    });
-                }
-                trees.push(Tree::new(nodes).map_err(err_str)?);
-            }
+                    })
+                })?;
+                Tree::new(nodes).map_err(err_str)
+            })?;
             Value::Forest(Forest::new(trees, features).map_err(err_str)?)
         }
         9 => {
@@ -583,11 +419,7 @@ fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
             let logical_len = r.u64()?;
             let encoded_logical_bytes = r.u64()?;
             let actual_len = r.u32()? as usize;
-            let nchunks = r.u32()? as usize;
-            let mut chunks = Vec::with_capacity(nchunks);
-            for _ in 0..nchunks {
-                chunks.push(r.bytes()?);
-            }
+            let chunks = dec_vec(r, |r| r.bytes())?;
             Value::Encoded(EncodedVal::from_parts(
                 encoding,
                 chunks,
@@ -780,6 +612,17 @@ mod tests {
         }
         assert_eq!(profiles, vec![(key, profile)]);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn value_layout_is_byte_identical_to_the_hand_written_codec() {
+        // Length and FNV-1a of what the field-by-field `enc_value` this
+        // module had before `Value::canonical` wrote for the same storage
+        // (recorded at the parent commit): ISPWARM1 did not change.
+        let mut w = ByteWriter::default();
+        enc_storage(&mut w, &sample_storage());
+        let bytes = w.into_bytes();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (881, 0xc055_d51b_dd0c_467c));
     }
 
     #[test]

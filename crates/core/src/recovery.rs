@@ -121,8 +121,8 @@ impl RecoveryPolicy {
     }
 }
 
-/// Counters a run's recovery layer accumulates; reported on
-/// [`RunReport::recovery`](crate::exec::RunReport::recovery).
+/// Counters a run's recovery layer accumulates; reported as
+/// `RunReport.metrics.recovery`.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct RecoveryStats {
     /// Transient faults absorbed (each injected transient fault counts

@@ -13,7 +13,7 @@ use std::time::Instant;
 use crate::assign::{assign_refined_traced, projected_cost, Assignment};
 use crate::error::Result;
 use crate::estimate::{estimate_lines, Calibration, LineEstimate};
-use crate::exec::{execute, execute_lowered, ExecOptions, RunReport};
+use crate::exec::{execute_lowered, ExecOptions, RunReport};
 use crate::fit::{blend_predictions, predict_lines, LinePrediction};
 use crate::monitor::MonitorConfig;
 use crate::plan::{OffloadPlan, PlanTimings};
@@ -535,27 +535,18 @@ impl ActivePy {
             shard_fp: 0,
         })?;
         let placements = plan.assignment.placements(plan.program.len());
-        let mut report = match self.options.backend {
-            // The plan carries the lowering; don't re-lower per scenario.
-            ExecBackend::Vm => execute_lowered(
-                &plan.program,
-                &plan.lowered,
-                &plan.full_storage,
-                &placements,
-                &mut system,
-                &opts,
-                Some(&plan.estimates),
-            )?,
-            ExecBackend::AstWalk => execute(
-                &plan.program,
-                &plan.full_storage,
-                &placements,
-                &mut system,
-                &opts,
-                Some(&plan.estimates),
-                &plan.copy_elim,
-            )?,
-        };
+        // The plan carries the lowering (baked with `plan.copy_elim`);
+        // don't re-lower per scenario.
+        let mut report = execute_lowered(
+            &plan.program,
+            &plan.lowered,
+            &plan.full_storage,
+            &placements,
+            &mut system,
+            &opts,
+            Some(&plan.estimates),
+            None,
+        )?;
         // Echo the Eq. 1 terms of the assignment that actually executed
         // (recomputed rather than copied from `plan.eq1`, so callers that
         // force placements on a cloned plan still audit what ran).

@@ -33,12 +33,12 @@
 use crate::assign::{assign_refined, Assignment};
 use crate::error::{ActivePyError, Result};
 use crate::estimate::{shared_link_bandwidth, LineEstimate};
-use crate::exec::{execute_with_shard, ExecOptions, MigrationReason, RunReport, ShardSlice};
+use crate::exec::{execute_lowered, ExecOptions, MigrationReason, RunReport, ShardSlice};
 use crate::monitor::{ShardDecision, ShardMonitors};
 use crate::plan::OffloadPlan;
 use crate::runtime::ActivePy;
 use alang::shard::{analyze, ShardAnalysis, ShardMap};
-use alang::{Program, Storage};
+use alang::{LoweredProgram, Program, Storage};
 use csd_sim::contention::{ContentionScenario, Trigger};
 use csd_sim::fault::{FaultCounters, FaultPlan};
 use csd_sim::units::{Bandwidth, Duration, Ops, SimTime};
@@ -236,8 +236,8 @@ impl FleetReport {
 }
 
 /// Everything a fleet execution needs that is independent of the shard
-/// loop: the program, its full (unsliced) storage, the row partition, and
-/// the code generator's elimination flags.
+/// loop: the program and its lowering, its full (unsliced) storage, and
+/// the row partition.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetRun<'a> {
     /// The program to execute.
@@ -247,8 +247,9 @@ pub struct FleetRun<'a> {
     pub storage: &'a Storage,
     /// The row partition.
     pub map: &'a ShardMap,
-    /// Per-line copy-elimination flags.
-    pub copy_elim: &'a [bool],
+    /// The program's lowering, baked with the code generator's per-line
+    /// copy-elimination flags; every shard run and the tail share it.
+    pub lowered: &'a LoweredProgram,
     /// Simulated seconds that precede the scatter (pipeline overheads);
     /// charged once on the host clock.
     pub lead_in_secs: f64,
@@ -370,14 +371,14 @@ pub fn execute_sharded(
                 ("decision".into(), format!("{decision:?}").into()),
             ],
         );
-        let report = execute_with_shard(
+        let report = execute_lowered(
             run.program,
+            run.lowered,
             run.storage,
             &placements,
             fleet.device_mut(s),
             &shard_opts,
             estimates,
-            run.copy_elim,
             Some(&slice),
         )?;
         opts.tracer.end(shard_span, Some(report.total_secs));
@@ -468,14 +469,14 @@ pub fn execute_sharded(
     // The host-side tail journals on lane n, after the shard lanes.
     tail_opts.journal = opts.journal.lane(n as u32);
     let tail_t0 = host.now().as_secs();
-    let tail = execute_with_shard(
+    let tail = execute_lowered(
         run.program,
+        run.lowered,
         run.storage,
         &vec![EngineKind::Host; len],
         &mut host,
         &tail_opts,
         None,
-        run.copy_elim,
         Some(&tail_slice),
     )?;
     let tail_secs = tail.total_secs - tail_t0;
@@ -531,11 +532,12 @@ pub fn execute_sharded_raw(
     n: usize,
 ) -> Result<FleetReport> {
     let mut fleet = Fleet::new(config, n);
+    let lowered = alang::lower::lower(program)?;
     let run = FleetRun {
         program,
         storage,
         map,
-        copy_elim: &[],
+        lowered: &lowered,
         lead_in_secs: 0.0,
     };
     let shard_placements: Vec<Vec<EngineKind>> = (0..n).map(|_| placements.to_vec()).collect();
@@ -602,7 +604,7 @@ pub fn execute_sharded_plan(
         program: &plan.base.program,
         storage: &plan.base.full_storage,
         map: &plan.map,
-        copy_elim: &plan.base.copy_elim,
+        lowered: &plan.base.lowered,
         lead_in_secs,
     };
     let shard_placements: Vec<Vec<EngineKind>> = (0..n).map(|s| plan.shard_placements(s)).collect();

@@ -254,6 +254,9 @@ impl fmt::Display for Line {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     lines: Vec<Line>,
+    /// Indices of the lines that assign their target for the first time,
+    /// computed once at construction.
+    first_defs: Vec<usize>,
 }
 
 impl Program {
@@ -261,7 +264,27 @@ impl Program {
     /// obtain one from source text.
     #[must_use]
     pub(crate) fn from_lines(lines: Vec<Line>) -> Self {
-        Program { lines }
+        let mut seen = BTreeSet::new();
+        let first_defs = lines
+            .iter()
+            .filter(|l| seen.insert(l.target.as_str()))
+            .map(|l| l.index)
+            .collect();
+        Program { lines, first_defs }
+    }
+
+    /// The distinct variables the program assigns, in first-assignment
+    /// order.
+    pub fn targets(&self) -> impl Iterator<Item = &str> {
+        self.first_defs
+            .iter()
+            .map(|i| self.lines[*i].target.as_str())
+    }
+
+    /// The variable holding the program's result: the last line's target.
+    #[must_use]
+    pub fn result_target(&self) -> Option<&str> {
+        self.lines.last().map(|l| l.target.as_str())
     }
 
     /// The program's lines in execution order.
@@ -292,19 +315,20 @@ impl Program {
             .map(|l| l.index)
     }
 
-    /// Indices of the lines that read variable `name` after line `after`.
-    #[must_use]
-    pub fn consumers_of(&self, name: &str, after: usize) -> Vec<usize> {
-        let mut out = Vec::new();
-        for line in &self.lines[after + 1..] {
-            if line.inputs().contains(name) {
-                out.push(line.index);
-            }
-            if line.target == name {
-                break; // redefinition kills the value
-            }
-        }
-        out
+    /// Indices of the lines that read variable `name` after line `after`,
+    /// up to and including the line that redefines it.
+    pub fn consumers_of<'a>(
+        &'a self,
+        name: &'a str,
+        after: usize,
+    ) -> impl Iterator<Item = usize> + 'a {
+        // A redefinition kills the value, but may itself read it first.
+        let mut live = true;
+        self.lines[after + 1..]
+            .iter()
+            .take_while(move |l| std::mem::replace(&mut live, l.target != name))
+            .filter(move |l| l.inputs().contains(name))
+            .map(|l| l.index)
     }
 
     /// Variables that are live at the boundary *after* line `at`: defined at
@@ -313,7 +337,7 @@ impl Program {
     pub fn live_after(&self, at: usize) -> BTreeSet<String> {
         let mut live = BTreeSet::new();
         for line in &self.lines[..=at.min(self.lines.len() - 1)] {
-            if !self.consumers_of(&line.target, at).is_empty() {
+            if self.consumers_of(&line.target, at).next().is_some() {
                 live.insert(line.target.clone());
             }
         }
@@ -362,8 +386,8 @@ s = sum(col(f, 'price'))
         assert_eq!(p.def_site("t"), Some(0));
         assert_eq!(p.def_site("s"), Some(3));
         assert_eq!(p.def_site("zzz"), None);
-        assert_eq!(p.consumers_of("t", 0), vec![1, 2]);
-        assert_eq!(p.consumers_of("m", 1), vec![2]);
+        assert!(p.consumers_of("t", 0).eq([1, 2]));
+        assert!(p.consumers_of("m", 1).eq([2]));
     }
 
     #[test]
@@ -371,8 +395,11 @@ s = sum(col(f, 'price'))
         let src = "a = 1\nb = a + 1\na = 2\nc = a + b\n";
         let p = parse(src).expect("parse");
         // Consumers of the first `a` stop at the redefinition on line 2.
-        assert_eq!(p.consumers_of("a", 0), vec![1]);
-        assert_eq!(p.consumers_of("a", 2), vec![3]);
+        assert!(p.consumers_of("a", 0).eq([1]));
+        assert!(p.consumers_of("a", 2).eq([3]));
+        // ... and the redefined name keeps its first-assignment position.
+        assert_eq!(p.targets().collect::<Vec<_>>(), ["a", "b", "c"]);
+        assert_eq!(p.result_target(), Some("c"));
     }
 
     #[test]

@@ -1,0 +1,364 @@
+//! The one canonical traversal of a [`Value`] and the sinks that consume
+//! it.
+//!
+//! [`Value::canonical`] walks a value exactly once, in one fixed order —
+//! kind tag, logical sizes, length prefixes, then bulk payloads handed
+//! over as whole slices — and everything that needs to know what a value
+//! is made of is a [`CanonicalSink`] fed by that walk: the `ISPWARM1`
+//! codec (the [`ByteWriter`] sink: the byte layout *is* the traversal) and
+//! the answer fingerprint ([`Fingerprinter`]).
+
+use crate::value::Value;
+use isp_obs::wal::ByteWriter;
+
+/// Receives the canonical traversal of a value.
+///
+/// Only the scalar and byte-string methods are required; the bulk methods
+/// default to one scalar call per element and exist so a sink can take a
+/// whole payload at once.
+pub trait CanonicalSink {
+    /// One byte (kind and codec tags).
+    fn u8(&mut self, v: u8);
+    /// A 32-bit scalar (materialized dimensions, length prefixes).
+    fn u32(&mut self, v: u32);
+    /// A 64-bit scalar (logical sizes).
+    fn u64(&mut self, v: u64);
+    /// A byte string, framed by its `u32` length.
+    fn bytes(&mut self, v: &[u8]);
+
+    /// A bool as one byte.
+    fn bool(&mut self, v: bool) {
+        self.u8(u8::from(v));
+    }
+    /// A float as its IEEE-754 bit pattern: `0.0` and `-0.0`, and any two
+    /// NaN payloads, stay distinct.
+    fn f64(&mut self, v: f64) {
+        self.u64(v.to_bits());
+    }
+    /// A UTF-8 string as its byte string.
+    fn str(&mut self, v: &str) {
+        self.bytes(v.as_bytes());
+    }
+    /// A materialized element count, as the `u32` prefix of a payload.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`.
+    fn len(&mut self, n: usize) {
+        self.u32(u32::try_from(n).expect("materialized length fits the u32 prefix"));
+    }
+    /// A float payload; its length has already been emitted.
+    fn f64s(&mut self, v: &[f64]) {
+        v.iter().for_each(|x| self.f64(*x));
+    }
+    /// A `u32` payload; its length has already been emitted.
+    fn u32s(&mut self, v: &[u32]) {
+        v.iter().for_each(|x| self.u32(*x));
+    }
+    /// An `i64` payload (two's complement); its length has already been
+    /// emitted.
+    fn i64s(&mut self, v: &[i64]) {
+        v.iter().for_each(|x| self.u64(*x as u64));
+    }
+    /// A bool payload; its length has already been emitted.
+    fn bools(&mut self, v: &[bool]) {
+        v.iter().for_each(|b| self.bool(*b));
+    }
+}
+
+impl CanonicalSink for ByteWriter {
+    fn u8(&mut self, v: u8) {
+        ByteWriter::u8(self, v);
+    }
+    fn u32(&mut self, v: u32) {
+        ByteWriter::u32(self, v);
+    }
+    fn u64(&mut self, v: u64) {
+        ByteWriter::u64(self, v);
+    }
+    fn bytes(&mut self, v: &[u8]) {
+        ByteWriter::bytes(self, v);
+    }
+}
+
+/// A 64-bit multiply-mix hash over the canonical traversal, eight bytes
+/// per step, with no buffer and no allocation.
+///
+/// Every step is a bijection of the state for a fixed word and of the word
+/// for a fixed state, so two traversals that differ in exactly one word —
+/// one element, one length, one logical size — always produce different
+/// fingerprints; traversals differing in several words collide with
+/// probability about 2⁻⁶⁴. Sub-word payloads are packed (two `u32`s, eight
+/// bytes or sixty-four bools to the word), which stays unambiguous because
+/// the traversal emits every payload's length before the payload.
+///
+/// The value is comparable only between runs of one build: nothing pins
+/// the constants or the packing across versions.
+#[derive(Debug, Clone, Default)]
+pub struct Fingerprinter {
+    state: u64,
+}
+
+impl Fingerprinter {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        let s = (self.state ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        // The product only carries bits upward; fold the top half back
+        // down so the next word meets all of this one.
+        self.state = s ^ (s >> 32);
+    }
+
+    /// Feeds one program variable: its name, whether it holds a value
+    /// (`None`: no line has assigned it), and the value's traversal.
+    pub fn var(&mut self, name: &str, value: Option<&Value>) {
+        self.str(name);
+        self.bool(value.is_some());
+        if let Some(value) = value {
+            value.canonical(self);
+        }
+    }
+
+    /// The fingerprint of everything fed so far.
+    #[must_use]
+    pub fn finish(&self) -> u64 {
+        let s = (self.state ^ (self.state >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        s ^ (s >> 29)
+    }
+}
+
+impl CanonicalSink for Fingerprinter {
+    fn u8(&mut self, v: u8) {
+        self.word(u64::from(v));
+    }
+    fn u32(&mut self, v: u32) {
+        self.word(u64::from(v));
+    }
+    fn u64(&mut self, v: u64) {
+        self.word(v);
+    }
+    fn bytes(&mut self, v: &[u8]) {
+        self.word(v.len() as u64);
+        let mut chunks = v.chunks_exact(8);
+        for c in &mut chunks {
+            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
+        }
+        let tail = chunks.remainder();
+        if !tail.is_empty() {
+            let mut last = [0u8; 8];
+            last[..tail.len()].copy_from_slice(tail);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+    fn u32s(&mut self, v: &[u32]) {
+        for pair in v.chunks(2) {
+            let hi = pair.get(1).map_or(0, |x| u64::from(*x) << 32);
+            self.word(u64::from(pair[0]) | hi);
+        }
+    }
+    fn bools(&mut self, v: &[bool]) {
+        for group in v.chunks(64) {
+            let bits = group
+                .iter()
+                .enumerate()
+                .fold(0u64, |w, (i, b)| w | (u64::from(*b) << i));
+            self.word(bits);
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::forest::{Forest, Tree, TreeNode};
+    use crate::matrix::{Csr, Matrix};
+    use crate::table::{Column, Table};
+    use crate::value::{ArrayVal, BoolArrayVal, EncodedVal};
+    use csd_sim::wire::{ByteOrder, Encoding};
+    use std::sync::Arc;
+
+    /// The fingerprint of a run whose variables ended as `vars`.
+    fn fp(vars: &[(&str, Option<Value>)]) -> u64 {
+        let mut f = Fingerprinter::default();
+        for (name, value) in vars {
+            f.var(name, value.as_ref());
+        }
+        f.finish()
+    }
+
+    /// `x` with its lowest mantissa bit flipped.
+    fn ulp(x: f64) -> f64 {
+        f64::from_bits(x.to_bits() ^ 1)
+    }
+
+    fn array(data: &[f64], logical: u64) -> Value {
+        Value::Array(ArrayVal::with_logical(data.to_vec(), logical))
+    }
+
+    fn mask(data: &[bool], logical: u64) -> Value {
+        Value::BoolArray(BoolArrayVal::with_logical(data.to_vec(), logical))
+    }
+
+    fn table(price: &[f64], qty: &[i64], codes: &[u32], city: &str, col: &str, rows: u64) -> Value {
+        let columns = vec![
+            (col.to_owned(), Column::F64(Arc::new(price.to_vec()))),
+            ("qty".to_owned(), Column::I64(Arc::new(qty.to_vec()))),
+            (
+                "where".to_owned(),
+                Column::Dict {
+                    codes: Arc::new(codes.to_vec()),
+                    dict: Arc::new(vec!["oslo".to_owned(), city.to_owned()]),
+                },
+            ),
+        ];
+        Value::Table(Table::with_logical_rows(columns, rows).expect("table"))
+    }
+
+    fn matrix(data: &[f64], rows: usize, cols: usize, lrows: u64, lcols: u64) -> Value {
+        Value::Matrix(Matrix::with_logical(data.to_vec(), rows, cols, lrows, lcols).expect("mat"))
+    }
+
+    fn csr(row_ptr: &[u32], col_idx: &[u32], values: &[f64], lrows: u64, lnnz: u64) -> Value {
+        let (p, c, v) = (row_ptr.to_vec(), col_idx.to_vec(), values.to_vec());
+        Value::Csr(Csr::from_parts(p, c, v, 2, 3, lrows, 3, lnnz).expect("csr"))
+    }
+
+    fn forest(threshold: f64, leaf: f64, features: u32, trees: usize) -> Value {
+        let tree = Tree::new(vec![
+            TreeNode::split(0, threshold, 1, 2),
+            TreeNode::leaf(leaf),
+            TreeNode::leaf(1.0),
+        ])
+        .expect("tree");
+        Value::Forest(Forest::new(vec![tree; trees], features).expect("forest"))
+    }
+
+    fn encoded(encoding: Encoding, data: &[f64], logical: u64) -> Value {
+        Value::Encoded(EncodedVal::from_f64s(encoding, data, logical))
+    }
+
+    fn encoded_parts(actual_len: usize, encoded_logical_bytes: u64) -> Value {
+        let chunks = vec![Encoding::raw().encode(&[1.0, 2.0])];
+        let parts = EncodedVal::from_parts(
+            Encoding::raw(),
+            chunks,
+            actual_len,
+            9,
+            encoded_logical_bytes,
+        );
+        Value::Encoded(parts)
+    }
+
+    #[test]
+    fn any_single_change_to_any_kind_changes_the_fingerprint() {
+        let long: Vec<bool> = (0..65).map(|i| i % 3 == 0).collect();
+        let mut long_flipped = long.clone();
+        long_flipped[64] ^= true;
+        let big_endian = Encoding {
+            byte_order: ByteOrder::Big,
+            ..Encoding::raw()
+        };
+        let filled = Encoding {
+            fill_value: Some(-1.0),
+            ..Encoding::raw()
+        };
+        // Each kind's base value, then that value with exactly one element
+        // bit, length, logical size, name or dictionary entry changed.
+        let values = vec![
+            Value::Num(1.5),
+            Value::Num(ulp(1.5)),
+            Value::Bool(false),
+            Value::Bool(true),
+            Value::Str("ab".into()),
+            Value::Str("ac".into()),
+            Value::Str("abc".into()),
+            array(&[1.0, 2.0, 3.0], 3),
+            array(&[1.0, ulp(2.0), 3.0], 3),
+            array(&[1.0, 2.0], 3),
+            array(&[1.0, 2.0, 3.0], 4),
+            mask(&[true, false, true], 3),
+            mask(&[true, true, true], 3),
+            mask(&[true, false], 3),
+            mask(&[true, false, true], 4),
+            mask(&long, 65),
+            mask(&long_flipped, 65),
+            table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 2),
+            table(&[1.5, ulp(2.5)], &[-3, 7], &[0, 1], "rome", "price", 2),
+            table(&[1.5, 2.5], &[-3, 8], &[0, 1], "rome", "price", 2),
+            table(&[1.5, 2.5], &[-3, 7], &[1, 1], "rome", "price", 2),
+            table(&[1.5, 2.5], &[-3, 7], &[0, 1], "roma", "price", 2),
+            table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "cost", 2),
+            table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 3),
+            table(&[1.5], &[-3], &[0], "rome", "price", 2),
+            matrix(&[1.0, 2.0, 3.0, 4.0], 2, 2, 2, 2),
+            matrix(&[1.0, 2.0, 3.0, ulp(4.0)], 2, 2, 2, 2),
+            matrix(&[1.0, 2.0, 3.0, 4.0], 1, 4, 2, 4),
+            matrix(&[1.0, 2.0, 3.0, 4.0], 2, 2, 3, 2),
+            matrix(&[1.0, 2.0, 3.0, 4.0], 2, 2, 2, 3),
+            csr(&[0, 1, 2], &[0, 2], &[5.0, 6.0], 2, 2),
+            csr(&[0, 1, 2], &[0, 2], &[5.0, ulp(6.0)], 2, 2),
+            csr(&[0, 1, 2], &[0, 1], &[5.0, 6.0], 2, 2),
+            csr(&[0, 1, 1], &[0], &[5.0], 2, 2),
+            csr(&[0, 1, 2], &[0, 2], &[5.0, 6.0], 3, 2),
+            csr(&[0, 1, 2], &[0, 2], &[5.0, 6.0], 2, 3),
+            forest(0.5, -1.0, 3, 1),
+            forest(ulp(0.5), -1.0, 3, 1),
+            forest(0.5, ulp(-1.0), 3, 1),
+            forest(0.5, -1.0, 4, 1),
+            forest(0.5, -1.0, 3, 2),
+            encoded(Encoding::raw(), &[1.0, 2.0, 3.0], 3),
+            encoded(Encoding::raw(), &[1.0, ulp(2.0), 3.0], 3),
+            encoded(Encoding::raw(), &[1.0, 2.0, 3.0], 4),
+            encoded(big_endian, &[1.0, 2.0, 3.0], 3),
+            encoded(filled, &[1.0, 2.0, 3.0], 3),
+            encoded_parts(2, 16),
+            encoded_parts(1, 16),
+            encoded_parts(2, 17),
+        ];
+        let prints: Vec<u64> = values
+            .iter()
+            .map(|v| fp(&[("x", Some(v.clone()))]))
+            .collect();
+        for (i, a) in prints.iter().enumerate() {
+            for (j, b) in prints.iter().enumerate().skip(i + 1) {
+                assert_ne!(a, b, "{} and {} collide", values[i], values[j]);
+            }
+        }
+    }
+
+    #[test]
+    fn variables_are_framed_by_name_presence_and_length() {
+        let split_late = [
+            ("a", Some(array(&[1.0, 2.0], 2))),
+            ("b", Some(array(&[3.0], 1))),
+        ];
+        let split_early = [
+            ("a", Some(array(&[1.0], 1))),
+            ("b", Some(array(&[2.0, 3.0], 2))),
+        ];
+        assert_ne!(fp(&split_late), fp(&split_early));
+        let renamed = [split_late[0].clone(), ("c", split_late[1].1.clone())];
+        assert_ne!(fp(&split_late), fp(&renamed));
+        let swapped = [split_late[1].clone(), split_late[0].clone()];
+        assert_ne!(fp(&split_late), fp(&swapped));
+        // A target no line ever assigned is not a zero.
+        assert_ne!(fp(&[("a", None)]), fp(&[("a", Some(Value::Num(0.0)))]));
+        assert_ne!(fp(&[("a", None)]), fp(&[]));
+    }
+
+    #[test]
+    fn bit_patterns_count_and_buffer_identity_does_not() {
+        let of = |v: Value| fp(&[("x", Some(v))]);
+        assert_ne!(of(Value::Num(0.0)), of(Value::Num(-0.0)));
+        assert_ne!(of(array(&[0.0], 1)), of(array(&[-0.0], 1)));
+        let quiet = f64::from_bits(0x7FF8_0000_0000_0000);
+        let payload = f64::from_bits(0x7FF8_0000_0000_0001);
+        assert_ne!(of(Value::Num(quiet)), of(Value::Num(payload)));
+        // Equal contents behind different `Arc`s (or one shared `Arc`) agree.
+        let t = table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 2);
+        assert_eq!(
+            of(t.clone()),
+            of(table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 2))
+        );
+        assert_eq!(of(t.clone()), of(t));
+    }
+}

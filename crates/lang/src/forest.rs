@@ -7,6 +7,7 @@
 //! inference over stored data), so forests are constructed directly —
 //! typically pseudo-randomly by the workload generator.
 
+use crate::canonical::CanonicalSink;
 use crate::error::{LangError, Result};
 use std::fmt;
 use std::sync::Arc;
@@ -208,6 +209,23 @@ impl Forest {
     pub fn mean_depth(&self) -> f64 {
         let total: u32 = self.trees.iter().map(Tree::depth).sum();
         f64::from(total) / self.trees.len() as f64
+    }
+
+    /// The forest's part of [`crate::Value::canonical`]: feature count,
+    /// then every tree's nodes field by field.
+    pub(crate) fn canonical(&self, sink: &mut impl CanonicalSink) {
+        sink.u32(self.features);
+        sink.len(self.trees.len());
+        for tree in self.trees.iter() {
+            sink.len(tree.nodes.len());
+            for n in &tree.nodes {
+                sink.u32(n.feature);
+                sink.f64(n.threshold);
+                sink.u32(n.left);
+                sink.u32(n.right);
+                sink.f64(n.value);
+            }
+        }
     }
 
     /// Model size in bytes (each node: 4 + 8 + 4 + 4 + 8).

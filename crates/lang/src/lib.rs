@@ -41,6 +41,7 @@
 pub mod ast;
 pub mod builtins;
 pub mod bytecode;
+pub mod canonical;
 pub mod compile;
 pub mod copyelim;
 pub mod cost;
@@ -61,6 +62,7 @@ pub mod value;
 pub use ast::Program;
 pub use builtins::Storage;
 pub use bytecode::{ExecBackend, LoweredProgram, Vm};
+pub use canonical::{CanonicalSink, Fingerprinter};
 pub use compile::CompiledProgram;
 pub use cost::{CostParams, ExecTier, LineCost};
 pub use error::LangError;

@@ -7,6 +7,7 @@
 //! samples (§V). Keeping nnz data-dependent here is what lets the
 //! reproduction exhibit the same behaviour.
 
+use crate::canonical::CanonicalSink;
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
 use std::fmt;
@@ -105,6 +106,16 @@ impl Matrix {
     #[must_use]
     pub fn data(&self) -> &[f64] {
         &self.data
+    }
+
+    /// The matrix's part of [`crate::Value::canonical`]; the payload needs
+    /// no prefix of its own because it is `rows × cols` long.
+    pub(crate) fn canonical(&self, sink: &mut impl CanonicalSink) {
+        sink.len(self.rows);
+        sink.len(self.cols);
+        sink.u64(self.logical_rows);
+        sink.u64(self.logical_cols);
+        sink.f64s(&self.data);
     }
 
     /// Paper-scale data volume (8 bytes per logical element).
@@ -367,6 +378,23 @@ impl Csr {
     #[must_use]
     pub fn logical_nnz(&self) -> u64 {
         self.logical_nnz
+    }
+
+    /// The CSR matrix's part of [`crate::Value::canonical`]. Non-zeros
+    /// travel as `(column, value)` pairs, the order `ISPWARM1` fixed.
+    pub(crate) fn canonical(&self, sink: &mut impl CanonicalSink) {
+        sink.len(self.rows);
+        sink.len(self.cols);
+        sink.u64(self.logical_rows);
+        sink.u64(self.logical_cols);
+        sink.u64(self.logical_nnz);
+        sink.len(self.row_ptr.len());
+        sink.u32s(&self.row_ptr);
+        sink.len(self.values.len());
+        for (col, value) in self.col_idx.iter().zip(self.values.iter()) {
+            sink.u32(*col);
+            sink.f64(*value);
+        }
     }
 
     /// Paper-scale data volume: 12 bytes per stored non-zero (8 value + 4

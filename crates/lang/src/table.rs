@@ -10,6 +10,7 @@
 //! count (the rows materialized in memory, kept laptop-small) from its
 //! *logical* row count (the paper-scale size used for all cost accounting).
 
+use crate::canonical::CanonicalSink;
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
 use std::collections::BTreeMap;
@@ -245,6 +246,35 @@ impl Table {
                 self.columns.keys().cloned().collect::<Vec<_>>().join(", ")
             ))
         })
+    }
+
+    /// The table's part of [`crate::Value::canonical`]: logical rows, then
+    /// each column (sorted by name) as name, type tag, length, payload.
+    pub(crate) fn canonical(&self, sink: &mut impl CanonicalSink) {
+        sink.u64(self.logical_rows);
+        sink.len(self.columns.len());
+        for (name, column) in &self.columns {
+            sink.str(name);
+            match column {
+                Column::F64(data) => {
+                    sink.u8(0);
+                    sink.len(data.len());
+                    sink.f64s(data);
+                }
+                Column::I64(data) => {
+                    sink.u8(1);
+                    sink.len(data.len());
+                    sink.i64s(data);
+                }
+                Column::Dict { codes, dict } => {
+                    sink.u8(2);
+                    sink.len(codes.len());
+                    sink.u32s(codes);
+                    sink.len(dict.len());
+                    dict.iter().for_each(|s| sink.str(s));
+                }
+            }
+        }
     }
 
     /// Physical bytes per logical row across all columns.

@@ -8,11 +8,12 @@
 //! sparsity, tree depth) remain genuinely data-driven while volumes match
 //! Table I of the paper.
 
+use crate::canonical::CanonicalSink;
 use crate::error::{LangError, Result};
 use crate::forest::Forest;
 use crate::matrix::{Csr, Matrix};
 use crate::table::Table;
-use csd_sim::wire::Encoding;
+use csd_sim::wire::{ByteOrder, Codec, Encoding};
 use std::fmt;
 use std::sync::Arc;
 
@@ -148,6 +149,32 @@ impl EncodedVal {
     #[must_use]
     pub fn encoded_actual_bytes(&self) -> u64 {
         self.chunks.iter().map(|c| c.len() as u64).sum()
+    }
+
+    /// The encoded value's part of [`Value::canonical`]: the wire
+    /// descriptor, both logical sizes, then every chunk's bytes.
+    fn canonical(&self, sink: &mut impl CanonicalSink) {
+        sink.u8(match self.encoding.codec {
+            Codec::Gzip => 0,
+            Codec::Zlib => 1,
+            Codec::None => 2,
+        });
+        sink.bool(self.encoding.shuffle);
+        sink.u8(match self.encoding.byte_order {
+            ByteOrder::Little => 0,
+            ByteOrder::Big => 1,
+        });
+        sink.bool(self.encoding.fill_value.is_some());
+        if let Some(fill) = self.encoding.fill_value {
+            sink.f64(fill);
+        }
+        sink.u64(self.logical_len);
+        sink.u64(self.encoded_logical_bytes);
+        sink.len(self.actual_len);
+        sink.len(self.chunks.len());
+        for chunk in self.chunks.iter() {
+            sink.bytes(chunk);
+        }
     }
 
     /// Decodes every chunk serially.
@@ -358,6 +385,61 @@ impl Value {
             Value::Csr(_) => "csr",
             Value::Forest(_) => "forest",
             Value::Encoded(_) => "encoded",
+        }
+    }
+
+    /// Streams this value into `sink` in its one canonical order: kind
+    /// tag, logical sizes, length prefixes, then each bulk payload as a
+    /// whole slice. The `ISPWARM1` value layout and the answer
+    /// fingerprint are both this walk seen through different sinks, so a
+    /// new kind or field is described here (and read back by the warm-file
+    /// decoder) and nowhere else.
+    pub fn canonical(&self, sink: &mut impl CanonicalSink) {
+        match self {
+            Value::Num(x) => {
+                sink.u8(0);
+                sink.f64(*x);
+            }
+            Value::Bool(b) => {
+                sink.u8(1);
+                sink.bool(*b);
+            }
+            Value::Str(s) => {
+                sink.u8(2);
+                sink.str(s);
+            }
+            Value::Array(a) => {
+                sink.u8(3);
+                sink.u64(a.logical_len);
+                sink.len(a.data.len());
+                sink.f64s(&a.data);
+            }
+            Value::BoolArray(m) => {
+                sink.u8(4);
+                sink.u64(m.logical_len);
+                sink.len(m.data.len());
+                sink.bools(&m.data);
+            }
+            Value::Table(t) => {
+                sink.u8(5);
+                t.canonical(sink);
+            }
+            Value::Matrix(m) => {
+                sink.u8(6);
+                m.canonical(sink);
+            }
+            Value::Csr(c) => {
+                sink.u8(7);
+                c.canonical(sink);
+            }
+            Value::Forest(f) => {
+                sink.u8(8);
+                f.canonical(sink);
+            }
+            Value::Encoded(e) => {
+                sink.u8(9);
+                e.canonical(sink);
+            }
         }
     }
 

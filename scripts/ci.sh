@@ -7,8 +7,9 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test -q =="
-cargo test -q
+echo "== cargo test -q --workspace =="
+# The whole suite: the root package alone is 46 of the ~650 tests.
+cargo test -q --workspace
 
 echo "== fault-sweep smoke (deterministic injection, zero wrong answers) =="
 cargo test -q -p isp-bench faults::
@@ -136,9 +137,6 @@ cargo run --release -q -p isp-bench --bin history -- append \
   --report BENCH_repro.json --history "$TRACE_TMP/history.jsonl" --sha ci-smoke
 cargo run --release -q -p isp-bench --bin history -- check \
   --history "$TRACE_TMP/history.jsonl"
-
-echo "== cargo bench --no-run =="
-cargo bench --no-run
 
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
