@@ -20,8 +20,15 @@
 //! fixed-Huffman encoder with greedy hash-chain LZ77 matching — enough to
 //! get real compression ratios on patterned data (especially after the
 //! byte shuffle) while staying a few hundred lines.
+//!
+//! Encoded bytes are untrusted input (they reload from `ISPWARM1` files):
+//! every inflate runs under a caller-supplied output bound that is also
+//! its one allocation, and a framed body must end exactly at its trailer.
+//! `wire/oracle.rs` keeps the bit-at-a-time decoder this one replaced as
+//! the reference the differential tests compare against.
 
 use serde::{Deserialize, Serialize};
+use std::sync::OnceLock;
 
 /// Compression codec of an encoded stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -143,46 +150,117 @@ impl Encoding {
         }
     }
 
-    /// Decodes a wire stream back into f64s, masking fill-value elements
-    /// to `0.0`.
+    /// Decodes a wire stream of at most [`UNDECLARED_SIZE_CAP`] decoded
+    /// bytes back into f64s, masking fill-value elements to `0.0`.
+    /// Callers that know the element count use [`Self::decode_into`].
     ///
     /// # Errors
     ///
-    /// Returns a description of the first framing/stream corruption, or
-    /// of a payload whose length is not a multiple of 8.
+    /// As [`Self::decode_into`].
     pub fn decode(&self, stream: &[u8]) -> Result<Vec<f64>, String> {
-        let bytes = match self.codec {
-            Codec::Gzip => gzip_decompress(stream)?,
-            Codec::Zlib => zlib_decompress(stream)?,
-            Codec::None => stream.to_vec(),
+        let mut out = Vec::new();
+        self.decode_into(stream, UNDECLARED_SIZE_CAP / 8, &mut out)?;
+        Ok(out)
+    }
+
+    /// Decodes a wire stream of at most `max_elems` elements and appends
+    /// them to `out`, masking fill-value elements to `0.0`; returns the
+    /// number appended. The only intermediate is the inflated byte
+    /// buffer (none for [`Codec::None`]): un-shuffle, byte order and fill
+    /// mask are one gather straight into `out`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a description of the first framing/stream corruption, of a
+    /// payload whose length is not a multiple of 8, or of one that
+    /// decodes to more than `max_elems` elements. `out` is untouched on
+    /// error.
+    pub fn decode_into(
+        &self,
+        stream: &[u8],
+        max_elems: usize,
+        out: &mut Vec<f64>,
+    ) -> Result<usize, String> {
+        let max_bytes = max_elems.saturating_mul(8);
+        let inflated;
+        let bytes: &[u8] = match self.codec {
+            Codec::Gzip => {
+                inflated = gzip_decompress(stream, max_bytes)?;
+                &inflated
+            }
+            Codec::Zlib => {
+                inflated = zlib_decompress(stream, max_bytes)?;
+                &inflated
+            }
+            Codec::None if stream.len() > max_bytes => {
+                return Err(format!(
+                    "payload of {} bytes exceeds the {max_bytes}-byte bound",
+                    stream.len()
+                ));
+            }
+            Codec::None => stream,
         };
-        if bytes.len() % 8 != 0 {
+        if !bytes.len().is_multiple_of(8) {
             return Err(format!(
                 "decoded payload of {} bytes is not f64-aligned",
                 bytes.len()
             ));
         }
-        let bytes = if self.shuffle {
-            unshuffle(&bytes, 8)
-        } else {
-            bytes
-        };
+        let n = bytes.len() / 8;
+        let big = self.byte_order == ByteOrder::Big;
         let fill_bits = self.fill_value.map(f64::to_bits);
-        let mut out = Vec::with_capacity(bytes.len() / 8);
-        for lane in bytes.chunks_exact(8) {
-            let raw: [u8; 8] = lane.try_into().expect("chunks_exact(8)");
-            let x = match self.byte_order {
-                ByteOrder::Little => f64::from_le_bytes(raw),
-                ByteOrder::Big => f64::from_be_bytes(raw),
+        let element = |raw: [u8; 8]| {
+            let bits = if big {
+                u64::from_be_bytes(raw)
+            } else {
+                u64::from_le_bytes(raw)
             };
-            out.push(if fill_bits == Some(x.to_bits()) {
+            if fill_bits == Some(bits) {
                 0.0
             } else {
-                x
-            });
+                f64::from_bits(bits)
+            }
+        };
+        if self.shuffle {
+            // Plane `p` holds byte `p` of every element: eight elements
+            // at a time are an 8x8 byte transpose of one word per plane.
+            let planes: [&[u8]; 8] = std::array::from_fn(|p| &bytes[p * n..(p + 1) * n]);
+            out.reserve(n);
+            for i in (0..n - n % 8).step_by(8) {
+                let rows = planes.map(|plane| {
+                    u64::from_le_bytes(plane[i..i + 8].try_into().expect("8-byte slice"))
+                });
+                out.extend(transpose8x8(rows).map(|word| element(word.to_le_bytes())));
+            }
+            out.extend((n - n % 8..n).map(|i| element(planes.map(|plane| plane[i]))));
+        } else {
+            out.extend(
+                bytes
+                    .chunks_exact(8)
+                    .map(|lane| element(lane.try_into().expect("chunks_exact(8)"))),
+            );
         }
-        Ok(out)
+        Ok(n)
     }
+}
+
+/// Transposes an 8x8 byte matrix held as eight little-endian words
+/// (byte `c` of `rows[r]` becomes byte `r` of word `c`): three rounds of
+/// swapping the off-diagonal halves of 2x2, 4x4 and 8x8 blocks.
+fn transpose8x8(mut rows: [u64; 8]) -> [u64; 8] {
+    for (step, mask) in [
+        (1, 0x00FF_00FF_00FF_00FFu64),
+        (2, 0x0000_FFFF_0000_FFFF),
+        (4, 0x0000_0000_FFFF_FFFF),
+    ] {
+        let shift = 8 * step;
+        for i in (0..8).filter(|i| i & step == 0) {
+            let t = (rows[i] >> shift ^ rows[i + step]) & mask;
+            rows[i + step] ^= t;
+            rows[i] ^= t << shift;
+        }
+    }
+    rows
 }
 
 /// Byte shuffle: transposes an `[n][stride]` byte matrix to
@@ -191,13 +269,14 @@ impl Encoding {
 #[must_use]
 pub fn shuffle(bytes: &[u8], stride: usize) -> Vec<u8> {
     let n = bytes.len() / stride;
-    let mut out = Vec::with_capacity(bytes.len());
+    let mut out = vec![0u8; bytes.len()];
     for pos in 0..stride {
-        for elem in 0..n {
-            out.push(bytes[elem * stride + pos]);
+        let lane = &mut out[pos * n..(pos + 1) * n];
+        for (elem, b) in lane.iter_mut().enumerate() {
+            *b = bytes[elem * stride + pos];
         }
     }
-    out.extend_from_slice(&bytes[n * stride..]);
+    out[n * stride..].copy_from_slice(&bytes[n * stride..]);
     out
 }
 
@@ -221,31 +300,58 @@ pub fn unshuffle(bytes: &[u8], stride: usize) -> Vec<u8> {
 // Checksums
 // ---------------------------------------------------------------------------
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slicing-by-8 tables for the reflected polynomial 0xEDB88320:
+/// `CRC_TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 {
+                0xEDB8_8320 ^ (c >> 1)
+            } else {
+                c >> 1
+            };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-                k += 1;
-            }
-            table[i] = c;
+            let c = tables[k - 1][i];
+            tables[k][i] = tables[0][(c & 0xFF) as usize] ^ (c >> 8);
             i += 1;
         }
-        table
-    };
+        k += 1;
+    }
+    tables
+};
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`,
+/// eight bytes per step.
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = TABLE[usize::from((c as u8) ^ b)] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][usize::from(w[4])]
+            ^ t[2][usize::from(w[5])]
+            ^ t[1][usize::from(w[6])]
+            ^ t[0][usize::from(w[7])];
+    }
+    for &b in words.remainder() {
+        c = t[0][usize::from((c as u8) ^ b)] ^ (c >> 8);
     }
     !c
 }
@@ -291,13 +397,6 @@ impl BitWriter {
         }
     }
 
-    /// Writes a Huffman code of length `n`: deflate packs codes starting
-    /// from their most significant bit, so the canonical code is
-    /// bit-reversed before the LSB-first write.
-    fn put_code(&mut self, code: u32, n: u32) {
-        self.put(code.reverse_bits() >> (32 - n), n);
-    }
-
     /// Pads to a byte boundary and returns the buffer.
     fn finish(mut self) -> Vec<u8> {
         if self.nbits > 0 {
@@ -307,49 +406,105 @@ impl BitWriter {
     }
 }
 
-/// LSB-first bit reader (RFC 1951 bit order).
-#[derive(Debug)]
+fn truncated() -> String {
+    "deflate stream truncated".to_owned()
+}
+
+/// LSB-first bit reader (RFC 1951 bit order) over a 64-bit buffer
+/// refilled eight bytes at a time.
+///
+/// Only the low `nbits <= 63` of `buf` are accounted for; higher bits are
+/// either zero or the stream's own upcoming bits (a refill may load part
+/// of a byte it does not yet count), so re-loading them is idempotent
+/// and past the end of the data they read as zero. Truncation is
+/// therefore a bit-count question: a field wider than `nbits` after a
+/// refill ran off the end.
+#[derive(Debug, Clone, Copy)]
 struct BitReader<'a> {
     data: &'a [u8],
-    byte: usize,
-    bit: u32,
+    /// The tail of `data` not yet counted in `nbits`.
+    rest: &'a [u8],
+    buf: u64,
+    nbits: u32,
 }
 
 impl<'a> BitReader<'a> {
     fn new(data: &'a [u8]) -> Self {
         BitReader {
             data,
-            byte: 0,
-            bit: 0,
+            rest: data,
+            buf: 0,
+            nbits: 0,
         }
     }
 
-    fn bit(&mut self) -> Result<u32, String> {
-        let Some(&b) = self.data.get(self.byte) else {
-            return Err("deflate stream truncated".to_owned());
-        };
-        let v = u32::from(b >> self.bit) & 1;
-        self.bit += 1;
-        if self.bit == 8 {
-            self.bit = 0;
-            self.byte += 1;
+    /// Tops the buffer up to at least 56 bits, or to the end of the data.
+    #[inline(always)]
+    fn refill(&mut self) {
+        if let Some(word) = self.rest.first_chunk::<8>() {
+            self.buf |= u64::from_le_bytes(*word) << self.nbits;
+            let bytes = (63 - self.nbits) >> 3;
+            self.rest = &self.rest[bytes as usize..];
+            self.nbits += bytes * 8;
+        } else {
+            while let (true, Some((&byte, rest))) = (self.nbits < 56, self.rest.split_first()) {
+                self.buf |= u64::from(byte) << self.nbits;
+                self.rest = rest;
+                self.nbits += 8;
+            }
         }
+    }
+
+    /// Drops `n <= nbits` bits.
+    #[inline(always)]
+    fn consume(&mut self, n: u32) {
+        self.buf >>= n;
+        self.nbits -= n;
+    }
+
+    /// Reads an `n <= 16`-bit field from what the last refill buffered.
+    #[inline(always)]
+    fn take(&mut self, n: u32) -> Result<u32, String> {
+        if self.nbits < n {
+            return Err(truncated());
+        }
+        let v = (self.buf & ((1u64 << n) - 1)) as u32;
+        self.consume(n);
         Ok(v)
     }
 
+    /// Reads an `n <= 16`-bit field, refilling first.
     fn bits(&mut self, n: u32) -> Result<u32, String> {
-        let mut v = 0u32;
-        for i in 0..n {
-            v |= self.bit()? << i;
-        }
-        Ok(v)
+        self.refill();
+        self.take(n)
     }
 
-    fn align_byte(&mut self) {
-        if self.bit != 0 {
-            self.bit = 0;
-            self.byte += 1;
+    /// Bytes of `data` read so far, a partly-read byte counting whole.
+    fn consumed(&self) -> usize {
+        self.data.len() - self.rest.len() - (self.nbits / 8) as usize
+    }
+
+    /// Copies a stored block's payload (§3.2.4) into `out` as one slice.
+    fn stored_block(&mut self, out: &mut Vec<u8>, max_out: usize) -> Result<(), String> {
+        self.consume(self.nbits & 7);
+        let len = self.bits(16)? as usize;
+        let nlen = self.bits(16)? as usize;
+        if len != (!nlen & 0xFFFF) {
+            return Err("stored block LEN/NLEN mismatch".to_owned());
         }
+        // Hand the buffered whole bytes back to the slice.
+        self.rest = &self.data[self.consumed()..];
+        self.buf = 0;
+        self.nbits = 0;
+        let Some((payload, rest)) = self.rest.split_at_checked(len) else {
+            return Err(truncated());
+        };
+        if len > max_out - out.len() {
+            return Err(oversized());
+        }
+        out.extend_from_slice(payload);
+        self.rest = rest;
+        Ok(())
     }
 }
 
@@ -357,19 +512,73 @@ impl<'a> BitReader<'a> {
 // Canonical Huffman tables
 // ---------------------------------------------------------------------------
 
+/// What a decoded symbol is, one flag each in bits 12..15 of a table
+/// entry (a literal or code-length symbol has none): independent bits,
+/// so the block loop tests them with branches the predictor can learn
+/// rather than through a jump table.
+const MATCH: u32 = 1 << 12;
+const END_OF_BLOCK: u32 = 1 << 13;
+/// A symbol the alphabet has room for but the format forbids
+/// (literal/length 286-287, distance 30-31): an error only if used.
+const FORBIDDEN: u32 = 1 << 14;
+const NOT_LITERAL: u32 = MATCH | END_OF_BLOCK | FORBIDDEN;
+
+/// Upper entry bits for a symbol of an alphabet: `base << 16 | flag |
+/// extra_bits << 8`. Literals and code-length symbols are their own base.
+type Alphabet = fn(usize) -> u32;
+
+fn plain_symbol(sym: usize) -> u32 {
+    (sym as u32) << 16
+}
+
+fn match_symbol(base: u16, extra_bits: u8) -> u32 {
+    u32::from(base) << 16 | MATCH | u32::from(extra_bits) << 8
+}
+
+fn lit_len_symbol(sym: usize) -> u32 {
+    match sym {
+        0..=255 => plain_symbol(sym),
+        256 => END_OF_BLOCK,
+        257..=285 => match_symbol(LEN_BASE[sym - 257], LEN_EXTRA[sym - 257]),
+        _ => plain_symbol(sym) | FORBIDDEN,
+    }
+}
+
+fn distance_symbol(sym: usize) -> u32 {
+    match sym {
+        0..=29 => match_symbol(DIST_BASE[sym], DIST_EXTRA[sym]),
+        _ => plain_symbol(sym) | FORBIDDEN,
+    }
+}
+
+/// The value an entry carries: a literal, a code-length symbol, or a
+/// match base.
+fn base(entry: u32) -> usize {
+    (entry >> 16) as usize
+}
+
+/// How many extra bits follow a match symbol's code.
+fn extra_bits(entry: u32) -> u32 {
+    entry >> 8 & 15
+}
+
 /// Canonical Huffman decoder built from per-symbol code lengths
-/// (RFC 1951 §3.2.2): symbols sorted by (length, symbol index).
+/// (RFC 1951 §3.2.2) as one lookup table indexed by the next stream
+/// bits, as many as the longest code in the set. Codes are packed
+/// most-significant bit first into an LSB-first stream, so a code of
+/// length `l` sits bit-reversed at every index whose low `l` bits match
+/// it. An entry is the symbol's [`Alphabet`] bits with `l` in the low
+/// byte — everything the block loop needs from one load — and 0 marks a
+/// prefix no code has (incomplete sets are legal, §3.2.7).
 #[derive(Debug)]
 struct Huffman {
-    /// `count[l]` = number of codes of length `l`.
-    count: [u16; 16],
-    /// Symbols ordered canonically.
-    symbols: Vec<u16>,
+    /// `1 << longest code` entries.
+    table: Vec<u32>,
 }
 
 impl Huffman {
-    fn from_lengths(lengths: &[u8]) -> Result<Huffman, String> {
-        let mut count = [0u16; 16];
+    fn from_lengths(lengths: &[u8], alphabet: Alphabet) -> Result<Huffman, String> {
+        let mut count = [0u32; 16];
         for &l in lengths {
             if l > 15 {
                 return Err(format!("huffman code length {l} > 15"));
@@ -380,77 +589,71 @@ impl Huffman {
         // Over-subscribed length sets cannot decode unambiguously.
         let mut left = 1i32;
         for &c in &count[1..16] {
-            left = (left << 1) - i32::from(c);
+            left = (left << 1) - c as i32;
             if left < 0 {
                 return Err("over-subscribed huffman code".to_owned());
             }
         }
-        let mut offsets = [0u16; 16];
-        for l in 1..15 {
-            offsets[l + 1] = offsets[l] + count[l];
-        }
-        let mut symbols = vec![0u16; lengths.len()];
-        for (sym, &l) in lengths.iter().enumerate() {
-            if l != 0 {
-                let o = &mut offsets[usize::from(l)];
-                symbols[usize::from(*o)] = sym as u16;
-                *o += 1;
-            }
-        }
-        Ok(Huffman { count, symbols })
-    }
-
-    /// Decodes one symbol, reading bits MSB-of-code-first.
-    fn decode(&self, r: &mut BitReader) -> Result<u16, String> {
-        let (mut code, mut first, mut index) = (0i32, 0i32, 0i32);
+        let longest = (1..16).rev().find(|&l| count[l] != 0).unwrap_or(0);
+        // First canonical code of each length.
+        let mut next = [0u32; 16];
         for l in 1..16 {
-            code |= r.bit()? as i32;
-            let cnt = i32::from(self.count[l]);
-            if code - first < cnt {
-                return Ok(self.symbols[(index + code - first) as usize]);
-            }
-            index += cnt;
-            first = (first + cnt) << 1;
-            code <<= 1;
+            next[l] = (next[l - 1] + count[l - 1]) << 1;
         }
-        Err("invalid huffman code".to_owned())
-    }
-}
-
-/// Canonical code assignment (code value per symbol) from lengths — the
-/// encoder-side twin of [`Huffman::from_lengths`].
-fn canonical_codes(lengths: &[u8]) -> Vec<u32> {
-    let mut count = [0u32; 16];
-    for &l in lengths {
-        count[usize::from(l)] += 1;
-    }
-    count[0] = 0;
-    let mut next = [0u32; 16];
-    let mut code = 0u32;
-    for l in 1..16 {
-        code = (code + count[l - 1]) << 1;
-        next[l] = code;
-    }
-    lengths
-        .iter()
-        .map(|&l| {
+        let mut table = vec![0u32; 1 << longest];
+        for (sym, &l) in lengths.iter().enumerate() {
             if l == 0 {
-                0
-            } else {
-                let c = next[usize::from(l)];
-                next[usize::from(l)] += 1;
-                c
+                continue;
             }
-        })
-        .collect()
+            let code = &mut next[usize::from(l)];
+            let reversed = (code.reverse_bits() >> (32 - u32::from(l))) as usize;
+            *code += 1;
+            let entry = alphabet(sym) | u32::from(l);
+            for slot in table[reversed..].iter_mut().step_by(1 << l) {
+                *slot = entry;
+            }
+        }
+        Ok(Huffman { table })
+    }
+
+    /// Decodes one symbol's entry and consumes its code. The caller
+    /// refills first, so a whole code is buffered unless the data ends
+    /// inside it.
+    #[inline(always)]
+    fn decode(&self, r: &mut BitReader) -> Result<u32, String> {
+        let entry = self.table[r.buf as usize & (self.table.len() - 1)];
+        let len = entry & 0xFF;
+        // One compare for "no code" (0 wraps) and "code runs off the end".
+        if len.wrapping_sub(1) >= r.nbits {
+            return Err(if len == 0 {
+                "invalid huffman code".to_owned()
+            } else {
+                truncated()
+            });
+        }
+        r.consume(len);
+        Ok(entry)
+    }
 }
 
 /// Fixed literal/length code lengths (RFC 1951 §3.2.6).
-fn fixed_lit_lengths() -> Vec<u8> {
-    let mut l = vec![8u8; 288];
-    l[144..256].iter_mut().for_each(|x| *x = 9);
-    l[256..280].iter_mut().for_each(|x| *x = 7);
+fn fixed_lit_lengths() -> [u8; 288] {
+    let mut l = [8u8; 288];
+    l[144..256].fill(9);
+    l[256..280].fill(7);
     l
+}
+
+/// The fixed-block decoders, built on first use.
+fn fixed_tables() -> &'static (Huffman, Huffman) {
+    static TABLES: OnceLock<(Huffman, Huffman)> = OnceLock::new();
+    TABLES.get_or_init(|| {
+        (
+            Huffman::from_lengths(&fixed_lit_lengths(), lit_len_symbol)
+                .expect("fixed literal code"),
+            Huffman::from_lengths(&[5u8; 32], distance_symbol).expect("fixed distance code"),
+        )
+    })
 }
 
 const LEN_BASE: [u16; 29] = [
@@ -473,43 +676,73 @@ const DIST_EXTRA: [u8; 30] = [
 // Inflate
 // ---------------------------------------------------------------------------
 
-/// Decompresses a raw DEFLATE stream (RFC 1951): stored, fixed-Huffman,
-/// and dynamic-Huffman blocks.
+/// DEFLATE's largest expansion: a 258-byte match from a one-bit length
+/// code and a one-bit distance code.
+const MAX_EXPANSION: usize = 1032;
+
+/// Output bound for the entry points whose stream declares no size
+/// ([`inflate`], and zlib through [`Encoding::decode`]).
+pub const UNDECLARED_SIZE_CAP: usize = 16 << 20;
+
+fn oversized() -> String {
+    "deflate output exceeds declared size".to_owned()
+}
+
+/// Decompresses a raw DEFLATE stream (RFC 1951: stored, fixed-Huffman
+/// and dynamic-Huffman blocks) that inflates to at most `max_out` bytes,
+/// returning the output and how many bytes of `data` the stream
+/// occupied. `max_out` is both the hard cap and (clamped to what `data`
+/// could possibly expand to) the one allocation.
 ///
 /// # Errors
 ///
-/// Returns a description of the first malformed construct.
-pub fn inflate(data: &[u8]) -> Result<Vec<u8>, String> {
+/// Returns a description of the first malformed construct, or of the
+/// output outgrowing `max_out`.
+pub fn inflate_bounded(data: &[u8], max_out: usize) -> Result<(Vec<u8>, usize), String> {
     let mut r = BitReader::new(data);
-    let mut out = Vec::new();
+    let mut out = Vec::with_capacity(max_out.min(data.len().saturating_mul(MAX_EXPANSION)));
     loop {
         let last = r.bits(1)?;
         match r.bits(2)? {
-            0 => {
-                r.align_byte();
-                let len = r.bits(16)? as usize;
-                let nlen = r.bits(16)? as usize;
-                if len != (!nlen & 0xFFFF) {
-                    return Err("stored block LEN/NLEN mismatch".to_owned());
-                }
-                for _ in 0..len {
-                    out.push(r.bits(8)? as u8);
-                }
-            }
+            0 => r.stored_block(&mut out, max_out)?,
             1 => {
-                let lit = Huffman::from_lengths(&fixed_lit_lengths())?;
-                let dist = Huffman::from_lengths(&[5u8; 30])?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                let (lit, dist) = fixed_tables();
+                inflate_block(&mut r, lit, dist, &mut out, max_out)?;
             }
             2 => {
                 let (lit, dist) = read_dynamic_tables(&mut r)?;
-                inflate_block(&mut r, &lit, &dist, &mut out)?;
+                inflate_block(&mut r, &lit, &dist, &mut out, max_out)?;
             }
             _ => return Err("reserved deflate block type 3".to_owned()),
         }
         if last == 1 {
-            return Ok(out);
+            return Ok((out, r.consumed()));
         }
+    }
+}
+
+/// [`inflate_bounded`] for a slice that is exactly one raw stream of at
+/// most [`UNDECLARED_SIZE_CAP`] decoded bytes.
+///
+/// # Errors
+///
+/// As [`inflate_bounded`], or bytes left over after the final block.
+pub fn inflate(data: &[u8]) -> Result<Vec<u8>, String> {
+    let (out, used) = inflate_bounded(data, UNDECLARED_SIZE_CAP)?;
+    whole_body(used, data.len())?;
+    Ok(out)
+}
+
+/// A DEFLATE stream must fill the slice it was given: a framed body ends
+/// exactly where its trailer begins.
+fn whole_body(used: usize, body_len: usize) -> Result<(), String> {
+    if used == body_len {
+        Ok(())
+    } else {
+        Err(format!(
+            "{} unread bytes after the final deflate block",
+            body_len - used
+        ))
     }
 }
 
@@ -526,22 +759,23 @@ fn read_dynamic_tables(r: &mut BitReader) -> Result<(Huffman, Huffman), String> 
     for &pos in CLCL_ORDER.iter().take(hclen) {
         cl_lengths[pos] = r.bits(3)? as u8;
     }
-    let cl = Huffman::from_lengths(&cl_lengths)?;
+    let cl = Huffman::from_lengths(&cl_lengths, plain_symbol)?;
     let mut lengths = Vec::with_capacity(hlit + hdist);
     while lengths.len() < hlit + hdist {
-        match cl.decode(r)? {
+        r.refill();
+        match base(cl.decode(r)?) {
             sym @ 0..=15 => lengths.push(sym as u8),
             16 => {
                 let &prev = lengths.last().ok_or("repeat with no previous length")?;
-                let n = r.bits(2)? + 3;
+                let n = r.take(2)? + 3;
                 lengths.extend(std::iter::repeat_n(prev, n as usize));
             }
             17 => {
-                let n = r.bits(3)? + 3;
+                let n = r.take(3)? + 3;
                 lengths.extend(std::iter::repeat_n(0u8, n as usize));
             }
             18 => {
-                let n = r.bits(7)? + 11;
+                let n = r.take(7)? + 11;
                 lengths.extend(std::iter::repeat_n(0u8, n as usize));
             }
             other => return Err(format!("invalid code-length symbol {other}")),
@@ -550,41 +784,81 @@ fn read_dynamic_tables(r: &mut BitReader) -> Result<(Huffman, Huffman), String> 
     if lengths.len() != hlit + hdist {
         return Err("code-length run overflows the table".to_owned());
     }
-    let lit = Huffman::from_lengths(&lengths[..hlit])?;
-    let dist = Huffman::from_lengths(&lengths[hlit..])?;
+    let lit = Huffman::from_lengths(&lengths[..hlit], lit_len_symbol)?;
+    let dist = Huffman::from_lengths(&lengths[hlit..], distance_symbol)?;
     Ok((lit, dist))
 }
 
 fn inflate_block(
-    r: &mut BitReader,
+    reader: &mut BitReader,
     lit: &Huffman,
     dist: &Huffman,
     out: &mut Vec<u8>,
+    max_out: usize,
 ) -> Result<(), String> {
+    // Work on a by-value copy: through the reference every consume is a
+    // store the next table lookup has to wait for.
+    let mut r = *reader;
     loop {
-        match lit.decode(r)? {
-            sym @ 0..=255 => out.push(sym as u8),
-            256 => return Ok(()),
-            sym @ 257..=285 => {
-                let i = usize::from(sym - 257);
-                let len = usize::from(LEN_BASE[i]) + r.bits(u32::from(LEN_EXTRA[i]))? as usize;
-                let d = usize::from(dist.decode(r)?);
-                if d >= 30 {
-                    return Err(format!("invalid distance symbol {d}"));
-                }
-                let distance =
-                    usize::from(DIST_BASE[d]) + r.bits(u32::from(DIST_EXTRA[d]))? as usize;
-                if distance > out.len() {
-                    return Err("back-reference before stream start".to_owned());
-                }
-                let start = out.len() - distance;
-                // Overlapping copies are the point (run-length encoding).
-                for k in 0..len {
-                    let b = out[start + k];
-                    out.push(b);
-                }
+        // A whole symbol is at most 15 + 5 + 15 + 13 = 48 bits.
+        if r.nbits < 48 {
+            r.refill();
+        }
+        let entry = lit.decode(&mut r)?;
+        if entry & NOT_LITERAL == 0 {
+            if out.len() == max_out {
+                return Err(oversized());
             }
-            other => return Err(format!("invalid literal/length symbol {other}")),
+            out.push(base(entry) as u8);
+            continue;
+        }
+        if entry & MATCH != 0 {
+            let len = base(entry) + r.take(extra_bits(entry))? as usize;
+            let entry = dist.decode(&mut r)?;
+            if entry & MATCH == 0 {
+                return Err(format!("invalid distance symbol {}", base(entry)));
+            }
+            let distance = base(entry) + r.take(extra_bits(entry))? as usize;
+            if distance > out.len() {
+                return Err("back-reference before stream start".to_owned());
+            }
+            if len > max_out - out.len() {
+                return Err(oversized());
+            }
+            copy_match(out, distance, len);
+        } else if entry & END_OF_BLOCK != 0 {
+            *reader = r;
+            return Ok(());
+        } else {
+            return Err(format!("invalid literal/length symbol {}", base(entry)));
+        }
+    }
+}
+
+/// Appends `len` bytes starting `distance` back from the end of `out`.
+/// Overlapping copies are the point (run-length encoding).
+#[inline(always)]
+fn copy_match(out: &mut Vec<u8>, distance: usize, len: usize) {
+    let end = out.len();
+    let start = end - distance;
+    if distance >= 8 && len <= 40 && out.capacity() - end >= len + 7 {
+        // Short and common: whole words, each read wholly behind the
+        // write position, then drop the overshoot. No call, no growth.
+        for from in (start..start + len).step_by(8) {
+            let word: [u8; 8] = out[from..from + 8].try_into().expect("8-byte slice");
+            out.extend_from_slice(&word);
+        }
+        out.truncate(end + len);
+    } else if distance == 1 {
+        out.resize(end + len, out[start]);
+    } else {
+        // Everything from `start` on repeats with period `distance`,
+        // so each pass may copy all of it.
+        let mut left = len;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
 }
@@ -598,67 +872,155 @@ const MIN_MATCH: usize = 3;
 const MAX_MATCH: usize = 258;
 /// Longest hash chain walked per position; bounds worst-case encode time.
 const MAX_CHAIN: usize = 48;
+/// Empty hash-chain slot.
+const NIL: u32 = u32::MAX;
+
+/// The fixed literal/length code (§3.2.6) as `(code, length)`, the code
+/// already bit-reversed for the LSB-first writer.
+const FIXED_LIT: [(u16, u8); 288] = {
+    let mut t = [(0u16, 0u8); 288];
+    let mut sym = 0;
+    while sym < 288 {
+        let (code, len) = match sym {
+            0..=143 => (0x30 + sym, 8),
+            144..=255 => (0x190 + sym - 144, 9),
+            256..=279 => (sym - 256, 7),
+            _ => (0xC0 + sym - 280, 8),
+        };
+        t[sym] = ((code as u16).reverse_bits() >> (16 - len), len as u8);
+        sym += 1;
+    }
+    t
+};
+
+/// Length symbol (offset from 257) of each match length 3..=258.
+const LEN_SYM: [u8; MAX_MATCH + 1] = {
+    let mut t = [0u8; MAX_MATCH + 1];
+    let mut sym = 0;
+    while sym < 29 {
+        let mut len = LEN_BASE[sym] as usize;
+        while len <= MAX_MATCH && (sym == 28 || len < LEN_BASE[sym + 1] as usize) {
+            t[len] = sym as u8;
+            len += 1;
+        }
+        sym += 1;
+    }
+    t
+};
+
+/// Distance symbol lookup: distances 1..=256 index directly (minus one),
+/// larger ones by `256 + ((d - 1) >> 7)` — every symbol from 16 up spans
+/// a multiple of 128 distances.
+const DIST_SYM: [u8; 512] = {
+    let mut t = [0u8; 512];
+    let mut sym = 0;
+    while sym < 30 {
+        let mut d = DIST_BASE[sym] as usize;
+        let end = d + (1 << DIST_EXTRA[sym]);
+        while d < end {
+            if d <= 256 {
+                t[d - 1] = sym as u8;
+            } else {
+                t[256 + ((d - 1) >> 7)] = sym as u8;
+            }
+            d += 1;
+        }
+        sym += 1;
+    }
+    t
+};
+
+/// Distance symbol of a match distance 1..=32768.
+fn dist_symbol(dist: usize) -> usize {
+    usize::from(if dist <= 256 {
+        DIST_SYM[dist - 1]
+    } else {
+        DIST_SYM[256 + ((dist - 1) >> 7)]
+    })
+}
 
 fn hash3(data: &[u8], i: usize) -> usize {
     let h = (u32::from(data[i]) << 16) ^ (u32::from(data[i + 1]) << 8) ^ u32::from(data[i + 2]);
     (h.wrapping_mul(2654435761) >> 17) as usize & 0x7FFF
 }
 
+/// Length of the common prefix of `data[a..]` and `data[b..]`, at most
+/// `limit`, compared a word at a time.
+fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let (xs, ys) = (&data[a..a + limit], &data[b..b + limit]);
+    let mut l = 0;
+    for (x, y) in xs.chunks_exact(8).zip(ys.chunks_exact(8)) {
+        let x = u64::from_le_bytes(x.try_into().expect("chunks_exact(8)"));
+        let y = u64::from_le_bytes(y.try_into().expect("chunks_exact(8)"));
+        if x != y {
+            return l + ((x ^ y).trailing_zeros() / 8) as usize;
+        }
+        l += 8;
+    }
+    while l < limit && xs[l] == ys[l] {
+        l += 1;
+    }
+    l
+}
+
 /// Compresses `data` into a raw DEFLATE stream (one fixed-Huffman block).
+///
+/// # Panics
+///
+/// Panics if `data` is 4 GiB or longer (chain positions are `u32`).
 #[must_use]
 pub fn deflate(data: &[u8]) -> Vec<u8> {
-    let lit_lengths = fixed_lit_lengths();
-    let lit_codes = canonical_codes(&lit_lengths);
+    assert!(
+        data.len() < NIL as usize,
+        "deflate input must be under 4 GiB"
+    );
     let mut w = BitWriter::default();
     w.put(1, 1); // final block
     w.put(1, 2); // fixed Huffman
     let put_lit = |w: &mut BitWriter, sym: usize| {
-        w.put_code(lit_codes[sym], u32::from(lit_lengths[sym]));
+        let (code, len) = FIXED_LIT[sym];
+        w.put(u32::from(code), u32::from(len));
     };
 
-    let mut head = vec![usize::MAX; 0x8000];
-    let mut prev = vec![usize::MAX; data.len()];
+    let mut head = vec![NIL; 0x8000];
+    let mut prev = vec![NIL; data.len()];
     let mut i = 0usize;
     while i < data.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
         if i + MIN_MATCH <= data.len() {
+            let limit = (data.len() - i).min(MAX_MATCH);
             let mut cand = head[hash3(data, i)];
             let mut chain = 0usize;
-            while cand != usize::MAX && i - cand <= WINDOW && chain < MAX_CHAIN {
-                let limit = (data.len() - i).min(MAX_MATCH);
-                let mut l = 0usize;
-                while l < limit && data[cand + l] == data[i + l] {
-                    l += 1;
-                }
-                if l > best_len {
-                    best_len = l;
-                    best_dist = i - cand;
-                    if l == MAX_MATCH {
-                        break;
+            while cand != NIL && i - cand as usize <= WINDOW && chain < MAX_CHAIN {
+                let c = cand as usize;
+                // Only a candidate that also matches at `best_len` can
+                // be strictly longer than the best so far.
+                if data[c + best_len] == data[i + best_len] {
+                    let l = match_len(data, c, i, limit);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - c;
+                        if l == limit {
+                            break;
+                        }
                     }
                 }
-                cand = prev[cand];
+                cand = prev[c];
                 chain += 1;
             }
         }
         if best_len >= MIN_MATCH {
             // Length symbol + extra bits.
-            let li = LEN_BASE
-                .iter()
-                .rposition(|&b| usize::from(b) <= best_len)
-                .expect("len >= 3");
+            let li = usize::from(LEN_SYM[best_len]);
             put_lit(&mut w, 257 + li);
             w.put(
                 (best_len - usize::from(LEN_BASE[li])) as u32,
                 u32::from(LEN_EXTRA[li]),
             );
             // Distance symbol (5-bit fixed code) + extra bits.
-            let di = DIST_BASE
-                .iter()
-                .rposition(|&b| usize::from(b) <= best_dist)
-                .expect("dist >= 1");
-            w.put_code(di as u32, 5);
+            let di = dist_symbol(best_dist);
+            w.put((di as u32).reverse_bits() >> 27, 5);
             w.put(
                 (best_dist - usize::from(DIST_BASE[di])) as u32,
                 u32::from(DIST_EXTRA[di]),
@@ -668,7 +1030,7 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
             for (off, slot) in prev[i..end].iter_mut().enumerate() {
                 let h = hash3(data, i + off);
                 *slot = head[h];
-                head[h] = i + off;
+                head[h] = (i + off) as u32;
             }
             i += best_len;
         } else {
@@ -676,7 +1038,7 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
             if i + MIN_MATCH <= data.len() {
                 let h = hash3(data, i);
                 prev[i] = head[h];
-                head[h] = i;
+                head[h] = i as u32;
             }
             i += 1;
         }
@@ -699,12 +1061,9 @@ pub fn gzip_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Unwraps a gzip member and inflates it, verifying CRC32 and length.
-///
-/// # Errors
-///
-/// Returns a description of the first framing or checksum failure.
-pub fn gzip_decompress(stream: &[u8]) -> Result<Vec<u8>, String> {
+/// Splits a gzip member into its DEFLATE body and the trailer's
+/// `(CRC32, ISIZE)`, skipping the optional header fields.
+fn gzip_frame(stream: &[u8]) -> Result<(&[u8], u32, usize), String> {
     if stream.len() < 18 {
         return Err("gzip stream shorter than header + trailer".to_owned());
     }
@@ -739,16 +1098,34 @@ pub fn gzip_decompress(stream: &[u8]) -> Result<Vec<u8>, String> {
     if pos + 8 > stream.len() {
         return Err("gzip stream truncated".to_owned());
     }
-    let body = &stream[pos..stream.len() - 8];
-    let out = inflate(body)?;
-    let trailer = &stream[stream.len() - 8..];
-    let want_crc = u32::from_le_bytes(trailer[0..4].try_into().expect("4 bytes"));
-    let want_len = u32::from_le_bytes(trailer[4..8].try_into().expect("4 bytes"));
+    let (body, trailer) = stream[pos..].split_at(stream.len() - 8 - pos);
+    let crc = u32::from_le_bytes(trailer[0..4].try_into().expect("4 bytes"));
+    let isize = u32::from_le_bytes(trailer[4..8].try_into().expect("4 bytes"));
+    Ok((body, crc, isize as usize))
+}
+
+/// Unwraps a gzip member of at most `max_out` decoded bytes and inflates
+/// it, verifying CRC32 and length. The trailer's `ISIZE` is read first
+/// and bounds the inflate, so a member that lies about its size fails
+/// before it can outgrow the declaration.
+///
+/// # Errors
+///
+/// Returns a description of the first framing or checksum failure.
+pub fn gzip_decompress(stream: &[u8], max_out: usize) -> Result<Vec<u8>, String> {
+    let (body, want_crc, want_len) = gzip_frame(stream)?;
+    if want_len > max_out {
+        return Err(format!(
+            "gzip ISIZE {want_len} exceeds the {max_out}-byte bound"
+        ));
+    }
+    let (out, used) = inflate_bounded(body, want_len)?;
+    whole_body(used, body.len())?;
+    if out.len() != want_len {
+        return Err("gzip ISIZE mismatch".to_owned());
+    }
     if crc32(&out) != want_crc {
         return Err("gzip CRC32 mismatch".to_owned());
-    }
-    if out.len() as u32 != want_len {
-        return Err("gzip ISIZE mismatch".to_owned());
     }
     Ok(out)
 }
@@ -762,12 +1139,8 @@ pub fn zlib_compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Unwraps a zlib stream and inflates it, verifying the Adler32.
-///
-/// # Errors
-///
-/// Returns a description of the first framing or checksum failure.
-pub fn zlib_decompress(stream: &[u8]) -> Result<Vec<u8>, String> {
+/// Splits a zlib stream into its DEFLATE body and the trailing Adler32.
+fn zlib_frame(stream: &[u8]) -> Result<(&[u8], u32), String> {
     if stream.len() < 6 {
         return Err("zlib stream shorter than header + trailer".to_owned());
     }
@@ -782,8 +1155,24 @@ pub fn zlib_decompress(stream: &[u8]) -> Result<Vec<u8>, String> {
     if flg & 0x20 != 0 {
         return Err("zlib preset dictionaries unsupported".to_owned());
     }
-    let out = inflate(&stream[2..stream.len() - 4])?;
-    let want = u32::from_be_bytes(stream[stream.len() - 4..].try_into().expect("4 bytes"));
+    let (body, trailer) = stream[2..].split_at(stream.len() - 6);
+    Ok((
+        body,
+        u32::from_be_bytes(trailer.try_into().expect("4 bytes")),
+    ))
+}
+
+/// Unwraps a zlib stream of at most `max_out` decoded bytes (zlib
+/// declares no size, so the caller must) and inflates it, verifying the
+/// Adler32.
+///
+/// # Errors
+///
+/// Returns a description of the first framing or checksum failure.
+pub fn zlib_decompress(stream: &[u8], max_out: usize) -> Result<Vec<u8>, String> {
+    let (body, want) = zlib_frame(stream)?;
+    let (out, used) = inflate_bounded(body, max_out)?;
+    whole_body(used, body.len())?;
     if adler32(&out) != want {
         return Err("zlib Adler32 mismatch".to_owned());
     }
@@ -791,7 +1180,11 @@ pub fn zlib_decompress(stream: &[u8]) -> Result<Vec<u8>, String> {
 }
 
 #[cfg(test)]
+mod oracle;
+
+#[cfg(test)]
 mod tests {
+    use super::oracle::canonical_codes;
     use super::*;
 
     fn patterned(n: usize) -> Vec<u8> {
@@ -924,15 +1317,15 @@ mod tests {
         let data = patterned(5000);
         let z = gzip_compress(&data);
         assert_eq!(&z[0..2], &[0x1F, 0x8B]);
-        assert_eq!(gzip_decompress(&z).expect("decompresses"), data);
+        assert_eq!(gzip_decompress(&z, data.len()).expect("decompresses"), data);
         let mut corrupt = z.clone();
         let n = corrupt.len();
         corrupt[n - 2] ^= 0xFF; // ISIZE
-        assert!(gzip_decompress(&corrupt).is_err());
+        assert!(gzip_decompress(&corrupt, data.len()).is_err());
         let mut crc_bad = z;
         let n = crc_bad.len();
         crc_bad[n - 6] ^= 0xFF; // CRC32
-        assert!(gzip_decompress(&crc_bad).is_err());
+        assert!(gzip_decompress(&crc_bad, data.len()).is_err());
     }
 
     #[test]
@@ -940,11 +1333,11 @@ mod tests {
         let data = patterned(5000);
         let z = zlib_compress(&data);
         assert_eq!((u16::from(z[0]) * 256 + u16::from(z[1])) % 31, 0);
-        assert_eq!(zlib_decompress(&z).expect("decompresses"), data);
+        assert_eq!(zlib_decompress(&z, data.len()).expect("decompresses"), data);
         let mut corrupt = z;
         let n = corrupt.len();
         corrupt[n - 1] ^= 0xFF; // Adler32
-        assert!(zlib_decompress(&corrupt).is_err());
+        assert!(zlib_decompress(&corrupt, data.len()).is_err());
     }
 
     #[test]

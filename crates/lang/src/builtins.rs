@@ -474,33 +474,24 @@ fn k_decode(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let [a] = expect_args::<1>("decode", args)?;
     let e = a.as_encoded()?;
     let encoding = *e.encoding();
-    let chunks = e.chunks();
     // One encoded chunk per grid chunk: decode parallelizes over exactly
     // the deterministic ENCODED_CHUNK_ELEMS boundaries the value was
     // encoded on, and decoding is exact, so chunk-ordered concat is
     // bit-identical to the serial loop at any thread count.
-    let decode_range = |range: std::ops::Range<usize>| -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(range.len() * crate::value::ENCODED_CHUNK_ELEMS);
-        for chunk in &chunks[range] {
-            out.extend(encoding.decode(chunk).map_err(LangError::type_error)?);
-        }
-        Ok(out)
-    };
-    let data: Vec<f64> =
-        match ctx
-            .par
-            .map_chunks(chunks.len(), crate::value::ENCODED_CHUNK_ELEMS, |_, r| {
-                decode_range(r)
-            }) {
-            Some(parts) => {
-                let mut data = Vec::with_capacity(e.actual_len());
-                for part in parts {
-                    data.extend(part?);
-                }
-                data
+    let data: Vec<f64> = match ctx.par.map_chunks(
+        e.chunks().len(),
+        crate::value::ENCODED_CHUNK_ELEMS,
+        |_, r| e.decode_range(r),
+    ) {
+        Some(parts) => {
+            let mut data = Vec::with_capacity(e.actual_len());
+            for part in parts {
+                data.extend(part?);
             }
-            None => decode_range(0..chunks.len())?,
-        };
+            data
+        }
+        None => e.decode_all()?,
+    };
     let logical = e.logical_len();
     // Analytic cost per feature actually present in the encoding: the
     // inflate walk is priced per *encoded* byte, the un-shuffle per

@@ -177,17 +177,50 @@ impl EncodedVal {
         }
     }
 
+    /// Decodes the chunks in `range`, in order — the one decode loop
+    /// (`decode(..)` runs it per grid chunk, [`Self::decode_all`] over
+    /// everything). Chunk `i` must decode to exactly the share of
+    /// `actual_len` its position gives it, which is also the bound the
+    /// wire layer inflates it under.
+    ///
+    /// # Errors
+    ///
+    /// Returns a corruption description from the wire layer, or a
+    /// chunk count or decoded length that disagrees with `actual_len`.
+    pub(crate) fn decode_range(&self, range: std::ops::Range<usize>) -> Result<Vec<f64>> {
+        let chunks_needed = self.actual_len.div_ceil(ENCODED_CHUNK_ELEMS);
+        if self.chunks.len() != chunks_needed {
+            return Err(LangError::type_error(format!(
+                "encoded value holds {} chunks but its {} elements need {chunks_needed}",
+                self.chunks.len(),
+                self.actual_len
+            )));
+        }
+        let elems_from =
+            |chunk: usize| self.actual_len - (chunk * ENCODED_CHUNK_ELEMS).min(self.actual_len);
+        let mut out = Vec::with_capacity(elems_from(range.start) - elems_from(range.end));
+        for i in range {
+            let want = elems_from(i).min(ENCODED_CHUNK_ELEMS);
+            let got = self
+                .encoding
+                .decode_into(&self.chunks[i], want, &mut out)
+                .map_err(LangError::type_error)?;
+            if got != want {
+                return Err(LangError::type_error(format!(
+                    "encoded chunk {i} decoded to {got} elements, expected {want}"
+                )));
+            }
+        }
+        Ok(out)
+    }
+
     /// Decodes every chunk serially.
     ///
     /// # Errors
     ///
-    /// Returns a corruption description from the wire layer.
+    /// As [`Self::decode_range`].
     pub fn decode_all(&self) -> Result<Vec<f64>> {
-        let mut out = Vec::with_capacity(self.actual_len);
-        for chunk in self.chunks.iter() {
-            out.extend(self.encoding.decode(chunk).map_err(LangError::type_error)?);
-        }
-        Ok(out)
+        self.decode_range(0..self.chunks.len())
     }
 }
 
@@ -746,6 +779,51 @@ mod tests {
             EncodedVal::from_f64s(Encoding::gzip_shuffled(), &data, 6_000_000)
         );
         assert_ne!(e, EncodedVal::from_f64s(Encoding::raw(), &data, 6_000_000));
+    }
+
+    #[test]
+    fn reassembled_parts_must_decode_to_their_declared_length() {
+        let data: Vec<f64> = (0..6000).map(|i| f64::from(i % 97)).collect();
+        for encoding in [Encoding::gzip_shuffled(), Encoding::raw()] {
+            let e = EncodedVal::from_f64s(encoding, &data, 6000);
+            let parts = |chunks: Vec<Vec<u8>>, actual_len| {
+                EncodedVal::from_parts(encoding, chunks, actual_len, 6000, 1)
+            };
+            let chunks = e.chunks().to_vec();
+            assert_eq!(
+                parts(chunks.clone(), 6000).decode_all().expect("decodes"),
+                data
+            );
+            // A wrong `actual_len` is an error, not a shorter or longer array.
+            for wrong in [0, 1904, 4096, 4097, 5999] {
+                assert!(
+                    parts(chunks.clone(), wrong).decode_all().is_err(),
+                    "{wrong}"
+                );
+            }
+            // So are a missing chunk, a surplus chunk, and swapped chunks.
+            assert!(parts(chunks[..1].to_vec(), 6000).decode_all().is_err());
+            let surplus = [chunks.clone(), vec![chunks[1].clone()]].concat();
+            assert!(parts(surplus, 6000).decode_all().is_err());
+            let swapped = vec![chunks[1].clone(), chunks[0].clone()];
+            assert!(parts(swapped, 6000).decode_all().is_err());
+        }
+    }
+
+    #[test]
+    fn a_chunk_that_inflates_past_its_element_count_is_refused() {
+        // A gzip member of zeros far larger than one chunk may hold,
+        // declared honestly in its own trailer: over 100x its encoded size.
+        let zeros = vec![0.0f64; 64 * ENCODED_CHUNK_ELEMS];
+        let plain = Encoding {
+            shuffle: false,
+            ..Encoding::gzip_shuffled()
+        };
+        let bomb = plain.encode(&zeros);
+        assert!(bomb.len() * 100 < zeros.len() * 8);
+        let e = EncodedVal::from_parts(plain, vec![bomb], ENCODED_CHUNK_ELEMS, 4096, 1);
+        let err = e.decode_all().expect_err("over the chunk bound");
+        assert!(err.to_string().contains("exceeds"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,7 @@ echo "== cargo build --release =="
 cargo build --release
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 46 of the ~650 tests.
+# The whole suite: the root package alone is 47 of the ~660 tests.
 cargo test -q --workspace
 
 echo "== fault-sweep smoke (deterministic injection, zero wrong answers) =="
@@ -73,6 +73,16 @@ cargo test -q --test fig5_golden
 
 echo "== re-plan determinism (proptest: refit loop never changes values, warm never worse) =="
 cargo test -q --test replan_determinism
+
+echo "== codec differential (pinned case count, old decoder as oracle) =="
+# csd_sim::wire against the bit-at-a-time decoder it replaced
+# (wire/oracle.rs): round trips across the 8-byte refill and 32 KiB
+# window boundaries, 10 000 mutated/truncated gzip/zlib/raw streams
+# (same bytes or both Err, no panic, nothing past the size bound),
+# hand-assembled dynamic blocks, three real-zlib streams, the pinned
+# encoder digests. A codec break stops here, named, instead of as a
+# fingerprint mismatch in the decode gates below.
+cargo test -q -p csd-sim --lib wire::
 
 echo "== decode smoke (both Eq.1 regimes present, placements beat forced plans, one fingerprint) =="
 # The decode experiment's unit slice: TPC-H-6-gz must plan decode-on-host,
