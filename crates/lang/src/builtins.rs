@@ -14,7 +14,8 @@
 use crate::error::{LangError, Result};
 use crate::matrix::Matrix;
 use crate::par::ParEngine;
-use crate::table::{Column, Table};
+use crate::simd;
+use crate::table::{selected_rows, take_rows, Column, Table};
 use crate::value::{ArrayVal, Value};
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock};
@@ -531,12 +532,13 @@ fn k_col(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let [t, c] = expect_args::<2>("col", args)?;
     let table = t.as_table()?;
     let column = table.column(c.as_str()?)?;
-    let data: Vec<f64> = match column {
-        Column::F64(v) => v.to_vec(),
-        Column::I64(v) => v.iter().map(|x| *x as f64).collect(),
-        Column::Dict { codes, .. } => codes.iter().map(|c| f64::from(*c)).collect(),
+    // An f64 column is already the array's representation: share it.
+    let data = match column {
+        Column::F64(v) => Arc::clone(v),
+        Column::I64(v) => Arc::new(v.iter().map(|x| *x as f64).collect()),
+        Column::Dict { codes, .. } => Arc::new(codes.iter().map(|c| f64::from(*c)).collect()),
     };
-    let arr = ArrayVal::with_logical(data, table.logical_rows());
+    let arr = ArrayVal::shared(data, table.logical_rows());
     Ok(BuiltinOutput::new(
         Value::Array(arr),
         table.logical_rows() * weights::VIEW,
@@ -563,25 +565,8 @@ fn k_select(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             mask.len()
         )));
     }
-    let xs = arr.data();
-    let keep = mask.data();
     // Chunk-ordered concat of per-chunk selections == the serial selection.
-    let data: Vec<f64> = match ctx.par.map_chunks(xs.len(), 1, |_, r| {
-        xs[r.clone()]
-            .iter()
-            .zip(&keep[r])
-            .filter(|(_, k)| **k)
-            .map(|(x, _)| *x)
-            .collect::<Vec<f64>>()
-    }) {
-        Some(parts) => parts.concat(),
-        None => xs
-            .iter()
-            .zip(keep)
-            .filter(|(_, k)| **k)
-            .map(|(x, _)| *x)
-            .collect(),
-    };
+    let data = take_rows(arr.data(), &selected_rows(mask.data()), Some(ctx.par));
     let logical =
         ((arr.logical_len() as f64 * mask.selectivity()).round() as u64).max(data.len() as u64);
     Ok(BuiltinOutput::new(
@@ -898,6 +883,82 @@ fn erf(x: f64) -> f64 {
     sign * y
 }
 
+/// `group_sum`'s accumulator: one `(key, sum, count)` slot per distinct
+/// key in first-seen order, found through an open-addressed index of slot
+/// numbers. Each slot adds its rows in row order, so a group's sum is the
+/// one an ordered map keyed the same way accumulates.
+struct GroupSlots {
+    slots: Vec<(i64, f64, u64)>,
+    /// Slot number per bucket, [`Self::EMPTY`] where free; a power of two
+    /// long and at most half full.
+    index: Vec<usize>,
+}
+
+impl GroupSlots {
+    const EMPTY: usize = usize::MAX;
+
+    fn new() -> Self {
+        GroupSlots {
+            slots: Vec::new(),
+            index: vec![Self::EMPTY; 16],
+        }
+    }
+
+    fn bucket(key: i64, buckets: usize) -> usize {
+        // Fibonacci hashing: the high bits of the product mix every key
+        // bit, so dense, strided and huge keys all spread.
+        let hash = (key as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        (hash >> 32) as usize & (buckets - 1)
+    }
+
+    /// The slot of `key`, appended as `(key, 0.0, 0)` when new.
+    fn slot_of(&mut self, key: i64) -> usize {
+        let mask = self.index.len() - 1;
+        let mut b = Self::bucket(key, self.index.len());
+        loop {
+            match self.index[b] {
+                Self::EMPTY => break,
+                slot if self.slots[slot].0 == key => return slot,
+                _ => b = (b + 1) & mask,
+            }
+        }
+        let slot = self.slots.len();
+        self.slots.push((key, 0.0, 0));
+        self.index[b] = slot;
+        if self.slots.len() * 2 > self.index.len() {
+            self.grow();
+        }
+        slot
+    }
+
+    fn grow(&mut self) {
+        let buckets = self.index.len() * 2;
+        self.index.clear();
+        self.index.resize(buckets, Self::EMPTY);
+        for (slot, (key, _, _)) in self.slots.iter().enumerate() {
+            let mut b = Self::bucket(*key, buckets);
+            while self.index[b] != Self::EMPTY {
+                b = (b + 1) & (buckets - 1);
+            }
+            self.index[b] = slot;
+        }
+    }
+}
+
+/// `x.round() as i64` (half away from zero, saturating, NaN to 0) from
+/// the truncating cast alone, so the row loop makes no libm call: below
+/// 2^52 the truncated part `x - trunc(x)` is exact, from 2^52 up every
+/// `f64` is an integer already.
+pub(crate) fn round_to_i64(x: f64) -> i64 {
+    let whole = x as i64;
+    if x.abs() < 4_503_599_627_370_496.0 {
+        let part = x - whole as f64;
+        whole + i64::from(part >= 0.5) - i64::from(part <= -0.5)
+    } else {
+        whole
+    }
+}
+
 fn group_sum(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let [k, v] = expect_args::<2>("group_sum", args)?;
     let keys = k.as_array()?;
@@ -905,17 +966,26 @@ fn group_sum(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     if keys.len() != vals.len() {
         return Err(LangError::runtime("group_sum: length mismatch"));
     }
-    let mut groups: BTreeMap<i64, (f64, u64)> = BTreeMap::new();
+    let mut groups = GroupSlots::new();
+    // A row whose key repeats the previous row's skips the index.
+    let mut last: Option<(i64, usize)> = None;
     for (key, val) in keys.data().iter().zip(vals.data()) {
-        let entry = groups.entry(key.round() as i64).or_insert((0.0, 0));
-        entry.0 += *val;
-        entry.1 += 1;
+        let key = round_to_i64(*key);
+        let slot = match last {
+            Some((k, slot)) if k == key => slot,
+            _ => groups.slot_of(key),
+        };
+        last = Some((key, slot));
+        let entry = &mut groups.slots[slot];
+        entry.1 += *val;
+        entry.2 += 1;
     }
+    groups.slots.sort_unstable_by_key(|(key, _, _)| *key);
     let ratio = keys.scale_ratio();
-    let mut gk = Vec::with_capacity(groups.len());
-    let mut gs = Vec::with_capacity(groups.len());
-    let mut gc = Vec::with_capacity(groups.len());
-    for (key, (sum, count)) in &groups {
+    let mut gk = Vec::with_capacity(groups.slots.len());
+    let mut gs = Vec::with_capacity(groups.slots.len());
+    let mut gc = Vec::with_capacity(groups.slots.len());
+    for (key, sum, count) in &groups.slots {
         gk.push(*key as f64);
         // Sums and counts extrapolate to logical scale.
         gs.push(sum * ratio);
@@ -968,33 +1038,57 @@ fn kmeans_assign(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     if points.cols() != centroids.cols() {
         return Err(LangError::runtime("kmeans_assign: dimension mismatch"));
     }
-    let nearest = |i: usize| -> f64 {
-        let mut best = 0usize;
-        let mut best_d = f64::INFINITY;
-        for kc in 0..centroids.rows() {
-            let mut d = 0.0;
-            for j in 0..points.cols() {
-                let diff = points.get(i, j) - centroids.get(kc, j);
-                d += diff * diff;
-            }
-            if d < best_d {
-                best_d = d;
-                best = kc;
-            }
+    let (k, d) = (centroids.rows(), points.cols());
+    if k == 0 {
+        return Err(LangError::runtime("kmeans_assign: no centroids"));
+    }
+    // Centroids by dimension (d x k), packed eight centroids to a panel: a
+    // point advances its distance to eight centroids one dimension at a
+    // time, independent accumulators each still summed in dimension order.
+    let mut by_dim = vec![0.0; d * k];
+    for (kc, centroid) in centroids.data().chunks_exact(d.max(1)).enumerate() {
+        for (j, x) in centroid.iter().enumerate() {
+            by_dim[j * k + kc] = *x;
         }
-        best as f64
+    }
+    let panels = simd::column_panels(&by_dim, d, k);
+    let nearest = |rows: std::ops::Range<usize>| -> Vec<f64> {
+        rows.map(|i| {
+            let point = &points.data()[i * d..(i + 1) * d];
+            let mut best = 0usize;
+            let mut best_d = f64::INFINITY;
+            for first in (0..k).step_by(simd::LANES) {
+                let panel = &panels[first * d..(first + simd::LANES) * d];
+                let mut dist = [0.0; simd::LANES];
+                for (x, lane) in point.iter().zip(panel.as_chunks::<{ simd::LANES }>().0) {
+                    for (acc, c) in dist.iter_mut().zip(lane) {
+                        let diff = x - c;
+                        *acc += diff * diff;
+                    }
+                }
+                // First strictly smaller distance wins; written as two
+                // selects because which centroid wins is unpredictable.
+                for (kc, dk) in (first..k).zip(&dist) {
+                    let closer = *dk < best_d;
+                    best_d = if closer { *dk } else { best_d };
+                    best = if closer { kc } else { best };
+                }
+            }
+            best as f64
+        })
+        .collect()
     };
     // Row-local, so chunk-ordered concat == the serial loop. Per-row work
     // is one distance per centroid per dimension.
-    let per_row = centroids.rows().saturating_mul(points.cols()).max(1);
-    let assign: Vec<f64> = match ctx.par.map_chunks(points.rows(), per_row, |_, rows| {
-        rows.map(nearest).collect::<Vec<f64>>()
-    }) {
+    let per_row = k.saturating_mul(d).max(1);
+    let assign: Vec<f64> = match ctx
+        .par
+        .map_chunks(points.rows(), per_row, |_, rows| nearest(rows))
+    {
         Some(parts) => parts.concat(),
-        None => (0..points.rows()).map(nearest).collect(),
+        None => nearest(0..points.rows()),
     };
-    let ops =
-        weights::KMEANS * points.logical_rows() * centroids.rows() as u64 * points.cols() as u64;
+    let ops = weights::KMEANS * points.logical_rows() * k as u64 * d as u64;
     Ok(BuiltinOutput::new(
         Value::Array(ArrayVal::with_logical(assign, points.logical_rows())),
         ops,
@@ -1022,15 +1116,18 @@ fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
         let mut sums = vec![0.0; k * d];
         let mut counts = vec![0u64; k];
         for i in rows {
-            let c = assign.data()[i] as usize;
-            if c >= k {
+            let a = assign.data()[i];
+            // `as usize` would saturate a negative or NaN value to cluster 0.
+            if !(0.0..k as f64).contains(&a) {
                 return Err(LangError::runtime(format!(
-                    "kmeans_update: assignment {c} out of range for k={k}"
+                    "kmeans_update: assignment {a} out of range for k={k}"
                 )));
             }
+            let c = a as usize;
             counts[c] += 1;
-            for j in 0..d {
-                sums[c * d + j] += points.get(i, j);
+            let point = &points.data()[i * d..(i + 1) * d];
+            for (sum, x) in sums[c * d..(c + 1) * d].iter_mut().zip(point) {
+                *sum += x;
             }
         }
         Ok((sums, counts))
@@ -1272,6 +1369,35 @@ mod tests {
         let m = upd.value.as_matrix().expect("m");
         assert!((m.get(0, 0) - 0.5).abs() < 1e-12);
         assert!((m.get(1, 0) - 10.5).abs() < 1e-12);
+    }
+
+    #[test]
+    fn kmeans_assign_refuses_an_empty_centroid_set() {
+        let st = Storage::new();
+        let points = Value::Matrix(Matrix::new(vec![0.0, 1.0, 2.0, 3.0], 2, 2).expect("pts"));
+        let none = Value::Matrix(Matrix::new(vec![], 0, 2).expect("no centroids"));
+        let e = call("kmeans_assign", &[points, none], &st).unwrap_err();
+        assert!(e.to_string().contains("no centroids"), "{e}");
+    }
+
+    #[test]
+    fn kmeans_update_refuses_assignments_that_name_no_cluster() {
+        let st = Storage::new();
+        let points = Value::Matrix(Matrix::new(vec![0.0, 1.0, 10.0], 3, 1).expect("pts"));
+        for bad in [-1.0, -0.5, f64::NAN, f64::NEG_INFINITY, f64::INFINITY, 2.0] {
+            let assign = arr(vec![0.0, bad, 1.0]);
+            let e = call(
+                "kmeans_update",
+                &[points.clone(), assign, Value::Num(2.0)],
+                &st,
+            )
+            .unwrap_err();
+            assert!(e.to_string().contains("out of range for k=2"), "{bad}: {e}");
+        }
+        // `-0.0` and a fraction still name clusters 0 and 1.
+        let assign = arr(vec![-0.0, 1.9, 1.0]);
+        let out = call("kmeans_update", &[points, assign, Value::Num(2.0)], &st).expect("update");
+        assert_eq!(out.value.as_matrix().expect("m").data(), &[0.0, 5.5]);
     }
 
     #[test]

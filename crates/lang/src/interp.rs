@@ -242,25 +242,29 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-fn arith(op: BinOp, a: f64, b: f64) -> f64 {
+// Each of the three families picks its operator once per call and runs
+// the element loops monomorphised over it, so a loop body is the bare
+// operation and vectorises.
+
+fn numeric_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
-        BinOp::Add => a + b,
-        BinOp::Sub => a - b,
-        BinOp::Mul => a * b,
-        BinOp::Div => a / b,
-        _ => unreachable!("arith called with {op:?}"),
+        BinOp::Add => numeric_by(op, l, r, |a, b| a + b),
+        BinOp::Sub => numeric_by(op, l, r, |a, b| a - b),
+        BinOp::Mul => numeric_by(op, l, r, |a, b| a * b),
+        BinOp::Div => numeric_by(op, l, r, |a, b| a / b),
+        _ => unreachable!("numeric_binary called with {op:?}"),
     }
 }
 
-fn numeric_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+fn numeric_by(op: BinOp, l: &Value, r: &Value, f: impl Fn(f64, f64) -> f64) -> Result<Value> {
     match (l, r) {
-        (Value::Num(a), Value::Num(b)) => Ok(Value::Num(arith(op, *a, *b))),
+        (Value::Num(a), Value::Num(b)) => Ok(Value::Num(f(*a, *b))),
         (Value::Array(a), Value::Num(b)) => Ok(Value::Array(ArrayVal::with_logical(
-            a.data().iter().map(|x| arith(op, *x, *b)).collect(),
+            a.data().iter().map(|x| f(*x, *b)).collect(),
             a.logical_len(),
         ))),
         (Value::Num(a), Value::Array(b)) => Ok(Value::Array(ArrayVal::with_logical(
-            b.data().iter().map(|x| arith(op, *a, *x)).collect(),
+            b.data().iter().map(|x| f(*a, *x)).collect(),
             b.logical_len(),
         ))),
         (Value::Array(a), Value::Array(b)) => {
@@ -276,7 +280,7 @@ fn numeric_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                 a.data()
                     .iter()
                     .zip(b.data())
-                    .map(|(x, y)| arith(op, *x, *y))
+                    .map(|(x, y)| f(*x, *y))
                     .collect(),
                 a.logical_len().max(b.logical_len()),
             )))
@@ -290,27 +294,27 @@ fn numeric_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
-fn cmp(op: BinOp, a: f64, b: f64) -> bool {
+fn comparison_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
-        BinOp::Lt => a < b,
-        BinOp::Le => a <= b,
-        BinOp::Gt => a > b,
-        BinOp::Ge => a >= b,
-        BinOp::Eq => a == b,
-        BinOp::Ne => a != b,
-        _ => unreachable!("cmp called with {op:?}"),
+        BinOp::Lt => comparison_by(op, l, r, |a, b| a < b),
+        BinOp::Le => comparison_by(op, l, r, |a, b| a <= b),
+        BinOp::Gt => comparison_by(op, l, r, |a, b| a > b),
+        BinOp::Ge => comparison_by(op, l, r, |a, b| a >= b),
+        BinOp::Eq => comparison_by(op, l, r, |a, b| a == b),
+        BinOp::Ne => comparison_by(op, l, r, |a, b| a != b),
+        _ => unreachable!("comparison_binary called with {op:?}"),
     }
 }
 
-fn comparison_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+fn comparison_by(op: BinOp, l: &Value, r: &Value, f: impl Fn(f64, f64) -> bool) -> Result<Value> {
     match (l, r) {
-        (Value::Num(a), Value::Num(b)) => Ok(Value::Bool(cmp(op, *a, *b))),
+        (Value::Num(a), Value::Num(b)) => Ok(Value::Bool(f(*a, *b))),
         (Value::Array(a), Value::Num(b)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
-            a.data().iter().map(|x| cmp(op, *x, *b)).collect(),
+            a.data().iter().map(|x| f(*x, *b)).collect(),
             a.logical_len(),
         ))),
         (Value::Num(a), Value::Array(b)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
-            b.data().iter().map(|x| cmp(op, *a, *x)).collect(),
+            b.data().iter().map(|x| f(*a, *x)).collect(),
             b.logical_len(),
         ))),
         (Value::Array(a), Value::Array(b)) => {
@@ -326,7 +330,7 @@ fn comparison_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
                 a.data()
                     .iter()
                     .zip(b.data())
-                    .map(|(x, y)| cmp(op, *x, *y))
+                    .map(|(x, y)| f(*x, *y))
                     .collect(),
                 a.logical_len().max(b.logical_len()),
             )))
@@ -340,11 +344,14 @@ fn comparison_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 fn logical_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
-    let f = |a: bool, b: bool| match op {
-        BinOp::And => a && b,
-        BinOp::Or => a || b,
-        _ => unreachable!("logical called with {op:?}"),
-    };
+    match op {
+        BinOp::And => logical_by(op, l, r, |a, b| a && b),
+        BinOp::Or => logical_by(op, l, r, |a, b| a || b),
+        _ => unreachable!("logical_binary called with {op:?}"),
+    }
+}
+
+fn logical_by(op: BinOp, l: &Value, r: &Value, f: impl Fn(bool, bool) -> bool) -> Result<Value> {
     match (l, r) {
         (Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(f(*a, *b))),
         (Value::BoolArray(a), Value::BoolArray(b)) => {

@@ -1,0 +1,1157 @@
+//! Reference forms of the row-loop kernels, and the differential test
+//! that holds the production loops to them bit for bit.
+//!
+//! Each `*_ref` function is the plain loop — one element, one map entry,
+//! one `match op` at a time — written against the public accessors of
+//! [`Table`], [`Matrix`] and [`Value`]. The production kernels in
+//! `builtins`, `table`, `matrix` and `interp` reorder the *work* (an index
+//! built once, centroids packed into lanes, the operator chosen before the
+//! loop) but never the floating-point evaluation order, so every output
+//! must equal its oracle's byte for byte, at every thread count, with the
+//! same chunk counters.
+
+use crate::ast::BinOp;
+use crate::builtins::{call_in, weights, BuiltinOutput, KernelCtx, Storage};
+use crate::error::{LangError, Result};
+use crate::interp::apply_binary;
+use crate::matrix::{Csr, Matrix};
+use crate::par::{ParEngine, ParallelPolicy};
+use crate::table::{Column, Table};
+use crate::value::{ArrayVal, BoolArrayVal, Value};
+use isp_obs::wal::ByteWriter;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+// ---------------------------------------------------------------- oracles
+
+fn group_sum_ref(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let [k, v] = args else {
+        panic!("group_sum_ref takes two arguments")
+    };
+    let keys = k.as_array()?;
+    let vals = v.as_array()?;
+    if keys.len() != vals.len() {
+        return Err(LangError::runtime("group_sum: length mismatch"));
+    }
+    let mut groups: BTreeMap<i64, (f64, u64)> = BTreeMap::new();
+    for (key, val) in keys.data().iter().zip(vals.data()) {
+        let entry = groups.entry(key.round() as i64).or_insert((0.0, 0));
+        entry.0 += *val;
+        entry.1 += 1;
+    }
+    let ratio = keys.scale_ratio();
+    let mut gk = Vec::with_capacity(groups.len());
+    let mut gs = Vec::with_capacity(groups.len());
+    let mut gc = Vec::with_capacity(groups.len());
+    for (key, (sum, count)) in &groups {
+        gk.push(*key as f64);
+        gs.push(sum * ratio);
+        gc.push((*count as f64 * ratio).round());
+    }
+    let table = Table::new(vec![
+        ("key".into(), Column::F64(Arc::new(gk))),
+        ("sum".into(), Column::F64(Arc::new(gs))),
+        ("count".into(), Column::F64(Arc::new(gc))),
+    ])?;
+    Ok(BuiltinOutput {
+        value: Value::Table(table),
+        ops: keys.logical_len() * weights::GROUP,
+        storage_bytes: 0,
+    })
+}
+
+fn gather_ref(column: &Column, keep: &[bool]) -> Column {
+    match column {
+        Column::F64(v) => Column::F64(Arc::new(
+            v.iter()
+                .zip(keep)
+                .filter(|(_, k)| **k)
+                .map(|(x, _)| *x)
+                .collect(),
+        )),
+        Column::I64(v) => Column::I64(Arc::new(
+            v.iter()
+                .zip(keep)
+                .filter(|(_, k)| **k)
+                .map(|(x, _)| *x)
+                .collect(),
+        )),
+        Column::Dict { codes, dict } => Column::Dict {
+            codes: Arc::new(
+                codes
+                    .iter()
+                    .zip(keep)
+                    .filter(|(_, k)| **k)
+                    .map(|(c, _)| *c)
+                    .collect(),
+            ),
+            dict: Arc::clone(dict),
+        },
+    }
+}
+
+fn gather_with_ref(column: &Column, keep: &[bool], par: &ParEngine) -> Column {
+    fn chunked<T: Copy + Send + Sync>(
+        rows: &[T],
+        keep: &[bool],
+        par: &ParEngine,
+    ) -> Option<Vec<T>> {
+        par.map_chunks(rows.len(), 1, |_, r| {
+            rows[r.clone()]
+                .iter()
+                .zip(&keep[r])
+                .filter(|(_, k)| **k)
+                .map(|(x, _)| *x)
+                .collect::<Vec<T>>()
+        })
+        .map(|parts| parts.concat())
+    }
+    match column {
+        Column::F64(v) => match chunked(v, keep, par) {
+            Some(out) => Column::F64(Arc::new(out)),
+            None => gather_ref(column, keep),
+        },
+        Column::I64(v) => match chunked(v, keep, par) {
+            Some(out) => Column::I64(Arc::new(out)),
+            None => gather_ref(column, keep),
+        },
+        Column::Dict { codes, dict } => match chunked(codes, keep, par) {
+            Some(out) => Column::Dict {
+                codes: Arc::new(out),
+                dict: Arc::clone(dict),
+            },
+            None => gather_ref(column, keep),
+        },
+    }
+}
+
+/// `Table::filter` (no engine) and `Table::filter_with` over the gathers
+/// above.
+fn filter_ref(table: &Table, keep: &[bool], par: Option<&ParEngine>) -> Result<Table> {
+    if keep.len() != table.rows() {
+        return Err(LangError::runtime(format!(
+            "mask length {} does not match table rows {}",
+            keep.len(),
+            table.rows()
+        )));
+    }
+    let kept = keep.iter().filter(|k| **k).count();
+    let selectivity = if table.rows() == 0 {
+        0.0
+    } else {
+        kept as f64 / table.rows() as f64
+    };
+    let logical = (table.logical_rows() as f64 * selectivity)
+        .round()
+        .max(kept as f64) as u64;
+    let columns: Vec<(String, Column)> = table
+        .column_names()
+        .map(|n| {
+            let c = table.column(n).expect("a listed column");
+            let gathered = match par {
+                Some(par) => gather_with_ref(c, keep, par),
+                None => gather_ref(c, keep),
+            };
+            (n.to_owned(), gathered)
+        })
+        .collect();
+    Table::with_logical_rows(columns, logical)
+}
+
+/// `col` with every column, `F64` included, converted into a fresh buffer.
+fn col_ref(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let [t, c] = args else {
+        panic!("col_ref takes two arguments")
+    };
+    let table = t.as_table()?;
+    let column = table.column(c.as_str()?)?;
+    let data: Vec<f64> = match column {
+        Column::F64(v) => v.to_vec(),
+        Column::I64(v) => v.iter().map(|x| *x as f64).collect(),
+        Column::Dict { codes, .. } => codes.iter().map(|c| f64::from(*c)).collect(),
+    };
+    Ok(BuiltinOutput {
+        value: Value::Array(ArrayVal::with_logical(data, table.logical_rows())),
+        ops: table.logical_rows() * weights::VIEW,
+        storage_bytes: 0,
+    })
+}
+
+fn select_ref(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let [a, m] = args else {
+        panic!("select_ref takes two arguments")
+    };
+    let arr = a.as_array()?;
+    let mask = m.as_bool_array()?;
+    if arr.len() != mask.len() {
+        return Err(LangError::runtime(format!(
+            "select: array has {} elements, mask has {}",
+            arr.len(),
+            mask.len()
+        )));
+    }
+    let xs = arr.data();
+    let keep = mask.data();
+    let data: Vec<f64> = match ctx.par.map_chunks(xs.len(), 1, |_, r| {
+        xs[r.clone()]
+            .iter()
+            .zip(&keep[r])
+            .filter(|(_, k)| **k)
+            .map(|(x, _)| *x)
+            .collect::<Vec<f64>>()
+    }) {
+        Some(parts) => parts.concat(),
+        None => xs
+            .iter()
+            .zip(keep)
+            .filter(|(_, k)| **k)
+            .map(|(x, _)| *x)
+            .collect(),
+    };
+    let logical =
+        ((arr.logical_len() as f64 * mask.selectivity()).round() as u64).max(data.len() as u64);
+    Ok(BuiltinOutput {
+        value: Value::Array(ArrayVal::with_logical(data, logical)),
+        ops: arr.logical_len() * weights::SELECT,
+        storage_bytes: 0,
+    })
+}
+
+fn kmeans_assign_ref(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let [p, c] = args else {
+        panic!("kmeans_assign_ref takes two arguments")
+    };
+    let points = p.as_matrix()?;
+    let centroids = c.as_matrix()?;
+    if points.cols() != centroids.cols() {
+        return Err(LangError::runtime("kmeans_assign: dimension mismatch"));
+    }
+    let nearest = |i: usize| -> f64 {
+        let mut best = 0usize;
+        let mut best_d = f64::INFINITY;
+        for kc in 0..centroids.rows() {
+            let mut d = 0.0;
+            for j in 0..points.cols() {
+                let diff = points.get(i, j) - centroids.get(kc, j);
+                d += diff * diff;
+            }
+            if d < best_d {
+                best_d = d;
+                best = kc;
+            }
+        }
+        best as f64
+    };
+    let per_row = centroids.rows().saturating_mul(points.cols()).max(1);
+    let assign: Vec<f64> = match ctx.par.map_chunks(points.rows(), per_row, |_, rows| {
+        rows.map(nearest).collect::<Vec<f64>>()
+    }) {
+        Some(parts) => parts.concat(),
+        None => (0..points.rows()).map(nearest).collect(),
+    };
+    let ops =
+        weights::KMEANS * points.logical_rows() * centroids.rows() as u64 * points.cols() as u64;
+    Ok(BuiltinOutput {
+        value: Value::Array(ArrayVal::with_logical(assign, points.logical_rows())),
+        ops,
+        storage_bytes: 0,
+    })
+}
+
+fn kmeans_update_ref(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let [p, a, k] = args else {
+        panic!("kmeans_update_ref takes three arguments")
+    };
+    let points = p.as_matrix()?;
+    let assign = a.as_array()?;
+    let k = k.as_num()? as usize;
+    if assign.len() != points.rows() {
+        return Err(LangError::runtime(
+            "kmeans_update: assignment length mismatch",
+        ));
+    }
+    if k == 0 {
+        return Err(LangError::runtime("kmeans_update: k must be positive"));
+    }
+    let d = points.cols();
+    let accumulate = |rows: std::ops::Range<usize>| -> Result<(Vec<f64>, Vec<u64>)> {
+        let mut sums = vec![0.0; k * d];
+        let mut counts = vec![0u64; k];
+        for i in rows {
+            let c = assign.data()[i] as usize;
+            if c >= k {
+                return Err(LangError::runtime(format!(
+                    "kmeans_update: assignment {c} out of range for k={k}"
+                )));
+            }
+            counts[c] += 1;
+            for j in 0..d {
+                sums[c * d + j] += points.get(i, j);
+            }
+        }
+        Ok((sums, counts))
+    };
+    let (mut sums, counts) = match ctx
+        .par
+        .map_chunks(points.rows(), d.max(1), |_, rows| accumulate(rows))
+    {
+        Some(parts) => {
+            let mut sums = vec![0.0; k * d];
+            let mut counts = vec![0u64; k];
+            for part in parts {
+                let (ps, pc) = part?;
+                for (o, v) in sums.iter_mut().zip(&ps) {
+                    *o += v;
+                }
+                for (o, v) in counts.iter_mut().zip(&pc) {
+                    *o += v;
+                }
+            }
+            (sums, counts)
+        }
+        None => accumulate(0..points.rows())?,
+    };
+    for c in 0..k {
+        if counts[c] > 0 {
+            for j in 0..d {
+                sums[c * d + j] /= counts[c] as f64;
+            }
+        }
+    }
+    Ok(BuiltinOutput {
+        value: Value::Matrix(Matrix::new(sums, k, d)?),
+        ops: weights::REDUCE * points.logical_rows() * d as u64,
+        storage_bytes: 0,
+    })
+}
+
+fn matmul_ref(lhs: &Matrix, rhs: &Matrix) -> Result<Matrix> {
+    if lhs.cols() != rhs.rows() {
+        return Err(LangError::runtime(format!(
+            "matmul shape mismatch: {}x{} times {}x{}",
+            lhs.rows(),
+            lhs.cols(),
+            rhs.rows(),
+            rhs.cols()
+        )));
+    }
+    let mut out = vec![0.0; lhs.rows() * rhs.cols()];
+    for i in 0..lhs.rows() {
+        for k in 0..lhs.cols() {
+            let a = lhs.data()[i * lhs.cols() + k];
+            if a == 0.0 {
+                continue;
+            }
+            for j in 0..rhs.cols() {
+                out[i * rhs.cols() + j] += a * rhs.data()[k * rhs.cols() + j];
+            }
+        }
+    }
+    Matrix::with_logical(
+        out,
+        lhs.rows(),
+        rhs.cols(),
+        lhs.logical_rows(),
+        rhs.logical_cols(),
+    )
+}
+
+fn matmul_with_ref(lhs: &Matrix, rhs: &Matrix, par: &ParEngine) -> Result<Matrix> {
+    if lhs.cols() != rhs.rows() {
+        return Err(LangError::runtime(format!(
+            "matmul shape mismatch: {}x{} times {}x{}",
+            lhs.rows(),
+            lhs.cols(),
+            rhs.rows(),
+            rhs.cols()
+        )));
+    }
+    let per_row = lhs.cols().max(1);
+    let Some(blocks) = par.map_chunks(lhs.rows(), per_row, |_, rows| {
+        let mut block = vec![0.0; rows.len() * rhs.cols()];
+        for (bi, i) in rows.enumerate() {
+            for k in 0..lhs.cols() {
+                let a = lhs.data()[i * lhs.cols() + k];
+                if a == 0.0 {
+                    continue;
+                }
+                for j in 0..rhs.cols() {
+                    block[bi * rhs.cols() + j] += a * rhs.data()[k * rhs.cols() + j];
+                }
+            }
+        }
+        block
+    }) else {
+        return matmul_ref(lhs, rhs);
+    };
+    let mut out = Vec::with_capacity(lhs.rows() * rhs.cols());
+    for block in blocks {
+        out.extend_from_slice(&block);
+    }
+    Matrix::with_logical(
+        out,
+        lhs.rows(),
+        rhs.cols(),
+        lhs.logical_rows(),
+        rhs.logical_cols(),
+    )
+}
+
+fn density_ref(m: &Matrix) -> f64 {
+    if m.data().is_empty() {
+        return 0.0;
+    }
+    let nnz = m.data().iter().filter(|x| **x != 0.0).count();
+    nnz as f64 / m.data().len() as f64
+}
+
+fn to_csr_ref(m: &Matrix) -> Csr {
+    let mut row_ptr = Vec::with_capacity(m.rows() + 1);
+    let mut col_idx = Vec::new();
+    let mut values = Vec::new();
+    row_ptr.push(0u32);
+    for r in 0..m.rows() {
+        for c in 0..m.cols() {
+            let v = m.data()[r * m.cols() + c];
+            if v != 0.0 {
+                col_idx.push(c as u32);
+                values.push(v);
+            }
+        }
+        row_ptr.push(col_idx.len() as u32);
+    }
+    let logical_elems = m.logical_rows() * m.logical_cols();
+    let logical_nnz =
+        ((logical_elems as f64 * density_ref(m)).round() as u64).max(values.len() as u64);
+    Csr::from_parts(
+        row_ptr,
+        col_idx,
+        values,
+        m.rows(),
+        m.cols(),
+        m.logical_rows(),
+        m.logical_cols(),
+        logical_nnz,
+    )
+    .expect("a scan of a dense matrix is a well-formed CSR")
+}
+
+fn arith_ref(op: BinOp, a: f64, b: f64) -> f64 {
+    match op {
+        BinOp::Add => a + b,
+        BinOp::Sub => a - b,
+        BinOp::Mul => a * b,
+        BinOp::Div => a / b,
+        _ => unreachable!("arith called with {op:?}"),
+    }
+}
+
+fn cmp_ref(op: BinOp, a: f64, b: f64) -> bool {
+    match op {
+        BinOp::Lt => a < b,
+        BinOp::Le => a <= b,
+        BinOp::Gt => a > b,
+        BinOp::Ge => a >= b,
+        BinOp::Eq => a == b,
+        BinOp::Ne => a != b,
+        _ => unreachable!("cmp called with {op:?}"),
+    }
+}
+
+/// `interp::apply_binary` with the operator matched once per element.
+fn apply_binary_ref(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
+    use BinOp::*;
+    match op {
+        Add | Sub | Mul | Div => match (l, r) {
+            (Value::Num(a), Value::Num(b)) => Ok(Value::Num(arith_ref(op, *a, *b))),
+            (Value::Array(a), Value::Num(b)) => Ok(Value::Array(ArrayVal::with_logical(
+                a.data().iter().map(|x| arith_ref(op, *x, *b)).collect(),
+                a.logical_len(),
+            ))),
+            (Value::Num(a), Value::Array(b)) => Ok(Value::Array(ArrayVal::with_logical(
+                b.data().iter().map(|x| arith_ref(op, *a, *x)).collect(),
+                b.logical_len(),
+            ))),
+            (Value::Array(a), Value::Array(b)) => {
+                if a.len() != b.len() {
+                    return Err(LangError::runtime(format!(
+                        "elementwise {} on arrays of length {} and {}",
+                        op.symbol(),
+                        a.len(),
+                        b.len()
+                    )));
+                }
+                Ok(Value::Array(ArrayVal::with_logical(
+                    a.data()
+                        .iter()
+                        .zip(b.data())
+                        .map(|(x, y)| arith_ref(op, *x, *y))
+                        .collect(),
+                    a.logical_len().max(b.logical_len()),
+                )))
+            }
+            (l, r) => Err(LangError::type_error(format!(
+                "cannot apply {} to {} and {}",
+                op.symbol(),
+                l.type_name(),
+                r.type_name()
+            ))),
+        },
+        Lt | Le | Gt | Ge | Eq | Ne => match (l, r) {
+            (Value::Num(a), Value::Num(b)) => Ok(Value::Bool(cmp_ref(op, *a, *b))),
+            (Value::Array(a), Value::Num(b)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
+                a.data().iter().map(|x| cmp_ref(op, *x, *b)).collect(),
+                a.logical_len(),
+            ))),
+            (Value::Num(a), Value::Array(b)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
+                b.data().iter().map(|x| cmp_ref(op, *a, *x)).collect(),
+                b.logical_len(),
+            ))),
+            (Value::Array(a), Value::Array(b)) => {
+                if a.len() != b.len() {
+                    return Err(LangError::runtime(format!(
+                        "comparison {} on arrays of length {} and {}",
+                        op.symbol(),
+                        a.len(),
+                        b.len()
+                    )));
+                }
+                Ok(Value::BoolArray(BoolArrayVal::with_logical(
+                    a.data()
+                        .iter()
+                        .zip(b.data())
+                        .map(|(x, y)| cmp_ref(op, *x, *y))
+                        .collect(),
+                    a.logical_len().max(b.logical_len()),
+                )))
+            }
+            (l, r) => Err(LangError::type_error(format!(
+                "cannot compare {} and {}",
+                l.type_name(),
+                r.type_name()
+            ))),
+        },
+        And | Or => {
+            let f = |a: bool, b: bool| match op {
+                BinOp::And => a && b,
+                BinOp::Or => a || b,
+                _ => unreachable!("logical called with {op:?}"),
+            };
+            match (l, r) {
+                (Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(f(*a, *b))),
+                (Value::BoolArray(a), Value::BoolArray(b)) => {
+                    if a.len() != b.len() {
+                        return Err(LangError::runtime(format!(
+                            "logical {} on masks of length {} and {}",
+                            op.symbol(),
+                            a.len(),
+                            b.len()
+                        )));
+                    }
+                    Ok(Value::BoolArray(BoolArrayVal::with_logical(
+                        a.data()
+                            .iter()
+                            .zip(b.data())
+                            .map(|(x, y)| f(*x, *y))
+                            .collect(),
+                        a.logical_len().max(b.logical_len()),
+                    )))
+                }
+                (Value::BoolArray(a), Value::Bool(b)) => {
+                    Ok(Value::BoolArray(BoolArrayVal::with_logical(
+                        a.data().iter().map(|x| f(*x, *b)).collect(),
+                        a.logical_len(),
+                    )))
+                }
+                (Value::Bool(a), Value::BoolArray(b)) => {
+                    Ok(Value::BoolArray(BoolArrayVal::with_logical(
+                        b.data().iter().map(|x| f(*a, *x)).collect(),
+                        b.logical_len(),
+                    )))
+                }
+                (l, r) => Err(LangError::type_error(format!(
+                    "cannot apply {} to {} and {}",
+                    op.symbol(),
+                    l.type_name(),
+                    r.type_name()
+                ))),
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------- the harness
+
+/// Thread counts every engine-taking kernel is compared at.
+const THREADS: [usize; 4] = [1, 2, 4, 8];
+
+/// Engagement threshold of the test engines: low enough that most seeded
+/// shapes take the chunked path, high enough that the small ones do not.
+const MIN_PARALLEL_LEN: usize = 2048;
+
+/// Seeded cases per kernel family; the test asserts it ran this many.
+const CASES: usize = 96;
+
+/// What a case's floats may contain. NaNs that meet in one addition must
+/// share a payload for "bit for bit" to be well defined (x86 keeps the
+/// first operand's payload, and operand order is the compiler's choice),
+/// so a case holds the literal `f64::NAN` or the operands that make the
+/// hardware's default NaN (`inf - inf`, `0 * inf`), never both.
+#[derive(Clone, Copy, PartialEq)]
+enum Flavour {
+    Finite,
+    WithNan,
+    WithInf,
+}
+
+fn flavour(case: usize) -> Flavour {
+    [Flavour::Finite, Flavour::WithNan, Flavour::WithInf][case % 3]
+}
+
+fn float(rng: &mut StdRng, flavour: Flavour) -> f64 {
+    match rng.gen_range(0..16u32) {
+        0 => -0.0,
+        1 => 0.0,
+        2 if flavour == Flavour::WithNan => f64::NAN,
+        2 | 3 if flavour == Flavour::WithInf => {
+            [f64::INFINITY, f64::NEG_INFINITY][rng.gen_range(0..2usize)]
+        }
+        4 => rng.gen_range(-4..5i64) as f64,
+        _ => rng.gen_range(-1.0e3..1.0e3),
+    }
+}
+
+fn floats(rng: &mut StdRng, n: usize, flavour: Flavour) -> Vec<f64> {
+    (0..n).map(|_| float(rng, flavour)).collect()
+}
+
+/// Row counts around the chunk grid and the lane width: empty, one row,
+/// not a multiple of 8, straddling one and several 4096-element chunks.
+fn rows(rng: &mut StdRng, case: usize) -> usize {
+    const EDGES: [usize; 12] = [0, 1, 2, 7, 8, 9, 63, 2047, 2048, 4097, 8191, 9001];
+    match EDGES.get(case) {
+        Some(n) => *n,
+        None => rng.gen_range(0..12_000usize),
+    }
+}
+
+/// Masks: all false, all true, then seeded selectivities.
+fn mask(rng: &mut StdRng, case: usize, n: usize) -> Vec<bool> {
+    match case % 8 {
+        0 => vec![false; n],
+        1 => vec![true; n],
+        _ => {
+            let p = rng.gen_range(0.0..1.0);
+            (0..n).map(|_| rng.gen_bool(p)).collect()
+        }
+    }
+}
+
+fn engine(threads: usize) -> ParEngine {
+    ParEngine::new(ParallelPolicy::new(threads, MIN_PARALLEL_LEN).expect("policy"))
+}
+
+/// The canonical bytes of a value: floats as bit patterns, so `-0.0`,
+/// `0.0` and every NaN payload stay apart.
+fn bytes(value: &Value) -> Vec<u8> {
+    let mut w = ByteWriter::default();
+    value.canonical(&mut w);
+    w.into_bytes()
+}
+
+fn assert_same_value(new: &Result<Value>, old: &Result<Value>, what: &str) {
+    match (new, old) {
+        (Ok(new), Ok(old)) => assert!(bytes(new) == bytes(old), "{what}: values differ"),
+        (Err(new), Err(old)) => assert_eq!(new.to_string(), old.to_string(), "{what}"),
+        (new, old) => panic!("{what}: new {new:?}, oracle {old:?}"),
+    }
+}
+
+fn assert_same_output(new: Result<BuiltinOutput>, old: Result<BuiltinOutput>, what: &str) {
+    if let (Ok(new), Ok(old)) = (&new, &old) {
+        assert_eq!(new.ops, old.ops, "{what}: ops");
+        assert_eq!(
+            new.storage_bytes, old.storage_bytes,
+            "{what}: storage bytes"
+        );
+    }
+    assert_same_value(&new.map(|o| o.value), &old.map(|o| o.value), what);
+}
+
+/// Runs builtin `name` and `oracle` on `args` at every thread count, each
+/// on a fresh engine, and holds values, costs and chunk counters equal.
+fn check_kernel(
+    name: &str,
+    oracle: fn(&[Value], &KernelCtx<'_>) -> Result<BuiltinOutput>,
+    args: &[Value],
+    what: &str,
+) {
+    let storage = Storage::new();
+    for threads in THREADS {
+        let (new_par, old_par) = (engine(threads), engine(threads));
+        let new = call_in(
+            name,
+            args,
+            &KernelCtx {
+                storage: &storage,
+                par: &new_par,
+            },
+        );
+        let old = oracle(
+            args,
+            &KernelCtx {
+                storage: &storage,
+                par: &old_par,
+            },
+        );
+        let what = format!("{name} {what} @ {threads} threads");
+        assert_same_output(new, old, &what);
+        assert_eq!(new_par.stats(), old_par.stats(), "{what}: chunk counters");
+    }
+}
+
+fn array(data: Vec<f64>, scale: u64) -> Value {
+    let logical = data.len() as u64 * scale;
+    Value::Array(ArrayVal::with_logical(data, logical))
+}
+
+fn matrix(rng: &mut StdRng, rows: usize, cols: usize, flavour: Flavour, zeros: f64) -> Matrix {
+    let data = (0..rows * cols)
+        .map(|_| {
+            if rng.gen_bool(zeros) {
+                0.0
+            } else {
+                float(rng, flavour)
+            }
+        })
+        .collect();
+    Matrix::with_logical(data, rows, cols, rows as u64 * 3, cols as u64 * 2).expect("matrix")
+}
+
+// ------------------------------------------------------------------ tests
+
+#[test]
+fn round_to_i64_is_round_then_cast() {
+    let mut rng = StdRng::seed_from_u64(0x0607);
+    let two52 = 4_503_599_627_370_496.0_f64;
+    let mut probes = vec![
+        0.0,
+        -0.0,
+        0.5,
+        -0.5,
+        0.499_999_999_999_999_94,
+        -0.499_999_999_999_999_94,
+        1.5,
+        2.5,
+        -2.5,
+        two52 - 0.5,
+        two52 - 1.0,
+        two52,
+        two52 + 1.0,
+        -(two52 - 0.5),
+        two52 * 2.0 + 2.0,
+        9.3e18,
+        -9.3e18,
+        i64::MAX as f64,
+        i64::MIN as f64,
+        1.0e19,
+        -1.0e19,
+        f64::MAX,
+        f64::MIN,
+        f64::MIN_POSITIVE,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        f64::NAN,
+    ];
+    for _ in 0..20_000 {
+        // Every exponent, so halves, wholes and huge values all occur.
+        let magnitude = f64::from_bits(rng.gen_range(0..0x7FF0_0000_0000_0000u64));
+        probes.push(if rng.gen_bool(0.5) {
+            magnitude
+        } else {
+            -magnitude
+        });
+        let whole = rng.gen_range(-1_000_000..1_000_000i64) as f64;
+        probes.push(whole + [0.0, 0.25, 0.5, 0.75][rng.gen_range(0..4usize)]);
+    }
+    for x in probes {
+        assert_eq!(
+            crate::builtins::round_to_i64(x),
+            x.round() as i64,
+            "x = {x:e} ({:#x})",
+            x.to_bits()
+        );
+    }
+}
+
+#[test]
+fn group_sum_matches_the_ordered_map() {
+    let mut rng = StdRng::seed_from_u64(0x6507);
+    let mut ran = 0;
+    for case in 0..CASES {
+        let n = rows(&mut rng, case);
+        let flavour = flavour(case);
+        // Key shapes: a handful of groups (Q1), runs of one key, more than
+        // 1024 distinct keys (the index grows seven times), negative and
+        // beyond-2^32 keys, halves that round away from zero, NaN keys
+        // (which round to group 0) and keys past the i64 range.
+        let keys: Vec<f64> = (0..n)
+            .map(|i| match case % 6 {
+                0 => rng.gen_range(0..6i64) as f64,
+                1 => (i / 37) as f64 - 20.0,
+                2 => rng.gen_range(-3000..3000i64) as f64,
+                3 => rng.gen_range(-8..8i64) as f64 * 4_294_967_296.5,
+                4 => rng.gen_range(-9..9i64) as f64 * 0.5,
+                _ => match rng.gen_range(0..8u32) {
+                    0 => f64::NAN,
+                    1 => 1.0e300,
+                    2 => f64::NEG_INFINITY,
+                    3 => -0.0,
+                    _ => rng.gen_range(-2.0..2.0),
+                },
+            })
+            .collect();
+        let vals = floats(&mut rng, n, flavour);
+        let args = [array(keys, 1 + case as u64 % 5), array(vals, 1)];
+        check_kernel("group_sum", group_sum_ref, &args, &format!("case {case}"));
+        ran += 1;
+    }
+    let short = [array(vec![1.0, 2.0], 1), array(vec![1.0], 1)];
+    check_kernel("group_sum", group_sum_ref, &short, "length mismatch");
+    assert_eq!(ran, CASES);
+}
+
+fn table(rng: &mut StdRng, n: usize, flavour: Flavour) -> Table {
+    let columns = vec![
+        (
+            "a".to_owned(),
+            Column::F64(Arc::new(floats(rng, n, flavour))),
+        ),
+        (
+            "b".to_owned(),
+            Column::I64(Arc::new(
+                (0..n).map(|_| rng.gen_range(i64::MIN..i64::MAX)).collect(),
+            )),
+        ),
+        (
+            "c".to_owned(),
+            Column::Dict {
+                codes: Arc::new((0..n).map(|_| rng.gen_range(0..3u32)).collect()),
+                dict: Arc::new(vec!["x".into(), "y".into(), "z".into()]),
+            },
+        ),
+        (
+            "d".to_owned(),
+            Column::F64(Arc::new(floats(rng, n, flavour))),
+        ),
+    ];
+    Table::with_logical_rows(columns, n as u64 * 1000 + 17).expect("table")
+}
+
+#[test]
+fn filter_and_select_match_the_zip_gather() {
+    let mut rng = StdRng::seed_from_u64(0xF117);
+    let mut ran = 0;
+    for case in 0..CASES {
+        let n = rows(&mut rng, case);
+        let flavour = flavour(case);
+        let keep = mask(&mut rng, case, n);
+        let t = table(&mut rng, n, flavour);
+        let what = format!("case {case} ({n} rows)");
+
+        let serial = t.filter(&keep).map(Value::Table);
+        let serial_ref = filter_ref(&t, &keep, None).map(Value::Table);
+        assert_same_value(&serial, &serial_ref, &format!("filter {what}"));
+        for threads in THREADS {
+            let (new_par, old_par) = (engine(threads), engine(threads));
+            let new = t.filter_with(&keep, &new_par).map(Value::Table);
+            let old = filter_ref(&t, &keep, Some(&old_par)).map(Value::Table);
+            let what = format!("filter_with {what} @ {threads} threads");
+            assert_same_value(&new, &old, &what);
+            // The serial filter is the same rows again.
+            assert_same_value(&new, &serial, &what);
+            assert_eq!(new_par.stats(), old_par.stats(), "{what}: chunk counters");
+        }
+
+        let args = [
+            array(floats(&mut rng, n, flavour), 3),
+            Value::BoolArray(BoolArrayVal::with_logical(keep, n as u64 * 3)),
+        ];
+        check_kernel("select", select_ref, &args, &what);
+        ran += 1;
+    }
+    // Wrong-length masks are refused, as before.
+    let t = table(&mut rng, 5, Flavour::Finite);
+    let new = t.filter(&[true; 4]).map(Value::Table);
+    let old = filter_ref(&t, &[true; 4], None).map(Value::Table);
+    assert!(new.is_err());
+    assert_same_value(&new, &old, "filter, short mask");
+    let par = engine(2);
+    let new = t.filter_with(&[true; 6], &par).map(Value::Table);
+    let old = filter_ref(&t, &[true; 6], Some(&par)).map(Value::Table);
+    assert_same_value(&new, &old, "filter_with, long mask");
+    let args = [
+        array(vec![1.0, 2.0], 1),
+        Value::BoolArray(BoolArrayVal::new(vec![true])),
+    ];
+    check_kernel("select", select_ref, &args, "length mismatch");
+    assert_eq!(ran, CASES);
+}
+
+#[test]
+fn kmeans_matches_the_per_element_loops() {
+    let mut rng = StdRng::seed_from_u64(0x4D3A);
+    let mut ran = 0;
+    for case in 0..CASES {
+        let flavour = flavour(case);
+        // k and d around the eight-lane panel width, down to one cluster,
+        // one dimension and no dimension at all.
+        let k = [1, 2, 7, 8, 9, 16, 17, 3][case % 8];
+        let d = [8, 1, 3, 0, 5, 2, 9, 16][(case / 2) % 8];
+        let n = rows(&mut rng, case).min(3000);
+        let points = matrix(&mut rng, n, d, flavour, 0.05);
+        let centroids = matrix(&mut rng, k, d, flavour, 0.05);
+        let what = format!("case {case} ({n} points, k={k}, d={d})");
+        let assign_args = [Value::Matrix(points.clone()), Value::Matrix(centroids)];
+        check_kernel("kmeans_assign", kmeans_assign_ref, &assign_args, &what);
+
+        // Valid assignments (fractions truncate, as before), sometimes a
+        // value past the last cluster.
+        let assign: Vec<f64> = (0..n)
+            .map(|_| {
+                let c = rng.gen_range(0..k) as f64;
+                match rng.gen_range(0..400u32) {
+                    0 if case % 4 == 3 => k as f64 + 2.0,
+                    1..=40 => c + 0.75,
+                    _ => c,
+                }
+            })
+            .collect();
+        let out_of_range = assign.iter().any(|a| *a >= k as f64);
+        let update_args = [
+            Value::Matrix(points),
+            array(assign, 1),
+            Value::Num(k as f64),
+        ];
+        if out_of_range {
+            // Both refuse; the wording of the value differs (`10` / `10.75`).
+            let storage = Storage::new();
+            let ctx = KernelCtx::serial(&storage);
+            assert!(call_in("kmeans_update", &update_args, &ctx).is_err());
+            assert!(kmeans_update_ref(&update_args, &ctx).is_err());
+        } else {
+            check_kernel("kmeans_update", kmeans_update_ref, &update_args, &what);
+        }
+        ran += 1;
+    }
+    let mismatch = [
+        Value::Matrix(matrix(&mut rng, 4, 3, Flavour::Finite, 0.0)),
+        Value::Matrix(matrix(&mut rng, 2, 2, Flavour::Finite, 0.0)),
+    ];
+    check_kernel(
+        "kmeans_assign",
+        kmeans_assign_ref,
+        &mismatch,
+        "dimension mismatch",
+    );
+    assert_eq!(ran, CASES);
+}
+
+#[test]
+fn matmul_and_to_csr_match_the_indexed_loops() {
+    let mut rng = StdRng::seed_from_u64(0x6E44);
+    let mut ran = 0;
+    for case in 0..CASES {
+        let flavour = flavour(case);
+        // Output widths around the eight-lane panel, a 0-column product
+        // and a 0-length inner dimension.
+        let inner = [64, 1, 5, 0, 9, 16, 3, 33][case % 8];
+        let width = [4, 8, 1, 5, 0, 9, 17, 2][(case / 3) % 8];
+        let n = rows(&mut rng, case).min(700);
+        let zeros = [0.0, 0.3, 0.9][case % 3];
+        let lhs = matrix(&mut rng, n, inner, flavour, zeros);
+        let rhs = matrix(&mut rng, inner, width, flavour, 0.1);
+        let what = format!("case {case} ({n}x{inner} times {inner}x{width})");
+
+        let serial = lhs.matmul(&rhs).map(Value::Matrix);
+        let serial_ref = matmul_ref(&lhs, &rhs).map(Value::Matrix);
+        assert_same_value(&serial, &serial_ref, &format!("matmul {what}"));
+        for threads in THREADS {
+            let (new_par, old_par) = (engine(threads), engine(threads));
+            let new = lhs.matmul_with(&rhs, &new_par).map(Value::Matrix);
+            let old = matmul_with_ref(&lhs, &rhs, &old_par).map(Value::Matrix);
+            let what = format!("matmul_with {what} @ {threads} threads");
+            assert_same_value(&new, &old, &what);
+            assert_eq!(new_par.stats(), old_par.stats(), "{what}: chunk counters");
+        }
+
+        // Row widths that are not a multiple of the eight-entry scan step,
+        // from dense to nearly empty.
+        let cols = [0, 1, 7, 8, 9, 24, 31, 100][case % 8];
+        let density = [1.0, 0.5, 0.97, 0.999][(case / 8) % 4];
+        let m = matrix(&mut rng, n, cols, flavour, density);
+        let what = format!("case {case} ({n}x{cols})");
+        let new = Value::Csr(m.to_csr());
+        let old = Value::Csr(to_csr_ref(&m));
+        assert!(bytes(&new) == bytes(&old), "to_csr {what}");
+        assert_eq!(
+            m.density().to_bits(),
+            density_ref(&m).to_bits(),
+            "density {what}"
+        );
+        ran += 1;
+    }
+    let (a, b) = (
+        matrix(&mut rng, 2, 3, Flavour::Finite, 0.0),
+        matrix(&mut rng, 2, 3, Flavour::Finite, 0.0),
+    );
+    let new = a.matmul_with(&b, &engine(2)).map(Value::Matrix);
+    let old = matmul_with_ref(&a, &b, &engine(2)).map(Value::Matrix);
+    assert!(new.is_err());
+    assert_same_value(&new, &old, "matmul shape mismatch");
+    assert_eq!(ran, CASES);
+}
+
+#[test]
+fn binary_ops_match_the_per_element_match() {
+    use BinOp::*;
+    let mut rng = StdRng::seed_from_u64(0xB1A0);
+    let mut ran = 0;
+    for case in 0..CASES {
+        let flavour = flavour(case);
+        let n = rows(&mut rng, case).min(3000);
+        let arrays = [
+            array(floats(&mut rng, n, flavour), 2),
+            array(floats(&mut rng, n, flavour), 3),
+            array(floats(&mut rng, n + 1, flavour), 1),
+        ];
+        let masks = [
+            Value::BoolArray(BoolArrayVal::with_logical(
+                mask(&mut rng, case, n),
+                n as u64 * 2,
+            )),
+            Value::BoolArray(BoolArrayVal::with_logical(
+                mask(&mut rng, 2, n),
+                n as u64 * 5,
+            )),
+            Value::BoolArray(BoolArrayVal::new(mask(&mut rng, 2, n + 1))),
+        ];
+        let scalars = [
+            Value::Num(float(&mut rng, flavour)),
+            Value::Num(0.0),
+            Value::Bool(rng.gen_bool(0.5)),
+            Value::Str("s".into()),
+        ];
+        let operands: Vec<&Value> = arrays.iter().chain(&masks).chain(&scalars).collect();
+        for op in [Add, Sub, Mul, Div, Lt, Le, Gt, Ge, Eq, Ne, And, Or] {
+            for l in &operands {
+                for r in &operands {
+                    let what = format!(
+                        "case {case}: {} {} {}",
+                        l.type_name(),
+                        op.symbol(),
+                        r.type_name()
+                    );
+                    assert_same_value(&apply_binary(op, l, r), &apply_binary_ref(op, l, r), &what);
+                }
+            }
+        }
+        ran += 1;
+    }
+    assert_eq!(ran, CASES);
+}
+
+#[test]
+fn col_shares_an_f64_column_and_a_q6_run_cannot_tell() {
+    const Q6: &str = "\
+t = scan('lineitem')
+d = col(t, 'shipdate')
+m1 = d >= 8766
+m2 = d < 9131
+q = col(t, 'quantity')
+m3 = q < 24
+dc = col(t, 'discount')
+m4 = dc >= 0.05
+m5 = dc <= 0.07
+m = m1 and m2 and m3 and m4 and m5
+price = col(t, 'extendedprice')
+rev = price * dc
+sel = select(rev, m)
+total = sum(sel)
+rf = col(t, 'returnflag')
+";
+    let mut rng = StdRng::seed_from_u64(0xC01);
+    let n = 3000;
+    let mut column =
+        |lo: f64, hi: f64| Column::F64(Arc::new((0..n).map(|_| rng.gen_range(lo..hi)).collect()));
+    let lineitem = Table::with_logical_rows(
+        vec![
+            ("shipdate".to_owned(), column(8000.0, 10_000.0)),
+            ("quantity".to_owned(), column(1.0, 50.0)),
+            ("discount".to_owned(), column(0.0, 0.1)),
+            ("extendedprice".to_owned(), column(900.0, 90_000.0)),
+            (
+                "returnflag".to_owned(),
+                Column::I64(Arc::new((0..n as i64).map(|i| i % 3).collect())),
+            ),
+        ],
+        3_000_000,
+    )
+    .expect("lineitem");
+    let mut storage = Storage::new();
+    storage.insert("lineitem", Value::Table(lineitem.clone()));
+    let program = crate::parser::parse(Q6).expect("parse");
+    let mut interp = crate::Interpreter::new(&storage);
+    let records = interp.run(&program, &[]).expect("run");
+
+    let ctx = KernelCtx::serial(&storage);
+    let mut copies = BTreeMap::new();
+    for (var, name) in [
+        ("d", "shipdate"),
+        ("q", "quantity"),
+        ("dc", "discount"),
+        ("price", "extendedprice"),
+        ("rf", "returnflag"),
+    ] {
+        let shared = interp.var(var).expect("assigned");
+        let args = [Value::Table(lineitem.clone()), Value::Str(name.to_owned())];
+        let copied = col_ref(&args, &ctx).expect("col").value;
+        match lineitem.column(name).expect("column") {
+            Column::F64(buffer) => {
+                assert!(shared.as_array().expect("array").shares(buffer), "{var}");
+                assert!(!copied.as_array().expect("array").shares(buffer), "{var}");
+            }
+            // A converted column has no buffer to share.
+            _ => assert_eq!(name, "returnflag"),
+        }
+        assert!(bytes(shared) == bytes(&copied), "{var}: values");
+        assert_eq!(shared.virtual_bytes(), copied.virtual_bytes(), "{var}");
+        assert_eq!(shared.virtual_bytes(), 3_000_000 * 8, "{var}");
+        assert_eq!(shared.logical_elems(), 3_000_000, "{var}: logical length");
+        copies.insert(var, copied);
+    }
+    // What the cost model sees of a `col` line is the logical volume.
+    for record in records
+        .iter()
+        .filter(|r| copies.contains_key(r.target.as_str()))
+    {
+        assert_eq!(record.cost.bytes_out, 3_000_000 * 8, "{}", record.target);
+        assert_eq!(record.cost.copy_bytes, 3_000_000 * 8, "{}", record.target);
+    }
+    // The run's answer fingerprint (every target, first-assignment order)
+    // with the shared arrays and with copies in their place.
+    let fingerprint = |copied: bool| {
+        let mut fp = crate::Fingerprinter::default();
+        for target in program.targets() {
+            let value = match copies.get(target) {
+                Some(copy) if copied => Some(copy),
+                _ => interp.var(target),
+            };
+            fp.var(target, value);
+        }
+        fp.finish()
+    };
+    assert_eq!(fingerprint(false), fingerprint(true));
+}

@@ -48,6 +48,8 @@ pub mod cost;
 pub mod error;
 pub mod forest;
 pub mod interp;
+#[cfg(test)]
+mod kernels_oracle;
 pub mod lower;
 pub mod matrix;
 pub mod par;

@@ -10,7 +10,9 @@
 use crate::canonical::CanonicalSink;
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
+use crate::simd;
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// A dense row-major matrix with logical (paper-scale) dimensions.
@@ -131,31 +133,7 @@ impl Matrix {
     ///
     /// Returns an error on inner-dimension mismatch.
     pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
-        if self.cols != rhs.rows {
-            return Err(LangError::runtime(format!(
-                "matmul shape mismatch: {}x{} times {}x{}",
-                self.rows, self.cols, rhs.rows, rhs.cols
-            )));
-        }
-        let mut out = vec![0.0; self.rows * rhs.cols];
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let a = self.data[i * self.cols + k];
-                if a == 0.0 {
-                    continue;
-                }
-                for j in 0..rhs.cols {
-                    out[i * rhs.cols + j] += a * rhs.data[k * rhs.cols + j];
-                }
-            }
-        }
-        Matrix::with_logical(
-            out,
-            self.rows,
-            rhs.cols,
-            self.logical_rows,
-            rhs.logical_cols,
-        )
+        self.matmul_in(rhs, None)
     }
 
     /// [`Self::matmul`] executed through the data-parallel engine: output
@@ -166,35 +144,28 @@ impl Matrix {
     ///
     /// Returns an error on inner-dimension mismatch.
     pub fn matmul_with(&self, rhs: &Matrix, par: &ParEngine) -> Result<Matrix> {
+        self.matmul_in(rhs, Some(par))
+    }
+
+    fn matmul_in(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Result<Matrix> {
         if self.cols != rhs.rows {
             return Err(LangError::runtime(format!(
                 "matmul shape mismatch: {}x{} times {}x{}",
                 self.rows, self.cols, rhs.rows, rhs.cols
             )));
         }
+        let panels = simd::column_panels(&rhs.data, rhs.rows, rhs.cols);
         // Per output row: one madd per (k, j) pair.
         let per_row = self.cols.max(1);
-        let Some(blocks) = par.map_chunks(self.rows, per_row, |_, rows| {
-            let mut block = vec![0.0; rows.len() * rhs.cols];
-            for (bi, i) in rows.enumerate() {
-                for k in 0..self.cols {
-                    let a = self.data[i * self.cols + k];
-                    if a == 0.0 {
-                        continue;
-                    }
-                    for j in 0..rhs.cols {
-                        block[bi * rhs.cols + j] += a * rhs.data[k * rhs.cols + j];
-                    }
-                }
-            }
-            block
-        }) else {
-            return self.matmul(rhs);
+        let blocks = par.and_then(|par| {
+            par.map_chunks(self.rows, per_row, |_, rows| {
+                self.matmul_rows(&panels, rhs.cols, rows)
+            })
+        });
+        let out = match blocks {
+            Some(blocks) => blocks.concat(),
+            None => self.matmul_rows(&panels, rhs.cols, 0..self.rows),
         };
-        let mut out = Vec::with_capacity(self.rows * rhs.cols);
-        for block in blocks {
-            out.extend_from_slice(&block);
-        }
         Matrix::with_logical(
             out,
             self.rows,
@@ -204,13 +175,47 @@ impl Matrix {
         )
     }
 
+    /// Output rows `rows` of `self × rhs`, row-major, for a `width`-column
+    /// `rhs` packed as [`simd::column_panels`]. Eight output columns at a
+    /// time accumulate `a[i][k] · rhs[k][..]` in registers for `k`
+    /// ascending, skipping every `k` whose `a[i][k]` is zero.
+    fn matmul_rows(&self, panels: &[f64], width: usize, rows: Range<usize>) -> Vec<f64> {
+        let inner = self.cols;
+        let mut block = vec![0.0; rows.len() * width];
+        if inner == 0 || width == 0 {
+            return block;
+        }
+        let lhs = &self.data[rows.start * inner..rows.end * inner];
+        for (a_row, out_row) in lhs.chunks_exact(inner).zip(block.chunks_exact_mut(width)) {
+            let panels = panels.chunks_exact(inner * simd::LANES);
+            for (panel, out) in panels.zip(out_row.chunks_mut(simd::LANES)) {
+                let mut acc = [0.0; simd::LANES];
+                for (a, b_row) in a_row.iter().zip(panel.as_chunks::<{ simd::LANES }>().0) {
+                    if *a == 0.0 {
+                        continue;
+                    }
+                    for (o, b) in acc.iter_mut().zip(b_row) {
+                        *o += a * b;
+                    }
+                }
+                out.copy_from_slice(&acc[..out.len()]);
+            }
+        }
+        block
+    }
+
     /// Fraction of materialized entries that are non-zero.
     #[must_use]
     pub fn density(&self) -> f64 {
+        let nnz = self.data.iter().filter(|x| **x != 0.0).count();
+        self.density_of(nnz)
+    }
+
+    /// [`Self::density`] from an already counted number of non-zeros.
+    fn density_of(&self, nnz: usize) -> f64 {
         if self.data.is_empty() {
             return 0.0;
         }
-        let nnz = self.data.iter().filter(|x| **x != 0.0).count();
         nnz as f64 / self.data.len() as f64
     }
 
@@ -222,19 +227,33 @@ impl Matrix {
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0u32);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                let v = self.data[r * self.cols + c];
-                if v != 0.0 {
-                    col_idx.push(c as u32);
-                    values.push(v);
+        // Returns the non-zeros stored so far: the next row pointer.
+        let mut push_nonzeros = |cells: &[f64], first_col: usize| {
+            for (j, v) in cells.iter().enumerate() {
+                if *v != 0.0 {
+                    col_idx.push((first_col + j) as u32);
+                    values.push(*v);
                 }
             }
-            row_ptr.push(col_idx.len() as u32);
+            col_idx.len() as u32
+        };
+        for r in 0..self.rows {
+            let row = &self.data[r * self.cols..(r + 1) * self.cols];
+            // Eight entries a step: a group with no non-zero, most groups
+            // of a sparse row, costs one branch.
+            let mut groups = row.chunks_exact(8);
+            let mut c = 0;
+            for group in &mut groups {
+                if group.iter().fold(false, |any, v| any | (*v != 0.0)) {
+                    push_nonzeros(group, c);
+                }
+                c += 8;
+            }
+            row_ptr.push(push_nonzeros(groups.remainder(), c));
         }
         let logical_elems = self.logical_rows * self.logical_cols;
-        let logical_nnz =
-            ((logical_elems as f64 * self.density()).round() as u64).max(values.len() as u64);
+        let logical_nnz = ((logical_elems as f64 * self.density_of(values.len())).round() as u64)
+            .max(values.len() as u64);
         Csr {
             row_ptr: Arc::new(row_ptr),
             col_idx: Arc::new(col_idx),

@@ -69,75 +69,55 @@ impl Column {
         }
     }
 
-    /// Gathers the rows selected by `keep` into a new column.
-    #[must_use]
-    pub fn gather(&self, keep: &[bool]) -> Column {
+    /// The rows named by `rows` (ascending row numbers), in that order.
+    /// Through an engaged engine each chunk of the row grid gathers the
+    /// part of `rows` that falls inside it; concatenated in chunk order
+    /// that is the whole gather again.
+    fn take(&self, rows: &[usize], par: Option<&ParEngine>) -> Column {
         match self {
-            Column::F64(v) => Column::F64(Arc::new(
-                v.iter()
-                    .zip(keep)
-                    .filter(|(_, k)| **k)
-                    .map(|(x, _)| *x)
-                    .collect(),
-            )),
-            Column::I64(v) => Column::I64(Arc::new(
-                v.iter()
-                    .zip(keep)
-                    .filter(|(_, k)| **k)
-                    .map(|(x, _)| *x)
-                    .collect(),
-            )),
+            Column::F64(v) => Column::F64(Arc::new(take_rows(v, rows, par))),
+            Column::I64(v) => Column::I64(Arc::new(take_rows(v, rows, par))),
             Column::Dict { codes, dict } => Column::Dict {
-                codes: Arc::new(
-                    codes
-                        .iter()
-                        .zip(keep)
-                        .filter(|(_, k)| **k)
-                        .map(|(c, _)| *c)
-                        .collect(),
-                ),
+                codes: Arc::new(take_rows(codes, rows, par)),
                 dict: Arc::clone(dict),
             },
         }
     }
+}
 
-    /// [`Self::gather`] executed through the data-parallel engine: row
-    /// chunks are gathered independently and concatenated in chunk order,
-    /// which reproduces the serial gather exactly.
-    #[must_use]
-    pub fn gather_with(&self, keep: &[bool], par: &ParEngine) -> Column {
-        fn chunked<T: Copy + Send + Sync>(
-            rows: &[T],
-            keep: &[bool],
-            par: &ParEngine,
-        ) -> Option<Vec<T>> {
-            par.map_chunks(rows.len(), 1, |_, r| {
-                rows[r.clone()]
-                    .iter()
-                    .zip(&keep[r])
-                    .filter(|(_, k)| **k)
-                    .map(|(x, _)| *x)
-                    .collect::<Vec<T>>()
-            })
-            .map(|parts| parts.concat())
-        }
-        match self {
-            Column::F64(v) => match chunked(v, keep, par) {
-                Some(out) => Column::F64(Arc::new(out)),
-                None => self.gather(keep),
-            },
-            Column::I64(v) => match chunked(v, keep, par) {
-                Some(out) => Column::I64(Arc::new(out)),
-                None => self.gather(keep),
-            },
-            Column::Dict { codes, dict } => match chunked(codes, keep, par) {
-                Some(out) => Column::Dict {
-                    codes: Arc::new(out),
-                    dict: Arc::clone(dict),
-                },
-                None => self.gather(keep),
-            },
-        }
+/// The ascending row numbers `keep` selects. Every row number is stored
+/// at the write cursor and the cursor advances by the mask bit, so the
+/// pass has no data-dependent branch to mispredict.
+pub(crate) fn selected_rows(keep: &[bool]) -> Vec<usize> {
+    let mut rows = vec![0usize; keep.len()];
+    let mut n = 0;
+    for (i, &k) in keep.iter().enumerate() {
+        rows[n] = i;
+        n += usize::from(k);
+    }
+    rows.truncate(n);
+    rows
+}
+
+/// `data[r]` for each `r` of the ascending `rows`, into an exactly-sized
+/// vector. With an engine, one `map_chunks(data.len(), 1)` call whose
+/// chunks each take the sub-range of `rows` inside their row range.
+pub(crate) fn take_rows<T: Copy + Send + Sync>(
+    data: &[T],
+    rows: &[usize],
+    par: Option<&ParEngine>,
+) -> Vec<T> {
+    let take = |rows: &[usize]| rows.iter().map(|&r| data[r]).collect::<Vec<T>>();
+    let chunked = par.and_then(|par| {
+        par.map_chunks(data.len(), 1, |_, range| {
+            let lo = rows.partition_point(|&r| r < range.start);
+            let hi = rows.partition_point(|&r| r < range.end);
+            take(&rows[lo..hi])
+        })
+    });
+    match chunked {
+        Some(parts) => parts.concat(),
+        None => take(rows),
     }
 }
 
@@ -297,28 +277,7 @@ impl Table {
     ///
     /// Returns an error if the mask length differs from the row count.
     pub fn filter(&self, keep: &[bool]) -> Result<Table> {
-        if keep.len() != self.rows {
-            return Err(LangError::runtime(format!(
-                "mask length {} does not match table rows {}",
-                keep.len(),
-                self.rows
-            )));
-        }
-        let kept = keep.iter().filter(|k| **k).count();
-        let selectivity = if self.rows == 0 {
-            0.0
-        } else {
-            kept as f64 / self.rows as f64
-        };
-        let logical = (self.logical_rows as f64 * selectivity)
-            .round()
-            .max(kept as f64) as u64;
-        let columns: Vec<(String, Column)> = self
-            .columns
-            .iter()
-            .map(|(n, c)| (n.clone(), c.gather(keep)))
-            .collect();
-        Table::with_logical_rows(columns, logical)
+        self.filter_rows(keep, None)
     }
 
     /// [`Self::filter`] executed through the data-parallel engine: each
@@ -329,6 +288,12 @@ impl Table {
     ///
     /// Returns an error if the mask length differs from the row count.
     pub fn filter_with(&self, keep: &[bool], par: &ParEngine) -> Result<Table> {
+        self.filter_rows(keep, Some(par))
+    }
+
+    /// The selected row numbers are found once and every column gathers
+    /// by them.
+    fn filter_rows(&self, keep: &[bool], par: Option<&ParEngine>) -> Result<Table> {
         if keep.len() != self.rows {
             return Err(LangError::runtime(format!(
                 "mask length {} does not match table rows {}",
@@ -336,7 +301,8 @@ impl Table {
                 self.rows
             )));
         }
-        let kept = keep.iter().filter(|k| **k).count();
+        let rows = selected_rows(keep);
+        let kept = rows.len();
         let selectivity = if self.rows == 0 {
             0.0
         } else {
@@ -348,7 +314,7 @@ impl Table {
         let columns: Vec<(String, Column)> = self
             .columns
             .iter()
-            .map(|(n, c)| (n.clone(), c.gather_with(keep, par)))
+            .map(|(n, c)| (n.clone(), c.take(&rows, par)))
             .collect();
         Table::with_logical_rows(columns, logical)
     }

@@ -256,20 +256,34 @@ impl ArrayVal {
     /// Panics if `logical_len` is smaller than the materialized length.
     #[must_use]
     pub fn with_logical(data: Vec<f64>, logical_len: u64) -> Self {
+        Self::shared(Arc::new(data), logical_len)
+    }
+
+    /// [`Self::with_logical`] over a buffer that stays shared with its
+    /// other owners instead of being copied.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logical_len` is smaller than the materialized length.
+    #[must_use]
+    pub fn shared(data: Arc<Vec<f64>>, logical_len: u64) -> Self {
         assert!(
             logical_len >= data.len() as u64,
             "logical length must cover the materialized data"
         );
-        ArrayVal {
-            data: Arc::new(data),
-            logical_len,
-        }
+        ArrayVal { data, logical_len }
     }
 
     /// The materialized data.
     #[must_use]
     pub fn data(&self) -> &[f64] {
         &self.data
+    }
+
+    /// Whether this array's buffer is `buffer` itself, not a copy of it.
+    #[cfg(test)]
+    pub(crate) fn shares(&self, buffer: &Arc<Vec<f64>>) -> bool {
+        Arc::ptr_eq(&self.data, buffer)
     }
 
     /// Materialized length.
