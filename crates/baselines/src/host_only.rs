@@ -9,15 +9,15 @@
 //! [`ExecTier::CompiledCopyElim`] is ActivePy's generated host code.
 
 use crate::error::Result;
-use activepy::exec::{execute_all_host_with, RunReport};
+use activepy::exec::{execute_all_host, RunReport};
 use activepy::sampling::observe_dataset_types;
 use alang::copyelim::eliminable_lines;
-use alang::{CostParams, ExecBackend, ExecTier};
+use alang::{CostParams, ExecTier};
 use csd_sim::SystemConfig;
 use isp_workloads::Workload;
 
-/// Runs `workload` entirely on the host at the given code `tier` using the
-/// default (VM) backend, returning the execution report.
+/// Runs `workload` entirely on the host at the given code `tier`,
+/// returning the execution report.
 ///
 /// Copy elimination (for [`ExecTier::CompiledCopyElim`]) uses dataset types
 /// observed from a tiny probe materialization, mirroring what ActivePy
@@ -31,20 +31,6 @@ pub fn run_host_only(
     config: &SystemConfig,
     tier: ExecTier,
 ) -> Result<RunReport> {
-    run_host_only_with(workload, config, tier, ExecBackend::default())
-}
-
-/// As [`run_host_only`], on an explicit evaluation backend.
-///
-/// # Errors
-///
-/// Propagates parse and execution failures.
-pub fn run_host_only_with(
-    workload: &Workload,
-    config: &SystemConfig,
-    tier: ExecTier,
-    backend: ExecBackend,
-) -> Result<RunReport> {
     let program = workload.program()?;
     let storage = workload.storage_at(1.0);
     let copy_elim = match tier {
@@ -55,14 +41,13 @@ pub fn run_host_only_with(
         _ => vec![false; program.len()],
     };
     let mut system = config.build();
-    let report = execute_all_host_with(
+    let report = execute_all_host(
         &program,
         &storage,
         &mut system,
         tier,
         &CostParams::paper_default(),
         &copy_elim,
-        backend,
     )?;
     Ok(report)
 }
@@ -112,22 +97,6 @@ mod tests {
                 "{}: ladder violated ({native}, {elim}, {compiled}, {interp})",
                 w.name()
             );
-        }
-    }
-
-    #[test]
-    fn backends_agree_on_every_tier() {
-        let config = SystemConfig::paper_default();
-        let q6 = isp_workloads::by_name("TPC-H-6").expect("q6");
-        for tier in [
-            ExecTier::Native,
-            ExecTier::CompiledCopyElim,
-            ExecTier::Compiled,
-            ExecTier::Interpreted,
-        ] {
-            let vm = run_host_only_with(&q6, &config, tier, ExecBackend::Vm).expect("vm");
-            let ast = run_host_only_with(&q6, &config, tier, ExecBackend::AstWalk).expect("ast");
-            assert_eq!(vm, ast, "{tier:?} diverged between backends");
         }
     }
 

@@ -25,5 +25,5 @@ pub mod host_only;
 pub mod programmer_directed;
 
 pub use error::BaselineError;
-pub use host_only::{run_c_baseline, run_host_only, run_host_only_with};
+pub use host_only::{run_c_baseline, run_host_only};
 pub use programmer_directed::{best_static_plan, run_plan, OffloadPlan};

@@ -15,7 +15,6 @@
 
 use crate::error::{BaselineError, Result};
 use activepy::exec::{execute, ExecOptions, RunReport};
-use alang::CostParams;
 use csd_sim::contention::ContentionScenario;
 use csd_sim::{EngineKind, SystemConfig};
 use isp_workloads::Workload;
@@ -123,21 +122,7 @@ pub fn run_plan(
     }
     let storage = workload.storage_at(1.0);
     let mut system = config.build();
-    let opts = ExecOptions {
-        tier: alang::ExecTier::Native,
-        params: CostParams::paper_default(),
-        scenario,
-        monitor: None,
-        offload_overheads: true,
-        preempt_at: None,
-        backend: alang::ExecBackend::default(),
-        recovery: activepy::RecoveryPolicy::default(),
-        faults: csd_sim::fault::FaultPlan::none(),
-        parallel: alang::ParallelPolicy::default(),
-        tracer: isp_obs::Tracer::disabled(),
-        profile: activepy::ProfileRecorder::disabled(),
-        journal: activepy::ExecJournal::disabled(),
-    };
+    let opts = ExecOptions::native_static().with_scenario(scenario);
     let report = execute(
         &program,
         &storage,

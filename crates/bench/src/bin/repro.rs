@@ -76,7 +76,7 @@ struct BenchReport {
 }
 
 /// Times per-line execution — the component of sampling wall-clock the
-/// lowering pass removes — on both evaluation backends.
+/// lowering pass removes — on the VM and on the reference AST walker.
 ///
 /// The programs are dispatch-bound (scalar chains, tiny arrays, a
 /// minimum-size TPC-H Q6 pipeline): per-line kernel work is negligible,

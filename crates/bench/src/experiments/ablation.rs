@@ -17,7 +17,6 @@ use activepy::assign::{assign, assign_greedy, assign_optimal, assign_refined, As
 use activepy::exec::{execute_lowered, ExecOptions};
 use activepy::runtime::ActivePy;
 use activepy::{OffloadPlan, PlanCache};
-use alang::{CostParams, ExecBackend, ExecTier};
 use csd_sim::SystemConfig;
 use serde::Serialize;
 
@@ -43,21 +42,7 @@ pub struct Row {
 /// re-parsed and re-generated both for every variant).
 fn measure(plan: &OffloadPlan, config: &SystemConfig, assignment: &Assignment) -> f64 {
     let mut system = config.build();
-    let opts = ExecOptions {
-        tier: ExecTier::CompiledCopyElim,
-        params: CostParams::paper_default(),
-        scenario: csd_sim::ContentionScenario::none(),
-        monitor: None,
-        offload_overheads: true,
-        preempt_at: None,
-        backend: ExecBackend::Vm,
-        recovery: activepy::RecoveryPolicy::default(),
-        faults: csd_sim::fault::FaultPlan::none(),
-        parallel: alang::ParallelPolicy::default(),
-        tracer: isp_obs::Tracer::disabled(),
-        profile: activepy::ProfileRecorder::disabled(),
-        journal: activepy::ExecJournal::disabled(),
-    };
+    let opts = ExecOptions::activepy().without_migration();
     let placements = assignment.placements(plan.program.len());
     // The plan carries the lowered bytecode; all four variants reuse it.
     execute_lowered(

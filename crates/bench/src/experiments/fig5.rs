@@ -19,10 +19,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use crate::geomean;
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::PlanCache;
-use alang::{ExecBackend, ExecTier, ParallelPolicy};
+use alang::ParallelPolicy;
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, SystemConfig};
-use isp_baselines::{run_c_baseline, run_host_only_with};
+use isp_baselines::run_c_baseline;
 use isp_obs::{SpanKind, Tracer};
 use serde::Serialize;
 
@@ -295,23 +295,10 @@ fn run_grid_with(
 /// Panics if a registered workload fails to run.
 #[must_use]
 pub fn run_serial(config: &SystemConfig) -> Vec<Row> {
-    run_serial_with_backend(config, ExecBackend::default())
-}
-
-/// [`run_serial`] with every pipeline stage — C baseline, sampling,
-/// planning, execution — on an explicit evaluation backend. The
-/// differential harness runs the grid on both backends and asserts the VM
-/// changes no output byte.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_serial_with_backend(config: &SystemConfig, backend: ExecBackend) -> Vec<Row> {
     let mut rows = Vec::new();
     for pct in AVAILABILITY_PCTS {
         for w in isp_workloads::full_set() {
-            rows.push(run_one_serial(&w, config, pct, backend));
+            rows.push(run_one_serial(&w, config, pct));
         }
     }
     rows
@@ -323,13 +310,10 @@ fn run_one_serial(
     w: &isp_workloads::Workload,
     config: &SystemConfig,
     availability_pct: u32,
-    backend: ExecBackend,
 ) -> Row {
     let program = w.program().expect("registered workloads parse");
-    let baseline = run_host_only_with(w, config, ExecTier::Native, backend)
-        .expect("baseline runs")
-        .total_secs;
-    let rt = ActivePy::with_options(ActivePyOptions::default().with_backend(backend));
+    let baseline = run_c_baseline(w, config).expect("baseline runs").total_secs;
+    let rt = ActivePy::new();
     let reference = rt
         .run(&program, w, config, ContentionScenario::none())
         .expect("reference run");
@@ -341,13 +325,9 @@ fn run_one_serial(
     let with_mig = rt
         .run(&program, w, config, scenario)
         .expect("migrating run");
-    let without_mig = ActivePy::with_options(
-        ActivePyOptions::default()
-            .without_migration()
-            .with_backend(backend),
-    )
-    .run(&program, w, config, scenario)
-    .expect("static run");
+    let without_mig = ActivePy::with_options(ActivePyOptions::default().without_migration())
+        .run(&program, w, config, scenario)
+        .expect("static run");
     Row {
         name: w.name().to_owned(),
         availability_pct,

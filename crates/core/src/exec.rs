@@ -9,25 +9,31 @@
 //! current line boundary (§III-D): live state moves through the shared
 //! address space, host code is regenerated, and execution resumes at the
 //! breakpoint.
+//!
+//! One [`Run`] owns everything an execution mutates; host lines and CSD
+//! regions are its methods, and every transition they make is published
+//! through the single [`Run::boundary`] (DESIGN.md §5.6).
+
+#![deny(clippy::too_many_lines)]
 
 use crate::error::{ActivePyError, Result};
 use crate::estimate::LineEstimate;
 use crate::metrics::MetricsSnapshot;
 use crate::monitor::{Monitor, MonitorConfig, Observation};
 use crate::recovery::{Recovery, RecoveryPolicy};
-use crate::resume::{backend_code, reason_code, ExecJournal};
+use crate::resume::reason_code;
 use alang::compile::CompiledProgram;
 use alang::{
-    CostParams, ExecBackend, ExecTier, Fingerprinter, Interpreter, LineCost, LoweredProgram,
-    ParStatsSnapshot, ParallelPolicy, Program, Storage, Vm,
+    CostParams, ExecTier, Fingerprinter, LineCost, LoweredProgram, ParallelPolicy, Program,
+    Storage, Vm,
 };
 use csd_sim::availability::AvailabilityTrace;
 use csd_sim::contention::{ContentionScenario, Trigger};
 use csd_sim::fault::{DeviceFault, FaultPlan};
 use csd_sim::nvme::CommandKind;
-use csd_sim::units::{Bytes, Ops};
+use csd_sim::units::{Bytes, Duration, Ops, SimTime};
 use csd_sim::{Direction, EngineKind, System};
-use isp_obs::{Attrs, SpanKind, StateSnap, Tracer, WalRecord};
+use isp_obs::{Attrs, SpanHandle, SpanKind, StateSnap, Tracer, WalRecord};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -51,10 +57,6 @@ pub struct ExecOptions {
     /// the call queue, the status-update code sees it at the next chunk
     /// boundary, and the task migrates unconditionally.
     pub preempt_at: Option<f64>,
-    /// The per-line evaluation engine: the lowered register-bytecode VM
-    /// (default) or the tree-walking reference interpreter. Both produce
-    /// byte-identical reports; they differ only in repro wall-clock.
-    pub backend: ExecBackend,
     /// How the run responds to injected device faults (retry budget,
     /// sim-time backoff, host fallback).
     pub recovery: RecoveryPolicy,
@@ -100,7 +102,6 @@ impl ExecOptions {
             monitor: Some(MonitorConfig::default()),
             offload_overheads: true,
             preempt_at: None,
-            backend: ExecBackend::default(),
             recovery: RecoveryPolicy::default(),
             faults: FaultPlan::none(),
             parallel: ParallelPolicy::default(),
@@ -115,18 +116,8 @@ impl ExecOptions {
     pub fn native_static() -> Self {
         ExecOptions {
             tier: ExecTier::Native,
-            params: CostParams::paper_default(),
-            scenario: ContentionScenario::none(),
             monitor: None,
-            offload_overheads: true,
-            preempt_at: None,
-            backend: ExecBackend::default(),
-            recovery: RecoveryPolicy::default(),
-            faults: FaultPlan::none(),
-            parallel: ParallelPolicy::default(),
-            tracer: Tracer::disabled(),
-            profile: crate::profile::ProfileRecorder::disabled(),
-            journal: crate::resume::ExecJournal::disabled(),
+            ..ExecOptions::activepy()
         }
     }
 
@@ -148,13 +139,6 @@ impl ExecOptions {
     #[must_use]
     pub fn with_preemption_at(mut self, at_secs: f64) -> Self {
         self.preempt_at = Some(at_secs);
-        self
-    }
-
-    /// Selects the per-line evaluation backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -339,10 +323,6 @@ impl MigrationReason {
     }
 }
 
-/// Alias emphasizing the causal reading of [`MigrationReason`] in fault
-/// reports and the bench sweep.
-pub type MigrationCause = MigrationReason;
-
 /// A migration that occurred during the run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct MigrationEvent {
@@ -468,20 +448,10 @@ pub fn execute(
     estimates: Option<&[LineEstimate]>,
     copy_elim: &[bool],
 ) -> Result<RunReport> {
-    match opts.backend {
-        ExecBackend::Vm => {
-            let lowered = alang::lower::lower_with(program, copy_elim)?;
-            execute_lowered(
-                program, &lowered, storage, placements, system, opts, estimates, None,
-            )
-        }
-        ExecBackend::AstWalk => {
-            let eval = Evaluator::Ast(Interpreter::with_policy(storage, opts.parallel));
-            execute_impl(
-                program, placements, system, opts, estimates, copy_elim, eval, None,
-            )
-        }
-    }
+    let lowered = alang::lower::lower_with(program, copy_elim)?;
+    execute_lowered(
+        program, &lowered, storage, placements, system, opts, estimates, None,
+    )
 }
 
 /// As [`execute`] on an already-lowered program with its baked
@@ -497,7 +467,6 @@ pub fn execute(
 ///
 /// As [`execute`]; additionally rejects a lowering whose line count does
 /// not match `program`.
-#[allow(clippy::too_many_arguments)]
 pub fn execute_lowered(
     program: &Program,
     lowered: &LoweredProgram,
@@ -515,141 +484,6 @@ pub fn execute_lowered(
             program.len()
         )));
     }
-    let eval = match opts.backend {
-        ExecBackend::Vm => Evaluator::Vm(Vm::with_policy(lowered, storage, opts.parallel)),
-        ExecBackend::AstWalk => Evaluator::Ast(Interpreter::with_policy(storage, opts.parallel)),
-    };
-    let copy_elim = lowered.copy_elim();
-    execute_impl(
-        program, placements, system, opts, estimates, copy_elim, eval, shard,
-    )
-}
-
-/// The per-line evaluation engine behind [`execute`]. Engine bookkeeping
-/// (variable locations, the shared address space, migration) stays
-/// name-keyed either way; only line evaluation and variable-size queries
-/// dispatch here.
-enum Evaluator<'a> {
-    Ast(Interpreter<'a>),
-    Vm(Vm<'a>),
-}
-
-impl Evaluator<'_> {
-    fn exec_line(&mut self, line: &alang::ast::Line, elim: bool) -> alang::error::Result<LineCost> {
-        match self {
-            Evaluator::Ast(interp) => interp.exec_line(line, elim),
-            Evaluator::Vm(vm) => vm.exec_line_with(line.index, elim),
-        }
-    }
-
-    fn var_bytes(&self, name: &str) -> u64 {
-        match self {
-            Evaluator::Ast(interp) => interp.var_bytes(name),
-            Evaluator::Vm(vm) => vm.var_bytes(name),
-        }
-    }
-
-    /// A variable's current value (`None` until its first assignment has
-    /// run); both backends hold the same [`alang::Value`].
-    fn var(&self, name: &str) -> Option<&alang::Value> {
-        match self {
-            Evaluator::Ast(interp) => interp.var(name),
-            Evaluator::Vm(vm) => vm.var(name),
-        }
-    }
-
-    /// Chunk/steal counters accumulated by the run's kernel calls.
-    fn par_stats(&self) -> ParStatsSnapshot {
-        match self {
-            Evaluator::Ast(interp) => interp.par_stats(),
-            Evaluator::Vm(vm) => vm.par_stats(),
-        }
-    }
-
-    /// Hands the run's tracer to the kernel engine so `kernel.par` spans
-    /// land in the same journal as the execution spans.
-    fn set_tracer(&mut self, tracer: Tracer) {
-        match self {
-            Evaluator::Ast(interp) => interp.set_tracer(tracer),
-            Evaluator::Vm(vm) => vm.set_tracer(tracer),
-        }
-    }
-}
-
-/// The answer-integrity check compared between faulted and fault-free
-/// runs, backends, thread counts and fleet sizes: every assigned variable
-/// in first-assignment order through one [`Fingerprinter`]. Bit patterns,
-/// not renderings: `-0.0` and NaN payloads count as differences.
-fn values_fingerprint(program: &Program, eval: &Evaluator<'_>) -> u64 {
-    let mut fp = Fingerprinter::default();
-    for target in program.targets() {
-        fp.var(target, eval.var(target));
-    }
-    fp.finish()
-}
-
-/// A hard fault leaving the recovery layer: either a crash, or a transient
-/// fault that exhausted its retry budget — both escalate to the permanent
-/// [`ActivePyError::DeviceFault`] so callers never retry them again.
-fn escalate(fault: DeviceFault) -> ActivePyError {
-    ActivePyError::device_fault(fault.to_string())
-}
-
-/// The shard's charged view of a measured [`LineCost`]: every extensive
-/// field scaled by [`ShardSlice::scale_line`] (zero outside the charge
-/// range, an exact slice for sharded lines, full for replicated ones).
-fn shard_scaled_cost(sh: &ShardSlice, line: usize, cost: LineCost) -> LineCost {
-    LineCost {
-        compute_ops: sh.scale_line(line, cost.compute_ops),
-        storage_bytes: sh.scale_line(line, cost.storage_bytes),
-        bytes_in: sh.scale_line(line, cost.bytes_in),
-        bytes_out: sh.scale_line(line, cost.bytes_out),
-        copy_bytes: sh.scale_line(line, cost.copy_bytes),
-        eliminable_copy_bytes: sh.scale_line(line, cost.eliminable_copy_bytes),
-        calls: cost.calls,
-    }
-}
-
-/// Assembles the deterministic boundary snapshot the journal records: sim
-/// clock, recovery accounting, injected-fault counters, the fault
-/// injector's stream position, and (inside regions) the monitor's
-/// degradation evidence. Everything here is simulated-clock state, so an
-/// uninterrupted run and its replay produce bit-identical snapshots.
-fn wal_snap(system: &System, recov: &Recovery, monitor: Option<&Monitor>) -> StateSnap {
-    let counters = system.fault_counters();
-    let (crashed, rng_state) = match system.faults() {
-        Some(f) => (f.crashed(), f.rng_state()),
-        None => (false, 0),
-    };
-    StateSnap {
-        clock_bits: system.now().as_secs().to_bits(),
-        transient_faults: recov.stats.transient_faults,
-        retries: recov.stats.retries,
-        recovered_ops: recov.stats.recovered_ops,
-        hard_faults: recov.stats.hard_faults,
-        fault_migrations: recov.stats.fault_migrations,
-        backoff_bits: recov.stats.backoff_secs.to_bits(),
-        flash_read_errors: counters.flash_read_errors,
-        nvme_command_errors: counters.nvme_command_errors,
-        dma_transfer_errors: counters.dma_transfer_errors,
-        cse_crashes: counters.cse_crashes,
-        crashed,
-        rng_state,
-        monitor: monitor.map(|m| m.wal_snapshot()),
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn execute_impl(
-    program: &Program,
-    placements: &[EngineKind],
-    system: &mut System,
-    opts: &ExecOptions,
-    estimates: Option<&[LineEstimate]>,
-    copy_elim: &[bool],
-    mut eval: Evaluator<'_>,
-    shard: Option<&ShardSlice>,
-) -> Result<RunReport> {
     if placements.len() != program.len() {
         return Err(ActivePyError::exec(format!(
             "{} placements for {} lines",
@@ -668,340 +502,1186 @@ fn execute_impl(
     if !opts.faults.is_none() {
         system.install_faults(opts.faults.clone());
     }
-    let mut recov = Recovery::with_tracer(opts.recovery, opts.tracer.clone());
-    eval.set_tracer(opts.tracer.clone());
-    // The plan's original placement is the reclaim target set: only lines
-    // the planner offloaded — then migrated host-ward mid-run — are ever
-    // speculatively re-assigned to the CSD.
-    let original: Vec<EngineKind> = placements.to_vec();
-    let mut placements = placements.to_vec();
-    let mut var_loc: BTreeMap<String, EngineKind> = BTreeMap::new();
-    let mut vars = VarSpace::default();
-    let mut lines_out = Vec::with_capacity(program.len());
-    let mut migration: Option<MigrationEvent> = None;
-    let mut migrations: Vec<MigrationEvent> = Vec::new();
-    let mut csd_executed = 0usize;
-    let csd_total = placements.iter().filter(|p| **p == EngineKind::Cse).count();
-    let mut contention_applied = false;
-    let exec_span = opts.tracer.begin_with(
-        "phase.execute",
-        SpanKind::Phase,
-        Some(system.now().as_secs()),
-        vec![
-            ("lines".into(), program.len().into()),
-            ("csd_lines".into(), csd_total.into()),
-        ],
-    );
-    opts.journal.on_record(WalRecord::RunStart {
-        lane: 0,
-        program_len: program.len() as u32,
-        backend: backend_code(opts.backend),
-    })?;
+    let mut vm = Vm::with_policy(lowered, storage, opts.parallel);
+    // `kernel.par` spans land in the same journal as the execution spans.
+    vm.set_tracer(opts.tracer.clone());
+    let mut run = Run {
+        program,
+        opts,
+        estimates,
+        shard,
+        system,
+        vm,
+        recov: Recovery::with_tracer(opts.recovery, opts.tracer.clone()),
+        var_loc: BTreeMap::new(),
+        vars: VarSpace::default(),
+        original: placements,
+        placements: placements.to_vec(),
+        monitor: None,
+        migration: None,
+        migrations: Vec::new(),
+        lines_out: Vec::with_capacity(program.len()),
+        csd_executed: 0,
+        csd_total: csd_lines(placements),
+        contention_applied: false,
+        spans: Vec::new(),
+    };
+    let report = run.drive();
+    if report.is_err() {
+        run.close_spans_after_error();
+    }
+    report
+}
 
-    // Distribute the CSD binary into device memory before execution
-    // starts. A must-complete transfer: DMA faults only delay it.
-    if csd_total > 0 && opts.offload_overheads {
-        let region_lines = csd_total;
-        let binary = Bytes::new(16 * 1024 + region_lines as u64 * 2048);
-        recov.run_to_completion(system, |s| s.try_transfer(Direction::HostToDevice, binary));
+/// A hard fault leaving the recovery layer: either a crash, or a transient
+/// fault that exhausted its retry budget — both escalate to the permanent
+/// [`ActivePyError::DeviceFault`] so callers never retry them again.
+fn escalate(fault: DeviceFault) -> ActivePyError {
+    ActivePyError::device_fault(fault.to_string())
+}
+
+/// How many chunks a CSD region's stream is processed in. Real CSD
+/// frameworks stream per flash page; the paper's status updates land
+/// "typically once every tens of machine instructions", so detection and
+/// break granularity is far finer than one of our bulk lines.
+const REGION_CHUNKS: u64 = 64;
+
+/// Splits `total` into [`REGION_CHUNKS`] near-equal slices; returns slice `c`.
+fn chunk_slice(total: u64, c: u64) -> u64 {
+    total * (c + 1) / REGION_CHUNKS - total * c / REGION_CHUNKS
+}
+
+/// How many of `placements` are on the CSD.
+fn csd_lines(placements: &[EngineKind]) -> usize {
+    placements.iter().filter(|p| **p == EngineKind::Cse).count()
+}
+
+/// Totals over a subset of the per-line estimates.
+struct EstimateSums {
+    device_secs: f64,
+    host_secs: f64,
+    ops: u64,
+    lines: usize,
+}
+
+/// Sums the estimates whose line `keep` selects, in estimate order.
+fn estimate_sums(est: &[LineEstimate], keep: impl Fn(usize) -> bool) -> EstimateSums {
+    let kept = || est.iter().filter(|e| keep(e.line));
+    EstimateSums {
+        device_secs: kept().map(|e| e.ct_device).sum(),
+        host_secs: kept().map(|e| e.ct_host).sum(),
+        ops: kept().map(|e| e.ops).sum(),
+        lines: kept().count(),
+    }
+}
+
+/// One transition of the execution state machine. Every observer of a run
+/// — the journal, the tracer, the report's migration list — learns about
+/// a transition in [`Run::boundary`] and nowhere else.
+enum Boundary {
+    /// Validation passed; execution is about to start.
+    RunStart,
+    /// The host line with this index completed.
+    HostLine(usize),
+    /// Chunk `chunk` of the CSD region `[start, end]` completed on-device.
+    Chunk {
+        start: usize,
+        end: usize,
+        chunk: u64,
+    },
+    /// A host-ward migration, broken at this chunk of its region (0 when
+    /// the region's invocation itself faulted).
+    Migration(MigrationEvent, u64),
+    /// A device-ward reclaim: `true` when taken inside a region's host
+    /// completion, `false` at a line boundary.
+    Reclaim(MigrationEvent, bool),
+    /// The run finished with this answer at this simulated time.
+    RunEnd { fingerprint: u64, total_secs: f64 },
+}
+
+/// What one chunk of a region stream did.
+struct ChunkStep {
+    /// Device operations completed in the chunk (the monitor's window).
+    ops: u64,
+    /// Simulated seconds the chunk took.
+    wall: f64,
+    /// A hard fault mid-chunk ends the device stream; the completed work
+    /// stays counted so the host replays only the remainder.
+    fault: Option<DeviceFault>,
+}
+
+/// A contiguous run of CSD lines prepared for chunk-pipelined execution,
+/// plus the progress its stream has made.
+struct Region {
+    start: usize,
+    end: usize,
+    costs: Vec<LineCost>,
+    ops: Vec<u64>,
+    staged: Vec<u64>,
+    /// Per line: bytes of its output that escape the region (consumed by a
+    /// later line or as the program result) — the only live state a
+    /// streaming region carries at a chunk boundary.
+    escaping_out: Vec<u64>,
+    /// Region-external inputs currently resident in device memory.
+    external_input_bytes: u64,
+    /// Totals over the region's estimates (zero without estimates).
+    est: EstimateSums,
+    /// Simulated time the stream started.
+    t0: f64,
+    durations: Vec<f64>,
+    done_storage: Vec<u64>,
+    done_ops: Vec<u64>,
+    /// Whether the host already posted the preemption `Break`.
+    break_submitted: bool,
+}
+
+impl Region {
+    fn len(&self) -> usize {
+        self.end - self.start + 1
     }
 
-    // Absolute-time contention is installed into the availability traces up
-    // front, so it throttles resources even in the middle of a line.
-    if let Trigger::AtTime(at) = opts.scenario.trigger() {
-        if !opts.scenario.is_none() {
-            install_contention(system, opts, at);
-            contention_applied = true;
+    /// The live state a break at `done_fraction` must move: the escaping
+    /// outputs produced so far plus the external inputs staged on-device.
+    fn state_bytes(&self, done_fraction: f64) -> u64 {
+        self.escaping_out
+            .iter()
+            .map(|b| (*b as f64 * done_fraction) as u64)
+            .sum::<u64>()
+            + self.external_input_bytes
+    }
+}
+
+/// One execution in flight: the program, its options, the simulated
+/// platform, the evaluator, and everything the line/region state machine
+/// mutates as it goes.
+struct Run<'a> {
+    program: &'a Program,
+    opts: &'a ExecOptions,
+    estimates: Option<&'a [LineEstimate]>,
+    shard: Option<&'a ShardSlice>,
+    system: &'a mut System,
+    vm: Vm<'a>,
+    recov: Recovery,
+    var_loc: BTreeMap<String, EngineKind>,
+    vars: VarSpace,
+    /// The plan's placement is the reclaim target set: only lines the
+    /// planner offloaded — then migrated host-ward mid-run — are ever
+    /// speculatively re-assigned to the CSD.
+    original: &'a [EngineKind],
+    placements: Vec<EngineKind>,
+    /// The monitor of the region in flight (`None` between regions), so
+    /// boundary snapshots taken inside a region carry its evidence.
+    monitor: Option<Monitor>,
+    /// The last *host-ward* migration.
+    migration: Option<MigrationEvent>,
+    migrations: Vec<MigrationEvent>,
+    lines_out: Vec<LineOutcome>,
+    csd_executed: usize,
+    csd_total: usize,
+    contention_applied: bool,
+    /// Spans begun and not yet ended, outermost first.
+    spans: Vec<SpanHandle>,
+}
+
+impl Run<'_> {
+    fn now(&self) -> f64 {
+        self.system.now().as_secs()
+    }
+
+    /// Opens a span at the current simulated time.
+    fn open(&mut self, name: &str, kind: SpanKind, attrs: Attrs) {
+        let handle = self
+            .opts
+            .tracer
+            .begin_with(name, kind, Some(self.now()), attrs);
+        self.spans.push(handle);
+    }
+
+    /// Ends the innermost open span at the current simulated time.
+    fn close(&mut self, attrs: Attrs) {
+        if let Some(handle) = self.spans.pop() {
+            self.opts.tracer.end_with(handle, Some(self.now()), attrs);
         }
     }
 
-    let mut i = 0usize;
-    while i < program.len() {
-        // Progress-based contention triggers on ISP-task progress.
-        let progress = if csd_total == 0 {
+    /// An error is leaving the run with spans still open. A span is only
+    /// delivered by its `end`, and an unended one also stays on the shared
+    /// tracer's parent stack, mis-parenting whatever that tracer records
+    /// next — so close them all, innermost first, marked as failed.
+    fn close_spans_after_error(&mut self) {
+        while !self.spans.is_empty() {
+            self.close(vec![("error".into(), true.into())]);
+        }
+    }
+
+    /// The one place a state transition is published: the migration list
+    /// and `migration.decision` instant for the two migration kinds, then
+    /// — when a journal is attached — the boundary's WAL record with the
+    /// deterministic state snapshot taken here.
+    fn boundary(&mut self, b: Boundary) -> Result<()> {
+        if let Boundary::Migration(event, _) | Boundary::Reclaim(event, _) = &b {
+            self.opts.tracer.instant(
+                "migration.decision",
+                SpanKind::Migration,
+                Some(event.at_secs),
+                vec![
+                    ("reason".into(), event.reason.as_str().into()),
+                    ("after_line".into(), event.after_line.into()),
+                    ("state_bytes".into(), event.state_bytes.into()),
+                    ("regen_secs".into(), event.regen_secs.into()),
+                ],
+            );
+            self.opts.tracer.counter_add("exec.migrations", 1);
+            self.migrations.push(*event);
+            if event.reason != MigrationReason::Reclaim {
+                self.migration = Some(*event);
+            }
+        }
+        if !self.opts.journal.is_enabled() {
+            return Ok(());
+        }
+        // Records are built on lane 0; the handle stamps its own lane.
+        let lane = 0;
+        let record = match b {
+            Boundary::RunStart => WalRecord::RunStart {
+                lane,
+                program_len: self.program.len() as u32,
+                // The evaluator discriminant from when it was switchable;
+                // the byte stays in the format and is always 0 (the VM).
+                backend: 0,
+            },
+            Boundary::HostLine(line) => WalRecord::HostLine {
+                lane,
+                line: line as u32,
+                snap: self.snapshot(),
+            },
+            Boundary::Chunk { start, end, chunk } => WalRecord::Chunk {
+                lane,
+                region_start: start as u32,
+                region_end: (end + 1) as u32,
+                chunk: chunk as u32,
+                snap: self.snapshot(),
+            },
+            Boundary::Migration(event, chunk) => WalRecord::Migration {
+                lane,
+                line: event.after_line as u32,
+                chunk: chunk as u32,
+                reason: reason_code(event.reason),
+                state_bytes: event.state_bytes,
+                snap: self.snapshot(),
+            },
+            Boundary::Reclaim(event, in_region) => WalRecord::Reclaim {
+                lane,
+                // An in-region reclaim journals the line it resumed after;
+                // a line-boundary one the line it re-enters at, which is
+                // never line 0 (a degradation needs an earlier region).
+                line: (event.after_line + usize::from(!in_region)) as u32,
+                in_region,
+                snap: self.snapshot(),
+            },
+            Boundary::RunEnd {
+                fingerprint,
+                total_secs,
+            } => WalRecord::RunEnd {
+                lane,
+                fingerprint,
+                total_secs_bits: total_secs.to_bits(),
+            },
+        };
+        self.opts.journal.on_record(record)
+    }
+
+    /// The deterministic boundary snapshot the journal records: sim clock,
+    /// recovery accounting, injected-fault counters, the fault injector's
+    /// stream position, and (inside regions) the monitor's degradation
+    /// evidence. Everything here is simulated-clock state, so an
+    /// uninterrupted run and its replay produce bit-identical snapshots.
+    fn snapshot(&self) -> StateSnap {
+        let counters = self.system.fault_counters();
+        let (crashed, rng_state) = match self.system.faults() {
+            Some(f) => (f.crashed(), f.rng_state()),
+            None => (false, 0),
+        };
+        let stats = &self.recov.stats;
+        StateSnap {
+            clock_bits: self.now().to_bits(),
+            transient_faults: stats.transient_faults,
+            retries: stats.retries,
+            recovered_ops: stats.recovered_ops,
+            hard_faults: stats.hard_faults,
+            fault_migrations: stats.fault_migrations,
+            backoff_bits: stats.backoff_secs.to_bits(),
+            flash_read_errors: counters.flash_read_errors,
+            nvme_command_errors: counters.nvme_command_errors,
+            dma_transfer_errors: counters.dma_transfer_errors,
+            cse_crashes: counters.cse_crashes,
+            crashed,
+            rng_state,
+            monitor: self.monitor.as_ref().map(Monitor::wal_snapshot),
+        }
+    }
+
+    /// The whole run: distribute the binary, walk the program as host
+    /// lines and CSD regions, return the result to the host, report.
+    fn drive(&mut self) -> Result<RunReport> {
+        let program = self.program;
+        self.open(
+            "phase.execute",
+            SpanKind::Phase,
+            vec![
+                ("lines".into(), program.len().into()),
+                ("csd_lines".into(), self.csd_total.into()),
+            ],
+        );
+        self.boundary(Boundary::RunStart)?;
+
+        // Distribute the CSD binary into device memory before execution
+        // starts. A must-complete transfer: DMA faults only delay it.
+        if self.csd_total > 0 && self.opts.offload_overheads {
+            let binary = Bytes::new(16 * 1024 + self.csd_total as u64 * 2048);
+            self.recov.run_to_completion(self.system, |s| {
+                s.try_transfer(Direction::HostToDevice, binary)
+            });
+        }
+
+        // Absolute-time contention is installed into the availability traces up
+        // front, so it throttles resources even in the middle of a line.
+        if let Trigger::AtTime(at) = self.opts.scenario.trigger() {
+            if !self.opts.scenario.is_none() {
+                install_contention(self.system, self.opts, at);
+                self.contention_applied = true;
+            }
+        }
+
+        let mut i = 0usize;
+        while i < program.len() {
+            self.contend_on_progress(0.0);
+            if self.try_reclaim(i)? {
+                // Re-enter the loop at the same line: it is now CSD-resident
+                // and executes through the region path.
+                continue;
+            }
+            i = if self.placements[i] == EngineKind::Host {
+                self.host_line(i)?;
+                i + 1
+            } else {
+                self.region(i)?
+            };
+        }
+
+        // The program's result must end up in host memory (must-complete).
+        // In a fleet shard run, gathering results is the fleet's combine
+        // phase, charged against the shared host link budget instead.
+        if let Some(last) = program.lines().last() {
+            if self.var_loc.get(&last.target) == Some(&EngineKind::Cse) {
+                let bytes = self.line_bytes(last.index, self.vm.var_bytes(&last.target));
+                // A free line in a shard run drains nothing; the unsharded
+                // path keeps issuing the (possibly empty) transfer so its
+                // timing is byte-identical to the pre-fleet engine.
+                if self.shard.is_none() || bytes > 0 {
+                    self.recov.run_to_completion(self.system, |s| {
+                        s.try_transfer(Direction::DeviceToHost, Bytes::new(bytes))
+                    });
+                }
+            }
+        }
+        self.finish()
+    }
+
+    /// Assembles the report and tells every observer the run is over.
+    fn finish(&mut self) -> Result<RunReport> {
+        // Plan-cache and audit families stay zero here; their owners fill
+        // them in for cached and audited runs.
+        let metrics = MetricsSnapshot {
+            faults: self.system.fault_counters(),
+            recovery: self.recov.stats,
+            par: self.vm.par_stats(),
+            ..MetricsSnapshot::default()
+        };
+        metrics.publish_to(&self.opts.tracer);
+        self.close(vec![("migrated".into(), self.migration.is_some().into())]);
+        // Feed the run's measured per-line costs to the profile store. Shard
+        // runs are skipped: their costs are slice-scaled and would bias the
+        // unsharded profile the planner refits against.
+        if self.opts.profile.is_enabled() && self.shard.is_none() {
+            let mut costs = vec![LineCost::default(); self.program.len()];
+            for l in &self.lines_out {
+                if let Some(slot) = costs.get_mut(l.line) {
+                    *slot = l.cost;
+                }
+            }
+            self.opts.profile.record(&costs);
+        }
+        // The answer-integrity check compared between faulted and
+        // fault-free runs, thread counts and fleet sizes: every assigned
+        // variable in first-assignment order through one `Fingerprinter`.
+        // Bit patterns, not renderings: `-0.0` and NaN payloads count.
+        let mut fp = Fingerprinter::default();
+        for target in self.program.targets() {
+            fp.var(target, self.vm.var(target));
+        }
+        let fingerprint = fp.finish();
+        let total_secs = self.now();
+        self.boundary(Boundary::RunEnd {
+            fingerprint,
+            total_secs,
+        })?;
+        Ok(RunReport {
+            total_secs,
+            lines: std::mem::take(&mut self.lines_out),
+            migration: self.migration,
+            csd_lines_executed: self.csd_executed,
+            d2h_bytes: self.system.dma().d2h_bytes().as_u64(),
+            h2d_bytes: self.system.dma().h2d_bytes().as_u64(),
+            peak_device_bytes: self.vars.peak_device,
+            values_fingerprint: fingerprint,
+            parallel: self.opts.parallel,
+            metrics,
+            migrations: std::mem::take(&mut self.migrations),
+            eq1: Vec::new(),
+        })
+    }
+
+    /// Progress-based contention triggers on ISP-task progress: the CSD
+    /// lines already executed plus `region_lines_done` of the region in
+    /// flight, over the planned CSD lines.
+    fn contend_on_progress(&mut self, region_lines_done: f64) {
+        if self.contention_applied {
+            return;
+        }
+        let progress = if self.csd_total == 0 {
             0.0
         } else {
-            csd_executed as f64 / csd_total as f64
+            (self.csd_executed as f64 + region_lines_done) / self.csd_total as f64
         };
-        if !contention_applied && opts.scenario.active_at_progress(progress) {
-            let now = system.now();
-            install_contention(system, opts, now);
-            contention_applied = true;
+        if self.opts.scenario.active_at_progress(progress) {
+            let now = self.system.now();
+            install_contention(self.system, self.opts, now);
+            self.contention_applied = true;
         }
+    }
 
-        // Bidirectional migration (§III-D in reverse): when measured CSE
-        // availability has cleared after a degradation migration, the
-        // remaining originally-offloaded lines are speculatively
-        // re-assigned to the CSD at this line boundary. The decision reads
-        // only simulated-clock quantities (availability traces, modelled
-        // estimates), so it is identical across evaluation backends and —
-        // like every placement decision — cannot affect computed values.
-        if let Some(event) = try_reclaim(
-            program,
-            i,
-            &original,
-            &mut placements,
-            system,
-            opts,
-            estimates,
-            migrations.last(),
-        ) {
-            migrations.push(event);
-            opts.journal.on_record(WalRecord::Reclaim {
-                lane: 0,
-                line: i as u32,
-                in_region: false,
-                snap: wal_snap(system, &recov, None),
-            })?;
-            // Re-enter the loop at the same line: it is now CSD-resident
-            // and executes through the region path.
-            continue;
+    /// The shard's charged view of a quantity produced by `line`.
+    fn line_bytes(&self, line: usize, total: u64) -> u64 {
+        match self.shard {
+            Some(sh) => sh.scale_line(line, total),
+            None => total,
         }
+    }
 
-        if placements[i] == EngineKind::Host {
-            let line = &program.lines()[i];
-            let start = system.now().as_secs();
-            let line_span = opts.tracer.begin_with(
-                "exec.host_line",
-                SpanKind::Device,
-                Some(start),
-                vec![("line".into(), i.into())],
-            );
-            let staged = stage_inputs(
-                program,
-                line,
-                EngineKind::Host,
-                system,
-                &eval,
-                &mut var_loc,
-                &mut vars,
-                true,
-                &mut recov,
-                shard,
-            )?;
-            let elim = copy_elim.get(i).copied().unwrap_or(false);
-            let mut cost = eval.exec_line(line, elim)?;
-            if let Some(sh) = shard {
-                cost = shard_scaled_cost(sh, i, cost);
+    /// The charge for moving `name` on behalf of `at_line`. A shard ships
+    /// only its own rows of a partitioned value; a line outside the charge
+    /// range ships nothing at all.
+    fn input_bytes(&self, name: &str, at_line: usize) -> u64 {
+        let full = self.vm.var_bytes(name);
+        match self.shard {
+            Some(sh) => sh.scale_def(self.program.def_site(name), at_line, full),
+            None => full,
+        }
+    }
+
+    /// Evaluates line `i` (on the full data, whatever the placement) and
+    /// returns its measured cost as this run is charged for it: every
+    /// extensive field scaled by [`ShardSlice::scale_line`] in a shard run.
+    fn eval_line(&mut self, i: usize) -> Result<LineCost> {
+        let cost = self.vm.exec_line(i)?;
+        Ok(match self.shard {
+            Some(sh) => LineCost {
+                compute_ops: sh.scale_line(i, cost.compute_ops),
+                storage_bytes: sh.scale_line(i, cost.storage_bytes),
+                bytes_in: sh.scale_line(i, cost.bytes_in),
+                bytes_out: sh.scale_line(i, cost.bytes_out),
+                copy_bytes: sh.scale_line(i, cost.copy_bytes),
+                eliminable_copy_bytes: sh.scale_line(i, cost.eliminable_copy_bytes),
+                calls: cost.calls,
+            },
+            None => cost,
+        })
+    }
+
+    /// Moves any of `line`'s inputs that live on the other engine next to
+    /// it, returning the bytes shipped (the shared-address-space placement
+    /// policy: data lives near whoever reads it next).
+    /// `move_allocation` distinguishes the two staging modes: a host line
+    /// materializes its inputs in host DRAM (the allocation moves), while a
+    /// chunk-pipelined CSD region *streams* its inputs — the transfer is
+    /// charged but the device never holds more than chunk buffers, so the
+    /// allocation stays put.
+    fn stage_inputs(
+        &mut self,
+        line: &alang::ast::Line,
+        engine: EngineKind,
+        move_allocation: bool,
+    ) -> Result<u64> {
+        let mut staged = 0u64;
+        for name in line.inputs() {
+            let bytes = self.input_bytes(name, line.index);
+            if bytes == 0 || self.var_loc.get(name).is_none_or(|loc| *loc == engine) {
+                continue;
             }
-            if cost.storage_bytes > 0 {
-                system.storage_read(EngineKind::Host, Bytes::new(cost.storage_bytes));
-            }
-            let ops = cost.effective_ops(opts.tier, &opts.params);
-            if ops > 0 {
-                system.compute(EngineKind::Host, Ops::new(ops));
-            }
-            var_loc.insert(line.target.clone(), EngineKind::Host);
-            let bind_bytes = match shard {
-                Some(sh) => sh.scale_line(i, eval.var_bytes(&line.target)),
-                None => eval.var_bytes(&line.target),
+            let dir = match engine {
+                EngineKind::Cse => Direction::HostToDevice,
+                EngineKind::Host => Direction::DeviceToHost,
             };
-            vars.bind(system, &line.target, EngineKind::Host, bind_bytes)?;
-            opts.tracer.end(line_span, Some(system.now().as_secs()));
-            lines_out.push(LineOutcome {
-                line: i,
-                engine: EngineKind::Host,
-                start_secs: start,
-                end_secs: system.now().as_secs(),
-                cost,
-                staged_bytes: staged,
-            });
-            vars.release_dead(system, program, i)?;
-            opts.journal.on_record(WalRecord::HostLine {
-                lane: 0,
-                line: i as u32,
-                snap: wal_snap(system, &recov, None),
-            })?;
-            i += 1;
-            continue;
+            // Staging must complete; DMA faults only delay it.
+            self.recov
+                .run_to_completion(self.system, |s| s.try_transfer(dir, Bytes::new(bytes)));
+            staged += bytes;
+            self.var_loc.insert(name.clone(), engine);
+            if move_allocation {
+                self.vars.move_to(self.system, name, engine)?;
+            }
         }
+        Ok(staged)
+    }
 
-        // A contiguous CSD region [i, end]: executed as a chunk-pipelined
-        // stream (real CSD frameworks process per flash page / per chunk;
-        // the paper's Python lines sit inside chunked loops, with status
-        // updates "once every tens of machine instructions").
-        let mut end = i;
-        while end + 1 < program.len() && placements[end + 1] == EngineKind::Cse {
+    /// Charges `engine` for reading `bytes` of storage and computing `ops`
+    /// (the fault-free path: host work, and device work after a reclaim).
+    fn charge(&mut self, engine: EngineKind, bytes: u64, ops: u64) {
+        if bytes > 0 {
+            self.system.storage_read(engine, Bytes::new(bytes));
+        }
+        if ops > 0 {
+            self.system.compute(engine, Ops::new(ops));
+        }
+    }
+
+    /// Executes host line `i`.
+    fn host_line(&mut self, i: usize) -> Result<()> {
+        let line = &self.program.lines()[i];
+        let start = self.now();
+        self.open(
+            "exec.host_line",
+            SpanKind::Device,
+            vec![("line".into(), i.into())],
+        );
+        let staged = self.stage_inputs(line, EngineKind::Host, true)?;
+        let cost = self.eval_line(i)?;
+        let ops = cost.effective_ops(self.opts.tier, &self.opts.params);
+        self.charge(EngineKind::Host, cost.storage_bytes, ops);
+        self.var_loc.insert(line.target.clone(), EngineKind::Host);
+        let bind_bytes = self.line_bytes(i, self.vm.var_bytes(&line.target));
+        self.vars
+            .bind(self.system, &line.target, EngineKind::Host, bind_bytes)?;
+        self.close(Vec::new());
+        self.lines_out.push(LineOutcome {
+            line: i,
+            engine: EngineKind::Host,
+            start_secs: start,
+            end_secs: self.now(),
+            cost,
+            staged_bytes: staged,
+        });
+        self.vars.release_dead(self.system, self.program, i)?;
+        self.boundary(Boundary::HostLine(i))
+    }
+
+    /// Executes the contiguous CSD region starting at `start` as a
+    /// chunk-pipelined stream (real CSD frameworks process per flash page /
+    /// per chunk; the paper's Python lines sit inside chunked loops, with
+    /// status updates "once every tens of machine instructions"), checking
+    /// for a break at every chunk boundary (§III-D). Returns the next line
+    /// to execute.
+    fn region(&mut self, start: usize) -> Result<usize> {
+        let mut end = start;
+        while end + 1 < self.program.len() && self.placements[end + 1] == EngineKind::Cse {
             end += 1;
         }
-        let region_span = opts.tracer.begin_with(
+        self.open(
             "exec.region",
             SpanKind::Device,
-            Some(system.now().as_secs()),
             vec![
-                ("start_line".into(), i.into()),
+                ("start_line".into(), start.into()),
                 ("end_line".into(), end.into()),
             ],
         );
-        let region = match RegionRun::prepare(
-            program,
-            i,
-            end,
-            system,
-            &mut eval,
-            &mut var_loc,
-            &mut vars,
-            opts,
-            copy_elim,
-            &mut recov,
-            shard,
-        ) {
-            Ok(region) => region,
-            Err(ActivePyError::DeviceFault { .. }) if opts.recovery.fallback_to_host => {
-                // The invocation itself hard-faulted, before any region
-                // state was computed or moved: fall back by re-placing the
-                // remaining CSD lines on the host and re-entering the loop
-                // at the same line. No live state to drain (checkpoint is
-                // the previous line boundary), only host code to regenerate.
-                let later = placements[i..]
-                    .iter()
-                    .filter(|p| **p == EngineKind::Cse)
-                    .count();
-                let regen_secs = CompiledProgram::compile_secs_for(later);
-                let decided_at = system.now().as_secs();
-                opts.tracer.instant(
-                    "migration.decision",
-                    SpanKind::Migration,
-                    Some(decided_at),
-                    vec![
-                        (
-                            "reason".into(),
-                            MigrationReason::DeviceFault.as_str().into(),
-                        ),
-                        ("after_line".into(), i.saturating_sub(1).into()),
-                        ("state_bytes".into(), 0u64.into()),
-                        ("regen_secs".into(), regen_secs.into()),
-                    ],
-                );
-                opts.tracer.counter_add("exec.migrations", 1);
-                let event = MigrationEvent {
-                    after_line: i.saturating_sub(1),
-                    state_bytes: 0,
-                    at_secs: decided_at,
-                    regen_secs,
-                    reason: MigrationReason::DeviceFault,
-                };
-                migration = Some(event);
-                migrations.push(event);
-                system.advance(csd_sim::units::Duration::from_secs(regen_secs));
-                recov.stats.fault_migrations += 1;
-                opts.journal.on_record(WalRecord::Migration {
-                    lane: 0,
-                    line: i.saturating_sub(1) as u32,
-                    chunk: 0,
-                    reason: reason_code(MigrationReason::DeviceFault),
-                    state_bytes: 0,
-                    snap: wal_snap(system, &recov, None),
-                })?;
-                opts.tracer.end_with(
-                    region_span,
-                    Some(system.now().as_secs()),
-                    vec![("aborted".into(), true.into())],
-                );
-                for p in placements.iter_mut().skip(i) {
-                    if *p == EngineKind::Cse {
-                        *p = EngineKind::Host;
-                    }
-                }
-                continue;
+        let mut r = match self.prepare(start, end) {
+            Ok(r) => r,
+            Err(ActivePyError::DeviceFault { .. }) if self.opts.recovery.fallback_to_host => {
+                self.abort_region(start)?;
+                return Ok(start);
             }
             Err(e) => return Err(e),
         };
-        let outcome = region.execute(
-            system,
-            &mut var_loc,
-            &mut vars,
-            &mut placements,
-            opts,
-            estimates,
-            &mut contention_applied,
-            csd_executed,
-            csd_total,
-            &mut recov,
-        )?;
-        opts.tracer.end(region_span, Some(system.now().as_secs()));
-        lines_out.extend(outcome.lines);
-        csd_executed += end - i + 1;
-        if let Some(event) = outcome.migration {
-            migration = Some(event);
-            migrations.push(event);
-        }
-        if let Some(event) = outcome.reclaim {
-            migrations.push(event);
-        }
-        vars.release_dead(system, program, end)?;
-        i = end + 1;
-    }
-
-    // The program's result must end up in host memory (must-complete).
-    // In a fleet shard run, gathering results is the fleet's combine
-    // phase, charged against the shared host link budget instead.
-    if let Some(last) = program.lines().last() {
-        if var_loc.get(&last.target) == Some(&EngineKind::Cse) {
-            let full = eval.var_bytes(&last.target);
-            let bytes = match shard {
-                Some(sh) => sh.scale_line(last.index, full),
-                None => full,
+        for c in 0..REGION_CHUNKS {
+            let step = self.chunk(&mut r, c);
+            let Some((reason, done_fraction)) = self.break_reason(&mut r, c, &step)? else {
+                self.boundary(Boundary::Chunk {
+                    start,
+                    end,
+                    chunk: c,
+                })?;
+                continue;
             };
-            // A free line in a shard run drains nothing; the unsharded
-            // path keeps issuing the (possibly empty) transfer so its
-            // timing is byte-identical to the pre-fleet engine.
-            if shard.is_none() || bytes > 0 {
-                recov.run_to_completion(system, |s| {
-                    s.try_transfer(Direction::DeviceToHost, Bytes::new(bytes))
-                });
+            self.migrate(&mut r, c, reason, done_fraction)?;
+            break;
+        }
+        self.monitor = None;
+        self.close(Vec::new());
+        // Synthesize sequential per-line intervals from the accumulated
+        // durations (chunks interleave lines; total time is exact, the
+        // per-line split is proportional).
+        let mut cursor = r.t0;
+        for k in 0..r.len() {
+            let start_secs = cursor;
+            cursor += r.durations[k];
+            self.lines_out.push(LineOutcome {
+                line: start + k,
+                engine: EngineKind::Cse,
+                start_secs,
+                end_secs: cursor,
+                cost: r.costs[k],
+                staged_bytes: r.staged[k],
+            });
+        }
+        self.csd_executed += r.len();
+        self.vars.release_dead(self.system, self.program, end)?;
+        Ok(end + 1)
+    }
+
+    /// Stages inputs, invokes the CSD function through the queue pair,
+    /// computes the region's values and measured costs, and arms the
+    /// region's monitor.
+    fn prepare(&mut self, start: usize, end: usize) -> Result<Region> {
+        let program = self.program;
+        if self.opts.offload_overheads {
+            // The invocation command can be hit by injected NVMe errors (or
+            // observe the crash). Rolled — and hard-failed — *before* any
+            // region state is evaluated or relocated, so an aborted prepare
+            // needs no unwinding: the caller just re-places the lines.
+            self.recov
+                .run_bounded(self.system, |s| s.try_nvme_command())
+                .map_err(escalate)?;
+            let now = self.system.now();
+            self.system
+                .queue_mut()
+                .submit(now, CommandKind::InvokeFunction { entry_line: start })
+                .map_err(|e| ActivePyError::exec(format!("queue submit failed: {e}")))?;
+            self.system
+                .queue_mut()
+                .fetch()
+                .map_err(|e| ActivePyError::exec(format!("queue fetch failed: {e}")))?;
+            self.system.charge_invocation();
+        }
+        let len = end - start + 1;
+        let mut costs = Vec::with_capacity(len);
+        let mut ops = Vec::with_capacity(len);
+        let mut staged = Vec::with_capacity(len);
+        let mut external_input_bytes = 0u64;
+        for line in &program.lines()[start..=end] {
+            // External inputs cross to device memory before the stream
+            // starts; intra-region values are consumed chunk-by-chunk.
+            let external: u64 = line
+                .inputs()
+                .iter()
+                .filter(|v| {
+                    program.def_site(v).is_none_or(|d| d < start)
+                        && self.var_loc.get(*v) == Some(&EngineKind::Host)
+                })
+                .map(|v| self.input_bytes(v, line.index))
+                .sum();
+            staged.push(self.stage_inputs(line, EngineKind::Cse, false)?);
+            external_input_bytes += external;
+            let cost = self.eval_line(line.index)?;
+            ops.push(cost.effective_ops(self.opts.tier, &self.opts.params));
+            costs.push(cost);
+            self.var_loc.insert(line.target.clone(), EngineKind::Cse);
+        }
+        let escaping_out: Vec<u64> = (start..=end)
+            .map(|k| {
+                let target = &program.lines()[k].target;
+                let consumed_later = program.consumers_of(target, end).next().is_some();
+                let is_result = k == program.len() - 1;
+                if consumed_later || is_result {
+                    costs[k - start].bytes_out
+                } else {
+                    0
+                }
+            })
+            .collect();
+        // Only escaping values materialize in device DRAM; the chunk
+        // pipeline consumes everything else in place.
+        for (k, bytes) in escaping_out.iter().enumerate() {
+            if *bytes > 0 {
+                let target = &program.lines()[start + k].target;
+                self.vars
+                    .bind(self.system, target, EngineKind::Cse, *bytes)?;
+            }
+        }
+        let est = estimate_sums(self.estimates.unwrap_or(&[]), |line| {
+            line >= start && line <= end
+        });
+        // The expected instruction throughput is "the total amount of
+        // estimated instructions divided by estimated execution time on
+        // CSD" (§III-D) — an end-to-end progress rate that includes data
+        // stalls, so starvation of the data path registers as degraded IPC.
+        let cse = self.system.engine(EngineKind::Cse);
+        let expected_rate = if est.device_secs > 0.0 && est.ops > 0 {
+            est.ops as f64 / est.device_secs
+        } else {
+            cse.nominal_rate().as_ops_per_sec()
+        };
+        self.monitor = self
+            .opts
+            .monitor
+            .map(|cfg| Monitor::new(cfg, expected_rate, *cse.counters()));
+        Ok(Region {
+            start,
+            end,
+            costs,
+            ops,
+            staged,
+            escaping_out,
+            external_input_bytes,
+            est,
+            t0: self.now(),
+            durations: vec![0.0; len],
+            done_storage: vec![0; len],
+            done_ops: vec![0; len],
+            break_submitted: false,
+        })
+    }
+
+    /// The region's invocation itself hard-faulted, before any region
+    /// state was computed or moved: fall back by re-placing the remaining
+    /// CSD lines on the host, to be re-entered at the same line. No live
+    /// state to drain (the checkpoint is the previous line boundary), only
+    /// host code to regenerate.
+    fn abort_region(&mut self, start: usize) -> Result<()> {
+        let later = csd_lines(&self.placements[start..]);
+        let event = MigrationEvent {
+            after_line: start.saturating_sub(1),
+            state_bytes: 0,
+            at_secs: self.now(),
+            regen_secs: CompiledProgram::compile_secs_for(later),
+            reason: MigrationReason::DeviceFault,
+        };
+        self.system.advance(Duration::from_secs(event.regen_secs));
+        self.recov.stats.fault_migrations += 1;
+        self.boundary(Boundary::Migration(event, 0))?;
+        self.close(vec![("aborted".into(), true.into())]);
+        self.fall_back_to_host(start);
+        Ok(())
+    }
+
+    /// Re-places every CSD line from `from_line` on onto the host.
+    fn fall_back_to_host(&mut self, from_line: usize) {
+        for p in self.placements.iter_mut().skip(from_line) {
+            if *p == EngineKind::Cse {
+                *p = EngineKind::Host;
             }
         }
     }
 
-    let metrics = MetricsSnapshot {
-        plan_cache_hits: 0,
-        plan_cache_misses: 0,
-        faults: system.fault_counters(),
-        recovery: recov.stats,
-        par: eval.par_stats(),
-        plan_cache_refits: 0,
-        audit: crate::metrics::AuditStats::default(),
-    };
-    metrics.publish_to(&opts.tracer);
-    opts.tracer.end_with(
-        exec_span,
-        Some(system.now().as_secs()),
-        vec![("migrated".into(), migration.is_some().into())],
-    );
-    // Feed the run's measured per-line costs to the profile store. Shard
-    // runs are skipped: their costs are slice-scaled and would bias the
-    // unsharded profile the planner refits against.
-    if opts.profile.is_enabled() && shard.is_none() {
-        let mut costs = vec![LineCost::default(); program.len()];
-        for l in &lines_out {
-            if let Some(slot) = costs.get_mut(l.line) {
-                *slot = l.cost;
+    /// Streams chunk `c` of every region line through the simulator.
+    fn chunk(&mut self, r: &mut Region, c: u64) -> ChunkStep {
+        // Progress-triggered contention can fire mid-region.
+        self.contend_on_progress((c as f64 / REGION_CHUNKS as f64) * r.len() as f64);
+        let chunk_t0 = self.now();
+        self.open(
+            "exec.chunk",
+            SpanKind::Device,
+            vec![("chunk".into(), c.into())],
+        );
+        let mut chunk_ops = 0u64;
+        let mut fault: Option<DeviceFault> = None;
+        for k in 0..r.len() {
+            let t0 = self.now();
+            let streamed = self.stream_line(r, k, c);
+            r.durations[k] += self.now() - t0;
+            match streamed {
+                Ok(ops) => chunk_ops += ops,
+                Err(f) => {
+                    fault = Some(f);
+                    break;
+                }
             }
         }
-        opts.profile.record(&costs);
+        let wall = self.now() - chunk_t0;
+        self.close(Vec::new());
+        if self.opts.tracer.is_enabled() {
+            // Simulated chunk latency, in whole nanoseconds so the
+            // histogram stays integral and deterministic.
+            self.opts
+                .tracer
+                .observe("exec.chunk_sim_ns", (wall * 1e9) as u64);
+        }
+        ChunkStep {
+            ops: chunk_ops,
+            wall,
+            fault,
+        }
     }
-    let fingerprint = values_fingerprint(program, &eval);
-    let total_secs = system.now().as_secs();
-    opts.journal.on_record(WalRecord::RunEnd {
-        lane: 0,
-        fingerprint,
-        total_secs_bits: total_secs.to_bits(),
-    })?;
-    Ok(RunReport {
-        total_secs,
-        lines: lines_out,
-        migration,
-        csd_lines_executed: csd_executed,
-        d2h_bytes: system.dma().d2h_bytes().as_u64(),
-        h2d_bytes: system.dma().h2d_bytes().as_u64(),
-        peak_device_bytes: vars.peak_device,
-        values_fingerprint: fingerprint,
-        parallel: opts.parallel,
-        metrics,
-        migrations,
-        eq1: Vec::new(),
-    })
+
+    /// Streams chunk `c` of region line `k` — flash read, CSE compute,
+    /// status update — through the bounded-retry layer, returning the
+    /// operations computed. A hard fault stops the line where it struck;
+    /// what completed before it stays counted in the region's progress.
+    fn stream_line(
+        &mut self,
+        r: &mut Region,
+        k: usize,
+        c: u64,
+    ) -> std::result::Result<u64, DeviceFault> {
+        let bytes = chunk_slice(r.costs[k].storage_bytes, c);
+        if bytes > 0 {
+            self.recov.run_bounded(self.system, |s| {
+                s.try_storage_read(EngineKind::Cse, Bytes::new(bytes))
+            })?;
+            r.done_storage[k] += bytes;
+        }
+        let ops = chunk_slice(r.ops[k], c);
+        if ops > 0 {
+            self.recov.run_bounded(self.system, |s| {
+                s.try_compute(EngineKind::Cse, Ops::new(ops))
+            })?;
+            r.done_ops[k] += ops;
+        }
+        if self.opts.offload_overheads {
+            self.system.charge_status_update();
+        }
+        Ok(ops)
+    }
+
+    /// The check at a chunk boundary (or mid-chunk hard fault): a hard
+    /// device fault breaks unconditionally; otherwise the status-update
+    /// code first checks the command pages for a high-priority request
+    /// (§III-D case 1), then the host-side monitor checks throughput
+    /// (case 2). Returns why to break and how much of the stream is done,
+    /// or `None` to keep streaming.
+    fn break_reason(
+        &mut self,
+        r: &mut Region,
+        c: u64,
+        step: &ChunkStep,
+    ) -> Result<Option<(MigrationReason, f64)>> {
+        if let Some(f) = step.fault {
+            if !self.opts.recovery.fallback_to_host {
+                return Err(escalate(f));
+            }
+            self.recov.stats.fault_migrations += 1;
+            // The checkpoint is the last *completed* chunk boundary;
+            // the failed chunk's partial work is replayed on the host
+            // via the exact done_storage/done_ops remainders.
+            let done = c as f64 / REGION_CHUNKS as f64;
+            return Ok(Some((MigrationReason::DeviceFault, done)));
+        }
+        let done_fraction = (c + 1) as f64 / REGION_CHUNKS as f64;
+        if done_fraction >= 1.0 {
+            return Ok(None);
+        }
+        if let Some(t) = self.opts.preempt_at {
+            if !r.break_submitted && self.now() >= t {
+                let now = self.system.now();
+                // Host posts the Break; losing the slot on a full ring
+                // only delays preemption to the next boundary.
+                let _ = self.system.queue_mut().submit(now, CommandKind::Break);
+                r.break_submitted = true;
+            }
+        }
+        let reason = if self.system.queue().has_pending_break() {
+            while self.system.queue_mut().fetch().is_ok() {}
+            Some(MigrationReason::Preempted)
+        } else if self.observe_window(step) && self.migration_pays(r, done_fraction) {
+            Some(MigrationReason::Degraded)
+        } else {
+            None
+        };
+        Ok(reason.map(|reason| (reason, done_fraction)))
+    }
+
+    /// Feeds the chunk to the region's monitor (when the run has one and
+    /// the estimates to judge by) and journals the window; returns whether
+    /// the monitor now reads the device as degraded.
+    fn observe_window(&mut self, step: &ChunkStep) -> bool {
+        let (Some(mon), Some(_)) = (self.monitor.as_mut(), self.estimates) else {
+            return false;
+        };
+        let obs = mon.observe_window(step.ops as f64, step.wall);
+        if self.opts.tracer.is_enabled() {
+            let (label, ratio) = match obs {
+                Observation::Warmup => ("warmup", None),
+                Observation::Healthy => ("healthy", None),
+                Observation::Degraded { ratio } => ("degraded", Some(ratio)),
+            };
+            let mut attrs: Attrs = vec![
+                ("observation".into(), label.into()),
+                ("ops".into(), step.ops.into()),
+                ("window_secs".into(), step.wall.into()),
+            ];
+            if let Some(r) = ratio {
+                attrs.push(("ratio".into(), r.into()));
+            }
+            self.opts
+                .tracer
+                .instant("monitor.window", SpanKind::Monitor, Some(self.now()), attrs);
+        }
+        matches!(obs, Observation::Degraded { .. })
+    }
+
+    /// The §III-D re-estimate: finishing the region (and the CSD lines
+    /// after it) on the degraded device against moving the live state,
+    /// regenerating host code and finishing on the host.
+    fn migration_pays(&self, r: &Region, done_fraction: f64) -> bool {
+        let (Some(mon), Some(est)) = (self.monitor.as_ref(), self.estimates) else {
+            return false;
+        };
+        let later = estimate_sums(est, |line| {
+            line > r.end && self.placements[line] == EngineKind::Cse
+        });
+        let remaining_device = (1.0 - done_fraction) * r.est.device_secs + later.device_secs;
+        let reestimated = mon.reestimate_remaining(remaining_device);
+        let bw = self.system.d2h_bandwidth().as_bytes_per_sec();
+        let regen = CompiledProgram::compile_secs_for(r.len() + later.lines);
+        let remaining_host = (1.0 - done_fraction) * r.est.host_secs + later.host_secs;
+        let migrate_cost = r.state_bytes(done_fraction) as f64 / bw + regen + remaining_host;
+        reestimated > migrate_cost
+    }
+
+    /// Breaks at chunk `c`: moves the live state, regenerates host code,
+    /// and finishes the remaining stream on the host.
+    fn migrate(
+        &mut self,
+        r: &mut Region,
+        c: u64,
+        reason: MigrationReason,
+        done_fraction: f64,
+    ) -> Result<()> {
+        // Any migration consumes the monitor's accumulated evidence:
+        // after a preemption or device-fault fallback the task is no
+        // longer on the CSD either, so a stale decreasing-IPC streak
+        // must not instantly re-trigger (or poison a later reclaim
+        // decision) once work returns to the device.
+        if let Some(mon) = self.monitor.as_mut() {
+            mon.acknowledge_migration();
+        }
+        let len = r.len();
+        let later_count = csd_lines(&self.placements[r.end + 1..]);
+        let event = MigrationEvent {
+            after_line: r.start + ((done_fraction * len as f64).floor() as usize).min(len - 1),
+            state_bytes: r.state_bytes(done_fraction),
+            at_secs: self.now(),
+            regen_secs: CompiledProgram::compile_secs_for(len + later_count),
+            reason,
+        };
+        // The state drain is controller-side DMA, which survives a CSE
+        // crash — a must-complete transfer.
+        self.recov.run_to_completion(self.system, |s| {
+            s.try_transfer(Direction::DeviceToHost, Bytes::new(event.state_bytes))
+        });
+        self.system.advance(Duration::from_secs(event.regen_secs));
+        let reclaim = self.complete_on_host(r, &event)?;
+        // A reclaimed stream leaves the rest of the plan in place; the
+        // device is healthy again.
+        if reclaim.is_none() {
+            self.fall_back_to_host(r.end + 1);
+        }
+        self.boundary(Boundary::Migration(event, c))?;
+        if let Some(reclaim) = reclaim {
+            self.boundary(Boundary::Reclaim(reclaim, true))?;
+        }
+        Ok(())
+    }
+
+    /// Works the unfinished remainder of a broken region off on the host.
+    /// Returns the reclaim that took the remainder back to the CSD, if
+    /// availability recovered while the host was at it.
+    fn complete_on_host(
+        &mut self,
+        r: &mut Region,
+        migration: &MigrationEvent,
+    ) -> Result<Option<MigrationEvent>> {
+        let mut reclaim: Option<MigrationEvent> = None;
+        for k in 0..r.len() {
+            let t0 = self.now();
+            let rem_b = r.costs[k].storage_bytes.saturating_sub(r.done_storage[k]);
+            let rem_o = r.ops[k].saturating_sub(r.done_ops[k]);
+            if self.opts.scenario.recover_at().is_some() && (rem_b > 0 || rem_o > 0) {
+                // Availability can recover while the host works off the
+                // remainder: under a phase-shifting scenario the remainder
+                // is worked off in chunk slices and the Degraded migration
+                // is reconsidered at every boundary — the in-region mirror
+                // of [`Run::try_reclaim`]. Slicing partitions the exact
+                // remaining bytes/ops, so a trace that never recovers
+                // would time out identically.
+                for c in 0..REGION_CHUNKS {
+                    if reclaim.is_none() {
+                        reclaim = self.reclaim_remaining(r, k, migration);
+                        if let Some(event) = &reclaim {
+                            // The live state returns to device memory and
+                            // the remaining stream resumes on regenerated
+                            // device code.
+                            self.recov.run_to_completion(self.system, |s| {
+                                let state = Bytes::new(event.state_bytes);
+                                s.try_transfer(Direction::HostToDevice, state)
+                            });
+                            self.system.advance(Duration::from_secs(event.regen_secs));
+                        }
+                    }
+                    let engine = reclaim.map_or(EngineKind::Host, |_| EngineKind::Cse);
+                    let (bytes, ops) = (chunk_slice(rem_b, c), chunk_slice(rem_o, c));
+                    self.charge(engine, bytes, ops);
+                    r.done_storage[k] += bytes;
+                    r.done_ops[k] += ops;
+                }
+            } else {
+                self.charge(EngineKind::Host, rem_b, rem_o);
+            }
+            r.durations[k] += self.now() - t0;
+            // The merged region outputs live wherever the stream finished.
+            let engine = reclaim.map_or(EngineKind::Host, |_| EngineKind::Cse);
+            let target = &self.program.lines()[r.start + k].target;
+            self.var_loc.insert(target.clone(), engine);
+            self.vars.move_to(self.system, target, engine)?;
+        }
+        Ok(reclaim)
+    }
+
+    /// The one reclaim rule, behind both reclaim paths. Work a degradation
+    /// pushed host-ward at `since` returns to the CSD when the move is old
+    /// enough, the device has looked healthy for long enough, and
+    /// finishing there pays: hysteresis is `decreasing_streak` monitor
+    /// windows (one window = `device_secs` chunk-pipelined in
+    /// [`REGION_CHUNKS`] status updates), the CSE's effective availability
+    /// is probed at that many window-spaced instants — the mirror image of
+    /// the evidence the monitor needed to leave — and `device_secs` at the
+    /// currently observed availability, plus moving `move_bytes` and
+    /// regenerating `regen_lines` of device code, must beat `host_secs`.
+    /// Every input is simulated-clock state, so the decision cannot affect
+    /// computed values, only charged costs. Returns the regeneration time
+    /// to charge when the reclaim pays.
+    fn reclaim_pays(
+        &self,
+        since: f64,
+        device_secs: f64,
+        host_secs: f64,
+        move_bytes: u64,
+        regen_lines: usize,
+    ) -> Option<f64> {
+        let cfg = self.opts.monitor?;
+        let window = device_secs / REGION_CHUNKS as f64;
+        if window <= 0.0 {
+            return None;
+        }
+        let now = self.now();
+        if now - f64::from(cfg.decreasing_streak) * window <= since {
+            return None;
+        }
+        let cse = self.system.engine(EngineKind::Cse);
+        for j in 0..cfg.decreasing_streak {
+            let probe = SimTime::from_secs(now - f64::from(j) * window);
+            if cse.effective_fraction_at(probe) < cfg.degradation_threshold {
+                return None;
+            }
+        }
+        let fraction = cse.effective_fraction_at(self.system.now());
+        let bw = self.system.d2h_bandwidth().as_bytes_per_sec();
+        let regen_secs = CompiledProgram::compile_secs_for(regen_lines);
+        if device_secs / fraction + move_bytes as f64 / bw + regen_secs >= host_secs {
+            return None;
+        }
+        Some(regen_secs)
+    }
+
+    /// In-region reclaim: after a mid-region break moved the stream
+    /// host-ward, decides at host line boundary `k` whether the remaining
+    /// (unfinished) slice of the region should return to the CSD. The
+    /// estimates are scaled by each line's undone fraction, and the live
+    /// state the migration drained is what would move back.
+    fn reclaim_remaining(
+        &self,
+        r: &Region,
+        k: usize,
+        migration: &MigrationEvent,
+    ) -> Option<MigrationEvent> {
+        // Preempted tasks must stay off the device and fault fallbacks
+        // carry no evidence the device works; only degradations reverse.
+        if migration.reason != MigrationReason::Degraded {
+            return None;
+        }
+        let est = self.estimates?;
+        let mut device_secs = 0.0;
+        let mut host_secs = 0.0;
+        for j in k..r.len() {
+            let undone = if r.ops[j] == 0 {
+                0.0
+            } else {
+                1.0 - r.done_ops[j] as f64 / r.ops[j] as f64
+            };
+            if let Some(e) = est.iter().find(|e| e.line == r.start + j) {
+                device_secs += e.ct_device * undone;
+                host_secs += e.ct_host * undone;
+            }
+        }
+        let regen_secs = self.reclaim_pays(
+            migration.at_secs,
+            device_secs,
+            host_secs,
+            migration.state_bytes,
+            r.len() - k,
+        )?;
+        Some(MigrationEvent {
+            after_line: (r.start + k).saturating_sub(1),
+            state_bytes: migration.state_bytes,
+            at_secs: self.now(),
+            regen_secs,
+            reason: MigrationReason::Reclaim,
+        })
+    }
+
+    /// Bidirectional migration (§III-D in reverse) at the line boundary
+    /// `i`: when measured CSE availability has cleared after a degradation
+    /// migration, the remaining originally-offloaded, host-resident lines
+    /// are speculatively re-assigned to the CSD. Guarded against
+    /// ping-ponging: only lines a *degradation* pushed host-ward are
+    /// considered (a reclaim arms only after a fresh degradation), under
+    /// the [`Run::reclaim_pays`] rule. Returns whether the flip happened.
+    fn try_reclaim(&mut self, i: usize) -> Result<bool> {
+        let (Some(est), Some(last)) = (self.estimates, self.migrations.last().copied()) else {
+            return Ok(false);
+        };
+        // Preempted tasks must stay off the device and fault fallbacks carry
+        // no evidence the device works; only degradations are reversible.
+        if last.reason != MigrationReason::Degraded {
+            return Ok(false);
+        }
+        let (original, placements) = (self.original, &self.placements);
+        let is_candidate =
+            |line: usize| original[line] == EngineKind::Cse && placements[line] == EngineKind::Host;
+        if !is_candidate(i) {
+            return Ok(false);
+        }
+        let sums = estimate_sums(est, |line| line >= i && is_candidate(line));
+        // Re-staging line `i`'s inputs is part of the price; the staging
+        // itself is charged by the region's normal prepare path once the
+        // reclaimed region runs, so only code regeneration is charged here.
+        let staging_bytes: u64 = est.iter().filter(|e| e.line == i).map(|e| e.d_in).sum();
+        let candidates: Vec<usize> = (i..self.program.len())
+            .filter(|&k| is_candidate(k))
+            .collect();
+        let Some(regen_secs) = self.reclaim_pays(
+            last.at_secs,
+            sums.device_secs,
+            sums.host_secs,
+            staging_bytes,
+            candidates.len(),
+        ) else {
+            return Ok(false);
+        };
+        for &k in &candidates {
+            self.placements[k] = EngineKind::Cse;
+        }
+        let event = MigrationEvent {
+            after_line: i.saturating_sub(1),
+            state_bytes: 0,
+            at_secs: self.now(),
+            regen_secs,
+            reason: MigrationReason::Reclaim,
+        };
+        self.system.advance(Duration::from_secs(regen_secs));
+        self.boundary(Boundary::Reclaim(event, false))?;
+        Ok(true)
+    }
 }
 
 /// Shared-address-space bookkeeping: every materialized program value is a
@@ -1035,7 +1715,7 @@ impl VarSpace {
         }
         let id = system
             .memory_mut()
-            .alloc_near(engine, csd_sim::units::Bytes::new(bytes))
+            .alloc_near(engine, Bytes::new(bytes))
             .map_err(|e| ActivePyError::exec(format!("allocating {bytes} B for `{name}`: {e}")))?;
         self.objects.insert(name.to_owned(), id);
         self.update_peak(system);
@@ -1083,813 +1763,12 @@ impl VarSpace {
     }
 }
 
-/// Moves any of `line`'s inputs that live on the other engine next to it,
-/// returning the bytes shipped (the shared-address-space placement policy:
-/// data lives near whoever reads it next).
-/// `move_allocation` distinguishes the two staging modes: a host line
-/// materializes its inputs in host DRAM (the allocation moves), while a
-/// chunk-pipelined CSD region *streams* its inputs — the transfer is
-/// charged but the device never holds more than chunk buffers, so the
-/// allocation stays put.
-#[allow(clippy::too_many_arguments)]
-fn stage_inputs(
-    program: &Program,
-    line: &alang::ast::Line,
-    engine: EngineKind,
-    system: &mut System,
-    eval: &Evaluator<'_>,
-    var_loc: &mut BTreeMap<String, EngineKind>,
-    vars: &mut VarSpace,
-    move_allocation: bool,
-    recov: &mut Recovery,
-    shard: Option<&ShardSlice>,
-) -> Result<u64> {
-    let mut staged = 0u64;
-    for name in line.inputs() {
-        let bytes = match shard {
-            // A shard ships only its own rows of a partitioned value; a
-            // line outside the charge range ships nothing at all.
-            Some(sh) => sh.scale_def(program.def_site(name), line.index, eval.var_bytes(name)),
-            None => eval.var_bytes(name),
-        };
-        if bytes == 0 {
-            continue;
-        }
-        if let Some(loc) = var_loc.get(name) {
-            if *loc != engine {
-                let dir = match engine {
-                    EngineKind::Cse => Direction::HostToDevice,
-                    EngineKind::Host => Direction::DeviceToHost,
-                };
-                // Staging must complete; DMA faults only delay it.
-                recov.run_to_completion(system, |s| s.try_transfer(dir, Bytes::new(bytes)));
-                staged += bytes;
-                var_loc.insert(name.clone(), engine);
-                if move_allocation {
-                    vars.move_to(system, name, engine)?;
-                }
-            }
-        }
-    }
-    Ok(staged)
-}
-
-/// How many chunks a CSD region's stream is processed in. Real CSD
-/// frameworks stream per flash page; the paper's status updates land
-/// "typically once every tens of machine instructions", so detection and
-/// break granularity is far finer than one of our bulk lines.
-const REGION_CHUNKS: u64 = 64;
-
-/// Splits `total` into [`REGION_CHUNKS`] near-equal slices; returns slice `c`.
-fn chunk_slice(total: u64, c: u64) -> u64 {
-    total * (c + 1) / REGION_CHUNKS - total * c / REGION_CHUNKS
-}
-
-/// What a region run produced.
-struct RegionOutcome {
-    lines: Vec<LineOutcome>,
-    migration: Option<MigrationEvent>,
-    /// A device-ward reclaim performed *inside* the region's post-migration
-    /// host completion, when availability recovered mid-stream. Always
-    /// chronologically after `migration`.
-    reclaim: Option<MigrationEvent>,
-}
-
-/// A contiguous run of CSD lines prepared for chunk-pipelined execution.
-struct RegionRun {
-    start: usize,
-    end: usize,
-    targets: Vec<String>,
-    costs: Vec<LineCost>,
-    ops: Vec<u64>,
-    staged: Vec<u64>,
-    /// Per line: bytes of its output that escape the region (consumed by a
-    /// later line or as the program result) — the only live state a
-    /// streaming region carries at a chunk boundary.
-    escaping_out: Vec<u64>,
-    /// Region-external inputs currently resident in device memory.
-    external_input_bytes: u64,
-}
-
-impl RegionRun {
-    /// Stages inputs, invokes the CSD function through the queue pair, and
-    /// computes the region's values and measured costs.
-    #[allow(clippy::too_many_arguments)]
-    fn prepare(
-        program: &Program,
-        start: usize,
-        end: usize,
-        system: &mut System,
-        eval: &mut Evaluator<'_>,
-        var_loc: &mut BTreeMap<String, EngineKind>,
-        vars: &mut VarSpace,
-        opts: &ExecOptions,
-        copy_elim: &[bool],
-        recov: &mut Recovery,
-        shard: Option<&ShardSlice>,
-    ) -> Result<RegionRun> {
-        if opts.offload_overheads {
-            // The invocation command can be hit by injected NVMe errors (or
-            // observe the crash). Rolled — and hard-failed — *before* any
-            // region state is evaluated or relocated, so an aborted prepare
-            // needs no unwinding: the caller just re-places the lines.
-            recov
-                .run_bounded(system, |s| s.try_nvme_command())
-                .map_err(escalate)?;
-            let now = system.now();
-            system
-                .queue_mut()
-                .submit(now, CommandKind::InvokeFunction { entry_line: start })
-                .map_err(|e| ActivePyError::exec(format!("queue submit failed: {e}")))?;
-            system
-                .queue_mut()
-                .fetch()
-                .map_err(|e| ActivePyError::exec(format!("queue fetch failed: {e}")))?;
-            system.charge_invocation();
-        }
-        let mut targets = Vec::with_capacity(end - start + 1);
-        let mut costs = Vec::with_capacity(end - start + 1);
-        let mut ops = Vec::with_capacity(end - start + 1);
-        let mut staged = Vec::with_capacity(end - start + 1);
-        let mut external_input_bytes = 0u64;
-        for line in &program.lines()[start..=end] {
-            // External inputs cross to device memory before the stream
-            // starts; intra-region values are consumed chunk-by-chunk.
-            let external: u64 = line
-                .inputs()
-                .iter()
-                .filter(|v| {
-                    program.def_site(v).is_none_or(|d| d < start)
-                        && var_loc.get(*v) == Some(&EngineKind::Host)
-                })
-                .map(|v| match shard {
-                    Some(sh) => sh.scale_def(program.def_site(v), line.index, eval.var_bytes(v)),
-                    None => eval.var_bytes(v),
-                })
-                .sum();
-            let s = stage_inputs(
-                program,
-                line,
-                EngineKind::Cse,
-                system,
-                eval,
-                var_loc,
-                vars,
-                false,
-                recov,
-                shard,
-            )?;
-            external_input_bytes += external;
-            staged.push(s);
-            let elim = copy_elim.get(line.index).copied().unwrap_or(false);
-            let mut cost = eval.exec_line(line, elim)?;
-            if let Some(sh) = shard {
-                cost = shard_scaled_cost(sh, line.index, cost);
-            }
-            ops.push(cost.effective_ops(opts.tier, &opts.params));
-            costs.push(cost);
-            targets.push(line.target.clone());
-            var_loc.insert(line.target.clone(), EngineKind::Cse);
-        }
-        let escaping_out: Vec<u64> = (start..=end)
-            .map(|k| {
-                let line = &program.lines()[k];
-                let consumed_later = program.consumers_of(&line.target, end).next().is_some();
-                let is_result = k == program.len() - 1;
-                if consumed_later || is_result {
-                    costs[k - start].bytes_out
-                } else {
-                    0
-                }
-            })
-            .collect();
-        // Only escaping values materialize in device DRAM; the chunk
-        // pipeline consumes everything else in place.
-        for (k, bytes) in escaping_out.iter().enumerate() {
-            if *bytes > 0 {
-                vars.bind(system, &targets[k], EngineKind::Cse, *bytes)?;
-            }
-        }
-        Ok(RegionRun {
-            start,
-            end,
-            targets,
-            costs,
-            ops,
-            staged,
-            escaping_out,
-            external_input_bytes,
-        })
-    }
-
-    /// Streams the region through the simulator in [`REGION_CHUNKS`]
-    /// chunks, monitoring throughput after each and migrating the remaining
-    /// stream to the host when the re-estimate says so (§III-D).
-    #[allow(clippy::too_many_arguments)]
-    fn execute(
-        self,
-        system: &mut System,
-        var_loc: &mut BTreeMap<String, EngineKind>,
-        vars: &mut VarSpace,
-        placements: &mut [EngineKind],
-        opts: &ExecOptions,
-        estimates: Option<&[LineEstimate]>,
-        contention_applied: &mut bool,
-        csd_executed: usize,
-        csd_total: usize,
-        recov: &mut Recovery,
-    ) -> Result<RegionOutcome> {
-        let len = self.end - self.start + 1;
-        let region_t0 = system.now().as_secs();
-        let mut durations = vec![0.0f64; len];
-        let mut done_storage = vec![0u64; len];
-        let mut done_ops = vec![0u64; len];
-        // The expected instruction throughput is "the total amount of
-        // estimated instructions divided by estimated execution time on
-        // CSD" (§III-D) — an end-to-end progress rate that includes data
-        // stalls, so starvation of the data path registers as degraded IPC.
-        let expected_rate = estimates
-            .and_then(|est| {
-                let region: Vec<&LineEstimate> = est
-                    .iter()
-                    .filter(|e| e.line >= self.start && e.line <= self.end)
-                    .collect();
-                let ops: u64 = region.iter().map(|e| e.ops).sum();
-                let secs: f64 = region.iter().map(|e| e.ct_device).sum();
-                (secs > 0.0 && ops > 0).then(|| ops as f64 / secs)
-            })
-            .unwrap_or_else(|| {
-                system
-                    .engine(EngineKind::Cse)
-                    .nominal_rate()
-                    .as_ops_per_sec()
-            });
-        let mut monitor = opts.monitor.map(|cfg| {
-            Monitor::new(
-                cfg,
-                expected_rate,
-                *system.engine(EngineKind::Cse).counters(),
-            )
-        });
-        let mut migration: Option<MigrationEvent> = None;
-        let mut reclaim: Option<MigrationEvent> = None;
-        let mut break_submitted = false;
-
-        'chunks: for c in 0..REGION_CHUNKS {
-            // Progress-triggered contention can fire mid-region.
-            if !*contention_applied && csd_total > 0 {
-                let progress = (csd_executed as f64
-                    + (c as f64 / REGION_CHUNKS as f64) * len as f64)
-                    / csd_total as f64;
-                if opts.scenario.active_at_progress(progress) {
-                    let now = system.now();
-                    install_contention(system, opts, now);
-                    *contention_applied = true;
-                }
-            }
-            let chunk_t0 = system.now().as_secs();
-            let chunk_span = opts.tracer.begin_with(
-                "exec.chunk",
-                SpanKind::Device,
-                Some(chunk_t0),
-                vec![("chunk".into(), c.into())],
-            );
-            let mut chunk_ops = 0u64;
-            // A hard fault mid-chunk ends the device stream; the completed
-            // work stays counted so the host replays only the remainder.
-            let mut fault: Option<DeviceFault> = None;
-            'lines: for k in 0..len {
-                let t0 = system.now().as_secs();
-                let rb = chunk_slice(self.costs[k].storage_bytes, c);
-                if rb > 0 {
-                    match recov.run_bounded(system, |s| {
-                        s.try_storage_read(EngineKind::Cse, Bytes::new(rb))
-                    }) {
-                        Ok(_) => done_storage[k] += rb,
-                        Err(f) => {
-                            durations[k] += system.now().as_secs() - t0;
-                            fault = Some(f);
-                            break 'lines;
-                        }
-                    }
-                }
-                let co = chunk_slice(self.ops[k], c);
-                if co > 0 {
-                    match recov
-                        .run_bounded(system, |s| s.try_compute(EngineKind::Cse, Ops::new(co)))
-                    {
-                        Ok(_) => {
-                            done_ops[k] += co;
-                            chunk_ops += co;
-                        }
-                        Err(f) => {
-                            durations[k] += system.now().as_secs() - t0;
-                            fault = Some(f);
-                            break 'lines;
-                        }
-                    }
-                }
-                if opts.offload_overheads {
-                    system.charge_status_update();
-                }
-                durations[k] += system.now().as_secs() - t0;
-            }
-            let chunk_wall = system.now().as_secs() - chunk_t0;
-            opts.tracer.end(chunk_span, Some(system.now().as_secs()));
-            if opts.tracer.is_enabled() {
-                // Simulated chunk latency, in whole nanoseconds so the
-                // histogram stays integral and deterministic.
-                opts.tracer
-                    .observe("exec.chunk_sim_ns", (chunk_wall * 1e9) as u64);
-            }
-            // Chunk boundary (or mid-chunk hard fault): the status-update
-            // code first checks the command pages for a high-priority
-            // request (§III-D case 1), then the host-side monitor checks
-            // throughput (case 2); a hard device fault (case 3, this PR)
-            // bypasses both and breaks unconditionally.
-            let (reason, done_fraction) = if let Some(f) = fault {
-                if !opts.recovery.fallback_to_host {
-                    return Err(escalate(f));
-                }
-                recov.stats.fault_migrations += 1;
-                // The checkpoint is the last *completed* chunk boundary;
-                // the failed chunk's partial work is replayed on the host
-                // via the exact done_storage/done_ops remainders.
-                (
-                    Some(MigrationReason::DeviceFault),
-                    c as f64 / REGION_CHUNKS as f64,
-                )
-            } else {
-                let done_fraction = (c + 1) as f64 / REGION_CHUNKS as f64;
-                if done_fraction >= 1.0 {
-                    opts.journal.on_record(WalRecord::Chunk {
-                        lane: 0,
-                        region_start: self.start as u32,
-                        region_end: (self.end + 1) as u32,
-                        chunk: c as u32,
-                        snap: wal_snap(system, recov, monitor.as_ref()),
-                    })?;
-                    break;
-                }
-                if let Some(t) = opts.preempt_at {
-                    if !break_submitted && system.now().as_secs() >= t {
-                        let now = system.now();
-                        // Host posts the Break; losing the slot on a full ring
-                        // only delays preemption to the next boundary.
-                        let _ = system.queue_mut().submit(now, CommandKind::Break);
-                        break_submitted = true;
-                    }
-                }
-                let reason = if system.queue().has_pending_break() {
-                    while system.queue_mut().fetch().is_ok() {}
-                    Some(MigrationReason::Preempted)
-                } else if let (Some(mon), Some(est)) = (monitor.as_mut(), estimates) {
-                    let obs = mon.observe_window(chunk_ops as f64, chunk_wall);
-                    if opts.tracer.is_enabled() {
-                        let (label, ratio) = match obs {
-                            Observation::Warmup => ("warmup", None),
-                            Observation::Healthy => ("healthy", None),
-                            Observation::Degraded { ratio } => ("degraded", Some(ratio)),
-                        };
-                        let mut attrs: Attrs = vec![
-                            ("observation".into(), label.into()),
-                            ("ops".into(), chunk_ops.into()),
-                            ("window_secs".into(), chunk_wall.into()),
-                        ];
-                        if let Some(r) = ratio {
-                            attrs.push(("ratio".into(), r.into()));
-                        }
-                        opts.tracer.instant(
-                            "monitor.window",
-                            SpanKind::Monitor,
-                            Some(system.now().as_secs()),
-                            attrs,
-                        );
-                    }
-                    match obs {
-                        Observation::Degraded { .. } => {
-                            let later_csd: Vec<&LineEstimate> = est
-                                .iter()
-                                .filter(|e| {
-                                    e.line > self.end && placements[e.line] == EngineKind::Cse
-                                })
-                                .collect();
-                            let region_est: Vec<&LineEstimate> = est
-                                .iter()
-                                .filter(|e| e.line >= self.start && e.line <= self.end)
-                                .collect();
-                            let remaining_device = (1.0 - done_fraction)
-                                * region_est.iter().map(|e| e.ct_device).sum::<f64>()
-                                + later_csd.iter().map(|e| e.ct_device).sum::<f64>();
-                            let reestimated = mon.reestimate_remaining(remaining_device);
-                            let state_est = (self
-                                .escaping_out
-                                .iter()
-                                .map(|b| (*b as f64 * done_fraction) as u64)
-                                .sum::<u64>())
-                                + self.external_input_bytes;
-                            let bw = system.d2h_bandwidth().as_bytes_per_sec();
-                            let regen = CompiledProgram::compile_secs_for(len + later_csd.len());
-                            let remaining_host = (1.0 - done_fraction)
-                                * region_est.iter().map(|e| e.ct_host).sum::<f64>()
-                                + later_csd.iter().map(|e| e.ct_host).sum::<f64>();
-                            let migrate_cost = state_est as f64 / bw + regen + remaining_host;
-                            (reestimated > migrate_cost).then_some(MigrationReason::Degraded)
-                        }
-                        _ => None,
-                    }
-                } else {
-                    None
-                };
-                (reason, done_fraction)
-            };
-            let Some(reason) = reason else {
-                opts.journal.on_record(WalRecord::Chunk {
-                    lane: 0,
-                    region_start: self.start as u32,
-                    region_end: (self.end + 1) as u32,
-                    chunk: c as u32,
-                    snap: wal_snap(system, recov, monitor.as_ref()),
-                })?;
-                continue;
-            };
-            // Any migration consumes the monitor's accumulated evidence:
-            // after a preemption or device-fault fallback the task is no
-            // longer on the CSD either, so a stale decreasing-IPC streak
-            // must not instantly re-trigger (or poison a later reclaim
-            // decision) once work returns to the device.
-            if let Some(mon) = monitor.as_mut() {
-                mon.acknowledge_migration();
-            }
-            let state_bytes = (self
-                .escaping_out
-                .iter()
-                .map(|b| (*b as f64 * done_fraction) as u64)
-                .sum::<u64>())
-                + self.external_input_bytes;
-            let later_count = placements[self.end + 1..]
-                .iter()
-                .filter(|p| **p == EngineKind::Cse)
-                .count();
-            let regen_secs = CompiledProgram::compile_secs_for(len + later_count);
-            // Break at this chunk boundary: move the live state, regenerate
-            // host code, and resume the remaining stream on the host. The
-            // state drain is controller-side DMA, which survives a CSE
-            // crash — a must-complete transfer.
-            let decided_at = system.now().as_secs();
-            recov.run_to_completion(system, |s| {
-                s.try_transfer(Direction::DeviceToHost, Bytes::new(state_bytes))
-            });
-            system.advance(csd_sim::units::Duration::from_secs(regen_secs));
-            let decided_at_secs = decided_at;
-            for k in 0..len {
-                let t0 = system.now().as_secs();
-                let rem_b = self.costs[k].storage_bytes.saturating_sub(done_storage[k]);
-                let rem_o = self.ops[k].saturating_sub(done_ops[k]);
-                if opts.scenario.recover_at().is_some() && (rem_b > 0 || rem_o > 0) {
-                    // Availability can recover while the host works off
-                    // the remainder: under a phase-shifting scenario the
-                    // remainder is worked off in chunk slices and the
-                    // Degraded migration is reconsidered at every boundary
-                    // — the in-region mirror of [`try_reclaim`]. Slicing
-                    // partitions the exact remaining bytes/ops, so a trace
-                    // that never recovers would time out identically.
-                    for c in 0..REGION_CHUNKS {
-                        if reclaim.is_none() {
-                            if let Some(event) = self.try_reclaim_remaining(
-                                k,
-                                reason,
-                                system,
-                                opts,
-                                estimates,
-                                &done_ops,
-                                state_bytes,
-                                decided_at_secs,
-                            ) {
-                                // The live state returns to device memory
-                                // and the remaining stream resumes on
-                                // regenerated device code.
-                                recov.run_to_completion(system, |s| {
-                                    s.try_transfer(Direction::HostToDevice, Bytes::new(state_bytes))
-                                });
-                                system
-                                    .advance(csd_sim::units::Duration::from_secs(event.regen_secs));
-                                reclaim = Some(event);
-                            }
-                        }
-                        let engine = if reclaim.is_some() {
-                            EngineKind::Cse
-                        } else {
-                            EngineKind::Host
-                        };
-                        let sb = chunk_slice(rem_b, c);
-                        if sb > 0 {
-                            system.storage_read(engine, Bytes::new(sb));
-                            done_storage[k] += sb;
-                        }
-                        let so = chunk_slice(rem_o, c);
-                        if so > 0 {
-                            system.compute(engine, Ops::new(so));
-                            done_ops[k] += so;
-                        }
-                    }
-                } else {
-                    if rem_b > 0 {
-                        system.storage_read(EngineKind::Host, Bytes::new(rem_b));
-                    }
-                    if rem_o > 0 {
-                        system.compute(EngineKind::Host, Ops::new(rem_o));
-                    }
-                }
-                durations[k] += system.now().as_secs() - t0;
-                // The merged region outputs live wherever the stream
-                // finished.
-                let engine = if reclaim.is_some() {
-                    EngineKind::Cse
-                } else {
-                    EngineKind::Host
-                };
-                var_loc.insert(self.targets[k].clone(), engine);
-                vars.move_to(system, &self.targets[k], engine)?;
-            }
-            // A reclaimed stream leaves the rest of the plan in place; the
-            // device is healthy again.
-            if reclaim.is_none() {
-                for p in placements.iter_mut().skip(self.end + 1) {
-                    if *p == EngineKind::Cse {
-                        *p = EngineKind::Host;
-                    }
-                }
-            }
-            let after_line =
-                self.start + ((done_fraction * len as f64).floor() as usize).min(len - 1);
-            opts.tracer.instant(
-                "migration.decision",
-                SpanKind::Migration,
-                Some(decided_at),
-                vec![
-                    ("reason".into(), reason.as_str().into()),
-                    ("after_line".into(), after_line.into()),
-                    ("state_bytes".into(), state_bytes.into()),
-                    ("regen_secs".into(), regen_secs.into()),
-                ],
-            );
-            opts.tracer.counter_add("exec.migrations", 1);
-            migration = Some(MigrationEvent {
-                after_line,
-                state_bytes,
-                at_secs: decided_at,
-                regen_secs,
-                reason,
-            });
-            opts.journal.on_record(WalRecord::Migration {
-                lane: 0,
-                line: after_line as u32,
-                chunk: c as u32,
-                reason: reason_code(reason),
-                state_bytes,
-                snap: wal_snap(system, recov, monitor.as_ref()),
-            })?;
-            if let Some(event) = &reclaim {
-                opts.journal.on_record(WalRecord::Reclaim {
-                    lane: 0,
-                    line: event.after_line as u32,
-                    in_region: true,
-                    snap: wal_snap(system, recov, monitor.as_ref()),
-                })?;
-            }
-            break 'chunks;
-        }
-
-        // Synthesize sequential per-line intervals from the accumulated
-        // durations (chunks interleave lines; total time is exact, the
-        // per-line split is proportional).
-        let mut cursor = region_t0;
-        let lines = (0..len)
-            .map(|k| {
-                let start_secs = cursor;
-                cursor += durations[k];
-                LineOutcome {
-                    line: self.start + k,
-                    engine: EngineKind::Cse,
-                    start_secs,
-                    end_secs: cursor,
-                    cost: self.costs[k],
-                    staged_bytes: self.staged[k],
-                }
-            })
-            .collect();
-        Ok(RegionOutcome {
-            lines,
-            migration,
-            reclaim,
-        })
-    }
-
-    /// In-region mirror of [`try_reclaim`]: after a mid-region
-    /// [`MigrationReason::Degraded`] break moved the stream host-ward,
-    /// decides at host line boundary `k` whether the remaining (unfinished)
-    /// slice of the region should return to the CSD.
-    ///
-    /// Hysteresis and profit mirror the line-boundary rule: the migration
-    /// must be at least `decreasing_streak` monitor windows old, the CSE's
-    /// effective availability must have been healthy at window-spaced
-    /// probes, and finishing on the device — including moving the live
-    /// state back and regenerating device code — must beat finishing on
-    /// the host under the blended estimates, scaled by each line's undone
-    /// fraction. Every input is simulated-clock state: the decision is
-    /// backend-invariant and cannot affect computed values.
-    #[allow(clippy::too_many_arguments)]
-    fn try_reclaim_remaining(
-        &self,
-        k: usize,
-        reason: MigrationReason,
-        system: &System,
-        opts: &ExecOptions,
-        estimates: Option<&[LineEstimate]>,
-        done_ops: &[u64],
-        state_bytes: u64,
-        migrated_at: f64,
-    ) -> Option<MigrationEvent> {
-        // Preempted tasks must stay off the device and fault fallbacks
-        // carry no evidence the device works; only degradations reverse.
-        if reason != MigrationReason::Degraded {
-            return None;
-        }
-        let cfg = opts.monitor?;
-        let est = estimates?;
-        let len = self.end - self.start + 1;
-        let undone = |j: usize| -> f64 {
-            if self.ops[j] == 0 {
-                0.0
-            } else {
-                1.0 - done_ops[j] as f64 / self.ops[j] as f64
-            }
-        };
-        let mut device_secs = 0.0;
-        let mut host_secs = 0.0;
-        for j in k..len {
-            let line = self.start + j;
-            if let Some(e) = est.iter().find(|e| e.line == line) {
-                device_secs += e.ct_device * undone(j);
-                host_secs += e.ct_host * undone(j);
-            }
-        }
-        let window = device_secs / REGION_CHUNKS as f64;
-        if window <= 0.0 {
-            return None;
-        }
-        let now = system.now();
-        if now.as_secs() - f64::from(cfg.decreasing_streak) * window <= migrated_at {
-            return None;
-        }
-        let cse = system.engine(EngineKind::Cse);
-        for j in 0..cfg.decreasing_streak {
-            let probe = csd_sim::units::SimTime::from_secs(now.as_secs() - f64::from(j) * window);
-            if cse.effective_fraction_at(probe) < cfg.degradation_threshold {
-                return None;
-            }
-        }
-        let fraction = cse.effective_fraction_at(now);
-        let bw = system.d2h_bandwidth().as_bytes_per_sec();
-        let regen_secs = CompiledProgram::compile_secs_for(len - k);
-        if device_secs / fraction + state_bytes as f64 / bw + regen_secs >= host_secs {
-            return None;
-        }
-        let decided_at = now.as_secs();
-        let after_line = (self.start + k).saturating_sub(1);
-        opts.tracer.instant(
-            "migration.decision",
-            SpanKind::Migration,
-            Some(decided_at),
-            vec![
-                ("reason".into(), MigrationReason::Reclaim.as_str().into()),
-                ("after_line".into(), after_line.into()),
-                ("state_bytes".into(), state_bytes.into()),
-                ("regen_secs".into(), regen_secs.into()),
-            ],
-        );
-        opts.tracer.counter_add("exec.migrations", 1);
-        Some(MigrationEvent {
-            after_line,
-            state_bytes,
-            at_secs: decided_at,
-            regen_secs,
-            reason: MigrationReason::Reclaim,
-        })
-    }
-}
-
-/// Decides whether the remaining originally-offloaded, host-resident lines
-/// should migrate *back* to the CSD at the line boundary `i`, and performs
-/// the flip when profitable.
-///
-/// The decision is hysteresis-guarded against ping-ponging: it only
-/// considers lines a *degradation* pushed host-ward (the last migration
-/// must be [`MigrationReason::Degraded`]; a reclaim arms only after a
-/// fresh degradation), requires the degradation to be at least
-/// `decreasing_streak` monitor windows old, and probes the CSE's effective
-/// availability at `decreasing_streak` window-spaced instants — the mirror
-/// image of the evidence the monitor needed to leave. Every quantity read
-/// is simulated-clock state, so the decision is identical across
-/// evaluation backends; like all placement decisions it cannot affect
-/// computed values, only charged costs.
-#[allow(clippy::too_many_arguments)]
-fn try_reclaim(
-    program: &Program,
-    i: usize,
-    original: &[EngineKind],
-    placements: &mut [EngineKind],
-    system: &mut System,
-    opts: &ExecOptions,
-    estimates: Option<&[LineEstimate]>,
-    last: Option<&MigrationEvent>,
-) -> Option<MigrationEvent> {
-    let cfg = opts.monitor?;
-    let est = estimates?;
-    let last = last?;
-    // Preempted tasks must stay off the device and fault fallbacks carry
-    // no evidence the device works; only degradations are reversible.
-    if last.reason != MigrationReason::Degraded {
-        return None;
-    }
-    if original[i] != EngineKind::Cse || placements[i] != EngineKind::Host {
-        return None;
-    }
-    let is_candidate =
-        |line: usize| original[line] == EngineKind::Cse && placements[line] == EngineKind::Host;
-    let device_secs: f64 = est
-        .iter()
-        .filter(|e| e.line >= i && is_candidate(e.line))
-        .map(|e| e.ct_device)
-        .sum();
-    let host_secs: f64 = est
-        .iter()
-        .filter(|e| e.line >= i && is_candidate(e.line))
-        .map(|e| e.ct_host)
-        .sum();
-    // One monitor window of the reclaimed stream: the candidates would be
-    // chunk-pipelined in REGION_CHUNKS status-update windows.
-    let window = device_secs / REGION_CHUNKS as f64;
-    if window <= 0.0 {
-        return None;
-    }
-    let now = system.now();
-    if now.as_secs() - f64::from(cfg.decreasing_streak) * window <= last.at_secs {
-        return None;
-    }
-    let cse = system.engine(EngineKind::Cse);
-    for j in 0..cfg.decreasing_streak {
-        let probe = csd_sim::units::SimTime::from_secs(now.as_secs() - f64::from(j) * window);
-        if cse.effective_fraction_at(probe) < cfg.degradation_threshold {
-            return None;
-        }
-    }
-    // Speculative profit check at the currently observed availability:
-    // finishing on the device (plus re-staging line `i`'s inputs and
-    // regenerating device code) must beat finishing on the host.
-    let fraction = cse.effective_fraction_at(now);
-    let bw = system.d2h_bandwidth().as_bytes_per_sec();
-    let staging_bytes: u64 = est.iter().filter(|e| e.line == i).map(|e| e.d_in).sum();
-    let candidates: Vec<usize> = (i..program.len()).filter(|&k| is_candidate(k)).collect();
-    let regen_secs = CompiledProgram::compile_secs_for(candidates.len());
-    if device_secs / fraction + staging_bytes as f64 / bw + regen_secs >= host_secs {
-        return None;
-    }
-    for &k in &candidates {
-        placements[k] = EngineKind::Cse;
-    }
-    let decided_at = now.as_secs();
-    // Only code regeneration is charged here: input staging is charged by
-    // the region's normal prepare path once the reclaimed region runs.
-    system.advance(csd_sim::units::Duration::from_secs(regen_secs));
-    opts.tracer.instant(
-        "migration.decision",
-        SpanKind::Migration,
-        Some(decided_at),
-        vec![
-            ("reason".into(), MigrationReason::Reclaim.as_str().into()),
-            ("after_line".into(), i.saturating_sub(1).into()),
-            ("state_bytes".into(), 0u64.into()),
-            ("regen_secs".into(), regen_secs.into()),
-        ],
-    );
-    opts.tracer.counter_add("exec.migrations", 1);
-    Some(MigrationEvent {
-        after_line: i.saturating_sub(1),
-        state_bytes: 0,
-        at_secs: decided_at,
-        regen_secs,
-        reason: MigrationReason::Reclaim,
-    })
-}
-
 /// Installs the scenario's degradation on the CSE (and, for competing ISP
 /// tenants, the internal flash data path) from time `at` onward. A
 /// scenario with a recovery time later than `at` also installs the
 /// recovery edge, so phase-shifting traces (drop, then recover) degrade
 /// and restore every affected resource consistently.
-fn install_contention(system: &mut System, opts: &ExecOptions, at: csd_sim::units::SimTime) {
+fn install_contention(system: &mut System, opts: &ExecOptions, at: SimTime) {
     system
         .engine_mut(EngineKind::Cse)
         .degrade_from(at, opts.scenario.fraction());
@@ -1906,8 +1785,7 @@ fn install_contention(system: &mut System, opts: &ExecOptions, at: csd_sim::unit
     }
 }
 
-/// Convenience: runs the whole program on the host (the no-CSD baseline)
-/// using the default (VM) backend.
+/// Convenience: runs the whole program on the host (the no-CSD baseline).
 ///
 /// # Errors
 ///
@@ -1920,47 +1798,13 @@ pub fn execute_all_host(
     params: &CostParams,
     copy_elim: &[bool],
 ) -> Result<RunReport> {
-    execute_all_host_with(
-        program,
-        storage,
-        system,
-        tier,
-        params,
-        copy_elim,
-        ExecBackend::default(),
-    )
-}
-
-/// As [`execute_all_host`], on an explicit evaluation backend.
-///
-/// # Errors
-///
-/// Propagates execution failures.
-#[allow(clippy::too_many_arguments)]
-pub fn execute_all_host_with(
-    program: &Program,
-    storage: &Storage,
-    system: &mut System,
-    tier: ExecTier,
-    params: &CostParams,
-    copy_elim: &[bool],
-    backend: ExecBackend,
-) -> Result<RunReport> {
     let placements = vec![EngineKind::Host; program.len()];
     let opts = ExecOptions {
         tier,
         params: *params,
-        scenario: ContentionScenario::none(),
         monitor: None,
         offload_overheads: false,
-        preempt_at: None,
-        backend,
-        recovery: RecoveryPolicy::default(),
-        faults: FaultPlan::none(),
-        tracer: Tracer::disabled(),
-        parallel: ParallelPolicy::default(),
-        profile: crate::profile::ProfileRecorder::disabled(),
-        journal: ExecJournal::disabled(),
+        ..ExecOptions::activepy()
     };
     execute(
         program,
@@ -2321,76 +2165,10 @@ mod tests {
         assert!(rep.migration.is_none());
     }
 
-    /// Runs the same configuration on both backends and asserts
-    /// byte-identical reports (`RunReport` derives `PartialEq`, and the
-    /// simulator is deterministic, so any engine divergence shows up).
-    fn assert_backend_parity(opts: &ExecOptions, csd: &[usize], copy_elim: &[bool]) {
-        let program = parse(SRC).expect("parse");
-        let st = storage();
-        let pl = placements(csd, 4);
-        let estimates: Vec<LineEstimate> = (0..4)
-            .map(|line| LineEstimate {
-                line,
-                ct_host: 0.5,
-                ct_device: 0.3,
-                d_in: 1_000_000,
-                d_out: 1_000_000,
-                ops: 1_000_000_000,
-            })
-            .collect();
-        let mut vm_sys = SystemConfig::paper_default().build();
-        let vm = execute(
-            &program,
-            &st,
-            &pl,
-            &mut vm_sys,
-            &opts.clone().with_backend(ExecBackend::Vm),
-            Some(&estimates),
-            copy_elim,
-        )
-        .expect("vm run");
-        let mut ast_sys = SystemConfig::paper_default().build();
-        let ast = execute(
-            &program,
-            &st,
-            &pl,
-            &mut ast_sys,
-            &opts.clone().with_backend(ExecBackend::AstWalk),
-            Some(&estimates),
-            copy_elim,
-        )
-        .expect("ast run");
-        assert_eq!(vm, ast);
-    }
-
     #[test]
-    fn backends_agree_on_host_only_runs() {
-        assert_backend_parity(&ExecOptions::native_static(), &[], &[]);
-    }
-
-    #[test]
-    fn backends_agree_on_full_offload_with_copy_elim() {
-        assert_backend_parity(
-            &ExecOptions::activepy(),
-            &[0, 1, 2, 3],
-            &[false, true, true, true],
-        );
-    }
-
-    #[test]
-    fn backends_agree_on_split_placements_under_contention() {
-        assert_backend_parity(
-            &ExecOptions::activepy().with_scenario(ContentionScenario::after_progress(0.5, 0.01)),
-            &[0, 2],
-            &[],
-        );
-    }
-
-    #[test]
-    fn fingerprint_follows_names_and_bits_not_placement_or_backend() {
-        let run = |src: &str, st: &Storage, csd: &[usize], backend| {
-            let mut opts = ExecOptions::activepy();
-            opts.backend = backend;
+    fn fingerprint_follows_names_and_bits_not_placement() {
+        let run = |src: &str, st: &Storage, csd: &[usize]| {
+            let opts = ExecOptions::activepy();
             let mut sys = SystemConfig::paper_default().build();
             let pl = placements(csd, 4);
             execute(
@@ -2406,18 +2184,18 @@ mod tests {
             .values_fingerprint
         };
         let st = storage();
-        let reference = run(SRC, &st, &[], ExecBackend::Vm);
-        assert_eq!(reference, run(SRC, &st, &[0, 1, 2], ExecBackend::AstWalk));
+        let reference = run(SRC, &st, &[]);
+        assert_eq!(reference, run(SRC, &st, &[0, 1, 2]));
         // Renaming an intermediate leaves every value alone and still counts.
         let renamed = SRC.replace("b =", "c =").replace("sum(b)", "sum(c)");
-        assert_ne!(reference, run(&renamed, &st, &[], ExecBackend::Vm));
+        assert_ne!(reference, run(&renamed, &st, &[]));
         // -0.0 < 50 like the 0.0 it replaces, so `m` and `s` stay equal:
         // only the bit pattern of one element of `a` and `b` differs.
         let mut data: Vec<f64> = (0..4096).map(|i| (i % 100) as f64).collect();
         data[0] = -0.0;
         let mut signed = Storage::new();
         signed.insert("v", Value::Array(ArrayVal::with_logical(data, 500_000_000)));
-        assert_ne!(reference, run(SRC, &signed, &[], ExecBackend::Vm));
+        assert_ne!(reference, run(SRC, &signed, &[]));
     }
 
     #[test]
@@ -2535,11 +2313,22 @@ mod tests {
             .with_crash_at(csd_sim::units::SimTime::from_secs(t_half));
         let (clean, faulted) = run_with_faults(&opts, faults);
         let mig = faulted.migration.expect("crash must force a migration");
-        assert_eq!(mig.reason, MigrationCause::DeviceFault);
+        assert_eq!(mig.reason, MigrationReason::DeviceFault);
         assert!(faulted.metrics.recovery.hard_faults >= 1);
         assert!(faulted.metrics.recovery.fault_migrations >= 1);
         assert_eq!(faulted.values_fingerprint, clean.values_fingerprint);
         assert!(faulted.total_secs > clean.total_secs);
+    }
+
+    /// The CSE is dead from time zero and the run may not fall back.
+    fn crash_without_fallback() -> ExecOptions {
+        ExecOptions::activepy()
+            .with_recovery(RecoveryPolicy::default().without_fallback())
+            .with_faults(
+                FaultPlan::none()
+                    .with_seed(3)
+                    .with_crash_at(csd_sim::units::SimTime::ZERO),
+            )
     }
 
     #[test]
@@ -2547,16 +2336,48 @@ mod tests {
         let program = parse(SRC).expect("parse");
         let st = storage();
         let pl = placements(&[0, 1, 2, 3], 4);
-        let opts = ExecOptions::activepy()
-            .with_recovery(RecoveryPolicy::default().without_fallback())
-            .with_faults(
-                FaultPlan::none()
-                    .with_seed(3)
-                    .with_crash_at(csd_sim::units::SimTime::ZERO),
-            );
+        let opts = crash_without_fallback();
         let mut sys = SystemConfig::paper_default().build();
         let e = execute(&program, &st, &pl, &mut sys, &opts, None, &[]).unwrap_err();
         assert!(matches!(e, ActivePyError::DeviceFault { .. }), "got {e}");
+    }
+
+    #[test]
+    fn an_error_closes_its_spans_and_leaves_the_tracer_clean() {
+        let program = parse(SRC).expect("parse");
+        let st = storage();
+        let pl = placements(&[0, 1, 2, 3], 4);
+        let (tracer, sink) = Tracer::to_memory();
+        let crashing = crash_without_fallback().with_tracer(tracer.clone());
+        let mut sys = SystemConfig::paper_default().build();
+        let e = execute(&program, &st, &pl, &mut sys, &crashing, None, &[]).unwrap_err();
+        assert!(matches!(e, ActivePyError::DeviceFault { .. }), "got {e}");
+        let spans = |name: &str| -> Vec<isp_obs::Span> {
+            sink.events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    isp_obs::TraceEvent::Span(s) if s.name == name => Some(s),
+                    _ => None,
+                })
+                .collect()
+        };
+        // Both spans the error crossed reached the sink, innermost first,
+        // marked as failed.
+        let failed = ("error".to_string(), isp_obs::AttrValue::Bool(true));
+        let phase = spans("phase.execute").pop().expect("phase.execute closed");
+        let region = spans("exec.region").pop().expect("exec.region closed");
+        assert!(phase.attrs.contains(&failed), "{:?}", phase.attrs);
+        assert!(region.attrs.contains(&failed), "{:?}", region.attrs);
+        assert_eq!(region.parent, phase.id);
+        assert!(region.seq < phase.seq);
+        // The next run recorded through the same tracer starts at the root
+        // instead of under a span id that never reached the journal.
+        let healthy = ExecOptions::activepy().with_tracer(tracer);
+        let mut sys = SystemConfig::paper_default().build();
+        execute(&program, &st, &pl, &mut sys, &healthy, None, &[]).expect("healthy run");
+        let next = spans("phase.execute").pop().expect("second phase.execute");
+        assert_ne!(next.id, phase.id);
+        assert_eq!(next.parent, 0, "stale parent stack: {next:?}");
     }
 
     #[test]
@@ -2596,52 +2417,29 @@ mod tests {
             &[],
         )
         .expect("serial");
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let policy = ParallelPolicy::new(8, 64).expect("valid policy");
-            let mut par_sys = SystemConfig::paper_default().build();
-            let par = execute(
-                &program,
-                &st,
-                &pl,
-                &mut par_sys,
-                &ExecOptions::activepy()
-                    .with_backend(backend)
-                    .with_parallelism(policy),
-                None,
-                &[],
-            )
-            .expect("parallel");
-            assert_eq!(par.lines, serial.lines, "{backend:?}");
-            assert_eq!(par.values_fingerprint, serial.values_fingerprint);
-            assert_eq!(par.total_secs, serial.total_secs);
-            assert_eq!(par.parallel, policy, "the report records its policy");
-            assert!(
-                par.metrics.par.par_calls > 0,
-                "a 64-element threshold engages chunking: {:?}",
-                par.metrics.par
-            );
-        }
+        let policy = ParallelPolicy::new(8, 64).expect("valid policy");
+        let mut par_sys = SystemConfig::paper_default().build();
+        let par = execute(
+            &program,
+            &st,
+            &pl,
+            &mut par_sys,
+            &ExecOptions::activepy().with_parallelism(policy),
+            None,
+            &[],
+        )
+        .expect("parallel");
+        assert_eq!(par.lines, serial.lines);
+        assert_eq!(par.values_fingerprint, serial.values_fingerprint);
+        assert_eq!(par.total_secs, serial.total_secs);
+        assert_eq!(par.parallel, policy, "the report records its policy");
+        assert!(
+            par.metrics.par.par_calls > 0,
+            "a 64-element threshold engages chunking: {:?}",
+            par.metrics.par
+        );
         assert_eq!(serial.parallel, ParallelPolicy::default());
         assert_eq!(serial.metrics.par.par_calls, 0);
-    }
-
-    #[test]
-    fn backends_agree_under_injected_faults() {
-        let faults = FaultPlan::none()
-            .with_seed(29)
-            .with_flash_read_error_prob(0.1)
-            .with_nvme_error_prob(0.1)
-            .with_dma_error_prob(0.1)
-            .with_gc_burst(
-                csd_sim::units::SimTime::from_secs(0.05),
-                csd_sim::units::Duration::from_secs(0.1),
-                0.05,
-            );
-        assert_backend_parity(
-            &ExecOptions::activepy().with_faults(faults),
-            &[0, 1, 2, 3],
-            &[],
-        );
     }
 
     #[test]
@@ -2711,7 +2509,7 @@ mod tests {
     /// [0,1], host line 2, CSD line 3. Contention drops mid-region-0 and
     /// recovers shortly after, so the degradation migrates line 3 host-ward
     /// and the recovery hands it back.
-    fn run_phase_shift(backend: ExecBackend) -> RunReport {
+    fn run_phase_shift() -> RunReport {
         let program = parse(SRC).expect("parse");
         let st = storage();
         let place = placements(&[0, 1, 3], 4);
@@ -2725,7 +2523,7 @@ mod tests {
             &st,
             &place,
             &mut ref_sys,
-            &ExecOptions::activepy().with_backend(backend),
+            &ExecOptions::activepy(),
             None,
             &[],
         )
@@ -2762,9 +2560,7 @@ mod tests {
         let scenario =
             ContentionScenario::at_time(csd_sim::units::SimTime::from_secs(drop_at), 0.05)
                 .with_recovery_at(csd_sim::units::SimTime::from_secs(drop_at + 0.5));
-        let opts = ExecOptions::activepy()
-            .with_backend(backend)
-            .with_scenario(scenario);
+        let opts = ExecOptions::activepy().with_scenario(scenario);
         let mut sys = SystemConfig::paper_default().build();
         execute(
             &program,
@@ -2780,7 +2576,7 @@ mod tests {
 
     #[test]
     fn reclaim_returns_work_to_the_csd_after_recovery() {
-        let rep = run_phase_shift(ExecBackend::default());
+        let rep = run_phase_shift();
         let reasons: Vec<MigrationReason> = rep.migrations.iter().map(|m| m.reason).collect();
         assert!(
             reasons.contains(&MigrationReason::Degraded),
@@ -2809,16 +2605,10 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_schedule_is_value_and_backend_invariant() {
+    fn reclaim_schedule_is_value_invariant() {
         // Placement flips — in either direction — may never change computed
-        // values, and the reclaim decision reads only simulated-clock
-        // state, so both backends take the identical migration schedule.
-        let vm = run_phase_shift(ExecBackend::Vm);
-        let interp = run_phase_shift(ExecBackend::AstWalk);
-        assert_eq!(vm.migrations, interp.migrations);
-        assert_eq!(vm.values_fingerprint, interp.values_fingerprint);
-        assert!((vm.total_secs - interp.total_secs).abs() < 1e-12);
-        // And the fingerprint matches an undisturbed static run.
+        // values: the fingerprint matches an undisturbed static run.
+        let reclaimed = run_phase_shift();
         let program = parse(SRC).expect("parse");
         let st = storage();
         let mut sys = SystemConfig::paper_default().build();
@@ -2832,7 +2622,7 @@ mod tests {
             &[],
         )
         .expect("static");
-        assert_eq!(vm.values_fingerprint, static_run.values_fingerprint);
+        assert_eq!(reclaimed.values_fingerprint, static_run.values_fingerprint);
     }
 
     /// Phase-shifting harness for the *in-region* reclaim path: every line
@@ -2840,7 +2630,9 @@ mod tests {
     /// the Degraded break is handled inside the region executor. Estimates
     /// make the remainder strongly device-favorable, so once availability
     /// recovers mid-completion the host-side remainder migrates back.
-    fn run_in_region_phase_shift(backend: ExecBackend) -> RunReport {
+    /// `observed` carries the observer handles (tracer, journal) of the
+    /// phase-shifted run; the calibrating reference run goes unobserved.
+    fn run_in_region_phase_shift(observed: ExecOptions) -> RunReport {
         let program = parse(SRC).expect("parse");
         let st = storage();
         let place = placements(&[0, 1, 2, 3], 4);
@@ -2850,7 +2642,7 @@ mod tests {
             &st,
             &place,
             &mut ref_sys,
-            &ExecOptions::activepy().with_backend(backend),
+            &ExecOptions::activepy(),
             None,
             &[],
         )
@@ -2881,9 +2673,7 @@ mod tests {
         let scenario =
             ContentionScenario::at_time(csd_sim::units::SimTime::from_secs(drop_at), 0.05)
                 .with_recovery_at(csd_sim::units::SimTime::from_secs(drop_at + 1.4));
-        let opts = ExecOptions::activepy()
-            .with_backend(backend)
-            .with_scenario(scenario);
+        let opts = observed.with_scenario(scenario);
         let mut sys = SystemConfig::paper_default().build();
         execute(
             &program,
@@ -2899,7 +2689,17 @@ mod tests {
 
     #[test]
     fn in_region_reclaim_resumes_the_merged_region_on_the_csd() {
-        let rep = run_in_region_phase_shift(ExecBackend::default());
+        let (tracer, sink) = Tracer::to_memory();
+        let wal = std::env::temp_dir().join(format!(
+            "activepy_in_region_reclaim_{}.wal",
+            std::process::id()
+        ));
+        let journal = crate::resume::ExecJournal::record_to(&wal).expect("create journal");
+        let rep = run_in_region_phase_shift(
+            ExecOptions::activepy()
+                .with_tracer(tracer)
+                .with_journal(journal),
+        );
         let reasons: Vec<MigrationReason> = rep.migrations.iter().map(|m| m.reason).collect();
         assert_eq!(
             reasons,
@@ -2920,15 +2720,39 @@ mod tests {
             reclaim.regen_secs > 0.0,
             "device code regeneration is charged"
         );
+        // Every observer sees the two decisions in decision order: the
+        // trace journal and the WAL agree with `report.migrations`.
+        let traced: Vec<String> = sink
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                isp_obs::TraceEvent::Instant(i) if i.name == "migration.decision" => i
+                    .attrs
+                    .iter()
+                    .find(|(k, _)| k == "reason")
+                    .map(|(_, v)| format!("{v:?}")),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            traced,
+            [r#"Str("degraded")"#, r#"Str("reclaim")"#],
+            "trace journal order"
+        );
+        let journaled: Vec<&str> = isp_obs::wal::read_wal(&wal)
+            .expect("read journal")
+            .records
+            .iter()
+            .map(WalRecord::kind)
+            .filter(|k| matches!(*k, "migration" | "reclaim"))
+            .collect();
+        assert_eq!(journaled, ["migration", "reclaim"], "WAL order");
+        std::fs::remove_file(&wal).ok();
     }
 
     #[test]
-    fn in_region_reclaim_is_value_and_backend_invariant() {
-        let vm = run_in_region_phase_shift(ExecBackend::Vm);
-        let interp = run_in_region_phase_shift(ExecBackend::AstWalk);
-        assert_eq!(vm.migrations, interp.migrations);
-        assert_eq!(vm.values_fingerprint, interp.values_fingerprint);
-        assert!((vm.total_secs - interp.total_secs).abs() < 1e-12);
+    fn in_region_reclaim_is_value_invariant() {
+        let reclaimed = run_in_region_phase_shift(ExecOptions::activepy());
         // The round trip never touches computed values.
         let program = parse(SRC).expect("parse");
         let st = storage();
@@ -2943,6 +2767,6 @@ mod tests {
             &[],
         )
         .expect("static");
-        assert_eq!(vm.values_fingerprint, static_run.values_fingerprint);
+        assert_eq!(reclaimed.values_fingerprint, static_run.values_fingerprint);
     }
 }

@@ -79,7 +79,7 @@ pub use audit::{
 };
 pub use error::ActivePyError;
 pub use estimate::{Calibration, LineEstimate};
-pub use exec::{ExecOptions, MigrationCause, MigrationReason, RunReport};
+pub use exec::{ExecOptions, MigrationReason, RunReport};
 pub use metrics::{AuditStats, MetricsSnapshot};
 pub use monitor::MonitorConfig;
 pub use plan::{OffloadPlan, PlanCache, PlanCacheStats, PlanTimings};

@@ -457,9 +457,11 @@ impl PlanCache {
     /// deterministic, which is all a cache key needs.
     fn fingerprint(runtime: &ActivePy, config: &SystemConfig, wire: u64) -> u64 {
         let opts = runtime.options();
+        // `Vm` is the evaluator's name from when it was a keyed option;
+        // it stays in the text so persisted warm files keep their keys.
         let text = format!(
-            "{config:?}|{:?}|{:?}|{:?}|wire:{wire:#x}",
-            opts.scales, opts.params, opts.backend
+            "{config:?}|{:?}|{:?}|Vm|wire:{wire:#x}",
+            opts.scales, opts.params
         );
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in text.as_bytes() {

@@ -30,7 +30,6 @@
 use crate::error::ActivePyError;
 use crate::exec::MigrationReason;
 use crate::plan::OffloadPlan;
-use alang::ExecBackend;
 use isp_obs::wal::{fnv1a, read_wal, WalRecord, WalWriter};
 use std::collections::{HashMap, VecDeque};
 use std::io;
@@ -233,15 +232,6 @@ pub fn reason_code(reason: MigrationReason) -> u8 {
     }
 }
 
-/// Stable discriminant for an [`ExecBackend`] in WAL records.
-#[must_use]
-pub fn backend_code(backend: ExecBackend) -> u8 {
-    match backend {
-        ExecBackend::Vm => 0,
-        ExecBackend::AstWalk => 1,
-    }
-}
-
 /// Fingerprint of an [`OffloadPlan`]'s deterministic planning outcome:
 /// FNV-1a over the debug rendering of the fitted predictions,
 /// calibration, copy-elimination flags, estimates, and Algorithm-1
@@ -364,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn reason_and_backend_codes_are_stable() {
+    fn reason_codes_are_stable() {
         for (reason, code) in [
             (MigrationReason::Degraded, 0),
             (MigrationReason::Preempted, 1),
@@ -373,7 +363,5 @@ mod tests {
         ] {
             assert_eq!(reason_code(reason), code);
         }
-        assert_eq!(backend_code(ExecBackend::Vm), 0);
-        assert_eq!(backend_code(ExecBackend::AstWalk), 1);
     }
 }

@@ -23,7 +23,7 @@ use crate::resume::{plan_fingerprint, ExecJournal};
 use crate::sampling::{paper_scales, run_sampling_traced, InputSource, SamplingReport};
 use alang::compile::CompiledProgram;
 use alang::copyelim::eliminable_lines;
-use alang::{CostParams, ExecBackend, ExecTier, ParallelPolicy, Program, Storage};
+use alang::{CostParams, ExecTier, ParallelPolicy, Program, Storage};
 use csd_sim::contention::ContentionScenario;
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::Duration;
@@ -46,11 +46,6 @@ pub struct ActivePyOptions {
     /// signals through the command pages and the ISP task vacates at the
     /// next status update.
     pub preempt_at: Option<f64>,
-    /// The per-line evaluation engine used for sampling runs and plan
-    /// execution: the lowered register-bytecode VM (default) or the
-    /// tree-walking reference interpreter. The two produce byte-identical
-    /// outcomes.
-    pub backend: ExecBackend,
     /// How plan execution responds to injected device faults (retry
     /// budget, sim-time backoff, host fallback).
     pub recovery: RecoveryPolicy,
@@ -91,7 +86,6 @@ impl Default for ActivePyOptions {
             monitor: Some(MonitorConfig::default()),
             charge_pipeline_overheads: true,
             preempt_at: None,
-            backend: ExecBackend::default(),
             recovery: RecoveryPolicy::default(),
             faults: FaultPlan::none(),
             parallel: ParallelPolicy::default(),
@@ -114,13 +108,6 @@ impl ActivePyOptions {
     #[must_use]
     pub fn with_preemption_at(mut self, at_secs: f64) -> Self {
         self.preempt_at = Some(at_secs);
-        self
-    }
-
-    /// Selects the per-line evaluation backend.
-    #[must_use]
-    pub fn with_backend(mut self, backend: ExecBackend) -> Self {
-        self.backend = backend;
         self
     }
 
@@ -164,6 +151,26 @@ impl ActivePyOptions {
     pub fn with_journal(mut self, journal: ExecJournal) -> Self {
         self.journal = journal;
         self
+    }
+
+    /// The execution options a plan runs under: ActivePy's generated
+    /// copy-eliminated code with offload overheads charged, this runtime's
+    /// policies and observer handles, and `scenario` contention.
+    #[must_use]
+    pub fn exec_options(&self, scenario: ContentionScenario) -> ExecOptions {
+        ExecOptions {
+            params: self.params,
+            scenario,
+            monitor: self.monitor,
+            preempt_at: self.preempt_at,
+            recovery: self.recovery,
+            faults: self.faults.clone(),
+            parallel: self.parallel,
+            tracer: self.tracer.clone(),
+            profile: self.profile.clone(),
+            journal: self.journal.clone(),
+            ..ExecOptions::activepy()
+        }
     }
 }
 
@@ -265,13 +272,7 @@ impl ActivePy {
             None,
             vec![("scales".into(), self.options.scales.len().into())],
         );
-        let sampling = run_sampling_traced(
-            program,
-            input,
-            &self.options.scales,
-            self.options.backend,
-            tracer,
-        )?;
+        let sampling = run_sampling_traced(program, input, &self.options.scales, tracer)?;
         let sampling_secs = self.sampling_secs(&sampling, config);
         tracer.end_with(
             span,
@@ -511,21 +512,7 @@ impl ActivePy {
                 ],
             );
         }
-        let opts = ExecOptions {
-            tier: ExecTier::CompiledCopyElim,
-            params: self.options.params,
-            scenario,
-            monitor: self.options.monitor,
-            offload_overheads: true,
-            preempt_at: self.options.preempt_at,
-            backend: self.options.backend,
-            recovery: self.options.recovery,
-            faults: self.options.faults.clone(),
-            parallel: self.options.parallel,
-            tracer: self.options.tracer.clone(),
-            profile: self.options.profile.clone(),
-            journal: self.options.journal.clone(),
-        };
+        let opts = self.options.exec_options(scenario);
         // Journal the plan identity before executing: a resume against a
         // different plan (changed program, drifted fit) is detected at
         // the very first record rather than at some divergent boundary.
@@ -690,28 +677,6 @@ s = sum(b)
             )
             .expect("pipeline");
         assert!(outcome.report.migration.is_none());
-    }
-
-    #[test]
-    fn pipeline_outcomes_are_identical_across_backends() {
-        let program = parse(SRC).expect("parse");
-        let config = SystemConfig::paper_default();
-        for scenario in [
-            ContentionScenario::none(),
-            ContentionScenario::after_progress(0.5, 0.1),
-        ] {
-            let vm = ActivePy::with_options(
-                ActivePyOptions::default().with_backend(alang::ExecBackend::Vm),
-            )
-            .run(&program, &input(), &config, scenario)
-            .expect("vm pipeline");
-            let ast = ActivePy::with_options(
-                ActivePyOptions::default().with_backend(alang::ExecBackend::AstWalk),
-            )
-            .run(&program, &input(), &config, scenario)
-            .expect("ast pipeline");
-            assert_eq!(vm, ast, "pipeline diverged under {scenario:?}");
-        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 use crate::error::{ActivePyError, Result};
 use alang::builtins::Storage;
 use alang::copyelim::{DatasetTypes, StaticType};
-use alang::{ExecBackend, Interpreter, LineCost, Program, Value, Vm};
+use alang::{LineCost, Program, Value, Vm};
 use isp_obs::{SpanKind, Tracer};
 use serde::{Deserialize, Serialize};
 
@@ -88,59 +88,38 @@ pub struct SamplingReport {
 }
 
 /// Runs the sampling phase: executes `program` once per scale factor and
-/// collects per-line statistics. Uses the default (VM) backend.
-///
-/// # Errors
-///
-/// Returns an error if `scales` is empty or any sample run fails.
-pub fn run_sampling(
-    program: &Program,
-    input: &dyn InputSource,
-    scales: &[f64],
-) -> Result<SamplingReport> {
-    run_sampling_with(program, input, scales, ExecBackend::default())
-}
-
-/// Runs the sampling phase on a specific execution backend.
-///
-/// With [`ExecBackend::Vm`], the program is lowered once and each sample
-/// run reuses the same bytecode; the AST walker re-walks the tree per
-/// scale. Both produce identical reports.
+/// collects per-line statistics. The program is lowered once and every
+/// sample run reuses the same bytecode.
 ///
 /// # Errors
 ///
 /// Returns an error if `scales` is empty, lowering fails, or any sample
 /// run fails.
-pub fn run_sampling_with(
+pub fn run_sampling(
     program: &Program,
     input: &dyn InputSource,
     scales: &[f64],
-    backend: ExecBackend,
 ) -> Result<SamplingReport> {
-    run_sampling_traced(program, input, scales, backend, &Tracer::disabled())
+    run_sampling_traced(program, input, scales, &Tracer::disabled())
 }
 
-/// As [`run_sampling_with`], recording one `sampling.scale` span per
-/// sample run into `tracer`. The tracer is observation-only: reports are
+/// As [`run_sampling`], recording one `sampling.scale` span per sample
+/// run into `tracer`. The tracer is observation-only: reports are
 /// identical with it enabled, disabled, or absent.
 ///
 /// # Errors
 ///
-/// As [`run_sampling_with`].
+/// As [`run_sampling`].
 pub fn run_sampling_traced(
     program: &Program,
     input: &dyn InputSource,
     scales: &[f64],
-    backend: ExecBackend,
     tracer: &Tracer,
 ) -> Result<SamplingReport> {
     if scales.is_empty() {
         return Err(ActivePyError::sampling("no sampling scales provided"));
     }
-    let lowered = match backend {
-        ExecBackend::Vm => Some(alang::lower::lower(program)?),
-        ExecBackend::AstWalk => None,
-    };
+    let lowered = alang::lower::lower(program)?;
     let mut lines: Vec<LineSamples> = (0..program.len())
         .map(|line| LineSamples {
             line,
@@ -165,10 +144,7 @@ pub fn run_sampling_traced(
         dataset_types.extend(observe_dataset_types(&storage));
         // Sample runs execute the unoptimized program — the original code,
         // before any code generation — with copy elimination disabled.
-        let records = match &lowered {
-            Some(lowered) => Vm::new(lowered, &storage).run()?,
-            None => Interpreter::new(&storage).run(program, &[])?,
-        };
+        let records = Vm::new(&lowered, &storage).run()?;
         tracer.end(span, None);
         for rec in records {
             total += rec.cost;
@@ -222,6 +198,7 @@ mod tests {
     use super::*;
     use alang::parser::parse;
     use alang::value::ArrayVal;
+    use alang::Interpreter;
 
     /// A linear synthetic input: `n = scale * 1e6` logical elements,
     /// materialized at `n / 1000`.
@@ -280,21 +257,6 @@ mod tests {
         // Four samples at <= 2^-7 each: total sampling compute should be a
         // few percent of the real run.
         assert!((rep.total_sampling_cost.compute_ops as f64) < 0.05 * full.compute_ops as f64);
-    }
-
-    #[test]
-    fn backends_produce_identical_reports() {
-        let program = parse("a = scan('v')\nb = a * 2\ns = sum(b)\n").expect("parse");
-        let ast = run_sampling_with(
-            &program,
-            &linear_input(),
-            &paper_scales(),
-            ExecBackend::AstWalk,
-        )
-        .expect("ast");
-        let vm = run_sampling_with(&program, &linear_input(), &paper_scales(), ExecBackend::Vm)
-            .expect("vm");
-        assert_eq!(ast, vm);
     }
 
     #[test]

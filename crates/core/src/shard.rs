@@ -287,7 +287,6 @@ fn shard_probe(device: &System, scenario: &ContentionScenario, windows: u32) -> 
 /// Propagates per-shard execution failures, rejects placement vectors of
 /// the wrong shape, and fails if any phase's `values_fingerprint`
 /// diverges (a broken invariant, never an input condition).
-#[allow(clippy::too_many_arguments)]
 pub fn execute_sharded(
     run: &FleetRun<'_>,
     shard_placements: &[Vec<EngineKind>],
@@ -520,7 +519,6 @@ pub fn execute_sharded(
 /// # Errors
 ///
 /// As [`execute_sharded`].
-#[allow(clippy::too_many_arguments)]
 pub fn execute_sharded_raw(
     program: &Program,
     storage: &Storage,
@@ -570,23 +568,9 @@ pub fn execute_sharded_plan(
     let n = plan.count();
     let mut fleet = Fleet::new(config, n);
     let ropts = runtime.options();
-    let opts = ExecOptions {
-        tier: alang::ExecTier::CompiledCopyElim,
-        params: ropts.params,
-        scenario,
-        monitor: ropts.monitor,
-        offload_overheads: true,
-        preempt_at: ropts.preempt_at,
-        backend: ropts.backend,
-        recovery: ropts.recovery,
-        faults: FaultPlan::none(),
-        parallel: ropts.parallel,
-        tracer: ropts.tracer.clone(),
-        // Shard runs never record profiles: their measured costs are
-        // slice-scaled and would bias the unsharded profile.
-        profile: crate::profile::ProfileRecorder::disabled(),
-        journal: ropts.journal.clone(),
-    };
+    // Faults come per device from `shard_faults`, and the executor skips
+    // profile recording for shard runs, so neither handle needs overriding.
+    let opts = ropts.exec_options(scenario);
     // Journal the fleet's plan identity — base plan fingerprint plus the
     // shard map's — so a resume against a re-planned fleet or a different
     // shard count fails at the first record.

@@ -34,7 +34,6 @@ pub struct System {
 impl System {
     /// Assembles a system from its parts; use [`SystemConfig::build`]
     /// instead of calling this directly.
-    #[allow(clippy::too_many_arguments)]
     #[must_use]
     pub(crate) fn from_parts(
         config: SystemConfig,

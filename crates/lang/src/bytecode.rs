@@ -18,20 +18,6 @@ use crate::par::{ParEngine, ParStatsNondet, ParStatsSnapshot, ParallelPolicy};
 use crate::value::Value;
 use std::collections::BTreeMap;
 
-/// Which engine executes ALang lines.
-///
-/// Both backends produce byte-identical values and [`LineCost`] records
-/// (asserted by the differential-testing harness); they differ only in
-/// wall-clock. The AST walker remains the reference implementation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum ExecBackend {
-    /// The tree-walking reference interpreter.
-    AstWalk,
-    /// The lowered register-bytecode VM.
-    #[default]
-    Vm,
-}
-
 /// One register-style instruction. Operands are slot indices into the VM's
 /// register file; `dst` is always written last, so a line may freely read
 /// the slot it is about to redefine (`a = a + 1`).

@@ -63,7 +63,7 @@ pub mod value;
 
 pub use ast::Program;
 pub use builtins::Storage;
-pub use bytecode::{ExecBackend, LoweredProgram, Vm};
+pub use bytecode::{LoweredProgram, Vm};
 pub use canonical::{CanonicalSink, Fingerprinter};
 pub use compile::CompiledProgram;
 pub use cost::{CostParams, ExecTier, LineCost};

@@ -300,7 +300,6 @@ impl Csr {
     /// structure (`row_ptr` wrong length, non-monotonic, or disagreeing
     /// with `values.len()`; column indices out of range) or the logical
     /// dimensions are smaller than the materialized ones.
-    #[allow(clippy::too_many_arguments)]
     pub fn from_parts(
         row_ptr: Vec<u32>,
         col_idx: Vec<u32>,

@@ -120,13 +120,15 @@ pub struct StateSnap {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecord {
     /// Execution of one lane began. Carries enough shape to detect a
-    /// resume against the wrong program or backend.
+    /// resume against the wrong program.
     RunStart {
         /// Journal lane.
         lane: u32,
         /// Number of program lines.
         program_len: u32,
-        /// Backend discriminant (0 = VM, 1 = AST walker).
+        /// The evaluator discriminant from when the runtime could be
+        /// switched to the AST walker (1). The runtime only runs the VM
+        /// and always writes 0; the byte stays so the format is unchanged.
         backend: u8,
     },
     /// The plan this journal belongs to was committed. `shard_fp` is the

@@ -17,8 +17,15 @@ echo "== kernel differential (pinned case count, per-element loops as oracle) ==
 cargo test -q -p alang --lib kernels_oracle
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 47 of the 671 tests.
+# The whole suite: the root package alone is 46 of the 664 tests.
 cargo test -q --workspace
+
+echo "== benchmark package (builds and passes its driver tests against this tree) =="
+# benchmark/ is a workspace of its own that compiles against the crates'
+# public API; nothing else in CI builds it, so an API deletion would
+# otherwise break it silently. Read-only: nothing under benchmark/ is edited.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
 echo "== fault-sweep smoke (deterministic injection, zero wrong answers) =="
 cargo test -q -p isp-bench faults::
@@ -39,10 +46,10 @@ echo "== shard-sweep smoke (N=2 fleet fingerprint vs N=1 and the unsharded run) 
 # workload, and the crashed shard migrates alone (experiments::shards).
 cargo test -q -p isp-bench --lib shards
 
-echo "== shard differential (pinned proptest seed, N in {1,2,4,8}, both backends) =="
+echo "== shard differential (pinned proptest seed, N in {1,2,4,8}) =="
 cargo test -q --test shard_determinism
 
-echo "== thread determinism (pinned proptest seed, both backends, 1/2/8 threads) =="
+echo "== thread determinism (pinned proptest seed, both engines, 1/2/8 threads) =="
 cargo test -q --test thread_determinism
 
 echo "== trace smoke (repro --trace -> trace summarizer -> golden journal diff) =="
@@ -101,7 +108,7 @@ echo "== decode smoke (both Eq.1 regimes present, placements beat forced plans, 
 # fingerprint (experiments::decode).
 cargo test -q -p isp-bench --lib decode
 
-echo "== decode determinism (proptest: wire formats x placements x faults x backends x shards) =="
+echo "== decode determinism (proptest: wire formats x placements x faults x shards) =="
 cargo test -q --test decode_determinism
 
 echo "== kill-resume smoke (journaled run killed mid-stream resumes to the same fingerprint) =="
@@ -127,7 +134,7 @@ if [ "$FULL_FP" != "$RESUMED_FP" ]; then
 fi
 echo "resumed fingerprint matches: $RESUMED_FP"
 
-echo "== crash-resume chaos (proptest: kill at random journal offsets, N in {1,4}, both backends) =="
+echo "== crash-resume chaos (proptest: kill at random journal offsets, N in {1,4}) =="
 cargo test -q --test wal_resume
 
 echo "== recovery benchmark smoke (journal overhead, resume, zero-datagen warm start) =="

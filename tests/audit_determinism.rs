@@ -2,9 +2,8 @@
 //! Prometheus exposition it feeds is byte-deterministic.
 //!
 //! 1. **Observation-only (property-tested)** — for random programs ×
-//!    random placements × fleet sizes N ∈ {1, 4} × pinned fault plans,
-//!    on both evaluation backends: running with a live tracer (the audit
-//!    substrate) leaves `values_fingerprint`, the injected-fault ledger,
+//!    random placements × fleet sizes N ∈ {1, 4} × pinned fault plans:
+//!    running with a live tracer (the audit substrate) leaves `values_fingerprint`, the injected-fault ledger,
 //!    every per-shard metrics snapshot, and every migration decision
 //!    byte-identical to the unaudited run.
 //! 2. **Full-pipeline audit is observation-only** — the planned path
@@ -17,232 +16,123 @@
 //!    to `tests/golden/fig5_tpch6_metrics.prom`; regenerate with
 //!    `REGEN_TRACE_GOLDEN=1 cargo test --test audit_determinism`.
 
+mod common;
+
 use activepy::exec::{execute, ExecOptions};
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{execute_sharded_raw, PlanCache};
-use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
-use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use common::{expr, fault_params, placements, source, storage, VARS};
 use csd_sim::fault::FaultPlan;
-use csd_sim::units::{Duration, SimTime};
-use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
+use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::export::prometheus;
 use isp_obs::{footer_snapshot, parse_journal, Tracer};
 use proptest::prelude::*;
 
 const FLEET_SIZES: [usize; 2] = [1, 4];
 
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep (the
-/// shard differential's grammar).
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
-
-/// Both stored arrays clear `SHARD_MIN_ROWS`, so the auto map always
-/// partitions them.
-fn storage() -> Storage {
-    let mut st = Storage::new();
-    st.insert(
-        "v",
-        Value::Array(ArrayVal::with_logical(
-            (0..64).map(|i| f64::from(i % 10)).collect(),
-            1_000_000,
-        )),
-    );
-    st.insert(
-        "w",
-        Value::Array(ArrayVal::with_logical(
-            (0..32).map(|i| f64::from(i) - 16.0).collect(),
-            500_000,
-        )),
-    );
-    st
-}
-
-/// Raw fault-plan parameters, materialized per shard from a shard-salted
-/// seed (same shape as the shard differential).
-#[derive(Debug, Clone)]
-struct FaultParams {
-    seed: u64,
-    flash: f64,
-    nvme: f64,
-    dma: f64,
-    crash: Option<f64>,
-    gc: Option<(f64, f64, f64)>,
-}
-
-impl FaultParams {
-    fn plan_for_shard(&self, s: usize) -> FaultPlan {
-        let mut plan = FaultPlan::none()
-            .with_seed(self.seed.wrapping_mul(31).wrapping_add(s as u64))
-            .with_flash_read_error_prob(self.flash)
-            .with_nvme_error_prob(self.nvme)
-            .with_dma_error_prob(self.dma);
-        if let Some(at) = self.crash {
-            plan = plan.with_crash_at(SimTime::from_secs(at));
-        }
-        if let Some((at, dur, frac)) = self.gc {
-            plan = plan.with_gc_burst(SimTime::from_secs(at), Duration::from_secs(dur), frac);
-        }
-        plan
-    }
-}
-
-fn fault_params() -> impl Strategy<Value = FaultParams> {
-    (
-        0u64..1_000,
-        0.0f64..0.2,
-        0.0f64..0.2,
-        0.0f64..0.2,
-        (any::<bool>(), 0.0f64..0.05),
-        (any::<bool>(), 0.0f64..0.05, 0.0f64..0.05, 0.05f64..1.0),
-    )
-        .prop_map(|(seed, flash, nvme, dma, crash, gc)| FaultParams {
-            seed,
-            flash,
-            nvme,
-            dma,
-            crash: crash.0.then_some(crash.1),
-            gc: gc.0.then_some((gc.1, gc.2, gc.3)),
-        })
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Enabling the audit substrate (a live tracer) perturbs nothing the
     /// run computes: fingerprints, fault accounting, per-shard metrics,
-    /// and migration decisions all match the unaudited run, on both
-    /// backends, at every fleet size, faulted or clean.
+    /// and migration decisions all match the unaudited run, at every
+    /// fleet size, faulted or clean.
     #[test]
     fn audit_is_observation_only_across_fleets_and_faults(
         lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
         on_csd in prop::collection::vec(any::<bool>(), 6..7),
-        params in fault_params(),
+        params in fault_params(0.2),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = source(&lines);
         let program = parse(&src).expect("generated source parses");
-        let placements: Vec<EngineKind> = (0..lines.len())
-            .map(|i| if on_csd[i] { EngineKind::Cse } else { EngineKind::Host })
-            .collect();
+        let placements = placements(&on_csd, lines.len());
         let st = storage();
         let config = SystemConfig::paper_default();
 
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let plain_opts = ExecOptions::activepy().with_backend(backend);
-            let (tracer, _sink) = Tracer::to_memory();
-            let audited_opts = plain_opts.clone().with_tracer(tracer.clone());
+        let plain_opts = ExecOptions::activepy();
+        let (tracer, _sink) = Tracer::to_memory();
+        let audited_opts = plain_opts.clone().with_tracer(tracer.clone());
 
-            // Unsharded single device, clean.
-            let mut system = config.build();
-            let plain = execute(&program, &st, &placements, &mut system, &plain_opts, None, &[]);
-            let mut system = config.build();
-            let audited =
-                execute(&program, &st, &placements, &mut system, &audited_opts, None, &[]);
-            match (&plain, &audited) {
+        // Unsharded single device, clean.
+        let mut system = config.build();
+        let plain = execute(&program, &st, &placements, &mut system, &plain_opts, None, &[]);
+        let mut system = config.build();
+        let audited =
+            execute(&program, &st, &placements, &mut system, &audited_opts, None, &[]);
+        match (&plain, &audited) {
+            (Ok(p), Ok(a)) => {
+                prop_assert_eq!(
+                    a.values_fingerprint, p.values_fingerprint,
+                    "tracing moved the unsharded fingerprint for:\n{}", src
+                );
+                prop_assert_eq!(a.metrics, p.metrics);
+                prop_assert_eq!(
+                    format!("{:?}", a.migration),
+                    format!("{:?}", p.migration)
+                );
+            }
+            (Err(_), Err(_)) => {}
+            _ => {
+                return Err(TestCaseError::fail(format!(
+                    "tracing changed unsharded success for:\n{src}"
+                )));
+            }
+        }
+
+        // Fleets with per-shard fault plans.
+        for &n in &FLEET_SIZES {
+            let map = ShardMap::auto(&st, n, ShardStrategy::Range);
+            let faults: Vec<FaultPlan> =
+                (0..n).map(|s| params.plan_for_shard(s)).collect();
+            let plain = execute_sharded_raw(
+                &program, &st, &map, &placements, &config, &plain_opts, &faults, n,
+            );
+            let audited = execute_sharded_raw(
+                &program, &st, &map, &placements, &config, &audited_opts, &faults, n,
+            );
+            match (plain, audited) {
                 (Ok(p), Ok(a)) => {
                     prop_assert_eq!(
                         a.values_fingerprint, p.values_fingerprint,
-                        "tracing moved the unsharded fingerprint for:\n{}", src
+                        "tracing moved the N={} fingerprint for:\n{}", n, src
                     );
-                    prop_assert_eq!(a.metrics, p.metrics);
                     prop_assert_eq!(
-                        format!("{:?}", a.migration),
-                        format!("{:?}", p.migration)
+                        format!("{:?}", a.injected),
+                        format!("{:?}", p.injected),
+                        "tracing moved the injected-fault ledger for:\n{}", src
                     );
+                    prop_assert_eq!(a.shards.len(), p.shards.len());
+                    for (sa, sp) in a.shards.iter().zip(&p.shards) {
+                        prop_assert_eq!(
+                            sa.report.values_fingerprint,
+                            sp.report.values_fingerprint
+                        );
+                        prop_assert_eq!(sa.report.metrics, sp.report.metrics);
+                        prop_assert_eq!(
+                            format!("{:?}", &sa.report.migration),
+                            format!("{:?}", &sp.report.migration),
+                            "tracing moved a shard migration for:\n{}", src
+                        );
+                    }
                 }
                 (Err(_), Err(_)) => {}
                 _ => {
                     return Err(TestCaseError::fail(format!(
-                        "tracing changed unsharded success for:\n{src}"
+                        "tracing changed success at N={n} for:\n{src}"
                     )));
                 }
             }
+        }
 
-            // Fleets with per-shard fault plans.
-            for &n in &FLEET_SIZES {
-                let map = ShardMap::auto(&st, n, ShardStrategy::Range);
-                let faults: Vec<FaultPlan> =
-                    (0..n).map(|s| params.plan_for_shard(s)).collect();
-                let plain = execute_sharded_raw(
-                    &program, &st, &map, &placements, &config, &plain_opts, &faults, n,
-                );
-                let audited = execute_sharded_raw(
-                    &program, &st, &map, &placements, &config, &audited_opts, &faults, n,
-                );
-                match (plain, audited) {
-                    (Ok(p), Ok(a)) => {
-                        prop_assert_eq!(
-                            a.values_fingerprint, p.values_fingerprint,
-                            "tracing moved the N={} fingerprint for:\n{}", n, src
-                        );
-                        prop_assert_eq!(
-                            format!("{:?}", a.injected),
-                            format!("{:?}", p.injected),
-                            "tracing moved the injected-fault ledger for:\n{}", src
-                        );
-                        prop_assert_eq!(a.shards.len(), p.shards.len());
-                        for (sa, sp) in a.shards.iter().zip(&p.shards) {
-                            prop_assert_eq!(
-                                sa.report.values_fingerprint,
-                                sp.report.values_fingerprint
-                            );
-                            prop_assert_eq!(sa.report.metrics, sp.report.metrics);
-                            prop_assert_eq!(
-                                format!("{:?}", &sa.report.migration),
-                                format!("{:?}", &sp.report.migration),
-                                "tracing moved a shard migration for:\n{}", src
-                            );
-                        }
-                    }
-                    (Err(_), Err(_)) => {}
-                    _ => {
-                        return Err(TestCaseError::fail(format!(
-                            "tracing changed success at N={n} for:\n{src}"
-                        )));
-                    }
-                }
-            }
-
-            // The audited registry renders to identical Prometheus bytes
-            // every time, and the exposition is structurally valid.
-            if let Some(snap) = tracer.metrics_snapshot() {
-                let once = prometheus::render(&snap);
-                let twice = prometheus::render(&snap);
-                prop_assert_eq!(&once, &twice, "Prometheus rendering is not a pure function");
-                prometheus::validate(&once).map_err(TestCaseError::fail)?;
-            }
+        // The audited registry renders to identical Prometheus bytes
+        // every time, and the exposition is structurally valid.
+        if let Some(snap) = tracer.metrics_snapshot() {
+            let once = prometheus::render(&snap);
+            let twice = prometheus::render(&snap);
+            prop_assert_eq!(&once, &twice, "Prometheus rendering is not a pure function");
+            prometheus::validate(&once).map_err(TestCaseError::fail)?;
         }
     }
 }

@@ -1,123 +1,38 @@
 //! Chaos differential: random programs × random placements × random
-//! deterministic fault plans, on both evaluation backends. The invariants
-//! the recovering runtime must hold, for every draw:
+//! deterministic fault plans. The invariants the recovering runtime must
+//! hold, for every draw:
 //!
 //! 1. **No unhandled faults** — with host fallback on (the default), a
 //!    faulted run succeeds exactly when its fault-free twin does.
 //! 2. **No wrong answers** — the values fingerprint of the faulted run is
-//!    byte-identical to the fault-free one, on both backends.
+//!    byte-identical to the fault-free one.
 //! 3. **Every hard fault is absorbed** — a crash or retry exhaustion
 //!    always surfaces as a `MigrationReason::DeviceFault` host fallback,
 //!    never as an error or a silent divergence.
 //! 4. **Accounting agrees** — the transient faults the recovery layer
 //!    reports equal the transient errors the injector actually injected.
 
+mod common;
+
 use activepy::exec::{execute, ExecOptions, MigrationReason, RunReport};
 use activepy::ActivePyError;
-use alang::builtins::Storage;
 use alang::parser::parse;
-use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use common::{expr, fault_plan, placements, source, storage, VARS};
 use csd_sim::fault::FaultPlan;
-use csd_sim::units::{Duration, SimTime};
 use csd_sim::{EngineKind, FaultCounters, SystemConfig};
 use proptest::prelude::*;
-
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type (same
-/// set as the engine differential; `sort` panics on legitimate NaNs).
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep.
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
-
-fn storage() -> Storage {
-    let mut st = Storage::new();
-    st.insert(
-        "v",
-        Value::Array(ArrayVal::with_logical(
-            (0..64).map(|i| f64::from(i % 10)).collect(),
-            1_000_000,
-        )),
-    );
-    st.insert(
-        "w",
-        Value::Array(ArrayVal::with_logical(
-            (0..32).map(|i| f64::from(i) - 16.0).collect(),
-            500_000,
-        )),
-    );
-    st
-}
-
-/// A random but valid fault plan: independent transient error rates per
-/// device surface, an optional GC burst, an optional hard crash.
-#[allow(clippy::type_complexity)]
-fn fault_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        0u64..1_000,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        (any::<bool>(), 0.0f64..0.05),
-        (any::<bool>(), 0.0f64..0.05, 0.0f64..0.05, 0.05f64..1.0),
-    )
-        .prop_map(|(seed, flash, nvme, dma, crash, gc)| {
-            let mut plan = FaultPlan::none()
-                .with_seed(seed)
-                .with_flash_read_error_prob(flash)
-                .with_nvme_error_prob(nvme)
-                .with_dma_error_prob(dma);
-            if crash.0 {
-                plan = plan.with_crash_at(SimTime::from_secs(crash.1));
-            }
-            if gc.0 {
-                plan =
-                    plan.with_gc_burst(SimTime::from_secs(gc.1), Duration::from_secs(gc.2), gc.3);
-            }
-            plan
-        })
-}
 
 /// One execution on a fresh system; returns the report (or error) plus
 /// what the injector actually injected.
 fn run_once(
     src: &str,
     placements: &[EngineKind],
-    backend: ExecBackend,
     faults: &FaultPlan,
 ) -> (Result<RunReport, ActivePyError>, FaultCounters) {
     let program = parse(src).expect("generated source parses");
     let st = storage();
     let mut system = SystemConfig::paper_default().build();
-    let opts = ExecOptions::activepy()
-        .with_backend(backend)
-        .with_faults(faults.clone());
+    let opts = ExecOptions::activepy().with_faults(faults.clone());
     let res = execute(&program, &st, placements, &mut system, &opts, None, &[]);
     (res, system.fault_counters())
 }
@@ -131,62 +46,47 @@ proptest! {
         on_csd in prop::collection::vec(any::<bool>(), 6..7),
         faults in fault_plan(),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
-        let placements: Vec<EngineKind> = (0..lines.len())
-            .map(|i| if on_csd[i] { EngineKind::Cse } else { EngineKind::Host })
-            .collect();
+        let src = source(&lines);
+        let placements = placements(&on_csd, lines.len());
         let clean_plan = FaultPlan::none();
 
-        let mut fingerprints = Vec::new();
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let (clean, _) = run_once(&src, &placements, backend, &clean_plan);
-            let (faulted, injected) = run_once(&src, &placements, backend, &faults);
-            match (clean, faulted) {
-                (Ok(clean), Ok(faulted)) => {
-                    // Invariant 2: byte-identical answers.
-                    prop_assert_eq!(
-                        clean.values_fingerprint, faulted.values_fingerprint,
-                        "faults changed the answer for:\n{}", src
-                    );
-                    fingerprints.push(clean.values_fingerprint);
-                    fingerprints.push(faulted.values_fingerprint);
-                    // Invariant 3: hard faults always resolve into a
-                    // device-fault migration, never an unhandled error.
-                    if faulted.metrics.recovery.hard_faults > 0 {
-                        let mig = faulted.migration.expect("hard fault must migrate");
-                        prop_assert_eq!(mig.reason, MigrationReason::DeviceFault);
-                        prop_assert!(faulted.metrics.recovery.fault_migrations >= 1);
-                    }
-                    // Invariant 4: recovery accounting matches injection.
-                    prop_assert_eq!(
-                        faulted.metrics.recovery.transient_faults,
-                        injected.transient_total(),
-                        "recovery layer missed injected faults for:\n{}", src
-                    );
-                    // A crash latches: once observed, nothing further runs
-                    // on the CSE, so at most one crash is ever counted.
-                    prop_assert!(injected.cse_crashes <= 1);
+        let (clean, _) = run_once(&src, &placements, &clean_plan);
+        let (faulted, injected) = run_once(&src, &placements, &faults);
+        match (clean, faulted) {
+            (Ok(clean), Ok(faulted)) => {
+                // Invariant 2: byte-identical answers.
+                prop_assert_eq!(
+                    clean.values_fingerprint, faulted.values_fingerprint,
+                    "faults changed the answer for:\n{}", src
+                );
+                // Invariant 3: hard faults always resolve into a
+                // device-fault migration, never an unhandled error.
+                if faulted.metrics.recovery.hard_faults > 0 {
+                    let mig = faulted.migration.expect("hard fault must migrate");
+                    prop_assert_eq!(mig.reason, MigrationReason::DeviceFault);
+                    prop_assert!(faulted.metrics.recovery.fault_migrations >= 1);
                 }
-                (Err(_), Err(_)) => {
-                    // Invalid programs (reads of undefined names) fail
-                    // with or without faults; nothing further to check.
-                }
-                (clean, faulted) => {
-                    // Invariant 1 violated.
-                    return Err(TestCaseError::fail(format!(
-                        "fault injection changed success for:\n{src}\n\
-                         clean: {clean:?}\nfaulted: {faulted:?}"
-                    )));
-                }
+                // Invariant 4: recovery accounting matches injection.
+                prop_assert_eq!(
+                    faulted.metrics.recovery.transient_faults,
+                    injected.transient_total(),
+                    "recovery layer missed injected faults for:\n{}", src
+                );
+                // A crash latches: once observed, nothing further runs
+                // on the CSE, so at most one crash is ever counted.
+                prop_assert!(injected.cse_crashes <= 1);
+            }
+            (Err(_), Err(_)) => {
+                // Invalid programs (reads of undefined names) fail
+                // with or without faults; nothing further to check.
+            }
+            (clean, faulted) => {
+                // Invariant 1 violated.
+                return Err(TestCaseError::fail(format!(
+                    "fault injection changed success for:\n{src}\n\
+                     clean: {clean:?}\nfaulted: {faulted:?}"
+                )));
             }
         }
-        // Both backends, faulted and clean, agree on the one answer.
-        prop_assert!(
-            fingerprints.windows(2).all(|w| w[0] == w[1]),
-            "backends diverged for:\n{}\n{:?}", src, fingerprints
-        );
     }
 }

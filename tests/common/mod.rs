@@ -1,0 +1,181 @@
+//! Generators shared by the root differential tests: the random-program
+//! grammar, the stored arrays it scans, and the random fault plans.
+//!
+//! The vendored proptest is fixed-seed, so every test that draws from
+//! these strategies in the same argument order sees the same cases on
+//! every run; changing a strategy here changes the pinned cases of every
+//! test that uses it.
+
+// Each test binary compiles this module separately and uses its own subset.
+#![allow(dead_code)]
+
+use alang::builtins::Storage;
+use alang::shard::ShardStrategy;
+use alang::value::ArrayVal;
+use alang::Value;
+use csd_sim::fault::FaultPlan;
+use csd_sim::units::{Duration, SimTime};
+use csd_sim::EngineKind;
+use proptest::prelude::*;
+
+/// Assignment targets; reads of not-yet-defined names are valid programs
+/// that must fail identically wherever they run.
+pub const VARS: [&str; 4] = ["a", "b", "c", "d"];
+
+/// Builtins safe to call with one argument of any generated type: either
+/// they succeed or every engine raises the same runtime error. `sort` is
+/// excluded because its contract panics on the NaNs that `sqrt`/`0/0`
+/// legitimately produce here.
+pub const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
+
+pub const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
+
+pub fn ident() -> BoxedStrategy<String> {
+    (0usize..VARS.len())
+        .prop_map(|i| VARS[i].to_owned())
+        .boxed()
+}
+
+/// A random expression in source form, up to three levels deep.
+pub fn expr() -> BoxedStrategy<String> {
+    let leaf = prop_oneof![
+        (0u32..50).prop_map(|n| n.to_string()),
+        (1u32..40).prop_map(|n| format!("{n}.5")),
+        ident(),
+        Just("scan('v')".to_owned()),
+        Just("scan('w')".to_owned()),
+    ];
+    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
+        prop_oneof![
+            inner.clone().prop_map(|e| format!("-({e})")),
+            (inner.clone(), inner.clone(), 0usize..OPS.len())
+                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
+            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
+        ]
+    })
+}
+
+/// The program a `(target, expression)` draw spells.
+pub fn source(lines: &[(usize, String)]) -> String {
+    lines
+        .iter()
+        .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
+        .collect()
+}
+
+/// The first `len` draws of `on_csd` as per-line placements.
+pub fn placements(on_csd: &[bool], len: usize) -> Vec<EngineKind> {
+    let engine = |csd: &bool| {
+        if *csd {
+            EngineKind::Cse
+        } else {
+            EngineKind::Host
+        }
+    };
+    on_csd[..len].iter().map(engine).collect()
+}
+
+/// Range sharding, or hash sharding under a random salt.
+pub fn shard_strategy() -> impl Strategy<Value = ShardStrategy> {
+    prop_oneof![
+        Just(ShardStrategy::Range),
+        (0u64..1_000).prop_map(ShardStrategy::Hash),
+    ]
+}
+
+/// The two stored arrays the grammar scans: `v` (64 elements standing for
+/// 1 M logical rows) and `w` (32 standing for 500 k). Both logical sizes
+/// clear `SHARD_MIN_ROWS`, so an auto shard map always partitions them.
+pub fn storage() -> Storage {
+    storage_with(64, 32)
+}
+
+/// As [`storage`] with `len_v` / `len_w` materialized elements behind the
+/// same logical sizes, for tests that need arrays long enough to chunk.
+/// `v` cycles 0..10; `w` cycles 0..97 centred on zero (on its midpoint
+/// while it is shorter than one cycle).
+pub fn storage_with(len_v: u32, len_w: u32) -> Storage {
+    let centre = f64::from((len_w / 2).min(48));
+    let mut st = Storage::new();
+    st.insert(
+        "v",
+        Value::Array(ArrayVal::with_logical(
+            (0..len_v).map(|i| f64::from(i % 10)).collect(),
+            1_000_000,
+        )),
+    );
+    st.insert(
+        "w",
+        Value::Array(ArrayVal::with_logical(
+            (0..len_w).map(|i| f64::from(i % 97) - centre).collect(),
+            500_000,
+        )),
+    );
+    st
+}
+
+/// Raw parameters of a fault plan: independent transient error rates per
+/// device surface, an optional hard crash, an optional GC burst.
+#[derive(Debug, Clone)]
+pub struct FaultParams {
+    pub seed: u64,
+    pub flash: f64,
+    pub nvme: f64,
+    pub dma: f64,
+    pub crash: Option<f64>,
+    pub gc: Option<(f64, f64, f64)>,
+}
+
+impl FaultParams {
+    /// The plan under exactly the drawn seed.
+    pub fn plan(&self) -> FaultPlan {
+        self.plan_seeded(self.seed)
+    }
+
+    /// The plan for shard `s`: each device draws an independent
+    /// deterministic stream from a shard-salted seed.
+    pub fn plan_for_shard(&self, s: usize) -> FaultPlan {
+        self.plan_seeded(self.seed.wrapping_mul(31).wrapping_add(s as u64))
+    }
+
+    fn plan_seeded(&self, seed: u64) -> FaultPlan {
+        let mut plan = FaultPlan::none()
+            .with_seed(seed)
+            .with_flash_read_error_prob(self.flash)
+            .with_nvme_error_prob(self.nvme)
+            .with_dma_error_prob(self.dma);
+        if let Some(at) = self.crash {
+            plan = plan.with_crash_at(SimTime::from_secs(at));
+        }
+        if let Some((at, dur, frac)) = self.gc {
+            plan = plan.with_gc_burst(SimTime::from_secs(at), Duration::from_secs(dur), frac);
+        }
+        plan
+    }
+}
+
+/// Random but valid fault parameters with per-surface error rates below
+/// `max_prob`.
+pub fn fault_params(max_prob: f64) -> impl Strategy<Value = FaultParams> {
+    (
+        0u64..1_000,
+        0.0f64..max_prob,
+        0.0f64..max_prob,
+        0.0f64..max_prob,
+        (any::<bool>(), 0.0f64..0.05),
+        (any::<bool>(), 0.0f64..0.05, 0.0f64..0.05, 0.05f64..1.0),
+    )
+        .prop_map(|(seed, flash, nvme, dma, crash, gc)| FaultParams {
+            seed,
+            flash,
+            nvme,
+            dma,
+            crash: crash.0.then_some(crash.1),
+            gc: gc.0.then_some((gc.1, gc.2, gc.3)),
+        })
+}
+
+/// A random but valid single-device fault plan (rates up to 0.3).
+pub fn fault_plan() -> impl Strategy<Value = FaultPlan> {
+    fault_params(0.3).prop_map(|p| p.plan())
+}

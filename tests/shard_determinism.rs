@@ -1,10 +1,10 @@
 //! Shard differential: random programs × random placements × every fleet
-//! size × pinned per-shard fault plans, on both evaluation backends. The
-//! invariants the scatter-gather fleet must hold, for every draw:
+//! size × pinned per-shard fault plans. The invariants the scatter-gather
+//! fleet must hold, for every draw:
 //!
 //! 1. **One answer** — every fleet size N ∈ {1, 2, 4, 8}, sharded by
-//!    range or hash, faulted or clean, on either backend, produces the
-//!    same `values_fingerprint` as the unsharded single-device run.
+//!    range or hash, faulted or clean, produces the same
+//!    `values_fingerprint` as the unsharded single-device run.
 //! 2. **Consistent failure** — a program that errors unsharded (reads of
 //!    undefined names) errors at every fleet size too.
 //! 3. **Accounting sums** — the transient faults the per-shard recovery
@@ -14,128 +14,18 @@
 //!    crash, shard isolation keeps a crash from spreading, and every
 //!    hard-faulted shard still contributes the right slice.
 
+mod common;
+
 use activepy::exec::{execute, ExecOptions};
 use activepy::execute_sharded_raw;
-use alang::builtins::Storage;
 use alang::parser::parse;
-use alang::shard::{ShardMap, ShardStrategy};
-use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use alang::shard::ShardMap;
+use common::{expr, fault_params, placements, shard_strategy, source, storage, VARS};
 use csd_sim::fault::FaultPlan;
-use csd_sim::units::{Duration, SimTime};
-use csd_sim::{EngineKind, SystemConfig};
+use csd_sim::SystemConfig;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type (same
-/// set as the chaos differential).
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep.
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
-
-/// Both stored arrays clear `SHARD_MIN_ROWS`, so the auto map always
-/// partitions them.
-fn storage() -> Storage {
-    let mut st = Storage::new();
-    st.insert(
-        "v",
-        Value::Array(ArrayVal::with_logical(
-            (0..64).map(|i| f64::from(i % 10)).collect(),
-            1_000_000,
-        )),
-    );
-    st.insert(
-        "w",
-        Value::Array(ArrayVal::with_logical(
-            (0..32).map(|i| f64::from(i) - 16.0).collect(),
-            500_000,
-        )),
-    );
-    st
-}
-
-/// Raw parameters of a fault plan; materialized per shard so each device
-/// draws an independent deterministic stream from a shard-salted seed.
-#[derive(Debug, Clone)]
-struct FaultParams {
-    seed: u64,
-    flash: f64,
-    nvme: f64,
-    dma: f64,
-    crash: Option<f64>,
-    gc: Option<(f64, f64, f64)>,
-}
-
-impl FaultParams {
-    fn plan_for_shard(&self, s: usize) -> FaultPlan {
-        let mut plan = FaultPlan::none()
-            .with_seed(self.seed.wrapping_mul(31).wrapping_add(s as u64))
-            .with_flash_read_error_prob(self.flash)
-            .with_nvme_error_prob(self.nvme)
-            .with_dma_error_prob(self.dma);
-        if let Some(at) = self.crash {
-            plan = plan.with_crash_at(SimTime::from_secs(at));
-        }
-        if let Some((at, dur, frac)) = self.gc {
-            plan = plan.with_gc_burst(SimTime::from_secs(at), Duration::from_secs(dur), frac);
-        }
-        plan
-    }
-}
-
-fn fault_params() -> impl Strategy<Value = FaultParams> {
-    (
-        0u64..1_000,
-        0.0f64..0.2,
-        0.0f64..0.2,
-        0.0f64..0.2,
-        (any::<bool>(), 0.0f64..0.05),
-        (any::<bool>(), 0.0f64..0.05, 0.0f64..0.05, 0.05f64..1.0),
-    )
-        .prop_map(|(seed, flash, nvme, dma, crash, gc)| FaultParams {
-            seed,
-            flash,
-            nvme,
-            dma,
-            crash: crash.0.then_some(crash.1),
-            gc: gc.0.then_some((gc.1, gc.2, gc.3)),
-        })
-}
-
-fn strategy() -> impl Strategy<Value = ShardStrategy> {
-    prop_oneof![
-        Just(ShardStrategy::Range),
-        (0u64..1_000).prop_map(ShardStrategy::Hash),
-    ]
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -144,84 +34,77 @@ proptest! {
     fn every_fleet_size_reproduces_the_unsharded_answer(
         lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
         on_csd in prop::collection::vec(any::<bool>(), 6..7),
-        params in fault_params(),
-        shard_strategy in strategy(),
+        params in fault_params(0.2),
+        shard_strategy in shard_strategy(),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = source(&lines);
         let program = parse(&src).expect("generated source parses");
-        let placements: Vec<EngineKind> = (0..lines.len())
-            .map(|i| if on_csd[i] { EngineKind::Cse } else { EngineKind::Host })
-            .collect();
+        let placements = placements(&on_csd, lines.len());
         let st = storage();
         let config = SystemConfig::paper_default();
 
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            let opts = ExecOptions::activepy().with_backend(backend);
+        let opts = ExecOptions::activepy();
 
-            // The unsharded single-device reference.
-            let mut system = config.build();
-            let reference = execute(
-                &program, &st, &placements, &mut system, &opts, None, &[],
+        // The unsharded single-device reference.
+        let mut system = config.build();
+        let reference = execute(
+            &program, &st, &placements, &mut system, &opts, None, &[],
+        );
+
+        for &n in &SHARD_COUNTS {
+            let map = ShardMap::auto(&st, n, shard_strategy);
+            prop_assert_eq!(map.count(), n);
+            let faults: Vec<FaultPlan> =
+                (0..n).map(|s| params.plan_for_shard(s)).collect();
+            let clean = execute_sharded_raw(
+                &program, &st, &map, &placements, &config, &opts, &[], n,
             );
-
-            for &n in &SHARD_COUNTS {
-                let map = ShardMap::auto(&st, n, shard_strategy);
-                prop_assert_eq!(map.count(), n);
-                let faults: Vec<FaultPlan> =
-                    (0..n).map(|s| params.plan_for_shard(s)).collect();
-                let clean = execute_sharded_raw(
-                    &program, &st, &map, &placements, &config, &opts, &[], n,
-                );
-                let faulted = execute_sharded_raw(
-                    &program, &st, &map, &placements, &config, &opts, &faults, n,
-                );
-                match (&reference, clean, faulted) {
-                    (Ok(reference), Ok(clean), Ok(faulted)) => {
-                        // Invariant 1: one answer everywhere.
-                        prop_assert_eq!(
-                            clean.values_fingerprint,
-                            reference.values_fingerprint,
-                            "clean N={} diverged for:\n{}", n, src
-                        );
-                        prop_assert_eq!(
-                            faulted.values_fingerprint,
-                            reference.values_fingerprint,
-                            "faulted N={} diverged for:\n{}", n, src
-                        );
-                        // Invariant 3: fleet-wide recovery accounting
-                        // matches what the injectors delivered.
-                        prop_assert_eq!(
-                            faulted.recovered_transients(),
-                            faulted.injected.transient_total(),
-                            "recovery accounting missed faults for:\n{}", src
-                        );
-                        prop_assert_eq!(clean.injected.transient_total(), 0);
-                        // Invariant 4: a crash latches per device.
-                        prop_assert!(faulted.injected.cse_crashes <= n as u64);
-                        for shard in &faulted.shards {
-                            if shard.report.metrics.recovery.hard_faults > 0 {
-                                prop_assert!(
-                                    shard.report.migration.is_some(),
-                                    "shard {} absorbed a hard fault without \
-                                     migrating for:\n{}", shard.shard, src
-                                );
-                            }
+            let faulted = execute_sharded_raw(
+                &program, &st, &map, &placements, &config, &opts, &faults, n,
+            );
+            match (&reference, clean, faulted) {
+                (Ok(reference), Ok(clean), Ok(faulted)) => {
+                    // Invariant 1: one answer everywhere.
+                    prop_assert_eq!(
+                        clean.values_fingerprint,
+                        reference.values_fingerprint,
+                        "clean N={} diverged for:\n{}", n, src
+                    );
+                    prop_assert_eq!(
+                        faulted.values_fingerprint,
+                        reference.values_fingerprint,
+                        "faulted N={} diverged for:\n{}", n, src
+                    );
+                    // Invariant 3: fleet-wide recovery accounting
+                    // matches what the injectors delivered.
+                    prop_assert_eq!(
+                        faulted.recovered_transients(),
+                        faulted.injected.transient_total(),
+                        "recovery accounting missed faults for:\n{}", src
+                    );
+                    prop_assert_eq!(clean.injected.transient_total(), 0);
+                    // Invariant 4: a crash latches per device.
+                    prop_assert!(faulted.injected.cse_crashes <= n as u64);
+                    for shard in &faulted.shards {
+                        if shard.report.metrics.recovery.hard_faults > 0 {
+                            prop_assert!(
+                                shard.report.migration.is_some(),
+                                "shard {} absorbed a hard fault without \
+                                 migrating for:\n{}", shard.shard, src
+                            );
                         }
                     }
-                    (Err(_), Err(_), Err(_)) => {
-                        // Invariant 2: invalid programs fail at every
-                        // fleet size, faulted or not.
-                    }
-                    (reference, clean, faulted) => {
-                        return Err(TestCaseError::fail(format!(
-                            "sharding changed success at N={n} for:\n{src}\n\
-                             reference: {reference:?}\nclean: {clean:?}\n\
-                             faulted: {faulted:?}"
-                        )));
-                    }
+                }
+                (Err(_), Err(_), Err(_)) => {
+                    // Invariant 2: invalid programs fail at every
+                    // fleet size, faulted or not.
+                }
+                (reference, clean, faulted) => {
+                    return Err(TestCaseError::fail(format!(
+                        "sharding changed success at N={n} for:\n{src}\n\
+                         reference: {reference:?}\nclean: {clean:?}\n\
+                         faulted: {faulted:?}"
+                    )));
                 }
             }
         }

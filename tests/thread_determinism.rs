@@ -1,30 +1,23 @@
 //! Thread-count determinism: the data-parallel kernel engine must be
 //! invisible in every output. Random programs run at 1, 2, and 8 worker
-//! threads on both evaluation backends and must produce byte-identical
+//! threads on both ALang engines and must produce byte-identical
 //! values, identical `LineCost` streams, and identical values
 //! fingerprints — the chunk grid depends only on data shape and reduction
 //! partials combine in chunk-index order, so the schedule can never leak
 //! into a result. A pinned fault plan on top must not change that.
 
+mod common;
+
 use activepy::exec::{execute, ExecOptions};
 use alang::builtins::Storage;
 use alang::interp::Interpreter;
 use alang::parser::parse;
-use alang::value::ArrayVal;
-use alang::{ExecBackend, ParallelPolicy, Value, Vm};
+use alang::{ParallelPolicy, Vm};
+use common::{expr, source, storage_with, VARS};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::{Duration, SimTime};
 use csd_sim::{EngineKind, SystemConfig};
 use proptest::prelude::*;
-
-/// Assignment targets, as in the engine differential.
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type (`sort`
-/// panics on the NaNs that `sqrt`/`0/0` legitimately produce here).
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
 
 /// Low engagement threshold so the stored arrays below split into several
 /// chunks (the element budget is 4096/chunk) and parallel execution
@@ -33,50 +26,10 @@ const MIN_PARALLEL_LEN: usize = 1_000;
 
 const THREADS: [usize; 3] = [1, 2, 8];
 
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep.
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
-
-/// Like the engine differential's storage but with physical arrays large
-/// enough to split into multiple chunks (12 000 elements ≈ 3 chunks).
+/// The shared grammar's storage with physical arrays large enough to
+/// split into multiple chunks (12 000 elements ≈ 3 chunks).
 fn storage() -> Storage {
-    let mut st = Storage::new();
-    st.insert(
-        "v",
-        Value::Array(ArrayVal::with_logical(
-            (0..12_000).map(|i| f64::from(i % 10)).collect(),
-            1_000_000,
-        )),
-    );
-    st.insert(
-        "w",
-        Value::Array(ArrayVal::with_logical(
-            (0..8_200).map(|i| f64::from(i % 97) - 48.0).collect(),
-            500_000,
-        )),
-    );
-    st
+    storage_with(12_000, 8_200)
 }
 
 fn policy(threads: usize) -> ParallelPolicy {
@@ -91,15 +44,12 @@ proptest! {
         lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
         flags in prop::collection::vec(any::<bool>(), 0..8),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = source(&lines);
         let program = parse(&src).expect("generated source parses");
         let lowered = alang::lower::lower_with(&program, &flags).expect("lowers");
         let st = storage();
 
-        // (records, per-var debug+bytes) per (backend, thread count); all
+        // (records, per-var debug+bytes) per thread count, both engines; all
         // cells must be equal.
         let mut reference: Option<(String, String)> = None;
         for threads in THREADS {
@@ -150,8 +100,8 @@ proptest! {
 
 /// A fixed mixed-placement program whose kernels all chunk under the test
 /// policy, replayed fault-free and under a pinned fault plan at every
-/// thread count on both backends: one `values_fingerprint`, one `LineCost`
-/// stream, regardless of schedule or injected faults.
+/// thread count: one `values_fingerprint`, one `LineCost` stream,
+/// regardless of schedule or injected faults.
 #[test]
 fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
     let src = "a = scan('v')\n\
@@ -178,40 +128,34 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
 
     // Fingerprints must agree across *everything*; LineCost streams only
     // within a fault plan (injected retries legitimately shift the
-    // simulated per-line timings), where thread count and backend still
-    // must not move them.
+    // simulated per-line timings), where the thread count still must not
+    // move them.
     let mut fingerprints = Vec::new();
     for faults in [FaultPlan::none(), pinned] {
         let mut cells = Vec::new();
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            for threads in THREADS {
-                let st = storage();
-                let mut system = SystemConfig::paper_default().build();
-                let opts = ExecOptions::activepy()
-                    .with_backend(backend)
-                    .with_faults(faults.clone())
-                    .with_parallelism(policy(threads));
-                let report = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-                    .expect("fixed program runs");
-                assert_eq!(
-                    report.parallel,
-                    policy(threads),
-                    "policy lands in the report"
+        for threads in THREADS {
+            let st = storage();
+            let mut system = SystemConfig::paper_default().build();
+            let opts = ExecOptions::activepy()
+                .with_faults(faults.clone())
+                .with_parallelism(policy(threads));
+            let report = execute(&program, &st, &placements, &mut system, &opts, None, &[])
+                .expect("fixed program runs");
+            assert_eq!(
+                report.parallel,
+                policy(threads),
+                "policy lands in the report"
+            );
+            if threads > 1 {
+                assert!(
+                    report.metrics.par.par_calls > 0,
+                    "chunked execution must engage at {threads} threads"
                 );
-                if threads > 1 {
-                    assert!(
-                        report.metrics.par.par_calls > 0,
-                        "chunked execution must engage at {threads} threads"
-                    );
-                }
-                // Whole reports differ across cells (policy and chunk
-                // counters are recorded); the *answer* may not.
-                fingerprints.push(report.values_fingerprint);
-                cells.push((
-                    format!("{:?}", report.lines),
-                    format!("{backend:?}/{threads}"),
-                ));
             }
+            // Whole reports differ across cells (policy and chunk
+            // counters are recorded); the *answer* may not.
+            fingerprints.push(report.values_fingerprint);
+            cells.push((format!("{:?}", report.lines), format!("{threads} threads")));
         }
         let (first_lines, first_tag) = cells[0].clone();
         for (lines, tag) in &cells[1..] {

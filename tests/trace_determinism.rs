@@ -9,7 +9,7 @@
 //! 3. **Coverage** — a traced contended pipeline records spans for all
 //!    six phases (sampling, fit, profit, assign, compile, execute) and a
 //!    `migration.decision` instant carrying a `reason` attribute.
-//! 4. **Well-formedness** (property-tested on both evaluation backends) —
+//! 4. **Well-formedness** (property-tested across contention levels) —
 //!    every span's duration is non-negative on both clocks, children
 //!    complete before their parents, and a child's simulated interval
 //!    nests inside its parent's.
@@ -23,7 +23,7 @@ use activepy::sampling::InputSource;
 use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use alang::Value;
 use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::{export, parse_journal, MemorySink, Tracer};
 use proptest::prelude::*;
@@ -53,29 +53,25 @@ s = sum(b)
 
 /// Runs the full pipeline under heavy mid-run contention (which forces a
 /// migration) with a fresh memory tracer; returns the sink and outcome.
-fn traced_run(backend: ExecBackend) -> (Arc<MemorySink>, activepy::runtime::ActivePyOutcome) {
+fn traced_run() -> (Arc<MemorySink>, activepy::runtime::ActivePyOutcome) {
     let (tracer, sink) = Tracer::to_memory();
     let program = parse(SRC).expect("parse");
     let config = SystemConfig::paper_default();
-    let outcome = ActivePy::with_options(
-        ActivePyOptions::default()
-            .with_backend(backend)
-            .with_tracer(tracer.clone()),
-    )
-    .run(
-        &program,
-        &input(),
-        &config,
-        ContentionScenario::after_progress(0.5, 0.1),
-    )
-    .expect("traced pipeline");
+    let outcome = ActivePy::with_options(ActivePyOptions::default().with_tracer(tracer.clone()))
+        .run(
+            &program,
+            &input(),
+            &config,
+            ContentionScenario::after_progress(0.5, 0.1),
+        )
+        .expect("traced pipeline");
     (sink, outcome)
 }
 
 #[test]
 fn masked_journals_are_byte_identical_across_same_seed_runs() {
-    let (a, _) = traced_run(ExecBackend::Vm);
-    let (b, _) = traced_run(ExecBackend::Vm);
+    let (a, _) = traced_run();
+    let (b, _) = traced_run();
     let jsonl_a = export::jsonl(&a.events(), None, true);
     let jsonl_b = export::jsonl(&b.events(), None, true);
     assert_eq!(jsonl_a, jsonl_b, "masked JSONL journals diverged");
@@ -89,7 +85,7 @@ fn masked_journals_are_byte_identical_across_same_seed_runs() {
 
 #[test]
 fn tracing_is_observation_only() {
-    let (_, traced) = traced_run(ExecBackend::Vm);
+    let (_, traced) = traced_run();
     let program = parse(SRC).expect("parse");
     let config = SystemConfig::paper_default();
     let untraced = ActivePy::new()
@@ -107,7 +103,7 @@ fn tracing_is_observation_only() {
 
 #[test]
 fn traced_pipeline_covers_all_phases_and_the_migration() {
-    let (sink, outcome) = traced_run(ExecBackend::Vm);
+    let (sink, outcome) = traced_run();
     assert!(
         outcome.report.migration.is_some(),
         "the 10% contention scenario must force a migration"
@@ -158,7 +154,7 @@ fn traced_pipeline_covers_all_phases_and_the_migration() {
 
 #[test]
 fn chrome_export_matches_the_committed_golden() {
-    let (sink, _) = traced_run(ExecBackend::Vm);
+    let (sink, _) = traced_run();
     let rendered = export::chrome_trace(&sink.events(), None, true);
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -179,13 +175,11 @@ fn chrome_export_matches_the_committed_golden() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Spans are well-formed on both evaluation backends and under
-    /// varying contention: non-negative durations on both clocks,
-    /// children complete before their parents, and simulated intervals
-    /// nest.
+    /// Spans are well-formed under varying contention: non-negative
+    /// durations on both clocks, children complete before their parents,
+    /// and simulated intervals nest.
     #[test]
-    fn spans_are_well_formed_on_both_backends(
-        backend in prop_oneof![Just(ExecBackend::Vm), Just(ExecBackend::AstWalk)],
+    fn spans_are_well_formed(
         fraction in prop_oneof![Just(0.1f64), Just(0.5f64), Just(1.0f64)],
     ) {
         let (tracer, sink) = Tracer::to_memory();
@@ -196,13 +190,9 @@ proptest! {
         } else {
             ContentionScenario::after_progress(0.5, fraction)
         };
-        ActivePy::with_options(
-            ActivePyOptions::default()
-                .with_backend(backend)
-                .with_tracer(tracer.clone()),
-        )
-        .run(&program, &input(), &config, scenario)
-        .expect("pipeline");
+        ActivePy::with_options(ActivePyOptions::default().with_tracer(tracer.clone()))
+            .run(&program, &input(), &config, scenario)
+            .expect("pipeline");
         let journal = parse_journal(&export::jsonl(&sink.events(), None, false))
             .expect("journal parses");
         prop_assert!(!journal.spans.is_empty());

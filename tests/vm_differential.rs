@@ -2,70 +2,20 @@
 //! random copy-elimination flags must behave identically on the
 //! tree-walking reference interpreter and the lowered register-bytecode VM
 //! — same [`alang::Value`]s, same `LineCost` stream (including copy-elim
-//! tagging), same errors at the same lines.
+//! tagging), same errors at the same lines. Line evaluation is the only
+//! place the engines differ, and the runtime only ever runs the VM, so
+//! this is where their equivalence is proved — for random programs and
+//! for every registered workload program.
 
-use alang::builtins::Storage;
+mod common;
+
+use activepy::sampling::{paper_scales, run_sampling};
+use alang::copyelim::eliminable_lines;
 use alang::interp::Interpreter;
 use alang::parser::parse;
-use alang::value::ArrayVal;
-use alang::{Value, Vm};
+use alang::Vm;
+use common::{expr, source, storage, VARS};
 use proptest::prelude::*;
-
-/// Assignment targets; reads of not-yet-defined names are valid programs
-/// that must fail identically on both engines.
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type: either
-/// they succeed or both engines raise the same runtime error. `sort` is
-/// excluded because its contract panics on the NaNs that `sqrt`/`0/0`
-/// legitimately produce here.
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep.
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
-
-fn storage() -> Storage {
-    let mut st = Storage::new();
-    st.insert(
-        "v",
-        Value::Array(ArrayVal::with_logical(
-            (0..64).map(|i| f64::from(i % 10)).collect(),
-            1_000_000,
-        )),
-    );
-    st.insert(
-        "w",
-        Value::Array(ArrayVal::with_logical(
-            (0..32).map(|i| f64::from(i) - 16.0).collect(),
-            500_000,
-        )),
-    );
-    st
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
@@ -75,10 +25,7 @@ proptest! {
         lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
         flags in prop::collection::vec(any::<bool>(), 0..8),
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
+        let src = source(&lines);
         let program = parse(&src).expect("generated source parses");
         let st = storage();
         let mut interp = Interpreter::new(&st);
@@ -110,6 +57,41 @@ proptest! {
                 return Err(TestCaseError::fail(format!(
                     "engines diverged for:\n{src}\nast: {a:?}\nvm:  {v:?}"
                 )));
+            }
+        }
+    }
+}
+
+/// Every program in the workload registry — and with them every builtin
+/// a workload calls — at the smallest sampling scale, with the copy-
+/// elimination flags its plan bakes in and with none: identical `LineCost`
+/// streams, identical final values and sizes for every variable.
+#[test]
+fn every_workload_program_agrees_across_engines() {
+    let scales = paper_scales();
+    let smallest = scales.iter().copied().fold(f64::INFINITY, f64::min);
+    for w in isp_workloads::full_set() {
+        let program = w.program().expect("registered workloads parse");
+        let st = w.storage_at(smallest);
+        // The plan's flags: what sampling observed, through the same pass.
+        let sampling = run_sampling(&program, &w, &scales).expect("sampling runs");
+        let plan_flags = eliminable_lines(&program, &sampling.dataset_types);
+        for flags in [plan_flags.as_slice(), &[]] {
+            let mut interp = Interpreter::new(&st);
+            let ast = interp.run(&program, flags).expect("interpreter runs");
+            let lowered = alang::lower::lower_with(&program, flags).expect("lowers");
+            let mut vm = Vm::new(&lowered, &st);
+            let records = vm.run().expect("vm runs");
+            assert_eq!(ast, records, "{}: LineCost streams diverged", w.name());
+            for name in interp.var_names() {
+                // Debug-compare so identical NaNs don't read as inequality.
+                assert_eq!(
+                    format!("{:?}", interp.var(name)),
+                    format!("{:?}", vm.var(name)),
+                    "{}: variable `{name}` diverged",
+                    w.name()
+                );
+                assert_eq!(interp.var_bytes(name), vm.var_bytes(name), "{}", w.name());
             }
         }
     }

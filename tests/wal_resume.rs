@@ -1,8 +1,7 @@
 //! Crash-resume differential: random programs × random placements ×
 //! random deterministic fault plans × a kill at a random byte offset of
-//! the execution journal, across fleet sizes N ∈ {1, 4} and both
-//! evaluation backends. The invariants the resume path must hold, for
-//! every draw:
+//! the execution journal, across fleet sizes N ∈ {1, 4}. The invariants
+//! the resume path must hold, for every draw:
 //!
 //! 1. **Same answer** — a run resumed from any prefix of the journal
 //!    (including a torn mid-record tail) finishes with the exact
@@ -20,6 +19,8 @@
 //! warm file re-plans with **zero** datagen calls and gets a
 //! byte-identical plan.
 
+mod common;
+
 use activepy::exec::{execute, ExecOptions, RunReport};
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{execute_sharded_raw, ActivePyError, ExecJournal, PlanCache};
@@ -27,90 +28,14 @@ use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
 use alang::value::ArrayVal;
-use alang::{ExecBackend, Value};
+use alang::Value;
+use common::{expr, fault_plan, placements, source, storage, VARS};
 use csd_sim::fault::FaultPlan;
-use csd_sim::units::{Duration, SimTime};
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
 use isp_obs::wal::{read_wal, WAL_MAGIC};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-
-const VARS: [&str; 4] = ["a", "b", "c", "d"];
-const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
-}
-
-/// A random expression in source form, up to three levels deep (the
-/// chaos-differential grammar).
-fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
-}
-
-fn storage() -> Storage {
-    let mut st = Storage::new();
-    st.insert(
-        "v",
-        Value::Array(ArrayVal::with_logical(
-            (0..64).map(|i| f64::from(i % 10)).collect(),
-            1_000_000,
-        )),
-    );
-    st.insert(
-        "w",
-        Value::Array(ArrayVal::with_logical(
-            (0..32).map(|i| f64::from(i) - 16.0).collect(),
-            500_000,
-        )),
-    );
-    st
-}
-
-/// A random but valid fault plan (same envelope as the chaos test).
-fn fault_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        0u64..1_000,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        0.0f64..0.3,
-        (any::<bool>(), 0.0f64..0.05),
-        (any::<bool>(), 0.0f64..0.05, 0.0f64..0.05, 0.05f64..1.0),
-    )
-        .prop_map(|(seed, flash, nvme, dma, crash, gc)| {
-            let mut plan = FaultPlan::none()
-                .with_seed(seed)
-                .with_flash_read_error_prob(flash)
-                .with_nvme_error_prob(nvme)
-                .with_dma_error_prob(dma);
-            if crash.0 {
-                plan = plan.with_crash_at(SimTime::from_secs(crash.1));
-            }
-            if gc.0 {
-                plan =
-                    plan.with_gc_burst(SimTime::from_secs(gc.1), Duration::from_secs(gc.2), gc.3);
-            }
-            plan
-        })
-}
 
 /// Unique temp path per call: tests run concurrently in one process.
 fn wal_path(tag: &str) -> PathBuf {
@@ -133,7 +58,6 @@ fn truncate_at_fraction(path: &std::path::Path, frac: f64) -> u64 {
 fn one_unsharded(
     src: &str,
     placements: &[EngineKind],
-    backend: ExecBackend,
     faults: &FaultPlan,
     journal: ExecJournal,
 ) -> Result<RunReport, ActivePyError> {
@@ -141,7 +65,6 @@ fn one_unsharded(
     let st = storage();
     let mut system = SystemConfig::paper_default().build();
     let opts = ExecOptions::activepy()
-        .with_backend(backend)
         .with_faults(faults.clone())
         .with_journal(journal);
     execute(&program, &st, placements, &mut system, &opts, None, &[])
@@ -185,8 +108,7 @@ proptest! {
 
     /// Kill-at-random-point chaos: record a journaled run, cut the
     /// journal at an arbitrary byte offset, resume, and demand the
-    /// uninterrupted outcome — unsharded and as an N=4 fleet, on both
-    /// backends.
+    /// uninterrupted outcome — unsharded and as an N=4 fleet.
     #[test]
     fn resumed_runs_reach_the_uninterrupted_outcome(
         lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
@@ -194,90 +116,79 @@ proptest! {
         faults in fault_plan(),
         kill_frac in 0.0f64..1.0,
     ) {
-        let src: String = lines
-            .iter()
-            .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
-            .collect();
-        let placements: Vec<EngineKind> = (0..lines.len())
-            .map(|i| if on_csd[i] { EngineKind::Cse } else { EngineKind::Host })
-            .collect();
+        let src = source(&lines);
+        let placements = placements(&on_csd, lines.len());
 
-        for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-            // --- Unsharded (fleet of one device) ---
-            let path = wal_path("solo");
-            let journal = ExecJournal::record_to(&path).expect("create journal");
-            let full = one_unsharded(&src, &placements, backend, &faults, journal);
-            let Ok(full) = full else {
-                // Invalid programs (reads of undefined names) fail with
-                // or without a journal; nothing to resume.
-                std::fs::remove_file(&path).ok();
-                continue;
-            };
-            let reference = read_wal(&path).expect("read full journal");
-            prop_assert!(!reference.torn, "uninterrupted journal must be clean");
-            prop_assert!(reference.records.len() >= 2, "at least RunStart + RunEnd");
-
-            truncate_at_fraction(&path, kill_frac);
-            let (journal, info) = ExecJournal::resume_from(&path).expect("resume");
-            prop_assert!(info.records <= reference.records.len());
-            let resumed = one_unsharded(&src, &placements, backend, &faults, journal)
-                .expect("resumed run succeeds");
-            assert_same_outcome(&full, &resumed, &src, "solo")?;
-
-            // Invariant 2: the healed journal is the uninterrupted one.
-            let healed = read_wal(&path).expect("read healed journal");
-            prop_assert!(!healed.torn);
-            prop_assert_eq!(
-                &healed.records, &reference.records,
-                "healed journal diverged from the uninterrupted record \
-                 stream for:\n{}", src
-            );
+        // --- Unsharded (fleet of one device) ---
+        let path = wal_path("solo");
+        let journal = ExecJournal::record_to(&path).expect("create journal");
+        let full = one_unsharded(&src, &placements, &faults, journal);
+        let Ok(full) = full else {
+            // Invalid programs (reads of undefined names) fail with
+            // or without a journal; nothing to resume.
             std::fs::remove_file(&path).ok();
+            return Ok(());
+        };
+        let reference = read_wal(&path).expect("read full journal");
+        prop_assert!(!reference.torn, "uninterrupted journal must be clean");
+        prop_assert!(reference.records.len() >= 2, "at least RunStart + RunEnd");
 
-            // --- N=4 fleet: shard lanes + host tail lane ---
-            let program = parse(&src).expect("parses");
-            let st = storage();
-            let config = SystemConfig::paper_default();
-            let map = ShardMap::auto(&st, 4, ShardStrategy::Range);
-            let shard_faults: Vec<FaultPlan> = (0..4)
-                .map(|s| faults.clone().with_seed(97 * s as u64 + 13))
-                .collect();
-            let fpath = wal_path("fleet");
-            let journal = ExecJournal::record_to(&fpath).expect("create fleet journal");
-            let opts = ExecOptions::activepy()
-                .with_backend(backend)
-                .with_journal(journal);
-            let fleet_full = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &shard_faults, 4,
-            ).expect("fleet runs where the unsharded run ran");
-            let fleet_ref = read_wal(&fpath).expect("read fleet journal");
-            prop_assert!(!fleet_ref.torn);
+        truncate_at_fraction(&path, kill_frac);
+        let (journal, info) = ExecJournal::resume_from(&path).expect("resume");
+        prop_assert!(info.records <= reference.records.len());
+        let resumed = one_unsharded(&src, &placements, &faults, journal)
+            .expect("resumed run succeeds");
+        assert_same_outcome(&full, &resumed, &src, "solo")?;
 
-            truncate_at_fraction(&fpath, kill_frac);
-            let (journal, _) = ExecJournal::resume_from(&fpath).expect("fleet resume");
-            let opts = ExecOptions::activepy()
-                .with_backend(backend)
-                .with_journal(journal);
-            let fleet_resumed = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &shard_faults, 4,
-            ).expect("resumed fleet run succeeds");
-            prop_assert_eq!(
-                fleet_full.values_fingerprint,
-                fleet_resumed.values_fingerprint,
-                "fleet resume changed the answer for:\n{}", src
-            );
-            prop_assert_eq!(
-                fleet_full.recovered_transients(),
-                fleet_resumed.recovered_transients(),
-            );
-            let healed = read_wal(&fpath).expect("read healed fleet journal");
-            prop_assert!(!healed.torn);
-            prop_assert_eq!(
-                &healed.records, &fleet_ref.records,
-                "healed fleet journal diverged for:\n{}", src
-            );
-            std::fs::remove_file(&fpath).ok();
-        }
+        // Invariant 2: the healed journal is the uninterrupted one.
+        let healed = read_wal(&path).expect("read healed journal");
+        prop_assert!(!healed.torn);
+        prop_assert_eq!(
+            &healed.records, &reference.records,
+            "healed journal diverged from the uninterrupted record \
+             stream for:\n{}", src
+        );
+        std::fs::remove_file(&path).ok();
+
+        // --- N=4 fleet: shard lanes + host tail lane ---
+        let program = parse(&src).expect("parses");
+        let st = storage();
+        let config = SystemConfig::paper_default();
+        let map = ShardMap::auto(&st, 4, ShardStrategy::Range);
+        let shard_faults: Vec<FaultPlan> = (0..4)
+            .map(|s| faults.clone().with_seed(97 * s as u64 + 13))
+            .collect();
+        let fpath = wal_path("fleet");
+        let journal = ExecJournal::record_to(&fpath).expect("create fleet journal");
+        let opts = ExecOptions::activepy().with_journal(journal);
+        let fleet_full = execute_sharded_raw(
+            &program, &st, &map, &placements, &config, &opts, &shard_faults, 4,
+        ).expect("fleet runs where the unsharded run ran");
+        let fleet_ref = read_wal(&fpath).expect("read fleet journal");
+        prop_assert!(!fleet_ref.torn);
+
+        truncate_at_fraction(&fpath, kill_frac);
+        let (journal, _) = ExecJournal::resume_from(&fpath).expect("fleet resume");
+        let opts = ExecOptions::activepy().with_journal(journal);
+        let fleet_resumed = execute_sharded_raw(
+            &program, &st, &map, &placements, &config, &opts, &shard_faults, 4,
+        ).expect("resumed fleet run succeeds");
+        prop_assert_eq!(
+            fleet_full.values_fingerprint,
+            fleet_resumed.values_fingerprint,
+            "fleet resume changed the answer for:\n{}", src
+        );
+        prop_assert_eq!(
+            fleet_full.recovered_transients(),
+            fleet_resumed.recovered_transients(),
+        );
+        let healed = read_wal(&fpath).expect("read healed fleet journal");
+        prop_assert!(!healed.torn);
+        prop_assert_eq!(
+            &healed.records, &fleet_ref.records,
+            "healed fleet journal diverged for:\n{}", src
+        );
+        std::fs::remove_file(&fpath).ok();
     }
 }
 
@@ -301,33 +212,29 @@ fn resume_reconsumes_retries_exactly() {
         .with_nvme_error_prob(0.2)
         .with_dma_error_prob(0.2);
 
-    for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-        let path = wal_path("retries");
-        let journal = ExecJournal::record_to(&path).expect("create journal");
-        let full =
-            one_unsharded(src, &placements, backend, &faults, journal).expect("uninterrupted run");
-        assert!(
-            full.metrics.recovery.retries > 0,
-            "fault plan must force retries for the regression to bite"
-        );
+    let path = wal_path("retries");
+    let journal = ExecJournal::record_to(&path).expect("create journal");
+    let full = one_unsharded(src, &placements, &faults, journal).expect("uninterrupted run");
+    assert!(
+        full.metrics.recovery.retries > 0,
+        "fault plan must force retries for the regression to bite"
+    );
 
-        truncate_at_fraction(&path, 0.6);
-        let (journal, info) = ExecJournal::resume_from(&path).expect("resume");
-        assert!(info.records > 0, "a 60% cut keeps some records");
-        let resumed =
-            one_unsharded(src, &placements, backend, &faults, journal).expect("resumed run");
+    truncate_at_fraction(&path, 0.6);
+    let (journal, info) = ExecJournal::resume_from(&path).expect("resume");
+    assert!(info.records > 0, "a 60% cut keeps some records");
+    let resumed = one_unsharded(src, &placements, &faults, journal).expect("resumed run");
 
-        let a = &full.metrics.recovery;
-        let b = &resumed.metrics.recovery;
-        assert_eq!(a.retries, b.retries, "retries double- or under-counted");
-        assert_eq!(a.transient_faults, b.transient_faults);
-        assert_eq!(a.recovered_ops, b.recovered_ops);
-        assert_eq!(a.hard_faults, b.hard_faults);
-        assert_eq!(a.fault_migrations, b.fault_migrations);
-        assert_eq!(a.backoff_secs.to_bits(), b.backoff_secs.to_bits());
-        assert_eq!(full.values_fingerprint, resumed.values_fingerprint);
-        std::fs::remove_file(&path).ok();
-    }
+    let a = &full.metrics.recovery;
+    let b = &resumed.metrics.recovery;
+    assert_eq!(a.retries, b.retries, "retries double- or under-counted");
+    assert_eq!(a.transient_faults, b.transient_faults);
+    assert_eq!(a.recovered_ops, b.recovered_ops);
+    assert_eq!(a.hard_faults, b.hard_faults);
+    assert_eq!(a.fault_migrations, b.fault_migrations);
+    assert_eq!(a.backoff_secs.to_bits(), b.backoff_secs.to_bits());
+    assert_eq!(full.values_fingerprint, resumed.values_fingerprint);
+    std::fs::remove_file(&path).ok();
 }
 
 /// A run resumed against a *different* fault plan diverges from the
@@ -343,13 +250,12 @@ fn resume_against_different_faults_is_detected() {
 
     let path = wal_path("divergence");
     let journal = ExecJournal::record_to(&path).expect("create journal");
-    let full = one_unsharded(src, &placements, ExecBackend::Vm, &faults, journal)
-        .expect("uninterrupted run");
+    let full = one_unsharded(src, &placements, &faults, journal).expect("uninterrupted run");
     assert!(full.metrics.recovery.transient_faults > 0);
 
     let (journal, _) = ExecJournal::resume_from(&path).expect("resume");
     let other = faults.with_seed(12);
-    let err = one_unsharded(src, &placements, ExecBackend::Vm, &other, journal)
+    let err = one_unsharded(src, &placements, &other, journal)
         .expect_err("a different fault stream cannot match the journal");
     assert!(
         err.to_string().contains("journal divergence"),
@@ -477,47 +383,43 @@ fn decode_workload_resumes_byte_exact() {
         .with_dma_error_prob(0.15);
     let config = SystemConfig::paper_default();
 
-    for backend in [ExecBackend::Vm, ExecBackend::AstWalk] {
-        let path = wal_path("decode");
-        let journal = ExecJournal::record_to(&path).expect("create journal");
+    let path = wal_path("decode");
+    let journal = ExecJournal::record_to(&path).expect("create journal");
+    let opts = ExecOptions::activepy()
+        .with_faults(faults.clone())
+        .with_journal(journal);
+    let mut system = config.build();
+    let full = execute(&program, &st, &placements, &mut system, &opts, None, &[])
+        .expect("uninterrupted run");
+    assert!(
+        full.metrics.recovery.retries > 0,
+        "fault plan must force retries through the decode pipeline"
+    );
+    let full_journal = std::fs::read(&path).expect("journal exists");
+
+    for frac in [0.1, 0.5, 0.9] {
+        std::fs::write(&path, &full_journal).expect("restore journal");
+        truncate_at_fraction(&path, frac);
+        let (journal, _) = ExecJournal::resume_from(&path).expect("resume");
         let opts = ExecOptions::activepy()
-            .with_backend(backend)
             .with_faults(faults.clone())
             .with_journal(journal);
         let mut system = config.build();
-        let full = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-            .expect("uninterrupted run");
-        assert!(
-            full.metrics.recovery.retries > 0,
-            "fault plan must force retries through the decode pipeline"
+        let resumed = execute(&program, &st, &placements, &mut system, &opts, None, &[])
+            .expect("resumed run");
+        assert_eq!(
+            full.values_fingerprint, resumed.values_fingerprint,
+            "resume at {frac} changed the decode answer"
         );
-        let full_journal = std::fs::read(&path).expect("journal exists");
-
-        for frac in [0.1, 0.5, 0.9] {
-            std::fs::write(&path, &full_journal).expect("restore journal");
-            truncate_at_fraction(&path, frac);
-            let (journal, _) = ExecJournal::resume_from(&path).expect("resume");
-            let opts = ExecOptions::activepy()
-                .with_backend(backend)
-                .with_faults(faults.clone())
-                .with_journal(journal);
-            let mut system = config.build();
-            let resumed = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-                .expect("resumed run");
-            assert_eq!(
-                full.values_fingerprint, resumed.values_fingerprint,
-                "resume at {frac} changed the decode answer on {backend:?}"
-            );
-            assert_eq!(
-                full.metrics.recovery.retries, resumed.metrics.recovery.retries,
-                "retry accounting diverged at {frac} on {backend:?}"
-            );
-            let resumed_journal = std::fs::read(&path).expect("journal exists");
-            assert_eq!(
-                full_journal, resumed_journal,
-                "resumed journal bytes diverged at {frac} on {backend:?}"
-            );
-        }
-        std::fs::remove_file(&path).ok();
+        assert_eq!(
+            full.metrics.recovery.retries, resumed.metrics.recovery.retries,
+            "retry accounting diverged at {frac}"
+        );
+        let resumed_journal = std::fs::read(&path).expect("journal exists");
+        assert_eq!(
+            full_journal, resumed_journal,
+            "resumed journal bytes diverged at {frac}"
+        );
     }
+    std::fs::remove_file(&path).ok();
 }
