@@ -8,13 +8,14 @@
 //!
 //! Because data flows forward through these pipelines, the reasonable
 //! combinations are the contiguous line ranges (plus the empty plan); the
-//! search simulates every one at native tier under full CSD availability
-//! and keeps the fastest. The returned [`OffloadPlan`] can then be re-run
+//! search evaluates the program once, simulates every combination over
+//! that evaluation at native tier under full CSD availability, and keeps
+//! the fastest. The returned [`OffloadPlan`] can then be re-run
 //! under any contention scenario — that re-run *is* the Summarizer-style
 //! static framework of Figures 2 and 5.
 
 use crate::error::{BaselineError, Result};
-use activepy::exec::{execute, ExecOptions, RunReport};
+use activepy::exec::{evaluate, execute, simulate, ExecOptions, RunReport};
 use csd_sim::contention::ContentionScenario;
 use csd_sim::{EngineKind, SystemConfig};
 use isp_workloads::Workload;
@@ -59,6 +60,11 @@ pub fn best_static_plan(workload: &Workload, config: &SystemConfig) -> Result<Of
     if n == 0 {
         return Err(BaselineError::search("cannot plan an empty program"));
     }
+    // Placement moves cost, never values: one lowering and one evaluation
+    // serve all n(n+1)/2 + 1 candidates.
+    let opts = ExecOptions::native_static();
+    let lowered = alang::lower::lower(&program)?;
+    let evaluation = evaluate(&program, &lowered, &storage, &opts)?;
     let mut best: Option<OffloadPlan> = None;
     let mut candidates: Vec<Option<(usize, usize)>> = vec![None];
     for i in 0..n {
@@ -74,15 +80,14 @@ pub fn best_static_plan(workload: &Workload, config: &SystemConfig) -> Result<Of
             })
             .collect();
         let mut system = config.build();
-        let opts = ExecOptions::native_static();
-        let report = execute(
+        let report = simulate(
             &program,
-            &storage,
+            &evaluation,
             &placements,
             &mut system,
             &opts,
             None,
-            &[],
+            None,
         )?;
         let candidate = OffloadPlan {
             placements,
@@ -156,6 +161,19 @@ mod tests {
             plan.range.is_some(),
             "Q6 is the archetypal ISP query; something should offload"
         );
+    }
+
+    #[test]
+    fn the_search_evaluates_its_program_once() {
+        let config = SystemConfig::paper_default();
+        let q6 = isp_workloads::by_name("TPC-H-6").expect("q6");
+        assert!(q6.program().expect("program").len() > 1, "many candidates");
+        // The only way to a `RunReport` without evaluating is `simulate`
+        // over an existing evaluation, which takes no lowering: one
+        // evaluation means one lowering too.
+        let before = activepy::exec::evaluations_on_this_thread();
+        best_static_plan(&q6, &config).expect("plan");
+        assert_eq!(activepy::exec::evaluations_on_this_thread() - before, 1);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use crate::monitor::{Monitor, MonitorConfig, Observation};
 use crate::recovery::{Recovery, RecoveryPolicy};
 use crate::resume::reason_code;
 use alang::compile::CompiledProgram;
+use alang::par::ParStatsSnapshot;
 use alang::{
     CostParams, ExecTier, Fingerprinter, LineCost, LoweredProgram, ParallelPolicy, Program,
     Storage, Vm,
@@ -184,18 +185,35 @@ impl ExecOptions {
         self.journal = journal;
         self
     }
+
+    /// Checks every policy. [`evaluate`] and [`simulate`] call this before
+    /// doing anything: a bad policy is a configuration error at the door,
+    /// not a silent clamp mid-run.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first invalid policy as a configuration error.
+    pub fn validate(&self) -> Result<()> {
+        if let Some(cfg) = self.monitor {
+            cfg.validate()?;
+        }
+        self.recovery.validate()?;
+        self.faults.validate().map_err(ActivePyError::config)?;
+        self.parallel.validate().map_err(ActivePyError::config)
+    }
 }
 
 /// One shard's view of an execution, for fleet scatter/gather runs.
 ///
 /// The repo's central repro discipline is that placement affects *costs
-/// only*: the evaluator always computes every value on the full data, so
-/// answers are byte-identical no matter where lines run. A `ShardSlice`
-/// extends the same discipline to fleets: a shard run evaluates the whole
-/// program (values — and therefore `values_fingerprint` — are identical
-/// on every shard), but is *charged* only for its own work:
+/// only*: every value is computed on the full data, so answers are
+/// byte-identical no matter where lines run. A `ShardSlice` extends the
+/// same discipline to fleets: a shard run is simulated over the whole
+/// program's [`Evaluation`] (values — and therefore `values_fingerprint`
+/// — are the same on every shard), but is *charged* only for its own
+/// work:
 ///
-/// * lines outside `[charge_start, charge_end)` are evaluated free — no
+/// * lines outside `[charge_start, charge_end)` are simulated free — no
 ///   storage, compute, staging, or allocation charges (they belong to a
 ///   different phase of the fleet plan, e.g. the host-side combine);
 /// * charged lines whose output is row-partitioned (`sharded[line]`)
@@ -456,7 +474,10 @@ pub fn execute(
 
 /// As [`execute`] on an already-lowered program with its baked
 /// copy-elimination flags, so runs that share a plan — one per contention
-/// scenario, or a fleet's N + 1 — share one lowering.
+/// scenario — share one lowering: validate, [`evaluate`], then simulate.
+/// Runs that are schedules of *one* execution (a fleet's N + 1, the
+/// candidates of a placement search) share the evaluation too, through
+/// [`simulate`].
 ///
 /// When `shard` is given the run is charged as one shard of a fleet:
 /// values are still computed in full (so `values_fingerprint` matches the
@@ -477,6 +498,69 @@ pub fn execute_lowered(
     estimates: Option<&[LineEstimate]>,
     shard: Option<&ShardSlice>,
 ) -> Result<RunReport> {
+    let evaluation = evaluate(program, lowered, storage, opts)?;
+    simulate(
+        program,
+        &evaluation,
+        placements,
+        system,
+        opts,
+        estimates,
+        shard,
+    )
+}
+
+/// What `program` computes over `storage` — a function of those two alone
+/// (placement, contention, faults and sharding affect only simulated
+/// cost), so one `Evaluation` serves every schedule simulated over it: a
+/// fleet's N shard runs and its tail, or every candidate of a placement
+/// search. Built by [`evaluate`], consumed by [`simulate`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct Evaluation {
+    /// Per line, in program order: its cost on the full data, before any
+    /// shard scaling. `bytes_out` is the volume of the value the line
+    /// produced — the target's `virtual_bytes` once the line has run —
+    /// which is where [`Run::var_bytes`] reads a name's size from.
+    lines: Vec<LineCost>,
+    /// Every assigned variable's final value, in first-assignment order,
+    /// through one [`Fingerprinter`]. Bit patterns, not renderings: `-0.0`
+    /// and NaN payloads count.
+    values_fingerprint: u64,
+    /// The policy the kernels ran under, and what they counted.
+    parallel: ParallelPolicy,
+    par: ParStatsSnapshot,
+}
+
+thread_local! {
+    /// How many times [`evaluate`] has run on this thread.
+    static EVALUATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times [`evaluate`] has run on the calling thread — what the
+/// "one evaluation per logical execution" tests count, here and in the
+/// crates whose searches sit on top of this one (where a `cfg(test)` of
+/// this crate is off).
+#[doc(hidden)]
+#[must_use]
+pub fn evaluations_on_this_thread() -> u64 {
+    EVALUATIONS.with(std::cell::Cell::get)
+}
+
+/// Runs `lowered` over `storage`, line by line in program order, under
+/// `opts.parallel`, with `kernel.par` spans going to `opts.tracer`. This
+/// is the only place the executor constructs a [`Vm`].
+///
+/// # Errors
+///
+/// Rejects a lowering whose line count does not match `program` and
+/// invalid options (before anything runs); returns the first failing
+/// line's evaluation error, annotated with its line.
+pub fn evaluate(
+    program: &Program,
+    lowered: &LoweredProgram,
+    storage: &Storage,
+    opts: &ExecOptions,
+) -> Result<Evaluation> {
     if lowered.len() != program.len() {
         return Err(ActivePyError::exec(format!(
             "lowered program has {} lines, source has {}",
@@ -484,6 +568,42 @@ pub fn execute_lowered(
             program.len()
         )));
     }
+    opts.validate()?;
+    EVALUATIONS.with(|n| n.set(n.get() + 1));
+    let mut vm = Vm::with_policy(lowered, storage, opts.parallel);
+    vm.set_tracer(opts.tracer.clone());
+    let lines = (0..program.len())
+        .map(|line| vm.exec_line(line))
+        .collect::<std::result::Result<Vec<_>, _>>()?;
+    let mut fp = Fingerprinter::default();
+    for target in program.targets() {
+        fp.var(target, vm.var(target));
+    }
+    Ok(Evaluation {
+        lines,
+        values_fingerprint: fp.finish(),
+        parallel: opts.parallel,
+        par: vm.par_stats(),
+    })
+}
+
+/// Simulates one schedule of an already evaluated program: `placements`
+/// on `system` under `opts`, charged as `shard` when given. Everything
+/// [`execute_lowered`] does after evaluating.
+///
+/// # Errors
+///
+/// As [`execute`], less the evaluation errors; additionally rejects an
+/// `evaluation` of a program with a different line count.
+pub fn simulate(
+    program: &Program,
+    evaluation: &Evaluation,
+    placements: &[EngineKind],
+    system: &mut System,
+    opts: &ExecOptions,
+    estimates: Option<&[LineEstimate]>,
+    shard: Option<&ShardSlice>,
+) -> Result<RunReport> {
     if placements.len() != program.len() {
         return Err(ActivePyError::exec(format!(
             "{} placements for {} lines",
@@ -491,27 +611,25 @@ pub fn execute_lowered(
             program.len()
         )));
     }
-    // Options are validated up front: a bad policy is a configuration
-    // error at the door, not a silent clamp mid-run.
-    if let Some(cfg) = opts.monitor {
-        cfg.validate()?;
+    if evaluation.lines.len() != program.len() {
+        return Err(ActivePyError::exec(format!(
+            "evaluation covers {} lines, program has {}",
+            evaluation.lines.len(),
+            program.len()
+        )));
     }
-    opts.recovery.validate()?;
-    opts.faults.validate().map_err(ActivePyError::config)?;
-    opts.parallel.validate().map_err(ActivePyError::config)?;
+    opts.validate()?;
     if !opts.faults.is_none() {
         system.install_faults(opts.faults.clone());
     }
-    let mut vm = Vm::with_policy(lowered, storage, opts.parallel);
-    // `kernel.par` spans land in the same journal as the execution spans.
-    vm.set_tracer(opts.tracer.clone());
     let mut run = Run {
         program,
         opts,
         estimates,
         shard,
         system,
-        vm,
+        evaluation,
+        simulated: 0,
         recov: Recovery::with_tracer(opts.recovery, opts.tracer.clone()),
         var_loc: BTreeMap::new(),
         vars: VarSpace::default(),
@@ -652,15 +770,20 @@ impl Region {
 }
 
 /// One execution in flight: the program, its options, the simulated
-/// platform, the evaluator, and everything the line/region state machine
-/// mutates as it goes.
+/// platform, what the program evaluated to, and everything the line/region
+/// state machine mutates as it goes.
 struct Run<'a> {
     program: &'a Program,
     opts: &'a ExecOptions,
     estimates: Option<&'a [LineEstimate]>,
     shard: Option<&'a ShardSlice>,
     system: &'a mut System,
-    vm: Vm<'a>,
+    evaluation: &'a Evaluation,
+    /// Lines simulated so far. The machine visits lines strictly in
+    /// program order, so this is also the next line [`Run::eval_line`]
+    /// may be asked for, and a name's size is whatever the last line
+    /// before it assigned.
+    simulated: usize,
     recov: Recovery,
     var_loc: BTreeMap<String, EngineKind>,
     vars: VarSpace,
@@ -688,19 +811,19 @@ impl Run<'_> {
         self.system.now().as_secs()
     }
 
-    /// Opens a span at the current simulated time.
-    fn open(&mut self, name: &str, kind: SpanKind, attrs: Attrs) {
-        let handle = self
-            .opts
-            .tracer
-            .begin_with(name, kind, Some(self.now()), attrs);
+    /// Opens a span at the current simulated time; `attrs` is only built
+    /// for a live tracer.
+    fn open(&mut self, name: &str, kind: SpanKind, attrs: impl FnOnce() -> Attrs) {
+        let tracer = &self.opts.tracer;
+        let handle = tracer.begin_with(name, kind, Some(self.now()), tracer.attrs(attrs));
         self.spans.push(handle);
     }
 
     /// Ends the innermost open span at the current simulated time.
-    fn close(&mut self, attrs: Attrs) {
+    fn close(&mut self, attrs: impl FnOnce() -> Attrs) {
         if let Some(handle) = self.spans.pop() {
-            self.opts.tracer.end_with(handle, Some(self.now()), attrs);
+            let tracer = &self.opts.tracer;
+            tracer.end_with(handle, Some(self.now()), tracer.attrs(attrs));
         }
     }
 
@@ -710,7 +833,7 @@ impl Run<'_> {
     /// next — so close them all, innermost first, marked as failed.
     fn close_spans_after_error(&mut self) {
         while !self.spans.is_empty() {
-            self.close(vec![("error".into(), true.into())]);
+            self.close(|| vec![("error".into(), true.into())]);
         }
     }
 
@@ -720,18 +843,21 @@ impl Run<'_> {
     /// deterministic state snapshot taken here.
     fn boundary(&mut self, b: Boundary) -> Result<()> {
         if let Boundary::Migration(event, _) | Boundary::Reclaim(event, _) = &b {
-            self.opts.tracer.instant(
+            let tracer = &self.opts.tracer;
+            tracer.instant(
                 "migration.decision",
                 SpanKind::Migration,
                 Some(event.at_secs),
-                vec![
-                    ("reason".into(), event.reason.as_str().into()),
-                    ("after_line".into(), event.after_line.into()),
-                    ("state_bytes".into(), event.state_bytes.into()),
-                    ("regen_secs".into(), event.regen_secs.into()),
-                ],
+                tracer.attrs(|| {
+                    vec![
+                        ("reason".into(), event.reason.as_str().into()),
+                        ("after_line".into(), event.after_line.into()),
+                        ("state_bytes".into(), event.state_bytes.into()),
+                        ("regen_secs".into(), event.regen_secs.into()),
+                    ]
+                }),
             );
-            self.opts.tracer.counter_add("exec.migrations", 1);
+            tracer.counter_add("exec.migrations", 1);
             self.migrations.push(*event);
             if event.reason != MigrationReason::Reclaim {
                 self.migration = Some(*event);
@@ -825,14 +951,13 @@ impl Run<'_> {
     /// lines and CSD regions, return the result to the host, report.
     fn drive(&mut self) -> Result<RunReport> {
         let program = self.program;
-        self.open(
-            "phase.execute",
-            SpanKind::Phase,
+        let csd_total = self.csd_total;
+        self.open("phase.execute", SpanKind::Phase, || {
             vec![
                 ("lines".into(), program.len().into()),
-                ("csd_lines".into(), self.csd_total.into()),
-            ],
-        );
+                ("csd_lines".into(), csd_total.into()),
+            ]
+        });
         self.boundary(Boundary::RunStart)?;
 
         // Distribute the CSD binary into device memory before execution
@@ -874,7 +999,7 @@ impl Run<'_> {
         // phase, charged against the shared host link budget instead.
         if let Some(last) = program.lines().last() {
             if self.var_loc.get(&last.target) == Some(&EngineKind::Cse) {
-                let bytes = self.line_bytes(last.index, self.vm.var_bytes(&last.target));
+                let bytes = self.line_bytes(last.index, self.var_bytes(&last.target));
                 // A free line in a shard run drains nothing; the unsharded
                 // path keeps issuing the (possibly empty) transfer so its
                 // timing is byte-identical to the pre-fleet engine.
@@ -895,11 +1020,12 @@ impl Run<'_> {
         let metrics = MetricsSnapshot {
             faults: self.system.fault_counters(),
             recovery: self.recov.stats,
-            par: self.vm.par_stats(),
+            par: self.evaluation.par,
             ..MetricsSnapshot::default()
         };
         metrics.publish_to(&self.opts.tracer);
-        self.close(vec![("migrated".into(), self.migration.is_some().into())]);
+        let migrated = self.migration.is_some();
+        self.close(|| vec![("migrated".into(), migrated.into())]);
         // Feed the run's measured per-line costs to the profile store. Shard
         // runs are skipped: their costs are slice-scaled and would bias the
         // unsharded profile the planner refits against.
@@ -913,14 +1039,8 @@ impl Run<'_> {
             self.opts.profile.record(&costs);
         }
         // The answer-integrity check compared between faulted and
-        // fault-free runs, thread counts and fleet sizes: every assigned
-        // variable in first-assignment order through one `Fingerprinter`.
-        // Bit patterns, not renderings: `-0.0` and NaN payloads count.
-        let mut fp = Fingerprinter::default();
-        for target in self.program.targets() {
-            fp.var(target, self.vm.var(target));
-        }
-        let fingerprint = fp.finish();
+        // fault-free runs, thread counts and fleet sizes.
+        let fingerprint = self.evaluation.values_fingerprint;
         let total_secs = self.now();
         self.boundary(Boundary::RunEnd {
             fingerprint,
@@ -935,7 +1055,7 @@ impl Run<'_> {
             h2d_bytes: self.system.dma().h2d_bytes().as_u64(),
             peak_device_bytes: self.vars.peak_device,
             values_fingerprint: fingerprint,
-            parallel: self.opts.parallel,
+            parallel: self.evaluation.parallel,
             metrics,
             migrations: std::mem::take(&mut self.migrations),
             eq1: Vec::new(),
@@ -973,19 +1093,32 @@ impl Run<'_> {
     /// only its own rows of a partitioned value; a line outside the charge
     /// range ships nothing at all.
     fn input_bytes(&self, name: &str, at_line: usize) -> u64 {
-        let full = self.vm.var_bytes(name);
+        let full = self.var_bytes(name);
         match self.shard {
             Some(sh) => sh.scale_def(self.program.def_site(name), at_line, full),
             None => full,
         }
     }
 
-    /// Evaluates line `i` (on the full data, whatever the placement) and
-    /// returns its measured cost as this run is charged for it: every
-    /// extensive field scaled by [`ShardSlice::scale_line`] in a shard run.
-    fn eval_line(&mut self, i: usize) -> Result<LineCost> {
-        let cost = self.vm.exec_line(i)?;
-        Ok(match self.shard {
+    /// Paper-scale bytes of `name` as of the lines simulated so far (0
+    /// before its first assignment): what the last of them to assign it
+    /// produced.
+    fn var_bytes(&self, name: &str) -> u64 {
+        self.program.lines()[..self.simulated]
+            .iter()
+            .rposition(|l| l.target == name)
+            .map_or(0, |line| self.evaluation.lines[line].bytes_out)
+    }
+
+    /// Takes line `i` — the next in program order — as simulated and
+    /// returns its measured cost (on the full data, whatever the
+    /// placement) as this run is charged for it: every extensive field
+    /// scaled by [`ShardSlice::scale_line`] in a shard run.
+    fn eval_line(&mut self, i: usize) -> LineCost {
+        assert_eq!(i, self.simulated, "lines are simulated in program order");
+        self.simulated += 1;
+        let cost = self.evaluation.lines[i];
+        match self.shard {
             Some(sh) => LineCost {
                 compute_ops: sh.scale_line(i, cost.compute_ops),
                 storage_bytes: sh.scale_line(i, cost.storage_bytes),
@@ -996,7 +1129,7 @@ impl Run<'_> {
                 calls: cost.calls,
             },
             None => cost,
-        })
+        }
     }
 
     /// Moves any of `line`'s inputs that live on the other engine next to
@@ -1050,20 +1183,18 @@ impl Run<'_> {
     fn host_line(&mut self, i: usize) -> Result<()> {
         let line = &self.program.lines()[i];
         let start = self.now();
-        self.open(
-            "exec.host_line",
-            SpanKind::Device,
-            vec![("line".into(), i.into())],
-        );
+        self.open("exec.host_line", SpanKind::Device, || {
+            vec![("line".into(), i.into())]
+        });
         let staged = self.stage_inputs(line, EngineKind::Host, true)?;
-        let cost = self.eval_line(i)?;
+        let cost = self.eval_line(i);
         let ops = cost.effective_ops(self.opts.tier, &self.opts.params);
         self.charge(EngineKind::Host, cost.storage_bytes, ops);
         self.var_loc.insert(line.target.clone(), EngineKind::Host);
-        let bind_bytes = self.line_bytes(i, self.vm.var_bytes(&line.target));
+        let bind_bytes = self.line_bytes(i, self.var_bytes(&line.target));
         self.vars
             .bind(self.system, &line.target, EngineKind::Host, bind_bytes)?;
-        self.close(Vec::new());
+        self.close(Vec::new);
         self.lines_out.push(LineOutcome {
             line: i,
             engine: EngineKind::Host,
@@ -1087,14 +1218,12 @@ impl Run<'_> {
         while end + 1 < self.program.len() && self.placements[end + 1] == EngineKind::Cse {
             end += 1;
         }
-        self.open(
-            "exec.region",
-            SpanKind::Device,
+        self.open("exec.region", SpanKind::Device, || {
             vec![
                 ("start_line".into(), start.into()),
                 ("end_line".into(), end.into()),
-            ],
-        );
+            ]
+        });
         let mut r = match self.prepare(start, end) {
             Ok(r) => r,
             Err(ActivePyError::DeviceFault { .. }) if self.opts.recovery.fallback_to_host => {
@@ -1117,7 +1246,7 @@ impl Run<'_> {
             break;
         }
         self.monitor = None;
-        self.close(Vec::new());
+        self.close(Vec::new);
         // Synthesize sequential per-line intervals from the accumulated
         // durations (chunks interleave lines; total time is exact, the
         // per-line split is proportional).
@@ -1182,7 +1311,7 @@ impl Run<'_> {
                 .sum();
             staged.push(self.stage_inputs(line, EngineKind::Cse, false)?);
             external_input_bytes += external;
-            let cost = self.eval_line(line.index)?;
+            let cost = self.eval_line(line.index);
             ops.push(cost.effective_ops(self.opts.tier, &self.opts.params));
             costs.push(cost);
             self.var_loc.insert(line.target.clone(), EngineKind::Cse);
@@ -1259,7 +1388,7 @@ impl Run<'_> {
         self.system.advance(Duration::from_secs(event.regen_secs));
         self.recov.stats.fault_migrations += 1;
         self.boundary(Boundary::Migration(event, 0))?;
-        self.close(vec![("aborted".into(), true.into())]);
+        self.close(|| vec![("aborted".into(), true.into())]);
         self.fall_back_to_host(start);
         Ok(())
     }
@@ -1278,11 +1407,9 @@ impl Run<'_> {
         // Progress-triggered contention can fire mid-region.
         self.contend_on_progress((c as f64 / REGION_CHUNKS as f64) * r.len() as f64);
         let chunk_t0 = self.now();
-        self.open(
-            "exec.chunk",
-            SpanKind::Device,
-            vec![("chunk".into(), c.into())],
-        );
+        self.open("exec.chunk", SpanKind::Device, || {
+            vec![("chunk".into(), c.into())]
+        });
         let mut chunk_ops = 0u64;
         let mut fault: Option<DeviceFault> = None;
         for k in 0..r.len() {
@@ -1298,7 +1425,7 @@ impl Run<'_> {
             }
         }
         let wall = self.now() - chunk_t0;
-        self.close(Vec::new());
+        self.close(Vec::new);
         if self.opts.tracer.is_enabled() {
             // Simulated chunk latency, in whole nanoseconds so the
             // histogram stays integral and deterministic.
@@ -1398,24 +1525,28 @@ impl Run<'_> {
             return false;
         };
         let obs = mon.observe_window(step.ops as f64, step.wall);
-        if self.opts.tracer.is_enabled() {
-            let (label, ratio) = match obs {
-                Observation::Warmup => ("warmup", None),
-                Observation::Healthy => ("healthy", None),
-                Observation::Degraded { ratio } => ("degraded", Some(ratio)),
-            };
-            let mut attrs: Attrs = vec![
-                ("observation".into(), label.into()),
-                ("ops".into(), step.ops.into()),
-                ("window_secs".into(), step.wall.into()),
-            ];
-            if let Some(r) = ratio {
-                attrs.push(("ratio".into(), r.into()));
-            }
-            self.opts
-                .tracer
-                .instant("monitor.window", SpanKind::Monitor, Some(self.now()), attrs);
-        }
+        let tracer = &self.opts.tracer;
+        tracer.instant(
+            "monitor.window",
+            SpanKind::Monitor,
+            Some(self.system.now().as_secs()),
+            tracer.attrs(|| {
+                let (label, ratio) = match obs {
+                    Observation::Warmup => ("warmup", None),
+                    Observation::Healthy => ("healthy", None),
+                    Observation::Degraded { ratio } => ("degraded", Some(ratio)),
+                };
+                let mut attrs: Attrs = vec![
+                    ("observation".into(), label.into()),
+                    ("ops".into(), step.ops.into()),
+                    ("window_secs".into(), step.wall.into()),
+                ];
+                if let Some(r) = ratio {
+                    attrs.push(("ratio".into(), r.into()));
+                }
+                attrs
+            }),
+        );
         matches!(obs, Observation::Degraded { .. })
     }
 
@@ -2213,6 +2344,160 @@ mod tests {
         let mut sys_b = SystemConfig::paper_default().build();
         let direct = execute(&program, &st, &pl, &mut sys_b, &opts, None, &flags).expect("run");
         assert_eq!(via_lowered, direct);
+    }
+
+    #[test]
+    fn one_evaluation_serves_every_schedule() {
+        let program = parse(SRC).expect("parse");
+        let st = storage();
+        let lowered = alang::lower::lower(&program).expect("lower");
+        let faults = FaultPlan::none()
+            .with_seed(11)
+            .with_flash_read_error_prob(0.05)
+            .with_nvme_error_prob(0.05)
+            .with_dma_error_prob(0.05);
+        let schedules = [
+            (placements(&[0, 1], 4), ExecOptions::native_static()),
+            (placements(&[0, 1, 2, 3], 4), ExecOptions::activepy()),
+            (
+                placements(&[0, 1, 2, 3], 4),
+                ExecOptions::activepy().with_faults(faults),
+            ),
+        ];
+        let evaluation =
+            evaluate(&program, &lowered, &st, &ExecOptions::activepy()).expect("evaluate");
+        for (pl, opts) in &schedules {
+            let mut fresh_sys = SystemConfig::paper_default().build();
+            let fresh = execute_lowered(
+                &program,
+                &lowered,
+                &st,
+                pl,
+                &mut fresh_sys,
+                opts,
+                None,
+                None,
+            )
+            .expect("fresh run");
+            let mut sys = SystemConfig::paper_default().build();
+            let shared =
+                simulate(&program, &evaluation, pl, &mut sys, opts, None, None).expect("simulate");
+            assert_eq!(shared, fresh, "placements {pl:?}");
+            assert_eq!(
+                shared.metrics.recovery.transient_faults > 0,
+                !opts.faults.is_none(),
+                "faults fire exactly where they were planned"
+            );
+        }
+    }
+
+    #[test]
+    fn an_evaluation_of_another_program_is_rejected() {
+        let program = parse(SRC).expect("parse");
+        let short = parse("a = 1\n").expect("parse");
+        let lowered = alang::lower::lower(&short).expect("lower");
+        let opts = ExecOptions::native_static();
+        let evaluation = evaluate(&short, &lowered, &storage(), &opts).expect("evaluate");
+        let mut sys = SystemConfig::paper_default().build();
+        let e = simulate(
+            &program,
+            &evaluation,
+            &placements(&[], 4),
+            &mut sys,
+            &opts,
+            None,
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(e, ActivePyError::Exec { .. }), "got {e}");
+    }
+
+    #[test]
+    fn a_reassigned_name_is_sized_as_of_the_line_being_simulated() {
+        // `a` is a 4 GB array, then its ~2 GB selection, then a scalar; each
+        // crossing must move what `a` held at that point. Staged bytes per
+        // line, D2H, H2D and peak device bytes are the values the executor
+        // produced when it read sizes off the live evaluator mid-run.
+        let src = "a = scan('v')\nm = a < 50\na = select(a, m)\ns = sum(a)\na = s + 1\nr = a * 2\n";
+        let program = parse(src).expect("parse");
+        let st = storage();
+        /// CSD lines; per-line staged bytes; D2H, H2D and peak device bytes.
+        struct Recorded(&'static [usize], [u64; 6], [u64; 3]);
+        let recorded = [
+            Recorded(
+                &[0, 1, 3, 5],
+                [0, 0, 4_500_000_000, 2_001_953_128, 8, 8],
+                [4_500_000_016, 2_001_977_712, 4_500_000_000],
+            ),
+            Recorded(
+                &[2, 4],
+                [0, 0, 4_500_000_000, 2_001_953_128, 8, 8],
+                [2_001_953_136, 4_500_020_488, 2_001_953_128],
+            ),
+            Recorded(&[0, 1, 2, 3, 4, 5], [0; 6], [8, 28_672, 8]),
+        ];
+        for Recorded(csd, staged, moved) in recorded {
+            let mut sys = SystemConfig::paper_default().build();
+            let rep = execute(
+                &program,
+                &st,
+                &placements(csd, 6),
+                &mut sys,
+                &ExecOptions::native_static(),
+                None,
+                &[],
+            )
+            .expect("run");
+            let got: Vec<u64> = rep.lines.iter().map(|l| l.staged_bytes).collect();
+            assert_eq!(got, staged, "staged bytes, CSD lines {csd:?}");
+            assert_eq!(
+                [rep.d2h_bytes, rep.h2d_bytes, rep.peak_device_bytes],
+                moved,
+                "CSD lines {csd:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_failing_line_errors_before_anything_is_simulated_or_traced() {
+        let program = parse("a = scan('v')\nb = a + zzz\nc = sum(b)\n").expect("parse");
+        let st = storage();
+        let pl = placements(&[0], 3);
+        let (tracer, sink) = Tracer::to_memory();
+        let opts = ExecOptions::activepy().with_tracer(tracer);
+        let mut sys = SystemConfig::paper_default().build();
+        let e = execute(&program, &st, &pl, &mut sys, &opts, None, &[]).unwrap_err();
+        assert_eq!(
+            e,
+            ActivePyError::Lang(alang::LangError::UnknownVariable {
+                line: 2,
+                name: "zzz".into()
+            })
+        );
+        assert_eq!(sys.now(), SimTime::ZERO, "no simulated time was charged");
+        assert!(sink.is_empty(), "nothing was opened: {:?}", sink.events());
+        // The next run recorded through the same tracer starts at the root.
+        let healthy = parse(SRC).expect("parse");
+        let mut sys = SystemConfig::paper_default().build();
+        execute(
+            &healthy,
+            &st,
+            &placements(&[0, 1], 4),
+            &mut sys,
+            &opts,
+            None,
+            &[],
+        )
+        .expect("healthy run");
+        let phase = sink
+            .events()
+            .into_iter()
+            .find_map(|e| match e {
+                isp_obs::TraceEvent::Span(s) if s.name == "phase.execute" => Some(s),
+                _ => None,
+            })
+            .expect("phase.execute");
+        assert_eq!(phase.parent, 0, "stale parent stack: {phase:?}");
     }
 
     #[test]

@@ -502,25 +502,32 @@ impl ActivePy {
         let mut system = config.build();
         if self.options.charge_pipeline_overheads {
             system.advance(Duration::from_secs(plan.sampling_secs + plan.compile_secs));
-            self.options.tracer.instant(
+            let tracer = &self.options.tracer;
+            tracer.instant(
                 "exec.pipeline_overheads",
                 SpanKind::Phase,
                 Some(system.now().as_secs()),
-                vec![
-                    ("sampling_secs".into(), plan.sampling_secs.into()),
-                    ("compile_secs".into(), plan.compile_secs.into()),
-                ],
+                tracer.attrs(|| {
+                    vec![
+                        ("sampling_secs".into(), plan.sampling_secs.into()),
+                        ("compile_secs".into(), plan.compile_secs.into()),
+                    ]
+                }),
             );
         }
         let opts = self.options.exec_options(scenario);
         // Journal the plan identity before executing: a resume against a
         // different plan (changed program, drifted fit) is detected at
         // the very first record rather than at some divergent boundary.
-        opts.journal.on_record(WalRecord::PlanCommit {
-            lane: 0,
-            plan_fp: plan_fingerprint(plan),
-            shard_fp: 0,
-        })?;
+        // Fingerprinting a plan renders and hashes it, so only for a
+        // journal that will keep the record.
+        if opts.journal.is_enabled() {
+            opts.journal.on_record(WalRecord::PlanCommit {
+                lane: 0,
+                plan_fp: plan_fingerprint(plan),
+                shard_fp: 0,
+            })?;
+        }
         let placements = plan.assignment.placements(plan.program.len());
         // The plan carries the lowering (baked with `plan.copy_elim`);
         // don't re-lower per scenario.

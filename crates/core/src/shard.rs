@@ -25,15 +25,17 @@
 //! 4. **Tail**: the fence and everything after it run host-side over the
 //!    combined carriers.
 //!
-//! Values are computed on the full data in every phase (the repo's
-//! placement-affects-costs-only discipline), so `values_fingerprint` is
-//! identical across every shard count by construction — the bench sweep
-//! and the proptest differential both pin that invariant.
+//! Values are computed once, on the full data, and every phase is a
+//! simulated schedule over that one [`crate::exec::Evaluation`] (the
+//! repo's placement-affects-costs-only discipline), so a fleet's
+//! `values_fingerprint` cannot depend on the shard count — the bench sweep
+//! and the proptest differential pin it against a separately executed
+//! unsharded run.
 
 use crate::assign::{assign_refined, Assignment};
 use crate::error::{ActivePyError, Result};
 use crate::estimate::{shared_link_bandwidth, LineEstimate};
-use crate::exec::{execute_lowered, ExecOptions, MigrationReason, RunReport, ShardSlice};
+use crate::exec::{evaluate, simulate, ExecOptions, MigrationReason, RunReport, ShardSlice};
 use crate::monitor::{ShardDecision, ShardMonitors};
 use crate::plan::OffloadPlan;
 use crate::runtime::ActivePy;
@@ -204,8 +206,8 @@ pub struct FleetReport {
     pub tail: RunReport,
     /// Total bytes gathered across all shards.
     pub gathered_bytes: u64,
-    /// The one answer fingerprint — identical on every shard and the
-    /// tail by construction, and equal to the unsharded run's.
+    /// The one answer fingerprint — every shard run and the tail carry
+    /// the same evaluation's — equal to the unsharded run's.
     pub values_fingerprint: u64,
     /// Sum of every device's injected-fault counters after the run.
     pub injected: FaultCounters,
@@ -242,7 +244,7 @@ impl FleetReport {
 pub struct FleetRun<'a> {
     /// The program to execute.
     pub program: &'a Program,
-    /// The *full* input: every phase evaluates on it, so answers cannot
+    /// The *full* input: the one evaluation runs on it, so answers cannot
     /// depend on the partition.
     pub storage: &'a Storage,
     /// The row partition.
@@ -284,9 +286,8 @@ fn shard_probe(device: &System, scenario: &ContentionScenario, windows: u32) -> 
 ///
 /// # Errors
 ///
-/// Propagates per-shard execution failures, rejects placement vectors of
-/// the wrong shape, and fails if any phase's `values_fingerprint`
-/// diverges (a broken invariant, never an input condition).
+/// Propagates evaluation and per-shard execution failures and rejects
+/// placement vectors of the wrong shape.
 pub fn execute_sharded(
     run: &FleetRun<'_>,
     shard_placements: &[Vec<EngineKind>],
@@ -306,14 +307,20 @@ pub fn execute_sharded(
     }
     let analysis = analyze(run.program, run.map);
     let len = run.program.len();
-    let fleet_span = opts.tracer.begin_with(
+    // One evaluation feeds every phase: the N shard runs and the tail
+    // differ in what they are charged for, never in what they compute.
+    let evaluation = evaluate(run.program, run.lowered, run.storage, opts)?;
+    let tracer = &opts.tracer;
+    let fleet_span = tracer.begin_with(
         "fleet.execute",
         SpanKind::Phase,
         Some(0.0),
-        vec![
-            ("shards".into(), n.into()),
-            ("fence".into(), analysis.fence.into()),
-        ],
+        tracer.attrs(|| {
+            vec![
+                ("shards".into(), n.into()),
+                ("fence".into(), analysis.fence.into()),
+            ]
+        }),
     );
 
     // Scatter: ascending shard index. Earlier shards' degradation
@@ -361,26 +368,27 @@ pub fn execute_sharded(
         // record streams interleave in the file but verify independently.
         shard_opts.journal = opts.journal.lane(s as u32);
         let estimates = shard_estimates.map(|est| est[s].as_slice());
-        let shard_span = opts.tracer.begin_with(
+        let shard_span = tracer.begin_with(
             "fleet.shard",
             SpanKind::Device,
             Some(0.0),
-            vec![
-                ("shard".into(), s.into()),
-                ("decision".into(), format!("{decision:?}").into()),
-            ],
+            tracer.attrs(|| {
+                vec![
+                    ("shard".into(), s.into()),
+                    ("decision".into(), format!("{decision:?}").into()),
+                ]
+            }),
         );
-        let report = execute_lowered(
+        let report = simulate(
             run.program,
-            run.lowered,
-            run.storage,
+            &evaluation,
             &placements,
             fleet.device_mut(s),
             &shard_opts,
             estimates,
             Some(&slice),
         )?;
-        opts.tracer.end(shard_span, Some(report.total_secs));
+        tracer.end(shard_span, Some(report.total_secs));
         if let Some((sm, _)) = monitors.as_mut() {
             let degraded = report
                 .migration
@@ -413,14 +421,16 @@ pub fn execute_sharded(
     let per_shard_bytes: Vec<u64> = shards.iter().map(|s| s.gather_bytes).collect();
     let gather_secs = fleet.gather_secs(&per_shard_bytes);
     let gathered_bytes: u64 = per_shard_bytes.iter().sum();
-    opts.tracer.instant(
+    tracer.instant(
         "fleet.gather",
         SpanKind::Device,
         Some(scatter_secs),
-        vec![
-            ("bytes".into(), gathered_bytes.into()),
-            ("secs".into(), gather_secs.into()),
-        ],
+        tracer.attrs(|| {
+            vec![
+                ("bytes".into(), gathered_bytes.into()),
+                ("secs".into(), gather_secs.into()),
+            ]
+        }),
     );
 
     // The host clock: lead-in, then the scatter barrier, then the gather,
@@ -438,21 +448,22 @@ pub fn execute_sharded(
         if ops > 0 {
             host.compute(EngineKind::Host, Ops::new(ops));
         }
-        opts.tracer.instant(
+        tracer.instant(
             "fleet.combine",
             SpanKind::Device,
             Some(host.now().as_secs()),
-            vec![
-                ("shard".into(), s.into()),
-                ("bytes".into(), (*bytes).into()),
-            ],
+            tracer.attrs(|| {
+                vec![
+                    ("shard".into(), s.into()),
+                    ("bytes".into(), (*bytes).into()),
+                ]
+            }),
         );
     }
     let combine_secs = host.now().as_secs() - combine_t0;
 
     // Tail: the fence and after, host-side, over the combined carriers.
-    // The prefix is evaluated free (values only); charges start at the
-    // fence.
+    // The prefix is simulated free; charges start at the fence.
     let tail_slice = ShardSlice {
         index: 0,
         count: 1,
@@ -468,10 +479,9 @@ pub fn execute_sharded(
     // The host-side tail journals on lane n, after the shard lanes.
     tail_opts.journal = opts.journal.lane(n as u32);
     let tail_t0 = host.now().as_secs();
-    let tail = execute_lowered(
+    let tail = simulate(
         run.program,
-        run.lowered,
-        run.storage,
+        &evaluation,
         &vec![EngineKind::Host; len],
         &mut host,
         &tail_opts,
@@ -480,22 +490,11 @@ pub fn execute_sharded(
     )?;
     let tail_secs = tail.total_secs - tail_t0;
 
-    // The invariant the whole module exists to uphold: every phase
-    // computed the same answer.
-    let fingerprint = tail.values_fingerprint;
-    for s in &shards {
-        if s.report.values_fingerprint != fingerprint {
-            return Err(ActivePyError::exec(format!(
-                "shard {} fingerprint {:#x} diverged from {:#x}",
-                s.shard, s.report.values_fingerprint, fingerprint
-            )));
-        }
-    }
-    let total_secs = tail.total_secs;
-    opts.tracer.end_with(
+    let (total_secs, values_fingerprint) = (tail.total_secs, tail.values_fingerprint);
+    tracer.end_with(
         fleet_span,
         Some(total_secs),
-        vec![("gathered_bytes".into(), gathered_bytes.into())],
+        tracer.attrs(|| vec![("gathered_bytes".into(), gathered_bytes.into())]),
     );
     Ok(FleetReport {
         total_secs,
@@ -507,7 +506,7 @@ pub fn execute_sharded(
         shards,
         tail,
         gathered_bytes,
-        values_fingerprint: fingerprint,
+        values_fingerprint,
         injected: fleet.fault_counters(),
     })
 }
@@ -574,11 +573,13 @@ pub fn execute_sharded_plan(
     // Journal the fleet's plan identity — base plan fingerprint plus the
     // shard map's — so a resume against a re-planned fleet or a different
     // shard count fails at the first record.
-    opts.journal.on_record(isp_obs::WalRecord::PlanCommit {
-        lane: 0,
-        plan_fp: crate::resume::plan_fingerprint(&plan.base),
-        shard_fp: plan.map.fingerprint(),
-    })?;
+    if opts.journal.is_enabled() {
+        opts.journal.on_record(isp_obs::WalRecord::PlanCommit {
+            lane: 0,
+            plan_fp: crate::resume::plan_fingerprint(&plan.base),
+            shard_fp: plan.map.fingerprint(),
+        })?;
+    }
     let lead_in_secs = if ropts.charge_pipeline_overheads {
         plan.base.sampling_secs + plan.base.compile_secs
     } else {
@@ -682,6 +683,21 @@ mod tests {
                 "N={n} diverged from the unsharded answer"
             );
         }
+    }
+
+    #[test]
+    fn a_fleet_evaluates_its_program_once() {
+        let (plan, config, rt) = sharded_plan(4);
+        let before = crate::exec::evaluations_on_this_thread();
+        let report = execute_sharded_plan(&rt, &plan, &config, ContentionScenario::none(), &[])
+            .expect("fleet run");
+        assert_eq!(crate::exec::evaluations_on_this_thread() - before, 1);
+        // Four shard runs and the tail were simulated over it.
+        assert_eq!(report.shards.len(), 4);
+        for shard in &report.shards {
+            assert_eq!(shard.report.values_fingerprint, report.values_fingerprint);
+        }
+        assert_eq!(report.tail.values_fingerprint, report.values_fingerprint);
     }
 
     #[test]

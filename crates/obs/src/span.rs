@@ -333,6 +333,18 @@ impl Tracer {
         self.inner.is_some()
     }
 
+    /// `build()` when recording, an empty (unallocated) list otherwise.
+    /// An attribute list is a `Vec` and usually a `String` or two, so call
+    /// sites on hot paths build theirs through this and pay nothing for a
+    /// disabled tracer.
+    pub fn attrs(&self, build: impl FnOnce() -> Attrs) -> Attrs {
+        if self.is_enabled() {
+            build()
+        } else {
+            Vec::new()
+        }
+    }
+
     /// Open a span. `sim_secs` is the simulated clock at start, when the
     /// span tracks simulated work.
     pub fn begin(&self, name: &str, kind: SpanKind, sim_secs: Option<f64>) -> SpanHandle {
@@ -471,6 +483,10 @@ mod tests {
         t.observe("h", 1);
         assert!(t.metrics_snapshot().is_none());
         assert_eq!(t, Tracer::default());
+        let unbuilt = t.attrs(|| unreachable!("a disabled tracer builds no attributes"));
+        assert!(unbuilt.is_empty());
+        let (live, _sink) = Tracer::to_memory();
+        assert_eq!(live.attrs(|| vec![("n".to_string(), 3u64.into())]).len(), 1);
     }
 
     #[test]

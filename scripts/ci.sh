@@ -17,7 +17,7 @@ echo "== kernel differential (pinned case count, per-element loops as oracle) ==
 cargo test -q -p alang --lib kernels_oracle
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 46 of the 664 tests.
+# The whole suite: the root package alone is 46 of the 672 tests.
 cargo test -q --workspace
 
 echo "== benchmark package (builds and passes its driver tests against this tree) =="
@@ -26,6 +26,17 @@ echo "== benchmark package (builds and passes its driver tests against this tree
 # otherwise break it silently. Read-only: nothing under benchmark/ is edited.
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
+echo "== benchmark exec_sweep smoke (every cell's answer check, fleet4 included) =="
+# One second of the workload every executor claim is measured on: each
+# round checks 40 executions (clean, drop, static, fleet4) against the
+# plan's set-up fingerprint, and the result line must report all of them
+# correct. Read-only use of benchmark/; its output goes to benchmark/out/.
+SWEEP="$(bash benchmark/run.sh --workload exec_sweep --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$SWEEP" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *) echo "exec_sweep smoke failed: $SWEEP"; exit 1 ;;
+esac
 
 echo "== fault-sweep smoke (deterministic injection, zero wrong answers) =="
 cargo test -q -p isp-bench faults::
