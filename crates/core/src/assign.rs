@@ -321,12 +321,14 @@ pub fn assign_refined_traced(
             "assign.candidate",
             SpanKind::Phase,
             None,
-            vec![
-                ("candidate".into(), label.into()),
-                ("sweeps".into(), refined.sweeps.into()),
-                ("flips".into(), refined.flips.into()),
-                ("cost_secs".into(), refined.cost.into()),
-            ],
+            tracer.attrs(|| {
+                vec![
+                    ("candidate".into(), label.into()),
+                    ("sweeps".into(), refined.sweeps.into()),
+                    ("flips".into(), refined.flips.into()),
+                    ("cost_secs".into(), refined.cost.into()),
+                ]
+            }),
         );
         if refined.cost < best_cost {
             best_cost = refined.cost;

@@ -241,14 +241,16 @@ impl CalibrationReport {
                 "audit.line",
                 SpanKind::Monitor,
                 None,
-                vec![
-                    ("workload".into(), self.workload.as_str().into()),
-                    ("line".into(), l.line.into()),
-                    ("predicted_secs".into(), l.predicted_secs.into()),
-                    ("measured_secs".into(), l.measured_secs.into()),
-                    ("err_ppm".into(), (time_ppm as usize).into()),
-                    ("flipped".into(), l.flipped.into()),
-                ],
+                tracer.attrs(|| {
+                    vec![
+                        ("workload".into(), self.workload.as_str().into()),
+                        ("line".into(), l.line.into()),
+                        ("predicted_secs".into(), l.predicted_secs.into()),
+                        ("measured_secs".into(), l.measured_secs.into()),
+                        ("err_ppm".into(), (time_ppm as usize).into()),
+                        ("flipped".into(), l.flipped.into()),
+                    ]
+                }),
             );
         }
     }

@@ -169,10 +169,12 @@ impl Recovery {
             "fault.injected",
             SpanKind::Fault,
             Some(system.now().as_secs()),
-            vec![
-                ("kind".to_string(), fault_kind_str(fault).into()),
-                ("transient".to_string(), fault.is_transient().into()),
-            ],
+            self.tracer.attrs(|| {
+                vec![
+                    ("kind".to_string(), fault_kind_str(fault).into()),
+                    ("transient".to_string(), fault.is_transient().into()),
+                ]
+            }),
         );
     }
 
@@ -258,10 +260,12 @@ impl Recovery {
             "recovery.backoff",
             SpanKind::Recovery,
             Some(system.now().as_secs()),
-            vec![
-                ("attempt".to_string(), attempt.into()),
-                ("backoff_secs".to_string(), backoff.into()),
-            ],
+            self.tracer.attrs(|| {
+                vec![
+                    ("attempt".to_string(), attempt.into()),
+                    ("backoff_secs".to_string(), backoff.into()),
+                ]
+            }),
         );
         system.advance(Duration::from_secs(backoff));
         self.tracer.end(span, Some(system.now().as_secs()));

@@ -270,14 +270,14 @@ impl ActivePy {
             "phase.sampling",
             SpanKind::Phase,
             None,
-            vec![("scales".into(), self.options.scales.len().into())],
+            tracer.attrs(|| vec![("scales".into(), self.options.scales.len().into())]),
         );
         let sampling = run_sampling_traced(program, input, &self.options.scales, tracer)?;
         let sampling_secs = self.sampling_secs(&sampling, config);
         tracer.end_with(
             span,
             None,
-            vec![("sampling_secs".into(), sampling_secs.into())],
+            tracer.attrs(|| vec![("sampling_secs".into(), sampling_secs.into())]),
         );
         let sampling_nanos = phase_nanos(phase);
 
@@ -322,7 +322,11 @@ impl ActivePy {
         let phase = Instant::now();
         let span = tracer.begin("phase.fit", SpanKind::Phase, None);
         let predictions = predict_lines(&sampling.lines)?;
-        tracer.end_with(span, None, vec![("lines".into(), predictions.len().into())]);
+        tracer.end_with(
+            span,
+            None,
+            tracer.attrs(|| vec![("lines".into(), predictions.len().into())]),
+        );
         timings.fit_nanos = phase_nanos(phase);
 
         // 3. Calibrate the CSE slowdown from performance counters, decide
@@ -344,10 +348,12 @@ impl ActivePy {
         tracer.end_with(
             span,
             None,
-            vec![(
-                "copy_elim_lines".into(),
-                copy_elim.iter().filter(|e| **e).count().into(),
-            )],
+            tracer.attrs(|| {
+                vec![(
+                    "copy_elim_lines".into(),
+                    copy_elim.iter().filter(|e| **e).count().into(),
+                )]
+            }),
         );
 
         // 4. Algorithm 1 with flip refinement.
@@ -361,7 +367,7 @@ impl ActivePy {
         tracer.end_with(
             span,
             None,
-            vec![("csd_lines".into(), assignment.csd_lines.len().into())],
+            tracer.attrs(|| vec![("csd_lines".into(), assignment.csd_lines.len().into())]),
         );
 
         // 5. Code generation. Lower once while planning: every execution
@@ -379,7 +385,7 @@ impl ActivePy {
         tracer.end_with(
             span,
             None,
-            vec![("compile_secs".into(), compile_secs.into())],
+            tracer.attrs(|| vec![("compile_secs".into(), compile_secs.into())]),
         );
         timings.assign_nanos = phase_nanos(phase);
 
@@ -434,7 +440,7 @@ impl ActivePy {
             "phase.refit",
             SpanKind::Phase,
             None,
-            vec![("observed_runs".into(), (profile.version as usize).into())],
+            tracer.attrs(|| vec![("observed_runs".into(), (profile.version as usize).into())]),
         );
         let predictions = blend_predictions(&prior.predictions, profile);
         let estimates = estimate_lines(
@@ -466,7 +472,7 @@ impl ActivePy {
         tracer.end_with(
             span,
             None,
-            vec![("csd_lines".into(), csd_line_count.into())],
+            tracer.attrs(|| vec![("csd_lines".into(), csd_line_count.into())]),
         );
         let eq1 = crate::audit::capture_terms(&estimates, &assignment, bw, 1);
         Ok(OffloadPlan {

@@ -138,7 +138,7 @@ pub fn run_sampling_traced(
             "sampling.scale",
             SpanKind::Phase,
             None,
-            vec![("scale".into(), scale.into())],
+            tracer.attrs(|| vec![("scale".into(), scale.into())]),
         );
         let storage = input.storage_at(scale);
         dataset_types.extend(observe_dataset_types(&storage));

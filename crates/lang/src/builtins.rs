@@ -12,6 +12,7 @@
 //! volumes are exact.
 
 use crate::error::{LangError, Result};
+use crate::forest::FlatForest;
 use crate::matrix::Matrix;
 use crate::par::ParEngine;
 use crate::simd;
@@ -764,15 +765,17 @@ fn k_gram(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let [a] = expect_args::<1>("gram", args)?;
     let m = a.as_matrix()?;
     let (n, d) = (m.rows(), m.cols());
-    let accumulate = |acc: &mut Vec<f64>, rows: std::ops::Range<usize>| {
-        for r in rows {
-            for i in 0..d {
-                let x = m.get(r, i);
-                if x == 0.0 {
+    // One row at a time: each nonzero `x = row[i]` adds `x * row` to row
+    // `i` of the accumulator, so every cell sums its products in row order.
+    let width = d.max(1);
+    let accumulate = |acc: &mut [f64], rows: std::ops::Range<usize>| {
+        for row in m.data()[rows.start * d..rows.end * d].chunks_exact(width) {
+            for (x, acc_row) in row.iter().zip(acc.chunks_exact_mut(width)) {
+                if *x == 0.0 {
                     continue;
                 }
-                for j in 0..d {
-                    acc[i * d + j] += x * m.get(r, j);
+                for (cell, y) in acc_row.iter_mut().zip(row) {
+                    *cell += x * y;
                 }
             }
         }
@@ -1171,20 +1174,9 @@ fn forest_score(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let forest = f.as_forest()?;
     let feats = x.as_matrix()?;
     let cols = feats.cols();
-    let score_range = |rows: std::ops::Range<usize>| -> (Vec<f64>, u64) {
-        let mut scores = Vec::with_capacity(rows.len());
-        let mut visited: u64 = 0;
-        let mut row = vec![0.0; cols];
-        for i in rows {
-            for (j, slot) in row.iter_mut().enumerate() {
-                *slot = feats.get(i, j);
-            }
-            let (s, v) = forest.score(&row);
-            scores.push(s);
-            visited += u64::from(v);
-        }
-        (scores, visited)
-    };
+    // Flattened once per call; every chunk walks its own rows through it.
+    let flat = FlatForest::new(forest, cols);
+    let score_range = |rows: std::ops::Range<usize>| flat.score_rows(feats.data(), rows);
     // Row-local scores (concat in chunk order) plus an exact integer
     // visit count (order-independent sum).
     let (scores, visited_total) = match ctx

@@ -144,15 +144,16 @@ impl Tree {
     /// Maximum root-to-leaf depth.
     #[must_use]
     pub fn depth(&self) -> u32 {
-        fn go(nodes: &[TreeNode], idx: usize) -> u32 {
-            let n = &nodes[idx];
-            if n.is_leaf() {
-                1
-            } else {
-                1 + go(nodes, n.left as usize).max(go(nodes, n.right as usize))
+        // Children sit strictly after their parent (`Tree::new`), so one
+        // pass from the last node back has both children's depths before
+        // it needs them — no recursion, however long the longest path.
+        let mut depth = vec![1u32; self.nodes.len()];
+        for (i, n) in self.nodes.iter().enumerate().rev() {
+            if !n.is_leaf() {
+                depth[i] = 1 + depth[n.left as usize].max(depth[n.right as usize]);
             }
         }
-        go(&self.nodes, 0)
+        depth[0]
     }
 }
 
@@ -260,9 +261,145 @@ impl fmt::Display for Forest {
     }
 }
 
+/// One node of a [`FlatForest`], 24 bytes.
+#[derive(Clone, Copy)]
+struct FlatNode {
+    /// A split's threshold; a leaf's value.
+    value: f64,
+    /// The matrix column a split reads. A leaf reads column 0 and ignores
+    /// it.
+    feature: u32,
+    /// 1 for a split, 0 for a leaf: what a step taken here adds to the
+    /// visit count.
+    is_split: u32,
+    /// Where a step goes next, as indices into the forest-wide node array:
+    /// `child[usize::from(x < threshold)]`, so `[right, left]`. A leaf
+    /// names itself.
+    child: [u32; 2],
+}
+
+/// A [`Forest`] laid out for `forest_score` over one matrix: every tree's
+/// nodes in one array, the next node picked by index instead of by branch,
+/// so that several rows can walk a tree in lock step.
+pub(crate) struct FlatForest {
+    /// Width of the rows this layout scores.
+    cols: usize,
+    nodes: Vec<FlatNode>,
+    /// Per tree, in forest order: the root's index in `nodes`, and the
+    /// steps that bring any row from it to a leaf (`depth - 1`).
+    trees: Vec<(u32, u32)>,
+}
+
+impl FlatForest {
+    /// Rows that walk a tree together. Each row's walk is a chain of
+    /// dependent loads; eight chains in flight hide each other's latency.
+    const LANES: usize = 8;
+
+    /// Flattens `forest` for scoring rows of `cols` features.
+    ///
+    /// A split on a feature at or past `cols` reads `0.0` whatever the row
+    /// ([`Tree::score`]), so its outcome is settled here: both children
+    /// become the side `0.0 < threshold` picks, and the walk never looks
+    /// outside a row.
+    pub(crate) fn new(forest: &Forest, cols: usize) -> Self {
+        assert!(
+            u32::try_from(forest.node_count()).is_ok(),
+            "a flat forest indexes its nodes with u32"
+        );
+        let mut nodes = Vec::with_capacity(forest.node_count());
+        let mut trees = Vec::with_capacity(forest.tree_count());
+        for tree in forest.trees() {
+            let root = nodes.len() as u32;
+            trees.push((root, tree.depth() - 1));
+            for n in tree.nodes() {
+                nodes.push(if n.is_leaf() {
+                    let this = nodes.len() as u32;
+                    FlatNode {
+                        value: n.value,
+                        feature: 0,
+                        is_split: 0,
+                        child: [this, this],
+                    }
+                } else if (n.feature as usize) < cols {
+                    FlatNode {
+                        value: n.threshold,
+                        feature: n.feature,
+                        is_split: 1,
+                        child: [root + n.right, root + n.left],
+                    }
+                } else {
+                    let taken = root + if 0.0 < n.threshold { n.left } else { n.right };
+                    FlatNode {
+                        value: n.threshold,
+                        feature: 0,
+                        is_split: 1,
+                        child: [taken, taken],
+                    }
+                });
+            }
+        }
+        FlatForest { cols, nodes, trees }
+    }
+
+    /// Scores rows `rows` of the row-major `data`: per row the sum of every
+    /// tree's leaf value, trees in forest order ([`Forest::score`]'s sum),
+    /// and the nodes visited over all of them.
+    pub(crate) fn score_rows(&self, data: &[f64], rows: std::ops::Range<usize>) -> (Vec<f64>, u64) {
+        // A row of no columns still reads column 0 at a leaf or a settled
+        // split (and ignores it): give every such row the same one cell.
+        let data = if self.cols == 0 { &[0.0][..] } else { data };
+        let mut scores = Vec::with_capacity(rows.len());
+        // Every (row, tree) pair ends on one leaf; the walk counts splits.
+        let mut visited = rows.len() as u64 * self.trees.len() as u64;
+        let mut first = rows.start;
+        while first + Self::LANES <= rows.end {
+            visited += self.score_block::<{ Self::LANES }>(data, first, &mut scores);
+            first += Self::LANES;
+        }
+        for row in first..rows.end {
+            visited += self.score_block::<1>(data, row, &mut scores);
+        }
+        (scores, visited)
+    }
+
+    /// Walks rows `first..first + L` through every tree in lock step,
+    /// pushes their scores and returns the splits they passed.
+    fn score_block<const L: usize>(
+        &self,
+        data: &[f64],
+        first: usize,
+        scores: &mut Vec<f64>,
+    ) -> u64 {
+        let base: [usize; L] = std::array::from_fn(|lane| (first + lane) * self.cols);
+        let mut acc = [0.0; L];
+        let mut splits = [0u64; L];
+        for (root, steps) in &self.trees {
+            let mut at = [*root as usize; L];
+            // A lane that reaches its leaf early stays on it: a leaf's
+            // children are itself and it counts no split.
+            for _ in 0..*steps {
+                for lane in 0..L {
+                    let node = &self.nodes[at[lane]];
+                    let x = data[base[lane] + node.feature as usize];
+                    splits[lane] += u64::from(node.is_split);
+                    at[lane] = node.child[usize::from(x < node.value)] as usize;
+                }
+            }
+            for lane in 0..L {
+                acc[lane] += self.nodes[at[lane]].value;
+            }
+        }
+        scores.extend_from_slice(&acc);
+        splits.iter().sum()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builtins::{call, weights, Storage};
+    use crate::matrix::Matrix;
+    use crate::value::Value;
 
     fn stump(feature: u32, threshold: f64, lo: f64, hi: f64) -> Tree {
         Tree::new(vec![
@@ -309,6 +446,36 @@ mod tests {
         assert!(e.is_err());
         // Empty forest.
         assert!(Forest::new(vec![], 1).is_err());
+    }
+
+    #[test]
+    fn a_long_spine_needs_no_deep_stack() {
+        // 100 000 splits down the left, a leaf off each: valid for
+        // `Tree::new`, and what a warm file may hold.
+        const SPLITS: u32 = 100_000;
+        let walk = || {
+            let mut nodes = Vec::new();
+            for link in 0..SPLITS {
+                nodes.push(TreeNode::split(0, 0.5, 2 * link + 2, 2 * link + 1));
+                nodes.push(TreeNode::leaf(-1.0));
+            }
+            nodes.push(TreeNode::leaf(7.0));
+            let tree = Tree::new(nodes).expect("strictly forward children");
+            assert_eq!(tree.len(), 200_001);
+            assert_eq!(tree.depth(), SPLITS + 1);
+            let forest = Value::Forest(Forest::new(vec![tree], 1).expect("forest"));
+            // One row that goes left all the way down.
+            let feats = Value::Matrix(Matrix::new(vec![0.0], 1, 1).expect("feats"));
+            let out = call("forest_score", &[forest, feats], &Storage::new()).expect("score");
+            assert_eq!(out.value.as_array().expect("scores").data(), &[7.0]);
+            assert_eq!(out.ops, weights::TREE_NODE * u64::from(SPLITS + 1));
+        };
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(walk)
+            .expect("spawn")
+            .join()
+            .expect("no overflow");
     }
 
     #[test]

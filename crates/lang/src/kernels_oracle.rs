@@ -13,6 +13,7 @@
 use crate::ast::BinOp;
 use crate::builtins::{call_in, weights, BuiltinOutput, KernelCtx, Storage};
 use crate::error::{LangError, Result};
+use crate::forest::{Forest, Tree, TreeNode};
 use crate::interp::apply_binary;
 use crate::matrix::{Csr, Matrix};
 use crate::par::{ParEngine, ParallelPolicy};
@@ -323,6 +324,106 @@ fn kmeans_update_ref(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutpu
     Ok(BuiltinOutput {
         value: Value::Matrix(Matrix::new(sums, k, d)?),
         ops: weights::REDUCE * points.logical_rows() * d as u64,
+        storage_bytes: 0,
+    })
+}
+
+fn forest_score_ref(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let [f, x] = args else {
+        panic!("forest_score_ref takes two arguments")
+    };
+    let forest = f.as_forest()?;
+    let feats = x.as_matrix()?;
+    let cols = feats.cols();
+    let score_range = |rows: std::ops::Range<usize>| -> (Vec<f64>, u64) {
+        let mut scores = Vec::with_capacity(rows.len());
+        let mut visited: u64 = 0;
+        let mut row = vec![0.0; cols];
+        for i in rows {
+            for (j, slot) in row.iter_mut().enumerate() {
+                *slot = feats.get(i, j);
+            }
+            let (s, v) = forest.score(&row);
+            scores.push(s);
+            visited += u64::from(v);
+        }
+        (scores, visited)
+    };
+    let (scores, visited_total) = match ctx
+        .par
+        .map_chunks(feats.rows(), cols.max(1), |_, rows| score_range(rows))
+    {
+        Some(parts) => {
+            let mut scores = Vec::with_capacity(feats.rows());
+            let mut visited: u64 = 0;
+            for (s, v) in parts {
+                scores.extend_from_slice(&s);
+                visited += v;
+            }
+            (scores, visited)
+        }
+        None => score_range(0..feats.rows()),
+    };
+    let mean_visited = if feats.rows() == 0 {
+        0.0
+    } else {
+        visited_total as f64 / feats.rows() as f64
+    };
+    let ops =
+        (weights::TREE_NODE as f64 * mean_visited * feats.logical_rows() as f64).round() as u64;
+    Ok(BuiltinOutput {
+        value: Value::Array(ArrayVal::with_logical(scores, feats.logical_rows())),
+        ops,
+        storage_bytes: 0,
+    })
+}
+
+fn gram_ref(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let [a] = args else {
+        panic!("gram_ref takes one argument")
+    };
+    let m = a.as_matrix()?;
+    let (n, d) = (m.rows(), m.cols());
+    let accumulate = |acc: &mut Vec<f64>, rows: std::ops::Range<usize>| {
+        for r in rows {
+            for i in 0..d {
+                let x = m.get(r, i);
+                if x == 0.0 {
+                    continue;
+                }
+                for j in 0..d {
+                    acc[i * d + j] += x * m.get(r, j);
+                }
+            }
+        }
+    };
+    let mut out = match ctx.par.map_chunks(n, d, |_, rows| {
+        let mut acc = vec![0.0; d * d];
+        accumulate(&mut acc, rows);
+        acc
+    }) {
+        Some(parts) => {
+            let mut acc = vec![0.0; d * d];
+            for part in parts {
+                for (o, v) in acc.iter_mut().zip(&part) {
+                    *o += v;
+                }
+            }
+            acc
+        }
+        None => {
+            let mut acc = vec![0.0; d * d];
+            accumulate(&mut acc, 0..n);
+            acc
+        }
+    };
+    let ratio = m.logical_rows() as f64 / n.max(1) as f64;
+    for v in &mut out {
+        *v *= ratio;
+    }
+    Ok(BuiltinOutput {
+        value: Value::Matrix(Matrix::new(out, d, d)?),
+        ops: weights::MADD * m.logical_rows() * (d as u64) * (d as u64),
         storage_bytes: 0,
     })
 }
@@ -1012,6 +1113,176 @@ fn matmul_and_to_csr_match_the_indexed_loops() {
     assert!(new.is_err());
     assert_same_value(&new, &old, "matmul shape mismatch");
     assert_eq!(ran, CASES);
+}
+
+/// A value for a feature, a threshold or a leaf: half the time one of the
+/// case's few `pool` values, so features land exactly on thresholds.
+fn pooled(rng: &mut StdRng, pool: &[f64], flavour: Flavour) -> f64 {
+    if rng.gen_bool(0.5) {
+        pool[rng.gen_range(0..pool.len())]
+    } else {
+        float(rng, flavour)
+    }
+}
+
+/// A split on a column inside, at or past `cols`, children on either side.
+fn split(rng: &mut StdRng, cols: usize, threshold: f64, near: u32, far: u32) -> TreeNode {
+    let feature = match rng.gen_range(0..12u32) {
+        0 => u32::MAX,
+        _ => rng.gen_range(0..cols as u32 + 3),
+    };
+    if rng.gen_bool(0.5) {
+        TreeNode::split(feature, threshold, near, far)
+    } else {
+        TreeNode::split(feature, threshold, far, near)
+    }
+}
+
+/// One tree per `shape`: complete with 0–4 split levels (0 is a single
+/// leaf), ragged with leaves at mixed depths, or a 40-deep chain.
+fn tree(rng: &mut StdRng, shape: usize, cols: usize, pool: &[f64], flavour: Flavour) -> Tree {
+    let mut nodes = Vec::new();
+    if shape == 6 {
+        for link in 0..39u32 {
+            let threshold = pooled(rng, pool, flavour);
+            nodes.push(split(rng, cols, threshold, 2 * link + 1, 2 * link + 2));
+            nodes.push(TreeNode::leaf(pooled(rng, pool, flavour)));
+        }
+        nodes.push(TreeNode::leaf(pooled(rng, pool, flavour)));
+        return Tree::new(nodes).expect("chain");
+    }
+    let (levels, leaf_odds) = if shape < 5 { (shape, 0.0) } else { (7, 0.3) };
+    // Breadth first: a split appends its two children, so they sit forward.
+    let mut level_of = vec![0usize];
+    nodes.push(TreeNode::leaf(0.0));
+    let mut i = 0;
+    while i < nodes.len() {
+        let value = pooled(rng, pool, flavour);
+        nodes[i] = if level_of[i] == levels || rng.gen_bool(leaf_odds) {
+            TreeNode::leaf(value)
+        } else {
+            let child = nodes.len() as u32;
+            nodes.extend([TreeNode::leaf(0.0); 2]);
+            level_of.extend([level_of[i] + 1; 2]);
+            split(rng, cols, value, child, child + 1)
+        };
+        i += 1;
+    }
+    Tree::new(nodes).expect("tree")
+}
+
+#[test]
+fn forest_score_matches_the_row_at_a_time_walk() {
+    // Row counts around the eight-row block and the engagement threshold
+    // (64 rows of 32 features engage, 63 do not), then seeded ones whose
+    // chunks end on a partial block.
+    const ROWS: [usize; 9] = [0, 1, 7, 8, 9, 63, 64, 65, 1000];
+    let mut rng = StdRng::seed_from_u64(0xF0E5);
+    let mut ran = 0;
+    for case in 0..CASES {
+        let flavour = flavour(case);
+        let n = match ROWS.get(case % 12) {
+            Some(n) => *n,
+            None => rng.gen_range(0..5000usize),
+        };
+        let cols = [32, 1, 0, 32, 32, 1, 32][case % 7];
+        let pool = floats(&mut rng, 6, flavour);
+        let trees: Vec<Tree> = (0..1 + case % 12)
+            .map(|t| tree(&mut rng, (case + 3 * t) % 7, cols, &pool, flavour))
+            .collect();
+        let what = format!("case {case} ({n}x{cols}, {} trees)", trees.len());
+        // The model's own feature count is not the matrix's, two cases in
+        // three; nothing reads it.
+        let forest = Forest::new(trees, cols as u32 + case as u32 % 3).expect("forest");
+        let data = (0..n * cols)
+            .map(|_| pooled(&mut rng, &pool, flavour))
+            .collect();
+        let feats =
+            Matrix::with_logical(data, n, cols, n as u64 * 3 + 2, cols as u64).expect("features");
+        let args = [Value::Forest(forest), Value::Matrix(feats)];
+        check_kernel("forest_score", forest_score_ref, &args, &what);
+        ran += 1;
+    }
+    assert_eq!(ran, CASES);
+
+    // The registered LightGBM inputs. `isp-workloads` links the non-test
+    // build of this crate, whose types are not the ones under test, so the
+    // model and the matrix are rebuilt here from their public parts.
+    let w = isp_workloads::by_name("LightGBM").expect("registered");
+    let storage = w.storage_at(1.0);
+    let model = storage.get("gbm_model").expect("model");
+    let model = model.as_forest().expect("forest");
+    let trees = model
+        .trees()
+        .iter()
+        .map(|t| {
+            let nodes = t.nodes().iter().map(|n| TreeNode {
+                feature: n.feature,
+                threshold: n.threshold,
+                left: n.left,
+                right: n.right,
+                value: n.value,
+            });
+            Tree::new(nodes.collect()).expect("tree")
+        })
+        .collect();
+    let forest = Forest::new(trees, model.feature_count()).expect("forest");
+    assert_eq!((forest.tree_count(), forest.node_count()), (10, 310));
+    let feats = registered_matrix(&w, "features");
+    assert_eq!((feats.rows(), feats.cols()), (2048, 32));
+    let args = [Value::Forest(forest), Value::Matrix(feats)];
+    check_kernel("forest_score", forest_score_ref, &args, "LightGBM");
+
+    let not_a_model = [args[1].clone(), args[1].clone()];
+    check_kernel("forest_score", forest_score_ref, &not_a_model, "no forest");
+}
+
+/// Dataset `name` of a registered workload at scale 1.0, as this build's
+/// [`Matrix`] (see the note in the forest test).
+fn registered_matrix(w: &isp_workloads::Workload, name: &str) -> Matrix {
+    let storage = w.storage_at(1.0);
+    let m = storage.get(name).expect("dataset");
+    let m = m.as_matrix().expect("matrix");
+    Matrix::with_logical(
+        m.data().to_vec(),
+        m.rows(),
+        m.cols(),
+        m.logical_rows(),
+        m.logical_cols(),
+    )
+    .expect("matrix")
+}
+
+#[test]
+fn gram_matches_the_indexed_loops() {
+    let mut rng = StdRng::seed_from_u64(0x64A3);
+    let mut ran = 0;
+    for case in 0..CASES {
+        let flavour = flavour(case);
+        // Widths around the eight-lane vector width, down to no column at
+        // all; zeros (skipped, which shows next to an inf or NaN partner)
+        // from none to most of the matrix.
+        let d = [8, 0, 1, 7, 9][case % 5];
+        let n = match case % 4 {
+            0 => [0, 1, 1000][(case / 4) % 3],
+            _ => rng.gen_range(0..5000usize),
+        };
+        let zeros = [0.0, 0.3, 0.9][(case / 3) % 3];
+        let m = matrix(&mut rng, n, d, flavour, zeros);
+        let what = format!("case {case} ({n}x{d})");
+        check_kernel("gram", gram_ref, &[Value::Matrix(m)], &what);
+        ran += 1;
+    }
+    assert_eq!(ran, CASES);
+
+    // The registered MixedGEMM projection: what its `g = gram(y)` reads.
+    let w = isp_workloads::by_name("MixedGEMM").expect("registered");
+    let x = registered_matrix(&w, "mixed_features");
+    let y = x
+        .matmul(&registered_matrix(&w, "mixed_proj"))
+        .expect("projection");
+    assert_eq!((y.rows(), y.cols()), (2048, 8));
+    check_kernel("gram", gram_ref, &[Value::Matrix(y)], "MixedGEMM");
 }
 
 #[test]

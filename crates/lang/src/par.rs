@@ -287,12 +287,14 @@ impl ParEngine {
             "kernel.par",
             SpanKind::Kernel,
             None,
-            vec![
-                ("items".to_string(), items.into()),
-                ("elems_per_item".to_string(), elems_per_item.into()),
-                ("chunks".to_string(), n_chunks.into()),
-                ("threads".to_string(), self.policy.threads.into()),
-            ],
+            self.tracer.attrs(|| {
+                vec![
+                    ("items".to_string(), items.into()),
+                    ("elems_per_item".to_string(), elems_per_item.into()),
+                    ("chunks".to_string(), n_chunks.into()),
+                    ("threads".to_string(), self.policy.threads.into()),
+                ]
+            }),
         );
         let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);

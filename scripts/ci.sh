@@ -9,15 +9,17 @@ cargo build --release
 
 echo "== kernel differential (pinned case count, per-element loops as oracle) =="
 # alang's row-loop kernels (group_sum, filter/select, kmeans, matmul,
-# to_csr, the elementwise operators, col) against the plain loops kept
-# in crates/lang/src/kernels_oracle.rs: 96 seeded cases per family,
-# byte for byte at 1/2/4/8 threads with equal chunk counters. Ahead of
+# to_csr, the elementwise operators, col, forest_score, gram) against
+# the plain loops kept in crates/lang/src/kernels_oracle.rs: 96 seeded
+# cases per family, byte for byte at 1/2/4/8 threads with equal ops and
+# chunk counters; the forest and gram families end on the registered
+# LightGBM and MixedGEMM inputs (a dev-dependency on isp-workloads). Ahead of
 # every fingerprint and golden gate, so a kernel break stops here,
 # named, instead of as a fig5 golden diff.
 cargo test -q -p alang --lib kernels_oracle
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 46 of the 672 tests.
+# The whole suite: the root package alone is 46 of the 675 tests.
 cargo test -q --workspace
 
 echo "== benchmark package (builds and passes its driver tests against this tree) =="
