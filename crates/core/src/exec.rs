@@ -522,9 +522,9 @@ pub struct Evaluation {
     /// produced — the target's `virtual_bytes` once the line has run —
     /// which is where [`Run::var_bytes`] reads a name's size from.
     lines: Vec<LineCost>,
-    /// Every assigned variable's final value, in first-assignment order,
-    /// through one [`Fingerprinter`]. Bit patterns, not renderings: `-0.0`
-    /// and NaN payloads count.
+    /// Every assigned variable's name and the digest of its final value,
+    /// in first-assignment order, through one [`Fingerprinter`]. Bit
+    /// patterns, not renderings: `-0.0` and NaN payloads count.
     values_fingerprint: u64,
     /// The policy the kernels ran under, and what they counted.
     parallel: ParallelPolicy,
@@ -577,7 +577,12 @@ pub fn evaluate(
         .collect::<std::result::Result<Vec<_>, _>>()?;
     let mut fp = Fingerprinter::default();
     for target in program.targets() {
-        fp.var(target, vm.var(target));
+        match program.scanned_dataset(target) {
+            // The variable is the stored value: take the digest the
+            // storage keeps with it instead of re-reading the dataset.
+            Some(dataset) => fp.var_digest(target, Some(storage.digest(dataset)?)),
+            None => fp.var(target, vm.var(target)),
+        }
     }
     Ok(Evaluation {
         lines,
@@ -1104,10 +1109,16 @@ impl Run<'_> {
     /// before its first assignment): what the last of them to assign it
     /// produced.
     fn var_bytes(&self, name: &str) -> u64 {
-        self.program.lines()[..self.simulated]
-            .iter()
-            .rposition(|l| l.target == name)
-            .map_or(0, |line| self.evaluation.lines[line].bytes_out)
+        let line = match self.program.def_site(name) {
+            // A name's final assignment, once simulated, is the one in
+            // force; only a name assigned again further on needs the scan.
+            Some(last) if last < self.simulated => Some(last),
+            Some(_) => self.program.lines()[..self.simulated]
+                .iter()
+                .rposition(|l| l.target == name),
+            None => None,
+        };
+        line.map_or(0, |line| self.evaluation.lines[line].bytes_out)
     }
 
     /// Takes line `i` — the next in program order — as simulated and

@@ -264,6 +264,15 @@ impl ActivePy {
     ) -> Result<OffloadPlan> {
         let tracer = &self.options.tracer;
 
+        // Materialize the full-scale input the plan will execute on, ahead
+        // of sampling: it outlives the plan when its source keeps it, while
+        // sampling's inputs — as large, materialized — come and go, and an
+        // allocator packs the long-lived block best when it does not land
+        // in the gap a short-lived one has just left.
+        let phase = Instant::now();
+        let full_storage = input.storage_at(1.0);
+        let materialize_nanos = phase_nanos(phase);
+
         // 1. Sampling phase on down-scaled inputs.
         let phase = Instant::now();
         let span = tracer.begin_with(
@@ -280,11 +289,6 @@ impl ActivePy {
             tracer.attrs(|| vec![("sampling_secs".into(), sampling_secs.into())]),
         );
         let sampling_nanos = phase_nanos(phase);
-
-        // Materialize the full-scale input the plan will execute on.
-        let phase = Instant::now();
-        let full_storage = input.storage_at(1.0);
-        let materialize_nanos = phase_nanos(phase);
 
         let mut plan = self.plan_from_sampling(program, sampling, full_storage, config)?;
         plan.timings.sampling_nanos = sampling_nanos;

@@ -158,12 +158,17 @@ impl Expr {
         match self {
             Expr::Num(_) | Expr::Str(_) | Expr::Ident(_) => false,
             Expr::Call { name, args } => {
-                name == "scan" || name == "scan_raw" || args.iter().any(Expr::contains_scan)
+                reads_storage(name) || args.iter().any(Expr::contains_scan)
             }
             Expr::Binary { lhs, rhs, .. } => lhs.contains_scan() || rhs.contains_scan(),
             Expr::Unary { expr, .. } => expr.contains_scan(),
         }
     }
+}
+
+/// Whether `builtin` is one of the two calls that read a stored dataset.
+fn reads_storage(builtin: &str) -> bool {
+    builtin == "scan" || builtin == "scan_raw"
 }
 
 impl fmt::Display for Expr {
@@ -257,6 +262,9 @@ pub struct Program {
     /// Indices of the lines that assign their target for the first time,
     /// computed once at construction.
     first_defs: Vec<usize>,
+    /// Indices of the lines that assign their target for the last time,
+    /// sorted by target name so [`Program::def_site`] is a binary search.
+    final_defs: Vec<usize>,
 }
 
 impl Program {
@@ -270,7 +278,19 @@ impl Program {
             .filter(|l| seen.insert(l.target.as_str()))
             .map(|l| l.index)
             .collect();
-        Program { lines, first_defs }
+        let mut seen = BTreeSet::new();
+        let mut final_defs: Vec<usize> = lines
+            .iter()
+            .rev()
+            .filter(|l| seen.insert(l.target.as_str()))
+            .map(|l| l.index)
+            .collect();
+        final_defs.sort_unstable_by_key(|&i| lines[i].target.as_str());
+        Program {
+            lines,
+            first_defs,
+            final_defs,
+        }
     }
 
     /// The distinct variables the program assigns, in first-assignment
@@ -308,11 +328,26 @@ impl Program {
     /// The line defining `name`, if any (last definition wins).
     #[must_use]
     pub fn def_site(&self, name: &str) -> Option<usize> {
-        self.lines
-            .iter()
-            .rev()
-            .find(|l| l.target == name)
-            .map(|l| l.index)
+        self.final_defs
+            .binary_search_by(|&i| self.lines[i].target.as_str().cmp(name))
+            .ok()
+            .map(|at| self.final_defs[at])
+    }
+
+    /// The dataset `name` holds when the program ends, if its final
+    /// assignment is nothing but `scan('…')` / `scan_raw('…')` of a string
+    /// literal: the variable then *is* that stored value (both kernels
+    /// return the stored value itself), so whatever the storage knows about
+    /// the dataset it knows about the variable.
+    #[must_use]
+    pub fn scanned_dataset(&self, name: &str) -> Option<&str> {
+        match &self.lines[self.def_site(name)?].expr {
+            Expr::Call { name, args } if reads_storage(name) => match args.as_slice() {
+                [Expr::Str(dataset)] => Some(dataset),
+                _ => None,
+            },
+            _ => None,
+        }
     }
 
     /// Indices of the lines that read variable `name` after line `after`,
@@ -400,6 +435,41 @@ s = sum(col(f, 'price'))
         // ... and the redefined name keeps its first-assignment position.
         assert_eq!(p.targets().collect::<Vec<_>>(), ["a", "b", "c"]);
         assert_eq!(p.result_target(), Some("c"));
+    }
+
+    #[test]
+    fn def_site_is_the_last_assignment_of_every_name() {
+        let src = "b = 1\na = b\nc = a\na = c + 1\nb = a\nzz = b\n";
+        let p = parse(src).expect("parse");
+        for name in ["a", "b", "c", "zz", "", "aa", "z"] {
+            let scanned = p.lines().iter().rposition(|l| l.target == name);
+            assert_eq!(p.def_site(name), scanned, "`{name}`");
+        }
+    }
+
+    #[test]
+    fn scanned_dataset_reads_the_final_assignment_only() {
+        let src = "\
+t = scan('lineitem')
+r = scan_raw(\"wire\")
+u = scan('a')
+u = u + 1
+v = v0
+v = scan('b')
+n = 'c'
+w = scan(n)
+x = sum(scan('d'))
+y = col(t, 'qty')
+";
+        let p = parse(src).expect("parse");
+        assert_eq!(p.scanned_dataset("t"), Some("lineitem"));
+        assert_eq!(p.scanned_dataset("r"), Some("wire"));
+        assert_eq!(p.scanned_dataset("u"), None, "reassigned after the scan");
+        assert_eq!(p.scanned_dataset("v"), Some("b"), "the scan comes last");
+        assert_eq!(p.scanned_dataset("w"), None, "not a literal");
+        assert_eq!(p.scanned_dataset("x"), None, "nested in an expression");
+        assert_eq!(p.scanned_dataset("y"), None);
+        assert_eq!(p.scanned_dataset("zzz"), None, "never assigned");
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! more than an add, a tree traversal more than a compare) and that data
 //! volumes are exact.
 
+use crate::canonical::Fingerprinter;
 use crate::error::{LangError, Result};
 use crate::forest::FlatForest;
 use crate::matrix::Matrix;
@@ -19,7 +20,7 @@ use crate::simd;
 use crate::table::{selected_rows, take_rows, Column, Table};
 use crate::value::{ArrayVal, Value};
 use std::collections::BTreeMap;
-use std::sync::{Arc, LazyLock};
+use std::sync::{Arc, LazyLock, OnceLock};
 
 /// Per-element operation weights used by the analytic cost reports.
 pub mod weights {
@@ -71,9 +72,22 @@ pub mod weights {
 ///
 /// The workload generators populate one of these at the desired scale; the
 /// sampling phase populates smaller ones at the paper's four scale factors.
+///
+/// A storage keeps each dataset's integrity tag with the data: the first
+/// [`digest`](Storage::digest) of a dataset is remembered beside its value.
+/// Clones share the entry — a clone holds the same value, so whichever of
+/// them hashes it first has hashed it for all — and
+/// [`insert`](Storage::insert) replaces entry and tag together.
 #[derive(Debug, Clone, Default)]
 pub struct Storage {
-    datasets: BTreeMap<String, Value>,
+    datasets: BTreeMap<String, Arc<Dataset>>,
+}
+
+#[derive(Debug)]
+struct Dataset {
+    value: Value,
+    /// [`Fingerprinter::digest`] of `value`, once something has asked.
+    digest: OnceLock<u64>,
 }
 
 impl Storage {
@@ -85,7 +99,20 @@ impl Storage {
 
     /// Adds (or replaces) a dataset.
     pub fn insert(&mut self, name: impl Into<String>, value: Value) {
-        self.datasets.insert(name.into(), value);
+        let dataset = Dataset {
+            value,
+            digest: OnceLock::new(),
+        };
+        self.datasets.insert(name.into(), Arc::new(dataset));
+    }
+
+    fn dataset(&self, name: &str) -> Result<&Dataset> {
+        self.datasets
+            .get(name)
+            .map(Arc::as_ref)
+            .ok_or_else(|| LangError::UnknownDataset {
+                name: name.to_owned(),
+            })
     }
 
     /// Looks up a dataset.
@@ -94,11 +121,19 @@ impl Storage {
     ///
     /// Returns [`LangError::UnknownDataset`] if absent.
     pub fn get(&self, name: &str) -> Result<&Value> {
-        self.datasets
-            .get(name)
-            .ok_or_else(|| LangError::UnknownDataset {
-                name: name.to_owned(),
-            })
+        self.dataset(name).map(|d| &d.value)
+    }
+
+    /// [`Fingerprinter::digest`] of a dataset, computed on the first call
+    /// and remembered for as long as the storage (or any clone of it) holds
+    /// this value under this name.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LangError::UnknownDataset`] if absent.
+    pub fn digest(&self, name: &str) -> Result<u64> {
+        self.dataset(name)
+            .map(|d| *d.digest.get_or_init(|| Fingerprinter::digest(&d.value)))
     }
 
     /// Names of all datasets.
@@ -109,7 +144,10 @@ impl Storage {
     /// Total virtual bytes across all datasets.
     #[must_use]
     pub fn total_virtual_bytes(&self) -> u64 {
-        self.datasets.values().map(Value::virtual_bytes).sum()
+        self.datasets
+            .values()
+            .map(|d| d.value.virtual_bytes())
+            .sum()
     }
 }
 
@@ -1230,6 +1268,28 @@ mod tests {
         let out = call("scan", &[Value::Str("d".into())], &st).expect("scan");
         assert_eq!(out.storage_bytes, 8000);
         assert_eq!(out.value.as_array().expect("arr").len(), 2);
+    }
+
+    #[test]
+    fn a_digest_is_remembered_with_its_dataset_shared_by_clones_and_dropped_by_insert() {
+        let remembered = |st: &Storage| st.datasets["d"].digest.get().copied();
+        let mut st = Storage::new();
+        st.insert("d", arr_logical(vec![1.0, 2.0], 1000));
+        assert_eq!(remembered(&st), None, "nothing is hashed up front");
+        let clone = st.clone();
+        let digest = clone.digest("d").expect("present");
+        assert_eq!(digest, Fingerprinter::digest(st.get("d").expect("present")));
+        assert_eq!(remembered(&st), Some(digest), "the clone hashed for both");
+        assert_eq!(st.digest("d"), Ok(digest));
+
+        st.insert("d", arr_logical(vec![1.0, 2.0], 1001));
+        assert_eq!(remembered(&st), None, "a new value has no digest yet");
+        assert_eq!(remembered(&clone), Some(digest));
+        assert_ne!(st.digest("d"), Ok(digest), "one logical size apart");
+        assert!(matches!(
+            st.digest("nope"),
+            Err(LangError::UnknownDataset { .. })
+        ));
     }
 
     #[test]

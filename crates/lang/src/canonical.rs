@@ -150,6 +150,14 @@ fn pack_bools(group: &[bool]) -> u64 {
 /// do not wait on each other, and since a lane's final state is a
 /// bijection of any one of its words, so is the fingerprint.
 ///
+/// A run's fingerprint has two levels. Each variable's value runs down a
+/// chain of its own to a [`digest`](Fingerprinter::digest), and the run's
+/// chain takes name, has-value flag and that one word per variable
+/// ([`var`](Fingerprinter::var)). [`finish`](Fingerprinter::finish) is a
+/// bijection of the state like every step before it, so a digest is a
+/// bijection of any one word of its value and the run's fingerprint of any
+/// one digest: the single-change guarantee above holds across both levels.
+///
 /// The value is comparable only between runs of one build: nothing pins
 /// the constants or the packing across versions.
 #[derive(Debug, Clone, Default)]
@@ -182,13 +190,30 @@ impl Fingerprinter {
         }
     }
 
+    /// The digest of one value: its traversal down a chain of its own,
+    /// finished. A function of the value alone — not of the variable that
+    /// holds it or of what was hashed before — so whoever keeps the value
+    /// can keep its digest ([`crate::builtins::Storage::digest`]).
+    #[must_use]
+    pub fn digest(value: &Value) -> u64 {
+        let mut chain = Fingerprinter::default();
+        value.canonical(&mut chain);
+        chain.finish()
+    }
+
     /// Feeds one program variable: its name, whether it holds a value
-    /// (`None`: no line has assigned it), and the value's traversal.
+    /// (`None`: no line has assigned it), and the value's
+    /// [`digest`](Self::digest).
     pub fn var(&mut self, name: &str, value: Option<&Value>) {
+        self.var_digest(name, value.map(Self::digest));
+    }
+
+    /// As [`var`](Self::var) for a value whose digest is already known.
+    pub fn var_digest(&mut self, name: &str, digest: Option<u64>) {
         self.str(name);
-        self.bool(value.is_some());
-        if let Some(value) = value {
-            value.canonical(self);
+        self.bool(digest.is_some());
+        if let Some(digest) = digest {
+            self.word(digest);
         }
     }
 
@@ -385,15 +410,53 @@ mod tests {
             encoded_parts(1, 16),
             encoded_parts(2, 17),
         ];
-        let prints: Vec<u64> = values
-            .iter()
-            .map(|v| fp(&[("x", Some(v.clone()))]))
-            .collect();
-        for (i, a) in prints.iter().enumerate() {
-            for (j, b) in prints.iter().enumerate().skip(i + 1) {
-                assert_ne!(a, b, "{} and {} collide", values[i], values[j]);
+        // At both levels: the value's digest, and a run that holds the
+        // value between two other variables.
+        let run = |v: &Value| {
+            let (before, after) = (Value::Num(0.5), mask(&[true], 1));
+            fp(&[
+                ("a", Some(before)),
+                ("x", Some(v.clone())),
+                ("z", Some(after)),
+            ])
+        };
+        let digests: Vec<u64> = values.iter().map(Fingerprinter::digest).collect();
+        let prints: Vec<u64> = values.iter().map(run).collect();
+        for i in 0..values.len() {
+            for j in i + 1..values.len() {
+                let what = format!("{} and {}", values[i], values[j]);
+                assert_ne!(digests[i], digests[j], "{what}: digests collide");
+                assert_ne!(prints[i], prints[j], "{what}: runs collide");
             }
         }
+    }
+
+    #[test]
+    fn a_variable_is_its_name_a_flag_and_its_values_digest() {
+        let v = table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 2);
+        let digest = Fingerprinter::digest(&v);
+        assert_eq!(digest, Fingerprinter::digest(&v.clone()));
+        // `x` between two other variables, fed by `feed`.
+        let run = |feed: &dyn Fn(&mut Fingerprinter)| {
+            let mut f = Fingerprinter::default();
+            f.var("a", Some(&Value::Num(0.5)));
+            feed(&mut f);
+            f.var("z", None);
+            f.finish()
+        };
+        // One definition: `var` is `var_digest` of `digest`.
+        let reference = run(&|f| f.var("x", Some(&v)));
+        assert_eq!(run(&|f| f.var_digest("x", Some(digest))), reference);
+        // Every bit of the digest reaches the run's fingerprint.
+        for bit in 0..64 {
+            let other = digest ^ (1 << bit);
+            assert_ne!(run(&|f| f.var_digest("x", Some(other))), reference, "{bit}");
+        }
+        assert_ne!(run(&|f| f.var_digest("y", Some(digest))), reference);
+        assert_ne!(
+            run(&|f| f.var_digest("x", None)),
+            run(&|f| f.var_digest("x", Some(0)))
+        );
     }
 
     /// Every way one element can change in a bulk payload of `per_word`
@@ -407,12 +470,18 @@ mod tests {
         zero: T,
         feed: impl Fn(&mut Fingerprinter, &[T]),
     ) {
-        // Framed the way the traversal frames it: length, then payload.
+        // Framed the way the traversal frames it — length, then payload —
+        // and fed the way a run feeds it: the value's own chain finishes
+        // into a digest, the digest is one word of the run's chain, and
+        // another variable follows it.
         let print = |v: &[T]| {
-            let mut f = Fingerprinter::default();
-            f.len(v.len());
-            feed(&mut f, v);
-            f.finish()
+            let mut value = Fingerprinter::default();
+            value.len(v.len());
+            feed(&mut value, v);
+            let mut run = Fingerprinter::default();
+            run.var_digest("x", Some(value.finish()));
+            run.var("y", Some(&Value::Num(1.0)));
+            run.finish()
         };
         for n in 0..=(2 * LANES + 1) * per_word {
             let base: Vec<T> = (0..n).map(&element).collect();

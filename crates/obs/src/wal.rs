@@ -56,6 +56,9 @@ pub const KILL_EXIT_CODE: i32 = 86;
 /// after this many records have been appended, leaving a torn tail.
 pub const KILL_ENV: &str = "ISP_WAL_KILL_AFTER";
 
+/// Bytes of frame header ahead of a payload: `u32` length, `u64` checksum.
+pub const FRAME_HEADER_LEN: usize = 12;
+
 /// Upper bound on a sane record payload; anything larger is treated as a
 /// torn length prefix. Real records are well under 200 bytes.
 const MAX_RECORD_LEN: u32 = 1 << 16;
@@ -263,7 +266,16 @@ impl WalRecord {
     /// Encodes the record payload (no framing).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::default();
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the record payload (no framing) to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        let mut w = ByteWriter {
+            out: std::mem::take(out),
+        };
         w.u8(self.tag());
         w.u32(self.lane());
         match self {
@@ -330,7 +342,7 @@ impl WalRecord {
                 w.u64(*total_secs_bits);
             }
         }
-        w.out
+        *out = w.out;
     }
 
     /// Decodes one record payload.
@@ -636,7 +648,7 @@ pub fn parse_wal_bytes(bytes: &[u8]) -> WalReadOutcome {
     }
     let mut records = Vec::new();
     let mut pos = WAL_MAGIC.len();
-    while let Some(frame) = bytes.get(pos..pos + 12) {
+    while let Some(frame) = bytes.get(pos..pos + FRAME_HEADER_LEN) {
         let len = u32::from_le_bytes([frame[0], frame[1], frame[2], frame[3]]);
         if len == 0 || len > MAX_RECORD_LEN {
             break;
@@ -644,7 +656,7 @@ pub fn parse_wal_bytes(bytes: &[u8]) -> WalReadOutcome {
         let checksum = u64::from_le_bytes([
             frame[4], frame[5], frame[6], frame[7], frame[8], frame[9], frame[10], frame[11],
         ]);
-        let start = pos + 12;
+        let start = pos + FRAME_HEADER_LEN;
         let Some(payload) = bytes.get(start..start + len as usize) else {
             break;
         };
@@ -684,11 +696,23 @@ pub struct WalWriter {
     path: PathBuf,
     records: u64,
     kill_after: Option<u64>,
+    /// The frame being assembled, kept between appends for its capacity.
+    frame: Vec<u8>,
 }
 
 impl WalWriter {
     fn kill_after_from_env() -> Option<u64> {
         std::env::var(KILL_ENV).ok()?.parse().ok()
+    }
+
+    fn over(file: File, path: &Path, records: u64) -> WalWriter {
+        WalWriter {
+            file,
+            path: path.to_path_buf(),
+            records,
+            kill_after: Self::kill_after_from_env(),
+            frame: Vec::new(),
+        }
     }
 
     /// Creates (or truncates) a fresh WAL at `path` and writes the magic
@@ -701,12 +725,7 @@ impl WalWriter {
         let mut file = File::create(path)?;
         file.write_all(&WAL_MAGIC)?;
         file.flush()?;
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            records: 0,
-            kill_after: Self::kill_after_from_env(),
-        })
+        Ok(Self::over(file, path, 0))
     }
 
     /// Reopens an existing WAL for appending after a resume: the file is
@@ -721,20 +740,15 @@ impl WalWriter {
         if outcome.valid_len < WAL_MAGIC.len() as u64 {
             return Self::create(path);
         }
-        let file = OpenOptions::new().write(true).open(path)?;
+        // Append mode writes at whatever the end is when the write
+        // happens, so truncating through the same handle is enough.
+        let file = OpenOptions::new().append(true).open(path)?;
         file.set_len(outcome.valid_len)?;
-        let mut file = OpenOptions::new().append(true).open(path)?;
-        file.flush()?;
-        Ok(WalWriter {
-            file,
-            path: path.to_path_buf(),
-            records: outcome.records.len() as u64,
-            kill_after: Self::kill_after_from_env(),
-        })
+        Ok(Self::over(file, path, outcome.records.len() as u64))
     }
 
-    /// Appends one record (frame assembled in memory, written and
-    /// flushed as a unit). When the `ISP_WAL_KILL_AFTER` hook is armed
+    /// Appends one record (frame assembled in the writer's one buffer,
+    /// written and flushed as a unit). When the `ISP_WAL_KILL_AFTER` hook is armed
     /// and its budget is reached, a deliberately torn frame is written
     /// and the process exits with [`KILL_EXIT_CODE`].
     ///
@@ -742,22 +756,23 @@ impl WalWriter {
     ///
     /// Propagates write errors.
     pub fn append(&mut self, rec: &WalRecord) -> io::Result<()> {
-        let payload = rec.encode();
-        let mut frame = Vec::with_capacity(12 + payload.len());
-        frame.extend_from_slice(
-            &u32::try_from(payload.len())
-                .expect("record fits u32")
-                .to_le_bytes(),
-        );
-        frame.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        self.file.write_all(&frame)?;
+        let frame = &mut self.frame;
+        frame.clear();
+        // The header describes the payload, so it is patched in once the
+        // payload sits behind it.
+        frame.resize(FRAME_HEADER_LEN, 0);
+        rec.encode_into(frame);
+        let (header, payload) = frame.split_at_mut(FRAME_HEADER_LEN);
+        let len = u32::try_from(payload.len()).expect("record fits u32");
+        header[..4].copy_from_slice(&len.to_le_bytes());
+        header[4..].copy_from_slice(&fnv1a(payload).to_le_bytes());
+        self.file.write_all(frame)?;
         self.file.flush()?;
         self.records += 1;
         if self.kill_after == Some(self.records) {
             // Simulate a crash mid-append: a frame header promising more
             // payload than will ever arrive.
-            let torn = [0xEEu8; 12 + 5];
+            let torn = [0xEEu8; FRAME_HEADER_LEN + 5];
             let _ = self.file.write_all(&torn);
             let _ = self.file.flush();
             std::process::exit(KILL_EXIT_CODE);
@@ -857,6 +872,53 @@ mod tests {
         std::env::temp_dir().join(format!("isp_wal_{}_{name}.wal", std::process::id()))
     }
 
+    /// The file `recs` make, each frame assembled from its own
+    /// [`WalRecord::encode`] — independently of the writer's buffer.
+    fn reference_wal(recs: &[WalRecord]) -> Vec<u8> {
+        let mut bytes = WAL_MAGIC.to_vec();
+        for r in recs {
+            let payload = r.encode();
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
+            bytes.extend_from_slice(&payload);
+        }
+        bytes
+    }
+
+    #[test]
+    fn the_writer_produces_the_reference_bytes_across_a_reopen() {
+        let path = tmp_path("reference_bytes");
+        // Short after long and long after short, so a stale tail or header
+        // left in the reused frame buffer would show.
+        let mut recs = sample_records();
+        recs.extend(sample_records().into_iter().rev());
+        let (before, after) = recs.split_at(5);
+        let mut w = WalWriter::create(&path).expect("create");
+        for r in before {
+            w.append(r).expect("append");
+        }
+        drop(w);
+        assert_eq!(std::fs::read(&path).expect("read"), reference_wal(before));
+        let out = read_wal(&path).expect("read");
+        let mut w = WalWriter::append_to(&path, &out).expect("append_to");
+        for r in after {
+            w.append(r).expect("append");
+        }
+        assert_eq!(w.records(), recs.len() as u64);
+        assert_eq!(std::fs::read(&path).expect("read"), reference_wal(&recs));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn encode_into_appends_and_leaves_what_was_there() {
+        for rec in sample_records() {
+            let mut out = vec![0xAA, 0xBB];
+            rec.encode_into(&mut out);
+            assert_eq!(out[..2], [0xAA, 0xBB]);
+            assert_eq!(out[2..], rec.encode()[..], "{}", rec.kind());
+        }
+    }
+
     #[test]
     fn records_round_trip_through_payload_codec() {
         for rec in sample_records() {
@@ -938,9 +1000,9 @@ mod tests {
         for _ in 0..2 {
             let len =
                 u32::from_le_bytes([bytes[pos], bytes[pos + 1], bytes[pos + 2], bytes[pos + 3]]);
-            pos += 12 + len as usize;
+            pos += FRAME_HEADER_LEN + len as usize;
         }
-        bytes[pos + 12] ^= 0xFF;
+        bytes[pos + FRAME_HEADER_LEN] ^= 0xFF;
         std::fs::write(&path, &bytes).expect("write corrupt");
         let out = read_wal(&path).expect("read");
         assert_eq!(out.records, recs[..2]);
@@ -977,13 +1039,7 @@ mod tests {
         #[test]
         fn any_byte_prefix_reopens_to_a_record_prefix(cut in 0usize..600, extra in 0usize..7) {
             let recs = sample_records();
-            let mut bytes = WAL_MAGIC.to_vec();
-            for r in &recs {
-                let payload = r.encode();
-                bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-                bytes.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-                bytes.extend_from_slice(&payload);
-            }
+            let bytes = reference_wal(&recs);
             let cut = cut.min(bytes.len());
             let mut prefix = bytes[..cut].to_vec();
             // A crash can also leave junk past the cut (reused sectors).

@@ -7,7 +7,7 @@ use alang::error::Result;
 use alang::{parser, Program};
 use csd_sim::wire::Encoding;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Type of the input-materialization closures workloads carry.
 pub type Generator = Arc<dyn Fn(f64) -> Storage + Send + Sync>;
@@ -15,6 +15,13 @@ pub type Generator = Arc<dyn Fn(f64) -> Storage + Send + Sync>;
 /// One evaluated application: name, Table-I data size, the ALang source
 /// (with one single-entry-single-exit region per line), and a deterministic
 /// input generator parameterized by scale.
+///
+/// The input sits where the paper puts it — stored once, with code moving
+/// to it: a workload generates its Table-I dataset (scale 1.0) and parses
+/// its source the first time either is asked for and keeps both for the
+/// life of the value, clones included (≈ 5 MB for all twelve registered
+/// workloads together; nothing is evicted). Every other scale is a
+/// sampling input and is generated per call.
 #[derive(Clone)]
 pub struct Workload {
     name: String,
@@ -22,11 +29,19 @@ pub struct Workload {
     description: String,
     source: String,
     generator: Generator,
+    kept: Arc<Kept>,
     /// Declared on-storage wire formats, `(dataset, encoding)` pairs in
     /// declaration order. Metadata mirroring what the generator encodes —
     /// it lets [`InputSource::wire_fingerprint`] answer without ever
     /// materializing storage, keeping warm starts zero-datagen.
     encodings: Vec<(String, Encoding)>,
+}
+
+/// What a [`Workload`] makes once and shares with its clones.
+#[derive(Default)]
+struct Kept {
+    program: OnceLock<Result<Program>>,
+    table1_storage: OnceLock<Storage>,
 }
 
 impl Workload {
@@ -45,6 +60,7 @@ impl Workload {
             description: description.into(),
             source: source.into(),
             generator,
+            kept: Arc::default(),
             encodings: Vec::new(),
         }
     }
@@ -90,19 +106,32 @@ impl Workload {
         &self.source
     }
 
-    /// Parses the program.
+    /// The parsed program (parsed on the first call, cloned after).
     ///
     /// # Errors
     ///
     /// Propagates parse errors (none expected for the built-in sources).
     pub fn program(&self) -> Result<Program> {
-        parser::parse(&self.source)
+        self.kept
+            .program
+            .get_or_init(|| parser::parse(&self.source))
+            .clone()
     }
 
-    /// Materializes the workload's storage at `scale` (1.0 = Table-I size).
+    /// The workload's storage at `scale` (1.0 = Table-I size). Scale 1.0 is
+    /// generated on the first call and every call returns a clone of that
+    /// one storage — same buffers, same remembered digests; any other
+    /// scale is generated afresh.
     #[must_use]
     pub fn storage_at(&self, scale: f64) -> Storage {
-        (self.generator)(scale)
+        if scale == 1.0 {
+            self.kept
+                .table1_storage
+                .get_or_init(|| (self.generator)(1.0))
+                .clone()
+        } else {
+            (self.generator)(scale)
+        }
     }
 }
 
@@ -149,24 +178,56 @@ impl fmt::Debug for Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alang::Value;
+    use activepy::exec::execute_all_host;
+    use alang::table::{Column, Table};
+    use alang::{CostParams, ExecTier, Value};
+    use csd_sim::SystemConfig;
+    use std::sync::Mutex;
+
+    fn toy_storage(scale: f64) -> Storage {
+        let logical = ((scale * 1e8) as u64).max(16);
+        let mut st = Storage::new();
+        st.insert(
+            "v",
+            Value::Array(alang::value::ArrayVal::with_logical(vec![1.0; 16], logical)),
+        );
+        let x = Column::F64(Arc::new((0..16).map(f64::from).collect()));
+        let t = Table::with_logical_rows(vec![("x".to_owned(), x)], logical).expect("table");
+        st.insert("t", Value::Table(t));
+        st
+    }
+
+    const TOY_SOURCE: &str = "a = scan('v')\nt = scan('t')\ns = sum(a) + sum(col(t, 'x'))\n";
 
     fn toy() -> Workload {
-        Workload::new(
-            "toy",
-            1.0,
-            "toy sum",
-            "a = scan('v')\ns = sum(a)\n",
-            Arc::new(|scale| {
-                let logical = ((scale * 1e8) as u64).max(16);
-                let mut st = Storage::new();
-                st.insert(
-                    "v",
-                    Value::Array(alang::value::ArrayVal::with_logical(vec![1.0; 16], logical)),
-                );
-                st
-            }),
-        )
+        Workload::new("toy", 1.0, "toy sum", TOY_SOURCE, Arc::new(toy_storage))
+    }
+
+    /// [`toy`] with a generator that logs the scale of every call.
+    fn logged() -> (Workload, Arc<Mutex<Vec<f64>>>) {
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&calls);
+        let generator = Arc::new(move |scale| {
+            log.lock().expect("no generator panicked").push(scale);
+            toy_storage(scale)
+        });
+        let w = Workload::new("toy", 1.0, "toy sum", TOY_SOURCE, generator);
+        (w, calls)
+    }
+
+    fn calls(log: &Mutex<Vec<f64>>) -> Vec<f64> {
+        log.lock().expect("no generator panicked").clone()
+    }
+
+    /// The `Arc` behind column `x` of dataset `t`.
+    fn x_payload(st: &Storage) -> &Arc<Vec<f64>> {
+        let Ok(Value::Table(t)) = st.get("t") else {
+            panic!("`t` is a table");
+        };
+        let Ok(Column::F64(x)) = t.column("x") else {
+            panic!("`x` is an f64 column");
+        };
+        x
     }
 
     #[test]
@@ -174,7 +235,7 @@ mod tests {
         let w = toy();
         assert_eq!(w.name(), "toy");
         assert_eq!(w.table1_gb(), 1.0);
-        assert_eq!(w.program().expect("parse").len(), 2);
+        assert_eq!(w.program().expect("parse").len(), 3);
         assert!(format!("{w:?}").contains("toy"));
     }
 
@@ -186,5 +247,78 @@ mod tests {
         let fb = full.get("v").expect("v").virtual_bytes();
         let tb = tiny.get("v").expect("v").virtual_bytes();
         assert!(fb > 500 * tb);
+    }
+
+    #[test]
+    fn the_table1_input_is_generated_once_and_its_buffers_shared() {
+        let (w, log) = logged();
+        assert!(calls(&log).is_empty(), "nothing is generated up front");
+        let first = w.storage_at(1.0);
+        let second = w.storage_at(1.0);
+        let of_a_clone = w.clone().storage_at(1.0);
+        let through_the_trait = InputSource::storage_at(&w, 1.0);
+        assert_eq!(calls(&log), [1.0]);
+        for other in [&second, &of_a_clone, &through_the_trait] {
+            assert!(Arc::ptr_eq(x_payload(&first), x_payload(other)));
+        }
+        // A digest one of them works out, all of them have.
+        assert_eq!(
+            first.digest("t").expect("t"),
+            alang::Fingerprinter::digest(second.get("t").expect("t"))
+        );
+    }
+
+    #[test]
+    fn sampling_scales_are_generated_per_call_and_nothing_of_them_is_kept() {
+        let (w, log) = logged();
+        let a = w.storage_at(0.5);
+        let b = w.storage_at(0.5);
+        assert_eq!(calls(&log), [0.5, 0.5]);
+        assert!(!Arc::ptr_eq(x_payload(&a), x_payload(&b)));
+        let sampled = Arc::downgrade(x_payload(&a));
+        drop((a, b));
+        assert!(sampled.upgrade().is_none(), "the caller held the only copy");
+        // ... unlike the Table-I input, which outlives the caller's clone.
+        let full = w.storage_at(1.0);
+        let kept = Arc::downgrade(x_payload(&full));
+        drop(full);
+        assert!(kept.upgrade().is_some());
+        assert_eq!(calls(&log), [0.5, 0.5, 1.0]);
+    }
+
+    #[test]
+    fn a_run_over_the_kept_input_is_the_run_over_a_fresh_one() {
+        let w = toy();
+        let program = w.program().expect("parse");
+        let run = |storage: &Storage| {
+            let mut system = SystemConfig::paper_default().build();
+            let report = execute_all_host(
+                &program,
+                storage,
+                &mut system,
+                ExecTier::Native,
+                &CostParams::paper_default(),
+                &vec![false; program.len()],
+            )
+            .expect("runs");
+            (report.values_fingerprint, report.total_secs.to_bits())
+        };
+        let fresh = run(&(w.generator)(1.0));
+        assert_eq!(run(&w.storage_at(1.0)), fresh);
+        // Again, now that the kept input's digests are remembered.
+        assert_eq!(run(&w.storage_at(1.0)), fresh);
+    }
+
+    #[test]
+    fn the_program_is_parsed_once_and_a_parse_error_is_kept_too() {
+        let w = toy();
+        let program = w.program().expect("parse");
+        assert_eq!(w.program().expect("parse"), program);
+        assert_eq!(w.clone().program().expect("parse"), program);
+        assert_eq!(program, parser::parse(TOY_SOURCE).expect("parse"));
+
+        let bad = Workload::new("bad", 1.0, "bad", "a = = 1\n", Arc::new(toy_storage));
+        let err = bad.program().expect_err("does not parse");
+        assert_eq!(bad.program().expect_err("still does not parse"), err);
     }
 }

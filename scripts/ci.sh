@@ -18,8 +18,21 @@ echo "== kernel differential (pinned case count, per-element loops as oracle) ==
 # named, instead of as a fig5 golden diff.
 cargo test -q -p alang --lib kernels_oracle
 
+echo "== stored once, hashed once (dataset digests and the Workload's kept input) =="
+# The two-level fingerprint (value digest -> run chain) and its sweep, the
+# digest a Storage keeps with each dataset, the final-definition table the
+# executor reads scanned targets from, what a Workload generates and keeps,
+# and the executor's shortcut pinned against hashing every value: all 12
+# registered programs fresh / remembered / rebuilt, a re-inserted dataset,
+# and one Table-I generation across plan_for, execute_plan, run_plan and
+# run_c_baseline. Ahead of the suite, so a stale digest stops here, named,
+# instead of as a fingerprint mismatch somewhere below.
+cargo test -q -p alang --lib -- canonical:: ast:: builtins::tests::a_digest
+cargo test -q -p isp-workloads --lib spec::
+cargo test -q --test stored_once
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 46 of the 675 tests.
+# The whole suite: the root package alone is 51 of the 690 tests.
 cargo test -q --workspace
 
 echo "== benchmark package (builds and passes its driver tests against this tree) =="
@@ -38,6 +51,16 @@ SWEEP="$(bash benchmark/run.sh --workload exec_sweep --seed 1 --seconds 1 --trac
 case "$SWEEP" in
   *'"correct": true'*'"failed": 0,'*) ;;
   *) echo "exec_sweep smoke failed: $SWEEP"; exit 1 ;;
+esac
+
+echo "== benchmark plan_cold smoke (every cold plan fingerprints like set-up's) =="
+# One second of the workload that generates: a cold plan now takes its
+# Table-I input from what the Workload keeps, and each of the 12 plans
+# per round must still fingerprint like the one-call plan made at set-up.
+COLD="$(bash benchmark/run.sh --workload plan_cold --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$COLD" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *) echo "plan_cold smoke failed: $COLD"; exit 1 ;;
 esac
 
 echo "== fault-sweep smoke (deterministic injection, zero wrong answers) =="

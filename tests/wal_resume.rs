@@ -32,8 +32,10 @@ use alang::Value;
 use common::{expr, fault_plan, placements, source, storage, VARS};
 use csd_sim::fault::FaultPlan;
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
-use isp_obs::wal::{read_wal, WAL_MAGIC};
+use isp_obs::wal::{parse_wal_bytes, read_wal, FRAME_HEADER_LEN, WAL_MAGIC};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -192,13 +194,9 @@ proptest! {
     }
 }
 
-/// Satellite regression: retries consumed before the crash are
-/// re-consumed against `max_retries` on resume, not double-counted. A
-/// heavy transient fault plan guarantees real retry traffic, the cut at
-/// 60% of the journal lands mid-stream, and the resumed accounting must
-/// be bit-exact.
-#[test]
-fn resume_reconsumes_retries_exactly() {
+/// A three-line CSD region under a fault plan heavy enough to force real
+/// retry traffic: source, placements, faults.
+fn retry_heavy_run() -> (&'static str, [EngineKind; 4], FaultPlan) {
     let src = "a = scan('v')\nb = sum((a * 2))\nc = mean(scan('w'))\nd = (b + c)\n";
     let placements = [
         EngineKind::Cse,
@@ -211,6 +209,17 @@ fn resume_reconsumes_retries_exactly() {
         .with_flash_read_error_prob(0.25)
         .with_nvme_error_prob(0.2)
         .with_dma_error_prob(0.2);
+    (src, placements, faults)
+}
+
+/// Satellite regression: retries consumed before the crash are
+/// re-consumed against `max_retries` on resume, not double-counted. A
+/// heavy transient fault plan guarantees real retry traffic, the cut at
+/// 60% of the journal lands mid-stream, and the resumed accounting must
+/// be bit-exact.
+#[test]
+fn resume_reconsumes_retries_exactly() {
+    let (src, placements, faults) = retry_heavy_run();
 
     let path = wal_path("retries");
     let journal = ExecJournal::record_to(&path).expect("create journal");
@@ -421,5 +430,120 @@ fn decode_workload_resumes_byte_exact() {
             "resumed journal bytes diverged at {frac}"
         );
     }
+    std::fs::remove_file(&path).ok();
+}
+
+/// What a kill, a bad sector or a hostile writer can leave of a journal.
+/// Returns whether the mutation can forge frames (by moving whole valid
+/// ones around); the others can only damage them.
+fn mutate_wal(bytes: &mut Vec<u8>, frames: &[usize], rng: &mut StdRng) -> bool {
+    match rng.gen_range(0..7) {
+        // One to three bit flips.
+        0 => {
+            for _ in 0..rng.gen_range(1..=3) {
+                let at = rng.gen_range(0..bytes.len());
+                bytes[at] ^= 1u8 << rng.gen_range(0..8u32);
+            }
+        }
+        // A truncation.
+        1 => bytes.truncate(rng.gen_range(0..bytes.len())),
+        // A truncation, then a bit flip in what is left.
+        2 => {
+            bytes.truncate(rng.gen_range(1..=bytes.len()));
+            let at = rng.gen_range(0..bytes.len());
+            bytes[at] ^= 1u8 << rng.gen_range(0..8u32);
+        }
+        // A length field promising what no file holds.
+        3 => {
+            let at = frames[rng.gen_range(0..frames.len())];
+            const HOSTILE: [u32; 5] = [u32::MAX, u32::MAX - 11, 1 << 31, (1 << 16) + 1, 0];
+            let len = HOSTILE[rng.gen_range(0..HOSTILE.len())];
+            bytes[at..at + 4].copy_from_slice(&len.to_le_bytes());
+        }
+        // The start of a record that never finished, after the last one.
+        5 => {
+            for _ in 0..rng.gen_range(1..=FRAME_HEADER_LEN + 4) {
+                bytes.push(rng.gen_range(0..=u8::MAX));
+            }
+        }
+        // A stray byte (everything after it arrives one byte late).
+        4 => bytes.insert(rng.gen_range(0..=bytes.len()), rng.gen_range(0..=u8::MAX)),
+        // A splice: one range of the file copied over another.
+        _ => {
+            let len = rng.gen_range(1..=bytes.len() / 2);
+            let from = rng.gen_range(0..=bytes.len() - len);
+            let to = rng.gen_range(0..=bytes.len() - len);
+            bytes.copy_within(from..from + len, to);
+            return true;
+        }
+    }
+    false
+}
+
+/// Fuzz of the `ISPWAL01` reader: 2 000 seeded mutations of a real
+/// journaled run's WAL. Whatever the bytes, `read_wal` returns the records
+/// of a valid prefix and says whether it dropped a tail (or an I/O error);
+/// it never panics, and it allocates nothing a length field asked for —
+/// its only allocations are the file's bytes and one record per frame that
+/// validated, which the last assertion bounds by the input length.
+#[test]
+fn mutated_journals_read_as_a_valid_prefix_or_an_error_never_a_panic() {
+    const CASES: u64 = 2_000;
+    let (src, placements, faults) = retry_heavy_run();
+    let path = wal_path("fuzz");
+    let journal = ExecJournal::record_to(&path).expect("create journal");
+    one_unsharded(src, &placements, &faults, journal).expect("journaled run");
+    let base = std::fs::read(&path).expect("journal exists");
+    let reference = parse_wal_bytes(&base);
+    assert!(!reference.torn && reference.records.len() > 64);
+    // Where each frame starts, by walking the length fields.
+    let mut frames = Vec::new();
+    let mut pos = WAL_MAGIC.len();
+    while pos < base.len() {
+        frames.push(pos);
+        let len = u32::from_le_bytes(base[pos..pos + 4].try_into().expect("four bytes"));
+        pos += FRAME_HEADER_LEN + len as usize;
+    }
+    assert_eq!(frames.len(), reference.records.len());
+
+    let (mut whole, mut cut, mut empty) = (0u64, 0u64, 0u64);
+    for case in 0..CASES {
+        let seed = 0x15_9A10_0000 + case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut bytes = base.clone();
+        let may_forge = mutate_wal(&mut bytes, &frames, &mut rng);
+        std::fs::write(&path, &bytes).expect("write mutated journal");
+        let read = std::panic::catch_unwind(|| read_wal(&path))
+            .unwrap_or_else(|_| panic!("wal fuzz seed {seed:#x}: the reader panicked"));
+        let Ok(out) = read else { continue };
+        let what = format!("wal fuzz seed {seed:#x} ({} bytes)", bytes.len());
+        let valid_len = usize::try_from(out.valid_len).expect("offset fits usize");
+        assert!(valid_len <= bytes.len(), "{what}: prefix past the end");
+        assert_eq!(out.torn, valid_len != bytes.len(), "{what}: torn flag");
+        let again = parse_wal_bytes(&bytes[..valid_len]);
+        assert_eq!(again.records, out.records, "{what}: prefix re-reads");
+        assert!(!again.torn, "{what}: the prefix itself is torn");
+        if !may_forge {
+            assert!(
+                reference.records.starts_with(&out.records),
+                "{what}: damage produced a record the run never wrote"
+            );
+        }
+        assert!(
+            out.records.len() * (FRAME_HEADER_LEN + 1) <= bytes.len(),
+            "{what}: {} records from {} bytes",
+            out.records.len(),
+            bytes.len()
+        );
+        match out.records.len() {
+            0 => empty += 1,
+            n if n == reference.records.len() => whole += 1,
+            _ => cut += 1,
+        }
+    }
+    // The mutator must reach every outcome, not only break the header.
+    assert!(whole > CASES / 20, "only {whole} journals survived whole");
+    assert!(cut > CASES / 2, "only {cut} journals were cut mid-stream");
+    assert!(empty > 0, "no journal lost its header");
     std::fs::remove_file(&path).ok();
 }
