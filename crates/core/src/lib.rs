@@ -80,6 +80,10 @@ pub use audit::{
 pub use error::ActivePyError;
 pub use estimate::{Calibration, LineEstimate};
 pub use exec::{ExecOptions, MigrationReason, RunReport};
+/// The observability crate whose handles (`Tracer`, the WAL records) this
+/// crate's options take, re-exported so a caller can build them from the
+/// copy this crate links — `isp-obs`' own tests have no other name for it.
+pub use isp_obs;
 pub use metrics::{AuditStats, MetricsSnapshot};
 pub use monitor::MonitorConfig;
 pub use plan::{OffloadPlan, PlanCache, PlanCacheStats, PlanTimings};

@@ -27,10 +27,16 @@
 //! appends on lane `s` and the host tail on lane `n`, so per-shard
 //! record streams interleave in the file but replay independently.
 
+use crate::assign::Assignment;
 use crate::error::ActivePyError;
+use crate::estimate::{Calibration, LineEstimate};
 use crate::exec::MigrationReason;
+use crate::fit::{Complexity, FittedCurve, LinePrediction};
 use crate::plan::OffloadPlan;
-use isp_obs::wal::{fnv1a, read_wal, WalRecord, WalWriter};
+use crate::sampling::SamplingReport;
+use alang::copyelim::StaticType;
+use alang::{CanonicalSink, Fingerprinter, LineCost};
+use isp_obs::wal::{read_wal, WalRecord, WalWriter};
 use std::collections::{HashMap, VecDeque};
 use std::io;
 use std::path::Path;
@@ -233,23 +239,150 @@ pub fn reason_code(reason: MigrationReason) -> u8 {
 }
 
 /// Fingerprint of an [`OffloadPlan`]'s deterministic planning outcome:
-/// FNV-1a over the debug rendering of the fitted predictions,
-/// calibration, copy-elimination flags, estimates, and Algorithm-1
-/// assignment. Two plans agree iff planning reached the same decisions,
-/// which is exactly the precondition for a journal replay to be
-/// meaningful. Wall-clock timings are deliberately excluded.
+/// the fitted predictions, calibration, copy-elimination flags,
+/// estimates, Algorithm-1 assignment and observed dataset types, walked
+/// through an [`alang::Fingerprinter`] — every sequence behind its
+/// length, floats as bit patterns, enum variants as fixed tags, sets and
+/// maps in their own (sorted) order; nothing is rendered to text. Two
+/// plans agree iff planning reached the same decisions, which is exactly
+/// the precondition for a journal replay to be meaningful. Wall-clock
+/// timings are deliberately excluded.
+///
+/// Every struct on the walk is destructured field by field, so a field
+/// added to one of them later is a compile error here — a decision to
+/// hash it or to name it as left out — rather than a silent hole. Like
+/// every fingerprint in the tree, the value is comparable only between
+/// runs of one build.
 #[must_use]
 pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
-    let repr = format!(
-        "{:?}|{:?}|{:?}|{:?}|{:?}|{:?}",
-        plan.predictions,
-        plan.calibration,
-        plan.copy_elim,
-        plan.estimates,
-        plan.assignment,
-        plan.sampling.dataset_types,
-    );
-    fnv1a(repr.as_bytes())
+    // Not hashed: the program and its lowering (a different program is a
+    // different `RunStart`), the raw sample points and their cost (the
+    // predictions are their fit), simulated pipeline overheads and the
+    // input (the run's own records carry the clock and the answer), the
+    // host timings, and the audit's echo of the estimates.
+    let OffloadPlan {
+        program: _,
+        lowered: _,
+        sampling,
+        predictions,
+        calibration,
+        copy_elim,
+        estimates,
+        assignment,
+        sampling_secs: _,
+        compile_secs: _,
+        full_storage: _,
+        timings: _,
+        eq1: _,
+    } = plan;
+    let SamplingReport {
+        lines: _,
+        dataset_types,
+        total_sampling_cost: _,
+    } = sampling;
+    let f = &mut Fingerprinter::default();
+
+    f.u64(predictions.len() as u64);
+    for prediction in predictions {
+        let LinePrediction {
+            line,
+            cost,
+            compute_curve,
+            out_curve,
+        } = prediction;
+        let LineCost {
+            compute_ops,
+            storage_bytes,
+            bytes_in,
+            bytes_out,
+            copy_bytes,
+            eliminable_copy_bytes,
+            calls,
+        } = cost;
+        f.u64(*line as u64);
+        for n in [
+            compute_ops,
+            storage_bytes,
+            bytes_in,
+            bytes_out,
+            copy_bytes,
+            eliminable_copy_bytes,
+        ] {
+            f.u64(*n);
+        }
+        f.u32(*calls);
+        for curve in [compute_curve, out_curve] {
+            let FittedCurve {
+                complexity,
+                coefficient,
+                residual,
+            } = curve;
+            f.u8(match complexity {
+                Complexity::O1 => 0,
+                Complexity::ON => 1,
+                Complexity::ONLogN => 2,
+                Complexity::ON2 => 3,
+                Complexity::ON3 => 4,
+            });
+            f.f64(*coefficient);
+            f.f64(*residual);
+        }
+    }
+
+    let Calibration { cse_slowdown } = calibration;
+    f.f64(*cse_slowdown);
+
+    f.u64(copy_elim.len() as u64);
+    f.bools(copy_elim);
+
+    f.u64(estimates.len() as u64);
+    for estimate in estimates {
+        let LineEstimate {
+            line,
+            ct_host,
+            ct_device,
+            d_in,
+            d_out,
+            ops,
+        } = estimate;
+        f.u64(*line as u64);
+        f.f64(*ct_host);
+        f.f64(*ct_device);
+        f.u64(*d_in);
+        f.u64(*d_out);
+        f.u64(*ops);
+    }
+
+    let Assignment {
+        csd_lines,
+        t_host,
+        t_csd,
+    } = assignment;
+    f.u64(csd_lines.len() as u64);
+    for line in csd_lines {
+        f.u64(*line as u64);
+    }
+    f.f64(*t_host);
+    f.f64(*t_csd);
+
+    f.u64(dataset_types.len() as u64);
+    for (dataset, ty) in dataset_types {
+        f.str(dataset);
+        f.u8(match ty {
+            StaticType::Num => 0,
+            StaticType::Bool => 1,
+            StaticType::Str => 2,
+            StaticType::Array => 3,
+            StaticType::BoolArray => 4,
+            StaticType::Table => 5,
+            StaticType::Matrix => 6,
+            StaticType::Csr => 7,
+            StaticType::Forest => 8,
+            StaticType::Encoded => 9,
+            StaticType::Unknown => 10,
+        });
+    }
+    f.finish()
 }
 
 #[cfg(test)]
@@ -363,5 +496,89 @@ mod tests {
         ] {
             assert_eq!(reason_code(reason), code);
         }
+    }
+    /// One single-field change per hashed part moves the fingerprint
+    /// (the bijection argument of `alang::canonical` makes that certain,
+    /// not merely likely); a change to a field named as left out does not.
+    #[test]
+    fn plan_fingerprint_moves_with_each_hashed_part_and_nothing_else() {
+        use alang::builtins::Storage;
+        use alang::value::ArrayVal;
+        let input = |scale: f64| {
+            let logical = (scale * 1e9).round().max(100.0) as u64;
+            let data: Vec<f64> = (0..400).map(|i| f64::from(i % 100)).collect();
+            let mut st = Storage::new();
+            st.insert(
+                "v",
+                alang::Value::Array(ArrayVal::with_logical(data, logical)),
+            );
+            st
+        };
+        let program = alang::parser::parse("a = scan('v')\nm = a < 50\ns = sum(select(a, m))\n")
+            .expect("parse");
+        let config = csd_sim::SystemConfig::paper_default();
+        let plan = crate::runtime::ActivePy::new()
+            .plan(&program, &input, &config)
+            .expect("plan");
+        let base = plan_fingerprint(&plan);
+        assert_eq!(base, plan_fingerprint(&plan.clone()));
+
+        let ulp = |x: f64| f64::from_bits(x.to_bits() ^ 1);
+        type Change = fn(&mut OffloadPlan);
+        let hashed: [(&str, Change); 12] = [
+            ("prediction cost", |p| p.predictions[1].cost.bytes_out += 1),
+            ("prediction calls", |p| p.predictions[0].cost.calls += 1),
+            ("curve class", |p| {
+                let c = &mut p.predictions[2].out_curve.complexity;
+                *c = if *c == Complexity::ON2 {
+                    Complexity::ON3
+                } else {
+                    Complexity::ON2
+                };
+            }),
+            ("curve coefficient", |p| {
+                p.predictions[0].compute_curve.coefficient += 1.0
+            }),
+            ("calibration", |p| p.calibration.cse_slowdown += 1.0),
+            ("copy-elim flag", |p| p.copy_elim[1] = !p.copy_elim[1]),
+            ("copy-elim length", |p| p.copy_elim.push(false)),
+            ("estimate", |p| p.estimates[2].d_in += 1),
+            ("assignment set", |p| {
+                if !p.assignment.csd_lines.remove(&0) {
+                    p.assignment.csd_lines.insert(0);
+                }
+            }),
+            ("assignment time", |p| {
+                p.assignment.t_csd = -p.assignment.t_csd
+            }),
+            ("dataset name", |p| {
+                let ty = p
+                    .sampling
+                    .dataset_types
+                    .remove("v")
+                    .expect("scanned dataset");
+                p.sampling.dataset_types.insert("w".into(), ty);
+            }),
+            ("dataset type", |p| {
+                p.sampling
+                    .dataset_types
+                    .insert("v".into(), StaticType::Table);
+            }),
+        ];
+        for (what, change) in hashed {
+            let mut changed = plan.clone();
+            change(&mut changed);
+            assert_ne!(plan_fingerprint(&changed), base, "{what} is not hashed");
+        }
+        let mut changed = plan.clone();
+        changed.estimates[0].ct_host = ulp(changed.estimates[0].ct_host);
+        assert_ne!(plan_fingerprint(&changed), base, "one mantissa bit");
+
+        let mut changed = plan.clone();
+        changed.timings.fit_nanos += 1;
+        changed.sampling_secs += 1.0;
+        changed.compile_secs += 1.0;
+        changed.eq1.clear();
+        assert_eq!(plan_fingerprint(&changed), base, "left-out fields moved it");
     }
 }

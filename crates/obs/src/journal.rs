@@ -7,7 +7,17 @@
 //! records from a JSONL journal and [`summarize`] renders the human
 //! report: per-phase time breakdown, top-N spans, and the migration
 //! timeline.
+//!
+//! There is one grammar with two sinks. The object rule hands every key
+//! to a field sink: [`parse_json`]'s pushes `(key, value)` onto a
+//! [`JsonValue`] tree; a journal line's fills the fields of the record
+//! directly, so a line costs the `String`s its record keeps (name, kind,
+//! attribute keys and string values) and no tree. A string literal
+//! without an escape is a borrowed slice of the input until something
+//! keeps it. The tree-based reader this replaced is the test oracle
+//! (`crate::oracle`): equal journals, equal error texts.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -49,10 +59,16 @@ impl JsonValue {
         }
     }
 
-    /// The number as `u64`, if it is a non-negative integer.
+    /// The number as `u64`, if it is a non-negative integer below 2⁶⁴
+    /// (`None` at and above it, never a saturated `u64::MAX`). Numbers
+    /// are read as `f64`, so an integer above 2⁵³ arrives rounded to the
+    /// nearest representable one, as it always has.
     pub fn as_u64(&self) -> Option<u64> {
+        const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            JsonValue::Num(n) if *n >= 0.0 && *n < TWO_POW_64 && n.fract() == 0.0 => {
+                Some(*n as u64)
+            }
             _ => None,
         }
     }
@@ -74,28 +90,61 @@ impl JsonValue {
     }
 }
 
+/// What the object rule does with each `"key": value` pair: it is handed
+/// the key with the parser standing just past the colon, and consumes
+/// exactly one value.
+trait FieldSink<'a> {
+    fn field(&mut self, key: Cow<'a, str>, p: &mut Parser<'a>) -> Result<(), String>;
+}
+
+/// The tree: every pair kept, in input order.
+impl<'a> FieldSink<'a> for Vec<(String, JsonValue)> {
+    fn field(&mut self, key: Cow<'a, str>, p: &mut Parser<'a>) -> Result<(), String> {
+        let value = p.value()?;
+        self.push((key.into_owned(), value));
+        Ok(())
+    }
+}
+
+/// The one JSON grammar of this crate. [`parse_json`] and the journal
+/// line reader differ only in the [`FieldSink`] the top-level object
+/// fills.
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl<'a> Parser<'a> {
+    /// The whole of `text` as one document: a top-level object's fields
+    /// go to `sink`, any other value is returned.
+    fn document(text: &'a str, sink: &mut impl FieldSink<'a>) -> Result<Option<JsonValue>, String> {
+        let mut p = Parser { text, pos: 0 };
+        p.skip_ws();
+        let other = if p.peek() == Some(b'{') {
+            p.object(sink)?;
+            None
+        } else {
+            Some(p.value()?)
+        };
+        p.skip_ws();
+        if p.pos != text.len() {
+            return Err(p.err("trailing data after value"));
+        }
+        Ok(other)
+    }
+
     fn err(&self, msg: &str) -> String {
         format!("json parse error at byte {}: {msg}", self.pos)
     }
 
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
-                self.pos += 1;
-            } else {
-                break;
-            }
+        while let Some(b' ' | b'\t' | b'\n' | b'\r') = self.peek() {
+            self.pos += 1;
         }
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -108,7 +157,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, lit: &str, v: JsonValue) -> Result<JsonValue, String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(lit.as_bytes()) {
             self.pos += lit.len();
             Ok(v)
         } else {
@@ -122,68 +171,84 @@ impl<'a> Parser<'a> {
             Some(b'n') => self.literal("null", JsonValue::Null),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
-            Some(b'"') => self.string().map(JsonValue::Str),
+            Some(b'"') => self.string().map(|s| JsonValue::Str(s.into_owned())),
             Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'{') => {
+                let mut fields = Vec::new();
+                self.object(&mut fields)?;
+                Ok(JsonValue::Obj(fields))
+            }
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal, in one scan to its closing quote. Without an
+    /// escape it is a slice of the input; with one it is rebuilt, each
+    /// run between escapes copied whole. `"` and `\` are ASCII, so every
+    /// cut falls on a character boundary of the (valid UTF-8) input.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        let mut rebuilt: Option<String> = None;
         loop {
-            let Some(b) = self.peek() else {
+            let rest = &self.text[self.pos..];
+            let Some(run) = rest.bytes().position(|b| b == b'"' || b == b'\\') else {
+                self.pos = self.text.len();
                 return Err(self.err("unterminated string"));
             };
-            self.pos += 1;
-            match b {
-                b'"' => return Ok(out),
-                b'\\' => {
-                    let Some(esc) = self.peek() else {
-                        return Err(self.err("unterminated escape"));
-                    };
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'u' => {
-                            if self.pos + 4 > self.bytes.len() {
-                                return Err(self.err("truncated \\u escape"));
-                            }
-                            let hex = std::str::from_utf8(&self.bytes[self.pos..self.pos + 4])
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            let cp = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("bad \\u escape"))?;
-                            self.pos += 4;
-                            // Surrogate pairs are not emitted by our
-                            // writers; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
-                        }
-                        _ => return Err(self.err("unknown escape")),
+            self.pos += run + 1;
+            if rest.as_bytes()[run] == b'"' {
+                return Ok(match rebuilt {
+                    None => Cow::Borrowed(&rest[..run]),
+                    Some(mut out) => {
+                        out.push_str(&rest[..run]);
+                        Cow::Owned(out)
                     }
-                }
-                _ => {
-                    // Re-decode UTF-8 from the byte stream.
-                    let start = self.pos - 1;
-                    let width = utf8_width(b);
-                    let end = start + width;
-                    if end > self.bytes.len() {
-                        return Err(self.err("truncated utf-8"));
-                    }
-                    let s = std::str::from_utf8(&self.bytes[start..end])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    out.push_str(s);
-                    self.pos = end;
-                }
+                });
             }
+            let out = rebuilt.get_or_insert_with(String::new);
+            out.push_str(&rest[..run]);
+            let Some(esc) = self.peek() else {
+                return Err(self.err("unterminated escape"));
+            };
+            self.pos += 1;
+            match esc {
+                b'"' => out.push('"'),
+                b'\\' => out.push('\\'),
+                b'/' => out.push('/'),
+                b'n' => out.push('\n'),
+                b'r' => out.push('\r'),
+                b't' => out.push('\t'),
+                b'b' => out.push('\u{8}'),
+                b'f' => out.push('\u{c}'),
+                b'u' => {
+                    if self.pos + 4 > self.text.len() {
+                        return Err(self.err("truncated \\u escape"));
+                    }
+                    // `None` when the four bytes end inside a character.
+                    let cp = self
+                        .text
+                        .get(self.pos..self.pos + 4)
+                        .and_then(|hex| u32::from_str_radix(hex, 16).ok())
+                        .ok_or_else(|| self.err("bad \\u escape"))?;
+                    self.pos += 4;
+                    // Surrogate pairs are not emitted by our
+                    // writers; map lone surrogates to U+FFFD.
+                    out.push(char::from_u32(cp).unwrap_or('\u{FFFD}'));
+                }
+                _ => return Err(self.err("unknown escape")),
+            }
+        }
+    }
+
+    /// A string value, or `None` for a value of any other type (parsed
+    /// and dropped).
+    fn string_or_other(&mut self) -> Result<Option<Cow<'a, str>>, String> {
+        self.skip_ws();
+        if self.peek() == Some(b'"') {
+            self.string().map(Some)
+        } else {
+            self.value().map(|_| None)
         }
     }
 
@@ -210,9 +275,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
-        text.parse::<f64>()
+        self.text[start..self.pos]
+            .parse::<f64>()
             .map(JsonValue::Num)
             .map_err(|_| self.err("invalid number"))
     }
@@ -241,21 +305,19 @@ impl<'a> Parser<'a> {
         }
     }
 
-    fn object(&mut self) -> Result<JsonValue, String> {
+    fn object(&mut self, sink: &mut impl FieldSink<'a>) -> Result<(), String> {
         self.expect(b'{')?;
-        let mut fields = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.pos += 1;
-            return Ok(JsonValue::Obj(fields));
+            return Ok(());
         }
         loop {
             self.skip_ws();
             let key = self.string()?;
             self.skip_ws();
             self.expect(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
+            sink.field(key, self)?;
             self.skip_ws();
             match self.peek() {
                 Some(b',') => {
@@ -263,7 +325,7 @@ impl<'a> Parser<'a> {
                 }
                 Some(b'}') => {
                     self.pos += 1;
-                    return Ok(JsonValue::Obj(fields));
+                    return Ok(());
                 }
                 _ => return Err(self.err("expected ',' or '}'")),
             }
@@ -271,27 +333,11 @@ impl<'a> Parser<'a> {
     }
 }
 
-fn utf8_width(b: u8) -> usize {
-    match b {
-        0x00..=0x7F => 1,
-        0xC0..=0xDF => 2,
-        0xE0..=0xEF => 3,
-        _ => 4,
-    }
-}
-
 /// Parse one JSON document.
 pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
-    let v = p.value()?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing data after value"));
-    }
-    Ok(v)
+    let mut fields = Vec::new();
+    let other = Parser::document(text, &mut fields)?;
+    Ok(other.unwrap_or(JsonValue::Obj(fields)))
 }
 
 /// A span record read back from a journal.
@@ -353,62 +399,98 @@ pub struct Journal {
     pub torn_lines: u32,
 }
 
-fn opt_f64(v: Option<&JsonValue>) -> Option<f64> {
-    match v {
-        Some(JsonValue::Num(n)) => Some(*n),
-        _ => None,
+/// The fields of one journal line, filled by the object rule as it goes.
+/// Each slot takes the *first* occurrence of its key, as
+/// [`JsonValue::get`] finds it: outer `None` is "key absent", inner
+/// `None` "present, but not a value of this type". Strings without an
+/// escape stay slices of the line until a record is built from them.
+#[derive(Default)]
+struct LineFields<'a> {
+    t: Option<Option<Cow<'a, str>>>,
+    name: Option<Option<Cow<'a, str>>>,
+    kind: Option<Option<Cow<'a, str>>>,
+    id: Option<Option<u64>>,
+    parent: Option<Option<u64>>,
+    seq: Option<Option<u64>>,
+    wall_ns: Option<Option<u64>>,
+    wall_dur_ns: Option<Option<u64>>,
+    sim_secs: Option<Option<f64>>,
+    sim_dur_secs: Option<Option<f64>>,
+    attrs: Option<Vec<(String, JsonValue)>>,
+}
+
+impl<'a> FieldSink<'a> for LineFields<'a> {
+    fn field(&mut self, key: Cow<'a, str>, p: &mut Parser<'a>) -> Result<(), String> {
+        fn first<T>(slot: &mut Option<T>, v: T) {
+            slot.get_or_insert(v);
+        }
+        match key.as_ref() {
+            "t" => first(&mut self.t, p.string_or_other()?),
+            "name" => first(&mut self.name, p.string_or_other()?),
+            "kind" => first(&mut self.kind, p.string_or_other()?),
+            "id" => first(&mut self.id, p.value()?.as_u64()),
+            "parent" => first(&mut self.parent, p.value()?.as_u64()),
+            "seq" => first(&mut self.seq, p.value()?.as_u64()),
+            "wall_ns" => first(&mut self.wall_ns, p.value()?.as_u64()),
+            "wall_dur_ns" => first(&mut self.wall_dur_ns, p.value()?.as_u64()),
+            "sim_secs" => first(&mut self.sim_secs, p.value()?.as_f64()),
+            "sim_dur_secs" => first(&mut self.sim_dur_secs, p.value()?.as_f64()),
+            "attrs" => first(
+                &mut self.attrs,
+                match p.value()? {
+                    JsonValue::Obj(fields) => fields,
+                    _ => Vec::new(),
+                },
+            ),
+            // Unknown keys are parsed like any other and dropped.
+            _ => drop(p.value()?),
+        }
+        Ok(())
     }
 }
 
-fn req_u64(obj: &JsonValue, key: &str, line_no: usize) -> Result<u64, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("journal line {line_no}: missing integer field '{key}'"))
-}
-
-fn req_str(obj: &JsonValue, key: &str, line_no: usize) -> Result<String, String> {
-    obj.get(key)
-        .and_then(JsonValue::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("journal line {line_no}: missing string field '{key}'"))
-}
-
-fn attrs_of(obj: &JsonValue) -> Vec<(String, JsonValue)> {
-    obj.get("attrs")
-        .and_then(JsonValue::as_obj)
-        .map(|fields| fields.to_vec())
-        .unwrap_or_default()
-}
-
-/// Parse one journal line into `journal`. Records are constructed in
-/// full before being pushed, so a failed line never leaves a partial
-/// record behind.
+/// Parse one journal line into `journal`. The whole line goes through
+/// the grammar before any field is asked for, and records are
+/// constructed in full before being pushed, so a failed line never
+/// leaves a partial record behind.
 fn parse_journal_line(line: &str, line_no: usize, journal: &mut Journal) -> Result<(), String> {
-    let v = parse_json(line).map_err(|e| format!("journal line {line_no}: {e}"))?;
-    let t = req_str(&v, "t", line_no)?;
-    match t.as_str() {
+    let located = |e: String| format!("journal line {line_no}: {e}");
+    let mut f = LineFields::default();
+    Parser::document(line, &mut f).map_err(located)?;
+    let missing =
+        |what: &str, key: &str| format!("journal line {line_no}: missing {what} field '{key}'");
+    let int =
+        |v: Option<Option<u64>>, key: &str| v.flatten().ok_or_else(|| missing("integer", key));
+    let string = |v: Option<Option<Cow<str>>>, key: &str| {
+        v.flatten()
+            .map(Cow::into_owned)
+            .ok_or_else(|| missing("string", key))
+    };
+    let t = f.t.flatten().ok_or_else(|| missing("string", "t"))?;
+    match t.as_ref() {
         "span" => journal.spans.push(JournalSpan {
-            id: req_u64(&v, "id", line_no)?,
-            parent: req_u64(&v, "parent", line_no)?,
-            seq: req_u64(&v, "seq", line_no)?,
-            name: req_str(&v, "name", line_no)?,
-            kind: req_str(&v, "kind", line_no)?,
-            wall_ns: req_u64(&v, "wall_ns", line_no)?,
-            wall_dur_ns: req_u64(&v, "wall_dur_ns", line_no)?,
-            sim_secs: opt_f64(v.get("sim_secs")),
-            sim_dur_secs: opt_f64(v.get("sim_dur_secs")),
-            attrs: attrs_of(&v),
+            id: int(f.id, "id")?,
+            parent: int(f.parent, "parent")?,
+            seq: int(f.seq, "seq")?,
+            name: string(f.name, "name")?,
+            kind: string(f.kind, "kind")?,
+            wall_ns: int(f.wall_ns, "wall_ns")?,
+            wall_dur_ns: int(f.wall_dur_ns, "wall_dur_ns")?,
+            sim_secs: f.sim_secs.flatten(),
+            sim_dur_secs: f.sim_dur_secs.flatten(),
+            attrs: f.attrs.unwrap_or_default(),
         }),
         "instant" => journal.instants.push(JournalInstant {
-            parent: req_u64(&v, "parent", line_no)?,
-            seq: req_u64(&v, "seq", line_no)?,
-            name: req_str(&v, "name", line_no)?,
-            kind: req_str(&v, "kind", line_no)?,
-            wall_ns: req_u64(&v, "wall_ns", line_no)?,
-            sim_secs: opt_f64(v.get("sim_secs")),
-            attrs: attrs_of(&v),
+            parent: int(f.parent, "parent")?,
+            seq: int(f.seq, "seq")?,
+            name: string(f.name, "name")?,
+            kind: string(f.kind, "kind")?,
+            wall_ns: int(f.wall_ns, "wall_ns")?,
+            sim_secs: f.sim_secs.flatten(),
+            attrs: f.attrs.unwrap_or_default(),
         }),
-        "metrics" => journal.metrics = Some(v),
+        // The one footer line per journal is kept as a tree.
+        "metrics" => journal.metrics = Some(parse_json(line).map_err(located)?),
         other => {
             return Err(format!(
                 "journal line {line_no}: unknown record type '{other}'"
@@ -428,17 +510,16 @@ fn parse_journal_line(line: &str, line_no: usize, journal: &mut Journal) -> Resu
 /// come from a crash and remains a hard error.
 pub fn parse_journal(text: &str) -> Result<Journal, String> {
     let mut journal = Journal::default();
-    let lines: Vec<(usize, &str)> = text
+    let mut lines = text
         .lines()
         .enumerate()
         .map(|(i, line)| (i + 1, line.trim()))
         .filter(|(_, line)| !line.is_empty())
-        .collect();
-    let last_idx = lines.len().saturating_sub(1);
-    for (idx, (line_no, line)) in lines.iter().enumerate() {
-        match parse_journal_line(line, *line_no, &mut journal) {
+        .peekable();
+    while let Some((line_no, line)) = lines.next() {
+        match parse_journal_line(line, line_no, &mut journal) {
             Ok(()) => {}
-            Err(_) if idx == last_idx => journal.torn_lines += 1,
+            Err(_) if lines.peek().is_none() => journal.torn_lines += 1,
             Err(e) => return Err(e),
         }
     }
@@ -971,6 +1052,35 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("1 2").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn as_u64_is_none_for_what_a_u64_cannot_hold() {
+        let as_u64 = |text: &str| parse_json(text).expect("a number").as_u64();
+        // 2⁶⁴ and above used to saturate to `u64::MAX`; `u64::MAX` itself
+        // is 2⁶⁴ once it is an `f64`.
+        assert_eq!(as_u64("1e300"), None);
+        assert_eq!(as_u64("18446744073709551616"), None);
+        assert_eq!(as_u64("18446744073709551615"), None);
+        assert_eq!(as_u64("18446744073709549568"), Some(u64::MAX - 2047));
+        assert_eq!(as_u64("9007199254740992"), Some(1 << 53));
+        assert_eq!(as_u64("-0"), Some(0));
+        assert_eq!(as_u64("1.0"), Some(1));
+        assert_eq!(as_u64("1.5"), None);
+        assert_eq!(as_u64("-1"), None);
+
+        // So a line carrying such an id is not a record.
+        let line = |id: &str| {
+            format!(
+                "{{\"t\":\"span\",\"seq\":1,\"id\":{id},\"parent\":0,\"name\":\"n\",\
+                 \"kind\":\"phase\",\"wall_ns\":0,\"wall_dur_ns\":0,\"attrs\":{{}}}}\n"
+            )
+        };
+        let err = parse_journal(&(line("1e300") + &line("2"))).unwrap_err();
+        assert_eq!(err, "journal line 1: missing integer field 'id'");
+        let journal = parse_journal(&(line("2") + &line("1e300"))).expect("torn tail");
+        assert_eq!((journal.spans.len(), journal.torn_lines), (1, 1));
+        assert_eq!(journal.spans[0].id, 2);
     }
 
     #[test]

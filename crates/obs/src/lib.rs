@@ -35,6 +35,8 @@
 pub mod export;
 pub mod journal;
 pub mod metrics;
+#[cfg(test)]
+mod oracle;
 pub mod span;
 pub mod wal;
 

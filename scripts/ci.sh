@@ -31,8 +31,23 @@ cargo test -q -p alang --lib -- canonical:: ast:: builtins::tests::a_digest
 cargo test -q -p isp-workloads --lib spec::
 cargo test -q --test stored_once
 
+echo "== trace codec differentials (pinned case counts, the replaced writers and reader as oracle) =="
+# isp-obs' JSON writers and reader against the format!-based exporters and
+# the tree-based line reader they replaced (crates/obs/src/oracle/): 600
+# seeded hostile event sets byte for byte through jsonl and chrome_trace,
+# masked and not, with and without a footer; the committed journals, a
+# traced faulted run of each of the 12 registered plans and 2 000 seeded
+# mutations of a real journal read to equal Journals or equal error texts,
+# parse_json to the tree it always built, no panic, seed printed. Then
+# what PlanCommit hashes: plan_fingerprint moves with each hashed part of
+# a plan and with nothing else. Ahead of the suite and of the trace-smoke
+# and Prometheus-golden gates, so a codec break stops here, named,
+# instead of as a golden diff below.
+cargo test -q -p isp-obs --lib -- oracle:: journal::tests::as_u64
+cargo test -q -p activepy --lib resume::tests::plan_fingerprint
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 51 of the 690 tests.
+# The whole suite: the root package alone is 51 of the 697 tests.
 cargo test -q --workspace
 
 echo "== benchmark package (builds and passes its driver tests against this tree) =="
@@ -61,6 +76,18 @@ COLD="$(bash benchmark/run.sh --workload plan_cold --seed 1 --seconds 1 --trace 
 case "$COLD" in
   *'"correct": true'*'"failed": 0,'*) ;;
   *) echo "plan_cold smoke failed: $COLD"; exit 1 ;;
+esac
+
+echo "== benchmark durable_exec smoke (journaled, resumed and replayed cells all check out) =="
+# One second of the workload the observers are measured on: per plan a
+# faulted run, the same run with WAL + tracer + profile attached, a resume
+# from a cut WAL that must rewrite the same bytes (its PlanCommit carries
+# plan_fingerprint), and a replay that exports the trace as JSONL, reads
+# it back, diffs it against the previous round's and renders the metrics.
+DURABLE="$(bash benchmark/run.sh --workload durable_exec --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$DURABLE" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *) echo "durable_exec smoke failed: $DURABLE"; exit 1 ;;
 esac
 
 echo "== fault-sweep smoke (deterministic injection, zero wrong answers) =="
