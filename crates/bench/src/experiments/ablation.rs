@@ -59,27 +59,16 @@ fn measure(plan: &OffloadPlan, config: &SystemConfig, assignment: &Assignment) -
     .total_secs
 }
 
-/// Runs the ablation over the nine Table-I workloads with a private plan
-/// cache.
+/// Runs the ablation over the nine Table-I workloads: the estimates,
+/// copy-elimination decisions, parsed program, and full-scale input all
+/// come from the workload's plan in `cache`, so the four assignment
+/// variants share one planning pass.
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to run.
 #[must_use]
-pub fn run(config: &SystemConfig) -> Vec<Row> {
-    run_with(config, &PlanCache::new())
-}
-
-/// [`run`] against a shared [`PlanCache`]: the estimates, copy-elimination
-/// decisions, parsed program, and full-scale input all come from the
-/// workload's cached plan, so the four assignment variants share one
-/// planning pass.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_with(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
+pub fn run(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
     let bw = config.d2h_bandwidth().as_bytes_per_sec();
     crate::sweep::run_grid(isp_workloads::table1(), |w| {
         let program = w.program().expect("parse");
@@ -137,7 +126,7 @@ mod tests {
 
     #[test]
     fn refinement_never_loses_to_simpler_variants() {
-        let rows = run(&SystemConfig::paper_default());
+        let rows = run(&SystemConfig::paper_default(), &PlanCache::new());
         for r in &rows {
             assert!(
                 r.refined_secs <= r.greedy_secs * 1.02,

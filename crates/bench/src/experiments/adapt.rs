@@ -235,14 +235,6 @@ pub fn run(config: &SystemConfig) -> Report {
     aggregate(rows)
 }
 
-/// Runs the sweep for a single workload by name, or `None` if the name
-/// matches nothing.
-#[must_use]
-pub fn run_one(name: &str, config: &SystemConfig) -> Option<Report> {
-    let w = isp_workloads::by_name(name)?;
-    Some(aggregate(vec![run_workload(&w, config)]))
-}
-
 /// Checks the sweep's headline claims; `Err` describes the violation.
 ///
 /// # Errors
@@ -261,7 +253,7 @@ pub fn check(report: &Report) -> Result<(), String> {
             report.replanned_regret_total, report.static_regret_total
         ));
     }
-    if report.rows.len() > 1 && report.reclaim_migrations == 0 {
+    if report.reclaim_migrations == 0 {
         return Err("no workload reclaimed work back to the CSD".to_owned());
     }
     for r in &report.rows {
@@ -335,16 +327,5 @@ mod tests {
             report.rows.iter().any(|r| r.degraded_migrations > 0),
             "no workload migrated under the burst"
         );
-    }
-
-    #[test]
-    fn focused_run_matches_the_sweep_row() {
-        let config = SystemConfig::paper_default();
-        let name = isp_workloads::full_set()[0].name().to_owned();
-        let focused = run_one(&name, &config).expect("workload exists");
-        assert_eq!(focused.rows.len(), 1);
-        assert_eq!(focused.rows[0].name, name);
-        assert!(focused.rows[0].values_match);
-        assert!(run_one("no-such-workload", &config).is_none());
     }
 }

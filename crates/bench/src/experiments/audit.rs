@@ -18,7 +18,7 @@
 //!   "would Algorithm 1 have flipped this line?" question produces
 //!   actual flips.
 //!
-//! The smoke gate (`repro --audit`) asserts: zero fingerprint
+//! The smoke gate ([`check`]) asserts: zero fingerprint
 //! divergences, every line audited, clean-cell mean error inside the
 //! pinned band, and at least one explained counterfactual flip across
 //! the grid.
@@ -187,14 +187,6 @@ pub fn run(config: &SystemConfig) -> Report {
     aggregate(rows)
 }
 
-/// Runs the sweep for a single workload by name, or `None` if the name
-/// matches nothing.
-#[must_use]
-pub fn run_one(name: &str, config: &SystemConfig) -> Option<Report> {
-    let w = isp_workloads::by_name(name)?;
-    Some(aggregate(vec![run_workload(&w, config)]))
-}
-
 /// Checks the sweep's audit invariants; `Err` describes the violation.
 ///
 /// # Errors
@@ -236,7 +228,7 @@ pub fn check(report: &Report) -> Result<(), String> {
             report.mean_clean_err_ppm, MEAN_CLEAN_ERR_BAND_PPM
         ));
     }
-    if report.rows.len() > 1 && report.counterfactual_flips == 0 {
+    if report.counterfactual_flips == 0 {
         return Err("no workload flipped under the contended cell".to_owned());
     }
     if report.counterfactual_flips > 0 && report.flip_example.is_empty() {
@@ -289,7 +281,8 @@ mod tests {
     #[test]
     fn focused_sweep_calibrates_and_flips() {
         let config = SystemConfig::paper_default();
-        let report = run_one("TPC-H-6", &config).expect("workload exists");
+        let w = isp_workloads::by_name("TPC-H-6").expect("registered");
+        let report = aggregate(vec![run_workload(&w, &config)]);
         assert_eq!(report.rows.len(), 1);
         let r = &report.rows[0];
         assert!(r.values_match, "{r:?}");
@@ -299,6 +292,5 @@ mod tests {
         assert!(r.contended_flips > 0, "{r:?}");
         assert_eq!(r.profile_version, 1, "{r:?}");
         assert!(report.flip_example.contains("measured costs favor host"));
-        assert!(run_one("no-such-workload", &config).is_none());
     }
 }

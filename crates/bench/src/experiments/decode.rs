@@ -1,7 +1,6 @@
-//! Decode-placement experiment: where Eq. 1 puts the wire-format decode,
-//! and what the SIMD fast path buys the hot kernels.
+//! Decode-placement experiment: where Eq. 1 puts the wire-format decode.
 //!
-//! **Placement.** Each wire-format workload (the [`isp_workloads::decode_set`])
+//! Each wire-format workload (the [`isp_workloads::decode_set`])
 //! is executed three ways under the same uncontended scenario: the plan
 //! Algorithm 1 chose, the same pipeline forced all-host, and forced
 //! all-CSD. Decode placement is the whole story of the contrast:
@@ -19,38 +18,16 @@
 //! [`activepy::assign::projected_cost`] model over the plan's own
 //! estimates), the planner picked that winner, and all three runs produce
 //! one byte-identical `values_fingerprint`.
-//!
-//! **SIMD.** The lane-reassociated kernels of [`alang::simd`] are timed
-//! against the plain sequential folds they replaced, minimum-of-rounds.
-//! Each row also re-asserts the determinism contract: the vector kernel
-//! is bit-identical to its strided-scalar reference twin (and, for
-//! min/max, to the sequential fold itself).
-
-use std::time::Instant;
 
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{Assignment, OffloadPlan, PlanCache};
-use alang::simd;
-use alang::value::EncodedVal;
 use csd_sim::engine::EngineKind;
-use csd_sim::wire::{ByteOrder, Codec, Encoding};
 use csd_sim::{ContentionScenario, SystemConfig};
 use serde::Serialize;
 
 /// Relative tolerance when asserting the planner's run is no slower than
 /// the best forced placement (simulation microseconds of queue noise).
 const PLAN_TOLERANCE: f64 = 1e-6;
-
-/// Timing rounds per kernel; the minimum round is kept (the standard
-/// guard against scheduler noise).
-const ROUNDS: usize = 7;
-
-/// Elements per SIMD-kernel timing input — large enough that the chunked
-/// engaged path dominates.
-const KERNEL_ELEMS: usize = 1 << 20;
-
-/// Elements per decode-throughput input (many 4096-element wire chunks).
-const DECODE_ELEMS: usize = 1 << 16;
 
 /// One wire-format workload under the three placements.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -83,44 +60,11 @@ pub struct PlacementRow {
     pub values_match: bool,
 }
 
-/// One hot kernel, scalar fold vs SIMD fast path.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct KernelRow {
-    /// Kernel name.
-    pub kernel: String,
-    /// Input elements.
-    pub n: usize,
-    /// Plain sequential fold, best-of-rounds seconds.
-    pub scalar_secs: f64,
-    /// Lane-reassociated kernel, best-of-rounds seconds.
-    pub simd_secs: f64,
-    /// `scalar_secs / simd_secs`.
-    pub speedup: f64,
-    /// Whether the SIMD kernel is bit-identical to its strided-scalar
-    /// reference twin.
-    pub deterministic: bool,
-}
-
-/// Decode throughput of one wire format, best-of-rounds.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct DecodeKernelRow {
-    /// Human-readable wire format.
-    pub wire: String,
-    /// Encoded-over-decoded size ratio (1.0 for codec-less formats).
-    pub compression: f64,
-    /// Decoded megabytes per second.
-    pub decoded_mb_per_s: f64,
-}
-
 /// The full decode experiment.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Report {
     /// One row per wire-format workload.
     pub placements: Vec<PlacementRow>,
-    /// Scalar-vs-SIMD rows for the hot reduction kernels.
-    pub kernels: Vec<KernelRow>,
-    /// Decode throughput per wire format.
-    pub decode_kernels: Vec<DecodeKernelRow>,
 }
 
 /// Forces every line of `plan` onto one engine, re-projecting the
@@ -193,171 +137,21 @@ fn run_placement(
     }
 }
 
-/// Deterministic mixed-magnitude timing input — exponents spread over
-/// several decades so sum reassociation differences would be visible if
-/// the determinism contract broke.
-fn kernel_input(n: usize, salt: u64) -> Vec<f64> {
-    (0..n)
-        .map(|i| {
-            let h = (i as u64)
-                .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                .wrapping_add(salt);
-            let mag = [1e-6, 1e-2, 1.0, 1e3][(h % 4) as usize];
-            let sign = if h & 8 == 0 { 1.0 } else { -1.0 };
-            sign * mag * ((h >> 4) % 10_000) as f64 / 10_000.0
-        })
-        .collect()
-}
-
-/// Best-of-[`ROUNDS`] seconds of `f`.
-fn best_of<F: FnMut() -> f64>(mut f: F) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let t = Instant::now();
-        std::hint::black_box(f());
-        best = best.min(t.elapsed().as_secs_f64());
-    }
-    best
-}
-
-/// Times the hot reduction kernels, scalar fold vs SIMD fast path.
-fn run_kernels() -> Vec<KernelRow> {
-    let xs = kernel_input(KERNEL_ELEMS, 1);
-    let ys = kernel_input(KERNEL_ELEMS, 2);
-    let sq = |x: f64| x * x;
-
-    let mut rows = Vec::new();
-    let mut push = |kernel: &str, scalar_secs: f64, simd_secs: f64, deterministic: bool| {
-        rows.push(KernelRow {
-            kernel: kernel.to_owned(),
-            n: KERNEL_ELEMS,
-            scalar_secs,
-            simd_secs,
-            speedup: scalar_secs / simd_secs,
-            deterministic,
-        });
-    };
-
-    push(
-        "sum",
-        best_of(|| xs.iter().fold(0.0, |a, &b| a + b)),
-        best_of(|| simd::sum8(&xs)),
-        simd::sum8(&xs).to_bits() == simd::sum8_ref(&xs).to_bits(),
-    );
-    push(
-        "sum_by(x*x)",
-        best_of(|| xs.iter().fold(0.0, |a, &b| a + sq(b))),
-        best_of(|| simd::sum8_by(&xs, sq)),
-        simd::sum8_by(&xs, sq).to_bits() == simd::sum8_by_ref(&xs, sq).to_bits(),
-    );
-    push(
-        "dot",
-        best_of(|| xs.iter().zip(&ys).fold(0.0, |a, (&x, &y)| a + x * y)),
-        best_of(|| simd::dot8(&xs, &ys)),
-        simd::dot8(&xs, &ys).to_bits() == simd::dot8_ref(&xs, &ys).to_bits(),
-    );
-    push(
-        "min",
-        best_of(|| xs.iter().fold(f64::INFINITY, |a, &b| a.min(b))),
-        best_of(|| simd::min8(&xs, f64::INFINITY)),
-        simd::min8(&xs, f64::INFINITY).to_bits() == simd::min8_ref(&xs, f64::INFINITY).to_bits()
-            && simd::min8(&xs, f64::INFINITY).to_bits()
-                == xs.iter().fold(f64::INFINITY, |a, &b| a.min(b)).to_bits(),
-    );
-    push(
-        "max",
-        best_of(|| xs.iter().fold(f64::NEG_INFINITY, |a, &b| a.max(b))),
-        best_of(|| simd::max8(&xs, f64::NEG_INFINITY)),
-        simd::max8(&xs, f64::NEG_INFINITY).to_bits()
-            == simd::max8_ref(&xs, f64::NEG_INFINITY).to_bits()
-            && simd::max8(&xs, f64::NEG_INFINITY).to_bits()
-                == xs
-                    .iter()
-                    .fold(f64::NEG_INFINITY, |a, &b| a.max(b))
-                    .to_bits(),
-    );
-    rows
-}
-
-/// The wire formats timed by [`run_decode_kernels`], with display names.
-fn wire_formats() -> Vec<(String, Encoding)> {
-    vec![
-        ("gzip+shuffle".to_owned(), Encoding::gzip_shuffled()),
-        (
-            "shuffle+big-endian".to_owned(),
-            Encoding {
-                codec: Codec::None,
-                shuffle: true,
-                byte_order: ByteOrder::Big,
-                fill_value: None,
-            },
-        ),
-        (
-            "fill(-1)".to_owned(),
-            Encoding {
-                codec: Codec::None,
-                shuffle: false,
-                byte_order: ByteOrder::Little,
-                fill_value: Some(-1.0),
-            },
-        ),
-    ]
-}
-
-/// Times `decode_all` per wire format.
-fn run_decode_kernels() -> Vec<DecodeKernelRow> {
-    // Low-cardinality data so the gzip row compresses the way columnar
-    // stores do; the sentinel row masks every 10th element.
-    let data: Vec<f64> = (0..DECODE_ELEMS)
-        .map(|i| {
-            if i % 10 == 0 {
-                -1.0
-            } else {
-                ((i * 7919) % 50) as f64
-            }
-        })
-        .collect();
-    wire_formats()
-        .into_iter()
-        .map(|(wire, enc)| {
-            let ev = EncodedVal::from_f64s(enc, &data, data.len() as u64);
-            let decoded_bytes = (data.len() * 8) as f64;
-            let compression = decoded_bytes / ev.encoded_actual_bytes() as f64;
-            let secs = best_of(|| ev.decode_all().expect("decode").len() as f64);
-            DecodeKernelRow {
-                wire,
-                compression,
-                decoded_mb_per_s: decoded_bytes / 1e6 / secs,
-            }
-        })
-        .collect()
-}
-
-/// Runs the full decode experiment with a shared plan cache.
+/// Runs the decode experiment, planning through `cache`.
 ///
 /// # Panics
 ///
 /// Panics if a wire-format workload fails to plan or run.
 #[must_use]
-pub fn run_with(config: &SystemConfig, cache: &PlanCache) -> Report {
+pub fn run(config: &SystemConfig, cache: &PlanCache) -> Report {
     let placements = crate::sweep::run_grid(isp_workloads::decode_set(), |w| {
         run_placement(&w, config, cache)
     });
-    Report {
-        placements,
-        kernels: run_kernels(),
-        decode_kernels: run_decode_kernels(),
-    }
-}
-
-/// Runs the full decode experiment with a private cache.
-#[must_use]
-pub fn run(config: &SystemConfig) -> Report {
-    run_with(config, &PlanCache::new())
+    Report { placements }
 }
 
 /// The smoke gate: both decode-placement regimes present and correct,
-/// every run byte-identical, and the SIMD fast path actually fast.
+/// every run byte-identical.
 ///
 /// # Errors
 ///
@@ -388,30 +182,10 @@ pub fn check(report: &Report) -> std::result::Result<(), String> {
     if !report.placements.iter().any(|r| !r.decode_on_csd) {
         return Err("no workload in the decode-on-host regime".to_owned());
     }
-    for row in &report.kernels {
-        if !row.deterministic {
-            return Err(format!(
-                "{}: SIMD kernel diverges from its scalar reference",
-                row.kernel
-            ));
-        }
-    }
-    let fast = report.kernels.iter().filter(|r| r.speedup >= 1.5).count();
-    if fast < 3 {
-        let sheet: Vec<String> = report
-            .kernels
-            .iter()
-            .map(|r| format!("{} {:.2}x", r.kernel, r.speedup))
-            .collect();
-        return Err(format!(
-            "only {fast} kernels reach 1.5x over scalar ({})",
-            sheet.join(", ")
-        ));
-    }
     Ok(())
 }
 
-/// Prints the report as aligned tables.
+/// Prints the report as an aligned table.
 pub fn print(report: &Report) {
     println!("Decode placement (Eq. 1 decides where the wire format is decoded):");
     println!(
@@ -436,49 +210,15 @@ pub fn print(report: &Report) {
             },
         );
     }
-    println!();
-    println!("SIMD fast path (scalar fold vs 8-lane kernels, best of {ROUNDS} rounds):");
-    println!(
-        "  {:<12} {:>9} {:>12} {:>12} {:>8}  deterministic",
-        "kernel", "elems", "scalar(s)", "simd(s)", "speedup"
-    );
-    for r in &report.kernels {
-        println!(
-            "  {:<12} {:>9} {:>12.6} {:>12.6} {:>7.2}x  {}",
-            r.kernel, r.n, r.scalar_secs, r.simd_secs, r.speedup, r.deterministic
-        );
-    }
-    println!();
-    println!("Decode kernels (chunked decode_all throughput):");
-    println!(
-        "  {:<20} {:>12} {:>14}",
-        "wire format", "compression", "decoded MB/s"
-    );
-    for r in &report.decode_kernels {
-        println!(
-            "  {:<20} {:>11.2}x {:>14.0}",
-            r.wire, r.compression, r.decoded_mb_per_s
-        );
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// The placement invariants at unit-test cost. Kernel speedups are
-    /// asserted only by [`check`] under the release repro run — a debug
-    /// build neither vectorizes nor represents the shipped binary.
     #[test]
     fn both_regimes_present_and_placement_invariants_hold() {
-        let config = SystemConfig::paper_default();
-        let report = Report {
-            placements: crate::sweep::run_grid(isp_workloads::decode_set(), |w| {
-                run_placement(&w, &config, &PlanCache::new())
-            }),
-            kernels: Vec::new(),
-            decode_kernels: Vec::new(),
-        };
+        let report = run(&SystemConfig::paper_default(), &PlanCache::new());
         assert_eq!(report.placements.len(), 2);
         for r in &report.placements {
             assert!(r.values_match, "{r:?}");
@@ -499,26 +239,5 @@ mod tests {
             .expect("loggrep row");
         assert!(lg.decode_on_csd, "raw streams decode on the CSD");
         assert!(lg.eq1_profit_secs > 0.0, "{lg:?}");
-    }
-
-    #[test]
-    fn simd_kernels_are_deterministic_and_decode_rows_sane() {
-        for r in run_kernels() {
-            assert!(r.deterministic, "{r:?}");
-            assert!(r.scalar_secs > 0.0 && r.simd_secs > 0.0, "{r:?}");
-        }
-        let rows = run_decode_kernels();
-        assert_eq!(rows.len(), 3);
-        let gz = &rows[0];
-        assert!(gz.compression > 2.0, "gzip row must compress: {gz:?}");
-        for r in &rows[1..] {
-            assert!(
-                (r.compression - 1.0).abs() < 1e-9,
-                "codec-less formats are length-preserving: {r:?}"
-            );
-        }
-        for r in &rows {
-            assert!(r.decoded_mb_per_s > 0.0, "{r:?}");
-        }
     }
 }

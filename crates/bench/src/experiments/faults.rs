@@ -133,25 +133,15 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig, cache: &Plan
         .collect()
 }
 
-/// Runs the full fault sweep (every workload × [`FAULT_RATES`]) with a
-/// private plan cache.
+/// Runs the full fault sweep (every workload × [`FAULT_RATES`]), planning
+/// through `cache` so a full repro run plans each workload once across
+/// experiments.
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to run.
 #[must_use]
-pub fn run(config: &SystemConfig) -> Vec<Row> {
-    run_with(config, &PlanCache::new())
-}
-
-/// [`run`] against a shared [`PlanCache`], so a full repro run plans each
-/// workload once across experiments.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_with(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
+pub fn run(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
     let per_workload: Vec<Vec<Row>> = crate::sweep::run_grid(isp_workloads::full_set(), |w| {
         run_workload(&w, config, cache)
     });
@@ -209,7 +199,7 @@ mod tests {
     fn sweep_is_deterministic_and_never_wrong() {
         let config = SystemConfig::paper_default();
         let cache = PlanCache::new();
-        let rows = run_with(&config, &cache);
+        let rows = run(&config, &cache);
         assert_eq!(
             rows.len(),
             isp_workloads::full_set().len() * FAULT_RATES.len()
@@ -239,7 +229,7 @@ mod tests {
             "at least one crash must land mid-stream and force host fallback"
         );
         // Same seed, same rows: the sweep reproduces byte-identically.
-        let again = run(&config);
+        let again = run(&config, &PlanCache::new());
         assert_eq!(rows, again);
     }
 }

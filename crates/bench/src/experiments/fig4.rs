@@ -48,25 +48,14 @@ impl Row {
     }
 }
 
-/// Runs the comparison over the nine Table-I workloads with a private
-/// plan cache.
+/// Runs the comparison over the nine Table-I workloads, planning through
+/// `cache`; the workload grid fans out over [`crate::sweep::run_grid`].
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to run.
 #[must_use]
-pub fn run(config: &SystemConfig) -> Vec<Row> {
-    run_with(config, &PlanCache::new())
-}
-
-/// [`run`] against a shared [`PlanCache`]; the workload grid fans out over
-/// [`crate::sweep::run_grid`].
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_with(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
+pub fn run(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
     crate::sweep::run_grid(isp_workloads::table1(), |w| {
         let baseline = run_c_baseline(&w, config)
             .expect("baseline runs")
@@ -140,7 +129,7 @@ mod tests {
 
     #[test]
     fn activepy_matches_programmer_directed() {
-        let rows = run(&SystemConfig::paper_default());
+        let rows = run(&SystemConfig::paper_default(), &PlanCache::new());
         assert_eq!(rows.len(), 9);
         for r in &rows {
             // Both configurations beat or match the baseline.

@@ -11,8 +11,7 @@
 //! and the uncontended reference run (which fixes the stress onset time)
 //! are computed once and shared by every contended cell — four
 //! [`ActivePy::execute_plan`] calls per workload instead of four full
-//! plan-and-run pipelines. [`run_serial`] preserves the original uncached
-//! path for before/after timing; both produce identical rows.
+//! plan-and-run pipelines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -76,11 +75,11 @@ pub struct Summary {
 /// tests to assert the baseline and reference run happen once per workload
 /// no matter how many availability levels share them.
 #[derive(Debug, Default)]
-pub struct RunCounters {
+struct RunCounters {
     /// `run_c_baseline` invocations.
-    pub baselines: AtomicUsize,
+    baselines: AtomicUsize,
     /// Uncontended reference executions.
-    pub references: AtomicUsize,
+    references: AtomicUsize,
 }
 
 fn scenario_at(t_half: f64, availability_pct: u32) -> ContentionScenario {
@@ -93,20 +92,9 @@ fn scenario_at(t_half: f64, availability_pct: u32) -> ContentionScenario {
 /// Runs every availability level for one workload, hoisting the baseline,
 /// the offload plan, and the uncontended reference run out of the
 /// per-level loop. Returns one row per entry of [`AVAILABILITY_PCTS`], in
-/// that order.
+/// that order. `tracer` is threaded through planning and every plan
+/// execution, all wrapped in a `fig5.workload` span.
 fn run_workload(
-    w: &isp_workloads::Workload,
-    config: &SystemConfig,
-    cache: &PlanCache,
-    counters: &RunCounters,
-    policy: ParallelPolicy,
-) -> Vec<Row> {
-    run_workload_traced(w, config, cache, counters, policy, &Tracer::disabled())
-}
-
-/// One workload's cells with `tracer` threaded through planning and every
-/// plan execution, all wrapped in a `fig5.workload` span.
-fn run_workload_traced(
     w: &isp_workloads::Workload,
     config: &SystemConfig,
     cache: &PlanCache,
@@ -187,63 +175,34 @@ fn run_workload_traced(
 }
 
 /// Runs the full Figure 5 grid (every registered workload × {50 %, 10 %})
-/// with a private plan cache.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run(config: &SystemConfig) -> Vec<Row> {
-    run_with(config, &PlanCache::new())
-}
-
-/// [`run`] against a shared [`PlanCache`], so a full repro run plans each
-/// workload once across figures.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_with(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
-    run_with_counters(config, cache, &RunCounters::default())
-}
-
-/// [`run_with`] executing every plan under a data-parallel kernel
+/// against `cache`, executing every plan under the data-parallel kernel
 /// `policy`. The policy is execution-only (it does not split the plan-
 /// cache key, and values/LineCost records are policy-independent), so the
-/// rows are byte-identical to the serial grid's; only repro wall-clock
-/// changes.
+/// rows are byte-identical under every policy.
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to run.
 #[must_use]
-pub fn run_with_policy(
+pub fn run(config: &SystemConfig, cache: &PlanCache, policy: ParallelPolicy) -> Vec<Row> {
+    run_counted(config, cache, policy, &RunCounters::default())
+}
+
+fn run_counted(
     config: &SystemConfig,
     cache: &PlanCache,
     policy: ParallelPolicy,
-) -> Vec<Row> {
-    run_grid_with(config, cache, &RunCounters::default(), policy)
-}
-
-/// [`run_with`] with phase counters for test instrumentation.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_with_counters(
-    config: &SystemConfig,
-    cache: &PlanCache,
     counters: &RunCounters,
 ) -> Vec<Row> {
-    run_grid_with(config, cache, counters, ParallelPolicy::default())
+    availability_major(crate::sweep::run_grid(isp_workloads::full_set(), |w| {
+        run_workload(&w, config, cache, counters, policy, &Tracer::disabled())
+    }))
 }
 
-/// The traced Figure 5 grid: identical cells to [`run_with_policy`], but
-/// evaluated **serially** with `tracer` threaded through every pipeline
-/// phase. The parallel sweep would interleave spans from different
-/// workloads through the tracer's shared parent stack and make the journal
+/// The traced Figure 5 grid: identical cells to [`run`], but evaluated
+/// **serially** with `tracer` threaded through every pipeline phase. The
+/// parallel sweep would interleave spans from different workloads through
+/// the tracer's shared parent stack and make the journal
 /// schedule-dependent, so the traced grid trades wall-clock for a
 /// deterministic journal. `workload_filter` (exact name) narrows the grid
 /// to one workload.
@@ -255,90 +214,26 @@ pub fn run_with_counters(
 pub fn run_traced(
     config: &SystemConfig,
     cache: &PlanCache,
-    policy: ParallelPolicy,
     tracer: &Tracer,
     workload_filter: Option<&str>,
 ) -> Vec<Row> {
     let counters = RunCounters::default();
-    let per_workload: Vec<Vec<Row>> = isp_workloads::full_set()
-        .into_iter()
-        .filter(|w| workload_filter.is_none_or(|f| w.name() == f))
-        .map(|w| run_workload_traced(&w, config, cache, &counters, policy, tracer))
-        .collect();
+    let policy = ParallelPolicy::default();
+    availability_major(
+        isp_workloads::full_set()
+            .into_iter()
+            .filter(|w| workload_filter.is_none_or(|f| w.name() == f))
+            .map(|w| run_workload(&w, config, cache, &counters, policy, tracer))
+            .collect(),
+    )
+}
+
+/// Flattens workload-major results into the figure's availability-major
+/// presentation order.
+fn availability_major(per_workload: Vec<Vec<Row>>) -> Vec<Row> {
     (0..AVAILABILITY_PCTS.len())
         .flat_map(|level| per_workload.iter().map(move |rows| rows[level].clone()))
         .collect()
-}
-
-fn run_grid_with(
-    config: &SystemConfig,
-    cache: &PlanCache,
-    counters: &RunCounters,
-    policy: ParallelPolicy,
-) -> Vec<Row> {
-    let per_workload: Vec<Vec<Row>> = crate::sweep::run_grid(isp_workloads::full_set(), |w| {
-        run_workload(&w, config, cache, counters, policy)
-    });
-    // Flatten workload-major results into the figure's availability-major
-    // presentation order.
-    (0..AVAILABILITY_PCTS.len())
-        .flat_map(|level| per_workload.iter().map(move |rows| rows[level].clone()))
-        .collect()
-}
-
-/// The original uncached, serial Figure 5 path: every cell replans and
-/// re-runs its reference from scratch. Kept as the before/after timing
-/// control; its rows are identical to [`run`]'s.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_serial(config: &SystemConfig) -> Vec<Row> {
-    let mut rows = Vec::new();
-    for pct in AVAILABILITY_PCTS {
-        for w in isp_workloads::full_set() {
-            rows.push(run_one_serial(&w, config, pct));
-        }
-    }
-    rows
-}
-
-/// One cell of the uncached path: baseline, reference run, and both
-/// contended runs, each through the full plan-and-execute pipeline.
-fn run_one_serial(
-    w: &isp_workloads::Workload,
-    config: &SystemConfig,
-    availability_pct: u32,
-) -> Row {
-    let program = w.program().expect("registered workloads parse");
-    let baseline = run_c_baseline(w, config).expect("baseline runs").total_secs;
-    let rt = ActivePy::new();
-    let reference = rt
-        .run(&program, w, config, ContentionScenario::none())
-        .expect("reference run");
-    let t_half = reference
-        .report
-        .time_at_csd_progress(0.5)
-        .unwrap_or(reference.report.total_secs * 0.5);
-    let scenario = scenario_at(t_half, availability_pct);
-    let with_mig = rt
-        .run(&program, w, config, scenario)
-        .expect("migrating run");
-    let without_mig = ActivePy::with_options(ActivePyOptions::default().without_migration())
-        .run(&program, w, config, scenario)
-        .expect("static run");
-    Row {
-        name: w.name().to_owned(),
-        availability_pct,
-        baseline_secs: baseline,
-        with_migration_secs: with_mig.report.total_secs,
-        without_migration_secs: without_mig.report.total_secs,
-        migrated: with_mig.report.migration.is_some(),
-        offloaded: !with_mig.assignment.csd_lines.is_empty(),
-        with_speedup: baseline / with_mig.report.total_secs,
-        without_speedup: baseline / without_mig.report.total_secs,
-    }
 }
 
 /// Summarizes one availability level's rows.
@@ -412,7 +307,7 @@ mod tests {
     #[test]
     fn ten_percent_availability_matches_the_paper() {
         let config = SystemConfig::paper_default();
-        let rows = run(&config);
+        let rows = run(&config, &PlanCache::new(), ParallelPolicy::default());
         let s = summarize(&rows, 10);
         // With migration: a modest slowdown vs baseline (paper ~8%).
         assert!(
@@ -469,7 +364,7 @@ mod tests {
         let config = SystemConfig::paper_default();
         let cache = PlanCache::new();
         let counters = RunCounters::default();
-        let rows = run_with_counters(&config, &cache, &counters);
+        let rows = run_counted(&config, &cache, ParallelPolicy::default(), &counters);
         let n = isp_workloads::full_set().len();
         assert_eq!(rows.len(), n * AVAILABILITY_PCTS.len());
         assert_eq!(

@@ -35,24 +35,15 @@ pub struct BwRow {
 
 /// Sweeps the external bandwidth on MixedGEMM (the workload with both
 /// streaming and compute stages, where the split point actually moves).
+/// The platform grid fans out over [`crate::sweep::run_grid`]; each
+/// platform is a distinct plan key in `cache` — the point of the
+/// experiment is that the assignment changes.
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to run.
 #[must_use]
-pub fn run_bw_sweep() -> Vec<BwRow> {
-    run_bw_sweep_with(&PlanCache::new())
-}
-
-/// [`run_bw_sweep`] against a shared [`PlanCache`]; the platform grid fans
-/// out over [`crate::sweep::run_grid`]. Each platform is a distinct plan
-/// key — the point of the experiment is that the assignment changes.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_bw_sweep_with(cache: &PlanCache) -> Vec<BwRow> {
+pub fn run_bw_sweep(cache: &PlanCache) -> Vec<BwRow> {
     let w = isp_workloads::by_name("MixedGEMM").expect("registered");
     let program = w.program().expect("parse");
     let mut platforms: Vec<(String, SystemConfig)> =
@@ -98,25 +89,16 @@ pub struct GcRow {
     pub migrated: bool,
 }
 
-/// Runs TPC-H-6 under increasingly aggressive garbage collection.
+/// Runs TPC-H-6 under increasingly aggressive garbage collection. The
+/// with- and without-migration variants differ only in execution policy,
+/// so each GC duty level plans once (through `cache`) and both variants
+/// replay that plan.
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to run.
 #[must_use]
-pub fn run_gc() -> Vec<GcRow> {
-    run_gc_with(&PlanCache::new())
-}
-
-/// [`run_gc`] against a shared [`PlanCache`]: the with- and
-/// without-migration variants differ only in execution policy, so each GC
-/// duty level plans once and both variants replay that plan.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to run.
-#[must_use]
-pub fn run_gc_with(cache: &PlanCache) -> Vec<GcRow> {
+pub fn run_gc(cache: &PlanCache) -> Vec<GcRow> {
     let w = isp_workloads::by_name("TPC-H-6").expect("registered");
     let program = w.program().expect("parse");
     let quiet = run_c_baseline(&w, &SystemConfig::paper_default())
@@ -190,7 +172,7 @@ mod tests {
 
     #[test]
     fn narrower_links_offload_at_least_as_much() {
-        let rows = run_bw_sweep();
+        let rows = run_bw_sweep(&PlanCache::new());
         // Sort by bandwidth and check monotone non-increasing offload.
         let mut sorted = rows.clone();
         sorted.sort_by(|a, b| a.bw_d2h_gbps.partial_cmp(&b.bw_d2h_gbps).expect("finite"));
@@ -211,7 +193,7 @@ mod tests {
 
     #[test]
     fn gc_degrades_gracefully_with_migration_available() {
-        let rows = run_gc();
+        let rows = run_gc(&PlanCache::new());
         // More GC, more time — monotone within tolerance.
         for w in rows.windows(2) {
             assert!(

@@ -12,6 +12,5 @@ pub mod flexibility;
 pub mod prediction;
 pub mod recovery;
 pub mod runtime_opt;
-pub mod scaling;
 pub mod shards;
 pub mod table1;

@@ -56,26 +56,16 @@ pub struct Report {
 /// (tiny scalars drown in rounding).
 const MIN_VOLUME_BYTES: u64 = 1_000_000;
 
-/// Runs the prediction-accuracy experiment over all ten workloads with a
-/// private plan cache.
+/// Runs the prediction-accuracy experiment over all ten workloads: the
+/// sampling report, the fitted predictions, and the materialized
+/// full-scale input all come from the workload's
+/// [`activepy::OffloadPlan`] in `cache`.
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to sample or run.
 #[must_use]
-pub fn run(config: &SystemConfig) -> Report {
-    run_with(config, &PlanCache::new())
-}
-
-/// [`run`] against a shared [`PlanCache`]: the sampling report, the fitted
-/// predictions, and the materialized full-scale input all come from the
-/// workload's cached [`activepy::OffloadPlan`].
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to sample or run.
-#[must_use]
-pub fn run_with(config: &SystemConfig, cache: &PlanCache) -> Report {
+pub fn run(config: &SystemConfig, cache: &PlanCache) -> Report {
     let per_workload: Vec<Vec<LineRow>> =
         crate::sweep::run_grid(isp_workloads::with_sparsemv(), |w| {
             let program = w.program().expect("registered workloads parse");
@@ -170,7 +160,7 @@ mod tests {
 
     #[test]
     fn accuracy_matches_the_paper() {
-        let report = run(&SystemConfig::paper_default());
+        let report = run(&SystemConfig::paper_default(), &PlanCache::new());
         assert!(!report.lines.is_empty());
         // Geomean error in the single-digit-percent band (paper: 9%).
         assert!(

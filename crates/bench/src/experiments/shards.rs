@@ -4,11 +4,10 @@
 //! Every (workload, N) cell derives its [`activepy::ShardedPlan`] from
 //! the *same* cached single-device plan — sampling, fitting, and the
 //! full-scale input are produced once per workload and sliced by the
-//! [`ShardMap`], never regenerated per shard count ([`RunCounters`]
+//! [`ShardMap`], never regenerated per shard count (`RunCounters`
 //! proves it). Speedups are simulated end-to-end latency vs the N=1
 //! fleet row, so the sweep is fully deterministic: the floors in
-//! [`check`] hold unconditionally, unlike the wall-clock sweeps that
-//! gate on host hardware.
+//! [`check`] hold on any host.
 //!
 //! Two invariants ride along with the scaling numbers:
 //!
@@ -23,7 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use activepy::runtime::ActivePy;
 use activepy::sampling::InputSource;
-use activepy::{execute_sharded_plan, FleetReport, PlanCache};
+use activepy::{execute_sharded_plan, PlanCache};
 use alang::builtins::Storage;
 use alang::shard::{ShardMap, ShardStrategy};
 use csd_sim::fault::FaultPlan;
@@ -141,9 +140,9 @@ pub struct Report {
 /// Counts full-scale input materializations; the datagen-hoist test
 /// asserts exactly one per workload across the whole sweep.
 #[derive(Debug, Default)]
-pub struct RunCounters {
+struct RunCounters {
     /// `storage_at(1.0)` calls seen by the sweep's input sources.
-    pub full_datagens: AtomicUsize,
+    full_datagens: AtomicUsize,
 }
 
 /// An [`InputSource`] that counts full-scale materializations before
@@ -165,35 +164,20 @@ impl InputSource for CountingSource<'_> {
     }
 }
 
-/// Runs the default sweep with a private plan cache.
+/// Runs the sweep against `cache`, so a full repro run samples each
+/// workload once across figures *and* fleet sizes.
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to plan or run.
 #[must_use]
-pub fn run() -> Report {
-    run_with(&PlanCache::new())
-}
-
-/// [`run`] against a shared [`PlanCache`], so a full repro run samples
-/// each workload once across figures *and* fleet sizes.
-///
-/// # Panics
-///
-/// Panics if a registered workload fails to plan or run.
-#[must_use]
-pub fn run_with(cache: &PlanCache) -> Report {
+pub fn run(cache: &PlanCache) -> Report {
     run_configured(&WORKLOADS, &SHARD_COUNTS, cache, &RunCounters::default())
 }
 
-/// The configurable sweep core: `workloads` × `counts` cells plus the
-/// chaos cell, against `cache`, with datagen counting.
-///
-/// # Panics
-///
-/// Panics if a named workload is unregistered or fails to plan or run.
-#[must_use]
-pub fn run_configured(
+/// The sweep core: `workloads` × `counts` cells plus the chaos cell,
+/// against `cache`, with datagen counting.
+fn run_configured(
     workloads: &[&str],
     counts: &[usize],
     cache: &PlanCache,
@@ -302,32 +286,8 @@ fn run_chaos(
     }
 }
 
-/// Convenience accessor used by the CI smoke gate: the fleet report of
-/// one workload at one shard count against a private cache.
-///
-/// # Panics
-///
-/// Panics if the workload is unregistered or fails to plan or run.
-#[must_use]
-pub fn run_one(name: &str, n: usize) -> FleetReport {
-    let config = SystemConfig::paper_default();
-    let rt = ActivePy::new();
-    let cache = PlanCache::new();
-    let w = isp_workloads::by_name(name).expect("registered workload");
-    let program = w.program().expect("registered workloads parse");
-    let base = cache
-        .plan_for(&rt, w.name(), &program, &w, &config)
-        .expect("planning succeeds");
-    let map = ShardMap::auto(&base.full_storage, n, ShardStrategy::Range);
-    let plan = cache
-        .sharded_plan_for(&rt, w.name(), &program, &w, &config, &map)
-        .expect("sharded planning succeeds");
-    execute_sharded_plan(&rt, &plan, &config, ContentionScenario::none(), &[])
-        .expect("fleet run succeeds")
-}
-
 /// The sweep's deterministic acceptance floors. Simulated time is exact,
-/// so these hold on any host, unlike the wall-clock sweeps.
+/// so these hold on any host.
 ///
 /// # Errors
 ///
@@ -408,13 +368,11 @@ pub fn print(report: &Report) {
         .filter(|r| r.shards == 8 && SCALABLE.contains(&r.name.as_str()))
         .map(|r| r.speedup)
         .collect();
-    if !at_eight.is_empty() {
-        println!(
-            "geomean speedup at N=8 over the scalable set: {:.2}x (floor {:.1}x each)",
-            crate::geomean(&at_eight),
-            N8_SPEEDUP_FLOOR
-        );
-    }
+    println!(
+        "geomean speedup at N=8 over the scalable set: {:.2}x (floor {:.1}x each)",
+        crate::geomean(&at_eight),
+        N8_SPEEDUP_FLOOR
+    );
     let c = &report.chaos;
     println!(
         "chaos: {} N={}, shard {} CSE crash at t=0 -> migrated={}, others on-device={}, \

@@ -1,24 +1,259 @@
 //! # isp-bench — the experiment harness
 //!
-//! One module per table/figure of the paper; each exposes a `run` function
-//! returning structured results and a `print` helper producing the
-//! paper-style rows. The `src/bin/*` binaries are thin wrappers, and the
-//! Criterion benches in `benches/` time the same machinery.
-//!
-//! | Target | Reproduces |
-//! |---|---|
-//! | `table1` | Table I — applications and input sizes |
-//! | `fig2` | Figure 2 — static C-ISP vs CSE availability |
-//! | `fig4` | Figure 4 — ActivePy vs programmer-directed ISP |
-//! | `fig5` | Figure 5 — contention at 50 % progress, ± migration |
-//! | `runtime_opt` | §V text — the 41 %/20 %/≈0 % language-runtime ladder |
-//! | `prediction` | §V text — volume-prediction accuracy and the CSR outlier |
-//! | `ablation` | design ablation — Algorithm 1 variants |
+//! One module per experiment under [`experiments`]: a `run` returning
+//! structured results, a `print` producing the paper-style rows and,
+//! where the experiment has invariants, a `check`. [`EXPERIMENTS`] is the
+//! one list of them — name, what it reproduces, how to run it — and
+//! [`run_all`] is the one loop over it; the `repro` binary is that loop
+//! plus argv. Every experiment advances a simulated clock and never reads
+//! the host's, so what the loop prints and returns is a function of the
+//! tree. Host time is measured by the repository benchmark (`benchmark/`,
+//! `BENCHMARK.json`), nowhere here.
 
 #![warn(missing_docs)]
 
 pub mod experiments;
 pub mod sweep;
+
+use activepy::PlanCache;
+use alang::ParallelPolicy;
+use csd_sim::SystemConfig;
+use experiments as ex;
+use serde::Serialize;
+use serde_json::Value;
+
+/// One entry of [`EXPERIMENTS`].
+pub struct Experiment {
+    /// The experiment's key in `BENCH_repro.json`.
+    pub name: &'static str,
+    /// What of the paper (or beyond it) the experiment reproduces.
+    pub reproduces: &'static str,
+    /// Runs the experiment, prints its tables, and returns its report
+    /// section with the verdict of its `check`.
+    pub run: fn(&SystemConfig, &PlanCache) -> Outcome,
+}
+
+/// What one experiment hands back to [`run_all`].
+pub struct Outcome {
+    /// The experiment's section of `BENCH_repro.json`.
+    pub section: Value,
+    /// `Err` describes the first violated invariant.
+    pub check: Result<(), String>,
+}
+
+/// Prints `report`, checks it, and serializes it.
+fn outcome<R: Serialize>(
+    report: &R,
+    print: impl FnOnce(&R),
+    check: impl FnOnce(&R) -> Result<(), String>,
+) -> Outcome {
+    print(report);
+    Outcome {
+        section: serde_json::to_value(report).expect("reports serialize"),
+        check: check(report),
+    }
+}
+
+/// The `check` of an experiment whose claims its unit test asserts.
+fn unchecked<R>(_: &R) -> Result<(), String> {
+    Ok(())
+}
+
+#[derive(Serialize)]
+struct Fig5Section {
+    rows: Vec<ex::fig5::Row>,
+    summaries: Vec<ex::fig5::Summary>,
+}
+
+#[derive(Serialize)]
+struct FlexibilitySection {
+    bw: Vec<ex::flexibility::BwRow>,
+    gc: Vec<ex::flexibility::GcRow>,
+}
+
+#[derive(Serialize)]
+struct FaultsSection {
+    seed: u64,
+    rows: Vec<ex::faults::Row>,
+    fault_migrations: u64,
+    wrong_answers: usize,
+}
+
+/// Every experiment of the evaluation, in the order `repro` runs them.
+/// They share one [`PlanCache`], so the order fixes which lookups hit.
+pub const EXPERIMENTS: [Experiment; 14] = [
+    Experiment {
+        name: "table1",
+        reproduces: "Table I — applications and input sizes",
+        run: |_, _| outcome(&ex::table1::run(), |r| ex::table1::print(r), unchecked),
+    },
+    Experiment {
+        name: "fig2",
+        reproduces: "Figure 2 — static C-ISP vs CSE availability",
+        run: |config, _| outcome(&ex::fig2::run(config), |r| ex::fig2::print(r), unchecked),
+    },
+    Experiment {
+        name: "fig4",
+        reproduces: "Figure 4 — ActivePy vs programmer-directed ISP",
+        run: |config, cache| {
+            outcome(
+                &ex::fig4::run(config, cache),
+                |r| ex::fig4::print(r),
+                unchecked,
+            )
+        },
+    },
+    Experiment {
+        name: "fig5",
+        reproduces: "Figure 5 — contention at 50 % progress, ± migration",
+        run: |config, cache| {
+            let rows = ex::fig5::run(config, cache, ParallelPolicy::default());
+            let summaries = ex::fig5::AVAILABILITY_PCTS
+                .iter()
+                .map(|&pct| ex::fig5::summarize(&rows, pct))
+                .collect();
+            outcome(
+                &Fig5Section { rows, summaries },
+                |s| ex::fig5::print(&s.rows),
+                unchecked,
+            )
+        },
+    },
+    Experiment {
+        name: "runtime_opt",
+        reproduces: "§V text — the 41 %/20 %/≈0 % language-runtime ladder",
+        run: |config, _| {
+            outcome(
+                &ex::runtime_opt::run(config),
+                |r| ex::runtime_opt::print(r),
+                unchecked,
+            )
+        },
+    },
+    Experiment {
+        name: "prediction",
+        reproduces: "§V text — volume-prediction accuracy and the CSR outlier",
+        run: |config, cache| {
+            outcome(
+                &ex::prediction::run(config, cache),
+                ex::prediction::print,
+                unchecked,
+            )
+        },
+    },
+    Experiment {
+        name: "ablation",
+        reproduces: "design ablation — Algorithm 1 variants",
+        run: |config, cache| {
+            outcome(
+                &ex::ablation::run(config, cache),
+                |r| ex::ablation::print(r),
+                unchecked,
+            )
+        },
+    },
+    Experiment {
+        name: "flexibility",
+        reproduces: "§II-B3 dynamics — interconnect sweep and garbage collection",
+        run: |_, cache| {
+            let section = FlexibilitySection {
+                bw: ex::flexibility::run_bw_sweep(cache),
+                gc: ex::flexibility::run_gc(cache),
+            };
+            outcome(
+                &section,
+                |s| ex::flexibility::print(&s.bw, &s.gc),
+                unchecked,
+            )
+        },
+    },
+    Experiment {
+        name: "faults",
+        reproduces: "fault sweep — seeded device faults never change an answer",
+        run: |config, cache| {
+            let rows = ex::faults::run(config, cache);
+            let section = FaultsSection {
+                seed: ex::faults::FAULT_SEED,
+                fault_migrations: rows.iter().map(|r| r.fault_migrations).sum(),
+                wrong_answers: rows.iter().filter(|r| !r.values_match).count(),
+                rows,
+            };
+            outcome(
+                &section,
+                |s| ex::faults::print(&s.rows),
+                |s| match s.wrong_answers {
+                    0 => Ok(()),
+                    n => Err(format!("{n} faulted runs changed the answer")),
+                },
+            )
+        },
+    },
+    Experiment {
+        name: "decode",
+        reproduces: "decode placement — Eq. 1 decides where a wire format is decoded",
+        run: |config, cache| {
+            outcome(
+                &ex::decode::run(config, cache),
+                ex::decode::print,
+                ex::decode::check,
+            )
+        },
+    },
+    Experiment {
+        name: "shards",
+        reproduces: "shard scaling — the scatter-gather fleet at N in {1, 2, 4, 8}",
+        run: |_, cache| {
+            outcome(
+                &ex::shards::run(cache),
+                ex::shards::print,
+                ex::shards::check,
+            )
+        },
+    },
+    Experiment {
+        name: "adapt",
+        reproduces: "adaptation — re-planning under a phase-shifting availability trace",
+        run: |config, _| outcome(&ex::adapt::run(config), ex::adapt::print, ex::adapt::check),
+    },
+    Experiment {
+        name: "recovery",
+        reproduces: "recovery — journal resume and zero-datagen warm start",
+        run: |_, _| {
+            outcome(
+                &ex::recovery::run(),
+                ex::recovery::print,
+                ex::recovery::check,
+            )
+        },
+    },
+    Experiment {
+        name: "audit",
+        reproduces: "planner audit — Eq. 1 predicted vs measured, clean and contended",
+        run: |config, _| outcome(&ex::audit::run(config), ex::audit::print, ex::audit::check),
+    },
+];
+
+/// Runs `experiments` in order against one `cache`, each printing its
+/// tables. Returns every experiment's report section keyed by name and
+/// one `name: cause` line per failed `check`; a failure never stops the
+/// loop, so every table is printed and every section returned.
+pub fn run_all(
+    experiments: &[Experiment],
+    config: &SystemConfig,
+    cache: &PlanCache,
+) -> (Vec<(String, Value)>, Vec<String>) {
+    let mut sections = Vec::with_capacity(experiments.len());
+    let mut failures = Vec::new();
+    for e in experiments {
+        let Outcome { section, check } = (e.run)(config, cache);
+        println!();
+        if let Err(cause) = check {
+            failures.push(format!("{}: {cause}", e.name));
+        }
+        sections.push((e.name.to_owned(), section));
+    }
+    (sections, failures)
+}
 
 /// Geometric mean of a slice of positive ratios.
 ///
@@ -45,6 +280,37 @@ pub fn mean(values: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_failed_check_is_reported_and_does_not_stop_the_loop() {
+        let passes: fn(&SystemConfig, &PlanCache) -> Outcome =
+            |_, _| outcome(&1u64, |_| println!("stub table"), unchecked);
+        let fails: fn(&SystemConfig, &PlanCache) -> Outcome = |_, _| {
+            outcome(
+                &2u64,
+                |_| println!("stub table"),
+                |_| Err("boom".to_owned()),
+            )
+        };
+        let experiments =
+            [("first", passes), ("second", fails), ("third", passes)].map(|(name, run)| {
+                Experiment {
+                    name,
+                    reproduces: "stub",
+                    run,
+                }
+            });
+        let (sections, failures) = run_all(
+            &experiments,
+            &SystemConfig::paper_default(),
+            &PlanCache::new(),
+        );
+        let names: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
+        assert_eq!(names, ["first", "second", "third"], "the loop ran on");
+        assert_eq!(serde_json::to_string(&sections[1].1).expect("renders"), "2");
+        // `repro` exits 1 exactly when this list is non-empty.
+        assert_eq!(failures, ["second: boom"]);
+    }
 
     #[test]
     fn geomean_of_reciprocals_is_one() {

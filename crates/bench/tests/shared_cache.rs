@@ -3,6 +3,7 @@
 //! once — the acceptance criterion for the planning cache.
 
 use activepy::PlanCache;
+use alang::ParallelPolicy;
 use csd_sim::SystemConfig;
 use isp_bench::experiments as ex;
 
@@ -12,7 +13,7 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
     let cache = PlanCache::new();
 
     // fig4 plans the nine Table-I workloads.
-    let fig4 = ex::fig4::run_with(&config, &cache);
+    let fig4 = ex::fig4::run(&config, &cache);
     assert_eq!(fig4.len(), 9);
     let after_fig4 = cache.stats();
     assert_eq!(
@@ -23,7 +24,7 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
 
     // fig5 adds SparseMV and the two wire-format workloads; the other
     // nine lookups hit.
-    let fig5 = ex::fig5::run_with(&config, &cache);
+    let fig5 = ex::fig5::run(&config, &cache, ParallelPolicy::default());
     assert_eq!(fig5.len(), 24);
     let after_fig5 = cache.stats();
     assert_eq!(
@@ -33,8 +34,8 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
     assert_eq!(after_fig5.hits, 9);
 
     // prediction and ablation replay cached plans entirely.
-    let _ = ex::prediction::run_with(&config, &cache);
-    let _ = ex::ablation::run_with(&config, &cache);
+    let _ = ex::prediction::run(&config, &cache);
+    let _ = ex::ablation::run(&config, &cache);
     let stats = cache.stats();
     assert_eq!(
         stats.misses, 12,

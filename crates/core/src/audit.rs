@@ -431,23 +431,9 @@ mod tests {
     use super::*;
     use crate::plan::PlanCache;
     use crate::runtime::ActivePy;
-    use crate::sampling::InputSource;
-    use alang::builtins::Storage;
+    use crate::sampling::test_input as input;
     use alang::parser::parse;
-    use alang::value::ArrayVal;
-    use alang::Value;
     use csd_sim::{ContentionScenario, SystemConfig};
-
-    fn input() -> impl InputSource {
-        |scale: f64| {
-            let logical = (scale * 1e9).round().max(100.0) as u64;
-            let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
-            let data: Vec<f64> = (0..actual).map(|i| (i % 100) as f64).collect();
-            let mut st = Storage::new();
-            st.insert("v", Value::Array(ArrayVal::with_logical(data, logical)));
-            st
-        }
-    }
 
     const SRC: &str = "a = scan('v')\nm = a < 50\nb = select(a, m)\ns = sum(b)\n";
 

@@ -475,21 +475,9 @@ impl PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::test_input as input;
     use alang::parser::parse;
-    use alang::value::ArrayVal;
-    use alang::Value;
     use csd_sim::ContentionScenario;
-
-    fn input() -> impl InputSource {
-        |scale: f64| {
-            let logical = (scale * 1e9).round().max(100.0) as u64;
-            let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
-            let data: Vec<f64> = (0..actual).map(|i| (i % 100) as f64).collect();
-            let mut st = Storage::new();
-            st.insert("v", Value::Array(ArrayVal::with_logical(data, logical)));
-            st
-        }
-    }
 
     const SRC: &str = "a = scan('v')\ns = sum(a)\n";
 

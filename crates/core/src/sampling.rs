@@ -46,6 +46,25 @@ impl<F: Fn(f64) -> Storage> InputSource for F {
     }
 }
 
+/// The input the crate's unit tests plan against: one array `v` of 10⁹
+/// logical elements (8 GB) at scale 1.0. The materialized prefix stays
+/// small (100–8 000 elements) and a multiple of 100 cycling 0..100, so
+/// `a < 50` selects exactly half of it at every sampling scale.
+#[cfg(test)]
+pub(crate) fn test_input() -> impl InputSource {
+    |scale: f64| {
+        let logical = (scale * 1e9).round().max(100.0) as u64;
+        let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
+        let data: Vec<f64> = (0..actual).map(|i| (i % 100) as f64).collect();
+        let mut st = Storage::new();
+        st.insert(
+            "v",
+            Value::Array(alang::value::ArrayVal::with_logical(data, logical)),
+        );
+        st
+    }
+}
+
 /// The paper's four sampling scale factors.
 #[must_use]
 pub fn paper_scales() -> Vec<f64> {

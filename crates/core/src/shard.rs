@@ -616,24 +616,11 @@ mod tests {
     use super::*;
     use crate::exec::execute_all_host;
     use crate::plan::PlanCache;
+    use crate::sampling::test_input as input;
     use crate::sampling::InputSource;
     use alang::parser::parse;
     use alang::shard::ShardStrategy;
-    use alang::value::ArrayVal;
-    use alang::{CostParams, ExecTier, Value};
-
-    /// A filter-reduce workload over an 8 GB logical array, sharded on
-    /// `v`.
-    fn input() -> impl InputSource {
-        |scale: f64| {
-            let logical = (scale * 1e9).round().max(100.0) as u64;
-            let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
-            let data: Vec<f64> = (0..actual).map(|i| (i % 100) as f64).collect();
-            let mut st = Storage::new();
-            st.insert("v", Value::Array(ArrayVal::with_logical(data, logical)));
-            st
-        }
-    }
+    use alang::{CostParams, ExecTier};
 
     const SRC: &str = "a = scan('v')\nm = a < 50\nb = select(a, m)\ns = sum(b)\n";
 

@@ -185,26 +185,6 @@ impl ComputeEngine {
     }
 }
 
-/// How far an empirically measured parallel efficiency may sit from a
-/// modelled [`EngineSpec::parallel_efficiency`] before the scaling sweep
-/// flags the model as miscalibrated.
-///
-/// The band is deliberately wide: the modelled constants describe the
-/// paper's testbed (8× A72 CSE cores, 8 desktop host cores), while the
-/// repro's worker pool measures whatever machine the bench runs on — a
-/// single-core CI box legitimately measures an efficiency of 1.0 at its
-/// best thread count of 1, which must still sit within the band of the
-/// CSE's modelled 0.85.
-pub const PARALLEL_EFFICIENCY_TOLERANCE: f64 = 0.45;
-
-/// Whether `empirical` parallel efficiency is consistent with a `modelled`
-/// [`EngineSpec::parallel_efficiency`], within
-/// [`PARALLEL_EFFICIENCY_TOLERANCE`].
-#[must_use]
-pub fn efficiency_within_band(modelled: f64, empirical: f64) -> bool {
-    (modelled - empirical).abs() <= PARALLEL_EFFICIENCY_TOLERANCE
-}
-
 /// Default host CPU matching the paper's testbed: an octa-core AMD Ryzen 7
 /// 3700X at 3.6 GHz (§IV-A). The parallel efficiency is deliberately low:
 /// the Table-I workloads are streaming kernels, and eight desktop cores
@@ -323,17 +303,6 @@ mod tests {
         eng.install_fault_trace(AvailabilityTrace::full());
         let contended = eng.time_to_execute(SimTime::ZERO, Ops::new(1_000_000_000));
         assert!((contended.as_secs() / base.as_secs() - 2.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn efficiency_band_accepts_plausible_measurements() {
-        let modelled = default_cse_spec().parallel_efficiency;
-        // An 8-core machine hitting ~70% of linear, and a single-core box
-        // measuring a trivially perfect 1.0, both calibrate.
-        assert!(efficiency_within_band(modelled, 0.70));
-        assert!(efficiency_within_band(modelled, 1.0));
-        // A pool losing most of its speedup to contention does not.
-        assert!(!efficiency_within_band(modelled, 0.2));
     }
 
     #[test]

@@ -1698,6 +1698,7 @@ mod tests {
             ("maxv", vec![arr(xs.clone())]),
             ("exp", vec![arr(ys.clone())]),
             ("abs", vec![arr(xs.clone())]),
+            ("sqrt", vec![arr(xs.iter().map(|x| x.abs()).collect())]),
             ("dot", vec![arr(xs.clone()), arr(ys.clone())]),
             (
                 "where",

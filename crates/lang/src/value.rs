@@ -796,6 +796,40 @@ mod tests {
     }
 
     #[test]
+    fn codec_less_encodings_keep_their_length_and_gzip_shuffle_compresses_a_patterned_column() {
+        // Low-cardinality data with a sentinel every 10th element, the way
+        // columnar stores hold it.
+        let data: Vec<f64> = (0..1usize << 16)
+            .map(|i| {
+                if i % 10 == 0 {
+                    -1.0
+                } else {
+                    ((i * 7919) % 50) as f64
+                }
+            })
+            .collect();
+        let decoded_bytes = (data.len() * 8) as u64;
+        let encoded_bytes = |encoding| {
+            EncodedVal::from_f64s(encoding, &data, data.len() as u64).encoded_actual_bytes()
+        };
+        let shuffled_big_endian = Encoding {
+            codec: Codec::None,
+            shuffle: true,
+            byte_order: ByteOrder::Big,
+            fill_value: None,
+        };
+        let filled = Encoding {
+            codec: Codec::None,
+            shuffle: false,
+            byte_order: ByteOrder::Little,
+            fill_value: Some(-1.0),
+        };
+        assert_eq!(encoded_bytes(shuffled_big_endian), decoded_bytes);
+        assert_eq!(encoded_bytes(filled), decoded_bytes);
+        assert!(encoded_bytes(Encoding::gzip_shuffled()) * 2 < decoded_bytes);
+    }
+
+    #[test]
     fn reassembled_parts_must_decode_to_their_declared_length() {
         let data: Vec<f64> = (0..6000).map(|i| f64::from(i % 97)).collect();
         for encoding in [Encoding::gzip_shuffled(), Encoding::raw()] {

@@ -1,5 +1,6 @@
 //! Generators shared by the root differential tests: the random-program
-//! grammar, the stored arrays it scans, and the random fault plans.
+//! grammar, the stored arrays it scans, the scale-aware input the planning
+//! tests sample, and the random fault plans.
 //!
 //! The vendored proptest is fixed-seed, so every test that draws from
 //! these strategies in the same argument order sees the same cases on
@@ -111,6 +112,38 @@ pub fn storage_with(len_v: u32, len_w: u32) -> Storage {
             500_000,
         )),
     );
+    st
+}
+
+/// One array of a [`scaled_storage`]: its name, the cycle its values
+/// repeat with, what is subtracted to centre them, and what its logical
+/// length is divided by.
+pub type ScaledArray = (&'static str, usize, f64, u64);
+
+/// `v` cycles 0..100 over the full logical length, so `a < 50` selects
+/// exactly half at every scale.
+pub const SCALED_V: ScaledArray = ("v", 100, 0.0, 1);
+
+/// `w` cycles 0..97 centred on zero over half the logical length.
+pub const SCALED_W: ScaledArray = ("w", 97, 48.0, 2);
+
+/// Scale-aware input for the tests that plan (an `InputSource` is any
+/// `Fn(f64) -> Storage`): logical sizes follow `scale` — 10⁹ elements at
+/// 1.0 — while the materialized prefix stays small, 100–8 000 elements
+/// and a multiple of 100.
+pub fn scaled_storage(scale: f64, arrays: &[ScaledArray]) -> Storage {
+    let logical = (scale * 1e9).round().max(100.0) as u64;
+    let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
+    let mut st = Storage::new();
+    for &(name, modulus, centre, divisor) in arrays {
+        st.insert(
+            name,
+            Value::Array(ArrayVal::with_logical(
+                (0..actual).map(|i| (i % modulus) as f64 - centre).collect(),
+                logical / divisor,
+            )),
+        );
+    }
     st
 }
 

@@ -22,7 +22,11 @@ fn rendered(rows: &[fig5::Row]) -> String {
 
 #[test]
 fn untraced_rows_match_the_committed_golden() {
-    let rows = fig5::run(&SystemConfig::paper_default());
+    let rows = fig5::run(
+        &SystemConfig::paper_default(),
+        &PlanCache::new(),
+        ParallelPolicy::default(),
+    );
     let out = rendered(&rows);
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/fig5_rows.json");
     if std::env::var_os("REGEN_FIG5_GOLDEN").is_some() {
@@ -40,15 +44,9 @@ fn untraced_rows_match_the_committed_golden() {
 #[test]
 fn traced_grid_rows_equal_the_untraced_grid() {
     let config = SystemConfig::paper_default();
-    let untraced = fig5::run(&config);
+    let untraced = fig5::run(&config, &PlanCache::new(), ParallelPolicy::default());
     let (tracer, sink) = Tracer::to_memory();
-    let traced = fig5::run_traced(
-        &config,
-        &PlanCache::new(),
-        ParallelPolicy::default(),
-        &tracer,
-        None,
-    );
+    let traced = fig5::run_traced(&config, &PlanCache::new(), &tracer, None);
     assert_eq!(
         rendered(&traced),
         rendered(&untraced),

@@ -13,11 +13,8 @@ mod common;
 use activepy::assign::projected_cost;
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{InputSource, PlanCache};
-use alang::builtins::Storage;
 use alang::parser::parse;
-use alang::value::ArrayVal;
-use alang::Value;
-use common::{ident, source, VARS};
+use common::{ident, scaled_storage, source, SCALED_V, SCALED_W, VARS};
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, SystemConfig};
 use proptest::prelude::*;
@@ -55,29 +52,8 @@ fn expr() -> BoxedStrategy<String> {
     })
 }
 
-/// Scale-aware input for the sampling phase, as in the plan-cache tests:
-/// logical sizes follow the requested scale, physical arrays stay small.
 fn input() -> impl InputSource {
-    |scale: f64| {
-        let logical = (scale * 1e9).round().max(100.0) as u64;
-        let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
-        let mut st = Storage::new();
-        st.insert(
-            "v",
-            Value::Array(ArrayVal::with_logical(
-                (0..actual).map(|i| (i % 100) as f64).collect(),
-                logical,
-            )),
-        );
-        st.insert(
-            "w",
-            Value::Array(ArrayVal::with_logical(
-                (0..actual).map(|i| (i % 97) as f64 - 48.0).collect(),
-                logical / 2,
-            )),
-        );
-        st
-    }
+    |scale: f64| scaled_storage(scale, &[SCALED_V, SCALED_W])
 }
 
 proptest! {

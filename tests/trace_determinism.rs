@@ -18,12 +18,11 @@
 //!    (`tests/golden/trace_chrome.json`); regenerate with
 //!    `REGEN_TRACE_GOLDEN=1 cargo test --test trace_determinism`.
 
+mod common;
+
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::sampling::InputSource;
-use alang::builtins::Storage;
 use alang::parser::parse;
-use alang::value::ArrayVal;
-use alang::Value;
 use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::{export, parse_journal, MemorySink, Tracer};
 use proptest::prelude::*;
@@ -34,14 +33,7 @@ use std::sync::Arc;
 /// logical array whose materialized length keeps selectivity exactly 0.5
 /// at every sampling scale.
 fn input() -> impl InputSource {
-    |scale: f64| {
-        let logical = (scale * 1e9).round().max(100.0) as u64;
-        let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
-        let data: Vec<f64> = (0..actual).map(|i| (i % 100) as f64).collect();
-        let mut st = Storage::new();
-        st.insert("v", Value::Array(ArrayVal::with_logical(data, logical)));
-        st
-    }
+    |scale: f64| common::scaled_storage(scale, &[common::SCALED_V])
 }
 
 const SRC: &str = "\

@@ -24,11 +24,8 @@ mod common;
 use activepy::exec::{execute, ExecOptions, RunReport};
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{execute_sharded_raw, ActivePyError, ExecJournal, PlanCache};
-use alang::builtins::Storage;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
-use alang::value::ArrayVal;
-use alang::Value;
 use common::{expr, fault_plan, placements, source, storage, VARS};
 use csd_sim::fault::FaultPlan;
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
@@ -281,26 +278,8 @@ fn warm_start_replans_identically_with_zero_datagen_calls() {
     let program = parse(src).expect("parses");
     let config = SystemConfig::paper_default();
 
-    fn input_at(scale: f64) -> Storage {
-        let logical = (scale * 1e9).round().max(100.0) as u64;
-        let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
-        let mut st = Storage::new();
-        st.insert(
-            "v",
-            Value::Array(ArrayVal::with_logical(
-                (0..actual).map(|i| (i % 100) as f64).collect(),
-                logical,
-            )),
-        );
-        st.insert(
-            "w",
-            Value::Array(ArrayVal::with_logical(
-                (0..actual).map(|i| (i % 97) as f64 - 48.0).collect(),
-                logical / 2,
-            )),
-        );
-        st
-    }
+    let input_at =
+        |scale: f64| common::scaled_storage(scale, &[common::SCALED_V, common::SCALED_W]);
 
     let path = std::env::temp_dir().join(format!("activepy_warm_{}.bin", std::process::id()));
 
