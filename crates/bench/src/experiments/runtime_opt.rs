@@ -7,7 +7,7 @@
 //! program match C, modulo ≈1 % compilation overhead.
 
 use crate::mean;
-use alang::compile::CompiledProgram;
+use alang::compile::compile_secs_for;
 use alang::ExecTier;
 use csd_sim::SystemConfig;
 use isp_baselines::run_host_only;
@@ -57,7 +57,7 @@ pub fn run(config: &SystemConfig) -> Vec<Row> {
             interpreted_ratio: interp / native,
             compiled_ratio: compiled / native,
             copy_elim_ratio: elim / native,
-            compile_overhead_ratio: CompiledProgram::compile_secs_for(lines) / native,
+            compile_overhead_ratio: compile_secs_for(lines) / native,
         }
     })
 }

@@ -13,7 +13,7 @@ use alang::Program;
 use csd_sim::engine::EngineKind;
 use isp_obs::{SpanKind, Tracer};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 
 /// The outcome of Algorithm 1.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -231,34 +231,25 @@ pub fn projected_cost(
         placements.len(),
         "placements must cover the program"
     );
-    let mut var_loc: BTreeMap<&str, EngineKind> = BTreeMap::new();
-    let mut var_bytes: BTreeMap<&str, u64> = BTreeMap::new();
+    // Per defining line: where its value currently lives. A value starts
+    // where its line runs and follows its readers across the interconnect.
+    let mut location = placements.to_vec();
     let mut total = 0.0;
     for (line, (est, place)) in program.lines().iter().zip(estimates.iter().zip(placements)) {
-        for input in line.inputs() {
-            // `inputs()` returns owned names; resolve against the maps.
-            if let (Some(loc), Some(bytes)) = (
-                var_loc.get(input.as_str()).copied(),
-                var_bytes.get(input.as_str()).copied(),
-            ) {
-                if loc != *place {
-                    total += bytes as f64 / bw_d2h;
-                    if let Some(slot) = var_loc.get_mut(input.as_str()) {
-                        *slot = *place;
-                    }
-                }
+        for def in line.inputs().filter_map(|(_, def)| def) {
+            if location[def] != *place {
+                total += estimates[def].d_out as f64 / bw_d2h;
+                location[def] = *place;
             }
         }
         total += match place {
             EngineKind::Host => est.ct_host,
             EngineKind::Cse => est.ct_device,
         };
-        var_loc.insert(&line.target, *place);
-        var_bytes.insert(&line.target, est.d_out);
     }
-    if let Some(last) = program.lines().last() {
-        if var_loc.get(last.target.as_str()) == Some(&EngineKind::Cse) {
-            total += estimates[last.index].d_out as f64 / bw_d2h;
+    if let Some(last) = estimates.last() {
+        if location.last() == Some(&EngineKind::Cse) {
+            total += last.d_out as f64 / bw_d2h;
         }
     }
     total

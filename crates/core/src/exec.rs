@@ -10,9 +10,9 @@
 //! address space, host code is regenerated, and execution resumes at the
 //! breakpoint.
 //!
-//! One [`Run`] owns everything an execution mutates; host lines and CSD
-//! regions are its methods, and every transition they make is published
-//! through the single [`Run::boundary`] (DESIGN.md §5.6).
+//! One private `Run` owns everything an execution mutates; host lines and
+//! CSD regions are its methods, and every transition they make is published
+//! through the single `Run::boundary` (DESIGN.md §5.6).
 
 #![deny(clippy::too_many_lines)]
 
@@ -22,7 +22,8 @@ use crate::metrics::MetricsSnapshot;
 use crate::monitor::{Monitor, MonitorConfig, Observation};
 use crate::recovery::{Recovery, RecoveryPolicy};
 use crate::resume::reason_code;
-use alang::compile::CompiledProgram;
+use crate::shard::ShardSlice;
+use alang::compile::{binary_bytes_for, compile_secs_for};
 use alang::par::ParStatsSnapshot;
 use alang::{
     CostParams, ExecTier, Fingerprinter, LineCost, LoweredProgram, ParallelPolicy, Program,
@@ -36,7 +37,6 @@ use csd_sim::units::{Bytes, Duration, Ops, SimTime};
 use csd_sim::{Direction, EngineKind, System};
 use isp_obs::{Attrs, SpanHandle, SpanKind, StateSnap, Tracer, WalRecord};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// Options controlling one execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,91 +200,6 @@ impl ExecOptions {
         self.recovery.validate()?;
         self.faults.validate().map_err(ActivePyError::config)?;
         self.parallel.validate().map_err(ActivePyError::config)
-    }
-}
-
-/// One shard's view of an execution, for fleet scatter/gather runs.
-///
-/// The repo's central repro discipline is that placement affects *costs
-/// only*: every value is computed on the full data, so answers are
-/// byte-identical no matter where lines run. A `ShardSlice` extends the
-/// same discipline to fleets: a shard run is simulated over the whole
-/// program's [`Evaluation`] (values — and therefore `values_fingerprint`
-/// — are the same on every shard), but is *charged* only for its own
-/// work:
-///
-/// * lines outside `[charge_start, charge_end)` are simulated free — no
-///   storage, compute, staging, or allocation charges (they belong to a
-///   different phase of the fleet plan, e.g. the host-side combine);
-/// * charged lines whose output is row-partitioned (`sharded[line]`)
-///   charge the shard's exact slice of every extensive quantity, using
-///   the same integer partition arithmetic as chunk streaming, so slices
-///   across shards sum to the unsharded total with no remainder;
-/// * charged replicated lines (model weights, centroid seeds) charge in
-///   full on every shard — replicated work really is redone per device.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardSlice {
-    /// This shard's index.
-    pub index: usize,
-    /// Total shards in the fleet.
-    pub count: usize,
-    /// Row-bound numerator: first row owned.
-    pub lo: u64,
-    /// Row-bound numerator: one past the last row owned.
-    pub hi: u64,
-    /// The partition denominator (total logical rows).
-    pub rows: u64,
-    /// First line this run is charged for.
-    pub charge_start: usize,
-    /// One past the last line this run is charged for.
-    pub charge_end: usize,
-    /// Per line: whether its output is row-partitioned (sharded lines
-    /// charge a slice, replicated lines charge in full).
-    pub sharded: Vec<bool>,
-}
-
-impl ShardSlice {
-    /// This shard's exact slice of an extensive total; slices across all
-    /// shards of one [`alang::shard::ShardMap`] sum to `total`.
-    #[must_use]
-    pub fn slice(&self, total: u64) -> u64 {
-        if self.rows == 0 {
-            return total;
-        }
-        total * self.hi / self.rows - total * self.lo / self.rows
-    }
-
-    /// Whether `line` is charged by this run at all.
-    #[must_use]
-    pub fn charges(&self, line: usize) -> bool {
-        line >= self.charge_start && line < self.charge_end
-    }
-
-    /// The charge for a quantity produced *by* `line`: zero outside the
-    /// charge range, a slice for sharded lines, full for replicated ones.
-    #[must_use]
-    pub fn scale_line(&self, line: usize, total: u64) -> u64 {
-        if !self.charges(line) {
-            0
-        } else if self.sharded.get(line).copied().unwrap_or(false) {
-            self.slice(total)
-        } else {
-            total
-        }
-    }
-
-    /// The charge for moving a value defined at `def_line` on behalf of
-    /// `at_line`: sliced when the *defining* line is row-partitioned
-    /// (each shard ships only its rows), full otherwise.
-    #[must_use]
-    pub fn scale_def(&self, def_line: Option<usize>, at_line: usize, total: u64) -> u64 {
-        if !self.charges(at_line) {
-            return 0;
-        }
-        match def_line {
-            Some(d) if self.sharded.get(d).copied().unwrap_or(false) => self.slice(total),
-            _ => total,
-        }
     }
 }
 
@@ -520,7 +435,7 @@ pub struct Evaluation {
     /// Per line, in program order: its cost on the full data, before any
     /// shard scaling. `bytes_out` is the volume of the value the line
     /// produced — the target's `virtual_bytes` once the line has run —
-    /// which is where [`Run::var_bytes`] reads a name's size from.
+    /// which is the size of that value wherever a later line reads it.
     lines: Vec<LineCost>,
     /// Every assigned variable's name and the digest of its final value,
     /// in first-assignment order, through one [`Fingerprinter`]. Bit
@@ -599,7 +514,8 @@ pub fn evaluate(
 /// # Errors
 ///
 /// As [`execute`], less the evaluation errors; additionally rejects an
-/// `evaluation` of a program with a different line count.
+/// `evaluation` of a program with a different line count and `estimates`
+/// that are not one per line, in line order.
 pub fn simulate(
     program: &Program,
     evaluation: &Evaluation,
@@ -623,6 +539,17 @@ pub fn simulate(
             program.len()
         )));
     }
+    // Every producer emits one estimate per line in line order; checked
+    // here once, estimates are indexed by line from then on.
+    if let Some(est) = estimates {
+        if est.len() != program.len() || est.iter().enumerate().any(|(i, e)| e.line != i) {
+            return Err(ActivePyError::exec(format!(
+                "{} estimates for {} lines, or out of line order",
+                est.len(),
+                program.len()
+            )));
+        }
+    }
     opts.validate()?;
     if !opts.faults.is_none() {
         system.install_faults(opts.faults.clone());
@@ -634,10 +561,9 @@ pub fn simulate(
         shard,
         system,
         evaluation,
-        simulated: 0,
         recov: Recovery::with_tracer(opts.recovery, opts.tracer.clone()),
-        var_loc: BTreeMap::new(),
-        vars: VarSpace::default(),
+        values: vec![ValueSlot::default(); program.len()],
+        peak_device: 0,
         original: placements,
         placements: placements.to_vec(),
         monitor: None,
@@ -680,6 +606,7 @@ fn csd_lines(placements: &[EngineKind]) -> usize {
 }
 
 /// Totals over a subset of the per-line estimates.
+#[derive(Default)]
 struct EstimateSums {
     device_secs: f64,
     host_secs: f64,
@@ -687,15 +614,16 @@ struct EstimateSums {
     lines: usize,
 }
 
-/// Sums the estimates whose line `keep` selects, in estimate order.
+/// Sums the estimates whose line `keep` selects, in line order.
 fn estimate_sums(est: &[LineEstimate], keep: impl Fn(usize) -> bool) -> EstimateSums {
-    let kept = || est.iter().filter(|e| keep(e.line));
-    EstimateSums {
-        device_secs: kept().map(|e| e.ct_device).sum(),
-        host_secs: kept().map(|e| e.ct_host).sum(),
-        ops: kept().map(|e| e.ops).sum(),
-        lines: kept().count(),
+    let mut sums = EstimateSums::default();
+    for e in est.iter().filter(|e| keep(e.line)) {
+        sums.device_secs += e.ct_device;
+        sums.host_secs += e.ct_host;
+        sums.ops += e.ops;
+        sums.lines += 1;
     }
+    sums
 }
 
 /// One transition of the execution state machine. Every observer of a run
@@ -733,45 +661,70 @@ struct ChunkStep {
     fault: Option<DeviceFault>,
 }
 
+/// One line of a [`Region`]: what it costs and how far its stream has got.
+struct RegionLine {
+    cost: LineCost,
+    /// Effective operations at the run's tier.
+    ops: u64,
+    /// Bytes staged across the interconnect for its inputs.
+    staged: u64,
+    /// Bytes of its output that escape the region (read by a later line,
+    /// or the program result) — the only live state a streaming region
+    /// carries at a chunk boundary.
+    escaping_out: u64,
+    /// Simulated seconds spent on it so far.
+    duration: f64,
+    done_storage: u64,
+    done_ops: u64,
+}
+
 /// A contiguous run of CSD lines prepared for chunk-pipelined execution,
 /// plus the progress its stream has made.
 struct Region {
     start: usize,
     end: usize,
-    costs: Vec<LineCost>,
-    ops: Vec<u64>,
-    staged: Vec<u64>,
-    /// Per line: bytes of its output that escape the region (consumed by a
-    /// later line or as the program result) — the only live state a
-    /// streaming region carries at a chunk boundary.
-    escaping_out: Vec<u64>,
+    /// Lines `start..=end`, in order.
+    lines: Vec<RegionLine>,
     /// Region-external inputs currently resident in device memory.
     external_input_bytes: u64,
     /// Totals over the region's estimates (zero without estimates).
     est: EstimateSums,
     /// Simulated time the stream started.
     t0: f64,
-    durations: Vec<f64>,
-    done_storage: Vec<u64>,
-    done_ops: Vec<u64>,
     /// Whether the host already posted the preemption `Break`.
     break_submitted: bool,
 }
 
 impl Region {
     fn len(&self) -> usize {
-        self.end - self.start + 1
+        self.lines.len()
     }
 
     /// The live state a break at `done_fraction` must move: the escaping
     /// outputs produced so far plus the external inputs staged on-device.
     fn state_bytes(&self, done_fraction: f64) -> u64 {
-        self.escaping_out
+        self.lines
             .iter()
-            .map(|b| (*b as f64 * done_fraction) as u64)
+            .map(|l| (l.escaping_out as f64 * done_fraction) as u64)
             .sum::<u64>()
             + self.external_input_bytes
     }
+}
+
+/// Where the value a line defined is, once the line has been simulated. A
+/// value is the line that defines it: names were resolved to reaching
+/// definitions when the [`Program`] was built, so nothing here is keyed
+/// by name.
+#[derive(Clone, Copy, Default)]
+struct ValueSlot {
+    /// The engine whose memory holds it (`None` before its line has run).
+    location: Option<EngineKind>,
+    /// Its allocation in [`csd_sim::memory::SharedAddressSpace`], when it
+    /// is materialized: placed near its consumer and migrated when it
+    /// crosses the interconnect. Region-internal intermediates are
+    /// chunk-pipelined and never fully materialize, so only escaping
+    /// values have one.
+    allocation: Option<csd_sim::memory::ObjectId>,
 }
 
 /// One execution in flight: the program, its options, the simulated
@@ -784,14 +737,13 @@ struct Run<'a> {
     shard: Option<&'a ShardSlice>,
     system: &'a mut System,
     evaluation: &'a Evaluation,
-    /// Lines simulated so far. The machine visits lines strictly in
-    /// program order, so this is also the next line [`Run::eval_line`]
-    /// may be asked for, and a name's size is whatever the last line
-    /// before it assigned.
-    simulated: usize,
     recov: Recovery,
-    var_loc: BTreeMap<String, EngineKind>,
-    vars: VarSpace,
+    /// Per defining line. The machine visits lines strictly in program
+    /// order and a reaching definition is an earlier line, so every value
+    /// a line reads has been placed by the time it is read.
+    values: Vec<ValueSlot>,
+    /// Peak bytes of program state resident in device DRAM.
+    peak_device: u64,
     /// The plan's placement is the reclaim target set: only lines the
     /// planner offloaded — then migrated host-ward mid-run — are ever
     /// speculatively re-assigned to the CSD.
@@ -968,7 +920,7 @@ impl Run<'_> {
         // Distribute the CSD binary into device memory before execution
         // starts. A must-complete transfer: DMA faults only delay it.
         if self.csd_total > 0 && self.opts.offload_overheads {
-            let binary = Bytes::new(16 * 1024 + self.csd_total as u64 * 2048);
+            let binary = Bytes::new(binary_bytes_for(self.csd_total));
             self.recov.run_to_completion(self.system, |s| {
                 s.try_transfer(Direction::HostToDevice, binary)
             });
@@ -1002,17 +954,16 @@ impl Run<'_> {
         // The program's result must end up in host memory (must-complete).
         // In a fleet shard run, gathering results is the fleet's combine
         // phase, charged against the shared host link budget instead.
-        if let Some(last) = program.lines().last() {
-            if self.var_loc.get(&last.target) == Some(&EngineKind::Cse) {
-                let bytes = self.line_bytes(last.index, self.var_bytes(&last.target));
-                // A free line in a shard run drains nothing; the unsharded
-                // path keeps issuing the (possibly empty) transfer so its
-                // timing is byte-identical to the pre-fleet engine.
-                if self.shard.is_none() || bytes > 0 {
-                    self.recov.run_to_completion(self.system, |s| {
-                        s.try_transfer(Direction::DeviceToHost, Bytes::new(bytes))
-                    });
-                }
+        let on_device = |v: &ValueSlot| v.location == Some(EngineKind::Cse);
+        if self.values.last().is_some_and(on_device) {
+            let bytes = self.line_cost(program.len() - 1).bytes_out;
+            // A free line in a shard run drains nothing; the unsharded
+            // path keeps issuing the (possibly empty) transfer so its
+            // timing is byte-identical to the pre-fleet engine.
+            if self.shard.is_none() || bytes > 0 {
+                self.recov.run_to_completion(self.system, |s| {
+                    s.try_transfer(Direction::DeviceToHost, Bytes::new(bytes))
+                });
             }
         }
         self.finish()
@@ -1058,7 +1009,7 @@ impl Run<'_> {
             csd_lines_executed: self.csd_executed,
             d2h_bytes: self.system.dma().d2h_bytes().as_u64(),
             h2d_bytes: self.system.dma().h2d_bytes().as_u64(),
-            peak_device_bytes: self.vars.peak_device,
+            peak_device_bytes: self.peak_device,
             values_fingerprint: fingerprint,
             parallel: self.evaluation.parallel,
             metrics,
@@ -1086,48 +1037,21 @@ impl Run<'_> {
         }
     }
 
-    /// The shard's charged view of a quantity produced by `line`.
-    fn line_bytes(&self, line: usize, total: u64) -> u64 {
+    /// The charge for moving the value line `def` defined on behalf of
+    /// `at_line`. A shard ships only its own rows of a partitioned value; a
+    /// line outside the charge range ships nothing at all.
+    fn input_bytes(&self, def: usize, at_line: usize) -> u64 {
+        let full = self.evaluation.lines[def].bytes_out;
         match self.shard {
-            Some(sh) => sh.scale_line(line, total),
-            None => total,
-        }
-    }
-
-    /// The charge for moving `name` on behalf of `at_line`. A shard ships
-    /// only its own rows of a partitioned value; a line outside the charge
-    /// range ships nothing at all.
-    fn input_bytes(&self, name: &str, at_line: usize) -> u64 {
-        let full = self.var_bytes(name);
-        match self.shard {
-            Some(sh) => sh.scale_def(self.program.def_site(name), at_line, full),
+            Some(sh) => sh.scale_def(def, at_line, full),
             None => full,
         }
     }
 
-    /// Paper-scale bytes of `name` as of the lines simulated so far (0
-    /// before its first assignment): what the last of them to assign it
-    /// produced.
-    fn var_bytes(&self, name: &str) -> u64 {
-        let line = match self.program.def_site(name) {
-            // A name's final assignment, once simulated, is the one in
-            // force; only a name assigned again further on needs the scan.
-            Some(last) if last < self.simulated => Some(last),
-            Some(_) => self.program.lines()[..self.simulated]
-                .iter()
-                .rposition(|l| l.target == name),
-            None => None,
-        };
-        line.map_or(0, |line| self.evaluation.lines[line].bytes_out)
-    }
-
-    /// Takes line `i` — the next in program order — as simulated and
-    /// returns its measured cost (on the full data, whatever the
-    /// placement) as this run is charged for it: every extensive field
-    /// scaled by [`ShardSlice::scale_line`] in a shard run.
-    fn eval_line(&mut self, i: usize) -> LineCost {
-        assert_eq!(i, self.simulated, "lines are simulated in program order");
-        self.simulated += 1;
+    /// Line `i`'s measured cost (on the full data, whatever the placement)
+    /// as this run is charged for it: every extensive field scaled by
+    /// [`ShardSlice::scale_line`] in a shard run.
+    fn line_cost(&self, i: usize) -> LineCost {
         let cost = self.evaluation.lines[i];
         match self.shard {
             Some(sh) => LineCost {
@@ -1158,9 +1082,9 @@ impl Run<'_> {
         move_allocation: bool,
     ) -> Result<u64> {
         let mut staged = 0u64;
-        for name in line.inputs() {
-            let bytes = self.input_bytes(name, line.index);
-            if bytes == 0 || self.var_loc.get(name).is_none_or(|loc| *loc == engine) {
+        for def in line.inputs().filter_map(|(_, def)| def) {
+            let bytes = self.input_bytes(def, line.index);
+            if bytes == 0 || self.values[def].location.is_none_or(|loc| loc == engine) {
                 continue;
             }
             let dir = match engine {
@@ -1171,9 +1095,9 @@ impl Run<'_> {
             self.recov
                 .run_to_completion(self.system, |s| s.try_transfer(dir, Bytes::new(bytes)));
             staged += bytes;
-            self.var_loc.insert(name.clone(), engine);
+            self.values[def].location = Some(engine);
             if move_allocation {
-                self.vars.move_to(self.system, name, engine)?;
+                self.move_to(def, engine)?;
             }
         }
         Ok(staged)
@@ -1198,13 +1122,10 @@ impl Run<'_> {
             vec![("line".into(), i.into())]
         });
         let staged = self.stage_inputs(line, EngineKind::Host, true)?;
-        let cost = self.eval_line(i);
+        let cost = self.line_cost(i);
         let ops = cost.effective_ops(self.opts.tier, &self.opts.params);
         self.charge(EngineKind::Host, cost.storage_bytes, ops);
-        self.var_loc.insert(line.target.clone(), EngineKind::Host);
-        let bind_bytes = self.line_bytes(i, self.var_bytes(&line.target));
-        self.vars
-            .bind(self.system, &line.target, EngineKind::Host, bind_bytes)?;
+        self.bind(i, EngineKind::Host, cost.bytes_out)?;
         self.close(Vec::new);
         self.lines_out.push(LineOutcome {
             line: i,
@@ -1214,7 +1135,7 @@ impl Run<'_> {
             cost,
             staged_bytes: staged,
         });
-        self.vars.release_dead(self.system, self.program, i)?;
+        self.release_dead(i)?;
         self.boundary(Boundary::HostLine(i))
     }
 
@@ -1262,20 +1183,20 @@ impl Run<'_> {
         // durations (chunks interleave lines; total time is exact, the
         // per-line split is proportional).
         let mut cursor = r.t0;
-        for k in 0..r.len() {
+        for (k, l) in r.lines.iter().enumerate() {
             let start_secs = cursor;
-            cursor += r.durations[k];
+            cursor += l.duration;
             self.lines_out.push(LineOutcome {
                 line: start + k,
                 engine: EngineKind::Cse,
                 start_secs,
                 end_secs: cursor,
-                cost: r.costs[k],
-                staged_bytes: r.staged[k],
+                cost: l.cost,
+                staged_bytes: l.staged,
             });
         }
         self.csd_executed += r.len();
-        self.vars.release_dead(self.system, self.program, end)?;
+        self.release_dead(end)?;
         Ok(end + 1)
     }
 
@@ -1303,50 +1224,34 @@ impl Run<'_> {
                 .map_err(|e| ActivePyError::exec(format!("queue fetch failed: {e}")))?;
             self.system.charge_invocation();
         }
-        let len = end - start + 1;
-        let mut costs = Vec::with_capacity(len);
-        let mut ops = Vec::with_capacity(len);
-        let mut staged = Vec::with_capacity(len);
+        let mut lines = Vec::with_capacity(end - start + 1);
         let mut external_input_bytes = 0u64;
         for line in &program.lines()[start..=end] {
             // External inputs cross to device memory before the stream
             // starts; intra-region values are consumed chunk-by-chunk.
-            let external: u64 = line
+            external_input_bytes += line
                 .inputs()
-                .iter()
-                .filter(|v| {
-                    program.def_site(v).is_none_or(|d| d < start)
-                        && self.var_loc.get(*v) == Some(&EngineKind::Host)
-                })
-                .map(|v| self.input_bytes(v, line.index))
-                .sum();
-            staged.push(self.stage_inputs(line, EngineKind::Cse, false)?);
-            external_input_bytes += external;
-            let cost = self.eval_line(line.index);
-            ops.push(cost.effective_ops(self.opts.tier, &self.opts.params));
-            costs.push(cost);
-            self.var_loc.insert(line.target.clone(), EngineKind::Cse);
-        }
-        let escaping_out: Vec<u64> = (start..=end)
-            .map(|k| {
-                let target = &program.lines()[k].target;
-                let consumed_later = program.consumers_of(target, end).next().is_some();
-                let is_result = k == program.len() - 1;
-                if consumed_later || is_result {
-                    costs[k - start].bytes_out
-                } else {
-                    0
-                }
-            })
-            .collect();
-        // Only escaping values materialize in device DRAM; the chunk
-        // pipeline consumes everything else in place.
-        for (k, bytes) in escaping_out.iter().enumerate() {
-            if *bytes > 0 {
-                let target = &program.lines()[start + k].target;
-                self.vars
-                    .bind(self.system, target, EngineKind::Cse, *bytes)?;
-            }
+                .filter_map(|(_, def)| def)
+                .filter(|&d| d < start && self.values[d].location == Some(EngineKind::Host))
+                .map(|d| self.input_bytes(d, line.index))
+                .sum::<u64>();
+            let staged = self.stage_inputs(line, EngineKind::Cse, false)?;
+            let cost = self.line_cost(line.index);
+            // Only escaping values materialize in device DRAM; the chunk
+            // pipeline consumes everything else in place.
+            let escapes =
+                program.last_read(line.index) > Some(end) || line.index == program.len() - 1;
+            let escaping_out = if escapes { cost.bytes_out } else { 0 };
+            self.bind(line.index, EngineKind::Cse, escaping_out)?;
+            lines.push(RegionLine {
+                cost,
+                ops: cost.effective_ops(self.opts.tier, &self.opts.params),
+                staged,
+                escaping_out,
+                duration: 0.0,
+                done_storage: 0,
+                done_ops: 0,
+            });
         }
         let est = estimate_sums(self.estimates.unwrap_or(&[]), |line| {
             line >= start && line <= end
@@ -1368,16 +1273,10 @@ impl Run<'_> {
         Ok(Region {
             start,
             end,
-            costs,
-            ops,
-            staged,
-            escaping_out,
+            lines,
             external_input_bytes,
             est,
             t0: self.now(),
-            durations: vec![0.0; len],
-            done_storage: vec![0; len],
-            done_ops: vec![0; len],
             break_submitted: false,
         })
     }
@@ -1393,7 +1292,7 @@ impl Run<'_> {
             after_line: start.saturating_sub(1),
             state_bytes: 0,
             at_secs: self.now(),
-            regen_secs: CompiledProgram::compile_secs_for(later),
+            regen_secs: compile_secs_for(later),
             reason: MigrationReason::DeviceFault,
         };
         self.system.advance(Duration::from_secs(event.regen_secs));
@@ -1423,10 +1322,10 @@ impl Run<'_> {
         });
         let mut chunk_ops = 0u64;
         let mut fault: Option<DeviceFault> = None;
-        for k in 0..r.len() {
+        for l in &mut r.lines {
             let t0 = self.now();
-            let streamed = self.stream_line(r, k, c);
-            r.durations[k] += self.now() - t0;
+            let streamed = self.stream_line(l, c);
+            l.duration += self.now() - t0;
             match streamed {
                 Ok(ops) => chunk_ops += ops,
                 Err(f) => {
@@ -1451,29 +1350,24 @@ impl Run<'_> {
         }
     }
 
-    /// Streams chunk `c` of region line `k` — flash read, CSE compute,
+    /// Streams chunk `c` of region line `l` — flash read, CSE compute,
     /// status update — through the bounded-retry layer, returning the
     /// operations computed. A hard fault stops the line where it struck;
     /// what completed before it stays counted in the region's progress.
-    fn stream_line(
-        &mut self,
-        r: &mut Region,
-        k: usize,
-        c: u64,
-    ) -> std::result::Result<u64, DeviceFault> {
-        let bytes = chunk_slice(r.costs[k].storage_bytes, c);
+    fn stream_line(&mut self, l: &mut RegionLine, c: u64) -> std::result::Result<u64, DeviceFault> {
+        let bytes = chunk_slice(l.cost.storage_bytes, c);
         if bytes > 0 {
             self.recov.run_bounded(self.system, |s| {
                 s.try_storage_read(EngineKind::Cse, Bytes::new(bytes))
             })?;
-            r.done_storage[k] += bytes;
+            l.done_storage += bytes;
         }
-        let ops = chunk_slice(r.ops[k], c);
+        let ops = chunk_slice(l.ops, c);
         if ops > 0 {
             self.recov.run_bounded(self.system, |s| {
                 s.try_compute(EngineKind::Cse, Ops::new(ops))
             })?;
-            r.done_ops[k] += ops;
+            l.done_ops += ops;
         }
         if self.opts.offload_overheads {
             self.system.charge_status_update();
@@ -1574,7 +1468,7 @@ impl Run<'_> {
         let remaining_device = (1.0 - done_fraction) * r.est.device_secs + later.device_secs;
         let reestimated = mon.reestimate_remaining(remaining_device);
         let bw = self.system.d2h_bandwidth().as_bytes_per_sec();
-        let regen = CompiledProgram::compile_secs_for(r.len() + later.lines);
+        let regen = compile_secs_for(r.len() + later.lines);
         let remaining_host = (1.0 - done_fraction) * r.est.host_secs + later.host_secs;
         let migrate_cost = r.state_bytes(done_fraction) as f64 / bw + regen + remaining_host;
         reestimated > migrate_cost
@@ -1603,7 +1497,7 @@ impl Run<'_> {
             after_line: r.start + ((done_fraction * len as f64).floor() as usize).min(len - 1),
             state_bytes: r.state_bytes(done_fraction),
             at_secs: self.now(),
-            regen_secs: CompiledProgram::compile_secs_for(len + later_count),
+            regen_secs: compile_secs_for(len + later_count),
             reason,
         };
         // The state drain is controller-side DMA, which survives a CSE
@@ -1636,8 +1530,9 @@ impl Run<'_> {
         let mut reclaim: Option<MigrationEvent> = None;
         for k in 0..r.len() {
             let t0 = self.now();
-            let rem_b = r.costs[k].storage_bytes.saturating_sub(r.done_storage[k]);
-            let rem_o = r.ops[k].saturating_sub(r.done_ops[k]);
+            let l = &r.lines[k];
+            let rem_b = l.cost.storage_bytes.saturating_sub(l.done_storage);
+            let rem_o = l.ops.saturating_sub(l.done_ops);
             if self.opts.scenario.recover_at().is_some() && (rem_b > 0 || rem_o > 0) {
                 // Availability can recover while the host works off the
                 // remainder: under a phase-shifting scenario the remainder
@@ -1663,18 +1558,17 @@ impl Run<'_> {
                     let engine = reclaim.map_or(EngineKind::Host, |_| EngineKind::Cse);
                     let (bytes, ops) = (chunk_slice(rem_b, c), chunk_slice(rem_o, c));
                     self.charge(engine, bytes, ops);
-                    r.done_storage[k] += bytes;
-                    r.done_ops[k] += ops;
+                    r.lines[k].done_storage += bytes;
+                    r.lines[k].done_ops += ops;
                 }
             } else {
                 self.charge(EngineKind::Host, rem_b, rem_o);
             }
-            r.durations[k] += self.now() - t0;
+            r.lines[k].duration += self.now() - t0;
             // The merged region outputs live wherever the stream finished.
             let engine = reclaim.map_or(EngineKind::Host, |_| EngineKind::Cse);
-            let target = &self.program.lines()[r.start + k].target;
-            self.var_loc.insert(target.clone(), engine);
-            self.vars.move_to(self.system, target, engine)?;
+            self.values[r.start + k].location = Some(engine);
+            self.move_to(r.start + k, engine)?;
         }
         Ok(reclaim)
     }
@@ -1718,7 +1612,7 @@ impl Run<'_> {
         }
         let fraction = cse.effective_fraction_at(self.system.now());
         let bw = self.system.d2h_bandwidth().as_bytes_per_sec();
-        let regen_secs = CompiledProgram::compile_secs_for(regen_lines);
+        let regen_secs = compile_secs_for(regen_lines);
         if device_secs / fraction + move_bytes as f64 / bw + regen_secs >= host_secs {
             return None;
         }
@@ -1744,16 +1638,14 @@ impl Run<'_> {
         let est = self.estimates?;
         let mut device_secs = 0.0;
         let mut host_secs = 0.0;
-        for j in k..r.len() {
-            let undone = if r.ops[j] == 0 {
+        for (l, e) in r.lines.iter().zip(&est[r.start..]).skip(k) {
+            let undone = if l.ops == 0 {
                 0.0
             } else {
-                1.0 - r.done_ops[j] as f64 / r.ops[j] as f64
+                1.0 - l.done_ops as f64 / l.ops as f64
             };
-            if let Some(e) = est.iter().find(|e| e.line == r.start + j) {
-                device_secs += e.ct_device * undone;
-                host_secs += e.ct_host * undone;
-            }
+            device_secs += e.ct_device * undone;
+            host_secs += e.ct_host * undone;
         }
         let regen_secs = self.reclaim_pays(
             migration.at_secs,
@@ -1797,7 +1689,7 @@ impl Run<'_> {
         // Re-staging line `i`'s inputs is part of the price; the staging
         // itself is charged by the region's normal prepare path once the
         // reclaimed region runs, so only code regeneration is charged here.
-        let staging_bytes: u64 = est.iter().filter(|e| e.line == i).map(|e| e.d_in).sum();
+        let staging_bytes = est[i].d_in;
         let candidates: Vec<usize> = (i..self.program.len())
             .filter(|&k| is_candidate(k))
             .collect();
@@ -1824,80 +1716,61 @@ impl Run<'_> {
         self.boundary(Boundary::Reclaim(event, false))?;
         Ok(true)
     }
-}
 
-/// Shared-address-space bookkeeping: every materialized program value is a
-/// real allocation in [`csd_sim::memory::SharedAddressSpace`], placed near
-/// its consumer and migrated when it crosses the interconnect. Region-
-/// internal intermediates are chunk-pipelined and never fully materialize,
-/// so only escaping values are bound.
-#[derive(Debug, Default)]
-struct VarSpace {
-    objects: BTreeMap<String, csd_sim::memory::ObjectId>,
-    peak_device: u64,
-}
-
-impl VarSpace {
-    /// (Re)binds `name` to a fresh allocation of `bytes` near `engine`.
-    fn bind(
-        &mut self,
-        system: &mut System,
-        name: &str,
-        engine: EngineKind,
-        bytes: u64,
-    ) -> Result<()> {
-        if let Some(old) = self.objects.remove(name) {
-            system
-                .memory_mut()
-                .dealloc(old)
-                .map_err(|e| ActivePyError::exec(format!("dealloc `{name}`: {e}")))?;
-        }
+    /// Places the value line `def` just produced in `engine`'s memory,
+    /// materialized as an allocation of `bytes` there (none for 0 bytes).
+    fn bind(&mut self, def: usize, engine: EngineKind, bytes: u64) -> Result<()> {
+        self.values[def].location = Some(engine);
         if bytes == 0 {
             return Ok(());
         }
-        let id = system
+        let id = self
+            .system
             .memory_mut()
             .alloc_near(engine, Bytes::new(bytes))
-            .map_err(|e| ActivePyError::exec(format!("allocating {bytes} B for `{name}`: {e}")))?;
-        self.objects.insert(name.to_owned(), id);
-        self.update_peak(system);
+            .map_err(|e| {
+                ActivePyError::exec(format!("allocating {bytes} B for line {def}'s value: {e}"))
+            })?;
+        self.values[def].allocation = Some(id);
+        self.update_peak();
         Ok(())
     }
 
-    /// Moves `name`'s allocation next to `engine`, if it is materialized.
-    fn move_to(&mut self, system: &mut System, name: &str, engine: EngineKind) -> Result<()> {
-        if let Some(id) = self.objects.get(name) {
-            system
+    /// Moves the allocation of line `def`'s value next to `engine`, if it
+    /// is materialized.
+    fn move_to(&mut self, def: usize, engine: EngineKind) -> Result<()> {
+        if let Some(id) = self.values[def].allocation {
+            self.system
                 .memory_mut()
-                .migrate(*id, csd_sim::memory::Region::local_to(engine))
-                .map_err(|e| ActivePyError::exec(format!("migrating `{name}`: {e}")))?;
-            self.update_peak(system);
+                .migrate(id, csd_sim::memory::Region::local_to(engine))
+                .map_err(|e| ActivePyError::exec(format!("migrating line {def}'s value: {e}")))?;
+            self.update_peak();
         }
         Ok(())
     }
 
-    /// Frees every bound value that has no consumer after line `at` and is
-    /// not the program result.
-    fn release_dead(&mut self, system: &mut System, program: &Program, at: usize) -> Result<()> {
-        let result_var = program.result_target();
-        let mut outcome = Ok(());
-        self.objects.retain(|name, id| {
-            let live = Some(name.as_str()) == result_var
-                || program.consumers_of(name, at).next().is_some();
-            if live || outcome.is_err() {
-                return true;
+    /// Frees every materialized value no line after `at` reads, the
+    /// program result (the last line's value) excepted.
+    fn release_dead(&mut self, at: usize) -> Result<()> {
+        let result = self.program.len() - 1;
+        for def in 0..=at {
+            if def == result || self.program.last_read(def) > Some(at) {
+                continue;
             }
-            outcome = system
-                .memory_mut()
-                .dealloc(*id)
-                .map_err(|e| ActivePyError::exec(format!("dealloc `{name}`: {e}")));
-            outcome.is_err() // a binding whose free failed stays bound
-        });
-        outcome
+            if let Some(id) = self.values[def].allocation {
+                self.system
+                    .memory_mut()
+                    .dealloc(id)
+                    .map_err(|e| ActivePyError::exec(format!("freeing line {def}'s value: {e}")))?;
+                self.values[def].allocation = None;
+            }
+        }
+        Ok(())
     }
 
-    fn update_peak(&mut self, system: &System) {
-        let used = system
+    fn update_peak(&mut self) {
+        let used = self
+            .system
             .memory()
             .used(csd_sim::memory::Region::DeviceDram)
             .as_u64();
@@ -2286,6 +2159,38 @@ mod tests {
         );
         // The run completes correctly, just slower than the quiet one.
         assert!(rep.total_secs >= reference.total_secs * 0.99);
+    }
+
+    #[test]
+    fn a_preempted_region_drains_what_it_read_whatever_the_result_is_called() {
+        // Lines 1-2 on the CSD, preempted 40 % into the region: the break
+        // drains the 4 GB `a` the region staged plus what it has produced
+        // of `b`. Spelling the last target `a` changes no value any line
+        // reads, so it may change nothing the simulator charges.
+        let run = |last: &str| {
+            let program = parse(&SRC.replace("s =", &format!("{last} ="))).expect("parse");
+            let st = storage();
+            let pl = placements(&[1, 2], 4);
+            let opts = ExecOptions::activepy();
+            let mut ref_sys = SystemConfig::paper_default().build();
+            let reference =
+                execute(&program, &st, &pl, &mut ref_sys, &opts, None, &[]).expect("reference");
+            let (t0, t1) = (reference.lines[1].start_secs, reference.lines[2].end_secs);
+            let preempted = opts.with_preemption_at(t0 + 0.4 * (t1 - t0));
+            let mut sys = SystemConfig::paper_default().build();
+            let rep = execute(&program, &st, &pl, &mut sys, &preempted, None, &[]).expect("run");
+            let mig = rep.migration.expect("the Break command forces a migration");
+            assert_eq!(mig.reason, MigrationReason::Preempted);
+            (mig.state_bytes, rep.total_secs)
+        };
+        let (state_bytes, total_secs) = run("s");
+        assert_eq!(state_bytes, 4_813_293_458);
+        assert_eq!(
+            run("a"),
+            (state_bytes, total_secs),
+            "when the staged `a` was looked up by name, the later `a = sum(b)` made it \
+             region-internal: 813 293 458 B drained, 2.6387 s instead of 3.6387 s"
+        );
     }
 
     #[test]

@@ -62,17 +62,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Folds a plan cache's hit/miss counters into the snapshot. The
-    /// cache's wall-clock `planning_nanos` is dropped on purpose — it is
-    /// host-time and would break same-seed snapshot equality.
-    #[must_use]
-    pub fn with_plan_cache(mut self, stats: &crate::plan::PlanCacheStats) -> Self {
-        self.plan_cache_hits = stats.hits;
-        self.plan_cache_misses = stats.misses;
-        self.plan_cache_refits = stats.refits;
-        self
-    }
-
     /// Folds a calibration report's aggregates into the snapshot.
     #[must_use]
     pub fn with_audit(mut self, report: &crate::audit::CalibrationReport) -> Self {

@@ -55,14 +55,6 @@ pub struct PlanTimings {
     pub materialize_nanos: u64,
 }
 
-impl PlanTimings {
-    /// Total planning wall-clock in nanoseconds.
-    #[must_use]
-    pub fn total_nanos(&self) -> u64 {
-        self.sampling_nanos + self.fit_nanos + self.assign_nanos + self.materialize_nanos
-    }
-}
-
 /// The complete product of the planning half of the pipeline.
 ///
 /// Everything needed to execute under any contention scenario: the

@@ -21,7 +21,7 @@ use crate::profile::{ProfileRecorder, WorkloadProfile};
 use crate::recovery::RecoveryPolicy;
 use crate::resume::{plan_fingerprint, ExecJournal};
 use crate::sampling::{paper_scales, run_sampling_traced, InputSource, SamplingReport};
-use alang::compile::CompiledProgram;
+use alang::compile::compile_secs_for;
 use alang::copyelim::eliminable_lines;
 use alang::{CostParams, ExecTier, ParallelPolicy, Program, Storage};
 use csd_sim::contention::ContentionScenario;
@@ -380,9 +380,9 @@ impl ActivePy {
         let span = tracer.begin("phase.compile", SpanKind::Phase, None);
         let lowered = alang::lower::lower_with(program, &copy_elim)?;
         let csd_line_count = assignment.csd_lines.len();
-        let compile_secs = CompiledProgram::compile_secs_for(program.len())
+        let compile_secs = compile_secs_for(program.len())
             + if csd_line_count > 0 {
-                CompiledProgram::compile_secs_for(csd_line_count)
+                compile_secs_for(csd_line_count)
             } else {
                 0.0
             };
@@ -467,9 +467,9 @@ impl ActivePy {
             };
         }
         let csd_line_count = assignment.csd_lines.len();
-        let compile_secs = CompiledProgram::compile_secs_for(prior.program.len())
+        let compile_secs = compile_secs_for(prior.program.len())
             + if csd_line_count > 0 {
-                CompiledProgram::compile_secs_for(csd_line_count)
+                compile_secs_for(csd_line_count)
             } else {
                 0.0
             };

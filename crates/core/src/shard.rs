@@ -35,7 +35,7 @@
 use crate::assign::{assign_refined, Assignment};
 use crate::error::{ActivePyError, Result};
 use crate::estimate::{shared_link_bandwidth, LineEstimate};
-use crate::exec::{evaluate, simulate, ExecOptions, MigrationReason, RunReport, ShardSlice};
+use crate::exec::{evaluate, simulate, ExecOptions, MigrationReason, RunReport};
 use crate::monitor::{ShardDecision, ShardMonitors};
 use crate::plan::OffloadPlan;
 use crate::runtime::ActivePy;
@@ -166,6 +166,85 @@ pub fn derive_sharded_plan(
         shard_assignments,
         shard_bandwidth: bw,
         shard_eq1,
+    }
+}
+
+/// One shard's view of an execution, for fleet scatter/gather runs.
+///
+/// The repo's central repro discipline is that placement affects *costs
+/// only*: every value is computed on the full data, so answers are
+/// byte-identical no matter where lines run. A `ShardSlice` extends the
+/// same discipline to fleets: a shard run is simulated over the whole
+/// program's [`crate::exec::Evaluation`] (values — and therefore `values_fingerprint`
+/// — are the same on every shard), but is *charged* only for its own
+/// work:
+///
+/// * lines outside `[charge_start, charge_end)` are simulated free — no
+///   storage, compute, staging, or allocation charges (they belong to a
+///   different phase of the fleet plan, e.g. the host-side combine);
+/// * charged lines whose output is row-partitioned (`sharded[line]`)
+///   charge the shard's exact slice of every extensive quantity, using
+///   the same integer partition arithmetic as chunk streaming, so slices
+///   across shards sum to the unsharded total with no remainder;
+/// * charged replicated lines (model weights, centroid seeds) charge in
+///   full on every shard — replicated work really is redone per device.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardSlice {
+    /// This shard's index.
+    pub index: usize,
+    /// Total shards in the fleet.
+    pub count: usize,
+    /// Row-bound numerator: first row owned.
+    pub lo: u64,
+    /// Row-bound numerator: one past the last row owned.
+    pub hi: u64,
+    /// The partition denominator (total logical rows).
+    pub rows: u64,
+    /// First line this run is charged for.
+    pub charge_start: usize,
+    /// One past the last line this run is charged for.
+    pub charge_end: usize,
+    /// Per line: whether its output is row-partitioned (sharded lines
+    /// charge a slice, replicated lines charge in full).
+    pub sharded: Vec<bool>,
+}
+
+impl ShardSlice {
+    /// This shard's exact slice of an extensive total; slices across all
+    /// shards of one [`alang::shard::ShardMap`] sum to `total`.
+    #[must_use]
+    pub fn slice(&self, total: u64) -> u64 {
+        if self.rows == 0 {
+            return total;
+        }
+        total * self.hi / self.rows - total * self.lo / self.rows
+    }
+
+    /// Whether `line` is charged by this run at all.
+    #[must_use]
+    pub fn charges(&self, line: usize) -> bool {
+        line >= self.charge_start && line < self.charge_end
+    }
+
+    /// The charge for a quantity produced *by* `line`: zero outside the
+    /// charge range, a slice for sharded lines, full for replicated ones.
+    #[must_use]
+    pub fn scale_line(&self, line: usize, total: u64) -> u64 {
+        self.scale_def(line, line, total)
+    }
+
+    /// The charge for moving the value line `def` defined on behalf of
+    /// `at_line`: sliced when the *defining* line is row-partitioned
+    /// (each shard ships only its rows), full otherwise.
+    #[must_use]
+    pub fn scale_def(&self, def: usize, at_line: usize, total: u64) -> u64 {
+        if !self.charges(at_line) {
+            0
+        } else if self.sharded.get(def).copied().unwrap_or(false) {
+            self.slice(total)
+        } else {
+            total
+        }
     }
 }
 
@@ -399,8 +478,7 @@ pub fn execute_sharded(
         let gather_bytes: u64 = analysis
             .carriers
             .iter()
-            .filter_map(|c| run.program.def_site(c))
-            .map(|def| report.lines[def].cost.bytes_out)
+            .map(|&def| report.lines[def].cost.bytes_out)
             .sum();
         shards.push(ShardRunReport {
             shard: s,
@@ -670,6 +748,62 @@ mod tests {
                 "N={n} diverged from the unsharded answer"
             );
         }
+    }
+
+    #[test]
+    fn a_fleet_charges_values_whatever_the_last_line_is_called() {
+        // Scan on the host, lines 1-2 on each device, the sum and one more
+        // line in the tail. Each shard stages its quarter of the 8 GB `a`
+        // and the gather pulls the 4 GB `b`; reusing either name for the
+        // last target changes no value any line reads.
+        let storage = input().storage_at(1.0);
+        let config = SystemConfig::paper_default();
+        let map = ShardMap::auto(&storage, 4, ShardStrategy::Range);
+        let placements = [
+            EngineKind::Host,
+            EngineKind::Cse,
+            EngineKind::Cse,
+            EngineKind::Host,
+            EngineKind::Host,
+        ];
+        let run = |last: &str| {
+            let program = parse(&format!("{SRC}{last} = s + 1\n")).expect("parse");
+            let opts = ExecOptions::activepy();
+            let report = execute_sharded_raw(
+                &program,
+                &storage,
+                &map,
+                &placements,
+                &config,
+                &opts,
+                &[],
+                4,
+            )
+            .expect("fleet run");
+            let h2d: Vec<u64> = report.shards.iter().map(|s| s.report.h2d_bytes).collect();
+            (
+                report.gathered_bytes,
+                h2d,
+                report.scatter_secs,
+                report.total_secs,
+            )
+        };
+        let reference = run("t");
+        assert_eq!(reference.0, 4_000_000_000);
+        assert_eq!(reference.1, [2_000_020_480; 4]);
+        assert_eq!(
+            run("b"),
+            reference,
+            "when the carrier `b` was looked up by name it resolved to the tail's \
+             `b = s + 1`: 0 B gathered, 1.2993 s instead of 1.5666 s"
+        );
+        assert_eq!(
+            run("a"),
+            reference,
+            "when the staged `a` was looked up by name it resolved to the unsharded \
+             `a = s + 1`: every shard staged all 8 000 020 480 B, scatter 2.7646 s \
+             instead of 1.2646 s"
+        );
     }
 
     #[test]

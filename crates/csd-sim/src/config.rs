@@ -89,31 +89,10 @@ impl SystemConfig {
         }
     }
 
-    /// Replaces the host spec.
-    #[must_use]
-    pub fn with_host(mut self, host: EngineSpec) -> Self {
-        self.host = host;
-        self
-    }
-
-    /// Replaces the CSE spec.
-    #[must_use]
-    pub fn with_cse(mut self, cse: EngineSpec) -> Self {
-        self.cse = cse;
-        self
-    }
-
     /// Installs a garbage-collection schedule.
     #[must_use]
     pub fn with_gc(mut self, gc: GcSchedule) -> Self {
         self.gc = Some(gc);
-        self
-    }
-
-    /// Replaces the internal NAND bandwidth.
-    #[must_use]
-    pub fn with_flash_bandwidth(mut self, bw: Bandwidth) -> Self {
-        self.flash_internal_bandwidth = bw;
         self
     }
 
@@ -128,13 +107,6 @@ impl SystemConfig {
     #[must_use]
     pub fn with_pcie_bandwidth(mut self, bw: Bandwidth) -> Self {
         self.pcie_bandwidth = bw;
-        self
-    }
-
-    /// Replaces the queue latencies.
-    #[must_use]
-    pub fn with_queue_latencies(mut self, latencies: QueueLatencies) -> Self {
-        self.queue_latencies = latencies;
         self
     }
 

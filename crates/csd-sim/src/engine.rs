@@ -133,13 +133,6 @@ impl ComputeEngine {
         self.fault = trace;
     }
 
-    /// The injected-fault trace currently in force (full when no faults
-    /// are installed).
-    #[must_use]
-    pub fn fault_trace(&self) -> &AvailabilityTrace {
-        &self.fault
-    }
-
     /// The fraction of the engine available to the ISP task at `t`:
     /// contention and injected-fault traces composed multiplicatively,
     /// exactly as [`ComputeEngine::time_to_execute`] charges them. This is

@@ -150,13 +150,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the fault-detection latency charged per injected fault.
-    #[must_use]
-    pub fn with_detect_latency(mut self, d: Duration) -> Self {
-        self.detect_latency = d;
-        self
-    }
-
     /// Checks the plan is well-formed; returns a human-readable reason
     /// when it is not.
     ///

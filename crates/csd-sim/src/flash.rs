@@ -133,13 +133,6 @@ impl FlashArray {
         self.fault = trace;
     }
 
-    /// The injected-fault trace currently in force (full when no faults
-    /// are installed).
-    #[must_use]
-    pub fn fault_trace(&self) -> &AvailabilityTrace {
-        &self.fault
-    }
-
     /// The active GC schedule, if any.
     #[must_use]
     pub fn gc(&self) -> Option<&GcSchedule> {

@@ -185,12 +185,6 @@ impl Path {
         &self.links
     }
 
-    /// Mutable access to the links (e.g. to install contention traces).
-    #[must_use]
-    pub fn links_mut(&mut self) -> &mut [Link] {
-        &mut self.links
-    }
-
     /// Resets traffic counters on all links.
     pub fn reset_counters(&mut self) {
         for l in &mut self.links {

@@ -53,7 +53,7 @@ pub enum ByteOrder {
 /// The on-storage encoding of one bulk dataset.
 ///
 /// The serialization pipeline is: f64 → bytes in `byte_order` → optional
-/// byte [`shuffle`](shuffle) → `codec` compression. Decode inverts it and
+/// byte [`shuffle`] → `codec` compression. Decode inverts it and
 /// then masks elements equal to `fill_value` (missing readings) to the
 /// additive identity `0.0`, so downstream sums and dot products skip
 /// them.

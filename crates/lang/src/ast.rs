@@ -6,7 +6,7 @@
 //! through named variables, which is what makes the per-line input/output
 //! volumes of Eq. 1 well defined.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// Binary operators.
@@ -207,8 +207,10 @@ pub struct Line {
     pub expr: Expr,
     /// The original source text (for reports).
     pub source: String,
-    /// Free variables of `expr`, computed once at construction.
-    inputs: BTreeSet<String>,
+    /// Free variables of `expr` in name order, each with its reaching
+    /// definition. The names are collected at construction; the
+    /// definitions are resolved when the line joins a [`Program`].
+    inputs: Vec<(String, Option<usize>)>,
     /// Whether `expr` contains a `scan(...)`, computed once at construction.
     scans_storage: bool,
 }
@@ -217,8 +219,8 @@ impl Line {
     /// Builds a line, precomputing its input set and storage-access flag so
     /// per-line execution never re-walks the expression tree.
     #[must_use]
-    pub fn new(index: usize, target: String, expr: Expr, source: String) -> Self {
-        let inputs = expr.free_vars();
+    pub(crate) fn new(index: usize, target: String, expr: Expr, source: String) -> Self {
+        let inputs = expr.free_vars().into_iter().map(|v| (v, None)).collect();
         let scans_storage = expr.contains_scan();
         Line {
             index,
@@ -230,10 +232,12 @@ impl Line {
         }
     }
 
-    /// Variables this line reads (cached at parse time).
-    #[must_use]
-    pub fn inputs(&self) -> &BTreeSet<String> {
-        &self.inputs
+    /// Variables this line reads, in name order, each with its reaching
+    /// definition: the latest earlier line assigning that name, so
+    /// `a = a + 1` reads the previous `a`. `None` when no earlier line
+    /// assigns it — evaluating the read is an unknown-variable error.
+    pub fn inputs(&self) -> impl Iterator<Item = (&str, Option<usize>)> {
+        self.inputs.iter().map(|(name, def)| (name.as_str(), *def))
     }
 
     /// The variable this line defines (its only output).
@@ -265,31 +269,44 @@ pub struct Program {
     /// Indices of the lines that assign their target for the last time,
     /// sorted by target name so [`Program::def_site`] is a binary search.
     final_defs: Vec<usize>,
+    /// Per line: the last line that reads the value it defines.
+    last_reads: Vec<Option<usize>>,
 }
 
 impl Program {
-    /// Builds a program from parsed lines; use [`crate::parser::parse`] to
-    /// obtain one from source text.
+    /// Builds a program from parsed lines, resolving every read to its
+    /// reaching definition; use [`crate::parser::parse`] to obtain one from
+    /// source text.
     #[must_use]
-    pub(crate) fn from_lines(lines: Vec<Line>) -> Self {
-        let mut seen = BTreeSet::new();
-        let first_defs = lines
-            .iter()
-            .filter(|l| seen.insert(l.target.as_str()))
-            .map(|l| l.index)
-            .collect();
-        let mut seen = BTreeSet::new();
-        let mut final_defs: Vec<usize> = lines
-            .iter()
-            .rev()
-            .filter(|l| seen.insert(l.target.as_str()))
-            .map(|l| l.index)
-            .collect();
-        final_defs.sort_unstable_by_key(|&i| lines[i].target.as_str());
+    pub(crate) fn from_lines(mut lines: Vec<Line>) -> Self {
+        // Name → the latest line assigning it, as of the line being visited.
+        let mut latest: BTreeMap<&str, usize> = BTreeMap::new();
+        let mut first_defs = Vec::new();
+        let mut last_reads = vec![None; lines.len()];
+        let mut reaching = Vec::new();
+        for line in &lines {
+            for (name, _) in &line.inputs {
+                let def = latest.get(name.as_str()).copied();
+                if let Some(def) = def {
+                    last_reads[def] = Some(line.index);
+                }
+                reaching.push(def);
+            }
+            if latest.insert(&line.target, line.index).is_none() {
+                first_defs.push(line.index);
+            }
+        }
+        // What each name maps to once every line is in, in name order.
+        let final_defs = latest.into_values().collect();
+        let reads = lines.iter_mut().flat_map(|l| &mut l.inputs);
+        for ((_, slot), def) in reads.zip(reaching) {
+            *slot = def;
+        }
         Program {
             lines,
             first_defs,
             final_defs,
+            last_reads,
         }
     }
 
@@ -299,12 +316,6 @@ impl Program {
         self.first_defs
             .iter()
             .map(|i| self.lines[*i].target.as_str())
-    }
-
-    /// The variable holding the program's result: the last line's target.
-    #[must_use]
-    pub fn result_target(&self) -> Option<&str> {
-        self.lines.last().map(|l| l.target.as_str())
     }
 
     /// The program's lines in execution order.
@@ -350,33 +361,12 @@ impl Program {
         }
     }
 
-    /// Indices of the lines that read variable `name` after line `after`,
-    /// up to and including the line that redefines it.
-    pub fn consumers_of<'a>(
-        &'a self,
-        name: &'a str,
-        after: usize,
-    ) -> impl Iterator<Item = usize> + 'a {
-        // A redefinition kills the value, but may itself read it first.
-        let mut live = true;
-        self.lines[after + 1..]
-            .iter()
-            .take_while(move |l| std::mem::replace(&mut live, l.target != name))
-            .filter(move |l| l.inputs().contains(name))
-            .map(|l| l.index)
-    }
-
-    /// Variables that are live at the boundary *after* line `at`: defined at
-    /// or before `at` and read by some later line.
+    /// The last line that reads the value line `def` defines, if any line
+    /// does: the value is dead after it (and `a = a + 1` is a read of the
+    /// `a` it replaces).
     #[must_use]
-    pub fn live_after(&self, at: usize) -> BTreeSet<String> {
-        let mut live = BTreeSet::new();
-        for line in &self.lines[..=at.min(self.lines.len() - 1)] {
-            if self.consumers_of(&line.target, at).next().is_some() {
-                live.insert(line.target.clone());
-            }
-        }
-        live
+    pub fn last_read(&self, def: usize) -> Option<usize> {
+        self.last_reads[def]
     }
 }
 
@@ -403,9 +393,10 @@ s = sum(col(f, 'price'))
     #[test]
     fn free_vars_are_collected() {
         let p = parse(PROG).expect("parse");
-        assert!(p.lines()[1].inputs().contains("t"));
-        assert!(p.lines()[3].inputs().contains("f"));
-        assert!(p.lines()[0].inputs().is_empty());
+        assert!(p.lines()[1].inputs().eq([("t", Some(0))]));
+        assert!(p.lines()[2].inputs().eq([("m", Some(1)), ("t", Some(0))]));
+        assert!(p.lines()[3].inputs().eq([("f", Some(2))]));
+        assert_eq!(p.lines()[0].inputs().count(), 0);
     }
 
     #[test]
@@ -416,25 +407,30 @@ s = sum(col(f, 'price'))
     }
 
     #[test]
-    fn def_site_and_consumers() {
+    fn def_site_and_last_reads() {
         let p = parse(PROG).expect("parse");
         assert_eq!(p.def_site("t"), Some(0));
         assert_eq!(p.def_site("s"), Some(3));
         assert_eq!(p.def_site("zzz"), None);
-        assert!(p.consumers_of("t", 0).eq([1, 2]));
-        assert!(p.consumers_of("m", 1).eq([2]));
+        let last_reads: Vec<_> = (0..p.len()).map(|def| p.last_read(def)).collect();
+        assert_eq!(last_reads, [Some(2), Some(2), Some(3), None]);
     }
 
     #[test]
-    fn redefinition_kills_liveness() {
-        let src = "a = 1\nb = a + 1\na = 2\nc = a + b\n";
+    fn a_read_resolves_to_the_latest_earlier_assignment() {
+        let src = "a = 1\nb = a + 1\na = a + b\nc = a + b + z\nz = c\n";
         let p = parse(src).expect("parse");
-        // Consumers of the first `a` stop at the redefinition on line 2.
-        assert!(p.consumers_of("a", 0).eq([1]));
-        assert!(p.consumers_of("a", 2).eq([3]));
+        // Line 2 reads the `a` it replaces; line 3 reads the new one, and
+        // a `z` no earlier line assigns (line 4 comes too late).
+        assert!(p.lines()[1].inputs().eq([("a", Some(0))]));
+        assert!(p.lines()[2].inputs().eq([("a", Some(0)), ("b", Some(1))]));
+        let expected = [("a", Some(2)), ("b", Some(1)), ("z", None)];
+        assert!(p.lines()[3].inputs().eq(expected));
+        // The first `a` dies at its redefinition, not at the last `a` read.
+        let last_reads: Vec<_> = (0..p.len()).map(|def| p.last_read(def)).collect();
+        assert_eq!(last_reads, [Some(2), Some(3), Some(3), Some(4), None]);
         // ... and the redefined name keeps its first-assignment position.
-        assert_eq!(p.targets().collect::<Vec<_>>(), ["a", "b", "c"]);
-        assert_eq!(p.result_target(), Some("c"));
+        assert_eq!(p.targets().collect::<Vec<_>>(), ["a", "b", "c", "z"]);
     }
 
     #[test]
@@ -470,19 +466,6 @@ y = col(t, 'qty')
         assert_eq!(p.scanned_dataset("x"), None, "nested in an expression");
         assert_eq!(p.scanned_dataset("y"), None);
         assert_eq!(p.scanned_dataset("zzz"), None, "never assigned");
-    }
-
-    #[test]
-    fn live_after_boundary() {
-        let p = parse(PROG).expect("parse");
-        let live = p.live_after(1);
-        assert!(live.contains("t"));
-        assert!(live.contains("m"));
-        // `f`/`s` are not yet defined.
-        assert!(!live.contains("f"));
-        let live3 = p.live_after(2);
-        assert!(live3.contains("f"));
-        assert!(!live3.contains("m"), "m has no consumer after line 2");
     }
 
     #[test]

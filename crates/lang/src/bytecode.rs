@@ -14,7 +14,7 @@ use crate::builtins::{weights, KernelCtx, KernelId, Storage};
 use crate::cost::LineCost;
 use crate::error::{LangError, Result};
 use crate::interp::{apply_binary, apply_unary, charge_elementwise, charge_temp, LineRecord};
-use crate::par::{ParEngine, ParStatsNondet, ParStatsSnapshot, ParallelPolicy};
+use crate::par::{ParEngine, ParStatsSnapshot, ParallelPolicy};
 use crate::value::Value;
 use std::collections::BTreeMap;
 
@@ -212,12 +212,6 @@ impl<'a> Vm<'a> {
     #[must_use]
     pub fn par_stats(&self) -> ParStatsSnapshot {
         self.par.stats()
-    }
-
-    /// Scheduling-dependent kernel counters (steal attribution).
-    #[must_use]
-    pub fn par_nondet(&self) -> ParStatsNondet {
-        self.par.nondet()
     }
 
     /// Attaches a tracer to the kernel engine; engaged kernel calls then

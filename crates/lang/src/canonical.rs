@@ -145,7 +145,7 @@ fn pack_bools(group: &[bool]) -> u64 {
 /// the traversal emits every payload's length before the payload.
 ///
 /// Scalars, names and framing run down one main chain. A bulk payload runs
-/// down [`LANES`] chains of its own — word `i` on lane `i mod LANES` — whose
+/// down `LANES` chains of its own — word `i` on lane `i mod LANES` — whose
 /// final states are then fed to the main chain in lane order: the lanes
 /// do not wait on each other, and since a lane's final state is a
 /// bijection of any one of its words, so is the fingerprint.

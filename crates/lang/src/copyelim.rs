@@ -174,10 +174,9 @@ pub fn eliminable_lines(program: &Program, datasets: &DatasetTypes) -> Vec<bool>
     let mut env: BTreeMap<&str, StaticType> = BTreeMap::new();
     let mut out = Vec::with_capacity(program.len());
     for (line, ty) in program.lines().iter().zip(&types) {
-        let inputs_known = line.inputs().iter().all(|name| {
-            env.get(name.as_str())
-                .is_some_and(|t| *t != StaticType::Unknown)
-        });
+        let inputs_known = line
+            .inputs()
+            .all(|(name, _)| env.get(name).is_some_and(|t| *t != StaticType::Unknown));
         let scan_known = !line.accesses_storage() || scan_types_known(&line.expr, datasets);
         out.push(inputs_known && scan_known && *ty != StaticType::Unknown);
         env.insert(line.target.as_str(), *ty);

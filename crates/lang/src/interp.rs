@@ -16,7 +16,7 @@ use crate::ast::{BinOp, Expr, Line, Program, UnOp};
 use crate::builtins::{self, weights, KernelCtx, Storage};
 use crate::cost::LineCost;
 use crate::error::{LangError, Result};
-use crate::par::{ParEngine, ParStatsNondet, ParStatsSnapshot, ParallelPolicy};
+use crate::par::{ParEngine, ParStatsSnapshot, ParallelPolicy};
 use crate::value::{ArrayVal, BoolArrayVal, Value};
 use std::collections::BTreeMap;
 
@@ -64,12 +64,6 @@ impl<'a> Interpreter<'a> {
         self.par.stats()
     }
 
-    /// Scheduling-dependent kernel counters (steal attribution).
-    #[must_use]
-    pub fn par_nondet(&self) -> ParStatsNondet {
-        self.par.nondet()
-    }
-
     /// Attaches a tracer to the kernel engine; engaged kernel calls then
     /// record `kernel.par` spans and publish `kernel.*` counters.
     pub fn set_tracer(&mut self, tracer: isp_obs::Tracer) {
@@ -105,7 +99,7 @@ impl<'a> Interpreter<'a> {
     pub fn exec_line(&mut self, line: &Line, copy_elim: bool) -> Result<LineCost> {
         let mut cost = LineCost::zero();
         // D_in: the volumes of the variables this line reads.
-        for name in line.inputs() {
+        for (name, _) in line.inputs() {
             cost.bytes_in += self.var_bytes(name);
         }
         let value = self.eval(&line.expr, &mut cost, copy_elim, line.index)?;

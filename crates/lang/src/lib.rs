@@ -12,9 +12,9 @@
 //! * **Per-line profiling** ([`interp`]): execution time surrogates
 //!   (operation counts), stored bytes, input/output volumes — what
 //!   `line_profiler` collects during ActivePy's sampling phase.
-//! * **A compile path** ([`compile`]): Cython-style lowering plus the
-//!   redundant-copy elimination pass ([`copyelim`]) that closes the gap to
-//!   native code (§III-C0c, §V).
+//! * **A compile path** ([`lower`], priced by [`compile`]): Cython-style
+//!   lowering plus the redundant-copy elimination pass ([`copyelim`]) that
+//!   closes the gap to native code (§III-C0c, §V).
 //!
 //! Bulk values carry a *logical* (paper-scale) size next to their small
 //! materialized data, so selectivity, sparsity, and tree depth stay
@@ -65,7 +65,6 @@ pub use ast::Program;
 pub use builtins::Storage;
 pub use bytecode::{LoweredProgram, Vm};
 pub use canonical::{CanonicalSink, Fingerprinter};
-pub use compile::CompiledProgram;
 pub use cost::{CostParams, ExecTier, LineCost};
 pub use error::LangError;
 pub use interp::Interpreter;
@@ -81,6 +80,5 @@ mod tests {
         assert_send_sync::<crate::Value>();
         assert_send_sync::<crate::Storage>();
         assert_send_sync::<crate::Program>();
-        assert_send_sync::<crate::CompiledProgram>();
     }
 }

@@ -42,7 +42,7 @@ pub fn lower_with(program: &Program, copy_elim: &[bool]) -> Result<LoweredProgra
     // never defined still get a slot; reading it stays a runtime error,
     // matching the interpreter.
     for line in program.lines() {
-        for name in line.inputs() {
+        for (name, _) in line.inputs() {
             lo.slot_for(name)?;
         }
         lo.slot_for(&line.target)?;
@@ -129,8 +129,7 @@ impl Lowerer {
         let target_slot = self.name_to_slot[&line.target];
         let input_slots: Vec<u16> = line
             .inputs()
-            .iter()
-            .map(|name| self.name_to_slot[name])
+            .map(|(name, _)| self.name_to_slot[name])
             .collect();
         let instr_start = self.instrs.len() as u32;
         self.lower_into(&line.expr, target_slot, line.index)?;

@@ -212,11 +212,6 @@ impl ShardMap {
         self.sharded.contains(name)
     }
 
-    /// The partitioned storage names, in sorted order.
-    pub fn sharded_sources(&self) -> impl Iterator<Item = &str> {
-        self.sharded.iter().map(String::as_str)
-    }
-
     /// FNV-1a over the full placement description — shard count, bounds,
     /// strategy, and sharded names — so two maps that could ever place
     /// data differently never collide in a cache key.
@@ -357,11 +352,11 @@ pub struct ShardAnalysis {
     /// Per line: whether its output is row-partitioned. `false` for
     /// every line at or after the fence.
     pub line_sharded: Vec<bool>,
-    /// Sharded values defined before the fence and consumed at or after
-    /// it — the live state the gather phase pulls from every shard, in
-    /// ascending definition order (the combine accumulates them in
-    /// ascending shard index).
-    pub carriers: Vec<String>,
+    /// The lines defining the sharded values that are produced before the
+    /// fence and consumed at or after it — the live state the gather phase
+    /// pulls from every shard, in ascending order (the combine accumulates
+    /// them in ascending shard index).
+    pub carriers: Vec<usize>,
 }
 
 /// Elementwise builtins: output rows align with the (any) sharded input.
@@ -481,23 +476,20 @@ pub fn analyze(program: &Program, map: &ShardMap) -> ShardAnalysis {
             }
         }
     }
-    let mut carriers: Vec<String> = Vec::new();
+    let mut carriers: Vec<usize> = Vec::new();
     if fence < program.len() {
         for line in &program.lines()[fence..] {
-            for input in line.inputs() {
-                let Some(def) = program.def_site(input) else {
-                    continue;
-                };
-                if def < fence && line_sharded[def] && !carriers.contains(input) {
-                    carriers.push(input.clone());
+            for def in line.inputs().filter_map(|(_, def)| def) {
+                if def < fence && line_sharded[def] && !carriers.contains(&def) {
+                    carriers.push(def);
                 }
             }
         }
-        carriers.sort_by_key(|name| program.def_site(name));
+        carriers.sort_unstable();
     } else if let Some(last) = program.lines().last() {
         // A fully rowwise program still gathers its sharded result.
         if line_sharded[last.index] {
-            carriers.push(last.target.clone());
+            carriers.push(last.index);
         }
     }
     ShardAnalysis {
@@ -637,7 +629,24 @@ mod tests {
         let analysis = analyze(&p, &map_for(&["v"]));
         assert_eq!(analysis.fence, 4, "sum is the first non-rowwise consumer");
         assert_eq!(analysis.line_sharded, vec![true, true, true, true, false]);
-        assert_eq!(analysis.carriers, vec!["c".to_owned()]);
+        assert_eq!(analysis.carriers, [3], "`c`");
+    }
+
+    #[test]
+    fn a_carrier_is_the_value_the_tail_reads_not_the_name_it_ends_as() {
+        // The tail reads the `x` line 1 produced; reusing the name for the
+        // last line's target leaves that read, and the gather, alone.
+        for last in ["y", "x"] {
+            let src = format!("a = scan('v')\nx = a * 2\ns = sum(x)\n{last} = s + 1\n");
+            let analysis = analyze(&parse(&src).expect("parse"), &map_for(&["v"]));
+            assert_eq!(analysis.fence, 2);
+            assert_eq!(
+                analysis.carriers,
+                [1],
+                "`{last} = s + 1`: looked up by name, `x` resolved to line 3 — past the \
+                 fence — and nothing was carried"
+            );
+        }
     }
 
     #[test]
@@ -664,7 +673,7 @@ mod tests {
         let p = parse("a = scan('v')\nb = a * 2\n").expect("parse");
         let analysis = analyze(&p, &map_for(&["v"]));
         assert_eq!(analysis.fence, 2);
-        assert_eq!(analysis.carriers, vec!["b".to_owned()]);
+        assert_eq!(analysis.carriers, [1], "`b`");
     }
 
     #[test]

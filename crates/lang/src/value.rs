@@ -218,7 +218,8 @@ impl EncodedVal {
     ///
     /// # Errors
     ///
-    /// As [`Self::decode_range`].
+    /// Returns a corruption description from the wire layer, or a
+    /// chunk count or decoded length that disagrees with `actual_len`.
     pub fn decode_all(&self) -> Result<Vec<f64>> {
         self.decode_range(0..self.chunks.len())
     }

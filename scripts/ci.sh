@@ -216,6 +216,14 @@ diff -u BENCH_repro.json "$TRACE_TMP/BENCH_repro.json"
 echo "== cargo clippy --workspace --all-targets -- -D warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc -D warnings (no dangling or private intra-doc link) =="
+# The seven workspace crates and the root package; the vendored stand-ins
+# are not ours to document. A deleted or moved item that a doc comment
+# still links to stops here, named.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline \
+  -p isp-obs -p csd-sim -p alang -p activepy -p isp-workloads \
+  -p isp-baselines -p isp-bench -p activepy-repro
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -11,13 +11,20 @@
 //!    never as an error or a silent divergence.
 //! 4. **Accounting agrees** — the transient faults the recovery layer
 //!    reports equal the transient errors the injector actually injected.
+//! 5. **Spelling is free** — the program respelled single-assignment (each
+//!    read renamed to the definition it sees) simulates to the same report
+//!    in every field but the fingerprint, clean and faulted: a value costs
+//!    what the line that made it produced, whatever its name goes on to hold.
 
 mod common;
 
 use activepy::exec::{execute, ExecOptions, MigrationReason, RunReport};
 use activepy::ActivePyError;
 use alang::parser::parse;
-use common::{expr, fault_plan, placements, source, storage, VARS};
+use common::{
+    all_placements, expr, fault_plan, masked_run, placements, single_assignment, source, storage,
+    REASSIGNING, VARS,
+};
 use csd_sim::fault::FaultPlan;
 use csd_sim::{EngineKind, FaultCounters, SystemConfig};
 use proptest::prelude::*;
@@ -37,6 +44,34 @@ fn run_once(
     (res, system.fault_counters())
 }
 
+/// Invariant 5 where it bites: few drawn programs both run to completion
+/// and read a name they reassign, so the same assertion over programs that
+/// do, under every placement, clean and under transient faults.
+#[test]
+fn respelling_a_reassigning_program_moves_nothing_under_any_placement() {
+    let faults = FaultPlan::none()
+        .with_seed(7)
+        .with_flash_read_error_prob(0.1)
+        .with_nvme_error_prob(0.1)
+        .with_dma_error_prob(0.1);
+    for src in REASSIGNING {
+        let program = parse(src).expect("parse");
+        let respelled = single_assignment(&program);
+        for placements in all_placements(program.len()) {
+            for plan in [&FaultPlan::none(), &faults] {
+                let (named, _) = run_once(src, &placements, plan);
+                let (single, _) = run_once(&respelled, &placements, plan);
+                assert!(named.is_ok(), "{named:?} for:\n{src}");
+                assert_eq!(
+                    masked_run(&named),
+                    masked_run(&single),
+                    "respelling moved the simulation under {placements:?} for:\n{src}as:\n{respelled}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -52,6 +87,15 @@ proptest! {
 
         let (clean, _) = run_once(&src, &placements, &clean_plan);
         let (faulted, injected) = run_once(&src, &placements, &faults);
+        // Invariant 5: names carry no cost.
+        let respelled = single_assignment(&parse(&src).expect("generated source parses"));
+        for (plan, named) in [(&clean_plan, &clean), (&faults, &faulted)] {
+            let (single, _) = run_once(&respelled, &placements, plan);
+            prop_assert_eq!(
+                masked_run(named), masked_run(&single),
+                "respelling moved the simulation for:\n{}as:\n{}", src, respelled
+            );
+        }
         match (clean, faulted) {
             (Ok(clean), Ok(faulted)) => {
                 // Invariant 2: byte-identical answers.

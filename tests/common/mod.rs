@@ -10,14 +10,17 @@
 // Each test binary compiles this module separately and uses its own subset.
 #![allow(dead_code)]
 
+use activepy::{FleetReport, RunReport};
+use alang::ast::Expr;
 use alang::builtins::Storage;
 use alang::shard::ShardStrategy;
 use alang::value::ArrayVal;
-use alang::Value;
+use alang::{Program, Value};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::{Duration, SimTime};
 use csd_sim::EngineKind;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Assignment targets; reads of not-yet-defined names are valid programs
 /// that must fail identically wherever they run.
@@ -62,6 +65,91 @@ pub fn source(lines: &[(usize, String)]) -> String {
         .iter()
         .map(|(t, e)| format!("{} = {e}\n", VARS[*t]))
         .collect()
+}
+
+/// Programs in the grammar's vocabulary that run to completion and reuse
+/// names the way the drawn ones rarely survive to: a result spelled like
+/// the scanned input, a gathered value's name reused in the tail, a line
+/// that reads the name it assigns.
+pub const REASSIGNING: [&str; 3] = [
+    "a = scan('v')\nb = a * 2\nc = a + b\na = sum(c)\n",
+    "a = scan('v')\nb = sqrt(a)\nc = sum(b)\nb = c + 1\n",
+    "a = scan('w')\na = abs(a)\nb = a - 1\na = mean(b)\nd = a * a\n",
+];
+
+/// Every host/CSD placement of a `len`-line program.
+pub fn all_placements(len: usize) -> impl Iterator<Item = Vec<EngineKind>> {
+    (0..1u32 << len).map(move |bits| {
+        let on_csd: Vec<bool> = (0..len).map(|i| bits >> i & 1 == 1).collect();
+        placements(&on_csd, len)
+    })
+}
+
+/// `program` respelled single-assignment, as source: line *i*'s target
+/// becomes its old name followed by *i*, and every read is rewritten to
+/// the new name of its reaching definition — the latest earlier line
+/// assigning the name it reads. A read no earlier line assigns is left
+/// alone and stays the same error. Walks the `Expr` with its own name
+/// table, so it shares nothing with `Program`'s resolution.
+///
+/// The old name stays as the prefix because staging transfers are issued
+/// in name order: [`VARS`] are single letters, so a line's reads sort
+/// after the respelling as they did before it and the simulated clock
+/// adds the same terms in the same order.
+pub fn single_assignment(program: &Program) -> String {
+    fn respell(expr: &Expr, names: &BTreeMap<&str, String>) -> Expr {
+        let boxed = |e: &Expr| Box::new(respell(e, names));
+        match expr {
+            Expr::Num(_) | Expr::Str(_) => expr.clone(),
+            Expr::Ident(name) => Expr::Ident(names.get(name.as_str()).unwrap_or(name).clone()),
+            Expr::Call { name, args } => Expr::Call {
+                name: name.clone(),
+                args: args.iter().map(|a| respell(a, names)).collect(),
+            },
+            Expr::Binary { op, lhs, rhs } => Expr::Binary {
+                op: *op,
+                lhs: boxed(lhs),
+                rhs: boxed(rhs),
+            },
+            Expr::Unary { op, expr } => Expr::Unary {
+                op: *op,
+                expr: boxed(expr),
+            },
+        }
+    }
+    let mut names: BTreeMap<&str, String> = BTreeMap::new();
+    let mut src = String::new();
+    for line in program.lines() {
+        let target = format!("{}{}", line.target, line.index);
+        src.push_str(&format!("{target} = {}\n", respell(&line.expr, &names)));
+        names.insert(&line.target, target);
+    }
+    src
+}
+
+/// Every field of a run's outcome but the answer's fingerprint (names are
+/// hashed into it), bit for bit: what respelling a program may not move.
+pub fn masked_run<E: std::fmt::Debug>(outcome: &Result<RunReport, E>) -> String {
+    let masked = outcome.as_ref().map(|report| RunReport {
+        values_fingerprint: 0,
+        ..report.clone()
+    });
+    format!("{masked:?}")
+}
+
+/// As [`masked_run`] for a fleet: the fleet's, the tail's and every
+/// shard's fingerprint are masked.
+pub fn masked_fleet<E: std::fmt::Debug>(outcome: &Result<FleetReport, E>) -> String {
+    let masked = outcome.as_ref().map(|report| {
+        let mut report = report.clone();
+        report.values_fingerprint = 0;
+        report.tail.values_fingerprint = 0;
+        for shard in &mut report.shards {
+            shard.report.values_fingerprint = 0;
+        }
+        report
+    });
+    format!("{masked:?}")
 }
 
 /// The first `len` draws of `on_csd` as per-line placements.

@@ -13,19 +13,52 @@
 //! 4. **Crashes latch per device** — each device counts at most one CSE
 //!    crash, shard isolation keeps a crash from spreading, and every
 //!    hard-faulted shard still contributes the right slice.
+//! 5. **Spelling is free** — the program respelled single-assignment
+//!    simulates to the same fleet report in every field but the
+//!    fingerprints: what a shard stages, what the gather pulls and where
+//!    the fence falls follow the values read, not the names reused.
 
 mod common;
 
 use activepy::exec::{execute, ExecOptions};
 use activepy::execute_sharded_raw;
 use alang::parser::parse;
-use alang::shard::ShardMap;
-use common::{expr, fault_params, placements, shard_strategy, source, storage, VARS};
+use alang::shard::{ShardMap, ShardStrategy};
+use common::{
+    all_placements, expr, fault_params, masked_fleet, placements, shard_strategy,
+    single_assignment, source, storage, REASSIGNING, VARS,
+};
 use csd_sim::fault::FaultPlan;
 use csd_sim::SystemConfig;
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
+/// Invariant 5 where it bites: few drawn programs both run to completion
+/// and read a name they reassign, so the same assertion over programs that
+/// do, under every placement at N = 4.
+#[test]
+fn respelling_a_reassigning_program_moves_no_fleet_under_any_placement() {
+    let st = storage();
+    let config = SystemConfig::paper_default();
+    let opts = ExecOptions::activepy();
+    let map = ShardMap::auto(&st, 4, ShardStrategy::Range);
+    for src in REASSIGNING {
+        let program = parse(src).expect("parse");
+        let respelled = single_assignment(&program);
+        let single = parse(&respelled).expect("respelled source parses");
+        for placements in all_placements(program.len()) {
+            let run = |p| execute_sharded_raw(p, &st, &map, &placements, &config, &opts, &[], 4);
+            let named = run(&program);
+            assert!(named.is_ok(), "{named:?} for:\n{src}");
+            assert_eq!(
+                masked_fleet(&named),
+                masked_fleet(&run(&single)),
+                "respelling moved the fleet under {placements:?} for:\n{src}as:\n{respelled}"
+            );
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -39,6 +72,8 @@ proptest! {
     ) {
         let src = source(&lines);
         let program = parse(&src).expect("generated source parses");
+        let respelled = single_assignment(&program);
+        let single = parse(&respelled).expect("respelled source parses");
         let placements = placements(&on_csd, lines.len());
         let st = storage();
         let config = SystemConfig::paper_default();
@@ -62,6 +97,16 @@ proptest! {
             let faulted = execute_sharded_raw(
                 &program, &st, &map, &placements, &config, &opts, &faults, n,
             );
+            // Invariant 5: names carry no cost.
+            for (plans, named) in [(&[][..], &clean), (&faults[..], &faulted)] {
+                let respelled_run = execute_sharded_raw(
+                    &single, &st, &map, &placements, &config, &opts, plans, n,
+                );
+                prop_assert_eq!(
+                    masked_fleet(named), masked_fleet(&respelled_run),
+                    "respelling moved the N={} fleet for:\n{}as:\n{}", n, src, respelled
+                );
+            }
             match (&reference, clean, faulted) {
                 (Ok(reference), Ok(clean), Ok(faulted)) => {
                     // Invariant 1: one answer everywhere.

@@ -3,11 +3,14 @@
 //! (host vs CSD) never changes a program's result either.
 
 use activepy::exec::{execute, execute_all_host, ExecOptions};
-use alang::{CostParams, ExecTier, Interpreter};
+use activepy::sampling::observe_dataset_types;
+use alang::copyelim::eliminable_lines;
+use alang::{CostParams, ExecTier, Interpreter, Vm};
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
 
 #[test]
 fn tiers_change_latency_never_results() {
+    let mut eliminated = 0;
     for w in isp_workloads::table1() {
         let program = w.program().expect("parse");
         let storage = w.storage_at(0.05);
@@ -16,32 +19,32 @@ fn tiers_change_latency_never_results() {
         reference.run(&program, &[]).expect("reference run");
         let final_var = &program.lines().last().expect("non-empty").target;
         let want = reference.var(final_var).expect("final value").clone();
-        // The compiled tiers execute the same semantics.
+        // The compiled tiers execute the same semantics: each lowered with
+        // the flags the code generator bakes for it — copy elimination
+        // wherever sampling learned the types, nowhere on the other two.
+        let flags = eliminable_lines(&program, &observe_dataset_types(&storage));
+        eliminated += flags.iter().filter(|on| **on).count();
         for tier in [
             ExecTier::Compiled,
             ExecTier::CompiledCopyElim,
             ExecTier::Native,
         ] {
-            let compiled = alang::CompiledProgram::compile(
-                program.clone(),
-                tier,
-                &alang::copyelim::DatasetTypes::new(),
-            );
-            compiled.run(&storage).expect("compiled run");
-            // `CompiledProgram::run` re-executes through the interpreter, so
-            // replay the values explicitly for the comparison.
-            let mut interp = Interpreter::new(&storage);
-            interp
-                .run(&program, compiled.copy_elim())
-                .expect("tier run");
+            let copy_elim: &[bool] = match tier {
+                ExecTier::CompiledCopyElim => &flags,
+                _ => &[],
+            };
+            let lowered = alang::lower::lower_with(&program, copy_elim).expect("lower");
+            let mut vm = Vm::new(&lowered, &storage);
+            vm.run().expect("tier run");
             assert_eq!(
-                interp.var(final_var).expect("value"),
+                vm.var(final_var).expect("value"),
                 &want,
                 "{}: tier {tier} changed the result",
                 w.name()
             );
         }
     }
+    assert!(eliminated > 0, "no registered workload eliminates a copy");
 }
 
 #[test]
