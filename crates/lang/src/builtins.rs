@@ -19,6 +19,7 @@ use crate::par::ParEngine;
 use crate::simd;
 use crate::table::{selected_rows, take_rows, Column, Table};
 use crate::value::{ArrayVal, Value};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock, OnceLock};
 
@@ -216,6 +217,8 @@ pub struct KernelCtx<'a> {
     pub storage: &'a Storage,
     /// The chunked-execution engine (serial by default).
     pub par: &'a ParEngine,
+    /// The evaluator's group-index memo; `None` where no evaluator runs.
+    pub(crate) groups: Option<&'a GroupMemo>,
 }
 
 impl<'a> KernelCtx<'a> {
@@ -225,6 +228,7 @@ impl<'a> KernelCtx<'a> {
         KernelCtx {
             storage,
             par: ParEngine::serial_ref(),
+            groups: None,
         }
     }
 }
@@ -924,12 +928,11 @@ fn erf(x: f64) -> f64 {
     sign * y
 }
 
-/// `group_sum`'s accumulator: one `(key, sum, count)` slot per distinct
-/// key in first-seen order, found through an open-addressed index of slot
-/// numbers. Each slot adds its rows in row order, so a group's sum is the
-/// one an ordered map keyed the same way accumulates.
+/// Finds `group_sum`'s groups: one `(key, rows)` slot per distinct key in
+/// first-seen order, found through an open-addressed index of slot
+/// numbers. It adds no column; [`GroupIndex`] keeps what it found.
 struct GroupSlots {
-    slots: Vec<(i64, f64, u64)>,
+    slots: Vec<(i64, u64)>,
     /// Slot number per bucket, [`Self::EMPTY`] where free; a power of two
     /// long and at most half full.
     index: Vec<usize>,
@@ -952,7 +955,7 @@ impl GroupSlots {
         (hash >> 32) as usize & (buckets - 1)
     }
 
-    /// The slot of `key`, appended as `(key, 0.0, 0)` when new.
+    /// The slot of `key`, appended as `(key, 0)` when new.
     fn slot_of(&mut self, key: i64) -> usize {
         let mask = self.index.len() - 1;
         let mut b = Self::bucket(key, self.index.len());
@@ -964,7 +967,7 @@ impl GroupSlots {
             }
         }
         let slot = self.slots.len();
-        self.slots.push((key, 0.0, 0));
+        self.slots.push((key, 0));
         self.index[b] = slot;
         if self.slots.len() * 2 > self.index.len() {
             self.grow();
@@ -976,7 +979,7 @@ impl GroupSlots {
         let buckets = self.index.len() * 2;
         self.index.clear();
         self.index.resize(buckets, Self::EMPTY);
-        for (slot, (key, _, _)) in self.slots.iter().enumerate() {
+        for (slot, (key, _)) in self.slots.iter().enumerate() {
             let mut b = Self::bucket(*key, buckets);
             while self.index[b] != Self::EMPTY {
                 b = (b + 1) & (buckets - 1);
@@ -1000,37 +1003,94 @@ pub(crate) fn round_to_i64(x: f64) -> i64 {
     }
 }
 
-fn group_sum(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+/// The groups of one key column, kept apart from any column summed over
+/// them: every `group_sum` on the same key buffer shares one.
+#[derive(Debug, Clone)]
+pub(crate) struct GroupIndex {
+    /// The buffer indexed. Holding it keeps its address from being reused,
+    /// so `Arc::ptr_eq` is the test for "these very keys".
+    key: Arc<Vec<f64>>,
+    /// Slot of each row.
+    row_slots: Vec<u32>,
+    /// Rounded key and row count per slot, in first-appearance order.
+    slots: Vec<(i64, u64)>,
+    /// Slot numbers in key order: the order of the output rows.
+    by_key: Vec<u32>,
+}
+
+impl GroupIndex {
+    fn build(keys: &Arc<Vec<f64>>) -> Result<Self> {
+        if u32::try_from(keys.len()).is_err() {
+            return Err(LangError::runtime("group_sum: more than 2^32 rows"));
+        }
+        let mut groups = GroupSlots::new();
+        let mut row_slots = Vec::with_capacity(keys.len());
+        // A row whose key repeats the previous row's skips the index.
+        let mut last: Option<(i64, usize)> = None;
+        for key in keys.iter() {
+            let key = round_to_i64(*key);
+            let slot = match last {
+                Some((k, slot)) if k == key => slot,
+                _ => groups.slot_of(key),
+            };
+            last = Some((key, slot));
+            groups.slots[slot].1 += 1;
+            row_slots.push(slot as u32);
+        }
+        let mut by_key: Vec<u32> = (0..groups.slots.len() as u32).collect();
+        by_key.sort_unstable_by_key(|slot| groups.slots[*slot as usize].0);
+        Ok(GroupIndex {
+            key: Arc::clone(keys),
+            row_slots,
+            slots: groups.slots,
+            by_key,
+        })
+    }
+}
+
+/// An evaluator's memo of the last key column `group_sum` indexed: one
+/// entry, replaced on a miss and dropped with the evaluator.
+pub(crate) type GroupMemo = RefCell<Option<GroupIndex>>;
+
+/// Sums `vals` per distinct rounded key, in two steps: *find the groups*
+/// (a [`GroupIndex`], taken from the evaluator's memo when it indexed this
+/// very key buffer, built otherwise) and *add the column* (`sums[slot] +=
+/// x` in row order, so a group's sum is the one an ordered map keyed the
+/// same way accumulates).
+fn group_sum(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let [k, v] = expect_args::<2>("group_sum", args)?;
     let keys = k.as_array()?;
     let vals = v.as_array()?;
     if keys.len() != vals.len() {
         return Err(LangError::runtime("group_sum: length mismatch"));
     }
-    let mut groups = GroupSlots::new();
-    // A row whose key repeats the previous row's skips the index.
-    let mut last: Option<(i64, usize)> = None;
-    for (key, val) in keys.data().iter().zip(vals.data()) {
-        let key = round_to_i64(*key);
-        let slot = match last {
-            Some((k, slot)) if k == key => slot,
-            _ => groups.slot_of(key),
-        };
-        last = Some((key, slot));
-        let entry = &mut groups.slots[slot];
-        entry.1 += *val;
-        entry.2 += 1;
+    // Without an evaluator the index lives for this call only.
+    let mut unshared = None;
+    let mut memo = ctx.groups.map(RefCell::borrow_mut);
+    let kept = memo.as_deref_mut().unwrap_or(&mut unshared);
+    if !kept
+        .as_ref()
+        .is_some_and(|index| Arc::ptr_eq(&index.key, keys.buffer()))
+    {
+        // The old index is freed before the new one is built.
+        *kept = None;
+        *kept = Some(GroupIndex::build(keys.buffer())?);
     }
-    groups.slots.sort_unstable_by_key(|(key, _, _)| *key);
+    let index = kept.as_ref().expect("filled just above");
+    let mut sums = vec![0.0; index.slots.len()];
+    for (slot, val) in index.row_slots.iter().zip(vals.data()) {
+        sums[*slot as usize] += *val;
+    }
     let ratio = keys.scale_ratio();
-    let mut gk = Vec::with_capacity(groups.slots.len());
-    let mut gs = Vec::with_capacity(groups.slots.len());
-    let mut gc = Vec::with_capacity(groups.slots.len());
-    for (key, sum, count) in &groups.slots {
-        gk.push(*key as f64);
+    let mut gk = Vec::with_capacity(sums.len());
+    let mut gs = Vec::with_capacity(sums.len());
+    let mut gc = Vec::with_capacity(sums.len());
+    for slot in &index.by_key {
+        let (key, count) = index.slots[*slot as usize];
+        gk.push(key as f64);
         // Sums and counts extrapolate to logical scale.
-        gs.push(sum * ratio);
-        gc.push((*count as f64 * ratio).round());
+        gs.push(sums[*slot as usize] * ratio);
+        gc.push((count as f64 * ratio).round());
     }
     // Group cardinality is a data property, not a scale property: the
     // output is genuinely small, which is what makes aggregation such a
@@ -1140,16 +1200,24 @@ fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let [p, a, k] = expect_args::<3>("kmeans_update", args)?;
     let points = p.as_matrix()?;
     let assign = a.as_array()?;
-    let k = k.as_num()? as usize;
+    let k = k.as_num()?;
     if assign.len() != points.rows() {
         return Err(LangError::runtime(
             "kmeans_update: assignment length mismatch",
         ));
     }
-    if k == 0 {
-        return Err(LangError::runtime("kmeans_update: k must be positive"));
-    }
     let d = points.cols();
+    // `k` arrives as a number in the program text and sizes the output, so
+    // it is bounded by the input before anything is allocated for it: no
+    // more centroid cells than the points hold (2^16 for a small input).
+    let cells = points.data().len().max(1 << 16);
+    if !(k >= 1.0 && k.fract() == 0.0 && k * d.max(1) as f64 <= cells as f64) {
+        return Err(LangError::runtime(format!(
+            "kmeans_update: k must be a positive whole number with k x {d} \
+             within {cells} cells, got {k}"
+        )));
+    }
+    let k = k as usize;
     // Per-chunk (sums, counts) partials accumulated over a contiguous row
     // range; chunks partition rows in order, so combining partials in chunk
     // order also reproduces the serial error for the first bad assignment.
@@ -1571,6 +1639,7 @@ mod tests {
                 let ctx = KernelCtx {
                     storage: &st,
                     par: &engine,
+                    groups: None,
                 };
                 let out = call_in("decode", &arg, &ctx).expect("decode");
                 outputs.push((threads, format!("{out:?}")));
@@ -1762,6 +1831,7 @@ mod tests {
                 let ctx = KernelCtx {
                     storage: &st,
                     par: &engine,
+                    groups: None,
                 };
                 let out = call_in(name, argv, &ctx).expect(name);
                 outputs.push((threads, format!("{out:?}")));

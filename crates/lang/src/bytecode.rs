@@ -10,7 +10,7 @@
 //! reference implementation behind the differential-testing harness.
 
 use crate::ast::{BinOp, UnOp};
-use crate::builtins::{weights, KernelCtx, KernelId, Storage};
+use crate::builtins::{weights, GroupMemo, KernelCtx, KernelId, Storage};
 use crate::cost::LineCost;
 use crate::error::{LangError, Result};
 use crate::interp::{apply_binary, apply_unary, charge_elementwise, charge_temp, LineRecord};
@@ -179,6 +179,7 @@ pub struct Vm<'a> {
     par: ParEngine,
     regs: Vec<Option<Value>>,
     argv: Vec<Value>,
+    groups: GroupMemo,
 }
 
 impl<'a> Vm<'a> {
@@ -205,6 +206,7 @@ impl<'a> Vm<'a> {
             par: ParEngine::new(policy),
             regs: vec![None; usize::from(lowered.n_slots)],
             argv: Vec::new(),
+            groups: GroupMemo::default(),
         }
     }
 
@@ -304,9 +306,11 @@ impl<'a> Vm<'a> {
                     let ctx = KernelCtx {
                         storage: self.storage,
                         par: &self.par,
+                        groups: Some(&self.groups),
                     };
-                    let out = kernel.invoke_in(&argv, &ctx)?;
+                    let out = kernel.invoke_in(&argv, &ctx);
                     self.argv = argv;
+                    let out = out?;
                     cost.compute_ops += out.ops;
                     cost.storage_bytes += out.storage_bytes;
                     cost.calls += 1;
@@ -477,6 +481,61 @@ mod tests {
         let st = Storage::new();
         let ast_err = Interpreter::new(&st).run(&prog, &[]).unwrap_err();
         assert_eq!(e, ast_err);
+    }
+
+    #[test]
+    fn kmeans_update_refuses_a_cluster_count_it_cannot_allocate() {
+        let mut st = Storage::new();
+        let points = crate::matrix::Matrix::new(vec![0.0, 1.0, 10.0, 11.0], 4, 1).expect("pts");
+        st.insert("p", Value::Matrix(points));
+        st.insert("a", Value::from(vec![0.0, 0.0, 1.0, 1.0]));
+        for k in ["1e300", "4e18", "1e10", "(0 / 0)", "-1", "0", "0.5"] {
+            let src = format!("p = scan('p')\na = scan('a')\nc = kmeans_update(p, a, {k})\n");
+            let prog = parse(&src).expect("parse");
+            let lowered = lower(&prog).expect("lower");
+            let vm_err = Vm::new(&lowered, &st).run().expect_err(k);
+            let ast_err = Interpreter::new(&st).run(&prog, &[]).expect_err(k);
+            assert_eq!(vm_err, ast_err, "k = {k}");
+            let text = vm_err.to_string();
+            assert!(text.contains("k must be a positive whole number"), "{text}");
+        }
+        assert_vm_matches_interp(
+            "p = scan('p')\na = scan('a')\nc = kmeans_update(p, a, 2)\n",
+            &st,
+            &[],
+        );
+    }
+
+    #[test]
+    fn the_group_index_is_dropped_with_its_vm() {
+        let key = Arc::new(vec![1.0, 2.0, 1.0, 3.0]);
+        let mut st = Storage::new();
+        st.insert(
+            "k",
+            Value::Array(crate::value::ArrayVal::shared(Arc::clone(&key), 4)),
+        );
+        let stored = Arc::strong_count(&key);
+        let prog = parse("k = scan('k')\ns = group_sum(k, k)\nk = 0\n").expect("parse");
+        let lowered = lower(&prog).expect("lower");
+        let mut vm = Vm::new(&lowered, &st);
+        vm.run().expect("run");
+        // No register names the buffer any more; the memo still does.
+        assert!(vm.groups.borrow().is_some());
+        vm.argv.clear();
+        assert_eq!(Arc::strong_count(&key), stored + 1);
+        drop(vm);
+        assert_eq!(Arc::strong_count(&key), stored);
+    }
+
+    #[test]
+    fn a_failed_call_keeps_the_argument_vector() {
+        let mut st = Storage::new();
+        st.insert("v", Value::from(vec![1.0, 2.0, 3.0]));
+        let prog = parse("a = scan('v')\nb = sort(3)\n").expect("parse");
+        let lowered = lower(&prog).expect("lower");
+        let mut vm = Vm::new(&lowered, &st);
+        vm.run().unwrap_err();
+        assert!(vm.argv.capacity() > 0);
     }
 
     #[test]

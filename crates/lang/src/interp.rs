@@ -13,7 +13,7 @@
 //! traffic accordingly.
 
 use crate::ast::{BinOp, Expr, Line, Program, UnOp};
-use crate::builtins::{self, weights, KernelCtx, Storage};
+use crate::builtins::{self, weights, GroupMemo, KernelCtx, Storage};
 use crate::cost::LineCost;
 use crate::error::{LangError, Result};
 use crate::par::{ParEngine, ParStatsSnapshot, ParallelPolicy};
@@ -37,6 +37,7 @@ pub struct Interpreter<'a> {
     storage: &'a Storage,
     vars: BTreeMap<String, Value>,
     par: ParEngine,
+    groups: GroupMemo,
 }
 
 impl<'a> Interpreter<'a> {
@@ -55,6 +56,7 @@ impl<'a> Interpreter<'a> {
             storage,
             vars: BTreeMap::new(),
             par: ParEngine::new(policy),
+            groups: GroupMemo::default(),
         }
     }
 
@@ -180,6 +182,7 @@ impl<'a> Interpreter<'a> {
                 let ctx = KernelCtx {
                     storage: self.storage,
                     par: &self.par,
+                    groups: Some(&self.groups),
                 };
                 let out = kernel.invoke_in(&argv, &ctx)?;
                 cost.compute_ops += out.ops;

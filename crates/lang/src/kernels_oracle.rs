@@ -798,6 +798,7 @@ fn check_kernel(
             &KernelCtx {
                 storage: &storage,
                 par: &new_par,
+                groups: None,
             },
         );
         let old = oracle(
@@ -805,6 +806,7 @@ fn check_kernel(
             &KernelCtx {
                 storage: &storage,
                 par: &old_par,
+                groups: None,
             },
         );
         let what = format!("{name} {what} @ {threads} threads");
@@ -921,6 +923,131 @@ fn group_sum_matches_the_ordered_map() {
     }
     let short = [array(vec![1.0, 2.0], 1), array(vec![1.0], 1)];
     check_kernel("group_sum", group_sum_ref, &short, "length mismatch");
+    assert_eq!(ran, CASES);
+}
+
+/// Keys for the sequence test, by `shape`: a handful of groups, runs of
+/// one key, thousands of distinct keys, and the values rounding treats
+/// specially (NaN, both zeros, halves, 2^53 and its neighbour, a key past
+/// the i64 range).
+fn sequence_keys(rng: &mut StdRng, shape: usize, n: usize) -> Vec<f64> {
+    const SPECIAL: [f64; 10] = [
+        f64::NAN,
+        0.0,
+        -0.0,
+        9_007_199_254_740_992.0,
+        9_007_199_254_740_994.0,
+        -9_007_199_254_740_992.0,
+        0.5,
+        -0.5,
+        1.0e300,
+        f64::NEG_INFINITY,
+    ];
+    (0..n)
+        .map(|i| match shape % 4 {
+            0 => rng.gen_range(0..6i64) as f64,
+            1 => (i / 37) as f64 - 20.0,
+            2 => rng.gen_range(-3000..3000i64) as f64,
+            _ => SPECIAL[rng.gen_range(0..SPECIAL.len())],
+        })
+        .collect()
+}
+
+/// The evaluators keep the index of the last key buffer `group_sum` read
+/// and lend it to the next call. Whatever a sequence of calls hits, misses
+/// or evicts, every call through one `Vm` and one `Interpreter` must equal
+/// the ordered map's answer for its two arguments alone.
+#[test]
+fn group_sum_sequences_match_the_ordered_map_call_by_call() {
+    const SEED: u64 = 0x6508;
+    // Reads of one line: `None` for a line that calls no `group_sum`.
+    type Step = (String, Option<(&'static str, &'static str)>);
+    let call = |k: &'static str, v: &'static str| -> Step {
+        (format!("r = group_sum({k}, {v})\n"), Some((k, v)))
+    };
+    let mut rng = StdRng::seed_from_u64(SEED);
+    let mut ran = 0;
+    for case in 0..CASES {
+        let what = format!("seed {SEED:#x} case {case}");
+        let n = rows(&mut rng, case).min(3000);
+        let scale = 1 + case as u64 % 5;
+        let keys = sequence_keys(&mut rng, case, n);
+        let mut storage = Storage::new();
+        // `k0` and `k1` hold equal contents in two buffers; `k2` differs.
+        storage.insert("k0", array(keys.clone(), scale));
+        storage.insert("k1", array(keys, scale));
+        storage.insert("k2", array(sequence_keys(&mut rng, case + 1, n), 1));
+        storage.insert("v0", array(floats(&mut rng, n, flavour(case)), 1));
+        storage.insert("v1", array(floats(&mut rng, n, flavour(case)), 1));
+        storage.insert("short", array(floats(&mut rng, n + 1, Flavour::Finite), 1));
+        storage.insert("e", array(Vec::new(), 1));
+        let mut steps: Vec<Step> = ["k0", "k1", "k2", "v0", "v1", "short", "e"]
+            .iter()
+            .map(|name| (format!("{name} = scan('{name}')\n"), None))
+            .collect();
+        steps.extend([
+            // One buffer five times.
+            call("k0", "v0"),
+            call("k0", "v1"),
+            call("k0", "k0"),
+            call("k0", "v0"),
+            call("k0", "v1"),
+            // Equal contents in another buffer, and back.
+            call("k1", "v0"),
+            call("k0", "v0"),
+            // Two keys alternating: the one entry is evicted every call.
+            call("k2", "v0"),
+            call("k0", "v1"),
+            call("k2", "v1"),
+            call("k0", "v0"),
+            // A hit with values of the wrong length is still refused.
+            call("k0", "short"),
+            call("k0", "v1"),
+            // A reassigned key is a new buffer.
+            ("k0 = k0 + 0\n".to_owned(), None),
+            call("k0", "v1"),
+            call("k0", "v0"),
+            // The empty key between two uses of a long one.
+            call("e", "e"),
+            call("k0", "v0"),
+            call("e", "short"),
+        ]);
+        for _ in 0..6 {
+            let key = ["k0", "k1", "k2", "e"][rng.gen_range(0..4usize)];
+            let val = ["v0", "v1", "short", "e", "k0"][rng.gen_range(0..5usize)];
+            steps.push(call(key, val));
+        }
+        let source: String = steps.iter().map(|(line, _)| line.as_str()).collect();
+        let program = crate::parser::parse(&source).expect("parses");
+        let lowered = crate::lower::lower(&program).expect("lowers");
+        let mut vm = crate::Vm::new(&lowered, &storage);
+        let mut interp = crate::Interpreter::new(&storage);
+        for (line, (text, reads)) in program.lines().iter().zip(&steps) {
+            let what = format!("{what}, line {} `{}`", line.index, text.trim_end());
+            let oracle = reads.map(|(k, v)| {
+                let args = [k, v].map(|name| interp.var(name).expect("scanned").clone());
+                group_sum_ref(&args, &KernelCtx::serial(&storage))
+            });
+            let from_vm = vm.exec_line(line.index);
+            let from_interp = interp.exec_line(line, false);
+            let value = |cost: &Result<_>, var: Option<&Value>| {
+                cost.clone().map(|_| var.expect("assigned").clone())
+            };
+            let vm_value = value(&from_vm, vm.var(&line.target));
+            let interp_value = value(&from_interp, interp.var(&line.target));
+            assert_same_value(&vm_value, &interp_value, &what);
+            if let (Ok(vm_cost), Ok(interp_cost)) = (&from_vm, &from_interp) {
+                assert_eq!(vm_cost, interp_cost, "{what}: costs");
+            }
+            if let Some(oracle) = oracle {
+                if let (Ok(cost), Ok(oracle)) = (&from_vm, &oracle) {
+                    assert_eq!(cost.compute_ops, oracle.ops, "{what}: ops");
+                }
+                assert_same_value(&vm_value, &oracle.map(|o| o.value), &what);
+            }
+        }
+        ran += 1;
+    }
     assert_eq!(ran, CASES);
 }
 

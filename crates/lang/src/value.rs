@@ -281,6 +281,12 @@ impl ArrayVal {
         &self.data
     }
 
+    /// The buffer itself: immutable once shared, so its address is the
+    /// identity of the data while any handle to it lives.
+    pub(crate) fn buffer(&self) -> &Arc<Vec<f64>> {
+        &self.data
+    }
+
     /// Whether this array's buffer is `buffer` itself, not a copy of it.
     #[cfg(test)]
     pub(crate) fn shares(&self, buffer: &Arc<Vec<f64>>) -> bool {

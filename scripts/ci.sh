@@ -53,7 +53,7 @@ cargo test -q -p isp-obs --lib -- oracle:: journal::tests::as_u64
 cargo test -q -p activepy --lib resume::tests::plan_fingerprint
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 51 of the 697 tests.
+# The whole suite: the root package alone is 53 of the 702 tests.
 cargo test -q --workspace
 
 echo "== benchmark package (builds and passes its driver tests against this tree) =="
@@ -94,6 +94,17 @@ DURABLE="$(bash benchmark/run.sh --workload durable_exec --seed 1 --seconds 1 --
 case "$DURABLE" in
   *'"correct": true'*'"failed": 0,'*) ;;
   *) echo "durable_exec smoke failed: $DURABLE"; exit 1 ;;
+esac
+
+echo "== benchmark bulk_kernels smoke (every program's last line, serial and threaded, to the bit) =="
+# One second of the workload the kernel claims are measured on: six plain
+# programs over 2^18-element inputs through the Vm, serial and with nproc
+# threads, each run's last line checked to the bit against the AST
+# interpreter's at set-up.
+KERNELS="$(bash benchmark/run.sh --workload bulk_kernels --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$KERNELS" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *) echo "bulk_kernels smoke failed: $KERNELS"; exit 1 ;;
 esac
 
 echo "== fault-sweep smoke (deterministic injection, zero wrong answers) =="

@@ -17,6 +17,11 @@ use alang::Vm;
 use common::{expr, source, storage, VARS};
 use proptest::prelude::*;
 
+/// Ends every drawn program: `group_sum` twice on one key buffer, so a
+/// program that runs to completion misses, then hits, each engine's
+/// group-index memo.
+const GROUPED: &str = "k = scan('v')\ng = group_sum(k, k)\nh = group_sum(k, k * 2)\n";
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -25,7 +30,7 @@ proptest! {
         lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
         flags in prop::collection::vec(any::<bool>(), 0..8),
     ) {
-        let src = source(&lines);
+        let src = source(&lines) + GROUPED;
         let program = parse(&src).expect("generated source parses");
         let st = storage();
         let mut interp = Interpreter::new(&st);
