@@ -19,10 +19,10 @@ use activepy::exec::{evaluate, execute, simulate, ExecOptions, RunReport};
 use csd_sim::contention::ContentionScenario;
 use csd_sim::{EngineKind, SystemConfig};
 use isp_workloads::Workload;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A fixed, compiler-baked offload decision.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct OffloadPlan {
     /// Per-line engine placement.
     pub placements: Vec<EngineKind>,

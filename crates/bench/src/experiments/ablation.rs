@@ -13,10 +13,10 @@
 //! Each plan is then actually executed, so the table shows measured — not
 //! projected — end-to-end latency.
 
-use activepy::assign::{assign, assign_greedy, assign_optimal, assign_refined, Assignment};
-use activepy::exec::{execute_lowered, ExecOptions};
+use activepy::assign::{assign, assign_greedy, assign_optimal, assign_refined};
+use activepy::exec::{evaluate, simulate, ExecOptions};
 use activepy::runtime::ActivePy;
-use activepy::{OffloadPlan, PlanCache};
+use activepy::PlanCache;
 use csd_sim::SystemConfig;
 use serde::Serialize;
 
@@ -35,28 +35,6 @@ pub struct Row {
     pub dp_secs: f64,
     /// Offloaded line counts per variant, in the same order.
     pub csd_counts: [usize; 4],
-}
-
-/// Executes one assignment variant against the plan's already-parsed
-/// program and already-materialized full-scale input (the old path
-/// re-parsed and re-generated both for every variant).
-fn measure(plan: &OffloadPlan, config: &SystemConfig, assignment: &Assignment) -> f64 {
-    let mut system = config.build();
-    let opts = ExecOptions::activepy().without_migration();
-    let placements = assignment.placements(plan.program.len());
-    // The plan carries the lowered bytecode; all four variants reuse it.
-    execute_lowered(
-        &plan.program,
-        &plan.lowered,
-        &plan.full_storage,
-        &placements,
-        &mut system,
-        &opts,
-        None,
-        None,
-    )
-    .expect("plan executes")
-    .total_secs
 }
 
 /// Runs the ablation over the nine Table-I workloads: the estimates,
@@ -82,7 +60,29 @@ pub fn run(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
             assign_refined(&plan.program, &plan.estimates, bw),
             assign_optimal(&plan.estimates, bw),
         ];
-        let secs: Vec<f64> = variants.iter().map(|a| measure(&plan, config, a)).collect();
+        // The four variants are four schedules of one evaluation of the
+        // plan's lowered program over its full-scale input.
+        let opts = ExecOptions::activepy().without_migration();
+        let evaluation = evaluate(&plan.program, &plan.lowered, &plan.full_storage, &opts)
+            .expect("plan evaluates");
+        let secs: Vec<f64> = variants
+            .iter()
+            .map(|a| {
+                let placements = a.placements(plan.program.len());
+                let mut system = config.build();
+                simulate(
+                    &plan.program,
+                    &evaluation,
+                    &placements,
+                    &mut system,
+                    &opts,
+                    None,
+                    None,
+                )
+                .expect("plan executes")
+                .total_secs
+            })
+            .collect();
         Row {
             name: w.name().to_owned(),
             greedy_secs: secs[0],

@@ -9,8 +9,7 @@
 //! byte of downstream output — is identical to a serial `map`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 /// Maps `f` over `cells` on up to `available_parallelism` worker threads,
 /// returning results in input order.
@@ -58,24 +57,27 @@ where
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
 
-    crossbeam::thread::scope(|scope| {
+    // `f` runs outside both locks, so a panicking cell poisons neither; the
+    // scope re-raises the panic once every worker has been joined.
+    const UNPOISONED: &str = "no lock is held across a cell";
+    std::thread::scope(|scope| {
         for _ in 0..threads {
-            scope.spawn(|_| loop {
+            scope.spawn(|| loop {
                 let i = cursor.fetch_add(1, Ordering::Relaxed);
                 if i >= n {
                     break;
                 }
-                let cell = work[i].lock().take().expect("each cell is claimed once");
-                let result = f(cell);
-                *slots[i].lock() = Some(result);
+                let cell = work[i].lock().expect(UNPOISONED).take();
+                let result = f(cell.expect("each cell is claimed once"));
+                *slots[i].lock().expect(UNPOISONED) = Some(result);
             });
         }
-    })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload));
+    });
 
     slots
         .into_iter()
-        .map(|slot| slot.into_inner().expect("every slot is filled"))
+        .map(|slot| slot.into_inner().expect(UNPOISONED))
+        .map(|result| result.expect("every slot is filled"))
         .collect()
 }
 

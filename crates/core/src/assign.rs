@@ -12,11 +12,11 @@ use crate::estimate::LineEstimate;
 use alang::Program;
 use csd_sim::engine::EngineKind;
 use isp_obs::{SpanKind, Tracer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeSet;
 
 /// The outcome of Algorithm 1.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Assignment {
     /// Indices of lines assigned to the CSD (`P_csd`).
     pub csd_lines: BTreeSet<usize>,
@@ -50,16 +50,6 @@ impl Assignment {
                 }
             })
             .collect()
-    }
-
-    /// Projected speedup over the all-host plan.
-    #[must_use]
-    pub fn projected_speedup(&self) -> f64 {
-        if self.t_csd <= 0.0 {
-            1.0
-        } else {
-            self.t_host / self.t_csd
-        }
     }
 
     /// The contiguous CSD regions `[start, end]` (inclusive) in line order
@@ -492,7 +482,6 @@ mod tests {
         assert!(a.csd_lines.contains(&0), "scan should offload: {a:?}");
         assert!(a.csd_lines.contains(&1), "filter should offload: {a:?}");
         assert!(a.t_csd < a.t_host);
-        assert!(a.projected_speedup() > 1.0);
     }
 
     #[test]
@@ -504,7 +493,6 @@ mod tests {
         let a = assign(&estimates, BW);
         assert!(a.csd_lines.is_empty(), "{a:?}");
         assert_eq!(a.t_csd, a.t_host);
-        assert_eq!(a.projected_speedup(), 1.0);
     }
 
     #[test]

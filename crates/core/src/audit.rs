@@ -48,7 +48,7 @@ use crate::plan::OffloadPlan;
 use crate::profile::WorkloadProfile;
 use csd_sim::EngineKind;
 use isp_obs::{Histogram, SpanKind, Tracer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One line's Eq. 1 terms exactly as Algorithm 1 consumed them.
 ///
@@ -56,7 +56,7 @@ use serde::{Deserialize, Serialize};
 /// assignment actually executed) into [`RunReport::eq1`]. For wire-format
 /// scan lines, `on_csd` *is* the decode placement: decode runs wherever
 /// the scan line runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Eq1Term {
     /// The line index.
     pub line: usize,
@@ -108,7 +108,7 @@ pub fn capture_terms(
 }
 
 /// The per-line join of an [`Eq1Term`] against the measured outcome.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LineAudit {
     /// The line index.
     pub line: usize,
@@ -142,7 +142,7 @@ pub struct LineAudit {
 
 /// One counterfactual placement flip, with the Eq. 1 profits that
 /// explain it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CounterfactualFlip {
     /// The line index.
     pub line: usize,
@@ -159,7 +159,7 @@ pub struct CounterfactualFlip {
 /// Host-nanosecond and simulated-second attribution of one pipeline
 /// phase — the dual-clock breakdown of where planning and execution time
 /// went.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct PhaseAttribution {
     /// Phase name (`sampling`, `fit`, `assign`, `materialize`, `compile`,
     /// `execute`).
@@ -201,22 +201,6 @@ impl CalibrationReport {
             return 0.0;
         }
         self.lines.iter().map(|l| l.abs_rel_err).sum::<f64>() / self.lines.len() as f64
-    }
-
-    /// The worst `n` lines by `|err_secs|`, descending (ties broken by
-    /// ascending line index for determinism).
-    #[must_use]
-    pub fn worst_lines(&self, n: usize) -> Vec<&LineAudit> {
-        let mut sorted: Vec<&LineAudit> = self.lines.iter().collect();
-        sorted.sort_by(|a, b| {
-            b.err_secs
-                .abs()
-                .partial_cmp(&a.err_secs.abs())
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(a.line.cmp(&b.line))
-        });
-        sorted.truncate(n);
-        sorted
     }
 
     /// Publishes the calibration into `tracer`'s unified registry: the
@@ -526,15 +510,6 @@ mod tests {
         assert!(flip.explanation.contains("measured costs favor host"));
         // The flip is also flagged on the per-line join.
         assert!(audit.lines.iter().any(|l| l.line == flip.line && l.flipped));
-    }
-
-    #[test]
-    fn worst_lines_sort_by_absolute_error() {
-        let (plan, report, _, _) = plan_and_run(ContentionScenario::none());
-        let audit = calibrate("w", &plan, &report, None);
-        let worst = audit.worst_lines(2);
-        assert_eq!(worst.len(), 2);
-        assert!(worst[0].err_secs.abs() >= worst[1].err_secs.abs());
     }
 
     #[test]

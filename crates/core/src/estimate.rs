@@ -11,16 +11,15 @@
 //! consumes: `CT_host`, `CT_device`, `D_in`, and `D_out`; [`net_profit`]
 //! evaluates Eq. 1 directly for a single task.
 
-use crate::error::Result;
 use crate::fit::LinePrediction;
-use alang::{parser, CostParams, ExecTier, Interpreter, LineCost, Storage, Value};
+use alang::{CostParams, ExecTier};
 use csd_sim::units::Ops;
 use csd_sim::{EngineKind, SystemConfig};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// The calibrated CSE-slowdown constant `C` (how many times slower the CSE
 /// retires the same work than the host).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Calibration {
     /// `CT_device ≈ C × CT_host` for pure compute.
     pub cse_slowdown: f64,
@@ -51,36 +50,10 @@ impl Calibration {
             cse_slowdown: host_rate / cse_rate,
         }
     }
-
-    /// Calibrates by running a small sample program on both engines (the
-    /// fallback when performance counters are unavailable).
-    ///
-    /// # Errors
-    ///
-    /// Propagates probe-program failures (none expected for the built-in
-    /// probe).
-    pub fn from_probe_program(config: &SystemConfig, params: &CostParams) -> Result<Calibration> {
-        let mut storage = Storage::new();
-        storage.insert(
-            "probe",
-            Value::from((0..4096).map(|i| f64::from(i) * 0.5).collect::<Vec<f64>>()),
-        );
-        let program =
-            parser::parse("a = scan('probe')\nb = sqrt(a * 3 + 1)\nc = sum(exp(b - 2))\n")?;
-        let mut interp = Interpreter::new(&storage);
-        let cost: LineCost = interp.run(&program, &[])?.iter().map(|r| r.cost).sum();
-        let ops = Ops::new(cost.effective_ops(ExecTier::Compiled, params));
-        let mut sys = config.build();
-        let host = sys.compute(EngineKind::Host, ops);
-        let cse = sys.compute(EngineKind::Cse, ops);
-        Ok(Calibration {
-            cse_slowdown: cse.as_secs() / host.as_secs(),
-        })
-    }
 }
 
 /// Per-line quantities consumed by Algorithm 1.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LineEstimate {
     /// The line index.
     pub line: usize,
@@ -188,6 +161,7 @@ pub fn shared_link_bandwidth(
 mod tests {
     use super::*;
     use crate::fit::{Complexity, FittedCurve};
+    use alang::LineCost;
 
     fn curve() -> FittedCurve {
         FittedCurve {
@@ -216,20 +190,6 @@ mod tests {
             (calib.cse_slowdown - expected).abs() / expected < 1e-6,
             "counter calibration {} vs spec {expected}",
             calib.cse_slowdown
-        );
-    }
-
-    #[test]
-    fn probe_calibration_agrees_with_counters() {
-        let config = SystemConfig::paper_default();
-        let params = CostParams::paper_default();
-        let a = Calibration::from_counters(&config);
-        let b = Calibration::from_probe_program(&config, &params).expect("probe");
-        assert!(
-            (a.cse_slowdown - b.cse_slowdown).abs() / a.cse_slowdown < 0.01,
-            "{} vs {}",
-            a.cse_slowdown,
-            b.cse_slowdown
         );
     }
 

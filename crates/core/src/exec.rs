@@ -12,7 +12,7 @@
 //!
 //! One private `Run` owns everything an execution mutates; host lines and
 //! CSD regions are its methods, and every transition they make is published
-//! through the single `Run::boundary` (DESIGN.md §5.6).
+//! through the single `Run::boundary` (DESIGN.md §5.8).
 
 #![deny(clippy::too_many_lines)]
 
@@ -36,7 +36,7 @@ use csd_sim::nvme::CommandKind;
 use csd_sim::units::{Bytes, Duration, Ops, SimTime};
 use csd_sim::{Direction, EngineKind, System};
 use isp_obs::{Attrs, SpanHandle, SpanKind, StateSnap, Tracer, WalRecord};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Options controlling one execution.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,9 +50,6 @@ pub struct ExecOptions {
     /// Monitoring/migration policy; `None` disables migration (the static
     /// frameworks of Figures 2 and 5).
     pub monitor: Option<MonitorConfig>,
-    /// Whether to charge queue-pair invocation and status-update overheads
-    /// (on for ISP runs; irrelevant for all-host runs).
-    pub offload_overheads: bool,
     /// Simulated time at which the CSD must preempt the ISP task for a
     /// high-priority request (§III-D, case 1): a `Break` command lands in
     /// the call queue, the status-update code sees it at the next chunk
@@ -101,7 +98,6 @@ impl ExecOptions {
             params: CostParams::paper_default(),
             scenario: ContentionScenario::none(),
             monitor: Some(MonitorConfig::default()),
-            offload_overheads: true,
             preempt_at: None,
             recovery: RecoveryPolicy::default(),
             faults: FaultPlan::none(),
@@ -197,6 +193,21 @@ impl ExecOptions {
         if let Some(cfg) = self.monitor {
             cfg.validate()?;
         }
+        // A NaN preemption time compares false against every clock value
+        // and would never fire; a NaN or negative cost constant rounds
+        // every line's effective ops to zero.
+        for (name, value) in [
+            ("preempt_at", self.preempt_at.unwrap_or(0.0)),
+            ("params.copy_ops_per_byte", self.params.copy_ops_per_byte),
+            ("params.dispatch_overhead", self.params.dispatch_overhead),
+            ("params.scan_ops_per_byte", self.params.scan_ops_per_byte),
+        ] {
+            if !(value.is_finite() && value >= 0.0) {
+                return Err(ActivePyError::config(format!(
+                    "{name} must be finite and non-negative, got {value}"
+                )));
+            }
+        }
         self.recovery.validate()?;
         self.faults.validate().map_err(ActivePyError::config)?;
         self.parallel.validate().map_err(ActivePyError::config)
@@ -204,7 +215,7 @@ impl ExecOptions {
 }
 
 /// What happened on one line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LineOutcome {
     /// Line index.
     pub line: usize,
@@ -223,7 +234,7 @@ pub struct LineOutcome {
 /// Why a migration was initiated (§III-D distinguishes throughput
 /// degradation from preemption; device faults extend the same mechanism
 /// to hardware adversity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum MigrationReason {
     /// The monitor observed degraded throughput and the re-estimate said
     /// finishing on the host is cheaper.
@@ -257,7 +268,7 @@ impl MigrationReason {
 }
 
 /// A migration that occurred during the run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MigrationEvent {
     /// The CSD line at whose end execution broke.
     pub after_line: usize,
@@ -272,7 +283,7 @@ pub struct MigrationEvent {
 }
 
 /// The result of one execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct RunReport {
     /// End-to-end latency in seconds.
     pub total_secs: f64,
@@ -318,12 +329,6 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// Sum of measured line costs.
-    #[must_use]
-    pub fn total_cost(&self) -> LineCost {
-        self.lines.iter().map(|l| l.cost).sum()
-    }
-
     /// Total wall-clock seconds spent executing CSD lines.
     #[must_use]
     pub fn csd_busy_secs(&self) -> f64 {
@@ -361,7 +366,11 @@ impl RunReport {
     }
 }
 
-/// Executes `program` with the given per-line `placements` on `system`.
+/// Executes `program` with the given per-line `placements` on `system`:
+/// lower, [`evaluate`], then [`simulate`]. Runs that share a plan — one per
+/// contention scenario — share its lowering, and runs that are schedules
+/// of *one* execution (a fleet's N + 1, the candidates of a placement
+/// search) share the evaluation too, by calling those two directly.
 ///
 /// `estimates` (from the sampling/fitting pipeline) are required for
 /// migration decisions; without them the monitor is ignored. `copy_elim`
@@ -382,38 +391,7 @@ pub fn execute(
     copy_elim: &[bool],
 ) -> Result<RunReport> {
     let lowered = alang::lower::lower_with(program, copy_elim)?;
-    execute_lowered(
-        program, &lowered, storage, placements, system, opts, estimates, None,
-    )
-}
-
-/// As [`execute`] on an already-lowered program with its baked
-/// copy-elimination flags, so runs that share a plan — one per contention
-/// scenario — share one lowering: validate, [`evaluate`], then simulate.
-/// Runs that are schedules of *one* execution (a fleet's N + 1, the
-/// candidates of a placement search) share the evaluation too, through
-/// [`simulate`].
-///
-/// When `shard` is given the run is charged as one shard of a fleet:
-/// values are still computed in full (so `values_fingerprint` matches the
-/// unsharded run), but extensive costs are restricted to the shard's
-/// charge range and row slice.
-///
-/// # Errors
-///
-/// As [`execute`]; additionally rejects a lowering whose line count does
-/// not match `program`.
-pub fn execute_lowered(
-    program: &Program,
-    lowered: &LoweredProgram,
-    storage: &Storage,
-    placements: &[EngineKind],
-    system: &mut System,
-    opts: &ExecOptions,
-    estimates: Option<&[LineEstimate]>,
-    shard: Option<&ShardSlice>,
-) -> Result<RunReport> {
-    let evaluation = evaluate(program, lowered, storage, opts)?;
+    let evaluation = evaluate(program, &lowered, storage, opts)?;
     simulate(
         program,
         &evaluation,
@@ -421,7 +399,7 @@ pub fn execute_lowered(
         system,
         opts,
         estimates,
-        shard,
+        None,
     )
 }
 
@@ -508,8 +486,12 @@ pub fn evaluate(
 }
 
 /// Simulates one schedule of an already evaluated program: `placements`
-/// on `system` under `opts`, charged as `shard` when given. Everything
-/// [`execute_lowered`] does after evaluating.
+/// on `system` under `opts` — everything [`execute`] does after evaluating.
+///
+/// When `shard` is given the run is charged as one shard of a fleet:
+/// values were still computed in full (so `values_fingerprint` matches the
+/// unsharded run), but extensive costs are restricted to the shard's
+/// charge range and row slice.
 ///
 /// # Errors
 ///
@@ -919,7 +901,7 @@ impl Run<'_> {
 
         // Distribute the CSD binary into device memory before execution
         // starts. A must-complete transfer: DMA faults only delay it.
-        if self.csd_total > 0 && self.opts.offload_overheads {
+        if self.csd_total > 0 {
             let binary = Bytes::new(binary_bytes_for(self.csd_total));
             self.recov.run_to_completion(self.system, |s| {
                 s.try_transfer(Direction::HostToDevice, binary)
@@ -1205,25 +1187,23 @@ impl Run<'_> {
     /// region's monitor.
     fn prepare(&mut self, start: usize, end: usize) -> Result<Region> {
         let program = self.program;
-        if self.opts.offload_overheads {
-            // The invocation command can be hit by injected NVMe errors (or
-            // observe the crash). Rolled — and hard-failed — *before* any
-            // region state is evaluated or relocated, so an aborted prepare
-            // needs no unwinding: the caller just re-places the lines.
-            self.recov
-                .run_bounded(self.system, |s| s.try_nvme_command())
-                .map_err(escalate)?;
-            let now = self.system.now();
-            self.system
-                .queue_mut()
-                .submit(now, CommandKind::InvokeFunction { entry_line: start })
-                .map_err(|e| ActivePyError::exec(format!("queue submit failed: {e}")))?;
-            self.system
-                .queue_mut()
-                .fetch()
-                .map_err(|e| ActivePyError::exec(format!("queue fetch failed: {e}")))?;
-            self.system.charge_invocation();
-        }
+        // The invocation command can be hit by injected NVMe errors (or
+        // observe the crash). Rolled — and hard-failed — *before* any
+        // region state is evaluated or relocated, so an aborted prepare
+        // needs no unwinding: the caller just re-places the lines.
+        self.recov
+            .run_bounded(self.system, |s| s.try_nvme_command())
+            .map_err(escalate)?;
+        let now = self.system.now();
+        self.system
+            .queue_mut()
+            .submit(now, CommandKind::InvokeFunction { entry_line: start })
+            .map_err(|e| ActivePyError::exec(format!("queue submit failed: {e}")))?;
+        self.system
+            .queue_mut()
+            .fetch()
+            .map_err(|e| ActivePyError::exec(format!("queue fetch failed: {e}")))?;
+        self.system.charge_invocation();
         let mut lines = Vec::with_capacity(end - start + 1);
         let mut external_input_bytes = 0u64;
         for line in &program.lines()[start..=end] {
@@ -1369,9 +1349,7 @@ impl Run<'_> {
             })?;
             l.done_ops += ops;
         }
-        if self.opts.offload_overheads {
-            self.system.charge_status_update();
-        }
+        self.system.charge_status_update();
         Ok(ops)
     }
 
@@ -1818,7 +1796,6 @@ pub fn execute_all_host(
         tier,
         params: *params,
         monitor: None,
-        offload_overheads: false,
         ..ExecOptions::activepy()
     };
     execute(
@@ -2246,7 +2223,7 @@ mod tests {
     }
 
     #[test]
-    fn execute_lowered_matches_execute() {
+    fn a_kept_lowering_runs_like_execute() {
         let program = parse(SRC).expect("parse");
         let st = storage();
         let pl = placements(&[0, 1], 4);
@@ -2254,9 +2231,9 @@ mod tests {
         let lowered = alang::lower::lower_with(&program, &flags).expect("lower");
         let opts = ExecOptions::native_static();
         let mut sys_a = SystemConfig::paper_default().build();
+        let evaluation = evaluate(&program, &lowered, &st, &opts).expect("evaluate");
         let via_lowered =
-            execute_lowered(&program, &lowered, &st, &pl, &mut sys_a, &opts, None, None)
-                .expect("run");
+            simulate(&program, &evaluation, &pl, &mut sys_a, &opts, None, None).expect("run");
         let mut sys_b = SystemConfig::paper_default().build();
         let direct = execute(&program, &st, &pl, &mut sys_b, &opts, None, &flags).expect("run");
         assert_eq!(via_lowered, direct);
@@ -2284,17 +2261,9 @@ mod tests {
             evaluate(&program, &lowered, &st, &ExecOptions::activepy()).expect("evaluate");
         for (pl, opts) in &schedules {
             let mut fresh_sys = SystemConfig::paper_default().build();
-            let fresh = execute_lowered(
-                &program,
-                &lowered,
-                &st,
-                pl,
-                &mut fresh_sys,
-                opts,
-                None,
-                None,
-            )
-            .expect("fresh run");
+            let own = evaluate(&program, &lowered, &st, opts).expect("evaluate");
+            let fresh =
+                simulate(&program, &own, pl, &mut fresh_sys, opts, None, None).expect("fresh run");
             let mut sys = SystemConfig::paper_default().build();
             let shared =
                 simulate(&program, &evaluation, pl, &mut sys, opts, None, None).expect("simulate");
@@ -2421,17 +2390,11 @@ mod tests {
         let program = parse(SRC).expect("parse");
         let short = parse("a = 1\n").expect("parse");
         let lowered = alang::lower::lower(&short).expect("lower");
-        let st = storage();
-        let mut sys = SystemConfig::paper_default().build();
-        let e = execute_lowered(
+        let e = evaluate(
             &program,
             &lowered,
-            &st,
-            &placements(&[], 4),
-            &mut sys,
+            &storage(),
             &ExecOptions::native_static(),
-            None,
-            None,
         )
         .unwrap_err();
         assert!(matches!(e, ActivePyError::Exec { .. }));
@@ -2592,7 +2555,16 @@ mod tests {
         bad_faults.faults.flash_read_error_prob = 2.0;
         let mut bad_parallel = ExecOptions::activepy();
         bad_parallel.parallel.threads = 0;
-        for opts in [bad_recovery, bad_faults, bad_parallel] {
+        let bad_preempt = ExecOptions::activepy().with_preemption_at(f64::NAN);
+        let mut bad_params = ExecOptions::activepy();
+        bad_params.params.scan_ops_per_byte = -0.5;
+        for opts in [
+            bad_recovery,
+            bad_faults,
+            bad_parallel,
+            bad_preempt,
+            bad_params,
+        ] {
             let mut sys = SystemConfig::paper_default().build();
             let e = execute(&program, &st, &pl, &mut sys, &opts, None, &[]).unwrap_err();
             assert!(matches!(e, ActivePyError::Config { .. }), "got {e}");

@@ -15,11 +15,11 @@
 use crate::error::{ActivePyError, Result};
 use crate::sampling::LineSamples;
 use alang::LineCost;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// The five candidate complexity classes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Complexity {
     /// Constant.
     O1,
@@ -69,7 +69,7 @@ impl fmt::Display for Complexity {
 }
 
 /// A fitted curve for one scalar series.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct FittedCurve {
     /// The winning complexity class.
     pub complexity: Complexity,
@@ -145,7 +145,7 @@ pub fn fit_series(points: &[(f64, f64)]) -> Result<FittedCurve> {
 
 /// The full-scale prediction for one line, with the curves that produced
 /// it.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LinePrediction {
     /// The line index.
     pub line: usize,

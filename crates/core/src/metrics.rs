@@ -20,13 +20,13 @@ use crate::recovery::RecoveryStats;
 use alang::ParStatsSnapshot;
 use csd_sim::fault::FaultCounters;
 use isp_obs::Tracer;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Deterministic audit-layer accumulators: how many lines a calibration
 /// pass joined, how many counterfactual placement flips it found, and
 /// the mean absolute relative time error (integral parts per million so
 /// snapshot equality stays exact).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct AuditStats {
     /// Lines joined by [`crate::audit::calibrate`] (0 for unaudited runs).
     pub lines_audited: u64,
@@ -40,7 +40,7 @@ pub struct AuditStats {
 ///
 /// Serialized field order is the declaration order and is part of the
 /// repro's byte-stability contract (golden journals diff this block).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct MetricsSnapshot {
     /// Plan-cache lookups satisfied from the cache (0 for uncached runs).
     pub plan_cache_hits: u64,

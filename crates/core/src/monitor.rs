@@ -9,10 +9,10 @@
 
 use crate::error::{ActivePyError, Result};
 use csd_sim::counters::PerfCounters;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Monitor tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct MonitorConfig {
     /// Measured/expected throughput ratio below which the monitor flags
     /// degradation (condition 2).
@@ -84,7 +84,7 @@ impl Default for MonitorConfig {
 }
 
 /// What the monitor concluded after a status update.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Observation {
     /// Not enough data yet.
     Warmup,
@@ -206,12 +206,6 @@ impl Monitor {
         self.last_raw = None;
     }
 
-    /// The smoothed measured throughput (ops/sec of wall time).
-    #[must_use]
-    pub fn measured_rate(&self) -> Option<f64> {
-        self.last_rate
-    }
-
     /// A compact deterministic snapshot of the monitor's accumulated
     /// evidence — the raw-rate reference and the decrease streak — for
     /// the execution WAL. `(last_raw.to_bits(), decreases)`; the raw
@@ -235,7 +229,7 @@ impl Monitor {
 }
 
 /// What [`ShardMonitors`] decides for a shard that has not yet run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ShardDecision {
     /// No fleet-wide pressure (or the shard already ran): execute on-device
     /// as planned and let the shard's own [`Monitor`] drive any migration.
@@ -346,7 +340,7 @@ mod tests {
             m.observe(&counters(1_000_000_000, 1.0)),
             Observation::Healthy
         );
-        assert_eq!(m.measured_rate(), Some(1e9));
+        assert_eq!(m.last_rate, Some(1e9));
     }
 
     #[test]

@@ -381,6 +381,12 @@ fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
             let logical_cols = r.u64()?;
             let logical_nnz = r.u64()?;
             let row_ptr = dec_vec(r, |r| r.u32())?;
+            if row_ptr.len().checked_sub(1) != Some(rows) {
+                return Err(format!(
+                    "csr row_ptr length {} does not match {rows} rows",
+                    row_ptr.len()
+                ));
+            }
             let (col_idx, values) = dec_vec(r, |r| Ok((r.u32()?, r.f64()?)))?
                 .into_iter()
                 .unzip();
@@ -389,7 +395,6 @@ fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
                     row_ptr,
                     col_idx,
                     values,
-                    rows,
                     cols,
                     logical_rows,
                     logical_cols,

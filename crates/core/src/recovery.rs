@@ -12,7 +12,7 @@ use csd_sim::fault::DeviceFault;
 use csd_sim::units::Duration;
 use csd_sim::System;
 use isp_obs::{SpanKind, Tracer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Stable short name of a fault variant, used as the `kind` attribute of
 /// `fault.injected` trace instants (matches the `fault.*_errors` counter
@@ -27,7 +27,7 @@ pub(crate) fn fault_kind_str(fault: &DeviceFault) -> &'static str {
 }
 
 /// How the runtime responds to injected device faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct RecoveryPolicy {
     /// Retries allowed per operation before a transient fault is treated
     /// as hard.
@@ -123,7 +123,7 @@ impl RecoveryPolicy {
 
 /// Counters a run's recovery layer accumulates; reported as
 /// `RunReport.metrics.recovery`.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct RecoveryStats {
     /// Transient faults absorbed (each injected transient fault counts
     /// exactly once, whether or not its retry succeeded).

@@ -13,7 +13,7 @@ use std::time::Instant;
 use crate::assign::{assign_refined_traced, projected_cost, Assignment};
 use crate::error::Result;
 use crate::estimate::{estimate_lines, Calibration, LineEstimate};
-use crate::exec::{execute_lowered, ExecOptions, RunReport};
+use crate::exec::{evaluate, simulate, ExecOptions, RunReport};
 use crate::fit::{blend_predictions, predict_lines, LinePrediction};
 use crate::monitor::MonitorConfig;
 use crate::plan::{OffloadPlan, PlanTimings};
@@ -40,8 +40,6 @@ pub struct ActivePyOptions {
     /// Monitoring/migration policy (`None` disables migration — the
     /// "ActivePy w/o migration" configuration of Figure 5).
     pub monitor: Option<MonitorConfig>,
-    /// Whether sampling and code-generation time is charged to the clock.
-    pub charge_pipeline_overheads: bool,
     /// Optional high-priority preemption time (§III-D case 1): the device
     /// signals through the command pages and the ISP task vacates at the
     /// next status update.
@@ -84,7 +82,6 @@ impl Default for ActivePyOptions {
             scales: paper_scales(),
             params: CostParams::paper_default(),
             monitor: Some(MonitorConfig::default()),
-            charge_pipeline_overheads: true,
             preempt_at: None,
             recovery: RecoveryPolicy::default(),
             faults: FaultPlan::none(),
@@ -379,13 +376,7 @@ impl ActivePy {
         //    reuses the bytecode.
         let span = tracer.begin("phase.compile", SpanKind::Phase, None);
         let lowered = alang::lower::lower_with(program, &copy_elim)?;
-        let csd_line_count = assignment.csd_lines.len();
-        let compile_secs = compile_secs_for(program.len())
-            + if csd_line_count > 0 {
-                compile_secs_for(csd_line_count)
-            } else {
-                0.0
-            };
+        let compile_secs = codegen_secs(program, &assignment);
         tracer.end_with(
             span,
             None,
@@ -393,12 +384,7 @@ impl ActivePy {
         );
         timings.assign_nanos = phase_nanos(phase);
 
-        let eq1 = crate::audit::capture_terms(
-            &estimates,
-            &assignment,
-            config.d2h_bandwidth().as_bytes_per_sec(),
-            1,
-        );
+        let eq1 = eq1_terms(&estimates, &assignment, config);
         Ok(OffloadPlan {
             program: program.clone(),
             lowered,
@@ -466,19 +452,13 @@ impl ActivePy {
                 t_csd: prior_cost,
             };
         }
-        let csd_line_count = assignment.csd_lines.len();
-        let compile_secs = compile_secs_for(prior.program.len())
-            + if csd_line_count > 0 {
-                compile_secs_for(csd_line_count)
-            } else {
-                0.0
-            };
+        let compile_secs = codegen_secs(&prior.program, &assignment);
         tracer.end_with(
             span,
             None,
-            tracer.attrs(|| vec![("csd_lines".into(), csd_line_count.into())]),
+            tracer.attrs(|| vec![("csd_lines".into(), assignment.csd_lines.len().into())]),
         );
-        let eq1 = crate::audit::capture_terms(&estimates, &assignment, bw, 1);
+        let eq1 = eq1_terms(&estimates, &assignment, config);
         Ok(OffloadPlan {
             program: prior.program.clone(),
             lowered: prior.lowered.clone(),
@@ -510,27 +490,26 @@ impl ActivePy {
         scenario: ContentionScenario,
     ) -> Result<ActivePyOutcome> {
         let mut system = config.build();
-        if self.options.charge_pipeline_overheads {
-            system.advance(Duration::from_secs(plan.sampling_secs + plan.compile_secs));
-            let tracer = &self.options.tracer;
-            tracer.instant(
-                "exec.pipeline_overheads",
-                SpanKind::Phase,
-                Some(system.now().as_secs()),
-                tracer.attrs(|| {
-                    vec![
-                        ("sampling_secs".into(), plan.sampling_secs.into()),
-                        ("compile_secs".into(), plan.compile_secs.into()),
-                    ]
-                }),
-            );
-        }
+        // Sampling and code generation are charged to the clock ahead of the run.
+        system.advance(Duration::from_secs(plan.sampling_secs + plan.compile_secs));
+        let tracer = &self.options.tracer;
+        tracer.instant(
+            "exec.pipeline_overheads",
+            SpanKind::Phase,
+            Some(system.now().as_secs()),
+            tracer.attrs(|| {
+                vec![
+                    ("sampling_secs".into(), plan.sampling_secs.into()),
+                    ("compile_secs".into(), plan.compile_secs.into()),
+                ]
+            }),
+        );
         let opts = self.options.exec_options(scenario);
         // Journal the plan identity before executing: a resume against a
         // different plan (changed program, drifted fit) is detected at
         // the very first record rather than at some divergent boundary.
-        // Fingerprinting a plan renders and hashes it, so only for a
-        // journal that will keep the record.
+        // Fingerprinting walks every hashed part of the plan, so only for
+        // a journal that will keep the record.
         if opts.journal.is_enabled() {
             opts.journal.on_record(WalRecord::PlanCommit {
                 lane: 0,
@@ -541,10 +520,10 @@ impl ActivePy {
         let placements = plan.assignment.placements(plan.program.len());
         // The plan carries the lowering (baked with `plan.copy_elim`);
         // don't re-lower per scenario.
-        let mut report = execute_lowered(
+        let evaluation = evaluate(&plan.program, &plan.lowered, &plan.full_storage, &opts)?;
+        let mut report = simulate(
             &plan.program,
-            &plan.lowered,
-            &plan.full_storage,
+            &evaluation,
             &placements,
             &mut system,
             &opts,
@@ -554,12 +533,7 @@ impl ActivePy {
         // Echo the Eq. 1 terms of the assignment that actually executed
         // (recomputed rather than copied from `plan.eq1`, so callers that
         // force placements on a cloned plan still audit what ran).
-        report.eq1 = crate::audit::capture_terms(
-            &plan.estimates,
-            &plan.assignment,
-            config.d2h_bandwidth().as_bytes_per_sec(),
-            1,
-        );
+        report.eq1 = eq1_terms(&plan.estimates, &plan.assignment, config);
 
         Ok(ActivePyOutcome {
             report,
@@ -583,6 +557,28 @@ impl ActivePy {
         let storage_bw = config.host_storage_bandwidth().as_bytes_per_sec();
         ops as f64 / host_rate + sampling.total_sampling_cost.storage_bytes as f64 / storage_bw
     }
+}
+
+/// Simulated code-generation time: the whole program is compiled for the
+/// host, and the CSD partition once more when anything offloads.
+fn codegen_secs(program: &Program, assignment: &Assignment) -> f64 {
+    let csd_line_count = assignment.csd_lines.len();
+    compile_secs_for(program.len())
+        + if csd_line_count > 0 {
+            compile_secs_for(csd_line_count)
+        } else {
+            0.0
+        }
+}
+
+/// The per-line Eq. 1 terms of `assignment` on one device of `config`.
+fn eq1_terms(
+    estimates: &[LineEstimate],
+    assignment: &Assignment,
+    config: &SystemConfig,
+) -> Vec<crate::audit::Eq1Term> {
+    let bw = config.d2h_bandwidth().as_bytes_per_sec();
+    crate::audit::capture_terms(estimates, assignment, bw, 1)
 }
 
 /// Host wall-clock elapsed since `start`, saturating into `u64` nanos.

@@ -17,7 +17,7 @@ use alang::builtins::Storage;
 use alang::copyelim::{DatasetTypes, StaticType};
 use alang::{LineCost, Program, Value, Vm};
 use isp_obs::{SpanKind, Tracer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A provider of program inputs at arbitrary scale.
 ///
@@ -77,7 +77,7 @@ pub fn paper_scales() -> Vec<f64> {
 }
 
 /// One sample run's measurement for one line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct SamplePoint {
     /// The scale factor of the sample input.
     pub scale: f64,
@@ -86,7 +86,7 @@ pub struct SamplePoint {
 }
 
 /// All sample measurements for one line.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct LineSamples {
     /// The line index.
     pub line: usize,

@@ -46,7 +46,7 @@ use csd_sim::fault::{FaultCounters, FaultPlan};
 use csd_sim::units::{Bandwidth, Duration, Ops, SimTime};
 use csd_sim::{EngineKind, Fleet, System, SystemConfig};
 use isp_obs::SpanKind;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::Arc;
 
 /// Host-side combine cost: one operation per gathered 8-byte element.
@@ -249,7 +249,7 @@ impl ShardSlice {
 }
 
 /// One shard's slice of the scatter phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShardRunReport {
     /// Shard index.
     pub shard: usize,
@@ -262,7 +262,7 @@ pub struct ShardRunReport {
 }
 
 /// The result of one scatter-gather fleet execution.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetReport {
     /// End-to-end latency: lead-in + scatter + gather + combine + tail.
     pub total_secs: f64,
@@ -589,9 +589,9 @@ pub fn execute_sharded(
     })
 }
 
-/// Executes `program` across a fresh default-budget fleet of `n` devices
-/// with the same base `placements` on every shard — the proptest
-/// differential's entry point (no planning pipeline involved).
+/// Executes `program` across a fresh default-budget fleet of one device per
+/// shard of `map`, with the same base `placements` on every shard — the
+/// proptest differential's entry point (no planning pipeline involved).
 ///
 /// # Errors
 ///
@@ -604,8 +604,8 @@ pub fn execute_sharded_raw(
     config: &SystemConfig,
     opts: &ExecOptions,
     shard_faults: &[FaultPlan],
-    n: usize,
 ) -> Result<FleetReport> {
+    let n = map.count();
     let mut fleet = Fleet::new(config, n);
     let lowered = alang::lower::lower(program)?;
     let run = FleetRun {
@@ -658,11 +658,7 @@ pub fn execute_sharded_plan(
             shard_fp: plan.map.fingerprint(),
         })?;
     }
-    let lead_in_secs = if ropts.charge_pipeline_overheads {
-        plan.base.sampling_secs + plan.base.compile_secs
-    } else {
-        0.0
-    };
+    let lead_in_secs = plan.base.sampling_secs + plan.base.compile_secs;
     let run = FleetRun {
         program: &plan.base.program,
         storage: &plan.base.full_storage,
@@ -769,17 +765,9 @@ mod tests {
         let run = |last: &str| {
             let program = parse(&format!("{SRC}{last} = s + 1\n")).expect("parse");
             let opts = ExecOptions::activepy();
-            let report = execute_sharded_raw(
-                &program,
-                &storage,
-                &map,
-                &placements,
-                &config,
-                &opts,
-                &[],
-                4,
-            )
-            .expect("fleet run");
+            let report =
+                execute_sharded_raw(&program, &storage, &map, &placements, &config, &opts, &[])
+                    .expect("fleet run");
             let h2d: Vec<u64> = report.shards.iter().map(|s| s.report.h2d_bytes).collect();
             (
                 report.gathered_bytes,

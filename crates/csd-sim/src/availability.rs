@@ -13,7 +13,7 @@
 //! time-stepping.
 
 use crate::units::{Duration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Process-wide count of fraction values clamped up to
@@ -42,7 +42,7 @@ fn record_clamp(requested: f64) {
 
 /// One constant-availability segment, from [`Segment::start`] until the next
 /// segment's start (the last segment extends to infinity).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Segment {
     /// Time at which this availability level begins.
     pub start: SimTime,
@@ -61,7 +61,7 @@ pub struct Segment {
 /// assert_eq!(tr.fraction_at(SimTime::from_secs(5.0)), 1.0);
 /// assert_eq!(tr.fraction_at(SimTime::from_secs(12.0)), 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct AvailabilityTrace {
     segments: Vec<Segment>,
 }
@@ -216,15 +216,6 @@ impl AvailabilityTrace {
         self.segments.iter().map(|s| s.start).find(|&s| s > t)
     }
 
-    /// The time-weighted mean availability over `[start, start + duration]`.
-    #[must_use]
-    pub fn mean_over(&self, start: SimTime, duration: Duration) -> f64 {
-        if duration.is_zero() {
-            return self.fraction_at(start);
-        }
-        self.integrate(start, duration) / duration.as_secs()
-    }
-
     /// The pointwise product of two traces — two independent throughput
     /// thieves (e.g. garbage collection and a competing tenant) compose
     /// multiplicatively.
@@ -324,13 +315,6 @@ mod tests {
         assert_eq!(tr.fraction_at(SimTime::from_secs(4.0)), 0.2);
         // The 5.0s change was dropped because 3.0 < 5.0 rewrites the tail.
         assert_eq!(tr.fraction_at(SimTime::from_secs(10.0)), 0.2);
-    }
-
-    #[test]
-    fn mean_over_weights_by_time() {
-        let tr = AvailabilityTrace::full().with_change(SimTime::from_secs(1.0), 0.5);
-        let mean = tr.mean_over(SimTime::ZERO, Duration::from_secs(2.0));
-        assert!((mean - 0.75).abs() < 1e-12);
     }
 
     #[test]

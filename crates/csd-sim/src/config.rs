@@ -6,18 +6,16 @@
 //! PCIe 3.0 hub giving storage traffic 4 GB/s. All parameters can be
 //! overridden through the builder-style `with_*` methods.
 
-use crate::dma::DmaEngine;
-use crate::engine::{default_cse_spec, default_host_spec, ComputeEngine, EngineSpec};
-use crate::flash::{FlashArray, GcSchedule};
+use crate::engine::{default_cse_spec, default_host_spec, EngineSpec};
+use crate::flash::GcSchedule;
 use crate::link::{Link, Path};
-use crate::memory::SharedAddressSpace;
-use crate::nvme::{QueueLatencies, QueuePair};
+use crate::nvme::QueueLatencies;
 use crate::system::System;
 use crate::units::{Bandwidth, Bytes, Duration};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Complete static description of the simulated platform.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SystemConfig {
     /// Host CPU description.
     pub host: EngineSpec,
@@ -136,20 +134,7 @@ impl SystemConfig {
     /// Builds a runnable [`System`].
     #[must_use]
     pub fn build(&self) -> System {
-        let mut flash = FlashArray::new(self.flash_capacity, self.flash_internal_bandwidth);
-        if let Some(gc) = self.gc {
-            flash.set_gc(gc);
-        }
-        System::from_parts(
-            self.clone(),
-            ComputeEngine::new(self.host),
-            ComputeEngine::new(self.cse),
-            flash,
-            self.d2h_path(),
-            QueuePair::new(self.queue_depth, self.queue_latencies),
-            DmaEngine::new(self.dma_setup),
-            SharedAddressSpace::new(self.host_dram, self.device_dram),
-        )
+        System::from_config(self.clone())
     }
 }
 

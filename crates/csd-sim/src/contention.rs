@@ -9,11 +9,11 @@
 //! shape; the execution engine installs it on the affected resources.
 
 use crate::units::SimTime;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// When the contention kicks in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum Trigger {
     /// Contention is present from the very start of the run.
     AtStart,
@@ -28,7 +28,7 @@ pub enum Trigger {
 }
 
 /// A CSD-contention scenario.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct ContentionScenario {
     trigger: Trigger,
     fraction: f64,
@@ -111,14 +111,6 @@ impl ContentionScenario {
         }
     }
 
-    /// Overrides whether the scenario degrades the internal flash data
-    /// path in addition to the CSE.
-    #[must_use]
-    pub fn with_storage_contention(mut self, affects_storage: bool) -> Self {
-        self.affects_storage = affects_storage;
-        self
-    }
-
     /// Schedules the competing tenants to leave at the absolute simulated
     /// time `at`: every throttled resource returns to full availability
     /// from then on. Phase-shifting traces (drop, then recover) are how the
@@ -174,16 +166,6 @@ impl ContentionScenario {
             Trigger::AtTime(_) => false,
         }
     }
-
-    /// The availability the ISP task receives at the given progress.
-    #[must_use]
-    pub fn availability_at_progress(&self, progress: f64) -> f64 {
-        if self.active_at_progress(progress) {
-            self.fraction
-        } else {
-            1.0
-        }
-    }
 }
 
 fn check_fraction(fraction: f64) {
@@ -236,7 +218,6 @@ mod tests {
         assert!(s.is_none());
         assert!(!s.active_at_progress(0.0));
         assert!(!s.active_at_progress(1.0));
-        assert_eq!(s.availability_at_progress(0.7), 1.0);
         assert!(!s.affects_storage());
     }
 
@@ -244,7 +225,6 @@ mod tests {
     fn constant_is_active_immediately_and_compute_only() {
         let s = ContentionScenario::constant(0.4);
         assert!(s.active_at_progress(0.0));
-        assert_eq!(s.availability_at_progress(0.0), 0.4);
         assert!(!s.affects_storage(), "Figure 2 throttles CSE time only");
     }
 
@@ -253,8 +233,6 @@ mod tests {
         let s = ContentionScenario::after_progress(0.5, 0.1);
         assert!(!s.active_at_progress(0.49));
         assert!(s.active_at_progress(0.5));
-        assert_eq!(s.availability_at_progress(0.25), 1.0);
-        assert_eq!(s.availability_at_progress(0.75), 0.1);
         assert!(
             s.affects_storage(),
             "Figure 5 tenants are full ISP workloads"
@@ -279,14 +257,6 @@ mod tests {
         let s = ContentionScenario::at_time(SimTime::from_secs(1.0), 0.5)
             .with_recovery_at(SimTime::from_secs(3.0));
         assert_eq!(s.recover_at(), Some(SimTime::from_secs(3.0)));
-    }
-
-    #[test]
-    fn storage_override() {
-        let s = ContentionScenario::constant(0.5).with_storage_contention(true);
-        assert!(s.affects_storage());
-        let s = ContentionScenario::after_progress(0.5, 0.5).with_storage_contention(false);
-        assert!(!s.affects_storage());
     }
 
     #[test]

@@ -9,10 +9,10 @@
 //! instructions-per-cycle (IPC) figure.
 
 use crate::units::{Duration, Ops};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Accumulated performance counters for one compute engine.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize)]
 pub struct PerfCounters {
     retired: Ops,
     busy: Duration,

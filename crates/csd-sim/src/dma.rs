@@ -7,10 +7,10 @@
 
 use crate::link::Path;
 use crate::units::{Bytes, Duration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Direction of a DMA transfer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Direction {
     /// Host memory to device memory.
     HostToDevice,
@@ -19,7 +19,7 @@ pub enum Direction {
 }
 
 /// A DMA engine bound to an interconnect path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct DmaEngine {
     setup: Duration,
     h2d_bytes: Bytes,

@@ -9,11 +9,11 @@
 use crate::availability::AvailabilityTrace;
 use crate::counters::PerfCounters;
 use crate::units::{Duration, OpRate, Ops, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// Which compute engine a task (or a line of code) runs on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum EngineKind {
     /// The host computer's CPU.
     Host,
@@ -42,7 +42,7 @@ impl fmt::Display for EngineKind {
 }
 
 /// Static description of a compute engine.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct EngineSpec {
     /// Which engine this is.
     pub kind: EngineKind,
@@ -72,7 +72,7 @@ impl EngineSpec {
 }
 
 /// A compute engine instance: spec + availability + counters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ComputeEngine {
     spec: EngineSpec,
     availability: AvailabilityTrace,

@@ -27,13 +27,13 @@ use crate::availability::AvailabilityTrace;
 use crate::units::{Duration, SimTime};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// One garbage-collection burst: availability collapses to
 /// [`GcBurst::residual_fraction`] for the window
 /// `[start, start + duration)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GcBurst {
     /// When the burst begins.
     pub start: SimTime,
@@ -49,7 +49,7 @@ pub struct GcBurst {
 /// Probabilities are capped at [`FaultPlan::MAX_ERROR_PROB`] so that
 /// retry-until-success loops (used for must-complete transfers) are
 /// guaranteed to terminate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultPlan {
     /// Seed for the per-operation failure draws.
     pub seed: u64,
@@ -229,7 +229,7 @@ impl Default for FaultPlan {
 }
 
 /// One injected device fault, stamped with the sim time it fired.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub enum DeviceFault {
     /// A transient flash read error on the device-internal path.
     FlashRead {
@@ -288,7 +288,7 @@ impl fmt::Display for DeviceFault {
 impl std::error::Error for DeviceFault {}
 
 /// Running totals of injected faults, by class.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct FaultCounters {
     /// Transient flash read errors injected.
     pub flash_read_errors: u64,
@@ -311,7 +311,7 @@ impl FaultCounters {
 /// Executes a [`FaultPlan`] against a stream of operations: each
 /// `roll_*` call consults the plan (and one PRNG draw, when the class
 /// has a non-zero probability) and reports whether the operation fails.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FaultInjector {
     plan: FaultPlan,
     rng_state: u64,

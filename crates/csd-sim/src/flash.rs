@@ -12,10 +12,10 @@
 
 use crate::availability::AvailabilityTrace;
 use crate::units::{Bandwidth, Bytes, Duration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Periodic garbage-collection schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct GcSchedule {
     /// Interval between GC window starts.
     pub period: Duration,
@@ -63,7 +63,7 @@ impl GcSchedule {
 const GC_HORIZON_PERIODS: u32 = 64;
 
 /// The CSD's internal NAND flash array.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlashArray {
     capacity: Bytes,
     internal_bandwidth: Bandwidth,
@@ -105,11 +105,6 @@ impl FlashArray {
     /// Installs a garbage-collection schedule.
     pub fn set_gc(&mut self, gc: GcSchedule) {
         self.gc = Some(gc);
-    }
-
-    /// Removes any garbage-collection schedule.
-    pub fn clear_gc(&mut self) {
-        self.gc = None;
     }
 
     /// Installs a tenant-contention trace: competing ISP workloads sharing
@@ -307,19 +302,6 @@ mod tests {
     #[should_panic(expected = "window")]
     fn gc_window_longer_than_period_rejected() {
         let _ = GcSchedule::new(Duration::from_secs(1.0), Duration::from_secs(2.0), 0.5);
-    }
-
-    #[test]
-    fn clear_gc_restores_peak() {
-        let mut fl = array();
-        fl.set_gc(GcSchedule::new(
-            Duration::from_secs(1.0),
-            Duration::from_secs(0.9),
-            0.1,
-        ));
-        fl.clear_gc();
-        let t = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
-        assert!((t.as_secs() - 1.0).abs() < 1e-9);
     }
 
     #[test]

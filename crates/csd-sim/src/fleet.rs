@@ -20,7 +20,8 @@
 //!
 //! and the effective per-shard bandwidth seen by a planner that assumes
 //! all N shards stream at once is `min(BW_link, BW_budget / N)` — the
-//! shared-link term of the shard-aware Eq. 1.
+//! shared-link term of the shard-aware Eq. 1, which the planner computes
+//! from the same two figures.
 
 use crate::config::SystemConfig;
 use crate::fault::{FaultCounters, FaultPlan};
@@ -77,26 +78,6 @@ impl Fleet {
     #[must_use]
     pub fn is_empty(&self) -> bool {
         self.devices.is_empty()
-    }
-
-    /// The per-device D2H link bandwidth.
-    #[must_use]
-    pub fn link_bandwidth(&self) -> Bandwidth {
-        self.link
-    }
-
-    /// The host root-complex aggregate budget.
-    #[must_use]
-    pub fn shared_budget(&self) -> Bandwidth {
-        self.budget
-    }
-
-    /// The bandwidth one shard effectively sees when all N stream at
-    /// once: `min(link, budget / N)` — the shared-link term of Eq. 1.
-    #[must_use]
-    pub fn effective_shard_bandwidth(&self) -> Bandwidth {
-        self.link
-            .min(self.budget.scale(1.0 / self.devices.len() as f64))
     }
 
     /// Immutable access to device `s`.
@@ -171,38 +152,11 @@ mod tests {
     use crate::units::SimTime;
 
     #[test]
-    fn default_budget_is_four_links() {
-        let cfg = SystemConfig::paper_default();
-        let fleet = Fleet::new(&cfg, 4);
-        let link = cfg.d2h_bandwidth().as_bytes_per_sec();
-        assert_eq!(fleet.len(), 4);
-        assert!((fleet.shared_budget().as_bytes_per_sec() - 4.0 * link).abs() < 1e-6);
-    }
-
-    #[test]
-    fn effective_bandwidth_is_link_until_budget_saturates() {
-        let cfg = SystemConfig::paper_default();
-        let link = cfg.d2h_bandwidth().as_bytes_per_sec();
-        for n in [1usize, 2, 4] {
-            let f = Fleet::new(&cfg, n);
-            assert!(
-                (f.effective_shard_bandwidth().as_bytes_per_sec() - link).abs() < 1e-6,
-                "n={n} should still run at full link rate"
-            );
-        }
-        let f8 = Fleet::new(&cfg, 8);
-        assert!(
-            (f8.effective_shard_bandwidth().as_bytes_per_sec() - 4.0 * link / 8.0).abs() < 1e-6,
-            "8 shards over a 4-link budget halve the per-shard rate"
-        );
-    }
-
-    #[test]
     fn gather_is_max_of_link_and_budget_bottlenecks() {
         let cfg = SystemConfig::paper_default();
         let fleet = Fleet::new(&cfg, 8);
-        let link = fleet.link_bandwidth().as_bytes_per_sec();
-        let budget = fleet.shared_budget().as_bytes_per_sec();
+        let link = cfg.d2h_bandwidth().as_bytes_per_sec();
+        let budget = DEFAULT_BUDGET_LINKS * link;
         // One busy shard: link-bound.
         let one = vec![1_000_000_000u64, 0, 0, 0, 0, 0, 0, 0];
         assert!((fleet.gather_secs(&one) - 1e9 / link).abs() < 1e-9);

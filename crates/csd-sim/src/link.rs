@@ -8,11 +8,11 @@
 
 use crate::availability::AvailabilityTrace;
 use crate::units::{Bandwidth, Bytes, Duration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 
 /// A point-to-point interconnect link.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Link {
     name: String,
     bandwidth: Bandwidth,
@@ -111,7 +111,7 @@ impl fmt::Display for Link {
 /// let t = path.time_to_transfer(SimTime::ZERO, Bytes::from_gb_f64(4.0));
 /// assert!(t.as_secs() > 1.0 && t.as_secs() < 1.01);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Path {
     links: Vec<Link>,
 }

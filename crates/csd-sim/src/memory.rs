@@ -13,12 +13,12 @@
 
 use crate::engine::EngineKind;
 use crate::units::Bytes;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::BTreeMap;
 use std::fmt;
 
 /// Where an object physically lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Region {
     /// Host main memory.
     HostDram,
@@ -35,13 +35,6 @@ impl Region {
             EngineKind::Cse => Region::DeviceDram,
         }
     }
-
-    /// Whether `engine` accesses this region without crossing the system
-    /// interconnect.
-    #[must_use]
-    pub fn is_local_to(self, engine: EngineKind) -> bool {
-        self == Region::local_to(engine)
-    }
 }
 
 impl fmt::Display for Region {
@@ -54,7 +47,7 @@ impl fmt::Display for Region {
 }
 
 /// Stable handle to an allocated object.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct ObjectId(u64);
 
 impl ObjectId {
@@ -72,7 +65,7 @@ impl fmt::Display for ObjectId {
 }
 
 /// Metadata for one allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Allocation {
     /// Where the object lives.
     pub region: Region,
@@ -117,7 +110,7 @@ impl fmt::Display for MemoryError {
 impl std::error::Error for MemoryError {}
 
 /// The unified host + device address space.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SharedAddressSpace {
     host_capacity: Bytes,
     device_capacity: Bytes,
@@ -255,22 +248,6 @@ impl SharedAddressSpace {
         Ok(())
     }
 
-    /// Total bytes of live objects in `region` (equal to [`Self::used`]).
-    #[must_use]
-    pub fn live_bytes(&self, region: Region) -> Bytes {
-        self.objects
-            .values()
-            .filter(|a| a.region == region)
-            .map(|a| a.size)
-            .sum()
-    }
-
-    /// Number of live objects.
-    #[must_use]
-    pub fn live_objects(&self) -> usize {
-        self.objects.len()
-    }
-
     /// Iterates over live objects.
     pub fn iter(&self) -> impl Iterator<Item = (ObjectId, Allocation)> + '_ {
         self.objects.iter().map(|(id, a)| (*id, *a))
@@ -370,23 +347,5 @@ mod tests {
         assert_eq!(m.used(Region::HostDram), Bytes::ZERO);
         assert!(matches!(m.get(id), Err(MemoryError::UnknownObject(_))));
         assert!(matches!(m.dealloc(id), Err(MemoryError::UnknownObject(_))));
-    }
-
-    #[test]
-    fn live_bytes_matches_used() {
-        let mut m = space();
-        m.alloc(Region::HostDram, Bytes::from_mib(3)).expect("a");
-        m.alloc(Region::HostDram, Bytes::from_mib(4)).expect("b");
-        m.alloc(Region::DeviceDram, Bytes::from_mib(5)).expect("c");
-        assert_eq!(m.live_bytes(Region::HostDram), m.used(Region::HostDram));
-        assert_eq!(m.live_bytes(Region::DeviceDram), m.used(Region::DeviceDram));
-        assert_eq!(m.live_objects(), 3);
-    }
-
-    #[test]
-    fn region_locality() {
-        assert!(Region::HostDram.is_local_to(EngineKind::Host));
-        assert!(Region::DeviceDram.is_local_to(EngineKind::Cse));
-        assert!(!Region::DeviceDram.is_local_to(EngineKind::Host));
     }
 }

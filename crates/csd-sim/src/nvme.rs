@@ -3,23 +3,25 @@
 //! ActivePy invokes CSD functions the way NVMe talks to devices (§III-C0b):
 //! the host posts a request to a *submission queue* mapped into device
 //! memory, the CSE polls and fetches requests whenever it is free, and
-//! status/completion records flow back through a *completion queue*. Status
-//! updates are patched in at the end of every line of CSD code and double as
-//! the channel through which the host can signal high-priority work
-//! (triggering migration).
+//! status flows back in band: status updates are patched in at the end of
+//! every line of CSD code and double as the channel through which the host
+//! can signal high-priority work (triggering migration). The completion
+//! hop is modelled as its latency alone ([`QueueLatencies::complete`]);
+//! nothing in the executor consumes completion records, so there is no
+//! completion ring.
 //!
-//! The ring structures here are real data structures — commands are queued,
-//! fetched, and completed in FIFO order with bounded depth — and each hop
-//! carries a configurable latency that the execution engine charges to the
-//! simulated clock.
+//! The submission ring is a real data structure — commands are queued and
+//! fetched in FIFO order with bounded depth — and each hop carries a
+//! configurable latency that the execution engine charges to the simulated
+//! clock.
 
 use crate::units::{Bytes, Duration, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifies a submitted command within its queue pair.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct CommandId(u64);
 
 impl CommandId {
@@ -37,7 +39,7 @@ impl fmt::Display for CommandId {
 }
 
 /// The kind of request travelling through the call queue.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum CommandKind {
     /// Invoke a CSD function (a contiguous run of offloaded lines) starting
     /// at `entry_line`.
@@ -56,7 +58,7 @@ pub enum CommandKind {
 }
 
 /// A command in flight.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Command {
     /// Identifier assigned at submission.
     pub id: CommandId,
@@ -66,20 +68,8 @@ pub struct Command {
     pub submitted_at: SimTime,
 }
 
-/// A completion record posted by the device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Completion {
-    /// Which command completed.
-    pub id: CommandId,
-    /// When the device posted the completion.
-    pub completed_at: SimTime,
-    /// Progress report: fraction of the offloaded region finished (the
-    /// "execution rate" of §III-C0b).
-    pub progress: f64,
-}
-
 /// Latency parameters for the queue pair.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct QueueLatencies {
     /// Host-side submission (build entry + doorbell write over PCIe).
     pub submit: Duration,
@@ -123,16 +113,14 @@ impl fmt::Display for QueueError {
 
 impl std::error::Error for QueueError {}
 
-/// A submission/completion queue pair mapped into device memory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The submission side of a queue pair mapped into device memory.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QueuePair {
     depth: usize,
     latencies: QueueLatencies,
     submission: VecDeque<Command>,
-    completion: VecDeque<Completion>,
     next_id: u64,
     submitted_total: u64,
-    completed_total: u64,
     status_updates: u64,
     aborted_total: u64,
 }
@@ -150,10 +138,8 @@ impl QueuePair {
             depth,
             latencies,
             submission: VecDeque::new(),
-            completion: VecDeque::new(),
             next_id: 0,
             submitted_total: 0,
-            completed_total: 0,
             status_updates: 0,
             aborted_total: 0,
         }
@@ -195,26 +181,15 @@ impl QueuePair {
         self.submission.pop_front().ok_or(QueueError::Empty)
     }
 
-    /// Whether a command is waiting — the check the status-update code
-    /// performs at every line boundary ("checks if the host computer has any
-    /// request that CSD needs to handle with high priority").
-    #[must_use]
-    pub fn has_pending(&self) -> bool {
-        !self.submission.is_empty()
-    }
-
-    /// Whether a [`CommandKind::Break`] specifically is waiting.
+    /// Whether a [`CommandKind::Break`] is waiting — the check the
+    /// status-update code performs at every line boundary ("checks if the
+    /// host computer has any request that CSD needs to handle with high
+    /// priority").
     #[must_use]
     pub fn has_pending_break(&self) -> bool {
         self.submission
             .iter()
             .any(|c| matches!(c.kind, CommandKind::Break))
-    }
-
-    /// Device posts a completion/status record.
-    pub fn post_completion(&mut self, c: Completion) {
-        self.completed_total += 1;
-        self.completion.push_back(c);
     }
 
     /// Device emits an in-band status update (progress only, no ring slot).
@@ -224,22 +199,10 @@ impl QueuePair {
         self.latencies.status_update
     }
 
-    /// Host polls the completion queue.
-    #[must_use]
-    pub fn poll_completion(&mut self) -> Option<Completion> {
-        self.completion.pop_front()
-    }
-
     /// Commands submitted over the queue's lifetime.
     #[must_use]
     pub fn submitted_total(&self) -> u64 {
         self.submitted_total
-    }
-
-    /// Completions posted over the queue's lifetime.
-    #[must_use]
-    pub fn completed_total(&self) -> u64 {
-        self.completed_total
     }
 
     /// Status updates emitted over the queue's lifetime.
@@ -268,12 +231,10 @@ impl QueuePair {
         self.latencies.submit + self.latencies.fetch + self.latencies.complete
     }
 
-    /// Clears both rings and lifetime counters (new program run).
+    /// Clears the ring and lifetime counters (new program run).
     pub fn reset(&mut self) {
         self.submission.clear();
-        self.completion.clear();
         self.submitted_total = 0;
-        self.completed_total = 0;
         self.status_updates = 0;
         self.aborted_total = 0;
     }
@@ -288,27 +249,18 @@ mod tests {
     }
 
     #[test]
-    fn submit_fetch_complete_round_trip() {
+    fn submit_fetch_round_trip() {
         let mut q = qp();
         let id = q
             .submit(SimTime::ZERO, CommandKind::InvokeFunction { entry_line: 3 })
             .expect("submit");
-        assert!(q.has_pending());
         let cmd = q.fetch().expect("fetch");
         assert_eq!(cmd.id, id);
         assert!(matches!(
             cmd.kind,
             CommandKind::InvokeFunction { entry_line: 3 }
         ));
-        q.post_completion(Completion {
-            id,
-            completed_at: SimTime::from_secs(1.0),
-            progress: 1.0,
-        });
-        let c = q.poll_completion().expect("completion");
-        assert_eq!(c.id, id);
         assert_eq!(q.submitted_total(), 1);
-        assert_eq!(q.completed_total(), 1);
     }
 
     #[test]
@@ -380,7 +332,7 @@ mod tests {
         let mut q = qp();
         q.submit(SimTime::ZERO, CommandKind::Break).expect("submit");
         q.reset();
-        assert!(!q.has_pending());
+        assert_eq!(q.fetch().unwrap_err(), QueueError::Empty);
         assert_eq!(q.submitted_total(), 0);
     }
 }

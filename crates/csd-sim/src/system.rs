@@ -14,10 +14,10 @@ use crate::link::Path;
 use crate::memory::SharedAddressSpace;
 use crate::nvme::QueuePair;
 use crate::units::{Bandwidth, Bytes, Duration, Ops, SimTime};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A complete simulated platform instance.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct System {
     config: SystemConfig,
     clock: SimTime,
@@ -32,30 +32,25 @@ pub struct System {
 }
 
 impl System {
-    /// Assembles a system from its parts; use [`SystemConfig::build`]
-    /// instead of calling this directly.
+    /// Builds every part from `config` at time zero; what
+    /// [`SystemConfig::build`] calls.
     #[must_use]
-    pub(crate) fn from_parts(
-        config: SystemConfig,
-        host: ComputeEngine,
-        cse: ComputeEngine,
-        flash: FlashArray,
-        d2h_path: Path,
-        queue: QueuePair,
-        dma: DmaEngine,
-        memory: SharedAddressSpace,
-    ) -> Self {
+    pub(crate) fn from_config(config: SystemConfig) -> Self {
+        let mut flash = FlashArray::new(config.flash_capacity, config.flash_internal_bandwidth);
+        if let Some(gc) = config.gc {
+            flash.set_gc(gc);
+        }
         System {
-            config,
             clock: SimTime::ZERO,
-            host,
-            cse,
+            host: ComputeEngine::new(config.host),
+            cse: ComputeEngine::new(config.cse),
             flash,
-            d2h_path,
-            queue,
-            dma,
-            memory,
+            d2h_path: config.d2h_path(),
+            queue: QueuePair::new(config.queue_depth, config.queue_latencies),
+            dma: DmaEngine::new(config.dma_setup),
+            memory: SharedAddressSpace::new(config.host_dram, config.device_dram),
             faults: None,
+            config,
         }
     }
 

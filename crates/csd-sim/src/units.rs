@@ -8,7 +8,7 @@
 //!
 //! [C-NEWTYPE]: https://rust-lang.github.io/api-guidelines/type-safety.html
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -21,7 +21,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// let t = SimTime::ZERO + Duration::from_secs(1.5);
 /// assert_eq!(t.as_secs(), 1.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct SimTime(f64);
 
 impl SimTime {
@@ -82,7 +82,7 @@ impl fmt::Display for SimTime {
 }
 
 /// A span of simulated time, in seconds.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize)]
 pub struct Duration(f64);
 
 impl Duration {
@@ -225,9 +225,7 @@ impl Sum for Duration {
 /// Table I) from the much smaller in-memory arrays the workloads actually
 /// allocate; both are represented as `Bytes`, and the scaling is applied by
 /// the profiling layer.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Bytes(u64);
 
 impl Bytes {
@@ -342,9 +340,7 @@ impl Div<Bandwidth> for Bytes {
 
 /// A count of abstract compute operations (the simulator's stand-in for
 /// retired instructions).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize)]
 pub struct Ops(u64);
 
 impl Ops {
@@ -413,7 +409,7 @@ impl Sum for Ops {
 }
 
 /// A data-transfer rate in bytes per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 pub struct Bandwidth(f64);
 
 impl Bandwidth {
@@ -474,7 +470,7 @@ impl fmt::Display for Bandwidth {
 }
 
 /// A compute throughput in abstract operations per second.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize)]
 pub struct OpRate(f64);
 
 impl OpRate {
@@ -490,12 +486,6 @@ impl OpRate {
             "op rate must be positive, got {ops_per_sec}"
         );
         OpRate(ops_per_sec)
-    }
-
-    /// Rate implied by a clock frequency and an IPC figure.
-    #[must_use]
-    pub fn from_freq_ipc(freq_hz: f64, ipc: f64) -> Self {
-        OpRate::from_ops_per_sec(freq_hz * ipc)
     }
 
     /// Operations per second.
@@ -588,7 +578,7 @@ mod tests {
 
     #[test]
     fn oprate_execute_time() {
-        let r = OpRate::from_freq_ipc(3.6e9, 2.0);
+        let r = OpRate::from_ops_per_sec(7.2e9);
         let t = r.execute_time(Ops::new(7_200_000_000));
         assert!((t.as_secs() - 1.0).abs() < 1e-9);
     }

@@ -27,11 +27,11 @@
 //! `wire/oracle.rs` keeps the bit-at-a-time decoder this one replaced as
 //! the reference the differential tests compare against.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::sync::OnceLock;
 
 /// Compression codec of an encoded stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum Codec {
     /// RFC 1952 gzip framing around a DEFLATE body (CRC32 + length).
     Gzip,
@@ -42,7 +42,7 @@ pub enum Codec {
 }
 
 /// Byte order of the serialized f64 lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ByteOrder {
     /// Little-endian (x86/aarch64 native).
     Little,
@@ -57,7 +57,7 @@ pub enum ByteOrder {
 /// then masks elements equal to `fill_value` (missing readings) to the
 /// additive identity `0.0`, so downstream sums and dot products skip
 /// them.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Encoding {
     /// Compression applied last (encode) / removed first (decode).
     pub codec: Codec,

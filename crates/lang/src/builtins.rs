@@ -446,12 +446,6 @@ pub fn kernel_id(name: &str) -> Option<KernelId> {
         .map(|pos| KernelId(sorted[pos].1))
 }
 
-/// Whether `name` is a registered builtin.
-#[must_use]
-pub fn is_builtin(name: &str) -> bool {
-    kernel_id(name).is_some()
-}
-
 /// Invokes builtin `name` on already-evaluated `args`.
 ///
 /// # Errors
@@ -1663,14 +1657,6 @@ mod tests {
                 ..
             }
         ));
-    }
-
-    #[test]
-    fn all_builtin_names_are_registered() {
-        for name in BUILTIN_NAMES {
-            assert!(is_builtin(name));
-        }
-        assert!(!is_builtin("np_dot"));
     }
 
     #[test]

@@ -136,18 +136,6 @@ impl LoweredProgram {
         &self.metas
     }
 
-    /// Number of named variable slots.
-    #[must_use]
-    pub fn var_count(&self) -> usize {
-        usize::from(self.n_vars)
-    }
-
-    /// Total register-file size (variables plus temporaries).
-    #[must_use]
-    pub fn reg_count(&self) -> usize {
-        usize::from(self.n_slots)
-    }
-
     /// Number of emitted instructions.
     #[must_use]
     pub fn instr_count(&self) -> usize {
@@ -553,8 +541,8 @@ mod tests {
         let prog = parse("x = (1 + 2) * (3 + 4)\ny = ((1 + 2) * 3) + (4 * 5)\n").expect("parse");
         let lowered = lower(&prog).expect("lower");
         // Two named variables plus a bounded temp region.
-        assert_eq!(lowered.var_count(), 2);
-        assert!(lowered.reg_count() <= lowered.var_count() + 4);
+        assert_eq!(lowered.n_vars, 2);
+        assert!(lowered.n_slots <= lowered.n_vars + 4);
         let st = Storage::new();
         assert_vm_matches_interp(
             "x = (1 + 2) * (3 + 4)\ny = ((1 + 2) * 3) + (4 * 5)\n",

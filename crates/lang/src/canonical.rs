@@ -315,7 +315,7 @@ mod tests {
 
     fn csr(row_ptr: &[u32], col_idx: &[u32], values: &[f64], lrows: u64, lnnz: u64) -> Value {
         let (p, c, v) = (row_ptr.to_vec(), col_idx.to_vec(), values.to_vec());
-        Value::Csr(Csr::from_parts(p, c, v, 2, 3, lrows, 3, lnnz).expect("csr"))
+        Value::Csr(Csr::from_parts(p, c, v, 3, lrows, 3, lnnz).expect("csr"))
     }
 
     fn forest(threshold: f64, leaf: f64, features: u32, trees: usize) -> Value {

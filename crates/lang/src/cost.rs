@@ -16,13 +16,13 @@
 //! Cython 20 %, copy-eliminated ≈ parity; §V) *emerges* from workload
 //! structure under this model; the `runtime_opt` experiment checks it.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign};
 
 /// How the line's code was produced.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum ExecTier {
     /// Line-by-line interpretation (the plain Python baseline).
     Interpreted,
@@ -49,7 +49,7 @@ impl fmt::Display for ExecTier {
 }
 
 /// Tunable constants of the cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct CostParams {
     /// Operations charged per byte of library-boundary buffer copy
     /// (memcpy + type conversion + allocator traffic).
@@ -83,7 +83,7 @@ impl Default for CostParams {
 }
 
 /// The measured cost of executing one line once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize)]
 pub struct LineCost {
     /// Algorithmic compute operations at logical (paper) scale.
     pub compute_ops: u64,

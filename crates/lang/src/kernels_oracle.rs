@@ -530,7 +530,6 @@ fn to_csr_ref(m: &Matrix) -> Csr {
         row_ptr,
         col_idx,
         values,
-        m.rows(),
         m.cols(),
         m.logical_rows(),
         m.logical_cols(),

@@ -292,30 +292,28 @@ pub struct Csr {
 
 impl Csr {
     /// Rebuilds a CSR matrix from its raw arrays (the inverse of reading
-    /// them back via [`Csr::row_ptr`] / [`Csr::col_idx`] / [`Csr::values`]).
+    /// them back via [`Csr::row_ptr`] / [`Csr::col_idx`] / [`Csr::values`]);
+    /// it has one row per `row_ptr` entry after the leading zero.
     ///
     /// # Errors
     ///
     /// Returns an error when the arrays are not a well-formed CSR
-    /// structure (`row_ptr` wrong length, non-monotonic, or disagreeing
-    /// with `values.len()`; column indices out of range) or the logical
-    /// dimensions are smaller than the materialized ones.
+    /// structure (`row_ptr` empty, not starting at zero, non-monotonic, or
+    /// disagreeing with `values.len()`; column indices out of range) or the
+    /// logical dimensions are smaller than the materialized ones.
     pub fn from_parts(
         row_ptr: Vec<u32>,
         col_idx: Vec<u32>,
         values: Vec<f64>,
-        rows: usize,
         cols: usize,
         logical_rows: u64,
         logical_cols: u64,
         logical_nnz: u64,
     ) -> Result<Self> {
-        if row_ptr.len() != rows + 1 || row_ptr.first() != Some(&0) {
-            return Err(LangError::runtime(format!(
-                "csr row_ptr length {} does not match {rows} rows",
-                row_ptr.len()
-            )));
+        if row_ptr.first() != Some(&0) {
+            return Err(LangError::runtime("csr row_ptr must start at 0"));
         }
+        let rows = row_ptr.len() - 1;
         if row_ptr.windows(2).any(|w| w[0] > w[1])
             || row_ptr.last().copied().unwrap_or(0) as usize != values.len()
         {

@@ -24,7 +24,7 @@
 use crate::pool;
 use crate::simd;
 use isp_obs::{SpanKind, Tracer};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -49,7 +49,7 @@ pub const MAX_THREADS: usize = pool::MAX_HELPERS + 1;
 /// decides who executes chunks; `min_parallel_len` (together with the
 /// fixed [`CHUNK_ELEMS`] budget) decides what the chunks are — so two
 /// policies that differ only in `threads` produce bit-identical values.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ParallelPolicy {
     /// Worker count including the calling thread; `1` means serial.
     pub threads: usize,
@@ -160,7 +160,7 @@ impl ParStats {
 /// `stolen_chunks` sat in this struct and was excluded from a hand-written
 /// `PartialEq` by convention only, which silently broke `Eq`/`Hash`
 /// consistency for any container keyed on snapshots.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct ParStatsSnapshot {
     /// Kernel calls that engaged the chunked path.
     pub par_calls: u64,
@@ -172,7 +172,7 @@ pub struct ParStatsSnapshot {
 
 /// Scheduling-dependent counters, deliberately kept out of
 /// [`ParStatsSnapshot`] so snapshot equality stays deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct ParStatsNondet {
     /// Chunks executed by pool helpers rather than the submitting thread
     /// (deterministically zero at `threads = 1`; scheduling noise above).

@@ -24,10 +24,8 @@
 
 use crate::ast::{Expr, Program};
 use crate::builtins::Storage;
-use crate::table::{Column, Table};
 use crate::value::Value;
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 /// Minimum logical row count for a stored value to be worth sharding;
 /// smaller values (model weights, centroid seeds) are replicated to
@@ -240,97 +238,6 @@ impl ShardMap {
             mix(&[0]);
         }
         hash
-    }
-
-    /// Materializes shard `s`'s slice of `storage`: sharded values keep
-    /// only their proportional row block (exact partition arithmetic on
-    /// both materialized and logical rows); replicated values are shared
-    /// as-is. Concatenating the slices of every shard in ascending order
-    /// reproduces the original data bit-identically.
-    #[must_use]
-    pub fn slice_storage(&self, storage: &Storage, s: usize) -> Storage {
-        let mut out = Storage::new();
-        for name in storage.names() {
-            let Ok(value) = storage.get(name) else {
-                continue;
-            };
-            let sliced = if self.is_sharded(name) {
-                self.slice_value(value, s)
-            } else {
-                value.clone()
-            };
-            out.insert(name, sliced);
-        }
-        out
-    }
-
-    /// Materialized-row bounds of shard `s` within `len` rows: the same
-    /// partition applied to the materialized scale.
-    fn mat_bounds(&self, len: usize, s: usize) -> (usize, usize) {
-        if self.rows == 0 {
-            return if s == 0 { (0, len) } else { (len, len) };
-        }
-        let (lo, hi) = self.bounds_of(s);
-        let l = (len as u64 * lo / self.rows) as usize;
-        let h = (len as u64 * hi / self.rows) as usize;
-        (l, h)
-    }
-
-    fn slice_value(&self, value: &Value, s: usize) -> Value {
-        match value {
-            Value::Array(a) => {
-                let (lo, hi) = self.mat_bounds(a.len(), s);
-                let data = a.data()[lo..hi].to_vec();
-                let logical = self.slice_u64(a.logical_len(), s).max(data.len() as u64);
-                Value::Array(crate::value::ArrayVal::with_logical(data, logical))
-            }
-            Value::BoolArray(m) => {
-                let (lo, hi) = self.mat_bounds(m.len(), s);
-                let data = m.data()[lo..hi].to_vec();
-                let logical = self.slice_u64(m.logical_len(), s).max(data.len() as u64);
-                Value::BoolArray(crate::value::BoolArrayVal::with_logical(data, logical))
-            }
-            Value::Table(t) => {
-                let (lo, hi) = self.mat_bounds(t.rows(), s);
-                let columns: Vec<(String, Column)> = t
-                    .column_names()
-                    .map(|name| {
-                        let col = t.column(name).expect("listed column exists");
-                        let sliced = match col {
-                            Column::F64(v) => Column::F64(Arc::new(v[lo..hi].to_vec())),
-                            Column::I64(v) => Column::I64(Arc::new(v[lo..hi].to_vec())),
-                            Column::Dict { codes, dict } => Column::Dict {
-                                codes: Arc::new(codes[lo..hi].to_vec()),
-                                dict: Arc::clone(dict),
-                            },
-                        };
-                        (name.to_owned(), sliced)
-                    })
-                    .collect();
-                let logical = self.slice_u64(t.logical_rows(), s).max((hi - lo) as u64);
-                Value::Table(
-                    Table::with_logical_rows(columns, logical)
-                        .expect("sliced columns stay aligned"),
-                )
-            }
-            Value::Matrix(m) => {
-                let (lo, hi) = self.mat_bounds(m.rows(), s);
-                let data = m.data()[lo * m.cols()..hi * m.cols()].to_vec();
-                let logical = self.slice_u64(m.logical_rows(), s).max((hi - lo) as u64);
-                Value::Matrix(
-                    crate::matrix::Matrix::with_logical(
-                        data,
-                        hi - lo,
-                        m.cols(),
-                        logical,
-                        m.logical_cols(),
-                    )
-                    .expect("sliced row block keeps its shape"),
-                )
-            }
-            // Scalars, CSR graphs, and forest models are never sharded.
-            other => other.clone(),
-        }
     }
 }
 
@@ -590,32 +497,6 @@ mod tests {
         assert!(map.is_sharded("m"));
         assert!(!map.is_sharded("k"));
         assert_eq!(map.rows_total(), 1_000_000);
-    }
-
-    #[test]
-    fn storage_slices_round_trip_bit_identically() {
-        let st = storage();
-        for n in [1usize, 2, 3, 4, 8] {
-            let map = ShardMap::auto(&st, n, ShardStrategy::Hash(9));
-            let slices: Vec<Storage> = (0..n).map(|s| map.slice_storage(&st, s)).collect();
-            let mut v_cat: Vec<f64> = Vec::new();
-            let mut m_cat: Vec<bool> = Vec::new();
-            let mut v_logical = 0u64;
-            for slice in &slices {
-                let v = slice.get("v").expect("v").as_array().expect("array");
-                v_cat.extend_from_slice(v.data());
-                v_logical += v.logical_len();
-                let m = slice.get("m").expect("m").as_bool_array().expect("mask");
-                m_cat.extend_from_slice(m.data());
-                // Replicated values are shared untouched.
-                assert_eq!(slice.get("k").expect("k"), st.get("k").expect("k"));
-            }
-            let orig = st.get("v").expect("v").as_array().expect("array");
-            assert_eq!(v_cat, orig.data(), "n={n} array rows diverged");
-            assert_eq!(v_logical, orig.logical_len(), "n={n} logical rows leak");
-            let orig_m = st.get("m").expect("m").as_bool_array().expect("mask");
-            assert_eq!(m_cat, orig_m.data(), "n={n} mask rows diverged");
-        }
     }
 
     fn map_for(src_sharded: &[&str]) -> ShardMap {

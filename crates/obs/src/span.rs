@@ -19,7 +19,7 @@ use std::time::Instant;
 use crate::metrics::{MetricsRegistry, RegistrySnapshot};
 
 /// Category of a span or instant event; selects the row in the span
-/// taxonomy table (DESIGN.md §5.14) and the `cat` field of Chrome
+/// taxonomy table (DESIGN.md §5.12) and the `cat` field of Chrome
 /// exports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum SpanKind {

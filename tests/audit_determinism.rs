@@ -87,10 +87,10 @@ proptest! {
             let faults: Vec<FaultPlan> =
                 (0..n).map(|s| params.plan_for_shard(s)).collect();
             let plain = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &plain_opts, &faults, n,
+                &program, &st, &map, &placements, &config, &plain_opts, &faults,
             );
             let audited = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &audited_opts, &faults, n,
+                &program, &st, &map, &placements, &config, &audited_opts, &faults,
             );
             match (plain, audited) {
                 (Ok(p), Ok(a)) => {

@@ -140,7 +140,7 @@ proptest! {
             let map = ShardMap::auto(&st, n, shard_strategy);
             let faults: Vec<FaultPlan> = (0..n).map(|s| params.plan_for_shard(s)).collect();
             let faulted = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &faults, n,
+                &program, &st, &map, &placements, &config, &opts, &faults,
             ).expect("sharded faulted run");
             prop_assert_eq!(
                 faulted.values_fingerprint, reference,

@@ -48,7 +48,7 @@ fn respelling_a_reassigning_program_moves_no_fleet_under_any_placement() {
         let respelled = single_assignment(&program);
         let single = parse(&respelled).expect("respelled source parses");
         for placements in all_placements(program.len()) {
-            let run = |p| execute_sharded_raw(p, &st, &map, &placements, &config, &opts, &[], 4);
+            let run = |p| execute_sharded_raw(p, &st, &map, &placements, &config, &opts, &[]);
             let named = run(&program);
             assert!(named.is_ok(), "{named:?} for:\n{src}");
             assert_eq!(
@@ -92,15 +92,15 @@ proptest! {
             let faults: Vec<FaultPlan> =
                 (0..n).map(|s| params.plan_for_shard(s)).collect();
             let clean = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &[], n,
+                &program, &st, &map, &placements, &config, &opts, &[],
             );
             let faulted = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &faults, n,
+                &program, &st, &map, &placements, &config, &opts, &faults,
             );
             // Invariant 5: names carry no cost.
             for (plans, named) in [(&[][..], &clean), (&faults[..], &faulted)] {
                 let respelled_run = execute_sharded_raw(
-                    &single, &st, &map, &placements, &config, &opts, plans, n,
+                    &single, &st, &map, &placements, &config, &opts, plans,
                 );
                 prop_assert_eq!(
                     masked_fleet(named), masked_fleet(&respelled_run),

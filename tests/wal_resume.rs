@@ -161,7 +161,7 @@ proptest! {
         let journal = ExecJournal::record_to(&fpath).expect("create fleet journal");
         let opts = ExecOptions::activepy().with_journal(journal);
         let fleet_full = execute_sharded_raw(
-            &program, &st, &map, &placements, &config, &opts, &shard_faults, 4,
+            &program, &st, &map, &placements, &config, &opts, &shard_faults,
         ).expect("fleet runs where the unsharded run ran");
         let fleet_ref = read_wal(&fpath).expect("read fleet journal");
         prop_assert!(!fleet_ref.torn);
@@ -170,7 +170,7 @@ proptest! {
         let (journal, _) = ExecJournal::resume_from(&fpath).expect("fleet resume");
         let opts = ExecOptions::activepy().with_journal(journal);
         let fleet_resumed = execute_sharded_raw(
-            &program, &st, &map, &placements, &config, &opts, &shard_faults, 4,
+            &program, &st, &map, &placements, &config, &opts, &shard_faults,
         ).expect("resumed fleet run succeeds");
         prop_assert_eq!(
             fleet_full.values_fingerprint,
