@@ -59,26 +59,34 @@ impl EncodedVal {
     /// Panics if `logical_len` is smaller than the materialized length.
     #[must_use]
     pub fn from_f64s(encoding: Encoding, data: &[f64], logical_len: u64) -> Self {
+        let chunks = data.chunks(ENCODED_CHUNK_ELEMS).map(|c| encoding.encode(c));
+        Self::from_parts(encoding, chunks.collect(), data.len(), data.len() as u64, 0)
+            .with_logical_len(logical_len)
+    }
+
+    /// The same stored stream standing for `logical_len` paper-scale
+    /// elements: the chunks are shared, not re-encoded.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logical_len` is smaller than the materialized length.
+    #[must_use]
+    pub fn with_logical_len(&self, logical_len: u64) -> Self {
         assert!(
-            logical_len >= data.len() as u64,
+            logical_len >= self.actual_len as u64,
             "logical length must cover the materialized data"
         );
-        let chunks: Vec<Vec<u8>> = data
-            .chunks(ENCODED_CHUNK_ELEMS)
-            .map(|c| encoding.encode(c))
-            .collect();
-        let actual_bytes: u64 = chunks.iter().map(|c| c.len() as u64).sum();
         // Extrapolate the sample's real compression ratio to paper scale.
-        let encoded_logical_bytes = if data.is_empty() {
+        let encoded_logical_bytes = if self.actual_len == 0 {
             0
         } else {
-            let ratio = logical_len as f64 / data.len() as f64;
-            (actual_bytes as f64 * ratio).round() as u64
+            let ratio = logical_len as f64 / self.actual_len as f64;
+            (self.encoded_actual_bytes() as f64 * ratio).round() as u64
         };
         EncodedVal {
-            encoding,
-            chunks: Arc::new(chunks),
-            actual_len: data.len(),
+            encoding: self.encoding,
+            chunks: Arc::clone(&self.chunks),
+            actual_len: self.actual_len,
             logical_len,
             encoded_logical_bytes,
         }
@@ -800,6 +808,44 @@ mod tests {
             EncodedVal::from_f64s(Encoding::gzip_shuffled(), &data, 6_000_000)
         );
         assert_ne!(e, EncodedVal::from_f64s(Encoding::raw(), &data, 6_000_000));
+    }
+
+    #[test]
+    fn a_relabelled_stream_is_the_stream_encoded_at_that_length() {
+        use crate::canonical::Fingerprinter;
+        for len in [0, 1, ENCODED_CHUNK_ELEMS, ENCODED_CHUNK_ELEMS + 1] {
+            let data: Vec<f64> = (0..len).map(|i| (i % 97) as f64 * 0.25).collect();
+            for encoding in [Encoding::gzip_shuffled(), Encoding::raw()] {
+                let stored = EncodedVal::from_f64s(encoding, &data, len as u64);
+                for logical in [len as u64, len as u64 + 1, 6_000_000_000] {
+                    let relabelled = stored.with_logical_len(logical);
+                    let encoded = EncodedVal::from_f64s(encoding, &data, logical);
+                    assert_eq!(relabelled, encoded, "{len} -> {logical}");
+                    assert_eq!(relabelled.encoding(), encoded.encoding());
+                    assert_eq!(relabelled.chunks(), encoded.chunks());
+                    assert_eq!(relabelled.actual_len(), encoded.actual_len());
+                    assert_eq!(relabelled.logical_len(), encoded.logical_len());
+                    assert_eq!(
+                        relabelled.encoded_logical_bytes(),
+                        encoded.encoded_logical_bytes(),
+                        "{len} -> {logical}"
+                    );
+                    assert_eq!(
+                        Fingerprinter::digest(&Value::Encoded(relabelled.clone())),
+                        Fingerprinter::digest(&Value::Encoded(encoded))
+                    );
+                    assert!(Arc::ptr_eq(&relabelled.chunks, &stored.chunks));
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "logical length")]
+    fn relabelling_below_the_materialized_length_panics() {
+        let data = vec![1.0; ENCODED_CHUNK_ELEMS + 1];
+        let stored = EncodedVal::from_f64s(Encoding::raw(), &data, 1 << 20);
+        let _ = stored.with_logical_len(ENCODED_CHUNK_ELEMS as u64);
     }
 
     #[test]

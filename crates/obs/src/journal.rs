@@ -112,16 +112,26 @@ impl<'a> FieldSink<'a> for Vec<(String, JsonValue)> {
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
+
+/// How deep arrays and objects may nest (a journal line nests 4 deep): the
+/// grammar recurses per level, so deeper input is refused, not a stack overflow.
+const MAX_DEPTH: usize = 64;
 
 impl<'a> Parser<'a> {
     /// The whole of `text` as one document: a top-level object's fields
     /// go to `sink`, any other value is returned.
     fn document(text: &'a str, sink: &mut impl FieldSink<'a>) -> Result<Option<JsonValue>, String> {
-        let mut p = Parser { text, pos: 0 };
+        let mut p = Parser {
+            text,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let other = if p.peek() == Some(b'{') {
-            p.object(sink)?;
+            p.nested(|p| p.object(sink))?;
             None
         } else {
             Some(p.value()?)
@@ -135,6 +145,20 @@ impl<'a> Parser<'a> {
 
     fn err(&self, msg: &str) -> String {
         format!("json parse error at byte {}: {msg}", self.pos)
+    }
+
+    /// Parses the array or object opening at `pos` one level deeper.
+    fn nested<T>(
+        &mut self,
+        rule: impl FnOnce(&mut Self) -> Result<T, String>,
+    ) -> Result<T, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let parsed = rule(self);
+        self.depth -= 1;
+        parsed
     }
 
     fn skip_ws(&mut self) {
@@ -172,12 +196,12 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
             Some(b'"') => self.string().map(|s| JsonValue::Str(s.into_owned())),
-            Some(b'[') => self.array(),
-            Some(b'{') => {
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(|p| {
                 let mut fields = Vec::new();
-                self.object(&mut fields)?;
+                p.object(&mut fields)?;
                 Ok(JsonValue::Obj(fields))
-            }
+            }),
             Some(b'-') | Some(b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
@@ -1052,6 +1076,39 @@ mod tests {
         assert!(parse_json("[1,]").is_err());
         assert!(parse_json("1 2").is_err());
         assert!(parse_json("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn nesting_past_the_limit_is_an_error_not_a_stack_overflow() {
+        let too_deep = |byte: usize| {
+            format!("json parse error at byte {byte}: nesting deeper than {MAX_DEPTH}")
+        };
+        let nested = |levels: usize| format!("{}{}", "[".repeat(levels), "]".repeat(levels));
+        let arrays = "[".repeat(100_000);
+        let objects = "{\"a\":".repeat(100_000);
+        assert_eq!(parse_json(&arrays), Err(too_deep(64)));
+        assert_eq!(parse_json(&objects), Err(too_deep(64 * 5)));
+        assert!(parse_json(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(parse_json(&nested(MAX_DEPTH + 1)), Err(too_deep(64)));
+
+        // A journal line's own object is its first level.
+        let line = |deep: &str| {
+            format!(
+                "{{\"t\":\"instant\",\"parent\":0,\"seq\":1,\"name\":\"n\",\"kind\":\"phase\",\
+                 \"wall_ns\":0,\"attrs\":{{}},\"deep\":{deep}}}\n"
+            )
+        };
+        let good = line("0");
+        let at_the_limit = line(&nested(MAX_DEPTH - 1));
+        let j = parse_journal(&(at_the_limit.clone() + &at_the_limit)).expect("64 deep");
+        assert_eq!((j.instants.len(), j.torn_lines), (2, 0));
+        for deep in [arrays, objects, nested(MAX_DEPTH)] {
+            let err = parse_journal(&(line(&deep) + &good)).expect_err("mid-journal");
+            assert!(err.starts_with("journal line 1: json parse error at byte "));
+            assert!(err.ends_with(": nesting deeper than 64"), "{err}");
+            let j = parse_journal(&(good.clone() + &line(&deep))).expect("torn tail");
+            assert_eq!((j.instants.len(), j.torn_lines), (1, 1));
+        }
     }
 
     #[test]

@@ -18,9 +18,7 @@
 
 use crate::spec::Workload;
 use alang::value::EncodedVal;
-use alang::Value;
 use csd_sim::wire::{ByteOrder, Codec, Encoding};
-use std::sync::Arc;
 
 /// On-storage size in gigabytes. Codec-less wire formats are
 /// length-preserving, so encoded and decoded sizes coincide: 2 streams ×
@@ -107,27 +105,18 @@ pub fn workload() -> Workload {
         GB,
         "grep 5xx log records and aggregate a smooth latency score (decode-on-CSD regime)",
         SOURCE,
-        Arc::new(|scale| {
-            let rows = logical_rows(scale);
-            let mut st = alang::Storage::new();
-            st.insert(
-                "log_status",
-                Value::Encoded(EncodedVal::from_f64s(
-                    status_encoding(),
-                    &status_column(),
-                    rows,
-                )),
-            );
-            st.insert(
-                "log_latency",
-                Value::Encoded(EncodedVal::from_f64s(
-                    latency_encoding(),
-                    &latency_column(),
-                    rows,
-                )),
-            );
-            st
-        }),
+        super::encoded_once(
+            || {
+                let stored = |encoding, data: Vec<f64>| {
+                    EncodedVal::from_f64s(encoding, &data, ACTUAL_ROWS as u64)
+                };
+                vec![
+                    ("log_status", stored(status_encoding(), status_column())),
+                    ("log_latency", stored(latency_encoding(), latency_column())),
+                ]
+            },
+            logical_rows,
+        ),
     )
     .with_encodings(vec![
         ("log_status".to_string(), status_encoding()),
@@ -177,6 +166,23 @@ mod tests {
         assert!(s.is_finite() && s > 0.0, "score sum: {s}");
         let hits = interp.var("hits").expect("hits").as_num().expect("num");
         assert!(hits > 0.0);
+    }
+
+    #[test]
+    fn every_scale_relabels_the_streams_encoded_once() {
+        crate::apps::tests::assert_encoded_once(&workload(), |scale| {
+            let rows = logical_rows(scale);
+            vec![
+                (
+                    "log_status",
+                    EncodedVal::from_f64s(status_encoding(), &status_column(), rows),
+                ),
+                (
+                    "log_latency",
+                    EncodedVal::from_f64s(latency_encoding(), &latency_column(), rows),
+                ),
+            ]
+        });
     }
 
     #[test]

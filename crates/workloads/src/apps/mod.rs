@@ -18,7 +18,30 @@ pub mod tpch_q14;
 pub mod tpch_q6;
 pub mod tpch_q6_gz;
 
-use crate::spec::Workload;
+use crate::spec::{Generator, Workload};
+use alang::value::EncodedVal;
+use alang::{Storage, Value};
+use std::sync::{Arc, OnceLock};
+
+/// The generator of a workload whose datasets are stored in a wire
+/// format. `encode` builds the `(dataset, stream)` pairs on the first
+/// call and every call, scale 1.0 included, relabels those same chunks to
+/// `logical_rows(scale)` elements: a stored stream's content does not
+/// depend on the scale, so it is encoded once.
+fn encoded_once(
+    encode: fn() -> Vec<(&'static str, EncodedVal)>,
+    logical_rows: fn(f64) -> u64,
+) -> Generator {
+    let stored = OnceLock::new();
+    Arc::new(move |scale| {
+        let rows = logical_rows(scale);
+        let mut st = Storage::new();
+        for (name, stream) in stored.get_or_init(encode) {
+            st.insert(*name, Value::Encoded(stream.with_logical_len(rows)));
+        }
+        st
+    })
+}
 
 /// The nine applications of Table I, in the paper's order.
 #[must_use]
@@ -71,6 +94,38 @@ pub fn by_name(name: &str) -> Option<Workload> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use activepy::sampling::paper_scales;
+    use alang::Fingerprinter;
+
+    /// Asserts that `w` encodes its streams once: at every sampling scale
+    /// and at 1.0 each dataset is the stream `old(scale)` encodes afresh,
+    /// the way the generator used to, by `==`, digest and `virtual_bytes`,
+    /// and sits on the Table-I storage's chunk buffers.
+    pub(super) fn assert_encoded_once(
+        w: &Workload,
+        old: impl Fn(f64) -> Vec<(&'static str, EncodedVal)>,
+    ) {
+        let table1 = w.storage_at(1.0);
+        let chunks = |st: &Storage, name: &str| {
+            let stream = st.get(name).and_then(Value::as_encoded).expect(name);
+            stream.chunks().as_ptr()
+        };
+        for scale in paper_scales().into_iter().chain([1.0]) {
+            let st = w.storage_at(scale);
+            let old = old(scale);
+            assert_eq!(st.names().count(), old.len());
+            for (name, stream) in old {
+                let what = format!("{} {name} at {scale}", w.name());
+                let (got, want) = (st.get(name).expect(name), Value::Encoded(stream));
+                assert_eq!(got, &want, "{what}");
+                let digest = Fingerprinter::digest(&want);
+                assert_eq!(Fingerprinter::digest(got), digest, "{what}");
+                assert_eq!(st.digest(name).expect(name), digest, "{what}");
+                assert_eq!(got.virtual_bytes(), want.virtual_bytes(), "{what}");
+                assert_eq!(chunks(&st, name), chunks(&table1, name), "{what}");
+            }
+        }
+    }
 
     #[test]
     fn table1_has_nine_apps_with_paper_sizes() {

@@ -13,9 +13,7 @@
 
 use crate::spec::Workload;
 use alang::value::EncodedVal;
-use alang::Value;
 use csd_sim::wire::Encoding;
-use std::sync::Arc;
 
 /// Decoded (post-inflate) dataset size in gigabytes: the same 6.9 GB of
 /// lineitem columns Table I lists for TPC-H-6, stored compressed.
@@ -95,17 +93,18 @@ pub fn workload() -> Workload {
         GB,
         "Q6 scan-filter-aggregate over gzip+shuffle columnar storage (decode-on-host regime)",
         SOURCE,
-        Arc::new(|scale| {
-            let rows = logical_rows(scale);
-            let mut st = alang::Storage::new();
-            for (name, data) in columns() {
-                st.insert(
-                    name,
-                    Value::Encoded(EncodedVal::from_f64s(encoding(), &data, rows)),
-                );
-            }
-            st
-        }),
+        super::encoded_once(
+            || {
+                columns()
+                    .into_iter()
+                    .map(|(name, data)| {
+                        let stream = EncodedVal::from_f64s(encoding(), &data, ACTUAL_ROWS as u64);
+                        (name, stream)
+                    })
+                    .collect()
+            },
+            logical_rows,
+        ),
     )
     .with_encodings(
         columns()
@@ -161,6 +160,19 @@ mod tests {
             fraction > 0.001 && fraction < 0.2,
             "Q6 predicates must select a small fraction, got {fraction}"
         );
+    }
+
+    #[test]
+    fn every_scale_relabels_the_columns_deflated_once() {
+        crate::apps::tests::assert_encoded_once(&workload(), |scale| {
+            columns()
+                .into_iter()
+                .map(|(name, data)| {
+                    let old = EncodedVal::from_f64s(encoding(), &data, logical_rows(scale));
+                    (name, old)
+                })
+                .collect()
+        });
     }
 
     #[test]

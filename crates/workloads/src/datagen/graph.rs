@@ -13,7 +13,7 @@
 //! sampling scales (geometric mean 2⁻⁸·⁵), a linear extrapolation of CSR
 //! bytes over-estimates by `2^(8.5·β) ≈ 2.4×` — the paper's figure.
 
-use super::rng_for;
+use super::{draws, rng_for};
 use alang::matrix::Matrix;
 use alang::Value;
 use rand::Rng;
@@ -66,8 +66,7 @@ pub fn initial_ranks(gb: f64, scale: f64, actual_n: usize) -> Value {
 pub fn dense_vector(gb: f64, scale: f64, actual_n: usize, seed: u64) -> Value {
     let full_n = (gb * 1e9 / 8.0).sqrt();
     let logical_n = ((full_n * scale.sqrt()).round() as u64).max(actual_n as u64);
-    let mut rng = rng_for(seed, scale);
-    let data: Vec<f64> = (0..actual_n).map(|_| rng.gen_range(0.0..1.0)).collect();
+    let data = draws(rng_for(seed, scale), actual_n, 0.0..1.0);
     Value::Array(alang::value::ArrayVal::with_logical(data, logical_n))
 }
 

@@ -1,18 +1,14 @@
 //! Dense linear-algebra generators: feature matrices and weight blocks.
 
-use super::{logical_rows, rng_for};
+use super::{draws, logical_rows, rng_for};
 use alang::matrix::Matrix;
 use alang::Value;
-use rand::Rng;
 
 /// Generates an `n × cols` feature matrix of `gb × scale` logical
 /// gigabytes, materialized at `actual_rows` rows.
 #[must_use]
 pub fn feature_matrix(gb: f64, scale: f64, cols: usize, actual_rows: usize, seed: u64) -> Value {
-    let mut rng = rng_for(seed, scale);
-    let data: Vec<f64> = (0..actual_rows * cols)
-        .map(|_| rng.gen_range(-1.0..1.0))
-        .collect();
+    let data = draws(rng_for(seed, scale), actual_rows * cols, -1.0..1.0);
     let logical = logical_rows(gb, cols as u64 * 8, scale, actual_rows);
     Value::Matrix(
         Matrix::with_logical(data, actual_rows, cols, logical, cols as u64)
@@ -24,8 +20,7 @@ pub fn feature_matrix(gb: f64, scale: f64, cols: usize, actual_rows: usize, seed
 /// parameter, not a dataset — its size does not scale).
 #[must_use]
 pub fn weight_matrix(rows: usize, cols: usize, seed: u64) -> Value {
-    let mut rng = rng_for(seed, 1.0);
-    let data: Vec<f64> = (0..rows * cols).map(|_| rng.gen_range(-0.5..0.5)).collect();
+    let data = draws(rng_for(seed, 1.0), rows * cols, -0.5..0.5);
     Value::Matrix(Matrix::new(data, rows, cols).expect("shape is consistent"))
 }
 

@@ -21,7 +21,8 @@ pub type Generator = Arc<dyn Fn(f64) -> Storage + Send + Sync>;
 /// its source the first time either is asked for and keeps both for the
 /// life of the value, clones included (≈ 5 MB for all twelve registered
 /// workloads together; nothing is evicted). Every other scale is a
-/// sampling input and is generated per call.
+/// sampling input, generated per call: drawn afresh, or relabelled from
+/// the streams a wire-format workload's generator encoded once.
 #[derive(Clone)]
 pub struct Workload {
     name: String,
@@ -121,7 +122,7 @@ impl Workload {
     /// The workload's storage at `scale` (1.0 = Table-I size). Scale 1.0 is
     /// generated on the first call and every call returns a clone of that
     /// one storage — same buffers, same remembered digests; any other
-    /// scale is generated afresh.
+    /// scale calls the generator again (see [`Workload`]).
     #[must_use]
     pub fn storage_at(&self, scale: f64) -> Storage {
         if scale == 1.0 {

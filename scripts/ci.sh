@@ -28,13 +28,16 @@ echo "== stored once, hashed once (dataset digests and the Workload's kept input
 # The two-level fingerprint (value digest -> run chain) and its sweep, the
 # digest a Storage keeps with each dataset, the final-definition table the
 # executor reads scanned targets from, what a Workload generates and keeps,
+# the wire-format streams encoded once and relabelled per scale (equal to a
+# fresh encode by ==, digest and size, on the Table-I chunk buffers),
 # and the executor's shortcut pinned against hashing every value: all 12
 # registered programs fresh / remembered / rebuilt, a re-inserted dataset,
 # and one Table-I generation across plan_for, execute_plan, run_plan and
 # run_c_baseline. Ahead of the suite, so a stale digest stops here, named,
 # instead of as a fingerprint mismatch somewhere below.
-cargo test -q -p alang --lib -- canonical:: ast:: builtins::tests::a_digest
-cargo test -q -p isp-workloads --lib spec::
+cargo test -q -p alang --lib -- canonical:: ast:: builtins::tests::a_digest \
+  value::tests::a_relabelled_stream value::tests::relabelling_below
+cargo test -q -p isp-workloads --lib -- spec:: every_scale_relabels_the
 cargo test -q --test stored_once
 
 echo "== trace codec differentials (pinned case counts, the replaced writers and reader as oracle) =="
@@ -95,6 +98,17 @@ DURABLE="$(bash benchmark/run.sh --workload durable_exec --seed 1 --seconds 1 --
 case "$DURABLE" in
   *'"correct": true'*'"failed": 0,'*) ;;
   *) echo "durable_exec smoke failed: $DURABLE"; exit 1 ;;
+esac
+
+echo "== benchmark bulk_decode smoke (VM decodes, a direct inflate and an encode, to the bit) =="
+# One second of the workload that exercises EncodedVal hardest: TPC-H-6-gz
+# and LogGrep over 2 MiB encoded columns through the VM, a zlib column
+# inflated directly and a gzip+shuffle column encoded, each checked to the
+# bit against what set-up verified.
+DECODE="$(bash benchmark/run.sh --workload bulk_decode --seed 1 --seconds 1 --trace 0 | tail -n 1)"
+case "$DECODE" in
+  *'"correct": true'*'"failed": 0,'*) ;;
+  *) echo "bulk_decode smoke failed: $DECODE"; exit 1 ;;
 esac
 
 echo "== benchmark bulk_kernels smoke (every program's last line, serial and threaded, to the bit) =="
