@@ -26,4 +26,6 @@ pub mod programmer_directed;
 
 pub use error::BaselineError;
 pub use host_only::{run_c_baseline, run_host_only};
-pub use programmer_directed::{best_static_plan, run_plan, OffloadPlan};
+pub use programmer_directed::{
+    best_static_plan, contiguous_placements, fastest_placement, run_plan, OffloadPlan,
+};

@@ -10,12 +10,14 @@
 //! combinations are the contiguous line ranges (plus the empty plan); the
 //! search evaluates the program once, simulates every combination over
 //! that evaluation at native tier under full CSD availability, and keeps
-//! the fastest. The returned [`OffloadPlan`] can then be re-run
+//! the fastest ([`fastest_placement`], the loop the planner-regret search
+//! shares). The returned [`OffloadPlan`] can then be re-run
 //! under any contention scenario — that re-run *is* the Summarizer-style
 //! static framework of Figures 2 and 5.
 
 use crate::error::{BaselineError, Result};
-use activepy::exec::{evaluate, execute, simulate, ExecOptions, RunReport};
+use activepy::exec::{evaluate, execute, simulate, Evaluation, ExecOptions, RunReport};
+use alang::Program;
 use csd_sim::contention::ContentionScenario;
 use csd_sim::{EngineKind, SystemConfig};
 use isp_workloads::Workload;
@@ -65,40 +67,65 @@ pub fn best_static_plan(workload: &Workload, config: &SystemConfig) -> Result<Of
     let opts = ExecOptions::native_static();
     let lowered = alang::lower::lower(&program)?;
     let evaluation = evaluate(&program, &lowered, &storage, &opts)?;
-    let mut best: Option<OffloadPlan> = None;
-    let mut candidates: Vec<Option<(usize, usize)>> = vec![None];
+    let mut candidates = contiguous_placements(n);
+    let (best, optimized_secs) =
+        fastest_placement(&program, &evaluation, &candidates, config, &opts)?;
+    let placements = candidates.swap_remove(best);
+    let offloaded = |k: &usize| placements[*k] == EngineKind::Cse;
+    let range = (0..n).find(offloaded).zip((0..n).rfind(offloaded));
+    Ok(OffloadPlan {
+        placements,
+        range,
+        optimized_secs,
+    })
+}
+
+/// The empty plan, then every contiguous range `[i, j]` of an `n`-line
+/// program in `(i, j)` order: the single-entry-single-exit regions a
+/// programmer offloads as one function.
+#[must_use]
+pub fn contiguous_placements(n: usize) -> Vec<Vec<EngineKind>> {
+    let mut candidates = vec![vec![EngineKind::Host; n]];
     for i in 0..n {
         for j in i..n {
-            candidates.push(Some((i, j)));
+            let mut placements = vec![EngineKind::Host; n];
+            placements[i..=j].fill(EngineKind::Cse);
+            candidates.push(placements);
         }
     }
-    for range in candidates {
-        let placements: Vec<EngineKind> = (0..n)
-            .map(|k| match range {
-                Some((i, j)) if k >= i && k <= j => EngineKind::Cse,
-                _ => EngineKind::Host,
-            })
-            .collect();
+    candidates
+}
+
+/// The search loop every placement search shares: simulates each of
+/// `candidates` over one `evaluation` of `program`, on a fresh `config`
+/// system under `opts`, and returns the fastest one's index and end-to-end
+/// seconds. Ties keep the earlier candidate.
+///
+/// # Errors
+///
+/// Propagates a failed simulation; an empty `candidates` is a search error.
+pub fn fastest_placement(
+    program: &Program,
+    evaluation: &Evaluation,
+    candidates: &[Vec<EngineKind>],
+    config: &SystemConfig,
+    opts: &ExecOptions,
+) -> Result<(usize, f64)> {
+    let mut best: Option<(usize, f64)> = None;
+    for (i, placements) in candidates.iter().enumerate() {
         let mut system = config.build();
-        let report = simulate(
-            &program,
-            &evaluation,
-            &placements,
-            &mut system,
-            &opts,
-            None,
-            None,
-        )?;
-        let candidate = OffloadPlan {
+        let secs = simulate(
+            program,
+            evaluation,
             placements,
-            range,
-            optimized_secs: report.total_secs,
-        };
-        if best
-            .as_ref()
-            .is_none_or(|b| candidate.optimized_secs < b.optimized_secs)
-        {
-            best = Some(candidate);
+            &mut system,
+            opts,
+            None,
+            None,
+        )?
+        .total_secs;
+        if best.is_none_or(|(_, fastest)| secs < fastest) {
+            best = Some((i, secs));
         }
     }
     best.ok_or_else(|| BaselineError::search("no candidate plan produced a report"))

@@ -1,6 +1,5 @@
 //! Experiment implementations, one module per table/figure.
 
-pub mod ablation;
 pub mod adapt;
 pub mod audit;
 pub mod decode;
@@ -11,6 +10,7 @@ pub mod fig5;
 pub mod flexibility;
 pub mod prediction;
 pub mod recovery;
+pub mod regret;
 pub mod runtime_opt;
 pub mod shards;
 pub mod table1;

@@ -142,13 +142,13 @@ pub const EXPERIMENTS: [Experiment; 14] = [
         },
     },
     Experiment {
-        name: "ablation",
-        reproduces: "design ablation — Algorithm 1 variants",
+        name: "regret",
+        reproduces: "planner regret — Algorithm 1 against search over every placement",
         run: |config, cache| {
             outcome(
-                &ex::ablation::run(config, cache),
-                |r| ex::ablation::print(r),
-                unchecked,
+                &ex::regret::run(config, cache),
+                |r| ex::regret::print(r),
+                |r| ex::regret::check(r),
             )
         },
     },

@@ -33,9 +33,9 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
     );
     assert_eq!(after_fig5.hits, 9);
 
-    // prediction and ablation replay cached plans entirely.
+    // prediction and regret replay cached plans entirely.
     let _ = ex::prediction::run(&config, &cache);
-    let _ = ex::ablation::run(&config, &cache);
+    let _ = ex::regret::run(&config, &cache);
     let stats = cache.stats();
     assert_eq!(
         stats.misses, 12,
@@ -43,8 +43,8 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
     );
     assert_eq!(
         stats.hits,
-        9 + 10 + 9,
-        "prediction (10) and ablation (9) all hit"
+        9 + 10 + 12,
+        "prediction (10) and regret (12) all hit"
     );
     assert_eq!(cache.len(), 12);
     assert!(stats.planning_nanos > 0);

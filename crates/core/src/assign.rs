@@ -1,12 +1,14 @@
 //! Algorithm 1: CSD code assignment (§III-B).
 //!
-//! The greedy pass walks the program line by line, projecting the total
+//! A lookahead walk seeds the partition line by line, projecting the total
 //! execution time if the line joined the CSD partition. The transfer-cost
 //! sign depends on adjacency: when the *previous* line already runs on the
 //! CSD, pulling this line over *removes* a device-to-host crossing for its
 //! input (`− D_in/BW`), whereas an isolated line *adds* one (`+ D_in/BW`);
-//! the output crossing (`+ D_out/BW`) is always charged. A line is adopted
-//! only when the projected time strictly improves.
+//! the output crossing (`+ D_out/BW`) is always charged. Single-line flips
+//! under the executor-faithful [`projected_cost`] then refine the seed
+//! ([`assign_refined`]). The `regret` experiment grades the result against
+//! search over every placement.
 
 use crate::estimate::LineEstimate;
 use alang::Program;
@@ -41,37 +43,24 @@ impl Assignment {
     /// Per-line engine placement implied by this assignment.
     #[must_use]
     pub fn placements(&self, line_count: usize) -> Vec<EngineKind> {
-        (0..line_count)
-            .map(|i| {
-                if self.csd_lines.contains(&i) {
-                    EngineKind::Cse
-                } else {
-                    EngineKind::Host
-                }
-            })
-            .collect()
+        let mut placements = vec![EngineKind::Host; line_count];
+        for &i in self.csd_lines.range(..line_count) {
+            placements[i] = EngineKind::Cse;
+        }
+        placements
     }
 
     /// The contiguous CSD regions `[start, end]` (inclusive) in line order
     /// — each becomes one generated CSD function.
     #[must_use]
     pub fn csd_regions(&self) -> Vec<(usize, usize)> {
-        let mut regions = Vec::new();
-        let mut iter = self.csd_lines.iter().copied();
-        let Some(mut start) = iter.next() else {
-            return regions;
-        };
-        let mut prev = start;
-        for i in iter {
-            if i == prev + 1 {
-                prev = i;
-            } else {
-                regions.push((start, prev));
-                start = i;
-                prev = i;
+        let mut regions: Vec<(usize, usize)> = Vec::new();
+        for &i in &self.csd_lines {
+            match regions.last_mut() {
+                Some((_, end)) if *end + 1 == i => *end = i,
+                _ => regions.push((i, i)),
             }
         }
-        regions.push((start, prev));
         regions
     }
 }
@@ -83,65 +72,22 @@ const LOOKAHEAD_LINES: usize = 8;
 /// Algorithm 1's per-line time delta of adding line `est` to `P_csd`.
 fn delta(est: &LineEstimate, prev_on_csd: bool, bw_d2h: f64) -> f64 {
     let d_in = est.d_in as f64 / bw_d2h;
-    let d_out = est.d_out as f64 / bw_d2h;
-    if prev_on_csd {
-        -est.ct_host + est.ct_device - d_in + d_out
-    } else {
-        -est.ct_host + est.ct_device + d_in + d_out
-    }
+    let d_in = if prev_on_csd { -d_in } else { d_in };
+    -est.ct_host + est.ct_device + d_in + est.d_out as f64 / bw_d2h
 }
 
-/// Runs Algorithm 1's greedy loop exactly as printed in the paper: a line
-/// joins `P_csd` only when the projected time strictly improves.
-///
-/// Because a storage-scan line's full output is charged as crossing the
-/// interconnect until its consumer also joins, the verbatim greedy cannot
-/// cross the scan→filter "hump"; prefer [`assign`], which implements the
-/// prose of §III-B ("records the assignment that yields the shortest
-/// execution time") with bounded lookahead. The verbatim variant is kept
-/// for the design-ablation experiments.
+/// Algorithm 1's lookahead walk, the seed [`assign_refined`] refines;
+/// `bw_d2h` is `BW_D2H` of Eq. 1 in bytes per second. Beside the printed
+/// greedy step it follows the paper's prose — ActivePy "records the
+/// assignment that yields the shortest execution time" — by growing a
+/// region from a line that is not profitable alone and adopting its best
+/// prefix: that is how a storage scan, whose bulky output would otherwise
+/// be charged as crossing the interconnect, joins the filter consuming it.
 ///
 /// # Panics
 ///
 /// Panics if `bw_d2h` is not strictly positive.
-#[must_use]
-pub fn assign_greedy(estimates: &[LineEstimate], bw_d2h: f64) -> Assignment {
-    assert!(bw_d2h > 0.0, "BW_D2H must be positive");
-    let t_host: f64 = estimates.iter().map(|e| e.ct_host).sum();
-    let mut t_csd = t_host;
-    let mut csd_lines = BTreeSet::new();
-    for (i, est) in estimates.iter().enumerate() {
-        let prev_on_csd = i == 0 || csd_lines.contains(&(i - 1));
-        let projected = t_csd + delta(est, prev_on_csd, bw_d2h);
-        if projected < t_csd && t_csd <= t_host {
-            csd_lines.insert(i);
-            t_csd = projected;
-        }
-    }
-    Assignment {
-        csd_lines,
-        t_host,
-        t_csd,
-    }
-}
-
-/// Runs Algorithm 1 over per-line estimates.
-///
-/// `bw_d2h` is the effective device-to-host bandwidth in bytes per second
-/// (`BW_D2H` in Eq. 1). In addition to the printed greedy step, the pass
-/// implements the paper's prose — ActivePy "records the assignment that
-/// yields the shortest execution time" — by tentatively extending a
-/// candidate region a bounded number of lines when a line is not
-/// profitable alone, and adopting the prefix that minimizes the projected
-/// time. This is what lets a storage scan (whose bulky output would
-/// otherwise be charged as crossing the interconnect) be adopted together
-/// with the filter that consumes it.
-///
-/// # Panics
-///
-/// Panics if `bw_d2h` is not strictly positive.
-#[must_use]
-pub fn assign(estimates: &[LineEstimate], bw_d2h: f64) -> Assignment {
+fn assign(estimates: &[LineEstimate], bw_d2h: f64) -> Assignment {
     assert!(bw_d2h > 0.0, "BW_D2H must be positive");
     let t_host: f64 = estimates.iter().map(|e| e.ct_host).sum();
     let mut t_csd = t_host;
@@ -149,40 +95,24 @@ pub fn assign(estimates: &[LineEstimate], bw_d2h: f64) -> Assignment {
     let mut i = 0;
     while i < estimates.len() {
         let prev_on_csd = i == 0 || csd_lines.contains(&(i - 1));
-        let projected = t_csd + delta(&estimates[i], prev_on_csd, bw_d2h);
-        if projected < t_csd {
-            csd_lines.insert(i);
-            t_csd = projected;
-            i += 1;
-            continue;
-        }
-        // Not profitable alone: tentatively grow a region starting here and
-        // keep the best prefix, if any prefix beats the incumbent.
-        let mut tentative = projected;
-        let mut best_t = t_csd;
-        let mut best_len = 0usize;
-        if tentative < best_t {
-            best_t = tentative;
-            best_len = 1;
-        }
-        let mut j = i + 1;
-        while j < estimates.len() && j - i < LOOKAHEAD_LINES {
-            tentative += delta(&estimates[j], true, bw_d2h);
-            if tentative < best_t {
-                best_t = tentative;
-                best_len = j - i + 1;
-            }
-            j += 1;
-        }
-        if best_len > 0 {
-            for k in i..i + best_len {
-                csd_lines.insert(k);
-            }
-            t_csd = best_t;
-            i += best_len;
+        let mut tentative = t_csd + delta(&estimates[i], prev_on_csd, bw_d2h);
+        let (mut best_t, mut best_len) = (t_csd, 0);
+        if tentative < t_csd {
+            (best_t, best_len) = (tentative, 1);
         } else {
-            i += 1;
+            // Not profitable alone: tentatively grow a region starting here
+            // and keep the best prefix, if any prefix beats the incumbent.
+            let window = &estimates[i + 1..estimates.len().min(i + LOOKAHEAD_LINES)];
+            for (len, est) in (2..).zip(window) {
+                tentative += delta(est, true, bw_d2h);
+                if tentative < best_t {
+                    (best_t, best_len) = (tentative, len);
+                }
+            }
         }
+        csd_lines.extend(i..i + best_len);
+        t_csd = best_t;
+        i += best_len.max(1);
     }
     Assignment {
         csd_lines,
@@ -237,10 +167,8 @@ pub fn projected_cost(
             EngineKind::Cse => est.ct_device,
         };
     }
-    if let Some(last) = estimates.last() {
-        if location.last() == Some(&EngineKind::Cse) {
-            total += last.d_out as f64 / bw_d2h;
-        }
+    if let (Some(last), Some(EngineKind::Cse)) = (estimates.last(), location.last()) {
+        total += last.d_out as f64 / bw_d2h;
     }
     total
 }
@@ -248,18 +176,13 @@ pub fn projected_cost(
 /// Maximum refinement sweeps before giving up on convergence.
 const REFINE_SWEEPS: usize = 12;
 
-/// ActivePy's full assignment pass: Algorithm 1 with lookahead
-/// ([`assign`]) to seed the partition, followed by single-line flip
-/// refinement under the executor-faithful [`projected_cost`] model until a
-/// fixpoint.
-///
-/// The refinement embodies the paper's stated behaviour — ActivePy
-/// "records the assignment that yields the shortest execution time" and in
-/// §V "successfully identified *exactly* the same set of code regions … as
-/// the optimal programmer-directed configuration". The greedy formula's
-/// previous-line adjacency approximation can strand single lines on the
-/// wrong side of the interconnect in programs whose data flow skips lines;
-/// flip refinement repairs exactly those cases.
+/// ActivePy's full assignment pass: Algorithm 1's lookahead walk seeds
+/// the partition, then single-line flips under the executor-faithful
+/// [`projected_cost`] refine it to a fixpoint. The greedy formula's
+/// previous-line adjacency can strand lines on the wrong side of the
+/// interconnect where data flow skips lines; the flips repair exactly
+/// those, so that, as §V says, ActivePy finds "*exactly* the same set of
+/// code regions" as the optimal programmer-directed configuration.
 ///
 /// # Panics
 ///
@@ -285,7 +208,6 @@ pub fn assign_refined_traced(
     tracer: &Tracer,
 ) -> Assignment {
     let seed = assign(estimates, bw_d2h);
-    let t_host = seed.t_host;
     // Refine from both the lookahead seed and the all-host plan: each can
     // be a local minimum under single-line flips (the lookahead can strand
     // a bulky producer on the wrong side; all-host cannot cross the
@@ -316,16 +238,12 @@ pub fn assign_refined_traced(
             best_placements = refined.placements;
         }
     }
-    let csd_lines: BTreeSet<usize> = best_placements
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| **p == EngineKind::Cse)
-        .map(|(i, _)| i)
-        .collect();
     Assignment {
-        csd_lines,
-        t_host,
-        t_csd: best_cost.min(t_host),
+        csd_lines: (0..best_placements.len())
+            .filter(|&i| best_placements[i] == EngineKind::Cse)
+            .collect(),
+        t_host: seed.t_host,
+        t_csd: best_cost.min(seed.t_host),
     }
 }
 
@@ -377,84 +295,10 @@ fn refine_flips(
     }
 }
 
-/// Computes the *optimal* assignment under the same adjacency-approximate
-/// cost model by dynamic programming over (line, placement) states. Used
-/// by the design-ablation experiments as the upper bound for Algorithm 1.
-///
-/// # Panics
-///
-/// Panics if `bw_d2h` is not strictly positive.
-#[must_use]
-pub fn assign_optimal(estimates: &[LineEstimate], bw_d2h: f64) -> Assignment {
-    assert!(bw_d2h > 0.0, "BW_D2H must be positive");
-    let t_host: f64 = estimates.iter().map(|e| e.ct_host).sum();
-    let n = estimates.len();
-    if n == 0 {
-        return Assignment {
-            csd_lines: BTreeSet::new(),
-            t_host,
-            t_csd: t_host,
-        };
-    }
-    // dp[placement] = (cost, choices); placement of the previous line.
-    // Crossing cost: a line whose input was produced on the other side
-    // pays d_in/BW; a CSD line whose successor is on the host pays its
-    // d_out through the successor's d_in, and the final line pays d_out
-    // explicitly if it ends on the CSD.
-    let cross = |bytes: u64| bytes as f64 / bw_d2h;
-    let mut dp: Vec<(f64, Vec<bool>)> = vec![
-        (estimates[0].ct_host, vec![false]),
-        (
-            estimates[0].ct_device + cross(estimates[0].d_in),
-            vec![true],
-        ),
-    ];
-    for est in &estimates[1..] {
-        let mut next: Vec<(f64, Vec<bool>)> = Vec::with_capacity(2);
-        for on_csd in [false, true] {
-            let mut best: Option<(f64, Vec<bool>)> = None;
-            for (prev_cost, prev_choice) in &dp {
-                let prev_on_csd = *prev_choice.last().expect("non-empty");
-                let exec = if on_csd { est.ct_device } else { est.ct_host };
-                let boundary = if prev_on_csd != on_csd {
-                    cross(est.d_in)
-                } else {
-                    0.0
-                };
-                let total = prev_cost + exec + boundary;
-                if best.as_ref().is_none_or(|(b, _)| total < *b) {
-                    let mut choice = prev_choice.clone();
-                    choice.push(on_csd);
-                    best = Some((total, choice));
-                }
-            }
-            next.push(best.expect("dp is non-empty"));
-        }
-        dp = next;
-    }
-    // Terminal: a CSD-resident final value must return to the host.
-    let last = estimates.last().expect("non-empty");
-    dp[1].0 += cross(last.d_out);
-    let (t_csd, choices) = dp
-        .into_iter()
-        .min_by(|a, b| a.0.partial_cmp(&b.0).expect("finite costs"))
-        .expect("two states");
-    let csd_lines: BTreeSet<usize> = choices
-        .iter()
-        .enumerate()
-        .filter(|(_, on)| **on)
-        .map(|(i, _)| i)
-        .collect();
-    Assignment {
-        csd_lines,
-        t_host,
-        t_csd: t_csd.min(t_host),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn est(line: usize, ct_host: f64, ct_device: f64, d_in: u64, d_out: u64) -> LineEstimate {
         LineEstimate {
@@ -505,16 +349,10 @@ mod tests {
             est(1, 0.1, 0.3, 4_000_000_000, 8), // device is 0.2s slower, but saves 1s input
         ];
         let a = assign(&estimates, BW);
-        assert!(a.csd_lines.contains(&0));
-        assert!(
-            a.csd_lines.contains(&1),
-            "adjacent line should ride along: {a:?}"
-        );
-        // Sanity: the same line *without* an offloaded predecessor stays.
-        let alone = [est(1, 0.1, 0.3, 4_000_000_000, 8)];
-        // (index 0 counts as "previous on csd" per the algorithm's `i == 0`
-        // clause, so shift it to index 1 with a host line before it.)
-        let shifted = vec![est(0, 1.0, 9.0, 0, 0), alone[0]];
+        assert_eq!(a.csd_regions(), [(0, 1)], "line 1 rides along: {a:?}");
+        // The same line after a host line (line 0 counts as "previous on
+        // CSD" by the `i == 0` clause) stays home.
+        let shifted = [est(0, 1.0, 9.0, 0, 0), est(1, 0.1, 0.3, 4_000_000_000, 8)];
         let a2 = assign(&shifted, BW);
         assert!(a2.csd_lines.is_empty(), "{a2:?}");
     }
@@ -529,9 +367,8 @@ mod tests {
         ];
         let a = assign(&estimates, BW);
         assert_eq!(a.csd_regions(), vec![(0, 1), (3, 3)]);
-        let placements = a.placements(4);
-        assert_eq!(placements[2], EngineKind::Host);
-        assert_eq!(placements[3], EngineKind::Cse);
+        let (host, cse) = (EngineKind::Host, EngineKind::Cse);
+        assert_eq!(a.placements(4), [cse, cse, host, cse]);
     }
 
     #[test]
@@ -556,57 +393,24 @@ mod tests {
         let _ = assign(&[], 0.0);
     }
 
-    #[test]
-    fn verbatim_greedy_cannot_cross_the_scan_hump() {
-        // The same pipeline the lookahead variant offloads: the strict
-        // greedy rejects the scan (its bulky output is charged) and then
-        // everything downstream.
-        let estimates = vec![
-            est(0, 2.0, 0.9, 0, 8_000_000_000),
-            est(1, 0.2, 0.7, 8_000_000_000, 80_000_000),
-            est(2, 0.05, 0.2, 80_000_000, 8),
-        ];
-        let greedy = assign_greedy(&estimates, BW);
-        assert!(greedy.csd_lines.is_empty(), "{greedy:?}");
-        let lookahead = assign(&estimates, BW);
-        assert!(lookahead.t_csd < greedy.t_csd);
-    }
-
-    #[test]
-    fn optimal_dp_matches_or_beats_lookahead() {
-        let estimates = vec![
-            est(0, 2.0, 0.9, 0, 8_000_000_000),
-            est(1, 0.2, 0.7, 8_000_000_000, 80_000_000),
-            est(2, 1.0, 5.0, 80_000_000, 80_000_000),
-            est(3, 0.3, 0.4, 80_000_000, 1_000),
-            est(4, 0.05, 0.2, 1_000, 8),
-        ];
-        let la = assign(&estimates, BW);
-        let opt = assign_optimal(&estimates, BW);
-        assert!(
-            opt.t_csd <= la.t_csd + 1e-9,
-            "DP {} must not lose to lookahead {}",
-            opt.t_csd,
-            la.t_csd
-        );
-        // On this instance the hump-crossing set {0, 1} is optimal.
-        assert!(
-            opt.csd_lines.contains(&0) && opt.csd_lines.contains(&1),
-            "{opt:?}"
-        );
-        assert!(
-            !opt.csd_lines.contains(&2),
-            "compute-heavy line stays home: {opt:?}"
-        );
-    }
-
-    #[test]
-    fn optimal_dp_on_empty_and_all_host_cases() {
-        let opt = assign_optimal(&[], BW);
-        assert!(opt.csd_lines.is_empty());
-        let estimates = vec![est(0, 1.0, 9.0, 0, 0), est(1, 1.0, 9.0, 0, 0)];
-        let opt = assign_optimal(&estimates, BW);
-        assert!(opt.csd_lines.is_empty());
-        assert!((opt.t_csd - opt.t_host).abs() < 1e-12);
+    proptest! {
+        /// The lookahead seed never projects a plan worse than staying
+        /// home, and names only lines of the program.
+        #[test]
+        fn the_seed_never_projects_worse_than_host(
+            lines in prop::collection::vec(
+                (1e-3f64..2.0, 1e-3f64..4.0, 0u64..8_000_000_000, 0u64..8_000_000_000),
+                1..12,
+            ),
+        ) {
+            let estimates: Vec<LineEstimate> = lines
+                .iter()
+                .enumerate()
+                .map(|(i, (h, d, din, dout))| est(i, *h, *d, *din, *dout))
+                .collect();
+            let a = assign(&estimates, BW);
+            prop_assert!(a.t_csd <= a.t_host + 1e-9, "{a:?}");
+            prop_assert!(a.csd_lines.iter().all(|l| *l < estimates.len()));
+        }
     }
 }

@@ -17,6 +17,12 @@ use crate::ast::{BinOp, Expr, Line, Program, UnOp};
 use crate::error::{LangError, Result};
 use crate::token::{lex_line, Token};
 
+/// How deep a line's expression tree may nest, an open parenthesis
+/// counting as a level (the registered programs nest at most 6 deep). The
+/// parser, lowering, evaluation and `Drop` all recurse per level, so deeper
+/// input is refused, not a stack overflow.
+const MAX_DEPTH: usize = 64;
+
 /// Parses a full ALang source text into a [`Program`].
 ///
 /// Blank lines and comment-only lines are skipped; the remaining lines are
@@ -26,7 +32,8 @@ use crate::token::{lex_line, Token};
 /// # Errors
 ///
 /// Returns a [`LangError::Lex`] or [`LangError::Parse`] pinpointing the
-/// offending 1-based source line.
+/// offending 1-based source line; an expression nested deeper than 64
+/// levels is a [`LangError::Parse`].
 ///
 /// ```
 /// let p = alang::parser::parse("x = 1 + 2\ny = x * 3\n")?;
@@ -44,6 +51,7 @@ pub fn parse(source: &str) -> Result<Program> {
             tokens,
             pos: 0,
             line_no: src_no + 1,
+            open: 0,
         };
         let line = p.parse_line(lines.len(), raw.trim().to_owned())?;
         lines.push(line);
@@ -55,6 +63,15 @@ struct Parser {
     tokens: Vec<Token>,
     pos: usize,
     line_no: usize,
+    /// Unary operators, parentheses and call argument lists enclosing the
+    /// expression being parsed.
+    open: usize,
+}
+
+/// A parsed expression and the depth of its tree.
+struct Node {
+    expr: Expr,
+    depth: usize,
 }
 
 impl Parser {
@@ -67,7 +84,7 @@ impl Parser {
             Some(Token::Assign) => {}
             other => return Err(self.unexpected(other.as_ref(), "`=`")),
         }
-        let expr = self.or_expr()?;
+        let expr = self.or_expr()?.expr;
         if let Some(tok) = self.peek() {
             let tok = tok.clone();
             return Err(self.unexpected(Some(&tok), "end of line"));
@@ -75,57 +92,41 @@ impl Parser {
         Ok(Line::new(index, target, expr, source))
     }
 
-    fn or_expr(&mut self) -> Result<Expr> {
+    fn or_expr(&mut self) -> Result<Node> {
         let mut lhs = self.and_expr()?;
         while self.eat(&Token::Or) {
             let rhs = self.and_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::Or,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::Or, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn and_expr(&mut self) -> Result<Expr> {
+    fn and_expr(&mut self) -> Result<Node> {
         let mut lhs = self.cmp_expr()?;
         while self.eat(&Token::And) {
             let rhs = self.cmp_expr()?;
-            lhs = Expr::Binary {
-                op: BinOp::And,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(BinOp::And, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn cmp_expr(&mut self) -> Result<Expr> {
+    fn cmp_expr(&mut self) -> Result<Node> {
         let lhs = self.add_expr()?;
         let op = match self.peek() {
-            Some(Token::Lt) => Some(BinOp::Lt),
-            Some(Token::Le) => Some(BinOp::Le),
-            Some(Token::Gt) => Some(BinOp::Gt),
-            Some(Token::Ge) => Some(BinOp::Ge),
-            Some(Token::EqEq) => Some(BinOp::Eq),
-            Some(Token::Ne) => Some(BinOp::Ne),
-            _ => None,
+            Some(Token::Lt) => BinOp::Lt,
+            Some(Token::Le) => BinOp::Le,
+            Some(Token::Gt) => BinOp::Gt,
+            Some(Token::Ge) => BinOp::Ge,
+            Some(Token::EqEq) => BinOp::Eq,
+            Some(Token::Ne) => BinOp::Ne,
+            _ => return Ok(lhs),
         };
-        if let Some(op) = op {
-            self.pos += 1;
-            let rhs = self.add_expr()?;
-            Ok(Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            })
-        } else {
-            Ok(lhs)
-        }
+        self.pos += 1;
+        let rhs = self.add_expr()?;
+        self.binary(op, lhs, rhs)
     }
 
-    fn add_expr(&mut self) -> Result<Expr> {
+    fn add_expr(&mut self) -> Result<Node> {
         let mut lhs = self.mul_expr()?;
         loop {
             let op = match self.peek() {
@@ -135,16 +136,12 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.mul_expr()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn mul_expr(&mut self) -> Result<Expr> {
+    fn mul_expr(&mut self) -> Result<Node> {
         let mut lhs = self.unary()?;
         loop {
             let op = match self.peek() {
@@ -154,65 +151,99 @@ impl Parser {
             };
             self.pos += 1;
             let rhs = self.unary()?;
-            lhs = Expr::Binary {
-                op,
-                lhs: Box::new(lhs),
-                rhs: Box::new(rhs),
-            };
+            lhs = self.binary(op, lhs, rhs)?;
         }
         Ok(lhs)
     }
 
-    fn unary(&mut self) -> Result<Expr> {
-        if self.eat(&Token::Minus) {
-            let expr = self.unary()?;
-            return Ok(Expr::Unary {
-                op: UnOp::Neg,
-                expr: Box::new(expr),
-            });
-        }
-        if self.eat(&Token::Not) {
-            let expr = self.unary()?;
-            return Ok(Expr::Unary {
-                op: UnOp::Not,
-                expr: Box::new(expr),
-            });
-        }
-        self.primary()
+    fn unary(&mut self) -> Result<Node> {
+        let op = if self.eat(&Token::Minus) {
+            UnOp::Neg
+        } else if self.eat(&Token::Not) {
+            UnOp::Not
+        } else {
+            return self.primary();
+        };
+        let operand = self.nested(Self::unary)?;
+        let expr = Expr::Unary {
+            op,
+            expr: Box::new(operand.expr),
+        };
+        self.node(expr, operand.depth + 1)
     }
 
-    fn primary(&mut self) -> Result<Expr> {
+    fn primary(&mut self) -> Result<Node> {
         match self.next() {
-            Some(Token::Num(n)) => Ok(Expr::Num(n)),
-            Some(Token::Str(s)) => Ok(Expr::Str(s)),
+            Some(Token::Num(n)) => self.node(Expr::Num(n), 1),
+            Some(Token::Str(s)) => self.node(Expr::Str(s), 1),
             Some(Token::Ident(name)) => {
-                if self.eat(&Token::LParen) {
-                    let mut args = Vec::new();
-                    if !self.eat(&Token::RParen) {
-                        loop {
-                            args.push(self.or_expr()?);
-                            if self.eat(&Token::Comma) {
-                                continue;
-                            }
-                            match self.next() {
-                                Some(Token::RParen) => break,
-                                other => return Err(self.unexpected(other.as_ref(), "`,` or `)`")),
-                            }
+                if !self.eat(&Token::LParen) {
+                    return self.node(Expr::Ident(name), 1);
+                }
+                let mut args = Vec::new();
+                let mut deepest = 0;
+                if !self.eat(&Token::RParen) {
+                    loop {
+                        let arg = self.nested(Self::or_expr)?;
+                        deepest = deepest.max(arg.depth);
+                        args.push(arg.expr);
+                        if self.eat(&Token::Comma) {
+                            continue;
+                        }
+                        match self.next() {
+                            Some(Token::RParen) => break,
+                            other => return Err(self.unexpected(other.as_ref(), "`,` or `)`")),
                         }
                     }
-                    Ok(Expr::Call { name, args })
-                } else {
-                    Ok(Expr::Ident(name))
                 }
+                self.node(Expr::Call { name, args }, deepest + 1)
             }
             Some(Token::LParen) => {
-                let e = self.or_expr()?;
+                let e = self.nested(Self::or_expr)?;
                 match self.next() {
                     Some(Token::RParen) => Ok(e),
                     other => Err(self.unexpected(other.as_ref(), "`)`")),
                 }
             }
             other => Err(self.unexpected(other.as_ref(), "an expression")),
+        }
+    }
+
+    /// Parses `rule` one level further in, refusing to recurse past
+    /// [`MAX_DEPTH`].
+    fn nested(&mut self, rule: fn(&mut Self) -> Result<Node>) -> Result<Node> {
+        if self.open == MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        self.open += 1;
+        let parsed = rule(self);
+        self.open -= 1;
+        parsed
+    }
+
+    fn binary(&self, op: BinOp, lhs: Node, rhs: Node) -> Result<Node> {
+        let depth = lhs.depth.max(rhs.depth) + 1;
+        let expr = Expr::Binary {
+            op,
+            lhs: Box::new(lhs.expr),
+            rhs: Box::new(rhs.expr),
+        };
+        self.node(expr, depth)
+    }
+
+    /// `expr` of tree depth `depth`, unless it would sit deeper than
+    /// [`MAX_DEPTH`] under what encloses it.
+    fn node(&self, expr: Expr, depth: usize) -> Result<Node> {
+        if self.open + depth > MAX_DEPTH {
+            return Err(self.too_deep());
+        }
+        Ok(Node { expr, depth })
+    }
+
+    fn too_deep(&self) -> LangError {
+        LangError::Parse {
+            line: self.line_no,
+            message: format!("expression nests deeper than {MAX_DEPTH}"),
         }
     }
 
@@ -342,5 +373,61 @@ mod tests {
             LangError::Parse { line, .. } => assert_eq!(line, 4),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    fn too_deep(line: usize) -> LangError {
+        LangError::Parse {
+            line,
+            message: format!("expression nests deeper than {MAX_DEPTH}"),
+        }
+    }
+
+    #[test]
+    fn hostile_nesting_is_a_parse_error_not_a_stack_overflow() {
+        let chain = format!("x = 1{}", " + 1".repeat(999_999));
+        for source in [
+            format!("x = {}", "(".repeat(10_000)),
+            format!("x = {}1", "-".repeat(100_000)),
+            format!("x = {}1", "not ".repeat(100_000)),
+            format!("x = {}", "f(".repeat(100_000)),
+            chain,
+        ] {
+            assert_eq!(parse(&source).unwrap_err(), too_deep(1));
+        }
+    }
+
+    #[test]
+    fn a_line_at_the_depth_limit_parses_lowers_runs_and_drops() {
+        // Each shape nests exactly `depth` levels: a unary chain, a
+        // left-leaning sum, parentheses around a literal, nested calls.
+        let shapes = |depth: usize| {
+            [
+                format!("x = {}1", "-".repeat(depth - 1)),
+                format!("x = 1{}", " + 1".repeat(depth - 1)),
+                format!("x = {}1{}", "(".repeat(depth - 1), ")".repeat(depth - 1)),
+                format!("x = {}1{}", "abs(".repeat(depth - 1), ")".repeat(depth - 1)),
+            ]
+        };
+        let expected = [-1.0, MAX_DEPTH as f64, 1.0, 1.0];
+        // A test thread's default stack, stated rather than inherited.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let storage = crate::builtins::Storage::new();
+                for (source, want) in shapes(MAX_DEPTH).iter().zip(expected) {
+                    let program = parse(source).expect("at the limit");
+                    let lowered = crate::lower::lower(&program).expect("lowers");
+                    let mut vm = crate::bytecode::Vm::new(&lowered, &storage);
+                    vm.run().expect("runs");
+                    let x = vm.var("x").expect("x").as_num().expect("a number");
+                    assert_eq!(x, want, "{source}");
+                }
+                for source in shapes(MAX_DEPTH + 1) {
+                    assert_eq!(parse(&source).unwrap_err(), too_deep(1), "{source}");
+                }
+            })
+            .expect("spawns")
+            .join()
+            .expect("no overflow");
     }
 }

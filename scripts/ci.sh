@@ -55,8 +55,16 @@ echo "== trace codec differentials (pinned case counts, the replaced writers and
 cargo test -q -p isp-obs --lib -- oracle:: journal::tests::as_u64
 cargo test -q -p activepy --lib resume::tests::plan_fingerprint
 
+echo "== hostile ALang source (nesting past the depth bound is a parse error) =="
+# Parentheses, unary chains, nested calls and a million-term sum past the
+# parser's 64-level bound must come back as LangError::Parse, and a line at
+# the bound must parse, lower, run and drop on a 2 MiB stack. Ahead of the
+# suite, so a stack overflow stops here, named, instead of aborting the
+# test binary that hit it.
+cargo test -q -p alang --lib parser::
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 53 of the 686 tests. No later
+# The whole suite: the root package alone is 53 of the 693 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 
@@ -176,8 +184,8 @@ echo "resumed fingerprint matches: $RESUMED_FP"
 
 echo "== deterministic report (every experiment's check, then BENCH_repro.json byte for byte) =="
 # The one full run: repro exits non-zero if any experiment's check fails
-# (decode, shards, adapt, recovery, audit, zero wrong answers under
-# faults), and the report it writes holds no host-clock field, so a fresh
+# (regret, decode, shards, adapt, recovery, audit, zero wrong answers
+# under faults), and the report it writes holds no host-clock field, so a fresh
 # one must equal the committed one byte for byte.
 # Two statements, not one `&&` list: `set -e` ignores a failure on the
 # left of `&&`.

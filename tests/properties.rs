@@ -1,6 +1,6 @@
 //! Property-based tests over the core data structures and invariants.
 
-use activepy::assign::{assign, assign_greedy, assign_optimal};
+use activepy::assign::{assign_refined, projected_cost};
 use activepy::estimate::LineEstimate;
 use activepy::fit::{fit_series, Complexity};
 use alang::value::{ArrayVal, BoolArrayVal};
@@ -66,8 +66,9 @@ proptest! {
         prop_assert!((fit.coefficient - coeff).abs() / coeff < 1e-6);
     }
 
-    /// Every assignment variant satisfies T_csd <= T_host (none may
-    /// project a plan worse than staying home).
+    /// The production planner never projects a plan worse than staying
+    /// home (`T_csd <= T_host`), under its own executor-faithful cost model
+    /// too, here over a straight-line chain program.
     #[test]
     fn assignments_never_project_worse_than_host(
         lines in prop::collection::vec(
@@ -87,11 +88,19 @@ proptest! {
                 ops: 0,
             })
             .collect();
+        let source: String = (0..estimates.len())
+            .map(|i| match i {
+                0 => "x0 = 1\n".to_owned(),
+                _ => format!("x{i} = x{} + 1\n", i - 1),
+            })
+            .collect();
+        let program = alang::parser::parse(&source).expect("a chain parses");
         const BW: f64 = 4e9;
-        for a in [assign_greedy(&estimates, BW), assign(&estimates, BW), assign_optimal(&estimates, BW)] {
-            prop_assert!(a.t_csd <= a.t_host + 1e-9, "{a:?}");
-            prop_assert!(a.csd_lines.iter().all(|l| *l < estimates.len()));
-        }
+        let a = assign_refined(&program, &estimates, BW);
+        prop_assert!(a.t_csd <= a.t_host + 1e-9, "{a:?}");
+        let placements = a.placements(estimates.len());
+        prop_assert!(projected_cost(&program, &estimates, &placements, BW) <= a.t_host + 1e-9, "{a:?}");
+        prop_assert!(a.csd_lines.iter().all(|l| *l < estimates.len()));
     }
 
     /// Array logical scaling preserves data and the invariant
