@@ -1,32 +1,34 @@
 //! Planner-audit calibration sweep: every workload's Eq. 1 predictions
-//! joined against measured costs, clean and contended.
+//! joined against measured costs, clean and contended — the one place the
+//! cost model is graded.
 //!
-//! For each registered workload the sweep plans once and executes three
-//! cells:
+//! For each registered workload the sweep looks its plan up in the shared
+//! [`PlanCache`] and runs it in three cells: **clean**, the reference
+//! `values_fingerprint`; **clean, audited**, with a live tracer, a profile
+//! recorder and an [`activepy::calibrate`] + `publish_to` pass (audit is
+//! observation-only, so a moved fingerprint is a counted divergence); and
+//! **contended**, a 10 % availability burst from t=0 with migration
+//! disabled, where measured device costs balloon while the placement stays
+//! put, so "would Algorithm 1 have flipped this line?" produces flips.
 //!
-//! * **clean / unaudited** — the reference run; fixes the
-//!   `values_fingerprint` every other cell must reproduce.
-//! * **clean / audited** — the same plan re-executed with a live tracer,
-//!   a profile recorder, and a full [`activepy::calibrate`] +
-//!   `publish_to` pass. Audit is observation-only, so any fingerprint
-//!   divergence here is a bug the sweep counts and the smoke gate fails
-//!   on.
-//! * **contended** — the plan under a 10 % availability burst from t=0
-//!   with migration disabled, so the measured device costs balloon while
-//!   the placement stays where Algorithm 1 put it. Calibrating this cell
-//!   (joined against the recorded profile) is where the counterfactual
-//!   "would Algorithm 1 have flipped this line?" question produces
-//!   actual flips.
+//! Over Table I plus SparseMV the clean join is also §V's [`Volume`]
+//! table: the paper predicts data volumes within ≈ 9 % (geomean) and
+//! over-estimates the CSR conversion of PageRank and SparseMV by up to
+//! 2.41×, never under, so ActivePy at worst schedules conservatively.
 //!
-//! The smoke gate ([`check`]) asserts: zero fingerprint
-//! divergences, every line audited, clean-cell mean error inside the
-//! pinned band, and at least one explained counterfactual flip across
-//! the grid.
+//! The smoke gate ([`check`]) asserts: zero fingerprint divergences,
+//! every line audited, clean-cell mean error inside the pinned band, at
+//! least one explained counterfactual flip across the grid, and the
+//! paper's volume claims.
 
+use std::sync::Arc;
+
+use crate::geomean;
 use activepy::runtime::{ActivePy, ActivePyOptions};
-use activepy::PlanCache;
+use activepy::{PlanCache, ProfileRecorder, ProfileStore};
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, SystemConfig};
+use isp_workloads::Workload;
 use serde::Serialize;
 
 /// Residual CSE availability in the contended cell.
@@ -42,6 +44,10 @@ pub const CLEAN_ERR_BAND_PPM: u64 = 700_000;
 
 /// Pinned band on the grid-wide mean clean error (measured ≈ 21 %).
 pub const MEAN_CLEAN_ERR_BAND_PPM: u64 = 350_000;
+
+/// Minimum measured output volume for a clean line to join the
+/// [`Volume`] table (tiny scalars drown in rounding).
+pub const MIN_VOLUME_BYTES: u64 = 1_000_000;
 
 /// One workload's calibration cells.
 #[derive(Debug, Clone, PartialEq, Serialize)]
@@ -70,6 +76,42 @@ pub struct Row {
     pub values_match: bool,
 }
 
+/// Volume prediction for one line of one workload, read off the clean
+/// cell's [`activepy::LineAudit`].
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct LineRow {
+    /// Workload name.
+    pub workload: String,
+    /// Line index.
+    pub line: usize,
+    /// The line's source text.
+    pub source: String,
+    /// Predicted output volume at full scale, bytes.
+    pub predicted_out: u64,
+    /// Measured output volume at full scale, bytes.
+    pub measured_out: u64,
+    /// `predicted / measured`.
+    pub ratio: f64,
+    /// Whether this line performs a CSR conversion (the paper's outlier).
+    pub is_csr: bool,
+}
+
+/// §V's data-volume accuracy over Table I plus SparseMV.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct Volume {
+    /// Every clean line measured at [`MIN_VOLUME_BYTES`] or more.
+    pub lines: Vec<LineRow>,
+    /// Geomean relative error over every non-CSR line, each floored at 10⁻⁴.
+    pub geomean_error: f64,
+    /// Geomean relative error over the data-dependent (off by > 10⁻³)
+    /// non-CSR lines — the paper's ≈ 9 %.
+    pub geomean_error_data_dependent: f64,
+    /// The worst CSR over-estimation factor.
+    pub max_csr_overestimate: f64,
+    /// Whether every CSR line over-estimated (the conservative side).
+    pub csr_always_over: bool,
+}
+
 /// The full sweep plus the aggregates the smoke gate asserts on.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Report {
@@ -86,15 +128,14 @@ pub struct Report {
     pub mean_clean_err_ppm: u64,
     /// One explained flip, for the report reader.
     pub flip_example: String,
+    /// §V's volume-accuracy table.
+    pub volume: Volume,
 }
 
-/// Runs one workload's three cells (see module docs).
-fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig) -> Row {
+/// Runs one workload's three cells (see module docs) from its plan in
+/// `cache`; returns its row and its clean lines for the [`Volume`] table.
+fn run_workload(w: &Workload, config: &SystemConfig, cache: &PlanCache) -> (Row, Vec<LineRow>) {
     let program = w.program().expect("registered workloads parse");
-    // Private cache: the profile recording below bumps the store's
-    // version, and leaking a refit into a shared cache would change
-    // another experiment's plans.
-    let cache = PlanCache::new();
     let rt = ActivePy::new();
     let plan = cache
         .plan_for(&rt, w.name(), &program, w, config)
@@ -107,11 +148,15 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig) -> Row {
     let reference_fp = reference.report.values_fingerprint;
 
     // Clean, audited: live tracer + profile recorder + calibration pass.
+    // A private store: recorded into `cache`'s, the profile would refit
+    // the plan every later lookup reads.
     let (tracer, _sink) = isp_obs::Tracer::to_memory();
+    let store = Arc::new(ProfileStore::new());
+    let key = (w.name().to_owned(), 0);
     let audited_rt = ActivePy::with_options(
         ActivePyOptions::default()
             .with_tracer(tracer.clone())
-            .with_profile(cache.recorder_for(&rt, w.name(), w, config)),
+            .with_profile(ProfileRecorder::to_store(Arc::clone(&store), key.clone())),
     );
     let audited = audited_rt
         .execute_plan(&plan, config, ContentionScenario::none())
@@ -121,8 +166,7 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig) -> Row {
 
     // Contended, migration disabled: measured device costs balloon while
     // the placement stays put — the flip-producing cell.
-    let key = PlanCache::key_for(&rt, w.name(), w, config);
-    let profile = cache.profiles().profile(&key);
+    let profile = store.profile(&key);
     let static_rt = ActivePy::with_options(ActivePyOptions::default().without_migration());
     let scenario = ContentionScenario::at_time(SimTime::from_secs(0.0), BURST_FRACTION);
     let contended_run = static_rt
@@ -133,7 +177,7 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig) -> Row {
     let ppm = |r: &activepy::CalibrationReport| (r.mean_abs_rel_err() * 1e6).round() as u64;
     let values_match = audited.report.values_fingerprint == reference_fp
         && contended_run.report.values_fingerprint == reference_fp;
-    Row {
+    let row = Row {
         name: w.name().to_owned(),
         lines_audited: clean.lines.len(),
         offloaded: !plan.assignment.csd_lines.is_empty(),
@@ -148,11 +192,48 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig) -> Row {
             .map(|f| f.explanation.clone())
             .unwrap_or_default(),
         values_match,
+    };
+    let volume = clean
+        .lines
+        .iter()
+        .filter(|l| l.measured_d_out >= MIN_VOLUME_BYTES)
+        .map(|l| {
+            let source = plan.program.lines()[l.line].source.clone();
+            LineRow {
+                workload: w.name().to_owned(),
+                line: l.line,
+                is_csr: source.contains("to_csr"),
+                source,
+                predicted_out: l.predicted_d_out,
+                measured_out: l.measured_d_out,
+                ratio: l.predicted_d_out as f64 / l.measured_d_out as f64,
+            }
+        })
+        .collect();
+    (row, volume)
+}
+
+/// The [`Volume`] aggregates over `lines` (0 where a mean has no line).
+fn volume(lines: Vec<LineRow>) -> Volume {
+    let geomean_or_0 = |v: Vec<f64>| if v.is_empty() { 0.0 } else { geomean(&v) };
+    let errors = || {
+        lines
+            .iter()
+            .filter(|l| !l.is_csr)
+            .map(|l| (l.ratio - 1.0).abs())
+    };
+    let csr: Vec<f64> = lines.iter().filter(|l| l.is_csr).map(|l| l.ratio).collect();
+    Volume {
+        geomean_error: geomean_or_0(errors().map(|e| e.max(1e-4)).collect()),
+        geomean_error_data_dependent: geomean_or_0(errors().filter(|&e| e > 1e-3).collect()),
+        max_csr_overestimate: csr.iter().copied().fold(0.0, f64::max),
+        csr_always_over: !csr.is_empty() && csr.iter().all(|&r| r > 1.0),
+        lines,
     }
 }
 
-/// Builds the [`Report`] aggregates from finished rows.
-fn aggregate(rows: Vec<Row>) -> Report {
+/// Builds the [`Report`] aggregates from finished rows and volume lines.
+fn aggregate(rows: Vec<Row>, lines: Vec<LineRow>) -> Report {
     let lines_audited = rows.iter().map(|r| 2 * r.lines_audited as u64).sum();
     let counterfactual_flips = rows.iter().map(|r| r.contended_flips as u64).sum();
     let fingerprint_divergences = rows.iter().filter(|r| !r.values_match).count();
@@ -173,18 +254,26 @@ fn aggregate(rows: Vec<Row>) -> Report {
         fingerprint_divergences,
         mean_clean_err_ppm,
         flip_example,
+        volume: volume(lines),
     }
 }
 
-/// Runs the calibration sweep over every registered workload.
+/// Runs the calibration sweep over every registered workload, each from
+/// its plan in `cache`; the [`Volume`] table reads §V's set, Table I plus
+/// SparseMV.
 ///
 /// # Panics
 ///
 /// Panics if a registered workload fails to plan or run.
 #[must_use]
-pub fn run(config: &SystemConfig) -> Report {
-    let rows = crate::sweep::run_grid(isp_workloads::full_set(), |w| run_workload(&w, config));
-    aggregate(rows)
+pub fn run(config: &SystemConfig, cache: &PlanCache) -> Report {
+    let grid = crate::sweep::run_grid(isp_workloads::full_set(), |w| {
+        run_workload(&w, config, cache)
+    });
+    let (rows, lines): (Vec<Row>, Vec<Vec<LineRow>>) = grid.into_iter().unzip();
+    // `full_set` is §V's set followed by the wire-format workloads.
+    let volume_set = isp_workloads::with_sparsemv().len();
+    aggregate(rows, lines.into_iter().take(volume_set).flatten().collect())
 }
 
 /// Checks the sweep's audit invariants; `Err` describes the violation.
@@ -234,7 +323,39 @@ pub fn check(report: &Report) -> Result<(), String> {
     if report.counterfactual_flips > 0 && report.flip_example.is_empty() {
         return Err("flips detected but none carries an explanation".to_owned());
     }
-    Ok(())
+    check_volume(&report.volume)
+}
+
+/// §V's volume claims: errors in the paper's single-digit-percent band,
+/// the CSR conversion over-estimated near its 2.41× and never under.
+fn check_volume(v: &Volume) -> Result<(), String> {
+    let bands = [
+        (
+            "volume geomean error",
+            v.geomean_error,
+            f64::NEG_INFINITY,
+            0.2,
+        ),
+        (
+            "data-dependent volume error",
+            v.geomean_error_data_dependent,
+            0.001,
+            0.2,
+        ),
+        ("CSR over-estimate", v.max_csr_overestimate, 1.5, 3.5),
+    ];
+    for (what, value, lo, hi) in bands {
+        if !(value > lo && value < hi) {
+            return Err(format!("{what} {value:.4} outside ({lo}, {hi})"));
+        }
+    }
+    match v.lines.iter().find(|l| l.is_csr && l.ratio <= 1.0) {
+        Some(l) => Err(format!(
+            "{} line {}: CSR volume predicted at {:.3}x the measurement, not over",
+            l.workload, l.line, l.ratio
+        )),
+        None => Ok(()),
+    }
 }
 
 /// Prints the sweep as a table plus the aggregate line.
@@ -272,6 +393,34 @@ pub fn print(report: &Report) {
     if !report.flip_example.is_empty() {
         println!("example flip: {}", report.flip_example);
     }
+    let v = &report.volume;
+    println!();
+    println!("== Volume-prediction accuracy (Eq. 1 inputs, clean cells) ==");
+    println!(
+        "{:<14} {:>4} {:>12} {:>12} {:>7}  line",
+        "workload", "ln", "predicted", "measured", "ratio"
+    );
+    for l in &v.lines {
+        println!(
+            "{:<14} {:>4} {:>12} {:>12} {:>7.3}  {}{}",
+            l.workload,
+            l.line,
+            l.predicted_out,
+            l.measured_out,
+            l.ratio,
+            l.source.chars().take(40).collect::<String>(),
+            if l.is_csr { "  <-- CSR" } else { "" },
+        );
+    }
+    println!(
+        "geomean volume error: all non-CSR lines {:.2}%, data-dependent lines {:.1}% (paper ~9%)",
+        v.geomean_error * 100.0,
+        v.geomean_error_data_dependent * 100.0
+    );
+    println!(
+        "CSR conversions over-estimated by up to {:.2}x (paper: up to 2.41x), always over: {}",
+        v.max_csr_overestimate, v.csr_always_over
+    );
 }
 
 #[cfg(test)]
@@ -282,7 +431,8 @@ mod tests {
     fn focused_sweep_calibrates_and_flips() {
         let config = SystemConfig::paper_default();
         let w = isp_workloads::by_name("TPC-H-6").expect("registered");
-        let report = aggregate(vec![run_workload(&w, &config)]);
+        let (row, lines) = run_workload(&w, &config, &PlanCache::new());
+        let report = aggregate(vec![row], lines);
         assert_eq!(report.rows.len(), 1);
         let r = &report.rows[0];
         assert!(r.values_match, "{r:?}");
@@ -292,5 +442,98 @@ mod tests {
         assert!(r.contended_flips > 0, "{r:?}");
         assert_eq!(r.profile_version, 1, "{r:?}");
         assert!(report.flip_example.contains("measured costs favor host"));
+    }
+
+    #[test]
+    fn pagerank_over_estimates_its_csr_conversion() {
+        let config = SystemConfig::paper_default();
+        let w = isp_workloads::by_name("PageRank").expect("registered");
+        let (_, lines) = run_workload(&w, &config, &PlanCache::new());
+        let csr = lines
+            .iter()
+            .find(|l| l.is_csr)
+            .expect("PageRank's to_csr line moves more than a megabyte");
+        assert!(csr.source.contains("to_csr"), "{csr:?}");
+        assert!(csr.ratio > 1.0, "over, never under: {csr:?}");
+    }
+
+    /// A report that passes [`check`]: one offloaded workload that flips
+    /// when contended, one non-CSR line 5 % over and one CSR line 2× over.
+    fn passing() -> Report {
+        let row = Row {
+            name: "W".to_owned(),
+            lines_audited: 2,
+            offloaded: true,
+            clean_err_ppm: 1_000,
+            clean_flips: 0,
+            contended_err_ppm: 500_000,
+            contended_flips: 1,
+            profile_version: 1,
+            flip_explanation: "line 0: measured costs favor host".to_owned(),
+            values_match: true,
+        };
+        aggregate(vec![row], vec![line(0, 1.05, false), line(1, 2.0, true)])
+    }
+
+    fn line(line: usize, ratio: f64, is_csr: bool) -> LineRow {
+        let measured_out = 1_000_000;
+        let predicted_out = (measured_out as f64 * ratio) as u64;
+        LineRow {
+            workload: "W".to_owned(),
+            line,
+            source: String::new(),
+            predicted_out,
+            measured_out,
+            ratio: predicted_out as f64 / measured_out as f64,
+            is_csr,
+        }
+    }
+
+    fn fails_with(report: &Report, cause: &str) {
+        match check(report) {
+            Err(e) => assert!(e.contains(cause), "{e:?} does not name {cause:?}"),
+            Ok(()) => panic!("check passed a report that should fail on {cause:?}"),
+        }
+    }
+
+    #[test]
+    fn check_passes_the_paper_shaped_stub() {
+        let report = passing();
+        assert!((report.volume.geomean_error - 0.05).abs() < 1e-9);
+        assert!((report.volume.max_csr_overestimate - 2.0).abs() < 1e-9);
+        assert!(report.volume.csr_always_over);
+        assert_eq!(check(&report), Ok(()));
+    }
+
+    #[test]
+    fn check_fails_a_volume_geomean_error_of_a_fifth() {
+        let mut report = passing();
+        report.volume.geomean_error = 0.2;
+        fails_with(&report, "volume geomean error");
+    }
+
+    #[test]
+    fn check_fails_a_data_dependent_error_outside_its_band() {
+        for err in [0.001, 0.2] {
+            let mut report = passing();
+            report.volume.geomean_error_data_dependent = err;
+            fails_with(&report, "data-dependent volume error");
+        }
+    }
+
+    #[test]
+    fn check_fails_a_csr_over_estimate_far_from_the_papers() {
+        for over in [1.5, 3.5, 0.0] {
+            let mut report = passing();
+            report.volume.max_csr_overestimate = over;
+            fails_with(&report, "CSR over-estimate");
+        }
+    }
+
+    #[test]
+    fn check_fails_a_csr_line_that_is_not_over_estimated() {
+        let mut report = passing();
+        report.volume.lines.push(line(2, 1.0, true));
+        fails_with(&report, "W line 2: CSR volume predicted at 1.000x");
     }
 }

@@ -8,7 +8,6 @@ pub mod fig2;
 pub mod fig4;
 pub mod fig5;
 pub mod flexibility;
-pub mod prediction;
 pub mod recovery;
 pub mod regret;
 pub mod runtime_opt;

@@ -81,7 +81,7 @@ struct FaultsSection {
 
 /// Every experiment of the evaluation, in the order `repro` runs them.
 /// They share one [`PlanCache`], so the order fixes which lookups hit.
-pub const EXPERIMENTS: [Experiment; 14] = [
+pub const EXPERIMENTS: [Experiment; 13] = [
     Experiment {
         name: "table1",
         reproduces: "Table I — applications and input sizes",
@@ -126,17 +126,6 @@ pub const EXPERIMENTS: [Experiment; 14] = [
             outcome(
                 &ex::runtime_opt::run(config),
                 |r| ex::runtime_opt::print(r),
-                unchecked,
-            )
-        },
-    },
-    Experiment {
-        name: "prediction",
-        reproduces: "§V text — volume-prediction accuracy and the CSR outlier",
-        run: |config, cache| {
-            outcome(
-                &ex::prediction::run(config, cache),
-                ex::prediction::print,
                 unchecked,
             )
         },
@@ -228,8 +217,14 @@ pub const EXPERIMENTS: [Experiment; 14] = [
     },
     Experiment {
         name: "audit",
-        reproduces: "planner audit — Eq. 1 predicted vs measured, clean and contended",
-        run: |config, _| outcome(&ex::audit::run(config), ex::audit::print, ex::audit::check),
+        reproduces: "planner audit — Eq. 1 predicted vs measured; §V's volume accuracy",
+        run: |config, cache| {
+            outcome(
+                &ex::audit::run(config, cache),
+                ex::audit::print,
+                ex::audit::check,
+            )
+        },
     },
 ];
 

@@ -33,9 +33,10 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
     );
     assert_eq!(after_fig5.hits, 9);
 
-    // prediction and regret replay cached plans entirely.
-    let _ = ex::prediction::run(&config, &cache);
+    // regret and audit replay cached plans entirely; audit records its
+    // profiles privately, so nothing in the shared cache refits.
     let _ = ex::regret::run(&config, &cache);
+    let _ = ex::audit::run(&config, &cache);
     let stats = cache.stats();
     assert_eq!(
         stats.misses, 12,
@@ -43,8 +44,13 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
     );
     assert_eq!(
         stats.hits,
-        9 + 10 + 12,
-        "prediction (10) and regret (12) all hit"
+        9 + 12 + 12,
+        "regret (12) and audit (12) all hit"
+    );
+    assert_eq!(stats.refits, 0, "audit's recorded runs refit nothing");
+    assert!(
+        cache.profiles().entries().is_empty(),
+        "audit's profiles stay out of the shared store"
     );
     assert_eq!(cache.len(), 12);
     assert!(stats.planning_nanos > 0);

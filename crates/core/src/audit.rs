@@ -6,18 +6,10 @@
 //! is captured as an [`Eq1Term`] (into [`crate::plan::OffloadPlan::eq1`]
 //! and [`crate::exec::RunReport::eq1`]); after execution, [`calibrate`]
 //! joins the terms against the measured [`alang::LineCost`]s and
-//! per-line wall-clock, and against the [`crate::profile::ProfileStore`]
-//! observations when a profile exists, producing a [`CalibrationReport`]:
-//!
-//! * per-line signed time error and output-volume error,
-//! * per-phase attribution on both clocks (host nanoseconds from
-//!   [`crate::plan::PlanTimings`], simulated seconds from the plan and
-//!   the run),
-//! * log₂ error histograms in parts-per-million
-//!   ([`isp_obs::Histogram`]),
-//! * and the counterfactual question the adapt sweep answers only
-//!   indirectly: **would Algorithm 1 have flipped this line under the
-//!   measured costs?** ([`CounterfactualFlip`]).
+//! per-line wall-clock into a [`CalibrationReport`]: per-line time and
+//! output-volume error, and the counterfactual question the adapt sweep
+//! answers only indirectly — **would Algorithm 1 have flipped this line
+//! under the measured costs?** ([`CounterfactualFlip`]).
 //!
 //! The whole layer is observation-only, like the tracer and the profile
 //! recorder: capture happens on data the planner already produced,
@@ -47,7 +39,7 @@ use crate::exec::{LineOutcome, RunReport};
 use crate::plan::OffloadPlan;
 use crate::profile::WorkloadProfile;
 use csd_sim::EngineKind;
-use isp_obs::{Histogram, SpanKind, Tracer};
+use isp_obs::{SpanKind, Tracer};
 use serde::Serialize;
 
 /// One line's Eq. 1 terms exactly as Algorithm 1 consumed them.
@@ -112,63 +104,32 @@ pub fn capture_terms(
 pub struct LineAudit {
     /// The line index.
     pub line: usize,
-    /// Where Algorithm 1 placed the line.
-    pub planned_csd: bool,
-    /// Where the line actually ran (differs after a migration).
-    pub ran_csd: bool,
     /// The predicted execution time on the engine that actually ran the
     /// line, seconds.
     pub predicted_secs: f64,
     /// The measured execution time on that engine, seconds: per-line wall
     /// minus input staging (Eq. 1 charges staging through `D_in`).
     pub measured_secs: f64,
-    /// Signed time error, `measured − predicted`, seconds.
-    pub err_secs: f64,
-    /// `|err| / max(measured, predicted)`, in `[0, 1]` — the bounded
-    /// relative error both histograms and the CI band use.
+    /// `|measured − predicted| / max(measured, predicted)`, in `[0, 1]` —
+    /// the bounded relative error the histograms and the CI band use.
     pub abs_rel_err: f64,
     /// Predicted output volume, bytes.
     pub predicted_d_out: u64,
     /// Measured output volume, bytes.
     pub measured_d_out: u64,
-    /// Mean output volume over every [`WorkloadProfile`] observation of
-    /// this line (0 when no profile was supplied or the line was never
-    /// observed).
-    pub profile_d_out: u64,
     /// Whether Algorithm 1 re-run on the measured costs places this line
     /// on the other engine.
     pub flipped: bool,
 }
 
-/// One counterfactual placement flip, with the Eq. 1 profits that
-/// explain it.
+/// One counterfactual placement flip, explained by its Eq. 1 profits.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct CounterfactualFlip {
     /// The line index.
     pub line: usize,
-    /// Where the plan put it.
-    pub planned_csd: bool,
-    /// Eq. 1 net profit under the predicted terms, seconds.
-    pub predicted_profit: f64,
-    /// Eq. 1 net profit under the measured terms, seconds.
-    pub measured_profit: f64,
-    /// Human-readable account of the flip.
+    /// Where the plan put the line, where the measured costs favor it, and
+    /// the Eq. 1 net profit `S` under the predicted and the measured terms.
     pub explanation: String,
-}
-
-/// Host-nanosecond and simulated-second attribution of one pipeline
-/// phase — the dual-clock breakdown of where planning and execution time
-/// went.
-#[derive(Debug, Clone, PartialEq, Serialize)]
-pub struct PhaseAttribution {
-    /// Phase name (`sampling`, `fit`, `assign`, `materialize`, `compile`,
-    /// `execute`).
-    pub phase: String,
-    /// Host wall-clock spent, nanoseconds (0 where the phase is charged
-    /// to the simulated clock only).
-    pub wall_nanos: u64,
-    /// Simulated seconds charged (0 for host-only phases).
-    pub sim_secs: f64,
 }
 
 /// The complete predicted-vs-measured calibration of one executed plan.
@@ -181,13 +142,6 @@ pub struct CalibrationReport {
     /// Counterfactual flips, ascending line index (empty when Algorithm 1
     /// stands by its plan under the measured costs).
     pub flips: Vec<CounterfactualFlip>,
-    /// Dual-clock per-phase attribution.
-    pub phases: Vec<PhaseAttribution>,
-    /// Log₂ histogram of per-line `abs_rel_err`, in parts per million.
-    pub time_err_ppm: Histogram,
-    /// Log₂ histogram of per-line output-volume relative error, in parts
-    /// per million.
-    pub volume_err_ppm: Histogram,
     /// The profile version joined against (0 when none was supplied).
     pub profile_version: u64,
 }
@@ -269,8 +223,8 @@ fn measured_ct(outcome: &LineOutcome, bw_d2h: f64) -> f64 {
 }
 
 /// Joins a plan's captured [`Eq1Term`]s against a finished run's measured
-/// outcomes (and the workload's [`WorkloadProfile`], when one exists)
-/// into a [`CalibrationReport`].
+/// outcomes into a [`CalibrationReport`], stamped with the version of the
+/// workload's [`WorkloadProfile`] when one is given.
 ///
 /// Prefers the terms echoed into `report.eq1` (they reflect the
 /// assignment that actually executed, e.g. a forced-placement variant);
@@ -294,6 +248,8 @@ pub fn calibrate(
         by_line.insert(l.line, l);
     }
 
+    // Every term carries the one bandwidth the assignment charged.
+    let bw = terms.first().map_or(0.0, |t| t.bw_d2h);
     // The counterfactual estimates: observations where we have them,
     // predictions elsewhere (see the module docs for why only the
     // observed engine is replaced).
@@ -302,10 +258,6 @@ pub fn calibrate(
         let Some(outcome) = by_line.get(&est.line) else {
             continue;
         };
-        let bw = terms
-            .iter()
-            .find(|t| t.line == est.line)
-            .map_or(0.0, |t| t.bw_d2h);
         let m = measured_ct(outcome, bw);
         match outcome.engine {
             EngineKind::Cse => est.ct_device = m,
@@ -314,7 +266,6 @@ pub fn calibrate(
         est.d_in = outcome.cost.bytes_in;
         est.d_out = outcome.cost.bytes_out;
     }
-    let bw = terms.first().map_or(0.0, |t| t.bw_d2h);
     let counterfactual = if bw > 0.0 {
         assign_refined(&plan.program, &measured_est, bw)
     } else {
@@ -323,8 +274,6 @@ pub fn calibrate(
 
     let mut lines = Vec::with_capacity(terms.len());
     let mut flips = Vec::new();
-    let mut time_err_ppm = Histogram::default();
-    let mut volume_err_ppm = Histogram::default();
     for t in terms {
         let Some(outcome) = by_line.get(&t.line) else {
             continue;
@@ -334,22 +283,13 @@ pub fn calibrate(
         let measured_secs = measured_ct(outcome, t.bw_d2h);
         let abs_rel = rel_err(predicted_secs, measured_secs);
         let flipped = counterfactual.csd_lines.contains(&t.line) != t.on_csd;
-        let profile_d_out = profile
-            .and_then(|p| p.observation(t.line))
-            .map_or(0, |o| o.mean_cost().bytes_out);
-        time_err_ppm.observe(ppm(abs_rel));
-        volume_err_ppm.observe(ppm(rel_err(t.d_out as f64, outcome.cost.bytes_out as f64)));
         lines.push(LineAudit {
             line: t.line,
-            planned_csd: t.on_csd,
-            ran_csd,
             predicted_secs,
             measured_secs,
-            err_secs: measured_secs - predicted_secs,
             abs_rel_err: abs_rel,
             predicted_d_out: t.d_out,
             measured_d_out: outcome.cost.bytes_out,
-            profile_d_out,
             flipped,
         });
         if flipped {
@@ -362,9 +302,6 @@ pub fn calibrate(
                 .map_or_else(|| "?".to_string(), |l| l.target.clone());
             flips.push(CounterfactualFlip {
                 line: t.line,
-                planned_csd: t.on_csd,
-                predicted_profit: t.profit,
-                measured_profit,
                 explanation: format!(
                     "line {} (`{}`): planned {}, measured costs favor {} \
                      (predicted S {:+.4}s, measured S {:+.4}s)",
@@ -383,31 +320,8 @@ pub fn calibrate(
         workload: workload.to_string(),
         lines,
         flips,
-        phases: phase_attribution(plan, report),
-        time_err_ppm,
-        volume_err_ppm,
         profile_version: profile.map_or(0, |p| p.version),
     }
-}
-
-/// The dual-clock phase breakdown: host nanoseconds from
-/// [`crate::plan::PlanTimings`], simulated seconds from the plan's
-/// charged overheads and the run's remainder.
-fn phase_attribution(plan: &OffloadPlan, report: &RunReport) -> Vec<PhaseAttribution> {
-    let exec_sim = (report.total_secs - plan.sampling_secs - plan.compile_secs).max(0.0);
-    let phase = |name: &str, wall_nanos: u64, sim_secs: f64| PhaseAttribution {
-        phase: name.to_string(),
-        wall_nanos,
-        sim_secs,
-    };
-    vec![
-        phase("sampling", plan.timings.sampling_nanos, plan.sampling_secs),
-        phase("fit", plan.timings.fit_nanos, 0.0),
-        phase("assign", plan.timings.assign_nanos, 0.0),
-        phase("materialize", plan.timings.materialize_nanos, 0.0),
-        phase("compile", 0, plan.compile_secs),
-        phase("execute", 0, exec_sim),
-    ]
 }
 
 #[cfg(test)]
@@ -474,17 +388,6 @@ mod tests {
             "no contention, no reason to flip: {:?}",
             audit.flips
         );
-        assert_eq!(audit.time_err_ppm.count(), 4);
-        assert_eq!(audit.volume_err_ppm.count(), 4);
-        // Both clocks are attributed and the execute phase dominates sim
-        // time.
-        let exec = audit
-            .phases
-            .iter()
-            .find(|p| p.phase == "execute")
-            .expect("execute phase");
-        assert!(exec.sim_secs > 0.0);
-        assert!(audit.phases.iter().any(|p| p.wall_nanos > 0));
     }
 
     #[test]
@@ -502,18 +405,26 @@ mod tests {
             "10% availability must flip at least one planned-CSD line"
         );
         let flip = &audit.flips[0];
-        assert!(flip.planned_csd, "the flip pulls work back to the host");
         assert!(
-            flip.measured_profit < flip.predicted_profit,
+            flip.explanation
+                .contains("planned CSD, measured costs favor host"),
+            "the flip pulls work back to the host: {flip:?}"
+        );
+        let profit = |label: &str| -> f64 {
+            let at = flip.explanation.find(label).expect(label) + label.len();
+            let rest = &flip.explanation[at..];
+            rest[..rest.find('s').expect("seconds")].parse().expect("S")
+        };
+        assert!(
+            profit("measured S ") < profit("predicted S "),
             "measured profit must have collapsed: {flip:?}"
         );
-        assert!(flip.explanation.contains("measured costs favor host"));
         // The flip is also flagged on the per-line join.
         assert!(audit.lines.iter().any(|l| l.line == flip.line && l.flipped));
     }
 
     #[test]
-    fn profile_join_records_version_and_mean_volume() {
+    fn profile_join_records_the_profile_version() {
         let program = parse(SRC).expect("parse");
         let config = SystemConfig::paper_default();
         let rt = ActivePy::new();
@@ -533,12 +444,6 @@ mod tests {
         assert_eq!(profile.version, 1);
         let audit = calibrate("w", &plan, &outcome.report, Some(&profile));
         assert_eq!(audit.profile_version, 1);
-        for l in &audit.lines {
-            assert_eq!(
-                l.profile_d_out, l.measured_d_out,
-                "one recorded run: the profile mean is the measurement"
-            );
-        }
     }
 
     #[test]

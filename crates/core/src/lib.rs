@@ -75,7 +75,6 @@ pub mod shard;
 pub use assign::Assignment;
 pub use audit::{
     calibrate, capture_terms, CalibrationReport, CounterfactualFlip, Eq1Term, LineAudit,
-    PhaseAttribution,
 };
 pub use error::ActivePyError;
 pub use estimate::{Calibration, LineEstimate};

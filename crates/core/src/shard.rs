@@ -47,6 +47,7 @@ use csd_sim::units::{Bandwidth, Duration, Ops, SimTime};
 use csd_sim::{EngineKind, Fleet, System, SystemConfig};
 use isp_obs::SpanKind;
 use serde::Serialize;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Host-side combine cost: one operation per gathered 8-byte element.
@@ -179,53 +180,29 @@ pub fn derive_sharded_plan(
 /// — are the same on every shard), but is *charged* only for its own
 /// work:
 ///
-/// * lines outside `[charge_start, charge_end)` are simulated free — no
-///   storage, compute, staging, or allocation charges (they belong to a
-///   different phase of the fleet plan, e.g. the host-side combine);
+/// * lines outside `charged` are simulated free — no storage, compute,
+///   staging, or allocation charges (they belong to a different phase of
+///   the fleet plan, e.g. the host-side combine);
 /// * charged lines whose output is row-partitioned (`sharded[line]`)
-///   charge the shard's exact slice of every extensive quantity, using
-///   the same integer partition arithmetic as chunk streaming, so slices
-///   across shards sum to the unsharded total with no remainder;
+///   charge the shard's exact slice of every extensive quantity,
+///   [`ShardMap::slice_u64`], so slices across shards sum to the
+///   unsharded total with no remainder;
 /// * charged replicated lines (model weights, centroid seeds) charge in
 ///   full on every shard — replicated work really is redone per device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardSlice {
-    /// This shard's index.
-    pub index: usize,
-    /// Total shards in the fleet.
-    pub count: usize,
-    /// Row-bound numerator: first row owned.
-    pub lo: u64,
-    /// Row-bound numerator: one past the last row owned.
-    pub hi: u64,
-    /// The partition denominator (total logical rows).
-    pub rows: u64,
-    /// First line this run is charged for.
-    pub charge_start: usize,
-    /// One past the last line this run is charged for.
-    pub charge_end: usize,
+    /// The fleet's partition.
+    pub map: ShardMap,
+    /// This shard's index in `map`.
+    pub shard: usize,
+    /// The lines this run is charged for.
+    pub charged: Range<usize>,
     /// Per line: whether its output is row-partitioned (sharded lines
     /// charge a slice, replicated lines charge in full).
     pub sharded: Vec<bool>,
 }
 
 impl ShardSlice {
-    /// This shard's exact slice of an extensive total; slices across all
-    /// shards of one [`alang::shard::ShardMap`] sum to `total`.
-    #[must_use]
-    pub fn slice(&self, total: u64) -> u64 {
-        if self.rows == 0 {
-            return total;
-        }
-        total * self.hi / self.rows - total * self.lo / self.rows
-    }
-
-    /// Whether `line` is charged by this run at all.
-    #[must_use]
-    pub fn charges(&self, line: usize) -> bool {
-        line >= self.charge_start && line < self.charge_end
-    }
-
     /// The charge for a quantity produced *by* `line`: zero outside the
     /// charge range, a slice for sharded lines, full for replicated ones.
     #[must_use]
@@ -234,14 +211,15 @@ impl ShardSlice {
     }
 
     /// The charge for moving the value line `def` defined on behalf of
-    /// `at_line`: sliced when the *defining* line is row-partitioned
+    /// `at_line`: zero when `at_line` is not charged, this shard's
+    /// [`ShardMap::slice_u64`] when the *defining* line is row-partitioned
     /// (each shard ships only its rows), full otherwise.
     #[must_use]
     pub fn scale_def(&self, def: usize, at_line: usize, total: u64) -> u64 {
-        if !self.charges(at_line) {
+        if !self.charged.contains(&at_line) {
             0
         } else if self.sharded.get(def).copied().unwrap_or(false) {
-            self.slice(total)
+            self.map.slice_u64(total, self.shard)
         } else {
             total
         }
@@ -430,15 +408,10 @@ pub fn execute_sharded(
         if decision == ShardDecision::PreMigrate {
             placements.fill(EngineKind::Host);
         }
-        let (lo, hi) = run.map.bounds_of(s);
         let slice = ShardSlice {
-            index: s,
-            count: n,
-            lo,
-            hi,
-            rows: run.map.rows_total(),
-            charge_start: 0,
-            charge_end: analysis.fence,
+            map: run.map.clone(),
+            shard: s,
+            charged: 0..analysis.fence,
             sharded: analysis.line_sharded.clone(),
         };
         let mut shard_opts = opts.clone();
@@ -543,13 +516,9 @@ pub fn execute_sharded(
     // Tail: the fence and after, host-side, over the combined carriers.
     // The prefix is simulated free; charges start at the fence.
     let tail_slice = ShardSlice {
-        index: 0,
-        count: 1,
-        lo: 0,
-        hi: run.map.rows_total(),
-        rows: run.map.rows_total(),
-        charge_start: analysis.fence,
-        charge_end: len,
+        map: ShardMap::range(run.map.rows_total(), 1),
+        shard: 0,
+        charged: analysis.fence..len,
         sharded: analysis.line_sharded.clone(),
     };
     let mut tail_opts = opts.clone();
@@ -712,6 +681,29 @@ mod tests {
             .scale(csd_sim::fleet::DEFAULT_BUDGET_LINKS);
         let plan = derive_sharded_plan(&base, map, &config, budget);
         (plan, config, rt)
+    }
+
+    #[test]
+    fn a_shard_slice_charges_what_its_map_slices() {
+        let map = ShardMap::range(1_000_000_000, 4);
+        let slice_of = |map: &ShardMap, shard| ShardSlice {
+            map: map.clone(),
+            shard,
+            charged: 0..1,
+            sharded: vec![true],
+        };
+        let total = 100_000_000_000;
+        let slices: Vec<u64> = (0..4)
+            .map(|s| slice_of(&map, s).scale_line(0, total))
+            .collect();
+        assert_eq!(slices, [25_000_000_000; 4]);
+        let whole = ShardMap::range(map.rows_total(), 1);
+        assert_eq!(slice_of(&whole, 0).scale_line(0, u64::MAX), u64::MAX);
+        assert_eq!(
+            slice_of(&whole, 0).scale_line(1, u64::MAX),
+            0,
+            "not charged"
+        );
     }
 
     #[test]

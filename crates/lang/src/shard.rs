@@ -193,15 +193,20 @@ impl ShardMap {
         }
     }
 
-    /// Shard `s`'s exact slice of an extensive quantity `total`: slices
-    /// over all shards sum to `total` with no rounding remainder.
+    /// Shard `s`'s exact slice of an extensive quantity `total`,
+    /// `⌊total·hi/rows⌋ − ⌊total·lo/rows⌋`: slices over all shards sum to
+    /// `total` with no rounding remainder. A full-scale byte count times a
+    /// row bound overflows `u64`, so the products are taken in `u128`.
     #[must_use]
     pub fn slice_u64(&self, total: u64, s: usize) -> u64 {
         if self.rows == 0 {
             return if s == 0 { total } else { 0 };
         }
+        let rows = u128::from(self.rows);
+        // `bound ≤ rows`, so each quotient is at most `total` and fits back.
+        let upto = |bound: u64| (u128::from(total) * u128::from(bound) / rows) as u64;
         let (lo, hi) = self.bounds_of(s);
-        total * hi / self.rows - total * lo / self.rows
+        upto(hi) - upto(lo)
     }
 
     /// Whether stored value `name` is partitioned (vs replicated).
@@ -426,6 +431,18 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn slicing_a_large_total_over_many_rows_does_not_overflow() {
+        let map = ShardMap::range(1_000_000_000, 4);
+        let total = 100_000_000_000;
+        let slices: Vec<u64> = (0..4).map(|s| map.slice_u64(total, s)).collect();
+        assert_eq!(slices, [25_000_000_000; 4]);
+        assert_eq!(slices.iter().sum::<u64>(), total);
+        let odd = ShardMap::hash(999_999_937, 7, 3);
+        let sum: u64 = (0..7).map(|s| odd.slice_u64(u64::MAX, s)).sum();
+        assert_eq!(sum, u64::MAX);
     }
 
     #[test]

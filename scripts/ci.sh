@@ -63,8 +63,21 @@ echo "== hostile ALang source (nesting past the depth bound is a parse error) ==
 # test binary that hit it.
 cargo test -q -p alang --lib parser::
 
+echo "== Eq. 1 audit and shard slicing (the volume claims and exact u64 slices) =="
+# The planner audit's check on stub reports, one per violated claim: a
+# volume geomean error past 0.2, a data-dependent error outside
+# (0.001, 0.2), a CSR over-estimate outside (1.5, 3.5), a CSR line not
+# over-estimated; PageRank's to_csr row over-estimated; a focused
+# TPC-H-6 sweep. Then the shard partition arithmetic in alang and the
+# ShardSlice that charges it in activepy: slices sum to the total, with
+# no u64 overflow at full-scale volumes. Ahead of the suite, so a broken
+# claim or an overflow stops here, named.
+cargo test -q -p isp-bench --lib audit
+cargo test -q -p alang --lib shard::
+cargo test -q -p activepy --lib shard::
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 53 of the 693 tests. No later
+# The whole suite: the root package alone is 53 of the 700 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 
@@ -184,9 +197,10 @@ echo "resumed fingerprint matches: $RESUMED_FP"
 
 echo "== deterministic report (every experiment's check, then BENCH_repro.json byte for byte) =="
 # The one full run: repro exits non-zero if any experiment's check fails
-# (regret, decode, shards, adapt, recovery, audit, zero wrong answers
-# under faults), and the report it writes holds no host-clock field, so a fresh
-# one must equal the committed one byte for byte.
+# (regret, decode, shards, adapt, recovery, audit with §V's volume
+# claims, zero wrong answers under faults), and the report it writes holds
+# no host-clock field, so a fresh one must equal the committed one byte
+# for byte.
 # Two statements, not one `&&` list: `set -e` ignores a failure on the
 # left of `&&`.
 (cd "$TRACE_TMP" && "$ROOT/target/release/repro" --json)
