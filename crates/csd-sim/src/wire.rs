@@ -24,8 +24,8 @@
 //! Encoded bytes are untrusted input (they reload from `ISPWARM1` files):
 //! every inflate runs under a caller-supplied output bound that is also
 //! its one allocation, and a framed body must end exactly at its trailer.
-//! `wire/oracle.rs` keeps the bit-at-a-time decoder this one replaced as
-//! the reference the differential tests compare against.
+//! `wire/oracle.rs` keeps the bit-at-a-time decoder and single-pass
+//! encoder these replaced as the references the differential tests use.
 
 use serde::Serialize;
 use std::sync::OnceLock;
@@ -332,28 +332,99 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     tables
 };
 
-/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`,
-/// eight bytes per step.
-#[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+/// `a(x)·b(x) mod P(x)` over GF(2), both in the reflected bit order
+/// (bit 31 is `x^0`): zlib's `multmodp`.
+const fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut p = 0;
+    let mut k = 0;
+    while k < 32 {
+        if a & (1 << 31 >> k) != 0 {
+            p ^= b;
+        }
+        b = (b >> 1) ^ (0xEDB8_8320 & (b & 1).wrapping_neg());
+        k += 1;
+    }
+    p
+}
+
+/// `X2N[k]` is `x^(2^k) mod P(x)`, reflected.
+const X2N: [u32; 32] = {
+    let mut t = [0u32; 32];
+    t[0] = 1 << 30; // x^1
+    let mut k = 1;
+    while k < 32 {
+        t[k] = multmodp(t[k - 1], t[k - 1]);
+        k += 1;
+    }
+    t
+};
+
+/// The CRC-32 of `a ‖ b` from `crc32(a)`, `crc32(b)` and `b`'s length:
+/// zlib's `crc32_combine`, `crc_a` shifted by `8·len_b` zero bits.
+fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+    // x^(8·len_b) is one factor x^(2^(k+3)) per set bit k of len_b.
+    let shift = (0..usize::BITS)
+        .filter(|k| len_b >> k & 1 != 0)
+        .fold(1 << 31, |s, k| multmodp(X2N[(k as usize + 3) % 32], s));
+    multmodp(shift, crc_a) ^ crc_b
+}
+
+/// One slicing-by-8 step of the (pre-inverted) CRC register over `w`.
+#[inline(always)]
+fn crc32_word(c: u32, w: &[u8]) -> u32 {
     let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
+    let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+    t[7][(lo & 0xFF) as usize]
+        ^ t[6][((lo >> 8) & 0xFF) as usize]
+        ^ t[5][((lo >> 16) & 0xFF) as usize]
+        ^ t[4][(lo >> 24) as usize]
+        ^ t[3][usize::from(w[4])]
+        ^ t[2][usize::from(w[5])]
+        ^ t[1][usize::from(w[6])]
+        ^ t[0][usize::from(w[7])]
+}
+
+/// Carries the CRC register `c` over `bytes`, eight bytes per step.
+fn crc32_update(mut c: u32, bytes: &[u8]) -> u32 {
     let mut words = bytes.chunks_exact(8);
     for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][usize::from(w[4])]
-            ^ t[2][usize::from(w[5])]
-            ^ t[1][usize::from(w[6])]
-            ^ t[0][usize::from(w[7])];
+        c = crc32_word(c, w);
     }
     for &b in words.remainder() {
-        c = t[0][usize::from((c as u8) ^ b)] ^ (c >> 8);
+        c = CRC_TABLES[0][usize::from((c as u8) ^ b)] ^ (c >> 8);
     }
-    !c
+    c
+}
+
+/// Inputs this long are split into four streams: one register's steps
+/// form a chain of dependent loads, four chains overlap.
+const CRC_STREAMS_MIN: usize = 1024;
+
+/// CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) of `bytes`.
+/// From 1 KiB on, four 8-byte-aligned quarters run in one loop (the last
+/// also over the tail) and zlib's `crc32_combine` folds their CRCs.
+#[must_use]
+pub fn crc32(bytes: &[u8]) -> u32 {
+    if bytes.len() < CRC_STREAMS_MIN {
+        return !crc32_update(!0, bytes);
+    }
+    let q = (bytes.len() / 4) & !7;
+    let (q0, rest) = bytes.split_at(q);
+    let (q1, rest) = rest.split_at(q);
+    let (q2, last) = rest.split_at(q);
+    let mut c = [!0u32; 4];
+    for (((w0, w1), w2), w3) in q0
+        .chunks_exact(8)
+        .zip(q1.chunks_exact(8))
+        .zip(q2.chunks_exact(8))
+        .zip(last.chunks_exact(8))
+    {
+        let step = |k: usize, w| crc32_word(c[k], w);
+        c = [step(0, w0), step(1, w1), step(2, w2), step(3, w3)];
+    }
+    c[3] = crc32_update(c[3], &last[q..]);
+    let c01 = crc32_combine(!c[0], !c[1], q);
+    crc32_combine(crc32_combine(c01, !c[2], q), !c[3], last.len())
 }
 
 /// Adler-32 checksum (RFC 1950) of `bytes`.
@@ -965,6 +1036,10 @@ fn match_len(data: &[u8], a: usize, b: usize, limit: usize) -> usize {
 
 /// Compresses `data` into a raw DEFLATE stream (one fixed-Huffman block).
 ///
+/// Every position with three bytes left joins the hash chains once, in
+/// order, whatever the parse does: a first pass links them all, and the
+/// greedy parse only walks them.
+///
 /// # Panics
 ///
 /// Panics if `data` is 4 GiB or longer (chain positions are `u32`).
@@ -984,31 +1059,36 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
 
     let mut head = vec![NIL; 0x8000];
     let mut prev = vec![NIL; data.len()];
+    let chained = data.len().saturating_sub(MIN_MATCH - 1);
+    for (p, slot) in prev[..chained].iter_mut().enumerate() {
+        let h = hash3(data, p);
+        *slot = head[h];
+        head[h] = p as u32;
+    }
     let mut i = 0usize;
     while i < data.len() {
         let mut best_len = 0usize;
         let mut best_dist = 0usize;
-        if i + MIN_MATCH <= data.len() {
-            let limit = (data.len() - i).min(MAX_MATCH);
-            let mut cand = head[hash3(data, i)];
-            let mut chain = 0usize;
-            while cand != NIL && i - cand as usize <= WINDOW && chain < MAX_CHAIN {
-                let c = cand as usize;
-                // Only a candidate that also matches at `best_len` can
-                // be strictly longer than the best so far.
-                if data[c + best_len] == data[i + best_len] {
-                    let l = match_len(data, c, i, limit);
-                    if l > best_len {
-                        best_len = l;
-                        best_dist = i - c;
-                        if l == limit {
-                            break;
-                        }
+        // The last two positions have no chain (`prev` is NIL there).
+        let limit = (data.len() - i).min(MAX_MATCH);
+        let mut cand = prev[i];
+        let mut chain = 0usize;
+        while cand != NIL && i - cand as usize <= WINDOW && chain < MAX_CHAIN {
+            let c = cand as usize;
+            // Only a candidate that also matches at `best_len` can be
+            // strictly longer than the best so far.
+            if data[c + best_len] == data[i + best_len] {
+                let l = match_len(data, c, i, limit);
+                if l > best_len {
+                    best_len = l;
+                    best_dist = i - c;
+                    if l == limit {
+                        break;
                     }
                 }
-                cand = prev[c];
-                chain += 1;
             }
+            cand = prev[c];
+            chain += 1;
         }
         if best_len >= MIN_MATCH {
             // Length symbol + extra bits.
@@ -1025,21 +1105,9 @@ pub fn deflate(data: &[u8]) -> Vec<u8> {
                 (best_dist - usize::from(DIST_BASE[di])) as u32,
                 u32::from(DIST_EXTRA[di]),
             );
-            // Insert every covered position into the hash chains.
-            let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
-            for (off, slot) in prev[i..end].iter_mut().enumerate() {
-                let h = hash3(data, i + off);
-                *slot = head[h];
-                head[h] = (i + off) as u32;
-            }
             i += best_len;
         } else {
             put_lit(&mut w, usize::from(data[i]));
-            if i + MIN_MATCH <= data.len() {
-                let h = hash3(data, i);
-                prev[i] = head[h];
-                head[h] = i as u32;
-            }
             i += 1;
         }
     }
@@ -1074,6 +1142,10 @@ fn gzip_frame(stream: &[u8]) -> Result<(&[u8], u32, usize), String> {
         return Err(format!("unsupported gzip method {}", stream[2]));
     }
     let flags = stream[3];
+    if flags & 0xE0 != 0 {
+        // RFC 1952 §2.3.1.2: a decoder must refuse reserved FLG bits.
+        return Err(format!("gzip reserved flag bits set ({flags:#04x})"));
+    }
     let mut pos = 10usize;
     if flags & 0x04 != 0 {
         // FEXTRA
@@ -1148,6 +1220,10 @@ fn zlib_frame(stream: &[u8]) -> Result<(&[u8], u32), String> {
     let flg = stream[1];
     if cmf & 0x0F != 8 {
         return Err(format!("unsupported zlib method {}", cmf & 0x0F));
+    }
+    if cmf >> 4 > 7 {
+        // RFC 1950 §2.2: windows past 32 KiB (CINFO > 7) are not allowed.
+        return Err(format!("zlib window CINFO {} > 7", cmf >> 4));
     }
     if (u16::from(cmf) * 256 + u16::from(flg)) % 31 != 0 {
         return Err("zlib header check failed".to_owned());

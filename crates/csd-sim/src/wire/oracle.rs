@@ -1,7 +1,8 @@
-//! The bit-at-a-time decoder `wire.rs` used to ship, kept as the test
-//! oracle (the `sum8_ref` convention), and the differential suite that
-//! holds the table-driven decoder to it: same bytes or both `Err`, never
-//! a panic, never more output than the bound.
+//! The bit-at-a-time decoder and the single-pass encoder `wire.rs` used
+//! to ship, kept as test oracles (the `sum8_ref` convention), and the
+//! differential suite that holds the codec to them: the decoder gives the
+//! same bytes or both `Err`, never a panic, never more output than the
+//! bound; the encoder gives the same bytes.
 
 use super::*;
 
@@ -259,6 +260,90 @@ fn crc32_ref(bytes: &[u8]) -> u32 {
         }
     }
     !c
+}
+
+// ---------------------------------------------------------------------------
+// Reference encoder: one pass that inserts each position into the hash
+// chains as the parse passes it.
+// ---------------------------------------------------------------------------
+
+/// [`deflate`] as it was before the chains moved into a pass of their own.
+fn deflate_ref(data: &[u8]) -> Vec<u8> {
+    assert!(
+        data.len() < NIL as usize,
+        "deflate input must be under 4 GiB"
+    );
+    let mut w = BitWriter::default();
+    w.put(1, 1); // final block
+    w.put(1, 2); // fixed Huffman
+    let put_lit = |w: &mut BitWriter, sym: usize| {
+        let (code, len) = FIXED_LIT[sym];
+        w.put(u32::from(code), u32::from(len));
+    };
+
+    let mut head = vec![NIL; 0x8000];
+    let mut prev = vec![NIL; data.len()];
+    let mut i = 0usize;
+    while i < data.len() {
+        let mut best_len = 0usize;
+        let mut best_dist = 0usize;
+        if i + MIN_MATCH <= data.len() {
+            let limit = (data.len() - i).min(MAX_MATCH);
+            let mut cand = head[hash3(data, i)];
+            let mut chain = 0usize;
+            while cand != NIL && i - cand as usize <= WINDOW && chain < MAX_CHAIN {
+                let c = cand as usize;
+                // Only a candidate that also matches at `best_len` can
+                // be strictly longer than the best so far.
+                if data[c + best_len] == data[i + best_len] {
+                    let l = match_len(data, c, i, limit);
+                    if l > best_len {
+                        best_len = l;
+                        best_dist = i - c;
+                        if l == limit {
+                            break;
+                        }
+                    }
+                }
+                cand = prev[c];
+                chain += 1;
+            }
+        }
+        if best_len >= MIN_MATCH {
+            // Length symbol + extra bits.
+            let li = usize::from(LEN_SYM[best_len]);
+            put_lit(&mut w, 257 + li);
+            w.put(
+                (best_len - usize::from(LEN_BASE[li])) as u32,
+                u32::from(LEN_EXTRA[li]),
+            );
+            // Distance symbol (5-bit fixed code) + extra bits.
+            let di = dist_symbol(best_dist);
+            w.put((di as u32).reverse_bits() >> 27, 5);
+            w.put(
+                (best_dist - usize::from(DIST_BASE[di])) as u32,
+                u32::from(DIST_EXTRA[di]),
+            );
+            // Insert every covered position into the hash chains.
+            let end = (i + best_len).min(data.len().saturating_sub(MIN_MATCH - 1));
+            for (off, slot) in prev[i..end].iter_mut().enumerate() {
+                let h = hash3(data, i + off);
+                *slot = head[h];
+                head[h] = (i + off) as u32;
+            }
+            i += best_len;
+        } else {
+            put_lit(&mut w, usize::from(data[i]));
+            if i + MIN_MATCH <= data.len() {
+                let h = hash3(data, i);
+                prev[i] = head[h];
+                head[h] = i as u32;
+            }
+            i += 1;
+        }
+    }
+    put_lit(&mut w, 256); // end of block
+    w.finish()
 }
 
 /// [`Encoding::decode`] as the three-pass pipeline it used to be:
@@ -956,15 +1041,51 @@ fn streams_from_a_real_zlib_decode() {
 
 #[test]
 fn crc32_matches_the_bitwise_loop_at_every_length_and_offset() {
-    let bytes = input(Kind::Incompressible, 80, 0xC4C);
-    for offset in 0..8 {
-        for len in 0..=64 {
-            let slice = &bytes[offset..offset + len];
-            assert_eq!(crc32(slice), crc32_ref(slice), "offset {offset} len {len}");
+    let bytes = input(Kind::Incompressible, 2 * CRC_STREAMS_MIN, 0xC4C);
+    // Short inputs, then the four-stream threshold.
+    let near = |at: usize| at - 16..=at + 16;
+    for (offsets, lens) in [(0..8, 0..=64), (0..9, near(CRC_STREAMS_MIN))] {
+        for offset in offsets {
+            for len in lens.clone() {
+                let slice = &bytes[offset..offset + len];
+                assert_eq!(crc32(slice), crc32_ref(slice), "offset {offset} len {len}");
+            }
         }
     }
-    let long = input(Kind::Incompressible, 70_001, 0xC4D);
-    assert_eq!(crc32(&long), crc32_ref(&long));
+    // Each multiple of 32 moves the 8-byte-aligned quarter up a word and
+    // drops the tail from 31 bytes to none.
+    let mut lens: Vec<usize> = [1088, 4096, 70_016]
+        .iter()
+        .flat_map(|&n| n - 1..=n + 1)
+        .collect();
+    lens.extend([70_001, 32 << 10, 2 << 20]);
+    let long = input(Kind::Incompressible, 2 << 20, 0xC4D);
+    for len in lens {
+        assert_eq!(crc32(&long[..len]), crc32_ref(&long[..len]), "len {len}");
+    }
+}
+
+#[test]
+fn crc32_combine_joins_the_crcs_of_two_halves() {
+    let mut rng = Rng(0xC0B19E);
+    let bytes = input(Kind::Incompressible, 5000, 0xC4E);
+    for case in 0..64 {
+        let n = if case == 0 { 0 } else { rng.below(5001) };
+        // A quarter of the splits leave `a` empty, a quarter `b`.
+        let split = match case % 4 {
+            0 => 0,
+            1 => n,
+            _ => rng.below(n + 1),
+        };
+        let (a, b) = bytes[..n].split_at(split);
+        assert_eq!(
+            crc32_combine(crc32_ref(a), crc32_ref(b), b.len()),
+            crc32_ref(&bytes[..n]),
+            "case {case}: {} + {} bytes",
+            a.len(),
+            b.len()
+        );
+    }
 }
 
 #[test]
@@ -1088,6 +1209,42 @@ fn a_body_must_end_exactly_at_its_trailer() {
     assert!(zlib_ref(&late, 500).is_err());
 }
 
+#[test]
+fn gzip_reserved_flag_bits_are_refused() {
+    let data = input(Kind::LowCardinality, 25, 8);
+    let member = gzip_compress(&data);
+    for flags in [0x20u8, 0x40, 0x80, 0xE0] {
+        let mut bad = member.clone();
+        bad[3] = flags;
+        let err = gzip_decompress(&bad, 25).expect_err("reserved FLG bit");
+        assert!(err.contains("reserved flag bits"), "{flags:#x}: {err}");
+        assert!(gzip_ref(&bad, 25).is_err());
+    }
+    assert_eq!(gzip_decompress(&member, 25), Ok(data));
+}
+
+#[test]
+fn zlib_windows_past_32_kib_are_refused() {
+    let data = input(Kind::LowCardinality, 25, 9);
+    let stream = zlib_compress(&data);
+    for cinfo in 0..16u8 {
+        // CMF with this window size, FLG's check bits fixed up to match.
+        let cmf = cinfo << 4 | 8;
+        let flg = (0..0x20u8)
+            .find(|f| (u16::from(cmf) * 256 + u16::from(f | 0x80)) % 31 == 0)
+            .expect("some FCHECK works")
+            | 0x80;
+        let mut s = stream.clone();
+        s[..2].copy_from_slice(&[cmf, flg]);
+        let got = zlib_decompress(&s, 25);
+        assert_eq!(got.is_ok(), cinfo <= 7, "CMF {cmf:#x}: {got:?}");
+        assert_eq!(zlib_ref(&s, 25).is_ok(), cinfo <= 7);
+        if cinfo > 7 {
+            assert!(got.expect_err("checked").contains("CINFO"));
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Encoder: the bytes are pinned, the tables are checked against a scan
 // ---------------------------------------------------------------------------
@@ -1126,6 +1283,51 @@ fn deflate_output_is_pinned_to_the_bytes_before_the_encoder_trim() {
         let packed = deflate(data);
         assert_eq!((packed.len(), fnv1a(&packed)), (len, digest), "{name}");
     }
+}
+
+#[test]
+fn the_two_pass_encoder_writes_the_single_pass_encoders_bytes() {
+    let mut lengths: Vec<usize> = (0..=8).collect();
+    lengths.extend([257, 258, 259, 32_767, 32_768, 32_769, 70_001]);
+    for (case, &n) in lengths.iter().enumerate() {
+        for kind in KINDS {
+            let seed = 0xE000 + case as u64;
+            let data = input(kind, n, seed);
+            assert!(
+                deflate(&data) == deflate_ref(&data),
+                "{kind:?} n={n} seed={seed:#x}"
+            );
+        }
+    }
+    // Shuffled f64 columns with the cardinalities of the benchmark's
+    // TPC-H-6 columns: stored as 4 096-element chunks, and one whole
+    // 2 MiB column as the write side encodes it.
+    let mut rng = Rng(0xE0C01);
+    // (name, base, cardinality, divisor): `base + below(card) / divisor`.
+    let shapes = [
+        ("shipdate", 8400.0, 1200, 1.0),
+        ("quantity", 1.0, 50, 1.0),
+        ("discount", 0.0, 11, 100.0),
+        ("price", 900.0, 100_000, 100.0),
+    ];
+    let mut column = |n: usize, (_, base, card, div): (&str, f64, usize, f64)| {
+        let bytes: Vec<u8> = (0..n)
+            .flat_map(|_| (base + rng.below(card) as f64 / div).to_le_bytes())
+            .collect();
+        shuffle(&bytes, 8)
+    };
+    for shape in shapes {
+        for chunk in 0..4 {
+            let bytes = column(4096, shape);
+            assert!(
+                deflate(&bytes) == deflate_ref(&bytes),
+                "{} chunk {chunk}",
+                shape.0
+            );
+        }
+    }
+    let whole = column(1 << 18, shapes[3]);
+    assert!(deflate(&whole) == deflate_ref(&whole), "whole price column");
 }
 
 #[test]

@@ -76,6 +76,21 @@ cargo test -q -p isp-bench --lib audit
 cargo test -q -p alang --lib shard::
 cargo test -q -p activepy --lib shard::
 
+echo "== wire codec differentials =="
+# csd_sim::wire against the implementations it replaced, kept in
+# crates/csd-sim/src/wire/oracle.rs: the table-driven inflate against the
+# bit-at-a-time decoder (boundary round trips, 10 000 seeded mutated and
+# truncated streams, hand-assembled and real-zlib streams); the two-pass
+# deflate against the single-pass encoder byte for byte (every input kind,
+# lengths around 0, 258 and 32 KiB, benchmark-shaped shuffled f64 columns
+# in 4 096-element chunks and one whole 2 MiB column) and against the
+# pinned digests; the four-stream crc32 against the bitwise loop around
+# its threshold and quarter boundaries, and crc32_combine on seeded
+# splits; gzip reserved flags and zlib CINFO > 7 refused. Ahead of the
+# suite, so a codec break stops here, named, instead of as a decode
+# fingerprint or ISPWARM1 digest diff.
+cargo test -q -p csd-sim --lib wire::
+
 echo "== cargo test -q --workspace =="
 # The whole suite: the root package alone is 53 of the 700 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
