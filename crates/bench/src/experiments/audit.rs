@@ -26,6 +26,7 @@ use std::sync::Arc;
 use crate::geomean;
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{PlanCache, ProfileRecorder, ProfileStore};
+use alang::copyelim::{infer_types, StaticType};
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, SystemConfig};
 use isp_workloads::Workload;
@@ -92,7 +93,8 @@ pub struct LineRow {
     pub measured_out: u64,
     /// `predicted / measured`.
     pub ratio: f64,
-    /// Whether this line performs a CSR conversion (the paper's outlier).
+    /// Whether this line produces a CSR matrix, by its inferred static
+    /// type (the paper's outlier).
     pub is_csr: bool,
 }
 
@@ -193,6 +195,7 @@ fn run_workload(w: &Workload, config: &SystemConfig, cache: &PlanCache) -> (Row,
             .unwrap_or_default(),
         values_match,
     };
+    let types = infer_types(&plan.program, &plan.sampling.dataset_types);
     let volume = clean
         .lines
         .iter()
@@ -202,7 +205,7 @@ fn run_workload(w: &Workload, config: &SystemConfig, cache: &PlanCache) -> (Row,
             LineRow {
                 workload: w.name().to_owned(),
                 line: l.line,
-                is_csr: source.contains("to_csr"),
+                is_csr: types[l.line] == StaticType::Csr,
                 source,
                 predicted_out: l.predicted_d_out,
                 measured_out: l.measured_d_out,

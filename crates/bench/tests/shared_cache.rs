@@ -53,5 +53,4 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
         "audit's profiles stay out of the shared store"
     );
     assert_eq!(cache.len(), 12);
-    assert!(stats.planning_nanos > 0);
 }

@@ -1249,7 +1249,7 @@ impl Run<'_> {
         self.monitor = self
             .opts
             .monitor
-            .map(|cfg| Monitor::new(cfg, expected_rate, *cse.counters()));
+            .map(|cfg| Monitor::new(cfg, expected_rate));
         Ok(Region {
             start,
             end,
@@ -2640,7 +2640,6 @@ mod tests {
         // migration site; this regression pins the contract per variant: an
         // acknowledged monitor never carries a decrease streak across the
         // move, no matter why the move happened.
-        use csd_sim::counters::PerfCounters;
         for reason in [
             MigrationReason::Degraded,
             MigrationReason::Preempted,
@@ -2648,7 +2647,7 @@ mod tests {
             MigrationReason::Reclaim,
         ] {
             let cfg = MonitorConfig::default();
-            let mk = || Monitor::new(cfg, 1000.0, PerfCounters::new());
+            let mk = || Monitor::new(cfg, 1000.0);
             // Rates decrease >0.1% per window but keep the smoothed ratio
             // above the threshold, so only the streak condition is in play.
             let rates = [1000.0, 997.0, 994.0, 991.0];

@@ -8,13 +8,10 @@
 //! run report carries a single metrics block instead of scattered
 //! accessors.
 //!
-//! Every field is deterministic for a fixed seed and policy. The two
-//! wall-clock quantities the old structs carried — the plan cache's
-//! `planning_nanos` and the kernel engine's scheduling-dependent
-//! `stolen_chunks` — are deliberately excluded: they stay reachable
-//! through [`crate::plan::PlanCache::stats`] and
-//! [`alang::ParEngine::nondet`], keeping snapshot equality meaningful
-//! across repeated same-seed runs.
+//! Every field is deterministic for a fixed seed and policy. The kernel
+//! engine's scheduling-dependent `stolen_chunks` is deliberately excluded:
+//! it stays reachable through [`alang::ParEngine::nondet`], keeping
+//! snapshot equality meaningful across repeated same-seed runs.
 
 use crate::recovery::RecoveryStats;
 use alang::ParStatsSnapshot;

@@ -5,10 +5,9 @@
 //! remaining work when either (1) the instruction throughput is
 //! *decreasing*, or (2) it sits significantly below the estimated
 //! throughput. The [`Monitor`] implements exactly those two triggers over
-//! the simulator's performance counters.
+//! the throughput windows the executor measures.
 
 use crate::error::{ActivePyError, Result};
-use csd_sim::counters::PerfCounters;
 use serde::Serialize;
 
 /// Monitor tuning.
@@ -103,7 +102,6 @@ pub enum Observation {
 pub struct Monitor {
     config: MonitorConfig,
     expected_rate: f64,
-    baseline: PerfCounters,
     last_rate: Option<f64>,
     last_raw: Option<f64>,
     decreases: u32,
@@ -111,10 +109,9 @@ pub struct Monitor {
 
 impl Monitor {
     /// Creates a monitor expecting `expected_rate` operations per second
-    /// (the engine's nominal throughput as estimated at assignment time),
-    /// with `baseline` being the engine counters at region entry.
+    /// (the engine's nominal throughput as estimated at assignment time).
     #[must_use]
-    pub fn new(config: MonitorConfig, expected_rate: f64, baseline: PerfCounters) -> Self {
+    pub fn new(config: MonitorConfig, expected_rate: f64) -> Self {
         debug_assert!(
             config.validate().is_ok(),
             "monitor config must be validated before reaching the monitor"
@@ -122,34 +119,10 @@ impl Monitor {
         Monitor {
             config,
             expected_rate,
-            baseline,
             last_rate: None,
             last_raw: None,
             decreases: 0,
         }
-    }
-
-    /// The throughput the monitor expects.
-    #[must_use]
-    pub fn expected_rate(&self) -> f64 {
-        self.expected_rate
-    }
-
-    /// Feeds the engine's current counters (one status update) and returns
-    /// the monitor's conclusion.
-    ///
-    /// Each observation is *windowed*: the throughput is measured over the
-    /// delta since the previous status update, matching the per-line
-    /// "current execution rate" the CSD reports (§III-C0b). A cumulative
-    /// average would dilute a sudden availability drop behind the history
-    /// of healthy lines.
-    pub fn observe(&mut self, current: &PerfCounters) -> Observation {
-        let delta = current.delta_since(&self.baseline);
-        self.baseline = *current;
-        let Some(rate) = delta.achieved_rate() else {
-            return Observation::Warmup;
-        };
-        self.observe_rate(rate)
     }
 
     /// Feeds one directly-measured throughput window: `ops` retired over
@@ -157,15 +130,14 @@ impl Monitor {
     /// paper's actual signal — the expected figure is "the total amount of
     /// estimated instructions divided by estimated execution time on CSD"
     /// (§III-D), so a GC-starved data path registers as degraded IPC even
-    /// while the cores' pure-compute rate is nominal.
+    /// while the cores' pure-compute rate is nominal. Each window is one
+    /// status update's, not a cumulative average, which would dilute a
+    /// sudden availability drop behind the history of healthy lines.
     pub fn observe_window(&mut self, ops: f64, wall_secs: f64) -> Observation {
         if wall_secs <= 0.0 || ops <= 0.0 {
             return Observation::Warmup;
         }
-        self.observe_rate(ops / wall_secs)
-    }
-
-    fn observe_rate(&mut self, raw: f64) -> Observation {
+        let raw = ops / wall_secs;
         let decreasing = match self.last_raw {
             Some(prev) if raw < prev * 0.999 => {
                 self.decreases += 1;
@@ -325,35 +297,25 @@ impl ShardMonitors {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use csd_sim::units::{Duration, Ops};
-
-    fn counters(ops: u64, secs: f64) -> PerfCounters {
-        let mut c = PerfCounters::new();
-        c.record(Ops::new(ops), Duration::from_secs(secs));
-        c
-    }
 
     #[test]
     fn healthy_at_expected_rate() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9, PerfCounters::new());
-        assert_eq!(
-            m.observe(&counters(1_000_000_000, 1.0)),
-            Observation::Healthy
-        );
+        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        assert_eq!(m.observe_window(1e9, 1.0), Observation::Healthy);
         assert_eq!(m.last_rate, Some(1e9));
     }
 
     #[test]
     fn warmup_before_any_work() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9, PerfCounters::new());
-        assert_eq!(m.observe(&PerfCounters::new()), Observation::Warmup);
+        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        assert_eq!(m.observe_window(0.0, 0.0), Observation::Warmup);
     }
 
     #[test]
     fn degraded_below_threshold() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9, PerfCounters::new());
+        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
         // 10% of expected throughput.
-        match m.observe(&counters(1_000_000_000, 10.0)) {
+        match m.observe_window(1e9, 10.0) {
             Observation::Degraded { ratio } => assert!((ratio - 0.1).abs() < 1e-9),
             other => panic!("expected degradation, got {other:?}"),
         }
@@ -366,46 +328,28 @@ mod tests {
             decreasing_streak: 3,
             smoothing: 1.0,
         };
-        let mut m = Monitor::new(cfg, 1e9, PerfCounters::new());
-        // Rates: 1.0, 0.95, 0.90, 0.86 of expected — all above the 0.5
+        let mut m = Monitor::new(cfg, 1e9);
+        // Rates: 1.0, 0.90, 0.80, 0.74 of expected — all above the 0.5
         // threshold, but monotonically decreasing.
-        assert_eq!(
-            m.observe(&counters(1_000_000_000, 1.0)),
-            Observation::Healthy
-        );
-        assert_eq!(
-            m.observe(&counters(1_900_000_000, 2.0)),
-            Observation::Healthy
-        );
-        assert_eq!(
-            m.observe(&counters(2_700_000_000, 3.0)),
-            Observation::Healthy
-        );
+        assert_eq!(m.observe_window(1e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.9e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.8e9, 1.0), Observation::Healthy);
         assert!(matches!(
-            m.observe(&counters(3_440_000_000, 4.0)),
+            m.observe_window(0.74e9, 1.0),
             Observation::Degraded { .. }
         ));
     }
 
     #[test]
-    fn baseline_excludes_prior_work() {
-        let baseline = counters(5_000_000_000, 100.0); // old slow history
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9, baseline);
-        let mut now = baseline;
-        now.record(Ops::new(1_000_000_000), Duration::from_secs(1.0));
-        assert_eq!(m.observe(&now), Observation::Healthy);
-    }
-
-    #[test]
     fn reestimate_scales_by_slowdown() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9, PerfCounters::new());
-        m.observe(&counters(100_000_000, 1.0)); // measured 1e8 = 10x slower
+        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        m.observe_window(1e8, 1.0); // measured 1e8 = 10x slower
         assert!((m.reestimate_remaining(2.0) - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn reestimate_without_measurement_is_identity() {
-        let m = Monitor::new(MonitorConfig::default(), 1e9, PerfCounters::new());
+        let m = Monitor::new(MonitorConfig::default(), 1e9);
         assert_eq!(m.reestimate_remaining(3.0), 3.0);
     }
 
@@ -413,7 +357,7 @@ mod tests {
     fn observe_window_detects_data_stalls() {
         // Expected progress rate 1e9 ops/s end-to-end; a data-starved
         // window retires the same ops over 4x the wall time.
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9, PerfCounters::new());
+        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
         assert_eq!(m.observe_window(1e8, 0.1), Observation::Healthy);
         match m.observe_window(1e8, 0.4) {
             // EMA with the default 0.35 factor: 0.35*0.25 + 0.65*1.0.
@@ -424,7 +368,7 @@ mod tests {
 
     #[test]
     fn observe_window_ignores_empty_windows() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9, PerfCounters::new());
+        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
         assert_eq!(m.observe_window(0.0, 1.0), Observation::Warmup);
         assert_eq!(m.observe_window(1.0, 0.0), Observation::Warmup);
     }
@@ -506,7 +450,7 @@ mod tests {
             decreasing_streak: 3,
             smoothing: 1.0,
         };
-        let mut m = Monitor::new(cfg, 1e9, PerfCounters::new());
+        let mut m = Monitor::new(cfg, 1e9);
         // Build a 3-decrease streak that triggers Degraded.
         assert_eq!(m.observe_window(1e9, 1.0), Observation::Healthy);
         assert_eq!(m.observe_window(0.95e9, 1.0), Observation::Healthy);

@@ -3,8 +3,8 @@
 //! Planning — sampling at the paper's down-scales, curve fitting,
 //! calibration, Eq.1 estimation, and Algorithm 1 — depends only on the
 //! program, the workload's input generator, the platform
-//! [`SystemConfig`], and the planning-relevant runtime options (sampling
-//! scales and cost-model constants). It does *not* depend on the
+//! [`SystemConfig`], and the planning-relevant runtime option (the
+//! cost-model constants). It does *not* depend on the
 //! contention scenario, the monitoring policy, or preemption timing:
 //! those only shape execution. [`OffloadPlan`] captures the full planning
 //! product once, so every execution variant of the same (workload,
@@ -14,13 +14,12 @@
 //! [`PlanCache`] keys plans by workload name plus a fingerprint of the
 //! platform config and planning options, computes misses under the cache
 //! lock so each key is planned exactly once even under concurrent sweeps,
-//! and counts hits, misses, and host wall-clock spent planning.
+//! and counts hits, misses and refits.
 
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Instant;
 
 use crate::assign::Assignment;
 use crate::error::Result;
@@ -29,7 +28,7 @@ use crate::fit::LinePrediction;
 use crate::persist::WarmSeed;
 use crate::profile::{ProfileKey, ProfileRecorder, ProfileStore};
 use crate::runtime::ActivePy;
-use crate::sampling::{InputSource, SamplingReport};
+use crate::sampling::{paper_scales, InputSource, SamplingReport};
 use crate::shard::{derive_sharded_plan, ShardedPlan};
 use alang::builtins::Storage;
 use alang::shard::ShardMap;
@@ -104,8 +103,6 @@ pub struct PlanCacheStats {
     pub misses: u64,
     /// Cached plans refitted from a newer measured profile.
     pub refits: u64,
-    /// Host wall-clock nanoseconds spent building plans.
-    pub planning_nanos: u64,
 }
 
 impl PlanCacheStats {
@@ -163,7 +160,6 @@ pub struct PlanCache {
     misses: AtomicU64,
     refits: AtomicU64,
     warm_starts: AtomicU64,
-    planning_nanos: AtomicU64,
 }
 
 impl PlanCache {
@@ -222,7 +218,6 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         tracer.counter_add("plan_cache.misses", 1);
-        let started = Instant::now();
         // Warm start: a persisted sampling report plus materialized input
         // for this exact key re-plans through phases 2–5 only — zero
         // sampling runs, zero `storage_at` calls against `input`.
@@ -248,8 +243,6 @@ impl PlanCache {
             self.refits.fetch_add(1, Ordering::Relaxed);
             tracer.counter_add("plan_cache.refits", 1);
         }
-        let nanos = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.planning_nanos.fetch_add(nanos, Ordering::Relaxed);
         plans.insert(
             key,
             CachedPlan {
@@ -322,9 +315,7 @@ impl PlanCache {
                 return Ok(Arc::clone(plan));
             }
         }
-        // The base lookup below does its own hit/miss accounting; the
-        // sharded derivation is cheap (no sampling), so only base-plan
-        // construction contributes to planning_nanos.
+        // The base lookup below does its own hit/miss accounting.
         let base = self.plan_for(runtime, name, program, input, config)?;
         let budget = config.d2h_bandwidth().scale(DEFAULT_BUDGET_LINKS);
         let mut sharded = self.sharded.lock().unwrap_or_else(PoisonError::into_inner);
@@ -341,7 +332,6 @@ impl PlanCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             refits: self.refits.load(Ordering::Relaxed),
-            planning_nanos: self.planning_nanos.load(Ordering::Relaxed),
         }
     }
 
@@ -448,12 +438,13 @@ impl PlanCache {
     /// zero-datagen). `Debug` output of the plain-data config structs is
     /// deterministic, which is all a cache key needs.
     fn fingerprint(runtime: &ActivePy, config: &SystemConfig, wire: u64) -> u64 {
-        let opts = runtime.options();
-        // `Vm` is the evaluator's name from when it was a keyed option;
-        // it stays in the text so persisted warm files keep their keys.
+        // The sampling scales and `Vm` (the evaluator's name) were keyed
+        // options once; both stay in the text so persisted warm files keep
+        // their keys.
         let text = format!(
             "{config:?}|{:?}|{:?}|Vm|wire:{wire:#x}",
-            opts.scales, opts.params
+            paper_scales(),
+            runtime.options().params
         );
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
         for byte in text.as_bytes() {
@@ -492,7 +483,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(cache.len(), 1);
-        assert!(stats.planning_nanos > 0);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
     }
 

@@ -33,8 +33,6 @@ use isp_obs::{SpanKind, Tracer, WalRecord};
 /// Configuration of the ActivePy runtime.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivePyOptions {
-    /// Sampling scale factors (the paper's four powers of two by default).
-    pub scales: Vec<f64>,
     /// Cost-model constants.
     pub params: CostParams,
     /// Monitoring/migration policy (`None` disables migration — the
@@ -79,7 +77,6 @@ pub struct ActivePyOptions {
 impl Default for ActivePyOptions {
     fn default() -> Self {
         ActivePyOptions {
-            scales: paper_scales(),
             params: CostParams::paper_default(),
             monitor: Some(MonitorConfig::default()),
             preempt_at: None,
@@ -243,7 +240,7 @@ impl ActivePy {
         self.execute_plan(&plan, config, scenario)
     }
 
-    /// Runs the planning half of the pipeline: sampling at the configured
+    /// Runs the planning half of the pipeline: sampling at the paper's
     /// down-scales, curve fitting, calibration, copy-elimination analysis,
     /// Eq.1 estimation, Algorithm 1, and full-scale input
     /// materialization. The result depends on the contention scenario and
@@ -270,15 +267,16 @@ impl ActivePy {
         let full_storage = input.storage_at(1.0);
         let materialize_nanos = phase_nanos(phase);
 
-        // 1. Sampling phase on down-scaled inputs.
+        // 1. Sampling phase on the paper's down-scaled inputs.
         let phase = Instant::now();
+        let scales = paper_scales();
         let span = tracer.begin_with(
             "phase.sampling",
             SpanKind::Phase,
             None,
-            tracer.attrs(|| vec![("scales".into(), self.options.scales.len().into())]),
+            tracer.attrs(|| vec![("scales".into(), scales.len().into())]),
         );
-        let sampling = run_sampling_traced(program, input, &self.options.scales, tracer)?;
+        let sampling = run_sampling_traced(program, input, &scales, tracer)?;
         let sampling_secs = self.sampling_secs(&sampling, config);
         tracer.end_with(
             span,

@@ -64,16 +64,6 @@ impl PerfCounters {
         self.achieved_rate().map(|r| r / freq_hz)
     }
 
-    /// Counters observed since `snapshot` was taken (a windowed delta, as
-    /// the runtime monitor samples).
-    #[must_use]
-    pub fn delta_since(&self, snapshot: &PerfCounters) -> PerfCounters {
-        PerfCounters {
-            retired: self.retired.saturating_sub(snapshot.retired),
-            busy: self.busy - snapshot.busy,
-        }
-    }
-
     /// Resets both counters to zero.
     pub fn reset(&mut self) {
         *self = PerfCounters::default();
@@ -102,17 +92,6 @@ mod tests {
         c.record(Ops::new(3_600_000_000), Duration::from_secs(1.0));
         let ipc = c.ipc(3.6e9).expect("ipc");
         assert!((ipc - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delta_since_windows_the_counters() {
-        let mut c = PerfCounters::new();
-        c.record(Ops::new(100), Duration::from_secs(1.0));
-        let snap = c;
-        c.record(Ops::new(50), Duration::from_secs(2.0));
-        let d = c.delta_since(&snap);
-        assert_eq!(d.retired(), Ops::new(50));
-        assert!((d.busy().as_secs() - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -375,12 +375,6 @@ impl Ops {
         );
         Ops((self.0 as f64 * factor).round() as u64)
     }
-
-    /// Saturating subtraction.
-    #[must_use]
-    pub const fn saturating_sub(self, rhs: Ops) -> Ops {
-        Ops(self.0.saturating_sub(rhs.0))
-    }
 }
 
 impl fmt::Display for Ops {

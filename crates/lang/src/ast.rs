@@ -6,6 +6,7 @@
 //! through named variables, which is what makes the per-line input/output
 //! volumes of Eq. 1 well defined.
 
+use crate::builtins::{kernel_id, KernelId};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -151,8 +152,8 @@ impl Expr {
         }
     }
 
-    /// Whether the expression contains a `scan(...)` or `scan_raw(...)`
-    /// (stored-data access).
+    /// Whether the expression contains a call that reads a stored dataset
+    /// (`scan(...)`, `scan_raw(...)`).
     #[must_use]
     pub fn contains_scan(&self) -> bool {
         match self {
@@ -166,9 +167,9 @@ impl Expr {
     }
 }
 
-/// Whether `builtin` is one of the two calls that read a stored dataset.
+/// Whether `builtin` reads a stored dataset.
 fn reads_storage(builtin: &str) -> bool {
-    builtin == "scan" || builtin == "scan_raw"
+    kernel_id(builtin).is_some_and(KernelId::reads_storage)
 }
 
 impl fmt::Display for Expr {
@@ -353,8 +354,8 @@ impl Program {
     #[must_use]
     pub fn scanned_dataset(&self, name: &str) -> Option<&str> {
         match &self.lines[self.def_site(name)?].expr {
-            Expr::Call { name, args } if reads_storage(name) => match args.as_slice() {
-                [Expr::Str(dataset)] => Some(dataset),
+            Expr::Call { name, args } => match args.as_slice() {
+                [Expr::Str(dataset)] if reads_storage(name) => Some(dataset),
                 _ => None,
             },
             _ => None,

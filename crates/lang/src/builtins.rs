@@ -12,6 +12,7 @@
 //! volumes are exact.
 
 use crate::canonical::Fingerprinter;
+use crate::copyelim::StaticType;
 use crate::error::{LangError, Result};
 use crate::forest::FlatForest;
 use crate::matrix::Matrix;
@@ -173,42 +174,6 @@ impl BuiltinOutput {
     }
 }
 
-/// All builtin names, for diagnostics and the copy-elimination type tables.
-pub const BUILTIN_NAMES: &[&str] = &[
-    "scan",
-    "col",
-    "filter",
-    "select",
-    "len",
-    "sum",
-    "mean",
-    "minv",
-    "maxv",
-    "count",
-    "exp",
-    "log",
-    "sqrt",
-    "erf",
-    "abs",
-    "sort",
-    "dot",
-    "where",
-    "group_sum",
-    "matmul",
-    "gemm_batch",
-    "to_csr",
-    "spmv",
-    "pagerank_step",
-    "kmeans_assign",
-    "kmeans_update",
-    "forest_score",
-    "gather",
-    "frob",
-    "gram",
-    "scan_raw",
-    "decode",
-];
-
 /// Execution context handed to every kernel: the stored datasets plus the
 /// data-parallel engine that decides chunked execution.
 #[derive(Debug, Clone, Copy)]
@@ -238,141 +203,95 @@ impl<'a> KernelCtx<'a> {
 /// lowered VM dispatches with one indirect call and zero allocation.
 pub type KernelFn = for<'a> fn(&[Value], &KernelCtx<'a>) -> Result<BuiltinOutput>;
 
+/// A builtin's static result type, as copy elimination infers it: "if
+/// ActivePy can determine the target type of memory objects" (§III-C0c).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ResultType {
+    /// Always this type.
+    Fixed(StaticType),
+    /// The first argument's type.
+    FirstArg,
+    /// The type of the stored dataset the first argument names, as sampling
+    /// observed it: the call reads storage.
+    Stored,
+}
+
+/// How a builtin's output rows line up with row-sharded arguments
+/// ([`crate::shard::analyze`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RowRule {
+    /// Row-aligned with any sharded argument.
+    Elementwise,
+    /// Rows selected from the first argument by the second; a sharded
+    /// second argument over a replicated first has no aligned partition.
+    SelectFirst,
+    /// Row-aligned with the first argument; the others must be replicated
+    /// (the right-hand side of `matmul`, the centroids of `kmeans_assign`).
+    FirstOnly,
+    /// `(model, rows)`: row-aligned with the rows; the model must be
+    /// replicated.
+    ModelThenRows,
+    /// Fences when fed sharded data: reductions and global restructurings.
+    /// A storage read's rows are instead its dataset's.
+    Fence,
+}
+
+use ResultType::{FirstArg, Fixed, Stored};
+use RowRule::{Elementwise, Fence, FirstOnly, ModelThenRows, SelectFirst};
+
+/// One builtin: its name, its kernel and the two rules the analyses read.
 struct Kernel {
     name: &'static str,
     func: KernelFn,
+    result: ResultType,
+    rows: RowRule,
 }
 
-/// Dispatch table, index-aligned with [`BUILTIN_NAMES`] (asserted by a test).
+const fn row(name: &'static str, func: KernelFn, result: ResultType, rows: RowRule) -> Kernel {
+    Kernel {
+        name,
+        func,
+        result,
+        rows,
+    }
+}
+
+/// The builtins: the one place a name, its kernel, its result type and its
+/// row rule are written down.
+#[rustfmt::skip]
 static KERNELS: &[Kernel] = &[
-    Kernel {
-        name: "scan",
-        func: k_scan,
-    },
-    Kernel {
-        name: "col",
-        func: k_col,
-    },
-    Kernel {
-        name: "filter",
-        func: k_filter,
-    },
-    Kernel {
-        name: "select",
-        func: k_select,
-    },
-    Kernel {
-        name: "len",
-        func: k_len,
-    },
-    Kernel {
-        name: "sum",
-        func: k_sum,
-    },
-    Kernel {
-        name: "mean",
-        func: k_mean,
-    },
-    Kernel {
-        name: "minv",
-        func: k_minv,
-    },
-    Kernel {
-        name: "maxv",
-        func: k_maxv,
-    },
-    Kernel {
-        name: "count",
-        func: k_count,
-    },
-    Kernel {
-        name: "exp",
-        func: k_exp,
-    },
-    Kernel {
-        name: "log",
-        func: k_log,
-    },
-    Kernel {
-        name: "sqrt",
-        func: k_sqrt,
-    },
-    Kernel {
-        name: "erf",
-        func: k_erf,
-    },
-    Kernel {
-        name: "abs",
-        func: k_abs,
-    },
-    Kernel {
-        name: "sort",
-        func: k_sort,
-    },
-    Kernel {
-        name: "dot",
-        func: k_dot,
-    },
-    Kernel {
-        name: "where",
-        func: k_where,
-    },
-    Kernel {
-        name: "group_sum",
-        func: group_sum,
-    },
-    Kernel {
-        name: "matmul",
-        func: k_matmul,
-    },
-    Kernel {
-        name: "gemm_batch",
-        func: gemm_batch,
-    },
-    Kernel {
-        name: "to_csr",
-        func: k_to_csr,
-    },
-    Kernel {
-        name: "spmv",
-        func: k_spmv,
-    },
-    Kernel {
-        name: "pagerank_step",
-        func: k_pagerank_step,
-    },
-    Kernel {
-        name: "kmeans_assign",
-        func: kmeans_assign,
-    },
-    Kernel {
-        name: "kmeans_update",
-        func: kmeans_update,
-    },
-    Kernel {
-        name: "forest_score",
-        func: forest_score,
-    },
-    Kernel {
-        name: "gather",
-        func: k_gather,
-    },
-    Kernel {
-        name: "frob",
-        func: k_frob,
-    },
-    Kernel {
-        name: "gram",
-        func: k_gram,
-    },
-    Kernel {
-        name: "scan_raw",
-        func: k_scan_raw,
-    },
-    Kernel {
-        name: "decode",
-        func: k_decode,
-    },
+    row("scan",          k_scan,          Stored,                    Fence),
+    row("col",           k_col,           Fixed(StaticType::Array),  SelectFirst),
+    row("filter",        k_filter,        Fixed(StaticType::Table),  SelectFirst),
+    row("select",        k_select,        Fixed(StaticType::Array),  SelectFirst),
+    row("len",           k_len,           Fixed(StaticType::Num),    Fence),
+    row("sum",           k_sum,           Fixed(StaticType::Num),    Fence),
+    row("mean",          k_mean,          Fixed(StaticType::Num),    Fence),
+    row("minv",          k_minv,          Fixed(StaticType::Num),    Fence),
+    row("maxv",          k_maxv,          Fixed(StaticType::Num),    Fence),
+    row("count",         k_count,         Fixed(StaticType::Num),    Fence),
+    row("exp",           k_exp,           FirstArg,                  Elementwise),
+    row("log",           k_log,           FirstArg,                  Elementwise),
+    row("sqrt",          k_sqrt,          FirstArg,                  Elementwise),
+    row("erf",           k_erf,           FirstArg,                  Elementwise),
+    row("abs",           k_abs,           FirstArg,                  Elementwise),
+    row("sort",          k_sort,          Fixed(StaticType::Array),  Fence),
+    row("dot",           k_dot,           Fixed(StaticType::Num),    Fence),
+    row("where",         k_where,         Fixed(StaticType::Array),  Elementwise),
+    row("group_sum",     group_sum,       Fixed(StaticType::Table),  Fence),
+    row("matmul",        k_matmul,        Fixed(StaticType::Matrix), FirstOnly),
+    row("gemm_batch",    gemm_batch,      Fixed(StaticType::Matrix), FirstOnly),
+    row("to_csr",        k_to_csr,        Fixed(StaticType::Csr),    Fence),
+    row("spmv",          k_spmv,          Fixed(StaticType::Array),  Fence),
+    row("pagerank_step", k_pagerank_step, Fixed(StaticType::Array),  Fence),
+    row("kmeans_assign", kmeans_assign,   Fixed(StaticType::Array),  FirstOnly),
+    row("kmeans_update", kmeans_update,   Fixed(StaticType::Matrix), Fence),
+    row("forest_score",  forest_score,    Fixed(StaticType::Array),  ModelThenRows),
+    row("gather",        k_gather,        Fixed(StaticType::Array),  Fence),
+    row("frob",          k_frob,          Fixed(StaticType::Num),    Fence),
+    row("gram",          k_gram,          Fixed(StaticType::Matrix), Fence),
+    row("scan_raw",      k_scan_raw,      Stored,                    Fence),
+    row("decode",        k_decode,        Fixed(StaticType::Array),  Elementwise),
 ];
 
 /// Dense identifier of a builtin kernel: an index into the dispatch table,
@@ -381,47 +300,50 @@ static KERNELS: &[Kernel] = &[
 pub struct KernelId(u16);
 
 impl KernelId {
+    fn kernel(self) -> &'static Kernel {
+        &KERNELS[self.0 as usize]
+    }
+
     /// The kernel's surface name.
     #[must_use]
     pub fn name(self) -> &'static str {
-        KERNELS[self.0 as usize].name
+        self.kernel().name
     }
 
-    /// Invokes the kernel on already-evaluated arguments with the shared
-    /// serial engine (compatibility path; the evaluators use
-    /// [`Self::invoke_in`] with their own engine).
+    /// Invokes the kernel on already-evaluated arguments in an explicit
+    /// execution context.
     ///
     /// # Errors
     ///
-    /// Arity, type, and kernel-specific shape errors, exactly as
-    /// [`call`] with the same name would produce.
-    pub fn invoke(self, args: &[Value], storage: &Storage) -> Result<BuiltinOutput> {
-        self.invoke_in(args, &KernelCtx::serial(storage))
-    }
-
-    /// Invokes the kernel in an explicit execution context.
-    ///
-    /// # Errors
-    ///
-    /// Same surface as [`Self::invoke`].
+    /// Arity, type, and kernel-specific shape errors, exactly as [`call`]
+    /// with the same name would produce.
     pub fn invoke_in(self, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-        (KERNELS[self.0 as usize].func)(args, ctx)
+        (self.kernel().func)(args, ctx)
+    }
+
+    /// The call's static result type.
+    pub(crate) fn result_type(self) -> ResultType {
+        self.kernel().result
+    }
+
+    /// How the call's output rows line up with sharded arguments.
+    pub(crate) fn row_rule(self) -> RowRule {
+        self.kernel().rows
+    }
+
+    /// Whether the call reads a stored dataset.
+    pub(crate) fn reads_storage(self) -> bool {
+        self.result_type() == Stored
     }
 
     /// Whether calls to this kernel charge an output-copy to the cost model
-    /// (the two scan forms are the exceptions: they stream from storage
+    /// (storage reads are the exceptions: they stream from storage
     /// instead).
     #[must_use]
     pub fn charges_copy(self) -> bool {
-        self.0 != SCAN_INDEX && self.0 != SCAN_RAW_INDEX
+        !self.reads_storage()
     }
 }
-
-/// Index of `scan` in [`KERNELS`] (asserted by the alignment test).
-const SCAN_INDEX: u16 = 0;
-
-/// Index of `scan_raw` in [`KERNELS`] (asserted by the alignment test).
-const SCAN_RAW_INDEX: u16 = 30;
 
 /// Kernel names sorted for binary-search resolution, each carrying its
 /// index into the (insertion-ordered) dispatch table.
@@ -1660,32 +1582,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_table_is_aligned_with_builtin_names() {
-        let table_names: Vec<&str> = KERNELS.iter().map(|k| k.name).collect();
-        assert_eq!(table_names, BUILTIN_NAMES);
-        for name in BUILTIN_NAMES {
-            let id = kernel_id(name).expect("registered");
-            assert_eq!(id.name(), *name);
-        }
-        assert!(kernel_id("np_dot").is_none());
-    }
-
-    #[test]
-    fn kernel_invoke_matches_call_by_name() {
-        let st = Storage::new();
-        let a = arr_logical(vec![1.0, 2.0, 3.0, 4.0], 4000);
-        let by_name = call("sum", std::slice::from_ref(&a), &st).expect("sum");
-        let by_id = kernel_id("sum")
-            .expect("id")
-            .invoke(std::slice::from_ref(&a), &st)
-            .expect("sum");
-        assert_eq!(by_name, by_id);
-    }
-
-    #[test]
     fn sorted_kernel_table_resolves_every_entry() {
         // The binary-search table is sorted, complete, and maps every name
-        // back to its insertion-order kernel id.
+        // back to its insertion-order kernel id; only the two storage reads
+        // stream instead of charging a copy.
         let sorted = &*SORTED_KERNELS;
         assert_eq!(sorted.len(), KERNELS.len());
         assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
@@ -1698,10 +1598,11 @@ mod tests {
                 kernel.name
             );
             assert_eq!(id.name(), kernel.name);
+            let reads = matches!(kernel.name, "scan" | "scan_raw");
+            assert_eq!(id.reads_storage(), reads, "{}", kernel.name);
+            assert_eq!(id.charges_copy(), !reads, "{}", kernel.name);
         }
-        assert_eq!(KERNELS[SCAN_INDEX as usize].name, "scan");
-        assert!(!kernel_id("scan").expect("scan").charges_copy());
-        assert!(kernel_id("sum").expect("sum").charges_copy());
+        assert!(kernel_id("np_dot").is_none());
     }
 
     #[test]

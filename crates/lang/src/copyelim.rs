@@ -15,6 +15,7 @@
 //! the code generator may remove.
 
 use crate::ast::{BinOp, Expr, Program, UnOp};
+use crate::builtins::{kernel_id, KernelId, ResultType};
 use std::collections::BTreeMap;
 
 /// The static type lattice (flat, with `Unknown` as bottom).
@@ -147,20 +148,19 @@ fn builtin_return_type(
     arg_types: &[StaticType],
     datasets: &DatasetTypes,
 ) -> StaticType {
-    match name {
-        "scan" | "scan_raw" => match args.first() {
-            Some(Expr::Str(ds)) => datasets.get(ds).copied().unwrap_or(StaticType::Unknown),
-            _ => StaticType::Unknown,
-        },
-        "col" | "select" | "sort" | "where" | "spmv" | "pagerank_step" | "kmeans_assign"
-        | "forest_score" | "gather" | "decode" => StaticType::Array,
-        "exp" | "log" | "sqrt" | "erf" | "abs" => {
-            arg_types.first().copied().unwrap_or(StaticType::Unknown)
-        }
-        "filter" | "group_sum" => StaticType::Table,
-        "len" | "sum" | "mean" | "minv" | "maxv" | "count" | "dot" | "frob" => StaticType::Num,
-        "matmul" | "gemm_batch" | "kmeans_update" | "gram" => StaticType::Matrix,
-        "to_csr" => StaticType::Csr,
+    match kernel_id(name).map(KernelId::result_type) {
+        Some(ResultType::Fixed(ty)) => ty,
+        Some(ResultType::FirstArg) => arg_types.first().copied().unwrap_or(StaticType::Unknown),
+        Some(ResultType::Stored) => stored_type(args, datasets),
+        None => StaticType::Unknown,
+    }
+}
+
+/// The seeded type of the dataset a storage read's first argument names:
+/// `Unknown` unless it is a string literal with a seed.
+fn stored_type(args: &[Expr], datasets: &DatasetTypes) -> StaticType {
+    match args.first() {
+        Some(Expr::Str(ds)) => datasets.get(ds).copied().unwrap_or(StaticType::Unknown),
         _ => StaticType::Unknown,
     }
 }
@@ -188,12 +188,8 @@ fn scan_types_known(expr: &Expr, datasets: &DatasetTypes) -> bool {
     match expr {
         Expr::Num(_) | Expr::Str(_) | Expr::Ident(_) => true,
         Expr::Call { name, args } => {
-            let self_ok = if name == "scan" || name == "scan_raw" {
-                matches!(args.first(), Some(Expr::Str(ds))
-                    if datasets.get(ds).is_some_and(|t| *t != StaticType::Unknown))
-            } else {
-                true
-            };
+            let self_ok = !kernel_id(name).is_some_and(KernelId::reads_storage)
+                || stored_type(args, datasets) != StaticType::Unknown;
             self_ok && args.iter().all(|a| scan_types_known(a, datasets))
         }
         Expr::Binary { lhs, rhs, .. } => {

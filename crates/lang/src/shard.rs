@@ -12,7 +12,8 @@
 //! `chunk_slice` uses for chunk streaming.
 //!
 //! [`analyze`] classifies each program line by *rowwise
-//! decomposability*: a line whose output is row-aligned with the sharded
+//! decomposability*, taking each call's row rule from its builtin's row in
+//! the kernel table: a line whose output is row-aligned with the sharded
 //! inputs (elementwise arithmetic, `filter`/`select`, `matmul` against a
 //! replicated right-hand side, …) can run per shard; the first line that
 //! consumes sharded data any other way — a reduction like `sum` or
@@ -23,7 +24,7 @@
 //! that keeps [`crate::par`] bit-identical).
 
 use crate::ast::{Expr, Program};
-use crate::builtins::Storage;
+use crate::builtins::{kernel_id, KernelId, RowRule, Storage};
 use crate::value::Value;
 use std::collections::BTreeSet;
 
@@ -271,18 +272,6 @@ pub struct ShardAnalysis {
     pub carriers: Vec<usize>,
 }
 
-/// Elementwise builtins: output rows align with the (any) sharded input.
-const ELEMENTWISE: [&str; 7] = ["exp", "log", "sqrt", "erf", "abs", "where", "decode"];
-
-/// Builtins whose output is row-aligned with their *first* argument;
-/// remaining arguments must be replicated (the sharded lhs of `matmul`,
-/// the points of `kmeans_assign`).
-const ROW_FIRST: [&str; 3] = ["matmul", "gemm_batch", "kmeans_assign"];
-
-/// Row-aligned selections: first argument and mask are partitioned by
-/// the same map.
-const ROW_SELECT: [&str; 3] = ["col", "filter", "select"];
-
 fn class_of(expr: &Expr, sharded_vars: &BTreeSet<String>, map: &ShardMap) -> Option<Shardedness> {
     use Shardedness::{Replicated, Sharded};
     match expr {
@@ -311,54 +300,38 @@ fn class_of(expr: &Expr, sharded_vars: &BTreeSet<String>, map: &ShardMap) -> Opt
                 .collect();
             let classes = classes?;
             let any_sharded = classes.contains(&Sharded);
-            if name == "scan" || name == "scan_raw" {
+            let kernel = kernel_id(name);
+            if kernel.is_some_and(KernelId::reads_storage) {
                 // Encoded datasets are never sharded (ShardMap::auto
-                // replicates Value::Encoded), so scan_raw follows the
+                // replicates Value::Encoded), so a raw read follows the
                 // same source-name rule and lands on Replicated.
                 return Some(match args.first() {
                     Some(Expr::Str(source)) if map.is_sharded(source) => Sharded,
                     _ => Replicated,
                 });
             }
-            if ELEMENTWISE.contains(&name.as_str()) {
-                return Some(if any_sharded { Sharded } else { Replicated });
-            }
-            if ROW_SELECT.contains(&name.as_str()) {
-                // Row selection follows the first argument; a sharded
-                // mask over replicated data has no aligned partition.
-                return match classes.first() {
+            // An unknown name fences like a reduction.
+            match kernel.map_or(RowRule::Fence, KernelId::row_rule) {
+                RowRule::Elementwise => Some(if any_sharded { Sharded } else { Replicated }),
+                // A sharded mask over replicated data has no aligned
+                // partition.
+                RowRule::SelectFirst => match classes.first() {
                     Some(Sharded) => Some(Sharded),
                     _ if any_sharded => None,
                     _ => Some(Replicated),
-                };
-            }
-            if ROW_FIRST.contains(&name.as_str()) {
-                // Only the row operand may be sharded; a sharded rhs
-                // (weights, centroids) would need an all-to-all.
-                if classes.iter().skip(1).any(|c| *c == Sharded) {
-                    return None;
-                }
-                return classes.first().copied().or(Some(Replicated));
-            }
-            if name == "forest_score" {
-                // forest_score(model, rows): the model must be replicated.
-                if classes.first() == Some(&Sharded) {
-                    return None;
-                }
-                return Some(if classes.get(1) == Some(&Sharded) {
+                },
+                // A sharded rhs (weights, centroids) would need an
+                // all-to-all.
+                RowRule::FirstOnly if classes.iter().skip(1).any(|c| *c == Sharded) => None,
+                RowRule::FirstOnly => classes.first().copied().or(Some(Replicated)),
+                RowRule::ModelThenRows if classes.first() == Some(&Sharded) => None,
+                RowRule::ModelThenRows => Some(if classes.get(1) == Some(&Sharded) {
                     Sharded
                 } else {
                     Replicated
-                });
-            }
-            // Everything else — reductions (`sum`, `group_sum`, `dot`,
-            // `frob`, `gram`, `kmeans_update`, …) and global
-            // restructurings (`sort`, `gather`, `to_csr`, `spmv`,
-            // `pagerank_step`) — fences when fed sharded data.
-            if any_sharded {
-                None
-            } else {
-                Some(Replicated)
+                }),
+                RowRule::Fence if any_sharded => None,
+                RowRule::Fence => Some(Replicated),
             }
         }
     }

@@ -91,8 +91,18 @@ echo "== wire codec differentials =="
 # fingerprint or ISPWARM1 digest diff.
 cargo test -q -p csd-sim --lib wire::
 
+echo "== builtin table (each builtin's result type against what its kernel returns) =="
+# Copy elimination, the storage-read test and the shard fence read a
+# builtin's result type and row rule from its one KERNELS row. The type
+# pass and the table's own tests, then every line of the 12 registered
+# programs at scale 2^-10 through the VM: the inferred type must be the
+# produced value's type. Ahead of the suite, so a wrong row stops here,
+# named, instead of as a moved copy-elimination flag or golden.
+cargo test -q -p alang --lib -- copyelim:: builtins::tests
+cargo test -q --test builtin_table
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 53 of the 700 tests. No later
+# The whole suite: the root package alone is 54 of the 701 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 
