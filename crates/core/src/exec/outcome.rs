@@ -1,0 +1,155 @@
+//! What one execution reports.
+
+use crate::metrics::MetricsSnapshot;
+use alang::{LineCost, ParallelPolicy};
+use csd_sim::EngineKind;
+use serde::Serialize;
+
+/// What happened on one line.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct LineOutcome {
+    /// Line index.
+    pub line: usize,
+    /// Engine that executed it.
+    pub engine: EngineKind,
+    /// Start time, seconds.
+    pub start_secs: f64,
+    /// End time, seconds.
+    pub end_secs: f64,
+    /// Measured cost.
+    pub cost: LineCost,
+    /// Bytes moved across the interconnect to stage this line's inputs.
+    pub staged_bytes: u64,
+}
+
+/// Why a migration was initiated (§III-D distinguishes throughput
+/// degradation from preemption; device faults extend the same mechanism
+/// to hardware adversity).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+pub enum MigrationReason {
+    /// The monitor observed degraded throughput and the re-estimate said
+    /// finishing on the host is cheaper.
+    Degraded,
+    /// The device signalled a high-priority request through the command
+    /// pages; the task must vacate immediately.
+    Preempted,
+    /// A hard device fault (CSE crash, or a transient fault that exhausted
+    /// its retry budget): the remaining work falls back to the host from
+    /// the last completed chunk-boundary checkpoint.
+    DeviceFault,
+    /// The reverse direction: lines that had migrated to the host after a
+    /// degradation are speculatively re-assigned to the CSD once measured
+    /// availability clears again (profile-guided re-planning's bidirectional
+    /// migration). Hysteresis-guarded to avoid ping-ponging.
+    Reclaim,
+}
+
+impl MigrationReason {
+    /// Stable lowercase label — the `reason` attribute on
+    /// `migration.decision` trace events.
+    #[must_use]
+    pub fn as_str(self) -> &'static str {
+        match self {
+            MigrationReason::Degraded => "degraded",
+            MigrationReason::Preempted => "preempted",
+            MigrationReason::DeviceFault => "device_fault",
+            MigrationReason::Reclaim => "reclaim",
+        }
+    }
+}
+
+/// A migration that occurred during the run.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+pub struct MigrationEvent {
+    /// The CSD line at whose end execution broke.
+    pub after_line: usize,
+    /// Live state moved device-to-host, bytes.
+    pub state_bytes: u64,
+    /// Wall-clock time of the decision, seconds.
+    pub at_secs: f64,
+    /// Code-regeneration overhead paid, seconds.
+    pub regen_secs: f64,
+    /// What triggered the break.
+    pub reason: MigrationReason,
+}
+
+/// The result of one execution.
+#[derive(Debug, Clone, PartialEq, Serialize)]
+pub struct RunReport {
+    /// End-to-end latency in seconds.
+    pub total_secs: f64,
+    /// Per-line outcomes.
+    pub lines: Vec<LineOutcome>,
+    /// The migration, if one occurred.
+    pub migration: Option<MigrationEvent>,
+    /// Lines that actually executed on the CSD.
+    pub csd_lines_executed: usize,
+    /// Total bytes shipped device-to-host.
+    pub d2h_bytes: u64,
+    /// Total bytes shipped host-to-device.
+    pub h2d_bytes: u64,
+    /// FNV-1a hash over every program variable's final value, in
+    /// first-assignment order — the cheap "did we compute the same
+    /// answer?" check the fault sweep and the chaos differential compare
+    /// across faulted and fault-free runs.
+    pub values_fingerprint: u64,
+    /// The kernel-execution policy the run was configured with.
+    pub parallel: ParallelPolicy,
+    /// The unified metrics block: fault, recovery, and kernel counter
+    /// families in one deterministic snapshot (plan-cache counters are
+    /// zero here; [`crate::plan::PlanCache`] fills them in for cached
+    /// runs).
+    pub metrics: MetricsSnapshot,
+    /// Every migration the run performed, in decision order — including
+    /// [`MigrationReason::Reclaim`] flips back to the CSD. The legacy
+    /// `migration` field above stays the last *host-ward* event so callers
+    /// that predate bidirectional migration read what they always read.
+    /// Appended after `metrics` so the serialized prefix the golden
+    /// journals predate is unchanged.
+    pub migrations: Vec<MigrationEvent>,
+    /// The per-line Eq. 1 terms of the assignment that executed —
+    /// empty for raw `execute` calls, filled by
+    /// [`crate::runtime::ActivePy::execute_plan`] and the fleet plan
+    /// executor so the audit layer can join predictions against this
+    /// report without the plan in hand. Appended after `migrations` to
+    /// keep the serialized prefix stable.
+    pub eq1: Vec<crate::audit::Eq1Term>,
+}
+
+impl RunReport {
+    /// Total wall-clock seconds spent executing CSD lines.
+    #[must_use]
+    pub fn csd_busy_secs(&self) -> f64 {
+        self.lines
+            .iter()
+            .filter(|l| l.engine == EngineKind::Cse)
+            .map(|l| l.end_secs - l.start_secs)
+            .sum()
+    }
+
+    /// The absolute simulated time at which the ISP task had completed
+    /// `fraction` of its CSD work in this run — how the Figure 5 stress
+    /// point ("right after 50 % of their progress") is computed from an
+    /// uncontended reference run. Returns `None` when nothing ran on the
+    /// CSD.
+    #[must_use]
+    pub fn time_at_csd_progress(&self, fraction: f64) -> Option<f64> {
+        let total = self.csd_busy_secs();
+        if total <= 0.0 {
+            return None;
+        }
+        let target = total * fraction.clamp(0.0, 1.0);
+        let mut acc = 0.0;
+        for l in &self.lines {
+            if l.engine != EngineKind::Cse {
+                continue;
+            }
+            let span = l.end_secs - l.start_secs;
+            if acc + span >= target {
+                return Some(l.start_secs + (target - acc));
+            }
+            acc += span;
+        }
+        self.lines.last().map(|l| l.end_secs)
+    }
+}

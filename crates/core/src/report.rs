@@ -93,12 +93,11 @@ pub fn render_timeline(program: &Program, report: &RunReport) -> String {
     }
     let _ = writeln!(
         out,
-        "total {:.3}s | csd-busy {:.3}s | d2h {} | h2d {} | peak device DRAM {}",
+        "total {:.3}s | csd-busy {:.3}s | d2h {} | h2d {}",
         report.total_secs,
         report.csd_busy_secs(),
         fmt_bytes(report.d2h_bytes),
         fmt_bytes(report.h2d_bytes),
-        fmt_bytes(report.peak_device_bytes),
     );
     out.push_str(&render_counters(&report.metrics));
     out
@@ -168,7 +167,7 @@ mod tests {
         assert!(text.contains("total "));
         assert!(text.contains("CSD"));
         assert!(text.contains("host"));
-        assert!(text.contains("peak device DRAM"));
+        assert!(text.contains(" | d2h ") && text.contains(" | h2d "));
     }
 
     #[test]

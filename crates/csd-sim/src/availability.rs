@@ -146,12 +146,6 @@ impl AvailabilityTrace {
         current
     }
 
-    /// The underlying segments, in increasing order of start time.
-    #[must_use]
-    pub fn segments(&self) -> &[Segment] {
-        &self.segments
-    }
-
     /// Integrates availability over `[start, start + duration]`, returning
     /// "effective seconds" of full-rate service received.
     #[must_use]
@@ -363,7 +357,7 @@ mod tests {
         let tr = AvailabilityTrace::full()
             .with_change(SimTime::from_secs(2.0), 0.5)
             .with_change(SimTime::from_secs(2.0), 0.25);
-        assert_eq!(tr.segments().len(), 2);
+        assert_eq!(tr.segments.len(), 2);
         assert_eq!(tr.fraction_at(SimTime::from_secs(2.0)), 0.25);
         assert_eq!(tr.fraction_at(SimTime::from_secs(3.0)), 0.25);
     }

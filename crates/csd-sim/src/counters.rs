@@ -5,8 +5,8 @@
 //! instructions per cycle", §III-A) and continuously during runtime
 //! monitoring ("ActivePy detects the second case by checking the throughput
 //! of the CSD code", §III-D). [`PerfCounters`] accumulates retired
-//! operations and wall-clock busy time so both uses can compute an
-//! instructions-per-cycle (IPC) figure.
+//! operations and wall-clock busy time so both uses can compute the
+//! achieved throughput.
 
 use crate::units::{Duration, Ops};
 use serde::Serialize;
@@ -31,18 +31,6 @@ impl PerfCounters {
         self.busy += wall;
     }
 
-    /// Total retired operations.
-    #[must_use]
-    pub fn retired(&self) -> Ops {
-        self.retired
-    }
-
-    /// Total wall-clock time spent executing.
-    #[must_use]
-    pub fn busy(&self) -> Duration {
-        self.busy
-    }
-
     /// Achieved throughput in operations per second of wall-clock time, or
     /// `None` if nothing has executed yet.
     ///
@@ -56,12 +44,6 @@ impl PerfCounters {
         } else {
             Some(self.retired.as_f64() / self.busy.as_secs())
         }
-    }
-
-    /// Instructions per cycle given the engine's clock `freq_hz`.
-    #[must_use]
-    pub fn ipc(&self, freq_hz: f64) -> Option<f64> {
-        self.achieved_rate().map(|r| r / freq_hz)
     }
 
     /// Resets both counters to zero.
@@ -87,19 +69,10 @@ mod tests {
     }
 
     #[test]
-    fn ipc_divides_by_frequency() {
-        let mut c = PerfCounters::new();
-        c.record(Ops::new(3_600_000_000), Duration::from_secs(1.0));
-        let ipc = c.ipc(3.6e9).expect("ipc");
-        assert!((ipc - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn reset_clears_everything() {
         let mut c = PerfCounters::new();
         c.record(Ops::new(5), Duration::from_secs(1.0));
         c.reset();
-        assert_eq!(c.retired(), Ops::ZERO);
-        assert!(c.busy().is_zero());
+        assert_eq!(c, PerfCounters::default());
     }
 }

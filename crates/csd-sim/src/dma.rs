@@ -24,8 +24,6 @@ pub struct DmaEngine {
     setup: Duration,
     h2d_bytes: Bytes,
     d2h_bytes: Bytes,
-    transfers: u64,
-    faulted_transfers: u64,
 }
 
 impl DmaEngine {
@@ -36,8 +34,6 @@ impl DmaEngine {
             setup,
             h2d_bytes: Bytes::ZERO,
             d2h_bytes: Bytes::ZERO,
-            transfers: 0,
-            faulted_transfers: 0,
         }
     }
 
@@ -56,7 +52,6 @@ impl DmaEngine {
         dir: Direction,
         bytes: Bytes,
     ) -> Duration {
-        self.transfers += 1;
         match dir {
             Direction::HostToDevice => self.h2d_bytes += bytes,
             Direction::DeviceToHost => self.d2h_bytes += bytes,
@@ -76,30 +71,10 @@ impl DmaEngine {
         self.d2h_bytes
     }
 
-    /// Number of transfers performed.
-    #[must_use]
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Records one transfer attempt killed by an injected DMA error
-    /// (no payload moved, no descriptor charged).
-    pub fn record_fault(&mut self) {
-        self.faulted_transfers += 1;
-    }
-
-    /// Transfer attempts killed by injected errors.
-    #[must_use]
-    pub fn faulted_transfers(&self) -> u64 {
-        self.faulted_transfers
-    }
-
     /// Resets traffic counters.
     pub fn reset_counters(&mut self) {
         self.h2d_bytes = Bytes::ZERO;
         self.d2h_bytes = Bytes::ZERO;
-        self.transfers = 0;
-        self.faulted_transfers = 0;
     }
 }
 
@@ -136,7 +111,6 @@ mod tests {
         // 1us setup + 5us link latency + 1s payload.
         assert!((t.as_secs() - (1.0 + 6e-6)).abs() < 1e-9);
         assert_eq!(dma.d2h_bytes(), Bytes::from_gb_f64(5.0));
-        assert_eq!(dma.transfers(), 1);
     }
 
     #[test]
@@ -158,6 +132,7 @@ mod tests {
         assert_eq!(dma.h2d_bytes(), Bytes::from_mib(1));
         assert_eq!(dma.d2h_bytes(), Bytes::from_mib(2));
         dma.reset_counters();
-        assert_eq!(dma.transfers(), 0);
+        assert_eq!(dma.h2d_bytes(), Bytes::ZERO);
+        assert_eq!(dma.d2h_bytes(), Bytes::ZERO);
     }
 }

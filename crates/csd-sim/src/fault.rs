@@ -261,17 +261,6 @@ impl DeviceFault {
     pub fn is_transient(&self) -> bool {
         !matches!(self, DeviceFault::CseCrash { .. })
     }
-
-    /// The sim time at which the fault fired.
-    #[must_use]
-    pub fn at(&self) -> SimTime {
-        match self {
-            DeviceFault::FlashRead { at }
-            | DeviceFault::NvmeCommand { at }
-            | DeviceFault::DmaTransfer { at }
-            | DeviceFault::CseCrash { at } => *at,
-        }
-    }
 }
 
 impl fmt::Display for DeviceFault {

@@ -71,7 +71,6 @@ pub struct FlashArray {
     contention: AvailabilityTrace,
     fault: AvailabilityTrace,
     bytes_read: Bytes,
-    bytes_written: Bytes,
 }
 
 impl FlashArray {
@@ -86,7 +85,6 @@ impl FlashArray {
             contention: AvailabilityTrace::full(),
             fault: AvailabilityTrace::full(),
             bytes_read: Bytes::ZERO,
-            bytes_written: Bytes::ZERO,
         }
     }
 
@@ -94,12 +92,6 @@ impl FlashArray {
     #[must_use]
     pub fn capacity(&self) -> Bytes {
         self.capacity
-    }
-
-    /// Peak internal bandwidth (no GC).
-    #[must_use]
-    pub fn internal_bandwidth(&self) -> Bandwidth {
-        self.internal_bandwidth
     }
 
     /// Installs a garbage-collection schedule.
@@ -114,12 +106,6 @@ impl FlashArray {
         self.contention = trace;
     }
 
-    /// The active contention trace.
-    #[must_use]
-    pub fn contention(&self) -> &AvailabilityTrace {
-        &self.contention
-    }
-
     /// Installs an injected-fault availability trace (GC bursts from a
     /// fault plan). Unlike tenant contention, injected GC bursts are
     /// device-internal — the flash itself stalls — so they throttle the
@@ -128,22 +114,10 @@ impl FlashArray {
         self.fault = trace;
     }
 
-    /// The active GC schedule, if any.
-    #[must_use]
-    pub fn gc(&self) -> Option<&GcSchedule> {
-        self.gc.as_ref()
-    }
-
     /// Total bytes read so far.
     #[must_use]
     pub fn bytes_read(&self) -> Bytes {
         self.bytes_read
-    }
-
-    /// Total bytes written so far.
-    #[must_use]
-    pub fn bytes_written(&self) -> Bytes {
-        self.bytes_written
     }
 
     /// Builds the combined availability trace: garbage collection (if
@@ -235,17 +209,9 @@ impl FlashArray {
         d
     }
 
-    /// Writes `bytes` starting at `start` (same bandwidth model as reads).
-    pub fn write(&mut self, start: SimTime, bytes: Bytes) -> Duration {
-        let d = self.time_to_read(start, bytes);
-        self.bytes_written += bytes;
-        d
-    }
-
     /// Resets traffic counters.
     pub fn reset_counters(&mut self) {
         self.bytes_read = Bytes::ZERO;
-        self.bytes_written = Bytes::ZERO;
     }
 }
 
@@ -291,9 +257,7 @@ mod tests {
     fn read_records_traffic() {
         let mut fl = array();
         fl.read(SimTime::ZERO, Bytes::from_mib(4));
-        fl.write(SimTime::ZERO, Bytes::from_mib(2));
         assert_eq!(fl.bytes_read(), Bytes::from_mib(4));
-        assert_eq!(fl.bytes_written(), Bytes::from_mib(2));
         fl.reset_counters();
         assert_eq!(fl.bytes_read(), Bytes::ZERO);
     }
@@ -379,7 +343,7 @@ mod tests {
         // bandwidth.
         let t = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!((t.as_secs() - 1.0).abs() < 1e-9, "got {t}");
-        assert!((fl.gc().unwrap().mean_availability() - 1.0).abs() < 1e-12);
+        assert!((fl.gc.unwrap().mean_availability() - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! computational-storage surveys argue the interesting planning problem
 //! appears when data spans *N* devices. [`Fleet`] models that minimal
 //! scale-out platform: N independent [`System`]s — each with its own
-//! flash, DMA engine, NVMe queue pair, contention traces, and
+//! flash, DMA engine, CSD call latencies, contention traces, and
 //! [`crate::fault::FaultInjector`] — attached to one host whose PCIe root
 //! complex has a finite aggregate budget. Per-device surfaces are fully
 //! isolated (a GC burst or crash on shard 3 is invisible to shard 5); the
@@ -149,6 +149,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultInjector;
     use crate::units::SimTime;
 
     #[test]
@@ -176,11 +177,12 @@ mod tests {
         let _ = fleet
             .device_mut(0)
             .try_compute(crate::EngineKind::Cse, crate::units::Ops::new(1_000));
-        assert!(fleet.device(0).cse_crashed());
-        assert!(!fleet.device(1).cse_crashed(), "shard 1 must be unaffected");
+        let crashed = |s: usize| fleet.device(s).faults().is_some_and(FaultInjector::crashed);
+        assert!(crashed(0));
+        assert!(!crashed(1), "shard 1 must be unaffected");
         assert_eq!(fleet.fault_counters().cse_crashes, 1);
         fleet.reset();
-        assert!(!fleet.device(0).cse_crashed());
+        assert!(!fleet.device(0).faults().is_some_and(FaultInjector::crashed));
         assert_eq!(fleet.device(0).now(), SimTime::ZERO);
     }
 }

@@ -10,8 +10,8 @@
 //! The model is intentionally *analytic*: compute engines are aggregate
 //! operation servers throttled by piecewise-constant
 //! [`availability::AvailabilityTrace`]s, links are bandwidth + latency,
-//! flash is bandwidth + garbage-collection windows, and NVMe queue pairs
-//! are real FIFO rings with microsecond hop costs. Every quantity in the
+//! flash is bandwidth + garbage-collection windows, and a CSD call is its
+//! microsecond queue latencies. Every quantity in the
 //! paper's net-profit equation (Eq. 1) — `CT_host`, `CT_device`,
 //! `D_in`/`D_out`, `BW_D2H` — has a faithful counterpart.
 //!
@@ -41,8 +41,6 @@ pub mod fault;
 pub mod flash;
 pub mod fleet;
 pub mod link;
-pub mod memory;
-pub mod nvme;
 pub mod system;
 pub mod units;
 pub mod wire;

@@ -59,11 +59,6 @@ impl Link {
         self.bytes_moved
     }
 
-    /// Replaces the availability trace (shared-bus contention).
-    pub fn set_availability(&mut self, trace: AvailabilityTrace) {
-        self.availability = trace;
-    }
-
     /// Time to move `bytes` starting at `start`, without recording traffic.
     ///
     /// Zero-byte transfers still pay the message latency (a doorbell ring is
@@ -128,15 +123,6 @@ impl Path {
         Path { links }
     }
 
-    /// The bottleneck bandwidth along the path.
-    #[must_use]
-    pub fn bottleneck(&self) -> Bandwidth {
-        self.links
-            .iter()
-            .map(Link::bandwidth)
-            .fold(self.links[0].bandwidth(), Bandwidth::min)
-    }
-
     /// Total per-message latency along the path.
     #[must_use]
     pub fn latency(&self) -> Duration {
@@ -177,12 +163,6 @@ impl Path {
             l.bytes_moved += bytes;
         }
         d
-    }
-
-    /// The links making up this path.
-    #[must_use]
-    pub fn links(&self) -> &[Link] {
-        &self.links
     }
 
     /// Resets traffic counters on all links.
@@ -232,7 +212,8 @@ mod tests {
             Link::new("b", gb(4.0), Duration::ZERO),
             Link::new("c", gb(9.0), Duration::ZERO),
         ]);
-        assert!((p.bottleneck().as_bytes_per_sec() - 4e9).abs() < 1.0);
+        let t = p.time_to_transfer(SimTime::ZERO, Bytes::from_gb_f64(4.0));
+        assert!((t.as_secs() - 1.0).abs() < 1e-9, "got {t}");
     }
 
     #[test]
@@ -247,7 +228,7 @@ mod tests {
     #[test]
     fn contended_link_slows_transfer() {
         let mut l = Link::new("x", gb(4.0), Duration::ZERO);
-        l.set_availability(AvailabilityTrace::constant(0.5));
+        l.availability = AvailabilityTrace::constant(0.5);
         let t = l.time_to_transfer(SimTime::ZERO, Bytes::from_gb_f64(4.0));
         assert!((t.as_secs() - 2.0).abs() < 1e-9);
     }
@@ -259,7 +240,7 @@ mod tests {
             Link::new("b", gb(4.0), Duration::ZERO),
         ]);
         p.transfer(SimTime::ZERO, Bytes::from_mib(8));
-        for l in p.links() {
+        for l in &p.links {
             assert_eq!(l.bytes_moved(), Bytes::from_mib(8));
         }
     }

@@ -1,5 +1,5 @@
-//! The assembled system: one clock, two engines, flash, links, queues,
-//! DMA, and the shared address space.
+//! The assembled system: one clock, two engines, flash, links, the CSD
+//! call latencies, and DMA.
 //!
 //! [`System`] is the facade the execution layers drive. Every operation
 //! advances the simulated clock and records traffic/counters, so a run's
@@ -11,8 +11,6 @@ use crate::engine::{ComputeEngine, EngineKind};
 use crate::fault::{DeviceFault, FaultCounters, FaultInjector, FaultPlan};
 use crate::flash::FlashArray;
 use crate::link::Path;
-use crate::memory::SharedAddressSpace;
-use crate::nvme::QueuePair;
 use crate::units::{Bandwidth, Bytes, Duration, Ops, SimTime};
 use serde::Serialize;
 
@@ -25,9 +23,7 @@ pub struct System {
     cse: ComputeEngine,
     flash: FlashArray,
     d2h_path: Path,
-    queue: QueuePair,
     dma: DmaEngine,
-    memory: SharedAddressSpace,
     faults: Option<FaultInjector>,
 }
 
@@ -46,9 +42,7 @@ impl System {
             cse: ComputeEngine::new(config.cse),
             flash,
             d2h_path: config.d2h_path(),
-            queue: QueuePair::new(config.queue_depth, config.queue_latencies),
             dma: DmaEngine::new(config.dma_setup),
-            memory: SharedAddressSpace::new(config.host_dram, config.device_dram),
             faults: None,
             config,
         }
@@ -96,40 +90,10 @@ impl System {
         }
     }
 
-    /// The flash array.
-    #[must_use]
-    pub fn flash(&self) -> &FlashArray {
-        &self.flash
-    }
-
     /// Mutable access to the flash array.
     #[must_use]
     pub fn flash_mut(&mut self) -> &mut FlashArray {
         &mut self.flash
-    }
-
-    /// The NVMe queue pair.
-    #[must_use]
-    pub fn queue(&self) -> &QueuePair {
-        &self.queue
-    }
-
-    /// Mutable access to the queue pair.
-    #[must_use]
-    pub fn queue_mut(&mut self) -> &mut QueuePair {
-        &mut self.queue
-    }
-
-    /// The shared address space.
-    #[must_use]
-    pub fn memory(&self) -> &SharedAddressSpace {
-        &self.memory
-    }
-
-    /// Mutable access to the shared address space.
-    #[must_use]
-    pub fn memory_mut(&mut self) -> &mut SharedAddressSpace {
-        &mut self.memory
     }
 
     /// The DMA engine.
@@ -217,12 +181,6 @@ impl System {
             .map_or_else(FaultCounters::default, FaultInjector::counters)
     }
 
-    /// Whether the hard CSE crash has been observed.
-    #[must_use]
-    pub fn cse_crashed(&self) -> bool {
-        self.faults.as_ref().is_some_and(FaultInjector::crashed)
-    }
-
     /// Charges the fault-detection latency for `fault` to the clock and
     /// returns it, so callers can propagate the error.
     fn charge_fault(&mut self, fault: DeviceFault) -> DeviceFault {
@@ -283,12 +241,10 @@ impl System {
     /// # Errors
     ///
     /// Returns the injected fault with the detection latency charged;
-    /// no payload moves (the aborted attempt is counted on the DMA
-    /// engine).
+    /// no payload moves.
     pub fn try_transfer(&mut self, dir: Direction, bytes: Bytes) -> Result<Duration, DeviceFault> {
         if let Some(inj) = &mut self.faults {
             if let Some(fault) = inj.roll_dma(self.clock) {
-                self.dma.record_fault();
                 return Err(self.charge_fault(fault));
             }
         }
@@ -296,18 +252,15 @@ impl System {
     }
 
     /// Rolls the injected NVMe command error (and the hard crash) for
-    /// one command attempt, without touching the ring. Callers perform
-    /// the actual submit/fetch on success, so the fault-free path is
-    /// byte-identical to the infallible one.
+    /// one command attempt. Charges nothing on success, so the fault-free
+    /// path is byte-identical to the infallible one.
     ///
     /// # Errors
     ///
-    /// Returns the injected fault with the detection latency charged;
-    /// the aborted attempt is counted on the queue pair.
+    /// Returns the injected fault with the detection latency charged.
     pub fn try_nvme_command(&mut self) -> Result<(), DeviceFault> {
         if let Some(inj) = &mut self.faults {
             if let Some(fault) = inj.roll_nvme(self.clock) {
-                self.queue.record_aborted();
                 return Err(self.charge_fault(fault));
             }
         }
@@ -317,29 +270,28 @@ impl System {
     /// Charges one CSD function-invocation overhead (submit + fetch +
     /// complete) to the clock.
     pub fn charge_invocation(&mut self) -> Duration {
-        let d = self.queue.invocation_overhead();
+        let q = &self.config.queue_latencies;
+        let d = q.submit + q.fetch + q.complete;
         self.clock += d;
         d
     }
 
     /// Charges one end-of-line status update to the clock.
     pub fn charge_status_update(&mut self) -> Duration {
-        let d = self.queue.status_update();
+        let d = self.config.queue_latencies.status_update;
         self.clock += d;
         d
     }
 
     /// Resets the clock and all counters for a fresh run on the same
-    /// platform (memory allocations are also dropped).
+    /// platform.
     pub fn reset(&mut self) {
         self.clock = SimTime::ZERO;
         self.host.reset_counters();
         self.cse.reset_counters();
         self.flash.reset_counters();
         self.d2h_path.reset_counters();
-        self.queue.reset();
         self.dma.reset_counters();
-        self.memory = SharedAddressSpace::new(self.config.host_dram, self.config.device_dram);
         // The injector rewinds to the start of its PRNG stream so a
         // fresh run replays the identical fault trace (burst traces on
         // the engines are static and stay installed).
@@ -414,8 +366,8 @@ mod tests {
         sys.transfer(Direction::HostToDevice, Bytes::from_mib(1));
         sys.reset();
         assert_eq!(sys.now(), SimTime::ZERO);
-        assert_eq!(sys.engine(EngineKind::Cse).counters().retired(), Ops::ZERO);
-        assert_eq!(sys.dma().transfers(), 0);
+        assert_eq!(sys.engine(EngineKind::Cse).counters().achieved_rate(), None);
+        assert_eq!(sys.dma().h2d_bytes(), Bytes::ZERO);
     }
 
     #[test]
@@ -462,7 +414,6 @@ mod tests {
         }
         assert!(faults > 0, "p=0.5 over 50 transfers");
         assert_eq!(sys.fault_counters().dma_transfer_errors, faults);
-        assert_eq!(sys.dma().faulted_transfers(), faults);
     }
 
     #[test]
@@ -474,7 +425,7 @@ mod tests {
         assert!(sys
             .try_storage_read(EngineKind::Cse, Bytes::from_mib(1))
             .is_err());
-        assert!(sys.cse_crashed());
+        assert!(sys.faults().is_some_and(FaultInjector::crashed));
         assert!(sys.try_compute(EngineKind::Cse, Ops::new(100)).is_err());
         assert!(sys.try_nvme_command().is_err());
         // Host-side and DMA paths keep working so migration can drain.

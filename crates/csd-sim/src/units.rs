@@ -503,12 +503,6 @@ impl OpRate {
     pub fn scale(self, factor: f64) -> OpRate {
         OpRate::from_ops_per_sec(self.0 * factor)
     }
-
-    /// Dimensionless ratio of two rates (`self / other`).
-    #[must_use]
-    pub fn ratio(self, other: OpRate) -> f64 {
-        self.0 / other.0
-    }
 }
 
 impl fmt::Display for OpRate {

@@ -66,8 +66,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The other §III-D trigger: the device itself needs the CSE for a
-    // high-priority request. No contention at all — the Break command in
-    // the call queue forces the ISP task out at the next status update.
+    // high-priority request. No contention at all — the request forces the
+    // ISP task out at the next status update.
     let preempting = ActivePy::with_options(ActivePyOptions::default().with_preemption_at(t_half))
         .run(&program, &w, &config, ContentionScenario::none())?;
     match preempting.report.migration {

@@ -13,6 +13,17 @@ ROOT="$PWD"
 echo "== cargo build --release =="
 cargo build --release
 
+echo "== executor file size (at most 800 lines before each file's tests) =="
+# crates/core/src/exec/ is split on its evaluate/simulate seam, one concern
+# per file with its tests beside it. A file past 800 lines before its
+# #[cfg(test)] is due its next split, not a longer file.
+for f in crates/core/src/exec/*.rs; do
+  n="$(awk '/^#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")"
+  if [ "$n" -gt 800 ]; then
+    echo "$f: $n lines before #[cfg(test)] (limit 800)"; exit 1
+  fi
+done
+
 echo "== kernel differential (pinned case count, per-element loops as oracle) =="
 # alang's row-loop kernels (group_sum, filter/select, kmeans, matmul,
 # to_csr, the elementwise operators, col, forest_score, gram) against

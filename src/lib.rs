@@ -11,7 +11,7 @@
 //! The workspace:
 //!
 //! * [`csd_sim`] — the hardware substrate: CSE, flash (9 GB/s internal),
-//!   NVMe/PCIe links (5/4 GB/s), queue pairs, shared memory, contention.
+//!   NVMe/PCIe links (5/4 GB/s), CSD call latencies, DMA, contention.
 //! * [`alang`] — the Python/Cython stand-in: line-oriented language,
 //!   interpreter with per-line profiling, compiler, copy elimination.
 //! * [`activepy`] — the paper's contribution: sampling, fitting, Eq. 1,
