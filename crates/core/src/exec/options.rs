@@ -60,6 +60,13 @@ pub struct ExecOptions {
     pub journal: crate::resume::ExecJournal,
 }
 
+/// ActivePy's own execution, [`ExecOptions::activepy`].
+impl Default for ExecOptions {
+    fn default() -> Self {
+        ExecOptions::activepy()
+    }
+}
+
 impl ExecOptions {
     /// ActivePy's own execution: generated copy-eliminated code, default
     /// monitoring, no contention.

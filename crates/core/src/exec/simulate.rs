@@ -310,13 +310,10 @@ impl Run<'_> {
 
     /// Assembles the report and tells every observer the run is over.
     fn finish(&mut self) -> Result<RunReport> {
-        // Plan-cache and audit families stay zero here; their owners fill
-        // them in for cached and audited runs.
         let metrics = MetricsSnapshot {
             faults: self.system.fault_counters(),
             recovery: self.recov.stats,
             par: self.evaluation.par,
-            ..MetricsSnapshot::default()
         };
         metrics.publish_to(&self.opts.tracer);
         let migrated = self.migration.is_some();

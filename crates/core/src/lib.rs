@@ -83,7 +83,7 @@ pub use exec::{ExecOptions, MigrationReason, RunReport};
 /// crate's options take, re-exported so a caller can build them from the
 /// copy this crate links — `isp-obs`' own tests have no other name for it.
 pub use isp_obs;
-pub use metrics::{AuditStats, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use monitor::MonitorConfig;
 pub use plan::{OffloadPlan, PlanCache, PlanCacheStats, PlanTimings};
 pub use profile::{LineObservation, ProfileKey, ProfileRecorder, ProfileStore, WorkloadProfile};

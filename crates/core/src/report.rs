@@ -106,10 +106,9 @@ pub fn render_timeline(program: &Program, report: &RunReport) -> String {
 /// Renders the non-zero counter families of a metrics snapshot as a
 /// timeline footer — the same
 /// [`MetricsSnapshot::counter_families`](crate::metrics::MetricsSnapshot::counter_families)
-/// fold the tracer publication and the bench exporters walk, so the
-/// footer can never drift from the registry namespace. Empty (no
-/// header) when every family is zero — the common fault-free,
-/// unaudited run.
+/// fold the tracer publication walks, so the footer can never drift from
+/// the registry namespace. Empty (no header) when every family is zero —
+/// the common fault-free run.
 #[must_use]
 pub fn render_counters(metrics: &crate::metrics::MetricsSnapshot) -> String {
     let nonzero: Vec<(&'static str, u64)> = metrics
@@ -173,18 +172,16 @@ mod tests {
     #[test]
     fn counter_footer_shows_only_nonzero_families() {
         let (_, report) = run_report();
-        // Fault-free, unaudited run: no footer at all.
+        // Fault-free run: no footer at all.
         assert_eq!(render_counters(&report.metrics), "");
 
         let mut metrics = report.metrics;
         metrics.recovery.retries = 2;
-        metrics.audit.lines_audited = 3;
-        metrics.audit.mean_abs_err_ppm = 41_000;
+        metrics.faults.flash_read_errors = 3;
         let text = render_counters(&metrics);
         assert!(text.starts_with("counters:"), "{text}");
         assert!(text.contains("recovery.retries"), "{text}");
-        assert!(text.contains("audit.lines_audited"), "{text}");
-        assert!(text.contains("audit.mean_abs_err_ppm"), "{text}");
+        assert!(text.contains("fault.flash_read_errors"), "{text}");
         assert!(!text.contains("fault.cse_crashes"), "{text}");
     }
 

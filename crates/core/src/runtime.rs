@@ -15,158 +15,23 @@ use crate::error::Result;
 use crate::estimate::{estimate_lines, Calibration, LineEstimate};
 use crate::exec::{evaluate, simulate, ExecOptions, RunReport};
 use crate::fit::{blend_predictions, predict_lines, LinePrediction};
-use crate::monitor::MonitorConfig;
 use crate::plan::{OffloadPlan, PlanTimings};
-use crate::profile::{ProfileRecorder, WorkloadProfile};
-use crate::recovery::RecoveryPolicy;
-use crate::resume::{plan_fingerprint, ExecJournal};
+use crate::profile::WorkloadProfile;
+use crate::resume::plan_fingerprint;
 use crate::sampling::{paper_scales, run_sampling_traced, InputSource, SamplingReport};
 use alang::compile::compile_secs_for;
 use alang::copyelim::eliminable_lines;
-use alang::{CostParams, ExecTier, ParallelPolicy, Program, Storage};
+use alang::{ExecTier, Program, Storage};
 use csd_sim::contention::ContentionScenario;
-use csd_sim::fault::FaultPlan;
 use csd_sim::units::Duration;
 use csd_sim::SystemConfig;
-use isp_obs::{SpanKind, Tracer, WalRecord};
+use isp_obs::{SpanKind, WalRecord};
 
-/// Configuration of the ActivePy runtime.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ActivePyOptions {
-    /// Cost-model constants.
-    pub params: CostParams,
-    /// Monitoring/migration policy (`None` disables migration — the
-    /// "ActivePy w/o migration" configuration of Figure 5).
-    pub monitor: Option<MonitorConfig>,
-    /// Optional high-priority preemption time (§III-D case 1): the device
-    /// signals through the command pages and the ISP task vacates at the
-    /// next status update.
-    pub preempt_at: Option<f64>,
-    /// How plan execution responds to injected device faults (retry
-    /// budget, sim-time backoff, host fallback).
-    pub recovery: RecoveryPolicy,
-    /// Deterministic fault plan injected into plan executions;
-    /// [`FaultPlan::none`] (the default) injects nothing. Execution-only:
-    /// it does not participate in plan-cache fingerprints.
-    pub faults: FaultPlan,
-    /// Data-parallel kernel policy applied to plan executions. Sampling
-    /// runs stay serial regardless — their down-scaled inputs sit below
-    /// any sensible threshold, and keeping them on one code path keeps the
-    /// fitted curves identical across policies. Execution-only: it does
-    /// not participate in plan-cache fingerprints.
-    pub parallel: ParallelPolicy,
-    /// Trace recording handle threaded through planning and execution.
-    /// Disabled by default. Observation-only: it participates in neither
-    /// plan-cache fingerprints nor option equality beyond identity, and a
-    /// live tracer never perturbs any simulated quantity.
-    pub tracer: Tracer,
-    /// Profile recording handle: routes each plan execution's measured
-    /// per-line costs into a [`crate::profile::ProfileStore`] for
-    /// profile-guided re-planning. Disabled by default and
-    /// observation-only, exactly like the tracer: identity equality,
-    /// outside plan-cache fingerprints, never perturbs simulation.
-    pub profile: ProfileRecorder,
-    /// Crash-consistent journal handle threaded through plan executions.
-    /// Disabled by default. When recording, each execution boundary
-    /// appends a checksummed WAL record; when resuming, each boundary is
-    /// verified against the recovered log instead. Identity equality,
-    /// outside plan-cache fingerprints, never perturbs simulation.
-    pub journal: ExecJournal,
-}
-
-impl Default for ActivePyOptions {
-    fn default() -> Self {
-        ActivePyOptions {
-            params: CostParams::paper_default(),
-            monitor: Some(MonitorConfig::default()),
-            preempt_at: None,
-            recovery: RecoveryPolicy::default(),
-            faults: FaultPlan::none(),
-            parallel: ParallelPolicy::default(),
-            tracer: Tracer::disabled(),
-            profile: ProfileRecorder::disabled(),
-            journal: ExecJournal::disabled(),
-        }
-    }
-}
-
-impl ActivePyOptions {
-    /// Disables dynamic task migration.
-    #[must_use]
-    pub fn without_migration(mut self) -> Self {
-        self.monitor = None;
-        self
-    }
-
-    /// Schedules a high-priority device preemption at `at_secs`.
-    #[must_use]
-    pub fn with_preemption_at(mut self, at_secs: f64) -> Self {
-        self.preempt_at = Some(at_secs);
-        self
-    }
-
-    /// Replaces the fault-recovery policy.
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Installs a deterministic fault plan for plan executions.
-    #[must_use]
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Sets the data-parallel kernel policy for plan executions.
-    #[must_use]
-    pub fn with_parallelism(mut self, parallel: ParallelPolicy) -> Self {
-        self.parallel = parallel;
-        self
-    }
-
-    /// Attaches a trace recording handle to planning and execution.
-    #[must_use]
-    pub fn with_tracer(mut self, tracer: Tracer) -> Self {
-        self.tracer = tracer;
-        self
-    }
-
-    /// Attaches a profile recording handle to plan executions.
-    #[must_use]
-    pub fn with_profile(mut self, profile: ProfileRecorder) -> Self {
-        self.profile = profile;
-        self
-    }
-
-    /// Attaches a crash-consistent journal handle to plan executions.
-    #[must_use]
-    pub fn with_journal(mut self, journal: ExecJournal) -> Self {
-        self.journal = journal;
-        self
-    }
-
-    /// The execution options a plan runs under: ActivePy's generated
-    /// copy-eliminated code with offload overheads charged, this runtime's
-    /// policies and observer handles, and `scenario` contention.
-    #[must_use]
-    pub fn exec_options(&self, scenario: ContentionScenario) -> ExecOptions {
-        ExecOptions {
-            params: self.params,
-            scenario,
-            monitor: self.monitor,
-            preempt_at: self.preempt_at,
-            recovery: self.recovery,
-            faults: self.faults.clone(),
-            parallel: self.parallel,
-            tracer: self.tracer.clone(),
-            profile: self.profile.clone(),
-            journal: self.journal.clone(),
-            ..ExecOptions::activepy()
-        }
-    }
-}
+/// Configuration of the ActivePy runtime: the options every plan
+/// execution runs under, less the tier and scenario
+/// [`ActivePy::run_options`] sets per run. Planning reads only `params`
+/// and `tracer`, and the plan-cache key hashes only `params`.
+pub type ActivePyOptions = ExecOptions;
 
 /// Everything ActivePy produced for one program run.
 #[derive(Debug, Clone, PartialEq)]
@@ -502,7 +367,7 @@ impl ActivePy {
                 ]
             }),
         );
-        let opts = self.options.exec_options(scenario);
+        let opts = self.run_options(scenario);
         // Journal the plan identity before executing: a resume against a
         // different plan (changed program, drifted fit) is detected at
         // the very first record rather than at some divergent boundary.
@@ -543,6 +408,18 @@ impl ActivePy {
             compile_secs: plan.compile_secs,
             calibration: plan.calibration,
         })
+    }
+
+    /// The execution options a plan runs under: ActivePy's generated
+    /// copy-eliminated code, this runtime's policies and observer handles,
+    /// and `scenario` contention.
+    #[must_use]
+    pub fn run_options(&self, scenario: ContentionScenario) -> ExecOptions {
+        ExecOptions {
+            tier: ExecTier::CompiledCopyElim,
+            scenario,
+            ..self.options.clone()
+        }
     }
 
     /// Simulated wall-clock cost of the sampling runs: the sample programs
@@ -590,6 +467,7 @@ mod tests {
     use crate::exec::execute_all_host;
     use crate::sampling::test_input as input;
     use alang::parser::parse;
+    use alang::{CostParams, ParallelPolicy};
 
     const SRC: &str = "\
 a = scan('v')

@@ -613,10 +613,9 @@ pub fn execute_sharded_plan(
 ) -> Result<FleetReport> {
     let n = plan.count();
     let mut fleet = Fleet::new(config, n);
-    let ropts = runtime.options();
     // Faults come per device from `shard_faults`, and the executor skips
     // profile recording for shard runs, so neither handle needs overriding.
-    let opts = ropts.exec_options(scenario);
+    let opts = runtime.run_options(scenario);
     // Journal the fleet's plan identity — base plan fingerprint plus the
     // shard map's — so a resume against a re-planned fleet or a different
     // shard count fails at the first record.

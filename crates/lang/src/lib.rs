@@ -68,7 +68,7 @@ pub use canonical::{CanonicalSink, Fingerprinter};
 pub use cost::{CostParams, ExecTier, LineCost};
 pub use error::LangError;
 pub use interp::Interpreter;
-pub use par::{ParEngine, ParStatsNondet, ParStatsSnapshot, ParallelPolicy};
+pub use par::{ParEngine, ParStatsSnapshot, ParallelPolicy};
 pub use shard::{ShardAnalysis, ShardMap, ShardStrategy};
 pub use value::Value;
 

@@ -126,19 +126,17 @@ impl Matrix {
         self.logical_rows * self.logical_cols * 8
     }
 
-    /// Dense matrix multiply `self × rhs`, computed on the materialized
-    /// blocks; logical dimensions compose accordingly.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error on inner-dimension mismatch.
-    pub fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
+    /// The serial product [`Self::matmul_with`] must equal.
+    #[cfg(test)]
+    pub(crate) fn matmul(&self, rhs: &Matrix) -> Result<Matrix> {
         self.matmul_in(rhs, None)
     }
 
-    /// [`Self::matmul`] executed through the data-parallel engine: output
-    /// rows are chunked (each is written by exactly one worker), so the
-    /// result is bit-identical to the serial product at any thread count.
+    /// Dense matrix multiply `self × rhs`, computed on the materialized
+    /// blocks; logical dimensions compose accordingly. Output rows are
+    /// chunked through the data-parallel engine (each is written by exactly
+    /// one worker), so the result is bit-identical to the serial product at
+    /// any thread count.
     ///
     /// # Errors
     ///
@@ -420,39 +418,25 @@ impl Csr {
         self.logical_nnz * 12 + (self.logical_rows + 1) * 4
     }
 
-    /// Sparse matrix–vector product on the materialized block.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `x.len() != cols`.
-    pub fn spmv(&self, x: &[f64]) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
-            return Err(LangError::runtime(format!(
-                "spmv shape mismatch: {} cols vs vector of {}",
-                self.cols,
-                x.len()
-            )));
-        }
-        let mut y = vec![0.0; self.rows];
-        for (r, y_r) in y.iter_mut().enumerate() {
-            let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            let mut acc = 0.0;
-            for k in lo..hi {
-                acc += self.values[k] * x[self.col_idx[k] as usize];
-            }
-            *y_r = acc;
-        }
-        Ok(y)
+    /// The serial product [`Self::spmv_with`] must equal.
+    #[cfg(test)]
+    fn spmv(&self, x: &[f64]) -> Result<Vec<f64>> {
+        self.spmv_in(x, None)
     }
 
-    /// [`Self::spmv`] executed through the data-parallel engine: rows are
-    /// chunked and each output element is row-local, so the result is
-    /// bit-identical to the serial product at any thread count.
+    /// Sparse matrix–vector product on the materialized block. Rows are
+    /// chunked through the data-parallel engine and each output element is
+    /// row-local, so the result is bit-identical to the serial product at
+    /// any thread count.
     ///
     /// # Errors
     ///
     /// Returns an error if `x.len() != cols`.
     pub fn spmv_with(&self, x: &[f64], par: &ParEngine) -> Result<Vec<f64>> {
+        self.spmv_in(x, Some(par))
+    }
+
+    fn spmv_in(&self, x: &[f64], par: Option<&ParEngine>) -> Result<Vec<f64>> {
         if x.len() != self.cols {
             return Err(LangError::runtime(format!(
                 "spmv shape mismatch: {} cols vs vector of {}",
@@ -461,30 +445,31 @@ impl Csr {
             )));
         }
         let per_row = (self.nnz() / self.rows.max(1)).max(1);
-        let Some(parts) = par.map_chunks(self.rows, per_row, |_, rows| {
-            rows.map(|r| {
-                let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                let mut acc = 0.0;
-                for k in lo..hi {
-                    acc += self.values[k] * x[self.col_idx[k] as usize];
-                }
-                acc
-            })
-            .collect::<Vec<f64>>()
-        }) else {
-            return self.spmv(x);
-        };
-        Ok(parts.concat())
+        let parts = par
+            .and_then(|par| par.map_chunks(self.rows, per_row, |_, rows| self.spmv_rows(x, rows)));
+        Ok(match parts {
+            Some(parts) => parts.concat(),
+            None => self.spmv_rows(x, 0..self.rows),
+        })
     }
 
-    /// One damped PageRank iteration over this adjacency structure
-    /// (column-normalized on the fly), returning the next rank vector.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `ranks.len() != rows` or the matrix is not
-    /// square.
-    pub fn pagerank_step(&self, ranks: &[f64], damping: f64) -> Result<Vec<f64>> {
+    /// Entries `rows` of `self × x`, each row's products summed in column
+    /// order.
+    fn spmv_rows(&self, x: &[f64], rows: Range<usize>) -> Vec<f64> {
+        rows.map(|r| {
+            let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+            let mut acc = 0.0;
+            for k in lo..hi {
+                acc += self.values[k] * x[self.col_idx[k] as usize];
+            }
+            acc
+        })
+        .collect()
+    }
+
+    /// The shape checks of a PageRank step: a square adjacency matrix and
+    /// one rank per node.
+    fn check_pagerank(&self, ranks: &[f64]) -> Result<()> {
         if self.rows != self.cols {
             return Err(LangError::runtime(
                 "pagerank needs a square adjacency matrix",
@@ -497,6 +482,14 @@ impl Csr {
                 self.rows
             )));
         }
+        Ok(())
+    }
+
+    /// One damped PageRank iteration by the serial scatter: the path
+    /// below the engagement threshold, so its float order is the one
+    /// sampling measures.
+    fn pagerank_step(&self, ranks: &[f64], damping: f64) -> Result<Vec<f64>> {
+        self.check_pagerank(ranks)?;
         // Out-degree per node (treating row r's entries as edges r -> c).
         let mut out_deg = vec![0u32; self.rows];
         for (r, deg) in out_deg.iter_mut().enumerate() {
@@ -522,9 +515,11 @@ impl Csr {
         Ok(next)
     }
 
-    /// [`Self::pagerank_step`] executed through the data-parallel engine.
+    /// One damped PageRank iteration over this adjacency structure
+    /// (column-normalized on the fly), returning the next rank vector.
     ///
-    /// Source rows are chunked; each chunk scatters its contributions into
+    /// Below the engagement threshold this is the serial scatter. Above it,
+    /// source rows are chunked; each chunk scatters its contributions into
     /// a private dense partial vector, and partials are combined **in chunk
     /// order** onto the `(1 - damping) / n` base. Chunk boundaries depend
     /// only on the graph shape, so the reassociated sums are identical at
@@ -533,25 +528,15 @@ impl Csr {
     ///
     /// # Errors
     ///
-    /// Same surface as [`Self::pagerank_step`].
+    /// Returns an error if `ranks.len() != rows` or the matrix is not
+    /// square.
     pub fn pagerank_step_with(
         &self,
         ranks: &[f64],
         damping: f64,
         par: &ParEngine,
     ) -> Result<Vec<f64>> {
-        if self.rows != self.cols {
-            return Err(LangError::runtime(
-                "pagerank needs a square adjacency matrix",
-            ));
-        }
-        if ranks.len() != self.rows {
-            return Err(LangError::runtime(format!(
-                "rank vector length {} does not match {} nodes",
-                ranks.len(),
-                self.rows
-            )));
-        }
+        self.check_pagerank(ranks)?;
         let n = self.rows as f64;
         let per_row = (self.nnz() / self.rows.max(1)).max(1) + 1;
         let Some(parts) = par.map_chunks(self.rows, per_row, |_, rows| {

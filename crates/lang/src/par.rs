@@ -119,18 +119,15 @@ pub struct ParStats {
     par_calls: AtomicU64,
     serial_calls: AtomicU64,
     chunks: AtomicU64,
-    stolen_chunks: AtomicU64,
 }
 
 impl Clone for ParStats {
     fn clone(&self) -> Self {
         let snap = self.snapshot();
-        let nondet = self.nondet();
         Self {
             par_calls: AtomicU64::new(snap.par_calls),
             serial_calls: AtomicU64::new(snap.serial_calls),
             chunks: AtomicU64::new(snap.chunks),
-            stolen_chunks: AtomicU64::new(nondet.stolen_chunks),
         }
     }
 }
@@ -143,23 +140,13 @@ impl ParStats {
             chunks: self.chunks.load(Ordering::Relaxed),
         }
     }
-
-    fn nondet(&self) -> ParStatsNondet {
-        ParStatsNondet {
-            stolen_chunks: self.stolen_chunks.load(Ordering::Relaxed),
-        }
-    }
 }
 
 /// Counter snapshot recorded into run reports.
 ///
 /// Holds only the counters that derive from the thread-independent chunk
 /// grid, so `Eq` is derived and two same-input runs compare equal at any
-/// thread count. Scheduling-dependent counters live in
-/// [`ParStatsNondet`], reachable via [`ParEngine::nondet`] — previously
-/// `stolen_chunks` sat in this struct and was excluded from a hand-written
-/// `PartialEq` by convention only, which silently broke `Eq`/`Hash`
-/// consistency for any container keyed on snapshots.
+/// thread count. Which thread ran a chunk is never counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
 pub struct ParStatsSnapshot {
     /// Kernel calls that engaged the chunked path.
@@ -168,15 +155,6 @@ pub struct ParStatsSnapshot {
     pub serial_calls: u64,
     /// Total chunks executed across all engaged calls.
     pub chunks: u64,
-}
-
-/// Scheduling-dependent counters, deliberately kept out of
-/// [`ParStatsSnapshot`] so snapshot equality stays deterministic.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize)]
-pub struct ParStatsNondet {
-    /// Chunks executed by pool helpers rather than the submitting thread
-    /// (deterministically zero at `threads = 1`; scheduling noise above).
-    pub stolen_chunks: u64,
 }
 
 /// The chunk size, in work items, for items costing `elems_per_item`
@@ -248,14 +226,6 @@ impl ParEngine {
         self.stats.snapshot()
     }
 
-    /// Current scheduling-dependent counters (steal attribution). Kept
-    /// separate so [`Self::stats`] snapshots compare `Eq` across thread
-    /// counts.
-    #[must_use]
-    pub fn nondet(&self) -> ParStatsNondet {
-        self.stats.nondet()
-    }
-
     /// Runs `f` once per chunk of `0..items` and returns the per-chunk
     /// results **in ascending chunk order**, or `None` when the total
     /// work (`items × elems_per_item`) is below the policy's engagement
@@ -298,32 +268,19 @@ impl ParEngine {
         );
         let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
-        let stolen = AtomicU64::new(0);
-        let body = |helper: bool| {
-            let mut grabbed = 0u64;
-            loop {
-                let c = cursor.fetch_add(1, Ordering::Relaxed);
-                if c >= n_chunks {
-                    break;
-                }
-                let lo = c * chunk;
-                let hi = items.min(lo + chunk);
-                let out = f(c, lo..hi);
-                *slots[c].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-                if helper {
-                    grabbed += 1;
-                }
+        let body = |_helper: bool| loop {
+            let c = cursor.fetch_add(1, Ordering::Relaxed);
+            if c >= n_chunks {
+                break;
             }
-            if grabbed > 0 {
-                stolen.fetch_add(grabbed, Ordering::Relaxed);
-            }
+            let lo = c * chunk;
+            let hi = items.min(lo + chunk);
+            let out = f(c, lo..hi);
+            *slots[c].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
         };
         let helpers = self.policy.threads.saturating_sub(1).min(n_chunks - 1);
         pool::run_parallel(helpers, &body);
         self.tracer.end(span, None);
-        self.stats
-            .stolen_chunks
-            .fetch_add(stolen.load(Ordering::Relaxed), Ordering::Relaxed);
         Some(
             slots
                 .into_iter()
@@ -512,32 +469,22 @@ mod tests {
     }
 
     #[test]
-    fn stolen_chunks_are_zero_at_one_thread() {
-        let e = engine(1);
-        let _ = e.sum(&data(30_000));
-        assert!(e.stats().par_calls >= 1);
-        assert_eq!(e.nondet().stolen_chunks, 0);
-    }
-
-    #[test]
     fn snapshots_compare_equal_across_thread_counts() {
-        // Satellite: the snapshot holds only grid-derived counters, so the
-        // derived `Eq` (and `Hash`) hold across 1, 2, and 8 threads; steal
-        // attribution is reachable only through the separate nondet view.
+        // The snapshot holds only grid-derived counters, so the derived
+        // `Eq` (and `Hash`) hold across 1, 2, and 8 threads.
         let xs = data(200_000);
         let run = |threads: usize| {
             let e = engine(threads);
             let _ = e.sum(&xs);
             let _ = e.dot(&xs, &xs);
             let _ = e.map_elems(&xs, |x| x + 1.0);
-            (e.stats(), e.nondet())
+            e.stats()
         };
-        let (ref_stats, ref_nondet) = run(1);
-        assert_eq!(ref_nondet.stolen_chunks, 0);
+        let ref_stats = run(1);
         assert!(ref_stats.par_calls >= 3);
         let mut keyed = std::collections::HashSet::new();
         for threads in [1, 2, 8] {
-            let (stats, _) = run(threads);
+            let stats = run(threads);
             assert_eq!(stats, ref_stats, "threads={threads}");
             keyed.insert(stats);
         }

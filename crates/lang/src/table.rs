@@ -269,20 +269,18 @@ impl Table {
         self.logical_rows * self.bytes_per_row()
     }
 
-    /// Filters rows by a boolean mask of materialized length; the result's
-    /// logical row count shrinks by the *measured* selectivity, which is how
-    /// data-dependent volume reduction stays faithful at paper scale.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the mask length differs from the row count.
-    pub fn filter(&self, keep: &[bool]) -> Result<Table> {
+    /// The serial filter [`Self::filter_with`] must equal.
+    #[cfg(test)]
+    pub(crate) fn filter(&self, keep: &[bool]) -> Result<Table> {
         self.filter_rows(keep, None)
     }
 
-    /// [`Self::filter`] executed through the data-parallel engine: each
-    /// column's gather is chunked by rows. Gathering is row-local, so the
-    /// result is bit-identical to the serial filter at any thread count.
+    /// Filters rows by a boolean mask of materialized length; the result's
+    /// logical row count shrinks by the *measured* selectivity, which is how
+    /// data-dependent volume reduction stays faithful at paper scale. Each
+    /// column's gather is chunked by rows through the data-parallel engine.
+    /// Gathering is row-local, so the result is bit-identical to the serial
+    /// filter at any thread count.
     ///
     /// # Errors
     ///

@@ -46,8 +46,7 @@ pub use journal::{
 };
 pub use metrics::{Histogram, MetricsRegistry, RegistrySnapshot};
 pub use span::{
-    AttrValue, Attrs, InstantEvent, MemorySink, Span, SpanHandle, SpanKind, TraceEvent, TraceSink,
-    Tracer,
+    AttrValue, Attrs, InstantEvent, MemorySink, Span, SpanHandle, SpanKind, TraceEvent, Tracer,
 };
 pub use wal::{
     fnv1a, parse_wal_bytes, read_wal, ByteReader, ByteWriter, StateSnap, WalReadOutcome, WalRecord,

@@ -174,7 +174,7 @@ pub struct InstantEvent {
     pub attrs: Attrs,
 }
 
-/// One record delivered to a [`TraceSink`].
+/// One record delivered to a [`MemorySink`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum TraceEvent {
     /// A completed span.
@@ -193,25 +193,18 @@ impl TraceEvent {
     }
 }
 
-/// Destination for trace records. Implementations must tolerate records
-/// arriving from the thread that owns the traced computation; the tracer
-/// itself serializes record emission (span completion order).
-pub trait TraceSink: Send + Sync + fmt::Debug {
-    /// Deliver one record.
-    fn record(&self, event: TraceEvent);
-}
-
-/// A sink that buffers every record in memory, for tests and for
-/// end-of-run export.
+/// The destination of a live tracer's records: every record buffered in
+/// memory, in emission order, for tests and for end-of-run export. The
+/// tracer itself serializes record emission (span completion order).
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceEvent>>,
 }
 
 impl MemorySink {
-    /// New empty sink behind an `Arc`, ready to hand to [`Tracer::new`].
-    pub fn shared() -> Arc<Self> {
-        Arc::new(Self::default())
+    /// Deliver one record.
+    fn record(&self, event: TraceEvent) {
+        self.events.lock().expect("sink poisoned").push(event);
     }
 
     /// Snapshot of all records so far, in emission order.
@@ -227,12 +220,6 @@ impl MemorySink {
     /// True when no records have been delivered.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-}
-
-impl TraceSink for MemorySink {
-    fn record(&self, event: TraceEvent) {
-        self.events.lock().expect("sink poisoned").push(event);
     }
 }
 
@@ -268,7 +255,7 @@ impl SpanHandle {
 
 #[derive(Debug)]
 struct TracerInner {
-    sink: Arc<dyn TraceSink>,
+    sink: Arc<MemorySink>,
     epoch: Instant,
     next_id: AtomicU64,
     seq: AtomicU64,
@@ -307,25 +294,21 @@ impl Tracer {
         Tracer { inner: None }
     }
 
-    /// A live tracer recording into `sink`. The wall-clock epoch is the
-    /// moment of this call.
-    pub fn new(sink: Arc<dyn TraceSink>) -> Self {
-        Tracer {
+    /// A live tracer plus the [`MemorySink`] it records to. The
+    /// wall-clock epoch is the moment of this call.
+    pub fn to_memory() -> (Self, Arc<MemorySink>) {
+        let sink = Arc::new(MemorySink::default());
+        let tracer = Tracer {
             inner: Some(Arc::new(TracerInner {
-                sink,
+                sink: Arc::clone(&sink),
                 epoch: Instant::now(),
                 next_id: AtomicU64::new(1),
                 seq: AtomicU64::new(1),
                 stack: Mutex::new(Vec::new()),
                 metrics: MetricsRegistry::default(),
             })),
-        }
-    }
-
-    /// Convenience: a live tracer plus the [`MemorySink`] it records to.
-    pub fn to_memory() -> (Self, Arc<MemorySink>) {
-        let sink = MemorySink::shared();
-        (Self::new(sink.clone() as Arc<dyn TraceSink>), sink)
+        };
+        (tracer, sink)
     }
 
     /// True when records are being captured.

@@ -112,6 +112,19 @@ echo "== builtin table (each builtin's result type against what its kernel retur
 cargo test -q -p alang --lib -- copyelim:: builtins::tests
 cargo test -q --test builtin_table
 
+echo "== one options type, one source per counter (run options and the metrics snapshot) =="
+# A plan execution runs under ActivePy::run_options — the runtime's
+# ExecOptions with the tier and scenario set — and nothing else:
+# execute_plan equals evaluate then simulate under those options, report
+# field for field, with faults, a preemption, a parallel policy and a
+# profile recorder each reaching the run. The metrics snapshot holds the
+# fault, recovery and kernel families a run fills; audit.* comes only from
+# the calibration report, and the Prometheus golden pins what a journal
+# footer exports. Ahead of the suite, so a dropped option or a zero
+# counter stops here, named.
+cargo test -q -p activepy --lib -- metrics:: report:: runtime::
+cargo test -q --test audit_determinism
+
 echo "== cargo test -q --workspace =="
 # The whole suite: the root package alone is 54 of the 701 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.

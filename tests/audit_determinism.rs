@@ -15,16 +15,21 @@
 //!    committed fig5 TPC-H-6 journal's metrics footer is byte-identical
 //!    to `tests/golden/fig5_tpch6_metrics.prom`; regenerate with
 //!    `REGEN_TRACE_GOLDEN=1 cargo test --test audit_determinism`.
+//! 4. **Run options** — `execute_plan` runs under exactly
+//!    `ActivePy::run_options`, and every configured option reaches the run.
 
 mod common;
 
-use activepy::exec::{execute, ExecOptions};
+use activepy::audit::capture_terms;
+use activepy::exec::{evaluate, execute, simulate, ExecOptions, MigrationReason};
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{execute_sharded_raw, PlanCache};
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
+use alang::ParallelPolicy;
 use common::{expr, fault_params, placements, source, storage, VARS};
 use csd_sim::fault::FaultPlan;
+use csd_sim::units::Duration;
 use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::export::prometheus;
 use isp_obs::{footer_snapshot, parse_journal, Tracer};
@@ -179,15 +184,16 @@ fn planned_audit_pass_is_observation_only() {
         format!("{:?}", reference.report.migration)
     );
 
-    // The calibration joined every executed line and folded into the
-    // snapshot's audit family.
+    // The calibration joined every executed line and published the count.
     assert!(!calibration.lines.is_empty());
-    let snap = audited.report.metrics.with_audit(&calibration);
-    assert_eq!(snap.audit.lines_audited, calibration.lines.len() as u64);
+    let registry = tracer.metrics_snapshot().expect("live tracer");
+    assert_eq!(
+        registry.counter("audit.lines"),
+        Some(calibration.lines.len() as u64)
+    );
 
     // The published registry renders deterministically, validates, and
     // carries the audit families.
-    let registry = tracer.metrics_snapshot().expect("live tracer");
     let text = prometheus::render(&registry);
     assert_eq!(text, prometheus::render(&registry));
     prometheus::validate(&text).expect("valid exposition");
@@ -210,6 +216,76 @@ fn planned_audit_pass_is_observation_only() {
     .expect("journal parses");
     let from_footer = footer_snapshot(&journal).expect("journal has a metrics footer");
     assert_eq!(prometheus::render(&from_footer), text);
+}
+
+/// An ActivePy execution runs under exactly the options its runtime builds
+/// for the scenario: `execute_plan` equals `evaluate` then `simulate` on a
+/// system charged with the plan's pipeline overheads, report field for
+/// field, with faults, a preemption, a parallel policy and a profile
+/// recorder all configured, and each of them reaching the run.
+#[test]
+fn an_activepy_execution_runs_under_exactly_its_options() {
+    let w = isp_workloads::by_name("TPC-H-6").expect("registered workload");
+    let program = w.program().expect("workload parses");
+    let config = SystemConfig::paper_default();
+    let cache = PlanCache::new();
+    let plan = cache
+        .plan_for(&ActivePy::new(), w.name(), &program, &w, &config)
+        .expect("planning succeeds");
+    let policy = ParallelPolicy::new(2, 256).expect("policy");
+    let faults = FaultPlan::none()
+        .with_seed(7)
+        .with_flash_read_error_prob(0.2);
+    let recorder = cache.recorder_for(&ActivePy::new(), w.name(), &w, &config);
+    let rt = ActivePy::with_options(
+        ActivePyOptions::default()
+            .with_faults(faults)
+            .with_preemption_at(plan.sampling_secs + plan.compile_secs + 0.5)
+            .with_parallelism(policy)
+            .with_profile(recorder),
+    );
+    let scenario = ContentionScenario::after_progress(0.5, 0.1);
+
+    let report = rt
+        .execute_plan(&plan, &config, scenario)
+        .expect("planned run")
+        .report;
+
+    let opts = rt.run_options(scenario);
+    let evaluation =
+        evaluate(&plan.program, &plan.lowered, &plan.full_storage, &opts).expect("evaluate");
+    let mut system = config.build();
+    system.advance(Duration::from_secs(plan.sampling_secs + plan.compile_secs));
+    let mut expected = simulate(
+        &plan.program,
+        &evaluation,
+        &plan.assignment.placements(plan.program.len()),
+        &mut system,
+        &opts,
+        Some(&plan.estimates),
+        None,
+    )
+    .expect("simulate");
+    expected.eq1 = capture_terms(
+        &plan.estimates,
+        &plan.assignment,
+        config.d2h_bandwidth().as_bytes_per_sec(),
+        1,
+    );
+    assert_eq!(report, expected);
+
+    // Every configured option reached the run.
+    assert_eq!(report.parallel, policy);
+    assert!(report.metrics.faults.flash_read_errors > 0, "{report:?}");
+    assert!(
+        report
+            .migrations
+            .iter()
+            .any(|m| m.reason == MigrationReason::Preempted),
+        "{:?}",
+        report.migrations
+    );
+    assert_eq!(cache.profiles().runs_recorded(), 2);
 }
 
 /// The committed Prometheus golden: rendering the metrics footer of the
