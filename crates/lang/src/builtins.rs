@@ -1068,7 +1068,7 @@ fn kmeans_assign(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             by_dim[j * k + kc] = *x;
         }
     }
-    let panels = simd::column_panels(&by_dim, d, k);
+    let panels = simd::column_panels::<{ simd::LANES }>(&by_dim, d, k);
     let nearest = |rows: std::ops::Range<usize>| -> Vec<f64> {
         rows.map(|i| {
             let point = &points.data()[i * d..(i + 1) * d];

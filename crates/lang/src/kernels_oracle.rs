@@ -1239,6 +1239,27 @@ fn matmul_and_to_csr_match_the_indexed_loops() {
     assert!(new.is_err());
     assert_same_value(&new, &old, "matmul shape mismatch");
     assert_eq!(ran, CASES);
+
+    // The registered MatrixMul projection: what its `y = matmul(a, w)`
+    // computes, a 4-column rhs in 4-lane panels.
+    let w = isp_workloads::by_name("MatrixMul").expect("registered");
+    let lhs = registered_matrix(&w, "features64");
+    let rhs = registered_matrix(&w, "proj_weights");
+    assert_eq!((lhs.rows(), lhs.cols(), rhs.cols()), (2048, 64, 4));
+    let serial = lhs.matmul(&rhs).map(Value::Matrix);
+    assert_same_value(
+        &serial,
+        &matmul_ref(&lhs, &rhs).map(Value::Matrix),
+        "MatrixMul",
+    );
+    for threads in THREADS {
+        let (new_par, old_par) = (engine(threads), engine(threads));
+        let new = lhs.matmul_with(&rhs, &new_par).map(Value::Matrix);
+        let old = matmul_with_ref(&lhs, &rhs, &old_par).map(Value::Matrix);
+        let what = format!("MatrixMul @ {threads} threads");
+        assert_same_value(&new, &old, &what);
+        assert_eq!(new_par.stats(), old_par.stats(), "{what}: chunk counters");
+    }
 }
 
 /// A value for a feature, a threshold or a leaf: half the time one of the

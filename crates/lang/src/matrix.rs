@@ -15,6 +15,11 @@ use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
+/// The error of a logical dimension below its materialized one.
+fn logical_below_materialized() -> LangError {
+    LangError::runtime("logical dimensions must be at least the materialized dimensions")
+}
+
 /// A dense row-major matrix with logical (paper-scale) dimensions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
@@ -55,17 +60,36 @@ impl Matrix {
                 data.len()
             )));
         }
-        if logical_rows < rows as u64 || logical_cols < cols as u64 {
-            return Err(LangError::runtime(
-                "logical dimensions must be at least the materialized dimensions",
-            ));
+        if logical_cols < cols as u64 {
+            return Err(logical_below_materialized());
         }
-        Ok(Matrix {
+        Matrix {
             data: Arc::new(data),
             rows,
             cols,
-            logical_rows,
+            logical_rows: rows as u64,
             logical_cols,
+        }
+        .with_logical_rows(logical_rows)
+    }
+
+    /// The same materialized block standing for `logical_rows` paper-scale
+    /// rows: the buffer is shared, not copied.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `logical_rows` is smaller than the materialized
+    /// row count.
+    pub fn with_logical_rows(&self, logical_rows: u64) -> Result<Self> {
+        if logical_rows < self.rows as u64 {
+            return Err(logical_below_materialized());
+        }
+        Ok(Matrix {
+            data: Arc::clone(&self.data),
+            rows: self.rows,
+            cols: self.cols,
+            logical_rows,
+            logical_cols: self.logical_cols,
         })
     }
 
@@ -152,17 +176,12 @@ impl Matrix {
                 self.rows, self.cols, rhs.rows, rhs.cols
             )));
         }
-        let panels = simd::column_panels(&rhs.data, rhs.rows, rhs.cols);
-        // Per output row: one madd per (k, j) pair.
-        let per_row = self.cols.max(1);
-        let blocks = par.and_then(|par| {
-            par.map_chunks(self.rows, per_row, |_, rows| {
-                self.matmul_rows(&panels, rhs.cols, rows)
-            })
-        });
-        let out = match blocks {
-            Some(blocks) => blocks.concat(),
-            None => self.matmul_rows(&panels, rhs.cols, 0..self.rows),
+        // A rhs of at most four columns fills 4-lane panels: 8-lane ones
+        // would compute four lanes nobody reads.
+        let out = if rhs.cols <= 4 {
+            self.matmul_panels::<4>(rhs, par)
+        } else {
+            self.matmul_panels::<{ simd::LANES }>(rhs, par)
         };
         Matrix::with_logical(
             out,
@@ -173,11 +192,33 @@ impl Matrix {
         )
     }
 
+    /// The row-major data of `self × rhs`, with `rhs` packed in `L`-lane
+    /// column panels.
+    fn matmul_panels<const L: usize>(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Vec<f64> {
+        let panels = simd::column_panels::<L>(&rhs.data, rhs.rows, rhs.cols);
+        // Per output row: one madd per (k, j) pair.
+        let per_row = self.cols.max(1);
+        let blocks = par.and_then(|par| {
+            par.map_chunks(self.rows, per_row, |_, rows| {
+                self.matmul_rows::<L>(&panels, rhs.cols, rows)
+            })
+        });
+        match blocks {
+            Some(blocks) => blocks.concat(),
+            None => self.matmul_rows::<L>(&panels, rhs.cols, 0..self.rows),
+        }
+    }
+
     /// Output rows `rows` of `self × rhs`, row-major, for a `width`-column
-    /// `rhs` packed as [`simd::column_panels`]. Eight output columns at a
-    /// time accumulate `a[i][k] · rhs[k][..]` in registers for `k`
-    /// ascending, skipping every `k` whose `a[i][k]` is zero.
-    fn matmul_rows(&self, panels: &[f64], width: usize, rows: Range<usize>) -> Vec<f64> {
+    /// `rhs` packed as [`simd::column_panels`] of `L` lanes. `L` output
+    /// columns at a time accumulate `a[i][k] · rhs[k][..]` in registers for
+    /// `k` ascending, skipping every `k` whose `a[i][k]` is zero.
+    fn matmul_rows<const L: usize>(
+        &self,
+        panels: &[f64],
+        width: usize,
+        rows: Range<usize>,
+    ) -> Vec<f64> {
         let inner = self.cols;
         let mut block = vec![0.0; rows.len() * width];
         if inner == 0 || width == 0 {
@@ -185,10 +226,10 @@ impl Matrix {
         }
         let lhs = &self.data[rows.start * inner..rows.end * inner];
         for (a_row, out_row) in lhs.chunks_exact(inner).zip(block.chunks_exact_mut(width)) {
-            let panels = panels.chunks_exact(inner * simd::LANES);
-            for (panel, out) in panels.zip(out_row.chunks_mut(simd::LANES)) {
-                let mut acc = [0.0; simd::LANES];
-                for (a, b_row) in a_row.iter().zip(panel.as_chunks::<{ simd::LANES }>().0) {
+            let panels = panels.chunks_exact(inner * L);
+            for (panel, out) in panels.zip(out_row.chunks_mut(L)) {
+                let mut acc = [0.0; L];
+                for (a, b_row) in a_row.iter().zip(panel.as_chunks::<L>().0) {
                     if *a == 0.0 {
                         continue;
                     }
@@ -596,6 +637,30 @@ mod tests {
     fn construction_validates_shape() {
         assert!(Matrix::new(vec![1.0; 5], 2, 3).is_err());
         assert!(Matrix::with_logical(vec![1.0; 6], 2, 3, 1, 3).is_err());
+    }
+
+    #[test]
+    fn a_relabelled_matrix_is_the_matrix_built_at_that_length() {
+        use crate::canonical::Fingerprinter;
+        use crate::Value;
+        let data: Vec<f64> = (0..24).map(|i| f64::from(i % 7) * 0.5).collect();
+        let stored = Matrix::with_logical(data.clone(), 6, 4, 6, 9).expect("stored");
+        for logical in [6, 7, 6_000_000_000] {
+            let relabelled = stored.with_logical_rows(logical).expect("relabelled");
+            let built = Matrix::with_logical(data.clone(), 6, 4, logical, 9).expect("built");
+            assert_eq!(relabelled, built, "6 -> {logical}");
+            assert_eq!(relabelled.virtual_bytes(), built.virtual_bytes());
+            assert_eq!(
+                Fingerprinter::digest(&Value::Matrix(relabelled.clone())),
+                Fingerprinter::digest(&Value::Matrix(built))
+            );
+            assert!(Arc::ptr_eq(&relabelled.data, &stored.data));
+        }
+        let below = stored
+            .with_logical_rows(5)
+            .expect_err("below the materialized rows");
+        let built = Matrix::with_logical(data, 6, 4, 5, 9).expect_err("below");
+        assert_eq!(below.to_string(), built.to_string());
     }
 
     #[test]

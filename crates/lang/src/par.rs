@@ -268,7 +268,7 @@ impl ParEngine {
         );
         let slots: Vec<Mutex<Option<R>>> = (0..n_chunks).map(|_| Mutex::new(None)).collect();
         let cursor = AtomicUsize::new(0);
-        let body = |_helper: bool| loop {
+        let body = || loop {
             let c = cursor.fetch_add(1, Ordering::Relaxed);
             if c >= n_chunks {
                 break;

@@ -7,7 +7,7 @@
 //! jobs, so a kernel call's cost is one lock + notify, not a thread spawn.
 //!
 //! The pool intentionally knows nothing about chunks or determinism: it
-//! only fans a single `Fn(bool)` job out to the submitter plus N helpers.
+//! only fans a single `Fn()` job out to the submitter plus N helpers.
 //! All result placement happens inside the job closure (the engine's
 //! atomic-cursor loop), which is what keeps results independent of which
 //! thread ran which chunk.
@@ -19,7 +19,7 @@ use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 /// this supports policies up to 16 threads).
 pub(crate) const MAX_HELPERS: usize = 15;
 
-type RawJob = *const (dyn Fn(bool) + Sync + 'static);
+type RawJob = *const (dyn Fn() + Sync + 'static);
 
 /// A lifetime-erased pointer to the in-flight job closure. Sound to hand
 /// to workers because [`run_parallel`] does not return — not even on a
@@ -97,7 +97,7 @@ fn worker_loop(pool: &'static Pool) {
         // SAFETY: the submitter blocks in `run_parallel` until `active`
         // returns to zero, so the closure behind the raw pointer is alive
         // for the whole call.
-        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)(true) }));
+        let result = catch_unwind(AssertUnwindSafe(|| unsafe { (*job.0)() }));
         let mut st = pool.state.lock().unwrap_or_else(PoisonError::into_inner);
         if let Err(payload) = result {
             if st.panic.is_none() {
@@ -113,14 +113,12 @@ fn worker_loop(pool: &'static Pool) {
 
 /// Runs `job` on the calling thread plus up to `helpers` pool workers.
 ///
-/// The closure receives `true` when invoked on a pool helper ("stolen"
-/// work, for the engine's steal counters) and `false` on the calling
-/// thread. Blocks until every participant has returned; a panic — the
-/// caller's own or any helper's — is re-raised only after the job has
-/// fully quiesced, so the closure is never used after its frame dies.
-pub(crate) fn run_parallel(helpers: usize, job: &(dyn Fn(bool) + Sync)) {
+/// Blocks until every participant has returned; a panic — the caller's
+/// own or any helper's — is re-raised only after the job has fully
+/// quiesced, so the closure is never used after its frame dies.
+pub(crate) fn run_parallel(helpers: usize, job: &(dyn Fn() + Sync)) {
     if helpers == 0 {
-        job(false);
+        job();
         return;
     }
     let pool = pool();
@@ -139,7 +137,7 @@ pub(crate) fn run_parallel(helpers: usize, job: &(dyn Fn(bool) + Sync)) {
         // here and reconstructed in `worker_loop`; the wait below keeps
         // the borrow live past every dereference.
         let erased =
-            unsafe { std::mem::transmute::<*const (dyn Fn(bool) + Sync), RawJob>(job as *const _) };
+            unsafe { std::mem::transmute::<*const (dyn Fn() + Sync), RawJob>(job as *const _) };
         st.seq = st.seq.wrapping_add(1);
         st.job = Some(Job(erased));
         st.want = target.min(st.workers);
@@ -149,7 +147,7 @@ pub(crate) fn run_parallel(helpers: usize, job: &(dyn Fn(bool) + Sync)) {
         pool.work_cv.notify_all();
     }
     // The submitter participates instead of idling.
-    let own = catch_unwind(AssertUnwindSafe(|| job(false)));
+    let own = catch_unwind(AssertUnwindSafe(job));
     let helper_panic = {
         let mut st = pool.state.lock().unwrap_or_else(PoisonError::into_inner);
         while st.started < st.want || st.active > 0 {
@@ -178,8 +176,9 @@ mod tests {
     #[test]
     fn zero_helpers_runs_inline() {
         let calls = AtomicUsize::new(0);
-        run_parallel(0, &|helper| {
-            assert!(!helper);
+        let caller = std::thread::current().id();
+        run_parallel(0, &|| {
+            assert_eq!(std::thread::current().id(), caller);
             calls.fetch_add(1, Ordering::Relaxed);
         });
         assert_eq!(calls.load(Ordering::Relaxed), 1);
@@ -189,7 +188,7 @@ mod tests {
     fn helpers_participate_and_all_work_completes() {
         let cursor = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
-        run_parallel(3, &|_helper| loop {
+        run_parallel(3, &|| loop {
             let i = cursor.fetch_add(1, Ordering::Relaxed);
             if i >= 1000 {
                 break;
@@ -203,7 +202,7 @@ mod tests {
     fn submissions_can_repeat_and_nest_sequentially() {
         for round in 0..20 {
             let sum = AtomicUsize::new(0);
-            run_parallel(2, &|_| {
+            run_parallel(2, &|| {
                 sum.fetch_add(1, Ordering::Relaxed);
             });
             // Submitter + up to 2 helpers each ran the closure once.
@@ -214,9 +213,10 @@ mod tests {
 
     #[test]
     fn submitter_panic_is_reraised_after_quiescence() {
+        let submitter = std::thread::current().id();
         let caught = std::panic::catch_unwind(|| {
-            run_parallel(2, &|helper| {
-                if !helper {
+            run_parallel(2, &|| {
+                if std::thread::current().id() == submitter {
                     panic!("submitter boom");
                 }
             });
@@ -224,7 +224,7 @@ mod tests {
         assert!(caught.is_err());
         // Pool is still usable afterwards.
         let ok = AtomicUsize::new(0);
-        run_parallel(2, &|_| {
+        run_parallel(2, &|| {
             ok.fetch_add(1, Ordering::Relaxed);
         });
         assert!(ok.load(Ordering::Relaxed) >= 1);

@@ -154,17 +154,17 @@ fn fold_cmp_ref<F: Fn(f64, f64) -> f64>(xs: &[f64], init: f64, pick: F) -> f64 {
     out
 }
 
-/// Repacks a row-major `rows × cols` matrix as `cols.div_ceil(LANES)`
-/// column panels, each `rows × LANES` row-major and zero-padded past the
-/// last column. A kernel that walks one panel row by row advances
-/// [`LANES`] accumulators of fixed width — a register block — however
-/// wide the matrix is; the padding lanes compute values nobody reads.
-pub(crate) fn column_panels(data: &[f64], rows: usize, cols: usize) -> Vec<f64> {
-    let mut panels = vec![0.0; cols.div_ceil(LANES) * rows * LANES];
+/// Repacks a row-major `rows × cols` matrix as `cols.div_ceil(L)`
+/// column panels, each `rows × L` row-major and zero-padded past the
+/// last column. A kernel that walks one panel row by row advances `L`
+/// accumulators of fixed width — a register block — however wide the
+/// matrix is; the padding lanes compute values nobody reads.
+pub(crate) fn column_panels<const L: usize>(data: &[f64], rows: usize, cols: usize) -> Vec<f64> {
+    let mut panels = vec![0.0; cols.div_ceil(L) * rows * L];
     for r in 0..rows {
         let row = &data[r * cols..(r + 1) * cols];
-        for (p, lanes) in row.chunks(LANES).enumerate() {
-            let at = (p * rows + r) * LANES;
+        for (p, lanes) in row.chunks(L).enumerate() {
+            let at = (p * rows + r) * L;
             panels[at..at + lanes.len()].copy_from_slice(lanes);
         }
     }

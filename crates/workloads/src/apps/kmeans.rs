@@ -6,10 +6,13 @@
 //! centroid matrix) is tiny compared to the input, the shape that profits
 //! from in-storage execution.
 
+use super::{stored_once, Stored};
+use crate::datagen::logical_rows;
 use crate::datagen::points::{clustered_points, initial_centroids};
 use crate::spec::Workload;
-use std::sync::Arc;
 
+/// Table-I size in gigabytes.
+const GB: f64 = 5.3;
 /// Point dimensionality.
 const DIMS: usize = 8;
 /// Cluster count.
@@ -32,19 +35,33 @@ spread = frob(c1)
 pub fn workload() -> Workload {
     Workload::new(
         "KMeans",
-        5.3,
+        GB,
         "one k-means EM pass (assign + centroid update) over stored points",
         SOURCE,
-        Arc::new(|scale| {
-            let mut st = alang::Storage::new();
-            st.insert(
-                "points",
-                clustered_points(5.3, scale, DIMS, K, ACTUAL_ROWS, SEED),
-            );
-            st.insert("centroids", initial_centroids(DIMS, K, SEED));
-            st
-        }),
+        stored_once(
+            || Stored {
+                scaled: vec![(
+                    "points",
+                    clustered_points(GB, 1.0, DIMS, K, ACTUAL_ROWS, SEED),
+                )],
+                fixed: vec![("centroids", initial_centroids(DIMS, K, SEED))],
+            },
+            |scale| logical_rows(GB, DIMS as u64 * 8, scale, ACTUAL_ROWS),
+        ),
     )
+}
+
+/// The generator [`workload`] replaced, kept as the reference: every
+/// scale drawn afresh.
+#[cfg(test)]
+pub(super) fn drawn_per_scale(scale: f64) -> alang::Storage {
+    let mut st = alang::Storage::new();
+    st.insert(
+        "points",
+        clustered_points(GB, scale, DIMS, K, ACTUAL_ROWS, SEED),
+    );
+    st.insert("centroids", initial_centroids(DIMS, K, SEED));
+    st
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@
 
 use crate::spec::Workload;
 use alang::value::EncodedVal;
+use alang::Value;
 use csd_sim::wire::{ByteOrder, Codec, Encoding};
 
 /// On-storage size in gigabytes. Codec-less wire formats are
@@ -105,15 +106,18 @@ pub fn workload() -> Workload {
         GB,
         "grep 5xx log records and aggregate a smooth latency score (decode-on-CSD regime)",
         SOURCE,
-        super::encoded_once(
+        super::stored_once(
             || {
                 let stored = |encoding, data: Vec<f64>| {
-                    EncodedVal::from_f64s(encoding, &data, ACTUAL_ROWS as u64)
+                    Value::Encoded(EncodedVal::from_f64s(encoding, &data, ACTUAL_ROWS as u64))
                 };
-                vec![
-                    ("log_status", stored(status_encoding(), status_column())),
-                    ("log_latency", stored(latency_encoding(), latency_column())),
-                ]
+                super::Stored {
+                    scaled: vec![
+                        ("log_status", stored(status_encoding(), status_column())),
+                        ("log_latency", stored(latency_encoding(), latency_column())),
+                    ],
+                    fixed: Vec::new(),
+                }
             },
             logical_rows,
         ),

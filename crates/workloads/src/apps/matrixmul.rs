@@ -6,10 +6,13 @@
 //! then summarized by its Frobenius norm. The projection is the offload
 //! candidate; the norm is trivial either way.
 
+use super::{stored_once, Stored};
 use crate::datagen::linalg::{feature_matrix, weight_matrix};
+use crate::datagen::logical_rows;
 use crate::spec::Workload;
-use std::sync::Arc;
 
+/// Table-I size in gigabytes.
+const GB: f64 = 6.0;
 /// Input feature columns.
 const IN_COLS: usize = 64;
 /// Projected columns.
@@ -31,19 +34,33 @@ norm = frob(y)
 pub fn workload() -> Workload {
     Workload::new(
         "MatrixMul",
-        6.0,
+        GB,
         "tall-skinny feature projection (n x 64 times 64 x 4) with a norm summary",
         SOURCE,
-        Arc::new(|scale| {
-            let mut st = alang::Storage::new();
-            st.insert(
-                "features64",
-                feature_matrix(6.0, scale, IN_COLS, ACTUAL_ROWS, SEED),
-            );
-            st.insert("proj_weights", weight_matrix(IN_COLS, OUT_COLS, SEED));
-            st
-        }),
+        stored_once(
+            || Stored {
+                scaled: vec![(
+                    "features64",
+                    feature_matrix(GB, 1.0, IN_COLS, ACTUAL_ROWS, SEED),
+                )],
+                fixed: vec![("proj_weights", weight_matrix(IN_COLS, OUT_COLS, SEED))],
+            },
+            |scale| logical_rows(GB, IN_COLS as u64 * 8, scale, ACTUAL_ROWS),
+        ),
     )
+}
+
+/// The generator [`workload`] replaced, kept as the reference: every
+/// scale drawn afresh.
+#[cfg(test)]
+pub(super) fn drawn_per_scale(scale: f64) -> alang::Storage {
+    let mut st = alang::Storage::new();
+    st.insert(
+        "features64",
+        feature_matrix(GB, scale, IN_COLS, ACTUAL_ROWS, SEED),
+    );
+    st.insert("proj_weights", weight_matrix(IN_COLS, OUT_COLS, SEED));
+    st
 }
 
 #[cfg(test)]

@@ -8,10 +8,13 @@
 //! program across the boundary; a naive all-or-nothing offload loses on
 //! one of the halves.
 
+use super::{stored_once, Stored};
 use crate::datagen::linalg::{feature_matrix, weight_matrix};
+use crate::datagen::logical_rows;
 use crate::spec::Workload;
-use std::sync::Arc;
 
+/// Table-I size in gigabytes.
+const GB: f64 = 9.4;
 /// Input columns.
 const IN_COLS: usize = 64;
 /// Projected columns.
@@ -36,19 +39,33 @@ trace = frob(g3)
 pub fn workload() -> Workload {
     Workload::new(
         "MixedGEMM",
-        9.4,
+        GB,
         "streaming projection (n x 64 -> n x 8) feeding dense Gram-matrix powers",
         SOURCE,
-        Arc::new(|scale| {
-            let mut st = alang::Storage::new();
-            st.insert(
-                "mixed_features",
-                feature_matrix(9.4, scale, IN_COLS, ACTUAL_ROWS, SEED),
-            );
-            st.insert("mixed_proj", weight_matrix(IN_COLS, OUT_COLS, SEED));
-            st
-        }),
+        stored_once(
+            || Stored {
+                scaled: vec![(
+                    "mixed_features",
+                    feature_matrix(GB, 1.0, IN_COLS, ACTUAL_ROWS, SEED),
+                )],
+                fixed: vec![("mixed_proj", weight_matrix(IN_COLS, OUT_COLS, SEED))],
+            },
+            |scale| logical_rows(GB, IN_COLS as u64 * 8, scale, ACTUAL_ROWS),
+        ),
     )
+}
+
+/// The generator [`workload`] replaced, kept as the reference: every
+/// scale drawn afresh.
+#[cfg(test)]
+pub(super) fn drawn_per_scale(scale: f64) -> alang::Storage {
+    let mut st = alang::Storage::new();
+    st.insert(
+        "mixed_features",
+        feature_matrix(GB, scale, IN_COLS, ACTUAL_ROWS, SEED),
+    );
+    st.insert("mixed_proj", weight_matrix(IN_COLS, OUT_COLS, SEED));
+    st
 }
 
 #[cfg(test)]

@@ -19,25 +19,46 @@ pub mod tpch_q6;
 pub mod tpch_q6_gz;
 
 use crate::spec::{Generator, Workload};
-use alang::value::EncodedVal;
 use alang::{Storage, Value};
 use std::sync::{Arc, OnceLock};
 
-/// The generator of a workload whose datasets are stored in a wire
-/// format. `encode` builds the `(dataset, stream)` pairs on the first
-/// call and every call, scale 1.0 included, relabels those same chunks to
-/// `logical_rows(scale)` elements: a stored stream's content does not
-/// depend on the scale, so it is encoded once.
-fn encoded_once(
-    encode: fn() -> Vec<(&'static str, EncodedVal)>,
-    logical_rows: fn(f64) -> u64,
-) -> Generator {
+/// What a workload stores once: the datasets whose logical rows scale and
+/// the model parameters whose size does not.
+struct Stored {
+    /// Encoded streams and matrices, relabelled to each scale's rows.
+    scaled: Vec<(&'static str, Value)>,
+    /// Shared as they are at every scale.
+    fixed: Vec<(&'static str, Value)>,
+}
+
+/// The generator of a workload none of whose sampled costs reads a scaled
+/// dataset's values. `store` builds the datasets on the first call, at
+/// their Table-I draw, and every call, scale 1.0 included, relabels those
+/// same buffers to `logical_rows(scale)` rows: a wire-format stream does
+/// not depend on the scale, and a matmul or k-means pass costs the same on
+/// any draw of its shape. A dataset whose values a sampled cost reads (a
+/// filter's selectivity, a tree path, a CSR density) is drawn per scale
+/// instead, so each sample carries its own draw noise, which is what
+/// reproduces §V's data-dependent volume error.
+fn stored_once(store: fn() -> Stored, logical_rows: fn(f64) -> u64) -> Generator {
     let stored = OnceLock::new();
     Arc::new(move |scale| {
+        let Stored { scaled, fixed } = stored.get_or_init(store);
         let rows = logical_rows(scale);
         let mut st = Storage::new();
-        for (name, stream) in stored.get_or_init(encode) {
-            st.insert(*name, Value::Encoded(stream.with_logical_len(rows)));
+        for (name, value) in scaled {
+            let relabelled = match value {
+                Value::Encoded(stream) => Value::Encoded(stream.with_logical_len(rows)),
+                Value::Matrix(m) => Value::Matrix(
+                    m.with_logical_rows(rows)
+                        .expect("logical rows never fall below the materialized rows"),
+                ),
+                _ => unreachable!("{name}: only streams and matrices are stored scaled"),
+            };
+            st.insert(*name, relabelled);
+        }
+        for (name, value) in fixed {
+            st.insert(*name, value.clone());
         }
         st
     })
@@ -95,6 +116,7 @@ pub fn by_name(name: &str) -> Option<Workload> {
 mod tests {
     use super::*;
     use activepy::sampling::paper_scales;
+    use alang::value::EncodedVal;
     use alang::Fingerprinter;
 
     /// Asserts that `w` encodes its streams once: at every sampling scale
@@ -125,6 +147,65 @@ mod tests {
                 assert_eq!(chunks(&st, name), chunks(&table1, name), "{what}");
             }
         }
+    }
+
+    #[test]
+    fn every_scale_relabels_the_matrices_drawn_once() {
+        use crate::datagen::logical_rows;
+        use activepy::sampling::{run_sampling, InputSource};
+        let scales = paper_scales();
+        let matrix =
+            |st: &Storage, name: &str| st.get(name).and_then(Value::as_matrix).expect(name).clone();
+        let report = |w: &Workload, source: &dyn InputSource| {
+            run_sampling(&w.program().expect("parse"), source, &scales).expect("samples")
+        };
+        let drawn_once = [
+            matrixmul::workload(),
+            mixedgemm::workload(),
+            kmeans::workload(),
+        ];
+        let drawn_per_scale: [fn(f64) -> Storage; 3] = [
+            matrixmul::drawn_per_scale,
+            mixedgemm::drawn_per_scale,
+            kmeans::drawn_per_scale,
+        ];
+        for (w, old) in drawn_once.into_iter().zip(drawn_per_scale) {
+            // Sampling cannot tell the one draw from a draw per scale.
+            assert_eq!(report(&w, &w), report(&w, &old), "{}", w.name());
+            let table1 = w.storage_at(1.0);
+            for scale in paper_scales().into_iter().chain([1.0]) {
+                let (st, old) = (w.storage_at(scale), old(scale));
+                assert_eq!(st.names().count(), old.names().count());
+                for name in old.names() {
+                    let what = format!("{} {name} at {scale}", w.name());
+                    let (got, want) = (matrix(&st, name), matrix(&old, name));
+                    assert_eq!(got.rows(), want.rows(), "{what}");
+                    assert_eq!(got.cols(), want.cols(), "{what}");
+                    assert_eq!(got.logical_rows(), want.logical_rows(), "{what}");
+                    assert_eq!(got.logical_cols(), want.logical_cols(), "{what}");
+                    let stored = matrix(&table1, name);
+                    assert_eq!(got.data().as_ptr(), stored.data().as_ptr(), "{what}");
+                    if scale == 1.0 {
+                        assert_eq!(got, want, "{what}: the Table-I draw");
+                    }
+                }
+            }
+        }
+        // LightGBM's sampled costs read its features' values (tree paths,
+        // the positive-score selection): one draw would move them.
+        let w = lightgbm::workload();
+        let once = |scale| {
+            let mut st = w.storage_at(1.0);
+            let features = matrix(&st, "features");
+            let bytes_per_row = features.cols() as u64 * 8;
+            let rows = logical_rows(w.table1_gb(), bytes_per_row, scale, features.rows());
+            st.insert(
+                "features",
+                Value::Matrix(features.with_logical_rows(rows).expect("rows")),
+            );
+            st
+        };
+        assert_ne!(report(&w, &w), report(&w, &once));
     }
 
     #[test]

@@ -13,6 +13,7 @@
 
 use crate::spec::Workload;
 use alang::value::EncodedVal;
+use alang::Value;
 use csd_sim::wire::Encoding;
 
 /// Decoded (post-inflate) dataset size in gigabytes: the same 6.9 GB of
@@ -93,15 +94,16 @@ pub fn workload() -> Workload {
         GB,
         "Q6 scan-filter-aggregate over gzip+shuffle columnar storage (decode-on-host regime)",
         SOURCE,
-        super::encoded_once(
-            || {
-                columns()
+        super::stored_once(
+            || super::Stored {
+                scaled: columns()
                     .into_iter()
                     .map(|(name, data)| {
                         let stream = EncodedVal::from_f64s(encoding(), &data, ACTUAL_ROWS as u64);
-                        (name, stream)
+                        (name, Value::Encoded(stream))
                     })
-                    .collect()
+                    .collect(),
+                fixed: Vec::new(),
             },
             logical_rows,
         ),

@@ -6,10 +6,14 @@
 //!   `s` describes a dataset `s ×` the paper's Table-I volume, which is what
 //!   the ActivePy sampling phase slices.
 //! * **Materialized sizes stay laptop-small and fixed** — a few thousand
-//!   rows regardless of scale, regenerated from a seed mixed with the scale
-//!   so that data-dependent properties (selectivities, tree paths) carry
-//!   realistic finite-sample noise between sampling runs. No draw is reused
-//!   across scales; only the scale-invariant wire-format streams are.
+//!   rows regardless of scale, drawn from a seed mixed with the scale
+//!   ([`rng_for`]) so that data-dependent properties (selectivities, tree
+//!   paths, CSR densities) carry realistic finite-sample noise between
+//!   sampling runs: that noise is §V's data-dependent volume error. A
+//!   workload whose sampled costs read no dataset's values (a matmul or
+//!   k-means pass costs the same on any draw of its shape, a wire-format
+//!   stream does not depend on the scale) draws once, at scale 1.0, and
+//!   relabels that draw per scale.
 //! * **Data-dependent structure is honest** — in particular the web-graph
 //!   generator's density varies with the observed prefix (hub-heavy head),
 //!   which is what reproduces the paper's CSR-volume over-estimation.

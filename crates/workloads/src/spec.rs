@@ -21,8 +21,12 @@ pub type Generator = Arc<dyn Fn(f64) -> Storage + Send + Sync>;
 /// its source the first time either is asked for and keeps both for the
 /// life of the value, clones included (≈ 5 MB for all twelve registered
 /// workloads together; nothing is evicted). Every other scale is a
-/// sampling input, generated per call: drawn afresh, or relabelled from
-/// the streams a wire-format workload's generator encoded once.
+/// sampling input, generated per call. A dataset whose values no sampled
+/// cost reads (a wire-format stream, MatrixMul's and MixedGEMM's features,
+/// KMeans' points) is relabelled from the one draw its generator stored;
+/// one a filter, a select, a group, a tree path or a CSR density reads is
+/// drawn afresh at each scale, since that draw noise is what §V's
+/// data-dependent volume error is made of.
 #[derive(Clone)]
 pub struct Workload {
     name: String,

@@ -39,16 +39,22 @@ echo "== stored once, hashed once (dataset digests and the Workload's kept input
 # The two-level fingerprint (value digest -> run chain) and its sweep, the
 # digest a Storage keeps with each dataset, the final-definition table the
 # executor reads scanned targets from, what a Workload generates and keeps,
-# the wire-format streams encoded once and relabelled per scale (equal to a
-# fresh encode by ==, digest and size, on the Table-I chunk buffers),
-# and the executor's shortcut pinned against hashing every value: all 12
-# registered programs fresh / remembered / rebuilt, a re-inserted dataset,
-# and one Table-I generation across plan_for, execute_plan, run_plan and
-# run_c_baseline. Ahead of the suite, so a stale digest stops here, named,
-# instead of as a fingerprint mismatch somewhere below.
+# the datasets stored once and relabelled per scale — the wire-format streams
+# (equal to a fresh encode by ==, digest and size, on the Table-I chunk
+# buffers) and MatrixMul's, MixedGEMM's and KMeans' matrices (a relabelled
+# Matrix equal to one built at that size; sampling reports equal to those
+# over a draw per scale, on the Table-I buffers; LightGBM's features drawn
+# once moving its report, so the rule discriminates) — and the executor's
+# shortcut pinned against hashing every value: all 12 registered programs
+# fresh / remembered / rebuilt, a re-inserted dataset, and one Table-I
+# generation across plan_for, execute_plan, run_plan and run_c_baseline.
+# Ahead of the suite, so a stale digest stops here, named, instead of as a
+# fingerprint mismatch somewhere below.
 cargo test -q -p alang --lib -- canonical:: ast:: builtins::tests::a_digest \
-  value::tests::a_relabelled_stream value::tests::relabelling_below
-cargo test -q -p isp-workloads --lib -- spec:: every_scale_relabels_the
+  value::tests::a_relabelled_stream value::tests::relabelling_below \
+  matrix::tests::a_relabelled_matrix_is_the_matrix_built_at_that_length
+cargo test -q -p isp-workloads --lib -- spec:: every_scale_relabels_the \
+  apps::tests::every_scale_relabels_the_matrices_drawn_once
 cargo test -q --test stored_once
 
 echo "== trace codec differentials (pinned case counts, the replaced writers and reader as oracle) =="
