@@ -4,8 +4,8 @@
 //! predicted host computation time by a constant factor `C`, which it
 //! calibrates either by "querying the CSD's performance counters (e.g.
 //! retired instructions per cycle)" or by "running a small sample program
-//! on both a CSD and the host computer" (§III-A). Both calibrations are
-//! implemented here against the simulator.
+//! on both a CSD and the host computer" (§III-A). Against the simulator the
+//! two are one probe: its ops over the wall time each engine took.
 //!
 //! [`LineEstimate`] carries the four per-line quantities Algorithm 1
 //! consumes: `CT_host`, `CT_device`, `D_in`, and `D_out`; [`net_profit`]
@@ -26,26 +26,14 @@ pub struct Calibration {
 }
 
 impl Calibration {
-    /// Calibrates from performance counters: execute a probe batch of
-    /// operations on each engine of a scratch system and compare achieved
-    /// rates.
+    /// Calibrates from achieved rates: execute a probe batch of operations
+    /// on each engine of a scratch system and compare ops over wall time.
     #[must_use]
     pub fn from_counters(config: &SystemConfig) -> Calibration {
         let mut sys = config.build();
         let probe = Ops::new(1_000_000_000);
-        let host_wall = sys.compute(EngineKind::Host, probe);
-        let cse_wall = sys.compute(EngineKind::Cse, probe);
-        // Achieved rates straight from the counters the engines recorded.
-        let host_rate = sys
-            .engine(EngineKind::Host)
-            .counters()
-            .achieved_rate()
-            .unwrap_or_else(|| probe.as_f64() / host_wall.as_secs());
-        let cse_rate = sys
-            .engine(EngineKind::Cse)
-            .counters()
-            .achieved_rate()
-            .unwrap_or_else(|| probe.as_f64() / cse_wall.as_secs());
+        let host_rate = probe.as_f64() / sys.compute(EngineKind::Host, probe).as_secs();
+        let cse_rate = probe.as_f64() / sys.compute(EngineKind::Cse, probe).as_secs();
         Calibration {
             cse_slowdown: host_rate / cse_rate,
         }
@@ -191,6 +179,12 @@ mod tests {
             "counter calibration {} vs spec {expected}",
             calib.cse_slowdown
         );
+    }
+
+    #[test]
+    fn counter_calibration_is_pinned_to_the_bit() {
+        let calib = Calibration::from_counters(&SystemConfig::paper_default());
+        assert_eq!(calib.cse_slowdown.to_bits(), 0x3ffc_3c3c_3c3c_3c3b);
     }
 
     #[test]

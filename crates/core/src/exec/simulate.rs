@@ -343,8 +343,8 @@ impl Run<'_> {
             lines: std::mem::take(&mut self.lines_out),
             migration: self.migration,
             csd_lines_executed: self.csd_executed,
-            d2h_bytes: self.system.dma().d2h_bytes().as_u64(),
-            h2d_bytes: self.system.dma().h2d_bytes().as_u64(),
+            d2h_bytes: self.system.d2h_bytes().as_u64(),
+            h2d_bytes: self.system.h2d_bytes().as_u64(),
             values_fingerprint: fingerprint,
             parallel: self.evaluation.parallel,
             metrics,

@@ -11,7 +11,7 @@
 //! 2. **Fitting** ([`fit`]): extrapolate each line's cost to full scale by
 //!    choosing among O(1), O(n), O(n log n), O(n²), O(n³) (§III-A).
 //! 3. **Estimation** ([`estimate`]): calibrate the CSE slowdown constant
-//!    `C` from performance counters or a probe program, and evaluate the
+//!    `C` from a probe's achieved rate on each engine, and evaluate the
 //!    net-profit equation (Eq. 1).
 //! 4. **Assignment** ([`assign`]): Algorithm 1's greedy line-by-line CSD
 //!    partitioning (§III-B).

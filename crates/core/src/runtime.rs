@@ -193,7 +193,7 @@ impl ActivePy {
         );
         timings.fit_nanos = phase_nanos(phase);
 
-        // 3. Calibrate the CSE slowdown from performance counters, decide
+        // 3. Calibrate the CSE slowdown from a probe on both engines, decide
         //    copy elimination from the dataset types sampling observed (the
         //    generated code's optimization), and estimate per-line
         //    host/device times for that code — the profit evaluation.

@@ -14,31 +14,6 @@
 
 use crate::units::{Duration, SimTime};
 use serde::Serialize;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-wide count of fraction values clamped up to
-/// [`AvailabilityTrace::MIN_FRACTION`]. Clamping keeps the simulation
-/// live but silently rewrites the requested fraction, so it is counted
-/// (and, in debug builds, reported once) instead of passing unnoticed.
-static CLAMP_EVENTS: AtomicU64 = AtomicU64::new(0);
-
-/// Records one clamp event; emits a single debug-build diagnostic the
-/// first time it ever fires so test logs surface the rewrite without
-/// being spammed by property tests.
-fn record_clamp(requested: f64) {
-    let prev = CLAMP_EVENTS.fetch_add(1, Ordering::Relaxed);
-    #[cfg(debug_assertions)]
-    if prev == 0 {
-        eprintln!(
-            "csd-sim: availability fraction {requested} clamped to minimum {} \
-             (further clamp events are counted silently; see \
-             AvailabilityTrace::clamp_events)",
-            AvailabilityTrace::MIN_FRACTION
-        );
-    }
-    #[cfg(not(debug_assertions))]
-    let _ = (prev, requested);
-}
 
 /// One constant-availability segment, from [`Segment::start`] until the next
 /// segment's start (the last segment extends to infinity).
@@ -88,15 +63,6 @@ impl AvailabilityTrace {
     #[must_use]
     pub fn is_full(&self) -> bool {
         self.segments.len() == 1 && self.segments[0].fraction == 1.0
-    }
-
-    /// How many times, process-wide, a requested fraction has been
-    /// clamped up to [`AvailabilityTrace::MIN_FRACTION`]. Monotonic;
-    /// useful for asserting that a scenario did (or did not) hit the
-    /// floor.
-    #[must_use]
-    pub fn clamp_events() -> u64 {
-        CLAMP_EVENTS.load(Ordering::Relaxed)
     }
 
     /// A trace with a single constant fraction forever.
@@ -225,15 +191,10 @@ impl AvailabilityTrace {
         boundaries.dedup();
         let segments = boundaries
             .into_iter()
-            .map(|start| {
-                let raw = self.fraction_at(start) * other.fraction_at(start);
-                if raw < Self::MIN_FRACTION {
-                    record_clamp(raw);
-                }
-                Segment {
-                    start,
-                    fraction: raw.max(Self::MIN_FRACTION),
-                }
+            .map(|start| Segment {
+                start,
+                fraction: (self.fraction_at(start) * other.fraction_at(start))
+                    .max(Self::MIN_FRACTION),
             })
             .collect();
         AvailabilityTrace { segments }
@@ -251,9 +212,6 @@ fn clamp_fraction(fraction: f64) -> f64 {
         fraction.is_finite() && fraction > 0.0 && fraction <= 1.0,
         "availability fraction must be in (0, 1], got {fraction}"
     );
-    if fraction < AvailabilityTrace::MIN_FRACTION {
-        record_clamp(fraction);
-    }
     fraction.max(AvailabilityTrace::MIN_FRACTION)
 }
 
@@ -381,17 +339,12 @@ mod tests {
     }
 
     #[test]
-    fn product_across_the_min_fraction_floor_clamps_and_counts() {
-        let before = AvailabilityTrace::clamp_events();
+    fn product_across_the_min_fraction_floor_clamps() {
         let tiny = AvailabilityTrace::constant(1e-4);
         let p = tiny.product(&tiny); // raw 1e-8 < MIN_FRACTION
         assert_eq!(
             p.fraction_at(SimTime::ZERO),
             AvailabilityTrace::MIN_FRACTION
-        );
-        assert!(
-            AvailabilityTrace::clamp_events() > before,
-            "clamping must be counted, not silent"
         );
         // The floor keeps the trace invertible: work still completes.
         let wall = p.invert(SimTime::ZERO, 1e-6);
@@ -400,14 +353,12 @@ mod tests {
     }
 
     #[test]
-    fn constant_below_the_floor_clamps_and_counts() {
-        let before = AvailabilityTrace::clamp_events();
+    fn constant_below_the_floor_clamps() {
         let tr = AvailabilityTrace::constant(1e-9);
         assert_eq!(
             tr.fraction_at(SimTime::ZERO),
             AvailabilityTrace::MIN_FRACTION
         );
-        assert!(AvailabilityTrace::clamp_events() > before);
     }
 
     #[test]

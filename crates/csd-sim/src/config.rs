@@ -8,9 +8,8 @@
 
 use crate::engine::{default_cse_spec, default_host_spec, EngineSpec};
 use crate::flash::GcSchedule;
-use crate::link::{Link, Path};
 use crate::system::System;
-use crate::units::{Bandwidth, Bytes, Duration};
+use crate::units::{Bandwidth, Bytes, Duration, SimTime};
 use serde::Serialize;
 
 /// The latencies of the NVMe-style call path (§III-C0b): the host posts a
@@ -50,7 +49,8 @@ pub struct SystemConfig {
     pub host: EngineSpec,
     /// CSE description.
     pub cse: EngineSpec,
-    /// Flash capacity.
+    /// Flash capacity. Nothing charges it; it stays because the plan-cache
+    /// key hashes this config's `Debug` text.
     pub flash_capacity: Bytes,
     /// Internal NAND bandwidth seen by the CSE.
     pub flash_internal_bandwidth: Bandwidth,
@@ -128,13 +128,21 @@ impl SystemConfig {
         self
     }
 
-    /// The device-to-host path crossing NVMe then PCIe.
+    /// Time to move `bytes` from the device to the host starting at
+    /// `start`, across NVMe then PCIe: the strictly slower link is the
+    /// bottleneck (NVMe on a tie) and carries the payload; the other
+    /// link's latency is paid first. Zero bytes still pay both latencies.
     #[must_use]
-    pub fn d2h_path(&self) -> Path {
-        Path::new(vec![
-            Link::new("nvme", self.nvme_bandwidth, self.nvme_latency),
-            Link::new("pcie", self.pcie_bandwidth, self.pcie_latency),
-        ])
+    pub fn d2h_time(&self, start: SimTime, bytes: Bytes) -> Duration {
+        let (first, bandwidth, latency) = if self.pcie_bandwidth < self.nvme_bandwidth {
+            (self.nvme_latency, self.pcie_bandwidth, self.pcie_latency)
+        } else {
+            (self.pcie_latency, self.nvme_bandwidth, self.nvme_latency)
+        };
+        let at = start + first + latency;
+        // Through the clock, not plain seconds: the fig5 goldens pin the rounding.
+        let payload = (at + bandwidth.transfer_time(bytes)).duration_since(at);
+        first + (latency + payload)
     }
 
     /// The effective device-to-host bandwidth (`BW_D2H` in Eq. 1): the
@@ -186,6 +194,31 @@ mod tests {
         assert!(
             c.flash_internal_bandwidth.as_bytes_per_sec() > c.d2h_bandwidth().as_bytes_per_sec()
         );
+    }
+
+    #[test]
+    fn d2h_time_is_the_bottleneck_payload_plus_both_latencies() {
+        let c = SystemConfig::paper_default();
+        let gb = |g: f64| Bandwidth::from_gb_per_sec(g);
+        // PCIe's 4 GB/s is the bottleneck; the latencies sum to 6 us.
+        let t = c.d2h_time(SimTime::ZERO, Bytes::from_gb_f64(4.0));
+        assert!((t.as_secs() - (1.0 + 6e-6)).abs() < 1e-9, "got {t}");
+        let t = c
+            .clone()
+            .with_nvme_bandwidth(gb(2.0))
+            .d2h_time(SimTime::ZERO, Bytes::from_gb_f64(4.0));
+        assert!((t.as_secs() - (2.0 + 6e-6)).abs() < 1e-9, "got {t}");
+        // Zero bytes still pay both latencies.
+        let t = c.d2h_time(SimTime::from_secs(3.0), Bytes::ZERO);
+        assert!((t.as_secs() - 6e-6).abs() < 1e-15, "got {t}");
+        // On a tie NVMe carries the payload, after PCIe's latency; at this
+        // size the other order rounds to a different result.
+        let tie = c.with_nvme_bandwidth(gb(3.0)).with_pcie_bandwidth(gb(3.0));
+        let (start, bytes) = (SimTime::from_secs(0.123_456_789), Bytes::new(348_951));
+        let at = start + tie.pcie_latency + tie.nvme_latency;
+        let payload = (at + gb(3.0).transfer_time(bytes)).duration_since(at);
+        let expected = tie.pcie_latency + (tie.nvme_latency + payload);
+        assert_eq!(tie.d2h_time(start, bytes), expected);
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! the ISP task can change at run time.
 
 use crate::availability::AvailabilityTrace;
-use crate::counters::PerfCounters;
 use crate::units::{Duration, OpRate, Ops, SimTime};
 use serde::Serialize;
 use std::fmt;
@@ -71,13 +70,12 @@ impl EngineSpec {
     }
 }
 
-/// A compute engine instance: spec + availability + counters.
+/// A compute engine instance: spec + availability.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ComputeEngine {
     spec: EngineSpec,
     availability: AvailabilityTrace,
     fault: AvailabilityTrace,
-    counters: PerfCounters,
 }
 
 impl ComputeEngine {
@@ -88,7 +86,6 @@ impl ComputeEngine {
             spec,
             availability: AvailabilityTrace::full(),
             fault: AvailabilityTrace::full(),
-            counters: PerfCounters::new(),
         }
     }
 
@@ -123,7 +120,7 @@ impl ComputeEngine {
 
     /// The fraction of the engine available to the ISP task at `t`:
     /// contention and injected-fault traces composed multiplicatively,
-    /// exactly as [`ComputeEngine::time_to_execute`] charges them. This is
+    /// exactly as [`ComputeEngine::execute`] charges them. This is
     /// what a reclaim decision probes when asking "has the device
     /// recovered?".
     #[must_use]
@@ -132,10 +129,9 @@ impl ComputeEngine {
     }
 
     /// Wall-clock time to retire `ops` when starting at `start`, under the
-    /// current availability trace. Does **not** record counters; use
-    /// [`ComputeEngine::execute`] for that.
+    /// current availability trace.
     #[must_use]
-    pub fn time_to_execute(&self, start: SimTime, ops: Ops) -> Duration {
+    pub fn execute(&self, start: SimTime, ops: Ops) -> Duration {
         let effective_secs = self.nominal_rate().execute_time(ops).as_secs();
         if self.fault.is_full() {
             self.availability.invert(start, effective_secs)
@@ -144,25 +140,6 @@ impl ComputeEngine {
                 .product(&self.fault)
                 .invert(start, effective_secs)
         }
-    }
-
-    /// Executes `ops` starting at `start`: returns the wall-clock duration
-    /// and records it in the performance counters.
-    pub fn execute(&mut self, start: SimTime, ops: Ops) -> Duration {
-        let wall = self.time_to_execute(start, ops);
-        self.counters.record(ops, wall);
-        wall
-    }
-
-    /// The engine's performance counters.
-    #[must_use]
-    pub fn counters(&self) -> &PerfCounters {
-        &self.counters
-    }
-
-    /// Resets the performance counters (a new program run).
-    pub fn reset_counters(&mut self) {
-        self.counters.reset();
     }
 }
 
@@ -228,20 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn execute_records_counters() {
-        let mut eng = ComputeEngine::new(default_host_spec());
-        let wall = eng.execute(SimTime::ZERO, Ops::new(1_000_000_000));
-        assert!(wall.as_secs() > 0.0);
-        let rate = eng.counters().achieved_rate().expect("rate");
-        assert!((rate * wall.as_secs() / 1e9 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn degraded_engine_takes_proportionally_longer() {
         let mut eng = ComputeEngine::new(default_cse_spec());
-        let base = eng.time_to_execute(SimTime::ZERO, Ops::new(1_000_000_000));
+        let base = eng.execute(SimTime::ZERO, Ops::new(1_000_000_000));
         eng.degrade_from(SimTime::ZERO, 0.1);
-        let slow = eng.time_to_execute(SimTime::ZERO, Ops::new(1_000_000_000));
+        let slow = eng.execute(SimTime::ZERO, Ops::new(1_000_000_000));
         assert!((slow.as_secs() / base.as_secs() - 10.0).abs() < 1e-6);
     }
 
@@ -252,7 +220,7 @@ mod tests {
         // Work that would take exactly 2s at full rate.
         let ops = Ops::new((rate * 2.0) as u64);
         eng.degrade_from(SimTime::from_secs(1.0), 0.5);
-        let wall = eng.time_to_execute(SimTime::ZERO, ops);
+        let wall = eng.execute(SimTime::ZERO, ops);
         // 1s at full + 1s of effective work at 50% = 1 + 2 = 3s.
         assert!(
             (wall.as_secs() - 3.0).abs() < 1e-6,
@@ -265,23 +233,24 @@ mod tests {
     fn achieved_ipc_reflects_contention() {
         let mut eng = ComputeEngine::new(default_cse_spec());
         eng.degrade_from(SimTime::ZERO, 0.25);
-        eng.execute(SimTime::ZERO, Ops::new(1_000_000_000));
+        let ops = Ops::new(1_000_000_000);
+        let wall = eng.execute(SimTime::ZERO, ops);
         let nominal = eng.nominal_rate().as_ops_per_sec();
-        let measured = eng.counters().achieved_rate().expect("rate");
+        let measured = ops.as_f64() / wall.as_secs();
         assert!((measured / nominal - 0.25).abs() < 1e-6);
     }
 
     #[test]
     fn fault_trace_composes_with_contention() {
         let mut eng = ComputeEngine::new(default_cse_spec());
-        let base = eng.time_to_execute(SimTime::ZERO, Ops::new(1_000_000_000));
+        let base = eng.execute(SimTime::ZERO, Ops::new(1_000_000_000));
         eng.degrade_from(SimTime::ZERO, 0.5);
         eng.install_fault_trace(AvailabilityTrace::constant(0.5));
-        let slow = eng.time_to_execute(SimTime::ZERO, Ops::new(1_000_000_000));
+        let slow = eng.execute(SimTime::ZERO, Ops::new(1_000_000_000));
         assert!((slow.as_secs() / base.as_secs() - 4.0).abs() < 1e-6);
         // Removing the fault trace restores pure contention timing.
         eng.install_fault_trace(AvailabilityTrace::full());
-        let contended = eng.time_to_execute(SimTime::ZERO, Ops::new(1_000_000_000));
+        let contended = eng.execute(SimTime::ZERO, Ops::new(1_000_000_000));
         assert!((contended.as_secs() / base.as_secs() - 2.0).abs() < 1e-6);
     }
 

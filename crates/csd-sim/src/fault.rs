@@ -348,13 +348,6 @@ impl FaultInjector {
         self.rng_state
     }
 
-    /// Rewinds to the start of the stream for a fresh, identical replay.
-    pub fn reset(&mut self) {
-        self.rng_state = StdRng::seed_from_u64(self.plan.seed).state();
-        self.counters = FaultCounters::default();
-        self.crashed = false;
-    }
-
     /// One Bernoulli draw; skipped entirely (no PRNG state change) when
     /// `p == 0`, so enabling one fault class does not perturb another's
     /// stream alignment relative to a plan without it.
@@ -468,21 +461,6 @@ mod tests {
         }
         assert_eq!(a.counters(), b.counters());
         assert!(a.counters().transient_total() > 0, "p=0.3 over 500 rolls");
-    }
-
-    #[test]
-    fn reset_replays_identically() {
-        let mut inj = FaultInjector::new(lossy_plan());
-        let first: Vec<_> = (0..200)
-            .map(|i| inj.roll_flash_read(SimTime::from_secs(f64::from(i))))
-            .collect();
-        let counters = inj.counters();
-        inj.reset();
-        let second: Vec<_> = (0..200)
-            .map(|i| inj.roll_flash_read(SimTime::from_secs(f64::from(i))))
-            .collect();
-        assert_eq!(first, second);
-        assert_eq!(inj.counters(), counters);
     }
 
     #[test]

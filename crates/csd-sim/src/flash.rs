@@ -31,10 +31,11 @@ impl GcSchedule {
     ///
     /// # Panics
     ///
-    /// Panics if the window is longer than the period, or the residual
-    /// fraction is outside `(0, 1]`.
+    /// Panics if the period is zero, the window is longer than the period,
+    /// or the residual fraction is outside `(0, 1]`.
     #[must_use]
     pub fn new(period: Duration, window: Duration, residual_fraction: f64) -> Self {
+        assert!(!period.is_zero(), "GC period must be positive");
         assert!(
             window.as_secs() <= period.as_secs(),
             "GC window must fit within its period"
@@ -65,33 +66,23 @@ const GC_HORIZON_PERIODS: u32 = 64;
 /// The CSD's internal NAND flash array.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FlashArray {
-    capacity: Bytes,
     internal_bandwidth: Bandwidth,
     gc: Option<GcSchedule>,
     contention: AvailabilityTrace,
     fault: AvailabilityTrace,
-    bytes_read: Bytes,
 }
 
 impl FlashArray {
-    /// Creates a flash array of `capacity` with the given internal read
-    /// bandwidth and no garbage collection.
+    /// Creates a flash array with the given internal read bandwidth and no
+    /// garbage collection.
     #[must_use]
-    pub fn new(capacity: Bytes, internal_bandwidth: Bandwidth) -> Self {
+    pub fn new(internal_bandwidth: Bandwidth) -> Self {
         FlashArray {
-            capacity,
             internal_bandwidth,
             gc: None,
             contention: AvailabilityTrace::full(),
             fault: AvailabilityTrace::full(),
-            bytes_read: Bytes::ZERO,
         }
-    }
-
-    /// The array's capacity.
-    #[must_use]
-    pub fn capacity(&self) -> Bytes {
-        self.capacity
     }
 
     /// Installs a garbage-collection schedule.
@@ -112,12 +103,6 @@ impl FlashArray {
     /// external controller port too.
     pub fn install_fault_trace(&mut self, trace: AvailabilityTrace) {
         self.fault = trace;
-    }
-
-    /// Total bytes read so far.
-    #[must_use]
-    pub fn bytes_read(&self) -> Bytes {
-        self.bytes_read
     }
 
     /// Builds the combined availability trace: garbage collection (if
@@ -169,11 +154,11 @@ impl FlashArray {
     }
 
     /// Time for an engine co-located with the flash (the CSE) to read
-    /// `bytes` starting at `start`, without recording traffic. Subject to
-    /// both garbage collection and tenant contention (competing ISP tasks
-    /// share the CSE-side fabric port).
+    /// `bytes` starting at `start`. Subject to both garbage collection and
+    /// tenant contention (competing ISP tasks share the CSE-side fabric
+    /// port).
     #[must_use]
-    pub fn time_to_read(&self, start: SimTime, bytes: Bytes) -> Duration {
+    pub fn read(&self, start: SimTime, bytes: Bytes) -> Duration {
         let effective_secs = self.internal_bandwidth.transfer_time(bytes).as_secs();
         let hint = Duration::from_secs(effective_secs * 4.0 + 1.0);
         self.effective_trace(start, hint)
@@ -186,32 +171,11 @@ impl FlashArray {
     /// the CSE-side fabric, while external NVMe I/O keeps its own
     /// controller share.
     #[must_use]
-    pub fn time_to_read_external(&self, start: SimTime, bytes: Bytes) -> Duration {
+    pub fn read_external(&self, start: SimTime, bytes: Bytes) -> Duration {
         let effective_secs = self.internal_bandwidth.transfer_time(bytes).as_secs();
         let hint = Duration::from_secs(effective_secs * 4.0 + 1.0);
         self.external_trace(start, hint)
             .invert(start, effective_secs)
-    }
-
-    /// Reads `bytes` over the CSE-side path starting at `start`: returns
-    /// the wall-clock duration and records the traffic.
-    pub fn read(&mut self, start: SimTime, bytes: Bytes) -> Duration {
-        let d = self.time_to_read(start, bytes);
-        self.bytes_read += bytes;
-        d
-    }
-
-    /// Reads `bytes` over the host-facing controller port starting at
-    /// `start`: returns the wall-clock duration and records the traffic.
-    pub fn read_external(&mut self, start: SimTime, bytes: Bytes) -> Duration {
-        let d = self.time_to_read_external(start, bytes);
-        self.bytes_read += bytes;
-        d
-    }
-
-    /// Resets traffic counters.
-    pub fn reset_counters(&mut self) {
-        self.bytes_read = Bytes::ZERO;
     }
 }
 
@@ -220,13 +184,13 @@ mod tests {
     use super::*;
 
     fn array() -> FlashArray {
-        FlashArray::new(Bytes::from_gib(2048), Bandwidth::from_gb_per_sec(9.0))
+        FlashArray::new(Bandwidth::from_gb_per_sec(9.0))
     }
 
     #[test]
     fn read_time_without_gc_is_bytes_over_bw() {
         let fl = array();
-        let t = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let t = fl.read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!((t.as_secs() - 1.0).abs() < 1e-9);
     }
 
@@ -240,26 +204,17 @@ mod tests {
     #[test]
     fn gc_slows_reads() {
         let mut fl = array();
-        let base = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(18.0));
+        let base = fl.read(SimTime::ZERO, Bytes::from_gb_f64(18.0));
         fl.set_gc(GcSchedule::new(
             Duration::from_secs(1.0),
             Duration::from_secs(0.5),
             0.5,
         ));
-        let slowed = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(18.0));
+        let slowed = fl.read(SimTime::ZERO, Bytes::from_gb_f64(18.0));
         assert!(slowed > base, "GC must slow reads: {slowed} vs {base}");
         // Long-run mean availability is 0.75, so expect ~base/0.75.
         let ratio = slowed.as_secs() / base.as_secs();
         assert!((ratio - 1.0 / 0.75).abs() < 0.05, "ratio {ratio}");
-    }
-
-    #[test]
-    fn read_records_traffic() {
-        let mut fl = array();
-        fl.read(SimTime::ZERO, Bytes::from_mib(4));
-        assert_eq!(fl.bytes_read(), Bytes::from_mib(4));
-        fl.reset_counters();
-        assert_eq!(fl.bytes_read(), Bytes::ZERO);
     }
 
     #[test]
@@ -269,10 +224,16 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "period")]
+    fn zero_gc_period_rejected() {
+        let _ = GcSchedule::new(Duration::ZERO, Duration::ZERO, 0.5);
+    }
+
+    #[test]
     fn tenant_contention_slows_reads_and_composes_with_gc() {
         let mut fl = array();
         fl.set_contention(AvailabilityTrace::constant(0.5));
-        let t = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let t = fl.read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!(
             (t.as_secs() - 2.0).abs() < 1e-9,
             "50% contention doubles: {t}"
@@ -283,7 +244,7 @@ mod tests {
             0.5,
         ));
         // GC residual 0.5 everywhere x contention 0.5 = 0.25 effective.
-        let t = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let t = fl.read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!((t.as_secs() - 4.0).abs() < 0.1, "composed: {t}");
     }
 
@@ -291,8 +252,8 @@ mod tests {
     fn external_port_sees_gc_but_not_tenant_contention() {
         let mut fl = array();
         fl.set_contention(AvailabilityTrace::constant(0.1));
-        let internal = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
-        let external = fl.time_to_read_external(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let internal = fl.read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let external = fl.read_external(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!(
             (internal.as_secs() - 10.0).abs() < 1e-6,
             "internal contended: {internal}"
@@ -306,7 +267,7 @@ mod tests {
             Duration::from_secs(1.0),
             0.5,
         ));
-        let external = fl.time_to_read_external(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let external = fl.read_external(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!(
             (external.as_secs() - 2.0).abs() < 0.1,
             "GC applies externally: {external}"
@@ -323,10 +284,10 @@ mod tests {
                 .with_change(SimTime::from_secs(1e9), 1.0),
         );
         // Internal: contention 0.5 x burst 0.5 = 0.25 effective.
-        let internal = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let internal = fl.read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!((internal.as_secs() - 4.0).abs() < 1e-6, "got {internal}");
         // External: burst applies (device-internal GC), contention does not.
-        let external = fl.time_to_read_external(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let external = fl.read_external(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!((external.as_secs() - 2.0).abs() < 1e-6, "got {external}");
     }
 
@@ -341,7 +302,7 @@ mod tests {
         // window == 0: every with_change(start, residual) is immediately
         // overridden by with_change(start + 0, 1.0), so reads run at full
         // bandwidth.
-        let t = fl.time_to_read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
+        let t = fl.read(SimTime::ZERO, Bytes::from_gb_f64(9.0));
         assert!((t.as_secs() - 1.0).abs() < 1e-9, "got {t}");
         assert!((fl.gc.unwrap().mean_availability() - 1.0).abs() < 1e-12);
     }
@@ -355,10 +316,10 @@ mod tests {
             0.1,
         ));
         // Start exactly when a window opens: the whole read is degraded.
-        let t = fl.time_to_read(SimTime::from_secs(10.0), Bytes::from_gb_f64(0.9));
+        let t = fl.read(SimTime::from_secs(10.0), Bytes::from_gb_f64(0.9));
         assert!((t.as_secs() - 1.0).abs() < 1e-9, "got {t}");
         // Start exactly when the window closes: the read is clean.
-        let t = fl.time_to_read(SimTime::from_secs(15.0), Bytes::from_gb_f64(0.9));
+        let t = fl.read(SimTime::from_secs(15.0), Bytes::from_gb_f64(0.9));
         assert!((t.as_secs() - 0.1).abs() < 1e-9, "got {t}");
     }
 
@@ -371,7 +332,7 @@ mod tests {
             0.1,
         ));
         // Small read fully inside the first GC window.
-        let t = fl.time_to_read(SimTime::from_secs(1.0), Bytes::from_gb_f64(0.9));
+        let t = fl.read(SimTime::from_secs(1.0), Bytes::from_gb_f64(0.9));
         assert!(
             (t.as_secs() - 1.0).abs() < 1e-9,
             "0.1s of work at 10% = 1s, got {t}"

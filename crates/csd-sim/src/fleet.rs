@@ -4,7 +4,7 @@
 //! computational-storage surveys argue the interesting planning problem
 //! appears when data spans *N* devices. [`Fleet`] models that minimal
 //! scale-out platform: N independent [`System`]s — each with its own
-//! flash, DMA engine, CSD call latencies, contention traces, and
+//! clock, flash, DMA byte counts, contention traces, and
 //! [`crate::fault::FaultInjector`] — attached to one host whose PCIe root
 //! complex has a finite aggregate budget. Per-device surfaces are fully
 //! isolated (a GC burst or crash on shard 3 is invisible to shard 5); the
@@ -49,22 +49,12 @@ impl Fleet {
     /// Panics if `n` is zero.
     #[must_use]
     pub fn new(config: &SystemConfig, n: usize) -> Self {
-        let link = config.d2h_bandwidth();
-        Fleet::with_budget(config, n, link.scale(DEFAULT_BUDGET_LINKS))
-    }
-
-    /// Builds a fleet with an explicit host-side aggregate link budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn with_budget(config: &SystemConfig, n: usize, budget: Bandwidth) -> Self {
         assert!(n > 0, "a fleet needs at least one device");
+        let link = config.d2h_bandwidth();
         Fleet {
             devices: (0..n).map(|_| config.build()).collect(),
-            link: config.d2h_bandwidth(),
-            budget,
+            link,
+            budget: link.scale(DEFAULT_BUDGET_LINKS),
         }
     }
 
@@ -137,13 +127,6 @@ impl Fleet {
         }
         total
     }
-
-    /// Resets every device to time zero (re-arming each injector).
-    pub fn reset(&mut self) {
-        for d in &mut self.devices {
-            d.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -181,8 +164,5 @@ mod tests {
         assert!(crashed(0));
         assert!(!crashed(1), "shard 1 must be unaffected");
         assert_eq!(fleet.fault_counters().cse_crashes, 1);
-        fleet.reset();
-        assert!(!fleet.device(0).faults().is_some_and(FaultInjector::crashed));
-        assert_eq!(fleet.device(0).now(), SimTime::ZERO);
     }
 }

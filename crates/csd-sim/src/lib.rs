@@ -9,9 +9,10 @@
 //!
 //! The model is intentionally *analytic*: compute engines are aggregate
 //! operation servers throttled by piecewise-constant
-//! [`availability::AvailabilityTrace`]s, links are bandwidth + latency,
-//! flash is bandwidth + garbage-collection windows, and a CSD call is its
-//! microsecond queue latencies. Every quantity in the
+//! [`availability::AvailabilityTrace`]s, the device-to-host path is the
+//! config's NVMe and PCIe bandwidths and latencies, flash is bandwidth +
+//! garbage-collection windows, and a CSD call is its microsecond queue
+//! latencies. Every quantity in the
 //! paper's net-profit equation (Eq. 1) — `CT_host`, `CT_device`,
 //! `D_in`/`D_out`, `BW_D2H` — has a faithful counterpart.
 //!
@@ -34,13 +35,11 @@
 pub mod availability;
 pub mod config;
 pub mod contention;
-pub mod counters;
 pub mod dma;
 pub mod engine;
 pub mod fault;
 pub mod flash;
 pub mod fleet;
-pub mod link;
 pub mod system;
 pub mod units;
 pub mod wire;

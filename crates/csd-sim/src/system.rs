@@ -1,16 +1,15 @@
-//! The assembled system: one clock, two engines, flash, links, the CSD
-//! call latencies, and DMA.
+//! The assembled system: one clock, two engines, flash, the device-to-host
+//! links, the CSD call latencies, and DMA.
 //!
 //! [`System`] is the facade the execution layers drive. Every operation
-//! advances the simulated clock and records traffic/counters, so a run's
-//! end-to-end latency is simply `sys.now()` when it finishes.
+//! advances the simulated clock, and DMA counts the bytes it moves each way,
+//! so a run's end-to-end latency is simply `sys.now()` when it finishes.
 
 use crate::config::SystemConfig;
-use crate::dma::{Direction, DmaEngine};
+use crate::dma::Direction;
 use crate::engine::{ComputeEngine, EngineKind};
 use crate::fault::{DeviceFault, FaultCounters, FaultInjector, FaultPlan};
 use crate::flash::FlashArray;
-use crate::link::Path;
 use crate::units::{Bandwidth, Bytes, Duration, Ops, SimTime};
 use serde::Serialize;
 
@@ -22,8 +21,8 @@ pub struct System {
     host: ComputeEngine,
     cse: ComputeEngine,
     flash: FlashArray,
-    d2h_path: Path,
-    dma: DmaEngine,
+    h2d_bytes: Bytes,
+    d2h_bytes: Bytes,
     faults: Option<FaultInjector>,
 }
 
@@ -32,7 +31,7 @@ impl System {
     /// [`SystemConfig::build`] calls.
     #[must_use]
     pub(crate) fn from_config(config: SystemConfig) -> Self {
-        let mut flash = FlashArray::new(config.flash_capacity, config.flash_internal_bandwidth);
+        let mut flash = FlashArray::new(config.flash_internal_bandwidth);
         if let Some(gc) = config.gc {
             flash.set_gc(gc);
         }
@@ -41,8 +40,8 @@ impl System {
             host: ComputeEngine::new(config.host),
             cse: ComputeEngine::new(config.cse),
             flash,
-            d2h_path: config.d2h_path(),
-            dma: DmaEngine::new(config.dma_setup),
+            h2d_bytes: Bytes::ZERO,
+            d2h_bytes: Bytes::ZERO,
             faults: None,
             config,
         }
@@ -96,16 +95,16 @@ impl System {
         &mut self.flash
     }
 
-    /// The DMA engine.
+    /// Total bytes DMA has moved host-to-device.
     #[must_use]
-    pub fn dma(&self) -> &DmaEngine {
-        &self.dma
+    pub fn h2d_bytes(&self) -> Bytes {
+        self.h2d_bytes
     }
 
-    /// The device-to-host path (for inspection).
+    /// Total bytes DMA has moved device-to-host.
     #[must_use]
-    pub fn d2h_path(&self) -> &Path {
-        &self.d2h_path
+    pub fn d2h_bytes(&self) -> Bytes {
+        self.d2h_bytes
     }
 
     /// Effective `BW_D2H` for Eq. 1 estimates.
@@ -118,7 +117,7 @@ impl System {
     /// wall-clock duration.
     pub fn compute(&mut self, engine: EngineKind, ops: Ops) -> Duration {
         let start = self.clock;
-        let wall = self.engine_mut(engine).execute(start, ops);
+        let wall = self.engine(engine).execute(start, ops);
         self.clock += wall;
         wall
     }
@@ -134,7 +133,7 @@ impl System {
             EngineKind::Cse => self.flash.read(start, bytes),
             EngineKind::Host => {
                 let flash_time = self.flash.read_external(start, bytes);
-                let link_time = self.d2h_path.transfer(start, bytes);
+                let link_time = self.config.d2h_time(start, bytes);
                 flash_time.max(link_time)
             }
         };
@@ -143,10 +142,15 @@ impl System {
     }
 
     /// Moves `bytes` between host DRAM and device DRAM over the
-    /// interconnect via DMA, advancing the clock.
+    /// interconnect via DMA, advancing the clock: one descriptor's setup,
+    /// then the device-to-host links.
     pub fn transfer(&mut self, dir: Direction, bytes: Bytes) -> Duration {
-        let start = self.clock;
-        let wall = self.dma.transfer(&mut self.d2h_path, start, dir, bytes);
+        match dir {
+            Direction::HostToDevice => self.h2d_bytes += bytes,
+            Direction::DeviceToHost => self.d2h_bytes += bytes,
+        }
+        let setup = self.config.dma_setup;
+        let wall = setup + self.config.d2h_time(self.clock + setup, bytes);
         self.clock += wall;
         wall
     }
@@ -282,23 +286,6 @@ impl System {
         self.clock += d;
         d
     }
-
-    /// Resets the clock and all counters for a fresh run on the same
-    /// platform.
-    pub fn reset(&mut self) {
-        self.clock = SimTime::ZERO;
-        self.host.reset_counters();
-        self.cse.reset_counters();
-        self.flash.reset_counters();
-        self.d2h_path.reset_counters();
-        self.dma.reset_counters();
-        // The injector rewinds to the start of its PRNG stream so a
-        // fresh run replays the identical fault trace (burst traces on
-        // the engines are static and stay installed).
-        if let Some(inj) = &mut self.faults {
-            inj.reset();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -345,8 +332,70 @@ mod tests {
     fn transfer_charges_dma_and_clock() {
         let mut sys = System::paper_default();
         let wall = sys.transfer(Direction::DeviceToHost, Bytes::from_gb_f64(4.0));
-        assert!(wall.as_secs() > 0.99 && wall.as_secs() < 1.01, "got {wall}");
-        assert_eq!(sys.dma().d2h_bytes(), Bytes::from_gb_f64(4.0));
+        // 1 us setup + 6 us of link latency + 1 s of payload at 4 GB/s.
+        assert!((wall.as_secs() - (1.0 + 7e-6)).abs() < 1e-9, "got {wall}");
+        assert_eq!(sys.now(), SimTime::ZERO + wall);
+    }
+
+    #[test]
+    fn dma_counts_bytes_by_direction() {
+        let mut sys = System::paper_default();
+        sys.transfer(Direction::HostToDevice, Bytes::from_mib(1));
+        sys.transfer(Direction::DeviceToHost, Bytes::from_mib(2));
+        sys.transfer(Direction::DeviceToHost, Bytes::from_mib(3));
+        assert_eq!(sys.h2d_bytes(), Bytes::from_mib(1));
+        assert_eq!(sys.d2h_bytes(), Bytes::from_mib(5));
+    }
+
+    /// The bits of every charge the D2H path and DMA make, on the paper's
+    /// platform, on NVMe-oF, and with both links at one rate (a tie), from
+    /// an odd start time.
+    #[test]
+    fn d2h_and_dma_charges_are_pinned_to_the_bit() {
+        let tie = SystemConfig::paper_default()
+            .with_nvme_bandwidth(Bandwidth::from_gb_per_sec(3.0))
+            .with_pcie_bandwidth(Bandwidth::from_gb_per_sec(3.0));
+        let charges = |config: &SystemConfig| {
+            let mut sys = config.build();
+            sys.advance(Duration::from_secs(0.123_456_789));
+            let read = sys.storage_read(EngineKind::Host, Bytes::from_mib(64));
+            let d2h = sys.transfer(Direction::DeviceToHost, Bytes::from_mib(8));
+            let h2d = sys.transfer(Direction::HostToDevice, Bytes::ZERO);
+            [
+                read.as_secs(),
+                d2h.as_secs(),
+                h2d.as_secs(),
+                sys.now().as_secs(),
+            ]
+            .map(f64::to_bits)
+        };
+        let got = [
+            charges(&SystemConfig::paper_default()),
+            charges(&SystemConfig::nvmeof_default()),
+            charges(&tie),
+        ];
+        // Read, D2H, H2D, clock.
+        let pinned: [[u64; 4]; 3] = [
+            [
+                0x3f91_2f9e_8f5d_e7a3,
+                0x3f61_3cba_00d3_75b0,
+                0x3edd_5c31_593e_5fb6,
+                0x3fc2_3890_0dee_6ef8,
+            ],
+            [
+                0x3f96_f3db_c650_c8b3,
+                0x3f67_4887_f00f_ded6,
+                0x3f08_1e03_f705_857a,
+                0x3fc3_0a8e_1466_7a99,
+            ],
+            [
+                0x3f96_e9a2_876a_d9d3,
+                0x3f66_f6bd_f8e0_67f0,
+                0x3edd_5c31_593e_5fb6,
+                0x3fc3_06b8_9cd0_4107,
+            ],
+        ];
+        assert_eq!(got, pinned);
     }
 
     #[test]
@@ -357,17 +406,6 @@ mod tests {
         assert!(inv.as_secs() < 1e-4);
         assert!(st.as_secs() < 1e-6);
         assert!((sys.now().as_secs() - (inv.as_secs() + st.as_secs())).abs() < 1e-12);
-    }
-
-    #[test]
-    fn reset_restores_fresh_state() {
-        let mut sys = System::paper_default();
-        sys.compute(EngineKind::Cse, Ops::new(1_000_000));
-        sys.transfer(Direction::HostToDevice, Bytes::from_mib(1));
-        sys.reset();
-        assert_eq!(sys.now(), SimTime::ZERO);
-        assert_eq!(sys.engine(EngineKind::Cse).counters().achieved_rate(), None);
-        assert_eq!(sys.dma().h2d_bytes(), Bytes::ZERO);
     }
 
     #[test]
@@ -437,29 +475,6 @@ mod tests {
             .try_transfer(Direction::DeviceToHost, Bytes::from_mib(1))
             .is_ok());
         assert_eq!(sys.fault_counters().cse_crashes, 1);
-    }
-
-    #[test]
-    fn reset_rearms_the_injector_for_identical_replay() {
-        let mut sys = System::paper_default();
-        sys.install_faults(
-            crate::fault::FaultPlan::none()
-                .with_seed(9)
-                .with_flash_read_error_prob(0.4),
-        );
-        let run = |sys: &mut System| -> Vec<bool> {
-            (0..100)
-                .map(|_| {
-                    sys.try_storage_read(EngineKind::Cse, Bytes::from_mib(1))
-                        .is_err()
-                })
-                .collect()
-        };
-        let first = run(&mut sys);
-        sys.reset();
-        let second = run(&mut sys);
-        assert_eq!(first, second);
-        assert!(first.iter().any(|&f| f), "p=0.4 over 100 reads");
     }
 
     #[test]

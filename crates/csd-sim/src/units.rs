@@ -10,8 +10,7 @@
 
 use serde::Serialize;
 use std::fmt;
-use std::iter::Sum;
-use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
+use std::ops::{Add, AddAssign, Div, Sub};
 
 /// An absolute point on the simulated timeline, in seconds since simulation
 /// start.
@@ -46,12 +45,6 @@ impl SimTime {
     #[must_use]
     pub fn as_secs(self) -> f64 {
         self.0
-    }
-
-    /// The later of two time points.
-    #[must_use]
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
     }
 
     /// The earlier of two time points.
@@ -127,12 +120,6 @@ impl Duration {
         Duration(self.0.max(other.0))
     }
 
-    /// The shorter of two spans.
-    #[must_use]
-    pub fn min(self, other: Duration) -> Duration {
-        Duration(self.0.min(other.0))
-    }
-
     /// Whether this span is exactly zero.
     #[must_use]
     pub fn is_zero(self) -> bool {
@@ -185,37 +172,11 @@ impl Sub for Duration {
     }
 }
 
-impl SubAssign for Duration {
-    fn sub_assign(&mut self, rhs: Duration) {
-        *self = *self - rhs;
-    }
-}
-
-impl Mul<f64> for Duration {
-    type Output = Duration;
-    fn mul(self, rhs: f64) -> Duration {
-        Duration::from_secs(self.0 * rhs)
-    }
-}
-
-impl Div<f64> for Duration {
-    type Output = Duration;
-    fn div(self, rhs: f64) -> Duration {
-        Duration::from_secs(self.0 / rhs)
-    }
-}
-
 impl Div for Duration {
     /// Dimensionless ratio of two spans.
     type Output = f64;
     fn div(self, rhs: Duration) -> f64 {
         self.0 / rhs.0
-    }
-}
-
-impl Sum for Duration {
-    fn sum<I: Iterator<Item = Duration>>(iter: I) -> Duration {
-        iter.fold(Duration::ZERO, Add::add)
     }
 }
 
@@ -279,12 +240,6 @@ impl Bytes {
         self.0 as f64
     }
 
-    /// Saturating subtraction.
-    #[must_use]
-    pub const fn saturating_sub(self, rhs: Bytes) -> Bytes {
-        Bytes(self.0.saturating_sub(rhs.0))
-    }
-
     /// Scales the count by a (non-negative) factor, rounding to the nearest
     /// byte.
     #[must_use]
@@ -325,12 +280,6 @@ impl AddAssign for Bytes {
     }
 }
 
-impl Sum for Bytes {
-    fn sum<I: Iterator<Item = Bytes>>(iter: I) -> Bytes {
-        iter.fold(Bytes::ZERO, Add::add)
-    }
-}
-
 impl Div<Bandwidth> for Bytes {
     type Output = Duration;
     fn div(self, rhs: Bandwidth) -> Duration {
@@ -364,17 +313,6 @@ impl Ops {
     pub fn as_f64(self) -> f64 {
         self.0 as f64
     }
-
-    /// Scales the count by a (non-negative) factor, rounding to the nearest
-    /// operation.
-    #[must_use]
-    pub fn scale(self, factor: f64) -> Ops {
-        assert!(
-            factor.is_finite() && factor >= 0.0,
-            "scale factor must be non-negative"
-        );
-        Ops((self.0 as f64 * factor).round() as u64)
-    }
 }
 
 impl fmt::Display for Ops {
@@ -393,12 +331,6 @@ impl Add for Ops {
 impl AddAssign for Ops {
     fn add_assign(&mut self, rhs: Ops) {
         self.0 += rhs.0;
-    }
-}
-
-impl Sum for Ops {
-    fn sum<I: Iterator<Item = Ops>>(iter: I) -> Ops {
-        iter.fold(Ops::ZERO, Add::add)
     }
 }
 
@@ -493,16 +425,6 @@ impl OpRate {
     pub fn execute_time(self, ops: Ops) -> Duration {
         Duration::from_secs(ops.as_f64() / self.0)
     }
-
-    /// Scales the rate by a positive factor (e.g. availability).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `factor` is not strictly positive.
-    #[must_use]
-    pub fn scale(self, factor: f64) -> OpRate {
-        OpRate::from_ops_per_sec(self.0 * factor)
-    }
 }
 
 impl fmt::Display for OpRate {
@@ -594,12 +516,7 @@ mod tests {
     }
 
     #[test]
-    fn duration_sum_and_ratio() {
-        let total: Duration = [1.0, 2.0, 3.0]
-            .iter()
-            .map(|s| Duration::from_secs(*s))
-            .sum();
-        assert!((total.as_secs() - 6.0).abs() < 1e-12);
+    fn duration_ratio() {
         assert!((Duration::from_secs(3.0) / Duration::from_secs(1.5) - 2.0).abs() < 1e-12);
     }
 }

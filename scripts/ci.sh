@@ -131,8 +131,20 @@ echo "== one options type, one source per counter (run options and the metrics s
 cargo test -q -p activepy --lib -- metrics:: report:: runtime::
 cargo test -q --test audit_determinism
 
+echo "== simulated charges (the D2H links, DMA and calibration to the bit) =="
+# The simulator charges a run: the D2H time of the config's two links (the
+# strictly slower carries the payload, NVMe on a tie), DMA's setup plus
+# those links and its byte count each way, flash reads under GC (a zero
+# GC period refused), engines under contention, the fleet's shared budget
+# and the availability traces they integrate — with the charges and the
+# calibration constant C pinned to the bit on three configs. Ahead of the
+# suite, so a drifted charge stops here, named, instead of as a fig5
+# golden diff.
+cargo test -q -p csd-sim --lib -- system:: config:: flash:: engine:: fleet:: availability::
+cargo test -q -p activepy --lib estimate::
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 54 of the 701 tests. No later
+# The whole suite: the root package alone is 56 of the 674 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 
