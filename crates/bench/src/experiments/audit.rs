@@ -36,11 +36,11 @@ use serde::Serialize;
 pub const BURST_FRACTION: f64 = 0.10;
 
 /// Pinned per-workload band on the clean cell's mean absolute relative
-/// time error, parts per million. Uncontended predictions come from the
-/// same cost model the simulator executes, so the residual is fitting
-/// error — and the sampling-scale extrapolation residual is genuinely
-/// large for super-linear workloads (MixedGEMM's O(n³) tiles sit near
-/// 56 %), which is exactly what the observatory exists to expose.
+/// time error, parts per million. The error is not fitting: every CSD line
+/// pays 64 status updates (12.8 µs) Eq. 1 never charges, so a line priced
+/// at 1.2 µs or less measures about 12.8 µs, and the mean is unweighted
+/// over lines. MixedGEMM, which has no O(n³) line, sits near 56 % because
+/// 4 of its 7 lines are that short.
 pub const CLEAN_ERR_BAND_PPM: u64 = 700_000;
 
 /// Pinned band on the grid-wide mean clean error (measured ≈ 21 %).
@@ -61,9 +61,9 @@ pub struct Row {
     pub offloaded: bool,
     /// Clean cell: mean absolute relative time error, ppm.
     pub clean_err_ppm: u64,
-    /// Clean cell: counterfactual flips. Nonzero where the fitting
-    /// residual alone already moves a line across Eq. 1's break-even —
-    /// the super-linear workloads.
+    /// Clean cell: counterfactual flips. Nonzero where a line's `S` is so
+    /// near zero that the 12.8 µs of status updates Eq. 1 never charges
+    /// moves it across the break-even.
     pub clean_flips: usize,
     /// Contended cell: mean absolute relative time error, ppm.
     pub contended_err_ppm: u64,

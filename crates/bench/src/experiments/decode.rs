@@ -19,6 +19,7 @@
 //! estimates), the planner picked that winner, and all three runs produce
 //! one byte-identical `values_fingerprint`.
 
+use activepy::estimate::Link;
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{Assignment, OffloadPlan, PlanCache};
 use csd_sim::engine::EngineKind;
@@ -69,11 +70,11 @@ pub struct Report {
 
 /// Forces every line of `plan` onto one engine, re-projecting the
 /// assignment's bookkeeping costs so the report stays honest.
-fn forced(plan: &OffloadPlan, engine: EngineKind, bw_d2h: f64) -> OffloadPlan {
+fn forced(plan: &OffloadPlan, engine: EngineKind, link: Link) -> OffloadPlan {
     let mut p = plan.clone();
     let n = p.program.len();
     let placements = vec![engine; n];
-    let cost = activepy::assign::projected_cost(&p.program, &p.estimates, &placements, bw_d2h);
+    let cost = activepy::assign::projected_cost(&p.program, &p.estimates, &placements, link);
     let t_host: f64 = p.estimates.iter().map(|e| e.ct_host).sum();
     p.assignment = Assignment {
         csd_lines: match engine {
@@ -97,16 +98,16 @@ fn run_placement(
     let plan = cache
         .plan_for(&rt, w.name(), &program, w, config)
         .expect("planning succeeds");
-    let bw = config.d2h_bandwidth().as_bytes_per_sec();
+    let link = Link::d2h(config);
 
     let planned = rt
         .execute_plan(&plan, config, ContentionScenario::none())
         .expect("planned run");
-    let host_plan = forced(&plan, EngineKind::Host, bw);
+    let host_plan = forced(&plan, EngineKind::Host, link);
     let all_host = rt
         .execute_plan(&host_plan, config, ContentionScenario::none())
         .expect("all-host run");
-    let csd_plan = forced(&plan, EngineKind::Cse, bw);
+    let csd_plan = forced(&plan, EngineKind::Cse, link);
     let all_csd = rt
         .execute_plan(&csd_plan, config, ContentionScenario::none())
         .expect("all-CSD run");

@@ -10,7 +10,7 @@
 //! ([`assign_refined`]). The `regret` experiment grades the result against
 //! search over every placement.
 
-use crate::estimate::LineEstimate;
+use crate::estimate::{LineEstimate, Link};
 use alang::Program;
 use csd_sim::engine::EngineKind;
 use isp_obs::{SpanKind, Tracer};
@@ -70,55 +70,44 @@ impl Assignment {
 const LOOKAHEAD_LINES: usize = 8;
 
 /// Algorithm 1's per-line time delta of adding line `est` to `P_csd`.
-fn delta(est: &LineEstimate, prev_on_csd: bool, bw_d2h: f64) -> f64 {
-    let d_in = est.d_in as f64 / bw_d2h;
+fn delta(est: &LineEstimate, prev_on_csd: bool, link: Link) -> f64 {
+    let d_in = link.transfer(est.d_in);
     let d_in = if prev_on_csd { -d_in } else { d_in };
-    -est.ct_host + est.ct_device + d_in + est.d_out as f64 / bw_d2h
+    -est.ct_host + est.ct_device + d_in + link.transfer(est.d_out)
 }
 
-/// Algorithm 1's lookahead walk, the seed [`assign_refined`] refines;
-/// `bw_d2h` is `BW_D2H` of Eq. 1 in bytes per second. Beside the printed
-/// greedy step it follows the paper's prose — ActivePy "records the
-/// assignment that yields the shortest execution time" — by growing a
-/// region from a line that is not profitable alone and adopting its best
-/// prefix: that is how a storage scan, whose bulky output would otherwise
-/// be charged as crossing the interconnect, joins the filter consuming it.
-///
-/// # Panics
-///
-/// Panics if `bw_d2h` is not strictly positive.
-fn assign(estimates: &[LineEstimate], bw_d2h: f64) -> Assignment {
-    assert!(bw_d2h > 0.0, "BW_D2H must be positive");
-    let t_host: f64 = estimates.iter().map(|e| e.ct_host).sum();
-    let mut t_csd = t_host;
-    let mut csd_lines: BTreeSet<usize> = BTreeSet::new();
+/// Algorithm 1's lookahead walk, the seed [`assign_refined`] refines,
+/// pricing transfers on `link`. Beside the printed greedy step it follows
+/// the paper's prose — ActivePy "records the assignment that yields the
+/// shortest execution time" — by growing a region from a line that is not
+/// profitable alone and adopting its best prefix: that is how a storage
+/// scan, whose bulky output would otherwise be charged as crossing the
+/// interconnect, joins the filter consuming it.
+fn assign(estimates: &[LineEstimate], link: Link) -> Assignment {
+    let mut a = Assignment::all_host(estimates);
     let mut i = 0;
     while i < estimates.len() {
-        let prev_on_csd = i == 0 || csd_lines.contains(&(i - 1));
-        let mut tentative = t_csd + delta(&estimates[i], prev_on_csd, bw_d2h);
-        let (mut best_t, mut best_len) = (t_csd, 0);
-        if tentative < t_csd {
+        let prev_on_csd = i == 0 || a.csd_lines.contains(&(i - 1));
+        let mut tentative = a.t_csd + delta(&estimates[i], prev_on_csd, link);
+        let (mut best_t, mut best_len) = (a.t_csd, 0);
+        if tentative < a.t_csd {
             (best_t, best_len) = (tentative, 1);
         } else {
             // Not profitable alone: tentatively grow a region starting here
             // and keep the best prefix, if any prefix beats the incumbent.
             let window = &estimates[i + 1..estimates.len().min(i + LOOKAHEAD_LINES)];
             for (len, est) in (2..).zip(window) {
-                tentative += delta(est, true, bw_d2h);
+                tentative += delta(est, true, link);
                 if tentative < best_t {
                     (best_t, best_len) = (tentative, len);
                 }
             }
         }
-        csd_lines.extend(i..i + best_len);
-        t_csd = best_t;
+        a.csd_lines.extend(i..i + best_len);
+        a.t_csd = best_t;
         i += best_len.max(1);
     }
-    Assignment {
-        csd_lines,
-        t_host,
-        t_csd,
-    }
+    a
 }
 
 /// Projects the end-to-end cost of `placements` under the execution
@@ -128,19 +117,18 @@ fn assign(estimates: &[LineEstimate], bw_d2h: f64) -> Assignment {
 ///
 /// This is the executor-faithful cost model the refinement pass of
 /// [`assign_refined`] minimizes (cheaper than a full simulation, exact up
-/// to contention and queue microseconds).
+/// to contention and queue microseconds), pricing transfers on `link`.
 ///
 /// # Panics
 ///
-/// Panics if lengths disagree or `bw_d2h` is not positive.
+/// Panics if lengths disagree.
 #[must_use]
 pub fn projected_cost(
     program: &Program,
     estimates: &[LineEstimate],
     placements: &[EngineKind],
-    bw_d2h: f64,
+    link: Link,
 ) -> f64 {
-    assert!(bw_d2h > 0.0, "BW_D2H must be positive");
     assert_eq!(
         program.len(),
         estimates.len(),
@@ -158,7 +146,7 @@ pub fn projected_cost(
     for (line, (est, place)) in program.lines().iter().zip(estimates.iter().zip(placements)) {
         for def in line.inputs().filter_map(|(_, def)| def) {
             if location[def] != *place {
-                total += estimates[def].d_out as f64 / bw_d2h;
+                total += link.transfer(estimates[def].d_out);
                 location[def] = *place;
             }
         }
@@ -168,7 +156,7 @@ pub fn projected_cost(
         };
     }
     if let (Some(last), Some(EngineKind::Cse)) = (estimates.last(), location.last()) {
-        total += last.d_out as f64 / bw_d2h;
+        total += link.transfer(last.d_out);
     }
     total
 }
@@ -183,31 +171,32 @@ const REFINE_SWEEPS: usize = 12;
 /// interconnect where data flow skips lines; the flips repair exactly
 /// those, so that, as §V says, ActivePy finds "*exactly* the same set of
 /// code regions" as the optimal programmer-directed configuration.
+/// Transfers are priced on a [`Link`] of `bw_d2h` bytes per second.
 ///
 /// # Panics
 ///
 /// Panics if lengths disagree or `bw_d2h` is not positive.
 #[must_use]
 pub fn assign_refined(program: &Program, estimates: &[LineEstimate], bw_d2h: f64) -> Assignment {
-    assign_refined_traced(program, estimates, bw_d2h, &Tracer::disabled())
+    assign_refined_traced(program, estimates, Link::new(bw_d2h), &Tracer::disabled())
 }
 
-/// As [`assign_refined`], recording one `assign.candidate` instant per
-/// refinement round (seed, all-host) into `tracer` with the round's sweep
-/// and flip counts. The tracer is observation-only: the returned
+/// As [`assign_refined`] on `link`, recording one `assign.candidate`
+/// instant per refinement round (seed, all-host) into `tracer` with the
+/// round's sweep and flip counts. The tracer is observation-only: the returned
 /// assignment is identical with it enabled, disabled, or absent.
 ///
 /// # Panics
 ///
-/// As [`assign_refined`].
+/// Panics if lengths disagree.
 #[must_use]
 pub fn assign_refined_traced(
     program: &Program,
     estimates: &[LineEstimate],
-    bw_d2h: f64,
+    link: Link,
     tracer: &Tracer,
 ) -> Assignment {
-    let seed = assign(estimates, bw_d2h);
+    let seed = assign(estimates, link);
     // Refine from both the lookahead seed and the all-host plan: each can
     // be a local minimum under single-line flips (the lookahead can strand
     // a bulky producer on the wrong side; all-host cannot cross the
@@ -219,7 +208,7 @@ pub fn assign_refined_traced(
     let mut best_cost = f64::INFINITY;
     let mut best_placements = candidates[1].1.clone();
     for (label, start) in candidates {
-        let refined = refine_flips(program, estimates, start, bw_d2h);
+        let refined = refine_flips(program, estimates, start, link);
         tracer.instant(
             "assign.candidate",
             SpanKind::Phase,
@@ -263,9 +252,9 @@ fn refine_flips(
     program: &Program,
     estimates: &[LineEstimate],
     mut placements: Vec<EngineKind>,
-    bw_d2h: f64,
+    link: Link,
 ) -> RefineOutcome {
-    let mut best = projected_cost(program, estimates, &placements, bw_d2h);
+    let mut best = projected_cost(program, estimates, &placements, link);
     let mut sweeps = 0usize;
     let mut flips = 0usize;
     for _ in 0..REFINE_SWEEPS {
@@ -274,7 +263,7 @@ fn refine_flips(
         for i in 0..placements.len() {
             let flipped = placements[i].other();
             let old = std::mem::replace(&mut placements[i], flipped);
-            let cost = projected_cost(program, estimates, &placements, bw_d2h);
+            let cost = projected_cost(program, estimates, &placements, link);
             if cost + 1e-12 < best {
                 best = cost;
                 improved = true;
@@ -311,7 +300,9 @@ mod tests {
         }
     }
 
-    const BW: f64 = 4e9;
+    fn link() -> Link {
+        Link::new(4e9)
+    }
 
     #[test]
     fn pure_reduction_pipeline_is_offloaded() {
@@ -322,7 +313,7 @@ mod tests {
             est(1, 0.2, 0.7, 8_000_000_000, 80_000_000),
             est(2, 0.05, 0.2, 80_000_000, 8),
         ];
-        let a = assign(&estimates, BW);
+        let a = assign(&estimates, link());
         assert!(a.csd_lines.contains(&0), "scan should offload: {a:?}");
         assert!(a.csd_lines.contains(&1), "filter should offload: {a:?}");
         assert!(a.t_csd < a.t_host);
@@ -334,7 +325,7 @@ mod tests {
             est(0, 1.0, 5.0, 1_000_000, 1_000_000),
             est(1, 2.0, 10.0, 1_000_000, 1_000_000),
         ];
-        let a = assign(&estimates, BW);
+        let a = assign(&estimates, link());
         assert!(a.csd_lines.is_empty(), "{a:?}");
         assert_eq!(a.t_csd, a.t_host);
     }
@@ -348,12 +339,12 @@ mod tests {
             est(0, 2.0, 0.5, 0, 4_000_000_000), // saves 1.5s, emits 1s of transfer
             est(1, 0.1, 0.3, 4_000_000_000, 8), // device is 0.2s slower, but saves 1s input
         ];
-        let a = assign(&estimates, BW);
+        let a = assign(&estimates, link());
         assert_eq!(a.csd_regions(), [(0, 1)], "line 1 rides along: {a:?}");
         // The same line after a host line (line 0 counts as "previous on
         // CSD" by the `i == 0` clause) stays home.
         let shifted = [est(0, 1.0, 9.0, 0, 0), est(1, 0.1, 0.3, 4_000_000_000, 8)];
-        let a2 = assign(&shifted, BW);
+        let a2 = assign(&shifted, link());
         assert!(a2.csd_lines.is_empty(), "{a2:?}");
     }
 
@@ -365,7 +356,7 @@ mod tests {
             est(2, 1.0, 50.0, 1_000, 1_000), // stays on host
             est(3, 2.0, 0.5, 0, 1_000),
         ];
-        let a = assign(&estimates, BW);
+        let a = assign(&estimates, link());
         assert_eq!(a.csd_regions(), vec![(0, 1), (3, 3)]);
         let (host, cse) = (EngineKind::Host, EngineKind::Cse);
         assert_eq!(a.placements(4), [cse, cse, host, cse]);
@@ -373,7 +364,7 @@ mod tests {
 
     #[test]
     fn empty_program_yields_empty_assignment() {
-        let a = assign(&[], BW);
+        let a = assign(&[], link());
         assert!(a.csd_lines.is_empty());
         assert_eq!(a.t_host, 0.0);
         assert!(a.csd_regions().is_empty());
@@ -390,7 +381,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "BW_D2H")]
     fn zero_bandwidth_panics() {
-        let _ = assign(&[], 0.0);
+        let _ = assign(&[], Link::new(0.0));
     }
 
     proptest! {
@@ -408,7 +399,7 @@ mod tests {
                 .enumerate()
                 .map(|(i, (h, d, din, dout))| est(i, *h, *d, *din, *dout))
                 .collect();
-            let a = assign(&estimates, BW);
+            let a = assign(&estimates, link());
             prop_assert!(a.t_csd <= a.t_host + 1e-9, "{a:?}");
             prop_assert!(a.csd_lines.iter().all(|l| *l < estimates.len()));
         }

@@ -34,7 +34,7 @@
 use std::collections::BTreeMap;
 
 use crate::assign::{assign_refined, Assignment};
-use crate::estimate::{net_profit, LineEstimate};
+use crate::estimate::{LineEstimate, Link};
 use crate::exec::{LineOutcome, RunReport};
 use crate::plan::OffloadPlan;
 use crate::profile::WorkloadProfile;
@@ -83,6 +83,7 @@ pub fn capture_terms(
     bw_d2h: f64,
     shards: usize,
 ) -> Vec<Eq1Term> {
+    let link = Link::new(bw_d2h);
     estimates
         .iter()
         .map(|e| Eq1Term {
@@ -93,7 +94,7 @@ pub fn capture_terms(
             ct_device: e.ct_device,
             bw_d2h,
             shards,
-            profit: net_profit(e.d_in, e.ct_host, e.ct_device, e.d_out, bw_d2h),
+            profit: link.net_profit(e),
             on_csd: assignment.csd_lines.contains(&e.line),
         })
         .collect()
@@ -213,13 +214,8 @@ fn ppm(rel: f64) -> u64 {
 /// Measured Eq. 1 execution time of one line outcome: wall-clock minus
 /// the input-staging transfer (charged separately through `D_in`),
 /// clamped at zero.
-fn measured_ct(outcome: &LineOutcome, bw_d2h: f64) -> f64 {
-    let staging = if bw_d2h > 0.0 {
-        outcome.staged_bytes as f64 / bw_d2h
-    } else {
-        0.0
-    };
-    (outcome.end_secs - outcome.start_secs - staging).max(0.0)
+fn measured_ct(outcome: &LineOutcome, link: Link) -> f64 {
+    (outcome.end_secs - outcome.start_secs - link.transfer(outcome.staged_bytes)).max(0.0)
 }
 
 /// Joins a plan's captured [`Eq1Term`]s against a finished run's measured
@@ -241,6 +237,17 @@ pub fn calibrate(
     } else {
         &report.eq1
     };
+    let profile_version = profile.map_or(0, |p| p.version);
+    // Every term carries the one bandwidth the assignment charged; without
+    // terms there is no line to audit.
+    let Some(link) = terms.first().map(|t| Link::new(t.bw_d2h)) else {
+        return CalibrationReport {
+            workload: workload.to_string(),
+            lines: Vec::new(),
+            flips: Vec::new(),
+            profile_version,
+        };
+    };
     // Last outcome per line wins: a reclaim may revisit a boundary, and
     // the final visit is the one that produced the line's lasting cost.
     let mut by_line: BTreeMap<usize, &LineOutcome> = BTreeMap::new();
@@ -248,8 +255,6 @@ pub fn calibrate(
         by_line.insert(l.line, l);
     }
 
-    // Every term carries the one bandwidth the assignment charged.
-    let bw = terms.first().map_or(0.0, |t| t.bw_d2h);
     // The counterfactual estimates: observations where we have them,
     // predictions elsewhere (see the module docs for why only the
     // observed engine is replaced).
@@ -258,7 +263,7 @@ pub fn calibrate(
         let Some(outcome) = by_line.get(&est.line) else {
             continue;
         };
-        let m = measured_ct(outcome, bw);
+        let m = measured_ct(outcome, link);
         match outcome.engine {
             EngineKind::Cse => est.ct_device = m,
             EngineKind::Host => est.ct_host = m,
@@ -266,11 +271,7 @@ pub fn calibrate(
         est.d_in = outcome.cost.bytes_in;
         est.d_out = outcome.cost.bytes_out;
     }
-    let counterfactual = if bw > 0.0 {
-        assign_refined(&plan.program, &measured_est, bw)
-    } else {
-        plan.assignment.clone()
-    };
+    let counterfactual = assign_refined(&plan.program, &measured_est, link.bytes_per_sec());
 
     let mut lines = Vec::with_capacity(terms.len());
     let mut flips = Vec::new();
@@ -280,7 +281,7 @@ pub fn calibrate(
         };
         let ran_csd = outcome.engine == EngineKind::Cse;
         let predicted_secs = if ran_csd { t.ct_device } else { t.ct_host };
-        let measured_secs = measured_ct(outcome, t.bw_d2h);
+        let measured_secs = measured_ct(outcome, link);
         let abs_rel = rel_err(predicted_secs, measured_secs);
         let flipped = counterfactual.csd_lines.contains(&t.line) != t.on_csd;
         lines.push(LineAudit {
@@ -294,7 +295,7 @@ pub fn calibrate(
         });
         if flipped {
             let m = &measured_est[t.line.min(measured_est.len().saturating_sub(1))];
-            let measured_profit = net_profit(m.d_in, m.ct_host, m.ct_device, m.d_out, t.bw_d2h);
+            let measured_profit = link.net_profit(m);
             let target = plan
                 .program
                 .lines()
@@ -320,7 +321,7 @@ pub fn calibrate(
         workload: workload.to_string(),
         lines,
         flips,
-        profile_version: profile.map_or(0, |p| p.version),
+        profile_version,
     }
 }
 
@@ -362,8 +363,15 @@ mod tests {
         for t in &plan.eq1 {
             assert_eq!(t.shards, 1);
             assert!(t.bw_d2h > 0.0);
-            let direct = net_profit(t.d_in, t.ct_host, t.ct_device, t.d_out, t.bw_d2h);
-            assert!((t.profit - direct).abs() < 1e-12);
+            let e = LineEstimate {
+                line: t.line,
+                ct_host: t.ct_host,
+                ct_device: t.ct_device,
+                d_in: t.d_in,
+                d_out: t.d_out,
+                ops: 0,
+            };
+            assert!((t.profit - Link::new(t.bw_d2h).net_profit(&e)).abs() < 1e-12);
         }
         // Algorithm 1 offloads the scan; its *isolated* Eq. 1 profit is
         // negative (the full 8 GB D_out is charged as crossing until the

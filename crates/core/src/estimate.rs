@@ -1,4 +1,4 @@
-//! Device-time estimation and the net-profit equation (Eq. 1).
+//! Eq. 1's price list, and device-time estimation.
 //!
 //! ActivePy estimates a line's CSD execution time by multiplying its
 //! predicted host computation time by a constant factor `C`, which it
@@ -7,13 +7,16 @@
 //! on both a CSD and the host computer" (§III-A). Against the simulator the
 //! two are one probe: its ops over the wall time each engine took.
 //!
-//! [`LineEstimate`] carries the four per-line quantities Algorithm 1
-//! consumes: `CT_host`, `CT_device`, `D_in`, and `D_out`; [`net_profit`]
-//! evaluates Eq. 1 directly for a single task.
+//! [`Prices`] prices every Eq. 1 charge: a line on either engine and,
+//! through its [`Link`], `n` bytes over `BW_D2H` and a line's net profit
+//! `S`. It prices no fixed cost (DMA setup, link latencies), which is what
+//! the simulator's charges exceed it by. [`LineEstimate`] carries the four
+//! per-line quantities Algorithm 1 consumes: `CT_host`, `CT_device`,
+//! `D_in`, and `D_out`.
 
 use crate::fit::LinePrediction;
 use alang::{CostParams, ExecTier};
-use csd_sim::units::Ops;
+use csd_sim::units::{Bandwidth, Ops};
 use csd_sim::{EngineKind, SystemConfig};
 use serde::Serialize;
 
@@ -37,6 +40,109 @@ impl Calibration {
         Calibration {
             cse_slowdown: host_rate / cse_rate,
         }
+    }
+}
+
+/// Eq. 1's price list for one platform under one calibration: what a line
+/// costs on each engine, and the [`Link`] its transfers cross. Rates are
+/// per second.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Prices {
+    host_rate: f64,
+    host_storage_bw: f64,
+    flash_bw: f64,
+    cse_slowdown: f64,
+    /// The link its transfers cross.
+    pub link: Link,
+}
+
+impl Prices {
+    /// The prices of `config`'s platform, with the CSE's compute scaled by
+    /// `calibration`.
+    #[must_use]
+    pub fn new(config: &SystemConfig, calibration: &Calibration) -> Prices {
+        let flash = config.flash_internal_bandwidth;
+        Prices {
+            host_rate: config.host.nominal_rate().as_ops_per_sec(),
+            // The host streams stored data through flash, NVMe and PCIe.
+            host_storage_bw: flash.min(config.d2h_bandwidth()).as_bytes_per_sec(),
+            flash_bw: flash.as_bytes_per_sec(),
+            cse_slowdown: calibration.cse_slowdown,
+            link: Link::d2h(config),
+        }
+    }
+
+    /// `CT_host` of a line that retires `ops` and streams `storage_bytes`
+    /// out of storage.
+    #[must_use]
+    pub fn host_line(&self, ops: u64, storage_bytes: u64) -> f64 {
+        ops as f64 / self.host_rate + storage_bytes as f64 / self.host_storage_bw
+    }
+
+    /// `CT_device` of the same line: the host's compute time scaled by `C`,
+    /// plus streaming at the internal bandwidth.
+    #[must_use]
+    pub fn device_line(&self, ops: u64, storage_bytes: u64) -> f64 {
+        ops as f64 / self.host_rate * self.cse_slowdown + storage_bytes as f64 / self.flash_bw
+    }
+}
+
+/// `BW_D2H`: the link an Eq. 1 transfer crosses, which prices moving bytes
+/// device-to-host and so the net profit of offloading a line.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Link(f64);
+
+impl Link {
+    /// A link of `bw_d2h` bytes per second.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bw_d2h` is not strictly positive.
+    #[must_use]
+    pub fn new(bw_d2h: f64) -> Link {
+        assert!(bw_d2h > 0.0, "BW_D2H must be positive");
+        Link(bw_d2h)
+    }
+
+    /// `config`'s device-to-host link: the bottleneck of NVMe and PCIe.
+    #[must_use]
+    pub fn d2h(config: &SystemConfig) -> Link {
+        Link(config.d2h_bandwidth().as_bytes_per_sec())
+    }
+
+    /// The link one shard of an `n`-device fleet counts on when every shard
+    /// streams at once, `min(link, budget / n)`: a fleet plan prices on it,
+    /// so offload looks *more* profitable at high `n`, exactly where
+    /// shipping raw rows to the host stops scaling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    #[must_use]
+    pub fn shared(self, budget: Bandwidth, n: usize) -> Link {
+        assert!(n > 0, "a fleet has at least one shard");
+        Link(self.0.min(budget.as_bytes_per_sec() * (1.0 / n as f64)))
+    }
+
+    /// `BW_D2H` in bytes per second.
+    #[must_use]
+    pub fn bytes_per_sec(self) -> f64 {
+        self.0
+    }
+
+    /// Eq. 1's `D / BW_D2H`: seconds to move `bytes` device-to-host.
+    #[must_use]
+    pub fn transfer(self, bytes: u64) -> f64 {
+        bytes as f64 / self.0
+    }
+
+    /// Eq. 1: the net profit `S` (seconds saved) of running line `e` on the
+    /// CSD instead of the host, when its raw input would otherwise cross
+    /// the link: `S = (D_in / BW_D2H + CT_host) − (CT_device + D_out /
+    /// BW_D2H)`. The line is worth offloading when `S > 0`.
+    #[must_use]
+    pub fn net_profit(self, e: &LineEstimate) -> f64 {
+        (self.transfer(e.d_in) + e.ct_host) - (e.ct_device + self.transfer(e.d_out))
     }
 }
 
@@ -78,9 +184,7 @@ pub fn estimate_lines(
     calibration: &Calibration,
     copy_elim: &[bool],
 ) -> Vec<LineEstimate> {
-    let host_rate = config.host.nominal_rate().as_ops_per_sec();
-    let host_storage_bw = config.host_storage_bandwidth().as_bytes_per_sec();
-    let flash_bw = config.flash_internal_bandwidth.as_bytes_per_sec();
+    let prices = Prices::new(config, calibration);
     predictions
         .iter()
         .map(|p| {
@@ -89,60 +193,16 @@ pub fn estimate_lines(
                 cost.eliminable_copy_bytes = cost.copy_bytes;
             }
             let ops = cost.effective_ops(tier, params);
-            let compute_host = ops as f64 / host_rate;
-            let ct_host = compute_host + cost.storage_bytes as f64 / host_storage_bw;
-            let ct_device =
-                compute_host * calibration.cse_slowdown + cost.storage_bytes as f64 / flash_bw;
             LineEstimate {
                 line: p.line,
-                ct_host,
-                ct_device,
+                ct_host: prices.host_line(ops, cost.storage_bytes),
+                ct_device: prices.device_line(ops, cost.storage_bytes),
                 d_in: cost.bytes_in,
                 d_out: cost.bytes_out,
                 ops,
             }
         })
         .collect()
-}
-
-/// Eq. 1: the net profit `S` (seconds saved) of running one task on the
-/// CSD instead of the host, for a task whose raw input would otherwise
-/// cross the interconnect.
-///
-/// `S = (DS_raw / BW_D2H + CT_host_compute) − (CT_device + DS_processed /
-/// BW_D2H)`; the task is worth offloading when `S > 0`.
-#[must_use]
-pub fn net_profit(
-    ds_raw: u64,
-    ct_host_compute: f64,
-    ct_device: f64,
-    ds_processed: u64,
-    bw_d2h: f64,
-) -> f64 {
-    (ds_raw as f64 / bw_d2h + ct_host_compute) - (ct_device + ds_processed as f64 / bw_d2h)
-}
-
-/// The shared-link term of the shard-aware Eq. 1: the D2H bandwidth one
-/// shard of an `n`-device fleet can count on when every shard streams at
-/// once — its own link until the host root-complex `budget` saturates,
-/// then an equal share of the budget: `min(link, budget / n)`.
-///
-/// Feeding this (instead of the raw per-device link) into
-/// [`net_profit`]'s `bw_d2h` makes per-shard assignment honest about
-/// fleet-wide congestion: offload looks *more* profitable at high `n`,
-/// exactly the regime where shipping raw rows to the host stops scaling.
-///
-/// # Panics
-///
-/// Panics if `n` is zero.
-#[must_use]
-pub fn shared_link_bandwidth(
-    link: csd_sim::units::Bandwidth,
-    budget: csd_sim::units::Bandwidth,
-    n: usize,
-) -> csd_sim::units::Bandwidth {
-    assert!(n > 0, "a fleet has at least one shard");
-    link.min(budget.scale(1.0 / n as f64))
 }
 
 #[cfg(test)]
@@ -185,6 +245,72 @@ mod tests {
     fn counter_calibration_is_pinned_to_the_bit() {
         let calib = Calibration::from_counters(&SystemConfig::paper_default());
         assert_eq!(calib.cse_slowdown.to_bits(), 0x3ffc_3c3c_3c3c_3c3b);
+    }
+
+    /// Each price against the simulator's charge for the same work, on the
+    /// paper's platform and on NVMe-oF, from an odd start time. The charge
+    /// exceeds the price by exactly the fixed costs Eq. 1 leaves out: DMA
+    /// setup plus both link latencies per transfer, NVMe plus PCIe latency
+    /// per host storage read, and nothing on compute or a CSE storage read.
+    /// What is left is the clock's rounding: at most 1.22e-17 s here, under
+    /// `ROUNDING`, half an ulp of the start time (2^-56 s).
+    #[test]
+    fn each_price_misses_exactly_the_fixed_costs() {
+        use csd_sim::units::{Bytes, Duration};
+        use csd_sim::{Direction, System};
+        const ROUNDING: f64 = f64::EPSILON / 16.0;
+        let (ops, bytes) = (123_456_789, 67_108_871);
+        for config in [
+            SystemConfig::paper_default(),
+            SystemConfig::nvmeof_default(),
+        ] {
+            let prices = Prices::new(&config, &Calibration::from_counters(&config));
+            let latencies = (config.nvme_latency + config.pcie_latency).as_secs();
+            let charge = |work: &dyn Fn(&mut System) -> Duration| {
+                let mut sys = config.build();
+                sys.advance(Duration::from_secs(0.123_456_789));
+                work(&mut sys).as_secs()
+            };
+            let cases = [
+                (
+                    "host compute",
+                    charge(&|s| s.compute(EngineKind::Host, Ops::new(ops))),
+                    prices.host_line(ops, 0),
+                    0.0,
+                ),
+                (
+                    "CSE compute",
+                    charge(&|s| s.compute(EngineKind::Cse, Ops::new(ops))),
+                    prices.device_line(ops, 0),
+                    0.0,
+                ),
+                (
+                    "host storage read",
+                    charge(&|s| s.storage_read(EngineKind::Host, Bytes::new(bytes))),
+                    prices.host_line(0, bytes),
+                    latencies,
+                ),
+                (
+                    "CSE storage read",
+                    charge(&|s| s.storage_read(EngineKind::Cse, Bytes::new(bytes))),
+                    prices.device_line(0, bytes),
+                    0.0,
+                ),
+                (
+                    "transfer",
+                    charge(&|s| s.transfer(Direction::DeviceToHost, Bytes::new(bytes))),
+                    prices.link.transfer(bytes),
+                    config.dma_setup.as_secs() + latencies,
+                ),
+            ];
+            for (work, charged, priced, fixed) in cases {
+                let rounding = charged - priced - fixed;
+                assert!(
+                    rounding.abs() <= ROUNDING,
+                    "{work}: charged {charged}, priced {priced}, fixed {fixed}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -237,38 +363,46 @@ mod tests {
         );
     }
 
+    fn line(ct_host: f64, ct_device: f64, d_in: u64, d_out: u64) -> LineEstimate {
+        LineEstimate {
+            line: 0,
+            ct_host,
+            ct_device,
+            d_in,
+            d_out,
+            ops: 0,
+        }
+    }
+
     #[test]
     fn net_profit_sign_behaviour() {
         // 8 GB raw reduced to 8 MB, host compute 0.5 s, device 1.5 s,
         // 4 GB/s link: S = (2.0 + 0.5) - (1.5 + 0.002) > 0.
-        let s = net_profit(8_000_000_000, 0.5, 1.5, 8_000_000, 4e9);
-        assert!(s > 0.9);
+        let link = Link::new(4e9);
+        assert!(link.net_profit(&line(0.5, 1.5, 8_000_000_000, 8_000_000)) > 0.9);
         // No data reduction and slower device: offloading loses.
-        let s = net_profit(8_000_000, 0.5, 1.5, 8_000_000, 4e9);
-        assert!(s < 0.0);
+        assert!(link.net_profit(&line(0.5, 1.5, 8_000_000, 8_000_000)) < 0.0);
     }
 
     #[test]
     fn shared_link_caps_at_the_budget_share() {
-        use csd_sim::units::Bandwidth;
-        let link = Bandwidth::from_gb_per_sec(4.0);
+        let link = Link::new(4e9);
         let budget = Bandwidth::from_gb_per_sec(16.0);
         for n in [1usize, 2, 4] {
-            let bw = shared_link_bandwidth(link, budget, n);
-            assert!(
-                (bw.as_bytes_per_sec() - link.as_bytes_per_sec()).abs() < 1e-6,
+            assert_eq!(
+                link.shared(budget, n),
+                link,
                 "n={n}: under the budget, each shard keeps its full link"
             );
         }
-        let bw = shared_link_bandwidth(link, budget, 8);
+        let shared = link.shared(budget, 8);
         assert!(
-            (bw.as_bytes_per_sec() - 2e9).abs() < 1e-3,
-            "8 shards over a 16 GB/s budget see 2 GB/s each, got {bw:?}"
+            (shared.bytes_per_sec() - 2e9).abs() < 1e-3,
+            "8 shards over a 16 GB/s budget see 2 GB/s each, got {shared:?}"
         );
         // Congestion makes offload look better: the raw-shipping term of
         // Eq. 1 grows as the effective link shrinks.
-        let congested = net_profit(8_000_000_000, 0.5, 1.5, 8_000_000, 2e9);
-        let uncongested = net_profit(8_000_000_000, 0.5, 1.5, 8_000_000, 4e9);
-        assert!(congested > uncongested);
+        let e = line(0.5, 1.5, 8_000_000_000, 8_000_000);
+        assert!(shared.net_profit(&e) > link.net_profit(&e));
     }
 }

@@ -129,10 +129,10 @@ impl Run<'_> {
         });
         let remaining_device = (1.0 - done_fraction) * r.est.device_secs + later.device_secs;
         let reestimated = mon.reestimate_remaining(remaining_device);
-        let bw = self.system.d2h_bandwidth().as_bytes_per_sec();
+        let link = crate::estimate::Link::d2h(self.system.config());
         let regen = compile_secs_for(r.len() + later.lines);
         let remaining_host = (1.0 - done_fraction) * r.est.host_secs + later.host_secs;
-        let migrate_cost = r.state_bytes(done_fraction) as f64 / bw + regen + remaining_host;
+        let migrate_cost = link.transfer(r.state_bytes(done_fraction)) + regen + remaining_host;
         reestimated > migrate_cost
     }
 
@@ -272,9 +272,9 @@ impl Run<'_> {
             }
         }
         let fraction = cse.effective_fraction_at(self.system.now());
-        let bw = self.system.d2h_bandwidth().as_bytes_per_sec();
+        let link = crate::estimate::Link::d2h(self.system.config());
         let regen_secs = compile_secs_for(regen_lines);
-        if device_secs / fraction + move_bytes as f64 / bw + regen_secs >= host_secs {
+        if device_secs / fraction + link.transfer(move_bytes) + regen_secs >= host_secs {
             return None;
         }
         Some(regen_secs)

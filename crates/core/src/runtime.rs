@@ -11,8 +11,9 @@
 use std::time::Instant;
 
 use crate::assign::{assign_refined_traced, projected_cost, Assignment};
+use crate::audit::capture_terms;
 use crate::error::Result;
-use crate::estimate::{estimate_lines, Calibration, LineEstimate};
+use crate::estimate::{estimate_lines, Calibration, LineEstimate, Link, Prices};
 use crate::exec::{evaluate, simulate, ExecOptions, RunReport};
 use crate::fit::{blend_predictions, predict_lines, LinePrediction};
 use crate::plan::{OffloadPlan, PlanTimings};
@@ -142,11 +143,16 @@ impl ActivePy {
             tracer.attrs(|| vec![("scales".into(), scales.len().into())]),
         );
         let sampling = run_sampling_traced(program, input, &scales, tracer)?;
-        let sampling_secs = self.sampling_secs(&sampling, config);
         tracer.end_with(
             span,
             None,
-            tracer.attrs(|| vec![("sampling_secs".into(), sampling_secs.into())]),
+            tracer.attrs(|| {
+                let prices = Prices::new(config, &Calibration::from_counters(config));
+                vec![(
+                    "sampling_secs".into(),
+                    self.sampling_secs(&sampling, &prices).into(),
+                )]
+            }),
         );
         let sampling_nanos = phase_nanos(phase);
 
@@ -180,7 +186,6 @@ impl ActivePy {
     ) -> Result<OffloadPlan> {
         let mut timings = PlanTimings::default();
         let tracer = &self.options.tracer;
-        let sampling_secs = self.sampling_secs(&sampling, config);
 
         // 2. Fit the five candidate curves and extrapolate to full scale.
         let phase = Instant::now();
@@ -200,6 +205,8 @@ impl ActivePy {
         let phase = Instant::now();
         let span = tracer.begin("phase.profit", SpanKind::Phase, None);
         let calibration = Calibration::from_counters(config);
+        let prices = Prices::new(config, &calibration);
+        let sampling_secs = self.sampling_secs(&sampling, &prices);
         let copy_elim = eliminable_lines(program, &sampling.dataset_types);
         let estimates = estimate_lines(
             &predictions,
@@ -222,12 +229,7 @@ impl ActivePy {
 
         // 4. Algorithm 1 with flip refinement.
         let span = tracer.begin("phase.assign", SpanKind::Phase, None);
-        let assignment = assign_refined_traced(
-            program,
-            &estimates,
-            config.d2h_bandwidth().as_bytes_per_sec(),
-            tracer,
-        );
+        let assignment = assign_refined_traced(program, &estimates, prices.link, tracer);
         tracer.end_with(
             span,
             None,
@@ -247,7 +249,7 @@ impl ActivePy {
         );
         timings.assign_nanos = phase_nanos(phase);
 
-        let eq1 = eq1_terms(&estimates, &assignment, config);
+        let eq1 = capture_terms(&estimates, &assignment, prices.link.bytes_per_sec(), 1);
         Ok(OffloadPlan {
             program: program.clone(),
             lowered,
@@ -304,10 +306,10 @@ impl ActivePy {
             &prior.calibration,
             &prior.copy_elim,
         );
-        let bw = config.d2h_bandwidth().as_bytes_per_sec();
-        let mut assignment = assign_refined_traced(&prior.program, &estimates, bw, tracer);
+        let link = Link::d2h(config);
+        let mut assignment = assign_refined_traced(&prior.program, &estimates, link, tracer);
         let prior_placements = prior.assignment.placements(prior.program.len());
-        let prior_cost = projected_cost(&prior.program, &estimates, &prior_placements, bw);
+        let prior_cost = projected_cost(&prior.program, &estimates, &prior_placements, link);
         if prior_cost < assignment.t_csd {
             assignment = Assignment {
                 csd_lines: prior.assignment.csd_lines.clone(),
@@ -321,7 +323,7 @@ impl ActivePy {
             None,
             tracer.attrs(|| vec![("csd_lines".into(), assignment.csd_lines.len().into())]),
         );
-        let eq1 = eq1_terms(&estimates, &assignment, config);
+        let eq1 = capture_terms(&estimates, &assignment, link.bytes_per_sec(), 1);
         Ok(OffloadPlan {
             program: prior.program.clone(),
             lowered: prior.lowered.clone(),
@@ -396,7 +398,8 @@ impl ActivePy {
         // Echo the Eq. 1 terms of the assignment that actually executed
         // (recomputed rather than copied from `plan.eq1`, so callers that
         // force placements on a cloned plan still audit what ran).
-        report.eq1 = eq1_terms(&plan.estimates, &plan.assignment, config);
+        let bw = Link::d2h(config).bytes_per_sec();
+        report.eq1 = capture_terms(&plan.estimates, &plan.assignment, bw, 1);
 
         Ok(ActivePyOutcome {
             report,
@@ -423,14 +426,11 @@ impl ActivePy {
     }
 
     /// Simulated wall-clock cost of the sampling runs: the sample programs
-    /// execute interpreted on the host.
-    fn sampling_secs(&self, sampling: &SamplingReport, config: &SystemConfig) -> f64 {
-        let ops = sampling
-            .total_sampling_cost
-            .effective_ops(ExecTier::Interpreted, &self.options.params);
-        let host_rate = config.host.nominal_rate().as_ops_per_sec();
-        let storage_bw = config.host_storage_bandwidth().as_bytes_per_sec();
-        ops as f64 / host_rate + sampling.total_sampling_cost.storage_bytes as f64 / storage_bw
+    /// execute interpreted on the host, so they cost one host line.
+    fn sampling_secs(&self, sampling: &SamplingReport, prices: &Prices) -> f64 {
+        let cost = &sampling.total_sampling_cost;
+        let ops = cost.effective_ops(ExecTier::Interpreted, &self.options.params);
+        prices.host_line(ops, cost.storage_bytes)
     }
 }
 
@@ -444,16 +444,6 @@ fn codegen_secs(program: &Program, assignment: &Assignment) -> f64 {
         } else {
             0.0
         }
-}
-
-/// The per-line Eq. 1 terms of `assignment` on one device of `config`.
-fn eq1_terms(
-    estimates: &[LineEstimate],
-    assignment: &Assignment,
-    config: &SystemConfig,
-) -> Vec<crate::audit::Eq1Term> {
-    let bw = config.d2h_bandwidth().as_bytes_per_sec();
-    crate::audit::capture_terms(estimates, assignment, bw, 1)
 }
 
 /// Host wall-clock elapsed since `start`, saturating into `u64` nanos.

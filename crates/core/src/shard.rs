@@ -34,7 +34,7 @@
 
 use crate::assign::{assign_refined, Assignment};
 use crate::error::{ActivePyError, Result};
-use crate::estimate::{shared_link_bandwidth, LineEstimate};
+use crate::estimate::{LineEstimate, Link};
 use crate::exec::{evaluate, simulate, ExecOptions, MigrationReason, RunReport};
 use crate::monitor::{ShardDecision, ShardMonitors};
 use crate::plan::OffloadPlan;
@@ -79,9 +79,6 @@ pub struct ShardedPlan {
     /// Per shard: Algorithm 1 re-run on the sliced estimates, restricted
     /// to the rowwise prefix (the tail always runs host-side).
     pub shard_assignments: Vec<Assignment>,
-    /// The effective per-shard D2H bandwidth the assignments assumed:
-    /// `min(link, budget / N)`.
-    pub shard_bandwidth: Bandwidth,
     /// Per shard: the Eq. 1 terms its assignment consumed, with the
     /// shared-link bandwidth and fleet width baked in — the fleet side of
     /// the audit capture ([`crate::audit::capture_terms`]).
@@ -121,7 +118,7 @@ pub fn derive_sharded_plan(
 ) -> ShardedPlan {
     let analysis = analyze(&base.program, &map);
     let n = map.count();
-    let bw = shared_link_bandwidth(config.d2h_bandwidth(), budget, n);
+    let link = Link::d2h(config).shared(budget, n);
     let shard_estimates: Vec<Vec<LineEstimate>> = (0..n)
         .map(|s| {
             let fraction = map.fraction(s);
@@ -147,7 +144,7 @@ pub fn derive_sharded_plan(
     let shard_assignments: Vec<Assignment> = shard_estimates
         .iter()
         .map(|est| {
-            let mut a = assign_refined(&base.program, est, bw.as_bytes_per_sec());
+            let mut a = assign_refined(&base.program, est, link.bytes_per_sec());
             // The fence and everything after it run host-side over the
             // gathered carriers; only the rowwise prefix may offload.
             a.csd_lines.retain(|line| *line < analysis.fence);
@@ -157,7 +154,7 @@ pub fn derive_sharded_plan(
     let shard_eq1 = shard_estimates
         .iter()
         .zip(&shard_assignments)
-        .map(|(est, a)| crate::audit::capture_terms(est, a, bw.as_bytes_per_sec(), n))
+        .map(|(est, a)| crate::audit::capture_terms(est, a, link.bytes_per_sec(), n))
         .collect();
     ShardedPlan {
         base: Arc::clone(base),
@@ -165,7 +162,6 @@ pub fn derive_sharded_plan(
         analysis,
         shard_estimates,
         shard_assignments,
-        shard_bandwidth: bw,
         shard_eq1,
     }
 }

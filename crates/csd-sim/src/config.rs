@@ -152,13 +152,6 @@ impl SystemConfig {
         self.nvme_bandwidth.min(self.pcie_bandwidth)
     }
 
-    /// Effective bandwidth at which the *host* streams raw data out of the
-    /// CSD's storage: bottleneck of flash, NVMe, and PCIe.
-    #[must_use]
-    pub fn host_storage_bandwidth(&self) -> Bandwidth {
-        self.flash_internal_bandwidth.min(self.d2h_bandwidth())
-    }
-
     /// Builds a runnable [`System`].
     #[must_use]
     pub fn build(&self) -> System {

@@ -10,7 +10,7 @@ use crate::dma::Direction;
 use crate::engine::{ComputeEngine, EngineKind};
 use crate::fault::{DeviceFault, FaultCounters, FaultInjector, FaultPlan};
 use crate::flash::FlashArray;
-use crate::units::{Bandwidth, Bytes, Duration, Ops, SimTime};
+use crate::units::{Bytes, Duration, Ops, SimTime};
 use serde::Serialize;
 
 /// A complete simulated platform instance.
@@ -105,12 +105,6 @@ impl System {
     #[must_use]
     pub fn d2h_bytes(&self) -> Bytes {
         self.d2h_bytes
-    }
-
-    /// Effective `BW_D2H` for Eq. 1 estimates.
-    #[must_use]
-    pub fn d2h_bandwidth(&self) -> Bandwidth {
-        self.config.d2h_bandwidth()
     }
 
     /// Executes `ops` on `engine`, advancing the clock; returns the
@@ -291,6 +285,7 @@ impl System {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::units::Bandwidth;
 
     #[test]
     fn compute_advances_clock() {

@@ -104,22 +104,10 @@ pub fn min8(xs: &[f64], init: f64) -> f64 {
     fold_cmp(xs, init, |cur, x| if x < cur { x } else { cur })
 }
 
-/// Strided scalar twin of [`min8`]; bit-identical by construction.
-#[must_use]
-pub fn min8_ref(xs: &[f64], init: f64) -> f64 {
-    fold_cmp_ref(xs, init, |cur, x| if x < cur { x } else { cur })
-}
-
 /// Lane-strided maximum over `init` and every element.
 #[must_use]
 pub fn max8(xs: &[f64], init: f64) -> f64 {
     fold_cmp(xs, init, |cur, x| if x > cur { x } else { cur })
-}
-
-/// Strided scalar twin of [`max8`]; bit-identical by construction.
-#[must_use]
-pub fn max8_ref(xs: &[f64], init: f64) -> f64 {
-    fold_cmp_ref(xs, init, |cur, x| if x > cur { x } else { cur })
 }
 
 #[inline]
@@ -133,19 +121,6 @@ fn fold_cmp<F: Fn(f64, f64) -> f64>(xs: &[f64], init: f64, pick: F) -> f64 {
     }
     for (j, &x) in chunks.remainder().iter().enumerate() {
         acc[j] = pick(acc[j], x);
-    }
-    let mut out = acc[0];
-    for &lane in &acc[1..] {
-        out = pick(out, lane);
-    }
-    out
-}
-
-#[inline]
-fn fold_cmp_ref<F: Fn(f64, f64) -> f64>(xs: &[f64], init: f64, pick: F) -> f64 {
-    let mut acc = [init; LANES];
-    for (i, &x) in xs.iter().enumerate() {
-        acc[i % LANES] = pick(acc[i % LANES], x);
     }
     let mut out = acc[0];
     for &lane in &acc[1..] {
@@ -185,6 +160,28 @@ fn combine_sum(acc: &[f64; LANES]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Strided scalar twin of [`min8`]; bit-identical by construction.
+    fn min8_ref(xs: &[f64], init: f64) -> f64 {
+        fold_cmp_ref(xs, init, |cur, x| if x < cur { x } else { cur })
+    }
+
+    /// Strided scalar twin of [`max8`]; bit-identical by construction.
+    fn max8_ref(xs: &[f64], init: f64) -> f64 {
+        fold_cmp_ref(xs, init, |cur, x| if x > cur { x } else { cur })
+    }
+
+    fn fold_cmp_ref<F: Fn(f64, f64) -> f64>(xs: &[f64], init: f64, pick: F) -> f64 {
+        let mut acc = [init; LANES];
+        for (i, &x) in xs.iter().enumerate() {
+            acc[i % LANES] = pick(acc[i % LANES], x);
+        }
+        let mut out = acc[0];
+        for &lane in &acc[1..] {
+            out = pick(out, lane);
+        }
+        out
+    }
 
     fn data(n: usize) -> Vec<f64> {
         // Patterned but irregular enough that reassociation shows up:

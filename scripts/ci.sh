@@ -131,15 +131,18 @@ echo "== one options type, one source per counter (run options and the metrics s
 cargo test -q -p activepy --lib -- metrics:: report:: runtime::
 cargo test -q --test audit_determinism
 
-echo "== simulated charges (the D2H links, DMA and calibration to the bit) =="
+echo "== simulated charges (the D2H links, DMA and calibration to the bit; the price list's gap) =="
 # The simulator charges a run: the D2H time of the config's two links (the
 # strictly slower carries the payload, NVMe on a tie), DMA's setup plus
 # those links and its byte count each way, flash reads under GC (a zero
 # GC period refused), engines under contention, the fleet's shared budget
 # and the availability traces they integrate — with the charges and the
-# calibration constant C pinned to the bit on three configs. Ahead of the
-# suite, so a drifted charge stops here, named, instead of as a fig5
-# golden diff.
+# calibration constant C pinned to the bit on three configs. Then Eq. 1's
+# price list against those charges on two configs
+# (estimate::tests::each_price_misses_exactly_the_fixed_costs): the gap is
+# exactly the fixed costs Eq. 1 leaves out, DMA setup and link latencies.
+# Ahead of the suite, so a drifted charge or price stops here, named,
+# instead of as a fig5 golden diff.
 cargo test -q -p csd-sim --lib -- system:: config:: flash:: engine:: fleet:: availability::
 cargo test -q -p activepy --lib estimate::
 

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
 use activepy::assign::{assign_refined, projected_cost};
-use activepy::estimate::LineEstimate;
+use activepy::estimate::{LineEstimate, Link};
 use activepy::fit::{fit_series, Complexity};
 use alang::value::{ArrayVal, BoolArrayVal};
 use csd_sim::availability::AvailabilityTrace;
@@ -99,7 +99,7 @@ proptest! {
         let a = assign_refined(&program, &estimates, BW);
         prop_assert!(a.t_csd <= a.t_host + 1e-9, "{a:?}");
         let placements = a.placements(estimates.len());
-        prop_assert!(projected_cost(&program, &estimates, &placements, BW) <= a.t_host + 1e-9, "{a:?}");
+        prop_assert!(projected_cost(&program, &estimates, &placements, Link::new(BW)) <= a.t_host + 1e-9, "{a:?}");
         prop_assert!(a.csd_lines.iter().all(|l| *l < estimates.len()));
     }
 

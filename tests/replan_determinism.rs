@@ -11,6 +11,7 @@
 mod common;
 
 use activepy::assign::projected_cost;
+use activepy::estimate::Link;
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::{InputSource, PlanCache};
 use alang::parser::parse;
@@ -125,9 +126,9 @@ proptest! {
         // Warm-never-worse, under the model both plans now share: the
         // refit evaluated the cold assignment as a candidate, so its
         // pick can't project slower than the cold placements do.
-        let bw = config.d2h_bandwidth().as_bytes_per_sec();
+        let link = Link::d2h(&config);
         let prior_placements = cold.assignment.placements(program.len());
-        let prior_cost = projected_cost(&program, &warm.estimates, &prior_placements, bw);
+        let prior_cost = projected_cost(&program, &warm.estimates, &prior_placements, link);
         prop_assert!(
             warm.assignment.t_csd <= prior_cost + 1e-9,
             "refit regressed the modelled sim-time: warm {} vs cold-under-warm-model {} for:\n{}",
