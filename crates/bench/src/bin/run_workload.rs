@@ -124,10 +124,7 @@ fn main() -> ExitCode {
                 let reference = ActivePy::new()
                     .run(&program, &w, &config, ContentionScenario::none())
                     .expect("reference run");
-                let t = reference
-                    .report
-                    .time_at_csd_progress(p)
-                    .unwrap_or(reference.report.total_secs * p);
+                let t = reference.report.time_at_csd_progress(p);
                 ContentionScenario::at_time(SimTime::from_secs(t), args.availability)
             }
         }

@@ -93,10 +93,7 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig, cache: &Plan
     let reference = rt
         .execute_plan(&plan, config, ContentionScenario::none())
         .expect("fault-free reference");
-    let t_half = reference
-        .report
-        .time_at_csd_progress(0.5)
-        .unwrap_or(reference.report.total_secs * 0.5);
+    let t_half = reference.report.time_at_csd_progress(0.5);
     let harshest = FAULT_RATES[FAULT_RATES.len() - 1];
     FAULT_RATES
         .iter()

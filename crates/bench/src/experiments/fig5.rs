@@ -123,10 +123,7 @@ fn run_workload(
     let reference = rt
         .execute_plan(&plan, config, ContentionScenario::none())
         .expect("reference run");
-    let t_half = reference
-        .report
-        .time_at_csd_progress(0.5)
-        .unwrap_or(reference.report.total_secs * 0.5);
+    let t_half = reference.report.time_at_csd_progress(0.5);
     let offloaded = !plan.assignment.csd_lines.is_empty();
     let no_mig = ActivePy::with_options(
         ActivePyOptions::default()

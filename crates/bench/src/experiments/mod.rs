@@ -1,6 +1,5 @@
 //! Experiment implementations, one module per table/figure.
 
-pub mod adapt;
 pub mod audit;
 pub mod decode;
 pub mod faults;

@@ -81,7 +81,7 @@ struct FaultsSection {
 
 /// Every experiment of the evaluation, in the order `repro` runs them.
 /// They share one [`PlanCache`], so the order fixes which lookups hit.
-pub const EXPERIMENTS: [Experiment; 13] = [
+pub const EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "table1",
         reproduces: "Table I — applications and input sizes",
@@ -198,11 +198,6 @@ pub const EXPERIMENTS: [Experiment; 13] = [
                 ex::shards::check,
             )
         },
-    },
-    Experiment {
-        name: "adapt",
-        reproduces: "adaptation — re-planning under a phase-shifting availability trace",
-        run: |config, _| outcome(&ex::adapt::run(config), ex::adapt::print, ex::adapt::check),
     },
     Experiment {
         name: "recovery",

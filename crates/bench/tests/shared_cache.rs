@@ -34,8 +34,11 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
     assert_eq!(after_fig5.hits, 9);
 
     // regret and audit replay cached plans entirely; audit records its
-    // profiles privately, so nothing in the shared cache refits.
-    let _ = ex::regret::run(&config, &cache);
+    // profiles privately, so nothing in the shared cache refits. Under
+    // regret's phase trace the monitored runs keep every answer, beat
+    // Alg. 1's static plans in sum, and migrate both ways.
+    let regret = ex::regret::run(&config, &cache);
+    assert_eq!(ex::regret::check(&regret), Ok(()));
     let _ = ex::audit::run(&config, &cache);
     let stats = cache.stats();
     assert_eq!(

@@ -7,8 +7,8 @@
 //! and [`crate::exec::RunReport::eq1`]); after execution, [`calibrate`]
 //! joins the terms against the measured [`alang::LineCost`]s and
 //! per-line wall-clock into a [`CalibrationReport`]: per-line time and
-//! output-volume error, and the counterfactual question the adapt sweep
-//! answers only indirectly — **would Algorithm 1 have flipped this line
+//! output-volume error, and the counterfactual question no end-to-end run
+//! answers — **would Algorithm 1 have flipped this line
 //! under the measured costs?** ([`CounterfactualFlip`]).
 //!
 //! The whole layer is observation-only, like the tracer and the profile

@@ -544,7 +544,7 @@ mod tests {
         let pl = placements(&[0, 1, 2, 3], 4);
         let mut ref_sys = SystemConfig::paper_default().build();
         let reference = execute(&program, &st, &pl, &mut ref_sys, &opts, None, &[]).expect("ref");
-        let t_half = reference.time_at_csd_progress(0.5).expect("csd ran");
+        let t_half = reference.time_at_csd_progress(0.5);
         let faults = FaultPlan::none()
             .with_seed(3)
             .with_crash_at(csd_sim::units::SimTime::from_secs(t_half));

@@ -130,15 +130,16 @@ impl RunReport {
     /// The absolute simulated time at which the ISP task had completed
     /// `fraction` of its CSD work in this run — how the Figure 5 stress
     /// point ("right after 50 % of their progress") is computed from an
-    /// uncontended reference run. Returns `None` when nothing ran on the
-    /// CSD.
+    /// uncontended reference run. When nothing ran on the CSD it is that
+    /// fraction of `total_secs`.
     #[must_use]
-    pub fn time_at_csd_progress(&self, fraction: f64) -> Option<f64> {
+    pub fn time_at_csd_progress(&self, fraction: f64) -> f64 {
+        let fraction = fraction.clamp(0.0, 1.0);
         let total = self.csd_busy_secs();
         if total <= 0.0 {
-            return None;
+            return self.total_secs * fraction;
         }
-        let target = total * fraction.clamp(0.0, 1.0);
+        let target = total * fraction;
         let mut acc = 0.0;
         for l in &self.lines {
             if l.engine != EngineKind::Cse {
@@ -146,10 +147,10 @@ impl RunReport {
             }
             let span = l.end_secs - l.start_secs;
             if acc + span >= target {
-                return Some(l.start_secs + (target - acc));
+                return l.start_secs + (target - acc);
             }
             acc += span;
         }
-        self.lines.last().map(|l| l.end_secs)
+        self.lines.last().map_or(self.total_secs, |l| l.end_secs)
     }
 }

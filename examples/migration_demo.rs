@@ -27,10 +27,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         reference.report.total_secs,
         baseline / reference.report.total_secs
     );
-    let t_half = reference
-        .report
-        .time_at_csd_progress(0.5)
-        .expect("PageRank offloads work");
+    let t_half = reference.report.time_at_csd_progress(0.5);
     println!("half the ISP work is done at  {t_half:.2}s — the tenant arrives then\n");
 
     // The same run, but a competing tenant takes 90% of the CSD at t_half.

@@ -267,8 +267,10 @@ echo "resumed fingerprint matches: $RESUMED_FP"
 
 echo "== deterministic report (every experiment's check, then BENCH_repro.json byte for byte) =="
 # The one full run: repro exits non-zero if any experiment's check fails
-# (regret, decode, shards, adapt, recovery, audit with §V's volume
-# claims, zero wrong answers under faults), and the report it writes holds
+# (regret with its phase trace's monitored runs — 0 divergences, at least
+# one degraded and one reclaim migration, Σ monitored < Σ static — decode,
+# shards, recovery, audit with §V's volume claims, zero wrong answers
+# under faults), and the report it writes holds
 # no host-clock field, so a fresh one must equal the committed one byte
 # for byte.
 # Two statements, not one `&&` list: `set -e` ignores a failure on the

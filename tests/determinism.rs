@@ -53,10 +53,7 @@ fn cached_plans_execute_like_the_one_call_pipeline_clean_and_contended() {
         let reference = rt
             .execute_plan(&plan, &config, ContentionScenario::none())
             .expect("reference run");
-        let t_half = reference
-            .report
-            .time_at_csd_progress(0.5)
-            .unwrap_or(reference.report.total_secs * 0.5);
+        let t_half = reference.report.time_at_csd_progress(0.5);
         let drop = ContentionScenario::at_time(SimTime::from_secs(t_half), 0.1);
         for scenario in [ContentionScenario::none(), drop] {
             let planned = rt
