@@ -4,11 +4,11 @@
 //! once it recovers.
 
 use super::{
-    chunk_slice, csd_lines, escalate, estimate_sums, Boundary, ChunkStep, MigrationEvent,
-    MigrationReason, Region, Run, REGION_CHUNKS,
+    chunk_slice, csd_lines, estimate_sums, Boundary, ChunkStep, MigrationEvent, MigrationReason,
+    Region, Run, REGION_CHUNKS,
 };
 use crate::error::Result;
-use crate::monitor::Observation;
+use crate::monitor::{Observation, DECREASING_STREAK, DEGRADATION_THRESHOLD};
 use alang::compile::compile_secs_for;
 use csd_sim::units::{Bytes, Duration, SimTime};
 use csd_sim::{Direction, EngineKind};
@@ -57,21 +57,18 @@ impl Run<'_> {
         r: &Region,
         c: u64,
         step: &ChunkStep,
-    ) -> Result<Option<(MigrationReason, f64)>> {
-        if let Some(f) = step.fault {
-            if !self.opts.recovery.fallback_to_host {
-                return Err(escalate(f));
-            }
+    ) -> Option<(MigrationReason, f64)> {
+        if step.faulted {
             self.recov.stats.fault_migrations += 1;
             // The checkpoint is the last *completed* chunk boundary;
             // the failed chunk's partial work is replayed on the host
             // via the exact done_storage/done_ops remainders.
             let done = c as f64 / REGION_CHUNKS as f64;
-            return Ok(Some((MigrationReason::DeviceFault, done)));
+            return Some((MigrationReason::DeviceFault, done));
         }
         let done_fraction = (c + 1) as f64 / REGION_CHUNKS as f64;
         if done_fraction >= 1.0 {
-            return Ok(None);
+            return None;
         }
         // A preemption ends the region, so it is never seen twice.
         let reason = if self.opts.preempt_at.is_some_and(|t| self.now() >= t) {
@@ -81,7 +78,7 @@ impl Run<'_> {
         } else {
             None
         };
-        Ok(reason.map(|reason| (reason, done_fraction)))
+        reason.map(|reason| (reason, done_fraction))
     }
 
     /// Feeds the chunk to the region's monitor (when the run has one and
@@ -237,7 +234,7 @@ impl Run<'_> {
     /// The one reclaim rule, behind both reclaim paths. Work a degradation
     /// pushed host-ward at `since` returns to the CSD when the move is old
     /// enough, the device has looked healthy for long enough, and
-    /// finishing there pays: hysteresis is `decreasing_streak` monitor
+    /// finishing there pays: hysteresis is [`DECREASING_STREAK`] monitor
     /// windows (one window = `device_secs` chunk-pipelined in
     /// [`REGION_CHUNKS`] status updates), the CSE's effective availability
     /// is probed at that many window-spaced instants — the mirror image of
@@ -255,19 +252,21 @@ impl Run<'_> {
         move_bytes: u64,
         regen_lines: usize,
     ) -> Option<f64> {
-        let cfg = self.opts.monitor?;
+        if !self.opts.monitor {
+            return None;
+        }
         let window = device_secs / REGION_CHUNKS as f64;
         if window <= 0.0 {
             return None;
         }
         let now = self.now();
-        if now - f64::from(cfg.decreasing_streak) * window <= since {
+        if now - f64::from(DECREASING_STREAK) * window <= since {
             return None;
         }
         let cse = self.system.engine(EngineKind::Cse);
-        for j in 0..cfg.decreasing_streak {
+        for j in 0..DECREASING_STREAK {
             let probe = SimTime::from_secs(now - f64::from(j) * window);
-            if cse.effective_fraction_at(probe) < cfg.degradation_threshold {
+            if cse.effective_fraction_at(probe) < DEGRADATION_THRESHOLD {
                 return None;
             }
         }
@@ -384,7 +383,7 @@ mod tests {
     use super::*;
     use crate::exec::tests::*;
     use crate::exec::*;
-    use crate::monitor::{Monitor, MonitorConfig};
+    use crate::monitor::Monitor;
     use alang::parser::parse;
     use csd_sim::contention::ContentionScenario;
     use csd_sim::fault::FaultPlan;
@@ -558,14 +557,20 @@ mod tests {
     }
 
     #[test]
-    fn disabling_fallback_turns_a_crash_into_a_device_fault_error() {
-        let program = parse(SRC).expect("parse");
-        let st = storage();
-        let pl = placements(&[0, 1, 2, 3], 4);
-        let opts = crash_without_fallback();
-        let mut sys = SystemConfig::paper_default().build();
-        let e = execute(&program, &st, &pl, &mut sys, &opts, None, &[]).unwrap_err();
-        assert!(matches!(e, ActivePyError::DeviceFault { .. }), "got {e}");
+    fn a_crash_before_the_region_aborts_it_to_the_host() {
+        // The CSE is dead from time zero: the region's invocation faults
+        // before any state moves, and every line runs on the host.
+        let faults = FaultPlan::none()
+            .with_seed(3)
+            .with_crash_at(csd_sim::units::SimTime::ZERO);
+        let (clean, faulted) = run_with_faults(&ExecOptions::activepy(), faults);
+        let mig = faulted.migration.expect("the aborted invocation migrates");
+        assert_eq!(
+            (mig.reason, mig.state_bytes),
+            (MigrationReason::DeviceFault, 0)
+        );
+        assert_eq!(faulted.csd_lines_executed, 0);
+        assert_eq!(faulted.values_fingerprint, clean.values_fingerprint);
     }
 
     #[test]
@@ -580,8 +585,7 @@ mod tests {
             MigrationReason::DeviceFault,
             MigrationReason::Reclaim,
         ] {
-            let cfg = MonitorConfig::default();
-            let mk = || Monitor::new(cfg, 1000.0);
+            let mk = || Monitor::new(1000.0);
             // Rates decrease >0.1% per window but keep the smoothed ratio
             // above the threshold, so only the streak condition is in play.
             let rates = [1000.0, 997.0, 994.0, 991.0];

@@ -31,13 +31,12 @@ pub use options::ExecOptions;
 pub use outcome::{LineOutcome, MigrationEvent, MigrationReason, RunReport};
 pub use simulate::simulate;
 
-use crate::error::{ActivePyError, Result};
+use crate::error::Result;
 use crate::estimate::LineEstimate;
 use crate::monitor::Monitor;
 use crate::recovery::Recovery;
 use crate::shard::ShardSlice;
 use alang::{CostParams, ExecTier, LineCost, Program, Storage};
-use csd_sim::fault::DeviceFault;
 use csd_sim::{EngineKind, System};
 use isp_obs::SpanHandle;
 
@@ -95,7 +94,7 @@ pub fn execute_all_host(
     let opts = ExecOptions {
         tier,
         params: *params,
-        monitor: None,
+        monitor: false,
         ..ExecOptions::activepy()
     };
     execute(
@@ -107,13 +106,6 @@ pub fn execute_all_host(
         None,
         copy_elim,
     )
-}
-
-/// A hard fault leaving the recovery layer: either a crash, or a transient
-/// fault that exhausted its retry budget — both escalate to the permanent
-/// [`ActivePyError::DeviceFault`] so callers never retry them again.
-fn escalate(fault: DeviceFault) -> ActivePyError {
-    ActivePyError::device_fault(fault.to_string())
 }
 
 /// How many chunks a CSD region's stream is processed in. Real CSD
@@ -185,7 +177,7 @@ struct ChunkStep {
     wall: f64,
     /// A hard fault mid-chunk ends the device stream; the completed work
     /// stays counted so the host replays only the remainder.
-    fault: Option<DeviceFault>,
+    faulted: bool,
 }
 
 /// One line of a [`Region`]: what it costs and how far its stream has got.
@@ -283,7 +275,7 @@ struct Run<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::recovery::RecoveryPolicy;
+    use crate::error::ActivePyError;
     use alang::parser::parse;
     use alang::value::ArrayVal;
     use alang::Value;
@@ -424,16 +416,5 @@ mod tests {
         )
         .expect("faulted");
         (clean, faulted)
-    }
-
-    /// The CSE is dead from time zero and the run may not fall back.
-    pub(super) fn crash_without_fallback() -> ExecOptions {
-        ExecOptions::activepy()
-            .with_recovery(RecoveryPolicy::default().without_fallback())
-            .with_faults(
-                FaultPlan::none()
-                    .with_seed(3)
-                    .with_crash_at(csd_sim::units::SimTime::ZERO),
-            )
     }
 }

@@ -1,8 +1,6 @@
 //! What one execution is configured with, checked at the door.
 
 use crate::error::{ActivePyError, Result};
-use crate::monitor::MonitorConfig;
-use crate::recovery::RecoveryPolicy;
 use alang::{CostParams, ExecTier, ParallelPolicy};
 use csd_sim::contention::ContentionScenario;
 use csd_sim::fault::FaultPlan;
@@ -17,17 +15,15 @@ pub struct ExecOptions {
     pub params: CostParams,
     /// CSE contention applied during the run.
     pub scenario: ContentionScenario,
-    /// Monitoring/migration policy; `None` disables migration (the static
-    /// frameworks of Figures 2 and 5).
-    pub monitor: Option<MonitorConfig>,
+    /// Whether the §III-D monitor watches CSD regions and migrates work;
+    /// `false` disables migration (the static frameworks of Figures 2 and
+    /// 5). Its triggers are the constants in [`crate::monitor`].
+    pub monitor: bool,
     /// Simulated time at which the CSD must preempt the ISP task for a
     /// high-priority request (§III-D, case 1): the status-update code sees
     /// the request at the first chunk boundary at or after this time, and
     /// the task migrates unconditionally.
     pub preempt_at: Option<f64>,
-    /// How the run responds to injected device faults (retry budget,
-    /// sim-time backoff, host fallback).
-    pub recovery: RecoveryPolicy,
     /// The deterministic fault plan injected into the simulator for this
     /// run; [`FaultPlan::none`] (the default) injects nothing.
     pub faults: FaultPlan,
@@ -76,9 +72,8 @@ impl ExecOptions {
             tier: ExecTier::CompiledCopyElim,
             params: CostParams::paper_default(),
             scenario: ContentionScenario::none(),
-            monitor: Some(MonitorConfig::default()),
+            monitor: true,
             preempt_at: None,
-            recovery: RecoveryPolicy::default(),
             faults: FaultPlan::none(),
             parallel: ParallelPolicy::default(),
             tracer: Tracer::disabled(),
@@ -92,7 +87,7 @@ impl ExecOptions {
     pub fn native_static() -> Self {
         ExecOptions {
             tier: ExecTier::Native,
-            monitor: None,
+            monitor: false,
             ..ExecOptions::activepy()
         }
     }
@@ -107,7 +102,7 @@ impl ExecOptions {
     /// Disables task migration.
     #[must_use]
     pub fn without_migration(mut self) -> Self {
-        self.monitor = None;
+        self.monitor = false;
         self
     }
 
@@ -115,13 +110,6 @@ impl ExecOptions {
     #[must_use]
     pub fn with_preemption_at(mut self, at_secs: f64) -> Self {
         self.preempt_at = Some(at_secs);
-        self
-    }
-
-    /// Replaces the recovery policy.
-    #[must_use]
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
         self
     }
 
@@ -170,9 +158,6 @@ impl ExecOptions {
     ///
     /// Returns the first invalid policy as a configuration error.
     pub fn validate(&self) -> Result<()> {
-        if let Some(cfg) = self.monitor {
-            cfg.validate()?;
-        }
         // A NaN preemption time compares false against every clock value
         // and would never fire; a NaN or negative cost constant rounds
         // every line's effective ops to zero.
@@ -188,7 +173,6 @@ impl ExecOptions {
                 )));
             }
         }
-        self.recovery.validate()?;
         self.faults.validate().map_err(ActivePyError::config)?;
         self.parallel.validate().map_err(ActivePyError::config)
     }
@@ -207,8 +191,6 @@ mod tests {
         let program = parse(SRC).expect("parse");
         let st = storage();
         let pl = placements(&[], 4);
-        let mut bad_recovery = ExecOptions::activepy();
-        bad_recovery.recovery.backoff_multiplier = 0.0;
         let mut bad_faults = ExecOptions::activepy();
         bad_faults.faults.flash_read_error_prob = 2.0;
         let mut bad_parallel = ExecOptions::activepy();
@@ -216,13 +198,7 @@ mod tests {
         let bad_preempt = ExecOptions::activepy().with_preemption_at(f64::NAN);
         let mut bad_params = ExecOptions::activepy();
         bad_params.params.scan_ops_per_byte = -0.5;
-        for opts in [
-            bad_recovery,
-            bad_faults,
-            bad_parallel,
-            bad_preempt,
-            bad_params,
-        ] {
+        for opts in [bad_faults, bad_parallel, bad_preempt, bad_params] {
             let mut sys = SystemConfig::paper_default().build();
             let e = execute(&program, &st, &pl, &mut sys, &opts, None, &[]).unwrap_err();
             assert!(matches!(e, ActivePyError::Config { .. }), "got {e}");

@@ -4,7 +4,7 @@
 //! break check at every chunk boundary.
 
 use super::{
-    chunk_slice, csd_lines, escalate, estimate_sums, Boundary, ChunkStep, Evaluation, ExecOptions,
+    chunk_slice, csd_lines, estimate_sums, Boundary, ChunkStep, Evaluation, ExecOptions,
     LineOutcome, MigrationReason, Region, RegionLine, Run, RunReport, ValueSlot, REGION_CHUNKS,
 };
 use crate::error::{ActivePyError, Result};
@@ -82,7 +82,7 @@ pub fn simulate(
         shard,
         system,
         evaluation,
-        recov: Recovery::with_tracer(opts.recovery, opts.tracer.clone()),
+        recov: Recovery::with_tracer(opts.tracer.clone()),
         values: vec![ValueSlot::default(); program.len()],
         original: placements,
         placements: placements.to_vec(),
@@ -107,10 +107,13 @@ impl Run<'_> {
         self.system.now().as_secs()
     }
 
-    /// Opens a span at the current simulated time; `attrs` is only built
-    /// for a live tracer.
+    /// Opens a span at the current simulated time; `attrs` is only built,
+    /// and the span stack only kept, for a live tracer.
     fn open(&mut self, name: &str, kind: SpanKind, attrs: impl FnOnce() -> Attrs) {
         let tracer = &self.opts.tracer;
+        if !tracer.is_enabled() {
+            return;
+        }
         let handle = tracer.begin_with(name, kind, Some(self.now()), tracer.attrs(attrs));
         self.spans.push(handle);
     }
@@ -477,17 +480,13 @@ impl Run<'_> {
                 ("end_line".into(), end.into()),
             ]
         });
-        let mut r = match self.prepare(start, end) {
-            Ok(r) => r,
-            Err(ActivePyError::DeviceFault { .. }) if self.opts.recovery.fallback_to_host => {
-                self.abort_region(start)?;
-                return Ok(start);
-            }
-            Err(e) => return Err(e),
+        let Ok(mut r) = self.prepare(start, end) else {
+            self.abort_region(start)?;
+            return Ok(start);
         };
         for c in 0..REGION_CHUNKS {
             let step = self.chunk(&mut r, c);
-            let Some((reason, done_fraction)) = self.break_reason(&r, c, &step)? else {
+            let Some((reason, done_fraction)) = self.break_reason(&r, c, &step) else {
                 self.boundary(Boundary::Chunk {
                     start,
                     end,
@@ -522,15 +521,14 @@ impl Run<'_> {
 
     /// Invokes the CSD function, stages inputs, sizes the region's lines,
     /// and arms the region's monitor.
-    fn prepare(&mut self, start: usize, end: usize) -> Result<Region> {
+    fn prepare(&mut self, start: usize, end: usize) -> std::result::Result<Region, DeviceFault> {
         let program = self.program;
         // The invocation command can be hit by injected NVMe errors (or
         // observe the crash). Rolled — and hard-failed — *before* any
         // region state is evaluated or relocated, so an aborted prepare
         // needs no unwinding: the caller just re-places the lines.
         self.recov
-            .run_bounded(self.system, |s| s.try_nvme_command())
-            .map_err(escalate)?;
+            .run_bounded(self.system, |s| s.try_nvme_command())?;
         self.system.charge_invocation();
         let mut lines = Vec::with_capacity(end - start + 1);
         let mut external_input_bytes = 0u64;
@@ -574,10 +572,7 @@ impl Run<'_> {
         } else {
             cse.nominal_rate().as_ops_per_sec()
         };
-        self.monitor = self
-            .opts
-            .monitor
-            .map(|cfg| Monitor::new(cfg, expected_rate));
+        self.monitor = self.opts.monitor.then(|| Monitor::new(expected_rate));
         Ok(Region {
             start,
             end,
@@ -597,15 +592,15 @@ impl Run<'_> {
             vec![("chunk".into(), c.into())]
         });
         let mut chunk_ops = 0u64;
-        let mut fault: Option<DeviceFault> = None;
+        let mut faulted = false;
         for l in &mut r.lines {
             let t0 = self.now();
             let streamed = self.stream_line(l, c);
             l.duration += self.now() - t0;
             match streamed {
                 Ok(ops) => chunk_ops += ops,
-                Err(f) => {
-                    fault = Some(f);
+                Err(_) => {
+                    faulted = true;
                     break;
                 }
             }
@@ -622,7 +617,7 @@ impl Run<'_> {
         ChunkStep {
             ops: chunk_ops,
             wall,
-            fault,
+            faulted,
         }
     }
 
@@ -683,6 +678,7 @@ mod tests {
     use crate::exec::tests::*;
     use crate::exec::*;
     use crate::recovery::RecoveryStats;
+    use crate::resume::ExecJournal;
     use alang::parser::parse;
     use csd_sim::contention::ContentionScenario;
     use csd_sim::fault::FaultPlan;
@@ -882,11 +878,26 @@ mod tests {
         let program = parse(SRC).expect("parse");
         let st = storage();
         let pl = placements(&[0, 1, 2, 3], 4);
+        let run = |opts: &ExecOptions| {
+            let mut sys = SystemConfig::paper_default().build();
+            execute(&program, &st, &pl, &mut sys, opts, None, &[])
+        };
+        // The mid-run error: a resume whose fault stream is not the one the
+        // journal recorded diverges at the region's first chunk boundary.
+        let faults = FaultPlan::none().with_flash_read_error_prob(0.3);
+        let wal = std::env::temp_dir().join(format!("activepy_spans_{}.wal", std::process::id()));
+        let journal = ExecJournal::record_to(&wal).expect("journal");
+        let recorded = ExecOptions::activepy().with_faults(faults.clone().with_seed(1));
+        run(&recorded.with_journal(journal)).expect("recorded run");
+        let (journal, _) = ExecJournal::resume_from(&wal).expect("resume");
         let (tracer, sink) = Tracer::to_memory();
-        let crashing = crash_without_fallback().with_tracer(tracer.clone());
-        let mut sys = SystemConfig::paper_default().build();
-        let e = execute(&program, &st, &pl, &mut sys, &crashing, None, &[]).unwrap_err();
-        assert!(matches!(e, ActivePyError::DeviceFault { .. }), "got {e}");
+        let diverging = ExecOptions::activepy()
+            .with_faults(faults.with_seed(2))
+            .with_journal(journal)
+            .with_tracer(tracer.clone());
+        let e = run(&diverging).unwrap_err();
+        std::fs::remove_file(&wal).ok();
+        assert!(e.to_string().contains("journal divergence"), "got {e}");
         let spans = |name: &str| -> Vec<isp_obs::Span> {
             sink.events()
                 .into_iter()
@@ -907,9 +918,7 @@ mod tests {
         assert!(region.seq < phase.seq);
         // The next run recorded through the same tracer starts at the root
         // instead of under a span id that never reached the journal.
-        let healthy = ExecOptions::activepy().with_tracer(tracer);
-        let mut sys = SystemConfig::paper_default().build();
-        execute(&program, &st, &pl, &mut sys, &healthy, None, &[]).expect("healthy run");
+        run(&ExecOptions::activepy().with_tracer(tracer)).expect("healthy run");
         let next = spans("phase.execute").pop().expect("second phase.execute");
         assert_ne!(next.id, phase.id);
         assert_eq!(next.parent, 0, "stale parent stack: {next:?}");

@@ -84,10 +84,9 @@ pub use exec::{ExecOptions, MigrationReason, RunReport};
 /// copy this crate links — `isp-obs`' own tests have no other name for it.
 pub use isp_obs;
 pub use metrics::MetricsSnapshot;
-pub use monitor::MonitorConfig;
 pub use plan::{OffloadPlan, PlanCache, PlanCacheStats, PlanTimings};
 pub use profile::{LineObservation, ProfileKey, ProfileRecorder, ProfileStore, WorkloadProfile};
-pub use recovery::{RecoveryPolicy, RecoveryStats};
+pub use recovery::RecoveryStats;
 pub use resume::{plan_fingerprint, ExecJournal, JournalStats, ResumeInfo};
 pub use runtime::{ActivePy, ActivePyOptions, ActivePyOutcome};
 pub use sampling::InputSource;

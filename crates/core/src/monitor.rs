@@ -7,80 +7,23 @@
 //! throughput. The [`Monitor`] implements exactly those two triggers over
 //! the throughput windows the executor measures.
 
-use crate::error::{ActivePyError, Result};
 use serde::Serialize;
 
-/// Monitor tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct MonitorConfig {
-    /// Measured/expected throughput ratio below which the monitor flags
-    /// degradation (condition 2).
-    pub degradation_threshold: f64,
-    /// Number of consecutive throughput decreases that flags degradation
-    /// (condition 1).
-    pub decreasing_streak: u32,
-    /// Exponential-moving-average factor applied to throughput windows.
-    /// Smoothing keeps transient dips (a single garbage-collection window)
-    /// from reading as a permanent availability collapse.
-    pub smoothing: f64,
-}
+/// Measured/expected throughput ratio below which the monitor flags
+/// degradation (condition 2).
+pub const DEGRADATION_THRESHOLD: f64 = 0.85;
 
-impl MonitorConfig {
-    /// Builds a validated config.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivePyError::Config`] under the same conditions as
-    /// [`MonitorConfig::validate`].
-    pub fn new(degradation_threshold: f64, decreasing_streak: u32, smoothing: f64) -> Result<Self> {
-        let config = MonitorConfig {
-            degradation_threshold,
-            decreasing_streak,
-            smoothing,
-        };
-        config.validate()?;
-        Ok(config)
-    }
+/// Number of consecutive throughput decreases that flags degradation
+/// (condition 1). It is also the hysteresis, in monitor windows, of every
+/// decision that reads the device as healthy again: a reclaim and a fleet
+/// shard spared from pre-migration.
+pub const DECREASING_STREAK: u32 = 3;
 
-    /// Checks the config is usable: the threshold must be a positive
-    /// finite ratio, the streak at least 1, and the smoothing factor in
-    /// `(0, 1]`. Invalid values are rejected here instead of being
-    /// silently clamped at observation time.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivePyError::Config`] naming the offending field.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.degradation_threshold.is_finite() && self.degradation_threshold > 0.0) {
-            return Err(ActivePyError::config(format!(
-                "monitor degradation threshold must be positive and finite, got {}",
-                self.degradation_threshold
-            )));
-        }
-        if self.decreasing_streak == 0 {
-            return Err(ActivePyError::config(
-                "monitor decreasing streak must be at least 1",
-            ));
-        }
-        if !(self.smoothing.is_finite() && self.smoothing > 0.0 && self.smoothing <= 1.0) {
-            return Err(ActivePyError::config(format!(
-                "monitor smoothing must be in (0, 1], got {}",
-                self.smoothing
-            )));
-        }
-        Ok(())
-    }
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            degradation_threshold: 0.85,
-            decreasing_streak: 3,
-            smoothing: 0.35,
-        }
-    }
-}
+/// Exponential-moving-average factor applied to throughput windows:
+/// one window moves the smoothed rate, and so the re-estimate, by 35 % of
+/// its change, so a transient dip (a single garbage-collection window)
+/// does not read as a permanent availability collapse.
+pub const SMOOTHING: f64 = 0.35;
 
 /// What the monitor concluded after a status update.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
@@ -100,7 +43,6 @@ pub enum Observation {
 /// Tracks CSE throughput across status updates.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Monitor {
-    config: MonitorConfig,
     expected_rate: f64,
     last_rate: Option<f64>,
     last_raw: Option<f64>,
@@ -111,13 +53,8 @@ impl Monitor {
     /// Creates a monitor expecting `expected_rate` operations per second
     /// (the engine's nominal throughput as estimated at assignment time).
     #[must_use]
-    pub fn new(config: MonitorConfig, expected_rate: f64) -> Self {
-        debug_assert!(
-            config.validate().is_ok(),
-            "monitor config must be validated before reaching the monitor"
-        );
+    pub fn new(expected_rate: f64) -> Self {
         Monitor {
-            config,
             expected_rate,
             last_rate: None,
             last_raw: None,
@@ -141,7 +78,7 @@ impl Monitor {
         let decreasing = match self.last_raw {
             Some(prev) if raw < prev * 0.999 => {
                 self.decreases += 1;
-                self.decreases >= self.config.decreasing_streak
+                self.decreases >= DECREASING_STREAK
             }
             Some(_) => {
                 self.decreases = 0;
@@ -150,16 +87,13 @@ impl Monitor {
             None => false,
         };
         self.last_raw = Some(raw);
-        // Validated at construction (MonitorConfig::validate): no silent
-        // clamp here.
-        let alpha = self.config.smoothing;
         let smoothed = match self.last_rate {
-            Some(prev) => alpha * raw + (1.0 - alpha) * prev,
+            Some(prev) => SMOOTHING * raw + (1.0 - SMOOTHING) * prev,
             None => raw,
         };
         self.last_rate = Some(smoothed);
         let ratio = smoothed / self.expected_rate;
-        if ratio < self.config.degradation_threshold || decreasing {
+        if ratio < DEGRADATION_THRESHOLD || decreasing {
             Observation::Degraded { ratio }
         } else {
             Observation::Healthy
@@ -225,10 +159,9 @@ pub enum ShardDecision {
 /// (the fraction of completed shards that ended in a degradation
 /// migration). A shard about to run is pre-migrated only when pressure
 /// reaches a majority **and** its own availability probe fails; a probe
-/// showing `decreasing_streak` consecutive healthy windows spares it.
+/// showing [`DECREASING_STREAK`] consecutive healthy windows spares it.
 #[derive(Debug, Clone)]
 pub struct ShardMonitors {
-    config: MonitorConfig,
     /// `Some(true)` = shard completed and was migrated for degradation;
     /// `Some(false)` = shard completed on-device (or migrated for a
     /// non-degradation reason, which says nothing about availability).
@@ -236,12 +169,10 @@ pub struct ShardMonitors {
 }
 
 impl ShardMonitors {
-    /// One slot per shard; `config` supplies the probe window length
-    /// (`decreasing_streak`) and the health bar (`degradation_threshold`).
+    /// One slot per shard.
     #[must_use]
-    pub fn new(config: MonitorConfig, shards: usize) -> Self {
+    pub fn new(shards: usize) -> Self {
         ShardMonitors {
-            config,
             outcomes: vec![None; shards],
         }
     }
@@ -270,7 +201,7 @@ impl ShardMonitors {
     /// yields the shard's device availability sampled over consecutive
     /// windows (most recent last), as a fraction of nominal throughput —
     /// the same ratio scale the [`Monitor`] compares against
-    /// `degradation_threshold`.
+    /// [`DEGRADATION_THRESHOLD`].
     #[must_use]
     pub fn decision(&self, shard: usize, probe: &[f64]) -> ShardDecision {
         if self.outcomes.get(shard).copied().flatten().is_some() {
@@ -281,11 +212,11 @@ impl ShardMonitors {
         }
         // Majority pressure: pre-migrate unless the probe covers a full
         // streak window and every window clears the degradation bar.
-        let window = self.config.decreasing_streak as usize;
+        let window = DECREASING_STREAK as usize;
         let recovered = probe.len() >= window
             && probe[probe.len() - window..]
                 .iter()
-                .all(|r| *r >= self.config.degradation_threshold);
+                .all(|r| *r >= DEGRADATION_THRESHOLD);
         if recovered {
             ShardDecision::Spared
         } else {
@@ -300,20 +231,20 @@ mod tests {
 
     #[test]
     fn healthy_at_expected_rate() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        let mut m = Monitor::new(1e9);
         assert_eq!(m.observe_window(1e9, 1.0), Observation::Healthy);
         assert_eq!(m.last_rate, Some(1e9));
     }
 
     #[test]
     fn warmup_before_any_work() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        let mut m = Monitor::new(1e9);
         assert_eq!(m.observe_window(0.0, 0.0), Observation::Warmup);
     }
 
     #[test]
     fn degraded_below_threshold() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        let mut m = Monitor::new(1e9);
         // 10% of expected throughput.
         match m.observe_window(1e9, 10.0) {
             Observation::Degraded { ratio } => assert!((ratio - 0.1).abs() < 1e-9),
@@ -323,33 +254,42 @@ mod tests {
 
     #[test]
     fn decreasing_streak_triggers_even_above_threshold() {
-        let cfg = MonitorConfig {
-            degradation_threshold: 0.5,
-            decreasing_streak: 3,
-            smoothing: 1.0,
-        };
-        let mut m = Monitor::new(cfg, 1e9);
-        // Rates: 1.0, 0.90, 0.80, 0.74 of expected — all above the 0.5
-        // threshold, but monotonically decreasing.
+        let mut m = Monitor::new(1e9);
+        // Rates: 1.0, 0.99, 0.98, 0.97 of expected — the smoothed ratio
+        // stays far above the 0.85 threshold, but the rate keeps falling.
         assert_eq!(m.observe_window(1e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.9e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.8e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.99e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.98e9, 1.0), Observation::Healthy);
         assert!(matches!(
-            m.observe_window(0.74e9, 1.0),
+            m.observe_window(0.97e9, 1.0),
+            Observation::Degraded { .. }
+        ));
+    }
+
+    #[test]
+    fn the_health_bar_is_the_threshold_constant() {
+        // A first window is its own smoothed rate: exactly at the bar is
+        // healthy, just below it is degraded.
+        assert_eq!(
+            Monitor::new(1e9).observe_window(0.85e9, 1.0),
+            Observation::Healthy
+        );
+        assert!(matches!(
+            Monitor::new(1e9).observe_window(0.849e9, 1.0),
             Observation::Degraded { .. }
         ));
     }
 
     #[test]
     fn reestimate_scales_by_slowdown() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        let mut m = Monitor::new(1e9);
         m.observe_window(1e8, 1.0); // measured 1e8 = 10x slower
         assert!((m.reestimate_remaining(2.0) - 20.0).abs() < 1e-9);
     }
 
     #[test]
     fn reestimate_without_measurement_is_identity() {
-        let m = Monitor::new(MonitorConfig::default(), 1e9);
+        let m = Monitor::new(1e9);
         assert_eq!(m.reestimate_remaining(3.0), 3.0);
     }
 
@@ -357,7 +297,7 @@ mod tests {
     fn observe_window_detects_data_stalls() {
         // Expected progress rate 1e9 ops/s end-to-end; a data-starved
         // window retires the same ops over 4x the wall time.
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        let mut m = Monitor::new(1e9);
         assert_eq!(m.observe_window(1e8, 0.1), Observation::Healthy);
         match m.observe_window(1e8, 0.4) {
             // EMA with the default 0.35 factor: 0.35*0.25 + 0.65*1.0.
@@ -368,35 +308,14 @@ mod tests {
 
     #[test]
     fn observe_window_ignores_empty_windows() {
-        let mut m = Monitor::new(MonitorConfig::default(), 1e9);
+        let mut m = Monitor::new(1e9);
         assert_eq!(m.observe_window(0.0, 1.0), Observation::Warmup);
         assert_eq!(m.observe_window(1.0, 0.0), Observation::Warmup);
     }
 
     #[test]
-    fn config_validation_rejects_bad_fields() {
-        assert!(MonitorConfig::default().validate().is_ok());
-        assert!(MonitorConfig::new(0.85, 3, 0.35).is_ok());
-        for (threshold, streak, smoothing) in [
-            (0.0, 3, 0.35),           // non-positive threshold
-            (-1.0, 3, 0.35),          // negative threshold
-            (f64::NAN, 3, 0.35),      // non-finite threshold
-            (0.85, 0, 0.35),          // zero streak
-            (0.85, 3, 0.0),           // smoothing below (0, 1]
-            (0.85, 3, 1.5),           // smoothing above (0, 1]
-            (0.85, 3, f64::INFINITY), // non-finite smoothing
-        ] {
-            let err = MonitorConfig::new(threshold, streak, smoothing);
-            assert!(
-                matches!(err, Err(ActivePyError::Config { .. })),
-                "({threshold}, {streak}, {smoothing}) must be rejected, got {err:?}"
-            );
-        }
-    }
-
-    #[test]
     fn shard_monitors_stay_without_majority_pressure() {
-        let mut sm = ShardMonitors::new(MonitorConfig::default(), 4);
+        let mut sm = ShardMonitors::new(4);
         // One of two completed shards migrated: pressure exactly 0.5, not
         // a majority — later shards stay on-device with no probe at all.
         sm.record(0, true);
@@ -407,7 +326,7 @@ mod tests {
 
     #[test]
     fn shard_monitors_premigrate_under_majority_pressure() {
-        let mut sm = ShardMonitors::new(MonitorConfig::default(), 4);
+        let mut sm = ShardMonitors::new(4);
         sm.record(0, true);
         sm.record(1, true);
         assert!(sm.pressure() > 0.5);
@@ -421,10 +340,10 @@ mod tests {
 
     #[test]
     fn shard_monitors_spare_a_recovered_shard() {
-        let mut sm = ShardMonitors::new(MonitorConfig::default(), 4);
+        let mut sm = ShardMonitors::new(4);
         sm.record(0, true);
         sm.record(1, true);
-        // decreasing_streak = 3 consecutive windows at or above the 0.85
+        // DECREASING_STREAK = 3 consecutive windows at or above the 0.85
         // threshold: the shard is spared and keeps its planned placement.
         assert_eq!(
             sm.decision(2, &[0.2, 0.9, 0.95, 1.0]),
@@ -436,7 +355,7 @@ mod tests {
 
     #[test]
     fn shard_monitors_completed_shards_always_stay() {
-        let mut sm = ShardMonitors::new(MonitorConfig::default(), 2);
+        let mut sm = ShardMonitors::new(2);
         sm.record(0, true);
         sm.record(1, true);
         // Shard 0 already ran; asking about it again is a Stay no-op.
@@ -445,18 +364,13 @@ mod tests {
 
     #[test]
     fn acknowledge_migration_resets_the_decrease_streak() {
-        let cfg = MonitorConfig {
-            degradation_threshold: 0.5,
-            decreasing_streak: 3,
-            smoothing: 1.0,
-        };
-        let mut m = Monitor::new(cfg, 1e9);
+        let mut m = Monitor::new(1e9);
         // Build a 3-decrease streak that triggers Degraded.
         assert_eq!(m.observe_window(1e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.95e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.90e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.99e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.98e9, 1.0), Observation::Healthy);
         assert!(matches!(
-            m.observe_window(0.86e9, 1.0),
+            m.observe_window(0.97e9, 1.0),
             Observation::Degraded { .. }
         ));
         // The migration consumes the observation; the streak resets.
@@ -464,13 +378,13 @@ mod tests {
         // One further decrease must NOT instantly re-trigger: it is the
         // first decrease of a fresh streak (and the first window after the
         // acknowledgement establishes a new raw-rate reference).
-        assert_eq!(m.observe_window(0.85e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.84e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.83e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.96e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.95e9, 1.0), Observation::Healthy);
+        assert_eq!(m.observe_window(0.94e9, 1.0), Observation::Healthy);
         // The streak still works from scratch: a third consecutive
         // decrease re-triggers.
         assert!(matches!(
-            m.observe_window(0.82e9, 1.0),
+            m.observe_window(0.93e9, 1.0),
             Observation::Degraded { .. }
         ));
     }

@@ -543,16 +543,14 @@ mod tests {
             (1, 1),
             "monitor policy must not split the plan key"
         );
-        // Faults and recovery are execution-only too: a runtime that will
-        // inject faults still reuses the fault-free plan.
+        // Faults are execution-only too: a runtime that will inject faults
+        // still reuses the fault-free plan.
         let faulted = ActivePy::with_options(
-            crate::runtime::ActivePyOptions::default()
-                .with_recovery(crate::recovery::RecoveryPolicy::default().without_fallback())
-                .with_faults(
-                    csd_sim::fault::FaultPlan::none()
-                        .with_seed(9)
-                        .with_flash_read_error_prob(0.2),
-                ),
+            crate::runtime::ActivePyOptions::default().with_faults(
+                csd_sim::fault::FaultPlan::none()
+                    .with_seed(9)
+                    .with_flash_read_error_prob(0.2),
+            ),
         );
         cache
             .plan_for(&faulted, "w", &program, &input(), &config)
@@ -561,7 +559,7 @@ mod tests {
         assert_eq!(
             (stats.hits, stats.misses),
             (2, 1),
-            "fault plan and recovery policy must not split the plan key"
+            "fault plan must not split the plan key"
         );
         // The data-parallel kernel policy only changes how the repro host
         // executes kernels, never what they compute: same plan.
@@ -617,14 +615,6 @@ mod tests {
             .sharded_plan_for(&rt, "w", &program, &input(), &config, &map4)
             .expect("N=4 again");
         assert!(Arc::ptr_eq(&p4, &p4_again));
-        // A different hash seed over the same rows is a different
-        // placement: distinct slot even at the same shard count.
-        let hashed =
-            alang::shard::ShardMap::auto(&storage, 4, alang::shard::ShardStrategy::Hash(7));
-        let ph = cache
-            .sharded_plan_for(&rt, "w", &program, &input(), &config, &hashed)
-            .expect("hashed plan");
-        assert!(!Arc::ptr_eq(&p4, &ph), "strategy must split the key");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Retry/backoff/fallback policy for injected device faults.
+//! Retry, backoff and host fallback for injected device faults.
 //!
 //! The recovery layer sits between the execution engine and the
 //! simulator's fallible `try_*` operations: transient faults are retried
@@ -7,7 +7,7 @@
 //! checkpointed migration of the remaining work to the host (§III-D
 //! applied to device adversity rather than IPC degradation).
 
-use crate::error::{ActivePyError, Result};
+use crate::error::ActivePyError;
 use csd_sim::fault::DeviceFault;
 use csd_sim::units::Duration;
 use csd_sim::System;
@@ -26,99 +26,27 @@ pub(crate) fn fault_kind_str(fault: &DeviceFault) -> &'static str {
     }
 }
 
-/// How the runtime responds to injected device faults.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
-pub struct RecoveryPolicy {
-    /// Retries allowed per operation before a transient fault is treated
-    /// as hard.
-    pub max_retries: u32,
-    /// Backoff charged to sim time before the first retry, seconds.
-    pub backoff_secs: f64,
-    /// Multiplier applied to the backoff on each further retry (≥ 1).
-    pub backoff_multiplier: f64,
-    /// Whether a hard fault migrates the remaining CSD work to the host
-    /// (graceful degradation). When `false`, hard faults are terminal
-    /// errors.
-    pub fallback_to_host: bool,
-}
+/// Retries allowed per operation before a transient fault is treated as
+/// hard; a hard fault migrates the remaining CSD work to the host.
+pub const MAX_RETRIES: u32 = 3;
 
-impl Default for RecoveryPolicy {
-    fn default() -> Self {
-        RecoveryPolicy {
-            max_retries: 3,
-            backoff_secs: 2e-4,
-            backoff_multiplier: 2.0,
-            fallback_to_host: true,
-        }
-    }
-}
+/// Backoff charged to sim time before the first retry, seconds.
+pub const BACKOFF_SECS: f64 = 2e-4;
 
-impl RecoveryPolicy {
-    /// Exponent cap for the backoff growth, so a long retry chain cannot
-    /// produce astronomically large sim-time charges.
-    const MAX_BACKOFF_EXPONENT: u32 = 16;
+/// Multiplier applied to the backoff on each further retry.
+pub const BACKOFF_MULTIPLIER: f64 = 2.0;
 
-    /// Builds a validated policy.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivePyError::Config`] under the same conditions as
-    /// [`RecoveryPolicy::validate`].
-    pub fn new(
-        max_retries: u32,
-        backoff_secs: f64,
-        backoff_multiplier: f64,
-        fallback_to_host: bool,
-    ) -> Result<Self> {
-        let policy = RecoveryPolicy {
-            max_retries,
-            backoff_secs,
-            backoff_multiplier,
-            fallback_to_host,
-        };
-        policy.validate()?;
-        Ok(policy)
-    }
+/// Exponent cap for the backoff growth, so a long retry chain cannot
+/// produce astronomically large sim-time charges.
+pub const MAX_BACKOFF_EXPONENT: u32 = 16;
 
-    /// Checks the policy is usable: the base backoff must be finite and
-    /// non-negative, the multiplier finite and at least 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ActivePyError::Config`] naming the offending field.
-    pub fn validate(&self) -> Result<()> {
-        if !(self.backoff_secs.is_finite() && self.backoff_secs >= 0.0) {
-            return Err(ActivePyError::config(format!(
-                "recovery backoff must be finite and non-negative, got {}",
-                self.backoff_secs
-            )));
-        }
-        if !(self.backoff_multiplier.is_finite() && self.backoff_multiplier >= 1.0) {
-            return Err(ActivePyError::config(format!(
-                "recovery backoff multiplier must be finite and at least 1, got {}",
-                self.backoff_multiplier
-            )));
-        }
-        Ok(())
-    }
-
-    /// Disables host fallback: hard faults become terminal errors.
-    #[must_use]
-    pub fn without_fallback(mut self) -> Self {
-        self.fallback_to_host = false;
-        self
-    }
-
-    /// The sim-time backoff before retry number `attempt` (1-based):
-    /// `backoff_secs * multiplier^(attempt - 1)`, growth capped.
-    #[must_use]
-    pub fn backoff_for(&self, attempt: u32) -> f64 {
-        let exp = attempt.saturating_sub(1).min(Self::MAX_BACKOFF_EXPONENT);
-        self.backoff_secs
-            * self
-                .backoff_multiplier
-                .powi(i32::try_from(exp).expect("exp <= 16"))
-    }
+/// The sim-time backoff before retry number `attempt` (1-based):
+/// `BACKOFF_SECS * BACKOFF_MULTIPLIER^(attempt - 1)`, growth capped at
+/// [`MAX_BACKOFF_EXPONENT`].
+#[must_use]
+pub fn backoff_for(attempt: u32) -> f64 {
+    let exp = attempt.saturating_sub(1).min(MAX_BACKOFF_EXPONENT);
+    BACKOFF_SECS * BACKOFF_MULTIPLIER.powi(i32::try_from(exp).expect("exp <= 16"))
 }
 
 /// Counters a run's recovery layer accumulates; reported as
@@ -140,23 +68,21 @@ pub struct RecoveryStats {
     pub backoff_secs: f64,
 }
 
-/// The per-run retry engine: owns the policy, the stats, and the trace
-/// handle that records fault/recovery events as they surface.
+/// The per-run retry engine: owns the stats and the trace handle that
+/// records fault/recovery events as they surface.
 pub(crate) struct Recovery {
-    pub(crate) policy: RecoveryPolicy,
     pub(crate) stats: RecoveryStats,
     tracer: Tracer,
 }
 
 impl Recovery {
     #[cfg(test)]
-    pub(crate) fn new(policy: RecoveryPolicy) -> Self {
-        Self::with_tracer(policy, Tracer::disabled())
+    pub(crate) fn new() -> Self {
+        Self::with_tracer(Tracer::disabled())
     }
 
-    pub(crate) fn with_tracer(policy: RecoveryPolicy, tracer: Tracer) -> Self {
+    pub(crate) fn with_tracer(tracer: Tracer) -> Self {
         Recovery {
-            policy,
             stats: RecoveryStats::default(),
             tracer,
         }
@@ -178,10 +104,10 @@ impl Recovery {
         );
     }
 
-    /// Runs `op`, retrying transient faults up to the policy's bound with
+    /// Runs `op`, retrying transient faults up to [`MAX_RETRIES`] times with
     /// backoff charged to sim time. A hard fault, or a transient fault
-    /// that exhausts its retries, is returned to the caller (who decides
-    /// between terminal error and fault migration).
+    /// that exhausts its retries, is returned to the caller, which
+    /// migrates the remaining work to the host.
     pub(crate) fn run_bounded<T>(
         &mut self,
         system: &mut System,
@@ -203,7 +129,7 @@ impl Recovery {
                     }
                     // Branch on structured kind, not message strings.
                     let retryable = ActivePyError::from(fault).is_retryable();
-                    if retryable && attempt < self.policy.max_retries {
+                    if retryable && attempt < MAX_RETRIES {
                         attempt += 1;
                         self.stats.retries += 1;
                         self.back_off(system, attempt);
@@ -254,7 +180,7 @@ impl Recovery {
     }
 
     fn back_off(&mut self, system: &mut System, attempt: u32) {
-        let backoff = self.policy.backoff_for(attempt);
+        let backoff = backoff_for(attempt);
         self.stats.backoff_secs += backoff;
         let span = self.tracer.begin_with(
             "recovery.backoff",
@@ -279,43 +205,21 @@ mod tests {
     use csd_sim::units::SimTime;
 
     #[test]
-    fn default_policy_is_valid() {
-        assert!(RecoveryPolicy::default().validate().is_ok());
-        assert!(
-            !RecoveryPolicy::default()
-                .without_fallback()
-                .fallback_to_host
-        );
-    }
-
-    #[test]
-    fn validation_rejects_bad_policies() {
-        assert!(RecoveryPolicy::new(3, -1.0, 2.0, true).is_err());
-        assert!(RecoveryPolicy::new(3, f64::NAN, 2.0, true).is_err());
-        assert!(RecoveryPolicy::new(3, 1e-3, 0.5, true).is_err());
-        assert!(RecoveryPolicy::new(3, 1e-3, f64::INFINITY, true).is_err());
-        assert!(RecoveryPolicy::new(0, 0.0, 1.0, false).is_ok());
-    }
-
-    #[test]
     fn backoff_grows_geometrically_and_caps() {
-        let p = RecoveryPolicy {
-            max_retries: 100,
-            backoff_secs: 1.0,
-            backoff_multiplier: 2.0,
-            fallback_to_host: true,
-        };
-        assert!((p.backoff_for(1) - 1.0).abs() < 1e-12);
-        assert!((p.backoff_for(2) - 2.0).abs() < 1e-12);
-        assert!((p.backoff_for(4) - 8.0).abs() < 1e-12);
-        // Growth caps at multiplier^16.
-        assert!((p.backoff_for(40) - p.backoff_for(17)).abs() < 1e-9);
+        for attempt in 1..=20u32 {
+            let pinned = 2e-4 * f64::from(1u32 << (attempt - 1).min(16));
+            assert_eq!(
+                backoff_for(attempt).to_bits(),
+                pinned.to_bits(),
+                "attempt {attempt}"
+            );
+        }
     }
 
     #[test]
     fn run_bounded_retries_transient_then_succeeds() {
         let mut system = System::paper_default();
-        let mut recov = Recovery::new(RecoveryPolicy::default());
+        let mut recov = Recovery::new();
         let mut failures_left = 2;
         let before = system.now();
         let out = recov.run_bounded(&mut system, |s| {
@@ -340,12 +244,12 @@ mod tests {
     #[test]
     fn run_bounded_exhausts_retries_into_a_hard_fault() {
         let mut system = System::paper_default();
-        let mut recov = Recovery::new(RecoveryPolicy::default());
+        let mut recov = Recovery::new();
         let out: std::result::Result<(), _> = recov.run_bounded(&mut system, |s| {
             Err(DeviceFault::NvmeCommand { at: s.now() })
         });
         assert!(out.is_err());
-        // max_retries=3: initial attempt + 3 retries = 4 transient faults.
+        // MAX_RETRIES = 3: initial attempt + 3 retries = 4 transient faults.
         assert_eq!(recov.stats.transient_faults, 4);
         assert_eq!(recov.stats.retries, 3);
         assert_eq!(recov.stats.hard_faults, 1);
@@ -355,7 +259,7 @@ mod tests {
     #[test]
     fn run_bounded_passes_crashes_through_without_retry() {
         let mut system = System::paper_default();
-        let mut recov = Recovery::new(RecoveryPolicy::default());
+        let mut recov = Recovery::new();
         let out: std::result::Result<(), _> =
             recov.run_bounded(&mut system, |s| Err(DeviceFault::CseCrash { at: s.now() }));
         assert_eq!(out, Err(DeviceFault::CseCrash { at: SimTime::ZERO }));
@@ -367,8 +271,8 @@ mod tests {
     #[test]
     fn run_to_completion_outlasts_any_bounded_retry_budget() {
         let mut system = System::paper_default();
-        let mut recov = Recovery::new(RecoveryPolicy::default());
-        let mut failures_left = 25; // far beyond max_retries
+        let mut recov = Recovery::new();
+        let mut failures_left = 25; // far beyond MAX_RETRIES
         let out = recov.run_to_completion(&mut system, |s| {
             if failures_left > 0 {
                 failures_left -= 1;
@@ -391,7 +295,7 @@ mod tests {
                 .with_seed(5)
                 .with_dma_error_prob(FaultPlan::MAX_ERROR_PROB),
         );
-        let mut recov = Recovery::new(RecoveryPolicy::default());
+        let mut recov = Recovery::new();
         for _ in 0..20 {
             recov.run_to_completion(&mut system, |s| {
                 s.try_transfer(

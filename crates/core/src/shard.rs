@@ -36,7 +36,7 @@ use crate::assign::{assign_refined, Assignment};
 use crate::error::{ActivePyError, Result};
 use crate::estimate::{LineEstimate, Link};
 use crate::exec::{evaluate, simulate, ExecOptions, MigrationReason, RunReport};
-use crate::monitor::{ShardDecision, ShardMonitors};
+use crate::monitor::{ShardDecision, ShardMonitors, DECREASING_STREAK};
 use crate::plan::OffloadPlan;
 use crate::runtime::ActivePy;
 use alang::shard::{analyze, ShardAnalysis, ShardMap};
@@ -310,18 +310,20 @@ pub struct FleetRun<'a> {
     pub lead_in_secs: f64,
 }
 
-/// Samples a shard device's CSE availability over `windows` consecutive
-/// probe instants (most recent last), folding in a time-triggered
-/// contention scenario that would already be active. This is the signal
+/// Samples a shard device's CSE availability over [`DECREASING_STREAK`]
+/// consecutive probe instants (most recent last), folding in a
+/// time-triggered contention scenario that is active at each instant —
+/// begun, and not yet recovered. This is the signal
 /// [`ShardMonitors::decision`] uses to spare a recovered shard from a
 /// fleet-pressure pre-migration.
-fn shard_probe(device: &System, scenario: &ContentionScenario, windows: u32) -> Vec<f64> {
-    (0..windows)
+fn shard_probe(device: &System, scenario: &ContentionScenario) -> Vec<f64> {
+    (0..DECREASING_STREAK)
         .map(|w| {
             let t = SimTime::from_secs(f64::from(w) * PROBE_WINDOW_SECS);
             let trace = device.engine(EngineKind::Cse).availability().fraction_at(t);
+            let active = |at| at <= t && scenario.recover_at().is_none_or(|r| t < r);
             let scen = match scenario.trigger() {
-                Trigger::AtTime(at) if !scenario.is_none() && at <= t => scenario.fraction(),
+                Trigger::AtTime(at) if !scenario.is_none() && active(at) => scenario.fraction(),
                 _ => 1.0,
             };
             trace.min(scen)
@@ -381,14 +383,11 @@ pub fn execute_sharded(
     // under majority pressure unless their own availability probe clears
     // a full streak window (ShardMonitors — the narrow inverse of
     // migrate-to-host).
-    let mut monitors = opts.monitor.map(|cfg| (ShardMonitors::new(cfg, n), cfg));
+    let mut monitors = opts.monitor.then(|| ShardMonitors::new(n));
     let mut shards: Vec<ShardRunReport> = Vec::with_capacity(n);
     for s in 0..n {
         let decision = match &monitors {
-            Some((sm, cfg)) => {
-                let probe = shard_probe(fleet.device(s), &opts.scenario, cfg.decreasing_streak);
-                sm.decision(s, &probe)
-            }
+            Some(sm) => sm.decision(s, &shard_probe(fleet.device(s), &opts.scenario)),
             None => ShardDecision::Stay,
         };
         let mut placements = shard_placements[s].clone();
@@ -437,7 +436,7 @@ pub fn execute_sharded(
             Some(&slice),
         )?;
         tracer.end(shard_span, Some(report.total_secs));
-        if let Some((sm, _)) = monitors.as_mut() {
+        if let Some(sm) = monitors.as_mut() {
             let degraded = report
                 .migration
                 .map(|m| m.reason == MigrationReason::Degraded)
@@ -699,6 +698,15 @@ mod tests {
             0,
             "not charged"
         );
+    }
+
+    #[test]
+    fn a_probe_after_the_tenants_leave_reads_full_availability() {
+        let device = SystemConfig::paper_default().build();
+        let burst = ContentionScenario::at_time(SimTime::ZERO, 0.1);
+        assert_eq!(shard_probe(&device, &burst), [0.1; 3]);
+        let recovered = burst.with_recovery_at(SimTime::from_secs(PROBE_WINDOW_SECS));
+        assert_eq!(shard_probe(&device, &recovered), [0.1, 1.0, 1.0]);
     }
 
     #[test]

@@ -65,9 +65,10 @@ pub struct FaultPlan {
     /// Sim time of the hard CSE crash, if any. From this instant every
     /// CSE-side operation fails permanently.
     pub crash_at: Option<SimTime>,
-    /// Sim time charged to detect and report each injected fault.
-    pub detect_latency: Duration,
 }
+
+/// Sim time charged to detect and report each injected fault, seconds.
+pub const DETECT_LATENCY_SECS: f64 = 50e-6;
 
 impl FaultPlan {
     /// Upper bound on every per-operation error probability. Strictly
@@ -84,7 +85,6 @@ impl FaultPlan {
             nvme_error_prob: 0.0,
             dma_error_prob: 0.0,
             crash_at: None,
-            detect_latency: Duration::from_secs(50e-6),
         }
     }
 
@@ -156,8 +156,7 @@ impl FaultPlan {
     /// # Errors
     ///
     /// Returns a description of the first invalid field: a probability
-    /// outside `[0, MAX_ERROR_PROB]`, a malformed burst window, or a
-    /// negative detection latency.
+    /// outside `[0, MAX_ERROR_PROB]` or a malformed burst window.
     pub fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("flash_read_error_prob", self.flash_read_error_prob),
@@ -193,12 +192,6 @@ impl FaultPlan {
                     b.residual_fraction
                 ));
             }
-        }
-        if !self.detect_latency.as_secs().is_finite() || self.detect_latency.as_secs() < 0.0 {
-            return Err(format!(
-                "detect latency must be non-negative, got {}",
-                self.detect_latency
-            ));
         }
         Ok(())
     }
@@ -319,12 +312,6 @@ impl FaultInjector {
             counters: FaultCounters::default(),
             crashed: false,
         }
-    }
-
-    /// The plan being executed.
-    #[must_use]
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// Injection totals so far.

@@ -8,7 +8,7 @@
 use crate::config::SystemConfig;
 use crate::dma::Direction;
 use crate::engine::{ComputeEngine, EngineKind};
-use crate::fault::{DeviceFault, FaultCounters, FaultInjector, FaultPlan};
+use crate::fault::{DeviceFault, FaultCounters, FaultInjector, FaultPlan, DETECT_LATENCY_SECS};
 use crate::flash::FlashArray;
 use crate::units::{Bytes, Duration, Ops, SimTime};
 use serde::Serialize;
@@ -182,8 +182,8 @@ impl System {
     /// Charges the fault-detection latency for `fault` to the clock and
     /// returns it, so callers can propagate the error.
     fn charge_fault(&mut self, fault: DeviceFault) -> DeviceFault {
-        if let Some(inj) = &self.faults {
-            self.clock += inj.plan().detect_latency;
+        if self.faults.is_some() {
+            self.clock += Duration::from_secs(DETECT_LATENCY_SECS);
         }
         fault
     }

@@ -1,12 +1,9 @@
 //! Sharded data: partitioning bulk values across a fleet of CSDs.
 //!
 //! A [`ShardMap`] describes how the rows of a workload's stored bulk
-//! values are split across `N` devices: contiguous row ranges
-//! ([`ShardStrategy::Range`]) or a hash partition of the key space
-//! ([`ShardStrategy::Hash`], modeled as a deterministically jittered
-//! range partition — row content is synthetic, so only the *sizes* of
-//! the hash buckets matter to the cost model). The partition arithmetic
-//! is exact: [`ShardMap::slice_u64`] splits any extensive quantity
+//! values are split across `N` devices: contiguous, near-equal row ranges
+//! ([`ShardStrategy::Range`]). The partition arithmetic is exact:
+//! [`ShardMap::slice_u64`] splits any extensive quantity
 //! (bytes, rows, operations) so the per-shard slices sum to the total
 //! with no remainder, the same discipline the execution engine's
 //! `chunk_slice` uses for chunk streaming.
@@ -38,9 +35,6 @@ pub const SHARD_MIN_ROWS: u64 = 65_536;
 pub enum ShardStrategy {
     /// Contiguous, near-equal row ranges.
     Range,
-    /// Hash partition of the row key space with the given seed; bucket
-    /// sizes are deterministic but uneven.
-    Hash(u64),
 }
 
 /// A partition of `[0, rows)` into `N` shards, plus the set of storage
@@ -49,16 +43,7 @@ pub enum ShardStrategy {
 pub struct ShardMap {
     rows: u64,
     bounds: Vec<u64>,
-    strategy: ShardStrategy,
     sharded: BTreeSet<String>,
-}
-
-/// splitmix64: the deterministic stream behind hash-bucket jitter.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 impl ShardMap {
@@ -74,33 +59,8 @@ impl ShardMap {
         ShardMap {
             rows,
             bounds,
-            strategy: ShardStrategy::Range,
             sharded: BTreeSet::new(),
         }
-    }
-
-    /// A hash partition of `rows` into `n` shards: near-equal buckets
-    /// with deterministic seed-dependent jitter of up to ±25 % of a
-    /// bucket. Falls back to the exact range partition when `rows` is too
-    /// small to jitter safely.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    #[must_use]
-    pub fn hash(rows: u64, n: usize, seed: u64) -> Self {
-        assert!(n > 0, "a shard map needs at least one shard");
-        let mut map = ShardMap::range(rows, n);
-        map.strategy = ShardStrategy::Hash(seed);
-        let jitter_cap = rows / (4 * n as u64);
-        if jitter_cap > 0 {
-            for (s, b) in map.bounds.iter_mut().enumerate().take(n).skip(1) {
-                let r = splitmix64(seed ^ s as u64);
-                let j = (r % (2 * jitter_cap + 1)) as i64 - jitter_cap as i64;
-                *b = b.saturating_add_signed(j);
-            }
-        }
-        map
     }
 
     /// Replaces the set of storage names the partition applies to.
@@ -138,11 +98,8 @@ impl ShardMap {
                 rows = rows.max(value_rows);
             }
         }
-        let map = match strategy {
-            ShardStrategy::Range => ShardMap::range(rows, n),
-            ShardStrategy::Hash(seed) => ShardMap::hash(rows, n, seed),
-        };
-        map.with_sharded_sources(names)
+        let ShardStrategy::Range = strategy;
+        ShardMap::range(rows, n).with_sharded_sources(names)
     }
 
     /// Number of shards.
@@ -155,12 +112,6 @@ impl ShardMap {
     #[must_use]
     pub fn rows_total(&self) -> u64 {
         self.rows
-    }
-
-    /// The partition strategy.
-    #[must_use]
-    pub fn strategy(&self) -> ShardStrategy {
-        self.strategy
     }
 
     /// Row bounds `[lo, hi)` of shard `s`.
@@ -218,7 +169,8 @@ impl ShardMap {
 
     /// FNV-1a over the full placement description — shard count, bounds,
     /// strategy, and sharded names — so two maps that could ever place
-    /// data differently never collide in a cache key.
+    /// data differently never collide in a cache key. The strategy is
+    /// always `b"range"`, kept so journaled `shard_fp`s stay valid.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
         let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
@@ -232,13 +184,7 @@ impl ShardMap {
         for b in &self.bounds {
             mix(&b.to_le_bytes());
         }
-        match self.strategy {
-            ShardStrategy::Range => mix(b"range"),
-            ShardStrategy::Hash(seed) => {
-                mix(b"hash");
-                mix(&seed.to_le_bytes());
-            }
-        }
+        mix(b"range");
         for name in &self.sharded {
             mix(name.as_bytes());
             mix(&[0]);
@@ -413,51 +359,27 @@ mod tests {
         let slices: Vec<u64> = (0..4).map(|s| map.slice_u64(total, s)).collect();
         assert_eq!(slices, [25_000_000_000; 4]);
         assert_eq!(slices.iter().sum::<u64>(), total);
-        let odd = ShardMap::hash(999_999_937, 7, 3);
+        // Uneven bounds: 999 999 937 rows do not split evenly 7 ways.
+        let odd = ShardMap::range(999_999_937, 7);
+        assert_ne!(odd.rows_of(0), odd.rows_of(6));
         let sum: u64 = (0..7).map(|s| odd.slice_u64(u64::MAX, s)).sum();
         assert_eq!(sum, u64::MAX);
     }
 
     #[test]
-    fn hash_partition_is_jittered_but_still_exact() {
-        let map = ShardMap::hash(1_000_000, 4, 42);
-        let total: u64 = (0..4).map(|s| map.rows_of(s)).sum();
-        assert_eq!(total, 1_000_000);
-        let range = ShardMap::range(1_000_000, 4);
-        assert_ne!(
-            map.bounds, range.bounds,
-            "hash buckets should differ from the equal split"
-        );
-        assert_eq!(
-            map.bounds,
-            ShardMap::hash(1_000_000, 4, 42).bounds,
-            "same seed, same buckets"
-        );
-        for s in 0..4 {
-            // Jitter is bounded: every bucket keeps at least half its
-            // equal share.
-            assert!(map.rows_of(s) >= 125_000, "bucket {s} collapsed");
-        }
-    }
-
-    #[test]
-    fn fingerprints_distinguish_count_strategy_and_sources() {
+    fn fingerprints_distinguish_count_and_sources() {
         let one = ShardMap::range(1_000_000, 1).with_sharded_sources(["v"]);
         let four = ShardMap::range(1_000_000, 4).with_sharded_sources(["v"]);
-        let hash = ShardMap::hash(1_000_000, 4, 7).with_sharded_sources(["v"]);
         let other = ShardMap::range(1_000_000, 4).with_sharded_sources(["w"]);
-        let prints = [
-            one.fingerprint(),
-            four.fingerprint(),
-            hash.fingerprint(),
-            other.fingerprint(),
-        ];
+        let prints = [one.fingerprint(), four.fingerprint(), other.fingerprint()];
         for i in 0..prints.len() {
             for j in i + 1..prints.len() {
                 assert_ne!(prints[i], prints[j], "maps {i} and {j} collide");
             }
         }
-        assert_eq!(four.fingerprint(), four.clone().fingerprint());
+        // FNV-1a over rows, bounds, b"range" and "v\0": a journal's
+        // `shard_fp` is this value.
+        assert_eq!(four.fingerprint(), 0x7d00_ffc8_3b8c_ec51);
     }
 
     fn storage() -> Storage {

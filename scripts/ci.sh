@@ -123,12 +123,16 @@ echo "== one options type, one source per counter (run options and the metrics s
 # ExecOptions with the tier and scenario set — and nothing else:
 # execute_plan equals evaluate then simulate under those options, report
 # field for field, with faults, a preemption, a parallel policy and a
-# profile recorder each reaching the run. The metrics snapshot holds the
-# fault, recovery and kernel families a run fills; audit.* comes only from
-# the calibration report, and the Prometheus golden pins what a journal
-# footer exports. Ahead of the suite, so a dropped option or a zero
-# counter stops here, named.
-cargo test -q -p activepy --lib -- metrics:: report:: runtime::
+# profile recorder each reaching the run. ExecOptions keeps tier, params,
+# scenario, monitor (on or off), preempt_at, faults, parallel, tracer,
+# profile and journal; the monitor's triggers and the retry budget and
+# backoff are constants, pinned by the monitor:: and recovery:: tests, and
+# exec::options:: rejects each invalid field at the door. The metrics
+# snapshot holds the fault, recovery and kernel families a run fills;
+# audit.* comes only from the calibration report, and the Prometheus golden
+# pins what a journal footer exports. Ahead of the suite, so a dropped
+# option or a zero counter stops here, named.
+cargo test -q -p activepy --lib -- metrics:: report:: runtime:: monitor:: recovery:: exec::options::
 cargo test -q --test audit_determinism
 
 echo "== simulated charges (the D2H links, DMA and calibration to the bit; the price list's gap) =="
@@ -147,7 +151,7 @@ cargo test -q -p csd-sim --lib -- system:: config:: flash:: engine:: fleet:: ava
 cargo test -q -p activepy --lib estimate::
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 56 of the 674 tests. No later
+# The whole suite: the root package alone is 56 of the 672 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 

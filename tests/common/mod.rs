@@ -13,7 +13,6 @@
 use activepy::{FleetReport, RunReport};
 use alang::ast::Expr;
 use alang::builtins::Storage;
-use alang::shard::ShardStrategy;
 use alang::value::ArrayVal;
 use alang::{Program, Value};
 use csd_sim::fault::FaultPlan;
@@ -162,14 +161,6 @@ pub fn placements(on_csd: &[bool], len: usize) -> Vec<EngineKind> {
         }
     };
     on_csd[..len].iter().map(engine).collect()
-}
-
-/// Range sharding, or hash sharding under a random salt.
-pub fn shard_strategy() -> impl Strategy<Value = ShardStrategy> {
-    prop_oneof![
-        Just(ShardStrategy::Range),
-        (0u64..1_000).prop_map(ShardStrategy::Hash),
-    ]
 }
 
 /// The two stored arrays the grammar scans: `v` (64 elements standing for

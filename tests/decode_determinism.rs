@@ -15,10 +15,10 @@ use activepy::exec::{execute, ExecOptions};
 use activepy::execute_sharded_raw;
 use alang::builtins::Storage;
 use alang::parser::parse;
-use alang::shard::ShardMap;
+use alang::shard::{ShardMap, ShardStrategy};
 use alang::value::EncodedVal;
 use alang::Value;
-use common::{placements, shard_strategy, FaultParams};
+use common::{placements, FaultParams};
 use csd_sim::fault::FaultPlan;
 use csd_sim::wire::{ByteOrder, Codec, Encoding};
 use csd_sim::{EngineKind, SystemConfig};
@@ -102,7 +102,6 @@ proptest! {
             0.0f64..0.2,
             prop_oneof![Just(None), (0.0f64..0.05).prop_map(Some)],
         ),
-        shard_strategy in shard_strategy(),
     ) {
         let (seed, flash, nvme, crash) = faults;
         let params = FaultParams { seed, flash, nvme, dma: 0.0, crash, gc: None };
@@ -137,7 +136,7 @@ proptest! {
         );
 
         for &n in &SHARD_COUNTS {
-            let map = ShardMap::auto(&st, n, shard_strategy);
+            let map = ShardMap::auto(&st, n, ShardStrategy::Range);
             let faults: Vec<FaultPlan> = (0..n).map(|s| params.plan_for_shard(s)).collect();
             let faulted = execute_sharded_raw(
                 &program, &st, &map, &placements, &config, &opts, &faults,

@@ -2,8 +2,8 @@
 //! size × pinned per-shard fault plans. The invariants the scatter-gather
 //! fleet must hold, for every draw:
 //!
-//! 1. **One answer** — every fleet size N ∈ {1, 2, 4, 8}, sharded by
-//!    range or hash, faulted or clean, produces the same
+//! 1. **One answer** — every fleet size N ∈ {1, 2, 4, 8}, faulted or
+//!    clean, produces the same
 //!    `values_fingerprint` as the unsharded single-device run.
 //! 2. **Consistent failure** — a program that errors unsharded (reads of
 //!    undefined names) errors at every fleet size too.
@@ -25,8 +25,8 @@ use activepy::execute_sharded_raw;
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
 use common::{
-    all_placements, expr, fault_params, masked_fleet, placements, shard_strategy,
-    single_assignment, source, storage, REASSIGNING, VARS,
+    all_placements, expr, fault_params, masked_fleet, placements, single_assignment, source,
+    storage, REASSIGNING, VARS,
 };
 use csd_sim::fault::FaultPlan;
 use csd_sim::SystemConfig;
@@ -68,7 +68,6 @@ proptest! {
         lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
         on_csd in prop::collection::vec(any::<bool>(), 6..7),
         params in fault_params(0.2),
-        shard_strategy in shard_strategy(),
     ) {
         let src = source(&lines);
         let program = parse(&src).expect("generated source parses");
@@ -87,7 +86,7 @@ proptest! {
         );
 
         for &n in &SHARD_COUNTS {
-            let map = ShardMap::auto(&st, n, shard_strategy);
+            let map = ShardMap::auto(&st, n, ShardStrategy::Range);
             prop_assert_eq!(map.count(), n);
             let faults: Vec<FaultPlan> =
                 (0..n).map(|s| params.plan_for_shard(s)).collect();
