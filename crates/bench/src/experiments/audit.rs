@@ -150,8 +150,6 @@ fn run_workload(w: &Workload, config: &SystemConfig, cache: &PlanCache) -> (Row,
     let reference_fp = reference.report.values_fingerprint;
 
     // Clean, audited: live tracer + profile recorder + calibration pass.
-    // A private store: recorded into `cache`'s, the profile would refit
-    // the plan every later lookup reads.
     let (tracer, _sink) = isp_obs::Tracer::to_memory();
     let store = Arc::new(ProfileStore::new());
     let key = (w.name().to_owned(), 0);

@@ -33,10 +33,9 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
     );
     assert_eq!(after_fig5.hits, 9);
 
-    // regret and audit replay cached plans entirely; audit records its
-    // profiles privately, so nothing in the shared cache refits. Under
-    // regret's phase trace the monitored runs keep every answer, beat
-    // Alg. 1's static plans in sum, and migrate both ways.
+    // regret and audit replay cached plans entirely. Under regret's phase
+    // trace the monitored runs keep every answer, beat Alg. 1's static
+    // plans in sum, and migrate both ways.
     let regret = ex::regret::run(&config, &cache);
     assert_eq!(ex::regret::check(&regret), Ok(()));
     let _ = ex::audit::run(&config, &cache);
@@ -49,11 +48,6 @@ fn shared_cache_plans_each_workload_once_across_experiments() {
         stats.hits,
         9 + 12 + 12,
         "regret (12) and audit (12) all hit"
-    );
-    assert_eq!(stats.refits, 0, "audit's recorded runs refit nothing");
-    assert!(
-        cache.profiles().entries().is_empty(),
-        "audit's profiles stay out of the shared store"
     );
     assert_eq!(cache.len(), 12);
 }

@@ -440,15 +440,17 @@ mod tests {
         let plan = cache
             .plan_for(&rt, "w", &program, &input(), &config)
             .expect("plan");
-        let recorder = cache.recorder_for(&rt, "w", &input(), &config);
+        let store = std::sync::Arc::new(crate::profile::ProfileStore::new());
+        let key = PlanCache::key_for(&rt, "w", &input(), &config);
+        let recorder =
+            crate::profile::ProfileRecorder::to_store(std::sync::Arc::clone(&store), key.clone());
         let rt_rec = ActivePy::with_options(
             crate::runtime::ActivePyOptions::default().with_profile(recorder),
         );
         let outcome = rt_rec
             .execute_plan(&plan, &config, ContentionScenario::none())
             .expect("execute");
-        let key = PlanCache::key_for(&rt, "w", &input(), &config);
-        let profile = cache.profiles().profile(&key);
+        let profile = store.profile(&key);
         assert_eq!(profile.version, 1);
         let audit = calibrate("w", &plan, &outcome.report, Some(&profile));
         assert_eq!(audit.profile_version, 1);

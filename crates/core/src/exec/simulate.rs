@@ -323,7 +323,7 @@ impl Run<'_> {
         self.close(|| vec![("migrated".into(), migrated.into())]);
         // Feed the run's measured per-line costs to the profile store. Shard
         // runs are skipped: their costs are slice-scaled and would bias the
-        // unsharded profile the planner refits against.
+        // unsharded profile a refit blends in.
         if self.opts.profile.is_enabled() && self.shard.is_none() {
             let mut costs = vec![LineCost::default(); self.program.len()];
             for l in &self.lines_out {

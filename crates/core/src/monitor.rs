@@ -14,9 +14,8 @@ use serde::Serialize;
 pub const DEGRADATION_THRESHOLD: f64 = 0.85;
 
 /// Number of consecutive throughput decreases that flags degradation
-/// (condition 1). It is also the hysteresis, in monitor windows, of every
-/// decision that reads the device as healthy again: a reclaim and a fleet
-/// shard spared from pre-migration.
+/// (condition 1). It is also the hysteresis, in monitor windows, of the
+/// one decision that reads the device as healthy again: a reclaim.
 pub const DECREASING_STREAK: u32 = 3;
 
 /// Exponential-moving-average factor applied to throughput windows:
@@ -134,97 +133,6 @@ impl Monitor {
     }
 }
 
-/// What [`ShardMonitors`] decides for a shard that has not yet run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
-pub enum ShardDecision {
-    /// No fleet-wide pressure (or the shard already ran): execute on-device
-    /// as planned and let the shard's own [`Monitor`] drive any migration.
-    Stay,
-    /// A majority of earlier shards migrated off-device; pre-migrate this
-    /// shard to the host rather than paying the degradation again.
-    PreMigrate,
-    /// Fleet pressure would have pre-migrated the shard, but its own
-    /// availability probe shows a full healthy window — it is spared and
-    /// stays on-device. This is the narrow inverse of migrate-to-host: a
-    /// recovered shard is not dragged down by the global decision.
-    Spared,
-}
-
-/// Per-shard monitor state for a fleet run.
-///
-/// The base [`Monitor`] can only ever conclude "migrate to host". When
-/// shards execute across independent devices, that global conclusion is
-/// too blunt: one device's GC burst says nothing about its siblings. This
-/// tracker keeps one outcome slot per shard and computes *fleet pressure*
-/// (the fraction of completed shards that ended in a degradation
-/// migration). A shard about to run is pre-migrated only when pressure
-/// reaches a majority **and** its own availability probe fails; a probe
-/// showing [`DECREASING_STREAK`] consecutive healthy windows spares it.
-#[derive(Debug, Clone)]
-pub struct ShardMonitors {
-    /// `Some(true)` = shard completed and was migrated for degradation;
-    /// `Some(false)` = shard completed on-device (or migrated for a
-    /// non-degradation reason, which says nothing about availability).
-    outcomes: Vec<Option<bool>>,
-}
-
-impl ShardMonitors {
-    /// One slot per shard.
-    #[must_use]
-    pub fn new(shards: usize) -> Self {
-        ShardMonitors {
-            outcomes: vec![None; shards],
-        }
-    }
-
-    /// Records a completed shard. `migrated_degraded` is true only when the
-    /// shard's own monitor triggered a degradation migration.
-    pub fn record(&mut self, shard: usize, migrated_degraded: bool) {
-        if let Some(slot) = self.outcomes.get_mut(shard) {
-            *slot = Some(migrated_degraded);
-        }
-    }
-
-    /// The fraction of completed shards that ended in a degradation
-    /// migration (0.0 when nothing has completed yet).
-    #[must_use]
-    pub fn pressure(&self) -> f64 {
-        let done = self.outcomes.iter().filter(|o| o.is_some()).count();
-        if done == 0 {
-            return 0.0;
-        }
-        let migrated = self.outcomes.iter().filter(|o| **o == Some(true)).count();
-        migrated as f64 / done as f64
-    }
-
-    /// Decides the placement override for `shard` before it runs. `probe`
-    /// yields the shard's device availability sampled over consecutive
-    /// windows (most recent last), as a fraction of nominal throughput —
-    /// the same ratio scale the [`Monitor`] compares against
-    /// [`DEGRADATION_THRESHOLD`].
-    #[must_use]
-    pub fn decision(&self, shard: usize, probe: &[f64]) -> ShardDecision {
-        if self.outcomes.get(shard).copied().flatten().is_some() {
-            return ShardDecision::Stay;
-        }
-        if self.pressure() <= 0.5 {
-            return ShardDecision::Stay;
-        }
-        // Majority pressure: pre-migrate unless the probe covers a full
-        // streak window and every window clears the degradation bar.
-        let window = DECREASING_STREAK as usize;
-        let recovered = probe.len() >= window
-            && probe[probe.len() - window..]
-                .iter()
-                .all(|r| *r >= DEGRADATION_THRESHOLD);
-        if recovered {
-            ShardDecision::Spared
-        } else {
-            ShardDecision::PreMigrate
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -311,55 +219,6 @@ mod tests {
         let mut m = Monitor::new(1e9);
         assert_eq!(m.observe_window(0.0, 1.0), Observation::Warmup);
         assert_eq!(m.observe_window(1.0, 0.0), Observation::Warmup);
-    }
-
-    #[test]
-    fn shard_monitors_stay_without_majority_pressure() {
-        let mut sm = ShardMonitors::new(4);
-        // One of two completed shards migrated: pressure exactly 0.5, not
-        // a majority — later shards stay on-device with no probe at all.
-        sm.record(0, true);
-        sm.record(1, false);
-        assert!((sm.pressure() - 0.5).abs() < 1e-12);
-        assert_eq!(sm.decision(2, &[]), ShardDecision::Stay);
-    }
-
-    #[test]
-    fn shard_monitors_premigrate_under_majority_pressure() {
-        let mut sm = ShardMonitors::new(4);
-        sm.record(0, true);
-        sm.record(1, true);
-        assert!(sm.pressure() > 0.5);
-        // No probe evidence of recovery: pre-migrate.
-        assert_eq!(sm.decision(2, &[]), ShardDecision::PreMigrate);
-        // A probe shorter than the streak window is not enough.
-        assert_eq!(sm.decision(2, &[1.0, 1.0]), ShardDecision::PreMigrate);
-        // A full window with one unhealthy sample is not enough either.
-        assert_eq!(sm.decision(2, &[1.0, 0.5, 1.0]), ShardDecision::PreMigrate);
-    }
-
-    #[test]
-    fn shard_monitors_spare_a_recovered_shard() {
-        let mut sm = ShardMonitors::new(4);
-        sm.record(0, true);
-        sm.record(1, true);
-        // DECREASING_STREAK = 3 consecutive windows at or above the 0.85
-        // threshold: the shard is spared and keeps its planned placement.
-        assert_eq!(
-            sm.decision(2, &[0.2, 0.9, 0.95, 1.0]),
-            ShardDecision::Spared
-        );
-        // Only the trailing window counts — old bad samples don't condemn.
-        assert_eq!(sm.decision(3, &[0.85, 0.85, 0.85]), ShardDecision::Spared);
-    }
-
-    #[test]
-    fn shard_monitors_completed_shards_always_stay() {
-        let mut sm = ShardMonitors::new(2);
-        sm.record(0, true);
-        sm.record(1, true);
-        // Shard 0 already ran; asking about it again is a Stay no-op.
-        assert_eq!(sm.decision(0, &[]), ShardDecision::Stay);
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Warm-start persistence: the on-disk codec for plan-cache seeds and
-//! measured profiles.
+//! Warm-start persistence: the on-disk codec for plan-cache seeds.
 //!
 //! A cold [`crate::plan::PlanCache`] miss runs the sampling phase —
 //! dozens of down-scaled executions plus full-scale input
@@ -7,17 +6,17 @@
 //! [`crate::sampling::InputSource`]. Everything planning derives from
 //! those calls is captured by two values: the [`SamplingReport`] and the
 //! materialized full-scale [`Storage`]. This module serializes exactly
-//! that pair per cache key (plus the profile store's accumulated
-//! observations) into a single checksummed binary file, so a restarted
-//! process re-plans **byte-identical** plans with *zero* datagen calls
-//! — the warm half of the crash-recovery story, next to the execution
-//! WAL in [`crate::resume`].
+//! that pair per cache key into a single checksummed binary file, so a
+//! restarted process re-plans **byte-identical** plans with *zero*
+//! datagen calls — the warm half of the crash-recovery story, next to
+//! the execution WAL in [`crate::resume`].
 //!
 //! ## Format
 //!
 //! ```text
 //! [ magic "ISPWARM1" : 8 bytes ]
 //! [ u64 payload_len (LE) ][ u64 fnv1a(payload) (LE) ][ payload ]
+//! payload = [ u32 seed count ] then per seed [ key ][ sampling ][ storage ]
 //! ```
 //!
 //! One frame for the whole file: warm state is written atomically at
@@ -28,7 +27,7 @@
 //! so round trips are exact and replanning from a loaded seed is
 //! bit-identical to replanning from the live one.
 
-use crate::profile::{LineObservation, ProfileKey, WorkloadProfile};
+use crate::profile::ProfileKey;
 use crate::sampling::{LineSamples, SamplePoint, SamplingReport};
 use alang::copyelim::StaticType;
 use alang::forest::{Forest, Tree, TreeNode};
@@ -55,27 +54,18 @@ pub struct WarmSeed {
     pub storage: Storage,
 }
 
-/// Serializes warm seeds and profiles and writes the framed file.
+/// Serializes warm seeds and writes the framed file.
 ///
 /// # Errors
 ///
 /// Propagates file write errors.
-pub fn save_warm_file(
-    path: &Path,
-    seeds: &[(ProfileKey, WarmSeed)],
-    profiles: &[(ProfileKey, WorkloadProfile)],
-) -> io::Result<()> {
+pub fn save_warm_file(path: &Path, seeds: &[(ProfileKey, WarmSeed)]) -> io::Result<()> {
     let mut w = ByteWriter::default();
     w.u32(seeds.len() as u32);
     for (key, seed) in seeds {
         enc_key(&mut w, key);
         enc_sampling(&mut w, &seed.sampling);
         enc_storage(&mut w, &seed.storage);
-    }
-    w.u32(profiles.len() as u32);
-    for (key, profile) in profiles {
-        enc_key(&mut w, key);
-        enc_profile(&mut w, profile);
     }
     let payload = w.into_bytes();
     let mut out = Vec::with_capacity(24 + payload.len());
@@ -93,27 +83,12 @@ pub fn save_warm_file(
 /// File I/O errors pass through; a bad magic, length, checksum, or
 /// payload surfaces as [`io::ErrorKind::InvalidData`] so callers can
 /// fall back to cold planning.
-#[allow(clippy::type_complexity)]
-pub fn load_warm_file(
-    path: &Path,
-) -> io::Result<(
-    Vec<(ProfileKey, WarmSeed)>,
-    Vec<(ProfileKey, WorkloadProfile)>,
-)> {
+pub fn load_warm_file(path: &Path) -> io::Result<Vec<(ProfileKey, WarmSeed)>> {
     let bytes = std::fs::read(path)?;
     decode_warm_bytes(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
-#[allow(clippy::type_complexity)]
-fn decode_warm_bytes(
-    bytes: &[u8],
-) -> Result<
-    (
-        Vec<(ProfileKey, WarmSeed)>,
-        Vec<(ProfileKey, WorkloadProfile)>,
-    ),
-    String,
-> {
+fn decode_warm_bytes(bytes: &[u8]) -> Result<Vec<(ProfileKey, WarmSeed)>, String> {
     if bytes.len() < 24 || bytes[..8] != WARM_MAGIC {
         return Err("not a warm-start file (bad magic)".into());
     }
@@ -136,18 +111,13 @@ fn decode_warm_bytes(
         let storage = dec_storage(&mut r)?;
         seeds.push((key, WarmSeed { sampling, storage }));
     }
-    let mut profiles = Vec::new();
-    for _ in 0..r.u32()? {
-        let key = dec_key(&mut r)?;
-        profiles.push((key, dec_profile(&mut r)?));
-    }
     if r.remaining() != 0 {
         return Err(format!(
             "warm-start payload has {} undecoded bytes",
             r.remaining()
         ));
     }
-    Ok((seeds, profiles))
+    Ok(seeds)
 }
 
 fn enc_key(w: &mut ByteWriter, key: &ProfileKey) {
@@ -437,39 +407,6 @@ fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
     })
 }
 
-fn enc_profile(w: &mut ByteWriter, p: &WorkloadProfile) {
-    w.u64(p.version);
-    let obs = p.observations();
-    w.u32(obs.len() as u32);
-    for o in obs {
-        w.u64(o.count);
-        for s in o.sums() {
-            // u128 accumulators travel as (low, high) u64 halves.
-            w.u64(s as u64);
-            w.u64((s >> 64) as u64);
-        }
-        w.u32(o.calls());
-    }
-}
-
-fn dec_profile(r: &mut ByteReader<'_>) -> Result<WorkloadProfile, String> {
-    let version = r.u64()?;
-    let nlines = r.u32()? as usize;
-    let mut lines = Vec::with_capacity(nlines);
-    for _ in 0..nlines {
-        let count = r.u64()?;
-        let mut sums = [0u128; 6];
-        for s in &mut sums {
-            let lo = r.u64()?;
-            let hi = r.u64()?;
-            *s = u128::from(lo) | (u128::from(hi) << 64);
-        }
-        let calls = r.u32()?;
-        lines.push(LineObservation::from_parts(count, sums, calls));
-    }
-    Ok(WorkloadProfile::from_parts(version, lines))
-}
-
 fn err_str(e: impl std::fmt::Display) -> String {
     e.to_string()
 }
@@ -591,15 +528,8 @@ mod tests {
             sampling: sample_report(),
             storage: sample_storage(),
         };
-        let mut profile = WorkloadProfile::default();
-        profile.record_run(&[sample_report().total_sampling_cost]);
-        save_warm_file(
-            &path,
-            &[(key.clone(), seed.clone())],
-            &[(key.clone(), profile.clone())],
-        )
-        .expect("save");
-        let (seeds, profiles) = load_warm_file(&path).expect("load");
+        save_warm_file(&path, &[(key.clone(), seed.clone())]).expect("save");
+        let seeds = load_warm_file(&path).expect("load");
         assert_eq!(seeds.len(), 1);
         assert_eq!(seeds[0].0, key);
         assert_eq!(seeds[0].1.sampling, seed.sampling);
@@ -615,7 +545,6 @@ mod tests {
                 "dataset `{name}`"
             );
         }
-        assert_eq!(profiles, vec![(key, profile)]);
         std::fs::remove_file(&path).ok();
     }
 
@@ -633,7 +562,7 @@ mod tests {
     #[test]
     fn corrupt_warm_file_is_invalid_data_not_garbage() {
         let path = tmp("corrupt");
-        save_warm_file(&path, &[], &[]).expect("save");
+        save_warm_file(&path, &[]).expect("save");
         let mut bytes = std::fs::read(&path).expect("read");
         // Flip a payload byte (or the checksum itself when empty).
         let last = bytes.len() - 1;

@@ -14,7 +14,8 @@
 //! [`PlanCache`] keys plans by workload name plus a fingerprint of the
 //! platform config and planning options, computes misses under the cache
 //! lock so each key is planned exactly once even under concurrent sweeps,
-//! and counts hits, misses and refits.
+//! and counts hits and misses. A cached plan never changes: re-planning
+//! from measured costs is an explicit [`ActivePy::replan`] call.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -26,7 +27,7 @@ use crate::error::Result;
 use crate::estimate::{Calibration, LineEstimate};
 use crate::fit::LinePrediction;
 use crate::persist::WarmSeed;
-use crate::profile::{ProfileKey, ProfileRecorder, ProfileStore};
+use crate::profile::ProfileKey;
 use crate::runtime::ActivePy;
 use crate::sampling::{paper_scales, InputSource, SamplingReport};
 use crate::shard::{derive_sharded_plan, ShardedPlan};
@@ -101,8 +102,6 @@ pub struct PlanCacheStats {
     pub hits: u64,
     /// Lookups that had to build a plan.
     pub misses: u64,
-    /// Cached plans refitted from a newer measured profile.
-    pub refits: u64,
 }
 
 impl PlanCacheStats {
@@ -120,22 +119,10 @@ impl PlanCacheStats {
 
 type PlanKey = ProfileKey;
 
-/// A cached plan plus the profile version it was (re)fitted at.
-///
-/// `generation` 0 is the cold, sampling-only plan; every refit from a
-/// newer [`crate::profile::WorkloadProfile`] evicts the entry and stamps
-/// it with the profile version it blended in, so a plan is refitted at
-/// most once per recorded run no matter how many lookups race.
-#[derive(Debug, Clone)]
-struct CachedPlan {
-    plan: Arc<OffloadPlan>,
-    generation: u64,
-}
-
 /// A sharded-plan key extends the base key with the [`ShardMap`]
-/// fingerprint, which covers shard count, bounds, strategy, and the set
-/// of sharded sources — so an N=1 and an N=4 plan (or two different hash
-/// seeds over the same rows) can never collide.
+/// fingerprint, which covers shard count, bounds, and the set of sharded
+/// sources — so an N=1 and an N=4 plan (or two maps sharding different
+/// sources over the same rows) can never collide.
 type ShardedPlanKey = (String, u64, u64);
 
 /// A thread-safe cache of [`OffloadPlan`]s keyed by workload name and a
@@ -149,16 +136,14 @@ type ShardedPlanKey = (String, u64, u64);
 /// those share one plan.
 #[derive(Debug, Default)]
 pub struct PlanCache {
-    plans: Mutex<HashMap<PlanKey, CachedPlan>>,
+    plans: Mutex<HashMap<PlanKey, Arc<OffloadPlan>>>,
     sharded: Mutex<HashMap<ShardedPlanKey, Arc<ShardedPlan>>>,
     /// Warm-start seeds loaded from a persisted cache: per-key sampling
     /// reports and materialized inputs that let a miss plan through
     /// [`ActivePy::plan_from_sampling`] with zero datagen calls.
     warm: Mutex<HashMap<PlanKey, WarmSeed>>,
-    profiles: Arc<ProfileStore>,
     hits: AtomicU64,
     misses: AtomicU64,
-    refits: AtomicU64,
     warm_starts: AtomicU64,
 }
 
@@ -172,16 +157,6 @@ impl PlanCache {
     /// Returns the cached plan for (`name`, `runtime`'s planning options,
     /// `config`), building it via [`ActivePy::plan`] on first use.
     ///
-    /// When the cache's [`ProfileStore`] holds measured observations
-    /// newer than the cached plan's generation — i.e. a run recorded
-    /// through [`PlanCache::recorder_for`] since the plan was built — the
-    /// stale plan is evicted and refitted via [`ActivePy::replan`]: the
-    /// profile's per-line means are blended into the predictions and
-    /// Algorithm 1 re-runs under the blended model. Refits count in
-    /// [`PlanCacheStats::refits`] (the lookup itself still counts as a
-    /// hit: sampling never re-runs). With no profile recorded the path is
-    /// inert and behaves exactly like a plain cache.
-    ///
     /// # Errors
     ///
     /// Propagates planning failures; failed plans are not cached.
@@ -193,28 +168,13 @@ impl PlanCache {
         input: &dyn InputSource,
         config: &SystemConfig,
     ) -> Result<Arc<OffloadPlan>> {
-        let key = (
-            name.to_string(),
-            Self::fingerprint(runtime, config, input.wire_fingerprint()),
-        );
+        let key = Self::key_for(runtime, name, input, config);
         let tracer = &runtime.options().tracer;
-        let version = self.profiles.version(&key);
         let mut plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(cached) = plans.get_mut(&key) {
+        if let Some(cached) = plans.get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             tracer.counter_add("plan_cache.hits", 1);
-            if cached.generation < version {
-                let profile = self.profiles.profile(&key);
-                let refit = Arc::new(runtime.replan(&cached.plan, config, &profile)?);
-                *cached = CachedPlan {
-                    plan: Arc::clone(&refit),
-                    generation: version,
-                };
-                self.refits.fetch_add(1, Ordering::Relaxed);
-                tracer.counter_add("plan_cache.refits", 1);
-                return Ok(refit);
-            }
-            return Ok(Arc::clone(&cached.plan));
+            return Ok(Arc::clone(cached));
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         tracer.counter_add("plan_cache.misses", 1);
@@ -227,7 +187,7 @@ impl PlanCache {
             .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
             .cloned();
-        let mut plan = Arc::new(match seed {
+        let plan = Arc::new(match seed {
             Some(seed) => {
                 self.warm_starts.fetch_add(1, Ordering::Relaxed);
                 tracer.counter_add("plan_cache.warm_starts", 1);
@@ -235,51 +195,8 @@ impl PlanCache {
             }
             None => runtime.plan(program, input, config)?,
         });
-        if version > 0 {
-            // A profile can predate the first plan (recorded by a caller
-            // that executed an uncached plan): blend it in immediately.
-            let profile = self.profiles.profile(&key);
-            plan = Arc::new(runtime.replan(&plan, config, &profile)?);
-            self.refits.fetch_add(1, Ordering::Relaxed);
-            tracer.counter_add("plan_cache.refits", 1);
-        }
-        plans.insert(
-            key,
-            CachedPlan {
-                plan: Arc::clone(&plan),
-                generation: version,
-            },
-        );
+        plans.insert(key, Arc::clone(&plan));
         Ok(plan)
-    }
-
-    /// The cache's profile store: measured per-line costs keyed exactly
-    /// like the plans they refit.
-    #[must_use]
-    pub fn profiles(&self) -> &Arc<ProfileStore> {
-        &self.profiles
-    }
-
-    /// A recorder that feeds this cache's profile store under the same
-    /// key [`PlanCache::plan_for`] would use for (`name`, `runtime`,
-    /// `config`) — attach it via
-    /// [`crate::runtime::ActivePyOptions::with_profile`] and every plan
-    /// execution's measured line costs become refit observations.
-    #[must_use]
-    pub fn recorder_for(
-        &self,
-        runtime: &ActivePy,
-        name: &str,
-        input: &dyn InputSource,
-        config: &SystemConfig,
-    ) -> ProfileRecorder {
-        ProfileRecorder::to_store(
-            Arc::clone(&self.profiles),
-            (
-                name.to_string(),
-                Self::fingerprint(runtime, config, input.wire_fingerprint()),
-            ),
-        )
     }
 
     /// Returns the cached fleet plan for (`name`, planning options,
@@ -287,8 +204,8 @@ impl PlanCache {
     /// which is itself looked up (or built) under the *unchanged* base
     /// key, so single-device sampling is reused across every shard
     /// count. The sharded key appends [`ShardMap::fingerprint`], which
-    /// covers shard count, bounds, strategy, and sharded sources: plans
-    /// for different fleet shapes can never collide.
+    /// covers shard count, bounds, and sharded sources: plans for
+    /// different fleet shapes can never collide.
     ///
     /// # Errors
     ///
@@ -302,11 +219,8 @@ impl PlanCache {
         config: &SystemConfig,
         map: &ShardMap,
     ) -> Result<Arc<ShardedPlan>> {
-        let key = (
-            name.to_string(),
-            Self::fingerprint(runtime, config, input.wire_fingerprint()),
-            map.fingerprint(),
-        );
+        let (name_key, fp) = Self::key_for(runtime, name, input, config);
+        let key = (name_key, fp, map.fingerprint());
         {
             let sharded = self.sharded.lock().unwrap_or_else(PoisonError::into_inner);
             if let Some(plan) = sharded.get(&key) {
@@ -331,7 +245,6 @@ impl PlanCache {
         PlanCacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            refits: self.refits.load(Ordering::Relaxed),
         }
     }
 
@@ -357,9 +270,9 @@ impl PlanCache {
     }
 
     /// The cache key [`PlanCache::plan_for`] derives for (`name`,
-    /// `runtime`'s planning options, `config`) — also the
-    /// [`ProfileStore`] key, and the identity persisted warm-start seeds
-    /// are matched against.
+    /// `runtime`'s planning options, `config`) — the identity persisted
+    /// warm-start seeds are matched against, and the key a caller records
+    /// a [`crate::profile::ProfileStore`] under.
     #[must_use]
     pub fn key_for(
         runtime: &ActivePy,
@@ -375,10 +288,9 @@ impl PlanCache {
 
     /// Persists this cache's warm-start state to `path`: for every cached
     /// plan, its sampling report and materialized full-scale input (keyed
-    /// by the plan's cache key), plus the profile store's accumulated
-    /// observations — everything a restarted process needs to re-plan
-    /// identical plans without a single datagen call. The format is the
-    /// checksummed binary codec of [`crate::persist`].
+    /// by the plan's cache key) — everything a restarted process needs to
+    /// re-plan identical plans without a single datagen call. The format
+    /// is the checksummed binary codec of [`crate::persist`].
     ///
     /// # Errors
     ///
@@ -388,12 +300,12 @@ impl PlanCache {
             let plans = self.plans.lock().unwrap_or_else(PoisonError::into_inner);
             let mut v: Vec<_> = plans
                 .iter()
-                .map(|(k, c)| {
+                .map(|(k, plan)| {
                     (
                         k.clone(),
                         WarmSeed {
-                            sampling: c.plan.sampling.clone(),
-                            storage: c.plan.full_storage.clone(),
+                            sampling: plan.sampling.clone(),
+                            storage: plan.full_storage.clone(),
                         },
                     )
                 })
@@ -401,13 +313,12 @@ impl PlanCache {
             v.sort_by(|a, b| a.0.cmp(&b.0));
             v
         };
-        crate::persist::save_warm_file(path, &seeds, &self.profiles.entries())
+        crate::persist::save_warm_file(path, &seeds)
     }
 
     /// Loads warm-start state saved by [`PlanCache::save_warm`]: seeds
-    /// install into this cache's warm map (consulted on plan misses) and
-    /// persisted profiles restore into the profile store. Returns the
-    /// number of seeds loaded.
+    /// install into this cache's warm map (consulted on plan misses).
+    /// Returns the number of seeds loaded.
     ///
     /// # Errors
     ///
@@ -415,17 +326,12 @@ impl PlanCache {
     /// as [`std::io::ErrorKind::InvalidData`] (warm start is strictly
     /// optional, so callers typically fall back to cold planning).
     pub fn load_warm(&self, path: &Path) -> std::io::Result<usize> {
-        let (seeds, profiles) = crate::persist::load_warm_file(path)?;
+        let seeds = crate::persist::load_warm_file(path)?;
         let n = seeds.len();
-        {
-            let mut warm = self.warm.lock().unwrap_or_else(PoisonError::into_inner);
-            for (k, seed) in seeds {
-                warm.insert(k, seed);
-            }
-        }
-        for (k, p) in profiles {
-            self.profiles.restore(k, p);
-        }
+        self.warm
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend(seeds);
         Ok(n)
     }
 
@@ -636,68 +542,6 @@ mod tests {
     }
 
     #[test]
-    fn warm_profile_triggers_exactly_one_refit() {
-        let program = parse(SRC).expect("parse");
-        let config = SystemConfig::paper_default();
-        let rt = ActivePy::new();
-        let cache = PlanCache::new();
-        let cold = cache
-            .plan_for(&rt, "w", &program, &input(), &config)
-            .expect("cold plan");
-        // No observations yet: a repeat lookup is a plain hit, no refit.
-        let still_cold = cache
-            .plan_for(&rt, "w", &program, &input(), &config)
-            .expect("still cold");
-        assert!(Arc::ptr_eq(&cold, &still_cold));
-        assert_eq!(cache.stats().refits, 0, "empty profiles must be inert");
-        // Record one measured run through the cache's own recorder; the
-        // next lookup must refit exactly once.
-        let recorder = cache.recorder_for(&rt, "w", &input(), &config);
-        let measured: Vec<alang::LineCost> = cold
-            .program
-            .lines()
-            .iter()
-            .map(|_| alang::LineCost {
-                compute_ops: 2_000_000_000,
-                storage_bytes: 4_000_000_000,
-                bytes_in: 4_000_000_000,
-                bytes_out: 8,
-                copy_bytes: 0,
-                eliminable_copy_bytes: 0,
-                calls: 1,
-            })
-            .collect();
-        recorder.record(&measured);
-        let warm = cache
-            .plan_for(&rt, "w", &program, &input(), &config)
-            .expect("warm plan");
-        assert!(
-            !Arc::ptr_eq(&cold, &warm),
-            "a newer profile version must evict the stale plan"
-        );
-        let stats = cache.stats();
-        assert_eq!(stats.refits, 1);
-        assert_eq!(stats.misses, 1, "refits are not misses");
-        assert_eq!(stats.hits, 2, "refit lookups still count as hits");
-        // Without a new recording the refitted plan is stable.
-        let warm_again = cache
-            .plan_for(&rt, "w", &program, &input(), &config)
-            .expect("warm again");
-        assert!(Arc::ptr_eq(&warm, &warm_again));
-        assert_eq!(
-            cache.stats().refits,
-            1,
-            "at most one refit per recorded run"
-        );
-        // The profile feeds only its own key: a different workload name
-        // under the same config stays cold.
-        cache
-            .plan_for(&rt, "w2", &program, &input(), &config)
-            .expect("other workload");
-        assert_eq!(cache.stats().refits, 1);
-    }
-
-    #[test]
     fn refitted_plan_computes_identical_values() {
         let program = parse(SRC).expect("parse");
         let config = SystemConfig::paper_default();
@@ -711,16 +555,16 @@ mod tests {
             .expect("cold run");
         // Feed the *actual* measured costs back, as execute() would with a
         // live recorder, then refit.
-        let recorder = cache.recorder_for(&rt, "w", &input(), &config);
+        let store = crate::profile::ProfileStore::new();
+        let key = PlanCache::key_for(&rt, "w", &input(), &config);
         let mut measured = vec![alang::LineCost::zero(); cold.program.len()];
         for l in &cold_run.report.lines {
             measured[l.line] = l.cost;
         }
-        recorder.record(&measured);
-        let warm = cache
-            .plan_for(&rt, "w", &program, &input(), &config)
+        store.record(&key, &measured);
+        let warm = rt
+            .replan(&cold, &config, &store.profile(&key))
             .expect("warm plan");
-        assert_eq!(cache.stats().refits, 1);
         let warm_run = rt
             .execute_plan(&warm, &config, ContentionScenario::none())
             .expect("warm run");

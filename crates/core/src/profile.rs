@@ -5,9 +5,10 @@
 //! measures the true per-line costs — the same numbers the tracer's
 //! `exec.chunk_sim_ns` histograms aggregate — and then throws them away.
 //! This module keeps them: a [`ProfileStore`] accumulates measured
-//! [`LineCost`]s per (workload, platform-fingerprint) key — the same key
-//! the [`crate::plan::PlanCache`] uses — so a warm cache can *refit* its
-//! plan from observations instead of extrapolations.
+//! [`LineCost`]s per (workload, platform-fingerprint) key — the key
+//! [`crate::plan::PlanCache::key_for`] derives — so a caller can *refit* a
+//! plan from observations instead of extrapolations, with
+//! [`crate::runtime::ActivePy::replan`].
 //!
 //! Determinism: observations are integer sums (`u128` accumulators over
 //! the `u64` cost fields), means are integer divisions, and the blend in
@@ -21,7 +22,6 @@
 //! without making two otherwise-equal runtimes unequal.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use alang::LineCost;
@@ -53,27 +53,6 @@ impl LineObservation {
         self.calls = cost.calls;
     }
 
-    /// Rebuilds an observation from serialized parts (the inverse of
-    /// [`LineObservation::sums`] / [`LineObservation::calls`]).
-    #[must_use]
-    pub fn from_parts(count: u64, sums: [u128; 6], calls: u32) -> Self {
-        LineObservation { count, sums, calls }
-    }
-
-    /// The raw integer accumulators, in [`LineCost`] field order
-    /// (compute_ops, storage_bytes, bytes_in, bytes_out, copy_bytes,
-    /// eliminable_copy_bytes). Exposed for serialization.
-    #[must_use]
-    pub fn sums(&self) -> [u128; 6] {
-        self.sums
-    }
-
-    /// The last observed call count. Exposed for serialization.
-    #[must_use]
-    pub fn calls(&self) -> u32 {
-        self.calls
-    }
-
     /// The mean observed cost (zero when nothing was recorded).
     #[must_use]
     pub fn mean_cost(&self) -> LineCost {
@@ -96,9 +75,8 @@ impl LineObservation {
 
 /// Everything measured so far for one (workload, platform) key.
 ///
-/// `version` bumps once per recorded run; the [`crate::plan::PlanCache`]
-/// compares it against a cached plan's generation to decide when a refit
-/// is due.
+/// `version` bumps once per recorded run: it is the number of runs a
+/// refit blends in.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct WorkloadProfile {
     /// Bumped once per recorded run.
@@ -129,18 +107,6 @@ impl WorkloadProfile {
     pub fn is_empty(&self) -> bool {
         self.version == 0
     }
-
-    /// Rebuilds a profile from serialized parts.
-    #[must_use]
-    pub fn from_parts(version: u64, lines: Vec<LineObservation>) -> Self {
-        WorkloadProfile { version, lines }
-    }
-
-    /// All per-line aggregates in line order. Exposed for serialization.
-    #[must_use]
-    pub fn observations(&self) -> &[LineObservation] {
-        &self.lines
-    }
 }
 
 /// The profile key: workload name plus the plan-cache fingerprint of the
@@ -149,13 +115,11 @@ pub type ProfileKey = (String, u64);
 
 /// A keyed, thread-safe store of measured per-line cost observations.
 ///
-/// Keys are compatible with the [`crate::plan::PlanCache`] fingerprint,
-/// so a profile recorded under one key refits exactly the plan cached
-/// under the same key and no other.
+/// Keys are [`crate::plan::PlanCache::key_for`]'s, so a profile recorded
+/// under one key describes exactly the plan cached under the same key.
 #[derive(Debug, Default)]
 pub struct ProfileStore {
     profiles: Mutex<HashMap<ProfileKey, WorkloadProfile>>,
-    runs: AtomicU64,
 }
 
 impl ProfileStore {
@@ -169,7 +133,6 @@ impl ProfileStore {
     pub fn record(&self, key: &ProfileKey, costs: &[LineCost]) {
         let mut profiles = self.profiles.lock().unwrap_or_else(PoisonError::into_inner);
         profiles.entry(key.clone()).or_default().record_run(costs);
-        self.runs.fetch_add(1, Ordering::Relaxed);
     }
 
     /// A snapshot of the profile under `key` (empty default if absent).
@@ -181,46 +144,6 @@ impl ProfileStore {
             .get(key)
             .cloned()
             .unwrap_or_default()
-    }
-
-    /// The current version of the profile under `key` (0 if absent).
-    #[must_use]
-    pub fn version(&self, key: &ProfileKey) -> u64 {
-        self.profiles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(key)
-            .map_or(0, |p| p.version)
-    }
-
-    /// Total runs recorded across all keys.
-    #[must_use]
-    pub fn runs_recorded(&self) -> u64 {
-        self.runs.load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of every (key, profile) pair, sorted by key for
-    /// deterministic serialization order.
-    #[must_use]
-    pub fn entries(&self) -> Vec<(ProfileKey, WorkloadProfile)> {
-        let profiles = self.profiles.lock().unwrap_or_else(PoisonError::into_inner);
-        let mut out: Vec<_> = profiles
-            .iter()
-            .map(|(k, v)| (k.clone(), v.clone()))
-            .collect();
-        out.sort_by(|a, b| a.0.cmp(&b.0));
-        out
-    }
-
-    /// Installs a deserialized profile under `key`, replacing whatever is
-    /// there. The warm-start path uses this to hand a restarted process
-    /// its accumulated observations; `runs_recorded` counts only runs
-    /// recorded live, so it is intentionally left untouched.
-    pub fn restore(&self, key: ProfileKey, profile: WorkloadProfile) {
-        self.profiles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, profile);
     }
 }
 
@@ -322,13 +245,12 @@ mod tests {
         let store = ProfileStore::new();
         let key_a: ProfileKey = ("w".into(), 1);
         let key_b: ProfileKey = ("w".into(), 2);
-        assert_eq!(store.version(&key_a), 0);
+        assert_eq!(store.profile(&key_a).version, 0);
         store.record(&key_a, &[cost(1), cost(2)]);
         store.record(&key_a, &[cost(1), cost(2)]);
         store.record(&key_b, &[cost(5)]);
-        assert_eq!(store.version(&key_a), 2);
-        assert_eq!(store.version(&key_b), 1);
-        assert_eq!(store.runs_recorded(), 3);
+        assert_eq!(store.profile(&key_a).version, 2);
+        assert_eq!(store.profile(&key_b).version, 1);
         let profile = store.profile(&key_a);
         assert_eq!(profile.observation(0).expect("line 0").count, 2);
         assert_eq!(profile.observation(1).expect("line 1").mean_cost(), cost(2));
@@ -368,6 +290,6 @@ mod tests {
         let live = ProfileRecorder::to_store(Arc::clone(&store), ("w".into(), 1));
         assert!(live.is_enabled());
         live.record(&[cost(1)]);
-        assert_eq!(store.runs_recorded(), 1);
+        assert_eq!(store.profile(&("w".into(), 1)).version, 1);
     }
 }

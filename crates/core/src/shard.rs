@@ -1,7 +1,7 @@
 //! Scatter-gather offload planning and execution across a CSD fleet.
 //!
 //! The paper plans for one device; this module extends the pipeline to a
-//! [`Fleet`] of N independent CSDs holding hash- or range-sharded rows
+//! [`Fleet`] of N independent CSDs holding range-sharded rows
 //! ([`ShardMap`]). Planning reuses the single-device sampling and fitting
 //! products wholesale: a [`ShardedPlan`] derives per-shard estimates by
 //! *exact integer slicing* of the base plan's full-scale estimates, then
@@ -13,7 +13,8 @@
 //! 1. **Scatter**: every shard executes the program's rowwise prefix
 //!    (lines before the [`alang::shard::analyze`] fence) on its own
 //!    device, charged only for its row slice via [`ShardSlice`]. Shards
-//!    are independent failure domains: a GC burst or hard fault migrates
+//!    are independent failure domains: each runs under its own
+//!    [`crate::monitor::Monitor`], so a GC burst or hard fault migrates
 //!    *that shard* to the host while the rest keep running on-device.
 //! 2. **Gather**: the carriers (sharded values live across the fence)
 //!    stream to the host concurrently; [`Fleet::gather_secs`] charges the
@@ -35,16 +36,15 @@
 use crate::assign::{assign_refined, Assignment};
 use crate::error::{ActivePyError, Result};
 use crate::estimate::{LineEstimate, Link};
-use crate::exec::{evaluate, simulate, ExecOptions, MigrationReason, RunReport};
-use crate::monitor::{ShardDecision, ShardMonitors, DECREASING_STREAK};
+use crate::exec::{evaluate, simulate, ExecOptions, RunReport};
 use crate::plan::OffloadPlan;
 use crate::runtime::ActivePy;
 use alang::shard::{analyze, ShardAnalysis, ShardMap};
 use alang::{LoweredProgram, Program, Storage};
-use csd_sim::contention::{ContentionScenario, Trigger};
+use csd_sim::contention::ContentionScenario;
 use csd_sim::fault::{FaultCounters, FaultPlan};
-use csd_sim::units::{Bandwidth, Duration, Ops, SimTime};
-use csd_sim::{EngineKind, Fleet, System, SystemConfig};
+use csd_sim::units::{Bandwidth, Duration, Ops};
+use csd_sim::{EngineKind, Fleet, SystemConfig};
 use isp_obs::SpanKind;
 use serde::Serialize;
 use std::ops::Range;
@@ -55,10 +55,6 @@ use std::sync::Arc;
 /// not a recompute — it is deliberately cheap, and charged sequentially
 /// in ascending shard index.
 const COMBINE_OPS_PER_BYTE: f64 = 0.125;
-
-/// Availability-probe window spacing (seconds of device sim-time) used by
-/// the per-shard monitor's recovery check.
-const PROBE_WINDOW_SECS: f64 = 0.01;
 
 /// A single-device [`OffloadPlan`] extended with a per-line × per-shard
 /// placement: the sharded data model, the scatter/gather fence, per-shard
@@ -227,8 +223,6 @@ impl ShardSlice {
 pub struct ShardRunReport {
     /// Shard index.
     pub shard: usize,
-    /// What the fleet monitor decided before the shard ran.
-    pub decision: ShardDecision,
     /// The shard's execution report (its own device clock).
     pub report: RunReport,
     /// Bytes this shard contributed to the gather phase.
@@ -267,13 +261,13 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
-    /// Shards that completed their scatter phase on-device (no migration
-    /// and not pre-migrated by fleet pressure).
+    /// Shards that completed their scatter phase on-device (no
+    /// migration).
     #[must_use]
     pub fn shards_on_device(&self) -> usize {
         self.shards
             .iter()
-            .filter(|s| s.report.migration.is_none() && s.decision != ShardDecision::PreMigrate)
+            .filter(|s| s.report.migration.is_none())
             .count()
     }
 
@@ -308,27 +302,6 @@ pub struct FleetRun<'a> {
     /// Simulated seconds that precede the scatter (pipeline overheads);
     /// charged once on the host clock.
     pub lead_in_secs: f64,
-}
-
-/// Samples a shard device's CSE availability over [`DECREASING_STREAK`]
-/// consecutive probe instants (most recent last), folding in a
-/// time-triggered contention scenario that is active at each instant —
-/// begun, and not yet recovered. This is the signal
-/// [`ShardMonitors::decision`] uses to spare a recovered shard from a
-/// fleet-pressure pre-migration.
-fn shard_probe(device: &System, scenario: &ContentionScenario) -> Vec<f64> {
-    (0..DECREASING_STREAK)
-        .map(|w| {
-            let t = SimTime::from_secs(f64::from(w) * PROBE_WINDOW_SECS);
-            let trace = device.engine(EngineKind::Cse).availability().fraction_at(t);
-            let active = |at| at <= t && scenario.recover_at().is_none_or(|r| t < r);
-            let scen = match scenario.trigger() {
-                Trigger::AtTime(at) if !scenario.is_none() && active(at) => scenario.fraction(),
-                _ => 1.0,
-            };
-            trace.min(scen)
-        })
-        .collect()
 }
 
 /// Executes one scatter-gather fleet run.
@@ -378,18 +351,10 @@ pub fn execute_sharded(
         }),
     );
 
-    // Scatter: ascending shard index. Earlier shards' degradation
-    // migrations build fleet pressure; later shards are pre-migrated
-    // under majority pressure unless their own availability probe clears
-    // a full streak window (ShardMonitors — the narrow inverse of
-    // migrate-to-host).
-    let mut monitors = opts.monitor.then(|| ShardMonitors::new(n));
+    // Scatter: ascending shard index. Each shard runs under its own
+    // monitor, which alone decides whether that shard migrates.
     let mut shards: Vec<ShardRunReport> = Vec::with_capacity(n);
     for s in 0..n {
-        let decision = match &monitors {
-            Some(sm) => sm.decision(s, &shard_probe(fleet.device(s), &opts.scenario)),
-            None => ShardDecision::Stay,
-        };
         let mut placements = shard_placements[s].clone();
         if placements.len() != len {
             return Err(ActivePyError::exec(format!(
@@ -399,9 +364,6 @@ pub fn execute_sharded(
         }
         for p in placements.iter_mut().skip(analysis.fence) {
             *p = EngineKind::Host;
-        }
-        if decision == ShardDecision::PreMigrate {
-            placements.fill(EngineKind::Host);
         }
         let slice = ShardSlice {
             map: run.map.clone(),
@@ -419,12 +381,7 @@ pub fn execute_sharded(
             "fleet.shard",
             SpanKind::Device,
             Some(0.0),
-            tracer.attrs(|| {
-                vec![
-                    ("shard".into(), s.into()),
-                    ("decision".into(), format!("{decision:?}").into()),
-                ]
-            }),
+            tracer.attrs(|| vec![("shard".into(), s.into())]),
         );
         let report = simulate(
             run.program,
@@ -436,13 +393,6 @@ pub fn execute_sharded(
             Some(&slice),
         )?;
         tracer.end(shard_span, Some(report.total_secs));
-        if let Some(sm) = monitors.as_mut() {
-            let degraded = report
-                .migration
-                .map(|m| m.reason == MigrationReason::Degraded)
-                .unwrap_or(false);
-            sm.record(s, degraded);
-        }
         let gather_bytes: u64 = analysis
             .carriers
             .iter()
@@ -450,7 +400,6 @@ pub fn execute_sharded(
             .sum();
         shards.push(ShardRunReport {
             shard: s,
-            decision,
             report,
             gather_bytes,
         });
@@ -658,6 +607,7 @@ mod tests {
     use alang::parser::parse;
     use alang::shard::ShardStrategy;
     use alang::{CostParams, ExecTier};
+    use csd_sim::units::SimTime;
 
     const SRC: &str = "a = scan('v')\nm = a < 50\nb = select(a, m)\ns = sum(b)\n";
 
@@ -698,15 +648,6 @@ mod tests {
             0,
             "not charged"
         );
-    }
-
-    #[test]
-    fn a_probe_after_the_tenants_leave_reads_full_availability() {
-        let device = SystemConfig::paper_default().build();
-        let burst = ContentionScenario::at_time(SimTime::ZERO, 0.1);
-        assert_eq!(shard_probe(&device, &burst), [0.1; 3]);
-        let recovered = burst.with_recovery_at(SimTime::from_secs(PROBE_WINDOW_SECS));
-        assert_eq!(shard_probe(&device, &recovered), [0.1, 1.0, 1.0]);
     }
 
     #[test]

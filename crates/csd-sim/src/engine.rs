@@ -95,12 +95,6 @@ impl ComputeEngine {
         self.spec.nominal_rate()
     }
 
-    /// The availability trace currently in force.
-    #[must_use]
-    pub fn availability(&self) -> &AvailabilityTrace {
-        &self.availability
-    }
-
     /// Degrades availability to `fraction` from time `at` onward.
     ///
     /// # Panics

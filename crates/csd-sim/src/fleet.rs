@@ -70,16 +70,6 @@ impl Fleet {
         self.devices.is_empty()
     }
 
-    /// Immutable access to device `s`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range.
-    #[must_use]
-    pub fn device(&self, s: usize) -> &System {
-        &self.devices[s]
-    }
-
     /// Mutable access to device `s` (how the executor runs one shard).
     ///
     /// # Panics
@@ -160,7 +150,11 @@ mod tests {
         let _ = fleet
             .device_mut(0)
             .try_compute(crate::EngineKind::Cse, crate::units::Ops::new(1_000));
-        let crashed = |s: usize| fleet.device(s).faults().is_some_and(FaultInjector::crashed);
+        let crashed = |s: usize| {
+            fleet.devices[s]
+                .faults()
+                .is_some_and(FaultInjector::crashed)
+        };
         assert!(crashed(0));
         assert!(!crashed(1), "shard 1 must be unaffected");
         assert_eq!(fleet.fault_counters().cse_crashes, 1);

@@ -688,21 +688,6 @@ impl JournalDiff {
     }
 }
 
-fn footer_counters(journal: &Journal) -> BTreeMap<String, u64> {
-    journal
-        .metrics
-        .as_ref()
-        .and_then(|m| m.get("counters"))
-        .and_then(JsonValue::as_obj)
-        .map(|fields| {
-            fields
-                .iter()
-                .filter_map(|(k, v)| v.as_u64().map(|n| (k.clone(), n)))
-                .collect()
-        })
-        .unwrap_or_default()
-}
-
 /// Compare two parsed journals span-by-span (see [`JournalDiff`]).
 pub fn diff_journals(a: &Journal, b: &Journal) -> JournalDiff {
     let mut by_name: BTreeMap<&str, (Vec<&JournalSpan>, Vec<&JournalSpan>)> = BTreeMap::new();
@@ -756,8 +741,10 @@ pub fn diff_journals(a: &Journal, b: &Journal) -> JournalDiff {
     }
     diff.phases = phases.into_values().collect();
 
-    let ca = footer_counters(a);
-    let cb = footer_counters(b);
+    let counters = |j: &Journal| -> BTreeMap<String, u64> {
+        footer_snapshot(j).map_or_else(BTreeMap::new, |m| m.counters.into_iter().collect())
+    };
+    let (ca, cb) = (counters(a), counters(b));
     let names: std::collections::BTreeSet<&String> = ca.keys().chain(cb.keys()).collect();
     for name in names {
         let va = ca.get(name).copied();

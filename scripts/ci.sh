@@ -150,8 +150,17 @@ echo "== simulated charges (the D2H links, DMA and calibration to the bit; the p
 cargo test -q -p csd-sim --lib -- system:: config:: flash:: engine:: fleet:: availability::
 cargo test -q -p activepy --lib estimate::
 
+echo "== fleet differential: one answer at every N, clean, faulted and contended =="
+# Random programs and placements on fleets of 1, 2, 4 and 8 devices, each
+# clean, under per-shard fault plans, and under a contention burst at half
+# progress with every shard's own monitor on: one values_fingerprint, the
+# unsharded run's, in every cell; recovery accounting equal to what the
+# injectors delivered; and a respelled program moving no fleet. Ahead of
+# the suite, so a fleet break stops here, named.
+cargo test -q --test shard_determinism
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 56 of the 672 tests. No later
+# The whole suite: the root package alone is 56 of the 666 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 

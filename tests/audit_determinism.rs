@@ -23,7 +23,7 @@ mod common;
 use activepy::audit::capture_terms;
 use activepy::exec::{evaluate, execute, simulate, ExecOptions, MigrationReason};
 use activepy::runtime::{ActivePy, ActivePyOptions};
-use activepy::{execute_sharded_raw, PlanCache};
+use activepy::{execute_sharded_raw, PlanCache, ProfileRecorder, ProfileStore};
 use alang::parser::parse;
 use alang::shard::{ShardMap, ShardStrategy};
 use alang::ParallelPolicy;
@@ -34,6 +34,7 @@ use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::export::prometheus;
 use isp_obs::{footer_snapshot, parse_journal, Tracer};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 const FLEET_SIZES: [usize; 2] = [1, 4];
 
@@ -162,10 +163,14 @@ fn planned_audit_pass_is_observation_only() {
         .expect("reference run");
 
     let (tracer, sink) = Tracer::to_memory();
+    let key = PlanCache::key_for(&rt, w.name(), &w, &config);
     let audited_rt = ActivePy::with_options(
         ActivePyOptions::default()
             .with_tracer(tracer.clone())
-            .with_profile(cache.recorder_for(&rt, w.name(), &w, &config)),
+            .with_profile(ProfileRecorder::to_store(
+                Arc::new(ProfileStore::new()),
+                key,
+            )),
     );
     let audited = audited_rt
         .execute_plan(&plan, &config, ContentionScenario::none())
@@ -236,7 +241,9 @@ fn an_activepy_execution_runs_under_exactly_its_options() {
     let faults = FaultPlan::none()
         .with_seed(7)
         .with_flash_read_error_prob(0.2);
-    let recorder = cache.recorder_for(&ActivePy::new(), w.name(), &w, &config);
+    let store = Arc::new(ProfileStore::new());
+    let key = PlanCache::key_for(&ActivePy::new(), w.name(), &w, &config);
+    let recorder = ProfileRecorder::to_store(Arc::clone(&store), key.clone());
     let rt = ActivePy::with_options(
         ActivePyOptions::default()
             .with_faults(faults)
@@ -285,7 +292,8 @@ fn an_activepy_execution_runs_under_exactly_its_options() {
         "{:?}",
         report.migrations
     );
-    assert_eq!(cache.profiles().runs_recorded(), 2);
+    // Both the planned run and the hand-built `simulate` recorded.
+    assert_eq!(store.profile(&key).version, 2);
 }
 
 /// The committed Prometheus golden: rendering the metrics footer of the

@@ -3,22 +3,24 @@
 //! burst, device-ward on reclaim, or to a different assignment after a
 //! refit — but never *what* they compute. Random programs run under
 //! random burst/recovery traces through the full feedback loop (cold
-//! plan → monitored recording run → refit → re-planned run) and every
-//! cell must report the uncontended reference's `values_fingerprint`. The refitted plan must also honor
-//! the warm-never-worse contract: under the blended cost model its
-//! modelled sim-time never exceeds the cold assignment's.
+//! plan → monitored run recording into a `ProfileStore` →
+//! `ActivePy::replan` → re-planned run) and every cell must report the
+//! uncontended reference's `values_fingerprint`. The refitted plan must
+//! also honor the warm-never-worse contract: under the blended cost model
+//! its modelled sim-time never exceeds the cold assignment's.
 
 mod common;
 
 use activepy::assign::projected_cost;
 use activepy::estimate::Link;
 use activepy::runtime::{ActivePy, ActivePyOptions};
-use activepy::{InputSource, PlanCache};
+use activepy::{InputSource, PlanCache, ProfileRecorder, ProfileStore};
 use alang::parser::parse;
 use common::{ident, scaled_storage, source, SCALED_V, SCALED_W, VARS};
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, SystemConfig};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 /// Builtins safe on every value the grammar can produce (`sort` panics
 /// on NaNs, `len` rejects scalars; both stay out). The reductions only
@@ -101,24 +103,26 @@ proptest! {
         let static_run = static_rt
             .execute_plan(&cold, &config, scenario)
             .expect("static run");
+        let store = Arc::new(ProfileStore::new());
+        let key = PlanCache::key_for(&static_rt, "prop", &input(), &config);
         let monitored_rt = ActivePy::with_options(
             ActivePyOptions::default()
-                .with_profile(cache.recorder_for(&static_rt, "prop", &input(), &config)),
+                .with_profile(ProfileRecorder::to_store(Arc::clone(&store), key.clone())),
         );
         let monitored = monitored_rt
             .execute_plan(&cold, &config, scenario)
             .expect("monitored run");
 
-        // The recorded profile is newer than the cached plan, so this
-        // lookup refits.
-        let replan_rt = ActivePy::new();
-        let warm = cache
-            .plan_for(&replan_rt, "prop", &program, &input(), &config)
-            .expect("refit succeeds");
+        // The monitored run recorded once; the refit blends that run in.
+        let profile = store.profile(&key);
         prop_assert_eq!(
-            cache.stats().refits, 1,
-            "one recorded run must trigger exactly one refit for:\n{}", src
+            profile.version, 1,
+            "one monitored run must record exactly one profile run for:\n{}", src
         );
+        let replan_rt = ActivePy::new();
+        let warm = replan_rt
+            .replan(&cold, &config, &profile)
+            .expect("refit succeeds");
         let replanned = replan_rt
             .execute_plan(&warm, &config, scenario)
             .expect("re-planned run");

@@ -1,10 +1,11 @@
 //! Shard differential: random programs × random placements × every fleet
-//! size × pinned per-shard fault plans. The invariants the scatter-gather
-//! fleet must hold, for every draw:
+//! size × three cells — clean, pinned per-shard fault plans, and a
+//! contention burst at half progress with each shard's monitor on. The
+//! invariants the scatter-gather fleet must hold, for every draw:
 //!
-//! 1. **One answer** — every fleet size N ∈ {1, 2, 4, 8}, faulted or
-//!    clean, produces the same
-//!    `values_fingerprint` as the unsharded single-device run.
+//! 1. **One answer** — every fleet size N ∈ {1, 2, 4, 8}, in every cell,
+//!    produces the same `values_fingerprint` as the unsharded
+//!    single-device run.
 //! 2. **Consistent failure** — a program that errors unsharded (reads of
 //!    undefined names) errors at every fleet size too.
 //! 3. **Accounting sums** — the transient faults the per-shard recovery
@@ -29,7 +30,7 @@ use common::{
     storage, REASSIGNING, VARS,
 };
 use csd_sim::fault::FaultPlan;
-use csd_sim::SystemConfig;
+use csd_sim::{ContentionScenario, SystemConfig};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -78,6 +79,11 @@ proptest! {
         let config = SystemConfig::paper_default();
 
         let opts = ExecOptions::activepy();
+        // The monitor is on in every cell; only the contended one sees a
+        // burst, from half of each region's progress on.
+        let contended = opts
+            .clone()
+            .with_scenario(ContentionScenario::after_progress(0.5, 0.1));
 
         // The unsharded single-device reference.
         let mut system = config.build();
@@ -90,35 +96,33 @@ proptest! {
             prop_assert_eq!(map.count(), n);
             let faults: Vec<FaultPlan> =
                 (0..n).map(|s| params.plan_for_shard(s)).collect();
-            let clean = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &[],
-            );
-            let faulted = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &faults,
-            );
+            let cells = [
+                ("clean", &opts, &[][..]),
+                ("faulted", &opts, &faults[..]),
+                ("contended", &contended, &[][..]),
+            ];
+            let run = |p, (_, o, plans): &(&str, &ExecOptions, &[FaultPlan])| {
+                execute_sharded_raw(p, &st, &map, &placements, &config, o, plans)
+            };
+            let runs: Vec<_> = cells.iter().map(|cell| run(&program, cell)).collect();
             // Invariant 5: names carry no cost.
-            for (plans, named) in [(&[][..], &clean), (&faults[..], &faulted)] {
-                let respelled_run = execute_sharded_raw(
-                    &single, &st, &map, &placements, &config, &opts, plans,
-                );
+            for (cell, named) in cells.iter().zip(&runs) {
                 prop_assert_eq!(
-                    masked_fleet(named), masked_fleet(&respelled_run),
-                    "respelling moved the N={} fleet for:\n{}as:\n{}", n, src, respelled
+                    masked_fleet(named), masked_fleet(&run(&single, cell)),
+                    "respelling moved the {} N={} fleet for:\n{}as:\n{}",
+                    cell.0, n, src, respelled
                 );
             }
-            match (&reference, clean, faulted) {
-                (Ok(reference), Ok(clean), Ok(faulted)) => {
+            match (&reference, &runs[..]) {
+                (Ok(reference), [Ok(clean), Ok(faulted), Ok(contended)]) => {
                     // Invariant 1: one answer everywhere.
-                    prop_assert_eq!(
-                        clean.values_fingerprint,
-                        reference.values_fingerprint,
-                        "clean N={} diverged for:\n{}", n, src
-                    );
-                    prop_assert_eq!(
-                        faulted.values_fingerprint,
-                        reference.values_fingerprint,
-                        "faulted N={} diverged for:\n{}", n, src
-                    );
+                    for (cell, report) in [("clean", clean), ("faulted", faulted), ("contended", contended)] {
+                        prop_assert_eq!(
+                            report.values_fingerprint,
+                            reference.values_fingerprint,
+                            "{} N={} diverged for:\n{}", cell, n, src
+                        );
+                    }
                     // Invariant 3: fleet-wide recovery accounting
                     // matches what the injectors delivered.
                     prop_assert_eq!(
@@ -139,15 +143,14 @@ proptest! {
                         }
                     }
                 }
-                (Err(_), Err(_), Err(_)) => {
+                (Err(_), [Err(_), Err(_), Err(_)]) => {
                     // Invariant 2: invalid programs fail at every
-                    // fleet size, faulted or not.
+                    // fleet size, in every cell.
                 }
-                (reference, clean, faulted) => {
+                (reference, runs) => {
                     return Err(TestCaseError::fail(format!(
                         "sharding changed success at N={n} for:\n{src}\n\
-                         reference: {reference:?}\nclean: {clean:?}\n\
-                         faulted: {faulted:?}"
+                         reference: {reference:?}\nclean, faulted, contended: {runs:?}"
                     )));
                 }
             }
