@@ -2,9 +2,8 @@
 //!
 //! The baselines used to carry their own near-duplicate error enum; it is
 //! now folded into the core taxonomy — [`activepy::ActivePyError`] grew a
-//! structured `Search` variant (plus the `Transient`/`DeviceFault` fault
-//! kinds), so this module is only the aliases keeping the baselines'
-//! vocabulary intact.
+//! structured `Search` variant, so this module is only the aliases keeping
+//! the baselines' vocabulary intact.
 
 /// Failures raised while building or running a baseline — an alias for the
 /// unified runtime taxonomy.
@@ -24,7 +23,6 @@ mod tests {
         let msg = format!("{e}");
         assert!(msg.contains("offload search"), "got: {msg}");
         assert!(msg.contains("none"), "got: {msg}");
-        assert!(!e.is_retryable(), "a failed search is not a device blip");
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! Algorithm 1 places lines using Eq. 1 *predictions*; the monitors of
 //! §III-D correct the plan when reality diverges. This module makes the
 //! divergence itself first-class: at plan time every per-line Eq. 1 term
-//! is captured as an [`Eq1Term`] (into [`crate::plan::OffloadPlan::eq1`]
-//! and [`crate::exec::RunReport::eq1`]); after execution, [`calibrate`]
-//! joins the terms against the measured [`alang::LineCost`]s and
+//! is captured as an [`Eq1Term`] into [`crate::plan::OffloadPlan::eq1`],
+//! the one place the terms live; after execution, [`calibrate`] joins the
+//! plan's terms against a report's measured [`alang::LineCost`]s and
 //! per-line wall-clock into a [`CalibrationReport`]: per-line time and
 //! output-volume error, and the counterfactual question no end-to-end run
 //! answers — **would Algorithm 1 have flipped this line
@@ -44,10 +44,9 @@ use serde::Serialize;
 
 /// One line's Eq. 1 terms exactly as Algorithm 1 consumed them.
 ///
-/// Captured at plan time into [`OffloadPlan::eq1`] and echoed (from the
-/// assignment actually executed) into [`RunReport::eq1`]. For wire-format
-/// scan lines, `on_csd` *is* the decode placement: decode runs wherever
-/// the scan line runs.
+/// Captured at plan time into [`OffloadPlan::eq1`], and kept only there.
+/// For wire-format scan lines, `on_csd` *is* the decode placement: decode
+/// runs wherever the scan line runs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct Eq1Term {
     /// The line index.
@@ -218,13 +217,11 @@ fn measured_ct(outcome: &LineOutcome, link: Link) -> f64 {
     (outcome.end_secs - outcome.start_secs - link.transfer(outcome.staged_bytes)).max(0.0)
 }
 
-/// Joins a plan's captured [`Eq1Term`]s against a finished run's measured
+/// Joins a plan's captured [`Eq1Term`]s (`plan.eq1`, the terms of the
+/// assignment the plan executes) against a finished run's measured
 /// outcomes into a [`CalibrationReport`], stamped with the version of the
-/// workload's [`WorkloadProfile`] when one is given.
-///
-/// Prefers the terms echoed into `report.eq1` (they reflect the
-/// assignment that actually executed, e.g. a forced-placement variant);
-/// falls back to `plan.eq1`. Lines the run never reached are skipped.
+/// workload's [`WorkloadProfile`] when one is given. Lines the run never
+/// reached are skipped.
 #[must_use]
 pub fn calibrate(
     workload: &str,
@@ -232,11 +229,7 @@ pub fn calibrate(
     report: &RunReport,
     profile: Option<&WorkloadProfile>,
 ) -> CalibrationReport {
-    let terms: &[Eq1Term] = if report.eq1.is_empty() {
-        &plan.eq1
-    } else {
-        &report.eq1
-    };
+    let terms = &plan.eq1;
     let profile_version = profile.map_or(0, |p| p.version);
     // Every term carries the one bandwidth the assignment charged; without
     // terms there is no line to audit.
@@ -248,8 +241,7 @@ pub fn calibrate(
             profile_version,
         };
     };
-    // Last outcome per line wins: a reclaim may revisit a boundary, and
-    // the final visit is the one that produced the line's lasting cost.
+    // The outcomes keyed by line; a line the run never reached has none.
     let mut by_line: BTreeMap<usize, &LineOutcome> = BTreeMap::new();
     for l in &report.lines {
         by_line.insert(l.line, l);
@@ -357,9 +349,8 @@ mod tests {
 
     #[test]
     fn plans_capture_one_term_per_line_with_consistent_profit_sign() {
-        let (plan, report, _, _) = plan_and_run(ContentionScenario::none());
+        let (plan, _, _, _) = plan_and_run(ContentionScenario::none());
         assert_eq!(plan.eq1.len(), 4);
-        assert_eq!(report.eq1.len(), 4);
         for t in &plan.eq1 {
             assert_eq!(t.shards, 1);
             assert!(t.bw_d2h > 0.0);

@@ -2,11 +2,9 @@
 //! baselines (which used to carry a near-duplicate enum; it is now a
 //! re-export of this one).
 //!
-//! Device adversity is structured, not stringly-typed: transient faults
-//! ([`ActivePyError::Transient`]) and permanent device loss
-//! ([`ActivePyError::DeviceFault`]) are distinct variants, and
-//! [`ActivePyError::is_retryable`] is what the recovery policy branches
-//! on.
+//! Device faults are not errors here: the recovery layer retries or
+//! migrates on [`csd_sim::fault::DeviceFault::is_transient`], and a run
+//! that survives them returns a report, not an error.
 
 use alang::LangError;
 use std::fmt;
@@ -29,19 +27,6 @@ pub enum ActivePyError {
     /// The execution engine hit an inconsistency (e.g. assignment length
     /// mismatch).
     Exec {
-        /// Explanation.
-        message: String,
-    },
-    /// A transient device error (injected flash/NVMe/DMA failure): a
-    /// retry can succeed. The only retryable kind.
-    Transient {
-        /// Explanation.
-        message: String,
-    },
-    /// A permanent device fault (hard CSE crash, or transient-retry
-    /// exhaustion escalated by policy): the device side of the run is
-    /// over; recovery means host fallback.
-    DeviceFault {
         /// Explanation.
         message: String,
     },
@@ -74,22 +59,6 @@ impl ActivePyError {
         }
     }
 
-    /// Shorthand for a transient device error.
-    #[must_use]
-    pub fn transient(message: impl Into<String>) -> Self {
-        ActivePyError::Transient {
-            message: message.into(),
-        }
-    }
-
-    /// Shorthand for a permanent device fault.
-    #[must_use]
-    pub fn device_fault(message: impl Into<String>) -> Self {
-        ActivePyError::DeviceFault {
-            message: message.into(),
-        }
-    }
-
     /// Shorthand for a configuration-validation error.
     #[must_use]
     pub fn config(message: impl Into<String>) -> Self {
@@ -105,14 +74,6 @@ impl ActivePyError {
             message: message.into(),
         }
     }
-
-    /// Whether retrying the failed operation can possibly succeed — the
-    /// structured question the recovery policy asks instead of matching
-    /// on message strings. Only transient device errors qualify.
-    #[must_use]
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, ActivePyError::Transient { .. })
-    }
 }
 
 impl fmt::Display for ActivePyError {
@@ -122,10 +83,6 @@ impl fmt::Display for ActivePyError {
             ActivePyError::Sampling { message } => write!(f, "sampling error: {message}"),
             ActivePyError::Fit { message } => write!(f, "fit error: {message}"),
             ActivePyError::Exec { message } => write!(f, "execution error: {message}"),
-            ActivePyError::Transient { message } => {
-                write!(f, "transient device error: {message}")
-            }
-            ActivePyError::DeviceFault { message } => write!(f, "device fault: {message}"),
             ActivePyError::Config { message } => write!(f, "invalid configuration: {message}"),
             ActivePyError::Search { message } => write!(f, "offload search error: {message}"),
         }
@@ -145,16 +102,6 @@ impl std::error::Error for ActivePyError {
 impl From<LangError> for ActivePyError {
     fn from(e: LangError) -> Self {
         ActivePyError::Lang(e)
-    }
-}
-
-impl From<csd_sim::fault::DeviceFault> for ActivePyError {
-    fn from(f: csd_sim::fault::DeviceFault) -> Self {
-        if f.is_transient() {
-            ActivePyError::transient(f.to_string())
-        } else {
-            ActivePyError::device_fault(f.to_string())
-        }
     }
 }
 
@@ -178,31 +125,5 @@ mod tests {
         use std::error::Error;
         let e: ActivePyError = LangError::runtime("boom").into();
         assert!(e.source().is_some());
-    }
-
-    #[test]
-    fn only_transient_errors_are_retryable() {
-        assert!(ActivePyError::transient("flash hiccup").is_retryable());
-        for e in [
-            ActivePyError::device_fault("crash"),
-            ActivePyError::exec("bad state"),
-            ActivePyError::config("smoothing"),
-            ActivePyError::search("no assignment"),
-            ActivePyError::sampling("no scales"),
-        ] {
-            assert!(!e.is_retryable(), "{e} must not be retryable");
-        }
-    }
-
-    #[test]
-    fn device_faults_convert_by_kind() {
-        use csd_sim::fault::DeviceFault;
-        use csd_sim::units::SimTime;
-        let t = SimTime::from_secs(1.0);
-        let e: ActivePyError = DeviceFault::FlashRead { at: t }.into();
-        assert!(e.is_retryable());
-        let e: ActivePyError = DeviceFault::CseCrash { at: t }.into();
-        assert!(matches!(e, ActivePyError::DeviceFault { .. }));
-        assert!(!e.is_retryable());
     }
 }

@@ -1,7 +1,7 @@
 //! §III-D: when a CSD region breaks — a device fault, a high-priority
 //! preemption or a degraded monitor — and how the work moves: the state
-//! drain, host completion, and the reclaim that hands work back to the CSD
-//! once it recovers.
+//! drain, host completion, and the reclaim that hands the region's
+//! remainder back to the CSD if it recovers while the host works it off.
 
 use super::{
     chunk_slice, csd_lines, estimate_sums, Boundary, ChunkStep, MigrationEvent, MigrationReason,
@@ -142,14 +142,6 @@ impl Run<'_> {
         reason: MigrationReason,
         done_fraction: f64,
     ) -> Result<()> {
-        // Any migration consumes the monitor's accumulated evidence:
-        // after a preemption or device-fault fallback the task is no
-        // longer on the CSD either, so a stale decreasing-IPC streak
-        // must not instantly re-trigger (or poison a later reclaim
-        // decision) once work returns to the device.
-        if let Some(mon) = self.monitor.as_mut() {
-            mon.acknowledge_migration();
-        }
         let len = r.len();
         let later_count = csd_lines(&self.placements[r.end + 1..]);
         let event = MigrationEvent {
@@ -173,7 +165,7 @@ impl Run<'_> {
         }
         self.boundary(Boundary::Migration(event, c))?;
         if let Some(reclaim) = reclaim {
-            self.boundary(Boundary::Reclaim(reclaim, true))?;
+            self.boundary(Boundary::Reclaim(reclaim))?;
         }
         Ok(())
     }
@@ -196,8 +188,7 @@ impl Run<'_> {
                 // Availability can recover while the host works off the
                 // remainder: under a phase-shifting scenario the remainder
                 // is worked off in chunk slices and the Degraded migration
-                // is reconsidered at every boundary — the in-region mirror
-                // of [`Run::try_reclaim`]. Slicing partitions the exact
+                // is reconsidered at every boundary. Slicing partitions the exact
                 // remaining bytes/ops, so a trace that never recovers
                 // would time out identically.
                 for c in 0..REGION_CHUNKS {
@@ -231,7 +222,7 @@ impl Run<'_> {
         reclaim
     }
 
-    /// The one reclaim rule, behind both reclaim paths. Work a degradation
+    /// The reclaim rule [`Run::reclaim_remaining`] asks. Work a degradation
     /// pushed host-ward at `since` returns to the CSD when the move is old
     /// enough, the device has looked healthy for long enough, and
     /// finishing there pays: hysteresis is [`DECREASING_STREAK`] monitor
@@ -322,68 +313,12 @@ impl Run<'_> {
             reason: MigrationReason::Reclaim,
         })
     }
-
-    /// Bidirectional migration (§III-D in reverse) at the line boundary
-    /// `i`: when measured CSE availability has cleared after a degradation
-    /// migration, the remaining originally-offloaded, host-resident lines
-    /// are speculatively re-assigned to the CSD. Guarded against
-    /// ping-ponging: only lines a *degradation* pushed host-ward are
-    /// considered (a reclaim arms only after a fresh degradation), under
-    /// the [`Run::reclaim_pays`] rule. Returns whether the flip happened.
-    pub(super) fn try_reclaim(&mut self, i: usize) -> Result<bool> {
-        let (Some(est), Some(last)) = (self.estimates, self.migrations.last().copied()) else {
-            return Ok(false);
-        };
-        // Preempted tasks must stay off the device and fault fallbacks carry
-        // no evidence the device works; only degradations are reversible.
-        if last.reason != MigrationReason::Degraded {
-            return Ok(false);
-        }
-        let (original, placements) = (self.original, &self.placements);
-        let is_candidate =
-            |line: usize| original[line] == EngineKind::Cse && placements[line] == EngineKind::Host;
-        if !is_candidate(i) {
-            return Ok(false);
-        }
-        let sums = estimate_sums(est, |line| line >= i && is_candidate(line));
-        // Re-staging line `i`'s inputs is part of the price; the staging
-        // itself is charged by the region's normal prepare path once the
-        // reclaimed region runs, so only code regeneration is charged here.
-        let staging_bytes = est[i].d_in;
-        let candidates: Vec<usize> = (i..self.program.len())
-            .filter(|&k| is_candidate(k))
-            .collect();
-        let Some(regen_secs) = self.reclaim_pays(
-            last.at_secs,
-            sums.device_secs,
-            sums.host_secs,
-            staging_bytes,
-            candidates.len(),
-        ) else {
-            return Ok(false);
-        };
-        for &k in &candidates {
-            self.placements[k] = EngineKind::Cse;
-        }
-        let event = MigrationEvent {
-            after_line: i.saturating_sub(1),
-            state_bytes: 0,
-            at_secs: self.now(),
-            regen_secs,
-            reason: MigrationReason::Reclaim,
-        };
-        self.system.advance(Duration::from_secs(regen_secs));
-        self.boundary(Boundary::Reclaim(event, false))?;
-        Ok(true)
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::exec::tests::*;
     use crate::exec::*;
-    use crate::monitor::Monitor;
     use alang::parser::parse;
     use csd_sim::contention::ContentionScenario;
     use csd_sim::fault::FaultPlan;
@@ -573,52 +508,10 @@ mod tests {
         assert_eq!(faulted.values_fingerprint, clean.values_fingerprint);
     }
 
-    #[test]
-    fn every_migration_reason_acknowledges_the_monitor() {
-        // The exec engine acknowledges unconditionally at its single
-        // migration site; this regression pins the contract per variant: an
-        // acknowledged monitor never carries a decrease streak across the
-        // move, no matter why the move happened.
-        for reason in [
-            MigrationReason::Degraded,
-            MigrationReason::Preempted,
-            MigrationReason::DeviceFault,
-            MigrationReason::Reclaim,
-        ] {
-            let mk = || Monitor::new(1000.0);
-            // Rates decrease >0.1% per window but keep the smoothed ratio
-            // above the threshold, so only the streak condition is in play.
-            let rates = [1000.0, 997.0, 994.0, 991.0];
-            let mut acked = mk();
-            let mut stale = mk();
-            for r in &rates[..3] {
-                acked.observe_window(*r, 1.0);
-                stale.observe_window(*r, 1.0);
-            }
-            // A migration for `reason` consumes the evidence...
-            acked.acknowledge_migration();
-            assert!(
-                matches!(acked.observe_window(rates[3], 1.0), Observation::Healthy),
-                "{}: acknowledged monitor must not re-trigger on a stale streak",
-                reason.as_str()
-            );
-            // ...while an unacknowledged streak (the old behavior for
-            // non-Degraded reasons) fires immediately.
-            assert!(
-                matches!(
-                    stale.observe_window(rates[3], 1.0),
-                    Observation::Degraded { .. }
-                ),
-                "{}: control monitor must hit the streak",
-                reason.as_str()
-            );
-        }
-    }
-
-    /// Phase-shifting scenario harness for the reclaim tests: CSD region
-    /// [0,1], host line 2, CSD line 3. Contention drops mid-region-0 and
-    /// recovers shortly after, so the degradation migrates line 3 host-ward
-    /// and the recovery hands it back.
+    /// Phase-shifting scenario across two regions: CSD region [0,1], host
+    /// line 2, CSD line 3. Contention drops mid-region-0 and recovers
+    /// shortly after, so the degradation migrates line 3 host-ward with
+    /// the rest of the plan.
     fn run_phase_shift() -> RunReport {
         let program = parse(SRC).expect("parse");
         let st = storage();
@@ -644,8 +537,8 @@ mod tests {
             .iter()
             .map(|l| {
                 let dur = (l.end_secs - l.start_secs).max(0.02);
-                // Line 3 is the reclaim candidate: clearly device-
-                // profitable, so abandoning it host-ward is a real loss.
+                // Line 3 is clearly device-profitable, so abandoning it
+                // host-ward is a real loss.
                 let (ct_device, ct_host) = if l.line == 3 {
                     (dur, 4.0 * dur)
                 } else {
@@ -685,40 +578,16 @@ mod tests {
     }
 
     #[test]
-    fn reclaim_returns_work_to_the_csd_after_recovery() {
-        let rep = run_phase_shift();
-        let reasons: Vec<MigrationReason> = rep.migrations.iter().map(|m| m.reason).collect();
-        assert!(
-            reasons.contains(&MigrationReason::Degraded),
-            "the burst must first push work host-ward: {reasons:?}"
-        );
-        assert!(
-            reasons.contains(&MigrationReason::Reclaim),
-            "recovered availability must pull line 3 back: {reasons:?}"
-        );
-        // The reclaimed line really ran on the CSD.
-        let line3 = rep.lines.iter().find(|l| l.line == 3).expect("line 3");
-        assert_eq!(line3.engine, EngineKind::Cse, "line 3 must run reclaimed");
-        // The legacy field still reads the last *host-ward* migration.
+    fn a_degraded_two_region_migration_keeps_the_fingerprint() {
+        // A placement flip may never change computed values: the
+        // fingerprint matches an undisturbed static run.
+        let migrated = run_phase_shift();
         assert_eq!(
-            rep.migration.expect("legacy migration").reason,
-            MigrationReason::Degraded
+            migrated.migration.map(|m| m.reason),
+            Some(MigrationReason::Degraded),
+            "the burst pushes the plan host-ward: {:?}",
+            migrated.migrations
         );
-        // Reclaim charges regeneration on the simulated clock.
-        let reclaim = rep
-            .migrations
-            .iter()
-            .find(|m| m.reason == MigrationReason::Reclaim)
-            .expect("reclaim event");
-        assert!(reclaim.regen_secs > 0.0);
-        assert_eq!(reclaim.state_bytes, 0, "inputs stage via the region path");
-    }
-
-    #[test]
-    fn reclaim_schedule_is_value_invariant() {
-        // Placement flips — in either direction — may never change computed
-        // values: the fingerprint matches an undisturbed static run.
-        let reclaimed = run_phase_shift();
         let program = parse(SRC).expect("parse");
         let st = storage();
         let mut sys = SystemConfig::paper_default().build();
@@ -732,7 +601,7 @@ mod tests {
             &[],
         )
         .expect("static");
-        assert_eq!(reclaimed.values_fingerprint, static_run.values_fingerprint);
+        assert_eq!(migrated.values_fingerprint, static_run.values_fingerprint);
     }
 
     /// Phase-shifting harness for the *in-region* reclaim path: every line

@@ -162,9 +162,9 @@ enum Boundary {
     /// A host-ward migration, broken at this chunk of its region (0 when
     /// the region's invocation itself faulted).
     Migration(MigrationEvent, u64),
-    /// A device-ward reclaim: `true` when taken inside a region's host
-    /// completion, `false` at a line boundary.
-    Reclaim(MigrationEvent, bool),
+    /// A device-ward reclaim, taken inside a migrated region's host
+    /// completion.
+    Reclaim(MigrationEvent),
     /// The run finished with this answer at this simulated time.
     RunEnd { fingerprint: u64, total_secs: f64 },
 }
@@ -253,10 +253,6 @@ struct Run<'a> {
     /// order and a reaching definition is an earlier line, so every value
     /// a line reads has been placed by the time it is read.
     values: Vec<ValueSlot>,
-    /// The plan's placement is the reclaim target set: only lines the
-    /// planner offloaded — then migrated host-ward mid-run — are ever
-    /// speculatively re-assigned to the CSD.
-    original: &'a [EngineKind],
     placements: Vec<EngineKind>,
     /// The monitor of the region in flight (`None` between regions), so
     /// boundary snapshots taken inside a region carry its evidence.

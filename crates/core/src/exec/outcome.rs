@@ -37,10 +37,10 @@ pub enum MigrationReason {
     /// its retry budget): the remaining work falls back to the host from
     /// the last completed chunk-boundary checkpoint.
     DeviceFault,
-    /// The reverse direction: lines that had migrated to the host after a
-    /// degradation are speculatively re-assigned to the CSD once measured
-    /// availability clears again (profile-guided re-planning's bidirectional
-    /// migration). Hysteresis-guarded to avoid ping-ponging.
+    /// The reverse direction: the unfinished remainder of a region a
+    /// degradation broke returns to the CSD once measured availability
+    /// clears again while the host works it off. Hysteresis-guarded to
+    /// avoid ping-ponging.
     Reclaim,
 }
 
@@ -101,19 +101,12 @@ pub struct RunReport {
     /// runs).
     pub metrics: MetricsSnapshot,
     /// Every migration the run performed, in decision order — including
-    /// [`MigrationReason::Reclaim`] flips back to the CSD. The legacy
+    /// [`MigrationReason::Reclaim`] returns to the CSD. The legacy
     /// `migration` field above stays the last *host-ward* event so callers
     /// that predate bidirectional migration read what they always read.
     /// Appended after `metrics` so the serialized prefix the golden
     /// journals predate is unchanged.
     pub migrations: Vec<MigrationEvent>,
-    /// The per-line Eq. 1 terms of the assignment that executed —
-    /// empty for raw `execute` calls, filled by
-    /// [`crate::runtime::ActivePy::execute_plan`] and the fleet plan
-    /// executor so the audit layer can join predictions against this
-    /// report without the plan in hand. Appended after `migrations` to
-    /// keep the serialized prefix stable.
-    pub eq1: Vec<crate::audit::Eq1Term>,
 }
 
 impl RunReport {

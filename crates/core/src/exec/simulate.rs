@@ -84,7 +84,6 @@ pub fn simulate(
         evaluation,
         recov: Recovery::with_tracer(opts.tracer.clone()),
         values: vec![ValueSlot::default(); program.len()],
-        original: placements,
         placements: placements.to_vec(),
         monitor: None,
         migration: None,
@@ -141,7 +140,7 @@ impl Run<'_> {
     /// — when a journal is attached — the boundary's WAL record with the
     /// deterministic state snapshot taken here.
     pub(super) fn boundary(&mut self, b: Boundary) -> Result<()> {
-        if let Boundary::Migration(event, _) | Boundary::Reclaim(event, _) = &b {
+        if let Boundary::Migration(event, _) | Boundary::Reclaim(event) = &b {
             let tracer = &self.opts.tracer;
             tracer.instant(
                 "migration.decision",
@@ -165,7 +164,7 @@ impl Run<'_> {
         if !self.opts.journal.is_enabled() {
             return Ok(());
         }
-        // Records are built on lane 0; the handle stamps its own lane.
+        // One stream per journal: every record is on lane 0.
         let lane = 0;
         let record = match b {
             Boundary::RunStart => WalRecord::RunStart {
@@ -195,13 +194,10 @@ impl Run<'_> {
                 state_bytes: event.state_bytes,
                 snap: self.snapshot(),
             },
-            Boundary::Reclaim(event, in_region) => WalRecord::Reclaim {
+            Boundary::Reclaim(event) => WalRecord::Reclaim {
                 lane,
-                // An in-region reclaim journals the line it resumed after;
-                // a line-boundary one the line it re-enters at, which is
-                // never line 0 (a degradation needs an earlier region).
-                line: (event.after_line + usize::from(!in_region)) as u32,
-                in_region,
+                line: event.after_line as u32,
+                in_region: true,
                 snap: self.snapshot(),
             },
             Boundary::RunEnd {
@@ -280,11 +276,6 @@ impl Run<'_> {
         let mut i = 0usize;
         while i < program.len() {
             self.contend_on_progress(0.0);
-            if self.try_reclaim(i)? {
-                // Re-enter the loop at the same line: it is now CSD-resident
-                // and executes through the region path.
-                continue;
-            }
             i = if self.placements[i] == EngineKind::Host {
                 self.host_line(i)?;
                 i + 1
@@ -352,7 +343,6 @@ impl Run<'_> {
             parallel: self.evaluation.parallel,
             metrics,
             migrations: std::mem::take(&mut self.migrations),
-            eq1: Vec::new(),
         })
     }
 

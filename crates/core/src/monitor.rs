@@ -99,18 +99,6 @@ impl Monitor {
         }
     }
 
-    /// Tells the monitor that a migration consumed its accumulated
-    /// evidence — for *every* [`crate::exec::MigrationReason`], not just
-    /// degradations: the decrease streak (and the raw-rate reference it
-    /// compares against) belongs to the pre-migration placement, so both
-    /// reset. Without this, a stale streak carried across a preemption,
-    /// fault fallback, or reclaim could instantly re-trigger on the next
-    /// region's first slow window.
-    pub fn acknowledge_migration(&mut self) {
-        self.decreases = 0;
-        self.last_raw = None;
-    }
-
     /// A compact deterministic snapshot of the monitor's accumulated
     /// evidence — the raw-rate reference and the decrease streak — for
     /// the execution WAL. `(last_raw.to_bits(), decreases)`; the raw
@@ -219,32 +207,5 @@ mod tests {
         let mut m = Monitor::new(1e9);
         assert_eq!(m.observe_window(0.0, 1.0), Observation::Warmup);
         assert_eq!(m.observe_window(1.0, 0.0), Observation::Warmup);
-    }
-
-    #[test]
-    fn acknowledge_migration_resets_the_decrease_streak() {
-        let mut m = Monitor::new(1e9);
-        // Build a 3-decrease streak that triggers Degraded.
-        assert_eq!(m.observe_window(1e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.99e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.98e9, 1.0), Observation::Healthy);
-        assert!(matches!(
-            m.observe_window(0.97e9, 1.0),
-            Observation::Degraded { .. }
-        ));
-        // The migration consumes the observation; the streak resets.
-        m.acknowledge_migration();
-        // One further decrease must NOT instantly re-trigger: it is the
-        // first decrease of a fresh streak (and the first window after the
-        // acknowledgement establishes a new raw-rate reference).
-        assert_eq!(m.observe_window(0.96e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.95e9, 1.0), Observation::Healthy);
-        assert_eq!(m.observe_window(0.94e9, 1.0), Observation::Healthy);
-        // The streak still works from scratch: a third consecutive
-        // decrease re-triggers.
-        assert!(matches!(
-            m.observe_window(0.93e9, 1.0),
-            Observation::Degraded { .. }
-        ));
     }
 }

@@ -7,7 +7,6 @@
 //! checkpointed migration of the remaining work to the host (§III-D
 //! applied to device adversity rather than IPC degradation).
 
-use crate::error::ActivePyError;
 use csd_sim::fault::DeviceFault;
 use csd_sim::units::Duration;
 use csd_sim::System;
@@ -124,12 +123,11 @@ impl Recovery {
                 }
                 Err(fault) => {
                     self.trace_fault(system, &fault);
-                    if fault.is_transient() {
+                    let transient = fault.is_transient();
+                    if transient {
                         self.stats.transient_faults += 1;
                     }
-                    // Branch on structured kind, not message strings.
-                    let retryable = ActivePyError::from(fault).is_retryable();
-                    if retryable && attempt < MAX_RETRIES {
+                    if transient && attempt < MAX_RETRIES {
                         attempt += 1;
                         self.stats.retries += 1;
                         self.back_off(system, attempt);

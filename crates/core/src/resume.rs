@@ -18,14 +18,14 @@
 //! divergence — a different plan, a drifted fault stream, a changed
 //! binary — fails loudly instead of silently producing a different
 //! answer, which is the property the paper's migration machinery needs
-//! from its checkpoint story. Once a lane's journal queue is exhausted,
-//! the handle flips from verify mode to append mode and the run extends
-//! the same file, so a resumed journal ends exactly as an uninterrupted
-//! one would.
+//! from its checkpoint story. Once the journal's queue is exhausted, the
+//! handle flips from verify mode to append mode and the run extends the
+//! same file, so a resumed journal ends exactly as an uninterrupted one
+//! would.
 //!
-//! Lanes keep fleets honest: shard `s` of a sharded run verifies and
-//! appends on lane `s` and the host tail on lane `n`, so per-shard
-//! record streams interleave in the file but replay independently.
+//! A fleet journals as one stream too: its shards run one after another
+//! in ascending index, then the host tail, so the recovered records
+//! replay in the order they were emitted.
 
 use crate::assign::Assignment;
 use crate::error::ActivePyError;
@@ -37,7 +37,7 @@ use crate::sampling::SamplingReport;
 use alang::copyelim::StaticType;
 use alang::{CanonicalSink, Fingerprinter, LineCost};
 use isp_obs::wal::{read_wal, WalRecord, WalWriter};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -66,9 +66,9 @@ pub struct JournalStats {
 #[derive(Debug)]
 struct JournalState {
     writer: WalWriter,
-    /// Per-lane queues of recovered records awaiting verification.
-    /// A lane absent from the map is in append mode.
-    replay: HashMap<u32, VecDeque<WalRecord>>,
+    /// Recovered records awaiting verification, in emission order; empty
+    /// in append mode.
+    replay: VecDeque<WalRecord>,
     replayed: u64,
     appended: u64,
 }
@@ -79,25 +79,23 @@ struct JournalInner {
 }
 
 /// Handle to a crash-consistent execution journal. Cheap to clone;
-/// clones share the underlying writer and replay queues. [`Default`] and
+/// clones share the underlying writer and replay queue. [`Default`] and
 /// [`ExecJournal::disabled`] produce the zero-cost off state.
 #[derive(Debug, Clone, Default)]
 pub struct ExecJournal {
     inner: Option<Arc<JournalInner>>,
-    lane: u32,
 }
 
 impl PartialEq for ExecJournal {
-    /// Identity comparison (same underlying journal, same lane), mirroring
-    /// the tracer/profile-recorder convention so option structs stay
+    /// Identity comparison (same underlying journal), mirroring the
+    /// tracer/profile-recorder convention so option structs stay
     /// comparable.
     fn eq(&self, other: &Self) -> bool {
-        self.lane == other.lane
-            && match (&self.inner, &other.inner) {
-                (None, None) => true,
-                (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-                _ => false,
-            }
+        match (&self.inner, &other.inner) {
+            (None, None) => true,
+            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 }
 
@@ -115,11 +113,11 @@ impl ExecJournal {
     /// Propagates file creation errors.
     pub fn record_to(path: &Path) -> io::Result<ExecJournal> {
         let writer = WalWriter::create(path)?;
-        Ok(ExecJournal::from_state(writer, HashMap::new()))
+        Ok(ExecJournal::from_state(writer, VecDeque::new()))
     }
 
     /// Opens an existing journal for resume: the valid record prefix is
-    /// loaded into per-lane replay queues (truncating any torn tail per
+    /// loaded into the replay queue (truncating any torn tail per
     /// the WAL recovery rule) and the returned handle verifies the
     /// resumed run against it before switching to append mode.
     ///
@@ -134,14 +132,11 @@ impl ExecJournal {
             torn_tail: outcome.torn,
         };
         let writer = WalWriter::append_to(path, &outcome)?;
-        let mut replay: HashMap<u32, VecDeque<WalRecord>> = HashMap::new();
-        for rec in outcome.records {
-            replay.entry(rec.lane()).or_default().push_back(rec);
-        }
+        let replay = outcome.records.into();
         Ok((ExecJournal::from_state(writer, replay), info))
     }
 
-    fn from_state(writer: WalWriter, replay: HashMap<u32, VecDeque<WalRecord>>) -> ExecJournal {
+    fn from_state(writer: WalWriter, replay: VecDeque<WalRecord>) -> ExecJournal {
         ExecJournal {
             inner: Some(Arc::new(JournalInner {
                 state: Mutex::new(JournalState {
@@ -151,17 +146,6 @@ impl ExecJournal {
                     appended: 0,
                 }),
             })),
-            lane: 0,
-        }
-    }
-
-    /// A handle over the same journal stamped onto `lane`. Sharded runs
-    /// hand lane `s` to shard `s` and lane `n` to the host tail.
-    #[must_use]
-    pub fn lane(&self, lane: u32) -> ExecJournal {
-        ExecJournal {
-            inner: self.inner.clone(),
-            lane,
         }
     }
 
@@ -179,18 +163,14 @@ impl ExecJournal {
         Some(JournalStats {
             replayed: st.replayed,
             appended: st.appended,
-            pending: st.replay.values().map(|q| q.len() as u64).sum(),
+            pending: st.replay.len() as u64,
         })
     }
 
     /// Feeds one boundary record through the journal: in replay mode the
-    /// record must equal the next recovered record on this handle's lane
-    /// (divergence is an error — the resumed run is not reproducing the
-    /// original); once the lane's queue is exhausted the record is
-    /// appended to the file instead.
-    ///
-    /// Emission sites build records with lane 0; the handle stamps its
-    /// own lane here.
+    /// record must equal the next recovered record (divergence is an
+    /// error — the resumed run is not reproducing the original); once the
+    /// queue is exhausted the record is appended to the file instead.
     ///
     /// # Errors
     ///
@@ -199,25 +179,20 @@ impl ExecJournal {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        let rec = rec.with_lane(self.lane);
         let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if let Some(queue) = st.replay.get_mut(&self.lane) {
-            if let Some(expected) = queue.pop_front() {
-                if expected != rec {
-                    return Err(ActivePyError::exec(format!(
-                        "journal divergence on lane {}: resumed run produced {} {rec:?} \
-                         where the journal recorded {} {expected:?}",
-                        self.lane,
-                        rec.kind(),
-                        expected.kind(),
-                    )));
-                }
-                st.replayed += 1;
-                return Ok(());
+        // Once the queue is drained the run has caught up with the crash
+        // point and every further record is appended.
+        if let Some(expected) = st.replay.pop_front() {
+            if expected != rec {
+                return Err(ActivePyError::exec(format!(
+                    "journal divergence: resumed run produced {} {rec:?} \
+                     where the journal recorded {} {expected:?}",
+                    rec.kind(),
+                    expected.kind(),
+                )));
             }
-            // Queue drained: this lane has caught up with the crash
-            // point; flip to append mode.
-            st.replay.remove(&self.lane);
+            st.replayed += 1;
+            return Ok(());
         }
         st.writer
             .append(&rec)
@@ -411,8 +386,6 @@ mod tests {
         assert!(!j.is_enabled());
         assert_eq!(j.stats(), None);
         j.on_record(host_line(0, 0)).expect("no-op");
-        assert_eq!(j, j.lane(0));
-        assert_ne!(j, j.lane(1));
     }
 
     #[test]
@@ -461,28 +434,6 @@ mod tests {
             err.to_string().contains("journal divergence"),
             "unexpected error: {err}"
         );
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn lanes_replay_independently() {
-        let path = tmp("lanes");
-        let j = ExecJournal::record_to(&path).expect("create");
-        j.lane(0).on_record(host_line(0, 1)).expect("lane 0");
-        j.lane(1).on_record(host_line(0, 2)).expect("lane 1");
-        j.lane(0).on_record(host_line(1, 3)).expect("lane 0");
-        drop(j);
-
-        let (j, info) = ExecJournal::resume_from(&path).expect("resume");
-        assert_eq!(info.records, 3);
-        // Lane 1 can verify before lane 0 finishes; order within a lane
-        // is what matters.
-        j.lane(1).on_record(host_line(0, 2)).expect("lane 1 replay");
-        j.lane(0).on_record(host_line(0, 1)).expect("lane 0 replay");
-        j.lane(0).on_record(host_line(1, 3)).expect("lane 0 replay");
-        j.lane(1).on_record(host_line(1, 4)).expect("lane 1 append");
-        let stats = j.stats().expect("stats");
-        assert_eq!((stats.replayed, stats.appended, stats.pending), (3, 1, 0));
         std::fs::remove_file(&path).ok();
     }
 

@@ -386,7 +386,7 @@ impl ActivePy {
         // The plan carries the lowering (baked with `plan.copy_elim`);
         // don't re-lower per scenario.
         let evaluation = evaluate(&plan.program, &plan.lowered, &plan.full_storage, &opts)?;
-        let mut report = simulate(
+        let report = simulate(
             &plan.program,
             &evaluation,
             &placements,
@@ -395,11 +395,6 @@ impl ActivePy {
             Some(&plan.estimates),
             None,
         )?;
-        // Echo the Eq. 1 terms of the assignment that actually executed
-        // (recomputed rather than copied from `plan.eq1`, so callers that
-        // force placements on a cloned plan still audit what ran).
-        let bw = Link::d2h(config).bytes_per_sec();
-        report.eq1 = capture_terms(&plan.estimates, &plan.assignment, bw, 1);
 
         Ok(ActivePyOutcome {
             report,

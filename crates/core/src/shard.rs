@@ -60,7 +60,8 @@ const COMBINE_OPS_PER_BYTE: f64 = 0.125;
 /// placement: the sharded data model, the scatter/gather fence, per-shard
 /// estimates sliced from the base plan (sampling is never redone per
 /// shard), and per-shard Algorithm-1 assignments against the shared-link
-/// bandwidth.
+/// bandwidth. The Eq. 1 terms the audit reads are kept once, on the base
+/// plan ([`OffloadPlan::eq1`]).
 #[derive(Debug, Clone)]
 pub struct ShardedPlan {
     /// The single-device plan everything derives from.
@@ -75,10 +76,6 @@ pub struct ShardedPlan {
     /// Per shard: Algorithm 1 re-run on the sliced estimates, restricted
     /// to the rowwise prefix (the tail always runs host-side).
     pub shard_assignments: Vec<Assignment>,
-    /// Per shard: the Eq. 1 terms its assignment consumed, with the
-    /// shared-link bandwidth and fleet width baked in — the fleet side of
-    /// the audit capture ([`crate::audit::capture_terms`]).
-    pub shard_eq1: Vec<Vec<crate::audit::Eq1Term>>,
 }
 
 impl ShardedPlan {
@@ -147,18 +144,12 @@ pub fn derive_sharded_plan(
             a
         })
         .collect();
-    let shard_eq1 = shard_estimates
-        .iter()
-        .zip(&shard_assignments)
-        .map(|(est, a)| crate::audit::capture_terms(est, a, link.bytes_per_sec(), n))
-        .collect();
     ShardedPlan {
         base: Arc::clone(base),
         map,
         analysis,
         shard_estimates,
         shard_assignments,
-        shard_eq1,
     }
 }
 
@@ -373,9 +364,6 @@ pub fn execute_sharded(
         };
         let mut shard_opts = opts.clone();
         shard_opts.faults = shard_faults.get(s).cloned().unwrap_or_else(FaultPlan::none);
-        // Shard s journals (and replays) on its own WAL lane, so fleet
-        // record streams interleave in the file but verify independently.
-        shard_opts.journal = opts.journal.lane(s as u32);
         let estimates = shard_estimates.map(|est| est[s].as_slice());
         let shard_span = tracer.begin_with(
             "fleet.shard",
@@ -467,8 +455,6 @@ pub fn execute_sharded(
     };
     let mut tail_opts = opts.clone();
     tail_opts.faults = FaultPlan::none();
-    // The host-side tail journals on lane n, after the shard lanes.
-    tail_opts.journal = opts.journal.lane(n as u32);
     let tail_t0 = host.now().as_secs();
     let tail = simulate(
         run.program,
@@ -579,7 +565,7 @@ pub fn execute_sharded_plan(
         lead_in_secs,
     };
     let shard_placements: Vec<Vec<EngineKind>> = (0..n).map(|s| plan.shard_placements(s)).collect();
-    let mut report = execute_sharded(
+    execute_sharded(
         &run,
         &shard_placements,
         Some(&plan.shard_estimates),
@@ -587,14 +573,7 @@ pub fn execute_sharded_plan(
         config,
         &opts,
         shard_faults,
-    )?;
-    // Echo each shard's Eq. 1 terms so the audit layer can join fleet
-    // reports without the plan in hand (observation-only: every simulated
-    // quantity above is already final).
-    for (s, sr) in report.shards.iter_mut().enumerate() {
-        sr.report.eq1 = plan.shard_eq1[s].clone();
-    }
-    Ok(report)
+    )
 }
 
 #[cfg(test)]

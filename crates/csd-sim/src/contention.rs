@@ -114,7 +114,7 @@ impl ContentionScenario {
     /// Schedules the competing tenants to leave at the absolute simulated
     /// time `at`: every throttled resource returns to full availability
     /// from then on. Phase-shifting traces (drop, then recover) are how the
-    /// adaptation experiment exercises bidirectional migration.
+    /// regret experiment's phase cell exercises the reclaim.
     #[must_use]
     pub fn with_recovery_at(mut self, at: SimTime) -> Self {
         self.recover_at = Some(at);

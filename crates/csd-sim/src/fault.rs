@@ -478,6 +478,21 @@ mod tests {
     }
 
     #[test]
+    fn only_the_crash_is_permanent() {
+        // The one branch the recovery layer takes: retry a transient
+        // fault, migrate off a permanent one.
+        let at = SimTime::from_secs(1.0);
+        for f in [
+            DeviceFault::FlashRead { at },
+            DeviceFault::NvmeCommand { at },
+            DeviceFault::DmaTransfer { at },
+        ] {
+            assert!(f.is_transient(), "{f}");
+        }
+        assert!(!DeviceFault::CseCrash { at }.is_transient());
+    }
+
+    #[test]
     fn zero_probability_classes_do_not_consume_draws() {
         // Flash-only plan and flash+nvme plan must agree on the flash
         // stream: nvme rolls with p=0 take no draw.

@@ -28,11 +28,15 @@
 //!
 //! ## Record payloads
 //!
-//! Records carry only primitives (lane ids, line/chunk indices, f64
-//! bit-patterns, counter values) so this crate stays free of runtime
-//! types; the runtime maps its own state into a [`StateSnap`] at each
-//! boundary. Floats travel as `to_bits()` so records are `Eq` and replay
-//! verification is exact.
+//! Records carry only primitives (line/chunk indices, f64 bit-patterns,
+//! counter values) so this crate stays free of runtime types; the runtime
+//! maps its own state into a [`StateSnap`] at each boundary. Floats travel
+//! as `to_bits()` so records are `Eq` and replay verification is exact.
+//!
+//! A journal is one stream of records in emission order, fleets included.
+//! Every record still carries a `lane` field, always 0, and
+//! [`WalRecord::Reclaim`] an `in_region` flag, always true: both are kept
+//! so the record layout does not change.
 //!
 //! ## Kill hook
 //!
@@ -117,15 +121,16 @@ pub struct StateSnap {
     pub monitor: Option<(u64, u32)>,
 }
 
-/// One WAL record. Lanes identify the journal stream a record belongs
-/// to: lane 0 is the only lane of an unsharded run; a sharded fleet uses
-/// one lane per shard plus one for the host-side tail.
+/// One WAL record. Its `lane` field is always 0 — a journal is one
+/// stream, a fleet's shards and tail in the order they ran — and stays so
+/// the layout does not change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WalRecord {
-    /// Execution of one lane began. Carries enough shape to detect a
-    /// resume against the wrong program.
+    /// Execution of one run began (in a fleet, of one shard or the
+    /// tail). Carries enough shape to detect a resume against the wrong
+    /// program.
     RunStart {
-        /// Journal lane.
+        /// Journal lane, always 0.
         lane: u32,
         /// Number of program lines.
         program_len: u32,
@@ -137,7 +142,7 @@ pub enum WalRecord {
     /// The plan this journal belongs to was committed. `shard_fp` is the
     /// `ShardMap` fingerprint for fleet runs, 0 for unsharded runs.
     PlanCommit {
-        /// Journal lane.
+        /// Journal lane, always 0.
         lane: u32,
         /// Fingerprint of the offload plan.
         plan_fp: u64,
@@ -146,7 +151,7 @@ pub enum WalRecord {
     },
     /// A host-placed line completed.
     HostLine {
-        /// Journal lane.
+        /// Journal lane, always 0.
         lane: u32,
         /// Line index.
         line: u32,
@@ -155,7 +160,7 @@ pub enum WalRecord {
     },
     /// One chunk of a CSD region completed (the `REGION_CHUNKS` grid).
     Chunk {
-        /// Journal lane.
+        /// Journal lane, always 0.
         lane: u32,
         /// First line of the region.
         region_start: u32,
@@ -168,7 +173,7 @@ pub enum WalRecord {
     },
     /// A migration decision was taken (device→host).
     Migration {
-        /// Journal lane.
+        /// Journal lane, always 0.
         lane: u32,
         /// Line after which the migration fired.
         line: u32,
@@ -181,21 +186,22 @@ pub enum WalRecord {
         /// State at the decision.
         snap: StateSnap,
     },
-    /// A reclaim decision was taken (host→device).
+    /// A reclaim decision was taken (host→device), inside a migrated
+    /// region's host completion.
     Reclaim {
-        /// Journal lane.
+        /// Journal lane, always 0.
         lane: u32,
-        /// Line at which the reclaim fired.
+        /// Line after which the region's remainder resumed on the device.
         line: u32,
-        /// Whether the decision fired inside a region (chunk boundary)
-        /// rather than at a line boundary.
+        /// Always true: every reclaim fires inside a region. The byte
+        /// stays so the format is unchanged.
         in_region: bool,
         /// State at the decision.
         snap: StateSnap,
     },
-    /// Execution of one lane finished.
+    /// Execution of one run finished.
     RunEnd {
-        /// Journal lane.
+        /// Journal lane, always 0.
         lane: u32,
         /// The run's `values_fingerprint`.
         fingerprint: u64,
@@ -205,7 +211,7 @@ pub enum WalRecord {
 }
 
 impl WalRecord {
-    /// The journal lane this record belongs to.
+    /// The journal lane field (always 0 as the runtime writes it).
     #[must_use]
     pub fn lane(&self) -> u32 {
         match self {
@@ -217,24 +223,6 @@ impl WalRecord {
             | WalRecord::Reclaim { lane, .. }
             | WalRecord::RunEnd { lane, .. } => *lane,
         }
-    }
-
-    /// The same record stamped onto `lane`. Emission sites in the
-    /// runtime build records with lane 0 and the journal handle stamps
-    /// its own lane, so sharded fleets reuse the unsharded emission code
-    /// unchanged.
-    #[must_use]
-    pub fn with_lane(mut self, new_lane: u32) -> WalRecord {
-        match &mut self {
-            WalRecord::RunStart { lane, .. }
-            | WalRecord::PlanCommit { lane, .. }
-            | WalRecord::HostLine { lane, .. }
-            | WalRecord::Chunk { lane, .. }
-            | WalRecord::Migration { lane, .. }
-            | WalRecord::Reclaim { lane, .. }
-            | WalRecord::RunEnd { lane, .. } => *lane = new_lane,
-        }
-        self
     }
 
     /// Short type name for diagnostics.

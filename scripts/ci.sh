@@ -159,8 +159,20 @@ echo "== fleet differential: one answer at every N, clean, faulted and contended
 # the suite, so a fleet break stops here, named.
 cargo test -q --test shard_determinism
 
+echo "== journal and migration: one stream, one way back =="
+# The journal handle's single replay queue (verify, then append), the
+# migration paths with the one reclaim — inside a migrated region's host
+# completion — and the monitor that triggers them; the WAL codec whose
+# lane field (always 0) and Reclaim in_region flag (always true) keep the
+# ISPWAL01 layout; and kill/resume of solo and N=4 fleet journals, whose
+# shards and tail replay as one stream in emission order. Ahead of the
+# suite, so a replay or reclaim break stops here, named.
+cargo test -q -p activepy --lib -- resume:: exec::migrate:: monitor::
+cargo test -q -p isp-obs --lib wal::
+cargo test -q --test wal_resume
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 56 of the 666 tests. No later
+# The whole suite: the root package alone is 56 of the 661 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 

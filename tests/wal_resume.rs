@@ -149,7 +149,7 @@ proptest! {
         );
         std::fs::remove_file(&path).ok();
 
-        // --- N=4 fleet: shard lanes + host tail lane ---
+        // --- N=4 fleet: one stream, the shards in index order, then the tail ---
         let program = parse(&src).expect("parses");
         let st = storage();
         let config = SystemConfig::paper_default();
