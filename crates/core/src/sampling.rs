@@ -11,11 +11,19 @@
 //! runs the interpreted program on each sample, collecting
 //! [`alang::LineCost`] records and the dataset types that later enable
 //! copy elimination.
+//!
+//! A source may serve every scale from one stored draw, relabelled to each
+//! scale's logical size; the four sample runs then read the same buffers.
+//! One [`alang::KernelMemo`], made per [`run_sampling`] call and dropped
+//! when it returns, is lent to each run's `Vm`, so a heavy kernel over
+//! those buffers (`matmul`, `gram`, `kmeans_assign`, `decode`) computes
+//! its result once. Every `LineCost` is still priced from its own scale's
+//! logical sizes: the report is the one runs without the memo produce.
 
 use crate::error::{ActivePyError, Result};
 use alang::builtins::Storage;
 use alang::copyelim::{DatasetTypes, StaticType};
-use alang::{LineCost, Program, Value, Vm};
+use alang::{KernelMemo, LineCost, Program, Value, Vm};
 use isp_obs::{SpanKind, Tracer};
 use serde::Serialize;
 
@@ -112,8 +120,9 @@ pub struct SamplingReport {
 ///
 /// # Errors
 ///
-/// Returns an error if `scales` is empty, lowering fails, or any sample
-/// run fails.
+/// Returns an error if `scales` is empty or holds a factor outside
+/// `(0, 1]` (both checked before any sample is generated), lowering fails,
+/// or any sample run fails.
 pub fn run_sampling(
     program: &Program,
     input: &dyn InputSource,
@@ -138,6 +147,23 @@ pub fn run_sampling_traced(
     if scales.is_empty() {
         return Err(ActivePyError::sampling("no sampling scales provided"));
     }
+    if let Some(scale) = scales.iter().find(|s| !(**s > 0.0 && **s <= 1.0)) {
+        return Err(ActivePyError::sampling(format!(
+            "scale factor {scale} outside (0, 1]"
+        )));
+    }
+    sample(program, input, scales, tracer, &KernelMemo::default())
+}
+
+/// The sample runs of [`run_sampling_traced`] over valid `scales`, each
+/// run's `Vm` borrowing `memo`.
+fn sample(
+    program: &Program,
+    input: &dyn InputSource,
+    scales: &[f64],
+    tracer: &Tracer,
+    memo: &KernelMemo,
+) -> Result<SamplingReport> {
     let lowered = alang::lower::lower(program)?;
     let mut lines: Vec<LineSamples> = (0..program.len())
         .map(|line| LineSamples {
@@ -148,11 +174,6 @@ pub fn run_sampling_traced(
     let mut total = LineCost::zero();
     let mut dataset_types = DatasetTypes::new();
     for &scale in scales {
-        if !(scale > 0.0 && scale <= 1.0) {
-            return Err(ActivePyError::sampling(format!(
-                "scale factor {scale} outside (0, 1]"
-            )));
-        }
         let span = tracer.begin_with(
             "sampling.scale",
             SpanKind::Phase,
@@ -163,7 +184,7 @@ pub fn run_sampling_traced(
         dataset_types.extend(observe_dataset_types(&storage));
         // Sample runs execute the unoptimized program — the original code,
         // before any code generation — with copy elimination disabled.
-        let records = Vm::new(&lowered, &storage).run()?;
+        let records = Vm::new(&lowered, &storage).with_memo(memo).run()?;
         tracer.end(span, None);
         for rec in records {
             total += rec.cost;
@@ -218,6 +239,7 @@ mod tests {
     use alang::parser::parse;
     use alang::value::ArrayVal;
     use alang::Interpreter;
+    use std::collections::BTreeMap;
 
     /// A linear synthetic input: `n = scale * 1e6` logical elements,
     /// materialized at `n / 1000`.
@@ -289,5 +311,66 @@ mod tests {
         let program = parse("a = 1\n").expect("parse");
         assert!(run_sampling(&program, &linear_input(), &[1.5]).is_err());
         assert!(run_sampling(&program, &linear_input(), &[0.0]).is_err());
+    }
+
+    #[test]
+    fn a_bad_scale_list_is_refused_before_any_sample_runs() {
+        let program = parse("a = scan('v')\ns = sum(a)\n").expect("parse");
+        let calls = std::cell::Cell::new(0);
+        let counting = |scale: f64| {
+            calls.set(calls.get() + 1);
+            linear_input().storage_at(scale)
+        };
+        for scales in [[2f64.powi(-10), 1.5], [2f64.powi(-10), 0.0]] {
+            let (tracer, sink) = Tracer::to_memory();
+            let refused = run_sampling_traced(&program, &counting, &scales, &tracer);
+            assert!(refused.is_err(), "{scales:?}");
+            assert_eq!(calls.get(), 0, "{scales:?}: a sample was generated");
+            assert!(sink.is_empty(), "{scales:?}: a sampling.scale span opened");
+        }
+    }
+
+    /// The hit count of each line of `w`'s program whose kernel result
+    /// the four paper-scale sample runs shared, by the line's target.
+    fn shared_lines(w: &isp_workloads::Workload) -> BTreeMap<String, u64> {
+        let program = w.program().expect("parses");
+        let memo = KernelMemo::default();
+        let source = |scale: f64| w.storage_at(scale);
+        sample(
+            &program,
+            &source,
+            &paper_scales(),
+            &Tracer::disabled(),
+            &memo,
+        )
+        .expect("samples");
+        memo.hits()
+            .into_iter()
+            .map(|(line, hits)| (program.lines()[line].target.clone(), hits))
+            .collect()
+    }
+
+    #[test]
+    fn a_buffer_stored_once_is_sampled_once() {
+        // The workloads that relabel one stored draw per scale: each line
+        // of a memoized kernel over those buffers, or over a result shared
+        // from them, hits at each of the three later scales. The others
+        // draw every scale afresh and share nothing.
+        let stored_once: [(&str, &[&str]); 5] = [
+            ("KMeans", &["a1"]),
+            ("MatrixMul", &["y"]),
+            ("MixedGEMM", &["y", "g"]),
+            ("TPC-H-6-gz", &["d", "q", "dc", "price"]),
+            ("LogGrep", &["code", "lat"]),
+        ];
+        for w in isp_workloads::full_set() {
+            let expected: BTreeMap<String, u64> = stored_once
+                .iter()
+                .filter(|(name, _)| *name == w.name())
+                .flat_map(|(_, lines)| lines.iter().map(|t| ((*t).to_owned(), 3)))
+                .collect();
+            let shared = shared_lines(&w);
+            assert_eq!(shared, expected, "{}", w.name());
+        }
     }
 }

@@ -16,6 +16,7 @@ use crate::copyelim::StaticType;
 use crate::error::{LangError, Result};
 use crate::forest::FlatForest;
 use crate::matrix::Matrix;
+use crate::memo::KernelMemo;
 use crate::par::ParEngine;
 use crate::simd;
 use crate::table::{selected_rows, take_rows, Column, Table};
@@ -184,6 +185,12 @@ pub struct KernelCtx<'a> {
     pub par: &'a ParEngine,
     /// The evaluator's group-index memo; `None` where no evaluator runs.
     pub(crate) groups: Option<&'a GroupMemo>,
+    /// The memo lent to the evaluator, with the running line's index:
+    /// `matmul`, `gram`, `kmeans_assign` and `decode` take their label-free
+    /// result from it when an earlier run's same line read the same
+    /// buffers. `None` — the default everywhere but the sampling phase's
+    /// runs — computes every call.
+    pub(crate) memo: Option<(&'a KernelMemo, usize)>,
 }
 
 impl<'a> KernelCtx<'a> {
@@ -194,6 +201,22 @@ impl<'a> KernelCtx<'a> {
             storage,
             par: ParEngine::serial_ref(),
             groups: None,
+            memo: None,
+        }
+    }
+
+    /// `compute`'s label-free result for `kernel` over `args`: from the
+    /// lent memo when it holds one over these very buffers, else computed
+    /// (and, with a memo, kept for the next run of this line).
+    fn reuse(
+        &self,
+        kernel: &'static str,
+        args: &[Value],
+        compute: impl FnOnce() -> Result<Vec<f64>>,
+    ) -> Result<Arc<Vec<f64>>> {
+        match self.memo {
+            Some((memo, line)) => memo.get_or_compute(line, kernel, args, compute),
+            None => compute().map(Arc::new),
         }
     }
 }
@@ -438,20 +461,22 @@ fn k_decode(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     // the deterministic ENCODED_CHUNK_ELEMS boundaries the value was
     // encoded on, and decoding is exact, so chunk-ordered concat is
     // bit-identical to the serial loop at any thread count.
-    let data: Vec<f64> = match ctx.par.map_chunks(
-        e.chunks().len(),
-        crate::value::ENCODED_CHUNK_ELEMS,
-        |_, r| e.decode_range(r),
-    ) {
-        Some(parts) => {
-            let mut data = Vec::with_capacity(e.actual_len());
-            for part in parts {
-                data.extend(part?);
+    let data = ctx.reuse("decode", args, || {
+        match ctx.par.map_chunks(
+            e.chunks().len(),
+            crate::value::ENCODED_CHUNK_ELEMS,
+            |_, r| e.decode_range(r),
+        ) {
+            Some(parts) => {
+                let mut data = Vec::with_capacity(e.actual_len());
+                for part in parts {
+                    data.extend(part?);
+                }
+                Ok(data)
             }
-            data
+            None => e.decode_all(),
         }
-        None => e.decode_all()?,
-    };
+    })?;
     let logical = e.logical_len();
     // Analytic cost per feature actually present in the encoding: the
     // inflate walk is priced per *encoded* byte, the un-shuffle per
@@ -482,7 +507,7 @@ fn k_decode(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
         1,
     );
     Ok(BuiltinOutput::new(
-        Value::Array(ArrayVal::with_logical(data, logical)),
+        Value::Array(ArrayVal::shared(data, logical)),
         ops,
     ))
 }
@@ -643,7 +668,14 @@ fn k_where(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
 fn k_matmul(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let [a, b] = expect_args::<2>("matmul", args)?;
     let (x, y) = (a.as_matrix()?, b.as_matrix()?);
-    let out = x.matmul_with(y, ctx.par)?;
+    let block = ctx.reuse("matmul", args, || x.matmul_block(y, Some(ctx.par)))?;
+    let out = Matrix::shared(
+        block,
+        x.rows(),
+        y.cols(),
+        x.logical_rows(),
+        y.logical_cols(),
+    )?;
     let ops = weights::MADD * x.logical_rows() * x.logical_cols() * y.logical_cols();
     Ok(BuiltinOutput::new(Value::Matrix(out), ops))
 }
@@ -739,7 +771,7 @@ fn k_gram(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
         }
     };
     // Per-chunk d×d partials, combined in chunk order.
-    let mut out = match ctx.par.map_chunks(n, d, |_, rows| {
+    let sum_rows = || match ctx.par.map_chunks(n, d, |_, rows| {
         let mut acc = vec![0.0; d * d];
         accumulate(&mut acc, rows);
         acc
@@ -759,7 +791,10 @@ fn k_gram(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             acc
         }
     };
-    // Scale accumulated sums to logical row count.
+    let sums = ctx.reuse("gram", args, || Ok(sum_rows()))?;
+    // Scale accumulated sums to logical row count; kept sums are copied,
+    // unshared ones rescaled in place.
+    let mut out = Arc::unwrap_or_clone(sums);
     let ratio = m.logical_rows() as f64 / n.max(1) as f64;
     for v in &mut out {
         *v *= ratio;
@@ -1059,6 +1094,19 @@ fn kmeans_assign(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     if k == 0 {
         return Err(LangError::runtime("kmeans_assign: no centroids"));
     }
+    let assign = ctx.reuse("kmeans_assign", args, || {
+        Ok(nearest_centroids(points, centroids, ctx.par))
+    })?;
+    let ops = weights::KMEANS * points.logical_rows() * k as u64 * d as u64;
+    Ok(BuiltinOutput::new(
+        Value::Array(ArrayVal::shared(assign, points.logical_rows())),
+        ops,
+    ))
+}
+
+/// The index of each point's nearest centroid (the first on a tie).
+fn nearest_centroids(points: &Matrix, centroids: &Matrix, par: &ParEngine) -> Vec<f64> {
+    let (k, d) = (centroids.rows(), points.cols());
     // Centroids by dimension (d x k), packed eight centroids to a panel: a
     // point advances its distance to eight centroids one dimension at a
     // time, independent accumulators each still summed in dimension order.
@@ -1098,18 +1146,10 @@ fn kmeans_assign(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     // Row-local, so chunk-ordered concat == the serial loop. Per-row work
     // is one distance per centroid per dimension.
     let per_row = k.saturating_mul(d).max(1);
-    let assign: Vec<f64> = match ctx
-        .par
-        .map_chunks(points.rows(), per_row, |_, rows| nearest(rows))
-    {
+    match par.map_chunks(points.rows(), per_row, |_, rows| nearest(rows)) {
         Some(parts) => parts.concat(),
         None => nearest(0..points.rows()),
-    };
-    let ops = weights::KMEANS * points.logical_rows() * k as u64 * d as u64;
-    Ok(BuiltinOutput::new(
-        Value::Array(ArrayVal::with_logical(assign, points.logical_rows())),
-        ops,
-    ))
+    }
 }
 
 fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
@@ -1556,6 +1596,7 @@ mod tests {
                     storage: &st,
                     par: &engine,
                     groups: None,
+                    memo: None,
                 };
                 let out = call_in("decode", &arg, &ctx).expect("decode");
                 outputs.push((threads, format!("{out:?}")));
@@ -1719,6 +1760,7 @@ mod tests {
                     storage: &st,
                     par: &engine,
                     groups: None,
+                    memo: None,
                 };
                 let out = call_in(name, argv, &ctx).expect(name);
                 outputs.push((threads, format!("{out:?}")));

@@ -14,6 +14,7 @@ use crate::builtins::{weights, GroupMemo, KernelCtx, KernelId, Storage};
 use crate::cost::LineCost;
 use crate::error::{LangError, Result};
 use crate::interp::{apply_binary, apply_unary, charge_elementwise, charge_temp, LineRecord};
+use crate::memo::KernelMemo;
 use crate::par::{ParEngine, ParStatsSnapshot, ParallelPolicy};
 use crate::value::Value;
 use std::collections::BTreeMap;
@@ -168,6 +169,7 @@ pub struct Vm<'a> {
     regs: Vec<Option<Value>>,
     argv: Vec<Value>,
     groups: GroupMemo,
+    memo: Option<&'a KernelMemo>,
 }
 
 impl<'a> Vm<'a> {
@@ -195,7 +197,18 @@ impl<'a> Vm<'a> {
             regs: vec![None; usize::from(lowered.n_slots)],
             argv: Vec::new(),
             groups: GroupMemo::default(),
+            memo: None,
         }
+    }
+
+    /// Lends `memo` to this VM's kernel calls: a memoizing kernel takes its
+    /// label-free result from it when another run's same line read the
+    /// same buffers. Values, [`LineCost`] records and errors are those of a
+    /// VM without one.
+    #[must_use]
+    pub fn with_memo(mut self, memo: &'a KernelMemo) -> Self {
+        self.memo = Some(memo);
+        self
     }
 
     /// Chunk counters accumulated by kernel calls so far.
@@ -295,6 +308,7 @@ impl<'a> Vm<'a> {
                         storage: self.storage,
                         par: &self.par,
                         groups: Some(&self.groups),
+                        memo: self.memo.map(|memo| (memo, index)),
                     };
                     let out = kernel.invoke_in(&argv, &ctx);
                     self.argv = argv;

@@ -183,6 +183,7 @@ impl<'a> Interpreter<'a> {
                     storage: self.storage,
                     par: &self.par,
                     groups: Some(&self.groups),
+                    memo: None,
                 };
                 let out = kernel.invoke_in(&argv, &ctx)?;
                 cost.compute_ops += out.ops;

@@ -798,6 +798,7 @@ fn check_kernel(
                 storage: &storage,
                 par: &new_par,
                 groups: None,
+                memo: None,
             },
         );
         let old = oracle(
@@ -806,6 +807,7 @@ fn check_kernel(
                 storage: &storage,
                 par: &old_par,
                 groups: None,
+                memo: None,
             },
         );
         let what = format!("{name} {what} @ {threads} threads");

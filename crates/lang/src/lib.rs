@@ -52,6 +52,7 @@ pub mod interp;
 mod kernels_oracle;
 pub mod lower;
 pub mod matrix;
+pub mod memo;
 pub mod par;
 pub mod parser;
 mod pool;
@@ -68,6 +69,7 @@ pub use canonical::{CanonicalSink, Fingerprinter};
 pub use cost::{CostParams, ExecTier, LineCost};
 pub use error::LangError;
 pub use interp::Interpreter;
+pub use memo::KernelMemo;
 pub use par::{ParEngine, ParStatsSnapshot, ParallelPolicy};
 pub use shard::{ShardAnalysis, ShardMap, ShardStrategy};
 pub use value::Value;

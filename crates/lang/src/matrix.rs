@@ -54,6 +54,18 @@ impl Matrix {
         logical_rows: u64,
         logical_cols: u64,
     ) -> Result<Self> {
+        Self::shared(Arc::new(data), rows, cols, logical_rows, logical_cols)
+    }
+
+    /// [`Self::with_logical`] over a buffer that stays shared with its
+    /// other owners instead of being copied.
+    pub(crate) fn shared(
+        data: Arc<Vec<f64>>,
+        rows: usize,
+        cols: usize,
+        logical_rows: u64,
+        logical_cols: u64,
+    ) -> Result<Self> {
         if data.len() != rows * cols {
             return Err(LangError::runtime(format!(
                 "matrix data length {} does not match {rows}x{cols}",
@@ -64,7 +76,7 @@ impl Matrix {
             return Err(logical_below_materialized());
         }
         Matrix {
-            data: Arc::new(data),
+            data,
             rows,
             cols,
             logical_rows: rows as u64,
@@ -134,6 +146,12 @@ impl Matrix {
         &self.data
     }
 
+    /// The buffer itself: immutable once shared, so its address is the
+    /// identity of the data while any handle to it lives.
+    pub(crate) fn buffer(&self) -> &Arc<Vec<f64>> {
+        &self.data
+    }
+
     /// The matrix's part of [`crate::Value::canonical`]; the payload needs
     /// no prefix of its own because it is `rows × cols` long.
     pub(crate) fn canonical(&self, sink: &mut impl CanonicalSink) {
@@ -170,6 +188,18 @@ impl Matrix {
     }
 
     fn matmul_in(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Result<Matrix> {
+        Matrix::with_logical(
+            self.matmul_block(rhs, par)?,
+            self.rows,
+            rhs.cols,
+            self.logical_rows,
+            rhs.logical_cols,
+        )
+    }
+
+    /// The row-major `rows × rhs.cols` block of `self × rhs`, the part of
+    /// the product no logical size enters.
+    pub(crate) fn matmul_block(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Result<Vec<f64>> {
         if self.cols != rhs.rows {
             return Err(LangError::runtime(format!(
                 "matmul shape mismatch: {}x{} times {}x{}",
@@ -178,18 +208,11 @@ impl Matrix {
         }
         // A rhs of at most four columns fills 4-lane panels: 8-lane ones
         // would compute four lanes nobody reads.
-        let out = if rhs.cols <= 4 {
+        Ok(if rhs.cols <= 4 {
             self.matmul_panels::<4>(rhs, par)
         } else {
             self.matmul_panels::<{ simd::LANES }>(rhs, par)
-        };
-        Matrix::with_logical(
-            out,
-            self.rows,
-            rhs.cols,
-            self.logical_rows,
-            rhs.logical_cols,
-        )
+        })
     }
 
     /// The row-major data of `self × rhs`, with `rhs` packed in `L`-lane

@@ -122,6 +122,14 @@ impl EncodedVal {
         }
     }
 
+    /// Whether `other` is this very stored stream, whatever logical length
+    /// each stands for: the same chunk buffer under the same encoding.
+    pub(crate) fn same_stream(&self, other: &EncodedVal) -> bool {
+        Arc::ptr_eq(&self.chunks, &other.chunks)
+            && self.encoding == other.encoding
+            && self.actual_len == other.actual_len
+    }
+
     /// The wire-format descriptor.
     #[must_use]
     pub fn encoding(&self) -> &Encoding {

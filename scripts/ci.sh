@@ -48,13 +48,21 @@ echo "== stored once, hashed once (dataset digests and the Workload's kept input
 # shortcut pinned against hashing every value: all 12 registered programs
 # fresh / remembered / rebuilt, a re-inserted dataset, and one Table-I
 # generation across plan_for, execute_plan, run_plan and run_c_baseline.
+# Sampling computes a memoized kernel once per stored buffer: the memo's
+# buffer-identity rule (a relabelled buffer hits, an equal copy, a freed
+# buffer's successor and a replaced entry do not), 3 hits per memoized line
+# on the 5 stored-once programs and none on the other 7, a bad scale list
+# refused before any sample, and all 12 reports and plans equal to those
+# over per-scale deep copies.
 # Ahead of the suite, so a stale digest stops here, named, instead of as a
 # fingerprint mismatch somewhere below.
 cargo test -q -p alang --lib -- canonical:: ast:: builtins::tests::a_digest \
   value::tests::a_relabelled_stream value::tests::relabelling_below \
-  matrix::tests::a_relabelled_matrix_is_the_matrix_built_at_that_length
+  matrix::tests::a_relabelled_matrix_is_the_matrix_built_at_that_length memo::
 cargo test -q -p isp-workloads --lib -- spec:: every_scale_relabels_the \
   apps::tests::every_scale_relabels_the_matrices_drawn_once
+cargo test -q -p activepy --lib -- sampling::tests::a_buffer_stored_once_is_sampled_once \
+  sampling::tests::a_bad_scale_list_is_refused_before_any_sample_runs
 cargo test -q --test stored_once
 
 echo "== trace codec differentials (pinned case counts, the replaced writers and reader as oracle) =="
@@ -172,7 +180,7 @@ cargo test -q -p isp-obs --lib wal::
 cargo test -q --test wal_resume
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 56 of the 661 tests. No later
+# The whole suite: the root package alone is 57 of the 668 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 

@@ -6,15 +6,20 @@
 //! [`Storage`] keeps beside the dataset instead of re-reading the dataset.
 //! These tests pin that shortcut against the plain path — every variable
 //! hashed from the value the `Vm` holds — and pin what a [`Workload`]
-//! generates across the calls that share it.
+//! generates across the calls that share it, and that sampling a stored
+//! dataset's buffers once reports what sampling copies of them reports.
 
 use activepy::exec::{execute, ExecOptions};
 use activepy::runtime::ActivePy;
-use activepy::PlanCache;
+use activepy::sampling::{paper_scales, run_sampling};
+use activepy::{plan_fingerprint, PlanCache};
 use alang::builtins::Storage;
+use alang::forest::Forest;
 use alang::lower::lower;
+use alang::matrix::{Csr, Matrix};
 use alang::parser::parse;
-use alang::value::{ArrayVal, EncodedVal};
+use alang::table::{Column, Table};
+use alang::value::{ArrayVal, BoolArrayVal, EncodedVal};
 use alang::{Fingerprinter, Program, Value, Vm};
 use csd_sim::wire::Encoding;
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
@@ -225,6 +230,119 @@ fn planning_executing_and_both_baselines_generate_the_table1_input_once() {
             executed(&program, &fresh),
             clean.values_fingerprint,
             "{name}"
+        );
+    }
+}
+
+/// `v` with every buffer copied: equal to `v`, sharing no buffer with it.
+fn deep_copy(v: &Value) -> Value {
+    match v {
+        Value::Num(_) | Value::Bool(_) | Value::Str(_) => v.clone(),
+        Value::Array(a) => Value::Array(ArrayVal::with_logical(a.data().to_vec(), a.logical_len())),
+        Value::BoolArray(a) => Value::BoolArray(BoolArrayVal::with_logical(
+            a.data().to_vec(),
+            a.logical_len(),
+        )),
+        Value::Table(t) => {
+            let columns = t
+                .column_names()
+                .map(|name| {
+                    let column = match t.column(name).expect("listed") {
+                        Column::F64(c) => Column::F64(Arc::new(c.to_vec())),
+                        Column::I64(c) => Column::I64(Arc::new(c.to_vec())),
+                        Column::Dict { codes, dict } => Column::Dict {
+                            codes: Arc::new(codes.to_vec()),
+                            dict: Arc::new(dict.to_vec()),
+                        },
+                    };
+                    (name.to_owned(), column)
+                })
+                .collect();
+            Value::Table(Table::with_logical_rows(columns, t.logical_rows()).expect("table"))
+        }
+        Value::Matrix(m) => Value::Matrix(
+            Matrix::with_logical(
+                m.data().to_vec(),
+                m.rows(),
+                m.cols(),
+                m.logical_rows(),
+                m.logical_cols(),
+            )
+            .expect("matrix"),
+        ),
+        Value::Csr(c) => Value::Csr(
+            Csr::from_parts(
+                c.row_ptr().to_vec(),
+                c.col_idx().to_vec(),
+                c.values().to_vec(),
+                c.cols(),
+                c.logical_rows(),
+                c.logical_cols(),
+                c.logical_nnz(),
+            )
+            .expect("csr"),
+        ),
+        Value::Forest(f) => {
+            Value::Forest(Forest::new(f.trees().to_vec(), f.feature_count()).expect("forest"))
+        }
+        Value::Encoded(e) => Value::Encoded(EncodedVal::from_parts(
+            *e.encoding(),
+            e.chunks().to_vec(),
+            e.actual_len(),
+            e.logical_len(),
+            e.encoded_logical_bytes(),
+        )),
+    }
+}
+
+/// Every dataset of `storage` deep-copied into a storage of its own.
+fn deep_copied(storage: &Storage) -> Storage {
+    let mut copy = Storage::new();
+    for name in storage.names() {
+        let value = storage.get(name).expect("listed");
+        let copied = deep_copy(value);
+        assert_eq!(&copied, value, "{name}: a deep copy is equal");
+        copy.insert(name, copied);
+    }
+    copy
+}
+
+#[test]
+fn sampling_a_stored_buffer_once_reports_what_sampling_copies_of_it_reports() {
+    // Five workloads relabel one stored draw per scale, so their sample
+    // runs read the same buffers and share each memoized kernel's result.
+    // Copied per scale, no buffer is shared and every kernel computes: the
+    // report, and the plan made from it, must not tell the two apart, nor
+    // tell either from sample runs with no memo at all.
+    let config = SystemConfig::paper_default();
+    let rt = ActivePy::new();
+    for w in isp_workloads::full_set() {
+        let program = w.program().expect("parses");
+        let copies = |scale: f64| deep_copied(&w.storage_at(scale));
+        let shared = run_sampling(&program, &w, &paper_scales()).expect("samples");
+        let copied = run_sampling(&program, &copies, &paper_scales()).expect("samples");
+        assert_eq!(shared, copied, "{}: sampling report", w.name());
+        // And each point is what a `Vm` lent no memo measures at its scale.
+        let lowered = lower(&program).expect("lowers");
+        for (i, scale) in paper_scales().into_iter().enumerate() {
+            let storage = w.storage_at(scale);
+            for rec in Vm::new(&lowered, &storage).run().expect("runs") {
+                assert_eq!(
+                    shared.lines[rec.index].points[i].cost,
+                    rec.cost,
+                    "{}: line {} at scale {scale}",
+                    w.name(),
+                    rec.index
+                );
+            }
+        }
+        let plan = rt.plan(&program, &w, &config).expect("plans");
+        let over_copies = rt.plan(&program, &copies, &config).expect("plans");
+        assert_eq!(
+            plan_fingerprint(&plan),
+            plan_fingerprint(&over_copies),
+            "{}: plan",
+            w.name()
         );
     }
 }
