@@ -222,59 +222,21 @@ impl Run<'_> {
         reclaim
     }
 
-    /// The reclaim rule [`Run::reclaim_remaining`] asks. Work a degradation
-    /// pushed host-ward at `since` returns to the CSD when the move is old
-    /// enough, the device has looked healthy for long enough, and
-    /// finishing there pays: hysteresis is [`DECREASING_STREAK`] monitor
-    /// windows (one window = `device_secs` chunk-pipelined in
-    /// [`REGION_CHUNKS`] status updates), the CSE's effective availability
-    /// is probed at that many window-spaced instants — the mirror image of
-    /// the evidence the monitor needed to leave — and `device_secs` at the
-    /// currently observed availability, plus moving `move_bytes` and
-    /// regenerating `regen_lines` of device code, must beat `host_secs`.
-    /// Every input is simulated-clock state, so the decision cannot affect
-    /// computed values, only charged costs. Returns the regeneration time
-    /// to charge when the reclaim pays.
-    fn reclaim_pays(
-        &self,
-        since: f64,
-        device_secs: f64,
-        host_secs: f64,
-        move_bytes: u64,
-        regen_lines: usize,
-    ) -> Option<f64> {
-        if !self.opts.monitor {
-            return None;
-        }
-        let window = device_secs / REGION_CHUNKS as f64;
-        if window <= 0.0 {
-            return None;
-        }
-        let now = self.now();
-        if now - f64::from(DECREASING_STREAK) * window <= since {
-            return None;
-        }
-        let cse = self.system.engine(EngineKind::Cse);
-        for j in 0..DECREASING_STREAK {
-            let probe = SimTime::from_secs(now - f64::from(j) * window);
-            if cse.effective_fraction_at(probe) < DEGRADATION_THRESHOLD {
-                return None;
-            }
-        }
-        let fraction = cse.effective_fraction_at(self.system.now());
-        let link = crate::estimate::Link::d2h(self.system.config());
-        let regen_secs = compile_secs_for(regen_lines);
-        if device_secs / fraction + link.transfer(move_bytes) + regen_secs >= host_secs {
-            return None;
-        }
-        Some(regen_secs)
-    }
-
     /// In-region reclaim: after a mid-region break moved the stream
     /// host-ward, decides at host line boundary `k` whether the remaining
-    /// (unfinished) slice of the region should return to the CSD. The
-    /// estimates are scaled by each line's undone fraction, and the live
-    /// state the migration drained is what would move back.
+    /// (unfinished) slice of the region returns to the CSD, scaling each
+    /// line's estimates by its undone fraction. The work returns when the
+    /// move is old enough, the device has looked healthy for long enough,
+    /// and finishing there pays: hysteresis is [`DECREASING_STREAK`]
+    /// monitor windows (one window = the remaining device time
+    /// chunk-pipelined in [`REGION_CHUNKS`] status updates), the CSE's
+    /// effective availability is probed at that many window-spaced
+    /// instants — the mirror image of the evidence the monitor needed to
+    /// leave — and the device time at the currently observed
+    /// availability, plus moving the live state the migration drained
+    /// back and regenerating the slice's device code, must beat the host
+    /// time. Every input is simulated-clock state, so the decision cannot
+    /// affect computed values, only charged costs.
     fn reclaim_remaining(
         &self,
         r: &Region,
@@ -283,7 +245,7 @@ impl Run<'_> {
     ) -> Option<MigrationEvent> {
         // Preempted tasks must stay off the device and fault fallbacks
         // carry no evidence the device works; only degradations reverse.
-        if migration.reason != MigrationReason::Degraded {
+        if migration.reason != MigrationReason::Degraded || !self.opts.monitor {
             return None;
         }
         let est = self.estimates?;
@@ -298,13 +260,27 @@ impl Run<'_> {
             device_secs += e.ct_device * undone;
             host_secs += e.ct_host * undone;
         }
-        let regen_secs = self.reclaim_pays(
-            migration.at_secs,
-            device_secs,
-            host_secs,
-            migration.state_bytes,
-            r.len() - k,
-        )?;
+        let window = device_secs / REGION_CHUNKS as f64;
+        if window <= 0.0 {
+            return None;
+        }
+        let now = self.now();
+        if now - f64::from(DECREASING_STREAK) * window <= migration.at_secs {
+            return None;
+        }
+        let cse = self.system.engine(EngineKind::Cse);
+        for j in 0..DECREASING_STREAK {
+            let probe = SimTime::from_secs(now - f64::from(j) * window);
+            if cse.effective_fraction_at(probe) < DEGRADATION_THRESHOLD {
+                return None;
+            }
+        }
+        let fraction = cse.effective_fraction_at(self.system.now());
+        let link = crate::estimate::Link::d2h(self.system.config());
+        let regen_secs = compile_secs_for(r.len() - k);
+        if device_secs / fraction + link.transfer(migration.state_bytes) + regen_secs >= host_secs {
+            return None;
+        }
         Some(MigrationEvent {
             after_line: (r.start + k).saturating_sub(1),
             state_bytes: migration.state_bytes,

@@ -25,24 +25,25 @@
 //! payload is a straight little-endian encoding via the WAL's
 //! [`ByteWriter`]/[`ByteReader`]; floats travel as IEEE-754 bit patterns
 //! so round trips are exact and replanning from a loaded seed is
-//! bit-identical to replanning from the live one.
+//! bit-identical to replanning from the live one. This module writes the
+//! frame, the keys, the sampling report and the dataset names; each
+//! value, each cost and each type tag is written and read by its own type
+//! in `alang` ([`Value::canonical`] and [`Value::from_canonical`]).
 
 use crate::profile::ProfileKey;
 use crate::sampling::{LineSamples, SamplePoint, SamplingReport};
+use alang::canonical::{read_map, read_vec};
 use alang::copyelim::StaticType;
-use alang::forest::{Forest, Tree, TreeNode};
-use alang::matrix::{Csr, Matrix};
-use alang::table::{Column, Table};
-use alang::value::{ArrayVal, BoolArrayVal, EncodedVal};
 use alang::{LineCost, Storage, Value};
-use csd_sim::wire::{ByteOrder, Codec, Encoding};
 use isp_obs::wal::{fnv1a, ByteReader, ByteWriter};
 use std::io;
 use std::path::Path;
-use std::sync::Arc;
 
 /// File header identifying a warm-start file and its format version.
 pub const WARM_MAGIC: [u8; 8] = *b"ISPWARM1";
+
+/// Bytes ahead of the payload: magic, length, checksum.
+const HEADER_LEN: usize = 24;
 
 /// Everything a plan-cache miss needs to re-plan without datagen: the
 /// sampling measurements and the materialized full-scale input.
@@ -60,6 +61,10 @@ pub struct WarmSeed {
 ///
 /// Propagates file write errors.
 pub fn save_warm_file(path: &Path, seeds: &[(ProfileKey, WarmSeed)]) -> io::Result<()> {
+    std::fs::write(path, encode_warm_bytes(seeds))
+}
+
+fn encode_warm_bytes(seeds: &[(ProfileKey, WarmSeed)]) -> Vec<u8> {
     let mut w = ByteWriter::default();
     w.u32(seeds.len() as u32);
     for (key, seed) in seeds {
@@ -68,12 +73,12 @@ pub fn save_warm_file(path: &Path, seeds: &[(ProfileKey, WarmSeed)]) -> io::Resu
         enc_storage(&mut w, &seed.storage);
     }
     let payload = w.into_bytes();
-    let mut out = Vec::with_capacity(24 + payload.len());
+    let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&WARM_MAGIC);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
     out.extend_from_slice(&payload);
-    std::fs::write(path, out)
+    out
 }
 
 /// Reads and decodes a file written by [`save_warm_file`].
@@ -89,28 +94,32 @@ pub fn load_warm_file(path: &Path) -> io::Result<Vec<(ProfileKey, WarmSeed)>> {
 }
 
 fn decode_warm_bytes(bytes: &[u8]) -> Result<Vec<(ProfileKey, WarmSeed)>, String> {
-    if bytes.len() < 24 || bytes[..8] != WARM_MAGIC {
+    if bytes.len() < HEADER_LEN || bytes[..8] != WARM_MAGIC {
         return Err("not a warm-start file (bad magic)".into());
     }
-    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes")) as usize;
+    let len = u64::from_le_bytes(bytes[8..16].try_into().expect("8 bytes"));
     let checksum = u64::from_le_bytes(bytes[16..24].try_into().expect("8 bytes"));
+    // The checksum does not cover the length field: bound it before use.
+    let end = usize::try_from(len)
+        .ok()
+        .and_then(|len| len.checked_add(HEADER_LEN))
+        .ok_or("warm-start length field overflows")?;
     let payload = bytes
-        .get(24..24 + len)
+        .get(HEADER_LEN..end)
         .ok_or("warm-start payload truncated")?;
-    if 24 + len != bytes.len() {
+    if end != bytes.len() {
         return Err("warm-start file has trailing bytes".into());
     }
     if fnv1a(payload) != checksum {
         return Err("warm-start checksum mismatch (torn write?)".into());
     }
     let mut r = ByteReader::new(payload);
-    let mut seeds = Vec::new();
-    for _ in 0..r.u32()? {
-        let key = dec_key(&mut r)?;
-        let sampling = dec_sampling(&mut r)?;
-        let storage = dec_storage(&mut r)?;
-        seeds.push((key, WarmSeed { sampling, storage }));
-    }
+    let seeds = read_vec(&mut r, |r| {
+        let key = dec_key(r)?;
+        let sampling = dec_sampling(r)?;
+        let storage = dec_storage(r)?;
+        Ok((key, WarmSeed { sampling, storage }))
+    })?;
     if r.remaining() != 0 {
         return Err(format!(
             "warm-start payload has {} undecoded bytes",
@@ -129,61 +138,6 @@ fn dec_key(r: &mut ByteReader<'_>) -> Result<ProfileKey, String> {
     Ok((r.str()?, r.u64()?))
 }
 
-fn enc_cost(w: &mut ByteWriter, c: &LineCost) {
-    w.u64(c.compute_ops);
-    w.u64(c.storage_bytes);
-    w.u64(c.bytes_in);
-    w.u64(c.bytes_out);
-    w.u64(c.copy_bytes);
-    w.u64(c.eliminable_copy_bytes);
-    w.u32(c.calls);
-}
-
-fn dec_cost(r: &mut ByteReader<'_>) -> Result<LineCost, String> {
-    Ok(LineCost {
-        compute_ops: r.u64()?,
-        storage_bytes: r.u64()?,
-        bytes_in: r.u64()?,
-        bytes_out: r.u64()?,
-        copy_bytes: r.u64()?,
-        eliminable_copy_bytes: r.u64()?,
-        calls: r.u32()?,
-    })
-}
-
-fn static_type_code(t: StaticType) -> u8 {
-    match t {
-        StaticType::Num => 0,
-        StaticType::Bool => 1,
-        StaticType::Str => 2,
-        StaticType::Array => 3,
-        StaticType::BoolArray => 4,
-        StaticType::Table => 5,
-        StaticType::Matrix => 6,
-        StaticType::Csr => 7,
-        StaticType::Forest => 8,
-        StaticType::Unknown => 9,
-        StaticType::Encoded => 10,
-    }
-}
-
-fn static_type_from(code: u8) -> Result<StaticType, String> {
-    Ok(match code {
-        0 => StaticType::Num,
-        1 => StaticType::Bool,
-        2 => StaticType::Str,
-        3 => StaticType::Array,
-        4 => StaticType::BoolArray,
-        5 => StaticType::Table,
-        6 => StaticType::Matrix,
-        7 => StaticType::Csr,
-        8 => StaticType::Forest,
-        9 => StaticType::Unknown,
-        10 => StaticType::Encoded,
-        other => return Err(format!("unknown static type code {other}")),
-    })
-}
-
 fn enc_sampling(w: &mut ByteWriter, s: &SamplingReport) {
     w.u32(s.lines.len() as u32);
     for line in &s.lines {
@@ -191,40 +145,32 @@ fn enc_sampling(w: &mut ByteWriter, s: &SamplingReport) {
         w.u32(line.points.len() as u32);
         for p in &line.points {
             w.f64(p.scale);
-            enc_cost(w, &p.cost);
+            p.cost.canonical(w);
         }
     }
     w.u32(s.dataset_types.len() as u32);
     for (name, t) in &s.dataset_types {
         w.str(name);
-        w.u8(static_type_code(*t));
+        w.u8(t.code());
     }
-    enc_cost(w, &s.total_sampling_cost);
+    s.total_sampling_cost.canonical(w);
 }
 
 fn dec_sampling(r: &mut ByteReader<'_>) -> Result<SamplingReport, String> {
-    let mut lines = Vec::new();
-    for _ in 0..r.u32()? {
+    let lines = read_vec(r, |r| {
         let line = r.u64()? as usize;
-        let mut points = Vec::new();
-        for _ in 0..r.u32()? {
-            points.push(SamplePoint {
-                scale: r.f64()?,
-                cost: dec_cost(r)?,
-            });
-        }
-        lines.push(LineSamples { line, points });
-    }
-    let mut dataset_types = alang::copyelim::DatasetTypes::new();
-    for _ in 0..r.u32()? {
-        let name = r.str()?;
-        let t = static_type_from(r.u8()?)?;
-        dataset_types.insert(name, t);
-    }
-    let total_sampling_cost = dec_cost(r)?;
+        let points = read_vec(r, |r| {
+            let scale = r.f64()?;
+            let cost = LineCost::from_canonical(r)?;
+            Ok(SamplePoint { scale, cost })
+        })?;
+        Ok(LineSamples { line, points })
+    })?;
+    let dataset_types = read_map(r, |r| StaticType::from_code(r.u8()?))?;
+    let total_sampling_cost = LineCost::from_canonical(r)?;
     Ok(SamplingReport {
         lines,
-        dataset_types,
+        dataset_types: dataset_types.into_iter().collect(),
         total_sampling_cost,
     })
 }
@@ -234,8 +180,6 @@ fn enc_storage(w: &mut ByteWriter, storage: &Storage) {
     w.u32(names.len() as u32);
     for name in names {
         w.str(name);
-        // The value layout is `Value::canonical` as the writer sees it;
-        // `dec_value` below is its inverse.
         storage
             .get(name)
             .expect("name came from the storage")
@@ -245,175 +189,23 @@ fn enc_storage(w: &mut ByteWriter, storage: &Storage) {
 
 fn dec_storage(r: &mut ByteReader<'_>) -> Result<Storage, String> {
     let mut storage = Storage::new();
-    for _ in 0..r.u32()? {
-        let name = r.str()?;
-        let value = dec_value(r)?;
+    for (name, value) in read_map(r, Value::from_canonical)? {
         storage.insert(name, value);
     }
     Ok(storage)
 }
 
-fn dec_encoding(r: &mut ByteReader<'_>) -> Result<Encoding, String> {
-    let codec = match r.u8()? {
-        0 => Codec::Gzip,
-        1 => Codec::Zlib,
-        2 => Codec::None,
-        other => return Err(format!("unknown codec tag {other}")),
-    };
-    let shuffle = r.bool()?;
-    let byte_order = match r.u8()? {
-        0 => ByteOrder::Little,
-        1 => ByteOrder::Big,
-        other => return Err(format!("unknown byte-order tag {other}")),
-    };
-    let fill_value = if r.bool()? { Some(r.f64()?) } else { None };
-    Ok(Encoding {
-        codec,
-        shuffle,
-        byte_order,
-        fill_value,
-    })
-}
-
-/// Reads `n` items. Capacity is bounded by the bytes left, so a corrupt
-/// count fails at the first missing item instead of allocating for it.
-fn dec_n<T>(
-    r: &mut ByteReader<'_>,
-    n: usize,
-    item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let mut out = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        out.push(item(r)?);
-    }
-    Ok(out)
-}
-
-/// Reads a `u32` count and that many items.
-fn dec_vec<T>(
-    r: &mut ByteReader<'_>,
-    item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let n = r.u32()? as usize;
-    dec_n(r, n, item)
-}
-
-/// The inverse of [`Value::canonical`] as the [`ByteWriter`] sink spells it.
-fn dec_value(r: &mut ByteReader<'_>) -> Result<Value, String> {
-    Ok(match r.u8()? {
-        0 => Value::Num(r.f64()?),
-        1 => Value::Bool(r.bool()?),
-        2 => Value::Str(r.str()?),
-        3 => {
-            let logical = r.u64()?;
-            Value::Array(ArrayVal::with_logical(dec_vec(r, |r| r.f64())?, logical))
-        }
-        4 => {
-            let logical = r.u64()?;
-            Value::BoolArray(BoolArrayVal::with_logical(
-                dec_vec(r, |r| r.bool())?,
-                logical,
-            ))
-        }
-        5 => {
-            let logical_rows = r.u64()?;
-            let columns = dec_vec(r, |r| {
-                let name = r.str()?;
-                let col = match r.u8()? {
-                    0 => Column::F64(Arc::new(dec_vec(r, |r| r.f64())?)),
-                    1 => Column::I64(Arc::new(dec_vec(r, |r| Ok(r.u64()? as i64))?)),
-                    2 => Column::Dict {
-                        codes: Arc::new(dec_vec(r, |r| r.u32())?),
-                        dict: Arc::new(dec_vec(r, |r| r.str())?),
-                    },
-                    other => return Err(format!("unknown column tag {other}")),
-                };
-                Ok((name, col))
-            })?;
-            Value::Table(Table::with_logical_rows(columns, logical_rows).map_err(err_str)?)
-        }
-        6 => {
-            let rows = r.u32()? as usize;
-            let cols = r.u32()? as usize;
-            let logical_rows = r.u64()?;
-            let logical_cols = r.u64()?;
-            let n = rows.checked_mul(cols).ok_or("matrix dimensions overflow")?;
-            let data = dec_n(r, n, |r| r.f64())?;
-            Value::Matrix(
-                Matrix::with_logical(data, rows, cols, logical_rows, logical_cols)
-                    .map_err(err_str)?,
-            )
-        }
-        7 => {
-            let rows = r.u32()? as usize;
-            let cols = r.u32()? as usize;
-            let logical_rows = r.u64()?;
-            let logical_cols = r.u64()?;
-            let logical_nnz = r.u64()?;
-            let row_ptr = dec_vec(r, |r| r.u32())?;
-            if row_ptr.len().checked_sub(1) != Some(rows) {
-                return Err(format!(
-                    "csr row_ptr length {} does not match {rows} rows",
-                    row_ptr.len()
-                ));
-            }
-            let (col_idx, values) = dec_vec(r, |r| Ok((r.u32()?, r.f64()?)))?
-                .into_iter()
-                .unzip();
-            Value::Csr(
-                Csr::from_parts(
-                    row_ptr,
-                    col_idx,
-                    values,
-                    cols,
-                    logical_rows,
-                    logical_cols,
-                    logical_nnz,
-                )
-                .map_err(err_str)?,
-            )
-        }
-        8 => {
-            let features = r.u32()?;
-            let trees = dec_vec(r, |r| {
-                let nodes = dec_vec(r, |r| {
-                    Ok(TreeNode {
-                        feature: r.u32()?,
-                        threshold: r.f64()?,
-                        left: r.u32()?,
-                        right: r.u32()?,
-                        value: r.f64()?,
-                    })
-                })?;
-                Tree::new(nodes).map_err(err_str)
-            })?;
-            Value::Forest(Forest::new(trees, features).map_err(err_str)?)
-        }
-        9 => {
-            let encoding = dec_encoding(r)?;
-            let logical_len = r.u64()?;
-            let encoded_logical_bytes = r.u64()?;
-            let actual_len = r.u32()? as usize;
-            let chunks = dec_vec(r, |r| r.bytes())?;
-            Value::Encoded(EncodedVal::from_parts(
-                encoding,
-                chunks,
-                actual_len,
-                logical_len,
-                encoded_logical_bytes,
-            ))
-        }
-        other => return Err(format!("unknown value tag {other}")),
-    })
-}
-
-fn err_str(e: impl std::fmt::Display) -> String {
-    e.to_string()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alang::forest::{Forest, Tree, TreeNode};
+    use alang::matrix::Matrix;
+    use alang::table::{Column, Table};
+    use alang::value::{ArrayVal, BoolArrayVal, EncodedVal};
+    use csd_sim::wire::{ByteOrder, Codec, Encoding};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Arc;
 
     fn sample_storage() -> Storage {
         let mut st = Storage::new();
@@ -434,7 +226,6 @@ mod tests {
                 Table::with_logical_rows(
                     vec![
                         ("price".into(), Column::F64(Arc::new(vec![1.5, 2.5]))),
-                        ("qty".into(), Column::I64(Arc::new(vec![-3, 7]))),
                         (
                             "city".into(),
                             Column::Dict {
@@ -493,10 +284,23 @@ mod tests {
             eliminable_copy_bytes: 20,
             calls: 2,
         };
-        let mut dataset_types = alang::copyelim::DatasetTypes::new();
-        dataset_types.insert("arr".into(), StaticType::Array);
-        dataset_types.insert("tab".into(), StaticType::Table);
-        dataset_types.insert("wire".into(), StaticType::Encoded);
+        let dataset_types = [
+            StaticType::Num,
+            StaticType::Bool,
+            StaticType::Str,
+            StaticType::Array,
+            StaticType::BoolArray,
+            StaticType::Table,
+            StaticType::Matrix,
+            StaticType::Csr,
+            StaticType::Forest,
+            StaticType::Encoded,
+            StaticType::Unknown,
+        ]
+        .into_iter()
+        .enumerate()
+        .map(|(i, t)| (format!("d{i}"), t))
+        .collect();
         SamplingReport {
             lines: vec![LineSamples {
                 line: 0,
@@ -551,12 +355,29 @@ mod tests {
     #[test]
     fn value_layout_is_byte_identical_to_the_hand_written_codec() {
         // Length and FNV-1a of what the field-by-field `enc_value` this
-        // module had before `Value::canonical` wrote for the same storage
-        // (recorded at the parent commit): ISPWARM1 did not change.
+        // module once had wrote for the same storage (recorded from that
+        // codec, less the integer column the layout no longer has):
+        // ISPWARM1 did not change.
         let mut w = ByteWriter::default();
         enc_storage(&mut w, &sample_storage());
         let bytes = w.into_bytes();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (881, 0xc055_d51b_dd0c_467c));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (853, 0xa690_b9bc_0b5d_9fa0));
+    }
+
+    #[test]
+    fn warm_file_bytes_are_pinned() {
+        // One seed: every value kind, every static type, two sample
+        // points. Recorded before the value decoder and the tag tables
+        // moved to their types' home modules.
+        let path = tmp("pinned");
+        let seed = WarmSeed {
+            sampling: sample_report(),
+            storage: sample_storage(),
+        };
+        save_warm_file(&path, &[(("workload".into(), 0xBEEF), seed)]).expect("save");
+        let bytes = std::fs::read(&path).expect("read");
+        std::fs::remove_file(&path).ok();
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (1171, 0x6bca_28e4_a5de_c808));
     }
 
     #[test]
@@ -575,5 +396,128 @@ mod tests {
         let err = load_warm_file(&path).expect_err("truncated");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn a_length_field_past_the_address_space_is_invalid_data() {
+        let path = tmp("hostile_len");
+        let mut bytes = WARM_MAGIC.to_vec();
+        bytes.extend_from_slice(&u64::MAX.to_le_bytes());
+        bytes.extend_from_slice(&0u64.to_le_bytes());
+        std::fs::write(&path, &bytes).expect("write");
+        let err = load_warm_file(&path).expect_err("must fail");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+    }
+
+    /// `payload` under a fresh header: right length, right checksum, so
+    /// the bytes reach the decoder.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut out = WARM_MAGIC.to_vec();
+        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+        out.extend_from_slice(payload);
+        out
+    }
+
+    /// Refused, or read back as seeds that write the very same bytes; a
+    /// panic names `case`. Returns whether the bytes were refused.
+    fn refused_or_exact(bytes: &[u8], case: &str) -> bool {
+        let decoded = std::panic::catch_unwind(|| decode_warm_bytes(bytes))
+            .unwrap_or_else(|_| panic!("{case}: the decoder panicked"));
+        match decoded {
+            Err(_) => true,
+            Ok(seeds) => {
+                assert!(
+                    encode_warm_bytes(&seeds) == bytes,
+                    "{case}: read back other bytes"
+                );
+                false
+            }
+        }
+    }
+
+    /// A bit flip, or a `u32`/`u64` overwrite — half of the `u32`s on a
+    /// field that holds a small count — with a hostile value.
+    fn mutate(payload: &mut [u8], counts: &[usize], rng: &mut StdRng) {
+        let left = payload.len() as u32;
+        match rng.gen_range(0..3) {
+            0 => payload[rng.gen_range(0..payload.len())] ^= 1u8 << rng.gen_range(0..8u32),
+            1 => {
+                let at = if rng.gen_bool(0.5) {
+                    counts[rng.gen_range(0..counts.len())]
+                } else {
+                    rng.gen_range(0..payload.len() - 3)
+                };
+                let hostile = [
+                    0,
+                    1,
+                    left / 8,
+                    left + 1,
+                    u32::MAX,
+                    rng.gen_range(0..=u32::MAX),
+                ];
+                let v = hostile[rng.gen_range(0..hostile.len())];
+                payload[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            }
+            _ => {
+                let at = rng.gen_range(0..payload.len() - 7);
+                let hostile = [
+                    0,
+                    1,
+                    left.into(),
+                    1 << 32,
+                    u64::MAX,
+                    rng.gen_range(0..=u64::MAX),
+                ];
+                let v = hostile[rng.gen_range(0..hostile.len())];
+                payload[at..at + 8].copy_from_slice(&v.to_le_bytes());
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_warm_files_are_refused_or_read_back_exactly() {
+        const MUTATIONS: u64 = 2_400;
+        let seed = WarmSeed {
+            sampling: sample_report(),
+            storage: sample_storage(),
+        };
+        let file = encode_warm_bytes(&[(("workload".into(), 0xBEEF), seed)]);
+        assert!(!refused_or_exact(&file, "the unmutated file"));
+        let payload = &file[HEADER_LEN..];
+        for cut in 0..file.len() {
+            assert!(refused_or_exact(
+                &file[..cut],
+                &format!("file cut at {cut}")
+            ));
+            if cut < payload.len() {
+                let case = format!("payload cut at {cut}");
+                assert!(refused_or_exact(&framed(&payload[..cut]), &case), "{case}");
+            }
+        }
+        let counts: Vec<usize> = (0..payload.len() - 3)
+            .filter(|&at| {
+                (1..=64).contains(&u32::from_le_bytes(
+                    payload[at..at + 4].try_into().expect("4"),
+                ))
+            })
+            .collect();
+        let mut refused = 0;
+        for case in 0..MUTATIONS {
+            let mut rng = StdRng::seed_from_u64(0x57A_2400 + case);
+            let mut mutated = payload.to_vec();
+            for _ in 0..rng.gen_range(1..=3) {
+                mutate(&mut mutated, &counts, &mut rng);
+            }
+            let what = format!("mutation seed {:#x}", 0x57A_2400 + case);
+            refused += u64::from(refused_or_exact(&framed(&mutated), &what));
+        }
+        // Both outcomes are exercised: a flipped float reads back, a
+        // broken count or tag is refused.
+        assert!(
+            refused > MUTATIONS / 4 && refused < MUTATIONS,
+            "{refused} refused"
+        );
     }
 }

@@ -17,6 +17,7 @@
 //! and counts hits and misses. A cached plan never changes: re-planning
 //! from measured costs is an explicit [`ActivePy::replan`] call.
 
+use isp_obs::wal::fnv1a;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -352,12 +353,7 @@ impl PlanCache {
             paper_scales(),
             runtime.options().params
         );
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        for byte in text.as_bytes() {
-            hash ^= u64::from(*byte);
-            hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-        hash
+        fnv1a(text.as_bytes())
     }
 }
 

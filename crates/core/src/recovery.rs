@@ -110,6 +110,41 @@ impl Recovery {
     pub(crate) fn run_bounded<T>(
         &mut self,
         system: &mut System,
+        op: impl FnMut(&mut System) -> std::result::Result<T, DeviceFault>,
+    ) -> std::result::Result<T, DeviceFault> {
+        self.retry(system, MAX_RETRIES, op)
+    }
+
+    /// Runs a must-complete operation (host staging, migration-state
+    /// drain, final-result transfer): the same loop with no retry limit.
+    /// Termination is guaranteed because fault probabilities are capped
+    /// strictly below 1 ([`FaultPlan::MAX_ERROR_PROB`]) and none of the
+    /// must-complete operations has a permanent failure mode (DMA
+    /// survives the CSE crash).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a non-transient fault: no must-complete operation can
+    /// raise one, so one is a fault model this loop was not built for.
+    ///
+    /// [`FaultPlan::MAX_ERROR_PROB`]: csd_sim::fault::FaultPlan::MAX_ERROR_PROB
+    pub(crate) fn run_to_completion<T>(
+        &mut self,
+        system: &mut System,
+        op: impl FnMut(&mut System) -> std::result::Result<T, DeviceFault>,
+    ) -> T {
+        self.retry(system, u32::MAX, op).unwrap_or_else(|fault| {
+            panic!("must-complete operations only face transient faults, got {fault}")
+        })
+    }
+
+    /// The one retry loop: transient faults are retried `max_retries`
+    /// times, each after its backoff; anything else, or the fault after
+    /// the last retry, is hard.
+    fn retry<T>(
+        &mut self,
+        system: &mut System,
+        max_retries: u32,
         mut op: impl FnMut(&mut System) -> std::result::Result<T, DeviceFault>,
     ) -> std::result::Result<T, DeviceFault> {
         let mut attempt = 0u32;
@@ -127,7 +162,7 @@ impl Recovery {
                     if transient {
                         self.stats.transient_faults += 1;
                     }
-                    if transient && attempt < MAX_RETRIES {
+                    if transient && attempt < max_retries {
                         attempt += 1;
                         self.stats.retries += 1;
                         self.back_off(system, attempt);
@@ -135,43 +170,6 @@ impl Recovery {
                         self.stats.hard_faults += 1;
                         return Err(fault);
                     }
-                }
-            }
-        }
-    }
-
-    /// Runs a must-complete operation (host staging, migration-state
-    /// drain, final-result transfer): transient faults are retried without
-    /// bound. Termination is guaranteed because fault probabilities are
-    /// capped strictly below 1 ([`FaultPlan::MAX_ERROR_PROB`]) and none of
-    /// the must-complete operations has a permanent failure mode (DMA
-    /// survives the CSE crash).
-    ///
-    /// [`FaultPlan::MAX_ERROR_PROB`]: csd_sim::fault::FaultPlan::MAX_ERROR_PROB
-    pub(crate) fn run_to_completion<T>(
-        &mut self,
-        system: &mut System,
-        mut op: impl FnMut(&mut System) -> std::result::Result<T, DeviceFault>,
-    ) -> T {
-        let mut attempt = 0u32;
-        loop {
-            match op(system) {
-                Ok(v) => {
-                    if attempt > 0 {
-                        self.stats.recovered_ops += 1;
-                    }
-                    return v;
-                }
-                Err(fault) => {
-                    self.trace_fault(system, &fault);
-                    debug_assert!(
-                        fault.is_transient(),
-                        "must-complete operations only face transient faults, got {fault}"
-                    );
-                    self.stats.transient_faults += 1;
-                    attempt += 1;
-                    self.stats.retries += 1;
-                    self.back_off(system, attempt);
                 }
             }
         }
@@ -283,6 +281,15 @@ mod tests {
         assert_eq!(recov.stats.transient_faults, 25);
         assert_eq!(recov.stats.hard_faults, 0);
         assert_eq!(recov.stats.recovered_ops, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "must-complete operations only face transient faults")]
+    fn a_crash_on_a_must_complete_operation_is_loud() {
+        let mut system = System::paper_default();
+        Recovery::new().run_to_completion(&mut system, |s| {
+            Err::<(), _>(DeviceFault::CseCrash { at: s.now() })
+        });
     }
 
     #[test]

@@ -34,8 +34,7 @@ use crate::exec::MigrationReason;
 use crate::fit::{Complexity, FittedCurve, LinePrediction};
 use crate::plan::OffloadPlan;
 use crate::sampling::SamplingReport;
-use alang::copyelim::StaticType;
-use alang::{CanonicalSink, Fingerprinter, LineCost};
+use alang::{CanonicalSink, Fingerprinter};
 use isp_obs::wal::{read_wal, WalRecord, WalWriter};
 use std::collections::VecDeque;
 use std::io;
@@ -265,27 +264,8 @@ pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
             compute_curve,
             out_curve,
         } = prediction;
-        let LineCost {
-            compute_ops,
-            storage_bytes,
-            bytes_in,
-            bytes_out,
-            copy_bytes,
-            eliminable_copy_bytes,
-            calls,
-        } = cost;
         f.u64(*line as u64);
-        for n in [
-            compute_ops,
-            storage_bytes,
-            bytes_in,
-            bytes_out,
-            copy_bytes,
-            eliminable_copy_bytes,
-        ] {
-            f.u64(*n);
-        }
-        f.u32(*calls);
+        cost.canonical(f);
         for curve in [compute_curve, out_curve] {
             let FittedCurve {
                 complexity,
@@ -343,19 +323,7 @@ pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
     f.u64(dataset_types.len() as u64);
     for (dataset, ty) in dataset_types {
         f.str(dataset);
-        f.u8(match ty {
-            StaticType::Num => 0,
-            StaticType::Bool => 1,
-            StaticType::Str => 2,
-            StaticType::Array => 3,
-            StaticType::BoolArray => 4,
-            StaticType::Table => 5,
-            StaticType::Matrix => 6,
-            StaticType::Csr => 7,
-            StaticType::Forest => 8,
-            StaticType::Encoded => 9,
-            StaticType::Unknown => 10,
-        });
+        f.u8(ty.code());
     }
     f.finish()
 }
@@ -363,6 +331,7 @@ pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alang::copyelim::StaticType;
     use isp_obs::wal::StateSnap;
 
     fn tmp(name: &str) -> std::path::PathBuf {

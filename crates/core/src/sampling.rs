@@ -23,7 +23,7 @@
 use crate::error::{ActivePyError, Result};
 use alang::builtins::Storage;
 use alang::copyelim::{DatasetTypes, StaticType};
-use alang::{KernelMemo, LineCost, Program, Value, Vm};
+use alang::{KernelMemo, LineCost, Program, Vm};
 use isp_obs::{SpanKind, Tracer};
 use serde::Serialize;
 
@@ -67,7 +67,7 @@ pub(crate) fn test_input() -> impl InputSource {
         let mut st = Storage::new();
         st.insert(
             "v",
-            Value::Array(alang::value::ArrayVal::with_logical(data, logical)),
+            alang::Value::Array(alang::value::ArrayVal::with_logical(data, logical)),
         );
         st
     }
@@ -212,25 +212,9 @@ pub fn observe_dataset_types(storage: &Storage) -> DatasetTypes {
             storage
                 .get(name)
                 .ok()
-                .map(|v| (name.to_owned(), observe_type(v)))
+                .map(|v| (name.to_owned(), StaticType::of(v)))
         })
         .collect()
-}
-
-/// Maps a runtime value to its static type (what sampling "observes").
-fn observe_type(v: &Value) -> StaticType {
-    match v {
-        Value::Num(_) => StaticType::Num,
-        Value::Bool(_) => StaticType::Bool,
-        Value::Str(_) => StaticType::Str,
-        Value::Array(_) => StaticType::Array,
-        Value::BoolArray(_) => StaticType::BoolArray,
-        Value::Table(_) => StaticType::Table,
-        Value::Matrix(_) => StaticType::Matrix,
-        Value::Csr(_) => StaticType::Csr,
-        Value::Forest(_) => StaticType::Forest,
-        Value::Encoded(_) => StaticType::Encoded,
-    }
 }
 
 #[cfg(test)]
@@ -239,6 +223,7 @@ mod tests {
     use alang::parser::parse;
     use alang::value::ArrayVal;
     use alang::Interpreter;
+    use alang::Value;
     use std::collections::BTreeMap;
 
     /// A linear synthetic input: `n = scale * 1e6` logical elements,

@@ -30,24 +30,63 @@
 use serde::Serialize;
 use std::sync::OnceLock;
 
-/// Compression codec of an encoded stream.
+/// Compression codec of an encoded stream. The discriminant is the
+/// codec's one-byte tag wherever a descriptor is written or hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[repr(u8)]
 pub enum Codec {
     /// RFC 1952 gzip framing around a DEFLATE body (CRC32 + length).
-    Gzip,
+    Gzip = 0,
     /// RFC 1950 zlib framing around a DEFLATE body (Adler32).
-    Zlib,
+    Zlib = 1,
     /// No compression: the (possibly shuffled/swapped) bytes verbatim.
-    None,
+    None = 2,
 }
 
-/// Byte order of the serialized f64 lanes.
+impl Codec {
+    /// Every codec.
+    pub const ALL: [Codec; 3] = [Codec::Gzip, Codec::Zlib, Codec::None];
+
+    /// The codec's one-byte tag.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The codec whose tag is `code`, or an error naming the unknown tag.
+    pub fn from_code(code: u8) -> Result<Codec, String> {
+        let found = Self::ALL.into_iter().find(|c| c.code() == code);
+        found.ok_or_else(|| format!("unknown codec tag {code}"))
+    }
+}
+
+/// Byte order of the serialized f64 lanes. The discriminant is the
+/// order's one-byte tag wherever a descriptor is written or hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[repr(u8)]
 pub enum ByteOrder {
     /// Little-endian (x86/aarch64 native).
-    Little,
+    Little = 0,
     /// Big-endian (network order, common in scientific archives).
-    Big,
+    Big = 1,
+}
+
+impl ByteOrder {
+    /// Every byte order.
+    pub const ALL: [ByteOrder; 2] = [ByteOrder::Little, ByteOrder::Big];
+
+    /// The byte order's one-byte tag.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The byte order whose tag is `code`, or an error naming the unknown
+    /// tag.
+    pub fn from_code(code: u8) -> Result<ByteOrder, String> {
+        let found = Self::ALL.into_iter().find(|o| o.code() == code);
+        found.ok_or_else(|| format!("unknown byte-order tag {code}"))
+    }
 }
 
 /// The on-storage encoding of one bulk dataset.
@@ -95,39 +134,6 @@ impl Encoding {
             byte_order: ByteOrder::Little,
             fill_value: None,
         }
-    }
-
-    /// Stable 64-bit fingerprint of the descriptor (FNV-1a over a
-    /// canonical rendering, fill compared by bit pattern). Folded into
-    /// plan-cache keys so plans for differently-encoded inputs never
-    /// collide.
-    #[must_use]
-    pub fn fingerprint(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |b: u8| {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        };
-        eat(match self.codec {
-            Codec::Gzip => 1,
-            Codec::Zlib => 2,
-            Codec::None => 3,
-        });
-        eat(u8::from(self.shuffle));
-        eat(match self.byte_order {
-            ByteOrder::Little => 0,
-            ByteOrder::Big => 1,
-        });
-        match self.fill_value {
-            None => eat(0),
-            Some(f) => {
-                eat(1);
-                for b in f.to_bits().to_le_bytes() {
-                    eat(b);
-                }
-            }
-        }
-        h
     }
 
     /// Encodes a slice of f64s into the wire representation.
@@ -1475,41 +1481,17 @@ mod tests {
     }
 
     #[test]
-    fn fingerprints_split_on_every_field() {
-        let base = Encoding::gzip_shuffled();
-        let variants = [
-            Encoding {
-                codec: Codec::Zlib,
-                ..base
-            },
-            Encoding {
-                codec: Codec::None,
-                ..base
-            },
-            Encoding {
-                shuffle: false,
-                ..base
-            },
-            Encoding {
-                byte_order: ByteOrder::Big,
-                ..base
-            },
-            Encoding {
-                fill_value: Some(0.0),
-                ..base
-            },
-            Encoding {
-                fill_value: Some(-9999.0),
-                ..base
-            },
-        ];
-        let mut seen = std::collections::HashSet::new();
-        seen.insert(base.fingerprint());
-        for v in variants {
-            assert!(seen.insert(v.fingerprint()), "collision for {v:?}");
+    fn every_tag_reads_back_as_its_variant() {
+        for codec in Codec::ALL {
+            assert_eq!(Codec::from_code(codec.code()), Ok(codec));
         }
-        // Deterministic across calls.
-        assert_eq!(base.fingerprint(), Encoding::gzip_shuffled().fingerprint());
+        for order in ByteOrder::ALL {
+            assert_eq!(ByteOrder::from_code(order.code()), Ok(order));
+        }
+        // The `ISPWARM1` numbering.
+        assert_eq!(Codec::ALL.map(Codec::code), [0, 1, 2]);
+        assert_eq!(ByteOrder::ALL.map(ByteOrder::code), [0, 1]);
+        assert!(Codec::from_code(3).is_err() && ByteOrder::from_code(2).is_err());
     }
 
     #[test]

@@ -519,7 +519,6 @@ fn k_col(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     // An f64 column is already the array's representation: share it.
     let data = match column {
         Column::F64(v) => Arc::clone(v),
-        Column::I64(v) => Arc::new(v.iter().map(|x| *x as f64).collect()),
         Column::Dict { codes, .. } => Arc::new(codes.iter().map(|c| f64::from(*c)).collect()),
     };
     let arr = ArrayVal::shared(data, table.logical_rows());
@@ -1406,7 +1405,7 @@ mod tests {
                 assert!((v[0] - 40_000.0).abs() < 1e-6);
                 assert!((v[1] - 60_000.0).abs() < 1e-6);
             }
-            other => panic!("wrong type {}", other.type_name()),
+            other => panic!("wrong type {other:?}"),
         }
     }
 

@@ -1,15 +1,18 @@
-//! The one canonical traversal of a [`Value`] and the sinks that consume
-//! it.
+//! The one canonical traversal of a [`Value`], the sinks that consume
+//! it, and the readers its inverse is built from.
 //!
 //! [`Value::canonical`] walks a value exactly once, in one fixed order —
 //! kind tag, logical sizes, length prefixes, then bulk payloads handed
 //! over as whole slices — and everything that needs to know what a value
 //! is made of is a [`CanonicalSink`] fed by that walk: the `ISPWARM1`
 //! codec (the [`ByteWriter`] sink: the byte layout *is* the traversal) and
-//! the answer fingerprint ([`Fingerprinter`]).
+//! the answer fingerprint ([`Fingerprinter`]). Each type's
+//! `from_canonical` sits beside its `canonical` and reads that layout
+//! back from a [`ByteReader`]; it refuses, with a message, any byte
+//! string the walk could not have written.
 
 use crate::value::Value;
-use isp_obs::wal::ByteWriter;
+use isp_obs::wal::{ByteReader, ByteWriter};
 
 /// Receives the canonical traversal of a value.
 ///
@@ -55,11 +58,6 @@ pub trait CanonicalSink {
     fn u32s(&mut self, v: &[u32]) {
         v.iter().for_each(|x| self.u32(*x));
     }
-    /// An `i64` payload (two's complement); its length has already been
-    /// emitted.
-    fn i64s(&mut self, v: &[i64]) {
-        v.iter().for_each(|x| self.u64(*x as u64));
-    }
     /// A bool payload; its length has already been emitted.
     fn bools(&mut self, v: &[bool]) {
         v.iter().for_each(|b| self.bool(*b));
@@ -78,6 +76,55 @@ impl CanonicalSink for ByteWriter {
     }
     fn bytes(&mut self, v: &[u8]) {
         ByteWriter::bytes(self, v);
+    }
+}
+
+/// Reads a bool written by [`CanonicalSink::bool`], refusing any byte but
+/// 0 and 1.
+pub(crate) fn read_bool(r: &mut ByteReader<'_>) -> Result<bool, String> {
+    match r.u8()? {
+        0 => Ok(false),
+        1 => Ok(true),
+        other => Err(format!("bool byte {other}")),
+    }
+}
+
+/// Reads `n` items, or returns the first item's error. Capacity is bounded
+/// by the bytes left, so a corrupt count fails at the first missing item
+/// instead of allocating for it.
+pub(crate) fn read_n<T>(
+    r: &mut ByteReader<'_>,
+    n: usize,
+    item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let mut out = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
+}
+
+/// Reads a [`CanonicalSink::len`] prefix and that many items.
+pub fn read_vec<T>(
+    r: &mut ByteReader<'_>,
+    item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let n = r.u32()? as usize;
+    read_n(r, n, item)
+}
+
+/// Reads a length prefix and that many `(name, item)` entries, refusing
+/// a name that does not strictly follow the one before it: the walk
+/// writes a map in key order, so a repeated or reordered name was never
+/// written by it.
+pub fn read_map<T>(
+    r: &mut ByteReader<'_>,
+    item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
+) -> Result<Vec<(String, T)>, String> {
+    let entries = read_vec(r, |r| Ok((r.str()?, item(r)?)))?;
+    match entries.windows(2).find(|w| w[0].0 >= w[1].0) {
+        Some(w) => Err(format!("name `{}` does not follow `{}`", w[1].0, w[0].0)),
+        None => Ok(entries),
     }
 }
 
@@ -254,9 +301,6 @@ impl CanonicalSink for Fingerprinter {
             u64::from(pair[0]) | pair.get(1).map_or(0, |hi| u64::from(*hi) << 32)
         });
     }
-    fn i64s(&mut self, v: &[i64]) {
-        self.bulk::<i64, 1>(v, |x| x[0] as u64);
-    }
     fn bools(&mut self, v: &[bool]) {
         self.bulk::<bool, 64>(v, pack_bools);
     }
@@ -294,10 +338,9 @@ mod tests {
         Value::BoolArray(BoolArrayVal::with_logical(data.to_vec(), logical))
     }
 
-    fn table(price: &[f64], qty: &[i64], codes: &[u32], city: &str, col: &str, rows: u64) -> Value {
+    fn table(price: &[f64], codes: &[u32], city: &str, col: &str, rows: u64) -> Value {
         let columns = vec![
             (col.to_owned(), Column::F64(Arc::new(price.to_vec()))),
-            ("qty".to_owned(), Column::I64(Arc::new(qty.to_vec()))),
             (
                 "where".to_owned(),
                 Column::Dict {
@@ -377,14 +420,13 @@ mod tests {
             mask(&[true, false, true], 4),
             mask(&long, 65),
             mask(&long_flipped, 65),
-            table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 2),
-            table(&[1.5, ulp(2.5)], &[-3, 7], &[0, 1], "rome", "price", 2),
-            table(&[1.5, 2.5], &[-3, 8], &[0, 1], "rome", "price", 2),
-            table(&[1.5, 2.5], &[-3, 7], &[1, 1], "rome", "price", 2),
-            table(&[1.5, 2.5], &[-3, 7], &[0, 1], "roma", "price", 2),
-            table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "cost", 2),
-            table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 3),
-            table(&[1.5], &[-3], &[0], "rome", "price", 2),
+            table(&[1.5, 2.5], &[0, 1], "rome", "price", 2),
+            table(&[1.5, ulp(2.5)], &[0, 1], "rome", "price", 2),
+            table(&[1.5, 2.5], &[1, 1], "rome", "price", 2),
+            table(&[1.5, 2.5], &[0, 1], "roma", "price", 2),
+            table(&[1.5, 2.5], &[0, 1], "rome", "cost", 2),
+            table(&[1.5, 2.5], &[0, 1], "rome", "price", 3),
+            table(&[1.5], &[0], "rome", "price", 2),
             matrix(&[1.0, 2.0, 3.0, 4.0], 2, 2, 2, 2),
             matrix(&[1.0, 2.0, 3.0, ulp(4.0)], 2, 2, 2, 2),
             matrix(&[1.0, 2.0, 3.0, 4.0], 1, 4, 2, 4),
@@ -433,7 +475,7 @@ mod tests {
 
     #[test]
     fn a_variable_is_its_name_a_flag_and_its_values_digest() {
-        let v = table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 2);
+        let v = table(&[1.5, 2.5], &[0, 1], "rome", "price", 2);
         let digest = Fingerprinter::digest(&v);
         assert_eq!(digest, Fingerprinter::digest(&v.clone()));
         // `x` between two other variables, fed by `feed`.
@@ -519,13 +561,6 @@ mod tests {
             |f, v| f.f64s(v),
         );
         check_bulk(
-            1,
-            |i| i as i64 * 1_000_003 - 7,
-            |x, i| x ^ (1 << (i * 7 % 64)),
-            0,
-            |f, v| f.i64s(v),
-        );
-        check_bulk(
             2,
             |i| i as u32 * 2_654_435 + 1,
             |x, i| x ^ (1 << (i * 5 % 32)),
@@ -540,6 +575,39 @@ mod tests {
             |f, v| f.bytes(v),
         );
         check_bulk(64, |i| i % 3 == 0, |b, _| !b, false, |f, v| f.bools(v));
+    }
+
+    #[test]
+    fn a_count_past_the_bytes_left_fails_at_its_first_missing_item() {
+        let mut w = ByteWriter::default();
+        w.u32(u32::MAX);
+        w.f64(1.5);
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        let items = std::cell::Cell::new(0);
+        let read = read_vec(&mut r, |r| {
+            items.set(items.get() + 1);
+            r.f64()
+        });
+        assert!(read.is_err());
+        assert_eq!((items.get(), r.remaining()), (2, 0));
+    }
+
+    #[test]
+    fn what_the_walk_never_writes_is_refused() {
+        let mut w = ByteWriter::default();
+        w.u8(2);
+        for names in [["a", "b"], ["b", "a"], ["a", "a"]] {
+            w.u32(2);
+            names.iter().for_each(|n| w.str(n));
+        }
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(&bytes);
+        assert!(read_bool(&mut r).is_err(), "a bool is 0 or 1");
+        let mut map = || read_map(&mut r, |_| Ok(()));
+        assert!(map().is_ok());
+        assert!(map().is_err(), "names out of order");
+        assert!(map().is_err(), "a repeated name");
     }
 
     #[test]
@@ -586,10 +654,10 @@ mod tests {
         let payload = f64::from_bits(0x7FF8_0000_0000_0001);
         assert_ne!(of(Value::Num(quiet)), of(Value::Num(payload)));
         // Equal contents behind different `Arc`s (or one shared `Arc`) agree.
-        let t = table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 2);
+        let t = table(&[1.5, 2.5], &[0, 1], "rome", "price", 2);
         assert_eq!(
             of(t.clone()),
-            of(table(&[1.5, 2.5], &[-3, 7], &[0, 1], "rome", "price", 2))
+            of(table(&[1.5, 2.5], &[0, 1], "rome", "price", 2))
         );
         assert_eq!(of(t.clone()), of(t));
     }

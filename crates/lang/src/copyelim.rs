@@ -16,36 +16,85 @@
 
 use crate::ast::{BinOp, Expr, Program, UnOp};
 use crate::builtins::{kernel_id, KernelId, ResultType};
+use crate::value::Value;
 use std::collections::BTreeMap;
 
-/// The static type lattice (flat, with `Unknown` as bottom).
+/// The static type lattice (flat, with `Unknown` as bottom). The
+/// discriminant is the type's one-byte tag wherever a type is written or
+/// hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(u8)]
 pub enum StaticType {
     /// Scalar number.
-    Num,
+    Num = 0,
     /// Scalar boolean.
-    Bool,
+    Bool = 1,
     /// String.
-    Str,
+    Str = 2,
     /// Numeric array.
-    Array,
+    Array = 3,
     /// Boolean mask.
-    BoolArray,
+    BoolArray = 4,
     /// Columnar table.
-    Table,
+    Table = 5,
     /// Dense matrix.
-    Matrix,
+    Matrix = 6,
     /// CSR matrix.
-    Csr,
+    Csr = 7,
     /// Forest model.
-    Forest,
+    Forest = 8,
     /// Wire-format encoded bulk data (not yet decoded).
-    Encoded,
+    Encoded = 10,
     /// Not statically determinable.
-    Unknown,
+    Unknown = 9,
 }
 
 impl StaticType {
+    /// Every static type.
+    pub const ALL: [StaticType; 11] = [
+        StaticType::Num,
+        StaticType::Bool,
+        StaticType::Str,
+        StaticType::Array,
+        StaticType::BoolArray,
+        StaticType::Table,
+        StaticType::Matrix,
+        StaticType::Csr,
+        StaticType::Forest,
+        StaticType::Encoded,
+        StaticType::Unknown,
+    ];
+
+    /// The type's one-byte tag.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
+    /// The type whose tag is `code`, or an error naming the unknown tag.
+    pub fn from_code(code: u8) -> Result<StaticType, String> {
+        let found = Self::ALL.into_iter().find(|t| t.code() == code);
+        found.ok_or_else(|| format!("unknown static type tag {code}"))
+    }
+
+    /// The type of a runtime value: what sampling observes a stored
+    /// dataset to be.
+    #[must_use]
+    pub fn of(value: &Value) -> StaticType {
+        match value {
+            Value::Num(_) => StaticType::Num,
+            Value::Bool(_) => StaticType::Bool,
+            Value::Str(_) => StaticType::Str,
+            Value::Array(_) => StaticType::Array,
+            Value::BoolArray(_) => StaticType::BoolArray,
+            Value::Table(_) => StaticType::Table,
+            Value::Matrix(_) => StaticType::Matrix,
+            Value::Csr(_) => StaticType::Csr,
+            Value::Forest(_) => StaticType::Forest,
+            Value::Encoded(_) => StaticType::Encoded,
+        }
+    }
+
     /// Whether values of this type are bulk (their copies cost bandwidth).
     #[must_use]
     pub fn is_bulk(self) -> bool {
@@ -211,6 +260,17 @@ m = q < 24
 f = filter(t, m)
 s = sum(col(f, 'price'))
 ";
+
+    #[test]
+    fn every_tag_reads_back_as_its_type() {
+        for t in StaticType::ALL {
+            assert_eq!(StaticType::from_code(t.code()), Ok(t), "{t:?}");
+        }
+        // The `ISPWARM1` numbering.
+        let codes = StaticType::ALL.map(StaticType::code);
+        assert_eq!(codes, [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9]);
+        assert!(StaticType::from_code(11).is_err());
+    }
 
     fn seeds() -> DatasetTypes {
         let mut d = DatasetTypes::new();

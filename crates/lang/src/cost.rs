@@ -16,6 +16,8 @@
 //! Cython 20 %, copy-eliminated ≈ parity; §V) *emerges* from workload
 //! structure under this model; the `runtime_opt` experiment checks it.
 
+use crate::canonical::CanonicalSink;
+use isp_obs::wal::ByteReader;
 use serde::Serialize;
 use std::fmt;
 use std::iter::Sum;
@@ -106,6 +108,42 @@ impl LineCost {
     #[must_use]
     pub fn zero() -> Self {
         LineCost::default()
+    }
+
+    /// Streams the cost's fields into `sink` in one fixed order: the
+    /// `ISPWARM1` sample layout and the plan fingerprint are both this
+    /// walk.
+    pub fn canonical(&self, sink: &mut impl CanonicalSink) {
+        let LineCost {
+            compute_ops,
+            storage_bytes,
+            bytes_in,
+            bytes_out,
+            copy_bytes,
+            eliminable_copy_bytes,
+            calls,
+        } = *self;
+        sink.u64(compute_ops);
+        sink.u64(storage_bytes);
+        sink.u64(bytes_in);
+        sink.u64(bytes_out);
+        sink.u64(copy_bytes);
+        sink.u64(eliminable_copy_bytes);
+        sink.u32(calls);
+    }
+
+    /// Reads back what [`Self::canonical`] wrote; errs when the bytes run
+    /// out.
+    pub fn from_canonical(r: &mut ByteReader<'_>) -> Result<Self, String> {
+        Ok(LineCost {
+            compute_ops: r.u64()?,
+            storage_bytes: r.u64()?,
+            bytes_in: r.u64()?,
+            bytes_out: r.u64()?,
+            copy_bytes: r.u64()?,
+            eliminable_copy_bytes: r.u64()?,
+            calls: r.u32()?,
+        })
     }
 
     /// Effective operations under `tier` with constants `params`.

@@ -72,13 +72,6 @@ fn gather_ref(column: &Column, keep: &[bool]) -> Column {
                 .map(|(x, _)| *x)
                 .collect(),
         )),
-        Column::I64(v) => Column::I64(Arc::new(
-            v.iter()
-                .zip(keep)
-                .filter(|(_, k)| **k)
-                .map(|(x, _)| *x)
-                .collect(),
-        )),
         Column::Dict { codes, dict } => Column::Dict {
             codes: Arc::new(
                 codes
@@ -112,10 +105,6 @@ fn gather_with_ref(column: &Column, keep: &[bool], par: &ParEngine) -> Column {
     match column {
         Column::F64(v) => match chunked(v, keep, par) {
             Some(out) => Column::F64(Arc::new(out)),
-            None => gather_ref(column, keep),
-        },
-        Column::I64(v) => match chunked(v, keep, par) {
-            Some(out) => Column::I64(Arc::new(out)),
             None => gather_ref(column, keep),
         },
         Column::Dict { codes, dict } => match chunked(codes, keep, par) {
@@ -170,7 +159,6 @@ fn col_ref(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let column = table.column(c.as_str()?)?;
     let data: Vec<f64> = match column {
         Column::F64(v) => v.to_vec(),
-        Column::I64(v) => v.iter().map(|x| *x as f64).collect(),
         Column::Dict { codes, .. } => codes.iter().map(|c| f64::from(*c)).collect(),
     };
     Ok(BuiltinOutput {
@@ -1059,12 +1047,6 @@ fn table(rng: &mut StdRng, n: usize, flavour: Flavour) -> Table {
             Column::F64(Arc::new(floats(rng, n, flavour))),
         ),
         (
-            "b".to_owned(),
-            Column::I64(Arc::new(
-                (0..n).map(|_| rng.gen_range(i64::MIN..i64::MAX)).collect(),
-            )),
-        ),
-        (
             "c".to_owned(),
             Column::Dict {
                 codes: Arc::new((0..n).map(|_| rng.gen_range(0..3u32)).collect()),
@@ -1514,7 +1496,7 @@ rf = col(t, 'returnflag')
             ("extendedprice".to_owned(), column(900.0, 90_000.0)),
             (
                 "returnflag".to_owned(),
-                Column::I64(Arc::new((0..n as i64).map(|i| i % 3).collect())),
+                Column::F64(Arc::new((0..n).map(|i| (i % 3) as f64).collect())),
             ),
         ],
         3_000_000,

@@ -23,6 +23,7 @@
 use crate::ast::{Expr, Program};
 use crate::builtins::{kernel_id, KernelId, RowRule, Storage};
 use crate::value::Value;
+use isp_obs::wal::fnv1a;
 use std::collections::BTreeSet;
 
 /// Minimum logical row count for a stored value to be worth sharding;
@@ -173,23 +174,16 @@ impl ShardMap {
     /// always `b"range"`, kept so journaled `shard_fp`s stay valid.
     #[must_use]
     pub fn fingerprint(&self) -> u64 {
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut mix = |bytes: &[u8]| {
-            for b in bytes {
-                hash ^= u64::from(*b);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
-        mix(&self.rows.to_le_bytes());
+        let mut bytes = self.rows.to_le_bytes().to_vec();
         for b in &self.bounds {
-            mix(&b.to_le_bytes());
+            bytes.extend_from_slice(&b.to_le_bytes());
         }
-        mix(b"range");
+        bytes.extend_from_slice(b"range");
         for name in &self.sharded {
-            mix(name.as_bytes());
-            mix(&[0]);
+            bytes.extend_from_slice(name.as_bytes());
+            bytes.push(0);
         }
-        hash
+        fnv1a(&bytes)
     }
 }
 

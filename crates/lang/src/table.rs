@@ -10,20 +10,24 @@
 //! count (the rows materialized in memory, kept laptop-small) from its
 //! *logical* row count (the paper-scale size used for all cost accounting).
 
-use crate::canonical::CanonicalSink;
+use crate::canonical::{read_map, read_vec, CanonicalSink};
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
+use isp_obs::wal::ByteReader;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
+
+/// The kind tags that open a column's part of the canonical walk. Tag 1
+/// is retired, not reused, so a stored byte keeps one meaning.
+const F64_COLUMN: u8 = 0;
+const DICT_COLUMN: u8 = 2;
 
 /// One column of a table.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// 64-bit floats (8 bytes/row).
     F64(Arc<Vec<f64>>),
-    /// 64-bit integers (8 bytes/row).
-    I64(Arc<Vec<i64>>),
     /// Dictionary-encoded strings: 4-byte codes into `dict`.
     Dict {
         /// Per-row dictionary codes.
@@ -39,7 +43,6 @@ impl Column {
     pub fn len(&self) -> usize {
         match self {
             Column::F64(v) => v.len(),
-            Column::I64(v) => v.len(),
             Column::Dict { codes, .. } => codes.len(),
         }
     }
@@ -54,18 +57,8 @@ impl Column {
     #[must_use]
     pub fn bytes_per_row(&self) -> u64 {
         match self {
-            Column::F64(_) | Column::I64(_) => 8,
+            Column::F64(_) => 8,
             Column::Dict { .. } => 4,
-        }
-    }
-
-    /// A short type name for diagnostics.
-    #[must_use]
-    pub fn type_name(&self) -> &'static str {
-        match self {
-            Column::F64(_) => "f64",
-            Column::I64(_) => "i64",
-            Column::Dict { .. } => "dict",
         }
     }
 
@@ -76,7 +69,6 @@ impl Column {
     fn take(&self, rows: &[usize], par: Option<&ParEngine>) -> Column {
         match self {
             Column::F64(v) => Column::F64(Arc::new(take_rows(v, rows, par))),
-            Column::I64(v) => Column::I64(Arc::new(take_rows(v, rows, par))),
             Column::Dict { codes, dict } => Column::Dict {
                 codes: Arc::new(take_rows(codes, rows, par)),
                 dict: Arc::clone(dict),
@@ -229,7 +221,7 @@ impl Table {
     }
 
     /// The table's part of [`crate::Value::canonical`]: logical rows, then
-    /// each column (sorted by name) as name, type tag, length, payload.
+    /// each column (sorted by name) as name, kind tag, length, payload.
     pub(crate) fn canonical(&self, sink: &mut impl CanonicalSink) {
         sink.u64(self.logical_rows);
         sink.len(self.columns.len());
@@ -237,17 +229,12 @@ impl Table {
             sink.str(name);
             match column {
                 Column::F64(data) => {
-                    sink.u8(0);
+                    sink.u8(F64_COLUMN);
                     sink.len(data.len());
                     sink.f64s(data);
                 }
-                Column::I64(data) => {
-                    sink.u8(1);
-                    sink.len(data.len());
-                    sink.i64s(data);
-                }
                 Column::Dict { codes, dict } => {
-                    sink.u8(2);
+                    sink.u8(DICT_COLUMN);
                     sink.len(codes.len());
                     sink.u32s(codes);
                     sink.len(dict.len());
@@ -255,6 +242,20 @@ impl Table {
                 }
             }
         }
+    }
+
+    /// Reads back what [`Self::canonical`] wrote.
+    pub(crate) fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Self, String> {
+        let logical_rows = r.u64()?;
+        let columns = read_map(r, |r| match r.u8()? {
+            F64_COLUMN => Ok(Column::F64(Arc::new(read_vec(r, |r| r.f64())?))),
+            DICT_COLUMN => Ok(Column::Dict {
+                codes: Arc::new(read_vec(r, |r| r.u32())?),
+                dict: Arc::new(read_vec(r, |r| r.str())?),
+            }),
+            other => Err(format!("unknown column tag {other}")),
+        })?;
+        Table::with_logical_rows(columns, logical_rows).map_err(|e| e.to_string())
     }
 
     /// Physical bytes per logical row across all columns.
@@ -341,7 +342,10 @@ mod tests {
                     "qty".into(),
                     Column::F64(Arc::new(vec![1.0, 30.0, 10.0, 50.0])),
                 ),
-                ("flag".into(), Column::I64(Arc::new(vec![0, 1, 0, 1]))),
+                (
+                    "flag".into(),
+                    Column::F64(Arc::new(vec![0.0, 1.0, 0.0, 1.0])),
+                ),
                 (
                     "kind".into(),
                     Column::Dict {
@@ -391,7 +395,7 @@ mod tests {
         assert_eq!(filtered.logical_rows(), 2000);
         match filtered.column("qty").expect("qty") {
             Column::F64(v) => assert_eq!(**v, vec![1.0, 10.0]),
-            other => panic!("wrong column type {}", other.type_name()),
+            other => panic!("wrong column type {other:?}"),
         }
     }
 
@@ -404,7 +408,7 @@ mod tests {
                 assert_eq!(**codes, vec![1, 1]);
                 assert_eq!(dict[1], "OTHER");
             }
-            other => panic!("wrong column type {}", other.type_name()),
+            other => panic!("wrong column type {other:?}"),
         }
     }
 
@@ -430,7 +434,7 @@ mod tests {
                 ),
                 (
                     "flag".into(),
-                    Column::I64(Arc::new((0..n).map(|i| (i % 3) as i64).collect())),
+                    Column::F64(Arc::new((0..n).map(|i| (i % 3) as f64).collect())),
                 ),
                 (
                     "kind".into(),

@@ -8,14 +8,68 @@
 //! sparsity, tree depth) remain genuinely data-driven while volumes match
 //! Table I of the paper.
 
-use crate::canonical::CanonicalSink;
+use crate::canonical::{read_bool, read_vec, CanonicalSink};
 use crate::error::{LangError, Result};
 use crate::forest::Forest;
 use crate::matrix::{Csr, Matrix};
 use crate::table::Table;
 use csd_sim::wire::{ByteOrder, Codec, Encoding};
+use isp_obs::wal::ByteReader;
 use std::fmt;
 use std::sync::Arc;
+
+/// A wire descriptor's part of the canonical walk: codec, shuffle flag,
+/// byte order, then the fill sentinel if there is one. An encoded value
+/// opens with it, and a workload's declared formats are fingerprinted
+/// through it.
+pub fn encoding_canonical(encoding: &Encoding, sink: &mut impl CanonicalSink) {
+    sink.u8(encoding.codec.code());
+    sink.bool(encoding.shuffle);
+    sink.u8(encoding.byte_order.code());
+    sink.bool(encoding.fill_value.is_some());
+    if let Some(fill) = encoding.fill_value {
+        sink.f64(fill);
+    }
+}
+
+/// Reads back what [`encoding_canonical`] wrote.
+fn encoding_from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Encoding, String> {
+    let codec = Codec::from_code(r.u8()?)?;
+    let shuffle = read_bool(r)?;
+    let byte_order = ByteOrder::from_code(r.u8()?)?;
+    let fill_value = if read_bool(r)? { Some(r.f64()?) } else { None };
+    Ok(Encoding {
+        codec,
+        shuffle,
+        byte_order,
+        fill_value,
+    })
+}
+
+/// Refuses a logical size below the materialized one, which no
+/// constructor lets a value hold.
+fn covers(logical: u64, materialized: usize) -> std::result::Result<(), String> {
+    if logical < materialized as u64 {
+        return Err(format!(
+            "logical size {logical} below the {materialized} materialized elements"
+        ));
+    }
+    Ok(())
+}
+
+/// The kind tags that open each value's part of the canonical walk.
+mod kind {
+    pub(super) const NUM: u8 = 0;
+    pub(super) const BOOL: u8 = 1;
+    pub(super) const STR: u8 = 2;
+    pub(super) const ARRAY: u8 = 3;
+    pub(super) const BOOL_ARRAY: u8 = 4;
+    pub(super) const TABLE: u8 = 5;
+    pub(super) const MATRIX: u8 = 6;
+    pub(super) const CSR: u8 = 7;
+    pub(super) const FOREST: u8 = 8;
+    pub(super) const ENCODED: u8 = 9;
+}
 
 /// Elements per independently-encoded chunk of an [`EncodedVal`].
 ///
@@ -170,20 +224,7 @@ impl EncodedVal {
     /// The encoded value's part of [`Value::canonical`]: the wire
     /// descriptor, both logical sizes, then every chunk's bytes.
     fn canonical(&self, sink: &mut impl CanonicalSink) {
-        sink.u8(match self.encoding.codec {
-            Codec::Gzip => 0,
-            Codec::Zlib => 1,
-            Codec::None => 2,
-        });
-        sink.bool(self.encoding.shuffle);
-        sink.u8(match self.encoding.byte_order {
-            ByteOrder::Little => 0,
-            ByteOrder::Big => 1,
-        });
-        sink.bool(self.encoding.fill_value.is_some());
-        if let Some(fill) = self.encoding.fill_value {
-            sink.f64(fill);
-        }
+        encoding_canonical(&self.encoding, sink);
         sink.u64(self.logical_len);
         sink.u64(self.encoded_logical_bytes);
         sink.len(self.actual_len);
@@ -191,6 +232,24 @@ impl EncodedVal {
         for chunk in self.chunks.iter() {
             sink.bytes(chunk);
         }
+    }
+
+    /// Reads back what [`Self::canonical`] wrote. The chunks are kept
+    /// as read: decoding them is the wire layer's job, under its bounds.
+    fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Self, String> {
+        let encoding = encoding_from_canonical(r)?;
+        let logical_len = r.u64()?;
+        let encoded_logical_bytes = r.u64()?;
+        let actual_len = r.u32()? as usize;
+        let chunks = read_vec(r, |r| r.bytes())?;
+        covers(logical_len, actual_len)?;
+        Ok(Self::from_parts(
+            encoding,
+            chunks,
+            actual_len,
+            logical_len,
+            encoded_logical_bytes,
+        ))
     }
 
     /// Decodes the chunks in `range`, in order — the one decode loop
@@ -462,55 +521,86 @@ impl Value {
     /// tag, logical sizes, length prefixes, then each bulk payload as a
     /// whole slice. The `ISPWARM1` value layout and the answer
     /// fingerprint are both this walk seen through different sinks, so a
-    /// new kind or field is described here (and read back by the warm-file
-    /// decoder) and nowhere else.
+    /// new kind or field is described here, and read back beside it by
+    /// [`Self::from_canonical`], and nowhere else.
     pub fn canonical(&self, sink: &mut impl CanonicalSink) {
         match self {
             Value::Num(x) => {
-                sink.u8(0);
+                sink.u8(kind::NUM);
                 sink.f64(*x);
             }
             Value::Bool(b) => {
-                sink.u8(1);
+                sink.u8(kind::BOOL);
                 sink.bool(*b);
             }
             Value::Str(s) => {
-                sink.u8(2);
+                sink.u8(kind::STR);
                 sink.str(s);
             }
             Value::Array(a) => {
-                sink.u8(3);
+                sink.u8(kind::ARRAY);
                 sink.u64(a.logical_len);
                 sink.len(a.data.len());
                 sink.f64s(&a.data);
             }
             Value::BoolArray(m) => {
-                sink.u8(4);
+                sink.u8(kind::BOOL_ARRAY);
                 sink.u64(m.logical_len);
                 sink.len(m.data.len());
                 sink.bools(&m.data);
             }
             Value::Table(t) => {
-                sink.u8(5);
+                sink.u8(kind::TABLE);
                 t.canonical(sink);
             }
             Value::Matrix(m) => {
-                sink.u8(6);
+                sink.u8(kind::MATRIX);
                 m.canonical(sink);
             }
             Value::Csr(c) => {
-                sink.u8(7);
+                sink.u8(kind::CSR);
                 c.canonical(sink);
             }
             Value::Forest(f) => {
-                sink.u8(8);
+                sink.u8(kind::FOREST);
                 f.canonical(sink);
             }
             Value::Encoded(e) => {
-                sink.u8(9);
+                sink.u8(kind::ENCODED);
                 e.canonical(sink);
             }
         }
+    }
+
+    /// Reads back what [`Self::canonical`] wrote into a
+    /// [`ByteWriter`](isp_obs::wal::ByteWriter) — the `ISPWARM1` value
+    /// layout — or describes the first bytes the walk could not have
+    /// written: a missing item, an unknown tag, a name out of order, or
+    /// parts no constructor accepts.
+    pub fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Value, String> {
+        Ok(match r.u8()? {
+            kind::NUM => Value::Num(r.f64()?),
+            kind::BOOL => Value::Bool(read_bool(r)?),
+            kind::STR => Value::Str(r.str()?),
+            kind::ARRAY => {
+                let logical = r.u64()?;
+                let data = read_vec(r, |r| r.f64())?;
+                covers(logical, data.len())?;
+                Value::Array(ArrayVal::with_logical(data, logical))
+            }
+            kind::BOOL_ARRAY => {
+                let logical = r.u64()?;
+                let data = read_vec(r, read_bool)?;
+                covers(logical, data.len())?;
+                Value::BoolArray(BoolArrayVal::with_logical(data, logical))
+            }
+            kind::TABLE => Value::Table(Table::from_canonical(r)?),
+            kind::MATRIX => Value::Matrix(Matrix::from_canonical(r)?),
+            kind::CSR => Value::Csr(Csr::from_canonical(r)?),
+            kind::FOREST => Value::Forest(Forest::from_canonical(r)?),
+            kind::ENCODED => Value::Encoded(EncodedVal::from_canonical(r)?),
+            other => return Err(format!("unknown value tag {other}")),
+        })
     }
 
     /// Whether this is a bulk value whose movement costs bandwidth.

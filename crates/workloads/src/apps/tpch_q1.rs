@@ -96,7 +96,7 @@ mod tests {
                 Column::F64(v) => {
                     assert!(v.iter().all(|x| *x > 0.0), "{name} has nonpositive sums")
                 }
-                other => panic!("wrong type {}", other.type_name()),
+                other => panic!("wrong type {other:?}"),
             }
         }
     }

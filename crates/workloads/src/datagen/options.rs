@@ -87,7 +87,7 @@ mod tests {
         let t = v.as_table().expect("table");
         match t.column("spot").expect("s") {
             Column::F64(s) => assert!(s.iter().all(|x| *x > 0.0)),
-            other => panic!("wrong type {}", other.type_name()),
+            other => panic!("wrong type {other:?}"),
         }
     }
 }

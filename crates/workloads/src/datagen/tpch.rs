@@ -151,7 +151,7 @@ mod tests {
             Column::F64(keys) => {
                 assert!(keys.iter().all(|k| *k >= 0.0 && *k < 512.0));
             }
-            other => panic!("wrong type {}", other.type_name()),
+            other => panic!("wrong type {other:?}"),
         }
     }
 
@@ -194,7 +194,7 @@ mod tests {
                 let promo = codes.iter().filter(|c| **c == 0).count() as f64 / 4096.0;
                 assert!((promo - 0.2).abs() < 0.05, "promo fraction {promo}");
             }
-            other => panic!("wrong type {}", other.type_name()),
+            other => panic!("wrong type {other:?}"),
         }
     }
 

@@ -4,7 +4,8 @@
 use activepy::sampling::InputSource;
 use alang::builtins::Storage;
 use alang::error::Result;
-use alang::{parser, Program};
+use alang::value::encoding_canonical;
+use alang::{parser, CanonicalSink, Fingerprinter, Program};
 use csd_sim::wire::Encoding;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -145,25 +146,21 @@ impl InputSource for Workload {
         Workload::storage_at(self, scale)
     }
 
-    /// FNV-1a over the declared `(dataset, encoding)` pairs — `0` for
-    /// plain workloads, matching the trait default. Computed from the
-    /// declarations alone, so plan-cache keys never materialize storage.
+    /// The declared `(dataset, encoding)` pairs, each descriptor through
+    /// the walk an encoded value opens with, into one [`Fingerprinter`] —
+    /// `0` for plain workloads, matching the trait default. Computed from
+    /// the declarations alone, so plan-cache keys never materialize
+    /// storage.
     fn wire_fingerprint(&self) -> u64 {
         if self.encodings.is_empty() {
             return 0;
         }
-        let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut f = Fingerprinter::default();
         for (name, enc) in &self.encodings {
-            for &byte in name
-                .as_bytes()
-                .iter()
-                .chain(&enc.fingerprint().to_le_bytes())
-            {
-                hash ^= u64::from(byte);
-                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-            }
+            f.str(name);
+            encoding_canonical(enc, &mut f);
         }
-        hash
+        f.finish()
     }
 }
 
@@ -233,6 +230,51 @@ mod tests {
             panic!("`x` is an f64 column");
         };
         x
+    }
+
+    #[test]
+    fn fingerprints_split_on_every_field() {
+        use csd_sim::wire::{ByteOrder, Codec};
+        let fp = |name: &str, encoding: Encoding| {
+            toy()
+                .with_encodings(vec![(name.to_owned(), encoding)])
+                .wire_fingerprint()
+        };
+        let base = Encoding::gzip_shuffled();
+        let variants = [
+            Encoding {
+                codec: Codec::Zlib,
+                ..base
+            },
+            Encoding {
+                codec: Codec::None,
+                ..base
+            },
+            Encoding {
+                shuffle: false,
+                ..base
+            },
+            Encoding {
+                byte_order: ByteOrder::Big,
+                ..base
+            },
+            Encoding {
+                fill_value: Some(0.0),
+                ..base
+            },
+            Encoding {
+                fill_value: Some(-9999.0),
+                ..base
+            },
+        ];
+        // Zero is what a plain workload declares.
+        let mut seen = std::collections::HashSet::from([0, fp("v", base)]);
+        for v in variants {
+            assert!(seen.insert(fp("v", v)), "collision for {v:?}");
+        }
+        assert!(seen.insert(fp("w", base)), "the dataset name is not hashed");
+        // Deterministic across calls.
+        assert_eq!(fp("v", base), fp("v", Encoding::gzip_shuffled()));
     }
 
     #[test]

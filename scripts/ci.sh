@@ -179,8 +179,22 @@ cargo test -q -p activepy --lib -- resume:: exec::migrate:: monitor::
 cargo test -q -p isp-obs --lib wal::
 cargo test -q --test wal_resume
 
+echo "== warm-start format: one layout, hostile bytes refused =="
+# Each closed enum's one-byte tags (Codec, ByteOrder, StaticType) read back
+# as their variants under the ISPWARM1 numbering; the value layout and a
+# whole warm file (every value kind, every static type) pinned by length
+# and FNV-1a; a length field past the address space refused, not added;
+# and every-byte truncation plus 2 400 seeded bit flips and u32/u64
+# overwrites, checksum recomputed so the bytes reach the decoder: each is
+# InvalidData or reads back as seeds that write the very same bytes, no
+# panic, seed printed. Ahead of the suite, so a layout break stops here,
+# named, instead of as a warm start that silently re-plans cold.
+cargo test -q -p csd-sim --lib wire::tests::every_tag_reads_back_as_its_variant
+cargo test -q -p alang --lib copyelim::tests::every_tag_reads_back_as_its_type
+cargo test -q -p activepy --lib persist::
+
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 57 of the 668 tests. No later
+# The whole suite: the root package alone is 57 of the 676 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 

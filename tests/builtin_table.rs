@@ -9,23 +9,7 @@
 
 use activepy::sampling::observe_dataset_types;
 use alang::copyelim::{infer_types, StaticType};
-use alang::{Value, Vm};
-
-/// The static type a runtime value has.
-fn type_of(value: &Value) -> StaticType {
-    match value {
-        Value::Num(_) => StaticType::Num,
-        Value::Bool(_) => StaticType::Bool,
-        Value::Str(_) => StaticType::Str,
-        Value::Array(_) => StaticType::Array,
-        Value::BoolArray(_) => StaticType::BoolArray,
-        Value::Table(_) => StaticType::Table,
-        Value::Matrix(_) => StaticType::Matrix,
-        Value::Csr(_) => StaticType::Csr,
-        Value::Forest(_) => StaticType::Forest,
-        Value::Encoded(_) => StaticType::Encoded,
-    }
-}
+use alang::Vm;
 
 #[test]
 fn inferred_types_are_the_types_every_registered_line_produces() {
@@ -43,7 +27,7 @@ fn inferred_types_are_the_types_every_registered_line_produces() {
             let value = vm.var(&line.target).expect("line defines its target");
             assert_eq!(
                 *inferred,
-                type_of(value),
+                StaticType::of(value),
                 "{} line {}: `{}`",
                 w.name(),
                 line.index,

@@ -249,7 +249,6 @@ fn deep_copy(v: &Value) -> Value {
                 .map(|name| {
                     let column = match t.column(name).expect("listed") {
                         Column::F64(c) => Column::F64(Arc::new(c.to_vec())),
-                        Column::I64(c) => Column::I64(Arc::new(c.to_vec())),
                         Column::Dict { codes, dict } => Column::Dict {
                             codes: Arc::new(codes.to_vec()),
                             dict: Arc::new(dict.to_vec()),
