@@ -18,19 +18,21 @@ use alang::LineCost;
 use serde::Serialize;
 use std::fmt;
 
-/// The five candidate complexity classes.
+/// The five candidate complexity classes. The discriminant is the class's
+/// one-byte tag wherever a fitted curve is hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
+#[repr(u8)]
 pub enum Complexity {
     /// Constant.
-    O1,
+    O1 = 0,
     /// Linear.
-    ON,
+    ON = 1,
     /// Linearithmic.
-    ONLogN,
+    ONLogN = 2,
     /// Quadratic.
-    ON2,
+    ON2 = 3,
     /// Cubic.
-    ON3,
+    ON3 = 4,
 }
 
 impl Complexity {
@@ -42,6 +44,12 @@ impl Complexity {
         Complexity::ON2,
         Complexity::ON3,
     ];
+
+    /// The class's one-byte tag.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
 
     /// Evaluates the curve's basis function at input size `n`.
     #[must_use]
@@ -87,6 +95,26 @@ impl FittedCurve {
     }
 }
 
+/// `ln g(n)` of every class at each sample size met so far: the sizes are
+/// the same few for every series of a sampling report.
+#[derive(Debug, Default)]
+struct LogBasis {
+    sizes: Vec<(u64, [f64; 5])>,
+}
+
+impl LogBasis {
+    /// `ln g(n)` of each class, in [`Complexity::ALL`]'s order.
+    fn at(&mut self, n: f64) -> [f64; 5] {
+        let bits = n.to_bits();
+        if let Some((_, logs)) = self.sizes.iter().find(|(b, _)| *b == bits) {
+            return *logs;
+        }
+        let logs = Complexity::ALL.map(|c| c.g(n).ln());
+        self.sizes.push((bits, logs));
+        logs
+    }
+}
+
 /// Fits the best of the five curves to `(n, y)` points.
 ///
 /// Fitting runs in log space — `ln y ≈ ln c + ln g(n)` — which is
@@ -98,15 +126,21 @@ impl FittedCurve {
 ///
 /// Returns an error if fewer than two points are supplied.
 pub fn fit_series(points: &[(f64, f64)]) -> Result<FittedCurve> {
+    fit_logs(points, &mut LogBasis::default())
+}
+
+/// [`fit_series`] taking each `ln g(n)` from `basis`: every logarithm is
+/// taken once per point or size, and the exponential once, for the winner.
+fn fit_logs(points: &[(f64, f64)], basis: &mut LogBasis) -> Result<FittedCurve> {
     if points.len() < 2 {
         return Err(ActivePyError::Fit {
             message: format!("need at least 2 points, got {}", points.len()),
         });
     }
-    let positive: Vec<(f64, f64)> = points
+    let positive: Vec<(f64, [f64; 5])> = points
         .iter()
-        .copied()
         .filter(|(n, y)| *y > 0.0 && *n > 0.0)
+        .map(|(n, y)| (y.ln(), basis.at(*n)))
         .collect();
     if positive.len() < 2 {
         // An (almost) everywhere-zero series: predict zero.
@@ -116,30 +150,24 @@ pub fn fit_series(points: &[(f64, f64)]) -> Result<FittedCurve> {
             residual: 0.0,
         });
     }
-    let mut best: Option<FittedCurve> = None;
-    for complexity in Complexity::ALL {
+    let count = positive.len() as f64;
+    // (class, ln c, residual) of the best fit so far.
+    let mut best: Option<(Complexity, f64, f64)> = None;
+    for (k, complexity) in Complexity::ALL.into_iter().enumerate() {
         // ln c = mean(ln y − ln g(n)); residual = RMS in log space.
-        let logs: Vec<f64> = positive
-            .iter()
-            .map(|(n, y)| y.ln() - complexity.g(*n).ln())
-            .collect();
-        let ln_c = logs.iter().sum::<f64>() / logs.len() as f64;
-        let mse = logs.iter().map(|l| (l - ln_c) * (l - ln_c)).sum::<f64>() / logs.len() as f64;
-        let candidate = FittedCurve {
-            complexity,
-            coefficient: ln_c.exp(),
-            residual: mse.sqrt(),
-        };
-        let better = match &best {
-            None => true,
-            Some(b) => candidate.residual < b.residual - 1e-12,
-        };
-        if better {
-            best = Some(candidate);
+        let logs = || positive.iter().map(|(ln_y, ln_g)| ln_y - ln_g[k]);
+        let ln_c = logs().sum::<f64>() / count;
+        let mse = logs().map(|l| (l - ln_c) * (l - ln_c)).sum::<f64>() / count;
+        let residual = mse.sqrt();
+        if best.is_none_or(|(_, _, r)| residual < r - 1e-12) {
+            best = Some((complexity, ln_c, residual));
         }
     }
-    best.ok_or_else(|| ActivePyError::Fit {
-        message: "no curve could be fit".into(),
+    let (complexity, ln_c, residual) = best.expect("five candidates");
+    Ok(FittedCurve {
+        complexity,
+        coefficient: ln_c.exp(),
+        residual,
     })
 }
 
@@ -166,6 +194,7 @@ pub struct LinePrediction {
 ///
 /// Propagates fitting failures (fewer than two sample points).
 pub fn predict_lines(samples: &[LineSamples]) -> Result<Vec<LinePrediction>> {
+    let basis = &mut LogBasis::default();
     samples
         .iter()
         .map(|ls| {
@@ -175,12 +204,12 @@ pub fn predict_lines(samples: &[LineSamples]) -> Result<Vec<LinePrediction>> {
                     .map(|p| (p.scale, f(&p.cost) as f64))
                     .collect()
             };
-            let compute = fit_series(&series(&|c| c.compute_ops))?;
-            let storage = fit_series(&series(&|c| c.storage_bytes))?;
-            let bytes_in = fit_series(&series(&|c| c.bytes_in))?;
-            let bytes_out = fit_series(&series(&|c| c.bytes_out))?;
-            let copies = fit_series(&series(&|c| c.copy_bytes))?;
-            let elim = fit_series(&series(&|c| c.eliminable_copy_bytes))?;
+            let compute = fit_logs(&series(&|c| c.compute_ops), basis)?;
+            let storage = fit_logs(&series(&|c| c.storage_bytes), basis)?;
+            let bytes_in = fit_logs(&series(&|c| c.bytes_in), basis)?;
+            let bytes_out = fit_logs(&series(&|c| c.bytes_out), basis)?;
+            let copies = fit_logs(&series(&|c| c.copy_bytes), basis)?;
+            let elim = fit_logs(&series(&|c| c.eliminable_copy_bytes), basis)?;
             let calls = ls.points.last().map_or(0, |p| p.cost.calls);
             let cost = LineCost {
                 compute_ops: compute.predict(1.0).round() as u64,
@@ -348,6 +377,87 @@ mod tests {
         assert!((c.bytes_out as f64 - 1e8).abs() / 1e8 < 0.01);
         assert_eq!(c.calls, 2);
         assert_eq!(preds[0].compute_curve.complexity, Complexity::ON);
+    }
+
+    /// The fit as first written, every logarithm and exponential taken per
+    /// candidate: the winner's class, coefficient bits and residual bits.
+    fn fit_reference(points: &[(f64, f64)]) -> (Complexity, u64, u64) {
+        let positive = || points.iter().filter(|(n, y)| *y > 0.0 && *n > 0.0);
+        if positive().count() < 2 {
+            return (Complexity::O1, 0, 0);
+        }
+        let mut best: Option<(Complexity, f64, f64)> = None;
+        for complexity in Complexity::ALL {
+            let logs: Vec<f64> = positive()
+                .map(|(n, y)| y.ln() - complexity.g(*n).ln())
+                .collect();
+            let ln_c = logs.iter().sum::<f64>() / logs.len() as f64;
+            let mse = logs.iter().map(|l| (l - ln_c) * (l - ln_c)).sum::<f64>() / logs.len() as f64;
+            let candidate = (complexity, ln_c.exp(), mse.sqrt());
+            if best.is_none_or(|b| candidate.2 < b.2 - 1e-12) {
+                best = Some(candidate);
+            }
+        }
+        let (complexity, coefficient, residual) = best.expect("five candidates");
+        (complexity, coefficient.to_bits(), residual.to_bits())
+    }
+
+    fn bits(curve: &FittedCurve) -> (Complexity, u64, u64) {
+        (
+            curve.complexity,
+            curve.coefficient.to_bits(),
+            curve.residual.to_bits(),
+        )
+    }
+
+    #[test]
+    fn every_registered_reports_curves_are_the_reference_fits_to_the_bit() {
+        use crate::sampling::{paper_scales, run_sampling};
+        let fields: [fn(&LineCost) -> u64; 6] = [
+            |c| c.compute_ops,
+            |c| c.storage_bytes,
+            |c| c.bytes_in,
+            |c| c.bytes_out,
+            |c| c.copy_bytes,
+            |c| c.eliminable_copy_bytes,
+        ];
+        let mut fits = 0;
+        for w in isp_workloads::full_set() {
+            let program = w.program().expect("parses");
+            let source = |scale: f64| w.storage_at(scale);
+            let report = run_sampling(&program, &source, &paper_scales()).expect("samples");
+            let predictions = predict_lines(&report.lines).expect("fits");
+            for (ls, prediction) in report.lines.iter().zip(&predictions) {
+                let series = |f: fn(&LineCost) -> u64| -> Vec<(f64, f64)> {
+                    ls.points
+                        .iter()
+                        .map(|p| (p.scale, f(&p.cost) as f64))
+                        .collect()
+                };
+                for field in fields {
+                    let points = series(field);
+                    let reference = fit_reference(&points);
+                    assert_eq!(
+                        bits(&fit_series(&points).expect("fits")),
+                        reference,
+                        "{}",
+                        w.name()
+                    );
+                    fits += usize::from(reference.1 != 0);
+                }
+                let compute = fit_reference(&series(fields[0]));
+                let out = fit_reference(&series(fields[3]));
+                assert_eq!(bits(&prediction.compute_curve), compute, "{}", w.name());
+                assert_eq!(bits(&prediction.out_curve), out, "{}", w.name());
+            }
+        }
+        assert!(fits > 300, "{fits} series fit a non-zero curve");
+    }
+
+    #[test]
+    fn a_class_tag_is_its_discriminant_in_the_papers_order() {
+        let tags: Vec<u8> = Complexity::ALL.iter().map(|c| c.code()).collect();
+        assert_eq!(tags, [0, 1, 2, 3, 4]);
     }
 
     fn line_prediction(line: usize, compute_ops: u64) -> LinePrediction {

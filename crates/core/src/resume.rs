@@ -31,7 +31,7 @@ use crate::assign::Assignment;
 use crate::error::ActivePyError;
 use crate::estimate::{Calibration, LineEstimate};
 use crate::exec::MigrationReason;
-use crate::fit::{Complexity, FittedCurve, LinePrediction};
+use crate::fit::{FittedCurve, LinePrediction};
 use crate::plan::OffloadPlan;
 use crate::sampling::SamplingReport;
 use alang::{CanonicalSink, Fingerprinter};
@@ -272,13 +272,7 @@ pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
                 coefficient,
                 residual,
             } = curve;
-            f.u8(match complexity {
-                Complexity::O1 => 0,
-                Complexity::ON => 1,
-                Complexity::ONLogN => 2,
-                Complexity::ON2 => 3,
-                Complexity::ON3 => 4,
-            });
+            f.u8(complexity.code());
             f.f64(*coefficient);
             f.f64(*residual);
         }
@@ -331,6 +325,7 @@ pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fit::Complexity;
     use alang::copyelim::StaticType;
     use isp_obs::wal::StateSnap;
 

@@ -40,6 +40,11 @@ pub enum BinOp {
 }
 
 impl BinOp {
+    /// The operands whose values, not only types and lengths, the
+    /// operator's result shape or errors read: none
+    /// ([`crate::shape`]).
+    pub const BY_VALUE: &'static [usize] = &[];
+
     /// The surface syntax of the operator.
     #[must_use]
     pub fn symbol(self) -> &'static str {
@@ -76,6 +81,11 @@ pub enum UnOp {
     Neg,
     /// Logical negation.
     Not,
+}
+
+impl UnOp {
+    /// As [`BinOp::BY_VALUE`]: none.
+    pub const BY_VALUE: &'static [usize] = &[];
 }
 
 /// An expression tree.

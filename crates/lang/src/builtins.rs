@@ -18,6 +18,7 @@ use crate::forest::FlatForest;
 use crate::matrix::Matrix;
 use crate::memo::KernelMemo;
 use crate::par::ParEngine;
+use crate::shape::{Charge, Shape, ShapeFn};
 use crate::simd;
 use crate::table::{selected_rows, take_rows, Column, Table};
 use crate::value::{ArrayVal, Value};
@@ -166,7 +167,7 @@ pub struct BuiltinOutput {
 }
 
 impl BuiltinOutput {
-    fn new(value: Value, ops: u64) -> Self {
+    pub(crate) fn new(value: Value, ops: u64) -> Self {
         BuiltinOutput {
             value,
             ops,
@@ -262,59 +263,75 @@ pub(crate) enum RowRule {
 use ResultType::{FirstArg, Fixed, Stored};
 use RowRule::{Elementwise, Fence, FirstOnly, ModelThenRows, SelectFirst};
 
-/// One builtin: its name, its kernel and the two rules the analyses read.
+/// One builtin: its name, its kernel, the two rules the analyses read and
+/// what sampling may skip of it.
 struct Kernel {
     name: &'static str,
     func: KernelFn,
     result: ResultType,
     rows: RowRule,
+    /// The arguments whose values, not only types and sizes, the kernel's
+    /// cost, result shape or errors read ([`crate::shape`]).
+    by_value: &'static [usize],
+    /// The kernel's cost from its arguments' shapes, when its result can
+    /// be a placeholder; without one, a sampling run always computes it.
+    shape: Option<ShapeFn>,
 }
 
-const fn row(name: &'static str, func: KernelFn, result: ResultType, rows: RowRule) -> Kernel {
+const fn row(
+    name: &'static str,
+    func: KernelFn,
+    result: ResultType,
+    rows: RowRule,
+    by_value: &'static [usize],
+    shape: Option<ShapeFn>,
+) -> Kernel {
     Kernel {
         name,
         func,
         result,
         rows,
+        by_value,
+        shape,
     }
 }
 
-/// The builtins: the one place a name, its kernel, its result type and its
-/// row rule are written down.
+/// The builtins: the one place a name, its kernel, its result type, its
+/// row rule, its by-value arguments and its shape charge are written down.
 #[rustfmt::skip]
 static KERNELS: &[Kernel] = &[
-    row("scan",          k_scan,          Stored,                    Fence),
-    row("col",           k_col,           Fixed(StaticType::Array),  SelectFirst),
-    row("filter",        k_filter,        Fixed(StaticType::Table),  SelectFirst),
-    row("select",        k_select,        Fixed(StaticType::Array),  SelectFirst),
-    row("len",           k_len,           Fixed(StaticType::Num),    Fence),
-    row("sum",           k_sum,           Fixed(StaticType::Num),    Fence),
-    row("mean",          k_mean,          Fixed(StaticType::Num),    Fence),
-    row("minv",          k_minv,          Fixed(StaticType::Num),    Fence),
-    row("maxv",          k_maxv,          Fixed(StaticType::Num),    Fence),
-    row("count",         k_count,         Fixed(StaticType::Num),    Fence),
-    row("exp",           k_exp,           FirstArg,                  Elementwise),
-    row("log",           k_log,           FirstArg,                  Elementwise),
-    row("sqrt",          k_sqrt,          FirstArg,                  Elementwise),
-    row("erf",           k_erf,           FirstArg,                  Elementwise),
-    row("abs",           k_abs,           FirstArg,                  Elementwise),
-    row("sort",          k_sort,          Fixed(StaticType::Array),  Fence),
-    row("dot",           k_dot,           Fixed(StaticType::Num),    Fence),
-    row("where",         k_where,         Fixed(StaticType::Array),  Elementwise),
-    row("group_sum",     group_sum,       Fixed(StaticType::Table),  Fence),
-    row("matmul",        k_matmul,        Fixed(StaticType::Matrix), FirstOnly),
-    row("gemm_batch",    gemm_batch,      Fixed(StaticType::Matrix), FirstOnly),
-    row("to_csr",        k_to_csr,        Fixed(StaticType::Csr),    Fence),
-    row("spmv",          k_spmv,          Fixed(StaticType::Array),  Fence),
-    row("pagerank_step", k_pagerank_step, Fixed(StaticType::Array),  Fence),
-    row("kmeans_assign", kmeans_assign,   Fixed(StaticType::Array),  FirstOnly),
-    row("kmeans_update", kmeans_update,   Fixed(StaticType::Matrix), Fence),
-    row("forest_score",  forest_score,    Fixed(StaticType::Array),  ModelThenRows),
-    row("gather",        k_gather,        Fixed(StaticType::Array),  Fence),
-    row("frob",          k_frob,          Fixed(StaticType::Num),    Fence),
-    row("gram",          k_gram,          Fixed(StaticType::Matrix), Fence),
-    row("scan_raw",      k_scan_raw,      Stored,                    Fence),
-    row("decode",        k_decode,        Fixed(StaticType::Array),  Elementwise),
+    row("scan",          k_scan,          Stored,                    Fence,         &[0],    None),
+    row("col",           k_col,           Fixed(StaticType::Array),  SelectFirst,   &[1],    None),
+    row("filter",        k_filter,        Fixed(StaticType::Table),  SelectFirst,   &[1],    None),
+    row("select",        k_select,        Fixed(StaticType::Array),  SelectFirst,   &[1],    Some(select_charge)),
+    row("len",           k_len,           Fixed(StaticType::Num),    Fence,         &[],     Some(len_charge)),
+    row("sum",           k_sum,           Fixed(StaticType::Num),    Fence,         &[],     Some(sum_charge)),
+    row("mean",          k_mean,          Fixed(StaticType::Num),    Fence,         &[],     Some(mean_charge)),
+    row("minv",          k_minv,          Fixed(StaticType::Num),    Fence,         &[],     Some(minv_charge)),
+    row("maxv",          k_maxv,          Fixed(StaticType::Num),    Fence,         &[],     Some(maxv_charge)),
+    row("count",         k_count,         Fixed(StaticType::Num),    Fence,         &[],     Some(count_charge)),
+    row("exp",           k_exp,           FirstArg,                  Elementwise,   &[],     Some(exp_charge)),
+    row("log",           k_log,           FirstArg,                  Elementwise,   &[],     Some(log_charge)),
+    row("sqrt",          k_sqrt,          FirstArg,                  Elementwise,   &[],     Some(sqrt_charge)),
+    row("erf",           k_erf,           FirstArg,                  Elementwise,   &[],     Some(erf_charge)),
+    row("abs",           k_abs,           FirstArg,                  Elementwise,   &[],     Some(abs_charge)),
+    row("sort",          k_sort,          Fixed(StaticType::Array),  Fence,         &[0],    None),
+    row("dot",           k_dot,           Fixed(StaticType::Num),    Fence,         &[],     Some(dot_charge)),
+    row("where",         k_where,         Fixed(StaticType::Array),  Elementwise,   &[],     Some(where_charge)),
+    row("group_sum",     group_sum,       Fixed(StaticType::Table),  Fence,         &[0],    None),
+    row("matmul",        k_matmul,        Fixed(StaticType::Matrix), FirstOnly,     &[],     Some(matmul_charge)),
+    row("gemm_batch",    gemm_batch,      Fixed(StaticType::Matrix), FirstOnly,     &[],     Some(gemm_batch_charge)),
+    row("to_csr",        k_to_csr,        Fixed(StaticType::Csr),    Fence,         &[0],    None),
+    row("spmv",          k_spmv,          Fixed(StaticType::Array),  Fence,         &[],     Some(spmv_charge)),
+    row("pagerank_step", k_pagerank_step, Fixed(StaticType::Array),  Fence,         &[],     Some(pagerank_step_charge)),
+    row("kmeans_assign", kmeans_assign,   Fixed(StaticType::Array),  FirstOnly,     &[],     Some(kmeans_assign_charge)),
+    row("kmeans_update", kmeans_update,   Fixed(StaticType::Matrix), Fence,         &[1, 2], Some(kmeans_update_charge)),
+    row("forest_score",  forest_score,    Fixed(StaticType::Array),  ModelThenRows, &[0, 1], None),
+    row("gather",        k_gather,        Fixed(StaticType::Array),  Fence,         &[1],    None),
+    row("frob",          k_frob,          Fixed(StaticType::Num),    Fence,         &[],     Some(frob_charge)),
+    row("gram",          k_gram,          Fixed(StaticType::Matrix), Fence,         &[],     Some(gram_charge)),
+    row("scan_raw",      k_scan_raw,      Stored,                    Fence,         &[0],    None),
+    row("decode",        k_decode,        Fixed(StaticType::Array),  Elementwise,   &[0],    None),
 ];
 
 /// Dense identifier of a builtin kernel: an index into the dispatch table,
@@ -352,6 +369,28 @@ impl KernelId {
     /// How the call's output rows line up with sharded arguments.
     pub(crate) fn row_rule(self) -> RowRule {
         self.kernel().rows
+    }
+
+    /// Whether the kernel's cost, result shape or errors read argument
+    /// `arg`'s values, not only its type and sizes.
+    pub(crate) fn reads_by_value(self, arg: usize) -> bool {
+        self.kernel().by_value.contains(&arg)
+    }
+
+    /// Whether a sampling run may charge the call from its arguments'
+    /// shapes, leaving a placeholder for its result.
+    pub(crate) fn charges_from_shapes(self) -> bool {
+        self.kernel().shape.is_some()
+    }
+
+    /// The call's cost from its arguments' shapes.
+    ///
+    /// # Errors
+    ///
+    /// The arity, type and shape errors [`Self::invoke_in`] raises.
+    pub(crate) fn charge(self, args: &[Value]) -> Result<Charge> {
+        let shape = self.kernel().shape;
+        (shape.expect("a call charged from shapes has a shape function"))(args)
     }
 
     /// Whether the call reads a stored dataset.
@@ -537,7 +576,8 @@ fn k_filter(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     Ok(BuiltinOutput::new(Value::Table(out), ops))
 }
 
-fn k_select(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+/// `select`'s charge reads its mask: the result keeps its `true` rows.
+fn select_charge(args: &[Value]) -> Result<Charge> {
     let [a, m] = expect_args::<2>("select", args)?;
     let arr = a.as_array()?;
     let mask = m.as_bool_array()?;
@@ -548,19 +588,53 @@ fn k_select(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             mask.len()
         )));
     }
-    // Chunk-ordered concat of per-chunk selections == the serial selection.
-    let data = take_rows(arr.data(), &selected_rows(mask.data()), Some(ctx.par));
+    let kept = mask.count_true();
     let logical =
-        ((arr.logical_len() as f64 * mask.selectivity()).round() as u64).max(data.len() as u64);
-    Ok(BuiltinOutput::new(
-        Value::Array(ArrayVal::with_logical(data, logical)),
+        ((arr.logical_len() as f64 * mask.fraction(kept)).round() as u64).max(kept as u64);
+    Ok(Charge::new(
+        Shape::Array { len: kept, logical },
         arr.logical_len() * weights::SELECT,
     ))
 }
 
+fn k_select(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = select_charge(args)?;
+    let (arr, mask) = (args[0].as_array()?, args[1].as_bool_array()?);
+    // Chunk-ordered concat of per-chunk selections == the serial selection.
+    let data = take_rows(arr.data(), &selected_rows(mask.data()), Some(ctx.par));
+    Ok(BuiltinOutput::new(
+        Value::Array(ArrayVal::with_logical(data, shape.logical_len())),
+        ops,
+    ))
+}
+
+fn len_charge(args: &[Value]) -> Result<Charge> {
+    expect_args::<1>("len", args)?;
+    Ok(Charge::new(Shape::Num, 1))
+}
+
 fn k_len(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let [x] = expect_args::<1>("len", args)?;
-    Ok(BuiltinOutput::new(Value::Num(x.logical_elems() as f64), 1))
+    let Charge { ops, .. } = len_charge(args)?;
+    Ok(BuiltinOutput::new(
+        Value::Num(args[0].logical_elems() as f64),
+        ops,
+    ))
+}
+
+fn sum_charge(args: &[Value]) -> Result<Charge> {
+    reduce_charge("sum", args)
+}
+
+fn mean_charge(args: &[Value]) -> Result<Charge> {
+    reduce_charge("mean", args)
+}
+
+fn minv_charge(args: &[Value]) -> Result<Charge> {
+    reduce_charge("minv", args)
+}
+
+fn maxv_charge(args: &[Value]) -> Result<Charge> {
+    reduce_charge("maxv", args)
 }
 
 fn k_sum(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
@@ -579,34 +653,60 @@ fn k_maxv(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     reduce("maxv", args, ctx.par)
 }
 
-fn k_count(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn count_charge(args: &[Value]) -> Result<Charge> {
     let [m] = expect_args::<1>("count", args)?;
     let mask = m.as_bool_array()?;
-    let logical_count = (mask.logical_len() as f64 * mask.selectivity()).round();
-    Ok(BuiltinOutput::new(
-        Value::Num(logical_count),
+    Ok(Charge::new(
+        Shape::Num,
         mask.logical_len() * weights::REDUCE,
     ))
 }
 
+fn k_count(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = count_charge(args)?;
+    let mask = args[0].as_bool_array()?;
+    let logical_count = (mask.logical_len() as f64 * mask.selectivity()).round();
+    Ok(BuiltinOutput::new(Value::Num(logical_count), ops))
+}
+
+fn exp_charge(args: &[Value]) -> Result<Charge> {
+    unary_charge("exp", args, weights::TRANSCENDENTAL)
+}
+
+fn log_charge(args: &[Value]) -> Result<Charge> {
+    unary_charge("log", args, weights::TRANSCENDENTAL)
+}
+
+fn sqrt_charge(args: &[Value]) -> Result<Charge> {
+    unary_charge("sqrt", args, weights::SQRT)
+}
+
+fn erf_charge(args: &[Value]) -> Result<Charge> {
+    unary_charge("erf", args, weights::ERF)
+}
+
+fn abs_charge(args: &[Value]) -> Result<Charge> {
+    unary_charge("abs", args, weights::VIEW)
+}
+
 fn k_exp(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math("exp", args, f64::exp, weights::TRANSCENDENTAL, ctx.par)
+    unary_math(exp_charge(args)?, args, f64::exp, ctx.par)
 }
 
 fn k_log(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math("log", args, f64::ln, weights::TRANSCENDENTAL, ctx.par)
+    unary_math(log_charge(args)?, args, f64::ln, ctx.par)
 }
 
 fn k_sqrt(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math("sqrt", args, f64::sqrt, weights::SQRT, ctx.par)
+    unary_math(sqrt_charge(args)?, args, f64::sqrt, ctx.par)
 }
 
 fn k_erf(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math("erf", args, erf, weights::ERF, ctx.par)
+    unary_math(erf_charge(args)?, args, erf, ctx.par)
 }
 
 fn k_abs(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math("abs", args, f64::abs, weights::VIEW, ctx.par)
+    unary_math(abs_charge(args)?, args, f64::abs, ctx.par)
 }
 
 fn k_sort(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
@@ -622,26 +722,40 @@ fn k_sort(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn k_dot(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn dot_charge(args: &[Value]) -> Result<Charge> {
     let [a, b] = expect_args::<2>("dot", args)?;
     let (x, y) = (a.as_array()?, b.as_array()?);
     if x.len() != y.len() {
         return Err(LangError::runtime("dot: length mismatch"));
     }
-    let v = ctx.par.dot(x.data(), y.data());
-    Ok(BuiltinOutput::new(
-        Value::Num(v),
-        x.logical_len() * weights::REDUCE,
-    ))
+    Ok(Charge::new(Shape::Num, x.logical_len() * weights::REDUCE))
 }
 
-fn k_where(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn k_dot(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = dot_charge(args)?;
+    let (x, y) = (args[0].as_array()?, args[1].as_array()?);
+    let v = ctx.par.dot(x.data(), y.data());
+    Ok(BuiltinOutput::new(Value::Num(v), ops))
+}
+
+/// `where`'s charge reads no value: the result is as long as its choices.
+fn where_charge(args: &[Value]) -> Result<Charge> {
     let [m, a, b] = expect_args::<3>("where", args)?;
     let mask = m.as_bool_array()?;
     let (x, y) = (a.as_array()?, b.as_array()?);
     if mask.len() != x.len() || x.len() != y.len() {
         return Err(LangError::runtime("where: length mismatch"));
     }
+    Ok(Charge::new(
+        Shape::array(x),
+        x.logical_len() * weights::SELECT,
+    ))
+}
+
+fn k_where(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = where_charge(args)?;
+    let mask = args[0].as_bool_array()?;
+    let (x, y) = (args[1].as_array()?, args[2].as_array()?);
     let (keep, xs, ys) = (mask.data(), x.data(), y.data());
     // Element-local, so chunk-ordered concat == the serial map.
     let data: Vec<f64> = match ctx.par.map_chunks(xs.len(), 1, |_, r| {
@@ -659,24 +773,30 @@ fn k_where(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             .collect(),
     };
     Ok(BuiltinOutput::new(
-        Value::Array(ArrayVal::with_logical(data, x.logical_len())),
-        x.logical_len() * weights::SELECT,
+        Value::Array(ArrayVal::with_logical(data, shape.logical_len())),
+        ops,
     ))
 }
 
-fn k_matmul(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn matmul_charge(args: &[Value]) -> Result<Charge> {
     let [a, b] = expect_args::<2>("matmul", args)?;
     let (x, y) = (a.as_matrix()?, b.as_matrix()?);
-    let block = ctx.reuse("matmul", args, || x.matmul_block(y, Some(ctx.par)))?;
-    let out = Matrix::shared(
-        block,
-        x.rows(),
-        y.cols(),
-        x.logical_rows(),
-        y.logical_cols(),
-    )?;
+    x.check_matmul(y)?;
+    let shape = Shape::Matrix {
+        rows: x.rows(),
+        cols: y.cols(),
+        logical_rows: x.logical_rows(),
+        logical_cols: y.logical_cols(),
+    };
     let ops = weights::MADD * x.logical_rows() * x.logical_cols() * y.logical_cols();
-    Ok(BuiltinOutput::new(Value::Matrix(out), ops))
+    Ok(Charge::new(shape, ops))
+}
+
+fn k_matmul(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = matmul_charge(args)?;
+    let (x, y) = (args[0].as_matrix()?, args[1].as_matrix()?);
+    let block = ctx.reuse("matmul", args, || x.matmul_block(y, Some(ctx.par)))?;
+    Ok(BuiltinOutput::new(Value::Matrix(shape.matrix(block)?), ops))
 }
 
 fn k_to_csr(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
@@ -687,27 +807,47 @@ fn k_to_csr(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     Ok(BuiltinOutput::new(Value::Csr(csr), ops))
 }
 
-fn k_spmv(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn spmv_charge(args: &[Value]) -> Result<Charge> {
     let [a, x] = expect_args::<2>("spmv", args)?;
     let csr = a.as_csr()?;
-    let vec = x.as_array()?;
+    csr.check_spmv(x.as_array()?.len())?;
+    let shape = Shape::Array {
+        len: csr.rows(),
+        logical: csr.logical_rows(),
+    };
+    Ok(Charge::new(shape, weights::SPMV * csr.logical_nnz()))
+}
+
+fn k_spmv(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = spmv_charge(args)?;
+    let (csr, vec) = (args[0].as_csr()?, args[1].as_array()?);
     let y = csr.spmv_with(vec.data(), ctx.par)?;
-    let ops = weights::SPMV * csr.logical_nnz();
     Ok(BuiltinOutput::new(
-        Value::Array(ArrayVal::with_logical(y, csr.logical_rows())),
+        Value::Array(ArrayVal::with_logical(y, shape.logical_len())),
         ops,
     ))
 }
 
-fn k_pagerank_step(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn pagerank_step_charge(args: &[Value]) -> Result<Charge> {
     let [a, r, d] = expect_args::<3>("pagerank_step", args)?;
     let csr = a.as_csr()?;
     let ranks = r.as_array()?;
-    let damping = d.as_num()?;
-    let next = csr.pagerank_step_with(ranks.data(), damping, ctx.par)?;
+    d.as_num()?;
+    csr.check_pagerank(ranks.len())?;
+    let shape = Shape::Array {
+        len: csr.rows(),
+        logical: csr.logical_rows(),
+    };
     let ops = weights::PR_EDGE * csr.logical_nnz() + weights::PR_NODE * csr.logical_rows();
+    Ok(Charge::new(shape, ops))
+}
+
+fn k_pagerank_step(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = pagerank_step_charge(args)?;
+    let (csr, ranks) = (args[0].as_csr()?, args[1].as_array()?);
+    let next = csr.pagerank_step_with(ranks.data(), args[2].as_num()?, ctx.par)?;
     Ok(BuiltinOutput::new(
-        Value::Array(ArrayVal::with_logical(next, csr.logical_rows())),
+        Value::Array(ArrayVal::with_logical(next, shape.logical_len())),
         ops,
     ))
 }
@@ -736,23 +876,43 @@ fn k_gather(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn k_frob(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn frob_charge(args: &[Value]) -> Result<Charge> {
     let [a] = expect_args::<1>("frob", args)?;
     let m = a.as_matrix()?;
+    let ops = m.logical_rows() * m.logical_cols() * weights::REDUCE;
+    Ok(Charge::new(Shape::Num, ops))
+}
+
+fn k_frob(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = frob_charge(args)?;
+    let m = args[0].as_matrix()?;
     let ss = ctx.par.sum_by(m.data(), |x| x * x);
     // Extrapolate the sum of squares to logical scale, like `sum`.
     let ratio = (m.logical_rows() * m.logical_cols()) as f64 / (m.rows() * m.cols()).max(1) as f64;
-    Ok(BuiltinOutput::new(
-        Value::Num((ss * ratio).sqrt()),
-        m.logical_rows() * m.logical_cols() * weights::REDUCE,
+    Ok(BuiltinOutput::new(Value::Num((ss * ratio).sqrt()), ops))
+}
+
+fn gram_charge(args: &[Value]) -> Result<Charge> {
+    let [a] = expect_args::<1>("gram", args)?;
+    let m = a.as_matrix()?;
+    let d = m.cols();
+    let shape = Shape::Matrix {
+        rows: d,
+        cols: d,
+        logical_rows: d as u64,
+        logical_cols: d as u64,
+    };
+    Ok(Charge::new(
+        shape,
+        weights::MADD * m.logical_rows() * (d as u64) * (d as u64),
     ))
 }
 
 fn k_gram(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     // `gram(M) = Mᵀ·M`, the d×d Gram matrix of an n×d feature
     // block; the classic second stage after a projection GEMM.
-    let [a] = expect_args::<1>("gram", args)?;
-    let m = a.as_matrix()?;
+    let Charge { shape, ops } = gram_charge(args)?;
+    let m = args[0].as_matrix()?;
     let (n, d) = (m.rows(), m.cols());
     // One row at a time: each nonzero `x = row[i]` adds `x * row` to row
     // `i` of the accumulator, so every cell sums its products in row order.
@@ -798,9 +958,8 @@ fn k_gram(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     for v in &mut out {
         *v *= ratio;
     }
-    let ops = weights::MADD * m.logical_rows() * (d as u64) * (d as u64);
     Ok(BuiltinOutput::new(
-        Value::Matrix(Matrix::new(out, d, d)?),
+        Value::Matrix(shape.matrix(Arc::new(out))?),
         ops,
     ))
 }
@@ -813,12 +972,18 @@ fn expect_args<'a, const N: usize>(name: &str, args: &'a [Value]) -> Result<&'a 
     })
 }
 
-fn reduce(name: &str, args: &[Value], par: &ParEngine) -> Result<BuiltinOutput> {
+fn reduce_charge(name: &str, args: &[Value]) -> Result<Charge> {
     let [a] = expect_args::<1>(name, args)?;
     let arr = a.as_array()?;
     if arr.is_empty() {
         return Err(LangError::runtime(format!("{name}: empty array")));
     }
+    Ok(Charge::new(Shape::Num, arr.logical_len() * weights::REDUCE))
+}
+
+fn reduce(name: &str, args: &[Value], par: &ParEngine) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = reduce_charge(name, args)?;
+    let arr = args[0].as_array()?;
     let data = arr.data();
     let ratio = arr.scale_ratio();
     let v = match name {
@@ -831,37 +996,39 @@ fn reduce(name: &str, args: &[Value], par: &ParEngine) -> Result<BuiltinOutput> 
         "maxv" => par.max(data),
         _ => unreachable!("reduce called with {name}"),
     };
-    Ok(BuiltinOutput::new(
-        Value::Num(v),
-        arr.logical_len() * weights::REDUCE,
-    ))
+    Ok(BuiltinOutput::new(Value::Num(v), ops))
 }
 
-fn unary_math(
-    name: &str,
-    args: &[Value],
-    f: impl Fn(f64) -> f64 + Sync,
-    weight: u64,
-    par: &ParEngine,
-) -> Result<BuiltinOutput> {
+fn unary_charge(name: &str, args: &[Value], weight: u64) -> Result<Charge> {
     let [a] = expect_args::<1>(name, args)?;
     match a {
-        Value::Num(n) => Ok(BuiltinOutput::new(Value::Num(f(*n)), weight)),
-        Value::Array(arr) => {
-            let data: Vec<f64> = match par.map_elems(arr.data(), &f) {
-                Some(mapped) => mapped,
-                None => arr.data().iter().map(|x| f(*x)).collect(),
-            };
-            Ok(BuiltinOutput::new(
-                Value::Array(ArrayVal::with_logical(data, arr.logical_len())),
-                arr.logical_len() * weight,
-            ))
-        }
+        Value::Num(_) => Ok(Charge::new(Shape::Num, weight)),
+        Value::Array(arr) => Ok(Charge::new(Shape::array(arr), arr.logical_len() * weight)),
         other => Err(LangError::type_error(format!(
             "{name} expects num or array, got {}",
             other.type_name()
         ))),
     }
+}
+
+/// `f` over the one argument `charge` admitted.
+fn unary_math(
+    Charge { shape, ops }: Charge,
+    args: &[Value],
+    f: impl Fn(f64) -> f64 + Sync,
+    par: &ParEngine,
+) -> Result<BuiltinOutput> {
+    let value = match &args[0] {
+        Value::Array(arr) => {
+            let data: Vec<f64> = match par.map_elems(arr.data(), &f) {
+                Some(mapped) => mapped,
+                None => arr.data().iter().map(|x| f(*x)).collect(),
+            };
+            Value::Array(ArrayVal::with_logical(data, shape.logical_len()))
+        }
+        n => Value::Num(f(n.as_num()?)),
+    };
+    Ok(BuiltinOutput::new(value, ops))
 }
 
 /// Abramowitz–Stegun 7.1.26 rational approximation of the error function
@@ -1056,7 +1223,7 @@ fn group_sum(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn gemm_batch(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn gemm_batch_charge(args: &[Value]) -> Result<Charge> {
     let [a, b] = expect_args::<2>("gemm_batch", args)?;
     let (x, y) = (a.as_matrix()?, b.as_matrix()?);
     // The logical row count encodes the batch dimension: a logical
@@ -1066,23 +1233,29 @@ fn gemm_batch(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             "gemm_batch: logical rows must be a whole multiple of the block rows",
         ));
     }
+    x.check_matmul(y)?;
     let batches = x.logical_rows() / x.rows() as u64;
-    let block = x.matmul_with(y, ctx.par)?;
-    let n = x.rows() as u64;
-    let k = x.cols() as u64;
-    let m = y.cols() as u64;
-    let ops = weights::MADD * batches * n * k * m;
-    let out = Matrix::with_logical(
-        block.data().to_vec(),
-        block.rows(),
-        block.cols(),
-        batches * block.rows() as u64,
-        block.cols() as u64,
-    )?;
-    Ok(BuiltinOutput::new(Value::Matrix(out), ops))
+    let (n, k, m) = (x.rows() as u64, x.cols() as u64, y.cols() as u64);
+    let shape = Shape::Matrix {
+        rows: x.rows(),
+        cols: y.cols(),
+        logical_rows: batches * n,
+        logical_cols: m,
+    };
+    Ok(Charge::new(shape, weights::MADD * batches * n * k * m))
 }
 
-fn kmeans_assign(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn gemm_batch(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = gemm_batch_charge(args)?;
+    let (x, y) = (args[0].as_matrix()?, args[1].as_matrix()?);
+    let block = x.matmul_with(y, ctx.par)?;
+    Ok(BuiltinOutput::new(
+        Value::Matrix(shape.matrix(Arc::clone(block.buffer()))?),
+        ops,
+    ))
+}
+
+fn kmeans_assign_charge(args: &[Value]) -> Result<Charge> {
     let [p, c] = expect_args::<2>("kmeans_assign", args)?;
     let points = p.as_matrix()?;
     let centroids = c.as_matrix()?;
@@ -1093,12 +1266,22 @@ fn kmeans_assign(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     if k == 0 {
         return Err(LangError::runtime("kmeans_assign: no centroids"));
     }
+    let shape = Shape::Array {
+        len: points.rows(),
+        logical: points.logical_rows(),
+    };
+    let ops = weights::KMEANS * points.logical_rows() * k as u64 * d as u64;
+    Ok(Charge::new(shape, ops))
+}
+
+fn kmeans_assign(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = kmeans_assign_charge(args)?;
+    let (points, centroids) = (args[0].as_matrix()?, args[1].as_matrix()?);
     let assign = ctx.reuse("kmeans_assign", args, || {
         Ok(nearest_centroids(points, centroids, ctx.par))
     })?;
-    let ops = weights::KMEANS * points.logical_rows() * k as u64 * d as u64;
     Ok(BuiltinOutput::new(
-        Value::Array(ArrayVal::shared(assign, points.logical_rows())),
+        Value::Array(ArrayVal::shared(assign, shape.logical_len())),
         ops,
     ))
 }
@@ -1151,7 +1334,9 @@ fn nearest_centroids(points: &Matrix, centroids: &Matrix, par: &ParEngine) -> Ve
     }
 }
 
-fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+/// `kmeans_update`'s charge reads `k`, which sizes the result, and the
+/// assignments, which must each name one of the `k` clusters.
+fn kmeans_update_charge(args: &[Value]) -> Result<Charge> {
     let [p, a, k] = expect_args::<3>("kmeans_update", args)?;
     let points = p.as_matrix()?;
     let assign = a.as_array()?;
@@ -1173,28 +1358,42 @@ fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
         )));
     }
     let k = k as usize;
+    // `as usize` would saturate a negative or NaN value to cluster 0.
+    if let Some(a) = assign.data().iter().find(|a| !(0.0..k as f64).contains(*a)) {
+        return Err(LangError::runtime(format!(
+            "kmeans_update: assignment {a} out of range for k={k}"
+        )));
+    }
+    let shape = Shape::Matrix {
+        rows: k,
+        cols: d,
+        logical_rows: k as u64,
+        logical_cols: d as u64,
+    };
+    Ok(Charge::new(
+        shape,
+        weights::REDUCE * points.logical_rows() * d as u64,
+    ))
+}
+
+fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = kmeans_update_charge(args)?;
+    let (points, assign) = (args[0].as_matrix()?, args[1].as_array()?);
+    let (k, d) = (args[2].as_num()? as usize, points.cols());
     // Per-chunk (sums, counts) partials accumulated over a contiguous row
-    // range; chunks partition rows in order, so combining partials in chunk
-    // order also reproduces the serial error for the first bad assignment.
-    let accumulate = |rows: std::ops::Range<usize>| -> Result<(Vec<f64>, Vec<u64>)> {
+    // range, every assignment already checked to name a cluster.
+    let accumulate = |rows: std::ops::Range<usize>| -> (Vec<f64>, Vec<u64>) {
         let mut sums = vec![0.0; k * d];
         let mut counts = vec![0u64; k];
         for i in rows {
-            let a = assign.data()[i];
-            // `as usize` would saturate a negative or NaN value to cluster 0.
-            if !(0.0..k as f64).contains(&a) {
-                return Err(LangError::runtime(format!(
-                    "kmeans_update: assignment {a} out of range for k={k}"
-                )));
-            }
-            let c = a as usize;
+            let c = assign.data()[i] as usize;
             counts[c] += 1;
             let point = &points.data()[i * d..(i + 1) * d];
             for (sum, x) in sums[c * d..(c + 1) * d].iter_mut().zip(point) {
                 *sum += x;
             }
         }
-        Ok((sums, counts))
+        (sums, counts)
     };
     let (mut sums, counts) = match ctx
         .par
@@ -1203,8 +1402,7 @@ fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
         Some(parts) => {
             let mut sums = vec![0.0; k * d];
             let mut counts = vec![0u64; k];
-            for part in parts {
-                let (ps, pc) = part?;
+            for (ps, pc) in parts {
                 for (o, v) in sums.iter_mut().zip(&ps) {
                     *o += v;
                 }
@@ -1214,7 +1412,7 @@ fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             }
             (sums, counts)
         }
-        None => accumulate(0..points.rows())?,
+        None => accumulate(0..points.rows()),
     };
     for c in 0..k {
         if counts[c] > 0 {
@@ -1223,9 +1421,8 @@ fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             }
         }
     }
-    let ops = weights::REDUCE * points.logical_rows() * d as u64;
     Ok(BuiltinOutput::new(
-        Value::Matrix(Matrix::new(sums, k, d)?),
+        Value::Matrix(shape.matrix(Arc::new(sums))?),
         ops,
     ))
 }
@@ -1643,6 +1840,387 @@ mod tests {
             assert_eq!(id.charges_copy(), !reads, "{}", kernel.name);
         }
         assert!(kernel_id("np_dot").is_none());
+    }
+
+    /// Each row's declared by-value arguments, against its kernel: one
+    /// test per row (`by_value::sum`, ...).
+    mod by_value {
+        use super::*;
+        use crate::forest::{Forest, Tree, TreeNode};
+        use crate::value::{BoolArrayVal, EncodedVal};
+        use csd_sim::wire::Encoding;
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+
+        /// The type and sizes of `v`: what a sampled cost reads of it.
+        fn sizes(v: &Value) -> String {
+            match v {
+                Value::Num(_) | Value::Bool(_) => v.type_name().to_owned(),
+                Value::Str(s) => format!("str {}", s.len()),
+                Value::Array(a) => format!("array {}/{}", a.len(), a.logical_len()),
+                Value::BoolArray(m) => format!("mask {}/{}", m.len(), m.logical_len()),
+                Value::Table(t) => {
+                    let names: Vec<_> = t.column_names().collect();
+                    format!("table {}/{} {names:?}", t.rows(), t.logical_rows())
+                }
+                Value::Matrix(m) => format!(
+                    "matrix {}x{}/{}x{}",
+                    m.rows(),
+                    m.cols(),
+                    m.logical_rows(),
+                    m.logical_cols()
+                ),
+                Value::Csr(c) => format!(
+                    "csr {}x{} nnz {}/{} rows {}",
+                    c.rows(),
+                    c.cols(),
+                    c.nnz(),
+                    c.logical_nnz(),
+                    c.logical_rows()
+                ),
+                Value::Forest(f) => format!("forest {}", f.node_count()),
+                Value::Encoded(e) => format!(
+                    "encoded {}/{} {}",
+                    e.actual_len(),
+                    e.logical_len(),
+                    e.encoded_actual_bytes()
+                ),
+            }
+        }
+
+        /// `v` with the same type and sizes and every element zero.
+        fn zeroed(v: &Value) -> Value {
+            let zeros = |n: usize| vec![0.0; n];
+            match v {
+                Value::Num(_) => Value::Num(0.0),
+                Value::Bool(_) => Value::Bool(false),
+                Value::Array(a) => {
+                    Value::Array(ArrayVal::with_logical(zeros(a.len()), a.logical_len()))
+                }
+                Value::BoolArray(m) => Value::BoolArray(BoolArrayVal::with_logical(
+                    vec![false; m.len()],
+                    m.logical_len(),
+                )),
+                Value::Matrix(m) => Value::Matrix(
+                    Matrix::with_logical(
+                        zeros(m.data().len()),
+                        m.rows(),
+                        m.cols(),
+                        m.logical_rows(),
+                        m.logical_cols(),
+                    )
+                    .expect("same shape"),
+                ),
+                Value::Table(t) => {
+                    let columns = t
+                        .column_names()
+                        .map(|name| {
+                            let column = match t.column(name).expect("listed") {
+                                Column::F64(c) => Column::F64(Arc::new(zeros(c.len()))),
+                                Column::Dict { codes, dict } => Column::Dict {
+                                    codes: Arc::new(vec![0; codes.len()]),
+                                    dict: Arc::clone(dict),
+                                },
+                            };
+                            (name.to_owned(), column)
+                        })
+                        .collect();
+                    Value::Table(
+                        Table::with_logical_rows(columns, t.logical_rows()).expect("table"),
+                    )
+                }
+                Value::Csr(c) => Value::Csr(
+                    crate::matrix::Csr::from_parts(
+                        c.row_ptr().to_vec(),
+                        c.col_idx().to_vec(),
+                        zeros(c.nnz()),
+                        c.cols(),
+                        c.logical_rows(),
+                        c.logical_cols(),
+                        c.logical_nnz(),
+                    )
+                    .expect("same structure"),
+                ),
+                Value::Str(_) | Value::Forest(_) | Value::Encoded(_) => {
+                    panic!("no row reads a {} by shape alone", v.type_name())
+                }
+            }
+        }
+
+        /// What a sampled cost reads of `name`'s call on `args`: its
+        /// operations, stored bytes and result's sizes, or its error.
+        fn outcome(name: &str, args: &[Value], st: &Storage) -> String {
+            match catch_unwind(AssertUnwindSafe(|| call(name, args, st))) {
+                Ok(Ok(out)) => format!(
+                    "ops {} stored {} -> {}",
+                    out.ops,
+                    out.storage_bytes,
+                    sizes(&out.value)
+                ),
+                Ok(Err(e)) => format!("error: {e}"),
+                Err(_) => "panic".to_owned(),
+            }
+        }
+
+        /// As [`outcome`], through the row's shape-only charge.
+        fn charged(id: KernelId, args: &[Value]) -> String {
+            match id.charge(args) {
+                Ok(charge) => {
+                    let value = crate::shape::Placeholders::default()
+                        .value(charge.shape)
+                        .expect("a placeholder");
+                    format!("ops {} stored 0 -> {}", charge.ops, sizes(&value))
+                }
+                Err(e) => format!("error: {e}"),
+            }
+        }
+
+        fn arr(v: &[f64], logical: u64) -> Value {
+            Value::Array(ArrayVal::with_logical(v.to_vec(), logical))
+        }
+
+        fn mask(v: &[bool], logical: u64) -> Value {
+            Value::BoolArray(BoolArrayVal::with_logical(v.to_vec(), logical))
+        }
+
+        fn matrix(v: &[f64], rows: usize, logical_rows: u64) -> Value {
+            let cols = v.len() / rows;
+            Value::Matrix(
+                Matrix::with_logical(v.to_vec(), rows, cols, logical_rows, cols as u64)
+                    .expect("matrix"),
+            )
+        }
+
+        fn name(s: &str) -> Value {
+            Value::Str(s.to_owned())
+        }
+
+        fn table() -> Value {
+            let column = |v: &[f64]| Column::F64(Arc::new(v.to_vec()));
+            Value::Table(
+                Table::with_logical_rows(
+                    vec![
+                        ("qty".into(), column(&[10.0, 30.0, 5.0, 40.0])),
+                        ("tax".into(), column(&[0.1, 0.2, 0.3, 0.4])),
+                    ],
+                    4_000,
+                )
+                .expect("table"),
+            )
+        }
+
+        /// A depth-two tree on feature 0 with its root at `root`.
+        fn forest(root: f64) -> Value {
+            let tree = Tree::new(vec![
+                TreeNode::split(0, root, 1, 2),
+                TreeNode::split(0, 0.25, 3, 4),
+                TreeNode::leaf(1.0),
+                TreeNode::leaf(2.0),
+                TreeNode::leaf(3.0),
+            ])
+            .expect("tree");
+            Value::Forest(Forest::new(vec![tree], 1).expect("forest"))
+        }
+
+        fn encoded(data: &[f64]) -> EncodedVal {
+            EncodedVal::from_f64s(Encoding::gzip_shuffled(), data, 4_000)
+        }
+
+        fn storage() -> Storage {
+            let mut st = Storage::new();
+            st.insert("v", arr(&[1.0, 2.0, 3.0, 4.0], 4_000));
+            st.insert("w", arr(&[1.0, 2.0], 2_000));
+            st.insert("e", Value::Encoded(encoded(&[1.0, 2.0, 3.0, 4.0])));
+            st
+        }
+
+        /// Valid arguments for row `name`, and for each argument it reads
+        /// by value one of the same sizes that changes what its cost reads.
+        fn case(name: &str) -> (Vec<Value>, Vec<(usize, Value)>) {
+            let xs = || arr(&[1.0, -2.0, 3.0, 4.0], 4_000);
+            let keep = || mask(&[true, false, true, true], 4_000);
+            let square = || matrix(&[1.0, 0.0, 2.0, 3.0], 2, 2);
+            let csr = || match square() {
+                Value::Matrix(m) => Value::Csr(m.to_csr()),
+                _ => unreachable!(),
+            };
+            let points = || matrix(&[0.0, 1.0, 10.0, 11.0], 4, 4_000);
+            match name {
+                "scan" => (vec![self::name("v")], vec![(0, self::name("w"))]),
+                "scan_raw" => (vec![self::name("e")], vec![(0, self::name("v"))]),
+                "col" => (
+                    vec![table(), self::name("qty")],
+                    vec![(1, self::name("qtx"))],
+                ),
+                "filter" | "select" => {
+                    let first = if name == "filter" { table() } else { xs() };
+                    let fewer = mask(&[true, false, false, false], 4_000);
+                    (vec![first, keep()], vec![(1, fewer)])
+                }
+                "len" | "sum" | "mean" | "minv" | "maxv" | "exp" | "log" | "sqrt" | "erf"
+                | "abs" => (vec![xs()], vec![]),
+                "count" => (vec![keep()], vec![]),
+                "sort" => (
+                    vec![xs()],
+                    vec![(0, arr(&[1.0, f64::NAN, 3.0, 4.0], 4_000))],
+                ),
+                "dot" => (vec![xs(), xs()], vec![]),
+                "where" => (vec![keep(), xs(), xs()], vec![]),
+                "group_sum" => (
+                    vec![arr(&[1.0, 2.0, 1.0, 2.0], 4_000), xs()],
+                    vec![(0, arr(&[1.0, 1.0, 1.0, 1.0], 4_000))],
+                ),
+                "matmul" => (vec![square(), square()], vec![]),
+                "gemm_batch" => (
+                    vec![matrix(&[1.0, 0.0, 2.0, 3.0], 2, 200), square()],
+                    vec![],
+                ),
+                "to_csr" => (
+                    vec![square()],
+                    vec![(0, matrix(&[1.0, 0.0, 0.0, 3.0], 2, 2))],
+                ),
+                "spmv" => (vec![csr(), arr(&[1.0, 2.0], 2)], vec![]),
+                "pagerank_step" => (vec![csr(), arr(&[0.5, 0.5], 2), Value::Num(0.85)], vec![]),
+                "kmeans_assign" => (vec![points(), matrix(&[0.5, 10.5], 2, 2)], vec![]),
+                "kmeans_update" => (
+                    vec![points(), arr(&[0.0, 0.0, 1.0, 1.0], 4_000), Value::Num(2.0)],
+                    vec![(1, arr(&[0.0, 0.0, 1.0, 5.0], 4_000)), (2, Value::Num(3.0))],
+                ),
+                "forest_score" => (
+                    vec![forest(0.5), points()],
+                    vec![
+                        (0, forest(100.0)),
+                        (1, matrix(&[0.0, 0.1, 0.2, 0.3], 4, 4_000)),
+                    ],
+                ),
+                "gather" => (
+                    vec![
+                        arr(&[10.0, 20.0, 30.0], 3),
+                        arr(&[2.0, 0.0, 2.0, 1.0], 4_000),
+                    ],
+                    vec![(1, arr(&[2.0, 0.0, 7.0, 1.0], 4_000))],
+                ),
+                "frob" | "gram" => (vec![points()], vec![]),
+                "decode" => {
+                    let good = encoded(&[1.0, 2.0, 3.0, 4.0]);
+                    let mut chunks = good.chunks().to_vec();
+                    let last = chunks[0].len() - 1;
+                    chunks[0][last] ^= 0xFF;
+                    let bad = EncodedVal::from_parts(
+                        *good.encoding(),
+                        chunks,
+                        good.actual_len(),
+                        good.logical_len(),
+                        good.encoded_logical_bytes(),
+                    );
+                    (vec![Value::Encoded(good)], vec![(0, Value::Encoded(bad))])
+                }
+                other => panic!("no case for row `{other}`"),
+            }
+        }
+
+        fn check_row(name: &str) {
+            let name = name.trim_start_matches("r#");
+            let id = kernel_id(name).expect("a KERNELS row");
+            let st = storage();
+            let (args, witnesses) = case(name);
+            let reference = outcome(name, &args, &st);
+            assert!(!reference.starts_with("error"), "{name}: {reference}");
+            let swapped = |i: usize, v: Value| {
+                let mut args = args.clone();
+                args[i] = v;
+                args
+            };
+            // A by-value argument: values of the same sizes move the cost.
+            let declared: Vec<usize> = witnesses.iter().map(|(i, _)| *i).collect();
+            assert_eq!(declared, id.kernel().by_value, "{name}: by-value arguments");
+            for (i, witness) in witnesses {
+                assert_eq!(sizes(&witness), sizes(&args[i]), "{name}: arg {i} witness");
+                let moved = swapped(i, witness);
+                let outcome = outcome(name, &moved, &st);
+                assert_ne!(outcome, reference, "{name}: arg {i} is read by value");
+                if id.charges_from_shapes() && outcome != "panic" {
+                    assert_eq!(
+                        charged(id, &moved),
+                        outcome,
+                        "{name}: charge, arg {i} moved"
+                    );
+                }
+            }
+            // Every other argument: all-zero elements move nothing, alone
+            // or together, through the kernel or its charge.
+            let mut all_zeroed = args.clone();
+            for i in (0..args.len()).filter(|i| !id.reads_by_value(*i)) {
+                let zero = zeroed(&args[i]);
+                assert_eq!(
+                    outcome(name, &swapped(i, zero.clone()), &st),
+                    reference,
+                    "{name}: arg {i}"
+                );
+                all_zeroed[i] = zero;
+            }
+            assert_eq!(outcome(name, &all_zeroed, &st), reference, "{name}: zeroed");
+            if id.charges_from_shapes() {
+                assert_eq!(charged(id, &args), reference, "{name}: charge");
+                assert_eq!(
+                    charged(id, &all_zeroed),
+                    reference,
+                    "{name}: charge, zeroed"
+                );
+            }
+        }
+
+        macro_rules! rows {
+            ($($row:ident),* $(,)?) => {
+                $(
+                    #[test]
+                    fn $row() {
+                        check_row(stringify!($row));
+                    }
+                )*
+
+                #[test]
+                fn every_row_has_its_test() {
+                    let tested = [$(stringify!($row).trim_start_matches("r#")),*];
+                    let rows: Vec<&str> = KERNELS.iter().map(|k| k.name).collect();
+                    assert_eq!(rows, tested);
+                }
+            };
+        }
+
+        rows!(
+            scan,
+            col,
+            filter,
+            select,
+            len,
+            sum,
+            mean,
+            minv,
+            maxv,
+            count,
+            exp,
+            log,
+            sqrt,
+            erf,
+            abs,
+            sort,
+            dot,
+            r#where,
+            group_sum,
+            matmul,
+            gemm_batch,
+            to_csr,
+            spmv,
+            pagerank_step,
+            kmeans_assign,
+            kmeans_update,
+            forest_score,
+            gather,
+            frob,
+            gram,
+            scan_raw,
+            decode,
+        );
     }
 
     #[test]

@@ -10,12 +10,16 @@
 //! reference implementation behind the differential-testing harness.
 
 use crate::ast::{BinOp, UnOp};
-use crate::builtins::{weights, GroupMemo, KernelCtx, KernelId, Storage};
+use crate::builtins::{weights, BuiltinOutput, GroupMemo, KernelCtx, KernelId, Storage};
 use crate::cost::LineCost;
 use crate::error::{LangError, Result};
-use crate::interp::{apply_binary, apply_unary, charge_elementwise, charge_temp, LineRecord};
+use crate::interp::{
+    apply_binary, apply_unary, binary_shape, charge_elementwise, charge_temp, unary_shape,
+    LineRecord,
+};
 use crate::memo::KernelMemo;
 use crate::par::{ParEngine, ParStatsSnapshot, ParallelPolicy};
+use crate::shape::{Demand, Placeholders};
 use crate::value::Value;
 use std::collections::BTreeMap;
 
@@ -170,6 +174,8 @@ pub struct Vm<'a> {
     argv: Vec<Value>,
     groups: GroupMemo,
     memo: Option<&'a KernelMemo>,
+    demand: Option<&'a Demand>,
+    placeholders: Placeholders,
 }
 
 impl<'a> Vm<'a> {
@@ -198,6 +204,8 @@ impl<'a> Vm<'a> {
             argv: Vec::new(),
             groups: GroupMemo::default(),
             memo: None,
+            demand: None,
+            placeholders: Placeholders::default(),
         }
     }
 
@@ -208,6 +216,18 @@ impl<'a> Vm<'a> {
     #[must_use]
     pub fn with_memo(mut self, memo: &'a KernelMemo) -> Self {
         self.memo = Some(memo);
+        self
+    }
+
+    /// Computes only what `demand` marks: every other operator and call is
+    /// charged from its operands' shapes and leaves a placeholder, a value
+    /// of its result's shape whose elements are zeros. [`LineCost`] records
+    /// and errors are those of a VM computing everything; the values of
+    /// the lines charged from shapes are not. `demand` must be
+    /// [`Demand::of`] this VM's program.
+    #[must_use]
+    pub fn costs_only(mut self, demand: &'a Demand) -> Self {
+        self.demand = Some(demand);
         self
     }
 
@@ -262,7 +282,9 @@ impl<'a> Vm<'a> {
                 .as_ref()
                 .map_or(0, Value::virtual_bytes);
         }
-        for instr in &lowered.instrs[meta.instr_start as usize..meta.instr_end as usize] {
+        let range = meta.instr_start as usize..meta.instr_end as usize;
+        for (pc, instr) in range.clone().zip(&lowered.instrs[range]) {
+            let computes = self.demand.is_none_or(|demand| demand.computes(pc));
             match instr {
                 Instr::Const { dst, idx } => {
                     self.regs[usize::from(*dst)] = Some(lowered.consts[usize::from(*idx)].clone());
@@ -275,13 +297,25 @@ impl<'a> Vm<'a> {
                     self.read(*slot, index)?;
                 }
                 Instr::Unary { dst, op, src } => {
-                    let out = apply_unary(*op, self.read(*src, index)?)?;
+                    let operand = self.read(*src, index)?;
+                    let out = if computes {
+                        apply_unary(*op, operand)?
+                    } else {
+                        let shape = unary_shape(*op, operand)?;
+                        self.placeholders.value(shape)?
+                    };
                     charge_elementwise(&mut cost, &out, weights::ELEM);
                     charge_temp(&mut cost, &out, elim);
                     self.regs[usize::from(*dst)] = Some(out);
                 }
                 Instr::Binary { dst, op, lhs, rhs } => {
-                    let out = apply_binary(*op, self.read(*lhs, index)?, self.read(*rhs, index)?)?;
+                    let (l, r) = (self.read(*lhs, index)?, self.read(*rhs, index)?);
+                    let out = if computes {
+                        apply_binary(*op, l, r)?
+                    } else {
+                        let shape = binary_shape(*op, l, r)?;
+                        self.placeholders.value(shape)?
+                    };
                     let weight = if op.is_comparison() {
                         weights::ELEM - 1
                     } else {
@@ -304,13 +338,20 @@ impl<'a> Vm<'a> {
                     for &slot in &lowered.arg_pool[*args_start as usize..end] {
                         argv.push(self.read(slot, index)?.clone());
                     }
-                    let ctx = KernelCtx {
-                        storage: self.storage,
-                        par: &self.par,
-                        groups: Some(&self.groups),
-                        memo: self.memo.map(|memo| (memo, index)),
+                    let out = if computes {
+                        let ctx = KernelCtx {
+                            storage: self.storage,
+                            par: &self.par,
+                            groups: Some(&self.groups),
+                            memo: self.memo.map(|memo| (memo, index)),
+                        };
+                        kernel.invoke_in(&argv, &ctx)
+                    } else {
+                        kernel.charge(&argv).and_then(|charge| {
+                            let value = self.placeholders.value(charge.shape)?;
+                            Ok(BuiltinOutput::new(value, charge.ops))
+                        })
                     };
-                    let out = kernel.invoke_in(&argv, &ctx);
                     self.argv = argv;
                     let out = out?;
                     cost.compute_ops += out.ops;

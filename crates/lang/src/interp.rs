@@ -17,6 +17,7 @@ use crate::builtins::{self, weights, GroupMemo, KernelCtx, Storage};
 use crate::cost::LineCost;
 use crate::error::{LangError, Result};
 use crate::par::{ParEngine, ParStatsSnapshot, ParallelPolicy};
+use crate::shape::Shape;
 use crate::value::{ArrayVal, BoolArrayVal, Value};
 use std::collections::BTreeMap;
 
@@ -212,22 +213,45 @@ pub(crate) fn charge_temp(cost: &mut LineCost, out: &Value, elim: bool) {
     }
 }
 
-pub(crate) fn apply_unary(op: UnOp, v: &Value) -> Result<Value> {
+/// The result shape of `op v`, with every error the operator raises.
+pub(crate) fn unary_shape(op: UnOp, v: &Value) -> Result<Shape> {
     match (op, v) {
-        (UnOp::Neg, Value::Num(n)) => Ok(Value::Num(-n)),
-        (UnOp::Neg, Value::Array(a)) => Ok(Value::Array(ArrayVal::with_logical(
-            a.data().iter().map(|x| -x).collect(),
-            a.logical_len(),
-        ))),
-        (UnOp::Not, Value::Bool(b)) => Ok(Value::Bool(!b)),
-        (UnOp::Not, Value::BoolArray(m)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
-            m.data().iter().map(|b| !b).collect(),
-            m.logical_len(),
-        ))),
+        (UnOp::Neg, Value::Num(_)) => Ok(Shape::Num),
+        (UnOp::Neg, Value::Array(a)) => Ok(Shape::array(a)),
+        (UnOp::Not, Value::Bool(_)) => Ok(Shape::Bool),
+        (UnOp::Not, Value::BoolArray(m)) => Ok(Shape::mask(m)),
         (op, other) => Err(LangError::type_error(format!(
             "cannot apply {op:?} to {}",
             other.type_name()
         ))),
+    }
+}
+
+pub(crate) fn apply_unary(op: UnOp, v: &Value) -> Result<Value> {
+    let logical = unary_shape(op, v)?.logical_len();
+    Ok(match v {
+        Value::Num(n) => Value::Num(-n),
+        Value::Array(a) => Value::Array(ArrayVal::with_logical(
+            a.data().iter().map(|x| -x).collect(),
+            logical,
+        )),
+        Value::Bool(b) => Value::Bool(!b),
+        Value::BoolArray(m) => Value::BoolArray(BoolArrayVal::with_logical(
+            m.data().iter().map(|b| !b).collect(),
+            logical,
+        )),
+        _ => unreachable!("unary_shape admits no other operand"),
+    })
+}
+
+/// The result shape of `l op r`, with every type and length error the
+/// operator raises.
+pub(crate) fn binary_shape(op: BinOp, l: &Value, r: &Value) -> Result<Shape> {
+    use BinOp::*;
+    match op {
+        Add | Sub | Mul | Div => numeric_shape(op, l, r),
+        Lt | Le | Gt | Ge | Eq | Ne => comparison_shape(op, l, r),
+        And | Or => logical_shape(op, l, r),
     }
 }
 
@@ -240,9 +264,88 @@ pub(crate) fn apply_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     }
 }
 
+/// The materialized and logical length of two operands zipped element by
+/// element: equal materialized lengths, the longer logical one. `what`
+/// names the operation in the length error.
+fn zipped(a: (usize, u64), b: (usize, u64), what: impl FnOnce() -> String) -> Result<(usize, u64)> {
+    if a.0 != b.0 {
+        return Err(LangError::runtime(format!(
+            "{} of length {} and {}",
+            what(),
+            a.0,
+            b.0
+        )));
+    }
+    Ok((a.0, a.1.max(b.1)))
+}
+
+fn numeric_shape(op: BinOp, l: &Value, r: &Value) -> Result<Shape> {
+    match (l, r) {
+        (Value::Num(_), Value::Num(_)) => Ok(Shape::Num),
+        (Value::Array(a), Value::Num(_)) | (Value::Num(_), Value::Array(a)) => Ok(Shape::array(a)),
+        (Value::Array(a), Value::Array(b)) => {
+            let sizes = |x: &ArrayVal| (x.len(), x.logical_len());
+            let what = || format!("elementwise {} on arrays", op.symbol());
+            let (len, logical) = zipped(sizes(a), sizes(b), what)?;
+            Ok(Shape::Array { len, logical })
+        }
+        (l, r) => Err(LangError::type_error(format!(
+            "cannot apply {} to {} and {}",
+            op.symbol(),
+            l.type_name(),
+            r.type_name()
+        ))),
+    }
+}
+
+fn comparison_shape(op: BinOp, l: &Value, r: &Value) -> Result<Shape> {
+    match (l, r) {
+        (Value::Num(_), Value::Num(_)) => Ok(Shape::Bool),
+        (Value::Array(a), Value::Num(_)) | (Value::Num(_), Value::Array(a)) => {
+            Ok(Shape::BoolArray {
+                len: a.len(),
+                logical: a.logical_len(),
+            })
+        }
+        (Value::Array(a), Value::Array(b)) => {
+            let sizes = |x: &ArrayVal| (x.len(), x.logical_len());
+            let what = || format!("comparison {} on arrays", op.symbol());
+            let (len, logical) = zipped(sizes(a), sizes(b), what)?;
+            Ok(Shape::BoolArray { len, logical })
+        }
+        (l, r) => Err(LangError::type_error(format!(
+            "cannot compare {} and {}",
+            l.type_name(),
+            r.type_name()
+        ))),
+    }
+}
+
+fn logical_shape(op: BinOp, l: &Value, r: &Value) -> Result<Shape> {
+    match (l, r) {
+        (Value::Bool(_), Value::Bool(_)) => Ok(Shape::Bool),
+        (Value::BoolArray(a), Value::BoolArray(b)) => {
+            let sizes = |x: &BoolArrayVal| (x.len(), x.logical_len());
+            let what = || format!("logical {} on masks", op.symbol());
+            let (len, logical) = zipped(sizes(a), sizes(b), what)?;
+            Ok(Shape::BoolArray { len, logical })
+        }
+        (Value::BoolArray(a), Value::Bool(_)) | (Value::Bool(_), Value::BoolArray(a)) => {
+            Ok(Shape::mask(a))
+        }
+        (l, r) => Err(LangError::type_error(format!(
+            "cannot apply {} to {} and {}",
+            op.symbol(),
+            l.type_name(),
+            r.type_name()
+        ))),
+    }
+}
+
 // Each of the three families picks its operator once per call and runs
 // the element loops monomorphised over it, so a loop body is the bare
-// operation and vectorises.
+// operation and vectorises. The family's shape function has already
+// refused every other pairing of operands.
 
 fn numeric_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
     match op {
@@ -255,41 +358,21 @@ fn numeric_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 fn numeric_by(op: BinOp, l: &Value, r: &Value, f: impl Fn(f64, f64) -> f64) -> Result<Value> {
-    match (l, r) {
-        (Value::Num(a), Value::Num(b)) => Ok(Value::Num(f(*a, *b))),
-        (Value::Array(a), Value::Num(b)) => Ok(Value::Array(ArrayVal::with_logical(
-            a.data().iter().map(|x| f(*x, *b)).collect(),
-            a.logical_len(),
-        ))),
-        (Value::Num(a), Value::Array(b)) => Ok(Value::Array(ArrayVal::with_logical(
-            b.data().iter().map(|x| f(*a, *x)).collect(),
-            b.logical_len(),
-        ))),
-        (Value::Array(a), Value::Array(b)) => {
-            if a.len() != b.len() {
-                return Err(LangError::runtime(format!(
-                    "elementwise {} on arrays of length {} and {}",
-                    op.symbol(),
-                    a.len(),
-                    b.len()
-                )));
-            }
-            Ok(Value::Array(ArrayVal::with_logical(
-                a.data()
-                    .iter()
-                    .zip(b.data())
-                    .map(|(x, y)| f(*x, *y))
-                    .collect(),
-                a.logical_len().max(b.logical_len()),
-            )))
-        }
-        (l, r) => Err(LangError::type_error(format!(
-            "cannot apply {} to {} and {}",
-            op.symbol(),
-            l.type_name(),
-            r.type_name()
-        ))),
-    }
+    let logical = numeric_shape(op, l, r)?.logical_len();
+    let array = |data| Value::Array(ArrayVal::with_logical(data, logical));
+    Ok(match (l, r) {
+        (Value::Num(a), Value::Num(b)) => Value::Num(f(*a, *b)),
+        (Value::Array(a), Value::Num(b)) => array(a.data().iter().map(|x| f(*x, *b)).collect()),
+        (Value::Num(a), Value::Array(b)) => array(b.data().iter().map(|x| f(*a, *x)).collect()),
+        (Value::Array(a), Value::Array(b)) => array(
+            a.data()
+                .iter()
+                .zip(b.data())
+                .map(|(x, y)| f(*x, *y))
+                .collect(),
+        ),
+        _ => unreachable!("numeric_shape admits no other operands"),
+    })
 }
 
 fn comparison_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
@@ -305,40 +388,21 @@ fn comparison_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 fn comparison_by(op: BinOp, l: &Value, r: &Value, f: impl Fn(f64, f64) -> bool) -> Result<Value> {
-    match (l, r) {
-        (Value::Num(a), Value::Num(b)) => Ok(Value::Bool(f(*a, *b))),
-        (Value::Array(a), Value::Num(b)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
-            a.data().iter().map(|x| f(*x, *b)).collect(),
-            a.logical_len(),
-        ))),
-        (Value::Num(a), Value::Array(b)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
-            b.data().iter().map(|x| f(*a, *x)).collect(),
-            b.logical_len(),
-        ))),
-        (Value::Array(a), Value::Array(b)) => {
-            if a.len() != b.len() {
-                return Err(LangError::runtime(format!(
-                    "comparison {} on arrays of length {} and {}",
-                    op.symbol(),
-                    a.len(),
-                    b.len()
-                )));
-            }
-            Ok(Value::BoolArray(BoolArrayVal::with_logical(
-                a.data()
-                    .iter()
-                    .zip(b.data())
-                    .map(|(x, y)| f(*x, *y))
-                    .collect(),
-                a.logical_len().max(b.logical_len()),
-            )))
-        }
-        (l, r) => Err(LangError::type_error(format!(
-            "cannot compare {} and {}",
-            l.type_name(),
-            r.type_name()
-        ))),
-    }
+    let logical = comparison_shape(op, l, r)?.logical_len();
+    let mask = |data| Value::BoolArray(BoolArrayVal::with_logical(data, logical));
+    Ok(match (l, r) {
+        (Value::Num(a), Value::Num(b)) => Value::Bool(f(*a, *b)),
+        (Value::Array(a), Value::Num(b)) => mask(a.data().iter().map(|x| f(*x, *b)).collect()),
+        (Value::Num(a), Value::Array(b)) => mask(b.data().iter().map(|x| f(*a, *x)).collect()),
+        (Value::Array(a), Value::Array(b)) => mask(
+            a.data()
+                .iter()
+                .zip(b.data())
+                .map(|(x, y)| f(*x, *y))
+                .collect(),
+        ),
+        _ => unreachable!("comparison_shape admits no other operands"),
+    })
 }
 
 fn logical_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
@@ -350,41 +414,21 @@ fn logical_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 }
 
 fn logical_by(op: BinOp, l: &Value, r: &Value, f: impl Fn(bool, bool) -> bool) -> Result<Value> {
-    match (l, r) {
-        (Value::Bool(a), Value::Bool(b)) => Ok(Value::Bool(f(*a, *b))),
-        (Value::BoolArray(a), Value::BoolArray(b)) => {
-            if a.len() != b.len() {
-                return Err(LangError::runtime(format!(
-                    "logical {} on masks of length {} and {}",
-                    op.symbol(),
-                    a.len(),
-                    b.len()
-                )));
-            }
-            Ok(Value::BoolArray(BoolArrayVal::with_logical(
-                a.data()
-                    .iter()
-                    .zip(b.data())
-                    .map(|(x, y)| f(*x, *y))
-                    .collect(),
-                a.logical_len().max(b.logical_len()),
-            )))
-        }
-        (Value::BoolArray(a), Value::Bool(b)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
-            a.data().iter().map(|x| f(*x, *b)).collect(),
-            a.logical_len(),
-        ))),
-        (Value::Bool(a), Value::BoolArray(b)) => Ok(Value::BoolArray(BoolArrayVal::with_logical(
-            b.data().iter().map(|x| f(*a, *x)).collect(),
-            b.logical_len(),
-        ))),
-        (l, r) => Err(LangError::type_error(format!(
-            "cannot apply {} to {} and {}",
-            op.symbol(),
-            l.type_name(),
-            r.type_name()
-        ))),
-    }
+    let logical = logical_shape(op, l, r)?.logical_len();
+    let mask = |data| Value::BoolArray(BoolArrayVal::with_logical(data, logical));
+    Ok(match (l, r) {
+        (Value::Bool(a), Value::Bool(b)) => Value::Bool(f(*a, *b)),
+        (Value::BoolArray(a), Value::BoolArray(b)) => mask(
+            a.data()
+                .iter()
+                .zip(b.data())
+                .map(|(x, y)| f(*x, *y))
+                .collect(),
+        ),
+        (Value::BoolArray(a), Value::Bool(b)) => mask(a.data().iter().map(|x| f(*x, *b)).collect()),
+        (Value::Bool(a), Value::BoolArray(b)) => mask(b.data().iter().map(|x| f(*a, *x)).collect()),
+        _ => unreachable!("logical_shape admits no other operands"),
+    })
 }
 
 #[cfg(test)]

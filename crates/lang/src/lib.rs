@@ -56,6 +56,7 @@ pub mod memo;
 pub mod par;
 pub mod parser;
 mod pool;
+pub mod shape;
 pub mod shard;
 pub mod simd;
 pub mod table;

@@ -210,15 +210,21 @@ impl Matrix {
         )
     }
 
-    /// The row-major `rows × rhs.cols` block of `self × rhs`, the part of
-    /// the product no logical size enters.
-    pub(crate) fn matmul_block(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Result<Vec<f64>> {
+    /// The shape check of `self × rhs`: inner dimensions agree.
+    pub(crate) fn check_matmul(&self, rhs: &Matrix) -> Result<()> {
         if self.cols != rhs.rows {
             return Err(LangError::runtime(format!(
                 "matmul shape mismatch: {}x{} times {}x{}",
                 self.rows, self.cols, rhs.rows, rhs.cols
             )));
         }
+        Ok(())
+    }
+
+    /// The row-major `rows × rhs.cols` block of `self × rhs`, the part of
+    /// the product no logical size enters.
+    pub(crate) fn matmul_block(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Result<Vec<f64>> {
+        self.check_matmul(rhs)?;
         // A rhs of at most four columns fills 4-lane panels: 8-lane ones
         // would compute four lanes nobody reads.
         Ok(if rhs.cols <= 4 {
@@ -542,14 +548,19 @@ impl Csr {
         self.spmv_in(x, Some(par))
     }
 
-    fn spmv_in(&self, x: &[f64], par: Option<&ParEngine>) -> Result<Vec<f64>> {
-        if x.len() != self.cols {
+    /// The shape check of `self × x` for an `x` of `len` entries.
+    pub(crate) fn check_spmv(&self, len: usize) -> Result<()> {
+        if len != self.cols {
             return Err(LangError::runtime(format!(
-                "spmv shape mismatch: {} cols vs vector of {}",
-                self.cols,
-                x.len()
+                "spmv shape mismatch: {} cols vs vector of {len}",
+                self.cols
             )));
         }
+        Ok(())
+    }
+
+    fn spmv_in(&self, x: &[f64], par: Option<&ParEngine>) -> Result<Vec<f64>> {
+        self.check_spmv(x.len())?;
         let per_row = (self.nnz() / self.rows.max(1)).max(1);
         let parts = par
             .and_then(|par| par.map_chunks(self.rows, per_row, |_, rows| self.spmv_rows(x, rows)));
@@ -573,18 +584,17 @@ impl Csr {
         .collect()
     }
 
-    /// The shape checks of a PageRank step: a square adjacency matrix and
-    /// one rank per node.
-    fn check_pagerank(&self, ranks: &[f64]) -> Result<()> {
+    /// The shape checks of a PageRank step over `ranks` ranks: a square
+    /// adjacency matrix and one rank per node.
+    pub(crate) fn check_pagerank(&self, ranks: usize) -> Result<()> {
         if self.rows != self.cols {
             return Err(LangError::runtime(
                 "pagerank needs a square adjacency matrix",
             ));
         }
-        if ranks.len() != self.rows {
+        if ranks != self.rows {
             return Err(LangError::runtime(format!(
-                "rank vector length {} does not match {} nodes",
-                ranks.len(),
+                "rank vector length {ranks} does not match {} nodes",
                 self.rows
             )));
         }
@@ -595,7 +605,7 @@ impl Csr {
     /// below the engagement threshold, so its float order is the one
     /// sampling measures.
     fn pagerank_step(&self, ranks: &[f64], damping: f64) -> Result<Vec<f64>> {
-        self.check_pagerank(ranks)?;
+        self.check_pagerank(ranks.len())?;
         // Out-degree per node (treating row r's entries as edges r -> c).
         let mut out_deg = vec![0u32; self.rows];
         for (r, deg) in out_deg.iter_mut().enumerate() {
@@ -642,7 +652,7 @@ impl Csr {
         damping: f64,
         par: &ParEngine,
     ) -> Result<Vec<f64>> {
-        self.check_pagerank(ranks)?;
+        self.check_pagerank(ranks.len())?;
         let n = self.rows as f64;
         let per_row = (self.nnz() / self.rows.max(1)).max(1) + 1;
         let Some(parts) = par.map_chunks(self.rows, per_row, |_, rows| {

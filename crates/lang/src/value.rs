@@ -429,14 +429,20 @@ impl BoolArrayVal {
     /// Panics if `logical_len` is smaller than the materialized length.
     #[must_use]
     pub fn with_logical(data: Vec<bool>, logical_len: u64) -> Self {
+        Self::shared(Arc::new(data), logical_len)
+    }
+
+    /// [`Self::with_logical`] over a buffer that stays shared.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `logical_len` is smaller than the materialized length.
+    pub(crate) fn shared(data: Arc<Vec<bool>>, logical_len: u64) -> Self {
         assert!(
             logical_len >= data.len() as u64,
             "logical length must cover the materialized data"
         );
-        BoolArrayVal {
-            data: Arc::new(data),
-            logical_len,
-        }
+        BoolArrayVal { data, logical_len }
     }
 
     /// The materialized mask.
@@ -466,10 +472,21 @@ impl BoolArrayVal {
     /// Fraction of `true` entries in the materialized mask.
     #[must_use]
     pub fn selectivity(&self) -> f64 {
+        self.fraction(self.count_true())
+    }
+
+    /// Number of `true` entries in the materialized mask.
+    pub(crate) fn count_true(&self) -> usize {
+        self.data.iter().filter(|b| **b).count()
+    }
+
+    /// `kept` entries as a fraction of the materialized mask (0 when it
+    /// is empty).
+    pub(crate) fn fraction(&self, kept: usize) -> f64 {
         if self.data.is_empty() {
             0.0
         } else {
-            self.data.iter().filter(|b| **b).count() as f64 / self.data.len() as f64
+            kept as f64 / self.data.len() as f64
         }
     }
 }

@@ -50,10 +50,11 @@ echo "== stored once, hashed once (dataset digests and the Workload's kept input
 # generation across plan_for, execute_plan, run_plan and run_c_baseline.
 # Sampling computes a memoized kernel once per stored buffer: the memo's
 # buffer-identity rule (a relabelled buffer hits, an equal copy, a freed
-# buffer's successor and a replaced entry do not), 3 hits per memoized line
-# on the 5 stored-once programs and none on the other 7, a bad scale list
-# refused before any sample, and all 12 reports and plans equal to those
-# over per-scale deep copies.
+# buffer's successor and a replaced entry do not), 3 hits per computed
+# memoized line on KMeans, TPC-H-6-gz and LogGrep and none on the other 9
+# (MatrixMul's and MixedGEMM's products are charged from shapes), a bad
+# scale list refused before any sample, and all 12 reports and plans equal
+# to those over per-scale deep copies.
 # Ahead of the suite, so a stale digest stops here, named, instead of as a
 # fingerprint mismatch somewhere below.
 cargo test -q -p alang --lib -- canonical:: ast:: builtins::tests::a_digest \
@@ -64,6 +65,22 @@ cargo test -q -p isp-workloads --lib -- spec:: every_scale_relabels_the \
 cargo test -q -p activepy --lib -- sampling::tests::a_buffer_stored_once_is_sampled_once \
   sampling::tests::a_bad_scale_list_is_refused_before_any_sample_runs
 cargo test -q --test stored_once
+
+echo "== sampling: a value no sampled cost reads is not computed, every report bit-identical =="
+# Each KERNELS row's declared by-value arguments against its kernel (one
+# test per row: a same-sized witness moves the cost, an all-zero copy of any
+# other argument moves nothing, the shape charge equals the kernel's), the
+# backward pass and the shared zero placeholders; then sample runs that
+# compute only what the pass marks against runs computing every line: all
+# 12 registered reports equal, their plans fingerprinting alike and the 49
+# lines charged from shapes pinned, and 512 seeded programs over stored
+# arrays of unequal lengths giving equal reports or the same error on the
+# same line. Last, every fitted curve of the 12 reports equal to the bit to
+# the fit that takes each logarithm per candidate. Ahead of the suite, so a
+# wrong row or a skipped value some cost reads stops here, named.
+cargo test -q -p alang --lib -- shape:: builtins::tests::by_value
+cargo test -q --test sampling_differential
+cargo test -q -p activepy --lib fit::
 
 echo "== trace codec differentials (pinned case counts, the replaced writers and reader as oracle) =="
 # isp-obs' JSON writers and reader against the format!-based exporters and
@@ -194,7 +211,7 @@ cargo test -q -p alang --lib copyelim::tests::every_tag_reads_back_as_its_type
 cargo test -q -p activepy --lib persist::
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 57 of the 676 tests. No later
+# The whole suite: the root package alone is 59 of the 717 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 
