@@ -22,8 +22,7 @@
 //! scale's logical size; the four sample runs then read the same buffers.
 //! One [`alang::KernelMemo`], made per [`run_sampling`] call and dropped
 //! when it returns, is lent to each run's `Vm`, so a heavy kernel over
-//! those buffers (`matmul`, `gram`, `kmeans_assign`, `decode`) computes
-//! its result once. Every `LineCost` is still priced from its own scale's
+//! those buffers (`kmeans_assign`, `decode`) computes its result once. Every `LineCost` is still priced from its own scale's
 //! logical sizes: the report is the one runs without the memo produce.
 
 use crate::error::{ActivePyError, Result};

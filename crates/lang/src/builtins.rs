@@ -21,7 +21,7 @@ use crate::par::ParEngine;
 use crate::shape::{Charge, Shape, ShapeFn};
 use crate::simd;
 use crate::table::{selected_rows, take_rows, Column, Table};
-use crate::value::{ArrayVal, Value};
+use crate::value::{type_err, ArrayVal, Value};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::{Arc, LazyLock, OnceLock};
@@ -187,10 +187,10 @@ pub struct KernelCtx<'a> {
     /// The evaluator's group-index memo; `None` where no evaluator runs.
     pub(crate) groups: Option<&'a GroupMemo>,
     /// The memo lent to the evaluator, with the running line's index:
-    /// `matmul`, `gram`, `kmeans_assign` and `decode` take their label-free
-    /// result from it when an earlier run's same line read the same
-    /// buffers. `None` — the default everywhere but the sampling phase's
-    /// runs — computes every call.
+    /// `kmeans_assign` and `decode` take their label-free result from it
+    /// when an earlier run's same line read the same buffers. `None` — the
+    /// default everywhere but the sampling phase's runs — computes every
+    /// call.
     pub(crate) memo: Option<(&'a KernelMemo, usize)>,
 }
 
@@ -222,10 +222,11 @@ impl<'a> KernelCtx<'a> {
     }
 }
 
-/// A builtin kernel: already-evaluated arguments plus execution context in,
-/// value and analytic cost out. Function pointers (not trait objects) so the
-/// lowered VM dispatches with one indirect call and zero allocation.
-pub type KernelFn = for<'a> fn(&[Value], &KernelCtx<'a>) -> Result<BuiltinOutput>;
+/// A builtin kernel: its row's name, the arguments its row admitted and
+/// the execution context in; value and analytic cost out. Function
+/// pointers (not trait objects) so the lowered VM dispatches with one
+/// indirect call and zero allocation.
+pub type KernelFn = for<'a> fn(&'static str, &[Value], &KernelCtx<'a>) -> Result<BuiltinOutput>;
 
 /// A builtin's static result type, as copy elimination infers it: "if
 /// ActivePy can determine the target type of memory objects" (§III-C0c).
@@ -239,6 +240,27 @@ pub(crate) enum ResultType {
     /// observed it: the call reads storage.
     Stored,
 }
+
+/// One argument of a builtin, as its row declares it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Arg {
+    /// A value of this type.
+    Is(StaticType),
+    /// A number or an array: the unary math rows.
+    NumOrArray,
+    /// Any value: `len`.
+    Any,
+}
+
+const NUM: Arg = Arg::Is(StaticType::Num);
+const STR: Arg = Arg::Is(StaticType::Str);
+const ARRAY: Arg = Arg::Is(StaticType::Array);
+const MASK: Arg = Arg::Is(StaticType::BoolArray);
+const TABLE: Arg = Arg::Is(StaticType::Table);
+const MATRIX: Arg = Arg::Is(StaticType::Matrix);
+const CSR: Arg = Arg::Is(StaticType::Csr);
+const FOREST: Arg = Arg::Is(StaticType::Forest);
+const ENCODED: Arg = Arg::Is(StaticType::Encoded);
 
 /// How a builtin's output rows line up with row-sharded arguments
 /// ([`crate::shard::analyze`]).
@@ -260,14 +282,18 @@ pub(crate) enum RowRule {
     Fence,
 }
 
+use Arg::{Any, NumOrArray};
 use ResultType::{FirstArg, Fixed, Stored};
 use RowRule::{Elementwise, Fence, FirstOnly, ModelThenRows, SelectFirst};
 
-/// One builtin: its name, its kernel, the two rules the analyses read and
-/// what sampling may skip of it.
+/// One builtin: its name, its kernel, its signature, the two rules the
+/// analyses read and what sampling may skip of it.
 struct Kernel {
     name: &'static str,
     func: KernelFn,
+    /// The arguments, in order: every call is checked against them
+    /// ([`Kernel::check`]) before its kernel or shape charge runs.
+    args: &'static [Arg],
     result: ResultType,
     rows: RowRule,
     /// The arguments whose values, not only types and sizes, the kernel's
@@ -278,9 +304,50 @@ struct Kernel {
     shape: Option<ShapeFn>,
 }
 
+impl Kernel {
+    /// `args` against the row: their number first, then each one's type in
+    /// order.
+    fn check(&self, args: &[Value]) -> Result<()> {
+        if args.len() != self.args.len() {
+            return Err(LangError::Arity {
+                name: self.name.to_owned(),
+                expected: self.args.len(),
+                got: args.len(),
+            });
+        }
+        for (arg, value) in self.args.iter().zip(args) {
+            match *arg {
+                Arg::Is(wanted) if StaticType::of(value) != wanted => {
+                    return Err(type_err(wanted, value));
+                }
+                NumOrArray if !matches!(value, Value::Num(_) | Value::Array(_)) => {
+                    return Err(LangError::type_error(format!(
+                        "{} expects num or array, got {}",
+                        self.name,
+                        value.type_name()
+                    )));
+                }
+                _ => {}
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Binds a call's arguments by type — `checked!([Array(x), Num(k)] = args)`
+/// — where [`Kernel::check`] has already admitted those types.
+macro_rules! checked {
+    ([$($ty:ident($bind:pat)),+] = $args:expr) => {
+        let [$(Value::$ty($bind)),+] = $args else {
+            unreachable!("arguments are checked against the row")
+        };
+    };
+}
+
 const fn row(
     name: &'static str,
     func: KernelFn,
+    args: &'static [Arg],
     result: ResultType,
     rows: RowRule,
     by_value: &'static [usize],
@@ -289,6 +356,7 @@ const fn row(
     Kernel {
         name,
         func,
+        args,
         result,
         rows,
         by_value,
@@ -296,42 +364,43 @@ const fn row(
     }
 }
 
-/// The builtins: the one place a name, its kernel, its result type, its
-/// row rule, its by-value arguments and its shape charge are written down.
+/// The builtins: the one place a name, its kernel, its argument types, its
+/// result type, its row rule, its by-value arguments and its shape charge
+/// are written down.
 #[rustfmt::skip]
 static KERNELS: &[Kernel] = &[
-    row("scan",          k_scan,          Stored,                    Fence,         &[0],    None),
-    row("col",           k_col,           Fixed(StaticType::Array),  SelectFirst,   &[1],    None),
-    row("filter",        k_filter,        Fixed(StaticType::Table),  SelectFirst,   &[1],    None),
-    row("select",        k_select,        Fixed(StaticType::Array),  SelectFirst,   &[1],    Some(select_charge)),
-    row("len",           k_len,           Fixed(StaticType::Num),    Fence,         &[],     Some(len_charge)),
-    row("sum",           k_sum,           Fixed(StaticType::Num),    Fence,         &[],     Some(sum_charge)),
-    row("mean",          k_mean,          Fixed(StaticType::Num),    Fence,         &[],     Some(mean_charge)),
-    row("minv",          k_minv,          Fixed(StaticType::Num),    Fence,         &[],     Some(minv_charge)),
-    row("maxv",          k_maxv,          Fixed(StaticType::Num),    Fence,         &[],     Some(maxv_charge)),
-    row("count",         k_count,         Fixed(StaticType::Num),    Fence,         &[],     Some(count_charge)),
-    row("exp",           k_exp,           FirstArg,                  Elementwise,   &[],     Some(exp_charge)),
-    row("log",           k_log,           FirstArg,                  Elementwise,   &[],     Some(log_charge)),
-    row("sqrt",          k_sqrt,          FirstArg,                  Elementwise,   &[],     Some(sqrt_charge)),
-    row("erf",           k_erf,           FirstArg,                  Elementwise,   &[],     Some(erf_charge)),
-    row("abs",           k_abs,           FirstArg,                  Elementwise,   &[],     Some(abs_charge)),
-    row("sort",          k_sort,          Fixed(StaticType::Array),  Fence,         &[0],    None),
-    row("dot",           k_dot,           Fixed(StaticType::Num),    Fence,         &[],     Some(dot_charge)),
-    row("where",         k_where,         Fixed(StaticType::Array),  Elementwise,   &[],     Some(where_charge)),
-    row("group_sum",     group_sum,       Fixed(StaticType::Table),  Fence,         &[0],    None),
-    row("matmul",        k_matmul,        Fixed(StaticType::Matrix), FirstOnly,     &[],     Some(matmul_charge)),
-    row("gemm_batch",    gemm_batch,      Fixed(StaticType::Matrix), FirstOnly,     &[],     Some(gemm_batch_charge)),
-    row("to_csr",        k_to_csr,        Fixed(StaticType::Csr),    Fence,         &[0],    None),
-    row("spmv",          k_spmv,          Fixed(StaticType::Array),  Fence,         &[],     Some(spmv_charge)),
-    row("pagerank_step", k_pagerank_step, Fixed(StaticType::Array),  Fence,         &[],     Some(pagerank_step_charge)),
-    row("kmeans_assign", kmeans_assign,   Fixed(StaticType::Array),  FirstOnly,     &[],     Some(kmeans_assign_charge)),
-    row("kmeans_update", kmeans_update,   Fixed(StaticType::Matrix), Fence,         &[1, 2], Some(kmeans_update_charge)),
-    row("forest_score",  forest_score,    Fixed(StaticType::Array),  ModelThenRows, &[0, 1], None),
-    row("gather",        k_gather,        Fixed(StaticType::Array),  Fence,         &[1],    None),
-    row("frob",          k_frob,          Fixed(StaticType::Num),    Fence,         &[],     Some(frob_charge)),
-    row("gram",          k_gram,          Fixed(StaticType::Matrix), Fence,         &[],     Some(gram_charge)),
-    row("scan_raw",      k_scan_raw,      Stored,                    Fence,         &[0],    None),
-    row("decode",        k_decode,        Fixed(StaticType::Array),  Elementwise,   &[0],    None),
+    row("scan",          k_scan,          &[STR],                Stored,                    Fence,         &[0],    None),
+    row("col",           k_col,           &[TABLE, STR],         Fixed(StaticType::Array),  SelectFirst,   &[1],    None),
+    row("filter",        k_filter,        &[TABLE, MASK],        Fixed(StaticType::Table),  SelectFirst,   &[1],    None),
+    row("select",        k_select,        &[ARRAY, MASK],        Fixed(StaticType::Array),  SelectFirst,   &[1],    Some(select_charge)),
+    row("len",           k_len,           &[Any],                Fixed(StaticType::Num),    Fence,         &[],     Some(len_charge)),
+    row("sum",           reduce,          &[ARRAY],              Fixed(StaticType::Num),    Fence,         &[],     Some(reduce_charge)),
+    row("mean",          reduce,          &[ARRAY],              Fixed(StaticType::Num),    Fence,         &[],     Some(reduce_charge)),
+    row("minv",          reduce,          &[ARRAY],              Fixed(StaticType::Num),    Fence,         &[],     Some(reduce_charge)),
+    row("maxv",          reduce,          &[ARRAY],              Fixed(StaticType::Num),    Fence,         &[],     Some(reduce_charge)),
+    row("count",         k_count,         &[MASK],               Fixed(StaticType::Num),    Fence,         &[],     Some(count_charge)),
+    row("exp",           unary_math,      &[NumOrArray],         FirstArg,                  Elementwise,   &[],     Some(unary_charge)),
+    row("log",           unary_math,      &[NumOrArray],         FirstArg,                  Elementwise,   &[],     Some(unary_charge)),
+    row("sqrt",          unary_math,      &[NumOrArray],         FirstArg,                  Elementwise,   &[],     Some(unary_charge)),
+    row("erf",           unary_math,      &[NumOrArray],         FirstArg,                  Elementwise,   &[],     Some(unary_charge)),
+    row("abs",           unary_math,      &[NumOrArray],         FirstArg,                  Elementwise,   &[],     Some(unary_charge)),
+    row("sort",          k_sort,          &[ARRAY],              Fixed(StaticType::Array),  Fence,         &[0],    None),
+    row("dot",           k_dot,           &[ARRAY, ARRAY],       Fixed(StaticType::Num),    Fence,         &[],     Some(dot_charge)),
+    row("where",         k_where,         &[MASK, ARRAY, ARRAY], Fixed(StaticType::Array),  Elementwise,   &[],     Some(where_charge)),
+    row("group_sum",     group_sum,       &[ARRAY, ARRAY],       Fixed(StaticType::Table),  Fence,         &[0],    None),
+    row("matmul",        k_matmul,        &[MATRIX, MATRIX],     Fixed(StaticType::Matrix), FirstOnly,     &[],     Some(matmul_charge)),
+    row("gemm_batch",    gemm_batch,      &[MATRIX, MATRIX],     Fixed(StaticType::Matrix), FirstOnly,     &[],     Some(gemm_batch_charge)),
+    row("to_csr",        k_to_csr,        &[MATRIX],             Fixed(StaticType::Csr),    Fence,         &[0],    None),
+    row("spmv",          k_spmv,          &[CSR, ARRAY],         Fixed(StaticType::Array),  Fence,         &[],     Some(spmv_charge)),
+    row("pagerank_step", k_pagerank_step, &[CSR, ARRAY, NUM],    Fixed(StaticType::Array),  Fence,         &[],     Some(pagerank_step_charge)),
+    row("kmeans_assign", kmeans_assign,   &[MATRIX, MATRIX],     Fixed(StaticType::Array),  FirstOnly,     &[],     Some(kmeans_assign_charge)),
+    row("kmeans_update", kmeans_update,   &[MATRIX, ARRAY, NUM], Fixed(StaticType::Matrix), Fence,         &[1, 2], Some(kmeans_update_charge)),
+    row("forest_score",  forest_score,    &[FOREST, MATRIX],     Fixed(StaticType::Array),  ModelThenRows, &[0, 1], None),
+    row("gather",        k_gather,        &[ARRAY, ARRAY],       Fixed(StaticType::Array),  Fence,         &[1],    None),
+    row("frob",          k_frob,          &[MATRIX],             Fixed(StaticType::Num),    Fence,         &[],     Some(frob_charge)),
+    row("gram",          k_gram,          &[MATRIX],             Fixed(StaticType::Matrix), Fence,         &[],     Some(gram_charge)),
+    row("scan_raw",      k_scan_raw,      &[STR],                Stored,                    Fence,         &[0],    None),
+    row("decode",        k_decode,        &[ENCODED],            Fixed(StaticType::Array),  Elementwise,   &[0],    None),
 ];
 
 /// Dense identifier of a builtin kernel: an index into the dispatch table,
@@ -358,7 +427,9 @@ impl KernelId {
     /// Arity, type, and kernel-specific shape errors, exactly as [`call`]
     /// with the same name would produce.
     pub fn invoke_in(self, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-        (self.kernel().func)(args, ctx)
+        let kernel = self.kernel();
+        kernel.check(args)?;
+        (kernel.func)(kernel.name, args, ctx)
     }
 
     /// The call's static result type.
@@ -389,8 +460,10 @@ impl KernelId {
     ///
     /// The arity, type and shape errors [`Self::invoke_in`] raises.
     pub(crate) fn charge(self, args: &[Value]) -> Result<Charge> {
-        let shape = self.kernel().shape;
-        (shape.expect("a call charged from shapes has a shape function"))(args)
+        let kernel = self.kernel();
+        let shape = kernel.shape;
+        kernel.check(args)?;
+        (shape.expect("a call charged from shapes has a shape function"))(kernel.name, args)
     }
 
     /// Whether the call reads a stored dataset.
@@ -453,9 +526,8 @@ pub fn call_in(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<Builti
     }
 }
 
-fn k_scan(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let [a] = expect_args::<1>("scan", args)?;
-    let name = a.as_str()?;
+fn k_scan(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    checked!([Str(name)] = args);
     let value = ctx.storage.get(name)?.clone();
     if matches!(value, Value::Encoded(_)) {
         return Err(LangError::type_error(format!(
@@ -470,12 +542,11 @@ fn k_scan(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     })
 }
 
-fn k_scan_raw(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn k_scan_raw(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     // Reads a dataset *without* decoding: the result is the encoded byte
     // stream, so only `Encoding::encoded_logical_bytes` move off flash
     // and the decode stage becomes a separately placeable line.
-    let [a] = expect_args::<1>("scan_raw", args)?;
-    let name = a.as_str()?;
+    checked!([Str(name)] = args);
     let value = ctx.storage.get(name)?.clone();
     if !matches!(value, Value::Encoded(_)) {
         return Err(LangError::type_error(format!(
@@ -490,11 +561,10 @@ fn k_scan_raw(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     })
 }
 
-fn k_decode(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn k_decode(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     use csd_sim::wire::Codec;
 
-    let [a] = expect_args::<1>("decode", args)?;
-    let e = a.as_encoded()?;
+    checked!([Encoded(e)] = args);
     let encoding = *e.encoding();
     // One encoded chunk per grid chunk: decode parallelizes over exactly
     // the deterministic ENCODED_CHUNK_ELEMS boundaries the value was
@@ -551,12 +621,10 @@ fn k_decode(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn k_col(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let [t, c] = expect_args::<2>("col", args)?;
-    let table = t.as_table()?;
-    let column = table.column(c.as_str()?)?;
+fn k_col(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    checked!([Table(table), Str(name)] = args);
     // An f64 column is already the array's representation: share it.
-    let data = match column {
+    let data = match table.column(name)? {
         Column::F64(v) => Arc::clone(v),
         Column::Dict { codes, .. } => Arc::new(codes.iter().map(|c| f64::from(*c)).collect()),
     };
@@ -567,20 +635,16 @@ fn k_col(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn k_filter(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let [t, m] = expect_args::<2>("filter", args)?;
-    let table = t.as_table()?;
-    let mask = m.as_bool_array()?;
+fn k_filter(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    checked!([Table(table), BoolArray(mask)] = args);
     let out = table.filter_with(mask.data(), ctx.par)?;
     let ops = table.logical_rows() * (1 + table.column_count() as u64 * weights::GATHER);
     Ok(BuiltinOutput::new(Value::Table(out), ops))
 }
 
 /// `select`'s charge reads its mask: the result keeps its `true` rows.
-fn select_charge(args: &[Value]) -> Result<Charge> {
-    let [a, m] = expect_args::<2>("select", args)?;
-    let arr = a.as_array()?;
-    let mask = m.as_bool_array()?;
+fn select_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Array(arr), BoolArray(mask)] = args);
     if arr.len() != mask.len() {
         return Err(LangError::runtime(format!(
             "select: array has {} elements, mask has {}",
@@ -597,9 +661,9 @@ fn select_charge(args: &[Value]) -> Result<Charge> {
     ))
 }
 
-fn k_select(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = select_charge(args)?;
-    let (arr, mask) = (args[0].as_array()?, args[1].as_bool_array()?);
+fn k_select(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = select_charge(name, args)?;
+    checked!([Array(arr), BoolArray(mask)] = args);
     // Chunk-ordered concat of per-chunk selections == the serial selection.
     let data = take_rows(arr.data(), &selected_rows(mask.data()), Some(ctx.par));
     Ok(BuiltinOutput::new(
@@ -608,112 +672,41 @@ fn k_select(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn len_charge(args: &[Value]) -> Result<Charge> {
-    expect_args::<1>("len", args)?;
+fn len_charge(_: &str, _: &[Value]) -> Result<Charge> {
     Ok(Charge::new(Shape::Num, 1))
 }
 
-fn k_len(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = len_charge(args)?;
+fn k_len(name: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = len_charge(name, args)?;
     Ok(BuiltinOutput::new(
         Value::Num(args[0].logical_elems() as f64),
         ops,
     ))
 }
 
-fn sum_charge(args: &[Value]) -> Result<Charge> {
-    reduce_charge("sum", args)
-}
-
-fn mean_charge(args: &[Value]) -> Result<Charge> {
-    reduce_charge("mean", args)
-}
-
-fn minv_charge(args: &[Value]) -> Result<Charge> {
-    reduce_charge("minv", args)
-}
-
-fn maxv_charge(args: &[Value]) -> Result<Charge> {
-    reduce_charge("maxv", args)
-}
-
-fn k_sum(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    reduce("sum", args, ctx.par)
-}
-
-fn k_mean(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    reduce("mean", args, ctx.par)
-}
-
-fn k_minv(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    reduce("minv", args, ctx.par)
-}
-
-fn k_maxv(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    reduce("maxv", args, ctx.par)
-}
-
-fn count_charge(args: &[Value]) -> Result<Charge> {
-    let [m] = expect_args::<1>("count", args)?;
-    let mask = m.as_bool_array()?;
+fn count_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([BoolArray(mask)] = args);
     Ok(Charge::new(
         Shape::Num,
         mask.logical_len() * weights::REDUCE,
     ))
 }
 
-fn k_count(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = count_charge(args)?;
-    let mask = args[0].as_bool_array()?;
+fn k_count(name: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = count_charge(name, args)?;
+    checked!([BoolArray(mask)] = args);
     let logical_count = (mask.logical_len() as f64 * mask.selectivity()).round();
     Ok(BuiltinOutput::new(Value::Num(logical_count), ops))
 }
 
-fn exp_charge(args: &[Value]) -> Result<Charge> {
-    unary_charge("exp", args, weights::TRANSCENDENTAL)
-}
-
-fn log_charge(args: &[Value]) -> Result<Charge> {
-    unary_charge("log", args, weights::TRANSCENDENTAL)
-}
-
-fn sqrt_charge(args: &[Value]) -> Result<Charge> {
-    unary_charge("sqrt", args, weights::SQRT)
-}
-
-fn erf_charge(args: &[Value]) -> Result<Charge> {
-    unary_charge("erf", args, weights::ERF)
-}
-
-fn abs_charge(args: &[Value]) -> Result<Charge> {
-    unary_charge("abs", args, weights::VIEW)
-}
-
-fn k_exp(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math(exp_charge(args)?, args, f64::exp, ctx.par)
-}
-
-fn k_log(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math(log_charge(args)?, args, f64::ln, ctx.par)
-}
-
-fn k_sqrt(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math(sqrt_charge(args)?, args, f64::sqrt, ctx.par)
-}
-
-fn k_erf(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math(erf_charge(args)?, args, erf, ctx.par)
-}
-
-fn k_abs(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    unary_math(abs_charge(args)?, args, f64::abs, ctx.par)
-}
-
-fn k_sort(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let [a] = expect_args::<1>("sort", args)?;
-    let arr = a.as_array()?;
+fn k_sort(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    checked!([Array(arr)] = args);
+    if arr.data().iter().any(|x| x.is_nan()) {
+        return Err(LangError::runtime("sort: cannot order NaN"));
+    }
     let mut data = arr.data().to_vec();
-    data.sort_by(|x, y| x.partial_cmp(y).expect("no NaN in sort inputs"));
+    // Stable, and `-0.0` equals `0.0`: equal values keep their input order.
+    data.sort_by(|x, y| x.partial_cmp(y).expect("NaN refused above"));
     let n = arr.logical_len();
     let ops = weights::SORT * n * (n.max(2) as f64).log2().ceil() as u64;
     Ok(BuiltinOutput::new(
@@ -722,27 +715,24 @@ fn k_sort(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn dot_charge(args: &[Value]) -> Result<Charge> {
-    let [a, b] = expect_args::<2>("dot", args)?;
-    let (x, y) = (a.as_array()?, b.as_array()?);
+fn dot_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Array(x), Array(y)] = args);
     if x.len() != y.len() {
         return Err(LangError::runtime("dot: length mismatch"));
     }
     Ok(Charge::new(Shape::Num, x.logical_len() * weights::REDUCE))
 }
 
-fn k_dot(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = dot_charge(args)?;
-    let (x, y) = (args[0].as_array()?, args[1].as_array()?);
+fn k_dot(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = dot_charge(name, args)?;
+    checked!([Array(x), Array(y)] = args);
     let v = ctx.par.dot(x.data(), y.data());
     Ok(BuiltinOutput::new(Value::Num(v), ops))
 }
 
 /// `where`'s charge reads no value: the result is as long as its choices.
-fn where_charge(args: &[Value]) -> Result<Charge> {
-    let [m, a, b] = expect_args::<3>("where", args)?;
-    let mask = m.as_bool_array()?;
-    let (x, y) = (a.as_array()?, b.as_array()?);
+fn where_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([BoolArray(mask), Array(x), Array(y)] = args);
     if mask.len() != x.len() || x.len() != y.len() {
         return Err(LangError::runtime("where: length mismatch"));
     }
@@ -752,10 +742,9 @@ fn where_charge(args: &[Value]) -> Result<Charge> {
     ))
 }
 
-fn k_where(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = where_charge(args)?;
-    let mask = args[0].as_bool_array()?;
-    let (x, y) = (args[1].as_array()?, args[2].as_array()?);
+fn k_where(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = where_charge(name, args)?;
+    checked!([BoolArray(mask), Array(x), Array(y)] = args);
     let (keep, xs, ys) = (mask.data(), x.data(), y.data());
     // Element-local, so chunk-ordered concat == the serial map.
     let data: Vec<f64> = match ctx.par.map_chunks(xs.len(), 1, |_, r| {
@@ -778,9 +767,8 @@ fn k_where(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn matmul_charge(args: &[Value]) -> Result<Charge> {
-    let [a, b] = expect_args::<2>("matmul", args)?;
-    let (x, y) = (a.as_matrix()?, b.as_matrix()?);
+fn matmul_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Matrix(x), Matrix(y)] = args);
     x.check_matmul(y)?;
     let shape = Shape::Matrix {
         rows: x.rows(),
@@ -792,25 +780,25 @@ fn matmul_charge(args: &[Value]) -> Result<Charge> {
     Ok(Charge::new(shape, ops))
 }
 
-fn k_matmul(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = matmul_charge(args)?;
-    let (x, y) = (args[0].as_matrix()?, args[1].as_matrix()?);
-    let block = ctx.reuse("matmul", args, || x.matmul_block(y, Some(ctx.par)))?;
-    Ok(BuiltinOutput::new(Value::Matrix(shape.matrix(block)?), ops))
+fn k_matmul(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = matmul_charge(name, args)?;
+    checked!([Matrix(x), Matrix(y)] = args);
+    Ok(BuiltinOutput::new(
+        Value::Matrix(x.matmul_with(y, ctx.par)?),
+        ops,
+    ))
 }
 
-fn k_to_csr(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let [a] = expect_args::<1>("to_csr", args)?;
-    let m = a.as_matrix()?;
+fn k_to_csr(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    checked!([Matrix(m)] = args);
     let csr = m.to_csr();
     let ops = weights::TO_CSR * m.logical_rows() * m.logical_cols();
     Ok(BuiltinOutput::new(Value::Csr(csr), ops))
 }
 
-fn spmv_charge(args: &[Value]) -> Result<Charge> {
-    let [a, x] = expect_args::<2>("spmv", args)?;
-    let csr = a.as_csr()?;
-    csr.check_spmv(x.as_array()?.len())?;
+fn spmv_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Csr(csr), Array(x)] = args);
+    csr.check_spmv(x.len())?;
     let shape = Shape::Array {
         len: csr.rows(),
         logical: csr.logical_rows(),
@@ -818,21 +806,18 @@ fn spmv_charge(args: &[Value]) -> Result<Charge> {
     Ok(Charge::new(shape, weights::SPMV * csr.logical_nnz()))
 }
 
-fn k_spmv(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = spmv_charge(args)?;
-    let (csr, vec) = (args[0].as_csr()?, args[1].as_array()?);
-    let y = csr.spmv_with(vec.data(), ctx.par)?;
+fn k_spmv(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = spmv_charge(name, args)?;
+    checked!([Csr(csr), Array(x)] = args);
+    let y = csr.spmv_with(x.data(), ctx.par)?;
     Ok(BuiltinOutput::new(
         Value::Array(ArrayVal::with_logical(y, shape.logical_len())),
         ops,
     ))
 }
 
-fn pagerank_step_charge(args: &[Value]) -> Result<Charge> {
-    let [a, r, d] = expect_args::<3>("pagerank_step", args)?;
-    let csr = a.as_csr()?;
-    let ranks = r.as_array()?;
-    d.as_num()?;
+fn pagerank_step_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Csr(csr), Array(ranks), Num(_)] = args);
     csr.check_pagerank(ranks.len())?;
     let shape = Shape::Array {
         len: csr.rows(),
@@ -842,32 +827,37 @@ fn pagerank_step_charge(args: &[Value]) -> Result<Charge> {
     Ok(Charge::new(shape, ops))
 }
 
-fn k_pagerank_step(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = pagerank_step_charge(args)?;
-    let (csr, ranks) = (args[0].as_csr()?, args[1].as_array()?);
-    let next = csr.pagerank_step_with(ranks.data(), args[2].as_num()?, ctx.par)?;
+fn k_pagerank_step(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = pagerank_step_charge(name, args)?;
+    checked!([Csr(csr), Array(ranks), Num(damping)] = args);
+    let next = csr.pagerank_step_with(ranks.data(), *damping, ctx.par)?;
     Ok(BuiltinOutput::new(
         Value::Array(ArrayVal::with_logical(next, shape.logical_len())),
         ops,
     ))
 }
 
-fn k_gather(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn k_gather(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     // An array-index join: `gather(values, idx)[i] = values[idx[i]]`
     // — how a dense-key hash join (TPC-H Q14's lineitem ⋈ part)
     // probes its build side.
-    let [v, idx] = expect_args::<2>("gather", args)?;
-    let values = v.as_array()?;
-    let indices = idx.as_array()?;
+    checked!([Array(values), Array(indices)] = args);
     let mut out = Vec::with_capacity(indices.len());
     for raw in indices.data() {
+        // `as usize` saturates a negative or NaN index to 0 and truncates
+        // a fraction: only an index it keeps whole names a value.
         let i = *raw as usize;
-        let x = values.data().get(i).copied().ok_or_else(|| {
-            LangError::runtime(format!(
-                "gather: index {i} out of range for {} values",
-                values.len()
-            ))
-        })?;
+        let x = values
+            .data()
+            .get(i)
+            .filter(|_| i as f64 == *raw)
+            .copied()
+            .ok_or_else(|| {
+                LangError::runtime(format!(
+                    "gather: index {raw} out of range for {} values",
+                    values.len()
+                ))
+            })?;
         out.push(x);
     }
     Ok(BuiltinOutput::new(
@@ -876,25 +866,23 @@ fn k_gather(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn frob_charge(args: &[Value]) -> Result<Charge> {
-    let [a] = expect_args::<1>("frob", args)?;
-    let m = a.as_matrix()?;
+fn frob_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Matrix(m)] = args);
     let ops = m.logical_rows() * m.logical_cols() * weights::REDUCE;
     Ok(Charge::new(Shape::Num, ops))
 }
 
-fn k_frob(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = frob_charge(args)?;
-    let m = args[0].as_matrix()?;
+fn k_frob(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = frob_charge(name, args)?;
+    checked!([Matrix(m)] = args);
     let ss = ctx.par.sum_by(m.data(), |x| x * x);
     // Extrapolate the sum of squares to logical scale, like `sum`.
     let ratio = (m.logical_rows() * m.logical_cols()) as f64 / (m.rows() * m.cols()).max(1) as f64;
     Ok(BuiltinOutput::new(Value::Num((ss * ratio).sqrt()), ops))
 }
 
-fn gram_charge(args: &[Value]) -> Result<Charge> {
-    let [a] = expect_args::<1>("gram", args)?;
-    let m = a.as_matrix()?;
+fn gram_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Matrix(m)] = args);
     let d = m.cols();
     let shape = Shape::Matrix {
         rows: d,
@@ -908,11 +896,11 @@ fn gram_charge(args: &[Value]) -> Result<Charge> {
     ))
 }
 
-fn k_gram(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+fn k_gram(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     // `gram(M) = Mᵀ·M`, the d×d Gram matrix of an n×d feature
     // block; the classic second stage after a projection GEMM.
-    let Charge { shape, ops } = gram_charge(args)?;
-    let m = args[0].as_matrix()?;
+    let Charge { shape, ops } = gram_charge(name, args)?;
+    checked!([Matrix(m)] = args);
     let (n, d) = (m.rows(), m.cols());
     // One row at a time: each nonzero `x = row[i]` adds `x * row` to row
     // `i` of the accumulator, so every cell sums its products in row order.
@@ -930,7 +918,7 @@ fn k_gram(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
         }
     };
     // Per-chunk d×d partials, combined in chunk order.
-    let sum_rows = || match ctx.par.map_chunks(n, d, |_, rows| {
+    let mut sums = match ctx.par.map_chunks(n, d, |_, rows| {
         let mut acc = vec![0.0; d * d];
         accumulate(&mut acc, rows);
         acc
@@ -950,47 +938,35 @@ fn k_gram(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
             acc
         }
     };
-    let sums = ctx.reuse("gram", args, || Ok(sum_rows()))?;
-    // Scale accumulated sums to logical row count; kept sums are copied,
-    // unshared ones rescaled in place.
-    let mut out = Arc::unwrap_or_clone(sums);
+    // Scale accumulated sums to logical row count.
     let ratio = m.logical_rows() as f64 / n.max(1) as f64;
-    for v in &mut out {
+    for v in &mut sums {
         *v *= ratio;
     }
     Ok(BuiltinOutput::new(
-        Value::Matrix(shape.matrix(Arc::new(out))?),
+        Value::Matrix(shape.matrix(Arc::new(sums))?),
         ops,
     ))
 }
 
-fn expect_args<'a, const N: usize>(name: &str, args: &'a [Value]) -> Result<&'a [Value; N]> {
-    args.try_into().map_err(|_| LangError::Arity {
-        name: name.to_owned(),
-        expected: N,
-        got: args.len(),
-    })
-}
-
 fn reduce_charge(name: &str, args: &[Value]) -> Result<Charge> {
-    let [a] = expect_args::<1>(name, args)?;
-    let arr = a.as_array()?;
+    checked!([Array(arr)] = args);
     if arr.is_empty() {
         return Err(LangError::runtime(format!("{name}: empty array")));
     }
     Ok(Charge::new(Shape::Num, arr.logical_len() * weights::REDUCE))
 }
 
-fn reduce(name: &str, args: &[Value], par: &ParEngine) -> Result<BuiltinOutput> {
+/// `sum`, `mean`, `minv` and `maxv`.
+fn reduce(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     let Charge { ops, .. } = reduce_charge(name, args)?;
-    let arr = args[0].as_array()?;
-    let data = arr.data();
-    let ratio = arr.scale_ratio();
+    checked!([Array(arr)] = args);
+    let (data, par) = (arr.data(), ctx.par);
     let v = match name {
         // Sums extrapolate to logical scale; the sample total stands for the
         // whole dataset. Chunk-ordered partial sums keep the result
         // identical at any thread count.
-        "sum" => par.sum(data) * ratio,
+        "sum" => par.sum(data) * arr.scale_ratio(),
         "mean" => par.sum(data) / data.len() as f64,
         "minv" => par.min(data),
         "maxv" => par.max(data),
@@ -999,26 +975,42 @@ fn reduce(name: &str, args: &[Value], par: &ParEngine) -> Result<BuiltinOutput> 
     Ok(BuiltinOutput::new(Value::Num(v), ops))
 }
 
-fn unary_charge(name: &str, args: &[Value], weight: u64) -> Result<Charge> {
-    let [a] = expect_args::<1>(name, args)?;
-    match a {
-        Value::Num(_) => Ok(Charge::new(Shape::Num, weight)),
-        Value::Array(arr) => Ok(Charge::new(Shape::array(arr), arr.logical_len() * weight)),
-        other => Err(LangError::type_error(format!(
-            "{name} expects num or array, got {}",
-            other.type_name()
-        ))),
-    }
+fn unary_charge(name: &str, args: &[Value]) -> Result<Charge> {
+    let weight = match name {
+        "exp" | "log" => weights::TRANSCENDENTAL,
+        "sqrt" => weights::SQRT,
+        "erf" => weights::ERF,
+        "abs" => weights::VIEW,
+        _ => unreachable!("unary_charge called with {name}"),
+    };
+    Ok(match &args[0] {
+        Value::Array(arr) => Charge::new(Shape::array(arr), arr.logical_len() * weight),
+        _ => Charge::new(Shape::Num, weight),
+    })
 }
 
-/// `f` over the one argument `charge` admitted.
-fn unary_math(
+/// `exp`, `log`, `sqrt`, `erf` and `abs`, each instantiated on its own
+/// function so the element loop inlines it.
+fn unary_math(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let (charge, arg, par) = (unary_charge(name, args)?, &args[0], ctx.par);
+    Ok(match name {
+        "exp" => map_unary(charge, arg, f64::exp, par),
+        "log" => map_unary(charge, arg, f64::ln, par),
+        "sqrt" => map_unary(charge, arg, f64::sqrt, par),
+        "erf" => map_unary(charge, arg, erf, par),
+        "abs" => map_unary(charge, arg, f64::abs, par),
+        _ => unreachable!("unary_math called with {name}"),
+    })
+}
+
+/// `f` over a number or each element of an array.
+fn map_unary(
     Charge { shape, ops }: Charge,
-    args: &[Value],
+    arg: &Value,
     f: impl Fn(f64) -> f64 + Sync,
     par: &ParEngine,
-) -> Result<BuiltinOutput> {
-    let value = match &args[0] {
+) -> BuiltinOutput {
+    let value = match arg {
         Value::Array(arr) => {
             let data: Vec<f64> = match par.map_elems(arr.data(), &f) {
                 Some(mapped) => mapped,
@@ -1026,9 +1018,10 @@ fn unary_math(
             };
             Value::Array(ArrayVal::with_logical(data, shape.logical_len()))
         }
-        n => Value::Num(f(n.as_num()?)),
+        Value::Num(x) => Value::Num(f(*x)),
+        _ => unreachable!("arguments are checked against the row"),
     };
-    Ok(BuiltinOutput::new(value, ops))
+    BuiltinOutput::new(value, ops)
 }
 
 /// Abramowitz–Stegun 7.1.26 rational approximation of the error function
@@ -1174,10 +1167,8 @@ pub(crate) type GroupMemo = RefCell<Option<GroupIndex>>;
 /// very key buffer, built otherwise) and *add the column* (`sums[slot] +=
 /// x` in row order, so a group's sum is the one an ordered map keyed the
 /// same way accumulates).
-fn group_sum(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let [k, v] = expect_args::<2>("group_sum", args)?;
-    let keys = k.as_array()?;
-    let vals = v.as_array()?;
+fn group_sum(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    checked!([Array(keys), Array(vals)] = args);
     if keys.len() != vals.len() {
         return Err(LangError::runtime("group_sum: length mismatch"));
     }
@@ -1223,9 +1214,8 @@ fn group_sum(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn gemm_batch_charge(args: &[Value]) -> Result<Charge> {
-    let [a, b] = expect_args::<2>("gemm_batch", args)?;
-    let (x, y) = (a.as_matrix()?, b.as_matrix()?);
+fn gemm_batch_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Matrix(x), Matrix(y)] = args);
     // The logical row count encodes the batch dimension: a logical
     // (B·n × n) input materialized as one representative n × n block.
     if x.rows() == 0 || x.logical_rows() % x.rows() as u64 != 0 {
@@ -1245,9 +1235,9 @@ fn gemm_batch_charge(args: &[Value]) -> Result<Charge> {
     Ok(Charge::new(shape, weights::MADD * batches * n * k * m))
 }
 
-fn gemm_batch(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = gemm_batch_charge(args)?;
-    let (x, y) = (args[0].as_matrix()?, args[1].as_matrix()?);
+fn gemm_batch(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = gemm_batch_charge(name, args)?;
+    checked!([Matrix(x), Matrix(y)] = args);
     let block = x.matmul_with(y, ctx.par)?;
     Ok(BuiltinOutput::new(
         Value::Matrix(shape.matrix(Arc::clone(block.buffer()))?),
@@ -1255,10 +1245,8 @@ fn gemm_batch(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn kmeans_assign_charge(args: &[Value]) -> Result<Charge> {
-    let [p, c] = expect_args::<2>("kmeans_assign", args)?;
-    let points = p.as_matrix()?;
-    let centroids = c.as_matrix()?;
+fn kmeans_assign_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Matrix(points), Matrix(centroids)] = args);
     if points.cols() != centroids.cols() {
         return Err(LangError::runtime("kmeans_assign: dimension mismatch"));
     }
@@ -1274,9 +1262,9 @@ fn kmeans_assign_charge(args: &[Value]) -> Result<Charge> {
     Ok(Charge::new(shape, ops))
 }
 
-fn kmeans_assign(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = kmeans_assign_charge(args)?;
-    let (points, centroids) = (args[0].as_matrix()?, args[1].as_matrix()?);
+fn kmeans_assign(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = kmeans_assign_charge(name, args)?;
+    checked!([Matrix(points), Matrix(centroids)] = args);
     let assign = ctx.reuse("kmeans_assign", args, || {
         Ok(nearest_centroids(points, centroids, ctx.par))
     })?;
@@ -1336,11 +1324,9 @@ fn nearest_centroids(points: &Matrix, centroids: &Matrix, par: &ParEngine) -> Ve
 
 /// `kmeans_update`'s charge reads `k`, which sizes the result, and the
 /// assignments, which must each name one of the `k` clusters.
-fn kmeans_update_charge(args: &[Value]) -> Result<Charge> {
-    let [p, a, k] = expect_args::<3>("kmeans_update", args)?;
-    let points = p.as_matrix()?;
-    let assign = a.as_array()?;
-    let k = k.as_num()?;
+fn kmeans_update_charge(_: &str, args: &[Value]) -> Result<Charge> {
+    checked!([Matrix(points), Array(assign), Num(k)] = args);
+    let k = *k;
     if assign.len() != points.rows() {
         return Err(LangError::runtime(
             "kmeans_update: assignment length mismatch",
@@ -1376,10 +1362,10 @@ fn kmeans_update_charge(args: &[Value]) -> Result<Charge> {
     ))
 }
 
-fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = kmeans_update_charge(args)?;
-    let (points, assign) = (args[0].as_matrix()?, args[1].as_array()?);
-    let (k, d) = (args[2].as_num()? as usize, points.cols());
+fn kmeans_update(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { shape, ops } = kmeans_update_charge(name, args)?;
+    checked!([Matrix(points), Array(assign), Num(k)] = args);
+    let (k, d) = (*k as usize, points.cols());
     // Per-chunk (sums, counts) partials accumulated over a contiguous row
     // range, every assignment already checked to name a cluster.
     let accumulate = |rows: std::ops::Range<usize>| -> (Vec<f64>, Vec<u64>) {
@@ -1427,10 +1413,8 @@ fn kmeans_update(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     ))
 }
 
-fn forest_score(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let [f, x] = expect_args::<2>("forest_score", args)?;
-    let forest = f.as_forest()?;
-    let feats = x.as_matrix()?;
+fn forest_score(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    checked!([Forest(forest), Matrix(feats)] = args);
     let cols = feats.cols();
     // Flattened once per call; every chunk walks its own rows through it.
     let flat = FlatForest::new(forest, cols);
@@ -1710,6 +1694,43 @@ mod tests {
     }
 
     #[test]
+    fn gather_refuses_an_index_that_names_no_value() {
+        let st = Storage::new();
+        let values = arr(vec![10.0, 20.0, 30.0]);
+        for bad in [-1.0, -0.5, 1.7, f64::NAN, f64::INFINITY, 3.0] {
+            let idx = arr(vec![0.0, bad]);
+            let e = call("gather", &[values.clone(), idx], &st).unwrap_err();
+            let message = format!("gather: index {bad} out of range for 3 values");
+            assert_eq!(e, LangError::runtime(message), "{bad}");
+        }
+        // `-0.0` names the first value.
+        let out = call("gather", &[values, arr(vec![-0.0, 2.0])], &st).expect("gather");
+        assert_eq!(out.value.as_array().expect("arr").data(), &[10.0, 30.0]);
+    }
+
+    #[test]
+    fn sort_refuses_nan_and_keeps_equal_values_in_input_order() {
+        let st = Storage::new();
+        let e = call("sort", &[arr(vec![1.0, f64::NAN, 0.0])], &st).unwrap_err();
+        assert_eq!(e, LangError::runtime("sort: cannot order NaN"));
+        // -0.0 and 0.0 compare equal, so a stable sort keeps their order.
+        let out = call("sort", &[arr(vec![0.0, 1.0, -0.0, -1.0])], &st).expect("sort");
+        let bits: Vec<u64> = out
+            .value
+            .as_array()
+            .expect("arr")
+            .data()
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        let expected: Vec<u64> = [-1.0f64, 0.0, -0.0, 1.0]
+            .iter()
+            .map(|x| x.to_bits())
+            .collect();
+        assert_eq!(bits, expected);
+    }
+
+    #[test]
     fn frob_extrapolates_to_logical_scale() {
         let st = Storage::new();
         let m = Value::Matrix(Matrix::with_logical(vec![3.0, 4.0], 1, 2, 100, 2).expect("m"));
@@ -1804,18 +1825,132 @@ mod tests {
         }
     }
 
+    /// Every row's signature as its errors spell it: arity first, then
+    /// each argument's type in order, with the same error from the kernel
+    /// and from its shape charge.
     #[test]
-    fn arity_errors_name_the_function() {
-        let st = Storage::new();
-        let e = call("sum", &[], &st).unwrap_err();
-        assert!(matches!(
-            e,
-            LangError::Arity {
-                expected: 1,
-                got: 0,
-                ..
+    fn every_row_checks_arity_then_each_argument_type() {
+        const TYPES: [&str; 10] = [
+            "num",
+            "bool",
+            "str",
+            "array",
+            "boolarray",
+            "table",
+            "matrix",
+            "csr",
+            "forest",
+            "encoded",
+        ];
+        #[rustfmt::skip]
+        let signatures: &[(&str, &[&str])] = &[
+            ("scan", &["str"]), ("col", &["table", "str"]),
+            ("filter", &["table", "boolarray"]), ("select", &["array", "boolarray"]),
+            ("len", &["any"]), ("sum", &["array"]), ("mean", &["array"]),
+            ("minv", &["array"]), ("maxv", &["array"]), ("count", &["boolarray"]),
+            ("exp", &["num|array"]), ("log", &["num|array"]), ("sqrt", &["num|array"]),
+            ("erf", &["num|array"]), ("abs", &["num|array"]), ("sort", &["array"]),
+            ("dot", &["array", "array"]), ("where", &["boolarray", "array", "array"]),
+            ("group_sum", &["array", "array"]), ("matmul", &["matrix", "matrix"]),
+            ("gemm_batch", &["matrix", "matrix"]), ("to_csr", &["matrix"]),
+            ("spmv", &["csr", "array"]), ("pagerank_step", &["csr", "array", "num"]),
+            ("kmeans_assign", &["matrix", "matrix"]),
+            ("kmeans_update", &["matrix", "array", "num"]),
+            ("forest_score", &["forest", "matrix"]), ("gather", &["array", "array"]),
+            ("frob", &["matrix"]), ("gram", &["matrix"]), ("scan_raw", &["str"]),
+            ("decode", &["encoded"]),
+        ];
+        let sample = |ty: &str| -> Value {
+            let square = || Matrix::new(vec![1.0, 0.0, 2.0, 3.0], 2, 2).expect("matrix");
+            match ty {
+                "num" => Value::Num(2.0),
+                "bool" => Value::Bool(true),
+                "str" => Value::Str("v".into()),
+                "array" => arr(vec![0.0, 1.0]),
+                "boolarray" => Value::BoolArray(BoolArrayVal::new(vec![true, false])),
+                "table" => Value::Table(
+                    Table::new(vec![("v".into(), Column::F64(Arc::new(vec![1.0, 2.0])))])
+                        .expect("table"),
+                ),
+                "matrix" => Value::Matrix(square()),
+                "csr" => Value::Csr(square().to_csr()),
+                "forest" => Value::Forest(
+                    Forest::new(vec![Tree::new(vec![TreeNode::leaf(1.0)]).expect("tree")], 1)
+                        .expect("forest"),
+                ),
+                "encoded" => Value::Encoded(crate::value::EncodedVal::from_f64s(
+                    csd_sim::wire::Encoding::gzip_shuffled(),
+                    &[1.0, 2.0],
+                    2,
+                )),
+                other => panic!("no sample of `{other}`"),
             }
-        ));
+        };
+        // A value of the first type each argument accepts.
+        let well_typed = |sig: &[&str]| -> Vec<Value> {
+            sig.iter()
+                .map(|ty| match *ty {
+                    "any" => sample("num"),
+                    "num|array" => sample("array"),
+                    ty => sample(ty),
+                })
+                .collect()
+        };
+        let mut st = Storage::new();
+        st.insert("v", arr(vec![0.0, 1.0]));
+        let names: Vec<&str> = signatures.iter().map(|(name, _)| *name).collect();
+        let rows: Vec<&str> = KERNELS.iter().map(|k| k.name).collect();
+        assert_eq!(names, rows, "one signature per KERNELS row, in order");
+        for (name, sig) in signatures {
+            let id = kernel_id(name).expect("a row");
+            // The call's error, and its shape charge's where it has one.
+            let errors = |args: &[Value]| {
+                let err = call(name, args, &st).err();
+                if id.charges_from_shapes() {
+                    assert_eq!(id.charge(args).err(), err, "{name}: charge and call");
+                }
+                err
+            };
+            let args = well_typed(sig);
+            for got in [sig.len() - 1, sig.len() + 1] {
+                let mut wrong = args.clone();
+                wrong.resize(got, Value::Num(1.0));
+                let arity = LangError::Arity {
+                    name: (*name).to_owned(),
+                    expected: sig.len(),
+                    got,
+                };
+                assert_eq!(errors(&wrong), Some(arity), "{name}: {got} arguments");
+            }
+            for (i, accepted) in sig.iter().enumerate() {
+                for ty in TYPES {
+                    if *accepted == "any" || accepted.split('|').any(|a| a == ty) {
+                        continue;
+                    }
+                    let mut wrong = args.clone();
+                    wrong[i] = sample(ty);
+                    let message = if *accepted == "num|array" {
+                        format!("{name} expects num or array, got {ty}")
+                    } else {
+                        format!("expected {accepted}, got {ty}")
+                    };
+                    assert_eq!(
+                        errors(&wrong),
+                        Some(LangError::type_error(message)),
+                        "{name}: a {ty} as argument {i}"
+                    );
+                }
+            }
+            // Declared types pass: any error is the kernel's own.
+            match errors(&args) {
+                None | Some(LangError::Runtime { .. } | LangError::UnknownDataset { .. }) => {}
+                Some(LangError::Type { message }) => assert!(
+                    !message.starts_with("expected ") && !message.contains(" expects "),
+                    "{name}: {message}"
+                ),
+                Some(other) => panic!("{name}: {other}"),
+            }
+        }
     }
 
     #[test]

@@ -77,6 +77,23 @@ impl StaticType {
         found.ok_or_else(|| format!("unknown static type tag {code}"))
     }
 
+    /// The type's name in diagnostics: `expected array, got num`.
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            StaticType::Num => "num",
+            StaticType::Bool => "bool",
+            StaticType::Str => "str",
+            StaticType::Array => "array",
+            StaticType::BoolArray => "boolarray",
+            StaticType::Table => "table",
+            StaticType::Matrix => "matrix",
+            StaticType::Csr => "csr",
+            StaticType::Forest => "forest",
+            StaticType::Encoded => "encoded",
+            StaticType::Unknown => "unknown",
+        }
+    }
+
     /// The type of a runtime value: what sampling observes a stored
     /// dataset to be.
     #[must_use]

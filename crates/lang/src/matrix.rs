@@ -201,8 +201,16 @@ impl Matrix {
     }
 
     fn matmul_in(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Result<Matrix> {
+        self.check_matmul(rhs)?;
+        // A rhs of at most four columns fills 4-lane panels: 8-lane ones
+        // would compute four lanes nobody reads.
+        let data = if rhs.cols <= 4 {
+            self.matmul_panels::<4>(rhs, par)
+        } else {
+            self.matmul_panels::<{ simd::LANES }>(rhs, par)
+        };
         Matrix::with_logical(
-            self.matmul_block(rhs, par)?,
+            data,
             self.rows,
             rhs.cols,
             self.logical_rows,
@@ -219,19 +227,6 @@ impl Matrix {
             )));
         }
         Ok(())
-    }
-
-    /// The row-major `rows × rhs.cols` block of `self × rhs`, the part of
-    /// the product no logical size enters.
-    pub(crate) fn matmul_block(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Result<Vec<f64>> {
-        self.check_matmul(rhs)?;
-        // A rhs of at most four columns fills 4-lane panels: 8-lane ones
-        // would compute four lanes nobody reads.
-        Ok(if rhs.cols <= 4 {
-            self.matmul_panels::<4>(rhs, par)
-        } else {
-            self.matmul_panels::<{ simd::LANES }>(rhs, par)
-        })
     }
 
     /// The row-major data of `self × rhs`, with `rhs` packed in `L`-lane

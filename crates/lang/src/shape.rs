@@ -112,10 +112,11 @@ impl Charge {
     }
 }
 
-/// A kernel's shape-only charge: arity, type and shape errors exactly as
-/// the kernel raises them, reading the values of its by-value arguments
-/// only. The real kernel calls it for its `ops` and result shape.
-pub(crate) type ShapeFn = fn(&[Value]) -> Result<Charge>;
+/// A kernel's shape-only charge, given its row's name and the arguments
+/// its row admitted: shape errors exactly as the kernel raises them,
+/// reading the values of its by-value arguments only. The real kernel
+/// calls it for its `ops` and result shape.
+pub(crate) type ShapeFn = fn(&'static str, &[Value]) -> Result<Charge>;
 
 /// The zero buffers placeholders share, one per length.
 #[derive(Debug, Default)]

@@ -9,6 +9,7 @@
 //! Table I of the paper.
 
 use crate::canonical::{read_bool, read_vec, CanonicalSink};
+use crate::copyelim::StaticType;
 use crate::error::{LangError, Result};
 use crate::forest::Forest;
 use crate::matrix::{Csr, Matrix};
@@ -520,18 +521,7 @@ impl Value {
     /// Short type name for diagnostics.
     #[must_use]
     pub fn type_name(&self) -> &'static str {
-        match self {
-            Value::Num(_) => "num",
-            Value::Bool(_) => "bool",
-            Value::Str(_) => "str",
-            Value::Array(_) => "array",
-            Value::BoolArray(_) => "boolarray",
-            Value::Table(_) => "table",
-            Value::Matrix(_) => "matrix",
-            Value::Csr(_) => "csr",
-            Value::Forest(_) => "forest",
-            Value::Encoded(_) => "encoded",
-        }
+        StaticType::of(self).name()
     }
 
     /// Streams this value into `sink` in its one canonical order: kind
@@ -670,7 +660,7 @@ impl Value {
     pub fn as_num(&self) -> Result<f64> {
         match self {
             Value::Num(n) => Ok(*n),
-            other => Err(type_err("num", other)),
+            other => Err(type_err(StaticType::Num, other)),
         }
     }
 
@@ -682,7 +672,7 @@ impl Value {
     pub fn as_bool(&self) -> Result<bool> {
         match self {
             Value::Bool(b) => Ok(*b),
-            other => Err(type_err("bool", other)),
+            other => Err(type_err(StaticType::Bool, other)),
         }
     }
 
@@ -694,7 +684,7 @@ impl Value {
     pub fn as_str(&self) -> Result<&str> {
         match self {
             Value::Str(s) => Ok(s),
-            other => Err(type_err("str", other)),
+            other => Err(type_err(StaticType::Str, other)),
         }
     }
 
@@ -706,7 +696,7 @@ impl Value {
     pub fn as_array(&self) -> Result<&ArrayVal> {
         match self {
             Value::Array(a) => Ok(a),
-            other => Err(type_err("array", other)),
+            other => Err(type_err(StaticType::Array, other)),
         }
     }
 
@@ -718,7 +708,7 @@ impl Value {
     pub fn as_bool_array(&self) -> Result<&BoolArrayVal> {
         match self {
             Value::BoolArray(m) => Ok(m),
-            other => Err(type_err("boolarray", other)),
+            other => Err(type_err(StaticType::BoolArray, other)),
         }
     }
 
@@ -730,7 +720,7 @@ impl Value {
     pub fn as_table(&self) -> Result<&Table> {
         match self {
             Value::Table(t) => Ok(t),
-            other => Err(type_err("table", other)),
+            other => Err(type_err(StaticType::Table, other)),
         }
     }
 
@@ -742,7 +732,7 @@ impl Value {
     pub fn as_matrix(&self) -> Result<&Matrix> {
         match self {
             Value::Matrix(m) => Ok(m),
-            other => Err(type_err("matrix", other)),
+            other => Err(type_err(StaticType::Matrix, other)),
         }
     }
 
@@ -754,7 +744,7 @@ impl Value {
     pub fn as_csr(&self) -> Result<&Csr> {
         match self {
             Value::Csr(c) => Ok(c),
-            other => Err(type_err("csr", other)),
+            other => Err(type_err(StaticType::Csr, other)),
         }
     }
 
@@ -766,7 +756,7 @@ impl Value {
     pub fn as_forest(&self) -> Result<&Forest> {
         match self {
             Value::Forest(f) => Ok(f),
-            other => Err(type_err("forest", other)),
+            other => Err(type_err(StaticType::Forest, other)),
         }
     }
 
@@ -778,13 +768,18 @@ impl Value {
     pub fn as_encoded(&self) -> Result<&EncodedVal> {
         match self {
             Value::Encoded(e) => Ok(e),
-            other => Err(type_err("encoded", other)),
+            other => Err(type_err(StaticType::Encoded, other)),
         }
     }
 }
 
-fn type_err(wanted: &str, got: &Value) -> LangError {
-    LangError::type_error(format!("expected {wanted}, got {}", got.type_name()))
+/// The error a value of the wrong type raises where a `wanted` is expected.
+pub(crate) fn type_err(wanted: StaticType, got: &Value) -> LangError {
+    LangError::type_error(format!(
+        "expected {}, got {}",
+        wanted.name(),
+        got.type_name()
+    ))
 }
 
 impl fmt::Display for Value {

@@ -48,13 +48,14 @@ echo "== stored once, hashed once (dataset digests and the Workload's kept input
 # shortcut pinned against hashing every value: all 12 registered programs
 # fresh / remembered / rebuilt, a re-inserted dataset, and one Table-I
 # generation across plan_for, execute_plan, run_plan and run_c_baseline.
-# Sampling computes a memoized kernel once per stored buffer: the memo's
-# buffer-identity rule (a relabelled buffer hits, an equal copy, a freed
-# buffer's successor and a replaced entry do not), 3 hits per computed
-# memoized line on KMeans, TPC-H-6-gz and LogGrep and none on the other 9
-# (MatrixMul's and MixedGEMM's products are charged from shapes), a bad
-# scale list refused before any sample, and all 12 reports and plans equal
-# to those over per-scale deep copies.
+# Sampling computes a memoized kernel (kmeans_assign, decode) once per
+# stored buffer: the memo's buffer-identity rule (a relabelled buffer hits,
+# an equal copy, a freed buffer's successor and a replaced entry do not),
+# 3 hits per computed memoized line on KMeans, TPC-H-6-gz and LogGrep and
+# none on the other 9 (MatrixMul's and MixedGEMM's products are charged
+# from shapes, and matmul and gram are not memoized), a bad scale list
+# refused before any sample, and all 12 reports and plans equal to those
+# over per-scale deep copies.
 # Ahead of the suite, so a stale digest stops here, named, instead of as a
 # fingerprint mismatch somewhere below.
 cargo test -q -p alang --lib -- canonical:: ast:: builtins::tests::a_digest \
@@ -67,7 +68,9 @@ cargo test -q -p activepy --lib -- sampling::tests::a_buffer_stored_once_is_samp
 cargo test -q --test stored_once
 
 echo "== sampling: a value no sampled cost reads is not computed, every report bit-identical =="
-# Each KERNELS row's declared by-value arguments against its kernel (one
+# Each KERNELS row's signature: arity, then each argument's type, checked
+# once against the row, the kernel and its shape charge raising the same
+# error text. Each row's declared by-value arguments against its kernel (one
 # test per row: a same-sized witness moves the cost, an all-zero copy of any
 # other argument moves nothing, the shape charge equals the kernel's), the
 # backward pass and the shared zero placeholders; then sample runs that
@@ -78,7 +81,8 @@ echo "== sampling: a value no sampled cost reads is not computed, every report b
 # same line. Last, every fitted curve of the 12 reports equal to the bit to
 # the fit that takes each logarithm per candidate. Ahead of the suite, so a
 # wrong row or a skipped value some cost reads stops here, named.
-cargo test -q -p alang --lib -- shape:: builtins::tests::by_value
+cargo test -q -p alang --lib -- shape:: builtins::tests::by_value \
+  builtins::tests::every_row_checks_arity_then_each_argument_type
 cargo test -q --test sampling_differential
 cargo test -q -p activepy --lib fit::
 
@@ -133,13 +137,15 @@ echo "== wire codec differentials =="
 # fingerprint or ISPWARM1 digest diff.
 cargo test -q -p csd-sim --lib wire::
 
-echo "== builtin table (each builtin's result type against what its kernel returns) =="
+echo "== builtin table (each builtin's types against its kernel and the registered calls) =="
 # Copy elimination, the storage-read test and the shard fence read a
 # builtin's result type and row rule from its one KERNELS row. The type
 # pass and the table's own tests, then every line of the 12 registered
 # programs at scale 2^-10 through the VM: the inferred type must be the
-# produced value's type. Ahead of the suite, so a wrong row stops here,
-# named, instead of as a moved copy-elimination flag or golden.
+# produced value's type, and each of their 100 calls must pass its row's
+# argument check on its arguments' inferred types. Ahead of the suite, so a
+# wrong row stops here, named, instead of as a moved copy-elimination flag
+# or golden.
 cargo test -q -p alang --lib -- copyelim:: builtins::tests
 cargo test -q --test builtin_table
 
@@ -211,7 +217,7 @@ cargo test -q -p alang --lib copyelim::tests::every_tag_reads_back_as_its_type
 cargo test -q -p activepy --lib persist::
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 59 of the 717 tests. No later
+# The whole suite: the root package alone is 60 of the 720 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 
