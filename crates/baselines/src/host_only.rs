@@ -12,7 +12,7 @@ use crate::error::Result;
 use activepy::exec::{execute_all_host, RunReport};
 use activepy::sampling::observe_dataset_types;
 use alang::copyelim::eliminable_lines;
-use alang::{CostParams, ExecTier};
+use alang::ExecTier;
 use csd_sim::SystemConfig;
 use isp_workloads::Workload;
 
@@ -41,14 +41,7 @@ pub fn run_host_only(
         _ => vec![false; program.len()],
     };
     let mut system = config.build();
-    let report = execute_all_host(
-        &program,
-        &storage,
-        &mut system,
-        tier,
-        &CostParams::paper_default(),
-        &copy_elim,
-    )?;
+    let report = execute_all_host(&program, &storage, &mut system, tier, &copy_elim)?;
     Ok(report)
 }
 
@@ -64,6 +57,7 @@ pub fn run_c_baseline(workload: &Workload, config: &SystemConfig) -> Result<RunR
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csd_sim::EngineKind;
 
     #[test]
     fn c_baseline_runs_all_workloads() {
@@ -72,7 +66,13 @@ mod tests {
             let rep =
                 run_c_baseline(&w, &config).unwrap_or_else(|e| panic!("{} failed: {e}", w.name()));
             assert!(rep.total_secs > 0.0, "{} took no time", w.name());
-            assert_eq!(rep.csd_lines_executed, 0);
+            assert_eq!(
+                rep.lines
+                    .iter()
+                    .filter(|l| l.engine == EngineKind::Cse)
+                    .count(),
+                0
+            );
         }
     }
 

@@ -113,6 +113,20 @@ fn main() -> ExitCode {
         println!("{}: no-CSD C baseline {baseline:.3}s", w.name());
     }
 
+    let mut options = ActivePyOptions::default();
+    if args.no_migration {
+        options = options.without_migration();
+    }
+    let rt = ActivePy::with_options(options);
+    let program = w.program().expect("registered workloads parse");
+    let plan = match rt.plan(&program, &w, &config) {
+        Ok(p) => p,
+        Err(e) => {
+            eprintln!("error: ActivePy failed: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
+
     let scenario = if args.availability >= 1.0 {
         ContentionScenario::none()
     } else {
@@ -120,9 +134,8 @@ fn main() -> ExitCode {
             None => ContentionScenario::constant(args.availability),
             Some(p) => {
                 // Compute the absolute stress time from an uncontended run.
-                let program = w.program().expect("registered workloads parse");
                 let reference = ActivePy::new()
-                    .run(&program, &w, &config, ContentionScenario::none())
+                    .execute_plan(&plan, &config, ContentionScenario::none())
                     .expect("reference run");
                 let t = reference.report.time_at_csd_progress(p);
                 ContentionScenario::at_time(SimTime::from_secs(t), args.availability)
@@ -130,12 +143,7 @@ fn main() -> ExitCode {
         }
     };
 
-    let mut options = ActivePyOptions::default();
-    if args.no_migration {
-        options = options.without_migration();
-    }
-    let program = w.program().expect("registered workloads parse");
-    let outcome = match ActivePy::with_options(options).run(&program, &w, &config, scenario) {
+    let outcome = match rt.execute_plan(&plan, &config, scenario) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("error: ActivePy failed: {e}");
@@ -158,14 +166,14 @@ fn main() -> ExitCode {
         "{}: {} lines, offloaded {:?} under {scenario}",
         w.name(),
         program.len(),
-        outcome.assignment.csd_lines
+        plan.assignment.csd_lines
     );
     println!(
         "end-to-end {:.3}s (baseline {baseline:.3}s -> {:.2}x); sampling {:.3}s, codegen {:.3}s",
         outcome.report.total_secs,
         baseline / outcome.report.total_secs,
-        outcome.sampling_secs,
-        outcome.compile_secs,
+        plan.sampling_secs,
+        plan.compile_secs,
     );
     if args.timeline {
         print!(
@@ -173,7 +181,7 @@ fn main() -> ExitCode {
             activepy::report::render_timeline(&program, &outcome.report)
         );
     }
-    if let Some(m) = outcome.report.migration {
+    if let Some(m) = outcome.report.migration() {
         println!(
             "migrated ({:?}) after line {} at {:.3}s, {} B of state, {:.0} ms regen",
             m.reason,

@@ -121,7 +121,7 @@ fn run_workload(w: &isp_workloads::Workload, config: &SystemConfig, cache: &Plan
                 fault_migrations: recovery.fault_migrations,
                 fault_migrated: faulted
                     .report
-                    .migration
+                    .migration()
                     .is_some_and(|m| m.reason == MigrationReason::DeviceFault),
                 values_match: faulted.report.values_fingerprint
                     == reference.report.values_fingerprint,

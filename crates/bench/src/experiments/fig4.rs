@@ -9,7 +9,7 @@
 use crate::geomean;
 use activepy::runtime::ActivePy;
 use activepy::PlanCache;
-use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
+use csd_sim::{ContentionScenario, SystemConfig};
 use isp_baselines::{best_static_plan, run_c_baseline, run_plan};
 use serde::Serialize;
 use std::collections::BTreeSet;
@@ -69,17 +69,11 @@ pub fn run(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
         let plan = cache
             .plan_for(&rt, w.name(), &program, &w, config)
             .expect("planning succeeds");
-        let outcome = rt
+        let ap = rt
             .execute_plan(&plan, config, ContentionScenario::none())
-            .expect("ActivePy pipeline runs");
-        let ap = outcome.report.total_secs;
-        let pd_lines = static_plan
-            .placements
-            .iter()
-            .enumerate()
-            .filter(|(_, p)| **p == EngineKind::Cse)
-            .map(|(i, _)| i)
-            .collect();
+            .expect("ActivePy pipeline runs")
+            .report
+            .total_secs;
         Row {
             name: w.name().to_owned(),
             baseline_secs: baseline,
@@ -87,9 +81,9 @@ pub fn run(config: &SystemConfig, cache: &PlanCache) -> Vec<Row> {
             activepy_secs: ap,
             pd_speedup: baseline / pd,
             activepy_speedup: baseline / ap,
-            pd_lines,
-            activepy_lines: outcome.assignment.csd_lines.iter().copied().collect(),
-            overhead_secs: outcome.sampling_secs + outcome.compile_secs,
+            pd_lines: static_plan.csd_lines(),
+            activepy_lines: plan.assignment.csd_lines.iter().copied().collect(),
+            overhead_secs: plan.sampling_secs + plan.compile_secs,
         }
     })
 }

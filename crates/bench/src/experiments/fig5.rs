@@ -160,7 +160,7 @@ fn run_workload(
                 baseline_secs: baseline,
                 with_migration_secs: with_mig.report.total_secs,
                 without_migration_secs: without_mig.report.total_secs,
-                migrated: with_mig.report.migration.is_some(),
+                migrated: with_mig.report.migration().is_some(),
                 offloaded,
                 with_speedup: baseline / with_mig.report.total_secs,
                 without_speedup: baseline / without_mig.report.total_secs,

@@ -68,7 +68,7 @@ pub fn run_bw_sweep(cache: &PlanCache) -> Vec<BwRow> {
         BwRow {
             platform,
             bw_d2h_gbps: config.d2h_bandwidth().as_bytes_per_sec() / 1e9,
-            offloaded_lines: outcome.assignment.csd_lines.len(),
+            offloaded_lines: plan.assignment.csd_lines.len(),
             speedup: baseline / outcome.report.total_secs,
         }
     })
@@ -129,7 +129,7 @@ pub fn run_gc(cache: &PlanCache) -> Vec<GcRow> {
             quiet_baseline_secs: quiet,
             with_migration_secs: with_mig.report.total_secs,
             without_migration_secs: without.report.total_secs,
-            migrated: with_mig.report.migration.is_some(),
+            migrated: with_mig.report.migration().is_some(),
         }
     })
 }

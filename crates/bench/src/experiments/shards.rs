@@ -273,12 +273,12 @@ fn run_chaos(
         name: w.name().to_owned(),
         shards: CHAOS_SHARDS,
         faulted_shard: CHAOS_SHARD,
-        faulted_migrated: chaotic.shards[CHAOS_SHARD].report.migration.is_some(),
+        faulted_migrated: chaotic.shards[CHAOS_SHARD].report.migration().is_some(),
         healthy_on_device: chaotic
             .shards
             .iter()
             .filter(|s| s.shard != CHAOS_SHARD)
-            .all(|s| s.report.migration.is_none()),
+            .all(|s| s.report.migration().is_none()),
         fingerprint_ok: chaotic.values_fingerprint == healthy.values_fingerprint,
         injected_crashes: chaotic.injected.cse_crashes,
         total_secs: chaotic.total_secs,

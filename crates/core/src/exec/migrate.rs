@@ -296,6 +296,7 @@ mod tests {
     use crate::exec::tests::*;
     use crate::exec::*;
     use alang::parser::parse;
+    use alang::CostParams;
     use csd_sim::contention::ContentionScenario;
     use csd_sim::fault::FaultPlan;
     use csd_sim::SystemConfig;
@@ -323,7 +324,9 @@ mod tests {
         let mut sys = SystemConfig::paper_default().build();
         let rep =
             execute(&program, &st, &all, &mut sys, &opts, Some(&estimates), &[]).expect("run");
-        let mig = rep.migration.expect("should migrate under 1% availability");
+        let mig = rep
+            .migration()
+            .expect("should migrate under 1% availability");
         assert!(
             mig.after_line >= 1,
             "contention starts at 50% progress, so the break lands mid-stream: {mig:?}"
@@ -381,7 +384,7 @@ mod tests {
         )
         .expect("preempted run");
         let mig = rep
-            .migration
+            .migration()
             .expect("the preemption request must force a migration");
         assert_eq!(mig.reason, MigrationReason::Preempted);
         assert!(
@@ -411,7 +414,7 @@ mod tests {
             let mut sys = SystemConfig::paper_default().build();
             let rep = execute(&program, &st, &pl, &mut sys, &preempted, None, &[]).expect("run");
             let mig = rep
-                .migration
+                .migration()
                 .expect("the preemption request forces a migration");
             assert_eq!(mig.reason, MigrationReason::Preempted);
             (mig.state_bytes, rep.total_secs)
@@ -442,7 +445,7 @@ mod tests {
             &[],
         )
         .expect("run");
-        assert!(rep.migration.is_none());
+        assert!(rep.migration().is_none());
     }
 
     #[test]
@@ -459,7 +462,7 @@ mod tests {
             .with_seed(3)
             .with_crash_at(csd_sim::units::SimTime::from_secs(t_half));
         let (clean, faulted) = run_with_faults(&opts, faults);
-        let mig = faulted.migration.expect("crash must force a migration");
+        let mig = faulted.migration().expect("crash must force a migration");
         assert_eq!(mig.reason, MigrationReason::DeviceFault);
         assert!(faulted.metrics.recovery.hard_faults >= 1);
         assert!(faulted.metrics.recovery.fault_migrations >= 1);
@@ -475,12 +478,14 @@ mod tests {
             .with_seed(3)
             .with_crash_at(csd_sim::units::SimTime::ZERO);
         let (clean, faulted) = run_with_faults(&ExecOptions::activepy(), faults);
-        let mig = faulted.migration.expect("the aborted invocation migrates");
+        let mig = faulted
+            .migration()
+            .expect("the aborted invocation migrates");
         assert_eq!(
             (mig.reason, mig.state_bytes),
             (MigrationReason::DeviceFault, 0)
         );
-        assert_eq!(faulted.csd_lines_executed, 0);
+        assert_eq!(csd_line_count(&faulted), 0);
         assert_eq!(faulted.values_fingerprint, clean.values_fingerprint);
     }
 
@@ -559,7 +564,7 @@ mod tests {
         // fingerprint matches an undisturbed static run.
         let migrated = run_phase_shift();
         assert_eq!(
-            migrated.migration.map(|m| m.reason),
+            migrated.migration().map(|m| m.reason),
             Some(MigrationReason::Degraded),
             "the burst pushes the plan host-ward: {:?}",
             migrated.migrations

@@ -24,27 +24,35 @@ pub struct LineOutcome {
 
 /// Why a migration was initiated (§III-D distinguishes throughput
 /// degradation from preemption; device faults extend the same mechanism
-/// to hardware adversity).
+/// to hardware adversity). The discriminant is the reason's one-byte tag
+/// in a WAL `Migration` record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[repr(u8)]
 pub enum MigrationReason {
     /// The monitor observed degraded throughput and the re-estimate said
     /// finishing on the host is cheaper.
-    Degraded,
+    Degraded = 0,
     /// The device signalled a high-priority request through the command
     /// pages; the task must vacate immediately.
-    Preempted,
+    Preempted = 1,
     /// A hard device fault (CSE crash, or a transient fault that exhausted
     /// its retry budget): the remaining work falls back to the host from
     /// the last completed chunk-boundary checkpoint.
-    DeviceFault,
+    DeviceFault = 2,
     /// The reverse direction: the unfinished remainder of a region a
     /// degradation broke returns to the CSD once measured availability
     /// clears again while the host works it off. Hysteresis-guarded to
     /// avoid ping-ponging.
-    Reclaim,
+    Reclaim = 3,
 }
 
 impl MigrationReason {
+    /// The reason's one-byte WAL tag.
+    #[must_use]
+    pub fn code(self) -> u8 {
+        self as u8
+    }
+
     /// Stable lowercase label — the `reason` attribute on
     /// `migration.decision` trace events.
     #[must_use]
@@ -80,10 +88,6 @@ pub struct RunReport {
     pub total_secs: f64,
     /// Per-line outcomes.
     pub lines: Vec<LineOutcome>,
-    /// The migration, if one occurred.
-    pub migration: Option<MigrationEvent>,
-    /// Lines that actually executed on the CSD.
-    pub csd_lines_executed: usize,
     /// Total bytes shipped device-to-host.
     pub d2h_bytes: u64,
     /// Total bytes shipped host-to-device.
@@ -101,15 +105,27 @@ pub struct RunReport {
     /// runs).
     pub metrics: MetricsSnapshot,
     /// Every migration the run performed, in decision order — including
-    /// [`MigrationReason::Reclaim`] returns to the CSD. The legacy
-    /// `migration` field above stays the last *host-ward* event so callers
-    /// that predate bidirectional migration read what they always read.
-    /// Appended after `metrics` so the serialized prefix the golden
-    /// journals predate is unchanged.
+    /// [`MigrationReason::Reclaim`] returns to the CSD.
     pub migrations: Vec<MigrationEvent>,
 }
 
+/// The last *host-ward* migration of `migrations` — the last entry that is
+/// not a [`MigrationReason::Reclaim`] — if one occurred.
+pub(super) fn last_host_ward(migrations: &[MigrationEvent]) -> Option<MigrationEvent> {
+    migrations
+        .iter()
+        .rev()
+        .find(|m| m.reason != MigrationReason::Reclaim)
+        .copied()
+}
+
 impl RunReport {
+    /// The run's last host-ward migration, if one occurred.
+    #[must_use]
+    pub fn migration(&self) -> Option<MigrationEvent> {
+        last_host_ward(&self.migrations)
+    }
+
     /// Total wall-clock seconds spent executing CSD lines.
     #[must_use]
     pub fn csd_busy_secs(&self) -> f64 {

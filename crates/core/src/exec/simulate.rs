@@ -3,16 +3,16 @@
 //! by CSD region, each region streamed in [`REGION_CHUNKS`] chunks with a
 //! break check at every chunk boundary.
 
+use super::outcome::last_host_ward;
 use super::{
     chunk_slice, csd_lines, estimate_sums, Boundary, ChunkStep, Evaluation, ExecOptions,
-    LineOutcome, MigrationReason, Region, RegionLine, Run, RunReport, ValueSlot, REGION_CHUNKS,
+    LineOutcome, Region, RegionLine, Run, RunReport, ValueSlot, REGION_CHUNKS,
 };
 use crate::error::{ActivePyError, Result};
 use crate::estimate::LineEstimate;
 use crate::metrics::MetricsSnapshot;
 use crate::monitor::Monitor;
 use crate::recovery::Recovery;
-use crate::resume::reason_code;
 use crate::shard::ShardSlice;
 use alang::compile::binary_bytes_for;
 use alang::{LineCost, Program};
@@ -86,7 +86,6 @@ pub fn simulate(
         values: vec![ValueSlot::default(); program.len()],
         placements: placements.to_vec(),
         monitor: None,
-        migration: None,
         migrations: Vec::new(),
         lines_out: Vec::with_capacity(program.len()),
         csd_executed: 0,
@@ -157,9 +156,6 @@ impl Run<'_> {
             );
             tracer.counter_add("exec.migrations", 1);
             self.migrations.push(*event);
-            if event.reason != MigrationReason::Reclaim {
-                self.migration = Some(*event);
-            }
         }
         if !self.opts.journal.is_enabled() {
             return Ok(());
@@ -170,9 +166,6 @@ impl Run<'_> {
             Boundary::RunStart => WalRecord::RunStart {
                 lane,
                 program_len: self.program.len() as u32,
-                // The evaluator discriminant from when it was switchable;
-                // the byte stays in the format and is always 0 (the VM).
-                backend: 0,
             },
             Boundary::HostLine(line) => WalRecord::HostLine {
                 lane,
@@ -190,14 +183,13 @@ impl Run<'_> {
                 lane,
                 line: event.after_line as u32,
                 chunk: chunk as u32,
-                reason: reason_code(event.reason),
+                reason: event.reason.code(),
                 state_bytes: event.state_bytes,
                 snap: self.snapshot(),
             },
             Boundary::Reclaim(event) => WalRecord::Reclaim {
                 lane,
                 line: event.after_line as u32,
-                in_region: true,
                 snap: self.snapshot(),
             },
             Boundary::RunEnd {
@@ -310,7 +302,7 @@ impl Run<'_> {
             par: self.evaluation.par,
         };
         metrics.publish_to(&self.opts.tracer);
-        let migrated = self.migration.is_some();
+        let migrated = last_host_ward(&self.migrations).is_some();
         self.close(|| vec![("migrated".into(), migrated.into())]);
         // Feed the run's measured per-line costs to the profile store. Shard
         // runs are skipped: their costs are slice-scaled and would bias the
@@ -335,8 +327,6 @@ impl Run<'_> {
         Ok(RunReport {
             total_secs,
             lines: std::mem::take(&mut self.lines_out),
-            migration: self.migration,
-            csd_lines_executed: self.csd_executed,
             d2h_bytes: self.system.d2h_bytes().as_u64(),
             h2d_bytes: self.system.h2d_bytes().as_u64(),
             values_fingerprint: fingerprint,
@@ -748,7 +738,7 @@ mod tests {
             &[],
         )
         .expect("run");
-        assert_eq!(rep.csd_lines_executed, 2);
+        assert_eq!(csd_line_count(&rep), 2);
         let regions = sink
             .events()
             .into_iter()

@@ -40,14 +40,12 @@
 //!     st.insert("v", Value::Array(ArrayVal::with_logical(vec![1.0; 512], logical.max(512))));
 //!     st
 //! };
-//! let outcome = ActivePy::new().run(
-//!     &program,
-//!     &input,
-//!     &SystemConfig::paper_default(),
-//!     ContentionScenario::none(),
-//! )?;
+//! let config = SystemConfig::paper_default();
+//! let rt = ActivePy::new();
+//! let plan = rt.plan(&program, &input, &config)?;
+//! let outcome = rt.execute_plan(&plan, &config, ContentionScenario::none())?;
 //! println!("end-to-end: {:.3}s, offloaded {} lines",
-//!          outcome.report.total_secs, outcome.assignment.csd_lines.len());
+//!          outcome.report.total_secs, plan.assignment.csd_lines.len());
 //! # Ok::<(), activepy::error::ActivePyError>(())
 //! ```
 

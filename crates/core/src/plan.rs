@@ -30,7 +30,7 @@ use crate::fit::LinePrediction;
 use crate::persist::WarmSeed;
 use crate::profile::ProfileKey;
 use crate::runtime::ActivePy;
-use crate::sampling::{paper_scales, InputSource, SamplingReport};
+use crate::sampling::{InputSource, SamplingReport};
 use crate::shard::{derive_sharded_plan, ShardedPlan};
 use alang::builtins::Storage;
 use alang::shard::ShardMap;
@@ -336,23 +336,20 @@ impl PlanCache {
         Ok(n)
     }
 
-    /// FNV-1a over the `Debug` forms of the platform config and the
-    /// planning-relevant options, plus the input's declared wire-format
-    /// fingerprint ([`InputSource::wire_fingerprint`]) — re-encoding a
-    /// dataset (codec, shuffle, byte order, fill sentinel) changes
-    /// decode costs and therefore invalidates cached plans, without the
-    /// key ever needing to materialize storage (warm starts stay
-    /// zero-datagen). `Debug` output of the plain-data config structs is
-    /// deterministic, which is all a cache key needs.
+    /// FNV-1a over the `Debug` forms of the platform config and the one
+    /// planning-relevant option (the cost-model constants), plus the
+    /// input's declared wire-format fingerprint
+    /// ([`InputSource::wire_fingerprint`]) — re-encoding a dataset (codec,
+    /// shuffle, byte order, fill sentinel) changes decode costs and
+    /// therefore invalidates cached plans, without the key ever needing to
+    /// materialize storage (warm starts stay zero-datagen). `Debug` output
+    /// of the plain-data config structs is deterministic, which is all a
+    /// cache key needs. The key holds nothing a build cannot vary (the
+    /// sampling scales and the evaluator are fixed), so, like every
+    /// fingerprint here, it is comparable only between runs of one build: a
+    /// warm file whose keys another build wrote re-plans cold.
     fn fingerprint(runtime: &ActivePy, config: &SystemConfig, wire: u64) -> u64 {
-        // The sampling scales and `Vm` (the evaluator's name) were keyed
-        // options once; both stay in the text so persisted warm files keep
-        // their keys.
-        let text = format!(
-            "{config:?}|{:?}|{:?}|Vm|wire:{wire:#x}",
-            paper_scales(),
-            runtime.options().params
-        );
+        let text = format!("{config:?}|{:?}|wire:{wire:#x}", runtime.options().params);
         fnv1a(text.as_bytes())
     }
 }
@@ -524,8 +521,9 @@ mod tests {
         let program = parse(SRC).expect("parse");
         let config = SystemConfig::paper_default();
         let rt = ActivePy::new();
+        let direct_plan = rt.plan(&program, &input(), &config).expect("direct plan");
         let direct = rt
-            .run(&program, &input(), &config, ContentionScenario::none())
+            .execute_plan(&direct_plan, &config, ContentionScenario::none())
             .expect("direct run");
         let cache = PlanCache::new();
         let plan = cache
@@ -535,6 +533,15 @@ mod tests {
             .execute_plan(&plan, &config, ContentionScenario::none())
             .expect("execute plan");
         assert_eq!(direct, via_plan);
+        assert_eq!(direct_plan.assignment, plan.assignment);
+        assert_eq!(direct_plan.estimates, plan.estimates);
+        assert_eq!(direct_plan.predictions, plan.predictions);
+        assert_eq!(direct_plan.calibration, plan.calibration);
+        assert_eq!(direct_plan.sampling, plan.sampling);
+        assert_eq!(
+            (direct_plan.sampling_secs, direct_plan.compile_secs),
+            (plan.sampling_secs, plan.compile_secs)
+        );
     }
 
     #[test]

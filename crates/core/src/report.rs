@@ -53,6 +53,7 @@ pub fn render_timeline(program: &Program, report: &RunReport) -> String {
         "{:>9}  {:>6}  {:<5} {:>10} {:>10} {:>9}  line",
         "start", "dur", "where", "in", "out", "staged"
     );
+    let migration = report.migration();
     for l in &report.lines {
         let source = program
             .lines()
@@ -73,7 +74,7 @@ pub fn render_timeline(program: &Program, report: &RunReport) -> String {
             fmt_bytes(l.staged_bytes),
             source,
         );
-        if let Some(m) = report.migration {
+        if let Some(m) = migration {
             if m.after_line == l.line {
                 let why = match m.reason {
                     MigrationReason::Degraded => "throughput degraded",

@@ -30,7 +30,6 @@
 use crate::assign::Assignment;
 use crate::error::ActivePyError;
 use crate::estimate::{Calibration, LineEstimate};
-use crate::exec::MigrationReason;
 use crate::fit::{FittedCurve, LinePrediction};
 use crate::plan::OffloadPlan;
 use crate::sampling::SamplingReport;
@@ -201,17 +200,6 @@ impl ExecJournal {
     }
 }
 
-/// Stable discriminant for a [`MigrationReason`] in WAL records.
-#[must_use]
-pub fn reason_code(reason: MigrationReason) -> u8 {
-    match reason {
-        MigrationReason::Degraded => 0,
-        MigrationReason::Preempted => 1,
-        MigrationReason::DeviceFault => 2,
-        MigrationReason::Reclaim => 3,
-    }
-}
-
 /// Fingerprint of an [`OffloadPlan`]'s deterministic planning outcome:
 /// the fitted predictions, calibration, copy-elimination flags,
 /// estimates, Algorithm-1 assignment and observed dataset types, walked
@@ -325,6 +313,7 @@ pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::MigrationReason;
     use crate::fit::Complexity;
     use alang::copyelim::StaticType;
     use isp_obs::wal::StateSnap;
@@ -409,7 +398,7 @@ mod tests {
             (MigrationReason::DeviceFault, 2),
             (MigrationReason::Reclaim, 3),
         ] {
-            assert_eq!(reason_code(reason), code);
+            assert_eq!(reason.code(), code);
         }
     }
     /// One single-field change per hashed part moves the fingerprint

@@ -13,9 +13,9 @@ use std::time::Instant;
 use crate::assign::{assign_refined_traced, projected_cost, Assignment};
 use crate::audit::capture_terms;
 use crate::error::Result;
-use crate::estimate::{estimate_lines, Calibration, LineEstimate, Link, Prices};
+use crate::estimate::{estimate_lines, Calibration, Link, Prices};
 use crate::exec::{evaluate, simulate, ExecOptions, RunReport};
-use crate::fit::{blend_predictions, predict_lines, LinePrediction};
+use crate::fit::{blend_predictions, predict_lines};
 use crate::plan::{OffloadPlan, PlanTimings};
 use crate::profile::WorkloadProfile;
 use crate::resume::plan_fingerprint;
@@ -34,26 +34,15 @@ use isp_obs::{SpanKind, WalRecord};
 /// and `tracer`, and the plan-cache key hashes only `params`.
 pub type ActivePyOptions = ExecOptions;
 
-/// Everything ActivePy produced for one program run.
+/// What one execution of a plan produced. The planning facts — the
+/// assignment, estimates, predictions, sampling report, calibration and
+/// the simulated pipeline overheads — live on the [`OffloadPlan`] that was
+/// executed, and only there.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ActivePyOutcome {
     /// The execution report (end-to-end latency, per-line outcomes,
-    /// migration).
+    /// migrations).
     pub report: RunReport,
-    /// The Algorithm-1 assignment.
-    pub assignment: Assignment,
-    /// Per-line estimates fed to Algorithm 1 and the monitor.
-    pub estimates: Vec<LineEstimate>,
-    /// Full-scale predictions with their fitted curves.
-    pub predictions: Vec<LinePrediction>,
-    /// The raw sampling measurements.
-    pub sampling: SamplingReport,
-    /// Simulated seconds spent in the sampling phase.
-    pub sampling_secs: f64,
-    /// Simulated seconds spent generating code.
-    pub compile_secs: f64,
-    /// The calibrated CSE-slowdown constant.
-    pub calibration: Calibration,
 }
 
 /// The ActivePy runtime.
@@ -396,16 +385,7 @@ impl ActivePy {
             None,
         )?;
 
-        Ok(ActivePyOutcome {
-            report,
-            assignment: plan.assignment.clone(),
-            estimates: plan.estimates.clone(),
-            predictions: plan.predictions.clone(),
-            sampling: plan.sampling.clone(),
-            sampling_secs: plan.sampling_secs,
-            compile_secs: plan.compile_secs,
-            calibration: plan.calibration,
-        })
+        Ok(ActivePyOutcome { report })
     }
 
     /// The execution options a plan runs under: ActivePy's generated
@@ -452,7 +432,7 @@ mod tests {
     use crate::exec::execute_all_host;
     use crate::sampling::test_input as input;
     use alang::parser::parse;
-    use alang::{CostParams, ParallelPolicy};
+    use alang::ParallelPolicy;
 
     const SRC: &str = "\
 a = scan('v')
@@ -461,23 +441,32 @@ b = select(a, m)
 s = sum(b)
 ";
 
-    #[test]
-    fn pipeline_runs_end_to_end_and_offloads_the_scan() {
+    /// Plans `SRC` on the paper's platform and executes the plan once,
+    /// uncontended.
+    fn planned_run() -> (OffloadPlan, ActivePyOutcome) {
         let program = parse(SRC).expect("parse");
         let config = SystemConfig::paper_default();
-        let outcome = ActivePy::new()
-            .run(&program, &input(), &config, ContentionScenario::none())
+        let rt = ActivePy::new();
+        let plan = rt.plan(&program, &input(), &config).expect("plan");
+        let outcome = rt
+            .execute_plan(&plan, &config, ContentionScenario::none())
             .expect("pipeline");
+        (plan, outcome)
+    }
+
+    #[test]
+    fn pipeline_runs_end_to_end_and_offloads_the_scan() {
+        let (plan, outcome) = planned_run();
         assert!(
-            outcome.assignment.csd_lines.contains(&0),
+            plan.assignment.csd_lines.contains(&0),
             "the scan line should offload: {:?}",
-            outcome.assignment
+            plan.assignment
         );
         assert!(outcome.report.total_secs > 0.0);
-        assert!(outcome.sampling_secs > 0.0);
-        assert!(outcome.compile_secs > 0.0);
-        assert_eq!(outcome.estimates.len(), 4);
-        assert_eq!(outcome.predictions.len(), 4);
+        assert!(plan.sampling_secs > 0.0);
+        assert!(plan.compile_secs > 0.0);
+        assert_eq!(plan.estimates.len(), 4);
+        assert_eq!(plan.predictions.len(), 4);
     }
 
     #[test]
@@ -494,7 +483,6 @@ s = sum(b)
             &storage,
             &mut host_sys,
             alang::ExecTier::Native,
-            &CostParams::paper_default(),
             &[],
         )
         .expect("host baseline");
@@ -508,12 +496,8 @@ s = sum(b)
 
     #[test]
     fn pipeline_overheads_are_small() {
-        let program = parse(SRC).expect("parse");
-        let config = SystemConfig::paper_default();
-        let outcome = ActivePy::new()
-            .run(&program, &input(), &config, ContentionScenario::none())
-            .expect("pipeline");
-        let overhead = outcome.sampling_secs + outcome.compile_secs;
+        let (plan, outcome) = planned_run();
+        let overhead = plan.sampling_secs + plan.compile_secs;
         assert!(
             overhead < 0.10 * outcome.report.total_secs,
             "overhead {overhead}s too large vs total {}s",
@@ -534,7 +518,7 @@ s = sum(b)
                 ContentionScenario::after_progress(0.5, 0.1),
             )
             .expect("pipeline");
-        assert!(outcome.report.migration.is_none());
+        assert!(outcome.report.migration().is_none());
     }
 
     #[test]
@@ -543,14 +527,18 @@ s = sum(b)
         // assignment) and the report's observable outcome are unchanged.
         let program = parse(SRC).expect("parse");
         let config = SystemConfig::paper_default();
-        let serial = ActivePy::new()
-            .run(&program, &input(), &config, ContentionScenario::none())
+        let serial_rt = ActivePy::new();
+        let serial_plan = serial_rt.plan(&program, &input(), &config).expect("plan");
+        let serial = serial_rt
+            .execute_plan(&serial_plan, &config, ContentionScenario::none())
             .expect("serial");
         let policy = ParallelPolicy::new(8, 256).expect("policy");
-        let par = ActivePy::with_options(ActivePyOptions::default().with_parallelism(policy))
-            .run(&program, &input(), &config, ContentionScenario::none())
+        let par_rt = ActivePy::with_options(ActivePyOptions::default().with_parallelism(policy));
+        let par_plan = par_rt.plan(&program, &input(), &config).expect("plan");
+        let par = par_rt
+            .execute_plan(&par_plan, &config, ContentionScenario::none())
             .expect("parallel");
-        assert_eq!(par.assignment, serial.assignment);
+        assert_eq!(par_plan.assignment, serial_plan.assignment);
         assert_eq!(par.report.lines, serial.report.lines);
         assert_eq!(
             par.report.values_fingerprint,
@@ -562,14 +550,10 @@ s = sum(b)
 
     #[test]
     fn volume_predictions_are_close_to_measured() {
-        let program = parse(SRC).expect("parse");
-        let config = SystemConfig::paper_default();
-        let outcome = ActivePy::new()
-            .run(&program, &input(), &config, ContentionScenario::none())
-            .expect("pipeline");
+        let (plan, outcome) = planned_run();
         // Compare predicted vs measured output volume per line (the
         // paper's headline accuracy result: geomean error ≈ 9 %).
-        for (pred, line) in outcome.predictions.iter().zip(&outcome.report.lines) {
+        for (pred, line) in plan.predictions.iter().zip(&outcome.report.lines) {
             let predicted = pred.cost.bytes_out as f64;
             let measured = line.cost.bytes_out as f64;
             if measured > 1e6 {

@@ -258,7 +258,7 @@ impl FleetReport {
     pub fn shards_on_device(&self) -> usize {
         self.shards
             .iter()
-            .filter(|s| s.report.migration.is_none())
+            .filter(|s| s.report.migration().is_none())
             .count()
     }
 
@@ -585,7 +585,7 @@ mod tests {
     use crate::sampling::InputSource;
     use alang::parser::parse;
     use alang::shard::ShardStrategy;
-    use alang::{CostParams, ExecTier};
+    use alang::ExecTier;
     use csd_sim::units::SimTime;
 
     const SRC: &str = "a = scan('v')\nm = a < 50\nb = select(a, m)\ns = sum(b)\n";
@@ -635,15 +635,8 @@ mod tests {
         let storage = input().storage_at(1.0);
         let config = SystemConfig::paper_default();
         let mut host_sys = config.build();
-        let unsharded = execute_all_host(
-            &program,
-            &storage,
-            &mut host_sys,
-            ExecTier::Native,
-            &CostParams::paper_default(),
-            &[],
-        )
-        .expect("host baseline");
+        let unsharded = execute_all_host(&program, &storage, &mut host_sys, ExecTier::Native, &[])
+            .expect("host baseline");
         let mut prints = Vec::new();
         for n in [1usize, 2, 4, 8] {
             let (plan, config, rt) = sharded_plan(n);
@@ -759,13 +752,13 @@ mod tests {
             .expect("chaos");
         assert_eq!(chaos.values_fingerprint, healthy.values_fingerprint);
         assert!(
-            chaos.shards[2].report.migration.is_some(),
+            chaos.shards[2].report.migration().is_some(),
             "the crashed shard must migrate: {:?}",
-            chaos.shards[2].report.migration
+            chaos.shards[2].report.migration()
         );
         for s in [0usize, 1, 3] {
             assert!(
-                chaos.shards[s].report.migration.is_none(),
+                chaos.shards[s].report.migration().is_none(),
                 "shard {s} must stay on-device"
             );
         }

@@ -2,7 +2,7 @@
 //!
 //! [`SystemConfig::paper_default`] reproduces the testbed of §IV-A: an
 //! octa-core 3.6 GHz host, a CSD with 8 ARM Cortex-A72 cores and 2 TB of
-//! flash, 9 GB/s internal NAND bandwidth, a 5 GB/s NVMe host link, and a
+//! flash (its capacity is not modelled), 9 GB/s internal NAND bandwidth, a 5 GB/s NVMe host link, and a
 //! PCIe 3.0 hub giving storage traffic 4 GB/s. All parameters can be
 //! overridden through the builder-style `with_*` methods.
 
@@ -42,16 +42,16 @@ impl Default for QueueLatencies {
     }
 }
 
-/// Complete static description of the simulated platform.
+/// Complete static description of the simulated platform. Flash capacity
+/// is not a field: nothing the simulator charges depends on it. The
+/// plan-cache key hashes this struct's `Debug` text, so adding or removing
+/// a field re-keys every persisted warm file.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct SystemConfig {
     /// Host CPU description.
     pub host: EngineSpec,
     /// CSE description.
     pub cse: EngineSpec,
-    /// Flash capacity. Nothing charges it; it stays because the plan-cache
-    /// key hashes this config's `Debug` text.
-    pub flash_capacity: Bytes,
     /// Internal NAND bandwidth seen by the CSE.
     pub flash_internal_bandwidth: Bandwidth,
     /// Optional background garbage collection.
@@ -77,7 +77,6 @@ impl SystemConfig {
         SystemConfig {
             host: default_host_spec(),
             cse: default_cse_spec(),
-            flash_capacity: Bytes::from_gib(2048),
             flash_internal_bandwidth: Bandwidth::from_gb_per_sec(9.0),
             gc: None,
             nvme_bandwidth: Bandwidth::from_gb_per_sec(5.0),

@@ -211,12 +211,6 @@ impl Bytes {
         Bytes(n * 1024 * 1024)
     }
 
-    /// Creates a byte count from gibibytes.
-    #[must_use]
-    pub const fn from_gib(n: u64) -> Self {
-        Bytes(n * 1024 * 1024 * 1024)
-    }
-
     /// Creates a byte count from a fractional gigabyte figure as printed in
     /// the paper's Table I (e.g. `9.1` GB for blackscholes).
     #[must_use]
@@ -468,7 +462,6 @@ mod tests {
     fn bytes_constructors_agree() {
         assert_eq!(Bytes::from_kib(1).as_u64(), 1024);
         assert_eq!(Bytes::from_mib(1).as_u64(), 1024 * 1024);
-        assert_eq!(Bytes::from_gib(1).as_u64(), 1024 * 1024 * 1024);
         assert_eq!(Bytes::from_gb_f64(9.1).as_u64(), 9_100_000_000);
     }
 

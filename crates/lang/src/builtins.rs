@@ -1135,15 +1135,22 @@ impl GroupIndex {
         }
         let mut groups = GroupSlots::new();
         let mut row_slots = Vec::with_capacity(keys.len());
-        // A row whose key repeats the previous row's skips the index.
-        let mut last: Option<(i64, usize)> = None;
-        for key in keys.iter() {
-            let key = round_to_i64(*key);
+        // A row whose key repeats the previous row's bit for bit skips the
+        // check and the index.
+        let mut last: Option<(u64, usize)> = None;
+        for raw in keys.iter() {
             let slot = match last {
-                Some((k, slot)) if k == key => slot,
-                _ => groups.slot_of(key),
+                Some((bits, slot)) if bits == raw.to_bits() => slot,
+                // NaN would round into group 0 and an infinity saturate
+                // into the last key: neither names a group.
+                _ if !raw.is_finite() => {
+                    return Err(LangError::runtime(format!(
+                        "group_sum: key {raw} is not a finite number"
+                    )));
+                }
+                _ => groups.slot_of(round_to_i64(*raw)),
             };
-            last = Some((key, slot));
+            last = Some((raw.to_bits(), slot));
             groups.slots[slot].1 += 1;
             row_slots.push(slot as u32);
         }
@@ -1587,6 +1594,39 @@ mod tests {
                 assert!((v[1] - 60_000.0).abs() < 1e-6);
             }
             other => panic!("wrong type {other:?}"),
+        }
+    }
+
+    /// `group_sum` of `vals` over `keys`, or its error.
+    fn group_sum_of(keys: Vec<f64>, vals: Vec<f64>) -> Result<BuiltinOutput> {
+        call("group_sum", &[arr(keys), arr(vals)], &Storage::new())
+    }
+
+    #[test]
+    fn group_sum_refuses_a_nan_key_and_still_rounds_a_fraction() {
+        let e = group_sum_of(vec![0.0, f64::NAN, 0.4, 1.0], vec![1.0; 4]).unwrap_err();
+        let message = "group_sum: key NaN is not a finite number";
+        assert_eq!(e, LangError::runtime(message));
+        // Without the NaN, 0.4 rounds into group 0 beside 0.0.
+        let out = group_sum_of(vec![0.0, 0.4, 1.0], vec![1.0; 3]).expect("group");
+        let t = out.value.as_table().expect("table");
+        match (t.column("key"), t.column("count")) {
+            (Ok(Column::F64(k)), Ok(Column::F64(c))) => {
+                assert_eq!(
+                    (k.as_slice(), c.as_slice()),
+                    (&[0.0, 1.0][..], &[2.0, 1.0][..])
+                );
+            }
+            other => panic!("wrong columns {other:?}"),
+        }
+    }
+
+    #[test]
+    fn group_sum_refuses_an_infinite_key() {
+        for (bad, shown) in [(f64::INFINITY, "inf"), (f64::NEG_INFINITY, "-inf")] {
+            let e = group_sum_of(vec![0.0, 1.0, bad, 1.0], vec![1.0; 4]).unwrap_err();
+            let message = format!("group_sum: key {shown} is not a finite number");
+            assert_eq!(e, LangError::runtime(message), "{shown}");
         }
     }
 

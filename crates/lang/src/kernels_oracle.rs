@@ -38,6 +38,11 @@ fn group_sum_ref(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> 
     }
     let mut groups: BTreeMap<i64, (f64, u64)> = BTreeMap::new();
     for (key, val) in keys.data().iter().zip(vals.data()) {
+        if !key.is_finite() {
+            return Err(LangError::runtime(format!(
+                "group_sum: key {key} is not a finite number"
+            )));
+        }
         let entry = groups.entry(key.round() as i64).or_insert((0.0, 0));
         entry.0 += *val;
         entry.1 += 1;
@@ -887,8 +892,8 @@ fn group_sum_matches_the_ordered_map() {
         let flavour = flavour(case);
         // Key shapes: a handful of groups (Q1), runs of one key, more than
         // 1024 distinct keys (the index grows seven times), negative and
-        // beyond-2^32 keys, halves that round away from zero, NaN keys
-        // (which round to group 0) and keys past the i64 range.
+        // beyond-2^32 keys, halves that round away from zero, negative
+        // zero and keys past the i64 range.
         let keys: Vec<f64> = (0..n)
             .map(|i| match case % 6 {
                 0 => rng.gen_range(0..6i64) as f64,
@@ -896,11 +901,9 @@ fn group_sum_matches_the_ordered_map() {
                 2 => rng.gen_range(-3000..3000i64) as f64,
                 3 => rng.gen_range(-8..8i64) as f64 * 4_294_967_296.5,
                 4 => rng.gen_range(-9..9i64) as f64 * 0.5,
-                _ => match rng.gen_range(0..8u32) {
-                    0 => f64::NAN,
-                    1 => 1.0e300,
-                    2 => f64::NEG_INFINITY,
-                    3 => -0.0,
+                _ => match rng.gen_range(0..6u32) {
+                    0 => 1.0e300,
+                    1 => -0.0,
                     _ => rng.gen_range(-2.0..2.0),
                 },
             })
@@ -910,6 +913,23 @@ fn group_sum_matches_the_ordered_map() {
         check_kernel("group_sum", group_sum_ref, &args, &format!("case {case}"));
         ran += 1;
     }
+    // A NaN or infinite key names no group: one at a seeded row of an
+    // otherwise finite run is refused, by both, with the same message.
+    for (case, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+        .into_iter()
+        .cycle()
+        .take(12)
+        .enumerate()
+    {
+        let n = rng.gen_range(1..3000usize);
+        let mut keys: Vec<f64> = (0..n).map(|_| rng.gen_range(0..6i64) as f64).collect();
+        let row = rng.gen_range(0..n);
+        keys[row] = bad;
+        let vals = floats(&mut rng, n, flavour(case));
+        let args = [array(keys, 1), array(vals, 1)];
+        let what = format!("refused case {case}: {bad} at row {row} of {n}");
+        check_kernel("group_sum", group_sum_ref, &args, &what);
+    }
     let short = [array(vec![1.0, 2.0], 1), array(vec![1.0], 1)];
     check_kernel("group_sum", group_sum_ref, &short, "length mismatch");
     assert_eq!(ran, CASES);
@@ -917,11 +937,10 @@ fn group_sum_matches_the_ordered_map() {
 
 /// Keys for the sequence test, by `shape`: a handful of groups, runs of
 /// one key, thousands of distinct keys, and the values rounding treats
-/// specially (NaN, both zeros, halves, 2^53 and its neighbour, a key past
-/// the i64 range).
+/// specially (both zeros, halves, 2^53 and its neighbour, a key past the
+/// i64 range).
 fn sequence_keys(rng: &mut StdRng, shape: usize, n: usize) -> Vec<f64> {
-    const SPECIAL: [f64; 10] = [
-        f64::NAN,
+    const SPECIAL: [f64; 8] = [
         0.0,
         -0.0,
         9_007_199_254_740_992.0,
@@ -930,7 +949,6 @@ fn sequence_keys(rng: &mut StdRng, shape: usize, n: usize) -> Vec<f64> {
         0.5,
         -0.5,
         1.0e300,
-        f64::NEG_INFINITY,
     ];
     (0..n)
         .map(|i| match shape % 4 {
@@ -962,15 +980,22 @@ fn group_sum_sequences_match_the_ordered_map_call_by_call() {
         let scale = 1 + case as u64 % 5;
         let keys = sequence_keys(&mut rng, case, n);
         let mut storage = Storage::new();
-        // `k0` and `k1` hold equal contents in two buffers; `k2` differs.
+        // `k0` and `k1` hold equal contents in two buffers; `k2` differs;
+        // `kn` is `k0` with a NaN or infinity at one seeded row.
+        let mut refused = keys.clone();
+        if n > 0 {
+            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][case % 3];
+            refused[rng.gen_range(0..n)] = bad;
+        }
         storage.insert("k0", array(keys.clone(), scale));
         storage.insert("k1", array(keys, scale));
+        storage.insert("kn", array(refused, scale));
         storage.insert("k2", array(sequence_keys(&mut rng, case + 1, n), 1));
         storage.insert("v0", array(floats(&mut rng, n, flavour(case)), 1));
         storage.insert("v1", array(floats(&mut rng, n, flavour(case)), 1));
         storage.insert("short", array(floats(&mut rng, n + 1, Flavour::Finite), 1));
         storage.insert("e", array(Vec::new(), 1));
-        let mut steps: Vec<Step> = ["k0", "k1", "k2", "v0", "v1", "short", "e"]
+        let mut steps: Vec<Step> = ["k0", "k1", "k2", "kn", "v0", "v1", "short", "e"]
             .iter()
             .map(|name| (format!("{name} = scan('{name}')\n"), None))
             .collect();
@@ -989,6 +1014,10 @@ fn group_sum_sequences_match_the_ordered_map_call_by_call() {
             call("k0", "v1"),
             call("k2", "v1"),
             call("k0", "v0"),
+            // A refused key between two uses of the kept one.
+            call("kn", "v0"),
+            call("k0", "v0"),
+            call("kn", "v1"),
             // A hit with values of the wrong length is still refused.
             call("k0", "short"),
             call("k0", "v1"),
@@ -1002,7 +1031,7 @@ fn group_sum_sequences_match_the_ordered_map_call_by_call() {
             call("e", "short"),
         ]);
         for _ in 0..6 {
-            let key = ["k0", "k1", "k2", "e"][rng.gen_range(0..4usize)];
+            let key = ["k0", "k1", "k2", "kn", "e"][rng.gen_range(0..5usize)];
             let val = ["v0", "v1", "short", "e", "k0"][rng.gen_range(0..5usize)];
             steps.push(call(key, val));
         }

@@ -34,9 +34,11 @@
 //! as `to_bits()` so records are `Eq` and replay verification is exact.
 //!
 //! A journal is one stream of records in emission order, fleets included.
-//! Every record still carries a `lane` field, always 0, and
-//! [`WalRecord::Reclaim`] an `in_region` flag, always true: both are kept
-//! so the record layout does not change.
+//! Every record still carries a `lane` field, always 0; otherwise a record
+//! holds only what replay verification reads. A journal is resumed only by
+//! the build that wrote it: a payload longer than its kind's layout is
+//! refused as trailing bytes, so a journal in another layout ends its
+//! valid prefix at the first record whose layout differs.
 //!
 //! ## Kill hook
 //!
@@ -134,10 +136,6 @@ pub enum WalRecord {
         lane: u32,
         /// Number of program lines.
         program_len: u32,
-        /// The evaluator discriminant from when the runtime could be
-        /// switched to the AST walker (1). The runtime only runs the VM
-        /// and always writes 0; the byte stays so the format is unchanged.
-        backend: u8,
     },
     /// The plan this journal belongs to was committed. `shard_fp` is the
     /// `ShardMap` fingerprint for fleet runs, 0 for unsharded runs.
@@ -193,9 +191,6 @@ pub enum WalRecord {
         lane: u32,
         /// Line after which the region's remainder resumed on the device.
         line: u32,
-        /// Always true: every reclaim fires inside a region. The byte
-        /// stays so the format is unchanged.
-        in_region: bool,
         /// State at the decision.
         snap: StateSnap,
     },
@@ -267,14 +262,7 @@ impl WalRecord {
         w.u8(self.tag());
         w.u32(self.lane());
         match self {
-            WalRecord::RunStart {
-                program_len,
-                backend,
-                ..
-            } => {
-                w.u32(*program_len);
-                w.u8(*backend);
-            }
+            WalRecord::RunStart { program_len, .. } => w.u32(*program_len),
             WalRecord::PlanCommit {
                 plan_fp, shard_fp, ..
             } => {
@@ -311,14 +299,8 @@ impl WalRecord {
                 w.u64(*state_bytes);
                 snap.encode(&mut w);
             }
-            WalRecord::Reclaim {
-                line,
-                in_region,
-                snap,
-                ..
-            } => {
+            WalRecord::Reclaim { line, snap, .. } => {
                 w.u32(*line);
-                w.bool(*in_region);
                 snap.encode(&mut w);
             }
             WalRecord::RunEnd {
@@ -347,7 +329,6 @@ impl WalRecord {
             1 => WalRecord::RunStart {
                 lane,
                 program_len: r.u32()?,
-                backend: r.u8()?,
             },
             2 => WalRecord::PlanCommit {
                 lane,
@@ -377,7 +358,6 @@ impl WalRecord {
             6 => WalRecord::Reclaim {
                 lane,
                 line: r.u32()?,
-                in_region: r.bool()?,
                 snap: StateSnap::decode(&mut r)?,
             },
             7 => WalRecord::RunEnd {
@@ -820,7 +800,6 @@ mod tests {
             WalRecord::RunStart {
                 lane: 0,
                 program_len: 7,
-                backend: 0,
             },
             WalRecord::HostLine {
                 lane: 0,
@@ -845,7 +824,6 @@ mod tests {
             WalRecord::Reclaim {
                 lane: 1,
                 line: 3,
-                in_region: true,
                 snap: snap(4),
             },
             WalRecord::RunEnd {
@@ -927,6 +905,83 @@ mod tests {
             "truncated payload"
         );
         assert!(WalRecord::decode(&[99, 0, 0, 0, 0]).is_err(), "unknown tag");
+    }
+
+    /// Each record kind decodes at exactly its encoded length, pinned
+    /// here: a snapshot is 98 bytes, 110 with monitor evidence. A payload
+    /// in the layout before `RunStart` lost its evaluator byte and
+    /// `Reclaim` its always-true region flag is refused, so a journal
+    /// written in that layout reads back to its records ahead of its first
+    /// `RunStart` — its `PlanCommit` — and no further.
+    #[test]
+    fn each_kind_decodes_at_exactly_its_length_and_the_old_layout_is_refused() {
+        let lengths: Vec<(&str, usize)> = sample_records()
+            .iter()
+            .map(|r| (r.kind(), r.encode().len()))
+            .collect();
+        assert_eq!(
+            lengths,
+            [
+                ("plan_commit", 21),
+                ("run_start", 9),
+                ("host_line", 107),
+                ("chunk", 127),
+                ("migration", 120),
+                ("reclaim", 119),
+                ("run_end", 21),
+            ]
+        );
+        for rec in sample_records() {
+            let mut payload = rec.encode();
+            payload.push(0);
+            assert_eq!(
+                WalRecord::decode(&payload),
+                Err("wal record has 1 trailing bytes".to_string()),
+                "{}",
+                rec.kind()
+            );
+        }
+
+        // The old layouts: `backend` (always 0) after `program_len`, and
+        // `in_region` (always 1) between `line` and the snapshot.
+        let old_run_start = |rec: &WalRecord| {
+            let mut payload = rec.encode();
+            payload.push(0);
+            payload
+        };
+        let old_reclaim = |rec: &WalRecord| {
+            let mut payload = rec.encode();
+            payload.insert(9, 1);
+            payload
+        };
+        let reclaim = sample_records()[5];
+        assert_eq!(
+            WalRecord::decode(&old_reclaim(&reclaim)),
+            Err("wal record has 1 trailing bytes".to_string())
+        );
+
+        let old: Vec<Vec<u8>> = sample_records()
+            .iter()
+            .map(|r| match r {
+                WalRecord::RunStart { .. } => old_run_start(r),
+                WalRecord::Reclaim { .. } => old_reclaim(r),
+                _ => r.encode(),
+            })
+            .collect();
+        let mut bytes = WAL_MAGIC.to_vec();
+        let mut first_run_start = None;
+        for (rec, payload) in sample_records().iter().zip(&old) {
+            if matches!(rec, WalRecord::RunStart { .. }) && first_run_start.is_none() {
+                first_run_start = Some(bytes.len() as u64);
+            }
+            bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            bytes.extend_from_slice(&fnv1a(payload).to_le_bytes());
+            bytes.extend_from_slice(payload);
+        }
+        let out = parse_wal_bytes(&bytes);
+        assert_eq!(out.records, sample_records()[..1]);
+        assert_eq!(Some(out.valid_len), first_run_start);
+        assert!(out.torn);
     }
 
     #[test]

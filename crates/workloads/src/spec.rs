@@ -182,7 +182,7 @@ mod tests {
     use super::*;
     use activepy::exec::execute_all_host;
     use alang::table::{Column, Table};
-    use alang::{CostParams, ExecTier, Value};
+    use alang::{ExecTier, Value};
     use csd_sim::SystemConfig;
     use std::sync::Mutex;
 
@@ -344,7 +344,6 @@ mod tests {
                 storage,
                 &mut system,
                 ExecTier::Native,
-                &CostParams::paper_default(),
                 &vec![false; program.len()],
             )
             .expect("runs");

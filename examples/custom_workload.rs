@@ -78,18 +78,20 @@ worst = maxv(flagged)
 
     let config = SystemConfig::paper_default();
     let program = workload.program()?;
-    let outcome = ActivePy::new().run(&program, &workload, &config, ContentionScenario::none())?;
+    let rt = ActivePy::new();
+    let plan = rt.plan(&program, &workload, &config)?;
+    let outcome = rt.execute_plan(&plan, &config, ContentionScenario::none())?;
 
     println!(
         "fraud-screen: {} lines, {} offloaded to the CSD",
         program.len(),
-        outcome.assignment.csd_lines.len()
+        plan.assignment.csd_lines.len()
     );
-    for (pred, line) in outcome.predictions.iter().zip(program.lines()) {
+    for (pred, line) in plan.predictions.iter().zip(program.lines()) {
         println!(
             "  line {:>2} [{}] {:<28} fit {} -> {:>12} B out",
             line.index,
-            if outcome.assignment.csd_lines.contains(&line.index) {
+            if plan.assignment.csd_lines.contains(&line.index) {
                 "CSD "
             } else {
                 "host"
@@ -101,7 +103,7 @@ worst = maxv(flagged)
     }
     println!(
         "\nend-to-end {:.3}s (projected all-host {:.3}s, projected split {:.3}s)",
-        outcome.report.total_secs, outcome.assignment.t_host, outcome.assignment.t_csd
+        outcome.report.total_secs, plan.assignment.t_host, plan.assignment.t_csd
     );
     Ok(())
 }

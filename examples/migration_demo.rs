@@ -33,7 +33,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The same run, but a competing tenant takes 90% of the CSD at t_half.
     let scenario = ContentionScenario::at_time(SimTime::from_secs(t_half), 0.1);
     let with_mig = ActivePy::new().run(&program, &w, &config, scenario)?;
-    match with_mig.report.migration {
+    match with_mig.report.migration() {
         Some(m) => println!(
             "WITH migration:    {:.2}s ({:.2}x) — broke after line {}, moved {} B of live \
              state, {:.0} ms regenerating host code",
@@ -67,7 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // ISP task out at the next status update.
     let preempting = ActivePy::with_options(ActivePyOptions::default().with_preemption_at(t_half))
         .run(&program, &w, &config, ContentionScenario::none())?;
-    match preempting.report.migration {
+    match preempting.report.migration() {
         Some(m) => println!(
             "\nhigh-priority preemption at {t_half:.2}s: vacated after line {} ({:?}), \
              finished in {:.2}s",

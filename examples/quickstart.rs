@@ -9,7 +9,7 @@ use activepy::runtime::ActivePy;
 use activepy::sampling::InputSource;
 use alang::builtins::Storage;
 use alang::value::ArrayVal;
-use alang::{CostParams, ExecTier, Value};
+use alang::{ExecTier, Value};
 use csd_sim::{ContentionScenario, SystemConfig};
 
 /// A synthetic 8 GB sensor log: readings in [0, 100).
@@ -39,16 +39,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     )?;
 
     let config = SystemConfig::paper_default();
-    let outcome = ActivePy::new().run(&program, &SensorLog, &config, ContentionScenario::none())?;
+    let rt = ActivePy::new();
+    let plan = rt.plan(&program, &SensorLog, &config)?;
+    let outcome = rt.execute_plan(&plan, &config, ContentionScenario::none())?;
 
     println!("ActivePy decided, per line:");
     for line in program.lines() {
-        let place = if outcome.assignment.csd_lines.contains(&line.index) {
+        let place = if plan.assignment.csd_lines.contains(&line.index) {
             "CSD "
         } else {
             "host"
         };
-        let est = &outcome.estimates[line.index];
+        let est = &plan.estimates[line.index];
         println!(
             "  [{place}] {line}   (est host {:.3}s / device {:.3}s)",
             est.ct_host, est.ct_device
@@ -56,20 +58,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     println!(
         "\nsampling {:.3}s + codegen {:.3}s overhead, end-to-end {:.3}s",
-        outcome.sampling_secs, outcome.compile_secs, outcome.report.total_secs
+        plan.sampling_secs, plan.compile_secs, outcome.report.total_secs
     );
 
     // Compare with running everything on the host in native code.
     let storage = SensorLog.storage_at(1.0);
     let mut host_sys = config.build();
-    let host = activepy::exec::execute_all_host(
-        &program,
-        &storage,
-        &mut host_sys,
-        ExecTier::Native,
-        &CostParams::paper_default(),
-        &[],
-    )?;
+    let host =
+        activepy::exec::execute_all_host(&program, &storage, &mut host_sys, ExecTier::Native, &[])?;
     println!(
         "host-only C baseline {:.3}s  ->  speedup {:.2}x",
         host.total_secs,

@@ -27,8 +27,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
         // ActivePy: the same unannotated source, no search, no hints.
         let program = q.program()?;
-        let outcome = ActivePy::new().run(&program, &q, &config, ContentionScenario::none())?;
-        let ap = outcome.report.total_secs;
+        let rt = ActivePy::new();
+        let ap_plan = rt.plan(&program, &q, &config)?;
+        let ap = rt
+            .execute_plan(&ap_plan, &config, ContentionScenario::none())?
+            .report
+            .total_secs;
 
         println!(
             "{:<10} {:>9.2}s {:>8.2}s {:>4.2}x {:>6.2}s {:>4.2}x  pd={:?} activepy={:?}",
@@ -39,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ap,
             baseline / ap,
             plan.range,
-            outcome.assignment.csd_regions(),
+            ap_plan.assignment.csd_regions(),
         );
     }
     println!("\nActivePy reaches the hand-optimized plan without any programmer involvement.");

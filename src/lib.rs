@@ -26,18 +26,16 @@
 //! use activepy::runtime::ActivePy;
 //! use csd_sim::{ContentionScenario, SystemConfig};
 //!
-//! // Pick a Table-I workload and run the whole pipeline on it.
+//! // Pick a Table-I workload, plan it once, and execute the plan.
 //! let q6 = isp_workloads::by_name("TPC-H-6").expect("registered");
 //! let program = q6.program()?;
-//! let outcome = ActivePy::new().run(
-//!     &program,
-//!     &q6,
-//!     &SystemConfig::paper_default(),
-//!     ContentionScenario::none(),
-//! )?;
+//! let config = SystemConfig::paper_default();
+//! let rt = ActivePy::new();
+//! let plan = rt.plan(&program, &q6, &config)?;
+//! let outcome = rt.execute_plan(&plan, &config, ContentionScenario::none())?;
 //! println!(
 //!     "offloaded {} of {} lines, end-to-end {:.2}s",
-//!     outcome.assignment.csd_lines.len(),
+//!     plan.assignment.csd_lines.len(),
 //!     program.len(),
 //!     outcome.report.total_secs,
 //! );

@@ -74,8 +74,8 @@ proptest! {
                 );
                 prop_assert_eq!(a.metrics, p.metrics);
                 prop_assert_eq!(
-                    format!("{:?}", a.migration),
-                    format!("{:?}", p.migration)
+                    format!("{:?}", a.migration()),
+                    format!("{:?}", p.migration())
                 );
             }
             (Err(_), Err(_)) => {}
@@ -116,8 +116,8 @@ proptest! {
                         );
                         prop_assert_eq!(sa.report.metrics, sp.report.metrics);
                         prop_assert_eq!(
-                            format!("{:?}", &sa.report.migration),
-                            format!("{:?}", &sp.report.migration),
+                            format!("{:?}", &sa.report.migration()),
+                            format!("{:?}", &sp.report.migration()),
                             "tracing moved a shard migration for:\n{}", src
                         );
                     }
@@ -184,8 +184,8 @@ fn planned_audit_pass_is_observation_only() {
     );
     assert_eq!(audited.report.metrics, reference.report.metrics);
     assert_eq!(
-        format!("{:?}", audited.report.migration),
-        format!("{:?}", reference.report.migration)
+        format!("{:?}", audited.report.migration()),
+        format!("{:?}", reference.report.migration())
     );
 
     // The calibration joined every executed line and published the count.

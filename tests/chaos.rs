@@ -106,7 +106,7 @@ proptest! {
                 // Invariant 3: hard faults always resolve into a
                 // device-fault migration, never an unhandled error.
                 if faulted.metrics.recovery.hard_faults > 0 {
-                    let mig = faulted.migration.expect("hard fault must migrate");
+                    let mig = faulted.migration().expect("hard fault must migrate");
                     prop_assert_eq!(mig.reason, MigrationReason::DeviceFault);
                     prop_assert!(faulted.metrics.recovery.fault_migrations >= 1);
                 }

@@ -10,7 +10,7 @@
 // Each test binary compiles this module separately and uses its own subset.
 #![allow(dead_code)]
 
-use activepy::{FleetReport, RunReport};
+use activepy::{FleetReport, OffloadPlan, RunReport};
 use alang::ast::Expr;
 use alang::builtins::Storage;
 use alang::value::ArrayVal;
@@ -290,4 +290,19 @@ pub fn fault_params(max_prob: f64) -> impl Strategy<Value = FaultParams> {
 /// A random but valid single-device fault plan (rates up to 0.3).
 pub fn fault_plan() -> impl Strategy<Value = FaultPlan> {
     fault_params(0.3).prop_map(|p| p.plan())
+}
+
+/// Asserts that two plans reached the same planning facts: assignment,
+/// estimates, predictions, calibration, sampling report and the two
+/// simulated pipeline overheads.
+pub fn assert_same_planning(a: &OffloadPlan, b: &OffloadPlan) {
+    assert_eq!(a.assignment, b.assignment);
+    assert_eq!(a.estimates, b.estimates);
+    assert_eq!(a.predictions, b.predictions);
+    assert_eq!(a.calibration, b.calibration);
+    assert_eq!(a.sampling, b.sampling);
+    assert_eq!(
+        (a.sampling_secs, a.compile_secs),
+        (b.sampling_secs, b.compile_secs)
+    );
 }

@@ -2,6 +2,8 @@
 //! identical runs produce identical reports, which is what makes every
 //! experiment in the paper reproducible bit-for-bit here.
 
+mod common;
+
 use activepy::runtime::ActivePy;
 use activepy::PlanCache;
 use alang::ParallelPolicy;
@@ -13,15 +15,18 @@ fn identical_runs_produce_identical_outcomes() {
     let config = SystemConfig::paper_default();
     let w = isp_workloads::by_name("TPC-H-14").expect("registered");
     let program = w.program().expect("parse");
-    let a = ActivePy::new()
-        .run(&program, &w, &config, ContentionScenario::none())
-        .expect("first run");
-    let b = ActivePy::new()
-        .run(&program, &w, &config, ContentionScenario::none())
-        .expect("second run");
-    assert_eq!(a.report, b.report);
-    assert_eq!(a.assignment, b.assignment);
-    assert_eq!(a.estimates, b.estimates);
+    let run = || {
+        let rt = ActivePy::new();
+        let plan = rt.plan(&program, &w, &config).expect("plan");
+        let outcome = rt
+            .execute_plan(&plan, &config, ContentionScenario::none())
+            .expect("run");
+        (plan, outcome)
+    };
+    let (plan_a, a) = run();
+    let (plan_b, b) = run();
+    assert_eq!(a, b);
+    common::assert_same_planning(&plan_a, &plan_b);
 }
 
 #[test]
@@ -37,7 +42,7 @@ fn contended_runs_are_deterministic_too() {
         .run(&program, &w, &config, scenario)
         .expect("second");
     assert_eq!(a.report.total_secs, b.report.total_secs);
-    assert_eq!(a.report.migration, b.report.migration);
+    assert_eq!(a.report.migration(), b.report.migration());
 }
 
 #[test]

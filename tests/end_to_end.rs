@@ -36,19 +36,23 @@ fn every_workload_survives_the_full_pipeline() {
     let config = SystemConfig::paper_default();
     for w in isp_workloads::with_sparsemv() {
         let program = w.program().expect("parse");
-        let outcome = ActivePy::new()
-            .run(&program, &w, &config, ContentionScenario::none())
+        let rt = ActivePy::new();
+        let plan = rt
+            .plan(&program, &w, &config)
+            .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+        let outcome = rt
+            .execute_plan(&plan, &config, ContentionScenario::none())
             .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
         assert!(outcome.report.total_secs > 0.0);
-        assert_eq!(outcome.estimates.len(), program.len());
-        assert_eq!(outcome.predictions.len(), program.len());
+        assert_eq!(plan.estimates.len(), program.len());
+        assert_eq!(plan.predictions.len(), program.len());
         assert!(
-            !outcome.assignment.csd_lines.is_empty(),
+            !plan.assignment.csd_lines.is_empty(),
             "{}: the evaluated applications all benefit from the CSD",
             w.name()
         );
         assert!(
-            outcome.report.migration.is_none(),
+            outcome.report.migration().is_none(),
             "{}: quiet CSD, no migration",
             w.name()
         );
@@ -60,10 +64,12 @@ fn pipeline_overheads_stay_small() {
     let config = SystemConfig::paper_default();
     for w in isp_workloads::table1() {
         let program = w.program().expect("parse");
-        let outcome = ActivePy::new()
-            .run(&program, &w, &config, ContentionScenario::none())
+        let rt = ActivePy::new();
+        let plan = rt.plan(&program, &w, &config).expect("plan");
+        let outcome = rt
+            .execute_plan(&plan, &config, ContentionScenario::none())
             .expect("pipeline");
-        let overhead = outcome.sampling_secs + outcome.compile_secs;
+        let overhead = plan.sampling_secs + plan.compile_secs;
         assert!(
             overhead < 0.08 * outcome.report.total_secs,
             "{}: overhead {overhead}s on a {}s run",
@@ -78,13 +84,13 @@ fn calibration_constant_is_sane() {
     let config = SystemConfig::paper_default();
     let w = isp_workloads::by_name("TPC-H-6").expect("registered");
     let program = w.program().expect("parse");
-    let outcome = ActivePy::new()
-        .run(&program, &w, &config, ContentionScenario::none())
+    let plan = ActivePy::new()
+        .plan(&program, &w, &config)
         .expect("pipeline");
     // The CSE is slower than the host, but within a small factor.
     assert!(
-        outcome.calibration.cse_slowdown > 1.0 && outcome.calibration.cse_slowdown < 4.0,
+        plan.calibration.cse_slowdown > 1.0 && plan.calibration.cse_slowdown < 4.0,
         "C = {}",
-        outcome.calibration.cse_slowdown
+        plan.calibration.cse_slowdown
     );
 }

@@ -136,7 +136,7 @@ proptest! {
                     for shard in &faulted.shards {
                         if shard.report.metrics.recovery.hard_faults > 0 {
                             prop_assert!(
-                                shard.report.migration.is_some(),
+                                shard.report.migration().is_some(),
                                 "shard {} absorbed a hard fault without \
                                  migrating for:\n{}", shard.shard, src
                             );

@@ -5,7 +5,7 @@
 use activepy::exec::{execute, execute_all_host, ExecOptions};
 use activepy::sampling::observe_dataset_types;
 use alang::copyelim::eliminable_lines;
-use alang::{CostParams, ExecTier, Interpreter, Vm};
+use alang::{ExecTier, Interpreter, Vm};
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
 
 #[test]
@@ -55,15 +55,8 @@ fn placement_never_changes_results_only_time() {
     let storage = w.storage_at(1.0);
 
     let mut host_sys = config.build();
-    let host = execute_all_host(
-        &program,
-        &storage,
-        &mut host_sys,
-        ExecTier::Native,
-        &CostParams::paper_default(),
-        &[],
-    )
-    .expect("host run");
+    let host = execute_all_host(&program, &storage, &mut host_sys, ExecTier::Native, &[])
+        .expect("host run");
 
     let mut isp_sys = config.build();
     let placements = vec![EngineKind::Cse; program.len()];

@@ -20,8 +20,9 @@
 
 mod common;
 
-use activepy::runtime::{ActivePy, ActivePyOptions};
+use activepy::runtime::{ActivePy, ActivePyOptions, ActivePyOutcome};
 use activepy::sampling::InputSource;
+use activepy::OffloadPlan;
 use alang::parser::parse;
 use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::{export, parse_journal, MemorySink, Tracer};
@@ -43,27 +44,31 @@ b = select(a, m)
 s = sum(b)
 ";
 
-/// Runs the full pipeline under heavy mid-run contention (which forces a
-/// migration) with a fresh memory tracer; returns the sink and outcome.
-fn traced_run() -> (Arc<MemorySink>, activepy::runtime::ActivePyOutcome) {
-    let (tracer, sink) = Tracer::to_memory();
+/// Plans `SRC` and executes the plan under heavy mid-run contention
+/// (which forces a migration) with `options`.
+fn contended_run(options: ActivePyOptions) -> (OffloadPlan, ActivePyOutcome) {
     let program = parse(SRC).expect("parse");
     let config = SystemConfig::paper_default();
-    let outcome = ActivePy::with_options(ActivePyOptions::default().with_tracer(tracer.clone()))
-        .run(
-            &program,
-            &input(),
-            &config,
-            ContentionScenario::after_progress(0.5, 0.1),
-        )
-        .expect("traced pipeline");
-    (sink, outcome)
+    let rt = ActivePy::with_options(options);
+    let plan = rt.plan(&program, &input(), &config).expect("plan");
+    let outcome = rt
+        .execute_plan(&plan, &config, ContentionScenario::after_progress(0.5, 0.1))
+        .expect("pipeline");
+    (plan, outcome)
+}
+
+/// [`contended_run`] with a fresh memory tracer; returns the sink, the
+/// plan and the outcome.
+fn traced_run() -> (Arc<MemorySink>, OffloadPlan, ActivePyOutcome) {
+    let (tracer, sink) = Tracer::to_memory();
+    let (plan, outcome) = contended_run(ActivePyOptions::default().with_tracer(tracer));
+    (sink, plan, outcome)
 }
 
 #[test]
 fn masked_journals_are_byte_identical_across_same_seed_runs() {
-    let (a, _) = traced_run();
-    let (b, _) = traced_run();
+    let (a, _, _) = traced_run();
+    let (b, _, _) = traced_run();
     let jsonl_a = export::jsonl(&a.events(), None, true);
     let jsonl_b = export::jsonl(&b.events(), None, true);
     assert_eq!(jsonl_a, jsonl_b, "masked JSONL journals diverged");
@@ -77,27 +82,20 @@ fn masked_journals_are_byte_identical_across_same_seed_runs() {
 
 #[test]
 fn tracing_is_observation_only() {
-    let (_, traced) = traced_run();
-    let program = parse(SRC).expect("parse");
-    let config = SystemConfig::paper_default();
-    let untraced = ActivePy::new()
-        .run(
-            &program,
-            &input(),
-            &config,
-            ContentionScenario::after_progress(0.5, 0.1),
-        )
-        .expect("untraced pipeline");
+    let (_, traced_plan, traced) = traced_run();
+    let (untraced_plan, untraced) = contended_run(ActivePyOptions::default());
     // Full-outcome equality: report (fingerprint, line costs, metrics),
-    // assignment, estimates, predictions, sampling — nothing may move.
+    // then the plan's assignment, estimates, predictions, calibration,
+    // sampling and overheads — nothing may move.
     assert_eq!(traced, untraced);
+    common::assert_same_planning(&traced_plan, &untraced_plan);
 }
 
 #[test]
 fn traced_pipeline_covers_all_phases_and_the_migration() {
-    let (sink, outcome) = traced_run();
+    let (sink, _, outcome) = traced_run();
     assert!(
-        outcome.report.migration.is_some(),
+        outcome.report.migration().is_some(),
         "the 10% contention scenario must force a migration"
     );
     let journal =
@@ -146,7 +144,7 @@ fn traced_pipeline_covers_all_phases_and_the_migration() {
 
 #[test]
 fn chrome_export_matches_the_committed_golden() {
-    let (sink, _) = traced_run();
+    let (sink, _, _) = traced_run();
     let rendered = export::chrome_trace(&sink.events(), None, true);
     let path = concat!(
         env!("CARGO_MANIFEST_DIR"),

@@ -85,8 +85,8 @@ fn assert_same_outcome(
         src
     );
     prop_assert_eq!(
-        &full.migration,
-        &resumed.migration,
+        &full.migration(),
+        &resumed.migration(),
         "[{}] resume changed the migration outcome for:\n{}",
         tag,
         src
