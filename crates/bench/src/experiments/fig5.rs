@@ -13,8 +13,6 @@
 //! [`ActivePy::execute_plan`] calls per workload instead of four full
 //! plan-and-run pipelines.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::geomean;
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::PlanCache;
@@ -71,17 +69,6 @@ pub struct Summary {
     pub max_loss_without: f64,
 }
 
-/// Counts how many times each hoisted per-workload phase executed; used by
-/// tests to assert the baseline and reference run happen once per workload
-/// no matter how many availability levels share them.
-#[derive(Debug, Default)]
-struct RunCounters {
-    /// `run_c_baseline` invocations.
-    baselines: AtomicUsize,
-    /// Uncontended reference executions.
-    references: AtomicUsize,
-}
-
 fn scenario_at(t_half: f64, availability_pct: u32) -> ContentionScenario {
     ContentionScenario::at_time(
         SimTime::from_secs(t_half),
@@ -98,7 +85,6 @@ fn run_workload(
     w: &isp_workloads::Workload,
     config: &SystemConfig,
     cache: &PlanCache,
-    counters: &RunCounters,
     policy: ParallelPolicy,
     tracer: &Tracer,
 ) -> Vec<Row> {
@@ -109,7 +95,6 @@ fn run_workload(
         vec![("workload".into(), w.name().into())],
     );
     let program = w.program().expect("registered workloads parse");
-    counters.baselines.fetch_add(1, Ordering::Relaxed);
     let baseline = run_c_baseline(w, config).expect("baseline runs").total_secs;
     let rt = ActivePy::with_options(
         ActivePyOptions::default()
@@ -119,7 +104,6 @@ fn run_workload(
     let plan = cache
         .plan_for(&rt, w.name(), &program, w, config)
         .expect("planning succeeds");
-    counters.references.fetch_add(1, Ordering::Relaxed);
     let reference = rt
         .execute_plan(&plan, config, ContentionScenario::none())
         .expect("reference run");
@@ -182,17 +166,8 @@ fn run_workload(
 /// Panics if a registered workload fails to run.
 #[must_use]
 pub fn run(config: &SystemConfig, cache: &PlanCache, policy: ParallelPolicy) -> Vec<Row> {
-    run_counted(config, cache, policy, &RunCounters::default())
-}
-
-fn run_counted(
-    config: &SystemConfig,
-    cache: &PlanCache,
-    policy: ParallelPolicy,
-    counters: &RunCounters,
-) -> Vec<Row> {
     availability_major(crate::sweep::run_grid(isp_workloads::full_set(), |w| {
-        run_workload(&w, config, cache, counters, policy, &Tracer::disabled())
+        run_workload(&w, config, cache, policy, &Tracer::disabled())
     }))
 }
 
@@ -214,13 +189,12 @@ pub fn run_traced(
     tracer: &Tracer,
     workload_filter: Option<&str>,
 ) -> Vec<Row> {
-    let counters = RunCounters::default();
     let policy = ParallelPolicy::default();
     availability_major(
         isp_workloads::full_set()
             .into_iter()
             .filter(|w| workload_filter.is_none_or(|f| w.name() == f))
-            .map(|w| run_workload(&w, config, cache, &counters, policy, tracer))
+            .map(|w| run_workload(&w, config, cache, policy, tracer))
             .collect(),
     )
 }
@@ -360,19 +334,18 @@ mod tests {
     fn hoisted_phases_run_once_per_workload() {
         let config = SystemConfig::paper_default();
         let cache = PlanCache::new();
-        let counters = RunCounters::default();
-        let rows = run_counted(&config, &cache, ParallelPolicy::default(), &counters);
+        // The traced grid runs serially, so every evaluation is this
+        // thread's: per workload one C baseline and one uncontended
+        // reference, then a run with and one without migration per level.
+        let before = activepy::exec::evaluations_on_this_thread();
+        let rows = run_traced(&config, &cache, &Tracer::disabled(), None);
+        let evaluations = activepy::exec::evaluations_on_this_thread() - before;
         let n = isp_workloads::full_set().len();
         assert_eq!(rows.len(), n * AVAILABILITY_PCTS.len());
         assert_eq!(
-            counters.baselines.load(Ordering::Relaxed),
-            n,
-            "C baseline must run exactly once per workload"
-        );
-        assert_eq!(
-            counters.references.load(Ordering::Relaxed),
-            n,
-            "uncontended reference must run exactly once per workload"
+            evaluations as usize,
+            n * (1 + 1 + 2 * AVAILABILITY_PCTS.len()),
+            "the C baseline and the reference must run exactly once per workload"
         );
         let stats = cache.stats();
         assert_eq!(

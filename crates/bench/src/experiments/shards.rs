@@ -4,8 +4,8 @@
 //! Every (workload, N) cell derives its [`activepy::ShardedPlan`] from
 //! the *same* cached single-device plan — sampling, fitting, and the
 //! full-scale input are produced once per workload and sliced by the
-//! [`ShardMap`], never regenerated per shard count (`RunCounters`
-//! proves it). Speedups are simulated end-to-end latency vs the N=1
+//! [`ShardMap`], never regenerated per shard count (the cache's misses
+//! prove it). Speedups are simulated end-to-end latency vs the N=1
 //! fleet row, so the sweep is fully deterministic: the floors in
 //! [`check`] hold on any host.
 //!
@@ -18,12 +18,8 @@
 //!   shard's CSE at t=0; that shard alone migrates to the host, the rest
 //!   finish on-device, and the answer is unchanged.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use activepy::runtime::ActivePy;
-use activepy::sampling::InputSource;
 use activepy::{execute_sharded_plan, PlanCache};
-use alang::builtins::Storage;
 use alang::shard::{ShardMap, ShardStrategy};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::SimTime;
@@ -129,39 +125,14 @@ pub struct Report {
     pub rows: Vec<Row>,
     /// The one-shard-crash isolation cell.
     pub chaos: Chaos,
-    /// Full-scale input generations observed — one per workload when the
-    /// hoist holds.
-    pub full_datagens: usize,
+    /// Full-scale input generations: the sweep's plan-cache misses, a cold
+    /// miss being exactly one `storage_at(1.0)` (a warm-started one, none)
+    /// — at most one per workload when the hoist holds, 0 when earlier
+    /// experiments already planned every base.
+    pub full_datagens: u64,
     /// Cells whose fingerprint diverged from the unsharded run (must be
     /// zero).
     pub fingerprint_divergences: usize,
-}
-
-/// Counts full-scale input materializations; the datagen-hoist test
-/// asserts exactly one per workload across the whole sweep.
-#[derive(Debug, Default)]
-struct RunCounters {
-    /// `storage_at(1.0)` calls seen by the sweep's input sources.
-    full_datagens: AtomicUsize,
-}
-
-/// An [`InputSource`] that counts full-scale materializations before
-/// delegating to the workload's generator. Sampling-scale calls (2⁻¹⁰…)
-/// pass through uncounted — the hoist invariant is about the expensive
-/// full dataset, which the base plan materializes once and every shard
-/// count reuses through the [`ShardMap`].
-struct CountingSource<'a> {
-    inner: &'a isp_workloads::Workload,
-    counter: &'a AtomicUsize,
-}
-
-impl InputSource for CountingSource<'_> {
-    fn storage_at(&self, scale: f64) -> Storage {
-        if scale >= 1.0 {
-            self.counter.fetch_add(1, Ordering::Relaxed);
-        }
-        self.inner.storage_at(scale)
-    }
 }
 
 /// Runs the sweep against `cache`, so a full repro run samples each
@@ -172,17 +143,13 @@ impl InputSource for CountingSource<'_> {
 /// Panics if a registered workload fails to plan or run.
 #[must_use]
 pub fn run(cache: &PlanCache) -> Report {
-    run_configured(&WORKLOADS, &SHARD_COUNTS, cache, &RunCounters::default())
+    run_configured(&WORKLOADS, &SHARD_COUNTS, cache)
 }
 
 /// The sweep core: `workloads` × `counts` cells plus the chaos cell,
-/// against `cache`, with datagen counting.
-fn run_configured(
-    workloads: &[&str],
-    counts: &[usize],
-    cache: &PlanCache,
-    counters: &RunCounters,
-) -> Report {
+/// against `cache`.
+fn run_configured(workloads: &[&str], counts: &[usize], cache: &PlanCache) -> Report {
+    let misses_before = cache.stats().misses;
     let config = SystemConfig::paper_default();
     let rt = ActivePy::new();
     let mut rows = Vec::new();
@@ -190,15 +157,11 @@ fn run_configured(
     for name in workloads {
         let w = isp_workloads::by_name(name).expect("registered workload");
         let program = w.program().expect("registered workloads parse");
-        let source = CountingSource {
-            inner: &w,
-            counter: &counters.full_datagens,
-        };
         // Hoisted per workload: one sampling pass, one full-scale input.
         // Every fleet size below derives from this plan and slices the
         // same dataset through its ShardMap.
         let base = cache
-            .plan_for(&rt, w.name(), &program, &source, &config)
+            .plan_for(&rt, w.name(), &program, &w, &config)
             .expect("planning succeeds");
         let unsharded = rt
             .execute_plan(&base, &config, ContentionScenario::none())
@@ -207,7 +170,7 @@ fn run_configured(
         for &n in counts {
             let map = ShardMap::auto(&base.full_storage, n, ShardStrategy::Range);
             let plan = cache
-                .sharded_plan_for(&rt, w.name(), &program, &source, &config, &map)
+                .sharded_plan_for(&rt, w.name(), &program, &w, &config, &map)
                 .expect("sharded planning succeeds");
             let report = execute_sharded_plan(&rt, &plan, &config, ContentionScenario::none(), &[])
                 .expect("fleet run succeeds");
@@ -215,53 +178,45 @@ fn run_configured(
             if !fingerprint_ok {
                 divergences += 1;
             }
-            let base_secs = *one_secs.get_or_insert(report.total_secs);
+            let total_secs = report.total_secs();
+            let base_secs = *one_secs.get_or_insert(total_secs);
             rows.push(Row {
                 name: w.name().to_owned(),
                 shards: n,
                 fence: report.fence,
                 lines: program.len(),
-                total_secs: report.total_secs,
-                scatter_secs: report.scatter_secs,
+                total_secs,
+                scatter_secs: report.scatter_secs(),
                 gather_secs: report.gather_secs,
                 combine_secs: report.combine_secs,
                 tail_secs: report.tail_secs,
-                gathered_bytes: report.gathered_bytes,
+                gathered_bytes: report.gathered_bytes(),
                 shards_on_device: report.shards_on_device(),
-                speedup: base_secs / report.total_secs,
+                speedup: base_secs / total_secs,
                 fingerprint_ok,
             });
         }
     }
-    let chaos = run_chaos(&rt, cache, &config, counters);
+    let chaos = run_chaos(&rt, cache, &config);
     Report {
         rows,
         chaos,
-        full_datagens: counters.full_datagens.load(Ordering::Relaxed),
+        full_datagens: cache.stats().misses - misses_before,
         fingerprint_divergences: divergences,
     }
 }
 
 /// The failure-isolation cell: crash [`CHAOS_SHARD`]'s CSE at t=0 in a
 /// [`CHAOS_SHARDS`]-device fleet and compare against the fault-free twin.
-fn run_chaos(
-    rt: &ActivePy,
-    cache: &PlanCache,
-    config: &SystemConfig,
-    counters: &RunCounters,
-) -> Chaos {
+fn run_chaos(rt: &ActivePy, cache: &PlanCache, config: &SystemConfig) -> Chaos {
     let w = isp_workloads::by_name(CHAOS_WORKLOAD).expect("registered workload");
     let program = w.program().expect("registered workloads parse");
-    let source = CountingSource {
-        inner: &w,
-        counter: &counters.full_datagens,
-    };
     let base = cache
-        .plan_for(rt, w.name(), &program, &source, config)
+        .plan_for(rt, w.name(), &program, &w, config)
         .expect("planning succeeds");
     let map = ShardMap::auto(&base.full_storage, CHAOS_SHARDS, ShardStrategy::Range);
     let plan = cache
-        .sharded_plan_for(rt, w.name(), &program, &source, config, &map)
+        .sharded_plan_for(rt, w.name(), &program, &w, config, &map)
         .expect("sharded planning succeeds");
     let healthy = execute_sharded_plan(rt, &plan, config, ContentionScenario::none(), &[])
         .expect("healthy fleet run");
@@ -277,12 +232,13 @@ fn run_chaos(
         healthy_on_device: chaotic
             .shards
             .iter()
-            .filter(|s| s.shard != CHAOS_SHARD)
-            .all(|s| s.report.migration().is_none()),
+            .enumerate()
+            .filter(|(s, _)| *s != CHAOS_SHARD)
+            .all(|(_, s)| s.report.migration().is_none()),
         fingerprint_ok: chaotic.values_fingerprint == healthy.values_fingerprint,
-        injected_crashes: chaotic.injected.cse_crashes,
-        total_secs: chaotic.total_secs,
-        healthy_secs: healthy.total_secs,
+        injected_crashes: chaotic.injected().cse_crashes,
+        total_secs: chaotic.total_secs(),
+        healthy_secs: healthy.total_secs(),
     }
 }
 
@@ -403,13 +359,7 @@ mod tests {
     #[test]
     fn smoke_sweep_holds_invariants_with_one_datagen_per_workload() {
         let cache = PlanCache::new();
-        let counters = RunCounters::default();
-        let report = run_configured(
-            &["blackscholes", "PageRank", "LogGrep"],
-            &[1, 2],
-            &cache,
-            &counters,
-        );
+        let report = run_configured(&["blackscholes", "PageRank", "LogGrep"], &[1, 2], &cache);
         assert_eq!(report.rows.len(), 6);
         assert_eq!(report.fingerprint_divergences, 0);
         assert!(report.rows.iter().all(|r| r.fingerprint_ok));
@@ -470,5 +420,28 @@ mod tests {
         assert!(c.fingerprint_ok, "{c:?}");
         assert_eq!(c.injected_crashes, 1, "{c:?}");
         assert!(c.total_secs >= c.healthy_secs, "{c:?}");
+    }
+
+    /// A base plan made from the bare `Workload` — as every other
+    /// experiment makes it — is the one the sweep looks up: LogGrep's
+    /// encoded datasets put a wire fingerprint in its key, so a sweep that
+    /// wrapped the workload in another input source would miss and plan
+    /// it again.
+    #[test]
+    fn a_base_planned_elsewhere_is_not_planned_again() {
+        let cache = PlanCache::new();
+        let config = SystemConfig::paper_default();
+        // LogGrep for its one cell, blackscholes for the chaos cell.
+        for name in ["LogGrep", CHAOS_WORKLOAD] {
+            let w = isp_workloads::by_name(name).expect("registered workload");
+            let program = w.program().expect("registered workloads parse");
+            cache
+                .plan_for(&ActivePy::new(), name, &program, &w, &config)
+                .expect("planning succeeds");
+        }
+        let report = run_configured(&["LogGrep"], &[1], &cache);
+        assert_eq!(report.full_datagens, 0, "{:?}", cache.stats());
+        assert_eq!(cache.stats().misses, 2, "the sweep added a miss");
+        assert_eq!(report.fingerprint_divergences, 0);
     }
 }

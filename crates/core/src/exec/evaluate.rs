@@ -3,7 +3,7 @@
 use super::ExecOptions;
 use crate::error::{ActivePyError, Result};
 use alang::par::ParStatsSnapshot;
-use alang::{Fingerprinter, LineCost, LoweredProgram, ParallelPolicy, Program, Storage, Vm};
+use alang::{Fingerprinter, LineCost, LoweredProgram, Program, Storage, Vm};
 
 /// What `program` computes over `storage` — a function of those two alone
 /// (placement, contention, faults and sharding affect only simulated
@@ -21,8 +21,7 @@ pub struct Evaluation {
     /// in first-assignment order, through one [`Fingerprinter`]. Bit
     /// patterns, not renderings: `-0.0` and NaN payloads count.
     pub(super) values_fingerprint: u64,
-    /// The policy the kernels ran under, and what they counted.
-    pub(super) parallel: ParallelPolicy,
+    /// What the kernels counted.
     pub(super) par: ParStatsSnapshot,
 }
 
@@ -82,7 +81,6 @@ pub fn evaluate(
     Ok(Evaluation {
         lines,
         values_fingerprint: fp.finish(),
-        parallel: opts.parallel,
         par: vm.par_stats(),
     })
 }
@@ -246,7 +244,7 @@ mod tests {
             &[],
         )
         .expect("serial");
-        let policy = ParallelPolicy::new(8, 64).expect("valid policy");
+        let policy = alang::ParallelPolicy::new(8, 64).expect("valid policy");
         let mut par_sys = SystemConfig::paper_default().build();
         let par = execute(
             &program,
@@ -261,13 +259,11 @@ mod tests {
         assert_eq!(par.lines, serial.lines);
         assert_eq!(par.values_fingerprint, serial.values_fingerprint);
         assert_eq!(par.total_secs, serial.total_secs);
-        assert_eq!(par.parallel, policy, "the report records its policy");
         assert!(
             par.metrics.par.par_calls > 0,
             "a 64-element threshold engages chunking: {:?}",
             par.metrics.par
         );
-        assert_eq!(serial.parallel, ParallelPolicy::default());
         assert_eq!(serial.metrics.par.par_calls, 0);
     }
 }

@@ -217,7 +217,7 @@ impl Run<'_> {
             r.lines[k].duration += self.now() - t0;
             // The merged region outputs live wherever the stream finished.
             let engine = reclaim.map_or(EngineKind::Host, |_| EngineKind::Cse);
-            self.values[r.start + k].location = Some(engine);
+            self.values[r.start + k] = Some(engine);
         }
         reclaim
     }

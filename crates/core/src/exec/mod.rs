@@ -226,16 +226,6 @@ impl Region {
     }
 }
 
-/// Where the value a line defined is, once the line has been simulated. A
-/// value is the line that defines it: names were resolved to reaching
-/// definitions when the [`Program`] was built, so nothing here is keyed
-/// by name.
-#[derive(Clone, Copy, Default)]
-struct ValueSlot {
-    /// The engine whose memory holds it (`None` before its line has run).
-    location: Option<EngineKind>,
-}
-
 /// One execution in flight: the program, its options, the simulated
 /// platform, what the program evaluated to, and everything the line/region
 /// state machine mutates as it goes.
@@ -247,10 +237,14 @@ struct Run<'a> {
     system: &'a mut System,
     evaluation: &'a Evaluation,
     recov: Recovery,
-    /// Per defining line. The machine visits lines strictly in program
-    /// order and a reaching definition is an earlier line, so every value
-    /// a line reads has been placed by the time it is read.
-    values: Vec<ValueSlot>,
+    /// Per defining line, the engine whose memory holds the value it
+    /// defined (`None` before the line has run). A value is the line that
+    /// defines it: names were resolved to reaching definitions when the
+    /// [`Program`] was built, so nothing here is keyed by name. The machine
+    /// visits lines strictly in program order and a reaching definition is
+    /// an earlier line, so every value a line reads has been placed by the
+    /// time it is read.
+    values: Vec<Option<EngineKind>>,
     placements: Vec<EngineKind>,
     /// The monitor of the region in flight (`None` between regions), so
     /// boundary snapshots taken inside a region carry its evidence.

@@ -1,7 +1,7 @@
 //! What one execution reports.
 
 use crate::metrics::MetricsSnapshot;
-use alang::{LineCost, ParallelPolicy};
+use alang::LineCost;
 use csd_sim::EngineKind;
 use serde::Serialize;
 
@@ -97,8 +97,6 @@ pub struct RunReport {
     /// answer?" check the fault sweep and the chaos differential compare
     /// across faulted and fault-free runs.
     pub values_fingerprint: u64,
-    /// The kernel-execution policy the run was configured with.
-    pub parallel: ParallelPolicy,
     /// The unified metrics block: fault, recovery, and kernel counter
     /// families in one deterministic snapshot (plan-cache counters are
     /// zero here; [`crate::plan::PlanCache`] fills them in for cached

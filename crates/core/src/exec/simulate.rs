@@ -6,7 +6,7 @@
 use super::outcome::last_host_ward;
 use super::{
     chunk_slice, csd_lines, estimate_sums, Boundary, ChunkStep, Evaluation, ExecOptions,
-    LineOutcome, Region, RegionLine, Run, RunReport, ValueSlot, REGION_CHUNKS,
+    LineOutcome, Region, RegionLine, Run, RunReport, REGION_CHUNKS,
 };
 use crate::error::{ActivePyError, Result};
 use crate::estimate::LineEstimate;
@@ -83,7 +83,7 @@ pub fn simulate(
         system,
         evaluation,
         recov: Recovery::with_tracer(opts.tracer.clone()),
-        values: vec![ValueSlot::default(); program.len()],
+        values: vec![None; program.len()],
         placements: placements.to_vec(),
         monitor: None,
         migrations: Vec::new(),
@@ -279,8 +279,7 @@ impl Run<'_> {
         // The program's result must end up in host memory (must-complete).
         // In a fleet shard run, gathering results is the fleet's combine
         // phase, charged against the shared host link budget instead.
-        let on_device = |v: &ValueSlot| v.location == Some(EngineKind::Cse);
-        if self.values.last().is_some_and(on_device) {
+        if self.values.last() == Some(&Some(EngineKind::Cse)) {
             let bytes = self.line_cost(program.len() - 1).bytes_out;
             // A free line in a shard run drains nothing; the unsharded
             // path keeps issuing the (possibly empty) transfer so its
@@ -330,7 +329,6 @@ impl Run<'_> {
             d2h_bytes: self.system.d2h_bytes().as_u64(),
             h2d_bytes: self.system.h2d_bytes().as_u64(),
             values_fingerprint: fingerprint,
-            parallel: self.evaluation.parallel,
             metrics,
             migrations: std::mem::take(&mut self.migrations),
         })
@@ -392,7 +390,7 @@ impl Run<'_> {
         let mut staged = 0u64;
         for def in line.inputs().filter_map(|(_, def)| def) {
             let bytes = self.input_bytes(def, line.index);
-            if bytes == 0 || self.values[def].location.is_none_or(|loc| loc == engine) {
+            if bytes == 0 || self.values[def].is_none_or(|loc| loc == engine) {
                 continue;
             }
             let dir = match engine {
@@ -403,7 +401,7 @@ impl Run<'_> {
             self.recov
                 .run_to_completion(self.system, |s| s.try_transfer(dir, Bytes::new(bytes)));
             staged += bytes;
-            self.values[def].location = Some(engine);
+            self.values[def] = Some(engine);
         }
         staged
     }
@@ -518,7 +516,7 @@ impl Run<'_> {
             external_input_bytes += line
                 .inputs()
                 .filter_map(|(_, def)| def)
-                .filter(|&d| d < start && self.values[d].location == Some(EngineKind::Host))
+                .filter(|&d| d < start && self.values[d] == Some(EngineKind::Host))
                 .map(|d| self.input_bytes(d, line.index))
                 .sum::<u64>();
             let staged = self.stage_inputs(line, EngineKind::Cse);
@@ -626,7 +624,7 @@ impl Run<'_> {
 
     /// Places the value line `def` just produced in `engine`'s memory.
     fn bind(&mut self, def: usize, engine: EngineKind) {
-        self.values[def].location = Some(engine);
+        self.values[def] = Some(engine);
     }
 }
 

@@ -153,7 +153,6 @@ fn enc_sampling(w: &mut ByteWriter, s: &SamplingReport) {
         w.str(name);
         w.u8(t.code());
     }
-    s.total_sampling_cost.canonical(w);
 }
 
 fn dec_sampling(r: &mut ByteReader<'_>) -> Result<SamplingReport, String> {
@@ -167,11 +166,9 @@ fn dec_sampling(r: &mut ByteReader<'_>) -> Result<SamplingReport, String> {
         Ok(LineSamples { line, points })
     })?;
     let dataset_types = read_map(r, |r| StaticType::from_code(r.u8()?))?;
-    let total_sampling_cost = LineCost::from_canonical(r)?;
     Ok(SamplingReport {
         lines,
         dataset_types: dataset_types.into_iter().collect(),
-        total_sampling_cost,
     })
 }
 
@@ -316,7 +313,6 @@ mod tests {
                 ],
             }],
             dataset_types,
-            total_sampling_cost: cost,
         }
     }
 
@@ -367,8 +363,9 @@ mod tests {
     #[test]
     fn warm_file_bytes_are_pinned() {
         // One seed: every value kind, every static type, two sample
-        // points. Recorded before the value decoder and the tag tables
-        // moved to their types' home modules.
+        // points. Recorded when the sampling report stopped carrying its
+        // total (52 bytes less than the 1 171 before); the value bytes are
+        // the 853 pinned above.
         let path = tmp("pinned");
         let seed = WarmSeed {
             sampling: sample_report(),
@@ -377,7 +374,25 @@ mod tests {
         save_warm_file(&path, &[(("workload".into(), 0xBEEF), seed)]).expect("save");
         let bytes = std::fs::read(&path).expect("read");
         std::fs::remove_file(&path).ok();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (1171, 0x6bca_28e4_a5de_c808));
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (1119, 0x89db_7c63_9c2d_18a1));
+    }
+
+    #[test]
+    fn a_file_with_the_old_stored_total_is_invalid_data() {
+        // The layout before the total was derived: the sampling report
+        // followed by the sum of its points' costs, then the storage.
+        let sampling = sample_report();
+        let mut w = ByteWriter::default();
+        w.u32(1);
+        enc_key(&mut w, &("workload".into(), 0xBEEF));
+        enc_sampling(&mut w, &sampling);
+        sampling.total_cost().canonical(&mut w);
+        enc_storage(&mut w, &sample_storage());
+        let path = tmp("old_total");
+        std::fs::write(&path, framed(&w.into_bytes())).expect("write");
+        let err = load_warm_file(&path).expect_err("an old-layout file read as seeds");
+        std::fs::remove_file(&path).ok();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 
     #[test]

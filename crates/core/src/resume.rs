@@ -71,17 +71,12 @@ struct JournalState {
     appended: u64,
 }
 
-#[derive(Debug)]
-struct JournalInner {
-    state: Mutex<JournalState>,
-}
-
 /// Handle to a crash-consistent execution journal. Cheap to clone;
 /// clones share the underlying writer and replay queue. [`Default`] and
 /// [`ExecJournal::disabled`] produce the zero-cost off state.
 #[derive(Debug, Clone, Default)]
 pub struct ExecJournal {
-    inner: Option<Arc<JournalInner>>,
+    inner: Option<Arc<Mutex<JournalState>>>,
 }
 
 impl PartialEq for ExecJournal {
@@ -136,14 +131,12 @@ impl ExecJournal {
 
     fn from_state(writer: WalWriter, replay: VecDeque<WalRecord>) -> ExecJournal {
         ExecJournal {
-            inner: Some(Arc::new(JournalInner {
-                state: Mutex::new(JournalState {
-                    writer,
-                    replay,
-                    replayed: 0,
-                    appended: 0,
-                }),
-            })),
+            inner: Some(Arc::new(Mutex::new(JournalState {
+                writer,
+                replay,
+                replayed: 0,
+                appended: 0,
+            }))),
         }
     }
 
@@ -157,7 +150,7 @@ impl ExecJournal {
     #[must_use]
     pub fn stats(&self) -> Option<JournalStats> {
         let inner = self.inner.as_ref()?;
-        let st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let st = inner.lock().unwrap_or_else(PoisonError::into_inner);
         Some(JournalStats {
             replayed: st.replayed,
             appended: st.appended,
@@ -177,7 +170,7 @@ impl ExecJournal {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        let mut st = inner.state.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut st = inner.lock().unwrap_or_else(PoisonError::into_inner);
         // Once the queue is drained the run has caught up with the crash
         // point and every further record is appended.
         if let Some(expected) = st.replay.pop_front() {
@@ -218,8 +211,8 @@ impl ExecJournal {
 #[must_use]
 pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
     // Not hashed: the program and its lowering (a different program is a
-    // different `RunStart`), the raw sample points and their cost (the
-    // predictions are their fit), simulated pipeline overheads and the
+    // different `RunStart`), the raw sample points (the predictions are
+    // their fit), simulated pipeline overheads and the
     // input (the run's own records carry the clock and the answer), the
     // host timings, and the audit's echo of the estimates.
     let OffloadPlan {
@@ -240,7 +233,6 @@ pub fn plan_fingerprint(plan: &OffloadPlan) -> u64 {
     let SamplingReport {
         lines: _,
         dataset_types,
-        total_sampling_cost: _,
     } = sampling;
     let f = &mut Fingerprinter::default();
 

@@ -209,25 +209,21 @@ impl ShardSlice {
     }
 }
 
-/// One shard's slice of the scatter phase.
+/// One shard's slice of the scatter phase; its shard index is its index
+/// in [`FleetReport::shards`].
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ShardRunReport {
-    /// Shard index.
-    pub shard: usize,
     /// The shard's execution report (its own device clock).
     pub report: RunReport,
     /// Bytes this shard contributed to the gather phase.
     pub gather_bytes: u64,
 }
 
-/// The result of one scatter-gather fleet execution.
+/// The result of one scatter-gather fleet execution. The end-to-end
+/// latency, the scatter barrier, the gathered bytes and the injected
+/// faults are read from the shard and tail reports, not stored beside them.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FleetReport {
-    /// End-to-end latency: lead-in + scatter + gather + combine + tail.
-    pub total_secs: f64,
-    /// The scatter phase: max over the shards' device clocks (devices run
-    /// concurrently).
-    pub scatter_secs: f64,
     /// The concurrent carrier gather, charged by [`Fleet::gather_secs`].
     pub gather_secs: f64,
     /// The ordered host-side combine (ascending shard index).
@@ -239,19 +235,42 @@ pub struct FleetReport {
     pub fence: usize,
     /// Per-shard scatter reports, ascending shard index.
     pub shards: Vec<ShardRunReport>,
-    /// The tail run's report (the host clock spanning gather → combine →
-    /// tail).
+    /// The tail run's report (the host clock spanning lead-in → scatter →
+    /// gather → combine → tail).
     pub tail: RunReport,
-    /// Total bytes gathered across all shards.
-    pub gathered_bytes: u64,
     /// The one answer fingerprint — every shard run and the tail carry
     /// the same evaluation's — equal to the unsharded run's.
     pub values_fingerprint: u64,
-    /// Sum of every device's injected-fault counters after the run.
-    pub injected: FaultCounters,
 }
 
 impl FleetReport {
+    /// End-to-end latency: lead-in + scatter + gather + combine + tail,
+    /// the tail's clock at its end.
+    #[must_use]
+    pub fn total_secs(&self) -> f64 {
+        self.tail.total_secs
+    }
+
+    /// The scatter phase: the max over the shards' device clocks, in
+    /// ascending shard index (devices run concurrently).
+    #[must_use]
+    pub fn scatter_secs(&self) -> f64 {
+        scatter_secs(&self.shards)
+    }
+
+    /// Total bytes gathered across all shards.
+    #[must_use]
+    pub fn gathered_bytes(&self) -> u64 {
+        self.shards.iter().map(|s| s.gather_bytes).sum()
+    }
+
+    /// Every device's injected-fault counters, summed: each device serves
+    /// exactly one shard run, whose report holds its counters.
+    #[must_use]
+    pub fn injected(&self) -> FaultCounters {
+        self.shards.iter().map(|s| s.report.metrics.faults).sum()
+    }
+
     /// Shards that completed their scatter phase on-device (no
     /// migration).
     #[must_use]
@@ -263,8 +282,8 @@ impl FleetReport {
     }
 
     /// Sum of the per-shard (and tail) transient-fault counts absorbed by
-    /// the recovery layer — compared against `injected` by the chaos
-    /// differential.
+    /// the recovery layer — compared against [`FleetReport::injected`] by
+    /// the chaos differential.
     #[must_use]
     pub fn recovered_transients(&self) -> u64 {
         self.shards
@@ -273,6 +292,14 @@ impl FleetReport {
             .sum::<u64>()
             + self.tail.metrics.recovery.transient_faults
     }
+}
+
+/// The scatter barrier over `shards`: the max of their device clocks.
+fn scatter_secs(shards: &[ShardRunReport]) -> f64 {
+    shards
+        .iter()
+        .map(|s| s.report.total_secs)
+        .fold(0.0f64, f64::max)
 }
 
 /// Everything a fleet execution needs that is independent of the shard
@@ -387,15 +414,11 @@ pub fn execute_sharded(
             .map(|&def| report.lines[def].cost.bytes_out)
             .sum();
         shards.push(ShardRunReport {
-            shard: s,
             report,
             gather_bytes,
         });
     }
-    let scatter_secs = shards
-        .iter()
-        .map(|s| s.report.total_secs)
-        .fold(0.0f64, f64::max);
+    let scatter_secs = scatter_secs(&shards);
 
     // Gather: carriers stream from every shard concurrently, bounded by
     // per-device links and the shared host budget. A migrated shard's
@@ -465,26 +488,19 @@ pub fn execute_sharded(
         None,
         Some(&tail_slice),
     )?;
-    let tail_secs = tail.total_secs - tail_t0;
-
-    let (total_secs, values_fingerprint) = (tail.total_secs, tail.values_fingerprint);
     tracer.end_with(
         fleet_span,
-        Some(total_secs),
+        Some(tail.total_secs),
         tracer.attrs(|| vec![("gathered_bytes".into(), gathered_bytes.into())]),
     );
     Ok(FleetReport {
-        total_secs,
-        scatter_secs,
         gather_secs,
         combine_secs,
-        tail_secs,
+        tail_secs: tail.total_secs - tail_t0,
         fence: analysis.fence,
         shards,
+        values_fingerprint: tail.values_fingerprint,
         tail,
-        gathered_bytes,
-        values_fingerprint,
-        injected: fleet.fault_counters(),
     })
 }
 
@@ -678,10 +694,10 @@ mod tests {
                     .expect("fleet run");
             let h2d: Vec<u64> = report.shards.iter().map(|s| s.report.h2d_bytes).collect();
             (
-                report.gathered_bytes,
+                report.gathered_bytes(),
                 h2d,
-                report.scatter_secs,
-                report.total_secs,
+                report.scatter_secs(),
+                report.total_secs(),
             )
         };
         let reference = run("t");
@@ -726,16 +742,16 @@ mod tests {
         let four = execute_sharded_plan(&rt4, &plan4, &config4, ContentionScenario::none(), &[])
             .expect("N=4");
         assert!(
-            four.scatter_secs < one.scatter_secs / 2.0,
+            four.scatter_secs() < one.scatter_secs() / 2.0,
             "4 devices should at least halve the scatter: {} vs {}",
-            four.scatter_secs,
-            one.scatter_secs
+            four.scatter_secs(),
+            one.scatter_secs()
         );
         assert!(
-            four.total_secs < one.total_secs,
+            four.total_secs() < one.total_secs(),
             "N=4 {} must beat N=1 {}",
-            four.total_secs,
-            one.total_secs
+            four.total_secs(),
+            one.total_secs()
         );
     }
 
@@ -762,8 +778,8 @@ mod tests {
                 "shard {s} must stay on-device"
             );
         }
-        assert_eq!(chaos.injected.cse_crashes, 1);
-        assert!(chaos.total_secs >= healthy.total_secs);
+        assert_eq!(chaos.injected().cse_crashes, 1);
+        assert!(chaos.total_secs() >= healthy.total_secs());
     }
 
     #[test]
@@ -780,9 +796,45 @@ mod tests {
             .expect("faulted fleet");
         assert_eq!(
             report.recovered_transients(),
-            report.injected.transient_total(),
+            report.injected().transient_total(),
             "recovery accounting must match the injectors: {report:?}"
         );
+    }
+
+    #[test]
+    fn a_fleet_report_derives_what_its_devices_and_phases_hold() {
+        let (plan, config, rt) = sharded_plan(4);
+        let mut fleet = Fleet::new(&config, 4);
+        let faults: Vec<FaultPlan> = (0..4)
+            .map(|s| {
+                FaultPlan::none()
+                    .with_seed(200 + s as u64)
+                    .with_flash_read_error_prob(0.05)
+            })
+            .collect();
+        let run = FleetRun {
+            program: &plan.base.program,
+            storage: &plan.base.full_storage,
+            map: &plan.map,
+            lowered: &plan.base.lowered,
+            lead_in_secs: 0.5,
+        };
+        let placements: Vec<Vec<EngineKind>> = (0..4).map(|s| plan.shard_placements(s)).collect();
+        let opts = rt.run_options(ContentionScenario::none());
+        let report = execute_sharded(&run, &placements, None, &mut fleet, &config, &opts, &faults)
+            .expect("faulted fleet");
+        // Each device served one shard run, so the devices' own counters
+        // are the shard reports' counters.
+        let devices: FaultCounters = (0..4).map(|s| fleet.device_mut(s).fault_counters()).sum();
+        assert!(devices.transient_total() > 0, "{devices:?}");
+        assert_eq!(report.injected(), devices);
+        // The host clock runs lead-in → scatter → gather → combine → tail.
+        let phases = 0.5
+            + report.scatter_secs()
+            + report.gather_secs
+            + report.combine_secs
+            + report.tail_secs;
+        assert!((report.total_secs() - phases).abs() < 1e-9, "{report:?}");
     }
 
     #[test]

@@ -290,6 +290,18 @@ impl FaultCounters {
     }
 }
 
+impl std::iter::Sum for FaultCounters {
+    /// Class by class, e.g. over the devices of a fleet.
+    fn sum<I: Iterator<Item = FaultCounters>>(iter: I) -> Self {
+        iter.fold(FaultCounters::default(), |a, c| FaultCounters {
+            flash_read_errors: a.flash_read_errors + c.flash_read_errors,
+            nvme_command_errors: a.nvme_command_errors + c.nvme_command_errors,
+            dma_transfer_errors: a.dma_transfer_errors + c.dma_transfer_errors,
+            cse_crashes: a.cse_crashes + c.cse_crashes,
+        })
+    }
+}
+
 /// Executes a [`FaultPlan`] against a stream of operations: each
 /// `roll_*` call consults the plan (and one PRNG draw, when the class
 /// has a non-zero probability) and reports whether the operation fails.

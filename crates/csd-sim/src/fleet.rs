@@ -24,7 +24,6 @@
 //! from the same two figures.
 
 use crate::config::SystemConfig;
-use crate::fault::{FaultCounters, FaultPlan};
 use crate::system::System;
 use crate::units::Bandwidth;
 
@@ -79,16 +78,6 @@ impl Fleet {
         &mut self.devices[s]
     }
 
-    /// Installs a fault plan on device `s` only; other shards keep their
-    /// current injectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `s` is out of range or the plan fails validation.
-    pub fn install_faults(&mut self, s: usize, plan: FaultPlan) {
-        self.devices[s].install_faults(plan);
-    }
-
     /// Seconds a concurrent gather of `per_shard_bytes[s]` from every
     /// shard takes: per-device links run in parallel, capped by the
     /// shared budget.
@@ -103,26 +92,12 @@ impl Fleet {
         let aggregate = per_shard_bytes.iter().map(|b| *b as f64).sum::<f64>() / budget;
         slowest.max(aggregate)
     }
-
-    /// Sum of every device's injected-fault counters.
-    #[must_use]
-    pub fn fault_counters(&self) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        for d in &self.devices {
-            let c = d.fault_counters();
-            total.flash_read_errors += c.flash_read_errors;
-            total.nvme_command_errors += c.nvme_command_errors;
-            total.dma_transfer_errors += c.dma_transfer_errors;
-            total.cse_crashes += c.cse_crashes;
-        }
-        total
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultInjector;
+    use crate::fault::{FaultInjector, FaultPlan};
     use crate::units::SimTime;
 
     #[test]
@@ -145,7 +120,9 @@ mod tests {
     fn devices_are_independent_surfaces() {
         let cfg = SystemConfig::paper_default();
         let mut fleet = Fleet::new(&cfg, 2);
-        fleet.install_faults(0, FaultPlan::none().with_crash_at(SimTime::from_secs(0.0)));
+        fleet
+            .device_mut(0)
+            .install_faults(FaultPlan::none().with_crash_at(SimTime::from_secs(0.0)));
         // Crash device 0 by computing past the crash point.
         let _ = fleet
             .device_mut(0)
@@ -157,6 +134,7 @@ mod tests {
         };
         assert!(crashed(0));
         assert!(!crashed(1), "shard 1 must be unaffected");
-        assert_eq!(fleet.fault_counters().cse_crashes, 1);
+        let crashes = |s: usize| fleet.devices[s].fault_counters().cse_crashes;
+        assert_eq!((crashes(0), crashes(1)), (1, 0));
     }
 }

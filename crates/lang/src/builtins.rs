@@ -1099,6 +1099,9 @@ impl GroupSlots {
     }
 }
 
+/// 2^63, the first `f64` past `i64::MAX`.
+const TWO_63: f64 = 9_223_372_036_854_775_808.0;
+
 /// `x.round() as i64` (half away from zero, saturating, NaN to 0) from
 /// the truncating cast alone, so the row loop makes no libm call: below
 /// 2^52 the truncated part `x - trunc(x)` is exact, from 2^52 up every
@@ -1141,12 +1144,16 @@ impl GroupIndex {
         for raw in keys.iter() {
             let slot = match last {
                 Some((bits, slot)) if bits == raw.to_bits() => slot,
-                // NaN would round into group 0 and an infinity saturate
-                // into the last key: neither names a group.
-                _ if !raw.is_finite() => {
-                    return Err(LangError::runtime(format!(
-                        "group_sum: key {raw} is not a finite number"
-                    )));
+                // NaN would round into group 0, and a key whose rounded
+                // value is outside [-2^63, 2^63) saturate into an end key:
+                // none names a group. From 2^52 up every key is whole, so
+                // the bounds hold for the key itself.
+                _ if !(-TWO_63..TWO_63).contains(raw) => {
+                    return Err(LangError::runtime(if raw.is_finite() {
+                        format!("group_sum: key {raw:e} rounds outside the i64 range")
+                    } else {
+                        format!("group_sum: key {raw} is not a finite number")
+                    }));
                 }
                 _ => groups.slot_of(round_to_i64(*raw)),
             };
@@ -1627,6 +1634,29 @@ mod tests {
             let e = group_sum_of(vec![0.0, 1.0, bad, 1.0], vec![1.0; 4]).unwrap_err();
             let message = format!("group_sum: key {shown} is not a finite number");
             assert_eq!(e, LangError::runtime(message), "{shown}");
+        }
+    }
+
+    #[test]
+    fn group_sum_refuses_a_key_past_the_i64_range() {
+        // Rounded and saturated, all three would be one group labelled 2^63.
+        let e = group_sum_of(vec![1e300, 1e301, 2e19], vec![1.0; 3]).unwrap_err();
+        let message = "group_sum: key 1e300 rounds outside the i64 range";
+        assert_eq!(e, LangError::runtime(message));
+        let two_63 = 2f64.powi(63);
+        let e = group_sum_of(vec![0.0, two_63], vec![1.0; 2]).unwrap_err();
+        let message = "group_sum: key 9.223372036854776e18 rounds outside the i64 range";
+        assert_eq!(e, LangError::runtime(message));
+        // The range's ends, -2^63 and the last f64 below 2^63, are groups.
+        let ends = vec![-two_63, two_63 - 1024.0, -two_63];
+        let out = group_sum_of(ends, vec![1.0; 3]).expect("group");
+        let t = out.value.as_table().expect("table");
+        match (t.column("key"), t.column("count")) {
+            (Ok(Column::F64(k)), Ok(Column::F64(c))) => assert_eq!(
+                (k.as_slice(), c.as_slice()),
+                (&[-two_63, two_63 - 1024.0][..], &[2.0, 1.0][..])
+            ),
+            other => panic!("wrong columns {other:?}"),
         }
     }
 

@@ -38,12 +38,16 @@ fn group_sum_ref(args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> 
     }
     let mut groups: BTreeMap<i64, (f64, u64)> = BTreeMap::new();
     for (key, val) in keys.data().iter().zip(vals.data()) {
-        if !key.is_finite() {
-            return Err(LangError::runtime(format!(
-                "group_sum: key {key} is not a finite number"
-            )));
+        // A key names a group when it rounds to an i64.
+        let rounded = key.round();
+        if !(-(2f64.powi(63))..2f64.powi(63)).contains(&rounded) {
+            return Err(LangError::runtime(if key.is_finite() {
+                format!("group_sum: key {key:e} rounds outside the i64 range")
+            } else {
+                format!("group_sum: key {key} is not a finite number")
+            }));
         }
-        let entry = groups.entry(key.round() as i64).or_insert((0.0, 0));
+        let entry = groups.entry(rounded as i64).or_insert((0.0, 0));
         entry.0 += *val;
         entry.1 += 1;
     }
@@ -893,7 +897,7 @@ fn group_sum_matches_the_ordered_map() {
         // Key shapes: a handful of groups (Q1), runs of one key, more than
         // 1024 distinct keys (the index grows seven times), negative and
         // beyond-2^32 keys, halves that round away from zero, negative
-        // zero and keys past the i64 range.
+        // zero and the ends of the i64 range.
         let keys: Vec<f64> = (0..n)
             .map(|i| match case % 6 {
                 0 => rng.gen_range(0..6i64) as f64,
@@ -901,9 +905,10 @@ fn group_sum_matches_the_ordered_map() {
                 2 => rng.gen_range(-3000..3000i64) as f64,
                 3 => rng.gen_range(-8..8i64) as f64 * 4_294_967_296.5,
                 4 => rng.gen_range(-9..9i64) as f64 * 0.5,
-                _ => match rng.gen_range(0..6u32) {
-                    0 => 1.0e300,
-                    1 => -0.0,
+                _ => match rng.gen_range(0..8u32) {
+                    0 => -(2f64.powi(63)),
+                    1 => 2f64.powi(63) - 1024.0,
+                    2 => -0.0,
                     _ => rng.gen_range(-2.0..2.0),
                 },
             })
@@ -913,14 +918,9 @@ fn group_sum_matches_the_ordered_map() {
         check_kernel("group_sum", group_sum_ref, &args, &format!("case {case}"));
         ran += 1;
     }
-    // A NaN or infinite key names no group: one at a seeded row of an
-    // otherwise finite run is refused, by both, with the same message.
-    for (case, bad) in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
-        .into_iter()
-        .cycle()
-        .take(12)
-        .enumerate()
-    {
+    // A NaN, infinite or past-i64 key names no group: one at a seeded row
+    // of an otherwise finite run is refused, by both, with the same message.
+    for (case, bad) in REFUSED_KEYS.into_iter().cycle().take(12).enumerate() {
         let n = rng.gen_range(1..3000usize);
         let mut keys: Vec<f64> = (0..n).map(|_| rng.gen_range(0..6i64) as f64).collect();
         let row = rng.gen_range(0..n);
@@ -935,12 +935,23 @@ fn group_sum_matches_the_ordered_map() {
     assert_eq!(ran, CASES);
 }
 
+/// Keys `group_sum` refuses: NaN, both infinities, and finite keys whose
+/// rounded value is outside [-2^63, 2^63).
+const REFUSED_KEYS: [f64; 6] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    1.0e300,
+    9_223_372_036_854_775_808.0,
+    -1.0e19,
+];
+
 /// Keys for the sequence test, by `shape`: a handful of groups, runs of
 /// one key, thousands of distinct keys, and the values rounding treats
-/// specially (both zeros, halves, 2^53 and its neighbour, a key past the
+/// specially (both zeros, halves, 2^53 and its neighbour, the ends of the
 /// i64 range).
 fn sequence_keys(rng: &mut StdRng, shape: usize, n: usize) -> Vec<f64> {
-    const SPECIAL: [f64; 8] = [
+    const SPECIAL: [f64; 9] = [
         0.0,
         -0.0,
         9_007_199_254_740_992.0,
@@ -948,7 +959,8 @@ fn sequence_keys(rng: &mut StdRng, shape: usize, n: usize) -> Vec<f64> {
         -9_007_199_254_740_992.0,
         0.5,
         -0.5,
-        1.0e300,
+        -9_223_372_036_854_775_808.0,
+        9_223_372_036_854_774_784.0,
     ];
     (0..n)
         .map(|i| match shape % 4 {
@@ -981,11 +993,10 @@ fn group_sum_sequences_match_the_ordered_map_call_by_call() {
         let keys = sequence_keys(&mut rng, case, n);
         let mut storage = Storage::new();
         // `k0` and `k1` hold equal contents in two buffers; `k2` differs;
-        // `kn` is `k0` with a NaN or infinity at one seeded row.
+        // `kn` is `k0` with a refused key at one seeded row.
         let mut refused = keys.clone();
         if n > 0 {
-            let bad = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][case % 3];
-            refused[rng.gen_range(0..n)] = bad;
+            refused[rng.gen_range(0..n)] = REFUSED_KEYS[case % REFUSED_KEYS.len()];
         }
         storage.insert("k0", array(keys.clone(), scale));
         storage.insert("k1", array(keys, scale));

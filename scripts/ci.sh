@@ -162,7 +162,9 @@ echo "== one options type, one source per counter (run options and the metrics s
 # ExecOptions with the tier and scenario set — and nothing else:
 # execute_plan equals evaluate then simulate under those options, report
 # field for field, with faults, a preemption, a parallel policy and a
-# profile recorder each reaching the run. ExecOptions keeps tier, params,
+# profile recorder each reaching the run, each seen by its effect (the
+# policy by the kernels' chunked calls: a report echoes no option, and a
+# total is derived from the records it sums). ExecOptions keeps tier, params,
 # scenario, monitor (on or off), preempt_at, faults, parallel, tracer,
 # profile and journal; the monitor's triggers and the retry budget and
 # backoff are constants, pinned by the monitor:: and recovery:: tests, and
@@ -194,9 +196,15 @@ echo "== fleet differential: one answer at every N, clean, faulted and contended
 # clean, under per-shard fault plans, and under a contention burst at half
 # progress with every shard's own monitor on: one values_fingerprint, the
 # unsharded run's, in every cell; recovery accounting equal to what the
-# injectors delivered; and a respelled program moving no fleet. Ahead of
-# the suite, so a fleet break stops here, named.
+# injectors delivered, read from the shard reports; and a respelled program
+# moving no fleet. Then the harness counts through the runtime's own
+# counters: the shards sweep's datagens are its plan-cache misses (a base
+# planned elsewhere from the bare Workload is not planned again), and
+# Figure 5's hoist is the serial grid's evaluation count (one C baseline
+# and one reference per workload). Ahead of the suite, so a fleet break, a
+# plan-key or a hoist regression stops here, named.
 cargo test -q --test shard_determinism
+cargo test -q -p isp-bench --lib -- experiments::shards:: experiments::fig5::
 
 echo "== journal and migration: one stream, one way back =="
 # The journal handle's single replay queue (verify, then append), the
@@ -216,7 +224,9 @@ echo "== warm-start format: one layout, hostile bytes refused =="
 # Each closed enum's one-byte tags (Codec, ByteOrder, StaticType) read back
 # as their variants under the ISPWARM1 numbering; the value layout and a
 # whole warm file (every value kind, every static type) pinned by length
-# and FNV-1a; a length field past the address space refused, not added;
+# and FNV-1a; a sampling report stored as its points alone, its total
+# derived, so a file in the older layout with a trailing total is refused;
+# a length field past the address space refused, not added;
 # and every-byte truncation plus 2 400 seeded bit flips and u32/u64
 # overwrites, checksum recomputed so the bytes reach the decoder: each is
 # InvalidData or reads back as seeds that write the very same bytes, no
@@ -227,7 +237,7 @@ cargo test -q -p alang --lib copyelim::tests::every_tag_reads_back_as_its_type
 cargo test -q -p activepy --lib persist::
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 60 of the 723 tests. No later
+# The whole suite: the root package alone is 60 of the 727 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 cargo test -q --workspace
 

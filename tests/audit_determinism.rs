@@ -104,8 +104,8 @@ proptest! {
                         "tracing moved the N={} fingerprint for:\n{}", n, src
                     );
                     prop_assert_eq!(
-                        format!("{:?}", a.injected),
-                        format!("{:?}", p.injected),
+                        format!("{:?}", a.injected()),
+                        format!("{:?}", p.injected()),
                         "tracing moved the injected-fault ledger for:\n{}", src
                     );
                     prop_assert_eq!(a.shards.len(), p.shards.len());
@@ -275,7 +275,7 @@ fn an_activepy_execution_runs_under_exactly_its_options() {
     assert_eq!(report, expected);
 
     // Every configured option reached the run.
-    assert_eq!(report.parallel, policy);
+    assert!(report.metrics.par.par_calls > 0, "{:?}", report.metrics.par);
     assert!(report.metrics.faults.flash_read_errors > 0, "{report:?}");
     assert!(
         report

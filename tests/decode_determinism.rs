@@ -148,7 +148,7 @@ proptest! {
             );
             prop_assert_eq!(
                 faulted.recovered_transients(),
-                faulted.injected.transient_total(),
+                faulted.injected().transient_total(),
                 "recovery accounting missed faults"
             );
         }

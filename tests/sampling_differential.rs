@@ -13,7 +13,7 @@ use activepy::sampling::{InputSource, LineSamples, SamplePoint, SamplingReport};
 use activepy::{plan_fingerprint, ActivePy, ActivePyError};
 use alang::parser::parse;
 use alang::shape::Demand;
-use alang::{LangError, LineCost, Program, Vm};
+use alang::{LangError, Program, Vm};
 use common::{expr, source, storage_with, VARS};
 use csd_sim::SystemConfig;
 use proptest::prelude::*;
@@ -40,7 +40,6 @@ fn sample_by_lines(
         })
         .collect();
     let mut dataset_types = alang::copyelim::DatasetTypes::new();
-    let mut total = LineCost::zero();
     for &scale in scales {
         let storage = input.storage_at(scale);
         dataset_types.extend(observe_dataset_types(&storage));
@@ -50,14 +49,12 @@ fn sample_by_lines(
         }
         for (line, samples) in lines.iter_mut().enumerate() {
             let cost = vm.exec_line(line).map_err(|e| (scale, line, e))?;
-            total += cost;
             samples.points.push(SamplePoint { scale, cost });
         }
     }
     Ok(SamplingReport {
         lines,
         dataset_types,
-        total_sampling_cost: total,
     })
 }
 

@@ -127,18 +127,18 @@ proptest! {
                     // matches what the injectors delivered.
                     prop_assert_eq!(
                         faulted.recovered_transients(),
-                        faulted.injected.transient_total(),
+                        faulted.injected().transient_total(),
                         "recovery accounting missed faults for:\n{}", src
                     );
-                    prop_assert_eq!(clean.injected.transient_total(), 0);
+                    prop_assert_eq!(clean.injected().transient_total(), 0);
                     // Invariant 4: a crash latches per device.
-                    prop_assert!(faulted.injected.cse_crashes <= n as u64);
-                    for shard in &faulted.shards {
+                    prop_assert!(faulted.injected().cse_crashes <= n as u64);
+                    for (s, shard) in faulted.shards.iter().enumerate() {
                         if shard.report.metrics.recovery.hard_faults > 0 {
                             prop_assert!(
                                 shard.report.migration().is_some(),
                                 "shard {} absorbed a hard fault without \
-                                 migrating for:\n{}", shard.shard, src
+                                 migrating for:\n{}", s, src
                             );
                         }
                     }

@@ -141,19 +141,14 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
                 .with_parallelism(policy(threads));
             let report = execute(&program, &st, &placements, &mut system, &opts, None, &[])
                 .expect("fixed program runs");
-            assert_eq!(
-                report.parallel,
-                policy(threads),
-                "policy lands in the report"
+            // The policy reaches the kernels: its threshold engages the
+            // chunk grid, which is the same at every thread count.
+            assert!(
+                report.metrics.par.par_calls > 0,
+                "chunked execution must engage at {threads} threads"
             );
-            if threads > 1 {
-                assert!(
-                    report.metrics.par.par_calls > 0,
-                    "chunked execution must engage at {threads} threads"
-                );
-            }
-            // Whole reports differ across cells (policy and chunk
-            // counters are recorded); the *answer* may not.
+            // Whole reports differ across cells (chunk counters are
+            // recorded); the *answer* may not.
             fingerprints.push(report.values_fingerprint);
             cells.push((format!("{:?}", report.lines), format!("{threads} threads")));
         }
