@@ -15,8 +15,12 @@
 //! A sample run measures costs, so it computes only the values some cost
 //! reads ([`alang::shape`]): a line whose value no computed line reads by
 //! value is charged from its arguments' shapes through its kernel's own
-//! cost formula and leaves a zero placeholder. The report is the one runs
-//! computing every line produce, errors included.
+//! cost formula and leaves a zero placeholder. Its sample inputs are drawn
+//! for their value-read columns alone: the same pass states what the runs
+//! read by value of each stored dataset ([`StoredReads`]), and the source
+//! may leave every other column of a table zero
+//! ([`InputSource::projected_storage_at`]). The report is the one runs
+//! computing every line over whole inputs produce, errors included.
 //!
 //! A source may serve every scale from one stored draw, relabelled to each
 //! scale's logical size; the four sample runs then read the same buffers.
@@ -28,7 +32,7 @@
 use crate::error::{ActivePyError, Result};
 use alang::builtins::Storage;
 use alang::copyelim::{DatasetTypes, StaticType};
-use alang::shape::Demand;
+use alang::shape::{Demand, StoredReads};
 use alang::{KernelMemo, LineCost, Program, Vm};
 use isp_obs::{SpanKind, Tracer};
 use serde::Serialize;
@@ -41,6 +45,15 @@ use serde::Serialize;
 pub trait InputSource {
     /// Materializes the named datasets at the given scale.
     fn storage_at(&self, scale: f64) -> Storage;
+
+    /// Materializes the named datasets at the given scale for runs that
+    /// read by value only what `reads` names: a source may leave any other
+    /// column of a table zero, its type, dictionary and sizes kept. The
+    /// default materializes everything ([`Self::storage_at`]).
+    fn projected_storage_at(&self, scale: f64, reads: &StoredReads) -> Storage {
+        let _ = reads;
+        self.storage_at(scale)
+    }
 
     /// Combined fingerprint of the wire-format encodings this source
     /// declares for its datasets, `0` when everything is served as plain
@@ -196,7 +209,7 @@ fn sample(
             None,
             tracer.attrs(|| vec![("scale".into(), scale.into())]),
         );
-        let storage = input.storage_at(scale);
+        let storage = input.projected_storage_at(scale, demand.stored());
         dataset_types.extend(observe_dataset_types(&storage));
         // Sample runs execute the unoptimized program — the original code,
         // before any code generation — with copy elimination disabled, and

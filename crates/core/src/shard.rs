@@ -303,8 +303,8 @@ fn scatter_secs(shards: &[ShardRunReport]) -> f64 {
 }
 
 /// Everything a fleet execution needs that is independent of the shard
-/// loop: the program and its lowering, its full (unsliced) storage, and
-/// the row partition.
+/// loop: the program and its lowering, its full (unsliced) storage, the
+/// row partition and the program's fence analysis under it.
 #[derive(Debug, Clone, Copy)]
 pub struct FleetRun<'a> {
     /// The program to execute.
@@ -314,6 +314,9 @@ pub struct FleetRun<'a> {
     pub storage: &'a Storage,
     /// The row partition.
     pub map: &'a ShardMap,
+    /// [`analyze`] of `program` under `map`: worked out once per plan
+    /// ([`ShardedPlan::analysis`]), not per run.
+    pub analysis: &'a ShardAnalysis,
     /// The program's lowering, baked with the code generator's per-line
     /// copy-elimination flags; every shard run and the tail share it.
     pub lowered: &'a LoweredProgram,
@@ -351,7 +354,7 @@ pub fn execute_sharded(
             run.map.count()
         )));
     }
-    let analysis = analyze(run.program, run.map);
+    let analysis = run.analysis;
     let len = run.program.len();
     // One evaluation feeds every phase: the N shard runs and the tail
     // differ in what they are charged for, never in what they compute.
@@ -527,6 +530,7 @@ pub fn execute_sharded_raw(
         program,
         storage,
         map,
+        analysis: &analyze(program, map),
         lowered: &lowered,
         lead_in_secs: 0.0,
     };
@@ -577,6 +581,7 @@ pub fn execute_sharded_plan(
         program: &plan.base.program,
         storage: &plan.base.full_storage,
         map: &plan.map,
+        analysis: &plan.analysis,
         lowered: &plan.base.lowered,
         lead_in_secs,
     };
@@ -816,6 +821,7 @@ mod tests {
             program: &plan.base.program,
             storage: &plan.base.full_storage,
             map: &plan.map,
+            analysis: &plan.analysis,
             lowered: &plan.base.lowered,
             lead_in_secs: 0.5,
         };

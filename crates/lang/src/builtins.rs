@@ -18,12 +18,12 @@ use crate::forest::FlatForest;
 use crate::matrix::Matrix;
 use crate::memo::KernelMemo;
 use crate::par::ParEngine;
-use crate::shape::{Charge, Shape, ShapeFn};
+use crate::shape::{Charge, ColumnShape, Shape, ShapeFn};
 use crate::simd;
 use crate::table::{selected_rows, take_rows, Column, Table};
 use crate::value::{type_err, ArrayVal, Value};
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, LazyLock, OnceLock};
 
 /// Per-element operation weights used by the analytic cost reports.
@@ -192,6 +192,10 @@ pub struct KernelCtx<'a> {
     /// default everywhere but the sampling phase's runs — computes every
     /// call.
     pub(crate) memo: Option<(&'a KernelMemo, usize)>,
+    /// The columns of a table result some computed line reads by value;
+    /// `filter` gathers only these and leaves zeros in the others. `None` —
+    /// everywhere but the sampling phase's runs — gathers every column.
+    pub(crate) columns: Option<&'a BTreeSet<String>>,
 }
 
 impl<'a> KernelCtx<'a> {
@@ -203,6 +207,7 @@ impl<'a> KernelCtx<'a> {
             par: ParEngine::serial_ref(),
             groups: None,
             memo: None,
+            columns: None,
         }
     }
 
@@ -371,7 +376,7 @@ const fn row(
 static KERNELS: &[Kernel] = &[
     row("scan",          k_scan,          &[STR],                Stored,                    Fence,         &[0],    None),
     row("col",           k_col,           &[TABLE, STR],         Fixed(StaticType::Array),  SelectFirst,   &[1],    None),
-    row("filter",        k_filter,        &[TABLE, MASK],        Fixed(StaticType::Table),  SelectFirst,   &[1],    None),
+    row("filter",        k_filter,        &[TABLE, MASK],        Fixed(StaticType::Table),  SelectFirst,   &[1],    Some(filter_charge)),
     row("select",        k_select,        &[ARRAY, MASK],        Fixed(StaticType::Array),  SelectFirst,   &[1],    Some(select_charge)),
     row("len",           k_len,           &[Any],                Fixed(StaticType::Num),    Fence,         &[],     Some(len_charge)),
     row("sum",           reduce,          &[ARRAY],              Fixed(StaticType::Num),    Fence,         &[],     Some(reduce_charge)),
@@ -387,7 +392,7 @@ static KERNELS: &[Kernel] = &[
     row("sort",          k_sort,          &[ARRAY],              Fixed(StaticType::Array),  Fence,         &[0],    None),
     row("dot",           k_dot,           &[ARRAY, ARRAY],       Fixed(StaticType::Num),    Fence,         &[],     Some(dot_charge)),
     row("where",         k_where,         &[MASK, ARRAY, ARRAY], Fixed(StaticType::Array),  Elementwise,   &[],     Some(where_charge)),
-    row("group_sum",     group_sum,       &[ARRAY, ARRAY],       Fixed(StaticType::Table),  Fence,         &[0],    None),
+    row("group_sum",     group_sum,       &[ARRAY, ARRAY],       Fixed(StaticType::Table),  Fence,         &[0],    Some(group_sum_charge)),
     row("matmul",        k_matmul,        &[MATRIX, MATRIX],     Fixed(StaticType::Matrix), FirstOnly,     &[],     Some(matmul_charge)),
     row("gemm_batch",    gemm_batch,      &[MATRIX, MATRIX],     Fixed(StaticType::Matrix), FirstOnly,     &[],     Some(gemm_batch_charge)),
     row("to_csr",        k_to_csr,        &[MATRIX],             Fixed(StaticType::Csr),    Fence,         &[0],    None),
@@ -396,7 +401,7 @@ static KERNELS: &[Kernel] = &[
     row("kmeans_assign", kmeans_assign,   &[MATRIX, MATRIX],     Fixed(StaticType::Array),  FirstOnly,     &[],     Some(kmeans_assign_charge)),
     row("kmeans_update", kmeans_update,   &[MATRIX, ARRAY, NUM], Fixed(StaticType::Matrix), Fence,         &[1, 2], Some(kmeans_update_charge)),
     row("forest_score",  forest_score,    &[FOREST, MATRIX],     Fixed(StaticType::Array),  ModelThenRows, &[0, 1], None),
-    row("gather",        k_gather,        &[ARRAY, ARRAY],       Fixed(StaticType::Array),  Fence,         &[1],    None),
+    row("gather",        k_gather,        &[ARRAY, ARRAY],       Fixed(StaticType::Array),  Fence,         &[1],    Some(gather_charge)),
     row("frob",          k_frob,          &[MATRIX],             Fixed(StaticType::Num),    Fence,         &[],     Some(frob_charge)),
     row("gram",          k_gram,          &[MATRIX],             Fixed(StaticType::Matrix), Fence,         &[],     Some(gram_charge)),
     row("scan_raw",      k_scan_raw,      &[STR],                Stored,                    Fence,         &[0],    None),
@@ -459,11 +464,25 @@ impl KernelId {
     /// # Errors
     ///
     /// The arity, type and shape errors [`Self::invoke_in`] raises.
-    pub(crate) fn charge(self, args: &[Value]) -> Result<Charge> {
+    pub(crate) fn charge(self, args: &[Value], ctx: &KernelCtx<'_>) -> Result<Charge> {
         let kernel = self.kernel();
         let shape = kernel.shape;
         kernel.check(args)?;
-        (shape.expect("a call charged from shapes has a shape function"))(kernel.name, args)
+        (shape.expect("a call charged from shapes has a shape function"))(kernel.name, args, ctx)
+    }
+
+    /// Whether the call's result is the column of its table argument that
+    /// its second argument names (`col`): a read of the result reads that
+    /// column alone ([`crate::shape::Demand`]).
+    pub(crate) fn takes_a_column(self) -> bool {
+        self.name() == "col"
+    }
+
+    /// Whether the call's result has its table argument's columns, some
+    /// rows of each (`filter`): a read of some of the result's columns
+    /// reads those columns of the table alone.
+    pub(crate) fn keeps_columns(self) -> bool {
+        self.name() == "filter"
     }
 
     /// Whether the call reads a stored dataset.
@@ -635,15 +654,32 @@ fn k_col(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput>
     ))
 }
 
+/// `filter`'s operations: a mask test per row and a gather per row of
+/// each column.
+fn filter_ops(table: &Table) -> u64 {
+    table.logical_rows() * (1 + table.column_count() as u64 * weights::GATHER)
+}
+
+/// `filter`'s charge reads its mask: the result keeps its `true` rows of
+/// every column.
+fn filter_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
+    checked!([Table(table), BoolArray(mask)] = args);
+    table.check_mask(mask.len())?;
+    let kept = mask.count_true();
+    Ok(Charge::new(
+        Shape::table(table, kept, table.kept_logical_rows(kept)),
+        filter_ops(table),
+    ))
+}
+
 fn k_filter(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     checked!([Table(table), BoolArray(mask)] = args);
-    let out = table.filter_with(mask.data(), ctx.par)?;
-    let ops = table.logical_rows() * (1 + table.column_count() as u64 * weights::GATHER);
-    Ok(BuiltinOutput::new(Value::Table(out), ops))
+    let out = table.filter_reading(mask.data(), ctx.par, ctx.columns)?;
+    Ok(BuiltinOutput::new(Value::Table(out), filter_ops(table)))
 }
 
 /// `select`'s charge reads its mask: the result keeps its `true` rows.
-fn select_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn select_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Array(arr), BoolArray(mask)] = args);
     if arr.len() != mask.len() {
         return Err(LangError::runtime(format!(
@@ -662,7 +698,7 @@ fn select_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn k_select(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = select_charge(name, args)?;
+    let Charge { shape, ops } = select_charge(name, args, ctx)?;
     checked!([Array(arr), BoolArray(mask)] = args);
     // Chunk-ordered concat of per-chunk selections == the serial selection.
     let data = take_rows(arr.data(), &selected_rows(mask.data()), Some(ctx.par));
@@ -672,19 +708,19 @@ fn k_select(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOu
     ))
 }
 
-fn len_charge(_: &str, _: &[Value]) -> Result<Charge> {
+fn len_charge(_: &str, _: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     Ok(Charge::new(Shape::Num, 1))
 }
 
-fn k_len(name: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = len_charge(name, args)?;
+fn k_len(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = len_charge(name, args, ctx)?;
     Ok(BuiltinOutput::new(
         Value::Num(args[0].logical_elems() as f64),
         ops,
     ))
 }
 
-fn count_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn count_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([BoolArray(mask)] = args);
     Ok(Charge::new(
         Shape::Num,
@@ -692,8 +728,8 @@ fn count_charge(_: &str, args: &[Value]) -> Result<Charge> {
     ))
 }
 
-fn k_count(name: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = count_charge(name, args)?;
+fn k_count(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    let Charge { ops, .. } = count_charge(name, args, ctx)?;
     checked!([BoolArray(mask)] = args);
     let logical_count = (mask.logical_len() as f64 * mask.selectivity()).round();
     Ok(BuiltinOutput::new(Value::Num(logical_count), ops))
@@ -715,7 +751,7 @@ fn k_sort(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput
     ))
 }
 
-fn dot_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn dot_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Array(x), Array(y)] = args);
     if x.len() != y.len() {
         return Err(LangError::runtime("dot: length mismatch"));
@@ -724,14 +760,14 @@ fn dot_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn k_dot(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = dot_charge(name, args)?;
+    let Charge { ops, .. } = dot_charge(name, args, ctx)?;
     checked!([Array(x), Array(y)] = args);
     let v = ctx.par.dot(x.data(), y.data());
     Ok(BuiltinOutput::new(Value::Num(v), ops))
 }
 
 /// `where`'s charge reads no value: the result is as long as its choices.
-fn where_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn where_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([BoolArray(mask), Array(x), Array(y)] = args);
     if mask.len() != x.len() || x.len() != y.len() {
         return Err(LangError::runtime("where: length mismatch"));
@@ -743,7 +779,7 @@ fn where_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn k_where(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = where_charge(name, args)?;
+    let Charge { shape, ops } = where_charge(name, args, ctx)?;
     checked!([BoolArray(mask), Array(x), Array(y)] = args);
     let (keep, xs, ys) = (mask.data(), x.data(), y.data());
     // Element-local, so chunk-ordered concat == the serial map.
@@ -767,7 +803,7 @@ fn k_where(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOut
     ))
 }
 
-fn matmul_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn matmul_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Matrix(x), Matrix(y)] = args);
     x.check_matmul(y)?;
     let shape = Shape::Matrix {
@@ -781,7 +817,7 @@ fn matmul_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn k_matmul(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = matmul_charge(name, args)?;
+    let Charge { ops, .. } = matmul_charge(name, args, ctx)?;
     checked!([Matrix(x), Matrix(y)] = args);
     Ok(BuiltinOutput::new(
         Value::Matrix(x.matmul_with(y, ctx.par)?),
@@ -796,7 +832,7 @@ fn k_to_csr(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutp
     Ok(BuiltinOutput::new(Value::Csr(csr), ops))
 }
 
-fn spmv_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn spmv_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Csr(csr), Array(x)] = args);
     csr.check_spmv(x.len())?;
     let shape = Shape::Array {
@@ -807,7 +843,7 @@ fn spmv_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn k_spmv(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = spmv_charge(name, args)?;
+    let Charge { shape, ops } = spmv_charge(name, args, ctx)?;
     checked!([Csr(csr), Array(x)] = args);
     let y = csr.spmv_with(x.data(), ctx.par)?;
     Ok(BuiltinOutput::new(
@@ -816,7 +852,7 @@ fn k_spmv(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutp
     ))
 }
 
-fn pagerank_step_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn pagerank_step_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Csr(csr), Array(ranks), Num(_)] = args);
     csr.check_pagerank(ranks.len())?;
     let shape = Shape::Array {
@@ -828,13 +864,44 @@ fn pagerank_step_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn k_pagerank_step(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = pagerank_step_charge(name, args)?;
+    let Charge { shape, ops } = pagerank_step_charge(name, args, ctx)?;
     checked!([Csr(csr), Array(ranks), Num(damping)] = args);
     let next = csr.pagerank_step_with(ranks.data(), *damping, ctx.par)?;
     Ok(BuiltinOutput::new(
         Value::Array(ArrayVal::with_logical(next, shape.logical_len())),
         ops,
     ))
+}
+
+/// The position `raw` names among `n` values. `as usize` saturates a
+/// negative or NaN index to 0 and truncates a fraction: only an index it
+/// keeps whole names a value.
+fn gather_index(raw: f64, n: usize) -> Result<usize> {
+    let i = raw as usize;
+    if i < n && i as f64 == raw {
+        Ok(i)
+    } else {
+        Err(LangError::runtime(format!(
+            "gather: index {raw} out of range for {n} values"
+        )))
+    }
+}
+
+/// `gather`'s charge reads its indices: each must name a value.
+fn gather_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
+    checked!([Array(values), Array(indices)] = args);
+    for raw in indices.data() {
+        gather_index(*raw, values.len())?;
+    }
+    Ok(gather_cost(indices))
+}
+
+/// `gather`'s result shape and operations: one selection per index.
+fn gather_cost(indices: &ArrayVal) -> Charge {
+    Charge::new(
+        Shape::array(indices),
+        indices.logical_len() * weights::SELECT,
+    )
 }
 
 fn k_gather(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
@@ -844,36 +911,23 @@ fn k_gather(_: &str, args: &[Value], _ctx: &KernelCtx<'_>) -> Result<BuiltinOutp
     checked!([Array(values), Array(indices)] = args);
     let mut out = Vec::with_capacity(indices.len());
     for raw in indices.data() {
-        // `as usize` saturates a negative or NaN index to 0 and truncates
-        // a fraction: only an index it keeps whole names a value.
-        let i = *raw as usize;
-        let x = values
-            .data()
-            .get(i)
-            .filter(|_| i as f64 == *raw)
-            .copied()
-            .ok_or_else(|| {
-                LangError::runtime(format!(
-                    "gather: index {raw} out of range for {} values",
-                    values.len()
-                ))
-            })?;
-        out.push(x);
+        out.push(values.data()[gather_index(*raw, values.len())?]);
     }
+    let Charge { shape, ops } = gather_cost(indices);
     Ok(BuiltinOutput::new(
-        Value::Array(ArrayVal::with_logical(out, indices.logical_len())),
-        indices.logical_len() * weights::SELECT,
+        Value::Array(ArrayVal::with_logical(out, shape.logical_len())),
+        ops,
     ))
 }
 
-fn frob_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn frob_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Matrix(m)] = args);
     let ops = m.logical_rows() * m.logical_cols() * weights::REDUCE;
     Ok(Charge::new(Shape::Num, ops))
 }
 
 fn k_frob(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = frob_charge(name, args)?;
+    let Charge { ops, .. } = frob_charge(name, args, ctx)?;
     checked!([Matrix(m)] = args);
     let ss = ctx.par.sum_by(m.data(), |x| x * x);
     // Extrapolate the sum of squares to logical scale, like `sum`.
@@ -881,7 +935,7 @@ fn k_frob(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutp
     Ok(BuiltinOutput::new(Value::Num((ss * ratio).sqrt()), ops))
 }
 
-fn gram_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn gram_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Matrix(m)] = args);
     let d = m.cols();
     let shape = Shape::Matrix {
@@ -899,7 +953,7 @@ fn gram_charge(_: &str, args: &[Value]) -> Result<Charge> {
 fn k_gram(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
     // `gram(M) = Mᵀ·M`, the d×d Gram matrix of an n×d feature
     // block; the classic second stage after a projection GEMM.
-    let Charge { shape, ops } = gram_charge(name, args)?;
+    let Charge { shape, ops } = gram_charge(name, args, ctx)?;
     checked!([Matrix(m)] = args);
     let (n, d) = (m.rows(), m.cols());
     // One row at a time: each nonzero `x = row[i]` adds `x * row` to row
@@ -949,7 +1003,7 @@ fn k_gram(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutp
     ))
 }
 
-fn reduce_charge(name: &str, args: &[Value]) -> Result<Charge> {
+fn reduce_charge(name: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Array(arr)] = args);
     if arr.is_empty() {
         return Err(LangError::runtime(format!("{name}: empty array")));
@@ -959,7 +1013,7 @@ fn reduce_charge(name: &str, args: &[Value]) -> Result<Charge> {
 
 /// `sum`, `mean`, `minv` and `maxv`.
 fn reduce(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { ops, .. } = reduce_charge(name, args)?;
+    let Charge { ops, .. } = reduce_charge(name, args, ctx)?;
     checked!([Array(arr)] = args);
     let (data, par) = (arr.data(), ctx.par);
     let v = match name {
@@ -975,7 +1029,7 @@ fn reduce(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutp
     Ok(BuiltinOutput::new(Value::Num(v), ops))
 }
 
-fn unary_charge(name: &str, args: &[Value]) -> Result<Charge> {
+fn unary_charge(name: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     let weight = match name {
         "exp" | "log" => weights::TRANSCENDENTAL,
         "sqrt" => weights::SQRT,
@@ -992,7 +1046,7 @@ fn unary_charge(name: &str, args: &[Value]) -> Result<Charge> {
 /// `exp`, `log`, `sqrt`, `erf` and `abs`, each instantiated on its own
 /// function so the element loop inlines it.
 fn unary_math(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let (charge, arg, par) = (unary_charge(name, args)?, &args[0], ctx.par);
+    let (charge, arg, par) = (unary_charge(name, args, ctx)?, &args[0], ctx.par);
     Ok(match name {
         "exp" => map_unary(charge, arg, f64::exp, par),
         "log" => map_unary(charge, arg, f64::ln, par),
@@ -1176,17 +1230,15 @@ impl GroupIndex {
 /// entry, replaced on a miss and dropped with the evaluator.
 pub(crate) type GroupMemo = RefCell<Option<GroupIndex>>;
 
-/// Sums `vals` per distinct rounded key, in two steps: *find the groups*
-/// (a [`GroupIndex`], taken from the evaluator's memo when it indexed this
-/// very key buffer, built otherwise) and *add the column* (`sums[slot] +=
-/// x` in row order, so a group's sum is the one an ordered map keyed the
-/// same way accumulates).
-fn group_sum(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    checked!([Array(keys), Array(vals)] = args);
-    if keys.len() != vals.len() {
-        return Err(LangError::runtime("group_sum: length mismatch"));
-    }
-    // Without an evaluator the index lives for this call only.
+/// Runs `f` on the group index of `keys`: the evaluator's memo's when it
+/// indexed this very key buffer, built otherwise (and kept in the memo in
+/// place of the last one; without an evaluator it lives for this call
+/// only).
+fn with_groups<T>(
+    keys: &ArrayVal,
+    ctx: &KernelCtx<'_>,
+    f: impl FnOnce(&GroupIndex) -> T,
+) -> Result<T> {
     let mut unshared = None;
     let mut memo = ctx.groups.map(RefCell::borrow_mut);
     let kept = memo.as_deref_mut().unwrap_or(&mut unshared);
@@ -1198,37 +1250,78 @@ fn group_sum(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutp
         *kept = None;
         *kept = Some(GroupIndex::build(keys.buffer())?);
     }
-    let index = kept.as_ref().expect("filled just above");
-    let mut sums = vec![0.0; index.slots.len()];
-    for (slot, val) in index.row_slots.iter().zip(vals.data()) {
-        sums[*slot as usize] += *val;
-    }
-    let ratio = keys.scale_ratio();
-    let mut gk = Vec::with_capacity(sums.len());
-    let mut gs = Vec::with_capacity(sums.len());
-    let mut gc = Vec::with_capacity(sums.len());
-    for slot in &index.by_key {
-        let (key, count) = index.slots[*slot as usize];
-        gk.push(key as f64);
-        // Sums and counts extrapolate to logical scale.
-        gs.push(sums[*slot as usize] * ratio);
-        gc.push((count as f64 * ratio).round());
-    }
-    // Group cardinality is a data property, not a scale property: the
-    // output is genuinely small, which is what makes aggregation such a
-    // good ISP candidate.
-    let table = Table::new(vec![
-        ("key".into(), Column::F64(Arc::new(gk))),
-        ("sum".into(), Column::F64(Arc::new(gs))),
-        ("count".into(), Column::F64(Arc::new(gc))),
-    ])?;
-    Ok(BuiltinOutput::new(
-        Value::Table(table),
-        keys.logical_len() * weights::GROUP,
-    ))
+    Ok(f(kept.as_ref().expect("filled just above")))
 }
 
-fn gemm_batch_charge(_: &str, args: &[Value]) -> Result<Charge> {
+/// `group_sum`'s length check.
+fn check_group_lengths(keys: &ArrayVal, vals: &ArrayVal) -> Result<()> {
+    if keys.len() == vals.len() {
+        Ok(())
+    } else {
+        Err(LangError::runtime("group_sum: length mismatch"))
+    }
+}
+
+/// `group_sum`'s operations: a hash-aggregate step per row.
+fn group_ops(keys: &ArrayVal) -> u64 {
+    keys.logical_len() * weights::GROUP
+}
+
+/// `group_sum`'s charge reads its keys, through the evaluator's group
+/// index: the result has a `key`, `sum` and `count` row per group. The
+/// summed values are read by shape only.
+fn group_sum_charge(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<Charge> {
+    checked!([Array(keys), Array(vals)] = args);
+    check_group_lengths(keys, vals)?;
+    let groups = with_groups(keys, ctx, |index| index.slots.len())?;
+    let columns = ["count", "key", "sum"]
+        .map(|name| (name.to_owned(), ColumnShape::F64))
+        .to_vec();
+    let shape = Shape::Table {
+        columns,
+        rows: groups,
+        logical_rows: groups as u64,
+    };
+    Ok(Charge::new(shape, group_ops(keys)))
+}
+
+/// Sums `vals` per distinct rounded key, in two steps: *find the groups*
+/// (a [`GroupIndex`], taken from the evaluator's memo when it indexed this
+/// very key buffer, built otherwise) and *add the column* (`sums[slot] +=
+/// x` in row order, so a group's sum is the one an ordered map keyed the
+/// same way accumulates).
+fn group_sum(_: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
+    checked!([Array(keys), Array(vals)] = args);
+    check_group_lengths(keys, vals)?;
+    let table = with_groups(keys, ctx, |index| {
+        let mut sums = vec![0.0; index.slots.len()];
+        for (slot, val) in index.row_slots.iter().zip(vals.data()) {
+            sums[*slot as usize] += *val;
+        }
+        let ratio = keys.scale_ratio();
+        let mut gk = Vec::with_capacity(sums.len());
+        let mut gs = Vec::with_capacity(sums.len());
+        let mut gc = Vec::with_capacity(sums.len());
+        for slot in &index.by_key {
+            let (key, count) = index.slots[*slot as usize];
+            gk.push(key as f64);
+            // Sums and counts extrapolate to logical scale.
+            gs.push(sums[*slot as usize] * ratio);
+            gc.push((count as f64 * ratio).round());
+        }
+        // Group cardinality is a data property, not a scale property: the
+        // output is genuinely small, which is what makes aggregation such
+        // a good ISP candidate.
+        Table::new(vec![
+            ("key".into(), Column::F64(Arc::new(gk))),
+            ("sum".into(), Column::F64(Arc::new(gs))),
+            ("count".into(), Column::F64(Arc::new(gc))),
+        ])
+    })??;
+    Ok(BuiltinOutput::new(Value::Table(table), group_ops(keys)))
+}
+
+fn gemm_batch_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Matrix(x), Matrix(y)] = args);
     // The logical row count encodes the batch dimension: a logical
     // (B·n × n) input materialized as one representative n × n block.
@@ -1250,7 +1343,7 @@ fn gemm_batch_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn gemm_batch(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = gemm_batch_charge(name, args)?;
+    let Charge { shape, ops } = gemm_batch_charge(name, args, ctx)?;
     checked!([Matrix(x), Matrix(y)] = args);
     let block = x.matmul_with(y, ctx.par)?;
     Ok(BuiltinOutput::new(
@@ -1259,7 +1352,7 @@ fn gemm_batch(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<Builtin
     ))
 }
 
-fn kmeans_assign_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn kmeans_assign_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Matrix(points), Matrix(centroids)] = args);
     if points.cols() != centroids.cols() {
         return Err(LangError::runtime("kmeans_assign: dimension mismatch"));
@@ -1277,7 +1370,7 @@ fn kmeans_assign_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn kmeans_assign(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = kmeans_assign_charge(name, args)?;
+    let Charge { shape, ops } = kmeans_assign_charge(name, args, ctx)?;
     checked!([Matrix(points), Matrix(centroids)] = args);
     let assign = ctx.reuse("kmeans_assign", args, || {
         Ok(nearest_centroids(points, centroids, ctx.par))
@@ -1338,7 +1431,7 @@ fn nearest_centroids(points: &Matrix, centroids: &Matrix, par: &ParEngine) -> Ve
 
 /// `kmeans_update`'s charge reads `k`, which sizes the result, and the
 /// assignments, which must each name one of the `k` clusters.
-fn kmeans_update_charge(_: &str, args: &[Value]) -> Result<Charge> {
+fn kmeans_update_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Matrix(points), Array(assign), Num(k)] = args);
     let k = *k;
     if assign.len() != points.rows() {
@@ -1377,7 +1470,7 @@ fn kmeans_update_charge(_: &str, args: &[Value]) -> Result<Charge> {
 }
 
 fn kmeans_update(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
-    let Charge { shape, ops } = kmeans_update_charge(name, args)?;
+    let Charge { shape, ops } = kmeans_update_charge(name, args, ctx)?;
     checked!([Matrix(points), Array(assign), Num(k)] = args);
     let (k, d) = (*k as usize, points.cols());
     // Per-chunk (sums, counts) partials accumulated over a contiguous row
@@ -1884,6 +1977,7 @@ mod tests {
                     par: &engine,
                     groups: None,
                     memo: None,
+                    columns: None,
                 };
                 let out = call_in("decode", &arg, &ctx).expect("decode");
                 outputs.push((threads, format!("{out:?}")));
@@ -1977,7 +2071,11 @@ mod tests {
             let errors = |args: &[Value]| {
                 let err = call(name, args, &st).err();
                 if id.charges_from_shapes() {
-                    assert_eq!(id.charge(args).err(), err, "{name}: charge and call");
+                    assert_eq!(
+                        id.charge(args, &KernelCtx::serial(&st)).err(),
+                        err,
+                        "{name}: charge and call"
+                    );
                 }
                 err
             };
@@ -2065,7 +2163,8 @@ mod tests {
                 Value::BoolArray(m) => format!("mask {}/{}", m.len(), m.logical_len()),
                 Value::Table(t) => {
                     let names: Vec<_> = t.column_names().collect();
-                    format!("table {}/{} {names:?}", t.rows(), t.logical_rows())
+                    let (rows, logical, width) = (t.rows(), t.logical_rows(), t.bytes_per_row());
+                    format!("table {rows}/{logical} {names:?} {width} B/row")
                 }
                 Value::Matrix(m) => format!(
                     "matrix {}x{}/{}x{}",
@@ -2168,7 +2267,7 @@ mod tests {
 
         /// As [`outcome`], through the row's shape-only charge.
         fn charged(id: KernelId, args: &[Value]) -> String {
-            match id.charge(args) {
+            match id.charge(args, &KernelCtx::serial(&Storage::new())) {
                 Ok(charge) => {
                     let value = crate::shape::Placeholders::default()
                         .value(charge.shape)
@@ -2543,6 +2642,7 @@ mod tests {
                     par: &engine,
                     groups: None,
                     memo: None,
+                    columns: None,
                 };
                 let out = call_in(name, argv, &ctx).expect(name);
                 outputs.push((threads, format!("{out:?}")));

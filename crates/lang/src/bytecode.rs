@@ -338,16 +338,17 @@ impl<'a> Vm<'a> {
                     for &slot in &lowered.arg_pool[*args_start as usize..end] {
                         argv.push(self.read(slot, index)?.clone());
                     }
+                    let ctx = KernelCtx {
+                        storage: self.storage,
+                        par: &self.par,
+                        groups: Some(&self.groups),
+                        memo: self.memo.map(|memo| (memo, index)),
+                        columns: self.demand.and_then(|demand| demand.columns(pc)),
+                    };
                     let out = if computes {
-                        let ctx = KernelCtx {
-                            storage: self.storage,
-                            par: &self.par,
-                            groups: Some(&self.groups),
-                            memo: self.memo.map(|memo| (memo, index)),
-                        };
                         kernel.invoke_in(&argv, &ctx)
                     } else {
-                        kernel.charge(&argv).and_then(|charge| {
+                        kernel.charge(&argv, &ctx).and_then(|charge| {
                             let value = self.placeholders.value(charge.shape)?;
                             Ok(BuiltinOutput::new(value, charge.ops))
                         })

@@ -185,6 +185,7 @@ impl<'a> Interpreter<'a> {
                     par: &self.par,
                     groups: Some(&self.groups),
                     memo: None,
+                    columns: None,
                 };
                 let out = kernel.invoke_in(&argv, &ctx)?;
                 cost.compute_ops += out.ops;

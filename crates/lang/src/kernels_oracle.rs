@@ -796,6 +796,7 @@ fn check_kernel(
                 par: &new_par,
                 groups: None,
                 memo: None,
+                columns: None,
             },
         );
         let old = oracle(
@@ -805,6 +806,7 @@ fn check_kernel(
                 par: &old_par,
                 groups: None,
                 memo: None,
+                columns: None,
             },
         );
         let what = format!("{name} {what} @ {threads} threads");

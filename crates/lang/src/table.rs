@@ -14,7 +14,7 @@ use crate::canonical::{read_map, read_vec, CanonicalSink};
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
 use isp_obs::wal::ByteReader;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -73,6 +73,53 @@ impl Column {
                 codes: Arc::new(take_rows(codes, rows, par)),
                 dict: Arc::clone(dict),
             },
+        }
+    }
+}
+
+/// Zero columns of one length, for the columns whose values nothing reads:
+/// one buffer per column type, made on first use and shared by every
+/// column of that type.
+#[derive(Debug)]
+pub struct ZeroColumns {
+    len: usize,
+    f64s: Option<Arc<Vec<f64>>>,
+    codes: Option<Arc<Vec<u32>>>,
+}
+
+impl ZeroColumns {
+    /// Zero columns of `len` rows.
+    #[must_use]
+    pub fn new(len: usize) -> Self {
+        ZeroColumns {
+            len,
+            f64s: None,
+            codes: None,
+        }
+    }
+
+    /// An `f64` column of zeros.
+    pub fn f64s(&mut self) -> Column {
+        let len = self.len;
+        Column::F64(Arc::clone(
+            self.f64s.get_or_insert_with(|| Arc::new(vec![0.0; len])),
+        ))
+    }
+
+    /// A column of zero codes into `dict`.
+    pub fn codes(&mut self, dict: &Arc<Vec<String>>) -> Column {
+        let len = self.len;
+        Column::Dict {
+            codes: Arc::clone(self.codes.get_or_insert_with(|| Arc::new(vec![0; len]))),
+            dict: Arc::clone(dict),
+        }
+    }
+
+    /// A zero column of `column`'s type and dictionary.
+    pub fn like(&mut self, column: &Column) -> Column {
+        match column {
+            Column::F64(_) => self.f64s(),
+            Column::Dict { dict, .. } => self.codes(dict),
         }
     }
 }
@@ -200,6 +247,13 @@ impl Table {
         self.columns.keys().map(String::as_str)
     }
 
+    /// The columns with their names, in name order.
+    pub(crate) fn columns(&self) -> impl Iterator<Item = (&str, &Column)> {
+        self.columns
+            .iter()
+            .map(|(name, column)| (name.as_str(), column))
+    }
+
     /// Number of columns.
     #[must_use]
     pub fn column_count(&self) -> usize {
@@ -273,7 +327,7 @@ impl Table {
     /// The serial filter [`Self::filter_with`] must equal.
     #[cfg(test)]
     pub(crate) fn filter(&self, keep: &[bool]) -> Result<Table> {
-        self.filter_rows(keep, None)
+        self.filter_rows(keep, None, None)
     }
 
     /// Filters rows by a boolean mask of materialized length; the result's
@@ -287,35 +341,71 @@ impl Table {
     ///
     /// Returns an error if the mask length differs from the row count.
     pub fn filter_with(&self, keep: &[bool], par: &ParEngine) -> Result<Table> {
-        self.filter_rows(keep, Some(par))
+        self.filter_rows(keep, Some(par), None)
     }
 
-    /// The selected row numbers are found once and every column gathers
-    /// by them.
-    fn filter_rows(&self, keep: &[bool], par: Option<&ParEngine>) -> Result<Table> {
-        if keep.len() != self.rows {
-            return Err(LangError::runtime(format!(
-                "mask length {} does not match table rows {}",
-                keep.len(),
+    /// As [`Self::filter_with`], gathering only the columns `read` names
+    /// (every column when `None`): the others hold zeros, one buffer per
+    /// column type, with their types, dictionaries and lengths kept.
+    pub(crate) fn filter_reading(
+        &self,
+        keep: &[bool],
+        par: &ParEngine,
+        read: Option<&BTreeSet<String>>,
+    ) -> Result<Table> {
+        self.filter_rows(keep, Some(par), read)
+    }
+
+    /// `filter`'s error for a mask of `len` entries, if any.
+    pub(crate) fn check_mask(&self, len: usize) -> Result<()> {
+        if len == self.rows {
+            Ok(())
+        } else {
+            Err(LangError::runtime(format!(
+                "mask length {len} does not match table rows {}",
                 self.rows
-            )));
+            )))
         }
-        let rows = selected_rows(keep);
-        let kept = rows.len();
+    }
+
+    /// The logical rows left when a filter keeps `kept` of the
+    /// materialized rows: the measured selectivity of the logical rows,
+    /// and never fewer than `kept`.
+    pub(crate) fn kept_logical_rows(&self, kept: usize) -> u64 {
         let selectivity = if self.rows == 0 {
             0.0
         } else {
             kept as f64 / self.rows as f64
         };
-        let logical = (self.logical_rows as f64 * selectivity)
+        (self.logical_rows as f64 * selectivity)
             .round()
-            .max(kept as f64) as u64;
+            .max(kept as f64) as u64
+    }
+
+    /// The selected row numbers are found once and every read column
+    /// gathers by them.
+    fn filter_rows(
+        &self,
+        keep: &[bool],
+        par: Option<&ParEngine>,
+        read: Option<&BTreeSet<String>>,
+    ) -> Result<Table> {
+        self.check_mask(keep.len())?;
+        let rows = selected_rows(keep);
+        let mut zeros = ZeroColumns::new(rows.len());
         let columns: Vec<(String, Column)> = self
             .columns
             .iter()
-            .map(|(n, c)| (n.clone(), c.take(&rows, par)))
+            .map(|(n, c)| {
+                let column = if read.is_none_or(|read| read.contains(n)) {
+                    c.take(&rows, par)
+                } else {
+                    zeros.like(c)
+                };
+                (n.clone(), column)
+            })
             .collect();
-        Table::with_logical_rows(columns, logical)
+        Table::with_logical_rows(columns, self.kept_logical_rows(rows.len()))
     }
 }
 
@@ -410,6 +500,35 @@ mod tests {
             }
             other => panic!("wrong column type {other:?}"),
         }
+    }
+
+    #[test]
+    fn a_filter_reading_some_columns_gathers_those_and_zeros_the_rest() {
+        let t = t();
+        let keep = [false, true, true, true];
+        let full = t.filter(&keep).expect("filter");
+        let read = BTreeSet::from(["qty".to_owned()]);
+        let par = ParEngine::serial_ref();
+        let some = t.filter_reading(&keep, par, Some(&read)).expect("filter");
+        assert_eq!(
+            some.column("qty").expect("qty"),
+            full.column("qty").expect("qty")
+        );
+        assert_eq!(
+            (some.rows(), some.logical_rows(), some.virtual_bytes()),
+            (full.rows(), full.logical_rows(), full.virtual_bytes())
+        );
+        match (some.column("flag"), some.column("kind")) {
+            (Ok(Column::F64(flag)), Ok(Column::Dict { codes, dict })) => {
+                assert_eq!(**flag, [0.0; 3]);
+                assert_eq!(**codes, [0; 3]);
+                assert_eq!(dict[0], "PROMO", "the dictionary is kept");
+            }
+            other => panic!("wrong column types {other:?}"),
+        }
+        assert_eq!(t.filter_reading(&keep, par, None).expect("filter"), full);
+        let err = t.filter_reading(&[true], par, Some(&read)).unwrap_err();
+        assert_eq!(err, t.filter(&[true]).unwrap_err());
     }
 
     #[test]

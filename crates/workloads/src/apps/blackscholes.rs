@@ -6,8 +6,9 @@
 //! prices the survivors with the Black–Scholes closed form (`N(x)` via
 //! `erf`), and reports the mean price.
 
-use crate::datagen::options::option_chain;
+use crate::datagen::options::option_chain_projected;
 use crate::spec::Workload;
+use alang::shape::StoredReads;
 use std::sync::Arc;
 
 /// Materialized option rows.
@@ -46,9 +47,11 @@ pub fn workload() -> Workload {
         9.1,
         "screen a stored option chain, price survivors with Black-Scholes, report the mean",
         SOURCE,
-        Arc::new(|scale| {
+        Arc::new(|scale, reads: &StoredReads| {
             let mut st = alang::Storage::new();
-            st.insert("options", option_chain(9.1, scale, ACTUAL_ROWS, SEED));
+            let wanted = |column: &str| reads.column("options", column);
+            let options = option_chain_projected(9.1, scale, ACTUAL_ROWS, SEED, &wanted);
+            st.insert("options", options);
             st
         }),
     )

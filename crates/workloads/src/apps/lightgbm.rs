@@ -9,6 +9,7 @@
 use crate::datagen::forestgen::random_forest;
 use crate::datagen::linalg::feature_matrix;
 use crate::spec::Workload;
+use alang::shape::StoredReads;
 use std::sync::Arc;
 
 /// Feature columns per row.
@@ -40,7 +41,7 @@ pub fn workload() -> Workload {
         7.1,
         "boosted-forest inference over stored features; count and average positive scores",
         SOURCE,
-        Arc::new(|scale| {
+        Arc::new(|scale, _: &StoredReads| {
             let mut st = alang::Storage::new();
             st.insert(
                 "features",

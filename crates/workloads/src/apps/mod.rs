@@ -19,6 +19,7 @@ pub mod tpch_q6;
 pub mod tpch_q6_gz;
 
 use crate::spec::{Generator, Workload};
+use alang::shape::StoredReads;
 use alang::{Storage, Value};
 use std::sync::{Arc, OnceLock};
 
@@ -42,7 +43,7 @@ struct Stored {
 /// reproduces §V's data-dependent volume error.
 fn stored_once(store: fn() -> Stored, logical_rows: fn(f64) -> u64) -> Generator {
     let stored = OnceLock::new();
-    Arc::new(move |scale| {
+    Arc::new(move |scale, _: &StoredReads| {
         let Stored { scaled, fixed } = stored.get_or_init(store);
         let rows = logical_rows(scale);
         let mut st = Storage::new();

@@ -10,6 +10,7 @@
 
 use crate::datagen::graph::{adjacency, initial_ranks};
 use crate::spec::Workload;
+use alang::shape::StoredReads;
 use std::sync::Arc;
 
 /// Materialized adjacency block edge length.
@@ -37,7 +38,7 @@ pub fn workload() -> Workload {
         7.7,
         "CSR conversion of a dense-stored web graph, then three damped rank steps",
         SOURCE,
-        Arc::new(|scale| {
+        Arc::new(|scale, _: &StoredReads| {
             let mut st = alang::Storage::new();
             st.insert(
                 "web_graph",

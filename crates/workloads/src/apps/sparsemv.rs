@@ -8,6 +8,7 @@
 
 use crate::datagen::graph::{adjacency, dense_vector};
 use crate::spec::Workload;
+use alang::shape::StoredReads;
 use std::sync::Arc;
 
 /// Dataset size in gigabytes (the paper does not list SparseMV in Table I;
@@ -36,7 +37,7 @@ pub fn workload() -> Workload {
         GB,
         "CSR conversion of a dense-stored sparse matrix followed by SpMV and a reduction",
         SOURCE,
-        Arc::new(|scale| {
+        Arc::new(|scale, _: &StoredReads| {
             let mut st = alang::Storage::new();
             st.insert(
                 "sparse_matrix",

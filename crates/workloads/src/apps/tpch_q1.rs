@@ -5,8 +5,9 @@
 //! groups. Little is filtered, but the aggregation collapses gigabytes
 //! into a six-row report — the reduction happens in `group_sum`.
 
-use crate::datagen::tpch::lineitem;
+use crate::datagen::tpch::lineitem_projected;
 use crate::spec::Workload;
+use alang::shape::StoredReads;
 use std::sync::Arc;
 
 use super::tpch_q6::{ACTUAL_ROWS, PART_ACTUAL_ROWS, SEED};
@@ -40,11 +41,12 @@ pub fn workload() -> Workload {
         6.9,
         "pricing summary: five grouped aggregates over nearly all of lineitem",
         SOURCE,
-        Arc::new(|scale| {
+        Arc::new(|scale, reads: &StoredReads| {
             let mut st = alang::Storage::new();
+            let wanted = |column: &str| reads.column("lineitem", column);
             st.insert(
                 "lineitem",
-                lineitem(6.9, scale, ACTUAL_ROWS, PART_ACTUAL_ROWS, SEED),
+                lineitem_projected(6.9, scale, ACTUAL_ROWS, PART_ACTUAL_ROWS, SEED, &wanted),
             );
             st
         }),

@@ -7,8 +7,9 @@
 //! the in-storage reduction; the join probe runs on whatever side holds the
 //! filtered rows.
 
-use crate::datagen::tpch::{lineitem, part};
+use crate::datagen::tpch::{lineitem_projected, part};
 use crate::spec::Workload;
+use alang::shape::StoredReads;
 use std::sync::Arc;
 
 use super::tpch_q6::{ACTUAL_ROWS, PART_ACTUAL_ROWS, SEED};
@@ -43,13 +44,15 @@ pub fn workload() -> Workload {
         7.1,
         "promotion effect: month filter on lineitem, dense-key join to part, revenue ratio",
         SOURCE,
-        Arc::new(|scale| {
+        Arc::new(|scale, reads: &StoredReads| {
             let mut st = alang::Storage::new();
+            let wanted = |column: &str| reads.column("lineitem", column);
             st.insert(
                 "lineitem",
-                lineitem(6.9, scale, ACTUAL_ROWS, PART_ACTUAL_ROWS, SEED),
+                lineitem_projected(6.9, scale, ACTUAL_ROWS, PART_ACTUAL_ROWS, SEED, &wanted),
             );
-            st.insert("part", part(0.2, scale, PART_ACTUAL_ROWS, SEED));
+            let wanted = |column: &str| reads.column("part", column);
+            st.insert("part", part(0.2, scale, PART_ACTUAL_ROWS, SEED, &wanted));
             st
         }),
     )

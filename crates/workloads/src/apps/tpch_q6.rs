@@ -4,8 +4,9 @@
 //! quantity cap, and a discount band, summing `extendedprice × discount`.
 //! The archetypal ISP query — output is a single number.
 
-use crate::datagen::tpch::lineitem;
+use crate::datagen::tpch::lineitem_projected;
 use crate::spec::Workload;
+use alang::shape::StoredReads;
 use std::sync::Arc;
 
 /// Materialized lineitem rows.
@@ -40,11 +41,12 @@ pub fn workload() -> Workload {
         6.9,
         "scan-filter-aggregate: sum of discounted revenue in a one-year window",
         SOURCE,
-        Arc::new(|scale| {
+        Arc::new(|scale, reads: &StoredReads| {
             let mut st = alang::Storage::new();
+            let wanted = |column: &str| reads.column("lineitem", column);
             st.insert(
                 "lineitem",
-                lineitem(6.9, scale, ACTUAL_ROWS, PART_ACTUAL_ROWS, SEED),
+                lineitem_projected(6.9, scale, ACTUAL_ROWS, PART_ACTUAL_ROWS, SEED, &wanted),
             );
             st
         }),

@@ -4,14 +4,17 @@
 use activepy::sampling::InputSource;
 use alang::builtins::Storage;
 use alang::error::Result;
+use alang::shape::StoredReads;
 use alang::value::encoding_canonical;
 use alang::{parser, CanonicalSink, Fingerprinter, Program};
 use csd_sim::wire::Encoding;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
-/// Type of the input-materialization closures workloads carry.
-pub type Generator = Arc<dyn Fn(f64) -> Storage + Send + Sync>;
+/// Type of the input-materialization closures workloads carry: the
+/// storage at a scale, of which only what the [`StoredReads`] names need
+/// hold its values (a table generator draws those columns alone).
+pub type Generator = Arc<dyn Fn(f64, &StoredReads) -> Storage + Send + Sync>;
 
 /// One evaluated application: name, Table-I data size, the ALang source
 /// (with one single-entry-single-exit region per line), and a deterministic
@@ -27,7 +30,10 @@ pub type Generator = Arc<dyn Fn(f64) -> Storage + Send + Sync>;
 /// KMeans' points) is relabelled from the one draw its generator stored;
 /// one a filter, a select, a group, a tree path or a CSR density reads is
 /// drawn afresh at each scale, since that draw noise is what §V's
-/// data-dependent volume error is made of.
+/// data-dependent volume error is made of. A sampling input's table is
+/// drawn for its value-read columns alone
+/// ([`InputSource::projected_storage_at`]): TPC-H-6 draws three of
+/// `lineitem`'s eight columns, and the rest hold zeros.
 #[derive(Clone)]
 pub struct Workload {
     name: String,
@@ -130,13 +136,20 @@ impl Workload {
     /// scale calls the generator again (see [`Workload`]).
     #[must_use]
     pub fn storage_at(&self, scale: f64) -> Storage {
+        self.projected_storage_at(scale, &StoredReads::every())
+    }
+
+    /// As [`Self::storage_at`], with only what `reads` names drawn at a
+    /// sampling scale; scale 1.0 is the kept storage, whole.
+    #[must_use]
+    pub fn projected_storage_at(&self, scale: f64, reads: &StoredReads) -> Storage {
         if scale == 1.0 {
             self.kept
                 .table1_storage
-                .get_or_init(|| (self.generator)(1.0))
+                .get_or_init(|| (self.generator)(1.0, &StoredReads::every()))
                 .clone()
         } else {
-            (self.generator)(scale)
+            (self.generator)(scale, reads)
         }
     }
 }
@@ -144,6 +157,10 @@ impl Workload {
 impl InputSource for Workload {
     fn storage_at(&self, scale: f64) -> Storage {
         Workload::storage_at(self, scale)
+    }
+
+    fn projected_storage_at(&self, scale: f64, reads: &StoredReads) -> Storage {
+        Workload::projected_storage_at(self, scale, reads)
     }
 
     /// The declared `(dataset, encoding)` pairs, each descriptor through
@@ -186,7 +203,7 @@ mod tests {
     use csd_sim::SystemConfig;
     use std::sync::Mutex;
 
-    fn toy_storage(scale: f64) -> Storage {
+    fn toy_storage(scale: f64, _: &StoredReads) -> Storage {
         let logical = ((scale * 1e8) as u64).max(16);
         let mut st = Storage::new();
         st.insert(
@@ -209,9 +226,9 @@ mod tests {
     fn logged() -> (Workload, Arc<Mutex<Vec<f64>>>) {
         let calls = Arc::new(Mutex::new(Vec::new()));
         let log = Arc::clone(&calls);
-        let generator = Arc::new(move |scale| {
+        let generator = Arc::new(move |scale, reads: &StoredReads| {
             log.lock().expect("no generator panicked").push(scale);
-            toy_storage(scale)
+            toy_storage(scale, reads)
         });
         let w = Workload::new("toy", 1.0, "toy sum", TOY_SOURCE, generator);
         (w, calls)
@@ -349,7 +366,7 @@ mod tests {
             .expect("runs");
             (report.values_fingerprint, report.total_secs.to_bits())
         };
-        let fresh = run(&(w.generator)(1.0));
+        let fresh = run(&(w.generator)(1.0, &StoredReads::every()));
         assert_eq!(run(&w.storage_at(1.0)), fresh);
         // Again, now that the kept input's digests are remembered.
         assert_eq!(run(&w.storage_at(1.0)), fresh);

@@ -8,6 +8,7 @@
 //! ```
 
 use activepy::runtime::ActivePy;
+use alang::shape::StoredReads;
 use alang::table::{Column, Table};
 use alang::{Storage, Value};
 use csd_sim::{ContentionScenario, SystemConfig};
@@ -73,7 +74,9 @@ worst = maxv(flagged)
         4.0,
         "night-time high-risk high-value transaction screening",
         source,
-        Arc::new(transactions),
+        // Every column at every scale: a generator may instead leave zeros
+        // in the columns the `StoredReads` says a sample run never reads.
+        Arc::new(|scale: f64, _: &StoredReads| transactions(scale)),
     );
 
     let config = SystemConfig::paper_default();

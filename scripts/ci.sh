@@ -81,16 +81,28 @@ echo "== sampling: a value no sampled cost reads is not computed, every report b
 # error text. Each row's declared by-value arguments against its kernel (one
 # test per row: a same-sized witness moves the cost, an all-zero copy of any
 # other argument moves nothing, the shape charge equals the kernel's), the
-# backward pass and the shared zero placeholders; then sample runs that
-# compute only what the pass marks against runs computing every line: all
-# 12 registered reports equal, their plans fingerprinting alike and the 49
-# lines charged from shapes pinned, and 512 seeded programs over stored
-# arrays of unequal lengths giving equal reports or the same error on the
-# same line. Last, every fitted curve of the 12 reports equal to the bit to
-# the fit that takes each logarithm per candidate. Ahead of the suite, so a
-# wrong row or a skipped value some cost reads stops here, named.
+# backward pass with its per-column table reads, the filter that gathers
+# only the columns read and the shared zero placeholders. Then the table
+# generators: drawn column by column, they draw what the row loop drew at
+# the four paper scales and 1.0, and a projected draw holds each wanted
+# column bit for bit and zeros of the same type, dictionary and length in
+# the others. Then sample runs that compute only what the pass marks, over
+# inputs drawn for the columns it reads, against runs computing every line
+# over whole inputs: all 12 registered reports equal, their plans
+# fingerprinting alike, the 56 lines charged from shapes and the columns
+# drawn per stored table pinned (TPC-H-6 3 of lineitem's 8, TPC-H-1 3,
+# TPC-H-14 2 and none of part, blackscholes 2 of 4), and 512 seeded
+# programs over stored arrays and a stored table of unequal lengths giving
+# equal reports or the same error on the same line. Last, every fitted
+# curve of the 12 reports equal to the bit to the fit that takes each
+# logarithm per candidate. Ahead of the suite, so a wrong row or a skipped
+# value some cost reads stops here, named.
 cargo test -q -p alang --lib -- shape:: builtins::tests::by_value \
-  builtins::tests::every_row_checks_arity_then_each_argument_type
+  builtins::tests::every_row_checks_arity_then_each_argument_type \
+  table::tests::a_filter_reading_some_columns
+cargo test -q -p rand
+cargo test -q -p isp-workloads --lib -- the_column_wise_draws \
+  a_projected_table_draws_its_columns
 cargo test -q --test sampling_differential
 cargo test -q -p activepy --lib fit::
 

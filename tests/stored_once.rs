@@ -18,6 +18,7 @@ use alang::forest::Forest;
 use alang::lower::lower;
 use alang::matrix::{Csr, Matrix};
 use alang::parser::parse;
+use alang::shape::StoredReads;
 use alang::table::{Column, Table};
 use alang::value::{ArrayVal, BoolArrayVal, EncodedVal};
 use alang::{Fingerprinter, Program, Value, Vm};
@@ -163,7 +164,7 @@ fn counting(inner: &Workload) -> (Workload, Arc<AtomicUsize>) {
     let calls = Arc::new(AtomicUsize::new(0));
     let generator = {
         let (inner, calls) = (inner.clone(), Arc::clone(&calls));
-        Arc::new(move |scale: f64| {
+        Arc::new(move |scale: f64, reads: &StoredReads| {
             if scale == 1.0 {
                 calls.fetch_add(1, Ordering::Relaxed);
             }
@@ -171,7 +172,7 @@ fn counting(inner: &Workload) -> (Workload, Arc<AtomicUsize>) {
             // kept between calls either.
             isp_workloads::by_name(inner.name())
                 .expect("registered")
-                .storage_at(scale)
+                .projected_storage_at(scale, reads)
         })
     };
     let counted = Workload::new(
