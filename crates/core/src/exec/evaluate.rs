@@ -227,43 +227,54 @@ mod tests {
 
     #[test]
     fn parallel_policy_is_execution_only() {
-        // Same program, serial vs 8-thread kernels: per-line outcomes,
-        // fingerprint, and sim-time must not move. Only the recorded policy
-        // (and its counters) differ, so compare fields, not whole reports.
+        // Same program, serial vs 8-thread kernels over an input large
+        // enough to chunk: the chunk grid is the data's, so the reports,
+        // chunk counters included, are equal. Only who ran the chunks
+        // differs, and each chunked call's span records that.
         let program = parse(SRC).expect("parse");
-        let st = storage();
+        let mut st = Storage::new();
+        let data: Vec<f64> = (0..16_384).map(|i| (i % 100) as f64).collect();
+        st.insert("v", Value::Array(ArrayVal::with_logical(data, 500_000_000)));
         let pl = placements(&[0, 1, 2, 3], 4);
-        let mut serial_sys = SystemConfig::paper_default().build();
-        let serial = execute(
-            &program,
-            &st,
-            &pl,
-            &mut serial_sys,
-            &ExecOptions::activepy(),
-            None,
-            &[],
-        )
-        .expect("serial");
-        let policy = alang::ParallelPolicy::new(8, 64).expect("valid policy");
-        let mut par_sys = SystemConfig::paper_default().build();
-        let par = execute(
-            &program,
-            &st,
-            &pl,
-            &mut par_sys,
-            &ExecOptions::activepy().with_parallelism(policy),
-            None,
-            &[],
-        )
-        .expect("parallel");
-        assert_eq!(par.lines, serial.lines);
-        assert_eq!(par.values_fingerprint, serial.values_fingerprint);
-        assert_eq!(par.total_secs, serial.total_secs);
+        let run = |opts: ExecOptions| {
+            let (tracer, sink) = Tracer::to_memory();
+            let mut sys = SystemConfig::paper_default().build();
+            let report = execute(
+                &program,
+                &st,
+                &pl,
+                &mut sys,
+                &opts.with_tracer(tracer),
+                None,
+                &[],
+            )
+            .expect("run");
+            // The thread counts the chunked kernel calls ran at.
+            let mut threads: Vec<_> = sink
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    isp_obs::TraceEvent::Span(s) if s.name == "kernel.par" => {
+                        s.attrs.into_iter().find(|(k, _)| k == "threads")
+                    }
+                    _ => None,
+                })
+                .map(|(_, v)| v)
+                .collect();
+            threads.dedup();
+            (report, threads)
+        };
+        let (serial, serial_threads) = run(ExecOptions::activepy());
+        let policy = alang::ParallelPolicy::with_threads(8);
+        let (par, par_threads) = run(ExecOptions::activepy().with_parallelism(policy));
+        assert_eq!(par, serial);
         assert!(
             par.metrics.par.par_calls > 0,
-            "a 64-element threshold engages chunking: {:?}",
+            "a 16 384-element input engages chunking: {:?}",
             par.metrics.par
         );
-        assert_eq!(serial.metrics.par.par_calls, 0);
+        // The policy reached the kernels.
+        assert_eq!(serial_threads, [isp_obs::AttrValue::U64(1)]);
+        assert_eq!(par_threads, [isp_obs::AttrValue::U64(8)]);
     }
 }

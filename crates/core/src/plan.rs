@@ -464,7 +464,7 @@ mod tests {
         // executes kernels, never what they compute: same plan.
         let parallel = ActivePy::with_options(
             crate::runtime::ActivePyOptions::default()
-                .with_parallelism(alang::ParallelPolicy::new(8, 1024).expect("policy")),
+                .with_parallelism(alang::ParallelPolicy::with_threads(8)),
         );
         cache
             .plan_for(&parallel, "w", &program, &input(), &config)

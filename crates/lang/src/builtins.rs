@@ -1430,7 +1430,8 @@ fn nearest_centroids(points: &Matrix, centroids: &Matrix, par: &ParEngine) -> Ve
 }
 
 /// `kmeans_update`'s charge reads `k`, which sizes the result, and the
-/// assignments, which must each name one of the `k` clusters.
+/// assignments, which must each name one of the `k` clusters and leave
+/// none of them without a point (its centroid would be no mean).
 fn kmeans_update_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Charge> {
     checked!([Matrix(points), Array(assign), Num(k)] = args);
     let k = *k;
@@ -1451,10 +1452,19 @@ fn kmeans_update_charge(_: &str, args: &[Value], _: &KernelCtx<'_>) -> Result<Ch
         )));
     }
     let k = k as usize;
-    // `as usize` would saturate a negative or NaN value to cluster 0.
-    if let Some(a) = assign.data().iter().find(|a| !(0.0..k as f64).contains(*a)) {
+    let mut assigned = vec![false; k];
+    for a in assign.data() {
+        // `as usize` would saturate a negative or NaN value to cluster 0.
+        if !(0.0..k as f64).contains(a) {
+            return Err(LangError::runtime(format!(
+                "kmeans_update: assignment {a} out of range for k={k}"
+            )));
+        }
+        assigned[*a as usize] = true;
+    }
+    if let Some(c) = assigned.iter().position(|a| !a) {
         return Err(LangError::runtime(format!(
-            "kmeans_update: assignment {a} out of range for k={k}"
+            "kmeans_update: cluster {c} has no point assigned"
         )));
     }
     let shape = Shape::Matrix {
@@ -1507,11 +1517,11 @@ fn kmeans_update(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<Buil
         }
         None => accumulate(0..points.rows()),
     };
-    for c in 0..k {
-        if counts[c] > 0 {
-            for j in 0..d {
-                sums[c * d + j] /= counts[c] as f64;
-            }
+    // The charge refused a cluster with no point, so every count is
+    // nonzero.
+    for (centroid, count) in sums.chunks_mut(d.max(1)).zip(counts) {
+        for x in centroid {
+            *x /= count as f64;
         }
     }
     Ok(BuiltinOutput::new(
@@ -1820,6 +1830,34 @@ mod tests {
     }
 
     #[test]
+    fn kmeans_update_refuses_a_cluster_no_point_is_assigned_to() {
+        let st = Storage::new();
+        let points = Value::Matrix(Matrix::new(vec![1.0, 2.0, 4.0], 3, 1).expect("pts"));
+        // Cluster 1 of three is empty: its centroid would be no mean.
+        let args = [points.clone(), arr(vec![0.0, 2.0, 0.0]), Value::Num(3.0)];
+        let e = call("kmeans_update", &args, &st).unwrap_err();
+        assert_eq!(
+            e.to_string(),
+            "runtime error: kmeans_update: cluster 1 has no point assigned"
+        );
+        // The charge refuses it alike, so a costs-only run does too.
+        let ctx = KernelCtx::serial(&st);
+        let charged = super::kmeans_update_charge("kmeans_update", &args, &ctx).unwrap_err();
+        assert_eq!(charged, e);
+        // No point at all leaves cluster 0 empty.
+        let none = Value::Matrix(Matrix::new(vec![], 0, 1).expect("no points"));
+        let e = call("kmeans_update", &[none, arr(vec![]), Value::Num(1.0)], &st).unwrap_err();
+        assert!(
+            e.to_string().ends_with("cluster 0 has no point assigned"),
+            "{e}"
+        );
+        // Every cluster assigned: the means.
+        let args = [points, arr(vec![0.0, 2.0, 1.0]), Value::Num(3.0)];
+        let out = call("kmeans_update", &args, &st).expect("update");
+        assert_eq!(out.value.as_matrix().expect("m").data(), &[1.0, 4.0, 2.0]);
+    }
+
+    #[test]
     fn forest_score_uses_measured_depth() {
         let st = Storage::new();
         let tree = Tree::new(vec![
@@ -1971,7 +2009,7 @@ mod tests {
             ))];
             let mut outputs = Vec::new();
             for threads in [1usize, 2, 4, 8] {
-                let engine = ParEngine::new(ParallelPolicy::new(threads, 512).expect("policy"));
+                let engine = ParEngine::new(ParallelPolicy::with_threads(threads));
                 let ctx = KernelCtx {
                     storage: &st,
                     par: &engine,
@@ -1980,6 +2018,7 @@ mod tests {
                     columns: None,
                 };
                 let out = call_in("decode", &arg, &ctx).expect("decode");
+                assert!(engine.stats().par_calls > 0, "decode: chunked");
                 outputs.push((threads, format!("{out:?}")));
             }
             let (_, reference) = &outputs[0];
@@ -2542,7 +2581,10 @@ mod tests {
             .collect();
         let keep: Vec<bool> = (0..n).map(|i| i % 3 != 0).collect();
         st.insert("xs", arr_logical(xs.clone(), 1_000_000));
-        let mvals: Vec<f64> = (0..96 * 96)
+        // Every kernel below takes the chunked path: at least
+        // `MIN_PARALLEL_LEN` elements of work each.
+        let side = 128;
+        let mvals: Vec<f64> = (0..side * side)
             .map(|i| {
                 if i % 5 == 0 {
                     0.0
@@ -2551,16 +2593,16 @@ mod tests {
                 }
             })
             .collect();
-        let mat = Matrix::new(mvals, 96, 96).expect("mat");
+        let mat = Matrix::new(mvals, side, side).expect("mat");
         let csr = mat.to_csr();
         let points = Matrix::new(
-            (0..512 * 8).map(|i| ((i * 7) % 19) as f64).collect(),
-            512,
+            (0..2048 * 8).map(|i| ((i * 7) % 19) as f64).collect(),
+            2048,
             8,
         )
         .expect("pts");
         let cents = Matrix::new((0..4 * 8).map(|i| i as f64).collect(), 4, 8).expect("cents");
-        let assign_vals: Vec<f64> = (0..512).map(|i| (i % 4) as f64).collect();
+        let assign_vals: Vec<f64> = (0..2048).map(|i| (i % 4) as f64).collect();
         let tree = Tree::new(vec![
             TreeNode::split(0, 6.0, 1, 2),
             TreeNode::leaf(-1.0),
@@ -2598,7 +2640,8 @@ mod tests {
                 "gemm_batch",
                 vec![
                     Value::Matrix(
-                        Matrix::with_logical(mat.data().to_vec(), 96, 96, 960, 96).expect("gm"),
+                        Matrix::with_logical(mat.data().to_vec(), side, side, 1280, 128)
+                            .expect("gm"),
                     ),
                     Value::Matrix(mat.clone()),
                 ],
@@ -2607,11 +2650,15 @@ mod tests {
             ("gram", vec![Value::Matrix(mat.clone())]),
             (
                 "spmv",
-                vec![Value::Csr(csr.clone()), arr(ys[..96].to_vec())],
+                vec![Value::Csr(csr.clone()), arr(ys[..side].to_vec())],
             ),
             (
                 "pagerank_step",
-                vec![Value::Csr(csr), arr(vec![1.0 / 96.0; 96]), Value::Num(0.85)],
+                vec![
+                    Value::Csr(csr),
+                    arr(vec![1.0 / side as f64; side]),
+                    Value::Num(0.85),
+                ],
             ),
             (
                 "kmeans_assign",
@@ -2626,7 +2673,7 @@ mod tests {
                 vec![
                     Value::Forest(forest),
                     Value::Matrix(
-                        Matrix::new((0..4096).map(|i| (i % 13) as f64).collect(), 512, 8)
+                        Matrix::new((0..2048 * 8).map(|i| (i % 13) as f64).collect(), 2048, 8)
                             .expect("feats"),
                     ),
                 ],
@@ -2636,7 +2683,7 @@ mod tests {
         for (name, argv) in &cases {
             let mut outputs = Vec::new();
             for threads in [1usize, 2, 8] {
-                let engine = ParEngine::new(ParallelPolicy::new(threads, 512).expect("policy"));
+                let engine = ParEngine::new(ParallelPolicy::with_threads(threads));
                 let ctx = KernelCtx {
                     storage: &st,
                     par: &engine,
@@ -2645,6 +2692,7 @@ mod tests {
                     columns: None,
                 };
                 let out = call_in(name, argv, &ctx).expect(name);
+                assert!(engine.stats().par_calls > 0, "{name}: chunked");
                 outputs.push((threads, format!("{out:?}")));
             }
             let (_, reference) = &outputs[0];

@@ -263,17 +263,8 @@ impl<'a> Vm<'a> {
     ///
     /// Returns the first evaluation error, annotated with the line index.
     pub fn exec_line(&mut self, index: usize) -> Result<LineCost> {
-        let elim = self.lowered.copy_elim[index];
-        self.exec_line_with(index, elim)
-    }
-
-    /// Executes one line with an explicit copy-elimination flag.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first evaluation error, annotated with the line index.
-    pub fn exec_line_with(&mut self, index: usize, elim: bool) -> Result<LineCost> {
         let lowered = self.lowered;
+        let elim = lowered.copy_elim[index];
         let meta = &lowered.metas[index];
         let mut cost = LineCost::zero();
         // D_in: the volumes of the variables this line reads.

@@ -16,7 +16,7 @@ use crate::error::{LangError, Result};
 use crate::forest::{Forest, Tree, TreeNode};
 use crate::interp::apply_binary;
 use crate::matrix::{Csr, Matrix};
-use crate::par::{ParEngine, ParallelPolicy};
+use crate::par::{ParEngine, ParallelPolicy, MIN_PARALLEL_LEN};
 use crate::table::{Column, Table};
 use crate::value::{ArrayVal, BoolArrayVal, Value};
 use isp_obs::wal::ByteWriter;
@@ -126,7 +126,7 @@ fn gather_with_ref(column: &Column, keep: &[bool], par: &ParEngine) -> Column {
     }
 }
 
-/// `Table::filter` (no engine) and `Table::filter_with` over the gathers
+/// `Table::filter` (no engine) and `Table::filter_reading` over the gathers
 /// above.
 fn filter_ref(table: &Table, keep: &[bool], par: Option<&ParEngine>) -> Result<Table> {
     if keep.len() != table.rows() {
@@ -273,6 +273,12 @@ fn kmeans_update_ref(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutpu
     if k == 0 {
         return Err(LangError::runtime("kmeans_update: k must be positive"));
     }
+    // A cluster no point names has no mean.
+    if let Some(c) = (0..k).find(|c| !assign.data().iter().any(|a| *a as usize == *c)) {
+        return Err(LangError::runtime(format!(
+            "kmeans_update: cluster {c} has no point assigned"
+        )));
+    }
     let d = points.cols();
     let accumulate = |rows: std::ops::Range<usize>| -> Result<(Vec<f64>, Vec<u64>)> {
         let mut sums = vec![0.0; k * d];
@@ -312,10 +318,8 @@ fn kmeans_update_ref(args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutpu
         None => accumulate(0..points.rows())?,
     };
     for c in 0..k {
-        if counts[c] > 0 {
-            for j in 0..d {
-                sums[c * d + j] /= counts[c] as f64;
-            }
+        for j in 0..d {
+            sums[c * d + j] /= counts[c] as f64;
         }
     }
     Ok(BuiltinOutput {
@@ -684,11 +688,8 @@ fn apply_binary_ref(op: BinOp, l: &Value, r: &Value) -> Result<Value> {
 /// Thread counts every engine-taking kernel is compared at.
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 
-/// Engagement threshold of the test engines: low enough that most seeded
-/// shapes take the chunked path, high enough that the small ones do not.
-const MIN_PARALLEL_LEN: usize = 2048;
-
-/// Seeded cases per kernel family; the test asserts it ran this many.
+/// Seeded cases per kernel family; the test asserts it ran this many, and
+/// each engine-taking family pins how many of them took the chunked path.
 const CASES: usize = 96;
 
 /// What a case's floats may contain. NaNs that meet in one addition must
@@ -734,6 +735,20 @@ fn rows(rng: &mut StdRng, case: usize) -> usize {
     }
 }
 
+/// Row counts for the families that take an engine: empty, one row, not
+/// a multiple of 8, either side of the engagement threshold
+/// ([`MIN_PARALLEL_LEN`]), straddling three and several 4096-element
+/// chunks; then seeded ones, one in sixteen below the threshold and the
+/// others past it.
+fn engine_rows(rng: &mut StdRng, case: usize) -> usize {
+    const EDGES: [usize; 12] = [0, 1, 2, 7, 8, 9, 63, 8191, 8192, 8193, 12_289, 36_001];
+    match EDGES.get(case) {
+        Some(n) => *n,
+        None if case.is_multiple_of(16) => rng.gen_range(0..MIN_PARALLEL_LEN),
+        None => rng.gen_range(MIN_PARALLEL_LEN..32_768),
+    }
+}
+
 /// Masks: all false, all true, then seeded selectivities.
 fn mask(rng: &mut StdRng, case: usize, n: usize) -> Vec<bool> {
     match case % 8 {
@@ -746,8 +761,14 @@ fn mask(rng: &mut StdRng, case: usize, n: usize) -> Vec<bool> {
     }
 }
 
+/// A row cap for items of `width` elements: `floor` rows, or more where
+/// that many narrow rows would not reach twice the engagement threshold.
+fn wide_enough(width: usize, floor: usize) -> usize {
+    (2 * MIN_PARALLEL_LEN / width.max(1)).max(floor)
+}
+
 fn engine(threads: usize) -> ParEngine {
-    ParEngine::new(ParallelPolicy::new(threads, MIN_PARALLEL_LEN).expect("policy"))
+    ParEngine::new(ParallelPolicy::with_threads(threads))
 }
 
 /// The canonical bytes of a value: floats as bit patterns, so `-0.0`,
@@ -777,15 +798,23 @@ fn assert_same_output(new: Result<BuiltinOutput>, old: Result<BuiltinOutput>, wh
     assert_same_value(&new.map(|o| o.value), &old.map(|o| o.value), what);
 }
 
+/// Whether a kernel call through `par` took the chunked path.
+fn chunked(par: &ParEngine) -> bool {
+    par.stats().par_calls > 0
+}
+
 /// Runs builtin `name` and `oracle` on `args` at every thread count, each
 /// on a fresh engine, and holds values, costs and chunk counters equal.
+/// Returns whether the call took the chunked path (at every thread count
+/// alike: the grid is the data's).
 fn check_kernel(
     name: &str,
     oracle: fn(&[Value], &KernelCtx<'_>) -> Result<BuiltinOutput>,
     args: &[Value],
     what: &str,
-) {
+) -> bool {
     let storage = Storage::new();
+    let mut took = false;
     for threads in THREADS {
         let (new_par, old_par) = (engine(threads), engine(threads));
         let new = call_in(
@@ -812,7 +841,9 @@ fn check_kernel(
         let what = format!("{name} {what} @ {threads} threads");
         assert_same_output(new, old, &what);
         assert_eq!(new_par.stats(), old_par.stats(), "{what}: chunk counters");
+        took = chunked(&new_par);
     }
+    took
 }
 
 fn array(data: Vec<f64>, scale: u64) -> Value {
@@ -1106,9 +1137,9 @@ fn table(rng: &mut StdRng, n: usize, flavour: Flavour) -> Table {
 #[test]
 fn filter_and_select_match_the_zip_gather() {
     let mut rng = StdRng::seed_from_u64(0xF117);
-    let mut ran = 0;
+    let (mut ran, mut filter_chunked, mut select_chunked) = (0, 0, 0);
     for case in 0..CASES {
-        let n = rows(&mut rng, case);
+        let n = engine_rows(&mut rng, case);
         let flavour = flavour(case);
         let keep = mask(&mut rng, case, n);
         let t = table(&mut rng, n, flavour);
@@ -1119,20 +1150,23 @@ fn filter_and_select_match_the_zip_gather() {
         assert_same_value(&serial, &serial_ref, &format!("filter {what}"));
         for threads in THREADS {
             let (new_par, old_par) = (engine(threads), engine(threads));
-            let new = t.filter_with(&keep, &new_par).map(Value::Table);
+            let new = t.filter_reading(&keep, &new_par, None).map(Value::Table);
             let old = filter_ref(&t, &keep, Some(&old_par)).map(Value::Table);
-            let what = format!("filter_with {what} @ {threads} threads");
+            let what = format!("filter_reading {what} @ {threads} threads");
             assert_same_value(&new, &old, &what);
             // The serial filter is the same rows again.
             assert_same_value(&new, &serial, &what);
             assert_eq!(new_par.stats(), old_par.stats(), "{what}: chunk counters");
+            if threads == 1 {
+                filter_chunked += usize::from(chunked(&new_par));
+            }
         }
 
         let args = [
             array(floats(&mut rng, n, flavour), 3),
             Value::BoolArray(BoolArrayVal::with_logical(keep, n as u64 * 3)),
         ];
-        check_kernel("select", select_ref, &args, &what);
+        select_chunked += usize::from(check_kernel("select", select_ref, &args, &what));
         ran += 1;
     }
     // Wrong-length masks are refused, as before.
@@ -1142,33 +1176,39 @@ fn filter_and_select_match_the_zip_gather() {
     assert!(new.is_err());
     assert_same_value(&new, &old, "filter, short mask");
     let par = engine(2);
-    let new = t.filter_with(&[true; 6], &par).map(Value::Table);
+    let new = t.filter_reading(&[true; 6], &par, None).map(Value::Table);
     let old = filter_ref(&t, &[true; 6], Some(&par)).map(Value::Table);
-    assert_same_value(&new, &old, "filter_with, long mask");
+    assert_same_value(&new, &old, "filter_reading, long mask");
     let args = [
         array(vec![1.0, 2.0], 1),
         Value::BoolArray(BoolArrayVal::new(vec![true])),
     ];
     check_kernel("select", select_ref, &args, "length mismatch");
     assert_eq!(ran, CASES);
+    assert_eq!((filter_chunked, select_chunked), (83, 83), "chunked cases");
 }
 
 #[test]
 fn kmeans_matches_the_per_element_loops() {
     let mut rng = StdRng::seed_from_u64(0x4D3A);
-    let mut ran = 0;
+    let (mut ran, mut assign_chunked, mut update_chunked) = (0, 0, 0);
     for case in 0..CASES {
         let flavour = flavour(case);
         // k and d around the eight-lane panel width, down to one cluster,
         // one dimension and no dimension at all.
         let k = [1, 2, 7, 8, 9, 16, 17, 3][case % 8];
         let d = [8, 1, 3, 0, 5, 2, 9, 16][(case / 2) % 8];
-        let n = rows(&mut rng, case).min(3000);
+        let n = engine_rows(&mut rng, case).min(wide_enough(d, 3000));
         let points = matrix(&mut rng, n, d, flavour, 0.05);
         let centroids = matrix(&mut rng, k, d, flavour, 0.05);
         let what = format!("case {case} ({n} points, k={k}, d={d})");
         let assign_args = [Value::Matrix(points.clone()), Value::Matrix(centroids)];
-        check_kernel("kmeans_assign", kmeans_assign_ref, &assign_args, &what);
+        assign_chunked += usize::from(check_kernel(
+            "kmeans_assign",
+            kmeans_assign_ref,
+            &assign_args,
+            &what,
+        ));
 
         // Valid assignments (fractions truncate, as before), sometimes a
         // value past the last cluster.
@@ -1195,7 +1235,12 @@ fn kmeans_matches_the_per_element_loops() {
             assert!(call_in("kmeans_update", &update_args, &ctx).is_err());
             assert!(kmeans_update_ref(&update_args, &ctx).is_err());
         } else {
-            check_kernel("kmeans_update", kmeans_update_ref, &update_args, &what);
+            update_chunked += usize::from(check_kernel(
+                "kmeans_update",
+                kmeans_update_ref,
+                &update_args,
+                &what,
+            ));
         }
         ran += 1;
     }
@@ -1210,19 +1255,20 @@ fn kmeans_matches_the_per_element_loops() {
         "dimension mismatch",
     );
     assert_eq!(ran, CASES);
+    assert_eq!((assign_chunked, update_chunked), (88, 66), "chunked cases");
 }
 
 #[test]
 fn matmul_and_to_csr_match_the_indexed_loops() {
     let mut rng = StdRng::seed_from_u64(0x6E44);
-    let mut ran = 0;
+    let (mut ran, mut matmul_chunked) = (0, 0);
     for case in 0..CASES {
         let flavour = flavour(case);
         // Output widths around the eight-lane panel, a 0-column product
         // and a 0-length inner dimension.
         let inner = [64, 1, 5, 0, 9, 16, 3, 33][case % 8];
         let width = [4, 8, 1, 5, 0, 9, 17, 2][(case / 3) % 8];
-        let n = rows(&mut rng, case).min(700);
+        let n = engine_rows(&mut rng, case).min(wide_enough(inner, 700));
         let zeros = [0.0, 0.3, 0.9][case % 3];
         let lhs = matrix(&mut rng, n, inner, flavour, zeros);
         let rhs = matrix(&mut rng, inner, width, flavour, 0.1);
@@ -1238,6 +1284,9 @@ fn matmul_and_to_csr_match_the_indexed_loops() {
             let what = format!("matmul_with {what} @ {threads} threads");
             assert_same_value(&new, &old, &what);
             assert_eq!(new_par.stats(), old_par.stats(), "{what}: chunk counters");
+            if threads == 1 {
+                matmul_chunked += usize::from(chunked(&new_par));
+            }
         }
 
         // Row widths that are not a multiple of the eight-entry scan step,
@@ -1265,6 +1314,7 @@ fn matmul_and_to_csr_match_the_indexed_loops() {
     assert!(new.is_err());
     assert_same_value(&new, &old, "matmul shape mismatch");
     assert_eq!(ran, CASES);
+    assert_eq!(matmul_chunked, 89, "chunked cases");
 
     // The registered MatrixMul projection: what its `y = matmul(a, w)`
     // computes, a 4-column rhs in 4-lane panels.
@@ -1347,16 +1397,16 @@ fn tree(rng: &mut StdRng, shape: usize, cols: usize, pool: &[f64], flavour: Flav
 #[test]
 fn forest_score_matches_the_row_at_a_time_walk() {
     // Row counts around the eight-row block and the engagement threshold
-    // (64 rows of 32 features engage, 63 do not), then seeded ones whose
+    // (256 rows of 32 features engage, 255 do not), then seeded ones whose
     // chunks end on a partial block.
-    const ROWS: [usize; 9] = [0, 1, 7, 8, 9, 63, 64, 65, 1000];
+    const ROWS: [usize; 9] = [0, 1, 7, 8, 9, 255, 256, 257, 9000];
     let mut rng = StdRng::seed_from_u64(0xF0E5);
-    let mut ran = 0;
+    let (mut ran, mut chunked_cases) = (0, 0);
     for case in 0..CASES {
         let flavour = flavour(case);
         let n = match ROWS.get(case % 12) {
             Some(n) => *n,
-            None => rng.gen_range(0..5000usize),
+            None => rng.gen_range(0..20_000usize),
         };
         let cols = [32, 1, 0, 32, 32, 1, 32][case % 7];
         let pool = floats(&mut rng, 6, flavour);
@@ -1373,10 +1423,11 @@ fn forest_score_matches_the_row_at_a_time_walk() {
         let feats =
             Matrix::with_logical(data, n, cols, n as u64 * 3 + 2, cols as u64).expect("features");
         let args = [Value::Forest(forest), Value::Matrix(feats)];
-        check_kernel("forest_score", forest_score_ref, &args, &what);
+        chunked_cases += usize::from(check_kernel("forest_score", forest_score_ref, &args, &what));
         ran += 1;
     }
     assert_eq!(ran, CASES);
+    assert_eq!(chunked_cases, 40, "chunked cases");
 
     // The registered LightGBM inputs. `isp-workloads` links the non-test
     // build of this crate, whose types are not the ones under test, so the
@@ -1429,7 +1480,7 @@ fn registered_matrix(w: &isp_workloads::Workload, name: &str) -> Matrix {
 #[test]
 fn gram_matches_the_indexed_loops() {
     let mut rng = StdRng::seed_from_u64(0x64A3);
-    let mut ran = 0;
+    let (mut ran, mut chunked_cases) = (0, 0);
     for case in 0..CASES {
         let flavour = flavour(case);
         // Widths around the eight-lane vector width, down to no column at
@@ -1437,16 +1488,17 @@ fn gram_matches_the_indexed_loops() {
         // from none to most of the matrix.
         let d = [8, 0, 1, 7, 9][case % 5];
         let n = match case % 4 {
-            0 => [0, 1, 1000][(case / 4) % 3],
-            _ => rng.gen_range(0..5000usize),
+            0 => [0, 1, 4000][(case / 4) % 3],
+            _ => rng.gen_range(0..20_000usize),
         };
         let zeros = [0.0, 0.3, 0.9][(case / 3) % 3];
         let m = matrix(&mut rng, n, d, flavour, zeros);
         let what = format!("case {case} ({n}x{d})");
-        check_kernel("gram", gram_ref, &[Value::Matrix(m)], &what);
+        chunked_cases += usize::from(check_kernel("gram", gram_ref, &[Value::Matrix(m)], &what));
         ran += 1;
     }
     assert_eq!(ran, CASES);
+    assert_eq!(chunked_cases, 63, "chunked cases");
 
     // The registered MixedGEMM projection: what its `g = gram(y)` reads.
     let w = isp_workloads::by_name("MixedGEMM").expect("registered");

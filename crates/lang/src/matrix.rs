@@ -818,12 +818,21 @@ mod tests {
         assert!(csr.pagerank_step(&[0.5, 0.5], 0.85).is_err());
     }
 
-    fn engine(threads: usize) -> ParEngine {
-        ParEngine::new(crate::par::ParallelPolicy::new(threads, 256).expect("policy"))
+    /// A fresh engine of `threads` workers, run through `f`, which must
+    /// take the chunked path.
+    fn chunked<R>(threads: usize, f: impl FnOnce(&ParEngine) -> R) -> R {
+        let engine = ParEngine::new(crate::par::ParallelPolicy::with_threads(threads));
+        let out = f(&engine);
+        assert!(engine.stats().par_calls > 0, "threads={threads}: chunked");
+        out
     }
 
+    /// Large enough that matmul, spmv and the PageRank step all engage
+    /// the chunked path.
+    const BIG: usize = 128;
+
     fn big() -> Matrix {
-        let data: Vec<f64> = (0..64 * 64)
+        let data: Vec<f64> = (0..BIG * BIG)
             .map(|i| {
                 if i % 7 == 0 {
                     0.0
@@ -832,7 +841,7 @@ mod tests {
                 }
             })
             .collect();
-        Matrix::new(data, 64, 64).expect("matrix")
+        Matrix::new(data, BIG, BIG).expect("matrix")
     }
 
     #[test]
@@ -840,7 +849,7 @@ mod tests {
         let m = big();
         let serial = m.matmul(&m).expect("serial");
         for threads in [1, 2, 8] {
-            let par = m.matmul_with(&m, &engine(threads)).expect("par");
+            let par = chunked(threads, |e| m.matmul_with(&m, e)).expect("par");
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -848,10 +857,10 @@ mod tests {
     #[test]
     fn parallel_spmv_is_bitwise_equal_to_serial() {
         let csr = big().to_csr();
-        let x: Vec<f64> = (0..64).map(|i| (i as f64) * 0.5 - 3.0).collect();
+        let x: Vec<f64> = (0..BIG).map(|i| (i as f64) * 0.5 - 3.0).collect();
         let serial = csr.spmv(&x).expect("serial");
         for threads in [1, 2, 8] {
-            let par = csr.spmv_with(&x, &engine(threads)).expect("par");
+            let par = chunked(threads, |e| csr.spmv_with(&x, e)).expect("par");
             assert_eq!(par, serial, "threads={threads}");
         }
     }
@@ -859,15 +868,11 @@ mod tests {
     #[test]
     fn parallel_pagerank_is_identical_across_thread_counts() {
         let csr = big().to_csr();
-        let ranks = vec![1.0 / 64.0; 64];
-        let reference = csr
-            .pagerank_step_with(&ranks, 0.85, &engine(1))
-            .expect("t1");
+        let ranks = vec![1.0 / BIG as f64; BIG];
+        let reference = chunked(1, |e| csr.pagerank_step_with(&ranks, 0.85, e)).expect("t1");
         // Bit-identical across thread counts (and mass-conserving).
         for threads in [2, 8] {
-            let par = csr
-                .pagerank_step_with(&ranks, 0.85, &engine(threads))
-                .expect("par");
+            let par = chunked(threads, |e| csr.pagerank_step_with(&ranks, 0.85, e)).expect("par");
             assert_eq!(par, reference, "threads={threads}");
         }
         let total: f64 = reference.iter().sum();

@@ -17,9 +17,9 @@
 //!    boundaries, which are thread-independent — so sums, dots, norms,
 //!    centroids, and rank vectors are bit-identical across thread counts.
 //!
-//! Inputs below [`ParallelPolicy::min_parallel_len`] never engage the
-//! chunked path at all (including at `threads = 1`), keeping the original
-//! serial fast path for small arrays.
+//! Inputs below [`MIN_PARALLEL_LEN`] never engage the chunked path at all
+//! (including at `threads = 1`), keeping the original serial fast path for
+//! small arrays.
 
 use crate::pool;
 use crate::simd;
@@ -34,9 +34,10 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// count — which is what keeps chunked results identical at 1..=8 threads.
 pub const CHUNK_ELEMS: usize = 4096;
 
-/// Default [`ParallelPolicy::min_parallel_len`]: total input elements
-/// below which a kernel keeps its untouched serial fast path.
-pub const DEFAULT_MIN_PARALLEL_LEN: usize = 8192;
+/// Total input elements below which a kernel keeps its untouched serial
+/// fast path: chunking, and its reassociated reductions, never engages
+/// below this, at any thread count.
+pub const MIN_PARALLEL_LEN: usize = 8192;
 
 /// Most threads a policy may request (the submitting thread plus the
 /// pool's helper cap).
@@ -46,17 +47,13 @@ pub const MAX_THREADS: usize = pool::MAX_HELPERS + 1;
 ///
 /// Execution-only: like fault and recovery options it is excluded from
 /// plan-cache fingerprints, and sampling always runs serial. `threads`
-/// decides who executes chunks; `min_parallel_len` (together with the
-/// fixed [`CHUNK_ELEMS`] budget) decides what the chunks are — so two
-/// policies that differ only in `threads` produce bit-identical values.
+/// decides who executes chunks; [`MIN_PARALLEL_LEN`] and the fixed
+/// [`CHUNK_ELEMS`] budget decide what the chunks are — so every policy
+/// produces bit-identical values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub struct ParallelPolicy {
     /// Worker count including the calling thread; `1` means serial.
     pub threads: usize,
-    /// Total input elements below which a kernel stays on its serial
-    /// fast path (chunking — and its reassociated reductions — never
-    /// engages below this, at any thread count).
-    pub min_parallel_len: usize,
 }
 
 impl Default for ParallelPolicy {
@@ -66,47 +63,26 @@ impl Default for ParallelPolicy {
 }
 
 impl ParallelPolicy {
-    /// The serial policy: one thread, default engagement threshold.
+    /// The serial policy: one thread.
     #[must_use]
     pub fn serial() -> Self {
-        Self {
-            threads: 1,
-            min_parallel_len: DEFAULT_MIN_PARALLEL_LEN,
-        }
+        Self::with_threads(1)
     }
 
-    /// A policy with `threads` workers and the default engagement
-    /// threshold. Not validated; call [`Self::validate`] at the
-    /// execution door.
+    /// A policy with `threads` workers. Not validated; call
+    /// [`Self::validate`] at the execution door.
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
-        Self {
-            threads,
-            min_parallel_len: DEFAULT_MIN_PARALLEL_LEN,
-        }
+        Self { threads }
     }
 
-    /// Builds a validated policy.
-    pub fn new(threads: usize, min_parallel_len: usize) -> Result<Self, String> {
-        let policy = Self {
-            threads,
-            min_parallel_len,
-        };
-        policy.validate()?;
-        Ok(policy)
-    }
-
-    /// Checks the policy is executable: `1..=MAX_THREADS` threads and a
-    /// nonzero engagement threshold.
+    /// Checks the policy is executable: `1..=MAX_THREADS` threads.
     pub fn validate(&self) -> Result<(), String> {
         if self.threads == 0 || self.threads > MAX_THREADS {
             return Err(format!(
                 "parallel policy: threads must be in 1..={MAX_THREADS}, got {}",
                 self.threads
             ));
-        }
-        if self.min_parallel_len == 0 {
-            return Err("parallel policy: min_parallel_len must be >= 1".to_string());
         }
         Ok(())
     }
@@ -214,12 +190,6 @@ impl ParEngine {
         SERIAL.get_or_init(ParEngine::serial)
     }
 
-    /// The policy this engine runs.
-    #[must_use]
-    pub fn policy(&self) -> ParallelPolicy {
-        self.policy
-    }
-
     /// Current deterministic counter values.
     #[must_use]
     pub fn stats(&self) -> ParStatsSnapshot {
@@ -228,8 +198,8 @@ impl ParEngine {
 
     /// Runs `f` once per chunk of `0..items` and returns the per-chunk
     /// results **in ascending chunk order**, or `None` when the total
-    /// work (`items × elems_per_item`) is below the policy's engagement
-    /// threshold — callers then take their untouched serial fast path.
+    /// work (`items × elems_per_item`) is below [`MIN_PARALLEL_LEN`] —
+    /// callers then take their untouched serial fast path.
     ///
     /// `f` receives `(chunk_index, item_range)`. The chunk grid depends
     /// only on the data shape; the thread count only decides who runs
@@ -240,7 +210,7 @@ impl ParEngine {
         F: Fn(usize, Range<usize>) -> R + Sync,
     {
         let work = items.saturating_mul(elems_per_item.max(1));
-        if items == 0 || work < self.policy.min_parallel_len {
+        if items == 0 || work < MIN_PARALLEL_LEN {
             self.stats.serial_calls.fetch_add(1, Ordering::Relaxed);
             self.tracer.counter_add("kernel.serial_calls", 1);
             return None;
@@ -386,16 +356,16 @@ mod tests {
     }
 
     fn engine(threads: usize) -> ParEngine {
-        ParEngine::new(ParallelPolicy::new(threads, 1024).expect("valid policy"))
+        ParEngine::new(ParallelPolicy::with_threads(threads))
     }
 
     #[test]
     fn policy_validation_rejects_bad_values() {
-        assert!(ParallelPolicy::new(0, 100).is_err());
-        assert!(ParallelPolicy::new(MAX_THREADS + 1, 100).is_err());
-        assert!(ParallelPolicy::new(4, 0).is_err());
-        assert!(ParallelPolicy::new(1, 1).is_ok());
-        assert!(ParallelPolicy::new(MAX_THREADS, 1).is_ok());
+        let valid = |threads| ParallelPolicy::with_threads(threads).validate();
+        assert!(valid(0).is_err());
+        assert!(valid(MAX_THREADS + 1).is_err());
+        assert!(valid(1).is_ok());
+        assert!(valid(MAX_THREADS).is_ok());
         assert_eq!(ParallelPolicy::default(), ParallelPolicy::serial());
     }
 

@@ -66,11 +66,21 @@ pub(crate) enum Shape {
 
 /// A table column's type: all a placeholder column keeps.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) enum ColumnShape {
+pub enum ColumnShape {
     /// 64-bit floats.
     F64,
     /// Codes into this dictionary.
     Dict(Arc<Vec<String>>),
+}
+
+impl ColumnShape {
+    /// The type of `column`.
+    pub(crate) fn of(column: &Column) -> ColumnShape {
+        match column {
+            Column::F64(_) => ColumnShape::F64,
+            Column::Dict { dict, .. } => ColumnShape::Dict(Arc::clone(dict)),
+        }
+    }
 }
 
 impl Shape {
@@ -95,13 +105,7 @@ impl Shape {
     pub(crate) fn table(t: &Table, rows: usize, logical_rows: u64) -> Shape {
         let columns = t
             .columns()
-            .map(|(name, column)| {
-                let shape = match column {
-                    Column::F64(_) => ColumnShape::F64,
-                    Column::Dict { dict, .. } => ColumnShape::Dict(Arc::clone(dict)),
-                };
-                (name.to_owned(), shape)
-            })
+            .map(|(name, column)| (name.to_owned(), ColumnShape::of(column)))
             .collect();
         Shape::Table {
             columns,
@@ -164,9 +168,13 @@ impl Charge {
 /// The real kernel prices itself with it.
 pub(crate) type ShapeFn = for<'a> fn(&'static str, &[Value], &KernelCtx<'a>) -> Result<Charge>;
 
-/// The zero buffers placeholders share, one per length.
+/// Zero buffers, one per element type and length, made on first use and
+/// shared by every value they stand in for: a costs-only run's
+/// placeholders, a computed `filter`'s unread columns and a sample
+/// input's undrawn columns. Each keeps the type and sizes of the value it
+/// replaces, so every size and cost is the one the real value gives.
 #[derive(Debug, Default)]
-pub(crate) struct Placeholders {
+pub struct Placeholders {
     zeros: BTreeMap<usize, Arc<Vec<f64>>>,
     falses: BTreeMap<usize, Arc<Vec<bool>>>,
     codes: BTreeMap<usize, Arc<Vec<u32>>>,
@@ -200,20 +208,23 @@ impl Placeholders {
             } => {
                 let columns = columns
                     .into_iter()
-                    .map(|(name, shape)| {
-                        let column = match shape {
-                            ColumnShape::F64 => Column::F64(Self::zeroed(&mut self.zeros, rows)),
-                            ColumnShape::Dict(dict) => Column::Dict {
-                                codes: Self::zeroed(&mut self.codes, rows),
-                                dict,
-                            },
-                        };
-                        (name, column)
-                    })
+                    .map(|(name, shape)| (name, self.column(shape, rows)))
                     .collect();
                 Value::Table(Table::with_logical_rows(columns, logical_rows)?)
             }
         })
+    }
+
+    /// A column of `len` zeros (zero codes into its dictionary) of type
+    /// `shape`.
+    pub fn column(&mut self, shape: ColumnShape, len: usize) -> Column {
+        match shape {
+            ColumnShape::F64 => Column::F64(Self::zeroed(&mut self.zeros, len)),
+            ColumnShape::Dict(dict) => Column::Dict {
+                codes: Self::zeroed(&mut self.codes, len),
+                dict,
+            },
+        }
     }
 
     fn zeroed<T: Default + Clone>(

@@ -13,6 +13,7 @@
 use crate::canonical::{read_map, read_vec, CanonicalSink};
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
+use crate::shape::{ColumnShape, Placeholders};
 use isp_obs::wal::ByteReader;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -73,53 +74,6 @@ impl Column {
                 codes: Arc::new(take_rows(codes, rows, par)),
                 dict: Arc::clone(dict),
             },
-        }
-    }
-}
-
-/// Zero columns of one length, for the columns whose values nothing reads:
-/// one buffer per column type, made on first use and shared by every
-/// column of that type.
-#[derive(Debug)]
-pub struct ZeroColumns {
-    len: usize,
-    f64s: Option<Arc<Vec<f64>>>,
-    codes: Option<Arc<Vec<u32>>>,
-}
-
-impl ZeroColumns {
-    /// Zero columns of `len` rows.
-    #[must_use]
-    pub fn new(len: usize) -> Self {
-        ZeroColumns {
-            len,
-            f64s: None,
-            codes: None,
-        }
-    }
-
-    /// An `f64` column of zeros.
-    pub fn f64s(&mut self) -> Column {
-        let len = self.len;
-        Column::F64(Arc::clone(
-            self.f64s.get_or_insert_with(|| Arc::new(vec![0.0; len])),
-        ))
-    }
-
-    /// A column of zero codes into `dict`.
-    pub fn codes(&mut self, dict: &Arc<Vec<String>>) -> Column {
-        let len = self.len;
-        Column::Dict {
-            codes: Arc::clone(self.codes.get_or_insert_with(|| Arc::new(vec![0; len]))),
-            dict: Arc::clone(dict),
-        }
-    }
-
-    /// A zero column of `column`'s type and dictionary.
-    pub fn like(&mut self, column: &Column) -> Column {
-        match column {
-            Column::F64(_) => self.f64s(),
-            Column::Dict { dict, .. } => self.codes(dict),
         }
     }
 }
@@ -324,7 +278,7 @@ impl Table {
         self.logical_rows * self.bytes_per_row()
     }
 
-    /// The serial filter [`Self::filter_with`] must equal.
+    /// The serial filter [`Self::filter_reading`] must equal.
     #[cfg(test)]
     pub(crate) fn filter(&self, keep: &[bool]) -> Result<Table> {
         self.filter_rows(keep, None, None)
@@ -337,17 +291,14 @@ impl Table {
     /// Gathering is row-local, so the result is bit-identical to the serial
     /// filter at any thread count.
     ///
+    /// Only the columns `read` names are gathered (every column when
+    /// `None`); the others hold zeros ([`Placeholders`]) of their types,
+    /// dictionaries and lengths.
+    ///
     /// # Errors
     ///
     /// Returns an error if the mask length differs from the row count.
-    pub fn filter_with(&self, keep: &[bool], par: &ParEngine) -> Result<Table> {
-        self.filter_rows(keep, Some(par), None)
-    }
-
-    /// As [`Self::filter_with`], gathering only the columns `read` names
-    /// (every column when `None`): the others hold zeros, one buffer per
-    /// column type, with their types, dictionaries and lengths kept.
-    pub(crate) fn filter_reading(
+    pub fn filter_reading(
         &self,
         keep: &[bool],
         par: &ParEngine,
@@ -392,7 +343,7 @@ impl Table {
     ) -> Result<Table> {
         self.check_mask(keep.len())?;
         let rows = selected_rows(keep);
-        let mut zeros = ZeroColumns::new(rows.len());
+        let mut zeros = Placeholders::default();
         let columns: Vec<(String, Column)> = self
             .columns
             .iter()
@@ -400,7 +351,7 @@ impl Table {
                 let column = if read.is_none_or(|read| read.contains(n)) {
                     c.take(&rows, par)
                 } else {
-                    zeros.like(c)
+                    zeros.column(ColumnShape::of(c), rows.len())
                 };
                 (n.clone(), column)
             })
@@ -569,9 +520,8 @@ mod tests {
         let keep: Vec<bool> = (0..n).map(|i| i % 7 != 0).collect();
         let serial = table.filter(&keep).expect("serial");
         for threads in [1, 2, 8] {
-            let par =
-                ParEngine::new(crate::par::ParallelPolicy::new(threads, 1024).expect("policy"));
-            let filtered = table.filter_with(&keep, &par).expect("par");
+            let par = ParEngine::new(crate::par::ParallelPolicy::with_threads(threads));
+            let filtered = table.filter_reading(&keep, &par, None).expect("par");
             assert_eq!(filtered, serial, "threads={threads}");
             assert!(par.stats().par_calls >= 1, "chunked path engaged");
         }

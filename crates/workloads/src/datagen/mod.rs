@@ -32,7 +32,8 @@ pub mod options;
 pub mod points;
 pub mod tpch;
 
-use alang::table::{Column, ZeroColumns};
+use alang::shape::{ColumnShape, Placeholders};
+use alang::table::Column;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::ops::Range;
@@ -62,13 +63,13 @@ pub(crate) fn draws(mut rng: StdRng, n: usize, range: Range<f64>) -> Vec<f64> {
 /// alone, stepping over the others' draws ([`StdRng::advance`]), so it
 /// holds the values a row-by-row loop over every column draws. A column
 /// `wanted` refuses is not drawn: it holds zeros of its type
-/// ([`ZeroColumns`]), keeping its dictionary.
+/// ([`Placeholders`]), keeping its dictionary.
 pub(crate) struct ColumnDraws<'a> {
     rng: StdRng,
     rows: usize,
     stride: u64,
     wanted: &'a dyn Fn(&str) -> bool,
-    zeros: ZeroColumns,
+    zeros: Placeholders,
 }
 
 impl<'a> ColumnDraws<'a> {
@@ -83,7 +84,7 @@ impl<'a> ColumnDraws<'a> {
             rows,
             stride,
             wanted,
-            zeros: ZeroColumns::new(rows),
+            zeros: Placeholders::default(),
         }
     }
 
@@ -109,7 +110,7 @@ impl<'a> ColumnDraws<'a> {
         let column = if (self.wanted)(name) {
             Column::F64(Arc::new(self.drawn(offset, draw)))
         } else {
-            self.zeros.f64s()
+            self.zeros.column(ColumnShape::F64, self.rows)
         };
         (name.to_owned(), column)
     }
@@ -127,7 +128,7 @@ impl<'a> ColumnDraws<'a> {
             let codes = Arc::new(self.drawn(offset, draw));
             Column::Dict { codes, dict }
         } else {
-            self.zeros.codes(&dict)
+            self.zeros.column(ColumnShape::Dict(dict), self.rows)
         };
         (name.to_owned(), column)
     }

@@ -37,10 +37,17 @@ echo "== kernel differential (pinned case count, per-element loops as oracle) ==
 # to_csr, the elementwise operators, col, forest_score, gram) against
 # the plain loops kept in crates/lang/src/kernels_oracle.rs: 96 seeded
 # cases per family, byte for byte at 1/2/4/8 threads with equal ops and
-# chunk counters; the forest and gram families end on the registered
-# LightGBM and MixedGEMM inputs (a dev-dependency on isp-workloads). Ahead of
-# every fingerprint and golden gate, so a kernel break stops here,
-# named, instead of as a fig5 golden diff.
+# chunk counters, through the engine every run uses. The families that
+# take an engine draw most inputs past its 8 192-element engagement
+# threshold (par::MIN_PARALLEL_LEN), the others their sizes below 12 000,
+# and each engine family pins how many cases took the chunked path
+# (filter and select 83, kmeans_assign 88, kmeans_update 66, matmul 89,
+# forest_score 40, gram 63); an unassigned k-means cluster is refused
+# alike by both. The
+# forest and gram families end on the registered LightGBM and MixedGEMM
+# inputs (a dev-dependency on isp-workloads). Ahead of every fingerprint
+# and golden gate, so a kernel break stops here, named, instead of as a
+# fig5 golden diff.
 cargo test -q -p alang --lib kernels_oracle
 
 echo "== stored once, hashed once (dataset digests and the Workload's kept input) =="
@@ -82,7 +89,9 @@ echo "== sampling: a value no sampled cost reads is not computed, every report b
 # test per row: a same-sized witness moves the cost, an all-zero copy of any
 # other argument moves nothing, the shape charge equals the kernel's), the
 # backward pass with its per-column table reads, the filter that gathers
-# only the columns read and the shared zero placeholders. Then the table
+# only the columns read, and shape::Placeholders, the one home of the zero
+# buffers that placeholders, a filter's unread columns and a sample
+# input's undrawn columns share (one per type and length). Then the table
 # generators: drawn column by column, they draw what the row loop drew at
 # the four paper scales and 1.0, and a projected draw holds each wanted
 # column bit for bit and zeros of the same type, dictionary and length in

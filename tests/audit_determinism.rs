@@ -31,7 +31,7 @@ use csd_sim::fault::FaultPlan;
 use csd_sim::units::Duration;
 use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::export::prometheus;
-use isp_obs::{footer_snapshot, parse_journal, Tracer};
+use isp_obs::{footer_snapshot, parse_journal, AttrValue, TraceEvent, Tracer};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -225,30 +225,35 @@ fn planned_audit_pass_is_observation_only() {
 /// An ActivePy execution runs under exactly the options its runtime builds
 /// for the scenario: `execute_plan` equals `evaluate` then `simulate` on a
 /// system charged with the plan's pipeline overheads, report field for
-/// field, with faults, a preemption, a parallel policy and a profile
-/// recorder all configured, and each of them reaching the run.
+/// field, with faults, a preemption, a parallel policy, a profile recorder
+/// and a tracer all configured, and each of them reaching the run.
 #[test]
 fn an_activepy_execution_runs_under_exactly_its_options() {
-    let w = isp_workloads::by_name("TPC-H-6").expect("registered workload");
+    // MatrixMul's kernels chunk on its registered input (a 2048 x 64
+    // matmul, a 2048 x 4 norm), so the chunk counters show the run's
+    // engine.
+    let w = isp_workloads::by_name("MatrixMul").expect("registered workload");
     let program = w.program().expect("workload parses");
     let config = SystemConfig::paper_default();
     let cache = PlanCache::new();
     let plan = cache
         .plan_for(&ActivePy::new(), w.name(), &program, &w, &config)
         .expect("planning succeeds");
-    let policy = ParallelPolicy::new(2, 256).expect("policy");
+    let policy = ParallelPolicy::with_threads(2);
     let faults = FaultPlan::none()
         .with_seed(7)
         .with_flash_read_error_prob(0.2);
     let store = Arc::new(ProfileStore::new());
     let key = PlanCache::key_for(&ActivePy::new(), w.name(), &w, &config);
     let recorder = ProfileRecorder::to_store(Arc::clone(&store), key.clone());
+    let (tracer, sink) = Tracer::to_memory();
     let rt = ActivePy::with_options(
         ActivePyOptions::default()
             .with_faults(faults)
             .with_preemption_at(plan.sampling_secs + plan.compile_secs + 0.5)
             .with_parallelism(policy)
-            .with_profile(recorder),
+            .with_profile(recorder)
+            .with_tracer(tracer),
     );
     let scenario = ContentionScenario::after_progress(0.5, 0.1);
 
@@ -274,8 +279,24 @@ fn an_activepy_execution_runs_under_exactly_its_options() {
     .expect("simulate");
     assert_eq!(report, expected);
 
-    // Every configured option reached the run.
+    // Every configured option reached the run: the kernels chunked, and
+    // each chunked call ran at the policy's two threads.
     assert!(report.metrics.par.par_calls > 0, "{:?}", report.metrics.par);
+    let par_spans: Vec<_> = sink
+        .events()
+        .into_iter()
+        .filter_map(|e| match e {
+            TraceEvent::Span(s) if s.name == "kernel.par" => Some(s.attrs),
+            _ => None,
+        })
+        .collect();
+    assert!(!par_spans.is_empty(), "no kernel.par span was traced");
+    for attrs in &par_spans {
+        assert!(
+            attrs.contains(&("threads".to_string(), AttrValue::U64(2))),
+            "{attrs:?}"
+        );
+    }
     assert!(report.metrics.faults.flash_read_errors > 0, "{report:?}");
     assert!(
         report

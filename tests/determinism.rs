@@ -80,7 +80,7 @@ fn cached_plans_execute_like_the_one_call_pipeline_clean_and_contended() {
 #[test]
 fn threaded_fig5_rows_match_the_default_policy_byte_for_byte() {
     let config = SystemConfig::paper_default();
-    let policy = ParallelPolicy::new(8, 4096).expect("valid policy");
+    let policy = ParallelPolicy::with_threads(8);
     let threaded = isp_bench::experiments::fig5::run(&config, &PlanCache::new(), policy);
     let default =
         isp_bench::experiments::fig5::run(&config, &PlanCache::new(), ParallelPolicy::default());

@@ -205,7 +205,7 @@ proptest! {
             vec![("x".into(), Column::F64(Arc::new(col)))],
             n as u64 * mult,
         ).expect("table");
-        let f = t.filter_with(&keep, alang::ParEngine::serial_ref()).expect("filter");
+        let f = t.filter_reading(&keep, alang::ParEngine::serial_ref(), None).expect("filter");
         let kept = keep.iter().filter(|k| **k).count();
         prop_assert_eq!(f.rows(), kept);
         prop_assert_eq!(f.column_count(), 1);

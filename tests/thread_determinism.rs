@@ -19,21 +19,19 @@ use csd_sim::units::{Duration, SimTime};
 use csd_sim::{EngineKind, SystemConfig};
 use proptest::prelude::*;
 
-/// Low engagement threshold so the stored arrays below split into several
-/// chunks (the element budget is 4096/chunk) and parallel execution
-/// genuinely happens instead of falling back to the serial fast path.
-const MIN_PARALLEL_LEN: usize = 1_000;
-
 const THREADS: [usize; 3] = [1, 2, 8];
 
 /// The shared grammar's storage with physical arrays large enough to
-/// split into multiple chunks (12 000 elements ≈ 3 chunks).
+/// split into many chunks (the element budget is 4096 a chunk), so
+/// parallel execution genuinely happens instead of falling back to the
+/// serial fast path: `v` is 24 chunks, and a result a twelfth as long
+/// still reaches the 8 192-element engagement threshold.
 fn storage() -> Storage {
-    storage_with(12_000, 8_200)
+    storage_with(98_304, 67_175)
 }
 
 fn policy(threads: usize) -> ParallelPolicy {
-    ParallelPolicy::new(threads, MIN_PARALLEL_LEN).expect("valid policy")
+    ParallelPolicy::with_threads(threads)
 }
 
 proptest! {
@@ -141,8 +139,8 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
                 .with_parallelism(policy(threads));
             let report = execute(&program, &st, &placements, &mut system, &opts, None, &[])
                 .expect("fixed program runs");
-            // The policy reaches the kernels: its threshold engages the
-            // chunk grid, which is the same at every thread count.
+            // The kernels chunk: the input is past the engagement
+            // threshold, and the grid is the same at every thread count.
             assert!(
                 report.metrics.par.par_calls > 0,
                 "chunked execution must engage at {threads} threads"
