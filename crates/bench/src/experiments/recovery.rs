@@ -10,12 +10,13 @@
 //!    the resumed run must reach the uninterrupted run's fingerprint.
 //! 2. **Warm-start planning** — a cold `PlanCache::plan_for` persisted
 //!    with `save_warm`, then re-planned in a fresh cache from the
-//!    persisted seed: zero datagen calls, the same plan fingerprint.
+//!    persisted seed: one datagen call, the Table-I input at scale 1.0 and
+//!    no sampling scale, and the same plan fingerprint.
 //!
 //! The same workload backs `repro --journal/--resume`, so the CI
 //! kill-resume smoke test and this experiment exercise one code path.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 use activepy::exec::{execute, ExecOptions, RunReport};
 use activepy::runtime::ActivePy;
@@ -27,7 +28,7 @@ use alang::Value;
 use csd_sim::fault::FaultPlan;
 use csd_sim::{EngineKind, SystemConfig};
 use isp_obs::wal::read_wal;
-use serde::Serialize;
+use serde::{Content, Serialize};
 
 /// Fixed seed for the injected transients: same seed, same journal, same
 /// BENCH_repro.json.
@@ -112,10 +113,21 @@ pub struct Report {
     pub journal_bytes: u64,
     /// Resumed and uninterrupted fingerprints agree. Must be `true`.
     pub resume_fingerprint_match: bool,
-    /// Datagen calls the warm path made. Must be `0`.
-    pub warm_datagen_calls: u64,
+    /// Datagen calls the warm path made, serialized as their count. Must
+    /// be exactly one, at scale 1.0.
+    pub warm_datagen_calls: Scales,
     /// Warm and cold plan fingerprints agree. Must be `true`.
     pub warm_plan_match: bool,
+}
+
+/// The scales an input source was asked for, in call order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Scales(pub Vec<f64>);
+
+impl Serialize for Scales {
+    fn serialize_content(&self) -> Content {
+        self.0.len().serialize_content()
+    }
 }
 
 fn temp(tag: &str) -> std::path::PathBuf {
@@ -156,9 +168,9 @@ pub fn run() -> Report {
     let warm_cache = PlanCache::new();
     warm_cache.load_warm(&warm_file).expect("load warm file");
     std::fs::remove_file(&warm_file).ok();
-    let warm_datagen_calls = AtomicU64::new(0);
+    let asked = Mutex::new(Vec::new());
     let counting = |scale: f64| {
-        warm_datagen_calls.fetch_add(1, Ordering::Relaxed);
+        asked.lock().expect("unpoisoned").push(scale);
         w.storage_at(scale)
     };
     let warm_plan = warm_cache
@@ -169,7 +181,7 @@ pub fn run() -> Report {
         journal_records,
         journal_bytes: bytes.len() as u64,
         resume_fingerprint_match: resumed.values_fingerprint == full.values_fingerprint,
-        warm_datagen_calls: warm_datagen_calls.load(Ordering::Relaxed),
+        warm_datagen_calls: Scales(asked.into_inner().expect("unpoisoned")),
         warm_plan_match: activepy::plan_fingerprint(&cold_plan)
             == activepy::plan_fingerprint(&warm_plan),
     }
@@ -187,8 +199,8 @@ pub fn print(r: &Report) {
         r.resume_fingerprint_match
     );
     println!(
-        "warm start:     datagen calls {} (must be 0), plans match: {}",
-        r.warm_datagen_calls, r.warm_plan_match
+        "warm start:     datagen calls at scales {:?} (must be [1.0]), plans match: {}",
+        r.warm_datagen_calls.0, r.warm_plan_match
     );
 }
 
@@ -204,10 +216,10 @@ pub fn check(r: &Report) -> Result<(), String> {
     if !r.warm_plan_match {
         return Err("warm-started plan diverged from the cold plan".into());
     }
-    if r.warm_datagen_calls != 0 {
+    if r.warm_datagen_calls.0 != [1.0] {
         return Err(format!(
-            "warm start performed {} datagen calls (must be 0)",
-            r.warm_datagen_calls
+            "warm start drew inputs at scales {:?} (must be the one Table-I input, [1.0])",
+            r.warm_datagen_calls.0
         ));
     }
     if r.journal_records == 0 {

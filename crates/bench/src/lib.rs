@@ -201,7 +201,7 @@ pub const EXPERIMENTS: [Experiment; 12] = [
     },
     Experiment {
         name: "recovery",
-        reproduces: "recovery — journal resume and zero-datagen warm start",
+        reproduces: "recovery — journal resume and sampling-free warm start",
         run: |_, _| {
             outcome(
                 &ex::recovery::run(),

@@ -1,22 +1,22 @@
 //! Warm-start persistence: the on-disk codec for plan-cache seeds.
 //!
-//! A cold [`crate::plan::PlanCache`] miss runs the sampling phase —
-//! dozens of down-scaled executions plus full-scale input
-//! materialization, all driven by datagen calls against the workload's
-//! [`crate::sampling::InputSource`]. Everything planning derives from
-//! those calls is captured by two values: the [`SamplingReport`] and the
-//! materialized full-scale [`Storage`]. This module serializes exactly
-//! that pair per cache key into a single checksummed binary file, so a
-//! restarted process re-plans **byte-identical** plans with *zero*
-//! datagen calls — the warm half of the crash-recovery story, next to
-//! the execution WAL in [`crate::resume`].
+//! A cold [`crate::plan::PlanCache`] miss runs the sampling phase: the
+//! program at the paper's four down-scales, each over an input drawn for
+//! it by the workload's [`crate::sampling::InputSource`]. Everything
+//! planning derives from those runs is the [`SamplingReport`], so a seed
+//! is that report, keyed by the plan-cache key and tagged with the
+//! fingerprint of the program it sampled. A restarted process that loads
+//! the file plans a byte-identical plan from its seed after drawing only
+//! the full-scale input the plan executes on (`storage_at(1.0)`), and
+//! none of the four samples — the warm half of the crash-recovery story,
+//! next to the execution WAL in [`crate::resume`].
 //!
 //! ## Format
 //!
 //! ```text
-//! [ magic "ISPWARM1" : 8 bytes ]
+//! [ magic "ISPWARM2" : 8 bytes ]
 //! [ u64 payload_len (LE) ][ u64 fnv1a(payload) (LE) ][ payload ]
-//! payload = [ u32 seed count ] then per seed [ key ][ sampling ][ storage ]
+//! payload = [ u32 seed count ] then per seed [ key ][ u64 program ][ sampling ]
 //! ```
 //!
 //! One frame for the whole file: warm state is written atomically at
@@ -24,35 +24,46 @@
 //! length/checksum and the caller falls back to cold planning. The
 //! payload is a straight little-endian encoding via the WAL's
 //! [`ByteWriter`]/[`ByteReader`]; floats travel as IEEE-754 bit patterns
-//! so round trips are exact and replanning from a loaded seed is
-//! bit-identical to replanning from the live one. This module writes the
-//! frame, the keys, the sampling report and the dataset names; each
-//! value, each cost and each type tag is written and read by its own type
-//! in `alang` ([`Value::canonical`] and [`Value::from_canonical`]).
+//! so round trips are exact and planning from a loaded seed is
+//! bit-identical to planning from the live report. Each cost and each
+//! type tag is written and read by its own type in `alang`
+//! ([`LineCost::canonical`], [`StaticType::code`]).
 
 use crate::profile::ProfileKey;
 use crate::sampling::{LineSamples, SamplePoint, SamplingReport};
 use alang::canonical::{read_map, read_vec};
 use alang::copyelim::StaticType;
-use alang::{LineCost, Storage, Value};
+use alang::{CanonicalSink, Fingerprinter, LineCost, Program};
 use isp_obs::wal::{fnv1a, ByteReader, ByteWriter};
 use std::io;
 use std::path::Path;
 
 /// File header identifying a warm-start file and its format version.
-pub const WARM_MAGIC: [u8; 8] = *b"ISPWARM1";
+pub const WARM_MAGIC: [u8; 8] = *b"ISPWARM2";
 
 /// Bytes ahead of the payload: magic, length, checksum.
 const HEADER_LEN: usize = 24;
 
-/// Everything a plan-cache miss needs to re-plan without datagen: the
-/// sampling measurements and the materialized full-scale input.
-#[derive(Debug, Clone)]
+/// What a plan-cache miss needs to plan without sampling.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WarmSeed {
+    /// [`program_fingerprint`] of the program `sampling` was measured
+    /// on: a seed plans that program only.
+    pub program: u64,
     /// The down-scale sampling measurements (planning phase 1's output).
     pub sampling: SamplingReport,
-    /// The materialized full-scale input (planning phase 6's output).
-    pub storage: Storage,
+}
+
+/// The fingerprint of a program's line sources, in order. Two programs
+/// that parse from the same lines are the same program.
+#[must_use]
+pub fn program_fingerprint(program: &Program) -> u64 {
+    let mut f = Fingerprinter::default();
+    f.len(program.len());
+    for line in program.lines() {
+        f.str(&line.source);
+    }
+    f.finish()
 }
 
 /// Serializes warm seeds and writes the framed file.
@@ -69,15 +80,19 @@ fn encode_warm_bytes(seeds: &[(ProfileKey, WarmSeed)]) -> Vec<u8> {
     w.u32(seeds.len() as u32);
     for (key, seed) in seeds {
         enc_key(&mut w, key);
+        w.u64(seed.program);
         enc_sampling(&mut w, &seed.sampling);
-        enc_storage(&mut w, &seed.storage);
     }
-    let payload = w.into_bytes();
+    framed(&w.into_bytes())
+}
+
+/// `payload` under its header: magic, length, checksum.
+fn framed(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
     out.extend_from_slice(&WARM_MAGIC);
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    out.extend_from_slice(&fnv1a(payload).to_le_bytes());
+    out.extend_from_slice(payload);
     out
 }
 
@@ -85,9 +100,10 @@ fn encode_warm_bytes(seeds: &[(ProfileKey, WarmSeed)]) -> Vec<u8> {
 ///
 /// # Errors
 ///
-/// File I/O errors pass through; a bad magic, length, checksum, or
-/// payload surfaces as [`io::ErrorKind::InvalidData`] so callers can
-/// fall back to cold planning.
+/// File I/O errors pass through; a bad magic (an `ISPWARM1` file
+/// included), length, checksum, or payload surfaces as
+/// [`io::ErrorKind::InvalidData`] so callers can fall back to cold
+/// planning.
 pub fn load_warm_file(path: &Path) -> io::Result<Vec<(ProfileKey, WarmSeed)>> {
     let bytes = std::fs::read(path)?;
     decode_warm_bytes(&bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
@@ -116,9 +132,9 @@ fn decode_warm_bytes(bytes: &[u8]) -> Result<Vec<(ProfileKey, WarmSeed)>, String
     let mut r = ByteReader::new(payload);
     let seeds = read_vec(&mut r, |r| {
         let key = dec_key(r)?;
+        let program = r.u64()?;
         let sampling = dec_sampling(r)?;
-        let storage = dec_storage(r)?;
-        Ok((key, WarmSeed { sampling, storage }))
+        Ok((key, WarmSeed { program, sampling }))
     })?;
     if r.remaining() != 0 {
         return Err(format!(
@@ -172,104 +188,11 @@ fn dec_sampling(r: &mut ByteReader<'_>) -> Result<SamplingReport, String> {
     })
 }
 
-fn enc_storage(w: &mut ByteWriter, storage: &Storage) {
-    let names: Vec<&str> = storage.names().collect();
-    w.u32(names.len() as u32);
-    for name in names {
-        w.str(name);
-        storage
-            .get(name)
-            .expect("name came from the storage")
-            .canonical(w);
-    }
-}
-
-fn dec_storage(r: &mut ByteReader<'_>) -> Result<Storage, String> {
-    let mut storage = Storage::new();
-    for (name, value) in read_map(r, Value::from_canonical)? {
-        storage.insert(name, value);
-    }
-    Ok(storage)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alang::forest::{Forest, Tree, TreeNode};
-    use alang::matrix::Matrix;
-    use alang::table::{Column, Table};
-    use alang::value::{ArrayVal, BoolArrayVal, EncodedVal};
-    use csd_sim::wire::{ByteOrder, Codec, Encoding};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use std::sync::Arc;
-
-    fn sample_storage() -> Storage {
-        let mut st = Storage::new();
-        st.insert("num", Value::Num(3.5));
-        st.insert("flag", Value::Bool(true));
-        st.insert("label", Value::Str("warm".into()));
-        st.insert(
-            "arr",
-            Value::Array(ArrayVal::with_logical(vec![1.0, -2.5, 3.25], 1_000_000)),
-        );
-        st.insert(
-            "mask",
-            Value::BoolArray(BoolArrayVal::with_logical(vec![true, false, true], 999)),
-        );
-        st.insert(
-            "tab",
-            Value::Table(
-                Table::with_logical_rows(
-                    vec![
-                        ("price".into(), Column::F64(Arc::new(vec![1.5, 2.5]))),
-                        (
-                            "city".into(),
-                            Column::Dict {
-                                codes: Arc::new(vec![0, 1]),
-                                dict: Arc::new(vec!["a".into(), "b".into()]),
-                            },
-                        ),
-                    ],
-                    5_000,
-                )
-                .expect("table"),
-            ),
-        );
-        let m = Matrix::with_logical(vec![0.0, 1.0, 2.0, 0.0], 2, 2, 100, 100).expect("matrix");
-        st.insert("csr", Value::Csr(m.to_csr()));
-        st.insert("mat", Value::Matrix(m));
-        let wire: Vec<f64> = (0..5000).map(|i| f64::from(i % 13)).collect();
-        st.insert(
-            "wire",
-            Value::Encoded(EncodedVal::from_f64s(
-                Encoding {
-                    codec: Codec::Gzip,
-                    shuffle: true,
-                    byte_order: ByteOrder::Big,
-                    fill_value: Some(-9999.0),
-                },
-                &wire,
-                5_000_000,
-            )),
-        );
-        st.insert(
-            "model",
-            Value::Forest(
-                Forest::new(
-                    vec![Tree::new(vec![
-                        TreeNode::split(0, 0.5, 1, 2),
-                        TreeNode::leaf(-1.0),
-                        TreeNode::leaf(1.0),
-                    ])
-                    .expect("tree")],
-                    3,
-                )
-                .expect("forest"),
-            ),
-        );
-        st
-    }
 
     fn sample_report() -> SamplingReport {
         let cost = LineCost {
@@ -281,23 +204,11 @@ mod tests {
             eliminable_copy_bytes: 20,
             calls: 2,
         };
-        let dataset_types = [
-            StaticType::Num,
-            StaticType::Bool,
-            StaticType::Str,
-            StaticType::Array,
-            StaticType::BoolArray,
-            StaticType::Table,
-            StaticType::Matrix,
-            StaticType::Csr,
-            StaticType::Forest,
-            StaticType::Encoded,
-            StaticType::Unknown,
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, t)| (format!("d{i}"), t))
-        .collect();
+        let dataset_types = StaticType::ALL
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| (format!("d{i}"), t))
+            .collect();
         SamplingReport {
             lines: vec![LineSamples {
                 line: 0,
@@ -316,83 +227,63 @@ mod tests {
         }
     }
 
+    fn sample_seed() -> (ProfileKey, WarmSeed) {
+        let seed = WarmSeed {
+            program: 0x0123_4567_89AB_CDEF,
+            sampling: sample_report(),
+        };
+        (("workload".into(), 0xBEEF), seed)
+    }
+
     fn tmp(name: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("activepy_warm_{}_{name}.bin", std::process::id()))
     }
 
     #[test]
-    fn warm_file_round_trips_every_value_kind() {
+    fn warm_file_round_trips_key_program_and_sampling() {
         let path = tmp("round_trip");
-        let key: ProfileKey = ("workload".into(), 0xBEEF);
-        let seed = WarmSeed {
-            sampling: sample_report(),
-            storage: sample_storage(),
-        };
-        save_warm_file(&path, &[(key.clone(), seed.clone())]).expect("save");
-        let seeds = load_warm_file(&path).expect("load");
-        assert_eq!(seeds.len(), 1);
-        assert_eq!(seeds[0].0, key);
-        assert_eq!(seeds[0].1.sampling, seed.sampling);
-        // Storage has no PartialEq; compare via per-name value equality.
-        let loaded = &seeds[0].1.storage;
-        let orig = &seed.storage;
-        let names: Vec<&str> = orig.names().collect();
-        assert_eq!(loaded.names().collect::<Vec<_>>(), names);
-        for name in names {
-            assert_eq!(
-                loaded.get(name).expect("loaded"),
-                orig.get(name).expect("orig"),
-                "dataset `{name}`"
-            );
-        }
+        let seeds = [sample_seed()];
+        save_warm_file(&path, &seeds).expect("save");
+        let loaded = load_warm_file(&path).expect("load");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn value_layout_is_byte_identical_to_the_hand_written_codec() {
-        // Length and FNV-1a of what the field-by-field `enc_value` this
-        // module once had wrote for the same storage (recorded from that
-        // codec, less the integer column the layout no longer has):
-        // ISPWARM1 did not change.
-        let mut w = ByteWriter::default();
-        enc_storage(&mut w, &sample_storage());
-        let bytes = w.into_bytes();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (853, 0xa690_b9bc_0b5d_9fa0));
+        assert_eq!(loaded, seeds);
     }
 
     #[test]
     fn warm_file_bytes_are_pinned() {
-        // One seed: every value kind, every static type, two sample
-        // points. Recorded when the sampling report stopped carrying its
-        // total (52 bytes less than the 1 171 before); the value bytes are
-        // the 853 pinned above.
-        let path = tmp("pinned");
-        let seed = WarmSeed {
-            sampling: sample_report(),
-            storage: sample_storage(),
-        };
-        save_warm_file(&path, &[(("workload".into(), 0xBEEF), seed)]).expect("save");
-        let bytes = std::fs::read(&path).expect("read");
-        std::fs::remove_file(&path).ok();
-        assert_eq!((bytes.len(), fnv1a(&bytes)), (1119, 0x89db_7c63_9c2d_18a1));
+        // One seed: every static type, two sample points.
+        let bytes = encode_warm_bytes(&[sample_seed()]);
+        assert_eq!((bytes.len(), fnv1a(&bytes)), (274, 0x5d0f_077d_d1fc_a923));
     }
 
     #[test]
-    fn a_file_with_the_old_stored_total_is_invalid_data() {
-        // The layout before the total was derived: the sampling report
-        // followed by the sum of its points' costs, then the storage.
-        let sampling = sample_report();
+    fn an_ispwarm1_file_is_invalid_data_and_plans_cold() {
+        // The layout before seeds dropped their input: key, sampling, then
+        // the storage section (here empty), under the old magic.
+        let (key, seed) = sample_seed();
         let mut w = ByteWriter::default();
         w.u32(1);
-        enc_key(&mut w, &("workload".into(), 0xBEEF));
-        enc_sampling(&mut w, &sampling);
-        sampling.total_cost().canonical(&mut w);
-        enc_storage(&mut w, &sample_storage());
-        let path = tmp("old_total");
-        std::fs::write(&path, framed(&w.into_bytes())).expect("write");
-        let err = load_warm_file(&path).expect_err("an old-layout file read as seeds");
+        enc_key(&mut w, &key);
+        enc_sampling(&mut w, &seed.sampling);
+        w.u32(0);
+        let mut bytes = framed(&w.into_bytes());
+        bytes[..8].copy_from_slice(b"ISPWARM1");
+        let path = tmp("ispwarm1");
+        std::fs::write(&path, &bytes).expect("write");
+        let cache = crate::plan::PlanCache::new();
+        let err = cache
+            .load_warm(&path)
+            .expect_err("an ISPWARM1 file read as seeds");
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let program = alang::parser::parse("a = scan('v')\ns = sum(a)\n").expect("parse");
+        let config = csd_sim::SystemConfig::paper_default();
+        let rt = crate::runtime::ActivePy::new();
+        let input = crate::sampling::test_input();
+        cache
+            .plan_for(&rt, &key.0, &program, &input, &config)
+            .expect("cold plan");
+        assert_eq!((cache.stats().misses, cache.warm_starts()), (1, 0));
     }
 
     #[test]
@@ -423,16 +314,6 @@ mod tests {
         let err = load_warm_file(&path).expect_err("must fail");
         std::fs::remove_file(&path).ok();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-    }
-
-    /// `payload` under a fresh header: right length, right checksum, so
-    /// the bytes reach the decoder.
-    fn framed(payload: &[u8]) -> Vec<u8> {
-        let mut out = WARM_MAGIC.to_vec();
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a(payload).to_le_bytes());
-        out.extend_from_slice(payload);
-        out
     }
 
     /// Refused, or read back as seeds that write the very same bytes; a
@@ -494,11 +375,7 @@ mod tests {
     #[test]
     fn mutated_warm_files_are_refused_or_read_back_exactly() {
         const MUTATIONS: u64 = 2_400;
-        let seed = WarmSeed {
-            sampling: sample_report(),
-            storage: sample_storage(),
-        };
-        let file = encode_warm_bytes(&[(("workload".into(), 0xBEEF), seed)]);
+        let file = encode_warm_bytes(&[sample_seed()]);
         assert!(!refused_or_exact(&file, "the unmutated file"));
         let payload = &file[HEADER_LEN..];
         for cut in 0..file.len() {

@@ -27,7 +27,7 @@ use crate::assign::Assignment;
 use crate::error::Result;
 use crate::estimate::{Calibration, LineEstimate};
 use crate::fit::LinePrediction;
-use crate::persist::WarmSeed;
+use crate::persist::{program_fingerprint, WarmSeed};
 use crate::profile::ProfileKey;
 use crate::runtime::ActivePy;
 use crate::sampling::{InputSource, SamplingReport};
@@ -140,8 +140,9 @@ pub struct PlanCache {
     plans: Mutex<HashMap<PlanKey, Arc<OffloadPlan>>>,
     sharded: Mutex<HashMap<ShardedPlanKey, Arc<ShardedPlan>>>,
     /// Warm-start seeds loaded from a persisted cache: per-key sampling
-    /// reports and materialized inputs that let a miss plan through
-    /// [`ActivePy::plan_from_sampling`] with zero datagen calls.
+    /// reports that let a miss on the program they sampled plan through
+    /// [`ActivePy::plan_from_sampling`], drawing the full-scale input and
+    /// none of the samples.
     warm: Mutex<HashMap<PlanKey, WarmSeed>>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -179,20 +180,22 @@ impl PlanCache {
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
         tracer.counter_add("plan_cache.misses", 1);
-        // Warm start: a persisted sampling report plus materialized input
-        // for this exact key re-plans through phases 2–5 only — zero
-        // sampling runs, zero `storage_at` calls against `input`.
-        let seed = self
+        // Warm start: a persisted sampling report for this key, sampled
+        // from this very program, re-plans through phases 2–5 after one
+        // `storage_at(1.0)` call — no sampling run. A seed of any other
+        // program (a stale file, a reused name) is passed over.
+        let sampling = self
             .warm
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .get(&key)
-            .cloned();
-        let plan = Arc::new(match seed {
-            Some(seed) => {
+            .filter(|seed| seed.program == program_fingerprint(program))
+            .map(|seed| seed.sampling.clone());
+        let plan = Arc::new(match sampling {
+            Some(sampling) => {
                 self.warm_starts.fetch_add(1, Ordering::Relaxed);
                 tracer.counter_add("plan_cache.warm_starts", 1);
-                runtime.plan_from_sampling(program, seed.sampling, seed.storage, config)?
+                runtime.plan_from_sampling(program, sampling, input.storage_at(1.0), config)?
             }
             None => runtime.plan(program, input, config)?,
         });
@@ -288,10 +291,10 @@ impl PlanCache {
     }
 
     /// Persists this cache's warm-start state to `path`: for every cached
-    /// plan, its sampling report and materialized full-scale input (keyed
-    /// by the plan's cache key) — everything a restarted process needs to
-    /// re-plan identical plans without a single datagen call. The format
-    /// is the checksummed binary codec of [`crate::persist`].
+    /// plan, its sampling report and its program's fingerprint, keyed by
+    /// the plan's cache key — what a restarted process needs to re-plan
+    /// identical plans without a sampling run. The format is the
+    /// checksummed binary codec of [`crate::persist`].
     ///
     /// # Errors
     ///
@@ -305,8 +308,8 @@ impl PlanCache {
                     (
                         k.clone(),
                         WarmSeed {
+                            program: program_fingerprint(&plan.program),
                             sampling: plan.sampling.clone(),
-                            storage: plan.full_storage.clone(),
                         },
                     )
                 })
@@ -318,8 +321,9 @@ impl PlanCache {
     }
 
     /// Loads warm-start state saved by [`PlanCache::save_warm`]: seeds
-    /// install into this cache's warm map (consulted on plan misses).
-    /// Returns the number of seeds loaded.
+    /// install into this cache's warm map, consulted on a plan miss and
+    /// used when the seed sampled the program being planned. Returns the
+    /// number of seeds loaded.
     ///
     /// # Errors
     ///
@@ -342,7 +346,8 @@ impl PlanCache {
     /// ([`InputSource::wire_fingerprint`]) — re-encoding a dataset (codec,
     /// shuffle, byte order, fill sentinel) changes decode costs and
     /// therefore invalidates cached plans, without the key ever needing to
-    /// materialize storage (warm starts stay zero-datagen). `Debug` output
+    /// materialize storage. The program is not in the key: a warm seed
+    /// carries its own program's fingerprint instead. `Debug` output
     /// of the plain-data config structs is deterministic, which is all a
     /// cache key needs. The key holds nothing a build cannot vary (the
     /// sampling scales and the evaluator are fixed), so, like every
@@ -514,6 +519,57 @@ mod tests {
             .sharded_plan_for(&rt, "w", &program, &input(), &config, &map4)
             .expect("N=4 again");
         assert!(Arc::ptr_eq(&p4, &p4_again));
+    }
+
+    #[test]
+    fn a_seed_plans_only_the_program_it_sampled() {
+        let config = SystemConfig::paper_default();
+        let rt = ActivePy::new();
+        let sampled = parse(SRC).expect("parse");
+        let cache = PlanCache::new();
+        let plan = cache
+            .plan_for(&rt, "w", &sampled, &input(), &config)
+            .expect("plan");
+        let path =
+            std::env::temp_dir().join(format!("activepy_seed_program_{}.bin", std::process::id()));
+        cache.save_warm(&path).expect("save");
+        // Under the sampled program's name: one line more, then the same
+        // lines with one call edited.
+        let longer = parse("a = scan('v')\nb = (a * 2)\ns = sum(b)\n").expect("parse");
+        let edited = parse("a = scan('v')\ns = mean(a)\n").expect("parse");
+        for (other, what) in [(&longer, "one line more"), (&edited, "one call edited")] {
+            let fresh = PlanCache::new();
+            fresh.load_warm(&path).expect("load");
+            let warm = fresh
+                .plan_for(&rt, "w", other, &input(), &config)
+                .expect(what);
+            assert_eq!(
+                (fresh.stats().misses, fresh.warm_starts()),
+                (1, 0),
+                "{what}"
+            );
+            let cold = rt.plan(other, &input(), &config).expect(what);
+            let fp = crate::resume::plan_fingerprint;
+            assert_eq!(fp(&warm), fp(&cold), "{what}");
+        }
+        // Handed another program's report, planning refuses it.
+        let err = rt
+            .plan_from_sampling(
+                &longer,
+                plan.sampling.clone(),
+                input().storage_at(1.0),
+                &config,
+            )
+            .expect_err("a report of two lines planned a program of three");
+        assert!(err.to_string().contains("0..3"), "{err}");
+        // The program it sampled warm starts.
+        let fresh = PlanCache::new();
+        fresh.load_warm(&path).expect("load");
+        std::fs::remove_file(&path).ok();
+        fresh
+            .plan_for(&rt, "w", &sampled, &input(), &config)
+            .expect("warm plan");
+        assert_eq!(fresh.warm_starts(), 1);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use crate::assign::{assign_refined_traced, projected_cost, Assignment};
 use crate::audit::capture_terms;
-use crate::error::Result;
+use crate::error::{ActivePyError, Result};
 use crate::estimate::{estimate_lines, Calibration, Link, Prices};
 use crate::exec::{evaluate, simulate, ExecOptions, RunReport};
 use crate::fit::{blend_predictions, predict_lines};
@@ -153,19 +153,19 @@ impl ActivePy {
 
     /// Runs planning phases 2–5 (curve fitting, calibration,
     /// copy-elimination analysis, Eq.1 estimation, Algorithm 1, and code
-    /// generation) from an already-collected [`SamplingReport`] and an
-    /// already-materialized full-scale input.
+    /// generation) from an already-collected [`SamplingReport`] of
+    /// `program` and its full-scale input.
     ///
-    /// This is the warm-start entry point: it performs **zero** input
-    /// generation — no sampling runs, no `storage_at` calls — so a
-    /// process restarted with a persisted sampling report re-plans
-    /// without touching the data generator at all. [`ActivePy::plan`] is
-    /// exactly sampling + materialization + this method, so the two paths
+    /// This is the warm-start entry point: it runs no sampling, so a
+    /// process restarted with a persisted sampling report re-plans after
+    /// drawing only the input the plan executes on. [`ActivePy::plan`] is
+    /// exactly materialization + sampling + this method, so the two paths
     /// produce identical plans (timings aside) from the same report.
     ///
     /// # Errors
     ///
-    /// Propagates fitting and lowering failures.
+    /// A report whose lines are not exactly `0..program.len()` (another
+    /// program's) is refused; fitting and lowering failures propagate.
     pub fn plan_from_sampling(
         &self,
         program: &Program,
@@ -173,6 +173,14 @@ impl ActivePy {
         full_storage: Storage,
         config: &SystemConfig,
     ) -> Result<OffloadPlan> {
+        if sampling.lines.len() != program.len()
+            || sampling.lines.iter().enumerate().any(|(i, l)| l.line != i)
+        {
+            return Err(ActivePyError::sampling(format!(
+                "the sampling report does not cover lines 0..{} of this program",
+                program.len()
+            )));
+        }
         let mut timings = PlanTimings::default();
         let tracer = &self.options.tracer;
 

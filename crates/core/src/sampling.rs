@@ -61,7 +61,7 @@ pub trait InputSource {
     ///
     /// Folded into plan-cache keys so plans for differently-encoded
     /// inputs never collide — and answerable *without* materializing
-    /// storage, preserving the zero-datagen warm-start path.
+    /// storage, so deriving a key draws no input.
     fn wire_fingerprint(&self) -> u64 {
         0
     }

@@ -21,9 +21,9 @@
 //! get real compression ratios on patterned data (especially after the
 //! byte shuffle) while staying a few hundred lines.
 //!
-//! Encoded bytes are untrusted input (they reload from `ISPWARM1` files):
-//! every inflate runs under a caller-supplied output bound that is also
-//! its one allocation, and a framed body must end exactly at its trailer.
+//! Encoded bytes are untrusted input (stored bytes can rot): every inflate
+//! runs under a caller-supplied output bound that is also its one
+//! allocation, and a framed body must end exactly at its trailer.
 //! `wire/oracle.rs` keeps the bit-at-a-time decoder and single-pass
 //! encoder these replaced as the references the differential tests use.
 
@@ -31,7 +31,7 @@ use serde::Serialize;
 use std::sync::OnceLock;
 
 /// Compression codec of an encoded stream. The discriminant is the
-/// codec's one-byte tag wherever a descriptor is written or hashed.
+/// codec's one-byte tag wherever a descriptor is hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 #[repr(u8)]
 pub enum Codec {
@@ -44,24 +44,15 @@ pub enum Codec {
 }
 
 impl Codec {
-    /// Every codec.
-    pub const ALL: [Codec; 3] = [Codec::Gzip, Codec::Zlib, Codec::None];
-
     /// The codec's one-byte tag.
     #[must_use]
     pub fn code(self) -> u8 {
         self as u8
     }
-
-    /// The codec whose tag is `code`, or an error naming the unknown tag.
-    pub fn from_code(code: u8) -> Result<Codec, String> {
-        let found = Self::ALL.into_iter().find(|c| c.code() == code);
-        found.ok_or_else(|| format!("unknown codec tag {code}"))
-    }
 }
 
 /// Byte order of the serialized f64 lanes. The discriminant is the
-/// order's one-byte tag wherever a descriptor is written or hashed.
+/// order's one-byte tag wherever a descriptor is hashed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 #[repr(u8)]
 pub enum ByteOrder {
@@ -72,20 +63,10 @@ pub enum ByteOrder {
 }
 
 impl ByteOrder {
-    /// Every byte order.
-    pub const ALL: [ByteOrder; 2] = [ByteOrder::Little, ByteOrder::Big];
-
     /// The byte order's one-byte tag.
     #[must_use]
     pub fn code(self) -> u8 {
         self as u8
-    }
-
-    /// The byte order whose tag is `code`, or an error naming the unknown
-    /// tag.
-    pub fn from_code(code: u8) -> Result<ByteOrder, String> {
-        let found = Self::ALL.into_iter().find(|o| o.code() == code);
-        found.ok_or_else(|| format!("unknown byte-order tag {code}"))
     }
 }
 
@@ -1478,20 +1459,6 @@ mod tests {
         );
         // And both genuinely compress the 32 KiB payload.
         assert!(shuffled_len * 3 < data.len() * 8);
-    }
-
-    #[test]
-    fn every_tag_reads_back_as_its_variant() {
-        for codec in Codec::ALL {
-            assert_eq!(Codec::from_code(codec.code()), Ok(codec));
-        }
-        for order in ByteOrder::ALL {
-            assert_eq!(ByteOrder::from_code(order.code()), Ok(order));
-        }
-        // The `ISPWARM1` numbering.
-        assert_eq!(Codec::ALL.map(Codec::code), [0, 1, 2]);
-        assert_eq!(ByteOrder::ALL.map(ByteOrder::code), [0, 1]);
-        assert!(Codec::from_code(3).is_err() && ByteOrder::from_code(2).is_err());
     }
 
     #[test]

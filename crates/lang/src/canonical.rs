@@ -1,15 +1,15 @@
 //! The one canonical traversal of a [`Value`], the sinks that consume
-//! it, and the readers its inverse is built from.
+//! it, and the length-prefixed readers the warm-start file is read with.
 //!
 //! [`Value::canonical`] walks a value exactly once, in one fixed order —
 //! kind tag, logical sizes, length prefixes, then bulk payloads handed
 //! over as whole slices — and everything that needs to know what a value
-//! is made of is a [`CanonicalSink`] fed by that walk: the `ISPWARM1`
-//! codec (the [`ByteWriter`] sink: the byte layout *is* the traversal) and
-//! the answer fingerprint ([`Fingerprinter`]). Each type's
-//! `from_canonical` sits beside its `canonical` and reads that layout
-//! back from a [`ByteReader`]; it refuses, with a message, any byte
-//! string the walk could not have written.
+//! is made of is a [`CanonicalSink`] fed by that walk: the answer
+//! fingerprint ([`Fingerprinter`]), and the [`ByteWriter`] sink for a
+//! byte-for-byte comparison. No value is read back: the warm-start file
+//! holds sampling reports only, whose costs travel through the same
+//! [`ByteWriter`] sink ([`crate::LineCost::canonical`]) and are read with
+//! [`read_vec`] and [`read_map`] from a [`ByteReader`].
 
 use crate::value::Value;
 use isp_obs::wal::{ByteReader, ByteWriter};
@@ -79,38 +79,20 @@ impl CanonicalSink for ByteWriter {
     }
 }
 
-/// Reads a bool written by [`CanonicalSink::bool`], refusing any byte but
-/// 0 and 1.
-pub(crate) fn read_bool(r: &mut ByteReader<'_>) -> Result<bool, String> {
-    match r.u8()? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(format!("bool byte {other}")),
-    }
-}
-
-/// Reads `n` items, or returns the first item's error. Capacity is bounded
-/// by the bytes left, so a corrupt count fails at the first missing item
-/// instead of allocating for it.
-pub(crate) fn read_n<T>(
-    r: &mut ByteReader<'_>,
-    n: usize,
-    item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
-) -> Result<Vec<T>, String> {
-    let mut out = Vec::with_capacity(n.min(r.remaining()));
-    for _ in 0..n {
-        out.push(item(r)?);
-    }
-    Ok(out)
-}
-
-/// Reads a [`CanonicalSink::len`] prefix and that many items.
+/// Reads a [`CanonicalSink::len`] prefix and that many items, or returns
+/// the first item's error. Capacity is bounded by the bytes left, so a
+/// corrupt count fails at the first missing item instead of allocating
+/// for it.
 pub fn read_vec<T>(
     r: &mut ByteReader<'_>,
     item: impl Fn(&mut ByteReader<'_>) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
     let n = r.u32()? as usize;
-    read_n(r, n, item)
+    let mut out = Vec::with_capacity(n.min(r.remaining()));
+    for _ in 0..n {
+        out.push(item(r)?);
+    }
+    Ok(out)
 }
 
 /// Reads a length prefix and that many `(name, item)` entries, refusing
@@ -596,14 +578,12 @@ mod tests {
     #[test]
     fn what_the_walk_never_writes_is_refused() {
         let mut w = ByteWriter::default();
-        w.u8(2);
         for names in [["a", "b"], ["b", "a"], ["a", "a"]] {
             w.u32(2);
             names.iter().for_each(|n| w.str(n));
         }
         let bytes = w.into_bytes();
         let mut r = ByteReader::new(&bytes);
-        assert!(read_bool(&mut r).is_err(), "a bool is 0 or 1");
         let mut map = || read_map(&mut r, |_| Ok(()));
         assert!(map().is_ok());
         assert!(map().is_err(), "names out of order");

@@ -283,7 +283,7 @@ s = sum(col(f, 'price'))
         for t in StaticType::ALL {
             assert_eq!(StaticType::from_code(t.code()), Ok(t), "{t:?}");
         }
-        // The `ISPWARM1` numbering.
+        // The warm file's numbering (`ISPWARM2`'s dataset types).
         let codes = StaticType::ALL.map(StaticType::code);
         assert_eq!(codes, [0, 1, 2, 3, 4, 5, 6, 7, 8, 10, 9]);
         assert!(StaticType::from_code(11).is_err());

@@ -110,9 +110,8 @@ impl LineCost {
         LineCost::default()
     }
 
-    /// Streams the cost's fields into `sink` in one fixed order: the
-    /// `ISPWARM1` sample layout and the plan fingerprint are both this
-    /// walk.
+    /// Streams the cost's fields into `sink` in one fixed order: the warm
+    /// file's sample layout and the plan fingerprint are both this walk.
     pub fn canonical(&self, sink: &mut impl CanonicalSink) {
         let LineCost {
             compute_ops,

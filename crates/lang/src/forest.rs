@@ -7,9 +7,8 @@
 //! inference over stored data), so forests are constructed directly —
 //! typically pseudo-randomly by the workload generator.
 
-use crate::canonical::{read_vec, CanonicalSink};
+use crate::canonical::CanonicalSink;
 use crate::error::{LangError, Result};
-use isp_obs::wal::ByteReader;
 use std::fmt;
 use std::sync::Arc;
 
@@ -228,24 +227,6 @@ impl Forest {
                 sink.f64(n.value);
             }
         }
-    }
-
-    /// Reads back what [`Self::canonical`] wrote.
-    pub(crate) fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Self, String> {
-        let features = r.u32()?;
-        let trees = read_vec(r, |r| {
-            let nodes = read_vec(r, |r| {
-                Ok(TreeNode {
-                    feature: r.u32()?,
-                    threshold: r.f64()?,
-                    left: r.u32()?,
-                    right: r.u32()?,
-                    value: r.f64()?,
-                })
-            })?;
-            Tree::new(nodes).map_err(|e| e.to_string())
-        })?;
-        Forest::new(trees, features).map_err(|e| e.to_string())
     }
 
     /// Model size in bytes (each node: 4 + 8 + 4 + 4 + 8).

@@ -7,11 +7,10 @@
 //! samples (§V). Keeping nnz data-dependent here is what lets the
 //! reproduction exhibit the same behaviour.
 
-use crate::canonical::{read_n, read_vec, CanonicalSink};
+use crate::canonical::CanonicalSink;
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
 use crate::simd;
-use isp_obs::wal::ByteReader;
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -161,18 +160,6 @@ impl Matrix {
         sink.u64(self.logical_rows);
         sink.u64(self.logical_cols);
         sink.f64s(&self.data);
-    }
-
-    /// Reads back what [`Self::canonical`] wrote.
-    pub(crate) fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Self, String> {
-        let rows = r.u32()? as usize;
-        let cols = r.u32()? as usize;
-        let logical_rows = r.u64()?;
-        let logical_cols = r.u64()?;
-        let n = rows.checked_mul(cols).ok_or("matrix dimensions overflow")?;
-        let data = read_n(r, n, |r| r.f64())?;
-        Matrix::with_logical(data, rows, cols, logical_rows, logical_cols)
-            .map_err(|e| e.to_string())
     }
 
     /// Paper-scale data volume (8 bytes per logical element).
@@ -473,7 +460,7 @@ impl Csr {
     }
 
     /// The CSR matrix's part of [`crate::Value::canonical`]. Non-zeros
-    /// travel as `(column, value)` pairs, the order `ISPWARM1` fixed.
+    /// travel as `(column, value)` pairs.
     pub(crate) fn canonical(&self, sink: &mut impl CanonicalSink) {
         sink.len(self.rows);
         sink.len(self.cols);
@@ -487,35 +474,6 @@ impl Csr {
             sink.u32(*col);
             sink.f64(*value);
         }
-    }
-
-    /// Reads back what [`Self::canonical`] wrote.
-    pub(crate) fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Self, String> {
-        let rows = r.u32()? as usize;
-        let cols = r.u32()? as usize;
-        let logical_rows = r.u64()?;
-        let logical_cols = r.u64()?;
-        let logical_nnz = r.u64()?;
-        let row_ptr = read_vec(r, |r| r.u32())?;
-        if row_ptr.len().checked_sub(1) != Some(rows) {
-            return Err(format!(
-                "csr row_ptr length {} does not match {rows} rows",
-                row_ptr.len()
-            ));
-        }
-        let (col_idx, values) = read_vec(r, |r| Ok((r.u32()?, r.f64()?)))?
-            .into_iter()
-            .unzip();
-        Csr::from_parts(
-            row_ptr,
-            col_idx,
-            values,
-            cols,
-            logical_rows,
-            logical_cols,
-            logical_nnz,
-        )
-        .map_err(|e| e.to_string())
     }
 
     /// Paper-scale data volume: 12 bytes per stored non-zero (8 value + 4

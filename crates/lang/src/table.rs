@@ -10,11 +10,10 @@
 //! count (the rows materialized in memory, kept laptop-small) from its
 //! *logical* row count (the paper-scale size used for all cost accounting).
 
-use crate::canonical::{read_map, read_vec, CanonicalSink};
+use crate::canonical::CanonicalSink;
 use crate::error::{LangError, Result};
 use crate::par::ParEngine;
 use crate::shape::{ColumnShape, Placeholders};
-use isp_obs::wal::ByteReader;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::Arc;
@@ -250,20 +249,6 @@ impl Table {
                 }
             }
         }
-    }
-
-    /// Reads back what [`Self::canonical`] wrote.
-    pub(crate) fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Self, String> {
-        let logical_rows = r.u64()?;
-        let columns = read_map(r, |r| match r.u8()? {
-            F64_COLUMN => Ok(Column::F64(Arc::new(read_vec(r, |r| r.f64())?))),
-            DICT_COLUMN => Ok(Column::Dict {
-                codes: Arc::new(read_vec(r, |r| r.u32())?),
-                dict: Arc::new(read_vec(r, |r| r.str())?),
-            }),
-            other => Err(format!("unknown column tag {other}")),
-        })?;
-        Table::with_logical_rows(columns, logical_rows).map_err(|e| e.to_string())
     }
 
     /// Physical bytes per logical row across all columns.

@@ -8,14 +8,13 @@
 //! sparsity, tree depth) remain genuinely data-driven while volumes match
 //! Table I of the paper.
 
-use crate::canonical::{read_bool, read_vec, CanonicalSink};
+use crate::canonical::CanonicalSink;
 use crate::copyelim::StaticType;
 use crate::error::{LangError, Result};
 use crate::forest::Forest;
 use crate::matrix::{Csr, Matrix};
 use crate::table::Table;
-use csd_sim::wire::{ByteOrder, Codec, Encoding};
-use isp_obs::wal::ByteReader;
+use csd_sim::wire::Encoding;
 use std::fmt;
 use std::sync::Arc;
 
@@ -31,31 +30,6 @@ pub fn encoding_canonical(encoding: &Encoding, sink: &mut impl CanonicalSink) {
     if let Some(fill) = encoding.fill_value {
         sink.f64(fill);
     }
-}
-
-/// Reads back what [`encoding_canonical`] wrote.
-fn encoding_from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Encoding, String> {
-    let codec = Codec::from_code(r.u8()?)?;
-    let shuffle = read_bool(r)?;
-    let byte_order = ByteOrder::from_code(r.u8()?)?;
-    let fill_value = if read_bool(r)? { Some(r.f64()?) } else { None };
-    Ok(Encoding {
-        codec,
-        shuffle,
-        byte_order,
-        fill_value,
-    })
-}
-
-/// Refuses a logical size below the materialized one, which no
-/// constructor lets a value hold.
-fn covers(logical: u64, materialized: usize) -> std::result::Result<(), String> {
-    if logical < materialized as u64 {
-        return Err(format!(
-            "logical size {logical} below the {materialized} materialized elements"
-        ));
-    }
-    Ok(())
 }
 
 /// The kind tags that open each value's part of the canonical walk.
@@ -233,24 +207,6 @@ impl EncodedVal {
         for chunk in self.chunks.iter() {
             sink.bytes(chunk);
         }
-    }
-
-    /// Reads back what [`Self::canonical`] wrote. The chunks are kept
-    /// as read: decoding them is the wire layer's job, under its bounds.
-    fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Self, String> {
-        let encoding = encoding_from_canonical(r)?;
-        let logical_len = r.u64()?;
-        let encoded_logical_bytes = r.u64()?;
-        let actual_len = r.u32()? as usize;
-        let chunks = read_vec(r, |r| r.bytes())?;
-        covers(logical_len, actual_len)?;
-        Ok(Self::from_parts(
-            encoding,
-            chunks,
-            actual_len,
-            logical_len,
-            encoded_logical_bytes,
-        ))
     }
 
     /// Decodes the chunks in `range`, in order — the one decode loop
@@ -526,10 +482,9 @@ impl Value {
 
     /// Streams this value into `sink` in its one canonical order: kind
     /// tag, logical sizes, length prefixes, then each bulk payload as a
-    /// whole slice. The `ISPWARM1` value layout and the answer
-    /// fingerprint are both this walk seen through different sinks, so a
-    /// new kind or field is described here, and read back beside it by
-    /// [`Self::from_canonical`], and nowhere else.
+    /// whole slice. The answer fingerprint and every byte-level
+    /// comparison of values are this walk seen through a sink, so a new
+    /// kind or field is described here and nowhere else.
     pub fn canonical(&self, sink: &mut impl CanonicalSink) {
         match self {
             Value::Num(x) => {
@@ -577,37 +532,6 @@ impl Value {
                 e.canonical(sink);
             }
         }
-    }
-
-    /// Reads back what [`Self::canonical`] wrote into a
-    /// [`ByteWriter`](isp_obs::wal::ByteWriter) — the `ISPWARM1` value
-    /// layout — or describes the first bytes the walk could not have
-    /// written: a missing item, an unknown tag, a name out of order, or
-    /// parts no constructor accepts.
-    pub fn from_canonical(r: &mut ByteReader<'_>) -> std::result::Result<Value, String> {
-        Ok(match r.u8()? {
-            kind::NUM => Value::Num(r.f64()?),
-            kind::BOOL => Value::Bool(read_bool(r)?),
-            kind::STR => Value::Str(r.str()?),
-            kind::ARRAY => {
-                let logical = r.u64()?;
-                let data = read_vec(r, |r| r.f64())?;
-                covers(logical, data.len())?;
-                Value::Array(ArrayVal::with_logical(data, logical))
-            }
-            kind::BOOL_ARRAY => {
-                let logical = r.u64()?;
-                let data = read_vec(r, read_bool)?;
-                covers(logical, data.len())?;
-                Value::BoolArray(BoolArrayVal::with_logical(data, logical))
-            }
-            kind::TABLE => Value::Table(Table::from_canonical(r)?),
-            kind::MATRIX => Value::Matrix(Matrix::from_canonical(r)?),
-            kind::CSR => Value::Csr(Csr::from_canonical(r)?),
-            kind::FOREST => Value::Forest(Forest::from_canonical(r)?),
-            kind::ENCODED => Value::Encoded(EncodedVal::from_canonical(r)?),
-            other => return Err(format!("unknown value tag {other}")),
-        })
     }
 
     /// Whether this is a bulk value whose movement costs bandwidth.
@@ -830,6 +754,7 @@ impl From<Vec<f64>> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csd_sim::wire::{ByteOrder, Codec};
 
     #[test]
     fn scalar_volumes() {

@@ -570,16 +570,6 @@ impl<'a> ByteReader<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| "invalid utf-8 in string".to_string())
     }
 
-    /// Reads a length-prefixed raw byte string.
-    ///
-    /// # Errors
-    ///
-    /// Errors when the payload is exhausted.
-    pub fn bytes(&mut self) -> Result<Vec<u8>, String> {
-        let len = self.u32()? as usize;
-        Ok(self.take(len)?.to_vec())
-    }
-
     /// Bytes remaining.
     #[must_use]
     pub fn remaining(&self) -> usize {

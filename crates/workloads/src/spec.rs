@@ -45,7 +45,7 @@ pub struct Workload {
     /// Declared on-storage wire formats, `(dataset, encoding)` pairs in
     /// declaration order. Metadata mirroring what the generator encodes —
     /// it lets [`InputSource::wire_fingerprint`] answer without ever
-    /// materializing storage, keeping warm starts zero-datagen.
+    /// materializing storage, so a plan-cache key costs no datagen.
     encodings: Vec<(String, Encoding)>,
 }
 

@@ -4,11 +4,13 @@
 
 mod common;
 
+use activepy::exec::{execute, ExecOptions};
 use activepy::runtime::ActivePy;
 use activepy::PlanCache;
-use alang::ParallelPolicy;
+use alang::{ParallelPolicy, Storage};
 use csd_sim::units::SimTime;
-use csd_sim::{ContentionScenario, SystemConfig};
+use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
+use isp_obs::{AttrValue, TraceEvent, Tracer};
 
 #[test]
 fn identical_runs_produce_identical_outcomes() {
@@ -89,6 +91,58 @@ fn threaded_fig5_rows_match_the_default_policy_byte_for_byte() {
         serde_json::to_string(&default).expect("rows serialize"),
         "the kernel parallel policy must not change a single output byte"
     );
+}
+
+/// TPC-H-6, TPC-H-1 and blackscholes over 16 384-row tables, past
+/// `par::MIN_PARALLEL_LEN` (their 4 096-row Table-I inputs never chunk),
+/// through `exec::execute` — the path `execute_plan` shares — at the
+/// default policy and at eight threads: the same report, the kernels on
+/// the chunked path, and every chunked call run at eight threads.
+#[test]
+fn threaded_table_programs_chunk_and_match_the_default_policy() {
+    use isp_workloads::datagen::{options::option_chain, tpch::lineitem};
+    let mut st = Storage::new();
+    st.insert("lineitem", lineitem(6.9, 1.0, 16_384, 2048, 0x79C8));
+    st.insert("options", option_chain(9.1, 1.0, 16_384, 0xB5));
+    for name in ["TPC-H-6", "TPC-H-1", "blackscholes"] {
+        let w = isp_workloads::by_name(name).expect("registered");
+        let program = w.program().expect("parse");
+        let placements = vec![EngineKind::Cse; program.len()];
+        let run = |policy: ParallelPolicy| {
+            let (tracer, sink) = Tracer::to_memory();
+            let opts = ExecOptions::activepy()
+                .with_parallelism(policy)
+                .with_tracer(tracer);
+            let mut system = SystemConfig::paper_default().build();
+            let report =
+                execute(&program, &st, &placements, &mut system, &opts, None, &[]).expect(name);
+            let par_spans: Vec<_> = sink
+                .events()
+                .into_iter()
+                .filter_map(|e| match e {
+                    TraceEvent::Span(s) if s.name == "kernel.par" => Some(s.attrs),
+                    _ => None,
+                })
+                .collect();
+            (report, par_spans)
+        };
+        let (default, _) = run(ParallelPolicy::default());
+        let (threaded, par_spans) = run(ParallelPolicy::with_threads(8));
+        assert_eq!(threaded, default, "{name}");
+        assert!(
+            threaded.metrics.par.par_calls > 0,
+            "{name}: {:?}",
+            threaded.metrics.par
+        );
+        assert!(
+            !par_spans.is_empty(),
+            "{name}: no kernel.par span was traced"
+        );
+        for attrs in &par_spans {
+            let threads = ("threads".to_string(), AttrValue::U64(8));
+            assert!(attrs.contains(&threads), "{name}: {attrs:?}");
+        }
+    }
 }
 
 #[test]

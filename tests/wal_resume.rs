@@ -16,8 +16,10 @@
 //!    double-counted.
 //!
 //! Plus the warm-start half of persistence: a fresh process that loads a
-//! warm file re-plans with **zero** datagen calls and gets a
-//! byte-identical plan.
+//! warm file re-plans after drawing only the Table-I input (one datagen
+//! call, at scale 1.0, and no sampling scale) and gets a byte-identical
+//! plan, for a random-free program and for each of the 12 registered
+//! workloads.
 
 mod common;
 
@@ -35,6 +37,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// Unique temp path per call: tests run concurrently in one process.
 fn wal_path(tag: &str) -> PathBuf {
@@ -271,9 +274,10 @@ fn resume_against_different_faults_is_detected() {
 }
 
 /// Warm-start persistence: a fresh cache that loads the warm file plans
-/// with zero datagen calls and produces a byte-identical plan.
+/// after one datagen call, at scale 1.0, and produces a byte-identical
+/// plan.
 #[test]
-fn warm_start_replans_identically_with_zero_datagen_calls() {
+fn warm_start_replans_identically_from_the_table1_input_alone() {
     let src = "a = scan('v')\nb = scan('w')\nc = sum((a * 2))\nd = (c + mean(b))\n";
     let program = parse(src).expect("parses");
     let config = SystemConfig::paper_default();
@@ -300,24 +304,24 @@ fn warm_start_replans_identically_with_zero_datagen_calls() {
     );
     cache1.save_warm(&path).expect("save warm file");
 
-    // Process 2 (simulated): fresh cache, load, re-plan. The counter
-    // proves the input source is never consulted.
+    // Process 2 (simulated): fresh cache, load, re-plan. The recorded
+    // scales show the input source drew the plan's input and no sample.
     let rt2 = ActivePy::with_options(ActivePyOptions::default());
     let cache2 = PlanCache::new();
     let loaded = cache2.load_warm(&path).expect("load warm file");
     assert_eq!(loaded, 1, "one seed persisted");
-    let warm_calls = AtomicU64::new(0);
+    let warm_scales = Mutex::new(Vec::new());
     let counting2 = |scale: f64| {
-        warm_calls.fetch_add(1, Ordering::Relaxed);
+        warm_scales.lock().expect("unpoisoned").push(scale);
         input_at(scale)
     };
     let warm = cache2
         .plan_for(&rt2, "warm", &program, &counting2, &config)
         .expect("warm plan");
     assert_eq!(
-        warm_calls.load(Ordering::Relaxed),
-        0,
-        "warm start must not touch the input source"
+        warm_scales.into_inner().expect("unpoisoned"),
+        [1.0],
+        "a warm start draws the Table-I input and no sample"
     );
     assert_eq!(cache2.warm_starts(), 1);
 
@@ -349,6 +353,37 @@ fn warm_start_replans_identically_with_zero_datagen_calls() {
         out_warm.report.values_fingerprint
     );
     std::fs::remove_file(&path).ok();
+}
+
+/// Each registered workload planned cold, saved, and planned again by a
+/// fresh cache over fresh `Workload` values: every plan warm-starts to
+/// its cold plan's fingerprint.
+#[test]
+fn every_registered_workload_warm_starts_to_its_cold_plan() {
+    let config = SystemConfig::paper_default();
+    let rt = ActivePy::new();
+    let plan_all = |cache: &PlanCache| -> Vec<(String, u64)> {
+        isp_workloads::full_set()
+            .iter()
+            .map(|w| {
+                let program = w.program().expect("registered workloads parse");
+                let plan = cache
+                    .plan_for(&rt, w.name(), &program, w, &config)
+                    .unwrap_or_else(|e| panic!("{}: {e}", w.name()));
+                (w.name().to_owned(), activepy::plan_fingerprint(&plan))
+            })
+            .collect()
+    };
+    let cold_cache = PlanCache::new();
+    let cold = plan_all(&cold_cache);
+    let path = wal_path("warm_full_set");
+    cold_cache.save_warm(&path).expect("save warm file");
+    let warm_cache = PlanCache::new();
+    assert_eq!(warm_cache.load_warm(&path).expect("load warm file"), 12);
+    std::fs::remove_file(&path).ok();
+    let warm = plan_all(&warm_cache);
+    assert_eq!(warm_cache.warm_starts(), 12);
+    assert_eq!(warm, cold, "a warm plan diverged from its cold plan");
 }
 
 /// Kill/resume chaos over a wire-format workload: the journaled decode
