@@ -13,6 +13,7 @@
 //! [`ActivePy::execute_plan`] calls per workload instead of four full
 //! plan-and-run pipelines.
 
+use super::Band;
 use crate::geomean;
 use activepy::runtime::{ActivePy, ActivePyOptions};
 use activepy::PlanCache;
@@ -26,6 +27,50 @@ use serde::Serialize;
 /// The figure's availability levels as exact integer percentages, in
 /// presentation order.
 pub const AVAILABILITY_PCTS: [u32; 2] = [50, 10];
+
+/// With migration over without, at 10 %.
+const TENTH_ADVANTAGE: Band = Band {
+    what: "migration advantage at 10 %",
+    paper: "2.82×",
+    lo: 2.0,
+    hi: f64::INFINITY,
+};
+
+/// Geomean speedup with migration at 10 %.
+const TENTH_WITH_GEOMEAN: Band = Band {
+    what: "with-migration geomean at 10 %",
+    paper: "≈ 0.92× (8 % average slowdown)",
+    lo: 0.80,
+    hi: 1.05,
+};
+
+/// Mean loss against the baseline without migration at 10 %.
+const TENTH_MEAN_LOSS: Band = Band {
+    what: "mean loss without migration at 10 %",
+    paper: "67 %",
+    lo: 0.50,
+    hi: 0.85,
+};
+
+/// Worst loss against the baseline without migration at 10 %.
+const TENTH_MAX_LOSS: Band = Band {
+    what: "max loss without migration at 10 %",
+    paper: "88 %",
+    lo: 0.70,
+    hi: 1.0,
+};
+
+/// Geomean speedup with migration at 50 %.
+const HALF_WITH_GEOMEAN: Band = Band {
+    what: "with-migration geomean at 50 %",
+    paper: "balances the trade-offs",
+    lo: 0.9,
+    hi: f64::INFINITY,
+};
+
+/// Plans allowed to put no line on the CSD: the decode-on-host regime of
+/// the wire formats (TPC-H-6-gz), which has nothing to migrate.
+const MAX_ALL_HOST: usize = 1;
 
 /// One workload under one availability level.
 #[derive(Debug, Clone, Serialize)]
@@ -67,6 +112,31 @@ pub struct Summary {
     pub mean_loss_without: f64,
     /// Worst performance loss without migration.
     pub max_loss_without: f64,
+}
+
+/// The figure's section of `BENCH_repro.json`.
+#[derive(Debug, Clone, Serialize)]
+pub struct Report {
+    /// The grid, availability-major.
+    pub rows: Vec<Row>,
+    /// One summary per entry of [`AVAILABILITY_PCTS`], in that order.
+    pub summaries: Vec<Summary>,
+}
+
+impl Report {
+    /// Summarizes `rows` at every level of [`AVAILABILITY_PCTS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` lack a level.
+    #[must_use]
+    pub fn new(rows: Vec<Row>) -> Self {
+        let summaries = AVAILABILITY_PCTS
+            .iter()
+            .map(|&pct| summarize(&rows, pct))
+            .collect();
+        Self { rows, summaries }
+    }
 }
 
 fn scenario_at(t_half: f64, availability_pct: u32) -> ContentionScenario {
@@ -271,63 +341,61 @@ pub fn print(rows: &[Row]) {
     );
 }
 
+/// Fig. 5's claims. At 10 %: the summary inside the four `TENTH_*`
+/// bands, every offloaded workload migrating and at most
+/// `MAX_ALL_HOST` plan all-host. At 50 %: with migration no worse than
+/// without, inside `HALF_WITH_GEOMEAN`.
+///
+/// # Errors
+///
+/// Names the first claim that fails.
+pub fn check(report: &Report) -> Result<(), String> {
+    let level = |pct: u32| {
+        report
+            .summaries
+            .iter()
+            .find(|s| s.availability_pct == pct)
+            .ok_or_else(|| format!("no summary at {pct} %"))
+    };
+    let ten = level(10)?;
+    TENTH_ADVANTAGE.check(ten.migration_advantage)?;
+    TENTH_WITH_GEOMEAN.check(ten.with_geomean)?;
+    TENTH_MEAN_LOSS.check(ten.mean_loss_without)?;
+    TENTH_MAX_LOSS.check(ten.max_loss_without)?;
+    let at_ten: Vec<&Row> = report
+        .rows
+        .iter()
+        .filter(|r| r.availability_pct == 10)
+        .collect();
+    if let Some(r) = at_ten.iter().find(|r| r.offloaded && !r.migrated) {
+        return Err(format!("{}: offloaded but not migrated at 10 %", r.name));
+    }
+    let all_host = at_ten.iter().filter(|r| !r.offloaded).count();
+    if all_host > MAX_ALL_HOST {
+        return Err(format!(
+            "{all_host} all-host plans at 10 %, at most {MAX_ALL_HOST}"
+        ));
+    }
+    let fifty = level(50)?;
+    if fifty.with_geomean < fifty.without_geomean {
+        return Err(format!(
+            "with-migration geomean at 50 % {:.4} below without {:.4}",
+            fifty.with_geomean, fifty.without_geomean
+        ));
+    }
+    HALF_WITH_GEOMEAN.check(fifty.with_geomean)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fails_naming;
 
     #[test]
     fn ten_percent_availability_matches_the_paper() {
         let config = SystemConfig::paper_default();
         let rows = run(&config, &PlanCache::new(), ParallelPolicy::default());
-        let s = summarize(&rows, 10);
-        // With migration: a modest slowdown vs baseline (paper ~8%).
-        assert!(
-            s.with_geomean > 0.8 && s.with_geomean <= 1.05,
-            "with-migration geomean {} should sit near 0.92",
-            s.with_geomean
-        );
-        // Without: severe losses (paper avg 67%, max 88%).
-        assert!(
-            s.mean_loss_without > 0.5,
-            "mean loss without migration {} too mild",
-            s.mean_loss_without
-        );
-        assert!(s.max_loss_without > 0.7, "max loss {}", s.max_loss_without);
-        // Migration advantage in the paper's 2.82x neighbourhood.
-        assert!(
-            s.migration_advantage > 2.0,
-            "advantage {} too small",
-            s.migration_advantage
-        );
-        // Every offloaded workload migrated under 10% availability; only
-        // plans with CSD lines have anything to move. The decode-on-host
-        // wire-format regime is the one legitimate all-host plan.
-        let at_ten: Vec<&Row> = rows.iter().filter(|r| r.availability_pct == 10).collect();
-        assert!(
-            at_ten.iter().filter(|r| r.offloaded).all(|r| r.migrated),
-            "{at_ten:?}"
-        );
-        let offloaded = at_ten.iter().filter(|r| r.offloaded).count();
-        assert!(
-            offloaded >= at_ten.len() - 1,
-            "at most one all-host regime expected, {offloaded}/{} offloaded",
-            at_ten.len()
-        );
-
-        // 50%: the trade-offs are balanced — migration must not lose on
-        // average and losses stay moderate.
-        let fifty = summarize(&rows, 50);
-        assert!(
-            fifty.with_geomean >= fifty.without_geomean,
-            "migration must not lose on average: {} vs {}",
-            fifty.with_geomean,
-            fifty.without_geomean
-        );
-        assert!(
-            fifty.with_geomean > 0.9,
-            "with-migration geomean {}",
-            fifty.with_geomean
-        );
+        assert_eq!(check(&Report::new(rows)), Ok(()));
     }
 
     #[test]
@@ -363,5 +431,93 @@ mod tests {
                 assert_eq!(row.name, w.name());
             }
         }
+    }
+
+    fn row(name: &str, availability_pct: u32, offloaded: bool) -> Row {
+        Row {
+            name: name.to_owned(),
+            availability_pct,
+            baseline_secs: 1.0,
+            with_migration_secs: 1.0,
+            without_migration_secs: 1.0,
+            migrated: offloaded,
+            offloaded,
+            with_speedup: 1.0,
+            without_speedup: 1.0,
+        }
+    }
+
+    fn summary(availability_pct: u32, with: f64, without: f64, losses: [f64; 2]) -> Summary {
+        Summary {
+            availability_pct,
+            with_geomean: with,
+            without_geomean: without,
+            migration_advantage: with / without,
+            mean_loss_without: losses[0],
+            max_loss_without: losses[1],
+        }
+    }
+
+    /// Today's summaries, rounded: two offloaded workloads and one
+    /// all-host plan at each level.
+    fn passing() -> Report {
+        let rows = AVAILABILITY_PCTS
+            .iter()
+            .flat_map(|&pct| {
+                [
+                    row("A", pct, true),
+                    row("B", pct, true),
+                    row("G", pct, false),
+                ]
+            })
+            .collect();
+        Report {
+            rows,
+            summaries: vec![
+                summary(50, 1.07, 0.90, [0.11, 0.30]),
+                summary(10, 0.96, 0.28, [0.69, 0.80]),
+            ],
+        }
+    }
+
+    fn edited(edit: impl FnOnce(&mut Report)) -> Result<(), String> {
+        let mut report = passing();
+        edit(&mut report);
+        check(&report)
+    }
+
+    #[test]
+    fn check_fails_a_report_outside_each_claim() {
+        assert_eq!(check(&passing()), Ok(()));
+        let ten = |s: Summary| move |r: &mut Report| r.summaries[1] = s;
+        let advantage = "migration advantage at 10 %";
+        fails_naming(edited(ten(summary(10, 0.96, 0.5, [0.69, 0.8]))), advantage);
+        let with = "with-migration geomean at 10 %";
+        fails_naming(edited(ten(summary(10, 0.75, 0.28, [0.69, 0.8]))), with);
+        fails_naming(edited(ten(summary(10, 1.1, 0.28, [0.69, 0.8]))), with);
+        let mean = "mean loss without migration at 10 %";
+        fails_naming(edited(ten(summary(10, 0.96, 0.28, [0.45, 0.8]))), mean);
+        fails_naming(edited(ten(summary(10, 0.96, 0.28, [0.9, 0.95]))), mean);
+        let max = "max loss without migration at 10 %";
+        fails_naming(edited(ten(summary(10, 0.96, 0.28, [0.69, 0.65]))), max);
+        // Rows 3..6 are the 10 % level.
+        fails_naming(
+            edited(|r| r.rows[3].migrated = false),
+            "A: offloaded but not migrated at 10 %",
+        );
+        fails_naming(
+            edited(|r| r.rows[4].offloaded = false),
+            "2 all-host plans at 10 %",
+        );
+        let half = |s: Summary| move |r: &mut Report| r.summaries[0] = s;
+        fails_naming(
+            edited(half(summary(50, 0.95, 0.97, [0.11, 0.30]))),
+            "with-migration geomean at 50 % 0.9500 below without 0.9700",
+        );
+        fails_naming(
+            edited(half(summary(50, 0.85, 0.80, [0.11, 0.30]))),
+            "with-migration geomean at 50 % 0.8500 outside",
+        );
+        fails_naming(edited(|r| r.summaries.truncate(1)), "no summary at 10 %");
     }
 }

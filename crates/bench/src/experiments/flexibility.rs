@@ -20,6 +20,22 @@ use csd_sim::{ContentionScenario, SystemConfig};
 use isp_baselines::run_c_baseline;
 use serde::Serialize;
 
+/// How much faster a run under more GC may be, as a fraction: rounding,
+/// not a trend.
+const GC_SLACK: f64 = 0.02;
+
+/// How much slower migrating may be than riding GC out, as a fraction.
+const MIGRATION_SLACK: f64 = 0.05;
+
+/// The experiment's section of `BENCH_repro.json`.
+#[derive(Debug, Clone, Serialize)]
+pub struct Report {
+    /// The interconnect sweep.
+    pub bw: Vec<BwRow>,
+    /// The garbage-collection sweep.
+    pub gc: Vec<GcRow>,
+}
+
 /// One platform point of the interconnect sweep.
 #[derive(Debug, Clone, Serialize)]
 pub struct BwRow {
@@ -135,7 +151,7 @@ pub fn run_gc(cache: &PlanCache) -> Vec<GcRow> {
 }
 
 /// Prints both flexibility tables.
-pub fn print(bw: &[BwRow], gc: &[GcRow]) {
+pub fn print(Report { bw, gc }: &Report) {
     println!("== Flexibility 1: the same source on different interconnects (MixedGEMM) ==");
     println!(
         "{:<16} {:>8} {:>10} {:>8}",
@@ -166,47 +182,135 @@ pub fn print(bw: &[BwRow], gc: &[GcRow]) {
     }
 }
 
+/// §II-B3's claims. Interconnects: a wider `BW_D2H` never offloads more
+/// lines, and the narrowest link's speedup exceeds the widest's. GC: time
+/// with migration never falls as the duty rises, beyond `GC_SLACK`, and
+/// migrating is never worse than riding GC out, beyond `MIGRATION_SLACK`.
+///
+/// # Errors
+///
+/// Names the first platform or GC duty that fails.
+pub fn check(Report { bw, gc }: &Report) -> Result<(), String> {
+    let mut by_bw: Vec<&BwRow> = bw.iter().collect();
+    by_bw.sort_by(|a, b| a.bw_d2h_gbps.total_cmp(&b.bw_d2h_gbps));
+    for w in by_bw.windows(2) {
+        if w[1].offloaded_lines > w[0].offloaded_lines {
+            return Err(format!(
+                "{} offloads {} lines, more than the narrower {}'s {}",
+                w[1].platform, w[1].offloaded_lines, w[0].platform, w[0].offloaded_lines
+            ));
+        }
+    }
+    let (Some(narrow), Some(wide)) = (by_bw.first(), by_bw.last()) else {
+        return Err("no platform rows".to_owned());
+    };
+    if narrow.speedup <= wide.speedup {
+        return Err(format!(
+            "{} speeds up {:.4}x, no more than the wider {}'s {:.4}x",
+            narrow.platform, narrow.speedup, wide.platform, wide.speedup
+        ));
+    }
+    for w in gc.windows(2) {
+        if w[1].with_migration_secs < w[0].with_migration_secs * (1.0 - GC_SLACK) {
+            return Err(format!(
+                "GC duty {:.0} %: {:.4}s, faster than {:.4}s at {:.0} %",
+                w[1].gc_duty * 100.0,
+                w[1].with_migration_secs,
+                w[0].with_migration_secs,
+                w[0].gc_duty * 100.0
+            ));
+        }
+    }
+    match gc
+        .iter()
+        .find(|r| r.with_migration_secs > r.without_migration_secs * (1.0 + MIGRATION_SLACK))
+    {
+        Some(r) => Err(format!(
+            "GC duty {:.0} %: migrating takes {:.4}s against {:.4}s riding it out",
+            r.gc_duty * 100.0,
+            r.with_migration_secs,
+            r.without_migration_secs
+        )),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fails_naming;
 
     #[test]
-    fn narrower_links_offload_at_least_as_much() {
-        let rows = run_bw_sweep(&PlanCache::new());
-        // Sort by bandwidth and check monotone non-increasing offload.
-        let mut sorted = rows.clone();
-        sorted.sort_by(|a, b| a.bw_d2h_gbps.partial_cmp(&b.bw_d2h_gbps).expect("finite"));
-        for w in sorted.windows(2) {
-            assert!(
-                w[0].offloaded_lines >= w[1].offloaded_lines,
-                "narrower link must offload at least as much: {w:?}"
-            );
+    fn both_sweeps_keep_the_papers_dynamics() {
+        let cache = PlanCache::new();
+        let report = Report {
+            bw: run_bw_sweep(&cache),
+            gc: run_gc(&cache),
+        };
+        assert_eq!(check(&report), Ok(()));
+    }
+
+    fn bw(gbps: f64, offloaded_lines: usize, speedup: f64) -> BwRow {
+        BwRow {
+            platform: format!("{gbps} GB/s"),
+            bw_d2h_gbps: gbps,
+            offloaded_lines,
+            speedup,
         }
-        // At 1 GB/s the ISP win is much larger than at 8 GB/s.
-        let narrow = sorted.first().expect("rows");
-        let wide = sorted.last().expect("rows");
-        assert!(
-            narrow.speedup > wide.speedup,
-            "ISP profit grows as the pipe narrows: {narrow:?} vs {wide:?}"
-        );
+    }
+
+    fn gc(gc_duty: f64, with_migration_secs: f64, without_migration_secs: f64) -> GcRow {
+        GcRow {
+            gc_duty,
+            quiet_baseline_secs: 2.0,
+            with_migration_secs,
+            without_migration_secs,
+            migrated: with_migration_secs < without_migration_secs,
+        }
+    }
+
+    /// Today's sweeps, rounded, with the platforms out of order as
+    /// `run_bw_sweep` returns them.
+    fn passing() -> Report {
+        Report {
+            bw: vec![bw(3.0, 7, 1.48), bw(1.0, 7, 3.66), bw(8.5, 0, 0.98)],
+            gc: vec![
+                gc(0.0, 1.37, 1.37),
+                gc(0.6, 2.14, 2.49),
+                gc(0.9, 3.68, 4.30),
+            ],
+        }
+    }
+
+    fn edited(edit: impl FnOnce(&mut Report)) -> Result<(), String> {
+        let mut report = passing();
+        edit(&mut report);
+        check(&report)
     }
 
     #[test]
-    fn gc_degrades_gracefully_with_migration_available() {
-        let rows = run_gc(&PlanCache::new());
-        // More GC, more time — monotone within tolerance.
-        for w in rows.windows(2) {
-            assert!(
-                w[1].with_migration_secs >= w[0].with_migration_secs * 0.98,
-                "GC must not speed things up: {w:?}"
-            );
-        }
-        // Migration never makes things worse than riding it out.
-        for r in &rows {
-            assert!(
-                r.with_migration_secs <= r.without_migration_secs * 1.05,
-                "{r:?}"
-            );
-        }
+    fn check_fails_a_report_outside_each_claim() {
+        assert_eq!(check(&passing()), Ok(()));
+        fails_naming(
+            edited(|r| r.bw[2].offloaded_lines = 8),
+            "8.5 GB/s offloads 8 lines, more than the narrower 3 GB/s's 7",
+        );
+        fails_naming(
+            edited(|r| r.bw[1].speedup = 0.9),
+            "1 GB/s speeds up 0.9000x, no more than the wider 8.5 GB/s's 0.9800x",
+        );
+        fails_naming(edited(|r| r.bw.clear()), "no platform rows");
+        // 2 % faster under more GC is rounding, 3 % is not.
+        assert_eq!(edited(|r| r.gc[1] = gc(0.6, 1.35, 1.37)), Ok(()));
+        fails_naming(
+            edited(|r| r.gc[1] = gc(0.6, 1.32, 1.37)),
+            "GC duty 60 %: 1.3200s, faster than 1.3700s at 0 %",
+        );
+        // Migrating 4.8 % slower passes, 6.2 % does not.
+        assert_eq!(edited(|r| r.gc[2] = gc(0.9, 4.40, 4.20)), Ok(()));
+        fails_naming(
+            edited(|r| r.gc[2] = gc(0.9, 4.46, 4.20)),
+            "GC duty 90 %: migrating takes 4.4600s against 4.2000s",
+        );
     }
 }

@@ -1,8 +1,21 @@
 //! Table I: the applications, their input data sizes, and their
 //! single-entry-single-exit code regions.
 
+use super::Band;
 use isp_workloads::Workload;
 use serde::Serialize;
+
+/// Generated input over the size Table I declares.
+const VOLUME: Band = Band {
+    what: "generated / Table I volume",
+    paper: "Table I's GB",
+    lo: 0.99,
+    hi: 1.01,
+};
+
+/// Fewest SESE code regions an application may have: with fewer the
+/// planner has almost no split to choose.
+const MIN_SESE_REGIONS: usize = 4;
 
 /// One Table-I row.
 #[derive(Debug, Clone, Serialize)]
@@ -53,21 +66,59 @@ pub fn print(rows: &[Row]) {
     }
 }
 
+/// Table I's claims: every generated input within 1 % of the size the
+/// paper declares, every program split into at least
+/// `MIN_SESE_REGIONS` regions.
+///
+/// # Errors
+///
+/// Names the first application outside a band.
+pub fn check(rows: &[Row]) -> Result<(), String> {
+    for r in rows {
+        VOLUME
+            .check(r.generated_gb / r.paper_gb)
+            .map_err(|e| format!("{}: {e}", r.name))?;
+        if r.sese_regions < MIN_SESE_REGIONS {
+            return Err(format!(
+                "{}: {} SESE regions, fewer than {MIN_SESE_REGIONS}",
+                r.name, r.sese_regions
+            ));
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::fails_naming;
 
     #[test]
     fn generated_sizes_match_paper_sizes() {
-        for r in run() {
-            assert!(
-                (r.generated_gb - r.paper_gb).abs() / r.paper_gb < 0.05,
-                "{}: {} vs {}",
-                r.name,
-                r.generated_gb,
-                r.paper_gb
-            );
-            assert!(r.sese_regions >= 4, "{} too few regions", r.name);
+        let rows = run();
+        assert_eq!(rows.len(), 9);
+        assert_eq!(check(&rows), Ok(()));
+    }
+
+    fn row(generated_gb: f64, sese_regions: usize) -> Row {
+        Row {
+            name: "W".to_owned(),
+            paper_gb: 10.0,
+            generated_gb,
+            sese_regions,
+            description: String::new(),
         }
+    }
+
+    #[test]
+    fn check_fails_a_volume_off_table_i_or_too_few_regions() {
+        assert_eq!(check(&[row(9.95, 4), row(10.05, 20)]), Ok(()));
+        for gb in [9.8, 10.2] {
+            fails_naming(
+                check(&[row(10.0, 4), row(gb, 4)]),
+                "W: generated / Table I volume",
+            );
+        }
+        fails_naming(check(&[row(10.0, 3)]), "W: 3 SESE regions");
     }
 }

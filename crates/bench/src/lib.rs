@@ -1,8 +1,9 @@
 //! # isp-bench — the experiment harness
 //!
 //! One module per experiment under [`experiments`]: a `run` returning
-//! structured results, a `print` producing the paper-style rows and,
-//! where the experiment has invariants, a `check`. [`EXPERIMENTS`] is the
+//! structured results, a `print` producing the paper-style rows and a
+//! `check` holding the claims the rows must keep, each paper figure as a
+//! [`experiments::Band`] written once. [`EXPERIMENTS`] is the
 //! one list of them — name, what it reproduces, how to run it — and
 //! [`run_all`] is the one loop over it; the `repro` binary is that loop
 //! plus argv. Every experiment advances a simulated clock and never reads
@@ -37,7 +38,8 @@ pub struct Experiment {
 pub struct Outcome {
     /// The experiment's section of `BENCH_repro.json`.
     pub section: Value,
-    /// `Err` describes the first violated invariant.
+    /// The verdict of the experiment's own `check`: `Err` describes the
+    /// first claim outside its band.
     pub check: Result<(), String>,
 }
 
@@ -54,23 +56,6 @@ fn outcome<R: Serialize>(
     }
 }
 
-/// The `check` of an experiment whose claims its unit test asserts.
-fn unchecked<R>(_: &R) -> Result<(), String> {
-    Ok(())
-}
-
-#[derive(Serialize)]
-struct Fig5Section {
-    rows: Vec<ex::fig5::Row>,
-    summaries: Vec<ex::fig5::Summary>,
-}
-
-#[derive(Serialize)]
-struct FlexibilitySection {
-    bw: Vec<ex::flexibility::BwRow>,
-    gc: Vec<ex::flexibility::GcRow>,
-}
-
 #[derive(Serialize)]
 struct FaultsSection {
     seed: u64,
@@ -85,12 +70,24 @@ pub const EXPERIMENTS: [Experiment; 12] = [
     Experiment {
         name: "table1",
         reproduces: "Table I — applications and input sizes",
-        run: |_, _| outcome(&ex::table1::run(), |r| ex::table1::print(r), unchecked),
+        run: |_, _| {
+            outcome(
+                &ex::table1::run(),
+                |r| ex::table1::print(r),
+                |r| ex::table1::check(r),
+            )
+        },
     },
     Experiment {
         name: "fig2",
         reproduces: "Figure 2 — static C-ISP vs CSE availability",
-        run: |config, _| outcome(&ex::fig2::run(config), |r| ex::fig2::print(r), unchecked),
+        run: |config, _| {
+            outcome(
+                &ex::fig2::run(config),
+                |r| ex::fig2::print(r),
+                |r| ex::fig2::check(r),
+            )
+        },
     },
     Experiment {
         name: "fig4",
@@ -99,7 +96,7 @@ pub const EXPERIMENTS: [Experiment; 12] = [
             outcome(
                 &ex::fig4::run(config, cache),
                 |r| ex::fig4::print(r),
-                unchecked,
+                |r| ex::fig4::check(r),
             )
         },
     },
@@ -108,14 +105,10 @@ pub const EXPERIMENTS: [Experiment; 12] = [
         reproduces: "Figure 5 — contention at 50 % progress, ± migration",
         run: |config, cache| {
             let rows = ex::fig5::run(config, cache, ParallelPolicy::default());
-            let summaries = ex::fig5::AVAILABILITY_PCTS
-                .iter()
-                .map(|&pct| ex::fig5::summarize(&rows, pct))
-                .collect();
             outcome(
-                &Fig5Section { rows, summaries },
-                |s| ex::fig5::print(&s.rows),
-                unchecked,
+                &ex::fig5::Report::new(rows),
+                |r| ex::fig5::print(&r.rows),
+                ex::fig5::check,
             )
         },
     },
@@ -126,7 +119,7 @@ pub const EXPERIMENTS: [Experiment; 12] = [
             outcome(
                 &ex::runtime_opt::run(config),
                 |r| ex::runtime_opt::print(r),
-                unchecked,
+                |r| ex::runtime_opt::check(r),
             )
         },
     },
@@ -145,15 +138,11 @@ pub const EXPERIMENTS: [Experiment; 12] = [
         name: "flexibility",
         reproduces: "§II-B3 dynamics — interconnect sweep and garbage collection",
         run: |_, cache| {
-            let section = FlexibilitySection {
+            let report = ex::flexibility::Report {
                 bw: ex::flexibility::run_bw_sweep(cache),
                 gc: ex::flexibility::run_gc(cache),
             };
-            outcome(
-                &section,
-                |s| ex::flexibility::print(&s.bw, &s.gc),
-                unchecked,
-            )
+            outcome(&report, ex::flexibility::print, ex::flexibility::check)
         },
     },
     Experiment {
@@ -274,12 +263,20 @@ mod tests {
     #[test]
     fn a_failed_check_is_reported_and_does_not_stop_the_loop() {
         let passes: fn(&SystemConfig, &PlanCache) -> Outcome =
-            |_, _| outcome(&1u64, |_| println!("stub table"), unchecked);
+            |_, _| outcome(&1u64, |_| println!("stub table"), |_| Ok(()));
+        // A Table-I row 2 % over the paper's size, judged by the real check.
         let fails: fn(&SystemConfig, &PlanCache) -> Outcome = |_, _| {
+            let row = ex::table1::Row {
+                name: "W".to_owned(),
+                paper_gb: 10.0,
+                generated_gb: 10.2,
+                sese_regions: 4,
+                description: String::new(),
+            };
             outcome(
-                &2u64,
+                &vec![row],
                 |_| println!("stub table"),
-                |_| Err("boom".to_owned()),
+                |r| ex::table1::check(r),
             )
         };
         let experiments =
@@ -297,9 +294,13 @@ mod tests {
         );
         let names: Vec<&str> = sections.iter().map(|(name, _)| name.as_str()).collect();
         assert_eq!(names, ["first", "second", "third"], "the loop ran on");
-        assert_eq!(serde_json::to_string(&sections[1].1).expect("renders"), "2");
+        let section = serde_json::to_string(&sections[1].1).expect("renders");
+        assert!(section.contains("\"generated_gb\":10.2"), "{section}");
         // `repro` exits 1 exactly when this list is non-empty.
-        assert_eq!(failures, ["second: boom"]);
+        assert_eq!(
+            failures,
+            ["second: W: generated / Table I volume 1.0200 outside [0.99, 1.01] (paper Table I's GB)"]
+        );
     }
 
     #[test]
