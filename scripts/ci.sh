@@ -246,6 +246,18 @@ echo "== warm-start format: one layout, hostile bytes refused =="
 cargo test -q -p alang --lib copyelim::tests::every_tag_reads_back_as_its_type
 cargo test -q -p activepy --lib -- persist:: plan::tests::a_seed_plans_only
 
+echo "== determinism contract: one harness =="
+# The nine axes of one contract, each matched against its case's reference by
+# tests/common/contract.rs, which pins each axis's completed-case count.
+cargo test -q --test vm_differential --test thread_determinism --test shard_determinism \
+  --test chaos --test wal_resume --test audit_determinism --test sampling_differential \
+  --test replan_determinism --test decode_determinism -- --exact \
+  random_programs_agree_across_engines results_are_identical_at_every_thread_count \
+  every_fleet_size_reproduces_the_unsharded_answer faulted_runs_recover_to_the_fault_free_answer \
+  resumed_runs_reach_the_uninterrupted_outcome audit_is_observation_only_across_fleets_and_faults \
+  random_programs_sample_alike_with_every_line_computed \
+  replanning_never_changes_values_and_warm_is_never_worse every_wire_format_produces_one_fingerprint
+
 echo "== cargo test -q --workspace =="
 # The whole suite: the root package alone is 63 of the 743 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.

@@ -5,7 +5,8 @@
 //!    random placements × fleet sizes N ∈ {1, 4} × pinned fault plans:
 //!    running with a live tracer (the audit substrate) leaves `values_fingerprint`, the injected-fault ledger,
 //!    every per-shard metrics snapshot, and every migration decision
-//!    byte-identical to the unaudited run.
+//!    byte-identical to the unaudited run: the whole report, field for
+//!    field, and every fleet gives the unsharded run's answer.
 //! 2. **Full-pipeline audit is observation-only** — the planned path
 //!    (plan → execute → `calibrate` → `publish_to`) reproduces the
 //!    unaudited fingerprint and run report for a real workload, and the
@@ -20,126 +21,30 @@
 
 mod common;
 
-use activepy::exec::{evaluate, execute, simulate, ExecOptions, MigrationReason};
+use activepy::exec::{evaluate, simulate, MigrationReason};
 use activepy::runtime::{ActivePy, ActivePyOptions};
-use activepy::{execute_sharded_raw, PlanCache, ProfileRecorder, ProfileStore};
-use alang::parser::parse;
-use alang::shard::{ShardMap, ShardStrategy};
+use activepy::{PlanCache, ProfileRecorder, ProfileStore};
 use alang::ParallelPolicy;
-use common::{expr, fault_params, placements, source, storage, VARS};
+use common::contract::{traced, Case, AUDIT};
+use common::fault_params;
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::Duration;
 use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::export::prometheus;
-use isp_obs::{footer_snapshot, parse_journal, AttrValue, TraceEvent, Tracer};
-use proptest::prelude::*;
+use isp_obs::{footer_snapshot, parse_journal, Tracer};
 use std::sync::Arc;
 
 const FLEET_SIZES: [usize; 2] = [1, 4];
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Enabling the audit substrate (a live tracer) perturbs nothing the
-    /// run computes: fingerprints, fault accounting, per-shard metrics,
-    /// and migration decisions all match the unaudited run, at every
-    /// fleet size, faulted or clean.
-    #[test]
-    fn audit_is_observation_only_across_fleets_and_faults(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
-        on_csd in prop::collection::vec(any::<bool>(), 6..7),
-        params in fault_params(0.2),
-    ) {
-        let src = source(&lines);
-        let program = parse(&src).expect("generated source parses");
-        let placements = placements(&on_csd, lines.len());
-        let st = storage();
-        let config = SystemConfig::paper_default();
-
-        let plain_opts = ExecOptions::activepy();
-        let (tracer, _sink) = Tracer::to_memory();
-        let audited_opts = plain_opts.clone().with_tracer(tracer.clone());
-
-        // Unsharded single device, clean.
-        let mut system = config.build();
-        let plain = execute(&program, &st, &placements, &mut system, &plain_opts, None, &[]);
-        let mut system = config.build();
-        let audited =
-            execute(&program, &st, &placements, &mut system, &audited_opts, None, &[]);
-        match (&plain, &audited) {
-            (Ok(p), Ok(a)) => {
-                prop_assert_eq!(
-                    a.values_fingerprint, p.values_fingerprint,
-                    "tracing moved the unsharded fingerprint for:\n{}", src
-                );
-                prop_assert_eq!(a.metrics, p.metrics);
-                prop_assert_eq!(
-                    format!("{:?}", a.migration()),
-                    format!("{:?}", p.migration())
-                );
-            }
-            (Err(_), Err(_)) => {}
-            _ => {
-                return Err(TestCaseError::fail(format!(
-                    "tracing changed unsharded success for:\n{src}"
-                )));
-            }
-        }
-
-        // Fleets with per-shard fault plans.
-        for &n in &FLEET_SIZES {
-            let map = ShardMap::auto(&st, n, ShardStrategy::Range);
-            let faults: Vec<FaultPlan> =
-                (0..n).map(|s| params.plan_for_shard(s)).collect();
-            let plain = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &plain_opts, &faults,
-            );
-            let audited = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &audited_opts, &faults,
-            );
-            match (plain, audited) {
-                (Ok(p), Ok(a)) => {
-                    prop_assert_eq!(
-                        a.values_fingerprint, p.values_fingerprint,
-                        "tracing moved the N={} fingerprint for:\n{}", n, src
-                    );
-                    prop_assert_eq!(
-                        format!("{:?}", a.injected()),
-                        format!("{:?}", p.injected()),
-                        "tracing moved the injected-fault ledger for:\n{}", src
-                    );
-                    prop_assert_eq!(a.shards.len(), p.shards.len());
-                    for (sa, sp) in a.shards.iter().zip(&p.shards) {
-                        prop_assert_eq!(
-                            sa.report.values_fingerprint,
-                            sp.report.values_fingerprint
-                        );
-                        prop_assert_eq!(sa.report.metrics, sp.report.metrics);
-                        prop_assert_eq!(
-                            format!("{:?}", &sa.report.migration()),
-                            format!("{:?}", &sp.report.migration()),
-                            "tracing moved a shard migration for:\n{}", src
-                        );
-                    }
-                }
-                (Err(_), Err(_)) => {}
-                _ => {
-                    return Err(TestCaseError::fail(format!(
-                        "tracing changed success at N={n} for:\n{src}"
-                    )));
-                }
-            }
-        }
-
-        // The audited registry renders to identical Prometheus bytes
-        // every time, and the exposition is structurally valid.
-        if let Some(snap) = tracer.metrics_snapshot() {
-            let once = prometheus::render(&snap);
-            let twice = prometheus::render(&snap);
-            prop_assert_eq!(&once, &twice, "Prometheus rendering is not a pure function");
-            prometheus::validate(&once).map_err(TestCaseError::fail)?;
-        }
-    }
+/// Enabling the audit substrate (a live tracer) perturbs nothing the run
+/// computes: fingerprints, fault accounting, per-shard metrics, and
+/// migration decisions all match the unaudited run, at every fleet size,
+/// faulted or clean.
+#[test]
+fn audit_is_observation_only_across_fleets_and_faults() {
+    AUDIT.check((Case::placed(), fault_params(0.2)), |(case, faults)| {
+        traced(&case, &FLEET_SIZES, &faults)
+    });
 }
 
 /// The planned path: plan once, execute unaudited for the reference
@@ -177,16 +82,8 @@ fn planned_audit_pass_is_observation_only() {
     let calibration = activepy::calibrate(w.name(), &plan, &audited.report, None);
     calibration.publish_to(&tracer);
 
-    // Observation-only: fingerprint, line costs, metrics, migration.
-    assert_eq!(
-        audited.report.values_fingerprint,
-        reference.report.values_fingerprint
-    );
-    assert_eq!(audited.report.metrics, reference.report.metrics);
-    assert_eq!(
-        format!("{:?}", audited.report.migration()),
-        format!("{:?}", reference.report.migration())
-    );
+    // Observation-only: the whole report, field for field.
+    assert_eq!(audited.report, reference.report);
 
     // The calibration joined every executed line and published the count.
     assert!(!calibration.lines.is_empty());
@@ -282,21 +179,7 @@ fn an_activepy_execution_runs_under_exactly_its_options() {
     // Every configured option reached the run: the kernels chunked, and
     // each chunked call ran at the policy's two threads.
     assert!(report.metrics.par.par_calls > 0, "{:?}", report.metrics.par);
-    let par_spans: Vec<_> = sink
-        .events()
-        .into_iter()
-        .filter_map(|e| match e {
-            TraceEvent::Span(s) if s.name == "kernel.par" => Some(s.attrs),
-            _ => None,
-        })
-        .collect();
-    assert!(!par_spans.is_empty(), "no kernel.par span was traced");
-    for attrs in &par_spans {
-        assert!(
-            attrs.contains(&("threads".to_string(), AttrValue::U64(2))),
-            "{attrs:?}"
-        );
-    }
+    common::assert_kernels_ran_at(&sink, 2, w.name());
     assert!(report.metrics.faults.flash_read_errors > 0, "{report:?}");
     assert!(
         report

@@ -1,16 +1,29 @@
-//! Generators shared by the root differential tests: the random-program
-//! grammar, the stored arrays it scans, the scale-aware input the planning
-//! tests sample, and the random fault plans.
+//! What the root differential tests share: the random-program grammar,
+//! the stored arrays it scans, the scale-aware input the planning tests
+//! sample, the random fault plans, and [`contract`], the harness of the
+//! determinism contract.
 //!
-//! The vendored proptest is fixed-seed, so every test that draws from
-//! these strategies in the same argument order sees the same cases on
-//! every run; changing a strategy here changes the pinned cases of every
-//! test that uses it.
+//! The contract: every run of a program gives one `values_fingerprint` or
+//! one error text, whatever its engine, thread count, fleet size, fault
+//! plan, kill point, observer or wire format. The harness holds a
+//! [`contract::Case`] (a program, its storage and placement, and its
+//! reference run, the clean unsharded `execute`, run once), one
+//! [`contract::agree`] that matches an outcome against a reference, the
+//! invariants several axes assert (recovery accounting, spelling is free,
+//! the engine comparison), one function per axis, and each axis's case and
+//! completed-case counts ([`contract::Axis`]).
+//!
+//! The vendored proptest is fixed-seed and samples a tuple's members in
+//! order, and `prop_map` draws nothing, so every test that draws from these
+//! strategies in the same order sees the same cases on every run; changing
+//! a strategy here changes the pinned cases of every test that uses it.
 
 // Each test binary compiles this module separately and uses its own subset.
 #![allow(dead_code)]
 
-use activepy::{FleetReport, OffloadPlan, RunReport};
+pub mod contract;
+
+use activepy::OffloadPlan;
 use alang::ast::Expr;
 use alang::builtins::Storage;
 use alang::value::ArrayVal;
@@ -18,8 +31,10 @@ use alang::{Program, Value};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::{Duration, SimTime};
 use csd_sim::EngineKind;
+use isp_obs::{AttrValue, MemorySink, TraceEvent};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Assignment targets; reads of not-yet-defined names are valid programs
 /// that must fail identically wherever they run.
@@ -33,29 +48,56 @@ pub const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
 
 pub const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
 
-pub fn ident() -> BoxedStrategy<String> {
-    (0usize..VARS.len())
-        .prop_map(|i| VARS[i].to_owned())
-        .boxed()
+/// A grammar of random expressions in source form, up to three levels
+/// deep: numbers, [`VARS`] and scans of `v` and `w` under negation, `ops`,
+/// one-argument `calls`, and `reduces` of `scan('v') + e`.
+#[derive(Clone, Copy)]
+pub struct Grammar {
+    pub ops: &'static [&'static str],
+    pub calls: &'static [&'static str],
+    pub reduces: &'static [&'static str],
 }
 
-/// A random expression in source form, up to three levels deep.
-pub fn expr() -> BoxedStrategy<String> {
-    let leaf = prop_oneof![
-        (0u32..50).prop_map(|n| n.to_string()),
-        (1u32..40).prop_map(|n| format!("{n}.5")),
-        ident(),
-        Just("scan('v')".to_owned()),
-        Just("scan('w')".to_owned()),
-    ];
-    leaf.boxed().prop_recursive(3, 24, 3, |inner| {
-        prop_oneof![
-            inner.clone().prop_map(|e| format!("-({e})")),
-            (inner.clone(), inner.clone(), 0usize..OPS.len())
-                .prop_map(|(l, r, op)| format!("({l} {} {r})", OPS[op])),
-            (inner, 0usize..FNS.len()).prop_map(|(e, f)| format!("{}({e})", FNS[f])),
-        ]
-    })
+/// The shared grammar: [`OPS`] and [`FNS`], no reductions.
+pub const GRAMMAR: Grammar = Grammar {
+    ops: &OPS,
+    calls: &FNS,
+    reduces: &[],
+};
+
+impl Grammar {
+    fn expr(self) -> BoxedStrategy<String> {
+        let leaf = prop_oneof![
+            (0u32..50).prop_map(|n| n.to_string()),
+            (1u32..40).prop_map(|n| format!("{n}.5")),
+            (0usize..VARS.len()).prop_map(|i| VARS[i].to_owned()),
+            Just("scan('v')".to_owned()),
+            Just("scan('w')".to_owned()),
+        ];
+        let (ops, calls, reduces) = (self.ops, self.calls, self.reduces);
+        leaf.boxed().prop_recursive(3, 24, 3, move |inner| {
+            let mut arms = vec![
+                inner.clone().prop_map(|e| format!("-({e})")).boxed(),
+                (inner.clone(), inner.clone(), 0usize..ops.len())
+                    .prop_map(move |(l, r, op)| format!("({l} {} {r})", ops[op]))
+                    .boxed(),
+                (inner.clone(), 0usize..calls.len())
+                    .prop_map(move |(e, f)| format!("{}({e})", calls[f]))
+                    .boxed(),
+            ];
+            if !reduces.is_empty() {
+                let reduce = (inner, 0usize..reduces.len())
+                    .prop_map(move |(e, f)| format!("{}((scan('v') + {e}))", reduces[f]));
+                arms.push(reduce.boxed());
+            }
+            proptest::Union::new(arms)
+        })
+    }
+
+    /// `count` lines, each a drawn target and expression.
+    pub fn lines(self, count: Range<usize>) -> impl Strategy<Value = Vec<(usize, String)>> {
+        prop::collection::vec((0usize..VARS.len(), self.expr()), count)
+    }
 }
 
 /// The program a `(target, expression)` draw spells.
@@ -126,31 +168,6 @@ pub fn single_assignment(program: &Program) -> String {
     src
 }
 
-/// Every field of a run's outcome but the answer's fingerprint (names are
-/// hashed into it), bit for bit: what respelling a program may not move.
-pub fn masked_run<E: std::fmt::Debug>(outcome: &Result<RunReport, E>) -> String {
-    let masked = outcome.as_ref().map(|report| RunReport {
-        values_fingerprint: 0,
-        ..report.clone()
-    });
-    format!("{masked:?}")
-}
-
-/// As [`masked_run`] for a fleet: the fleet's, the tail's and every
-/// shard's fingerprint are masked.
-pub fn masked_fleet<E: std::fmt::Debug>(outcome: &Result<FleetReport, E>) -> String {
-    let masked = outcome.as_ref().map(|report| {
-        let mut report = report.clone();
-        report.values_fingerprint = 0;
-        report.tail.values_fingerprint = 0;
-        for shard in &mut report.shards {
-            shard.report.values_fingerprint = 0;
-        }
-        report
-    });
-    format!("{masked:?}")
-}
-
 /// The first `len` draws of `on_csd` as per-line placements.
 pub fn placements(on_csd: &[bool], len: usize) -> Vec<EngineKind> {
     let engine = |csd: &bool| {
@@ -176,28 +193,27 @@ pub fn storage() -> Storage {
 /// while it is shorter than one cycle).
 pub fn storage_with(len_v: u32, len_w: u32) -> Storage {
     let centre = f64::from((len_w / 2).min(48));
+    arrays([
+        ("v", len_v, 10, 0.0, 1_000_000),
+        ("w", len_w, 97, centre, 500_000),
+    ])
+}
+
+/// Stored arrays: each `(name, len, cycle, centre, logical)` holds `len`
+/// elements cycling `0..cycle` less `centre` and stands for `logical` rows.
+fn arrays(arrays: impl IntoIterator<Item = (&'static str, u32, u32, f64, u64)>) -> Storage {
     let mut st = Storage::new();
-    st.insert(
-        "v",
-        Value::Array(ArrayVal::with_logical(
-            (0..len_v).map(|i| f64::from(i % 10)).collect(),
-            1_000_000,
-        )),
-    );
-    st.insert(
-        "w",
-        Value::Array(ArrayVal::with_logical(
-            (0..len_w).map(|i| f64::from(i % 97) - centre).collect(),
-            500_000,
-        )),
-    );
+    for (name, len, cycle, centre, logical) in arrays {
+        let values = (0..len).map(|i| f64::from(i % cycle) - centre).collect();
+        st.insert(name, Value::Array(ArrayVal::with_logical(values, logical)));
+    }
     st
 }
 
 /// One array of a [`scaled_storage`]: its name, the cycle its values
 /// repeat with, what is subtracted to centre them, and what its logical
 /// length is divided by.
-pub type ScaledArray = (&'static str, usize, f64, u64);
+pub type ScaledArray = (&'static str, u32, f64, u64);
 
 /// `v` cycles 0..100 over the full logical length, so `a < 50` selects
 /// exactly half at every scale.
@@ -210,20 +226,13 @@ pub const SCALED_W: ScaledArray = ("w", 97, 48.0, 2);
 /// `Fn(f64) -> Storage`): logical sizes follow `scale` — 10⁹ elements at
 /// 1.0 — while the materialized prefix stays small, 100–8 000 elements
 /// and a multiple of 100.
-pub fn scaled_storage(scale: f64, arrays: &[ScaledArray]) -> Storage {
+pub fn scaled_storage(scale: f64, specs: &[ScaledArray]) -> Storage {
     let logical = (scale * 1e9).round().max(100.0) as u64;
-    let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as usize;
-    let mut st = Storage::new();
-    for &(name, modulus, centre, divisor) in arrays {
-        st.insert(
-            name,
-            Value::Array(ArrayVal::with_logical(
-                (0..actual).map(|i| (i % modulus) as f64 - centre).collect(),
-                logical / divisor,
-            )),
-        );
-    }
-    st
+    let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as u32;
+    let at_scale = |&(name, cycle, centre, divisor): &ScaledArray| {
+        (name, actual, cycle, centre, logical / divisor)
+    };
+    arrays(specs.iter().map(at_scale))
 }
 
 /// Raw parameters of a fault plan: independent transient error rates per
@@ -287,9 +296,20 @@ pub fn fault_params(max_prob: f64) -> impl Strategy<Value = FaultParams> {
         })
 }
 
-/// A random but valid single-device fault plan (rates up to 0.3).
-pub fn fault_plan() -> impl Strategy<Value = FaultPlan> {
-    fault_params(0.3).prop_map(|p| p.plan())
+/// Asserts `sink` traced a `kernel.par` span, and every one at `threads`
+/// threads.
+pub fn assert_kernels_ran_at(sink: &MemorySink, threads: u64, what: &str) {
+    let at = ("threads".to_string(), AttrValue::U64(threads));
+    let mut spans = 0;
+    for event in sink.events() {
+        if let TraceEvent::Span(span) = event {
+            if span.name == "kernel.par" {
+                spans += 1;
+                assert!(span.attrs.contains(&at), "{what}: {:?}", span.attrs);
+            }
+        }
+    }
+    assert!(spans > 0, "{what}: no kernel.par span was traced");
 }
 
 /// Asserts that two plans reached the same planning facts: assignment,

@@ -11,17 +11,12 @@
 
 mod common;
 
-use activepy::exec::{execute, ExecOptions};
-use activepy::execute_sharded_raw;
 use alang::builtins::Storage;
-use alang::parser::parse;
-use alang::shard::{ShardMap, ShardStrategy};
 use alang::value::EncodedVal;
 use alang::Value;
+use common::contract::{wire, Case, DECODE};
 use common::{placements, FaultParams};
-use csd_sim::fault::FaultPlan;
 use csd_sim::wire::{ByteOrder, Codec, Encoding};
-use csd_sim::{EngineKind, SystemConfig};
 use proptest::prelude::*;
 
 const SHARD_COUNTS: [usize; 3] = [1, 2, 4];
@@ -75,82 +70,43 @@ fn arb_encoding() -> impl Strategy<Value = Encoding> {
 /// shard, so the differential exercises the replication path at every N.
 fn storage(enc_a: Encoding, enc_b: Encoding) -> Storage {
     let mut st = Storage::new();
-    let a = payload(3, enc_a.fill_value);
-    let b = payload(11, enc_b.fill_value);
-    st.insert(
-        "a",
-        Value::Encoded(EncodedVal::from_f64s(enc_a, &a, a.len() as u64)),
-    );
-    st.insert(
-        "b",
-        Value::Encoded(EncodedVal::from_f64s(enc_b, &b, b.len() as u64)),
-    );
+    for (name, salt, enc) in [("a", 3, enc_a), ("b", 11, enc_b)] {
+        let data = payload(salt, enc.fill_value);
+        st.insert(
+            name,
+            Value::Encoded(EncodedVal::from_f64s(enc, &data, data.len() as u64)),
+        );
+    }
     st
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Per-device fault streams: flash and NVMe errors and an optional crash.
+fn faults() -> impl Strategy<Value = FaultParams> {
+    let crash = prop_oneof![Just(None), (0.0f64..0.05).prop_map(Some)];
+    let draws = (0u64..1_000, 0.0f64..0.2, 0.0f64..0.2, crash);
+    draws.prop_map(|(seed, flash, nvme, crash)| FaultParams {
+        seed,
+        flash,
+        nvme,
+        dma: 0.0,
+        crash,
+        gc: None,
+    })
+}
 
-    #[test]
-    fn every_wire_format_produces_one_fingerprint(
-        enc_a in arb_encoding(),
-        enc_b in arb_encoding(),
-        on_csd in prop::collection::vec(any::<bool>(), 9..10),
-        faults in (
-            0u64..1_000,
-            0.0f64..0.2,
-            0.0f64..0.2,
-            prop_oneof![Just(None), (0.0f64..0.05).prop_map(Some)],
-        ),
-    ) {
-        let (seed, flash, nvme, crash) = faults;
-        let params = FaultParams { seed, flash, nvme, dma: 0.0, crash, gc: None };
-        let program = parse(SOURCE).expect("pipeline parses");
-        let placements = placements(&on_csd, on_csd.len());
-        let st = storage(enc_a, enc_b);
-        let config = SystemConfig::paper_default();
-
-        // The clean unsharded all-host reference: placement, faults and
-        // sharding must never move a bit of the answer.
-        let reference = {
-            let mut system = config.build();
-            let host = vec![EngineKind::Host; program.len()];
-            execute(
-                &program, &st, &host, &mut system,
-                &ExecOptions::activepy(), None, &[],
+#[test]
+fn every_wire_format_produces_one_fingerprint() {
+    let on_csd = prop::collection::vec(any::<bool>(), 9..10);
+    DECODE.check(
+        (arb_encoding(), arb_encoding(), on_csd, faults()),
+        |(a, b, on_csd, faults)| {
+            let case = Case::new(SOURCE, storage(a, b), placements(&on_csd, on_csd.len()));
+            wire(
+                &format!("decode, a: {a:?}, b: {b:?}"),
+                &case,
+                &SHARD_COUNTS,
+                &faults,
             )
-            .expect("reference run")
-            .values_fingerprint
-        };
-
-        let opts = ExecOptions::activepy();
-
-        let mut system = config.build();
-        let placed = execute(
-            &program, &st, &placements, &mut system, &opts, None, &[],
-        ).expect("placed run");
-        prop_assert_eq!(
-            placed.values_fingerprint, reference,
-            "placement moved the answer\na: {:?}\nb: {:?}",
-            enc_a, enc_b
-        );
-
-        for &n in &SHARD_COUNTS {
-            let map = ShardMap::auto(&st, n, ShardStrategy::Range);
-            let faults: Vec<FaultPlan> = (0..n).map(|s| params.plan_for_shard(s)).collect();
-            let faulted = execute_sharded_raw(
-                &program, &st, &map, &placements, &config, &opts, &faults,
-            ).expect("sharded faulted run");
-            prop_assert_eq!(
-                faulted.values_fingerprint, reference,
-                "N={} faulted fleet diverged\na: {:?}\nb: {:?}",
-                n, enc_a, enc_b
-            );
-            prop_assert_eq!(
-                faulted.recovered_transients(),
-                faulted.injected().transient_total(),
-                "recovery accounting missed faults"
-            );
-        }
-    }
+        },
+    );
 }

@@ -4,13 +4,14 @@
 
 mod common;
 
-use activepy::exec::{execute, ExecOptions};
+use activepy::exec::ExecOptions;
 use activepy::runtime::ActivePy;
 use activepy::PlanCache;
 use alang::{ParallelPolicy, Storage};
+use common::contract::Case;
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
-use isp_obs::{AttrValue, TraceEvent, Tracer};
+use isp_obs::Tracer;
 
 #[test]
 fn identical_runs_produce_identical_outcomes() {
@@ -106,42 +107,19 @@ fn threaded_table_programs_chunk_and_match_the_default_policy() {
     st.insert("options", option_chain(9.1, 1.0, 16_384, 0xB5));
     for name in ["TPC-H-6", "TPC-H-1", "blackscholes"] {
         let w = isp_workloads::by_name(name).expect("registered");
-        let program = w.program().expect("parse");
-        let placements = vec![EngineKind::Cse; program.len()];
+        let placements = vec![EngineKind::Cse; w.program().expect("parse").len()];
+        let case = Case::new(w.source(), st.clone(), placements);
         let run = |policy: ParallelPolicy| {
             let (tracer, sink) = Tracer::to_memory();
-            let opts = ExecOptions::activepy()
-                .with_parallelism(policy)
-                .with_tracer(tracer);
-            let mut system = SystemConfig::paper_default().build();
-            let report =
-                execute(&program, &st, &placements, &mut system, &opts, None, &[]).expect(name);
-            let par_spans: Vec<_> = sink
-                .events()
-                .into_iter()
-                .filter_map(|e| match e {
-                    TraceEvent::Span(s) if s.name == "kernel.par" => Some(s.attrs),
-                    _ => None,
-                })
-                .collect();
-            (report, par_spans)
+            let opts = ExecOptions::activepy().with_parallelism(policy);
+            (case.run(&opts.with_tracer(tracer)).expect(name), sink)
         };
         let (default, _) = run(ParallelPolicy::default());
-        let (threaded, par_spans) = run(ParallelPolicy::with_threads(8));
+        let (threaded, sink) = run(ParallelPolicy::with_threads(8));
         assert_eq!(threaded, default, "{name}");
-        assert!(
-            threaded.metrics.par.par_calls > 0,
-            "{name}: {:?}",
-            threaded.metrics.par
-        );
-        assert!(
-            !par_spans.is_empty(),
-            "{name}: no kernel.par span was traced"
-        );
-        for attrs in &par_spans {
-            let threads = ("threads".to_string(), AttrValue::U64(8));
-            assert!(attrs.contains(&threads), "{name}: {attrs:?}");
-        }
+        let par = threaded.metrics.par;
+        assert!(par.par_calls > 0, "{name}: {par:?}");
+        common::assert_kernels_ran_at(&sink, 8, name);
     }
 }
 

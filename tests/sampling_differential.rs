@@ -10,62 +10,17 @@
 
 mod common;
 
-use activepy::sampling::{observe_dataset_types, paper_scales, run_sampling};
-use activepy::sampling::{InputSource, LineSamples, SamplePoint, SamplingReport};
-use activepy::{plan_fingerprint, ActivePy, ActivePyError};
-use alang::parser::parse;
+use activepy::sampling::{paper_scales, run_sampling, InputSource};
+use activepy::{plan_fingerprint, ActivePy};
 use alang::shape::{Demand, StoredReads};
 use alang::table::{Column, Table};
-use alang::{LangError, Program, Storage, Value, Vm};
-use common::{expr, source, storage_with, VARS};
+use alang::{Storage, Value};
+use common::contract::{sample_by_lines, sampled, Case, SAMPLING};
+use common::{source, storage_with, GRAMMAR};
 use csd_sim::SystemConfig;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-/// Where a sample run stopped: the scale, the line and the error.
-type Stop = (f64, usize, LangError);
-
-/// The report of sample runs at `scales` that execute line by line, each
-/// computing every line over the whole input or, with `costs_only`, what
-/// the demand pass marks over the input projected to what it reads; the
-/// first error stops them with its scale and line.
-fn sample_by_lines(
-    program: &Program,
-    input: &dyn InputSource,
-    scales: &[f64],
-    costs_only: bool,
-) -> Result<SamplingReport, Stop> {
-    let lowered = alang::lower::lower(program).expect("lowers");
-    let demand = Demand::of(&lowered);
-    let mut lines: Vec<LineSamples> = (0..program.len())
-        .map(|line| LineSamples {
-            line,
-            points: Vec::new(),
-        })
-        .collect();
-    let mut dataset_types = alang::copyelim::DatasetTypes::new();
-    for &scale in scales {
-        let storage = if costs_only {
-            input.projected_storage_at(scale, demand.stored())
-        } else {
-            input.storage_at(scale)
-        };
-        dataset_types.extend(observe_dataset_types(&storage));
-        let mut vm = Vm::new(&lowered, &storage);
-        if costs_only {
-            vm = vm.costs_only(&demand);
-        }
-        for (line, samples) in lines.iter_mut().enumerate() {
-            let cost = vm.exec_line(line).map_err(|e| (scale, line, e))?;
-            samples.points.push(SamplePoint { scale, cost });
-        }
-    }
-    Ok(SamplingReport {
-        lines,
-        dataset_types,
-    })
-}
 
 #[test]
 fn every_registered_report_is_the_one_computing_every_line_gives() {
@@ -269,45 +224,14 @@ impl InputSource for WithTable {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(512))]
-
-    #[test]
-    fn random_programs_sample_alike_with_every_line_computed(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
-        tail in 0usize..TAILS.len(),
-        len_v in 1u32..48,
-        len_w in 1u32..48,
-        rows in 1u32..48,
-        equal in any::<bool>(),
-    ) {
+#[test]
+fn random_programs_sample_alike_with_every_line_computed() {
+    let lengths = (1u32..48, 1u32..48, 1u32..48, any::<bool>());
+    let draws = (GRAMMAR.lines(1..6), 0usize..TAILS.len(), lengths);
+    SAMPLING.check(draws, |(lines, tail, (len_v, len_w, rows, equal))| {
         // Equal lengths half the time; unequal ones make shape errors.
         let (len_w, rows) = if equal { (len_v, len_v) } else { (len_w, rows) };
         let src = format!("{PRELUDE}{}{}", source(&lines), TAILS[tail]);
-        let program = parse(&src).expect("generated source parses");
-        let input = WithTable { len_v, len_w, rows };
-        let scales = paper_scales();
-        let reference = sample_by_lines(&program, &input, &scales, false);
-        let costs_only = sample_by_lines(&program, &input, &scales, true);
-        let sampled = run_sampling(&program, &input, &scales);
-        match (&reference, &costs_only, sampled) {
-            (Ok(reference), Ok(costs_only), Ok(sampled)) => {
-                prop_assert_eq!(costs_only, reference, "line by line:\n{}", src);
-                prop_assert_eq!(&sampled, reference, "run_sampling:\n{}", src);
-            }
-            (Err(reference), Err(costs_only), Err(sampled)) => {
-                let (scale, line, e) = reference;
-                let (at, on, err) = costs_only;
-                prop_assert_eq!((scale, line), (at, on), "where:\n{}", src);
-                prop_assert_eq!(err.to_string(), e.to_string(), "error:\n{}", src);
-                let expected = ActivePyError::from(e.clone()).to_string();
-                prop_assert_eq!(sampled.to_string(), expected, "run_sampling:\n{}", src);
-            }
-            (r, c, s) => {
-                return Err(TestCaseError::fail(format!(
-                    "diverged for:\n{src}\nreference: {r:?}\ncosts only: {c:?}\nsampled: {s:?}"
-                )));
-            }
-        }
-    }
+        sampled(&Case::program_only(src), &WithTable { len_v, len_w, rows })
+    });
 }

@@ -8,92 +8,33 @@
 
 mod common;
 
-use activepy::exec::{execute, ExecOptions};
-use alang::builtins::Storage;
-use alang::interp::Interpreter;
-use alang::parser::parse;
-use alang::{ParallelPolicy, Vm};
-use common::{expr, source, storage_with, VARS};
+use activepy::exec::ExecOptions;
+use alang::ParallelPolicy;
+use common::contract::{threads, Case, THREADS};
+use common::{source, storage_with, GRAMMAR};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::{Duration, SimTime};
-use csd_sim::{EngineKind, SystemConfig};
+use csd_sim::EngineKind;
 use proptest::prelude::*;
 
-const THREADS: [usize; 3] = [1, 2, 8];
+const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 /// The shared grammar's storage with physical arrays large enough to
 /// split into many chunks (the element budget is 4096 a chunk), so
 /// parallel execution genuinely happens instead of falling back to the
 /// serial fast path: `v` is 24 chunks, and a result a twelfth as long
 /// still reaches the 8 192-element engagement threshold.
-fn storage() -> Storage {
+fn storage() -> alang::Storage {
     storage_with(98_304, 67_175)
 }
 
-fn policy(threads: usize) -> ParallelPolicy {
-    ParallelPolicy::with_threads(threads)
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    #[test]
-    fn results_are_identical_at_every_thread_count(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
-        flags in prop::collection::vec(any::<bool>(), 0..8),
-    ) {
-        let src = source(&lines);
-        let program = parse(&src).expect("generated source parses");
-        let lowered = alang::lower::lower_with(&program, &flags).expect("lowers");
-        let st = storage();
-
-        // (records, per-var debug+bytes) per thread count, both engines; all
-        // cells must be equal.
-        let mut reference: Option<(String, String)> = None;
-        for threads in THREADS {
-            let mut interp = Interpreter::with_policy(&st, policy(threads));
-            let ast = interp.run(&program, &flags);
-            let mut vm = Vm::with_policy(&lowered, &st, policy(threads));
-            let vm_res = vm.run();
-            let cell = match (ast, vm_res) {
-                (Ok(a), Ok(v)) => {
-                    prop_assert_eq!(&a, &v, "engines diverged at {} threads for:\n{}", threads, src);
-                    let vars: String = interp
-                        .var_names()
-                        .map(|name| {
-                            // Debug-format so identical NaNs compare equal.
-                            format!(
-                                "{name}={:?}|{:?};{:?}|{:?}\n",
-                                interp.var(name),
-                                interp.var_bytes(name),
-                                vm.var(name),
-                                vm.var_bytes(name)
-                            )
-                        })
-                        .collect();
-                    (format!("{a:?}"), vars)
-                }
-                (Err(a), Err(v)) => {
-                    prop_assert_eq!(&a, &v, "errors diverged at {} threads for:\n{}", threads, src);
-                    (format!("err:{a:?}"), String::new())
-                }
-                (a, v) => {
-                    return Err(TestCaseError::fail(format!(
-                        "engines diverged at {threads} threads for:\n{src}\nast: {a:?}\nvm:  {v:?}"
-                    )));
-                }
-            };
-            match &reference {
-                None => reference = Some(cell),
-                Some(first) => {
-                    prop_assert_eq!(
-                        first, &cell,
-                        "thread count {} changed the outcome for:\n{}", threads, src
-                    );
-                }
-            }
-        }
-    }
+#[test]
+fn results_are_identical_at_every_thread_count() {
+    let flags = prop::collection::vec(any::<bool>(), 0..8);
+    THREADS.check((GRAMMAR.lines(1..6), flags), |(lines, flags)| {
+        let case = Case::new(source(&lines), storage(), Vec::new());
+        threads(&case, &flags, &THREAD_COUNTS)
+    });
 }
 
 /// A fixed mixed-placement program whose kernels all chunk under the test
@@ -108,8 +49,7 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
                d = (a * 2.5) - 3\n\
                a = sum(d) / (c + 1)\n\
                b = mean(b) + a\n";
-    let program = parse(src).expect("fixed source parses");
-    let placements = [
+    let placements = vec![
         EngineKind::Cse,
         EngineKind::Cse,
         EngineKind::Host,
@@ -117,6 +57,7 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
         EngineKind::Host,
         EngineKind::Cse,
     ];
+    let case = Case::new(src, storage(), placements);
     let pinned = FaultPlan::none()
         .with_seed(7)
         .with_flash_read_error_prob(0.15)
@@ -131,14 +72,11 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
     let mut fingerprints = Vec::new();
     for faults in [FaultPlan::none(), pinned] {
         let mut cells = Vec::new();
-        for threads in THREADS {
-            let st = storage();
-            let mut system = SystemConfig::paper_default().build();
+        for threads in THREAD_COUNTS {
             let opts = ExecOptions::activepy()
                 .with_faults(faults.clone())
-                .with_parallelism(policy(threads));
-            let report = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-                .expect("fixed program runs");
+                .with_parallelism(ParallelPolicy::with_threads(threads));
+            let report = case.run(&opts).expect("fixed program runs");
             // The kernels chunk: the input is past the engagement
             // threshold, and the grid is the same at every thread count.
             assert!(

@@ -5,7 +5,8 @@
 //!
 //! 1. **Same answer** — a run resumed from any prefix of the journal
 //!    (including a torn mid-record tail) finishes with the exact
-//!    `values_fingerprint` of the uninterrupted run.
+//!    `values_fingerprint` of the uninterrupted run, itself the clean
+//!    unsharded run's; each fleet shard draws its own fault stream.
 //! 2. **Same history** — after the resumed run completes, the journal
 //!    file holds byte-for-byte the record stream of the uninterrupted
 //!    run: replay verified the surviving prefix and append wrote the
@@ -23,182 +24,56 @@
 
 mod common;
 
-use activepy::exec::{execute, ExecOptions, RunReport};
+use activepy::exec::{ExecOptions, RunReport};
 use activepy::runtime::{ActivePy, ActivePyOptions};
-use activepy::{execute_sharded_raw, ActivePyError, ExecJournal, PlanCache};
+use activepy::{ExecJournal, PlanCache};
 use alang::parser::parse;
-use alang::shard::{ShardMap, ShardStrategy};
-use common::{expr, fault_plan, placements, source, storage, VARS};
+use common::contract::{resumed, same_accounting, truncate_at_fraction, wal_path, Case, WAL};
+use common::{fault_params, storage};
 use csd_sim::fault::FaultPlan;
 use csd_sim::{ContentionScenario, EngineKind, SystemConfig};
 use isp_obs::wal::{parse_wal_bytes, read_wal, FRAME_HEADER_LEN, WAL_MAGIC};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// Unique temp path per call: tests run concurrently in one process.
-fn wal_path(tag: &str) -> PathBuf {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    std::env::temp_dir().join(format!("activepy_wal_{}_{tag}_{n}.wal", std::process::id()))
-}
-
-/// Simulates a kill: keeps only the first `frac` of the journal's bytes
-/// (always at least the magic, so the file reads as a valid-but-short
-/// WAL; offsets inside a record exercise the torn-tail rule).
-fn truncate_at_fraction(path: &std::path::Path, frac: f64) -> u64 {
-    let bytes = std::fs::read(path).expect("journal exists");
-    let min = WAL_MAGIC.len();
-    let keep = min + ((bytes.len() - min) as f64 * frac).floor() as usize;
-    std::fs::write(path, &bytes[..keep]).expect("truncate journal");
-    keep as u64
-}
-
-fn one_unsharded(
-    src: &str,
-    placements: &[EngineKind],
-    faults: &FaultPlan,
-    journal: ExecJournal,
-) -> Result<RunReport, ActivePyError> {
-    let program = parse(src).expect("generated source parses");
-    let st = storage();
-    let mut system = SystemConfig::paper_default().build();
-    let opts = ExecOptions::activepy()
-        .with_faults(faults.clone())
-        .with_journal(journal);
-    execute(&program, &st, placements, &mut system, &opts, None, &[])
-}
-
-/// Asserts the resumed run's observable outcome equals the
-/// uninterrupted run's, field by field.
-fn assert_same_outcome(
-    full: &RunReport,
-    resumed: &RunReport,
-    src: &str,
-    tag: &str,
-) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        full.values_fingerprint,
-        resumed.values_fingerprint,
-        "[{}] resume changed the answer for:\n{}",
-        tag,
-        src
+/// Kill-at-random-point chaos: record a journaled run, cut the journal at
+/// an arbitrary byte offset, resume, and demand the uninterrupted outcome,
+/// unsharded and as an N=4 fleet whose shards draw their own fault streams.
+#[test]
+fn resumed_runs_reach_the_uninterrupted_outcome() {
+    WAL.check(
+        (Case::placed(), fault_params(0.3), 0.0f64..1.0),
+        |(case, faults, kill)| {
+            let solo = ExecOptions::activepy().with_faults(faults.plan());
+            let solo = |journal| case.run(&solo.clone().with_journal(journal));
+            let Some((full, resumed_run)) = resumed(&case, kill, solo)? else {
+                return Ok(false);
+            };
+            same_accounting(&full, &resumed_run)?;
+            // One stream: the shards in index order, then the tail.
+            let fleet = |journal| {
+                let opts = ExecOptions::activepy().with_journal(journal);
+                case.fleet(4, &opts, Some(&faults))
+            };
+            let (full, resumed_run) =
+                resumed(&case, kill, fleet)?.expect("a fleet runs where the unsharded run ran");
+            prop_assert_eq!(
+                full.recovered_transients(),
+                resumed_run.recovered_transients()
+            );
+            Ok(true)
+        },
     );
-    prop_assert_eq!(
-        &full.migration(),
-        &resumed.migration(),
-        "[{}] resume changed the migration outcome for:\n{}",
-        tag,
-        src
-    );
-    let a = &full.metrics.recovery;
-    let b = &resumed.metrics.recovery;
-    prop_assert_eq!(a.transient_faults, b.transient_faults);
-    prop_assert_eq!(a.retries, b.retries, "[{}] retry accounting diverged", tag);
-    prop_assert_eq!(a.recovered_ops, b.recovered_ops);
-    prop_assert_eq!(a.hard_faults, b.hard_faults);
-    prop_assert_eq!(a.fault_migrations, b.fault_migrations);
-    prop_assert_eq!(a.backoff_secs.to_bits(), b.backoff_secs.to_bits());
-    Ok(())
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Kill-at-random-point chaos: record a journaled run, cut the
-    /// journal at an arbitrary byte offset, resume, and demand the
-    /// uninterrupted outcome — unsharded and as an N=4 fleet.
-    #[test]
-    fn resumed_runs_reach_the_uninterrupted_outcome(
-        lines in prop::collection::vec((0usize..VARS.len(), expr()), 1..6),
-        on_csd in prop::collection::vec(any::<bool>(), 6..7),
-        faults in fault_plan(),
-        kill_frac in 0.0f64..1.0,
-    ) {
-        let src = source(&lines);
-        let placements = placements(&on_csd, lines.len());
-
-        // --- Unsharded (fleet of one device) ---
-        let path = wal_path("solo");
-        let journal = ExecJournal::record_to(&path).expect("create journal");
-        let full = one_unsharded(&src, &placements, &faults, journal);
-        let Ok(full) = full else {
-            // Invalid programs (reads of undefined names) fail with
-            // or without a journal; nothing to resume.
-            std::fs::remove_file(&path).ok();
-            return Ok(());
-        };
-        let reference = read_wal(&path).expect("read full journal");
-        prop_assert!(!reference.torn, "uninterrupted journal must be clean");
-        prop_assert!(reference.records.len() >= 2, "at least RunStart + RunEnd");
-
-        truncate_at_fraction(&path, kill_frac);
-        let (journal, info) = ExecJournal::resume_from(&path).expect("resume");
-        prop_assert!(info.records <= reference.records.len());
-        let resumed = one_unsharded(&src, &placements, &faults, journal)
-            .expect("resumed run succeeds");
-        assert_same_outcome(&full, &resumed, &src, "solo")?;
-
-        // Invariant 2: the healed journal is the uninterrupted one.
-        let healed = read_wal(&path).expect("read healed journal");
-        prop_assert!(!healed.torn);
-        prop_assert_eq!(
-            &healed.records, &reference.records,
-            "healed journal diverged from the uninterrupted record \
-             stream for:\n{}", src
-        );
-        std::fs::remove_file(&path).ok();
-
-        // --- N=4 fleet: one stream, the shards in index order, then the tail ---
-        let program = parse(&src).expect("parses");
-        let st = storage();
-        let config = SystemConfig::paper_default();
-        let map = ShardMap::auto(&st, 4, ShardStrategy::Range);
-        let shard_faults: Vec<FaultPlan> = (0..4)
-            .map(|s| faults.clone().with_seed(97 * s as u64 + 13))
-            .collect();
-        let fpath = wal_path("fleet");
-        let journal = ExecJournal::record_to(&fpath).expect("create fleet journal");
-        let opts = ExecOptions::activepy().with_journal(journal);
-        let fleet_full = execute_sharded_raw(
-            &program, &st, &map, &placements, &config, &opts, &shard_faults,
-        ).expect("fleet runs where the unsharded run ran");
-        let fleet_ref = read_wal(&fpath).expect("read fleet journal");
-        prop_assert!(!fleet_ref.torn);
-
-        truncate_at_fraction(&fpath, kill_frac);
-        let (journal, _) = ExecJournal::resume_from(&fpath).expect("fleet resume");
-        let opts = ExecOptions::activepy().with_journal(journal);
-        let fleet_resumed = execute_sharded_raw(
-            &program, &st, &map, &placements, &config, &opts, &shard_faults,
-        ).expect("resumed fleet run succeeds");
-        prop_assert_eq!(
-            fleet_full.values_fingerprint,
-            fleet_resumed.values_fingerprint,
-            "fleet resume changed the answer for:\n{}", src
-        );
-        prop_assert_eq!(
-            fleet_full.recovered_transients(),
-            fleet_resumed.recovered_transients(),
-        );
-        let healed = read_wal(&fpath).expect("read healed fleet journal");
-        prop_assert!(!healed.torn);
-        prop_assert_eq!(
-            &healed.records, &fleet_ref.records,
-            "healed fleet journal diverged for:\n{}", src
-        );
-        std::fs::remove_file(&fpath).ok();
-    }
 }
 
 /// A three-line CSD region under a fault plan heavy enough to force real
-/// retry traffic: source, placements, faults.
-fn retry_heavy_run() -> (&'static str, [EngineKind; 4], FaultPlan) {
+/// retry traffic, and that plan.
+fn retry_heavy_run() -> (Case, FaultPlan) {
     let src = "a = scan('v')\nb = sum((a * 2))\nc = mean(scan('w'))\nd = (b + c)\n";
-    let placements = [
+    let placements = vec![
         EngineKind::Cse,
         EngineKind::Cse,
         EngineKind::Cse,
@@ -209,7 +84,20 @@ fn retry_heavy_run() -> (&'static str, [EngineKind; 4], FaultPlan) {
         .with_flash_read_error_prob(0.25)
         .with_nvme_error_prob(0.2)
         .with_dma_error_prob(0.2);
-    (src, placements, faults)
+    (Case::new(src, storage(), placements), faults)
+}
+
+/// The case under `faults`, journaled to `journal`.
+fn journaled(
+    case: &Case,
+    faults: &FaultPlan,
+    journal: ExecJournal,
+) -> activepy::error::Result<RunReport> {
+    case.run(
+        &ExecOptions::activepy()
+            .with_faults(faults.clone())
+            .with_journal(journal),
+    )
 }
 
 /// Satellite regression: retries consumed before the crash are
@@ -219,11 +107,11 @@ fn retry_heavy_run() -> (&'static str, [EngineKind; 4], FaultPlan) {
 /// be bit-exact.
 #[test]
 fn resume_reconsumes_retries_exactly() {
-    let (src, placements, faults) = retry_heavy_run();
+    let (case, faults) = retry_heavy_run();
 
     let path = wal_path("retries");
     let journal = ExecJournal::record_to(&path).expect("create journal");
-    let full = one_unsharded(src, &placements, &faults, journal).expect("uninterrupted run");
+    let full = journaled(&case, &faults, journal).expect("uninterrupted run");
     assert!(
         full.metrics.recovery.retries > 0,
         "fault plan must force retries for the regression to bite"
@@ -232,16 +120,9 @@ fn resume_reconsumes_retries_exactly() {
     truncate_at_fraction(&path, 0.6);
     let (journal, info) = ExecJournal::resume_from(&path).expect("resume");
     assert!(info.records > 0, "a 60% cut keeps some records");
-    let resumed = one_unsharded(src, &placements, &faults, journal).expect("resumed run");
+    let resumed = journaled(&case, &faults, journal).expect("resumed run");
 
-    let a = &full.metrics.recovery;
-    let b = &resumed.metrics.recovery;
-    assert_eq!(a.retries, b.retries, "retries double- or under-counted");
-    assert_eq!(a.transient_faults, b.transient_faults);
-    assert_eq!(a.recovered_ops, b.recovered_ops);
-    assert_eq!(a.hard_faults, b.hard_faults);
-    assert_eq!(a.fault_migrations, b.fault_migrations);
-    assert_eq!(a.backoff_secs.to_bits(), b.backoff_secs.to_bits());
+    same_accounting(&full, &resumed).unwrap_or_else(|e| panic!("{e}"));
     assert_eq!(full.values_fingerprint, resumed.values_fingerprint);
     std::fs::remove_file(&path).ok();
 }
@@ -251,7 +132,11 @@ fn resume_reconsumes_retries_exactly() {
 #[test]
 fn resume_against_different_faults_is_detected() {
     let src = "a = scan('v')\nb = sum((a * 3))\nc = (b / 2)\n";
-    let placements = [EngineKind::Cse, EngineKind::Cse, EngineKind::Host];
+    let case = Case::new(
+        src,
+        storage(),
+        vec![EngineKind::Cse, EngineKind::Cse, EngineKind::Host],
+    );
     let faults = FaultPlan::none()
         .with_seed(11)
         .with_flash_read_error_prob(0.3)
@@ -259,12 +144,11 @@ fn resume_against_different_faults_is_detected() {
 
     let path = wal_path("divergence");
     let journal = ExecJournal::record_to(&path).expect("create journal");
-    let full = one_unsharded(src, &placements, &faults, journal).expect("uninterrupted run");
+    let full = journaled(&case, &faults, journal).expect("uninterrupted run");
     assert!(full.metrics.recovery.transient_faults > 0);
 
     let (journal, _) = ExecJournal::resume_from(&path).expect("resume");
-    let other = faults.with_seed(12);
-    let err = one_unsharded(src, &placements, &other, journal)
+    let err = journaled(&case, &faults.with_seed(12), journal)
         .expect_err("a different fault stream cannot match the journal");
     assert!(
         err.to_string().contains("journal divergence"),
@@ -395,56 +279,25 @@ fn every_registered_workload_warm_starts_to_its_cold_plan() {
 #[test]
 fn decode_workload_resumes_byte_exact() {
     let w = isp_workloads::by_name("LogGrep").expect("registered workload");
-    let program = w.program().expect("parses");
-    let st = w.storage_at(1.0 / 1024.0);
     // The workload's planned regime: the whole pipeline on the CSD.
-    let placements = vec![EngineKind::Cse; program.len()];
+    let placements = vec![EngineKind::Cse; w.program().expect("parses").len()];
+    let case = Case::new(w.source(), w.storage_at(1.0 / 1024.0), placements);
     let faults = FaultPlan::none()
         .with_seed(23)
         .with_flash_read_error_prob(0.25)
         .with_nvme_error_prob(0.2)
         .with_dma_error_prob(0.15);
-    let config = SystemConfig::paper_default();
-
-    let path = wal_path("decode");
-    let journal = ExecJournal::record_to(&path).expect("create journal");
-    let opts = ExecOptions::activepy()
-        .with_faults(faults.clone())
-        .with_journal(journal);
-    let mut system = config.build();
-    let full = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-        .expect("uninterrupted run");
-    assert!(
-        full.metrics.recovery.retries > 0,
-        "fault plan must force retries through the decode pipeline"
-    );
-    let full_journal = std::fs::read(&path).expect("journal exists");
-
     for frac in [0.1, 0.5, 0.9] {
-        std::fs::write(&path, &full_journal).expect("restore journal");
-        truncate_at_fraction(&path, frac);
-        let (journal, _) = ExecJournal::resume_from(&path).expect("resume");
-        let opts = ExecOptions::activepy()
-            .with_faults(faults.clone())
-            .with_journal(journal);
-        let mut system = config.build();
-        let resumed = execute(&program, &st, &placements, &mut system, &opts, None, &[])
-            .expect("resumed run");
-        assert_eq!(
-            full.values_fingerprint, resumed.values_fingerprint,
-            "resume at {frac} changed the decode answer"
+        let run = |journal| journaled(&case, &faults, journal);
+        let runs = resumed(&case, frac, run).unwrap_or_else(|e| panic!("resume at {frac}: {e}"));
+        let (full, resumed_run) = runs.expect("uninterrupted run");
+        let retries = full.metrics.recovery.retries;
+        assert!(
+            retries > 0,
+            "fault plan must force retries through the decode pipeline"
         );
-        assert_eq!(
-            full.metrics.recovery.retries, resumed.metrics.recovery.retries,
-            "retry accounting diverged at {frac}"
-        );
-        let resumed_journal = std::fs::read(&path).expect("journal exists");
-        assert_eq!(
-            full_journal, resumed_journal,
-            "resumed journal bytes diverged at {frac}"
-        );
+        same_accounting(&full, &resumed_run).unwrap_or_else(|e| panic!("resume at {frac}: {e}"));
     }
-    std::fs::remove_file(&path).ok();
 }
 
 /// What a kill, a bad sector or a hostile writer can leave of a journal.
@@ -503,10 +356,10 @@ fn mutate_wal(bytes: &mut Vec<u8>, frames: &[usize], rng: &mut StdRng) -> bool {
 #[test]
 fn mutated_journals_read_as_a_valid_prefix_or_an_error_never_a_panic() {
     const CASES: u64 = 2_000;
-    let (src, placements, faults) = retry_heavy_run();
+    let (case, faults) = retry_heavy_run();
     let path = wal_path("fuzz");
     let journal = ExecJournal::record_to(&path).expect("create journal");
-    one_unsharded(src, &placements, &faults, journal).expect("journaled run");
+    journaled(&case, &faults, journal).expect("journaled run");
     let base = std::fs::read(&path).expect("journal exists");
     let reference = parse_wal_bytes(&base);
     assert!(!reference.torn && reference.records.len() > 64);
