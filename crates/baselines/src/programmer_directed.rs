@@ -16,7 +16,7 @@
 //! static framework of Figures 2 and 5.
 
 use crate::error::{BaselineError, Result};
-use activepy::exec::{evaluate, execute, simulate, Evaluation, ExecOptions, RunReport};
+use activepy::exec::{evaluate, simulate, Evaluation, ExecOptions, RunReport};
 use alang::Program;
 use csd_sim::contention::ContentionScenario;
 use csd_sim::{EngineKind, SystemConfig};
@@ -65,8 +65,7 @@ pub fn best_static_plan(workload: &Workload, config: &SystemConfig) -> Result<Of
     // Placement moves cost, never values: one lowering and one evaluation
     // serve all n(n+1)/2 + 1 candidates.
     let opts = ExecOptions::native_static();
-    let lowered = alang::lower::lower(&program)?;
-    let evaluation = evaluate(&program, &lowered, &storage, &opts)?;
+    let evaluation = evaluate(&program, workload.lowered()?, &storage, &opts)?;
     let mut candidates = contiguous_placements(n);
     let (best, optimized_secs) =
         fastest_placement(&program, &evaluation, &candidates, config, &opts)?;
@@ -152,17 +151,23 @@ pub fn run_plan(
             program.len()
         )));
     }
-    let storage = workload.storage_at(1.0);
-    let mut system = config.build();
+    // The workload's kept lowering: one per workload, not one per re-run.
     let opts = ExecOptions::native_static().with_scenario(scenario);
-    let report = execute(
+    let evaluation = evaluate(
         &program,
-        &storage,
+        workload.lowered()?,
+        &workload.storage_at(1.0),
+        &opts,
+    )?;
+    let mut system = config.build();
+    let report = simulate(
+        &program,
+        &evaluation,
         &plan.placements,
         &mut system,
         &opts,
         None,
-        &[],
+        None,
     )?;
     Ok(report)
 }

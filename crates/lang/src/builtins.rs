@@ -959,17 +959,37 @@ fn k_gram(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutp
     // One row at a time: each nonzero `x = row[i]` adds `x * row` to row
     // `i` of the accumulator, so every cell sums its products in row order.
     let width = d.max(1);
+    let add_row = |acc: &mut [f64], row: &[f64]| {
+        for (x, acc_row) in row.iter().zip(acc.chunks_exact_mut(width)) {
+            if *x == 0.0 {
+                continue;
+            }
+            for (cell, y) in acc_row.iter_mut().zip(row) {
+                *cell += x * y;
+            }
+        }
+    };
+    // With every entry finite, two rows at a time: a cell takes
+    // `(cell + x0·y0) + x1·y1`, the same two adds in the same order, with
+    // no zero test (a zero `x` adds `±0` to a cell that starts at `+0` and
+    // so is never `-0`: adding it is skipping it).
+    let paired = m.data().iter().all(|x| x.is_finite());
     let accumulate = |acc: &mut [f64], rows: std::ops::Range<usize>| {
-        for row in m.data()[rows.start * d..rows.end * d].chunks_exact(width) {
-            for (x, acc_row) in row.iter().zip(acc.chunks_exact_mut(width)) {
-                if *x == 0.0 {
-                    continue;
-                }
-                for (cell, y) in acc_row.iter_mut().zip(row) {
-                    *cell += x * y;
+        let data = &m.data()[rows.start * d..rows.end * d];
+        if !paired {
+            data.chunks_exact(width).for_each(|row| add_row(acc, row));
+            return;
+        }
+        let mut pairs = data.chunks_exact(2 * width);
+        for pair in &mut pairs {
+            let (row0, row1) = pair.split_at(width);
+            for ((x0, x1), acc_row) in row0.iter().zip(row1).zip(acc.chunks_exact_mut(width)) {
+                for ((cell, y0), y1) in acc_row.iter_mut().zip(row0).zip(row1) {
+                    *cell = (*cell + x0 * y0) + x1 * y1;
                 }
             }
         }
+        add_row(acc, pairs.remainder());
     };
     // Per-chunk d×d partials, combined in chunk order.
     let mut sums = match ctx.par.map_chunks(n, d, |_, rows| {
@@ -1156,13 +1176,20 @@ impl GroupSlots {
 /// 2^63, the first `f64` past `i64::MAX`.
 const TWO_63: f64 = 9_223_372_036_854_775_808.0;
 
+/// 2^52, from which on every `f64` is a whole number.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// A column whose every key is a whole number below this indexes
+/// [`GroupIndex::small_slots`]' direct table.
+const SMALL_KEYS: usize = 256;
+
 /// `x.round() as i64` (half away from zero, saturating, NaN to 0) from
 /// the truncating cast alone, so the row loop makes no libm call: below
 /// 2^52 the truncated part `x - trunc(x)` is exact, from 2^52 up every
 /// `f64` is an integer already.
 pub(crate) fn round_to_i64(x: f64) -> i64 {
     let whole = x as i64;
-    if x.abs() < 4_503_599_627_370_496.0 {
+    if x.abs() < TWO_52 {
         let part = x - whole as f64;
         whole + i64::from(part >= 0.5) - i64::from(part <= -0.5)
     } else {
@@ -1190,6 +1217,60 @@ impl GroupIndex {
         if u32::try_from(keys.len()).is_err() {
             return Err(LangError::runtime("group_sum: more than 2^32 rows"));
         }
+        let (row_slots, slots) = match Self::small_slots(keys) {
+            Some(found) => found,
+            None => Self::hashed_slots(keys)?,
+        };
+        let mut by_key: Vec<u32> = (0..slots.len() as u32).collect();
+        by_key.sort_unstable_by_key(|slot| slots[*slot as usize].0);
+        Ok(GroupIndex {
+            key: Arc::clone(keys),
+            row_slots,
+            slots,
+            by_key,
+        })
+    }
+
+    /// The slot of each row and the slots of a column whose every key is a
+    /// whole number below [`SMALL_KEYS`], found through a direct table:
+    /// no rounding, no probe and no repeat shortcut. `None` for any other
+    /// column.
+    fn small_slots(keys: &[f64]) -> Option<Groups> {
+        // A whole number in [0, 2^52) plus 2^52 is exact and holds the
+        // number in its low bits (and `-0.0` lands on 0, where it rounds).
+        let small = keys.iter().fold(true, |all, key| {
+            all & (*key >= 0.0) & (*key < SMALL_KEYS as f64) & ((key + TWO_52) - TWO_52 == *key)
+        });
+        if !small {
+            return None;
+        }
+        let mut slot_of = [u32::MAX; SMALL_KEYS];
+        let mut slots = Vec::new();
+        // Rows per key in four interleaved tallies: a run of one key is
+        // four chains of increments, not one.
+        let mut rows = [[0u64; SMALL_KEYS]; 4];
+        let row_slots = keys
+            .iter()
+            .enumerate()
+            .map(|(row, key)| {
+                let key = (key + TWO_52).to_bits() as usize % SMALL_KEYS;
+                rows[row % 4][key] += 1;
+                if slot_of[key] == u32::MAX {
+                    slot_of[key] = slots.len() as u32;
+                    slots.push((key as i64, 0));
+                }
+                slot_of[key]
+            })
+            .collect();
+        for (key, count) in &mut slots {
+            *count = rows.iter().map(|tally| tally[*key as usize]).sum();
+        }
+        Some((row_slots, slots))
+    }
+
+    /// The slot of each row and the slots of any column, through
+    /// [`GroupSlots`].
+    fn hashed_slots(keys: &[f64]) -> Result<Groups> {
         let mut groups = GroupSlots::new();
         let mut row_slots = Vec::with_capacity(keys.len());
         // A row whose key repeats the previous row's bit for bit skips the
@@ -1215,16 +1296,13 @@ impl GroupIndex {
             groups.slots[slot].1 += 1;
             row_slots.push(slot as u32);
         }
-        let mut by_key: Vec<u32> = (0..groups.slots.len() as u32).collect();
-        by_key.sort_unstable_by_key(|slot| groups.slots[*slot as usize].0);
-        Ok(GroupIndex {
-            key: Arc::clone(keys),
-            row_slots,
-            slots: groups.slots,
-            by_key,
-        })
+        Ok((row_slots, groups.slots))
     }
 }
+
+/// What finding the groups of a key column yields: the slot of each row,
+/// and each slot's rounded key and row count in first-appearance order.
+type Groups = (Vec<u32>, Vec<(i64, u64)>);
 
 /// An evaluator's memo of the last key column `group_sum` indexed: one
 /// entry, replaced on a miss and dropped with the evaluator.

@@ -393,17 +393,41 @@ fn comparison_by(op: BinOp, l: &Value, r: &Value, f: impl Fn(f64, f64) -> bool) 
     let mask = |data| Value::BoolArray(BoolArrayVal::with_logical(data, logical));
     Ok(match (l, r) {
         (Value::Num(a), Value::Num(b)) => Value::Bool(f(*a, *b)),
-        (Value::Array(a), Value::Num(b)) => mask(a.data().iter().map(|x| f(*x, *b)).collect()),
-        (Value::Num(a), Value::Array(b)) => mask(b.data().iter().map(|x| f(*a, *x)).collect()),
-        (Value::Array(a), Value::Array(b)) => mask(
-            a.data()
-                .iter()
-                .zip(b.data())
-                .map(|(x, y)| f(*x, *y))
-                .collect(),
-        ),
+        (Value::Array(a), Value::Num(b)) => mask(mask_by(a.data(), |x| f(x, *b))),
+        (Value::Num(a), Value::Array(b)) => mask(mask_by(b.data(), |x| f(*a, x))),
+        (Value::Array(a), Value::Array(b)) => mask(pair_mask_by(a.data(), b.data(), f)),
         _ => unreachable!("comparison_shape admits no other operands"),
     })
+}
+
+/// `f` of each element, eight at a time: a group's eight bools are built
+/// as one array and stored together, which vectorizes where a collected
+/// iterator stores one bool at a time.
+fn mask_by(xs: &[f64], f: impl Fn(f64) -> bool) -> Vec<bool> {
+    let mut out = vec![false; xs.len()];
+    let (out_groups, out_rest) = out.as_chunks_mut::<8>();
+    let (groups, rest) = xs.as_chunks::<8>();
+    for (o, x) in out_groups.iter_mut().zip(groups) {
+        *o = x.map(&f);
+    }
+    for (o, x) in out_rest.iter_mut().zip(rest) {
+        *o = f(*x);
+    }
+    out
+}
+
+/// [`mask_by`] over element pairs of two equally long arrays.
+fn pair_mask_by(xs: &[f64], ys: &[f64], f: impl Fn(f64, f64) -> bool) -> Vec<bool> {
+    let mut out = vec![false; xs.len().min(ys.len())];
+    let (out_groups, out_rest) = out.as_chunks_mut::<8>();
+    let ((x_groups, x_rest), (y_groups, y_rest)) = (xs.as_chunks::<8>(), ys.as_chunks::<8>());
+    for ((o, x), y) in out_groups.iter_mut().zip(x_groups).zip(y_groups) {
+        *o = std::array::from_fn(|i| f(x[i], y[i]));
+    }
+    for ((o, x), y) in out_rest.iter_mut().zip(x_rest).zip(y_rest) {
+        *o = f(*x, *y);
+    }
+    out
 }
 
 fn logical_binary(op: BinOp, l: &Value, r: &Value) -> Result<Value> {

@@ -539,6 +539,70 @@ fn to_csr_ref(m: &Matrix) -> Csr {
     .expect("a scan of a dense matrix is a well-formed CSR")
 }
 
+/// Source rows `rows` of one damped PageRank step scattered onto `base`
+/// literally: each dangling row adds its share to all `n` entries.
+fn pagerank_rows_ref(
+    csr: &Csr,
+    ranks: &[f64],
+    damping: f64,
+    rows: std::ops::Range<usize>,
+    base: f64,
+) -> Vec<f64> {
+    let n = csr.rows() as f64;
+    let (row_ptr, col_idx) = (csr.row_ptr(), csr.col_idx());
+    let mut next = vec![base; csr.rows()];
+    for r in rows {
+        let (lo, hi) = (row_ptr[r] as usize, row_ptr[r + 1] as usize);
+        if lo == hi {
+            let share = damping * ranks[r] / n;
+            for v in &mut next {
+                *v += share;
+            }
+            continue;
+        }
+        let share = damping * ranks[r] / (hi - lo) as f64;
+        for k in lo..hi {
+            next[col_idx[k] as usize] += share;
+        }
+    }
+    next
+}
+
+fn pagerank_step_with_ref(
+    csr: &Csr,
+    ranks: &[f64],
+    damping: f64,
+    par: &ParEngine,
+) -> Result<Vec<f64>> {
+    if csr.rows() != csr.cols() {
+        return Err(LangError::runtime(
+            "pagerank needs a square adjacency matrix",
+        ));
+    }
+    if ranks.len() != csr.rows() {
+        return Err(LangError::runtime(format!(
+            "rank vector length {} does not match {} nodes",
+            ranks.len(),
+            csr.rows()
+        )));
+    }
+    let n = csr.rows() as f64;
+    let per_row = (csr.nnz() / csr.rows().max(1)).max(1) + 1;
+    let Some(parts) = par.map_chunks(csr.rows(), per_row, |_, rows| {
+        pagerank_rows_ref(csr, ranks, damping, rows, 0.0)
+    }) else {
+        let base = (1.0 - damping) / n;
+        return Ok(pagerank_rows_ref(csr, ranks, damping, 0..csr.rows(), base));
+    };
+    let mut next = vec![(1.0 - damping) / n; csr.rows()];
+    for partial in parts {
+        for (o, v) in next.iter_mut().zip(&partial) {
+            *o += v;
+        }
+    }
+    Ok(next)
+}
+
 fn arith_ref(op: BinOp, a: f64, b: f64) -> f64 {
     match op {
         BinOp::Add => a + b,
@@ -963,6 +1027,35 @@ fn group_sum_matches_the_ordered_map() {
         let what = format!("refused case {case}: {bad} at row {row} of {n}");
         check_kernel("group_sum", group_sum_ref, &args, &what);
     }
+    // A column of whole keys in 0..=255 (`-0.0` among them) takes the
+    // direct table; one key outside it anywhere (past 255, negative, a
+    // half, a fraction that rounds into 0..=255) sends the whole column to
+    // the hashed index.
+    let mut small_columns = 0;
+    for case in 0..24 {
+        let n = rng.gen_range(1..3000usize);
+        let mut keys: Vec<f64> = (0..n).map(|_| rng.gen_range(0..256i64) as f64).collect();
+        keys[rng.gen_range(0..n)] = -0.0;
+        if case % 4 != 0 {
+            for _ in 0..rng.gen_range(1..5) {
+                let outside = [256.0, -1.0, 255.5, 255.4, 2.5, -0.4, 1.0e6, 4_294_967_296.0];
+                keys[rng.gen_range(0..n)] = outside[rng.gen_range(0..outside.len())];
+            }
+        }
+        small_columns += usize::from(
+            keys.iter()
+                .all(|k| (0.0..256.0).contains(k) && k.fract() == 0.0),
+        );
+        let vals = floats(&mut rng, n, flavour(case));
+        let args = [array(keys, 1 + case as u64 % 3), array(vals, 1)];
+        check_kernel(
+            "group_sum",
+            group_sum_ref,
+            &args,
+            &format!("mixed case {case}"),
+        );
+    }
+    assert_eq!(small_columns, 6, "direct-table columns");
     let short = [array(vec![1.0, 2.0], 1), array(vec![1.0], 1)];
     check_kernel("group_sum", group_sum_ref, &short, "length mismatch");
     assert_eq!(ran, CASES);
@@ -1261,7 +1354,7 @@ fn kmeans_matches_the_per_element_loops() {
 #[test]
 fn matmul_and_to_csr_match_the_indexed_loops() {
     let mut rng = StdRng::seed_from_u64(0x6E44);
-    let (mut ran, mut matmul_chunked) = (0, 0);
+    let (mut ran, mut matmul_chunked, mut paired) = (0, 0, (0, 0));
     for case in 0..CASES {
         let flavour = flavour(case);
         // Output widths around the eight-lane panel, a 0-column product
@@ -1272,6 +1365,12 @@ fn matmul_and_to_csr_match_the_indexed_loops() {
         let zeros = [0.0, 0.3, 0.9][case % 3];
         let lhs = matrix(&mut rng, n, inner, flavour, zeros);
         let rhs = matrix(&mut rng, inner, width, flavour, 0.1);
+        // A rhs of finite entries takes the row-pair loop; an odd row
+        // count leaves it a last single row.
+        if rhs.data().iter().all(|x| x.is_finite()) {
+            paired.0 += 1;
+            paired.1 += usize::from(n % 2 == 1);
+        }
         let what = format!("case {case} ({n}x{inner} times {inner}x{width})");
 
         let serial = lhs.matmul(&rhs).map(Value::Matrix);
@@ -1315,6 +1414,7 @@ fn matmul_and_to_csr_match_the_indexed_loops() {
     assert_same_value(&new, &old, "matmul shape mismatch");
     assert_eq!(ran, CASES);
     assert_eq!(matmul_chunked, 89, "chunked cases");
+    assert_eq!(paired, (58, 14), "row-pair cases, odd-row ones");
 
     // The registered MatrixMul projection: what its `y = matmul(a, w)`
     // computes, a 4-column rhs in 4-lane panels.
@@ -1480,7 +1580,7 @@ fn registered_matrix(w: &isp_workloads::Workload, name: &str) -> Matrix {
 #[test]
 fn gram_matches_the_indexed_loops() {
     let mut rng = StdRng::seed_from_u64(0x64A3);
-    let (mut ran, mut chunked_cases) = (0, 0);
+    let (mut ran, mut chunked_cases, mut paired) = (0, 0, (0, 0));
     for case in 0..CASES {
         let flavour = flavour(case);
         // Widths around the eight-lane vector width, down to no column at
@@ -1493,12 +1593,19 @@ fn gram_matches_the_indexed_loops() {
         };
         let zeros = [0.0, 0.3, 0.9][(case / 3) % 3];
         let m = matrix(&mut rng, n, d, flavour, zeros);
+        // Every entry finite takes the row-pair loop; an odd row count
+        // leaves it a last single row.
+        if m.data().iter().all(|x| x.is_finite()) {
+            paired.0 += 1;
+            paired.1 += usize::from(n % 2 == 1);
+        }
         let what = format!("case {case} ({n}x{d})");
         chunked_cases += usize::from(check_kernel("gram", gram_ref, &[Value::Matrix(m)], &what));
         ran += 1;
     }
     assert_eq!(ran, CASES);
     assert_eq!(chunked_cases, 63, "chunked cases");
+    assert_eq!(paired, (50, 27), "row-pair cases, odd-row ones");
 
     // The registered MixedGEMM projection: what its `g = gram(y)` reads.
     let w = isp_workloads::by_name("MixedGEMM").expect("registered");
@@ -1508,6 +1615,112 @@ fn gram_matches_the_indexed_loops() {
         .expect("projection");
     assert_eq!((y.rows(), y.cols()), (2048, 8));
     check_kernel("gram", gram_ref, &[Value::Matrix(y)], "MixedGEMM");
+}
+
+/// A graph of `n` nodes from per-row out-edge lists, each sorted and
+/// without repeats (an empty list is a dangling row).
+fn graph(n: usize, edges: &[Vec<u32>]) -> Csr {
+    let mut row_ptr = vec![0u32];
+    let mut col_idx = Vec::new();
+    for row in edges {
+        col_idx.extend_from_slice(row);
+        row_ptr.push(col_idx.len() as u32);
+    }
+    let values = vec![1.0; col_idx.len()];
+    let nnz = values.len() as u64;
+    Csr::from_parts(row_ptr, col_idx, values, n, n as u64, n as u64, nnz).expect("graph")
+}
+
+/// Out-edge lists of `n` nodes: each row dangling with probability
+/// `dangling`, otherwise one to four distinct targets.
+fn random_edges(rng: &mut StdRng, n: usize, dangling: f64) -> Vec<Vec<u32>> {
+    (0..n)
+        .map(|_| {
+            if rng.gen_bool(dangling) {
+                return Vec::new();
+            }
+            let mut row: Vec<u32> = (0..rng.gen_range(1..5))
+                .map(|_| rng.gen_range(0..n as u32))
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            row
+        })
+        .collect()
+}
+
+#[test]
+fn pagerank_step_matches_the_dense_scatter() {
+    let mut rng = StdRng::seed_from_u64(0x9A6E);
+    let (mut ran, mut chunked_cases) = (0, 0);
+    for case in 0..CASES {
+        let flavour = flavour(case);
+        // Edge graphs: none, one dangling node, one self-linked node, a
+        // ring (no dangling row), all rows dangling (small and past the
+        // engagement threshold), and dangling rows before and after the
+        // first edges into nodes 3 and 7; then seeded graphs, one in four
+        // past the threshold.
+        let edges = match case {
+            0 => Vec::new(),
+            1 => vec![Vec::new()],
+            2 => vec![vec![0]],
+            3 => (0..64).map(|r| vec![(r + 1) % 64]).collect(),
+            4 => vec![Vec::new(); 300],
+            5 => vec![Vec::new(); 4200],
+            6 => (0..40u32)
+                .map(|r| match r {
+                    10 => vec![3, 7],
+                    20 => vec![3],
+                    30 => vec![0, 7, 39],
+                    _ => Vec::new(),
+                })
+                .collect(),
+            _ if case % 4 == 0 => {
+                let (n, dangling) = (rng.gen_range(4100..6000), rng.gen_range(0.0..0.3));
+                random_edges(&mut rng, n, dangling)
+            }
+            _ => {
+                let (n, dangling) = (rng.gen_range(1..600), rng.gen_range(0.0..1.0));
+                random_edges(&mut rng, n, dangling)
+            }
+        };
+        let n = edges.len();
+        let csr = graph(n, &edges);
+        let ranks = floats(&mut rng, n, flavour);
+        let damping = [0.85, rng.gen_range(0.0..1.0)][case % 2];
+        let what = format!("case {case} ({n} nodes, {} edges)", csr.nnz());
+        for threads in THREADS {
+            let (new_par, old_par) = (engine(threads), engine(threads));
+            let new = csr.pagerank_step_with(&ranks, damping, &new_par);
+            let old = pagerank_step_with_ref(&csr, &ranks, damping, &old_par);
+            let what = format!("{what} @ {threads} threads");
+            let bits = |v: &Result<Vec<f64>>| {
+                v.as_ref()
+                    .map(|v| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>())
+                    .map_err(ToString::to_string)
+            };
+            assert_eq!(bits(&new), bits(&old), "{what}");
+            assert_eq!(new_par.stats(), old_par.stats(), "{what}: chunk counters");
+            if threads == 1 {
+                chunked_cases += usize::from(chunked(&new_par));
+            }
+        }
+        ran += 1;
+    }
+    // A rank vector of the wrong length and a non-square matrix are
+    // refused alike.
+    let square = graph(3, &[vec![1], Vec::new(), vec![0, 2]]);
+    let wide = Csr::from_parts(vec![0, 1], vec![2], vec![1.0], 3, 1, 3, 1).expect("1x3");
+    for (csr, ranks) in [(&square, vec![0.5; 2]), (&wide, vec![0.5])] {
+        let new = csr.pagerank_step_with(&ranks, 0.85, &engine(2));
+        let old = pagerank_step_with_ref(csr, &ranks, 0.85, &engine(2));
+        assert_eq!(
+            new.map_err(|e| e.to_string()),
+            old.map_err(|e| e.to_string())
+        );
+    }
+    assert_eq!(ran, CASES);
+    assert_eq!(chunked_cases, 23, "chunked cases");
 }
 
 #[test]

@@ -217,19 +217,23 @@ impl Matrix {
     }
 
     /// The row-major data of `self × rhs`, with `rhs` packed in `L`-lane
-    /// column panels.
+    /// column panels and, when every rhs entry is finite, output rows
+    /// computed two at a time.
     fn matmul_panels<const L: usize>(&self, rhs: &Matrix, par: Option<&ParEngine>) -> Vec<f64> {
         let panels = simd::column_panels::<L>(&rhs.data, rhs.rows, rhs.cols);
+        let paired = rhs.data.iter().all(|b| b.is_finite());
+        let rows = |rows: Range<usize>| {
+            if paired {
+                self.matmul_row_pairs::<L>(&panels, rhs.cols, rows)
+            } else {
+                self.matmul_rows::<L>(&panels, rhs.cols, rows)
+            }
+        };
         // Per output row: one madd per (k, j) pair.
         let per_row = self.cols.max(1);
-        let blocks = par.and_then(|par| {
-            par.map_chunks(self.rows, per_row, |_, rows| {
-                self.matmul_rows::<L>(&panels, rhs.cols, rows)
-            })
-        });
-        match blocks {
+        match par.and_then(|par| par.map_chunks(self.rows, per_row, |_, range| rows(range))) {
             Some(blocks) => blocks.concat(),
-            None => self.matmul_rows::<L>(&panels, rhs.cols, 0..self.rows),
+            None => rows(0..self.rows),
         }
     }
 
@@ -262,6 +266,50 @@ impl Matrix {
                     }
                 }
                 out.copy_from_slice(&acc[..out.len()]);
+            }
+        }
+        block
+    }
+
+    /// [`Self::matmul_rows`] for a `rhs` whose entries are all finite, two
+    /// rows at a time: each row's `k` loop is bound by add latency, so a
+    /// second independent chain fills the pipeline. The zero test goes: a
+    /// zero `a[i][k]` times a finite entry is `±0`, and an accumulator that
+    /// starts at `+0` never becomes `-0`, so adding it is skipping it.
+    /// Every output element sees the additions of [`Self::matmul_rows`]
+    /// in the same order; an odd last row takes that loop.
+    fn matmul_row_pairs<const L: usize>(
+        &self,
+        panels: &[f64],
+        width: usize,
+        rows: Range<usize>,
+    ) -> Vec<f64> {
+        let inner = self.cols;
+        if inner == 0 || width == 0 {
+            return vec![0.0; rows.len() * width];
+        }
+        let paired = rows.start + rows.len() / 2 * 2;
+        let mut block = vec![0.0; rows.len() * width];
+        let (pairs, last) = block.split_at_mut((paired - rows.start) * width);
+        last.copy_from_slice(&self.matmul_rows::<L>(panels, width, paired..rows.end));
+        let lhs = &self.data[rows.start * inner..paired * inner];
+        for (a_rows, out_rows) in lhs
+            .chunks_exact(2 * inner)
+            .zip(pairs.chunks_exact_mut(2 * width))
+        {
+            let (a0, a1) = a_rows.split_at(inner);
+            let (out0, out1) = out_rows.split_at_mut(width);
+            let panels = panels.chunks_exact(inner * L);
+            for ((panel, out0), out1) in panels.zip(out0.chunks_mut(L)).zip(out1.chunks_mut(L)) {
+                let (mut acc0, mut acc1) = ([0.0; L], [0.0; L]);
+                for ((x0, x1), b_row) in a0.iter().zip(a1).zip(panel.as_chunks::<L>().0) {
+                    for ((o0, o1), b) in acc0.iter_mut().zip(&mut acc1).zip(b_row) {
+                        *o0 += x0 * b;
+                        *o1 += x1 * b;
+                    }
+                }
+                out0.copy_from_slice(&acc0[..out0.len()]);
+                out1.copy_from_slice(&acc1[..out1.len()]);
             }
         }
         block
@@ -559,29 +607,57 @@ impl Csr {
     /// sampling measures.
     fn pagerank_step(&self, ranks: &[f64], damping: f64) -> Result<Vec<f64>> {
         self.check_pagerank(ranks.len())?;
-        // Out-degree per node (treating row r's entries as edges r -> c).
-        let mut out_deg = vec![0u32; self.rows];
-        for (r, deg) in out_deg.iter_mut().enumerate() {
-            *deg = self.row_ptr[r + 1] - self.row_ptr[r];
-        }
         let n = self.rows as f64;
-        let mut next = vec![(1.0 - damping) / n; self.rows];
-        for r in 0..self.rows {
-            if out_deg[r] == 0 {
-                // Dangling node: spread evenly.
+        Ok(self.scatter_ranks(ranks, damping, 0..self.rows, (1.0 - damping) / n))
+    }
+
+    /// Every entry starts at `base`; each source row of `rows`, in order,
+    /// adds its damped share to the entries it links to, or to every entry
+    /// when it is dangling (no out-edge).
+    ///
+    /// Done literally that is a full pass per dangling row. Instead, the
+    /// entries no edge has reached yet share one running value: an entry
+    /// takes its own copy at its first edge, and a dangling share is added
+    /// to the running value and to each copy. Every entry so sees exactly
+    /// the additions of the literal scatter, in its order, in time linear
+    /// in the edges plus the dangling rows times the entries reached.
+    fn scatter_ranks(
+        &self,
+        ranks: &[f64],
+        damping: f64,
+        rows: Range<usize>,
+        base: f64,
+    ) -> Vec<f64> {
+        let n = self.rows as f64;
+        let mut untouched = base;
+        // Per node, its copy's index in `reached` (`u32::MAX` for none).
+        let mut copy_of = vec![u32::MAX; self.rows];
+        let mut reached: Vec<(u32, f64)> = Vec::new();
+        for r in rows {
+            let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
+            if lo == hi {
                 let share = damping * ranks[r] / n;
-                for v in next.iter_mut() {
+                untouched += share;
+                for (_, v) in &mut reached {
                     *v += share;
                 }
                 continue;
             }
-            let share = damping * ranks[r] / f64::from(out_deg[r]);
-            let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-            for k in lo..hi {
-                next[self.col_idx[k] as usize] += share;
+            let share = damping * ranks[r] / (hi - lo) as f64;
+            for &c in &self.col_idx[lo..hi] {
+                let copy = &mut copy_of[c as usize];
+                if *copy == u32::MAX {
+                    *copy = reached.len() as u32;
+                    reached.push((c, untouched));
+                }
+                reached[*copy as usize].1 += share;
             }
         }
-        Ok(next)
+        let mut next = vec![untouched; self.rows];
+        for (c, v) in reached {
+            next[c as usize] = v;
+        }
+        next
     }
 
     /// One damped PageRank iteration over this adjacency structure
@@ -609,23 +685,7 @@ impl Csr {
         let n = self.rows as f64;
         let per_row = (self.nnz() / self.rows.max(1)).max(1) + 1;
         let Some(parts) = par.map_chunks(self.rows, per_row, |_, rows| {
-            let mut partial = vec![0.0; self.rows];
-            for r in rows {
-                let (lo, hi) = (self.row_ptr[r] as usize, self.row_ptr[r + 1] as usize);
-                if lo == hi {
-                    // Dangling node: spread evenly.
-                    let share = damping * ranks[r] / n;
-                    for v in partial.iter_mut() {
-                        *v += share;
-                    }
-                    continue;
-                }
-                let share = damping * ranks[r] / (hi - lo) as f64;
-                for k in lo..hi {
-                    partial[self.col_idx[k] as usize] += share;
-                }
-            }
-            partial
+            self.scatter_ranks(ranks, damping, rows, 0.0)
         }) else {
             return self.pagerank_step(ranks, damping);
         };

@@ -111,7 +111,8 @@ fn worker_loop(pool: &'static Pool) {
     }
 }
 
-/// Runs `job` on the calling thread plus up to `helpers` pool workers.
+/// Runs `job` on the calling thread plus up to `helpers` pool workers:
+/// those that join before the calling thread's own run of `job` returns.
 ///
 /// Blocks until every participant has returned; a panic — the caller's
 /// own or any helper's — is re-raised only after the job has fully
@@ -150,7 +151,12 @@ pub(crate) fn run_parallel(helpers: usize, job: &(dyn Fn() + Sync)) {
     let own = catch_unwind(AssertUnwindSafe(job));
     let helper_panic = {
         let mut st = pool.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while st.started < st.want || st.active > 0 {
+        // The job is done once the submitter's own part returns (the work
+        // is claimed from inside it), so a helper that has not joined yet
+        // would only find nothing left: it no longer may, and only the
+        // helpers inside the job are waited for.
+        st.want = st.started;
+        while st.active > 0 {
             st = pool
                 .done_cv
                 .wait(st)
@@ -209,6 +215,23 @@ mod tests {
             let n = sum.load(Ordering::Relaxed);
             assert!((1..=3).contains(&n), "round {round}: {n} participants");
         }
+    }
+
+    #[test]
+    fn no_participant_runs_after_its_submission_returns() {
+        // Tiny jobs back to back: the submitter drains each before a
+        // parked helper has woken, so late joiners are the common case.
+        let finished = AtomicUsize::new(0);
+        let late = AtomicUsize::new(0);
+        for round in 1..=10_000 {
+            run_parallel(2, &|| {
+                if finished.load(Ordering::SeqCst) >= round {
+                    late.fetch_add(1, Ordering::SeqCst);
+                }
+            });
+            finished.store(round, Ordering::SeqCst);
+        }
+        assert_eq!(late.load(Ordering::SeqCst), 0);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use alang::builtins::Storage;
 use alang::error::Result;
 use alang::shape::StoredReads;
 use alang::value::encoding_canonical;
-use alang::{parser, CanonicalSink, Fingerprinter, Program};
+use alang::{lower, parser, CanonicalSink, Fingerprinter, LoweredProgram, Program};
 use csd_sim::wire::Encoding;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -21,10 +21,10 @@ pub type Generator = Arc<dyn Fn(f64, &StoredReads) -> Storage + Send + Sync>;
 /// input generator parameterized by scale.
 ///
 /// The input sits where the paper puts it — stored once, with code moving
-/// to it: a workload generates its Table-I dataset (scale 1.0) and parses
-/// its source the first time either is asked for and keeps both for the
-/// life of the value, clones included (≈ 5 MB for all twelve registered
-/// workloads together; nothing is evicted). Every other scale is a
+/// to it: a workload generates its Table-I dataset (scale 1.0), parses its
+/// source and lowers it the first time each is asked for, and keeps all
+/// three for the life of the value, clones included (≈ 5 MB for all twelve
+/// registered workloads together; nothing is evicted). Every other scale is a
 /// sampling input, generated per call. A dataset whose values no sampled
 /// cost reads (a wire-format stream, MatrixMul's and MixedGEMM's features,
 /// KMeans' points) is relabelled from the one draw its generator stored;
@@ -53,6 +53,7 @@ pub struct Workload {
 #[derive(Default)]
 struct Kept {
     program: OnceLock<Result<Program>>,
+    lowered: OnceLock<Result<LoweredProgram>>,
     table1_storage: OnceLock<Storage>,
 }
 
@@ -128,6 +129,21 @@ impl Workload {
             .program
             .get_or_init(|| parser::parse(&self.source))
             .clone()
+    }
+
+    /// The parsed program's plain lowering, without copy elimination
+    /// (lowered on the first call, kept after): every run of the program
+    /// that does not eliminate copies can share it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates parse and lowering errors.
+    pub fn lowered(&self) -> Result<&LoweredProgram> {
+        self.kept
+            .lowered
+            .get_or_init(|| lower::lower(&self.program()?))
+            .as_ref()
+            .map_err(Clone::clone)
     }
 
     /// The workload's storage at `scale` (1.0 = Table-I size). Scale 1.0 is

@@ -42,7 +42,7 @@ echo "== kernel differential (pinned case count, per-element loops as oracle) ==
 # threshold (par::MIN_PARALLEL_LEN), the others their sizes below 12 000,
 # and each engine family pins how many cases took the chunked path
 # (filter and select 83, kmeans_assign 88, kmeans_update 66, matmul 89,
-# forest_score 40, gram 63); an unassigned k-means cluster is refused
+# forest_score 40, gram 63, pagerank_step_matches_the_dense_scatter 23); an unassigned k-means cluster is refused
 # alike by both. The
 # forest and gram families end on the registered LightGBM and MixedGEMM
 # inputs (a dev-dependency on isp-workloads). Ahead of every fingerprint
