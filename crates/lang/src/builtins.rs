@@ -236,7 +236,7 @@ pub type KernelFn = for<'a> fn(&'static str, &[Value], &KernelCtx<'a>) -> Result
 /// A builtin's static result type, as copy elimination infers it: "if
 /// ActivePy can determine the target type of memory objects" (§III-C0c).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ResultType {
+pub enum ResultType {
     /// Always this type.
     Fixed(StaticType),
     /// The first argument's type.
@@ -248,7 +248,7 @@ pub(crate) enum ResultType {
 
 /// One argument of a builtin, as its row declares it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Arg {
+pub enum Arg {
     /// A value of this type.
     Is(StaticType),
     /// A number or an array: the unary math rows.
@@ -267,10 +267,22 @@ const CSR: Arg = Arg::Is(StaticType::Csr);
 const FOREST: Arg = Arg::Is(StaticType::Forest);
 const ENCODED: Arg = Arg::Is(StaticType::Encoded);
 
+impl Arg {
+    /// Whether the argument admits a value of type `ty`.
+    #[must_use]
+    pub fn admits(self, ty: StaticType) -> bool {
+        match self {
+            Arg::Is(wanted) => ty == wanted,
+            NumOrArray => matches!(ty, StaticType::Num | StaticType::Array),
+            Any => true,
+        }
+    }
+}
+
 /// How a builtin's output rows line up with row-sharded arguments
 /// ([`crate::shard::analyze`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum RowRule {
+pub enum RowRule {
     /// Row-aligned with any sharded argument.
     Elementwise,
     /// Rows selected from the first argument by the second; a sharded
@@ -291,19 +303,37 @@ use Arg::{Any, NumOrArray};
 use ResultType::{FirstArg, Fixed, Stored};
 use RowRule::{Elementwise, Fence, FirstOnly, ModelThenRows, SelectFirst};
 
-/// One builtin: its name, its kernel, its signature, the two rules the
-/// analyses read and what sampling may skip of it.
+/// A read-only view of one builtin's row: its name, its arguments' types,
+/// its result type, how its output rows line up with its arguments' and
+/// which arguments it reads by value. Dispatch checks every call against
+/// the same row, so the view cannot drift from what a call admits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Signature {
+    /// The builtin's name.
+    pub name: &'static str,
+    /// Its arguments, in order.
+    pub args: &'static [Arg],
+    /// Its result type.
+    pub result: ResultType,
+    /// How its output rows line up with row-sharded arguments.
+    pub rows: RowRule,
+    /// The arguments whose values, not only types and sizes, its cost,
+    /// result shape or errors read ([`crate::shape`]).
+    pub by_value: &'static [usize],
+}
+
+/// Every builtin's [`Signature`], in table order.
+pub fn signatures() -> impl ExactSizeIterator<Item = Signature> {
+    KERNELS.iter().map(|k| k.sig)
+}
+
+/// One builtin: its signature, its kernel and what sampling may skip of
+/// it.
 struct Kernel {
-    name: &'static str,
+    /// Every call is checked against its arguments ([`Kernel::check`])
+    /// before its kernel or shape charge runs.
+    sig: Signature,
     func: KernelFn,
-    /// The arguments, in order: every call is checked against them
-    /// ([`Kernel::check`]) before its kernel or shape charge runs.
-    args: &'static [Arg],
-    result: ResultType,
-    rows: RowRule,
-    /// The arguments whose values, not only types and sizes, the kernel's
-    /// cost, result shape or errors read ([`crate::shape`]).
-    by_value: &'static [usize],
     /// The kernel's cost from its arguments' shapes, when its result can
     /// be a placeholder; without one, a sampling run always computes it.
     shape: Option<ShapeFn>,
@@ -313,27 +343,25 @@ impl Kernel {
     /// `args` against the row: their number first, then each one's type in
     /// order.
     fn check(&self, args: &[Value]) -> Result<()> {
-        if args.len() != self.args.len() {
+        let (name, row) = (self.sig.name, self.sig.args);
+        if args.len() != row.len() {
             return Err(LangError::Arity {
-                name: self.name.to_owned(),
-                expected: self.args.len(),
+                name: name.to_owned(),
+                expected: row.len(),
                 got: args.len(),
             });
         }
-        for (arg, value) in self.args.iter().zip(args) {
-            match *arg {
-                Arg::Is(wanted) if StaticType::of(value) != wanted => {
-                    return Err(type_err(wanted, value));
-                }
-                NumOrArray if !matches!(value, Value::Num(_) | Value::Array(_)) => {
-                    return Err(LangError::type_error(format!(
-                        "{} expects num or array, got {}",
-                        self.name,
-                        value.type_name()
-                    )));
-                }
-                _ => {}
+        for (arg, value) in row.iter().zip(args) {
+            if arg.admits(StaticType::of(value)) {
+                continue;
             }
+            return Err(match *arg {
+                Arg::Is(wanted) => type_err(wanted, value),
+                _ => LangError::type_error(format!(
+                    "{name} expects num or array, got {}",
+                    value.type_name()
+                )),
+            });
         }
         Ok(())
     }
@@ -358,15 +386,14 @@ const fn row(
     by_value: &'static [usize],
     shape: Option<ShapeFn>,
 ) -> Kernel {
-    Kernel {
+    let sig = Signature {
         name,
-        func,
         args,
         result,
         rows,
         by_value,
-        shape,
-    }
+    };
+    Kernel { sig, func, shape }
 }
 
 /// The builtins: the one place a name, its kernel, its argument types, its
@@ -421,7 +448,7 @@ impl KernelId {
     /// The kernel's surface name.
     #[must_use]
     pub fn name(self) -> &'static str {
-        self.kernel().name
+        self.kernel().sig.name
     }
 
     /// Invokes the kernel on already-evaluated arguments in an explicit
@@ -434,23 +461,23 @@ impl KernelId {
     pub fn invoke_in(self, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOutput> {
         let kernel = self.kernel();
         kernel.check(args)?;
-        (kernel.func)(kernel.name, args, ctx)
+        (kernel.func)(kernel.sig.name, args, ctx)
     }
 
     /// The call's static result type.
     pub(crate) fn result_type(self) -> ResultType {
-        self.kernel().result
+        self.kernel().sig.result
     }
 
     /// How the call's output rows line up with sharded arguments.
     pub(crate) fn row_rule(self) -> RowRule {
-        self.kernel().rows
+        self.kernel().sig.rows
     }
 
     /// Whether the kernel's cost, result shape or errors read argument
     /// `arg`'s values, not only its type and sizes.
     pub(crate) fn reads_by_value(self, arg: usize) -> bool {
-        self.kernel().by_value.contains(&arg)
+        self.kernel().sig.by_value.contains(&arg)
     }
 
     /// Whether a sampling run may charge the call from its arguments'
@@ -468,7 +495,11 @@ impl KernelId {
         let kernel = self.kernel();
         let shape = kernel.shape;
         kernel.check(args)?;
-        (shape.expect("a call charged from shapes has a shape function"))(kernel.name, args, ctx)
+        (shape.expect("a call charged from shapes has a shape function"))(
+            kernel.sig.name,
+            args,
+            ctx,
+        )
     }
 
     /// Whether the call's result is the column of its table argument that
@@ -505,7 +536,7 @@ static SORTED_KERNELS: LazyLock<Vec<(&'static str, u16)>> = LazyLock::new(|| {
     let mut sorted: Vec<(&'static str, u16)> = KERNELS
         .iter()
         .enumerate()
-        .map(|(i, k)| (k.name, i as u16))
+        .map(|(i, k)| (k.sig.name, i as u16))
         .collect();
     sorted.sort_unstable_by_key(|(name, _)| *name);
     sorted
@@ -782,21 +813,13 @@ fn k_where(name: &str, args: &[Value], ctx: &KernelCtx<'_>) -> Result<BuiltinOut
     let Charge { shape, ops } = where_charge(name, args, ctx)?;
     checked!([BoolArray(mask), Array(x), Array(y)] = args);
     let (keep, xs, ys) = (mask.data(), x.data(), y.data());
-    // Element-local, so chunk-ordered concat == the serial map.
-    let data: Vec<f64> = match ctx.par.map_chunks(xs.len(), 1, |_, r| {
+    let data = ctx.par.concat_chunks(xs.len(), 1, |r| {
         keep[r.clone()]
             .iter()
             .zip(xs[r.clone()].iter().zip(&ys[r]))
             .map(|(k, (p, q))| if *k { *p } else { *q })
-            .collect::<Vec<f64>>()
-    }) {
-        Some(parts) => parts.concat(),
-        None => keep
-            .iter()
-            .zip(xs.iter().zip(ys))
-            .map(|(k, (p, q))| if *k { *p } else { *q })
-            .collect(),
-    };
+            .collect()
+    });
     Ok(BuiltinOutput::new(
         Value::Array(ArrayVal::with_logical(data, shape.logical_len())),
         ops,
@@ -1086,10 +1109,8 @@ fn map_unary(
 ) -> BuiltinOutput {
     let value = match arg {
         Value::Array(arr) => {
-            let data: Vec<f64> = match par.map_elems(arr.data(), &f) {
-                Some(mapped) => mapped,
-                None => arr.data().iter().map(|x| f(*x)).collect(),
-            };
+            let xs = arr.data();
+            let data = par.concat_chunks(xs.len(), 1, |r| xs[r].iter().map(|x| f(*x)).collect());
             Value::Array(ArrayVal::with_logical(data, shape.logical_len()))
         }
         Value::Num(x) => Value::Num(f(*x)),
@@ -1498,13 +1519,9 @@ fn nearest_centroids(points: &Matrix, centroids: &Matrix, par: &ParEngine) -> Ve
         })
         .collect()
     };
-    // Row-local, so chunk-ordered concat == the serial loop. Per-row work
-    // is one distance per centroid per dimension.
+    // Per-row work is one distance per centroid per dimension.
     let per_row = k.saturating_mul(d).max(1);
-    match par.map_chunks(points.rows(), per_row, |_, rows| nearest(rows)) {
-        Some(parts) => parts.concat(),
-        None => nearest(0..points.rows()),
-    }
+    par.concat_chunks(points.rows(), per_row, nearest)
 }
 
 /// `kmeans_update`'s charge reads `k`, which sizes the result, and the
@@ -2106,83 +2123,56 @@ mod tests {
         }
     }
 
+    /// A value of each type a call can be given.
+    fn sample(ty: StaticType) -> Value {
+        let square = || Matrix::new(vec![1.0, 0.0, 2.0, 3.0], 2, 2).expect("matrix");
+        match ty {
+            StaticType::Num => Value::Num(2.0),
+            StaticType::Bool => Value::Bool(true),
+            StaticType::Str => Value::Str("v".into()),
+            StaticType::Array => arr(vec![0.0, 1.0]),
+            StaticType::BoolArray => Value::BoolArray(BoolArrayVal::new(vec![true, false])),
+            StaticType::Table => Value::Table(
+                Table::new(vec![("v".into(), Column::F64(Arc::new(vec![1.0, 2.0])))])
+                    .expect("table"),
+            ),
+            StaticType::Matrix => Value::Matrix(square()),
+            StaticType::Csr => Value::Csr(square().to_csr()),
+            StaticType::Forest => Value::Forest(
+                Forest::new(vec![Tree::new(vec![TreeNode::leaf(1.0)]).expect("tree")], 1)
+                    .expect("forest"),
+            ),
+            StaticType::Encoded => Value::Encoded(crate::value::EncodedVal::from_f64s(
+                csd_sim::wire::Encoding::gzip_shuffled(),
+                &[1.0, 2.0],
+                2,
+            )),
+            StaticType::Unknown => unreachable!("no value is of unknown type"),
+        }
+    }
+
+    /// Every type a value can have.
+    fn value_types() -> impl Iterator<Item = StaticType> {
+        StaticType::ALL
+            .into_iter()
+            .filter(|ty| *ty != StaticType::Unknown)
+    }
+
     /// Every row's signature as its errors spell it: arity first, then
     /// each argument's type in order, with the same error from the kernel
     /// and from its shape charge.
     #[test]
     fn every_row_checks_arity_then_each_argument_type() {
-        const TYPES: [&str; 10] = [
-            "num",
-            "bool",
-            "str",
-            "array",
-            "boolarray",
-            "table",
-            "matrix",
-            "csr",
-            "forest",
-            "encoded",
-        ];
-        #[rustfmt::skip]
-        let signatures: &[(&str, &[&str])] = &[
-            ("scan", &["str"]), ("col", &["table", "str"]),
-            ("filter", &["table", "boolarray"]), ("select", &["array", "boolarray"]),
-            ("len", &["any"]), ("sum", &["array"]), ("mean", &["array"]),
-            ("minv", &["array"]), ("maxv", &["array"]), ("count", &["boolarray"]),
-            ("exp", &["num|array"]), ("log", &["num|array"]), ("sqrt", &["num|array"]),
-            ("erf", &["num|array"]), ("abs", &["num|array"]), ("sort", &["array"]),
-            ("dot", &["array", "array"]), ("where", &["boolarray", "array", "array"]),
-            ("group_sum", &["array", "array"]), ("matmul", &["matrix", "matrix"]),
-            ("gemm_batch", &["matrix", "matrix"]), ("to_csr", &["matrix"]),
-            ("spmv", &["csr", "array"]), ("pagerank_step", &["csr", "array", "num"]),
-            ("kmeans_assign", &["matrix", "matrix"]),
-            ("kmeans_update", &["matrix", "array", "num"]),
-            ("forest_score", &["forest", "matrix"]), ("gather", &["array", "array"]),
-            ("frob", &["matrix"]), ("gram", &["matrix"]), ("scan_raw", &["str"]),
-            ("decode", &["encoded"]),
-        ];
-        let sample = |ty: &str| -> Value {
-            let square = || Matrix::new(vec![1.0, 0.0, 2.0, 3.0], 2, 2).expect("matrix");
-            match ty {
-                "num" => Value::Num(2.0),
-                "bool" => Value::Bool(true),
-                "str" => Value::Str("v".into()),
-                "array" => arr(vec![0.0, 1.0]),
-                "boolarray" => Value::BoolArray(BoolArrayVal::new(vec![true, false])),
-                "table" => Value::Table(
-                    Table::new(vec![("v".into(), Column::F64(Arc::new(vec![1.0, 2.0])))])
-                        .expect("table"),
-                ),
-                "matrix" => Value::Matrix(square()),
-                "csr" => Value::Csr(square().to_csr()),
-                "forest" => Value::Forest(
-                    Forest::new(vec![Tree::new(vec![TreeNode::leaf(1.0)]).expect("tree")], 1)
-                        .expect("forest"),
-                ),
-                "encoded" => Value::Encoded(crate::value::EncodedVal::from_f64s(
-                    csd_sim::wire::Encoding::gzip_shuffled(),
-                    &[1.0, 2.0],
-                    2,
-                )),
-                other => panic!("no sample of `{other}`"),
-            }
-        };
-        // A value of the first type each argument accepts.
-        let well_typed = |sig: &[&str]| -> Vec<Value> {
-            sig.iter()
-                .map(|ty| match *ty {
-                    "any" => sample("num"),
-                    "num|array" => sample("array"),
-                    ty => sample(ty),
-                })
-                .collect()
+        // A value of the first type each argument admits.
+        let well_typed = |sig: &Signature| -> Vec<Value> {
+            let first = |arg: &Arg| value_types().find(|ty| arg.admits(*ty)).expect("admits");
+            sig.args.iter().map(|arg| sample(first(arg))).collect()
         };
         let mut st = Storage::new();
         st.insert("v", arr(vec![0.0, 1.0]));
-        let names: Vec<&str> = signatures.iter().map(|(name, _)| *name).collect();
-        let rows: Vec<&str> = KERNELS.iter().map(|k| k.name).collect();
-        assert_eq!(names, rows, "one signature per KERNELS row, in order");
-        for (name, sig) in signatures {
+        assert_eq!(signatures().len(), 32, "the view is every row");
+        for sig in signatures() {
+            let name = sig.name;
             let id = kernel_id(name).expect("a row");
             // The call's error, and its shape charge's where it has one.
             let errors = |args: &[Value]| {
@@ -2196,33 +2186,29 @@ mod tests {
                 }
                 err
             };
-            let args = well_typed(sig);
-            for got in [sig.len() - 1, sig.len() + 1] {
+            let args = well_typed(&sig);
+            for got in [sig.args.len() - 1, sig.args.len() + 1] {
                 let mut wrong = args.clone();
                 wrong.resize(got, Value::Num(1.0));
                 let arity = LangError::Arity {
-                    name: (*name).to_owned(),
-                    expected: sig.len(),
+                    name: name.to_owned(),
+                    expected: sig.args.len(),
                     got,
                 };
                 assert_eq!(errors(&wrong), Some(arity), "{name}: {got} arguments");
             }
-            for (i, accepted) in sig.iter().enumerate() {
-                for ty in TYPES {
-                    if *accepted == "any" || accepted.split('|').any(|a| a == ty) {
-                        continue;
-                    }
+            for (i, arg) in sig.args.iter().enumerate() {
+                for ty in value_types().filter(|ty| !arg.admits(*ty)) {
                     let mut wrong = args.clone();
                     wrong[i] = sample(ty);
-                    let message = if *accepted == "num|array" {
-                        format!("{name} expects num or array, got {ty}")
-                    } else {
-                        format!("expected {accepted}, got {ty}")
+                    let message = match arg {
+                        Arg::Is(wanted) => format!("expected {}, got {}", wanted.name(), ty.name()),
+                        _ => format!("{name} expects num or array, got {}", ty.name()),
                     };
                     assert_eq!(
                         errors(&wrong),
                         Some(LangError::type_error(message)),
-                        "{name}: a {ty} as argument {i}"
+                        "{name}: a {ty:?} as argument {i}"
                     );
                 }
             }
@@ -2247,17 +2233,13 @@ mod tests {
         assert_eq!(sorted.len(), KERNELS.len());
         assert!(sorted.windows(2).all(|w| w[0].0 < w[1].0));
         for (i, kernel) in KERNELS.iter().enumerate() {
-            let id = kernel_id(kernel.name).expect("every KERNELS entry resolves");
-            assert_eq!(
-                id,
-                KernelId(i as u16),
-                "{} resolves to its slot",
-                kernel.name
-            );
-            assert_eq!(id.name(), kernel.name);
-            let reads = matches!(kernel.name, "scan" | "scan_raw");
-            assert_eq!(id.reads_storage(), reads, "{}", kernel.name);
-            assert_eq!(id.charges_copy(), !reads, "{}", kernel.name);
+            let name = kernel.sig.name;
+            let id = kernel_id(name).expect("every KERNELS entry resolves");
+            assert_eq!(id, KernelId(i as u16), "{name} resolves to its slot");
+            assert_eq!(id.name(), name);
+            let reads = matches!(name, "scan" | "scan_raw");
+            assert_eq!(id.reads_storage(), reads, "{name}");
+            assert_eq!(id.charges_copy(), !reads, "{name}");
         }
         assert!(kernel_id("np_dot").is_none());
     }
@@ -2553,7 +2535,11 @@ mod tests {
             };
             // A by-value argument: values of the same sizes move the cost.
             let declared: Vec<usize> = witnesses.iter().map(|(i, _)| *i).collect();
-            assert_eq!(declared, id.kernel().by_value, "{name}: by-value arguments");
+            assert_eq!(
+                declared,
+                id.kernel().sig.by_value,
+                "{name}: by-value arguments"
+            );
             for (i, witness) in witnesses {
                 assert_eq!(sizes(&witness), sizes(&args[i]), "{name}: arg {i} witness");
                 let moved = swapped(i, witness);
@@ -2602,7 +2588,7 @@ mod tests {
                 #[test]
                 fn every_row_has_its_test() {
                     let tested = [$(stringify!($row).trim_start_matches("r#")),*];
-                    let rows: Vec<&str> = KERNELS.iter().map(|k| k.name).collect();
+                    let rows: Vec<&str> = signatures().map(|sig| sig.name).collect();
                     assert_eq!(rows, tested);
                 }
             };

@@ -231,10 +231,10 @@ impl Matrix {
         };
         // Per output row: one madd per (k, j) pair.
         let per_row = self.cols.max(1);
-        match par.and_then(|par| par.map_chunks(self.rows, per_row, |_, range| rows(range))) {
-            Some(blocks) => blocks.concat(),
-            None => rows(0..self.rows),
-        }
+        par.map_or_else(
+            || rows(0..self.rows),
+            |par| par.concat_chunks(self.rows, per_row, rows),
+        )
     }
 
     /// Output rows `rows` of `self × rhs`, row-major, for a `width`-column
@@ -563,12 +563,11 @@ impl Csr {
     fn spmv_in(&self, x: &[f64], par: Option<&ParEngine>) -> Result<Vec<f64>> {
         self.check_spmv(x.len())?;
         let per_row = (self.nnz() / self.rows.max(1)).max(1);
-        let parts = par
-            .and_then(|par| par.map_chunks(self.rows, per_row, |_, rows| self.spmv_rows(x, rows)));
-        Ok(match parts {
-            Some(parts) => parts.concat(),
-            None => self.spmv_rows(x, 0..self.rows),
-        })
+        let rows = |rows| self.spmv_rows(x, rows);
+        Ok(par.map_or_else(
+            || rows(0..self.rows),
+            |par| par.concat_chunks(self.rows, per_row, rows),
+        ))
     }
 
     /// Entries `rows` of `self × x`, each row's products summed in column

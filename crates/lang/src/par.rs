@@ -333,17 +333,19 @@ impl ParEngine {
         }
     }
 
-    /// Element-wise map over `data`, chunked; `None` below the
-    /// engagement threshold (callers map serially). Concatenation in
-    /// chunk order makes the output bit-identical to a serial map.
-    pub fn map_elems<F>(&self, data: &[f64], f: F) -> Option<Vec<f64>>
+    /// `f` over `0..items` as one vector: the chunk-ordered concatenation
+    /// of `f` over each chunk's range when [`Self::map_chunks`] engages,
+    /// `f(0..items)` once when it does not. For a row-local `f` the two
+    /// are equal, so the result is the serial loop's at any thread count.
+    pub fn concat_chunks<T, F>(&self, items: usize, elems_per_item: usize, f: F) -> Vec<T>
     where
-        F: Fn(f64) -> f64 + Sync,
+        T: Clone + Send,
+        F: Fn(Range<usize>) -> Vec<T> + Sync,
     {
-        self.map_chunks(data.len(), 1, |_, r| {
-            data[r].iter().map(|x| f(*x)).collect::<Vec<f64>>()
-        })
-        .map(|parts| parts.concat())
+        match self.map_chunks(items, elems_per_item, |_, range| f(range)) {
+            Some(parts) => parts.concat(),
+            None => f(0..items),
+        }
     }
 }
 
@@ -428,13 +430,24 @@ mod tests {
     }
 
     #[test]
-    fn map_elems_matches_serial_map_exactly() {
+    fn concat_chunks_matches_serial_map_exactly() {
         let xs = data(20_000);
         let serial: Vec<f64> = xs.iter().map(|x| x.exp()).collect();
+        let exp = |r: Range<usize>| xs[r].iter().map(|x| x.exp()).collect::<Vec<f64>>();
         for threads in [1, 2, 8] {
             let e = engine(threads);
-            let par = e.map_elems(&xs, |x| x.exp()).expect("engaged");
-            assert_eq!(par, serial, "threads={threads}");
+            assert_eq!(
+                e.concat_chunks(xs.len(), 1, exp),
+                serial,
+                "threads={threads}"
+            );
+            assert_eq!(e.stats().par_calls, 1, "threads={threads}: engaged");
+            assert_eq!(
+                e.concat_chunks(100, 1, exp),
+                serial[..100],
+                "below the threshold"
+            );
+            assert_eq!(e.stats().serial_calls, 1, "threads={threads}: serial");
         }
     }
 
@@ -447,7 +460,7 @@ mod tests {
             let e = engine(threads);
             let _ = e.sum(&xs);
             let _ = e.dot(&xs, &xs);
-            let _ = e.map_elems(&xs, |x| x + 1.0);
+            let _ = e.concat_chunks(xs.len(), 1, |r| xs[r].iter().map(|x| x + 1.0).collect());
             e.stats()
         };
         let ref_stats = run(1);

@@ -92,7 +92,7 @@ pub(crate) fn selected_rows(keep: &[bool]) -> Vec<usize> {
 }
 
 /// `data[r]` for each `r` of the ascending `rows`, into an exactly-sized
-/// vector. With an engine, one `map_chunks(data.len(), 1)` call whose
+/// vector. With an engine, one `concat_chunks(data.len(), 1)` call whose
 /// chunks each take the sub-range of `rows` inside their row range.
 pub(crate) fn take_rows<T: Copy + Send + Sync>(
     data: &[T],
@@ -100,17 +100,16 @@ pub(crate) fn take_rows<T: Copy + Send + Sync>(
     par: Option<&ParEngine>,
 ) -> Vec<T> {
     let take = |rows: &[usize]| rows.iter().map(|&r| data[r]).collect::<Vec<T>>();
-    let chunked = par.and_then(|par| {
-        par.map_chunks(data.len(), 1, |_, range| {
-            let lo = rows.partition_point(|&r| r < range.start);
-            let hi = rows.partition_point(|&r| r < range.end);
-            take(&rows[lo..hi])
-        })
-    });
-    match chunked {
-        Some(parts) => parts.concat(),
-        None => take(rows),
-    }
+    par.map_or_else(
+        || take(rows),
+        |par| {
+            par.concat_chunks(data.len(), 1, |range| {
+                let lo = rows.partition_point(|&r| r < range.start);
+                let hi = rows.partition_point(|&r| r < range.end);
+                take(&rows[lo..hi])
+            })
+        },
+    )
 }
 
 /// A columnar relation with a logical row count.

@@ -83,9 +83,7 @@ cargo test -q -p activepy --lib -- sampling::tests::a_buffer_stored_once_is_samp
 cargo test -q --test stored_once
 
 echo "== sampling: a value no sampled cost reads is not computed, every report bit-identical =="
-# Each KERNELS row's signature: arity, then each argument's type, checked
-# once against the row, the kernel and its shape charge raising the same
-# error text. Each row's declared by-value arguments against its kernel (one
+# Each KERNELS row's declared by-value arguments against its kernel (one
 # test per row: a same-sized witness moves the cost, an all-zero copy of any
 # other argument moves nothing, the shape charge equals the kernel's), the
 # backward pass with its per-column table reads, the filter that gathers
@@ -101,13 +99,13 @@ echo "== sampling: a value no sampled cost reads is not computed, every report b
 # fingerprinting alike, the 56 lines charged from shapes and the columns
 # drawn per stored table pinned (TPC-H-6 3 of lineitem's 8, TPC-H-1 3,
 # TPC-H-14 2 and none of part, blackscholes 2 of 4), and 512 seeded
-# programs over stored arrays and a stored table of unequal lengths giving
-# equal reports or the same error on the same line. Last, every fitted
+# programs over every stored type, `w` one row short in one in 16 (27 stop
+# at a shape error), giving equal reports or the same error on the same
+# line. Last, every fitted
 # curve of the 12 reports equal to the bit to the fit that takes each
 # logarithm per candidate. Ahead of the suite, so a wrong row or a skipped
 # value some cost reads stops here, named.
 cargo test -q -p alang --lib -- shape:: builtins::tests::by_value \
-  builtins::tests::every_row_checks_arity_then_each_argument_type \
   table::tests::a_filter_reading_some_columns
 cargo test -q -p rand
 cargo test -q -p isp-workloads --lib -- the_column_wise_draws \
@@ -248,7 +246,11 @@ cargo test -q -p activepy --lib -- persist:: plan::tests::a_seed_plans_only
 
 echo "== determinism contract: one harness =="
 # The nine axes of one contract, each matched against its case's reference by
-# tests/common/contract.rs, which pins each axis's completed-case count.
+# tests/common/contract.rs, which pins each axis's completed-case count and the
+# builtins those cases call. First the table the programs are drawn from: its
+# 32 rows, each checking arity, then each argument's type, the kernel and its
+# shape charge raising the same error text.
+cargo test -q -p alang --lib -- --exact builtins::tests::every_row_checks_arity_then_each_argument_type
 cargo test -q --test vm_differential --test thread_determinism --test shard_determinism \
   --test chaos --test wal_resume --test audit_determinism --test sampling_differential \
   --test replan_determinism --test decode_determinism -- --exact \
@@ -259,7 +261,7 @@ cargo test -q --test vm_differential --test thread_determinism --test shard_dete
   replanning_never_changes_values_and_warm_is_never_worse every_wire_format_produces_one_fingerprint
 
 echo "== cargo test -q --workspace =="
-# The whole suite: the root package alone is 63 of the 743 tests. No later
+# The whole suite: the root package alone is 63 of the 745 tests. No later
 # step re-runs a subset of it by name: once this has passed, that cannot fail.
 # Printed, not gated: its wall time, tests built, as the suite's budget.
 SUITE_START="$(date +%s.%N)"

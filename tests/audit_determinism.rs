@@ -43,7 +43,7 @@ const FLEET_SIZES: [usize; 2] = [1, 4];
 #[test]
 fn audit_is_observation_only_across_fleets_and_faults() {
     AUDIT.check((Case::placed(), fault_params(0.2)), |(case, faults)| {
-        traced(&case, &FLEET_SIZES, &faults)
+        Ok(case.ran(traced(&case, &FLEET_SIZES, &faults)?))
     });
 }
 

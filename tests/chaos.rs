@@ -44,6 +44,6 @@ fn respelling_a_reassigning_program_moves_nothing_under_any_placement() {
 #[test]
 fn faulted_runs_recover_to_the_fault_free_answer() {
     CHAOS.check((Case::placed(), fault_params(0.3)), |(case, faults)| {
-        faulted(&case, &faults)
+        Ok(case.ran(faulted(&case, &faults)?))
     });
 }

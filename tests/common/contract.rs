@@ -1,7 +1,7 @@
 //! The determinism contract's harness (see the module docs of `common`).
 
-use super::{all_placements, single_assignment, storage, FaultParams, REASSIGNING};
-use super::{scaled_storage, SCALED_V, SCALED_W};
+use super::programs::Programs;
+use super::{all_placements, single_assignment, storage, FaultParams, Scaled, REASSIGNING};
 use activepy::assign::projected_cost;
 use activepy::estimate::Link;
 use activepy::exec::{execute, ExecOptions, MigrationReason, RunReport};
@@ -10,10 +10,13 @@ use activepy::sampling::{observe_dataset_types, paper_scales, run_sampling};
 use activepy::sampling::{InputSource, LineSamples, SamplePoint, SamplingReport};
 use activepy::{execute_sharded_raw, ActivePyError, ExecJournal, FleetReport, PlanCache};
 use activepy::{OffloadPlan, ProfileRecorder, ProfileStore};
+use alang::ast::Expr;
+use alang::builtins::signatures;
+use alang::canonical::Fingerprinter;
 use alang::interp::{Interpreter, LineRecord};
 use alang::shape::Demand;
 use alang::shard::{ShardMap, ShardStrategy};
-use alang::{LangError, ParallelPolicy, Program, Storage, Vm};
+use alang::{LangError, ParStatsSnapshot, ParallelPolicy, Program, Storage, Value, Vm};
 use csd_sim::units::SimTime;
 use csd_sim::{ContentionScenario, EngineKind, FaultCounters, SystemConfig};
 use isp_obs::export::prometheus;
@@ -21,54 +24,118 @@ use isp_obs::wal::{parse_wal_bytes, WAL_MAGIC};
 use isp_obs::Tracer;
 use proptest::prelude::*;
 use std::cell::OnceCell;
+use std::collections::BTreeSet;
 use std::fmt::Debug;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One axis of the contract: the name its failures carry, how many cases
-/// it draws, and how many of those run to completion.
+/// it draws, how many of those run to completion, and which builtins the
+/// completed ones call.
 pub struct Axis {
     pub name: &'static str,
     cases: u32,
     completed: u32,
+    calls: Calls,
 }
 
-pub const VM: Axis = Axis::new("vm", 256, 69);
-pub const THREADS: Axis = Axis::new("threads", 96, 22);
-pub const FLEET: Axis = Axis::new("fleet", 24, 9);
-pub const CHAOS: Axis = Axis::new("chaos", 48, 17);
-pub const WAL: Axis = Axis::new("wal", 48, 19);
-pub const AUDIT: Axis = Axis::new("audit", 16, 4);
-pub const SAMPLING: Axis = Axis::new("sampling", 512, 106);
-pub const REPLAN: Axis = Axis::new("replan", 48, 48);
-pub const DECODE: Axis = Axis::new("decode", 24, 24);
+/// The builtins an axis's completed cases call.
+pub enum Calls {
+    /// Every row of the table.
+    Every,
+    /// Exactly these.
+    Only(&'static [&'static str]),
+}
+
+pub const VM: Axis = Axis::new("vm", 256, 222, Calls::Every);
+pub const THREADS: Axis = Axis::new("threads", 44, 43, Calls::Every);
+pub const FLEET: Axis = Axis::new("fleet", 32, 29, Calls::Every);
+pub const CHAOS: Axis = Axis::new("chaos", 48, 44, Calls::Every);
+pub const WAL: Axis = Axis::new("wal", 48, 45, Calls::Every);
+pub const AUDIT: Axis = Axis::new("audit", 32, 29, Calls::Every);
+pub const SAMPLING: Axis = Axis::new("sampling", 512, 410, Calls::Every);
+pub const REPLAN: Axis = Axis::new("replan", 48, 48, Calls::Every);
+pub const DECODE: Axis = Axis::new(
+    "decode",
+    24,
+    24,
+    Calls::Only(&["count", "decode", "scan_raw", "select", "sum"]),
+);
+
+/// A case's end on an axis: the builtins it called when it ran to
+/// completion, `None` when it failed alike everywhere.
+pub type Ran = Option<BTreeSet<String>>;
 
 impl Axis {
-    const fn new(name: &'static str, cases: u32, completed: u32) -> Self {
+    const fn new(name: &'static str, cases: u32, completed: u32, calls: Calls) -> Self {
         Axis {
             name,
             cases,
             completed,
+            calls,
         }
     }
 
     /// Runs `check` on the axis's draws of `strategy` and asserts how many
-    /// it reported as run to completion, so a generator or storage change
-    /// cannot silently drop the cases that reach the axis.
+    /// ran to completion and which builtins those called, so a generator
+    /// or storage change cannot silently drop the cases or the builtins
+    /// that reach the axis.
     pub fn check<S: Strategy>(
         &self,
         strategy: S,
-        mut check: impl FnMut(S::Value) -> Result<bool, TestCaseError>,
+        mut check: impl FnMut(S::Value) -> Result<Ran, TestCaseError>,
     ) {
         let mut completed = 0;
+        let mut called = BTreeSet::new();
         TestRunner::new(ProptestConfig::with_cases(self.cases)).run(&strategy, |case| {
-            completed += u32::from(check(case)?);
+            if let Some(calls) = check(case)? {
+                completed += 1;
+                called.extend(calls);
+            }
             Ok(())
         });
-        let what = format!("{}: cases run to completion, of {}", self.name, self.cases);
-        assert_eq!(completed, self.completed, "{what}");
+        let pinned: BTreeSet<String> = match self.calls {
+            Calls::Every => signatures().map(|sig| sig.name.to_owned()).collect(),
+            Calls::Only(names) => names.iter().map(|name| (*name).to_owned()).collect(),
+        };
+        let uncalled: Vec<&String> = pinned.difference(&called).collect();
+        let unpinned: Vec<&String> = called.difference(&pinned).collect();
+        let what = format!(
+            "{}: cases run to completion of {}, pinned builtins they do not call, \
+             builtins they call unpinned",
+            self.name, self.cases
+        );
+        assert_eq!(
+            (completed, uncalled, unpinned),
+            (self.completed, vec![], vec![]),
+            "{what}"
+        );
     }
+}
+
+/// The builtins `program` calls.
+pub fn calls(program: &Program) -> BTreeSet<String> {
+    fn walk(expr: &Expr, calls: &mut BTreeSet<String>) {
+        match expr {
+            Expr::Num(_) | Expr::Str(_) | Expr::Ident(_) => {}
+            Expr::Call { name, args } => {
+                calls.insert(name.clone());
+                args.iter().for_each(|arg| walk(arg, calls));
+            }
+            Expr::Binary { lhs, rhs, .. } => {
+                walk(lhs, calls);
+                walk(rhs, calls);
+            }
+            Expr::Unary { expr, .. } => walk(expr, calls),
+        }
+    }
+    let mut set = BTreeSet::new();
+    program
+        .lines()
+        .iter()
+        .for_each(|line| walk(&line.expr, &mut set));
+    set
 }
 
 /// What an axis compares: an answer, or an error's text.
@@ -127,10 +194,15 @@ impl Case {
     /// what the chaos, fleet, wal and audit axes draw first.
     pub fn placed() -> impl Strategy<Value = Case> {
         let on_csd = prop::collection::vec(any::<bool>(), 6..7);
-        (super::GRAMMAR.lines(1..6), on_csd).prop_map(|(lines, on_csd)| {
+        (Programs::over(&storage()), on_csd).prop_map(|(lines, on_csd)| {
             let placements = super::placements(&on_csd, lines.len());
             Case::new(super::source(&lines), storage(), placements)
         })
+    }
+
+    /// How the case ended on an axis: [`Ran`] when it `completed`.
+    pub fn ran(&self, completed: bool) -> Ran {
+        completed.then(|| calls(&self.program))
     }
 
     pub fn reference(&self) -> &Result<RunReport, ActivePyError> {
@@ -296,19 +368,20 @@ pub fn reassigning_programs_respell_for_free<R: Report>(
 }
 
 /// One engine's run: its records, and each variable the interpreter
-/// defined with its Debug text (so identical NaNs compare equal) and
-/// `var_bytes`.
-pub type EngineRun = (Vec<LineRecord>, Vec<(String, String, u64)>);
+/// defined with its value's digest (the one `values_fingerprint` is made
+/// of, bit-exact, so identical NaNs compare equal) and `var_bytes`.
+pub type EngineRun = (Vec<LineRecord>, Vec<(String, Option<u64>, u64)>);
 
 /// The engines axis (`tests/vm_differential.rs`): the case on the
 /// interpreter and on the VM with copy-elimination `flags` under `policy`,
-/// the two in [`agree`]ment; the VM's run is the outcome.
+/// the two in [`agree`]ment; the VM's run is the outcome, returned with
+/// the VM's chunked-execution counters.
 pub fn engines(
     axis: &str,
     case: &Case,
     flags: &[bool],
     policy: ParallelPolicy,
-) -> Result<Outcome<EngineRun>, TestCaseError> {
+) -> Result<(Outcome<EngineRun>, ParStatsSnapshot), TestCaseError> {
     let mut interp = Interpreter::with_policy(&case.storage, policy);
     let ast = interp.run(&case.program, flags);
     // Every drawn call names a registered builtin, so lowering cannot fail.
@@ -316,18 +389,13 @@ pub fn engines(
     let mut vm = Vm::with_policy(&lowered, &case.storage, policy);
     let on_vm = vm.run();
     let names: Vec<String> = interp.var_names().map(str::to_owned).collect();
+    let digest = |value: Option<&Value>| value.map(Fingerprinter::digest);
     let ast = ast.map(|records| {
-        let var = |n: &String| {
-            (
-                n.clone(),
-                format!("{:?}", interp.var(n)),
-                interp.var_bytes(n),
-            )
-        };
+        let var = |n: &String| (n.clone(), digest(interp.var(n)), interp.var_bytes(n));
         (records, names.iter().map(var).collect())
     });
     let on_vm = on_vm.map(|records| {
-        let var = |n: &String| (n.clone(), format!("{:?}", vm.var(n)), vm.var_bytes(n));
+        let var = |n: &String| (n.clone(), digest(vm.var(n)), vm.var_bytes(n));
         (records, names.iter().map(var).collect())
     });
     let (ast, on_vm) = (
@@ -335,19 +403,27 @@ pub fn engines(
         on_vm.map_err(|e| e.to_string()),
     );
     agree(axis, case, &ast, &on_vm)?;
-    Ok(on_vm)
+    Ok((on_vm, vm.par_stats()))
 }
 
 /// The threads axis (`tests/thread_determinism.rs`): the engines axis at
-/// each of `counts` threads, every run equal to the first's.
-pub fn threads(case: &Case, flags: &[bool], counts: &[usize]) -> Result<bool, TestCaseError> {
+/// each of `counts` threads, every run and its chunked-execution counters
+/// equal to the first's. Returns whether the case ran to completion, and
+/// the counters: the chunk grid is the data's, not the schedule's.
+pub fn threads(
+    case: &Case,
+    flags: &[bool],
+    counts: &[usize],
+) -> Result<(bool, ParStatsSnapshot), TestCaseError> {
     let axis = |n: usize| format!("{} at {n}", THREADS.name);
     let at = |n: usize| engines(&axis(n), case, flags, ParallelPolicy::with_threads(n));
-    let first = at(counts[0])?;
+    let (first, stats) = at(counts[0])?;
     for &n in &counts[1..] {
-        agree(&axis(n), case, &first, &at(n)?)?;
+        let (run, at_n) = at(n)?;
+        agree(&axis(n), case, &first, &run)?;
+        prop_assert_eq!(at_n, stats, "{}: chunked-execution counters", axis(n));
     }
-    Ok(first.is_ok())
+    Ok((first.is_ok(), stats))
 }
 
 /// The fleet axis (`tests/shard_determinism.rs`): the case on `n` devices
@@ -518,8 +594,12 @@ pub fn sample_by_lines(
 }
 
 /// The sampled axis (`tests/sampling_differential.rs`) over `input`. Line
-/// by line, an error is placed at its scale and line.
-pub fn sampled(case: &Case, input: &dyn InputSource) -> Result<bool, TestCaseError> {
+/// by line, an error is placed at its scale and line. Returns the error
+/// the case stopped at everywhere, if any.
+pub fn sampled(
+    case: &Case,
+    input: &dyn InputSource,
+) -> Result<Result<(), LangError>, TestCaseError> {
     let scales = paper_scales();
     let by_lines = |costs_only| sample_by_lines(&case.program, input, &scales, costs_only);
     fn text(e: &LangError) -> String {
@@ -538,23 +618,24 @@ pub fn sampled(case: &Case, input: &dyn InputSource) -> Result<bool, TestCaseErr
         case,
         &unplaced,
         &sampled.as_ref().map_err(|e| e.to_string()),
-    )
+    )?;
+    Ok(reference.map(|_| ()).map_err(|(_, _, e)| e))
 }
 
-/// The replanned axis (`tests/replan_determinism.rs`) over scale-aware
-/// arrays `v` and `w`, under a burst at `drop_frac` of the clean run that
-/// recovers `recover_span` of the way to its end.
+/// The replanned axis (`tests/replan_determinism.rs`) over `input`, under
+/// a burst at `drop_frac` of the clean run that recovers `recover_span` of
+/// the way to its end.
 pub fn replanned(
     case: &Case,
+    input: &Scaled,
     drop_frac: f64,
     recover_span: f64,
     burst: f64,
 ) -> Result<bool, TestCaseError> {
-    let input = |scale: f64| scaled_storage(scale, &[SCALED_V, SCALED_W]);
     let config = SystemConfig::paper_default();
     let static_rt = ActivePy::with_options(ActivePyOptions::default().without_migration());
     // A program whose sampling fails cannot be planned: nothing to re-plan.
-    let plan = PlanCache::new().plan_for(&static_rt, "prop", &case.program, &input, &config);
+    let plan = PlanCache::new().plan_for(&static_rt, "prop", &case.program, input, &config);
     let Ok(cold) = plan else { return Ok(false) };
     let run = |rt: &ActivePy, plan: &OffloadPlan, scenario| {
         let outcome = rt.execute_plan(plan, &config, scenario);
@@ -570,7 +651,7 @@ pub fn replanned(
 
     let static_run = run(&static_rt, &cold, scenario);
     let store = Arc::new(ProfileStore::new());
-    let key = PlanCache::key_for(&static_rt, "prop", &input, &config);
+    let key = PlanCache::key_for(&static_rt, "prop", input, &config);
     let recorder = ProfileRecorder::to_store(Arc::clone(&store), key.clone());
     let monitored_rt = ActivePy::with_options(ActivePyOptions::default().with_profile(recorder));
     let monitored = run(&monitored_rt, &cold, scenario);

@@ -1,7 +1,14 @@
-//! What the root differential tests share: the random-program grammar,
-//! the stored arrays it scans, the scale-aware input the planning tests
-//! sample, the random fault plans, and [`contract`], the harness of the
-//! determinism contract.
+//! What the root differential tests share: [`programs`], the programs
+//! drawn from the builtin table; [`datasets`], the one stored dataset per
+//! type they read, and [`Scaled`], the same at every sampling scale; the
+//! random fault plans; and [`contract`], the harness of the determinism
+//! contract.
+//!
+//! A drawn program's every call is to a row of
+//! `alang::builtins::signatures()`, its arguments drawn by the types the
+//! row admits (see [`programs`]), so no test here restates a builtin's
+//! signature; one draw in eight ignores the types, so error parity stays
+//! checked.
 //!
 //! The contract: every run of a program gives one `values_fingerprint` or
 //! one error text, whatever its engine, thread count, fleet size, fault
@@ -11,94 +18,40 @@
 //! [`contract::agree`] that matches an outcome against a reference, the
 //! invariants several axes assert (recovery accounting, spelling is free,
 //! the engine comparison), one function per axis, and each axis's case and
-//! completed-case counts ([`contract::Axis`]).
+//! completed-case counts and the builtins its completed cases call
+//! ([`contract::Axis`]).
 //!
 //! The vendored proptest is fixed-seed and samples a tuple's members in
 //! order, and `prop_map` draws nothing, so every test that draws from these
 //! strategies in the same order sees the same cases on every run; changing
-//! a strategy here changes the pinned cases of every test that uses it.
+//! a strategy or a dataset here changes the pinned cases of every test that
+//! uses it.
 
 // Each test binary compiles this module separately and uses its own subset.
 #![allow(dead_code)]
 
 pub mod contract;
+pub mod programs;
 
+use activepy::sampling::InputSource;
 use activepy::OffloadPlan;
 use alang::ast::Expr;
 use alang::builtins::Storage;
-use alang::value::ArrayVal;
+use alang::forest::{Forest, Tree, TreeNode};
+use alang::matrix::Matrix;
+use alang::shape::StoredReads;
+use alang::table::{Column, Table};
+use alang::value::{ArrayVal, EncodedVal};
 use alang::{Program, Value};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::{Duration, SimTime};
+use csd_sim::wire::Encoding;
 use csd_sim::EngineKind;
 use isp_obs::{AttrValue, MemorySink, TraceEvent};
+use programs::{KEYS, VARS};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::ops::Range;
-
-/// Assignment targets; reads of not-yet-defined names are valid programs
-/// that must fail identically wherever they run.
-pub const VARS: [&str; 4] = ["a", "b", "c", "d"];
-
-/// Builtins safe to call with one argument of any generated type: either
-/// they succeed or every engine raises the same runtime error. `sort` is
-/// left out: on the NaNs that `sqrt`/`0/0` legitimately produce here it
-/// only raises an error, and drawing it would re-pin every user's cases.
-pub const FNS: [&str; 5] = ["sum", "mean", "sqrt", "abs", "len"];
-
-pub const OPS: [&str; 8] = ["+", "-", "*", "/", "<", ">", "==", "!="];
-
-/// A grammar of random expressions in source form, up to three levels
-/// deep: numbers, [`VARS`] and scans of `v` and `w` under negation, `ops`,
-/// one-argument `calls`, and `reduces` of `scan('v') + e`.
-#[derive(Clone, Copy)]
-pub struct Grammar {
-    pub ops: &'static [&'static str],
-    pub calls: &'static [&'static str],
-    pub reduces: &'static [&'static str],
-}
-
-/// The shared grammar: [`OPS`] and [`FNS`], no reductions.
-pub const GRAMMAR: Grammar = Grammar {
-    ops: &OPS,
-    calls: &FNS,
-    reduces: &[],
-};
-
-impl Grammar {
-    fn expr(self) -> BoxedStrategy<String> {
-        let leaf = prop_oneof![
-            (0u32..50).prop_map(|n| n.to_string()),
-            (1u32..40).prop_map(|n| format!("{n}.5")),
-            (0usize..VARS.len()).prop_map(|i| VARS[i].to_owned()),
-            Just("scan('v')".to_owned()),
-            Just("scan('w')".to_owned()),
-        ];
-        let (ops, calls, reduces) = (self.ops, self.calls, self.reduces);
-        leaf.boxed().prop_recursive(3, 24, 3, move |inner| {
-            let mut arms = vec![
-                inner.clone().prop_map(|e| format!("-({e})")).boxed(),
-                (inner.clone(), inner.clone(), 0usize..ops.len())
-                    .prop_map(move |(l, r, op)| format!("({l} {} {r})", ops[op]))
-                    .boxed(),
-                (inner.clone(), 0usize..calls.len())
-                    .prop_map(move |(e, f)| format!("{}({e})", calls[f]))
-                    .boxed(),
-            ];
-            if !reduces.is_empty() {
-                let reduce = (inner, 0usize..reduces.len())
-                    .prop_map(move |(e, f)| format!("{}((scan('v') + {e}))", reduces[f]));
-                arms.push(reduce.boxed());
-            }
-            proptest::Union::new(arms)
-        })
-    }
-
-    /// `count` lines, each a drawn target and expression.
-    pub fn lines(self, count: Range<usize>) -> impl Strategy<Value = Vec<(usize, String)>> {
-        prop::collection::vec((0usize..VARS.len(), self.expr()), count)
-    }
-}
+use std::sync::Arc;
 
 /// The program a `(target, expression)` draw spells.
 pub fn source(lines: &[(usize, String)]) -> String {
@@ -108,10 +61,10 @@ pub fn source(lines: &[(usize, String)]) -> String {
         .collect()
 }
 
-/// Programs in the grammar's vocabulary that run to completion and reuse
-/// names the way the drawn ones rarely survive to: a result spelled like
-/// the scanned input, a gathered value's name reused in the tail, a line
-/// that reads the name it assigns.
+/// Programs that run to completion and reuse names in the three ways that
+/// matter, checked under every placement rather than as drawn: a result
+/// spelled like the scanned input, a gathered value's name reused in the
+/// tail, a line that reads the name it assigns.
 pub const REASSIGNING: [&str; 3] = [
     "a = scan('v')\nb = a * 2\nc = a + b\na = sum(c)\n",
     "a = scan('v')\nb = sqrt(a)\nc = sum(b)\nb = c + 1\n",
@@ -180,59 +133,126 @@ pub fn placements(on_csd: &[bool], len: usize) -> Vec<EngineKind> {
     on_csd[..len].iter().map(engine).collect()
 }
 
-/// The two stored arrays the grammar scans: `v` (64 elements standing for
-/// 1 M logical rows) and `w` (32 standing for 500 k). Both logical sizes
-/// clear `SHARD_MIN_ROWS`, so an auto shard map always partitions them.
+/// The stored datasets at 16 materialized rows standing for 2²⁰ logical
+/// ones, which clear `SHARD_MIN_ROWS`: an auto shard map partitions every
+/// dataset with rows.
 pub fn storage() -> Storage {
-    storage_with(64, 32)
+    datasets(16, 16 << 16)
 }
 
-/// As [`storage`] with `len_v` / `len_w` materialized elements behind the
-/// same logical sizes, for tests that need arrays long enough to chunk.
-/// `v` cycles 0..10; `w` cycles 0..97 centred on zero (on its midpoint
-/// while it is shorter than one cycle).
-pub fn storage_with(len_v: u32, len_w: u32) -> Storage {
-    let centre = f64::from((len_w / 2).min(48));
-    arrays([
-        ("v", len_v, 10, 0.0, 1_000_000),
-        ("w", len_w, 97, centre, 500_000),
-    ])
-}
-
-/// Stored arrays: each `(name, len, cycle, centre, logical)` holds `len`
-/// elements cycling `0..cycle` less `centre` and stands for `logical` rows.
-fn arrays(arrays: impl IntoIterator<Item = (&'static str, u32, u32, f64, u64)>) -> Storage {
-    let mut st = Storage::new();
-    for (name, len, cycle, centre, logical) in arrays {
-        let values = (0..len).map(|i| f64::from(i % cycle) - centre).collect();
-        st.insert(name, Value::Array(ArrayVal::with_logical(values, logical)));
-    }
+/// What every drawn program reads, one stored dataset per type, each of
+/// `n` materialized rows standing for `logical` (a whole multiple of `n`):
+/// [`datasets_without_matrix`] and the matrix `m`.
+pub fn datasets(n: usize, logical: u64) -> Storage {
+    let mut st = datasets_without_matrix(n, logical);
+    st.insert("m", Value::Matrix(matrix(n, logical)));
     st
 }
 
-/// One array of a [`scaled_storage`]: its name, the cycle its values
-/// repeat with, what is subtracted to centre them, and what its logical
-/// length is divided by.
-pub type ScaledArray = (&'static str, u32, f64, u64);
+/// [`arrays_table_forest`] and the encoded column `e`.
+pub fn datasets_without_matrix(n: usize, logical: u64) -> Storage {
+    let mut st = arrays_table_forest(n, logical, &StoredReads::every());
+    st.insert("e", Value::Encoded(encoded(n, logical)));
+    st
+}
 
-/// `v` cycles 0..100 over the full logical length, so `a < 50` selects
-/// exactly half at every scale.
-pub const SCALED_V: ScaledArray = ("v", 100, 0.0, 1);
+/// The `n × n` matrix `m`, its entries cycling −5..=5 along its rows and
+/// columns.
+fn matrix(n: usize, logical: u64) -> Matrix {
+    let entries = (0..n * n).map(|i| ((i / n + 2 * (i % n)) % 11) as f64 - 5.0);
+    Matrix::with_logical(entries.collect(), n, n, logical, n as u64).expect("matrix")
+}
 
-/// `w` cycles 0..97 centred on zero over half the logical length.
-pub const SCALED_W: ScaledArray = ("w", 97, 48.0, 2);
+/// The encoded column `e`: quarters cycling 0..2.5, gzip-compressed and
+/// byte-shuffled.
+fn encoded(n: usize, logical: u64) -> EncodedVal {
+    let quarters: Vec<f64> = (0..n).map(|i| (i % 11) as f64 * 0.25).collect();
+    EncodedVal::from_f64s(Encoding::gzip_shuffled(), &quarters, logical)
+}
 
-/// Scale-aware input for the tests that plan (an `InputSource` is any
-/// `Fn(f64) -> Storage`): logical sizes follow `scale` — 10⁹ elements at
-/// 1.0 — while the materialized prefix stays small, 100–8 000 elements
-/// and a multiple of 100.
-pub fn scaled_storage(scale: f64, specs: &[ScaledArray]) -> Storage {
-    let logical = (scale * 1e9).round().max(100.0) as u64;
-    let actual = (((logical / 100_000).clamp(100, 8000) / 100) * 100) as u32;
-    let at_scale = |&(name, cycle, centre, divisor): &ScaledArray| {
-        (name, actual, cycle, centre, logical / divisor)
+/// The arrays `v` and `w`, both of the keys `0..KEYS` in two orders; the
+/// table `t` of [`table_columns`] under `reads`; and the two-tree forest
+/// `f` over features 0 and 2.
+fn arrays_table_forest(n: usize, logical: u64, reads: &StoredReads) -> Storage {
+    let keys = KEYS as usize;
+    let array = |key: fn(usize, usize) -> usize| {
+        let values = (0..n).map(|i| key(i, keys) as f64).collect();
+        Value::Array(ArrayVal::with_logical(values, logical))
     };
-    arrays(specs.iter().map(at_scale))
+    let mut st = Storage::new();
+    st.insert("v", array(|i, keys| i % keys));
+    st.insert("w", array(|i, keys| (3 * i + 5) % keys));
+    let t = Table::with_logical_rows(table_columns(n, reads), logical).expect("table");
+    st.insert("t", Value::Table(t));
+    let tree = |feature, threshold, below, above| {
+        let split = TreeNode::split(feature, threshold, 1, 2);
+        Tree::new(vec![split, TreeNode::leaf(below), TreeNode::leaf(above)]).expect("tree")
+    };
+    let trees = vec![tree(0, 3.5, -1.0, 1.0), tree(2, 0.0, 0.5, 2.0)];
+    st.insert("f", Value::Forest(Forest::new(trees, 3).expect("forest")));
+    st
+}
+
+/// The columns of the stored table `t` at `n` rows: `x` cycling 0..10,
+/// `y` cycling −6..=6 and the dictionary column `k` cycling its three
+/// codes. A column `reads` does not name holds zeros, as a projected
+/// sample input's would.
+fn table_columns(n: usize, reads: &StoredReads) -> Vec<(String, Column)> {
+    let read = |column: &str| reads.column("t", column);
+    let f64s = |name: &str, value: fn(usize) -> f64| {
+        let data = (0..n).map(|i| if read(name) { value(i) } else { 0.0 });
+        (name.to_owned(), Column::F64(Arc::new(data.collect())))
+    };
+    let codes = (0..n).map(|i| if read("k") { (i % 3) as u32 } else { 0 });
+    let dict = ["lo", "mid", "hi"].map(str::to_owned).to_vec();
+    vec![
+        f64s("x", |i| (i % 10) as f64),
+        f64s("y", |i| (i % 13) as f64 - 6.0),
+        (
+            "k".to_owned(),
+            Column::Dict {
+                codes: Arc::new(codes.collect()),
+                dict: Arc::new(dict),
+            },
+        ),
+    ]
+}
+
+/// [`datasets`] as the planning tests sample them: `n` materialized rows
+/// at every scale, standing for `scale × 2³⁰` logical ones rounded to a
+/// whole multiple of `n`, the table's unread columns zeroed in a
+/// projected draw. The matrix and the encoded column are built once and
+/// relabelled per scale, as the registered workloads' are.
+pub struct Scaled {
+    n: usize,
+    m: Matrix,
+    e: EncodedVal,
+}
+
+impl Scaled {
+    pub fn new(n: usize) -> Self {
+        let (m, e) = (matrix(n, n as u64), encoded(n, n as u64));
+        Scaled { n, m, e }
+    }
+}
+
+impl InputSource for Scaled {
+    fn storage_at(&self, scale: f64) -> Storage {
+        self.projected_storage_at(scale, &StoredReads::every())
+    }
+
+    fn projected_storage_at(&self, scale: f64, reads: &StoredReads) -> Storage {
+        let n = self.n as u64;
+        let logical = ((scale * f64::from(1u32 << 30) / n as f64).round() as u64).max(1) * n;
+        let mut st = arrays_table_forest(self.n, logical, reads);
+        let m = self
+            .m
+            .with_logical_rows(logical)
+            .expect("rows past the materialized");
+        st.insert("m", Value::Matrix(m));
+        st.insert("e", Value::Encoded(self.e.with_logical_len(logical)));
+        st
+    }
 }
 
 /// Raw parameters of a fault plan: independent transient error rates per

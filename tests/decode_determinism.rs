@@ -101,12 +101,8 @@ fn every_wire_format_produces_one_fingerprint() {
         (arb_encoding(), arb_encoding(), on_csd, faults()),
         |(a, b, on_csd, faults)| {
             let case = Case::new(SOURCE, storage(a, b), placements(&on_csd, on_csd.len()));
-            wire(
-                &format!("decode, a: {a:?}, b: {b:?}"),
-                &case,
-                &SHARD_COUNTS,
-                &faults,
-            )
+            let axis = format!("decode, a: {a:?}, b: {b:?}");
+            Ok(case.ran(wire(&axis, &case, &SHARD_COUNTS, &faults)?))
         },
     );
 }

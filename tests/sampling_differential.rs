@@ -5,22 +5,22 @@
 //! one plain `Vm` run per scale — the reports must be equal, and the
 //! errors the same text on the same line: for every registered program,
 //! whose plans must then fingerprint alike, and for random programs over
-//! stored arrays and a stored table whose lengths need not match, so
-//! skipped lines raise shape errors.
+//! every stored type, one draw in eight ignoring the types, so skipped
+//! lines raise the errors computed ones do.
 
 mod common;
 
 use activepy::sampling::{paper_scales, run_sampling, InputSource};
 use activepy::{plan_fingerprint, ActivePy};
 use alang::shape::{Demand, StoredReads};
-use alang::table::{Column, Table};
-use alang::{Storage, Value};
+use alang::table::Column;
+use alang::value::ArrayVal;
+use alang::{LangError, Storage, Value};
 use common::contract::{sample_by_lines, sampled, Case, SAMPLING};
-use common::{source, storage_with, GRAMMAR};
+use common::programs::{Programs, KEYS};
+use common::{datasets, source, Scaled};
 use csd_sim::SystemConfig;
-use proptest::prelude::*;
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 #[test]
 fn every_registered_report_is_the_one_computing_every_line_gives() {
@@ -161,77 +161,80 @@ fn each_sample_input_is_drawn_for_its_value_read_columns() {
     }
 }
 
-/// Binds every drawn name first, so most drawn lines read defined values.
-const PRELUDE: &str = "a = scan('v')\nb = scan('w')\nc = a * 2\nd = b - 1\n";
-
-/// Tails that read the drawn names through value-reading kernels, so a
-/// mask, a key column or a choice decides what is computed; the last four
-/// filter the stored table `t` and read some of its columns by value, the
-/// others by shape.
+/// Tails that bind names and read them back through value-reading
+/// kernels, so a mask bound to a name, a key column or a choice decides
+/// what is computed; the last four filter the stored table `t` and read
+/// some of its columns by value, the others by shape.
 const TAILS: [&str; 9] = [
     "",
-    "m = a > 2\ns = select(b, m)\nt = sum(s)\n",
-    "k = group_sum(a, b * 2)\n",
-    "w = where(a > 1, b, c)\nx = count(a < b)\n",
-    "g = gather(b, abs(a))\nh = mean(g)\n",
-    "t = scan('t')\nf = filter(t, a > 2)\nx = col(f, 'x')\ns = select(x, col(f, 'y') > 0)\n\
-     u = sum(s)\n",
-    "t = scan('t')\nf = filter(t, col(t, 'x') > 3)\ng = group_sum(col(f, 'k'), col(f, 'y') * d)\n\
-     n = len(g)\n",
-    "t = scan('t')\nu = t\nf = filter(u, col(u, 'y') < c)\nk = col(f, 'k')\n\
+    "a = scan('v')\nb = scan('w')\nm = a > 2\ns = select(b, m)\nt = sum(s)\n",
+    "a = scan('v')\nb = scan('w')\nk = group_sum(a, b * 2)\n",
+    "a = scan('v')\nb = scan('w')\nc = a * 2\nw = where(a > 1, b, c)\nx = count(a < b)\n",
+    "a = scan('v')\nb = scan('w')\ng = gather(b, abs(a))\nh = mean(g)\n",
+    "a = scan('v')\nt = scan('t')\nf = filter(t, a > 2)\nx = col(f, 'x')\n\
+     s = select(x, col(f, 'y') > 0)\nu = sum(s)\n",
+    "d = scan('w') - 1\nt = scan('t')\nm = col(t, 'x') > 3\nf = filter(t, m)\n\
+     g = group_sum(col(f, 'k'), col(f, 'y') * select(d, m))\nn = len(g)\n",
+    "c = scan('v') * 2\nt = scan('t')\nu = t\nf = filter(u, col(u, 'y') < c)\nk = col(f, 'k')\n\
      g = gather(col(f, 'x'), k)\ne = exp(col(f, 'y'))\n",
-    "t = scan('t')\nf = filter(t, col(t, 'k') > 0)\ns = select(col(f, 'y'), col(f, 'x') > 4)\n\
-     g = group_sum(col(f, 'x'), col(f, 'y') + 1)\nz = sum(s)\nh = filter(f, col(f, 'y') > b)\n",
+    "b = scan('w')\nt = scan('t')\nk = col(t, 'k') > 0\nf = filter(t, k)\n\
+     s = select(col(f, 'y'), col(f, 'x') > 4)\ng = group_sum(col(f, 'x'), col(f, 'y') + 1)\n\
+     z = sum(s)\nh = filter(f, col(f, 'y') > select(b, k))\n",
 ];
 
-/// The drawn programs' input: [`storage_with`]'s arrays and a table `t`
-/// of `rows` rows — `x` cycling 0..10, `y` centred on zero and a
-/// dictionary column `k` cycling its three codes — whose columns a
-/// projected draw does not read hold zeros.
-struct WithTable {
-    len_v: u32,
-    len_w: u32,
-    rows: u32,
+/// Whether `e` is a shape error: operands whose lengths do not line up.
+fn is_shape_error(e: &LangError) -> bool {
+    let LangError::Runtime { message } = e else {
+        return false;
+    };
+    ["length", "mismatch", "does not match", "elements, mask has"]
+        .iter()
+        .any(|words| message.contains(words))
 }
 
-impl InputSource for WithTable {
+/// [`Scaled`] with `w` one row short of the other datasets, so a line
+/// reading it with them raises a shape error, whether it is computed or
+/// charged from shapes.
+struct ShortW<'a>(&'a Scaled);
+
+impl InputSource for ShortW<'_> {
     fn storage_at(&self, scale: f64) -> Storage {
-        self.projected_storage_at(scale, &StoredReads::every())
+        short_w(self.0.storage_at(scale))
     }
 
-    fn projected_storage_at(&self, _: f64, reads: &StoredReads) -> Storage {
-        let mut st = storage_with(self.len_v, self.len_w);
-        let read = |column: &str| reads.column("t", column);
-        let f64s = |name: &str, value: fn(u32) -> f64| {
-            let data = (0..self.rows).map(|i| if read(name) { value(i) } else { 0.0 });
-            (name.to_owned(), Column::F64(Arc::new(data.collect())))
-        };
-        let codes = (0..self.rows).map(|i| if read("k") { i % 3 } else { 0 });
-        let columns = vec![
-            f64s("x", |i| f64::from(i % 10)),
-            f64s("y", |i| f64::from(i % 13) - 6.0),
-            (
-                "k".to_owned(),
-                Column::Dict {
-                    codes: Arc::new(codes.collect()),
-                    dict: Arc::new(vec!["lo".into(), "mid".into(), "hi".into()]),
-                },
-            ),
-        ];
-        let t = Table::with_logical_rows(columns, 700_000).expect("table");
-        st.insert("t", Value::Table(t));
-        st
+    fn projected_storage_at(&self, scale: f64, reads: &StoredReads) -> Storage {
+        short_w(self.0.projected_storage_at(scale, reads))
     }
 }
 
+fn short_w(mut st: Storage) -> Storage {
+    let Ok(Value::Array(w)) = st.get("w") else {
+        unreachable!("`w` is a stored array")
+    };
+    let short = w.data()[1..].to_vec();
+    let w = ArrayVal::with_logical(short, w.logical_len());
+    st.insert("w", Value::Array(w));
+    st
+}
+
+/// Drawn programs and a tail over [`Scaled`] datasets of a drawn number of
+/// rows, at least [`KEYS`] so every key is stored, `w` one row short in one
+/// case in 16. The cases that stop at a shape error are counted.
 #[test]
 fn random_programs_sample_alike_with_every_line_computed() {
-    let lengths = (1u32..48, 1u32..48, 1u32..48, any::<bool>());
-    let draws = (GRAMMAR.lines(1..6), 0usize..TAILS.len(), lengths);
-    SAMPLING.check(draws, |(lines, tail, (len_v, len_w, rows, equal))| {
-        // Equal lengths half the time; unequal ones make shape errors.
-        let (len_w, rows) = if equal { (len_v, len_v) } else { (len_w, rows) };
-        let src = format!("{PRELUDE}{}{}", source(&lines), TAILS[tail]);
-        sampled(&Case::program_only(src), &WithTable { len_v, len_w, rows })
+    let programs = Programs::over(&datasets(KEYS as usize, u64::from(KEYS)));
+    let inputs: Vec<Scaled> = (KEYS as usize..24).map(Scaled::new).collect();
+    let draws = (programs, 0usize..TAILS.len(), 0..inputs.len(), 0u32..16);
+    let mut shape_errors = 0;
+    SAMPLING.check(draws, |(lines, tail, n, short)| {
+        let case = Case::program_only(source(&lines) + TAILS[tail]);
+        let stopped = if short == 0 {
+            sampled(&case, &ShortW(&inputs[n]))?
+        } else {
+            sampled(&case, &inputs[n])?
+        };
+        shape_errors += u32::from(stopped.as_ref().is_err_and(is_shape_error));
+        Ok(case.ran(stopped.is_ok()))
     });
+    assert_eq!(shape_errors, 27, "sampling: cases stopped by a shape error");
 }

@@ -9,9 +9,11 @@
 mod common;
 
 use activepy::exec::ExecOptions;
-use alang::ParallelPolicy;
+use alang::par::MIN_PARALLEL_LEN;
+use alang::{ParallelPolicy, Storage};
 use common::contract::{threads, Case, THREADS};
-use common::{source, storage_with, GRAMMAR};
+use common::programs::Programs;
+use common::{datasets, datasets_without_matrix, source};
 use csd_sim::fault::FaultPlan;
 use csd_sim::units::{Duration, SimTime};
 use csd_sim::EngineKind;
@@ -19,22 +21,51 @@ use proptest::prelude::*;
 
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
-/// The shared grammar's storage with physical arrays large enough to
-/// split into many chunks (the element budget is 4096 a chunk), so
-/// parallel execution genuinely happens instead of falling back to the
-/// serial fast path: `v` is 24 chunks, and a result a twelfth as long
-/// still reaches the 8 192-element engagement threshold.
-fn storage() -> alang::Storage {
-    storage_with(98_304, 67_175)
+/// Rows of the long datasets: twice `MIN_PARALLEL_LEN`, so an element-wise
+/// kernel over them splits into 4 chunks (the element budget is 4096 a
+/// chunk), run by 4 workers at 8 threads and 2 at 2, a reduction combines
+/// 4 partials, and a result half as long still reaches the engagement
+/// threshold.
+const LONG: usize = 2 * MIN_PARALLEL_LEN;
+
+/// Rows of the square datasets, the fewest whose `SQUARE × SQUARE` matrix
+/// (8 281 entries) reaches `MIN_PARALLEL_LEN`, so the matrix builtins over
+/// it (`matmul`, `gram`, `kmeans_assign`, `spmv`, ...) chunk.
+const SQUARE: usize = 91;
+
+/// The stored datasets at [`LONG`] rows. They hold no matrix: a square one
+/// that long would not fit, so a draw over them calls no matrix builtin.
+fn long_storage() -> Storage {
+    datasets_without_matrix(LONG, (LONG as u64) << 14)
 }
 
+/// 18 of the 44 cases run over [`long_storage`], the others over the
+/// [`SQUARE`]-row datasets, whose matrix builtins the long draws cannot
+/// call. Every chunked-execution counter is equal at each thread count;
+/// 25 cases ran some kernel on the chunked path, the others every kernel
+/// serially (a square case calling no matrix builtin, say).
 #[test]
 fn results_are_identical_at_every_thread_count() {
+    let (square, long) = (datasets(SQUARE, (SQUARE as u64) << 14), long_storage());
+    let programs = prop_oneof![
+        Programs::over(&square).prop_map(|lines| (lines, false)),
+        Programs::over(&long).prop_map(|lines| (lines, true)),
+    ];
     let flags = prop::collection::vec(any::<bool>(), 0..8);
-    THREADS.check((GRAMMAR.lines(1..6), flags), |(lines, flags)| {
-        let case = Case::new(source(&lines), storage(), Vec::new());
-        threads(&case, &flags, &THREAD_COUNTS)
+    let (mut long_cases, mut chunked) = (0, 0);
+    THREADS.check((programs, flags), |((lines, is_long), flags)| {
+        long_cases += u32::from(is_long);
+        let stored = if is_long { &long } else { &square };
+        let case = Case::new(source(&lines), stored.clone(), Vec::new());
+        let (completed, stats) = threads(&case, &flags, &THREAD_COUNTS)?;
+        chunked += u32::from(stats.par_calls > 0);
+        Ok(case.ran(completed))
     });
+    assert_eq!(
+        (long_cases, chunked),
+        (18, 25),
+        "threads: cases over the long datasets, cases whose kernels chunked"
+    );
 }
 
 /// A fixed mixed-placement program whose kernels all chunk under the test
@@ -57,7 +88,7 @@ fn pinned_faults_and_parallel_kernels_replay_bit_exactly() {
         EngineKind::Host,
         EngineKind::Cse,
     ];
-    let case = Case::new(src, storage(), placements);
+    let case = Case::new(src, long_storage(), placements);
     let pinned = FaultPlan::none()
         .with_seed(7)
         .with_flash_read_error_prob(0.15)

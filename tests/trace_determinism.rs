@@ -24,6 +24,8 @@ use activepy::runtime::{ActivePy, ActivePyOptions, ActivePyOutcome};
 use activepy::sampling::InputSource;
 use activepy::OffloadPlan;
 use alang::parser::parse;
+use alang::value::ArrayVal;
+use alang::{Storage, Value};
 use csd_sim::{ContentionScenario, SystemConfig};
 use isp_obs::{export, parse_journal, MemorySink, Tracer};
 use proptest::prelude::*;
@@ -32,9 +34,18 @@ use std::sync::Arc;
 
 /// The runtime facade's reference workload: a filter-reduce over an 8 GB
 /// logical array whose materialized length keeps selectivity exactly 0.5
-/// at every sampling scale.
+/// at every sampling scale. `v` stands for 10⁹ elements at scale 1.0 and
+/// materializes 100–8 000 of them, a multiple of 100, cycling 0..100, so
+/// `a < 50` selects exactly half.
 fn input() -> impl InputSource {
-    |scale: f64| common::scaled_storage(scale, &[common::SCALED_V])
+    |scale: f64| {
+        let logical = (scale * 1e9).round().max(100.0) as u64;
+        let len = (logical / 100_000).clamp(100, 8000) / 100 * 100;
+        let values = (0..len).map(|i| (i % 100) as f64).collect();
+        let mut st = Storage::new();
+        st.insert("v", Value::Array(ArrayVal::with_logical(values, logical)));
+        st
+    }
 }
 
 const SRC: &str = "\

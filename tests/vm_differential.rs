@@ -13,7 +13,8 @@ use activepy::sampling::{paper_scales, run_sampling};
 use alang::copyelim::eliminable_lines;
 use alang::ParallelPolicy;
 use common::contract::{engines, Case, VM};
-use common::{source, storage, GRAMMAR};
+use common::programs::Programs;
+use common::{source, storage};
 use proptest::prelude::*;
 
 /// Ends every drawn program: `group_sum` twice on one key buffer, so a
@@ -24,9 +25,11 @@ const GROUPED: &str = "k = scan('v')\ng = group_sum(k, k)\nh = group_sum(k, k * 
 #[test]
 fn random_programs_agree_across_engines() {
     let flags = prop::collection::vec(any::<bool>(), 0..8);
-    VM.check((GRAMMAR.lines(1..6), flags), |(lines, flags)| {
+    let programs = Programs::over(&storage());
+    VM.check((programs, flags), |(lines, flags)| {
         let case = Case::new(source(&lines) + GROUPED, storage(), Vec::new());
-        Ok(engines(VM.name, &case, &flags, ParallelPolicy::default())?.is_ok())
+        let (run, _) = engines(VM.name, &case, &flags, ParallelPolicy::default())?;
+        Ok(case.ran(run.is_ok()))
     });
 }
 
@@ -45,7 +48,7 @@ fn every_workload_program_agrees_across_engines() {
         let plan_flags = eliminable_lines(&case.program, &sampling.dataset_types);
         for flags in [plan_flags.as_slice(), &[]] {
             let run = engines(w.name(), &case, flags, ParallelPolicy::default());
-            let run = run.unwrap_or_else(|e| panic!("{e}"));
+            let (run, _) = run.unwrap_or_else(|e| panic!("{e}"));
             assert!(run.is_ok(), "{}: {run:?}", w.name());
         }
     }

@@ -26,6 +26,7 @@ mod common;
 
 use activepy::exec::{ExecOptions, RunReport};
 use activepy::runtime::{ActivePy, ActivePyOptions};
+use activepy::sampling::InputSource;
 use activepy::{ExecJournal, PlanCache};
 use alang::parser::parse;
 use common::contract::{resumed, same_accounting, truncate_at_fraction, wal_path, Case, WAL};
@@ -50,7 +51,7 @@ fn resumed_runs_reach_the_uninterrupted_outcome() {
             let solo = ExecOptions::activepy().with_faults(faults.plan());
             let solo = |journal| case.run(&solo.clone().with_journal(journal));
             let Some((full, resumed_run)) = resumed(&case, kill, solo)? else {
-                return Ok(false);
+                return Ok(case.ran(false));
             };
             same_accounting(&full, &resumed_run)?;
             // One stream: the shards in index order, then the tail.
@@ -64,7 +65,7 @@ fn resumed_runs_reach_the_uninterrupted_outcome() {
                 full.recovered_transients(),
                 resumed_run.recovered_transients()
             );
-            Ok(true)
+            Ok(case.ran(true))
         },
     );
 }
@@ -166,8 +167,8 @@ fn warm_start_replans_identically_from_the_table1_input_alone() {
     let program = parse(src).expect("parses");
     let config = SystemConfig::paper_default();
 
-    let input_at =
-        |scale: f64| common::scaled_storage(scale, &[common::SCALED_V, common::SCALED_W]);
+    let input = common::Scaled::new(100);
+    let input_at = |scale: f64| input.storage_at(scale);
 
     let path = std::env::temp_dir().join(format!("activepy_warm_{}.bin", std::process::id()));
 
